@@ -60,8 +60,6 @@ const LOCK_RANKS: &[(&str, u32)] = &[
     // engine: plan LRU — leaf on the read path, never wraps another
     // lock.
     ("plans", 6),
-    // engine stats: latency window — leaf.
-    ("latencies_us", 7),
     // obs: trace ring — leaf.
     ("traces", 8),
     // obs: slow-query ring — leaf.

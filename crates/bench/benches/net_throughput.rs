@@ -128,7 +128,7 @@ fn main() {
         }
         let batch_qps = (rounds * texts.len()) as f64 / t0.elapsed().as_secs_f64();
 
-        let stats = c.stats().expect("stats");
+        let stats = engine.stats();
         table.row(vec![
             ds.name().to_string(),
             texts.len().to_string(),
@@ -138,7 +138,7 @@ fn main() {
             format!("{wire1_qps:.0}"),
             format!("{wiren_qps:.0}"),
             format!("{batch_qps:.0}"),
-            format!("{:.1}%", stats.result_hit_rate() * 100.0),
+            format!("{:.1}%", stats.result_hit_rate * 100.0),
         ]);
         drop(c);
         server.shutdown();

@@ -6,10 +6,10 @@
 //! with no unsafe code and no external dependencies. Items are claimed
 //! dynamically (not pre-chunked), so skewed per-item costs still balance.
 //!
-//! The module lives in `cpqx-core` (historically `cpqx-engine::pool`, which
-//! still re-exports it) so the partition builders themselves can
-//! parallelize: the level-1 pass of Algorithm 1 and the interest-aware
-//! shard builds both run their per-range work through [`parallel_map`].
+//! The module lives in `cpqx-core`, below the engine, so the partition
+//! builders themselves can parallelize: the level-1 pass of Algorithm 1
+//! and the interest-aware shard builds both run their per-range work
+//! through [`parallel_map`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

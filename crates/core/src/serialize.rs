@@ -206,6 +206,11 @@ fn write_class(
     Ok(())
 }
 
+/// Most elements a decoder preallocates for on the strength of a count
+/// field alone: a hostile count then costs a few KiB, not an abort, and
+/// the vector grows only as items actually decode.
+const PREALLOC_MAX: usize = 4096;
+
 /// Reads and structurally validates one class body (the per-class layout
 /// shared by [`CpqxIndex::load`] and [`CpqxIndex::load_class_chunk`]).
 fn read_class<R: Read>(r: &mut Counted<R>, k: usize) -> Result<ClassRecord, LoadError> {
@@ -216,7 +221,7 @@ fn read_class<R: Read>(r: &mut Counted<R>, k: usize) -> Result<ClassRecord, Load
         _ => return Err(LoadError::Corrupt { offset: class_at, what: "bad loop flag" }),
     };
     let ns = read_u32(r)? as usize;
-    let mut seqs = Vec::with_capacity(ns);
+    let mut seqs = Vec::with_capacity(ns.min(PREALLOC_MAX));
     for _ in 0..ns {
         let at = r.offset;
         let s = read_seq(r)?;
@@ -233,7 +238,7 @@ fn read_class<R: Read>(r: &mut Counted<R>, k: usize) -> Result<ClassRecord, Load
     }
     let pairs_at = r.offset;
     let np = read_u32(r)? as usize;
-    let mut pairs = Vec::with_capacity(np);
+    let mut pairs = Vec::with_capacity(np.min(PREALLOC_MAX));
     for _ in 0..np {
         pairs.push(Pair(read_u64(r)?));
     }
@@ -318,10 +323,11 @@ impl CpqxIndex {
 
     /// Reassembles an index from per-chunk class records (the inverse of
     /// [`CpqxIndex::save_class_chunk`] over all chunks), rebuilding the
-    /// derived structures (`Il2c`, pair → class) exactly as
-    /// [`CpqxIndex::load`] does. Like a freshly loaded index, the result
-    /// starts a new fragmentation epoch: the restored class count is the
-    /// baseline.
+    /// derived structures (`Il2c`, pair → class) through the index's
+    /// chunked-store primitives — the one reassembly routine behind both
+    /// [`CpqxIndex::load`] and the store's chunk records. The formats
+    /// store only the Def. 4.3 structures, so the result starts a new
+    /// fragmentation epoch: the restored class count is the baseline.
     ///
     /// Every chunk but the last must hold exactly
     /// [`CpqxIndex::class_chunk_span`] classes, so the rebuilt chunk
@@ -409,43 +415,25 @@ impl CpqxIndex {
             }
             _ => return Err(LoadError::Corrupt { offset: mode_at, what: "bad mode byte" }),
         };
+        // The class section regroups into the chunk records the store
+        // persists one by one, so a single reassembly routine
+        // ([`CpqxIndex::from_class_records`]) serves both layouts.
+        let classes_at = r.offset;
         let nc = read_u32(&mut r)? as usize;
-        // A loaded index starts a fresh fragmentation epoch: the file
-        // format stores only the Def. 4.3 structures, so the loaded class
-        // count becomes the new baseline. The derived stores (`Il2c`,
-        // pair → class) rebuild through the index's chunked-store
-        // primitives.
-        let mut idx = CpqxIndex {
-            k,
-            interests,
-            il2c: HashMap::new(),
-            classes: Vec::new(),
-            class_count: 0,
-            p2c: Vec::new(),
-            pair_count: 0,
-            frag: crate::index::FragCounters { baseline_classes: nc, ..Default::default() },
-        };
-        for c in 0..nc as ClassId {
-            let class_at = r.offset;
-            let (is_loop, seqs, pairs) = read_class(&mut r, k)?;
-            for p in &pairs {
-                if idx.class_of(*p).is_some() {
-                    return Err(LoadError::Corrupt {
-                        offset: class_at,
-                        what: "pair assigned to two classes",
-                    });
-                }
-                idx.p2c_insert(*p, c);
+        let span = Self::class_chunk_span();
+        let mut chunks = Vec::new();
+        let mut chunk = Vec::new();
+        for _ in 0..nc {
+            chunk.push(read_class(&mut r, k)?);
+            if chunk.len() == span {
+                chunks.push(std::mem::take(&mut chunk));
             }
-            for s in &seqs {
-                idx.il2c_push(*s, c);
-            }
-            let created = idx.push_class(is_loop, seqs);
-            debug_assert_eq!(created, c);
-            let (chunk, off) = idx.class_slot_mut(c);
-            chunk.pairs[off] = pairs;
         }
-        Ok(idx)
+        if !chunk.is_empty() {
+            chunks.push(chunk);
+        }
+        Self::from_class_records(k, interests, chunks)
+            .map_err(|what| LoadError::Corrupt { offset: classes_at, what })
     }
 }
 
@@ -597,6 +585,39 @@ mod tests {
                     assert!(offset <= cut as u64, "offset {offset} past cut {cut}")
                 }
                 other => panic!("truncation at {cut} reported as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_error_instead_of_allocating() {
+        // A count field of u32::MAX used to size a `Vec::with_capacity`
+        // directly and abort the process; it must fail like any other
+        // damage, through both entry points and for both count fields.
+        let g = generate::gex();
+        let idx = CpqxIndex::build(&g, 2);
+        let mut whole = Vec::new();
+        idx.save(&mut whole).unwrap();
+        let mut chunk = Vec::new();
+        idx.save_class_chunk(0, &mut chunk).unwrap();
+        // Class 0's sequence count follows the 17-byte stream header (or
+        // the chunk's 4-byte class count) and the loop flag; its pair
+        // count follows the sequence list.
+        let seq_bytes: usize = idx.class_sequences(0).iter().map(|s| 1 + 2 * s.len()).sum();
+        type Load = fn(&[u8]) -> Option<LoadError>;
+        let entry_points: [(&[u8], usize, Load); 2] = [
+            (&whole, 18, |b| CpqxIndex::load(b).err()),
+            (&chunk, 5, |b| CpqxIndex::load_class_chunk(2, b).err()),
+        ];
+        for (buf, seq_count_at, load) in entry_points {
+            for count_at in [seq_count_at, seq_count_at + 4 + seq_bytes] {
+                let mut hostile = buf.to_vec();
+                hostile[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let err = load(&hostile).expect("a hostile count must not load");
+                assert!(
+                    matches!(err, LoadError::Truncated { .. } | LoadError::Corrupt { .. }),
+                    "count at byte {count_at} reported as {err:?}"
+                );
             }
         }
     }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::pool;
+use cpqx_core::pool;
 
 /// Knobs for [`Engine::evaluate_batch`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,9 +95,8 @@ impl Engine {
             let out = if opts.bypass_result_cache {
                 let out = Arc::new(snap.evaluate(&queries[i]));
                 // query_on records its own traffic; the bypass path must
-                // account itself — in both latency sinks, so reservoir
-                // and histogram percentiles stay comparable — or stats
-                // would undercount served queries.
+                // account itself or stats would undercount served
+                // queries.
                 self.note_query(q0.elapsed(), false);
                 out
             } else {

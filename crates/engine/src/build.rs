@@ -37,7 +37,7 @@ use cpqx_core::{merge_partitions, CpqxIndex, RefinementBase};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq};
 use std::time::{Duration, Instant};
 
-use crate::pool;
+use cpqx_core::pool;
 
 /// Knobs for [`build_sharded`] and [`build_interest_sharded`].
 #[derive(Clone, Copy, Debug, Default)]

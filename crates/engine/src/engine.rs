@@ -83,13 +83,6 @@ pub struct EngineOptions {
     /// measures 1.02–1.63 for up to 20% edge churn), so it only fires
     /// under sustained heavy write load.
     pub auto_rebuild_ratio: Option<f64>,
-    /// Benchmark/regression switch: force every write transaction to
-    /// deep-copy the whole graph + index instead of the structural-sharing
-    /// clone — the pre-COW O(graph) write path. Results are identical;
-    /// only cost differs. `maintenance_throughput` uses this to compare
-    /// the two write paths so a regression back to O(graph) clones fails
-    /// visibly in CI. Leave `false` in production.
-    pub deep_clone_writes: bool,
     /// Durability policy: when a [`DurabilitySink`] is attached
     /// ([`Engine::attach_durability`]), this drives the engine-triggered
     /// checkpoint cadence. Irrelevant (and harmless) without a sink.
@@ -119,7 +112,6 @@ impl Default for EngineOptions {
             result_admission_min_cost: 0.0,
             interests: None,
             auto_rebuild_ratio: Some(8.0),
-            deep_clone_writes: false,
             durability: DurabilityOptions::default(),
             obs: ObsOptions::default(),
             exec: ExecOptions::default(),
@@ -222,7 +214,7 @@ pub struct Engine {
     last_build: Mutex<BuildReport>,
     /// The attached durability sink, if any (see
     /// [`Engine::attach_durability`]). Consulted (one brief lock to
-    /// clone the `Arc`) at the start of every logged write transaction.
+    /// clone the `Arc`) by every write transaction that changed state.
     durability: Mutex<Option<Arc<dyn DurabilitySink>>>,
     /// The observability recorder: per-opcode/per-stage histograms,
     /// sampled traces, and the slow-query log. Shared with the network
@@ -301,12 +293,8 @@ impl Engine {
     /// transaction is appended to the sink **before** its snapshot
     /// installs (write-ahead ordering; see [`crate::durability`]), and
     /// [`EngineOptions::durability`] drives the checkpoint cadence.
-    /// Replaces any previously attached sink.
-    ///
-    /// Note that closure transactions ([`Engine::update`]) carry no
-    /// typed ops and therefore cannot be logged — durable deployments
-    /// must write through [`Engine::apply_delta`] (as the single-op
-    /// helpers and the network front-end do).
+    /// Replaces any previously attached sink. [`Engine::apply_delta`] is
+    /// the only write path, so no write can bypass the log.
     pub fn attach_durability(&self, sink: Arc<dyn DurabilitySink>) {
         *self.durability.lock().unwrap() = Some(sink);
     }
@@ -443,21 +431,20 @@ impl Engine {
         out
     }
 
-    /// Accounts one served query in both latency sinks: the reservoir
-    /// (cross-check) and the opcode histogram (source of p50/p99).
-    /// Every query-serving path must route through here so the two
-    /// stay comparable.
+    /// Accounts one served query: the hit/miss counters and the opcode
+    /// histogram (source of p50/p99). Every query-serving path routes
+    /// through here.
     pub(crate) fn note_query(&self, dur: Duration, cache_hit: bool) {
-        self.counters.record_query(dur, cache_hit);
+        self.counters.record_query(cache_hit);
         self.obs.record_op(Op::Query, dur);
     }
 
     /// Applies a typed delta transaction: clones the current state
     /// **once**, applies every [`DeltaOp`] to the clone via the paper's
     /// lazy maintenance procedures, and installs the result as one new
-    /// snapshot — the engine's primary write path (single-op helpers and
-    /// the network front-end's UPDATE/DELTA frames all route through
-    /// it). Atomic: an invalid op rejects the whole delta with a
+    /// snapshot — the engine's only write path (the single-op helpers
+    /// and the network front-end's DELTA frames all route through it).
+    /// Atomic: an invalid op rejects the whole delta with a
     /// [`DeltaError`] and installs nothing.
     ///
     /// After applying, the index's fragmentation ratio is checked
@@ -474,39 +461,12 @@ impl Engine {
         // passing here cannot fail against the clone below.
         crate::delta::validate_ops(self.snapshot().graph(), delta.ops())?;
         let txn_timer = self.obs.timer();
-        let (result, epoch, rebuilt, ratio) = self
-            .write_txn(Some(delta.ops()), |g, idx| match apply_ops(g, idx, delta.ops()) {
-                Ok(outcomes) => {
-                    let applied = outcomes.iter().filter(|o| o.changed()).count();
-                    (Ok((outcomes, applied)), applied > 0)
-                }
-                Err(e) => (Err(e), false),
-            })
-            .map_err(|e| DeltaError {
-                op_index: 0,
-                reason: format!("durability: WAL append failed: {e}"),
-            })?;
-        let (outcomes, applied) = result?;
-        self.counters.record_delta(applied as u64);
+        let report = self.write_txn(delta.ops())?;
+        self.counters.record_delta(report.applied as u64);
         if let Some(t0) = txn_timer {
             self.obs.record_op(Op::Delta, t0.elapsed());
         }
-        Ok(DeltaReport { outcomes, applied, epoch, rebuilt, fragmentation_ratio: ratio })
-    }
-
-    /// Applies a maintenance transaction given as a closure: clones the
-    /// current state, runs `f` on the clone (graph + index stay
-    /// consistent through the [`CpqxIndex`] maintenance API), installs
-    /// the result as a new snapshot, and invalidates the result cache.
-    /// Readers are never blocked; concurrent writers serialize. Returns
-    /// `f`'s output and the new epoch. Prefer [`Engine::apply_delta`]
-    /// where the ops are expressible as typed [`DeltaOp`]s — it gets
-    /// per-op outcomes and lazy-update accounting for free.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Graph, &mut CpqxIndex) -> R) -> (R, u64) {
-        let (out, epoch, _, _) = self
-            .write_txn(None, |g, idx| (f(g, idx), true))
-            .expect("unlogged transactions perform no I/O");
-        (out, epoch)
+        Ok(report)
     }
 
     /// Inserts a base edge (lazy index maintenance; see
@@ -517,15 +477,6 @@ impl Engine {
     /// Panics if the vertices or label are out of range (use
     /// [`Engine::apply_delta`] for a non-panicking, typed-error path).
     pub fn insert_edge(&self, v: VertexId, u: VertexId, l: Label) -> bool {
-        self.insert_edge_with_epoch(v, u, l).0
-    }
-
-    /// Like [`Engine::insert_edge`], additionally returning the epoch the
-    /// caller may pin: the epoch this update installed, or (for no-ops)
-    /// the epoch the no-op was decided against. Read under the writer
-    /// lock, so a concurrent writer can never make the pair stale — the
-    /// seam the network front-end's `UPDATE_ACK` relies on.
-    pub fn insert_edge_with_epoch(&self, v: VertexId, u: VertexId, l: Label) -> (bool, u64) {
         self.one_op(DeltaOp::InsertEdge { src: v, dst: u, label: l })
     }
 
@@ -535,12 +486,6 @@ impl Engine {
     /// # Panics
     /// Panics if the vertices or label are out of range.
     pub fn delete_edge(&self, v: VertexId, u: VertexId, l: Label) -> bool {
-        self.delete_edge_with_epoch(v, u, l).0
-    }
-
-    /// Like [`Engine::delete_edge`] with the pinnable epoch (see
-    /// [`Engine::insert_edge_with_epoch`]).
-    pub fn delete_edge_with_epoch(&self, v: VertexId, u: VertexId, l: Label) -> (bool, u64) {
         self.one_op(DeltaOp::DeleteEdge { src: v, dst: u, label: l })
     }
 
@@ -553,20 +498,20 @@ impl Engine {
     /// Panics if the sequence names a label the graph lacks (use
     /// [`Engine::apply_delta`] for a non-panicking, typed-error path).
     pub fn insert_interest(&self, seq: LabelSeq) -> bool {
-        self.one_op(DeltaOp::InsertInterest { seq }).0
+        self.one_op(DeltaOp::InsertInterest { seq })
     }
 
     /// Drops an interest sequence on an interest-aware engine.
     pub fn delete_interest(&self, seq: &LabelSeq) -> bool {
-        self.one_op(DeltaOp::DeleteInterest { seq: *seq }).0
+        self.one_op(DeltaOp::DeleteInterest { seq: *seq })
     }
 
-    /// A single-op delta transaction (the legacy update surface).
-    fn one_op(&self, op: DeltaOp) -> (bool, u64) {
+    /// A single-op delta transaction; `true` if it changed anything.
+    fn one_op(&self, op: DeltaOp) -> bool {
         let report = self
             .apply_delta(&Delta::from(vec![op]))
             .unwrap_or_else(|e| panic!("invalid single-op update: {e}"));
-        (report.applied > 0, report.epoch)
+        report.applied > 0
     }
 
     /// Rebuilds the index from the current graph (defragmentation after
@@ -636,97 +581,73 @@ impl Engine {
         report.build_level1_parallel = build.level1_parallel;
         report.build_interest_shards = build.interest_shards;
         report.build_total = build.total;
-        // p50/p99 come from the log-bucketed opcode histogram (exact
-        // counts, no reservoir truncation) whenever the recorder has
-        // data; the reservoir values computed above remain as the
-        // fallback for a disabled recorder — and as the independent
-        // cross-check [`Engine::reservoir_report`] exposes to tests.
+        // p50/p99 come from the log-bucketed opcode histogram — the one
+        // latency estimator — and stay zero while the recorder is
+        // disabled (an empty histogram has no quantiles).
         let h = self.obs.op_snapshot(Op::Query);
-        if h.count() > 0 {
-            if let Some(p50) = h.quantile(0.5) {
-                report.p50 = Duration::from_micros(p50);
-            }
-            if let Some(p99) = h.quantile(0.99) {
-                report.p99 = Duration::from_micros(p99);
-            }
-        }
+        report.p50 = Duration::from_micros(h.quantile(0.5).unwrap_or(0));
+        report.p99 = Duration::from_micros(h.quantile(0.99).unwrap_or(0));
         report
     }
 
-    /// The counters' report with **reservoir-based** p50/p99 (the
-    /// pre-histogram source): kept as an independent cross-check so
-    /// tests can assert the histogram quantiles agree with the sampled
-    /// reservoir to within one log bucket. Gauges (fragmentation, build
-    /// timings) are zero here — use [`Engine::stats`] for the full
-    /// report.
-    pub fn reservoir_report(&self) -> StatsReport {
-        self.counters.report()
-    }
-
-    /// The single write-transaction core every mutating path funnels
-    /// through (`apply_delta`, `update`, and via them the single-op
-    /// helpers): under the writer lock, clone the current state once,
-    /// run `f` on the clone, and — iff `f` reports a change — install
-    /// the result as one new snapshot. Before installing, the
-    /// fragmentation ratio is checked against
+    /// The write-transaction core behind [`Engine::apply_delta`] (and,
+    /// through it, the single-op helpers): under the writer lock, clone
+    /// the current state once, apply `ops` to the clone, and — iff some
+    /// op changed it — install the result as one new snapshot. Before
+    /// installing, the fragmentation ratio is checked against
     /// [`EngineOptions::auto_rebuild_ratio`]; crossing it replaces the
     /// fragmented clone with a fresh build of the same graph, still
     /// within the single install, so no reader ever observes the
-    /// fragmented intermediate. Returns `f`'s output, the pinnable
-    /// epoch (installed, or unchanged for no-ops), whether an
-    /// auto-rebuild fired, and the fragmentation ratio after the
-    /// transaction.
+    /// fragmented intermediate. The report's epoch is pinnable: the
+    /// installed one, or the unchanged current one for no-ops.
     ///
-    /// `log_ops` carries the transaction's typed ops for the durability
-    /// sink (if one is attached): they are appended to the WAL after `f`
-    /// succeeds and **before** the install — write-ahead ordering — and
-    /// an append failure aborts the transaction with the I/O error
-    /// (nothing installs). Closure transactions pass `None` and can
-    /// never fail. After a successful append (and a possible
+    /// With a durability sink attached, `ops` are appended to the WAL
+    /// after they applied and **before** the install — write-ahead
+    /// ordering — and an append failure aborts the transaction (nothing
+    /// installs). After a successful append (and a possible
     /// auto-rebuild), crossing
     /// [`DurabilityOptions::checkpoint_wal_bytes`] triggers a sink
     /// checkpoint of the exact state about to install; checkpoint
     /// failures are non-fatal (the WAL still covers everything, the
     /// next trigger retries).
-    fn write_txn<R>(
-        &self,
-        log_ops: Option<&[DeltaOp]>,
-        f: impl FnOnce(&mut Graph, &mut CpqxIndex) -> (R, bool),
-    ) -> Result<(R, u64, bool, f64), std::io::Error> {
+    fn write_txn(&self, ops: &[DeltaOp]) -> Result<DeltaReport, DeltaError> {
         let _writer = self.writer.lock().unwrap();
         let mut trace = self.obs.begin(TraceKind::Delta);
         let snap = self.snapshot();
         // The clone is O(#chunks): all heavyweight storage is structurally
         // shared with the snapshot and copied chunk-by-chunk on first
-        // touch (`deep_clone_writes` forces the pre-COW full copy for
-        // benchmark comparison).
+        // touch.
         let clone_timer = self.obs.timer();
-        let (mut graph, mut index) = if self.options.deep_clone_writes {
-            (snap.graph.deep_clone(), snap.index.deep_clone())
-        } else {
-            (snap.graph.clone(), snap.index.clone())
-        };
+        let (mut graph, mut index) = (snap.graph.clone(), snap.index.clone());
         self.obs.stage(Stage::Clone, clone_timer, trace.as_mut());
         let maintain_timer = self.obs.timer();
-        let (out, changed) = f(&mut graph, &mut index);
+        let outcomes = apply_ops(&mut graph, &mut index, ops);
         self.obs.stage(Stage::Maintain, maintain_timer, trace.as_mut());
-        if !changed {
+        let outcomes = outcomes?;
+        let applied = outcomes.iter().filter(|o| o.changed()).count();
+        if applied == 0 {
             if let Some(mut tb) = trace {
                 tb.set_epoch(snap.epoch());
                 self.obs.finish(tb);
             }
-            return Ok((out, snap.epoch(), false, index.fragmentation_ratio()));
+            return Ok(DeltaReport {
+                outcomes,
+                applied,
+                epoch: snap.epoch(),
+                rebuilt: false,
+                fragmentation_ratio: index.fragmentation_ratio(),
+            });
         }
-        let sink = match (log_ops, self.sink()) {
-            (Some(ops), Some(sink)) => {
-                let wal_timer = self.obs.timer();
-                let bytes = sink.append(&graph, ops)?;
-                self.obs.stage(Stage::WalAppend, wal_timer, trace.as_mut());
-                self.counters.record_wal(bytes);
-                Some(sink)
-            }
-            _ => None,
-        };
+        let sink = self.sink();
+        if let Some(sink) = &sink {
+            let wal_timer = self.obs.timer();
+            let bytes = sink.append(&graph, ops).map_err(|e| DeltaError {
+                op_index: 0,
+                reason: format!("durability: WAL append failed: {e}"),
+            })?;
+            self.obs.stage(Stage::WalAppend, wal_timer, trace.as_mut());
+            self.counters.record_wal(bytes);
+        }
         let rebuild_report = match self.options.auto_rebuild_ratio {
             Some(threshold) if index.fragmentation_ratio() > threshold => {
                 let (fresh, report) = self.build_fresh(&graph, index.interests().cloned());
@@ -751,7 +672,7 @@ impl Engine {
                 }
             }
         }
-        let ratio = index.fragmentation_ratio();
+        let fragmentation_ratio = index.fragmentation_ratio();
         let install_timer = self.obs.timer();
         let epoch = self.install(graph, index);
         self.obs.stage(Stage::Install, install_timer, trace.as_mut());
@@ -764,7 +685,13 @@ impl Engine {
             tb.set_epoch(epoch);
             self.obs.finish(tb);
         }
-        Ok((out, epoch, rebuild_report.is_some(), ratio))
+        Ok(DeltaReport {
+            outcomes,
+            applied,
+            epoch,
+            rebuilt: rebuild_report.is_some(),
+            fragmentation_ratio,
+        })
     }
 
     /// Installs a new current snapshot (caller holds the writer lock).
@@ -861,32 +788,19 @@ mod tests {
     }
 
     #[test]
-    fn update_with_epoch_reports_the_installed_version() {
-        let engine = gex_engine();
-        let snap = engine.snapshot();
-        let g0 = snap.graph();
-        let (sue, joe) = (g0.vertex_named("sue").unwrap(), g0.vertex_named("joe").unwrap());
-        let f = g0.label_named("f").unwrap();
-        assert_eq!(engine.delete_edge_with_epoch(sue, joe, f), (true, 1));
-        // No-op: not applied, epoch pinned to the version the decision
-        // was made against.
-        assert_eq!(engine.delete_edge_with_epoch(sue, joe, f), (false, 1));
-        assert_eq!(engine.insert_edge_with_epoch(sue, joe, f), (true, 2));
-        assert_eq!(engine.epoch(), 2);
-    }
-
-    #[test]
     fn update_transaction_batches_changes() {
         let engine = gex_engine();
         let snap = engine.snapshot();
         let f = snap.graph().label_named("f").unwrap();
-        let (applied, epoch) = engine.update(|g, idx| {
-            let a = idx.add_vertex(g, "newbie");
-            let sue = g.vertex_named("sue").unwrap();
-            idx.insert_edge(g, a, sue, f) && idx.insert_edge(g, sue, a, f)
-        });
-        assert!(applied);
-        assert_eq!(epoch, 1);
+        let sue = snap.graph().vertex_named("sue").unwrap();
+        let newbie = snap.graph().vertex_count();
+        let delta = Delta::new()
+            .add_vertex("newbie")
+            .insert_edge(newbie, sue, f)
+            .insert_edge(sue, newbie, f);
+        let report = engine.apply_delta(&delta).expect("valid delta");
+        assert_eq!(report.applied, 3);
+        assert_eq!(report.epoch, 1);
         let snap1 = engine.snapshot();
         let q = parse_cpq("(f . f) & id", snap1.graph()).unwrap();
         assert_eq!(*engine.query(&q), eval_reference(snap1.graph(), &q));
@@ -1127,25 +1041,30 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_reservoir_percentiles_agree() {
+    fn percentiles_come_from_the_query_histogram() {
         let engine = gex_engine();
         let snap = engine.snapshot();
-        for text in ["(f . f) & f^-1", "f . f", "f^-1 . f"] {
-            let q = parse_cpq(text, snap.graph()).unwrap();
-            for _ in 0..50 {
-                engine.query(&q);
-            }
+        let q = parse_cpq("(f . f) & f^-1", snap.graph()).unwrap();
+        for _ in 0..50 {
+            engine.query(&q);
         }
-        let hist = engine.stats(); // histogram-sourced p50/p99
-        let reservoir = engine.reservoir_report(); // reservoir-sourced
-        assert_eq!(hist.queries, 150);
-        for (h, r) in [(hist.p50, reservoir.p50), (hist.p99, reservoir.p99)] {
-            let (bh, br) = (
-                cpqx_obs::bucket_index(h.as_micros() as u64),
-                cpqx_obs::bucket_index(r.as_micros() as u64),
-            );
-            assert!(bh.abs_diff(br) <= 1, "histogram {h:?} vs reservoir {r:?} ({bh} vs {br})");
-        }
+        let h = engine.obs().op_snapshot(Op::Query);
+        let stats = engine.stats();
+        assert_eq!(h.count(), stats.queries);
+        assert_eq!(stats.p50.as_micros() as u64, h.quantile(0.5).unwrap());
+        assert_eq!(stats.p99.as_micros() as u64, h.quantile(0.99).unwrap());
+        // A disabled recorder leaves the quantiles at zero; the counters
+        // keep counting.
+        let (quiet, _) = Engine::with_options(
+            generate::gex(),
+            EngineOptions {
+                obs: ObsOptions { enabled: false, ..ObsOptions::default() },
+                ..EngineOptions::default()
+            },
+        );
+        quiet.query(&q);
+        let stats = quiet.stats();
+        assert_eq!((stats.queries, stats.p50, stats.p99), (1, Duration::ZERO, Duration::ZERO));
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod cache;
 pub mod delta;
 pub mod durability;
 pub mod engine;
-pub mod pool;
 pub mod stats;
 
 pub use batch::{BatchOptions, BatchOutcome};

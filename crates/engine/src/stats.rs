@@ -1,21 +1,17 @@
 //! Engine observability: counters, hit rates and latency percentiles.
 //!
-//! Counters are lock-free atomics bumped on the hot path; latencies go
-//! into a fixed-size mutex-guarded reservoir (overwriting round-robin, so
-//! percentiles reflect the most recent window without unbounded memory).
+//! Counters are lock-free atomics bumped on the hot path. Query latency
+//! has one estimator, the recorder's `Op::Query` histogram
+//! ([`cpqx_obs::Recorder`]): `Engine::stats` reads
+//! [`StatsReport::p50`]/[`StatsReport::p99`] from it, so both are zero
+//! while the recorder is disabled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Size of the rolling latency window backing percentile estimates.
-const LATENCY_WINDOW: usize = 8192;
-
 /// The nearest-rank `p`-quantile of an ascending-sorted sample slice —
-/// the **single** quantile definition the engine uses (query-latency
-/// percentiles in [`EngineCounters::report`] and per-batch latency
-/// quantiles in `BatchOutcome::latency_quantile` both route here, so the
-/// two can never diverge again).
+/// the quantile definition for exact sample sets (per-batch latency
+/// quantiles in `BatchOutcome::latency_quantile`).
 ///
 /// Semantics: `p` is clamped to `[0.0, 1.0]` (a non-finite `p` reads as
 /// `0.0`); the returned sample is `sorted[round((len - 1) · p)]`, i.e.
@@ -56,39 +52,15 @@ pub struct EngineCounters {
     wal_bytes: AtomicU64,
     snapshots_written: AtomicU64,
     snapshot_chunks_skipped: AtomicU64,
-    latencies_us: Mutex<LatencyWindow>,
-}
-
-#[derive(Default)]
-struct LatencyWindow {
-    samples: Vec<u64>,
-    next: usize,
 }
 
 impl EngineCounters {
-    pub(crate) fn record_query(&self, latency: Duration, result_hit: bool) {
+    pub(crate) fn record_query(&self, result_hit: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if result_hit {
             self.result_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.result_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let mut w = self.latencies_us.lock().unwrap();
-        if w.samples.len() < LATENCY_WINDOW {
-            // Fill phase: append, and derive the wrap cursor from the
-            // length so the two can never desynchronize — the cursor
-            // always names the slot holding the oldest sample once the
-            // window is full.
-            w.samples.push(us);
-            w.next = w.samples.len() % LATENCY_WINDOW;
-        } else {
-            // Wrap phase: overwrite the oldest sample and advance past
-            // it, keeping the cursor's invariant branch-locally instead
-            // of relying on a shared post-branch increment.
-            let at = w.next;
-            w.samples[at] = us;
-            w.next = (at + 1) % LATENCY_WINDOW;
         }
     }
 
@@ -143,11 +115,6 @@ impl EngineCounters {
 
     /// A consistent-enough point-in-time view of the counters.
     pub fn report(&self) -> StatsReport {
-        let mut latencies = self.latencies_us.lock().unwrap().samples.clone();
-        latencies.sort_unstable();
-        let pct = |p: f64| -> Duration {
-            nearest_rank_quantile(&latencies, p).map_or(Duration::ZERO, Duration::from_micros)
-        };
         let queries = self.queries.load(Ordering::Relaxed);
         let result_hits = self.result_hits.load(Ordering::Relaxed);
         let result_misses = self.result_misses.load(Ordering::Relaxed);
@@ -181,9 +148,8 @@ impl EngineCounters {
             build_level1_parallel: Duration::ZERO,
             build_interest_shards: Duration::ZERO,
             build_total: Duration::ZERO,
-            latency_window: latencies.len(),
-            p50: pct(0.50),
-            p99: pct(0.99),
+            p50: Duration::ZERO,
+            p99: Duration::ZERO,
         }
     }
 }
@@ -274,12 +240,45 @@ pub struct StatsReport {
     pub build_interest_shards: Duration,
     /// End-to-end wall-clock of the most recent full build.
     pub build_total: Duration,
-    /// Latency samples currently in the rolling window.
-    pub latency_window: usize,
-    /// Median query latency over the window.
+    /// Median query latency, from the recorder's `Op::Query` histogram
+    /// (every query since start, to one log bucket). Filled by
+    /// `Engine::stats`; zero while the recorder is disabled or when the
+    /// report comes from bare counters.
     pub p50: Duration,
-    /// 99th-percentile query latency over the window.
+    /// 99th-percentile query latency (same source as
+    /// [`StatsReport::p50`]).
     pub p99: Duration,
+}
+
+impl StatsReport {
+    /// Every integer counter and gauge of the report as `(name, value)`
+    /// — the name table the METRICS frame and its Prometheus rendering
+    /// are generated from. Names ending in `_total` only ever grow; the
+    /// rest are gauges. Exporting a new field takes one line here.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("queries_total", self.queries),
+            ("result_hits_total", self.result_hits),
+            ("result_misses_total", self.result_misses),
+            ("plan_hits_total", self.plan_hits),
+            ("plan_misses_total", self.plan_misses),
+            ("snapshot_swaps_total", self.snapshot_swaps),
+            ("invalidated_results_total", self.invalidated_results),
+            ("rejected_admissions_total", self.rejected_admissions),
+            ("delta_transactions_total", self.delta_transactions),
+            ("lazy_update_ops_total", self.lazy_update_ops),
+            ("rebuilds_total", self.rebuilds),
+            ("auto_rebuilds_total", self.auto_rebuilds),
+            ("cow_chunks_copied_total", self.cow_chunks_copied),
+            ("cow_chunks_shared_total", self.cow_chunks_shared),
+            ("wal_appends_total", self.wal_appends),
+            ("wal_bytes_total", self.wal_bytes),
+            ("snapshots_written_total", self.snapshots_written),
+            ("snapshot_chunks_skipped_total", self.snapshot_chunks_skipped),
+            ("class_slots", self.class_slots),
+            ("baseline_classes", self.baseline_classes),
+        ]
+    }
 }
 
 impl std::fmt::Display for StatsReport {
@@ -322,7 +321,7 @@ mod tests {
     fn rates_and_percentiles() {
         let c = EngineCounters::default();
         for i in 0..100u64 {
-            c.record_query(Duration::from_micros(i + 1), i % 4 == 0);
+            c.record_query(i % 4 == 0);
         }
         c.record_plan(true);
         c.record_plan(false);
@@ -337,9 +336,11 @@ mod tests {
         assert!((r.plan_hit_rate - 0.5).abs() < 1e-9);
         assert_eq!(r.snapshot_swaps, 1);
         assert_eq!(r.invalidated_results, 3);
-        assert!(r.p50 >= Duration::from_micros(40) && r.p50 <= Duration::from_micros(60));
-        assert!(r.p99 >= r.p50);
         assert!(!r.to_string().is_empty());
+        // The name table carries the same values the typed fields do.
+        let named = r.counters();
+        assert!(named.contains(&("queries_total", 100)));
+        assert!(named.contains(&("invalidated_results_total", 3)));
     }
 
     #[test]
@@ -409,39 +410,5 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("wal[appends=2 bytes=208]"), "{text}");
         assert!(text.contains("snapshots[written=1 skipped=29]"), "{text}");
-    }
-
-    #[test]
-    fn window_wraps() {
-        let c = EngineCounters::default();
-        for i in 0..(LATENCY_WINDOW + 100) {
-            c.record_query(Duration::from_micros(i as u64), false);
-        }
-        let r = c.report();
-        assert_eq!(r.latency_window, LATENCY_WINDOW);
-    }
-
-    #[test]
-    fn window_wrap_evicts_the_oldest_sample() {
-        let c = EngineCounters::default();
-        // Fill exactly to capacity with distinct values 0..WINDOW; the
-        // wrap cursor must point back at slot 0 (the oldest sample).
-        for i in 0..LATENCY_WINDOW {
-            c.record_query(Duration::from_micros(i as u64), false);
-        }
-        {
-            let w = c.latencies_us.lock().unwrap();
-            assert_eq!(w.samples.len(), LATENCY_WINDOW);
-            assert_eq!(w.next, 0, "cursor must target the oldest slot after the fill phase");
-        }
-        // One more sample: it must land on slot 0, evicting value 0 —
-        // and only value 0.
-        c.record_query(Duration::from_micros(LATENCY_WINDOW as u64), false);
-        let w = c.latencies_us.lock().unwrap();
-        assert_eq!(w.samples.len(), LATENCY_WINDOW);
-        assert_eq!(w.samples[0], LATENCY_WINDOW as u64, "newest sample overwrites the oldest");
-        assert_eq!(w.samples[1], 1, "second-oldest survives");
-        assert_eq!(w.next, 1, "cursor advances past the overwritten slot");
-        assert!(!w.samples.contains(&0), "the oldest sample is the one evicted");
     }
 }

@@ -76,15 +76,8 @@ fn appends_carry_the_transaction_and_feed_the_gauges() {
     assert_eq!(engine.stats().wal_appends, 1);
 
     // Single-op convenience methods route through typed ops, so they
-    // are durable too...
+    // are durable too.
     assert!(engine.delete_edge(1, 0, Label(0)));
-    assert_eq!(engine.stats().wal_appends, 2);
-
-    // ...but closure-style transactions bypass the log by design (see
-    // STORAGE.md): a new epoch installs, nothing is appended.
-    let epoch = engine.epoch();
-    engine.update(|_g, _idx| ());
-    assert_eq!(engine.epoch(), epoch + 1);
     assert_eq!(engine.stats().wal_appends, 2);
 }
 

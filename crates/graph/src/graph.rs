@@ -763,23 +763,6 @@ impl Graph {
         })
     }
 
-    /// A clone that shares **no** chunk with `self` — every chunk's
-    /// contents (topology and names) are copied up front. This reproduces
-    /// the cost of the pre-COW full-copy write path and exists for
-    /// benchmarking and regression comparison (see the engine's
-    /// `deep_clone_writes` option); ordinary code should use the
-    /// O(#chunks) `Clone`.
-    pub fn deep_clone(&self) -> Graph {
-        let mut g = self.clone();
-        for c in &mut g.chunks {
-            *c = Arc::new(VertexChunk::clone(c));
-        }
-        for n in &mut g.names {
-            *n = Arc::new(Vec::clone(n));
-        }
-        g
-    }
-
     /// Approximate deep memory footprint in bytes (graph accounting used by
     /// the experiment harness).
     pub fn size_bytes(&self) -> usize {
@@ -1236,18 +1219,6 @@ mod tests {
         assert!(!g.remove_edge(0, 2, f), "edge absent");
         let d = g.cow_diff(&base);
         assert_eq!(d.chunks_copied, 0, "no-ops must not break sharing");
-    }
-
-    #[test]
-    fn deep_clone_shares_nothing() {
-        let base = chunky(64, 8);
-        let g = base.deep_clone();
-        let d = g.cow_diff(&base);
-        assert_eq!(d.chunks_shared, 0);
-        assert_eq!(d.chunks_copied, base.chunk_count());
-        for l in base.ext_labels() {
-            assert_eq!(base.edge_pairs(l).to_vec(), g.edge_pairs(l).to_vec());
-        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 
 use crate::proto::{
     decode_response, encode_request, read_frame, write_frame, DecodeError, FrameError, Request,
-    Response, WireError, WireMetrics, WireOp, WireOutcome, WireStats, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    Response, WireError, WireMetrics, WireOp, WireOutcome, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use cpqx_graph::Pair;
 use std::io::{self, BufReader, BufWriter};
@@ -110,15 +109,6 @@ pub struct BatchReply {
     pub results: Vec<Vec<Pair>>,
 }
 
-/// An update's outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdateReply {
-    /// Whether the update changed the graph.
-    pub applied: bool,
-    /// The engine epoch after the update.
-    pub epoch: u64,
-}
-
 /// A delta transaction's outcome: the transaction committed atomically
 /// (rejected deltas surface as [`ClientError::Server`] instead, with
 /// the offending op named in the message).
@@ -200,24 +190,26 @@ impl Client {
         }
     }
 
-    /// Inserts a base edge (`applied: false` if it already existed).
+    /// Inserts a base edge: a one-op [`Client::apply_delta`] (the edge
+    /// already existed iff [`DeltaReply::applied`] is 0).
     pub fn insert_edge(
         &mut self,
         src: u32,
         dst: u32,
         label: &str,
-    ) -> Result<UpdateReply, ClientError> {
-        self.update(true, src, dst, label)
+    ) -> Result<DeltaReply, ClientError> {
+        self.apply_delta(vec![WireOp::InsertEdge { src, dst, label: label.to_string() }])
     }
 
-    /// Deletes a base edge (`applied: false` if it did not exist).
+    /// Deletes a base edge: a one-op [`Client::apply_delta`] (the edge
+    /// did not exist iff [`DeltaReply::applied`] is 0).
     pub fn delete_edge(
         &mut self,
         src: u32,
         dst: u32,
         label: &str,
-    ) -> Result<UpdateReply, ClientError> {
-        self.update(false, src, dst, label)
+    ) -> Result<DeltaReply, ClientError> {
+        self.apply_delta(vec![WireOp::DeleteEdge { src, dst, label: label.to_string() }])
     }
 
     /// Applies an atomic typed delta transaction (see
@@ -249,35 +241,13 @@ impl Client {
         }
     }
 
-    /// Fetches the server's statistics report.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(s) => Ok(*s),
-            other => Err(mistyped("STATS_RESULT", &other)),
-        }
-    }
-
-    /// Fetches the server's observability report (protocol ≥ 5):
-    /// per-opcode and per-stage latency histograms, the slow-query ring,
-    /// and canonical-key workload counts.
+    /// Fetches the server's observability report: every engine and
+    /// front-end counter, per-opcode and per-stage latency histograms,
+    /// the slow-query ring, and canonical-key workload counts.
     pub fn metrics(&mut self) -> Result<WireMetrics, ClientError> {
         match self.roundtrip(&Request::Metrics)? {
             Response::Metrics(m) => Ok(*m),
             other => Err(mistyped("METRICS_RESULT", &other)),
-        }
-    }
-
-    fn update(
-        &mut self,
-        insert: bool,
-        src: u32,
-        dst: u32,
-        label: &str,
-    ) -> Result<UpdateReply, ClientError> {
-        let req = Request::Update { insert, src, dst, label: label.to_string() };
-        match self.roundtrip(&req)? {
-            Response::UpdateAck { applied, epoch } => Ok(UpdateReply { applied, epoch }),
-            other => Err(mistyped("UPDATE_ACK", &other)),
         }
     }
 

@@ -5,7 +5,7 @@
 //! A connection owns an incremental [`FrameAssembler`] on the read side
 //! and an ordered **response slot queue** on the write side: every
 //! decoded request reserves the next sequence slot, inline-handled
-//! requests (PING/STATS/METRICS, handshake, decode errors) fill their
+//! requests (PING/METRICS, handshake, decode errors) fill their
 //! slot immediately, worker-evaluated requests fill it when the
 //! completion comes back — and only the *completed prefix* of slots is
 //! ever encoded into the write buffer, so responses leave in strict
@@ -67,6 +67,12 @@ pub(crate) struct Conn {
     /// flush; `None` = at a worker.
     pending: VecDeque<(u64, Option<Response>)>,
     next_seq: u64,
+    /// Slot of the DELTA currently at a worker, if any. While set, the
+    /// connection dispatches nothing further (see [`Conn::saturated`]):
+    /// workers pop jobs in any order, so this is what makes one
+    /// connection's pipelined writes — and the requests behind them —
+    /// take effect in arrival order.
+    write_in_flight: Option<u64>,
     /// Last time the peer sent bytes or the last pending response was
     /// flushed — the anchor for the idle timeout.
     pub(crate) last_activity: Instant,
@@ -98,6 +104,7 @@ impl Conn {
             wpos: 0,
             pending: VecDeque::new(),
             next_seq: 0,
+            write_in_flight: None,
             last_activity: now,
             last_write_progress: now,
             peer_eof: false,
@@ -149,6 +156,24 @@ impl Conn {
         if let Some(slot) = self.pending.iter_mut().find(|(s, _)| *s == seq) {
             slot.1 = Some(resp);
         }
+        if self.write_in_flight == Some(seq) {
+            self.write_in_flight = None;
+        }
+    }
+
+    /// Reserves the slot of a write (DELTA) request and holds further
+    /// dispatch until it completes.
+    pub(crate) fn reserve_write_slot(&mut self) -> u64 {
+        let seq = self.reserve_slot();
+        self.write_in_flight = Some(seq);
+        seq
+    }
+
+    /// `true` while the connection must not dispatch another request:
+    /// the pipeline bound is reached or a write is in flight. Frames
+    /// stay buffered in the assembler and the loop stops reading.
+    pub(crate) fn saturated(&self, max_pipeline: usize) -> bool {
+        self.pending.len() >= max_pipeline || self.write_in_flight.is_some()
     }
 
     /// Reserves a slot and completes it immediately (inline handling).
@@ -230,10 +255,25 @@ mod tests {
         assert_eq!(conn.flush_ready(), 0);
         conn.complete_slot(s2, Response::Pong);
         assert_eq!(conn.flush_ready(), 0, "s2 done but s0 still gates the prefix");
-        conn.complete_slot(s0, Response::UpdateAck { applied: true, epoch: 9 });
+        conn.complete_slot(s0, Response::Result { epoch: 9, pairs: vec![] });
         assert_eq!(conn.flush_ready(), 3, "whole prefix completes at once");
         assert_eq!(conn.pending_len(), 0);
         assert!(conn.unsent() > 0);
+    }
+
+    #[test]
+    fn a_write_in_flight_holds_dispatch_until_its_slot_completes() {
+        let (a, _b) = pair();
+        let mut conn = Conn::new(a, DEFAULT_MAX_FRAME, Instant::now());
+        let read = conn.reserve_slot();
+        assert!(!conn.saturated(8), "reads only count against the pipeline bound");
+        let write = conn.reserve_write_slot();
+        assert!(conn.saturated(8));
+        conn.complete_slot(read, Response::Pong);
+        assert!(conn.saturated(8), "an earlier slot completing does not release the hold");
+        conn.complete_slot(write, Response::Pong);
+        assert!(!conn.saturated(8));
+        assert!(conn.saturated(2), "the pipeline bound still applies");
     }
 
     #[test]
@@ -242,7 +282,7 @@ mod tests {
         let now = Instant::now();
         let mut conn = Conn::new(a, DEFAULT_MAX_FRAME, now);
         conn.stream.set_nonblocking(true).unwrap();
-        conn.push_inline(Response::UpdateAck { applied: true, epoch: 1 });
+        conn.push_inline(Response::HelloAck { version: 7 });
         conn.push_inline(Response::Pong);
         conn.flush_ready();
         // Drain to the socket (loopback buffers easily hold two frames).
@@ -252,7 +292,7 @@ mod tests {
         let mut r = std::io::BufReader::new(b);
         let f0 = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
         let f1 = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(decode_response(&f0).unwrap(), Response::UpdateAck { applied: true, epoch: 1 });
+        assert_eq!(decode_response(&f0).unwrap(), Response::HelloAck { version: 7 });
         assert_eq!(decode_response(&f1).unwrap(), Response::Pong);
     }
 

@@ -3,14 +3,20 @@
 //! One thread owns the nonblocking listener, every connection socket and
 //! a coarse timer wheel, and multiplexes them through [`crate::sys`]'s
 //! level-triggered epoll wrapper. Workers never see a socket: the loop
-//! decodes frames, answers cheap requests (PING/STATS/METRICS,
-//! handshake, decode errors) inline, and hands evaluation work
-//! (QUERY/BATCH/UPDATE/DELTA) to the pool as [`Job`]s; finished
+//! decodes frames, answers cheap requests (PING/METRICS, handshake,
+//! decode errors) inline, and hands evaluation work
+//! (QUERY/BATCH/DELTA) to the pool as [`Job`]s; finished
 //! [`Completion`]s come back over a mutex'd list plus an eventfd wake,
 //! and the loop writes them out through each connection's ordered slot
 //! queue — so per-connection arrival order survives any worker
 //! interleaving, and an idle connection costs two buffers instead of a
 //! parked thread.
+//!
+//! Ordering of effects: workers pop jobs in any order, so a connection
+//! with a DELTA in flight dispatches nothing further until that slot
+//! completes — its later frames wait in the assembler. One connection's
+//! writes therefore apply in arrival order, and every request behind a
+//! write observes it.
 //!
 //! Backpressure has three rungs: a per-connection pipeline bound (reads
 //! pause while too many requests are in flight), a write-backlog bound
@@ -308,15 +314,16 @@ fn on_conn_event(
 }
 
 /// The per-connection driver: pops buffered frames (respecting the
-/// pipeline bound), flushes completed responses, writes, and reconciles
-/// epoll interest and the timer wheel. Returns `false` to close.
+/// pipeline bound and the write-in-flight hold), flushes completed
+/// responses, writes, and reconciles epoll interest and the timer
+/// wheel. Returns `false` to close.
 fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
     let s = lp.s;
     let Some(conn) = lp.conns.get_mut(&token) else {
         return true;
     };
     // 1. Decode and dispatch buffered frames.
-    while conn.state != ConnState::Draining && conn.pending_len() < s.opts.max_pipeline {
+    while conn.state != ConnState::Draining && !conn.saturated(s.opts.max_pipeline) {
         match conn.assembler.next_frame() {
             Ok(Some(frame)) => process_frame(s, conn, token, &frame),
             Ok(None) => break,
@@ -358,7 +365,7 @@ fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
         return false;
     }
     // 3. Reconcile epoll interest.
-    let paused = conn.pending_len() >= s.opts.max_pipeline || conn.unsent() > WBUF_PAUSE;
+    let paused = conn.saturated(s.opts.max_pipeline) || conn.unsent() > WBUF_PAUSE;
     let mut want = 0u32;
     // An EOF'd socket stays readable forever under level-triggered
     // epoll; dropping read interest once EOF is seen keeps the loop
@@ -504,14 +511,15 @@ fn process_frame(s: &Shared, conn: &mut Conn, token: u64, frame: &[u8]) {
             Err(e) => queue_inline(s, conn, Response::Error(WireError::from(e))),
             // Cheap requests complete inline on the event loop; only
             // evaluation work visits the pool.
-            Ok(
-                req @ (Request::Hello { .. } | Request::Ping | Request::Stats | Request::Metrics),
-            ) => {
+            Ok(req @ (Request::Hello { .. } | Request::Ping | Request::Metrics)) => {
                 let resp = handle(s, req);
                 queue_inline(s, conn, resp);
             }
             Ok(req) => {
-                let seq = conn.reserve_slot();
+                let seq = match req {
+                    Request::Delta(_) => conn.reserve_write_slot(),
+                    _ => conn.reserve_slot(),
+                };
                 let queued = s.engine.obs().timer();
                 s.jobs.lock().unwrap().push_back(Job { conn: token, seq, req, queued });
                 s.jobs_cv.notify_one();

@@ -5,8 +5,7 @@
 //!
 //! 1. **Wire protocol** ([`proto`]): versioned, length-prefixed binary
 //!    frames with a magic + version handshake; `QUERY` / `BATCH` /
-//!    `UPDATE` / `STATS` / `METRICS` / `PING` requests, typed error
-//!    frames (parse
+//!    `DELTA` / `METRICS` / `PING` requests, typed error frames (parse
 //!    errors keep their byte position and their syntax-vs-unknown-label
 //!    classification), pure, panic-free codecs, and an incremental
 //!    [`proto::FrameAssembler`] for nonblocking reads.
@@ -26,7 +25,7 @@
 //! carries the **epoch** of the engine snapshot that produced them, and
 //! a `BATCH` parses *and* evaluates all its queries on one pinned
 //! snapshot — so clients observe snapshot isolation end-to-end even
-//! while `UPDATE` frames (or in-process writers) swap snapshots under
+//! while `DELTA` frames (or in-process writers) swap snapshots under
 //! them.
 //!
 //! ```
@@ -55,12 +54,10 @@ pub mod proto;
 pub mod server;
 pub mod sys;
 
-pub use client::{
-    BatchReply, Client, ClientError, ClientOptions, DeltaReply, QueryReply, UpdateReply,
-};
+pub use client::{BatchReply, Client, ClientError, ClientOptions, DeltaReply, QueryReply};
 pub use metrics::render_prometheus;
 pub use proto::{
-    ErrorCode, Request, Response, WireError, WireMetrics, WireNetCounters, WireOp, WireOutcome,
-    WireSeqLabel, WireStats, PROTOCOL_VERSION,
+    ErrorCode, Request, Response, WireError, WireMetrics, WireOp, WireOutcome, WireSeqLabel,
+    PROTOCOL_VERSION,
 };
 pub use server::{NetStats, Server, ServerOptions};

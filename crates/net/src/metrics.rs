@@ -3,7 +3,8 @@
 //! [`render_prometheus`] renders the METRICS frame's typed report in the
 //! Prometheus text format (`metric{label="value"} number` lines with
 //! `# HELP` / `# TYPE` headers), so a scrape endpoint or a cron job can
-//! expose the server's histograms without any metrics dependency.
+//! expose the server's counters and histograms without any metrics
+//! dependency. Every entry of the counter list becomes `cpqx_<name>`.
 //! Latency histograms render as summaries — `quantile="0.5"` /
 //! `quantile="0.99"` series from the log-bucketed sketch, plus the exact
 //! `_count` / `_sum` / `_max` series — because the log buckets are the
@@ -35,28 +36,19 @@ pub fn render_prometheus(m: &WireMetrics) -> String {
     let _ = writeln!(w, "# TYPE cpqx_epoch gauge");
     let _ = writeln!(w, "cpqx_epoch {}", m.epoch);
 
-    let _ = writeln!(w, "# HELP cpqx_requests_total Requests served, by opcode.");
-    let _ = writeln!(w, "# TYPE cpqx_requests_total counter");
-    for (name, v) in [
-        ("ping", m.net.ping_requests),
-        ("query", m.net.query_requests),
-        ("batch", m.net.batch_requests),
-        ("update", m.net.update_requests),
-        ("delta", m.net.delta_requests),
-        ("stats", m.net.stats_requests),
-        ("metrics", m.net.metrics_requests),
-    ] {
-        let _ = writeln!(w, "cpqx_requests_total{{op=\"{name}\"}} {v}");
+    // One loop for every engine and front-end counter: the name table
+    // each side exports is the whole schema. A `_total` suffix marks a
+    // counter, anything else is a gauge. Names arrive off the wire, so
+    // bytes outside the metric-name alphabet are replaced.
+    for (name, value) in &m.counters {
+        let name: String = name
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+            .collect();
+        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
+        let _ = writeln!(w, "# TYPE cpqx_{name} {kind}");
+        let _ = writeln!(w, "cpqx_{name} {value}");
     }
-    let _ = writeln!(w, "# TYPE cpqx_connections_total counter");
-    let _ = writeln!(w, "cpqx_connections_total {}", m.net.connections);
-    let _ = writeln!(w, "# TYPE cpqx_rejected_connections_total counter");
-    let _ = writeln!(w, "cpqx_rejected_connections_total {}", m.net.rejected_connections);
-    let _ = writeln!(w, "# HELP cpqx_open_connections Connections currently open.");
-    let _ = writeln!(w, "# TYPE cpqx_open_connections gauge");
-    let _ = writeln!(w, "cpqx_open_connections {}", m.net.open_connections);
-    let _ = writeln!(w, "# TYPE cpqx_error_responses_total counter");
-    let _ = writeln!(w, "cpqx_error_responses_total {}", m.net.error_responses);
 
     for (metric, help, series) in [
         (
@@ -111,7 +103,6 @@ pub fn render_prometheus(m: &WireMetrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireNetCounters;
     use cpqx_obs::{Histogram, Op as ObsOp, Stage};
     use std::time::Duration;
 
@@ -125,20 +116,22 @@ mod tests {
             epoch: 3,
             ops: vec![(ObsOp::Query, h.snapshot())],
             stages: vec![(Stage::Eval, h.snapshot())],
-            net: WireNetCounters {
-                connections: 1,
-                query_requests: 4,
-                open_connections: 1,
-                ..WireNetCounters::default()
-            },
+            counters: vec![
+                ("query_requests_total".into(), 4),
+                ("open_connections".into(), 1),
+                ("bad name{}".into(), 2),
+            ],
             slow_total: 1,
             workload: vec![("(f\"quoted\")".into(), 4)],
             ..WireMetrics::default()
         };
         let text = render_prometheus(&m);
         assert!(text.contains("cpqx_epoch 3"));
-        assert!(text.contains("cpqx_requests_total{op=\"query\"} 4"));
-        assert!(text.contains("cpqx_open_connections 1"));
+        assert!(
+            text.contains("# TYPE cpqx_query_requests_total counter\ncpqx_query_requests_total 4")
+        );
+        assert!(text.contains("# TYPE cpqx_open_connections gauge\ncpqx_open_connections 1"));
+        assert!(text.contains("cpqx_bad_name__ 2"), "names off the wire are sanitized");
         assert!(text.contains("cpqx_op_latency_us{op=\"query\",quantile=\"0.99\"}"));
         assert!(text.contains("cpqx_op_latency_us_count{op=\"query\"} 4"));
         assert!(text.contains("cpqx_stage_latency_us_max{stage=\"eval\"} 4000"));

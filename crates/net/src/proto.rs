@@ -40,20 +40,11 @@ pub const MAGIC: [u8; 4] = *b"CPQX";
 
 /// The protocol version this build speaks. The handshake requires an
 /// exact match (pre-release protocol: no cross-version compatibility
-/// promise). Version 2 added the typed DELTA/DELTA_ACK frames and
-/// extended the STATS report with maintenance counters; version 3
-/// extended STATS again with the copy-on-write sharing gauges
-/// (`cow_chunks_copied` / `cow_chunks_shared`); version 4 appended the
-/// durability gauges (`wal_appends` / `wal_bytes` / `snapshots_written`
-/// / `snapshot_chunks_skipped`); version 5 added the METRICS /
-/// METRICS_RESULT frames (per-opcode and per-stage latency histograms,
-/// the slow-query ring, and observed-workload key counts); version 6
-/// extended STATS with the front-end counters it silently dropped
-/// (`metrics_requests` / `rejected_connections`), added the
-/// `open_connections` gauge to the METRICS net counters, the event-loop
-/// server stages to the METRICS stage histograms, and the
-/// [`ErrorCode::Busy`] / [`ErrorCode::Timeout`] error codes.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// promise). Version 7 retired the UPDATE (`0x05`) and STATS (`0x06`)
+/// opcodes: DELTA is the only write frame, and METRICS carries every
+/// engine and front-end counter as one named list. `PROTOCOL.md` keeps
+/// the full version history.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Default bound on accepted payload sizes (16 MiB). Servers apply it to
 /// requests, clients to responses; both sides make it configurable.
@@ -64,8 +55,8 @@ const OP_HELLO: u8 = 0x01;
 const OP_PING: u8 = 0x02;
 const OP_QUERY: u8 = 0x03;
 const OP_BATCH: u8 = 0x04;
-const OP_UPDATE: u8 = 0x05;
-const OP_STATS: u8 = 0x06;
+// 0x05 (UPDATE) and 0x06 (STATS) were retired in protocol 7 and stay
+// unassigned: a v7 server answers them with an UNKNOWN_OPCODE error.
 const OP_DELTA: u8 = 0x07;
 const OP_METRICS: u8 = 0x08;
 
@@ -74,8 +65,6 @@ const OP_HELLO_ACK: u8 = 0x81;
 const OP_PONG: u8 = 0x82;
 const OP_RESULT: u8 = 0x83;
 const OP_BATCH_RESULT: u8 = 0x84;
-const OP_UPDATE_ACK: u8 = 0x85;
-const OP_STATS_RESULT: u8 = 0x86;
 const OP_DELTA_ACK: u8 = 0x87;
 const OP_METRICS_RESULT: u8 = 0x88;
 const OP_ERROR: u8 = 0xFF;
@@ -95,27 +84,15 @@ pub enum Request {
     Query(String),
     /// Evaluate several CPQs against one consistent snapshot.
     Batch(Vec<String>),
-    /// Insert or delete one base edge — the legacy opaque update form,
-    /// served as a one-op delta transaction since protocol 2.
-    Update {
-        /// `true` inserts the edge, `false` deletes it.
-        insert: bool,
-        /// Source vertex id.
-        src: u32,
-        /// Target vertex id.
-        dst: u32,
-        /// Base label name, resolved against the current snapshot.
-        label: String,
-    },
-    /// Fetch the server's statistics report.
-    Stats,
-    /// Apply an atomic typed delta transaction (protocol ≥ 2): every op
-    /// lands in one engine write transaction, acknowledged with per-op
-    /// outcomes by [`Response::DeltaAck`].
+    /// Apply an atomic typed delta transaction — the only write frame:
+    /// every op lands in one engine write transaction, acknowledged with
+    /// per-op outcomes by [`Response::DeltaAck`]. While a connection has
+    /// a DELTA in flight the server dispatches nothing further from it,
+    /// so pipelined frames take effect in arrival order.
     Delta(Vec<WireOp>),
-    /// Fetch the server's observability report (protocol ≥ 5):
-    /// per-opcode and per-stage latency histograms, net request
-    /// counters, the slow-query ring, and observed-workload key counts.
+    /// Fetch the server's observability report: every engine and
+    /// front-end counter, per-opcode and per-stage latency histograms,
+    /// the slow-query ring, and observed-workload key counts.
     Metrics,
 }
 
@@ -232,17 +209,6 @@ pub enum Response {
         /// Per-query answer sets, in request order.
         results: Vec<Vec<Pair>>,
     },
-    /// Answer to [`Request::Update`].
-    UpdateAck {
-        /// Whether the update changed the graph (`false` for inserting
-        /// an existing edge or deleting a missing one).
-        applied: bool,
-        /// The engine epoch after the update.
-        epoch: u64,
-    },
-    /// Answer to [`Request::Stats`] (boxed: at 31 gauges the
-    /// payload would otherwise dominate every `Response`'s size).
-    Stats(Box<WireStats>),
     /// Answer to [`Request::Delta`]: the transaction committed as one
     /// snapshot install (or changed nothing), with per-op outcomes in op
     /// order. Rejected deltas come back as [`ErrorCode::BadUpdate`]
@@ -257,9 +223,8 @@ pub enum Response {
         /// Per-op outcomes, in op order.
         outcomes: Vec<WireOutcome>,
     },
-    /// Answer to [`Request::Metrics`] (protocol ≥ 5; boxed — the
-    /// histograms and slow-query ring dominate every other response's
-    /// size).
+    /// Answer to [`Request::Metrics`] (boxed — the histograms and
+    /// slow-query ring dominate every other response's size).
     Metrics(Box<WireMetrics>),
     /// Any request can fail with a typed error frame.
     Error(WireError),
@@ -367,159 +332,11 @@ impl From<ParseError> for WireError {
     }
 }
 
-/// The statistics report the STATS frame carries: the engine's
-/// [`cpqx_engine::StatsReport`] plus the front-end's per-opcode request
-/// counters, flattened into fixed-width fields.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Current engine epoch.
-    pub epoch: u64,
-    /// Queries served by the engine (cached or not).
-    pub queries: u64,
-    /// Result-cache hits.
-    pub result_hits: u64,
-    /// Result-cache misses (executed queries).
-    pub result_misses: u64,
-    /// Plan-cache hits.
-    pub plan_hits: u64,
-    /// Plans lowered fresh.
-    pub plan_misses: u64,
-    /// Snapshots installed by maintenance.
-    pub snapshot_swaps: u64,
-    /// Result-cache entries dropped by snapshot swaps.
-    pub invalidated_results: u64,
-    /// Results refused by the cache-admission policy.
-    pub rejected_admissions: u64,
-    /// Median engine query latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile engine query latency, microseconds.
-    pub p99_us: u64,
-    /// Delta transactions the engine has committed (wire DELTA and
-    /// UPDATE frames, plus in-process writers).
-    pub delta_transactions: u64,
-    /// Individual delta ops applied via lazy maintenance (no-ops
-    /// excluded).
-    pub lazy_update_ops: u64,
-    /// Full index rebuilds (manual + automatic).
-    pub rebuilds: u64,
-    /// Rebuilds triggered by the fragmentation threshold.
-    pub auto_rebuilds: u64,
-    /// Copy-on-write chunks copied by write transactions (cumulative,
-    /// graph + index): the O(changed) work the snapshot-per-write path
-    /// actually paid.
-    pub cow_chunks_copied: u64,
-    /// Copy-on-write chunks still shared with the replaced snapshot
-    /// after each write transaction (cumulative).
-    pub cow_chunks_shared: u64,
-    /// Allocated class slots of the serving index (tombstones included).
-    pub class_slots: u64,
-    /// Class count of the full build the serving index descends from.
-    pub baseline_classes: u64,
-    /// PING requests served.
-    pub ping_requests: u64,
-    /// QUERY requests served.
-    pub query_requests: u64,
-    /// BATCH requests served.
-    pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
-    /// DELTA requests served.
-    pub delta_requests: u64,
-    /// STATS requests served (includes the one reporting).
-    pub stats_requests: u64,
-    /// METRICS requests served (protocol ≥ 6 — tracked since protocol 5
-    /// but dropped from the STATS frame until then).
-    pub metrics_requests: u64,
-    /// Error frames the server has sent.
-    pub error_responses: u64,
-    /// Connections the server has accepted and served.
-    pub connections: u64,
-    /// Connections refused because the server was at capacity
-    /// (protocol ≥ 6 — tracked since protocol 1 but dropped from the
-    /// STATS frame until then).
-    pub rejected_connections: u64,
-    /// Delta transactions appended to the write-ahead log (zero when the
-    /// server runs without a durability layer).
-    pub wal_appends: u64,
-    /// Total bytes (payload + framing) those WAL appends wrote.
-    pub wal_bytes: u64,
-    /// Snapshot checkpoints persisted by the WAL-bytes trigger.
-    pub snapshots_written: u64,
-    /// Chunk records those checkpoints skipped as unchanged — the
-    /// incremental-snapshot savings gauge.
-    pub snapshot_chunks_skipped: u64,
-}
-
-impl WireStats {
-    /// Result-cache hit rate, `hits / (hits + misses)`.
-    pub fn result_hit_rate(&self) -> f64 {
-        let total = self.result_hits + self.result_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.result_hits as f64 / total as f64
-        }
-    }
-
-    /// Total requests served across all opcodes.
-    pub fn total_requests(&self) -> u64 {
-        self.ping_requests
-            + self.query_requests
-            + self.batch_requests
-            + self.update_requests
-            + self.delta_requests
-            + self.stats_requests
-            + self.metrics_requests
-    }
-
-    /// Current fragmentation ratio of the serving index,
-    /// `class_slots / baseline_classes` (0.0 when unreported).
-    pub fn fragmentation_ratio(&self) -> f64 {
-        if self.baseline_classes == 0 {
-            0.0
-        } else {
-            self.class_slots as f64 / self.baseline_classes as f64
-        }
-    }
-}
-
-/// The front-end request counters carried inside [`WireMetrics`] —
-/// the wire form of [`crate::NetStats`] plus the METRICS opcode's own
-/// counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireNetCounters {
-    /// Connections accepted and served.
-    pub connections: u64,
-    /// Connections closed because the accept queue was full.
-    pub rejected_connections: u64,
-    /// PING requests served.
-    pub ping_requests: u64,
-    /// QUERY requests served.
-    pub query_requests: u64,
-    /// BATCH requests served.
-    pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
-    /// DELTA requests served.
-    pub delta_requests: u64,
-    /// STATS requests served.
-    pub stats_requests: u64,
-    /// METRICS requests served (includes the one reporting).
-    pub metrics_requests: u64,
-    /// Error frames sent.
-    pub error_responses: u64,
-    /// Connections open right now (a gauge, not a counter; protocol
-    /// ≥ 6). With the event-driven core an open idle connection costs
-    /// buffers rather than a parked thread, so this may legitimately
-    /// dwarf the worker count.
-    pub open_connections: u64,
-}
-
-/// The observability report the METRICS frame carries (protocol ≥ 5):
-/// per-opcode and per-stage latency histograms in the sparse
-/// log-bucketed form of [`HistogramSnapshot`], the front-end's request
-/// counters, the slow-query ring, and the canonical-key workload counts
-/// that feed index advisor tooling.
+/// The observability report the METRICS frame carries: every engine
+/// and front-end counter as one named list, per-opcode and per-stage
+/// latency histograms in the sparse log-bucketed form of
+/// [`HistogramSnapshot`], the slow-query ring, and the canonical-key
+/// workload counts that feed index advisor tooling.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireMetrics {
     /// Current engine epoch.
@@ -530,8 +347,13 @@ pub struct WireMetrics {
     /// Per-stage latency histograms, tag order; histograms with no
     /// samples are omitted.
     pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// The server's per-opcode request counters.
-    pub net: WireNetCounters,
+    /// Every engine counter and gauge
+    /// ([`cpqx_engine::StatsReport::counters`]) followed by every
+    /// front-end one ([`crate::NetStats::counters`]), as `(name, value)`.
+    /// Names ending in `_total` only ever grow; the rest are gauges. The
+    /// codec carries the list opaquely, so a new counter needs no
+    /// protocol change.
+    pub counters: Vec<(String, u64)>,
     /// Slow-query ring contents, oldest first.
     pub slow: Vec<Trace>,
     /// Slow queries observed in total (entries evicted from the ring
@@ -545,6 +367,12 @@ pub struct WireMetrics {
 }
 
 impl WireMetrics {
+    /// The value reported under `name` (`None` if the server does not
+    /// export that counter).
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
     /// The latency histogram recorded for `op` (`None` if no traffic
     /// landed under that opcode).
     pub fn op_histogram(&self, op: ObsOp) -> Option<&HistogramSnapshot> {
@@ -796,10 +624,7 @@ impl<'a> Cur<'a> {
                 Stage::from_u8(self.u8()?).ok_or(DecodeError::BadValue("metrics stage tag"))?;
             stages.push((stage, self.hist()?));
         }
-        let mut fields = [0u64; NET_COUNTER_FIELDS];
-        for f in fields.iter_mut() {
-            *f = self.u64()?;
-        }
+        let counters = self.named_counts()?;
         let slow_total = self.u64()?;
         let nslow = self.u16()? as usize;
         // Smallest trace on the wire: tag + empty key + epoch + total +
@@ -812,26 +637,33 @@ impl<'a> Cur<'a> {
             slow.push(self.trace()?);
         }
         let workload_dropped = self.u64()?;
-        let nw = self.u32()? as usize;
-        // Smallest workload entry: empty string (u32 len) + u64 count.
-        if self_inconsistent_count(nw, 12, self.remaining()) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut workload = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            let key = self.str()?;
-            workload.push((key, self.u64()?));
-        }
+        let workload = self.named_counts()?;
         Ok(WireMetrics {
             epoch,
             ops,
             stages,
-            net: net_counters_from_fields(fields),
+            counters,
             slow,
             slow_total,
             workload,
             workload_dropped,
         })
+    }
+
+    /// A `u32`-counted list of `(string, u64)` entries — the layout of
+    /// both the METRICS counter list and its workload table.
+    fn named_counts(&mut self) -> Result<Vec<(String, u64)>, DecodeError> {
+        let n = self.u32()? as usize;
+        // Smallest entry: empty string (u32 len) + u64 value.
+        if self_inconsistent_count(n, 12, self.remaining()) {
+            return Err(DecodeError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = self.str()?;
+            out.push((name, self.u64()?));
+        }
+        Ok(out)
     }
 
     fn finish(self) -> Result<(), DecodeError> {
@@ -869,14 +701,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 put_str(&mut out, t);
             }
         }
-        Request::Update { insert, src, dst, label } => {
-            out.push(OP_UPDATE);
-            out.push(u8::from(*insert));
-            put_u32(&mut out, *src);
-            put_u32(&mut out, *dst);
-            put_str(&mut out, label);
-        }
-        Request::Stats => out.push(OP_STATS),
         Request::Delta(ops) => {
             out.push(OP_DELTA);
             put_u32(&mut out, ops.len() as u32);
@@ -978,14 +802,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             }
             Request::Batch(texts)
         }
-        OP_UPDATE => {
-            let insert = c.bool()?;
-            let src = c.u32()?;
-            let dst = c.u32()?;
-            let label = c.str()?;
-            Request::Update { insert, src, dst, label }
-        }
-        OP_STATS => Request::Stats,
         OP_DELTA => {
             let n = c.u32()? as usize;
             // Smallest op on the wire: tag + an empty interest sequence.
@@ -1030,17 +846,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u32(&mut out, results.len() as u32);
             for r in results {
                 put_pairs(&mut out, r);
-            }
-        }
-        Response::UpdateAck { applied, epoch } => {
-            out.push(OP_UPDATE_ACK);
-            out.push(u8::from(*applied));
-            put_u64(&mut out, *epoch);
-        }
-        Response::Stats(s) => {
-            out.push(OP_STATS_RESULT);
-            for field in stats_fields(s) {
-                put_u64(&mut out, field);
             }
         }
         Response::DeltaAck { epoch, rebuilt, outcomes } => {
@@ -1115,19 +920,21 @@ fn put_metrics(out: &mut Vec<u8>, m: &WireMetrics) {
         out.push(*stage as u8);
         put_hist(out, h);
     }
-    for field in net_counter_fields(&m.net) {
-        put_u64(out, field);
-    }
+    put_named_counts(out, &m.counters);
     put_u64(out, m.slow_total);
     put_u16(out, m.slow.len().min(u16::MAX as usize) as u16);
     for t in m.slow.iter().take(u16::MAX as usize) {
         put_trace(out, t);
     }
     put_u64(out, m.workload_dropped);
-    put_u32(out, m.workload.len() as u32);
-    for (key, count) in &m.workload {
-        put_str(out, key);
-        put_u64(out, *count);
+    put_named_counts(out, &m.workload);
+}
+
+fn put_named_counts(out: &mut Vec<u8>, entries: &[(String, u64)]) {
+    put_u32(out, entries.len() as u32);
+    for (name, value) in entries {
+        put_str(out, name);
+        put_u64(out, *value);
     }
 }
 
@@ -1151,7 +958,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
             }
             Response::BatchResult { epoch, results }
         }
-        OP_UPDATE_ACK => Response::UpdateAck { applied: c.bool()?, epoch: c.u64()? },
         OP_DELTA_ACK => {
             let epoch = c.u64()?;
             let rebuilt = c.bool()?;
@@ -1164,13 +970,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
                 outcomes.push(c.outcome()?);
             }
             Response::DeltaAck { epoch, rebuilt, outcomes }
-        }
-        OP_STATS_RESULT => {
-            let mut fields = [0u64; STATS_FIELDS];
-            for f in fields.iter_mut() {
-                *f = c.u64()?;
-            }
-            Response::Stats(Box::new(stats_from_fields(fields)))
         }
         OP_METRICS_RESULT => Response::Metrics(Box::new(c.metrics()?)),
         OP_ERROR => {
@@ -1185,118 +984,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
     };
     c.finish()?;
     Ok(resp)
-}
-
-const STATS_FIELDS: usize = 33;
-
-fn stats_fields(s: &WireStats) -> [u64; STATS_FIELDS] {
-    [
-        s.epoch,
-        s.queries,
-        s.result_hits,
-        s.result_misses,
-        s.plan_hits,
-        s.plan_misses,
-        s.snapshot_swaps,
-        s.invalidated_results,
-        s.rejected_admissions,
-        s.delta_transactions,
-        s.lazy_update_ops,
-        s.rebuilds,
-        s.auto_rebuilds,
-        s.cow_chunks_copied,
-        s.cow_chunks_shared,
-        s.class_slots,
-        s.baseline_classes,
-        s.p50_us,
-        s.p99_us,
-        s.ping_requests,
-        s.query_requests,
-        s.batch_requests,
-        s.update_requests,
-        s.delta_requests,
-        s.stats_requests,
-        s.metrics_requests,
-        s.error_responses,
-        s.connections,
-        s.rejected_connections,
-        s.wal_appends,
-        s.wal_bytes,
-        s.snapshots_written,
-        s.snapshot_chunks_skipped,
-    ]
-}
-
-const NET_COUNTER_FIELDS: usize = 11;
-
-fn net_counter_fields(n: &WireNetCounters) -> [u64; NET_COUNTER_FIELDS] {
-    [
-        n.connections,
-        n.rejected_connections,
-        n.ping_requests,
-        n.query_requests,
-        n.batch_requests,
-        n.update_requests,
-        n.delta_requests,
-        n.stats_requests,
-        n.metrics_requests,
-        n.error_responses,
-        n.open_connections,
-    ]
-}
-
-fn net_counters_from_fields(f: [u64; NET_COUNTER_FIELDS]) -> WireNetCounters {
-    WireNetCounters {
-        connections: f[0],
-        rejected_connections: f[1],
-        ping_requests: f[2],
-        query_requests: f[3],
-        batch_requests: f[4],
-        update_requests: f[5],
-        delta_requests: f[6],
-        stats_requests: f[7],
-        metrics_requests: f[8],
-        error_responses: f[9],
-        open_connections: f[10],
-    }
-}
-
-fn stats_from_fields(f: [u64; STATS_FIELDS]) -> WireStats {
-    WireStats {
-        epoch: f[0],
-        queries: f[1],
-        result_hits: f[2],
-        result_misses: f[3],
-        plan_hits: f[4],
-        plan_misses: f[5],
-        snapshot_swaps: f[6],
-        invalidated_results: f[7],
-        rejected_admissions: f[8],
-        delta_transactions: f[9],
-        lazy_update_ops: f[10],
-        rebuilds: f[11],
-        auto_rebuilds: f[12],
-        cow_chunks_copied: f[13],
-        cow_chunks_shared: f[14],
-        class_slots: f[15],
-        baseline_classes: f[16],
-        p50_us: f[17],
-        p99_us: f[18],
-        ping_requests: f[19],
-        query_requests: f[20],
-        batch_requests: f[21],
-        update_requests: f[22],
-        delta_requests: f[23],
-        stats_requests: f[24],
-        metrics_requests: f[25],
-        error_responses: f[26],
-        connections: f[27],
-        rejected_connections: f[28],
-        wal_appends: f[29],
-        wal_bytes: f[30],
-        snapshots_written: f[31],
-        snapshot_chunks_skipped: f[32],
-    }
 }
 
 // ------------------------------------------------------------- frame I/O --
@@ -1462,9 +1149,6 @@ mod tests {
             Request::Query(String::new()),
             Request::Batch(vec![]),
             Request::Batch(vec!["f".into(), "f . f".into(), "id".into()]),
-            Request::Update { insert: true, src: 0, dst: u32::MAX, label: "follows".into() },
-            Request::Update { insert: false, src: 7, dst: 7, label: "f".into() },
-            Request::Stats,
             Request::Metrics,
             Request::Delta(vec![]),
             Request::Delta(vec![
@@ -1500,13 +1184,11 @@ mod tests {
                 (Stage::Plan, hist(&[(2, 5)], 5, 10, 2)),
                 (Stage::Eval, hist(&[(9, 4)], 4, 36, 11)),
             ],
-            net: WireNetCounters {
-                connections: 2,
-                query_requests: 5,
-                metrics_requests: 1,
-                open_connections: 2,
-                ..WireNetCounters::default()
-            },
+            counters: vec![
+                ("queries_total".into(), 5),
+                ("query_requests_total".into(), 5),
+                ("open_connections".into(), 2),
+            ],
             slow: vec![Trace {
                 kind: TraceKind::Query,
                 key: "((f.f)&f^-1)".into(),
@@ -1534,7 +1216,6 @@ mod tests {
                 epoch: 9,
                 results: vec![vec![Pair::new(0, 0)], vec![], vec![Pair::new(5, 6)]],
             },
-            Response::UpdateAck { applied: true, epoch: 3 },
             Response::DeltaAck { epoch: 0, rebuilt: false, outcomes: vec![] },
             Response::DeltaAck {
                 epoch: 17,
@@ -1545,22 +1226,6 @@ mod tests {
                     WireOutcome::VertexAdded(4096),
                 ],
             },
-            Response::Stats(Box::new(WireStats {
-                epoch: 2,
-                queries: 100,
-                result_hits: 40,
-                result_misses: 60,
-                p99_us: 1234,
-                query_requests: 100,
-                metrics_requests: 3,
-                connections: 8,
-                rejected_connections: 2,
-                wal_appends: 12,
-                wal_bytes: 4096,
-                snapshots_written: 2,
-                snapshot_chunks_skipped: 77,
-                ..WireStats::default()
-            })),
             Response::Metrics(Box::default()),
             Response::Metrics(Box::new(sample_metrics())),
             Response::Error(WireError {
@@ -1615,6 +1280,13 @@ mod tests {
     fn unknown_opcodes_are_rejected() {
         assert_eq!(decode_request(&[0x7E]), Err(DecodeError::UnknownOpcode(0x7E)));
         assert_eq!(decode_response(&[0x10]), Err(DecodeError::UnknownOpcode(0x10)));
+        // The opcodes protocol 7 retired (UPDATE, STATS and their
+        // answers) are unassigned, whatever body follows.
+        for op in [0x05u8, 0x06] {
+            assert_eq!(decode_request(&[op, 1, 0, 0]), Err(DecodeError::UnknownOpcode(op)));
+            let ack = op | 0x80;
+            assert_eq!(decode_response(&[ack, 1, 0, 0]), Err(DecodeError::UnknownOpcode(ack)));
+        }
     }
 
     #[test]
@@ -1641,10 +1313,11 @@ mod tests {
 
     #[test]
     fn bad_bools_and_codes_are_rejected() {
-        let mut upd =
-            encode_request(&Request::Update { insert: true, src: 1, dst: 2, label: "f".into() });
-        upd[1] = 9;
-        assert_eq!(decode_request(&upd), Err(DecodeError::BadValue("bool")));
+        // The `rebuilt` flag of a DELTA_ACK follows the opcode and epoch.
+        let mut ack =
+            encode_response(&Response::DeltaAck { epoch: 1, rebuilt: true, outcomes: vec![] });
+        ack[9] = 9;
+        assert_eq!(decode_response(&ack), Err(DecodeError::BadValue("bool")));
         let mut err = encode_response(&Response::Error(WireError::new(ErrorCode::Internal, "x")));
         err[1] = 0xEE;
         assert_eq!(decode_response(&err), Err(DecodeError::BadValue("error code")));
@@ -1708,7 +1381,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_be_bytes());
         bytes.push(0);
         bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
+        bytes.extend_from_slice(&0u32.to_be_bytes()); // no counters
         bytes.extend_from_slice(&0u64.to_be_bytes()); // slow_total
         bytes.extend_from_slice(&1u16.to_be_bytes()); // one trace ...
         bytes.push(7); // ... of a kind that does not exist
@@ -1720,7 +1393,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_be_bytes());
         bytes.push(0);
         bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
+        bytes.extend_from_slice(&0u32.to_be_bytes()); // no counters
         bytes.extend_from_slice(&0u64.to_be_bytes());
         bytes.extend_from_slice(&u16::MAX.to_be_bytes());
         assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
@@ -1728,7 +1401,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_be_bytes());
         bytes.push(0);
         bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
+        bytes.extend_from_slice(&0u32.to_be_bytes()); // no counters
         bytes.extend_from_slice(&0u64.to_be_bytes());
         bytes.extend_from_slice(&0u16.to_be_bytes()); // no slow traces
         bytes.extend_from_slice(&0u64.to_be_bytes()); // workload_dropped
@@ -1780,22 +1453,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_helpers() {
-        let s = WireStats {
-            result_hits: 3,
-            result_misses: 1,
-            ping_requests: 1,
-            query_requests: 4,
-            metrics_requests: 2,
-            ..WireStats::default()
-        };
-        assert!((s.result_hit_rate() - 0.75).abs() < 1e-9);
-        // METRICS requests count too (dropped from the sum before v6).
-        assert_eq!(s.total_requests(), 7);
-        assert_eq!(WireStats::default().result_hit_rate(), 0.0);
-    }
-
-    #[test]
     fn assembler_matches_read_frame_byte_at_a_time() {
         let payloads: Vec<Vec<u8>> = all_requests().iter().map(encode_request).collect();
         let mut wire = Vec::new();
@@ -1821,7 +1478,7 @@ mod tests {
     fn assembler_pops_pipelined_frames_from_one_chunk() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &encode_request(&Request::Ping)).unwrap();
-        write_frame(&mut wire, &encode_request(&Request::Stats)).unwrap();
+        write_frame(&mut wire, &encode_request(&Request::Metrics)).unwrap();
         write_frame(&mut wire, &encode_request(&Request::Query("f".into()))).unwrap();
         let mut asm = FrameAssembler::new(DEFAULT_MAX_FRAME);
         asm.extend(&wire);
@@ -1829,7 +1486,7 @@ mod tests {
         while let Some(frame) = asm.next_frame().unwrap() {
             got.push(decode_request(&frame).unwrap());
         }
-        assert_eq!(got, vec![Request::Ping, Request::Stats, Request::Query("f".into())]);
+        assert_eq!(got, vec![Request::Ping, Request::Metrics, Request::Query("f".into())]);
     }
 
     #[test]

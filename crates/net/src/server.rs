@@ -4,7 +4,7 @@
 //! listener and every connection socket, multiplexed through raw
 //! level-triggered `epoll` ([`crate::sys`]). The loop accepts, reads,
 //! reassembles frames ([`crate::proto::FrameAssembler`]), answers cheap
-//! requests inline and hands evaluation work (QUERY/BATCH/UPDATE/DELTA)
+//! requests inline and hands evaluation work (QUERY/BATCH/DELTA)
 //! to a fixed **worker pool**; completions return over a shared list
 //! plus an eventfd wake and are written out by the loop in strict
 //! per-connection arrival order (see [`crate::event`] and
@@ -21,8 +21,10 @@
 //! Consistency: every QUERY pins one engine snapshot for parse *and*
 //! evaluation, and every BATCH parses and evaluates all its queries on
 //! one pinned snapshot, so answers always carry the epoch they reflect —
-//! maintenance running concurrently (via UPDATE frames or in-process
-//! writers) never produces a torn read.
+//! maintenance running concurrently (via DELTA frames or in-process
+//! writers) never produces a torn read. A connection with a DELTA in
+//! flight dispatches nothing further until it completes, so one
+//! connection's pipelined frames take effect in arrival order.
 //!
 //! Shutdown: [`Server::shutdown`] flips a stop flag, signals the
 //! event-loop's wake eventfd, and joins every thread; the loop shuts
@@ -31,8 +33,8 @@
 
 use crate::event::{event_loop, worker_loop, Completion, Job};
 use crate::proto::{
-    ErrorCode, Request, Response, WireError, WireMetrics, WireNetCounters, WireOp, WireOutcome,
-    WireSeqLabel, WireStats, DEFAULT_MAX_FRAME,
+    ErrorCode, Request, Response, WireError, WireMetrics, WireOp, WireOutcome, WireSeqLabel,
+    DEFAULT_MAX_FRAME,
 };
 use crate::sys::EventFd;
 use cpqx_engine::delta::{Delta, DeltaOp, OpOutcome};
@@ -85,7 +87,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            workers: cpqx_engine::pool::default_threads().min(8),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
             max_connections: 10_000,
             max_pipeline: 128,
             max_frame_len: DEFAULT_MAX_FRAME,
@@ -112,16 +114,33 @@ pub struct NetStats {
     pub query_requests: u64,
     /// BATCH requests served.
     pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
     /// DELTA requests served.
     pub delta_requests: u64,
-    /// STATS requests served.
-    pub stats_requests: u64,
     /// METRICS requests served.
     pub metrics_requests: u64,
     /// Error frames sent (BUSY rejections included).
     pub error_responses: u64,
+}
+
+impl NetStats {
+    /// Every front-end counter and gauge as `(name, value)` — the net
+    /// half of the METRICS counter list (the engine half is
+    /// [`cpqx_engine::StatsReport::counters`]). Names ending in `_total`
+    /// only ever grow; the rest are gauges. Exporting a new field takes
+    /// one line here.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("connections_total", self.connections),
+            ("rejected_connections_total", self.rejected_connections),
+            ("open_connections", self.open_connections),
+            ("ping_requests_total", self.ping_requests),
+            ("query_requests_total", self.query_requests),
+            ("batch_requests_total", self.batch_requests),
+            ("delta_requests_total", self.delta_requests),
+            ("metrics_requests_total", self.metrics_requests),
+            ("error_responses_total", self.error_responses),
+        ]
+    }
 }
 
 #[derive(Default)]
@@ -133,9 +152,7 @@ pub(crate) struct NetCounters {
     pub(crate) ping: AtomicU64,
     pub(crate) query: AtomicU64,
     pub(crate) batch: AtomicU64,
-    pub(crate) update: AtomicU64,
     pub(crate) delta: AtomicU64,
-    pub(crate) stats: AtomicU64,
     pub(crate) metrics: AtomicU64,
     pub(crate) errors: AtomicU64,
 }
@@ -149,9 +166,7 @@ impl NetCounters {
             ping_requests: self.ping.load(Ordering::Relaxed),
             query_requests: self.query.load(Ordering::Relaxed),
             batch_requests: self.batch.load(Ordering::Relaxed),
-            update_requests: self.update.load(Ordering::Relaxed),
             delta_requests: self.delta.load(Ordering::Relaxed),
-            stats_requests: self.stats.load(Ordering::Relaxed),
             metrics_requests: self.metrics.load(Ordering::Relaxed),
             error_responses: self.errors.load(Ordering::Relaxed),
         }
@@ -333,24 +348,6 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
                 results: out.results.iter().map(|r| (**r).clone()).collect(),
             }
         }
-        Request::Update { insert, src, dst, label } => {
-            s.counters.update.fetch_add(1, Ordering::Relaxed);
-            // The legacy opaque form is one op of the typed delta path.
-            let op = if insert {
-                WireOp::InsertEdge { src, dst, label }
-            } else {
-                WireOp::DeleteEdge { src, dst, label }
-            };
-            match apply_wire_delta(s, &[op]) {
-                // The ack epoch was determined under the engine's writer
-                // lock — re-reading `engine.epoch()` here could see a
-                // later concurrent writer's install.
-                Ok(report) => {
-                    Response::UpdateAck { applied: report.applied > 0, epoch: report.epoch }
-                }
-                Err(e) => Response::Error(e),
-            }
-        }
         Request::Delta(ops) => {
             s.counters.delta.fetch_add(1, Ordering::Relaxed);
             match apply_wire_delta(s, &ops) {
@@ -361,15 +358,6 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
                 },
                 Err(e) => Response::Error(e),
             }
-        }
-        Request::Stats => {
-            s.counters.stats.fetch_add(1, Ordering::Relaxed);
-            let t0 = s.engine.obs().timer();
-            let resp = Response::Stats(Box::new(wire_stats(s)));
-            if let Some(t0) = t0 {
-                s.engine.obs().record_op(ObsOp::Stats, t0.elapsed());
-            }
-            resp
         }
         Request::Metrics => {
             s.counters.metrics.fetch_add(1, Ordering::Relaxed);
@@ -472,49 +460,18 @@ fn wire_outcome(o: &OpOutcome) -> WireOutcome {
     }
 }
 
-fn wire_stats(s: &Shared) -> WireStats {
-    let engine = s.engine.stats();
-    let net = s.counters.report();
-    WireStats {
-        epoch: s.engine.epoch(),
-        queries: engine.queries,
-        result_hits: engine.result_hits,
-        result_misses: engine.result_misses,
-        plan_hits: engine.plan_hits,
-        plan_misses: engine.plan_misses,
-        snapshot_swaps: engine.snapshot_swaps,
-        invalidated_results: engine.invalidated_results,
-        rejected_admissions: engine.rejected_admissions,
-        delta_transactions: engine.delta_transactions,
-        lazy_update_ops: engine.lazy_update_ops,
-        rebuilds: engine.rebuilds,
-        auto_rebuilds: engine.auto_rebuilds,
-        cow_chunks_copied: engine.cow_chunks_copied,
-        cow_chunks_shared: engine.cow_chunks_shared,
-        class_slots: engine.class_slots,
-        baseline_classes: engine.baseline_classes,
-        p50_us: engine.p50.as_micros().min(u64::MAX as u128) as u64,
-        p99_us: engine.p99.as_micros().min(u64::MAX as u128) as u64,
-        ping_requests: net.ping_requests,
-        query_requests: net.query_requests,
-        batch_requests: net.batch_requests,
-        update_requests: net.update_requests,
-        delta_requests: net.delta_requests,
-        stats_requests: net.stats_requests,
-        metrics_requests: net.metrics_requests,
-        error_responses: net.error_responses,
-        connections: net.connections,
-        rejected_connections: net.rejected_connections,
-        wal_appends: engine.wal_appends,
-        wal_bytes: engine.wal_bytes,
-        snapshots_written: engine.snapshots_written,
-        snapshot_chunks_skipped: engine.snapshot_chunks_skipped,
-    }
-}
-
 fn wire_metrics(s: &Shared) -> WireMetrics {
     let obs = s.engine.obs();
-    let net = s.counters.report();
+    // One list, engine counters first: both sides name their own fields,
+    // nothing here (or in the codec) knows any of them.
+    let counters = s
+        .engine
+        .stats()
+        .counters()
+        .into_iter()
+        .chain(s.counters.report().counters())
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
     // Empty histograms are omitted: the common deployment exercises a
     // handful of opcodes/stages, and the sparse form keeps the frame
     // proportional to actual traffic.
@@ -536,19 +493,7 @@ fn wire_metrics(s: &Shared) -> WireMetrics {
         epoch: s.engine.epoch(),
         ops,
         stages,
-        net: WireNetCounters {
-            connections: net.connections,
-            rejected_connections: net.rejected_connections,
-            ping_requests: net.ping_requests,
-            query_requests: net.query_requests,
-            batch_requests: net.batch_requests,
-            update_requests: net.update_requests,
-            delta_requests: net.delta_requests,
-            stats_requests: net.stats_requests,
-            metrics_requests: net.metrics_requests,
-            error_responses: net.error_responses,
-            open_connections: net.open_connections,
-        },
+        counters,
         slow: obs.slow_queries(),
         slow_total: obs.slow_query_count(),
         workload: obs.workload_counts(),

@@ -49,9 +49,20 @@ fn start_server_with(
     (engine, server)
 }
 
+/// A raw connection that has completed the handshake, for tests that
+/// drive the frame layer by hand.
+fn handshaken(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut stream, &encode_request(&Request::Hello { version: PROTOCOL_VERSION }))
+        .unwrap();
+    let ack = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert!(matches!(decode_response(&ack).unwrap(), Response::HelloAck { .. }));
+    stream
+}
+
 /// The acceptance scenario: ≥8 concurrent TCP clients query a live
-/// server while a writer client applies UPDATE frames over the same
-/// wire; every response must match sequential engine evaluation on the
+/// server while a writer client applies one-op DELTA frames over the
+/// same wire; every response must match sequential engine evaluation on the
 /// snapshot of the epoch it reported — no torn reads — and the server
 /// must shut down cleanly afterwards.
 #[test]
@@ -68,7 +79,7 @@ fn concurrent_clients_with_live_wire_maintenance() {
 
     // Oracle: every installed epoch's snapshot, pinned. The writer is
     // the only source of installs, so it can record each one right
-    // after its UPDATE is acknowledged.
+    // after its DELTA is acknowledged.
     let snapshots: Mutex<HashMap<u64, Arc<Snapshot>>> = Mutex::new(HashMap::new());
     snapshots.lock().unwrap().insert(0, engine.snapshot());
 
@@ -93,7 +104,7 @@ fn concurrent_clients_with_live_wire_maintenance() {
                         } else {
                             client.delete_edge(v, u, &name).expect("wire delete")
                         };
-                        if ack.applied {
+                        if ack.applied() > 0 {
                             applied += 1;
                             let now = engine.snapshot();
                             assert_eq!(
@@ -331,25 +342,22 @@ fn typed_deltas_with_pinned_readers_and_auto_rebuild() {
     epochs_seen.dedup();
     assert!(epochs_seen.len() > 1, "deltas must have been visible to readers");
 
-    let wire_stats = Client::connect(addr).unwrap().stats().expect("stats");
-    assert!(wire_stats.delta_requests >= WRITER_ROUNDS);
-    assert!(wire_stats.rebuilds >= 1);
-    assert!(wire_stats.fragmentation_ratio() > 0.0);
+    let wire = Client::connect(addr).unwrap().metrics().expect("metrics");
+    assert!(wire.counter("delta_requests_total").unwrap() >= WRITER_ROUNDS);
+    assert!(wire.counter("rebuilds_total").unwrap() >= 1);
     server.shutdown();
-    // The STATS frame must round-trip the engine's fragmentation and
-    // copy-on-write gauges exactly — the server is quiescent now, so a
-    // fresh engine report and the last wire report describe the same
-    // counters.
+    // The METRICS counter list must carry the engine's report exactly —
+    // the server is quiescent now, so a fresh engine report and the last
+    // wire report describe the same counters, entry for entry.
     let end = engine.stats();
-    assert_eq!(wire_stats.class_slots, end.class_slots);
-    assert_eq!(wire_stats.baseline_classes, end.baseline_classes);
-    assert_eq!(wire_stats.cow_chunks_copied, end.cow_chunks_copied);
-    assert_eq!(wire_stats.cow_chunks_shared, end.cow_chunks_shared);
+    for (name, value) in end.counters() {
+        assert_eq!(wire.counter(name), Some(value), "{name}");
+    }
     assert!(end.cow_chunks_copied > 0, "write transactions must have copied chunks: {end}");
 }
 
-/// The CI smoke scenario: benchmark-query batches plus one UPDATE over
-/// the wire, answers equal to direct engine evaluation.
+/// The CI smoke scenario: benchmark-query batches plus one one-op DELTA
+/// over the wire, answers equal to direct engine evaluation.
 #[test]
 fn loopback_smoke_benchqueries() {
     let g = generate::gmark(400, 3);
@@ -372,11 +380,11 @@ fn loopback_smoke_benchqueries() {
         assert_eq!(&snap.evaluate(&nq.query), pairs, "{} must match direct evaluation", nq.name);
     }
 
-    // One UPDATE: delete an existing edge, verify a query reflects it.
+    // One write: delete an existing edge, verify a query reflects it.
     let (v, u, l) = sample_edges(snap.graph(), 1, 5)[0];
     let name = snap.graph().label_name(l).to_string();
     let ack = client.delete_edge(v, u, &name).expect("wire delete");
-    assert!(ack.applied);
+    assert_eq!(ack.outcomes, vec![WireOutcome::Applied]);
     assert_eq!(ack.epoch, 1);
     let after = client.batch(&texts).expect("batch after update");
     assert_eq!(after.epoch, 1);
@@ -385,19 +393,20 @@ fn loopback_smoke_benchqueries() {
         assert_eq!(&snap1.evaluate(&nq.query), pairs, "{} stale after update", nq.name);
     }
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.batch_requests, 2);
-    assert_eq!(stats.update_requests, 1);
-    assert_eq!(stats.ping_requests, 1);
-    assert_eq!(stats.stats_requests, 1);
-    assert!(stats.queries >= 2 * texts.len() as u64);
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.epoch, 1);
+    let counter = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
+    assert_eq!(counter("batch_requests_total"), 2);
+    assert_eq!(counter("delta_requests_total"), 1);
+    assert_eq!(counter("ping_requests_total"), 1);
+    assert_eq!(counter("metrics_requests_total"), 1);
+    assert!(counter("queries_total") >= 2 * texts.len() as u64);
     // COW gauges round-trip the engine's report: one small delta copied a
     // few chunks and left the rest of the snapshot shared.
     let engine_stats = engine.stats();
-    assert_eq!(stats.cow_chunks_copied, engine_stats.cow_chunks_copied);
-    assert_eq!(stats.cow_chunks_shared, engine_stats.cow_chunks_shared);
-    assert!(stats.cow_chunks_copied > 0, "the UPDATE delta copied chunks");
+    assert_eq!(counter("cow_chunks_copied_total"), engine_stats.cow_chunks_copied);
+    assert_eq!(counter("cow_chunks_shared_total"), engine_stats.cow_chunks_shared);
+    assert!(engine_stats.cow_chunks_copied > 0, "the delta copied chunks");
     server.shutdown();
 }
 
@@ -405,12 +414,7 @@ fn loopback_smoke_benchqueries() {
 fn pipelined_requests_answer_in_order() {
     let g = generate::gex();
     let (_engine, server) = start_server(g, 2);
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-
-    write_frame(&mut stream, &encode_request(&Request::Hello { version: PROTOCOL_VERSION }))
-        .unwrap();
-    let ack = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
-    assert!(matches!(decode_response(&ack).unwrap(), Response::HelloAck { .. }));
+    let mut stream = handshaken(&server);
 
     // Write a full pipeline before reading anything.
     let texts = ["f", "f . f", "(f . f) & f^-1", "id", "f^-1"];
@@ -432,6 +436,93 @@ fn pipelined_requests_answer_in_order() {
     }
     let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
     assert!(matches!(decode_response(&payload).unwrap(), Response::Pong));
+    server.shutdown();
+}
+
+/// One connection pipelines 200× [insert e, delete e] and a trailing
+/// QUERY without reading anything. Workers pop jobs in any order, so
+/// only the write-in-flight hold makes the effects land in arrival
+/// order: every op must apply (an insert overtaken by its delete, or
+/// two inserts in a row, would report `Noop`), the edge must be absent
+/// at the end, and the query must be served at the last delta's epoch.
+#[test]
+fn pipelined_writes_of_one_connection_apply_in_arrival_order() {
+    const ROUNDS: usize = 200;
+    let g = generate::gex();
+    let (engine, server) = start_server(g, 6);
+    let mut stream = handshaken(&server);
+
+    // gex has no joe→sue follow edge, so the first insert is genuine.
+    let snap = engine.snapshot();
+    let (joe, sue) =
+        (snap.graph().vertex_named("joe").unwrap(), snap.graph().vertex_named("sue").unwrap());
+    let f = snap.graph().label_named("f").unwrap();
+    assert!(!snap.graph().has_edge(joe, sue, f.fwd()));
+    let edge = |insert: bool| {
+        let (src, dst, label) = (joe, sue, "f".to_string());
+        encode_request(&Request::Delta(vec![if insert {
+            WireOp::InsertEdge { src, dst, label }
+        } else {
+            WireOp::DeleteEdge { src, dst, label }
+        }]))
+    };
+    // The responses are small (≈ 20 bytes each), so the whole pipeline
+    // can be written before anything is read without filling a socket
+    // buffer in either direction.
+    let mut wire = Vec::new();
+    for _ in 0..ROUNDS {
+        write_frame(&mut wire, &edge(true)).unwrap();
+        write_frame(&mut wire, &edge(false)).unwrap();
+    }
+    write_frame(&mut wire, &encode_request(&Request::Query("f".into()))).unwrap();
+    use std::io::Write;
+    stream.write_all(&wire).unwrap();
+
+    for i in 0..2 * ROUNDS {
+        let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        match decode_response(&payload).unwrap() {
+            Response::DeltaAck { epoch, outcomes, .. } => {
+                assert_eq!(outcomes, vec![WireOutcome::Applied], "delta {i} ran out of order");
+                assert_eq!(epoch, i as u64 + 1, "delta {i}");
+            }
+            other => panic!("expected DELTA_ACK for delta {i}, got {other:?}"),
+        }
+    }
+    let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    match decode_response(&payload).unwrap() {
+        Response::Result { epoch, pairs } => {
+            assert_eq!(epoch, 2 * ROUNDS as u64, "the query overtook a delta");
+            assert_eq!(pairs, snap.evaluate(&parse_cpq("f", snap.graph()).unwrap()));
+        }
+        other => panic!("expected RESULT, got {other:?}"),
+    }
+    assert!(!engine.snapshot().graph().has_edge(joe, sue, f.fwd()), "the edge must end up absent");
+    server.shutdown();
+}
+
+/// The opcodes protocol 7 retired (UPDATE `0x05`, STATS `0x06`) get a
+/// typed UNKNOWN_OPCODE error frame, and the connection keeps serving.
+#[test]
+fn retired_opcodes_get_a_typed_error_and_the_connection_survives() {
+    let g = generate::gex();
+    let (_engine, server) = start_server(g, 2);
+    let mut stream = handshaken(&server);
+
+    // A well-formed v6 UPDATE body (insert 0→1 "f") and a bare STATS.
+    let update =
+        [&[0x05u8, 1][..], &0u32.to_be_bytes(), &1u32.to_be_bytes(), &[0, 0, 0, 1, b'f']].concat();
+    for retired in [update, vec![0x06]] {
+        write_frame(&mut stream, &retired).unwrap();
+        let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        match decode_response(&payload).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::UnknownOpcode, "{e}"),
+            other => panic!("expected an error frame for {:#04x}, got {other:?}", retired[0]),
+        }
+        write_frame(&mut stream, &encode_request(&Request::Ping)).unwrap();
+        let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert!(matches!(decode_response(&payload).unwrap(), Response::Pong));
+    }
+    assert_eq!(server.engine().epoch(), 0, "a retired UPDATE must not write");
     server.shutdown();
 }
 
@@ -554,8 +645,8 @@ fn batch_parse_failures_name_the_query() {
 }
 
 /// Filling the connection cap answers new connections with a typed BUSY
-/// error frame — not a bare close — counts the rejection in STATS and
-/// METRICS, and frees the slot when a connection departs.
+/// error frame — not a bare close — counts the rejection in METRICS,
+/// and frees the slot when a connection departs.
 #[test]
 fn connection_cap_rejects_with_busy_error() {
     let g = generate::gex();
@@ -592,12 +683,12 @@ fn connection_cap_rejects_with_busy_error() {
     // The rejection and the open-connection gauge are visible over the
     // wire (METRICS) and in the process-local report.
     let metrics = a.metrics().expect("metrics");
-    assert_eq!(metrics.net.rejected_connections, 1);
-    assert_eq!(metrics.net.open_connections, 2);
-    let stats = a.stats().expect("stats");
-    assert_eq!(stats.rejected_connections, 1);
-    assert_eq!(stats.metrics_requests, 1, "STATS must carry the METRICS counter");
-    assert!(stats.error_responses >= 1, "the BUSY frame counts as an error response");
+    assert_eq!(metrics.counter("rejected_connections_total"), Some(1));
+    assert_eq!(metrics.counter("open_connections"), Some(2));
+    assert!(
+        metrics.counter("error_responses_total").unwrap() >= 1,
+        "the BUSY frame counts as an error response"
+    );
     let local = server.net_stats();
     assert_eq!(local.rejected_connections, 1);
     assert_eq!(local.open_connections, 2);
@@ -635,11 +726,7 @@ fn mid_frame_read_timeout_sends_a_final_timeout_error() {
         },
     )
     .expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_frame(&mut stream, &encode_request(&Request::Hello { version: PROTOCOL_VERSION }))
-        .unwrap();
-    let ack = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
-    assert!(matches!(decode_response(&ack).unwrap(), Response::HelloAck { .. }));
+    let mut stream = handshaken(&server);
 
     // A header promising 8 payload bytes, followed by only 3, then
     // silence: the connection dies mid-frame.
@@ -681,11 +768,7 @@ fn idle_timeout_at_a_frame_boundary_closes_cleanly() {
         },
     )
     .expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_frame(&mut stream, &encode_request(&Request::Hello { version: PROTOCOL_VERSION }))
-        .unwrap();
-    let ack = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
-    assert!(matches!(decode_response(&ack).unwrap(), Response::HelloAck { .. }));
+    let mut stream = handshaken(&server);
 
     // Go silent at the frame boundary; the next thing on the wire must
     // be EOF, not an error frame.

@@ -6,8 +6,8 @@
 use cpqx_graph::generate;
 use cpqx_graph::{ExtLabel, Graph};
 use cpqx_net::proto::{
-    decode_request, encode_request, read_frame, write_frame, Request, WireOp, WireSeqLabel,
-    DEFAULT_MAX_FRAME,
+    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
+    DecodeError, Request, Response, WireMetrics, WireOp, WireSeqLabel, DEFAULT_MAX_FRAME,
 };
 use cpqx_query::canonical::{cache_key, canonicalize};
 use cpqx_query::{benchqueries, parse_cpq, Cpq};
@@ -136,5 +136,51 @@ proptest! {
         write_frame(&mut wire, &bytes).unwrap();
         let payload = read_frame(&mut std::io::Cursor::new(wire), DEFAULT_MAX_FRAME).unwrap();
         prop_assert_eq!(decode_request(&payload).unwrap(), req);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    // The METRICS counter list is opaque to the codec: arbitrary names
+    // and values round-trip, every truncation fails cleanly, and a count
+    // field larger than the bytes that follow is an error before any
+    // allocation.
+    #[test]
+    fn metrics_counter_lists_survive_the_wire(
+        counters in prop::collection::vec(
+            (
+                prop_oneof![
+                    Just("queries_total".to_string()),
+                    Just("open_connections".to_string()),
+                    Just("héldIn{}\n".to_string()),
+                    Just(String::new()),
+                ],
+                any::<u64>(),
+            ),
+            0..40,
+        ),
+        hostile_count in 1u32..u32::MAX,
+    ) {
+        let resp = Response::Metrics(Box::new(WireMetrics {
+            epoch: 3,
+            counters: counters.clone(),
+            ..WireMetrics::default()
+        }));
+        let bytes = encode_response(&resp);
+        prop_assert_eq!(decode_response(&bytes).unwrap(), resp);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_response(&bytes[..cut]).is_err());
+        }
+        // The list's count follows the opcode, the epoch and the two
+        // empty histogram lists. Claiming more entries than sent — up to
+        // billions — must fail on the remaining-bytes check.
+        let mut hostile = bytes.clone();
+        let claimed = (counters.len() as u32).saturating_add(hostile_count);
+        hostile[11..15].copy_from_slice(&claimed.to_be_bytes());
+        prop_assert!(matches!(
+            decode_response(&hostile),
+            Err(DecodeError::Truncated | DecodeError::BadUtf8 | DecodeError::Trailing)
+        ));
     }
 }

@@ -120,7 +120,7 @@ fn idle_horde_does_not_starve_active_clients() {
                 let (v, u, l) = sample_edges(snap.graph(), 1, round)[0];
                 let name = snap.graph().label_name(l).to_string();
                 let ack = client.delete_edge(v, u, &name).expect("wire delete");
-                if ack.applied {
+                if ack.applied() > 0 {
                     let now = engine.snapshot();
                     assert_eq!(now.epoch(), ack.epoch, "sole writer: ack epoch is current");
                     snapshots.lock().unwrap().insert(ack.epoch, now);

@@ -37,23 +37,19 @@ pub enum Op {
     Query = 1,
     /// One whole BATCH frame.
     Batch = 2,
-    /// One single-edge UPDATE (served as a one-op delta).
-    Update = 3,
-    /// One DELTA transaction.
-    Delta = 4,
-    /// One STATS report.
-    Stats = 5,
+    /// One DELTA transaction (every write: wire DELTA frames and
+    /// in-process `apply_delta` calls alike).
+    Delta = 3,
     /// One METRICS exposition.
-    Metrics = 6,
+    Metrics = 4,
 }
 
 /// Number of [`Op`] variants (histogram array size).
-pub const OP_COUNT: usize = 7;
+pub const OP_COUNT: usize = 5;
 
 impl Op {
     /// All opcodes, in tag order.
-    pub const ALL: [Op; OP_COUNT] =
-        [Op::Ping, Op::Query, Op::Batch, Op::Update, Op::Delta, Op::Stats, Op::Metrics];
+    pub const ALL: [Op; OP_COUNT] = [Op::Ping, Op::Query, Op::Batch, Op::Delta, Op::Metrics];
 
     /// Stable lower-case name (used by the text exposition).
     pub fn name(self) -> &'static str {
@@ -61,9 +57,7 @@ impl Op {
             Op::Ping => "ping",
             Op::Query => "query",
             Op::Batch => "batch",
-            Op::Update => "update",
             Op::Delta => "delta",
-            Op::Stats => "stats",
             Op::Metrics => "metrics",
         }
     }

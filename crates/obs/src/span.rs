@@ -24,7 +24,7 @@ pub enum Stage {
     CacheProbe = 2,
     /// Plan evaluation against the pinned snapshot.
     Eval = 3,
-    /// Delta: snapshot clone (COW or deep, per engine options).
+    /// Delta: the O(#chunks) copy-on-write clone of the current snapshot.
     Clone = 4,
     /// Delta: applying ops + lazy index maintenance.
     Maintain = 5,

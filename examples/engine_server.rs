@@ -7,13 +7,13 @@
 //! while a maintenance thread keeps deleting and re-inserting edges —
 //! every change installs a fresh snapshot without ever blocking the
 //! clients or closing a connection. Finishes with one consistent BATCH
-//! frame, the server's STATS frame, and a graceful shutdown.
+//! frame, the server's METRICS counters, and a graceful shutdown.
 //!
 //! The server core is event-driven: one epoll loop owns every socket,
 //! workers only evaluate, so idle connections cost buffers instead of
 //! threads. `--max-conns N` caps concurrently open connections (the
 //! default is 10 000; over-cap connects are answered with a BUSY error
-//! frame, visible in the final STATS line as rejected connections).
+//! frame, visible in the final METRICS line as rejected connections).
 //!
 //! Set `CPQX_NET_LISTEN` (e.g. `127.0.0.1:7777`) to keep the server in
 //! the foreground for external clients (`net_client` connects with
@@ -231,28 +231,11 @@ fn main() {
         batch.results.iter().map(Vec::len).sum::<usize>(),
     );
 
-    let stats = client.stats().expect("wire stats");
-    println!(
-        "stats: epoch={} queries={} hit_rate={:.1}% swaps={} p50={}us p99={}us \
-         requests[query={} batch={} stats={}] connections={} \
-         wal[appends={} bytes={}] snapshots[written={} chunks skipped={}]",
-        stats.epoch,
-        stats.queries,
-        stats.result_hit_rate() * 100.0,
-        stats.snapshot_swaps,
-        stats.p50_us,
-        stats.p99_us,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.stats_requests,
-        stats.connections,
-        stats.wal_appends,
-        stats.wal_bytes,
-        stats.snapshots_written,
-        stats.snapshot_chunks_skipped,
-    );
+    let m = client.metrics().expect("wire metrics");
+    let counters: Vec<String> =
+        m.counters.iter().map(|(name, value)| format!("{name}={value}")).collect();
+    println!("metrics: epoch={} {}", m.epoch, counters.join(" "));
     if has_flag("metrics-dump") {
-        let m = client.metrics().expect("wire metrics");
         println!("\n--- metrics dump (METRICS frame, Prometheus rendering) ---");
         print!("{}", render_prometheus(&m));
         if m.slow.is_empty() {

@@ -4,8 +4,8 @@
 //! graph on an ephemeral loopback port and talks to it; point
 //! `CPQX_NET_ADDR` at a running server (e.g. the `engine_server`
 //! example) to use that instead. Shows the full request surface: PING,
-//! QUERY (including a typed parse-error frame), BATCH, UPDATE, an
-//! atomic multi-op DELTA transaction with per-op outcomes, and STATS.
+//! QUERY (including a typed parse-error frame), BATCH, one-op and
+//! multi-op DELTA transactions with per-op outcomes, and METRICS.
 //!
 //! Run with: `cargo run --release --example net_client`
 
@@ -69,16 +69,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sizes: Vec<usize> = batch.results.iter().map(Vec::len).collect();
     println!("batch of {} queries on epoch {}: answer sizes {sizes:?}", sizes.len(), batch.epoch);
 
-    // An update through the wire (only against the in-process server,
+    // Writes through the wire (only against the in-process server,
     // where we know a deletable edge exists).
     if let Some(server) = &local {
         let snap = server.engine().snapshot();
         let (v, u, l) = sample_edges(snap.graph(), 1, 3)[0];
         let name = snap.graph().label_name(l).to_string();
         let ack = client.delete_edge(v, u, &name)?;
-        println!("delete ({v})-[{name}]->({u}): applied={} epoch={}", ack.applied, ack.epoch);
+        println!("delete ({v})-[{name}]->({u}): applied={} epoch={}", ack.applied(), ack.epoch);
         let ack = client.insert_edge(v, u, &name)?;
-        println!("insert ({v})-[{name}]->({u}): applied={} epoch={}", ack.applied, ack.epoch);
+        println!("insert ({v})-[{name}]->({u}): applied={} epoch={}", ack.applied(), ack.epoch);
 
         // A typed delta: one atomic transaction, one snapshot install,
         // per-op outcomes — including the id of a vertex added and wired
@@ -99,28 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let stats = client.stats()?;
-    println!(
-        "stats: epoch={} queries={} hit_rate={:.1}% p50={}us p99={}us \
-         requests[ping={} query={} batch={} update={} delta={} stats={}] errors={} \
-         maint[deltas={} lazy_ops={} rebuilds={} frag={:.2}x]",
-        stats.epoch,
-        stats.queries,
-        stats.result_hit_rate() * 100.0,
-        stats.p50_us,
-        stats.p99_us,
-        stats.ping_requests,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.update_requests,
-        stats.delta_requests,
-        stats.stats_requests,
-        stats.error_responses,
-        stats.delta_transactions,
-        stats.lazy_update_ops,
-        stats.rebuilds,
-        stats.fragmentation_ratio(),
-    );
+    // Every engine and front-end counter travels as one named list.
+    let metrics = client.metrics()?;
+    let counters: Vec<String> =
+        metrics.counters.iter().map(|(name, value)| format!("{name}={value}")).collect();
+    println!("metrics: epoch={} {}", metrics.epoch, counters.join(" "));
 
     if let Some(server) = local {
         server.shutdown();
