@@ -160,7 +160,7 @@ fn main() {
     table.finish();
 
     println!(
-        "\nInvariant check: all three parallel pipelines are verified query-equivalent to their \
+        "\nInvariant check: all three parallel pipelines are verified byte-identical to their \
          sequential counterparts by crates/engine/tests/build_differential.rs; this bench only \
          measures wall-clock. 'l1 speedup' is sequential/parallel level-1 time at {threads} \
          threads — the pass that was the serial prefix of every sharded build before the \

@@ -13,7 +13,8 @@
 //!   together with the loop flag. `bᵢ = NULL` iff the pair has no exact
 //!   length-i path.
 //! * **Classes**: pairs are grouped by `(is-loop, ⟨b₁,…,b_k⟩)` — Algorithm
-//!   2's hash of the block-id sequence.
+//!   2's hash of the block-id sequence — and those groups by the invariant
+//!   they stand for, `(is-loop, L≤k)`.
 //!
 //! **Why this is sound for the index** (Sec. IV-C's discussion): by
 //! induction on i, the block id `bᵢ` determines the set of exact-length-i
@@ -24,7 +25,35 @@
 //! the IDENTITY check). The same induction lets us compute each block's
 //! exact-length-i sequence set *per block id* instead of per pair, which is
 //! how `Il2c` is materialized without ever enumerating paths.
+//!
+//! # Intern as you go
+//!
+//! Every grouping above runs through one mechanism, [`SigInterner`]: a
+//! signature is interned the moment it is complete and the id it gets is
+//! its block or class id. Nothing is buffered level-wide to be sorted into
+//! groups afterwards:
+//!
+//! * the previous level's `(pair, block)` list is source-major, so level i
+//!   streams **one source at a time** — that source's emissions fill a small
+//!   reused buffer, are sorted there, and each target's run of combos is
+//!   interned on the spot; the output comes out pair-sorted;
+//! * class assembly **merges** the k pair-sorted level lists, builds each
+//!   pair's block tuple inline and interns it; the first pair of a tuple
+//!   derives the tuple's `L≤k` and interns *that* — so two block tuples
+//!   that stand for the same `(is-loop, L≤k)` land in one class, and the
+//!   partition is the coarsest the index invariant allows whether it was
+//!   built in one piece or in shards;
+//! * [`merge_partitions`] re-interns the shards' class invariants in shard
+//!   order.
+//!
+//! Ids count up in first-occurrence order along the (sorted) pair list, at
+//! every one of those steps. Class numbering is therefore a function of the
+//! graph alone: any tiling of source ranges merges to the **same**
+//! partition, id for id, as the single-range build, and a saved index is
+//! byte-identical across shard counts, thread counts and processes (the
+//! interner's hash has a fixed seed and decides nothing but probe order).
 
+use crate::intern::{seq_words, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
 use std::time::{Duration, Instant};
 
@@ -34,6 +63,7 @@ pub type ClassId = u32;
 /// The computed partition of `P≤k` (pairs connected by a non-trivial path
 /// of length ≤ k; pure-identity pairs with no path are not materialized,
 /// matching the index definition — `id` is answered by the executor).
+#[derive(Default)]
 pub struct Partition {
     /// `(pair, class)` sorted by pair.
     pub pair_classes: Vec<(Pair, ClassId)>,
@@ -65,27 +95,10 @@ struct Level {
 }
 
 /// Computes the CPQk-equivalence classes of `g` (Algorithm 1 + the class
-/// assignment of Algorithm 2).
+/// assignment of Algorithm 2): the single-range instance of
+/// [`RefinementBase::partition_range`].
 pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= cpqx_graph::MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
-
-    let base = RefinementBase::new(g);
-    let mut levels: Vec<Level> = Vec::with_capacity(k);
-    levels.push(base.level1);
-    for _ in 2..=k {
-        let next = {
-            let prev = levels.last().unwrap();
-            refine_level(&prev.pair_blocks, &prev.block_seqs, &levels[0].block_seqs, &base.adj1)
-        };
-        levels.push(next);
-    }
-
-    let views: Vec<LevelView<'_>> = levels
-        .iter()
-        .map(|l| LevelView { pair_blocks: &l.pair_blocks, block_seqs: &l.block_seqs })
-        .collect();
-    assemble_classes(&views, k)
+    RefinementBase::new(g).partition_range(k, 0..g.vertex_count())
 }
 
 /// A borrowed per-level view — either a whole [`Level`] or a shard's
@@ -112,7 +125,7 @@ struct LevelView<'a> {
 /// each distinct signature's rank in the globally sorted signature set —
 /// which is exactly the id the sequential pass hands out, so the parallel
 /// result is *structurally identical* (same `pair_blocks`, same
-/// `block_seqs`), not merely query-equivalent.
+/// `block_seqs`).
 pub struct RefinementBase {
     level1: Level,
     /// For each vertex `m`, the `(target, b₁(m,u))` list of its outgoing
@@ -191,13 +204,10 @@ impl RefinementBase {
     /// `src_range`.
     ///
     /// The returned partition covers exactly the pairs of `P≤k` with source
-    /// in the range; class ids are shard-local. Merging the shard
-    /// partitions of a tiling set of ranges with [`merge_partitions`]
-    /// yields a partition that is query-equivalent to
-    /// [`cpq_path_partition`] (classes are grouped by the invariant
-    /// `(cyclicity, L≤k)` itself rather than by block signature, which can
-    /// only *coarsen* the sequential partition — soundly so, since query
-    /// processing relies on exactly that invariant; see Prop. 4.1).
+    /// in the range, grouped by `(cyclicity, L≤k)`, classes numbered by
+    /// first occurrence along the pair list. Over the whole vertex range
+    /// that *is* [`cpq_path_partition`]; over a tiling of ranges,
+    /// [`merge_partitions`] reassembles exactly that partition.
     pub fn partition_range(&self, k: usize, src_range: std::ops::Range<u32>) -> Partition {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= cpqx_graph::MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
@@ -226,7 +236,41 @@ impl RefinementBase {
         for l in &local {
             views.push(LevelView { pair_blocks: &l.pair_blocks, block_seqs: &l.block_seqs });
         }
-        assemble_classes(&views, k)
+        assemble_classes(&views)
+    }
+}
+
+/// Classes under construction, keyed by the index invariant `(cyclicity,
+/// sequence set)`: the grouping step class assembly and shard merging
+/// share.
+#[derive(Default)]
+struct ClassTable {
+    by_invariant: SigInterner,
+    class_loop: Vec<bool>,
+    class_seqs: Vec<Vec<LabelSeq>>,
+    /// Reused encoding buffer.
+    words: Vec<u64>,
+}
+
+impl ClassTable {
+    /// The class of `(is_loop, seqs)` (`seqs` sorted and distinct),
+    /// registering it under the next id if it is new.
+    fn class_of(&mut self, is_loop: bool, seqs: &[LabelSeq]) -> ClassId {
+        self.words.clear();
+        for s in seqs {
+            let (w, n) = seq_words(s);
+            self.words.extend_from_slice(&w[..n]);
+        }
+        let c = self.by_invariant.intern(is_loop, &self.words);
+        if c as usize == self.class_loop.len() {
+            self.class_loop.push(is_loop);
+            self.class_seqs.push(seqs.to_vec());
+        }
+        c
+    }
+
+    fn into_partition(self, pair_classes: Vec<(Pair, ClassId)>) -> Partition {
+        Partition { pair_classes, class_loop: self.class_loop, class_seqs: self.class_seqs }
     }
 }
 
@@ -234,50 +278,31 @@ impl RefinementBase {
 /// partition, unifying classes across shards by the class invariant
 /// `(cyclicity, L≤k)`.
 ///
-/// Precondition (asserted in debug builds): the concatenation of the
-/// shards' pair lists is strictly sorted — i.e. the shards came from a
-/// tiling of ascending source ranges, as produced by
-/// [`RefinementBase::balanced_ranges`].
-pub fn merge_partitions(shards: Vec<Partition>) -> Partition {
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
-
+/// Preconditions: each shard groups its own pairs by that invariant and
+/// numbers its classes by first occurrence (as
+/// [`RefinementBase::partition_range`] and
+/// [`crate::interest::interest_partition_range`] do), and — asserted in
+/// debug builds — the concatenation of the shards' pair lists is strictly
+/// sorted, i.e. the shards came from a tiling of ascending source ranges.
+/// Shard classes are re-interned in shard order, so merged ids again count
+/// up by first occurrence along the pair list: the result does not depend
+/// on where the ranges were cut, and a single shard merges to itself.
+pub fn merge_partitions(mut shards: Vec<Partition>) -> Partition {
+    if shards.len() <= 1 {
+        return shards.pop().unwrap_or_default();
+    }
     let mut pair_classes: Vec<(Pair, ClassId)> =
         Vec::with_capacity(shards.iter().map(Partition::pair_count).sum());
-    let mut class_loop: Vec<bool> = Vec::new();
-    let mut class_seqs: Vec<Vec<LabelSeq>> = Vec::new();
-    // Candidate global class ids per key hash. Keying by hash (with an
-    // explicit equality check against the already-stored class data)
-    // avoids materializing owned `(loop, seqs)` map keys: each shard's
-    // sequence sets are *moved* into `class_seqs` on first occurrence and
-    // simply dropped on duplicates — no clones at all.
-    let mut by_hash: HashMap<u64, Vec<ClassId>> = HashMap::new();
-    let key_hash = |lp: bool, seqs: &[LabelSeq]| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        lp.hash(&mut h);
-        seqs.hash(&mut h);
-        h.finish()
-    };
-
+    let mut classes = ClassTable::default();
     for shard in shards {
-        let Partition { pair_classes: spairs, class_loop: sloop, class_seqs: sseqs } = shard;
-        // Remap this shard's local class ids to global ids.
-        let mut remap: Vec<ClassId> = Vec::with_capacity(sloop.len());
-        for (&lp, seqs) in sloop.iter().zip(sseqs) {
-            let candidates = by_hash.entry(key_hash(lp, &seqs)).or_default();
-            let found = candidates
-                .iter()
-                .copied()
-                .find(|&c| class_loop[c as usize] == lp && class_seqs[c as usize] == seqs);
-            remap.push(found.unwrap_or_else(|| {
-                let c = class_loop.len() as ClassId;
-                class_loop.push(lp);
-                class_seqs.push(seqs);
-                candidates.push(c);
-                c
-            }));
-        }
-        for &(p, c) in &spairs {
+        // This shard's local class ids as global ids.
+        let remap: Vec<ClassId> = shard
+            .class_loop
+            .iter()
+            .zip(&shard.class_seqs)
+            .map(|(&lp, seqs)| classes.class_of(lp, seqs))
+            .collect();
+        for &(p, c) in &shard.pair_classes {
             debug_assert!(
                 pair_classes.last().is_none_or(|&(q, _)| q < p),
                 "shards must tile ascending source ranges"
@@ -285,7 +310,7 @@ pub fn merge_partitions(shards: Vec<Partition>) -> Partition {
             pair_classes.push((p, remap[c as usize]));
         }
     }
-    Partition { pair_classes, class_loop, class_seqs }
+    classes.into_partition(pair_classes)
 }
 
 /// A level-1 block signature: `(is-loop, sorted extended-label set)`.
@@ -328,14 +353,16 @@ fn level1_part(g: &Graph, r: std::ops::Range<u32>) -> Level1Part {
         i = j;
     }
 
-    // Collect the distinct signatures in (is-loop, label slice) order.
+    // Collect the distinct signatures in (is-loop, label slice) order —
+    // sorted, not interned: level-1 block ids are ranks (see
+    // `level1_sig_merge`), which is what lets ranges run in parallel.
     let labels_of = |idx: usize| entries[pairs[idx].1.clone()].iter().map(|&(_, l)| l);
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
+    let mut by_sig: Vec<usize> = (0..pairs.len()).collect();
+    by_sig.sort_unstable_by(|&a, &b| {
         pairs[a].0.is_loop().cmp(&pairs[b].0.is_loop()).then_with(|| labels_of(a).cmp(labels_of(b)))
     });
     let mut sigs: Vec<Level1Sig> = Vec::new();
-    for &idx in &order {
+    for &idx in &by_sig {
         let lp = pairs[idx].0.is_loop();
         let same = sigs
             .last()
@@ -434,73 +461,38 @@ fn refine_level(
     level1_block_seqs: &[Vec<LabelSeq>],
     adj1: &[Vec<(u32, u32)>],
 ) -> Level {
-    // Emit (pair, combo) for every decomposition prefix·edge. Dense graphs
-    // emit far more raw tuples than there are distinct ones, so the buffer
-    // is deduplicated periodically to bound peak memory.
-    const DEDUP_THRESHOLD: usize = 1 << 23;
-    let mut emissions: Vec<(Pair, u64)> = Vec::new();
-    let mut next_dedup = DEDUP_THRESHOLD;
-    for &(vm, b_prev) in prev_blocks {
-        let (v, m) = (vm.src(), vm.dst());
-        for &(u, b1) in &adj1[m as usize] {
-            emissions.push((Pair::new(v, u), ((b_prev as u64) << 32) | b1 as u64));
+    let mut blocks = SigInterner::default();
+    let mut pair_blocks: Vec<(Pair, u32)> = Vec::new();
+    // One source's `(target, combo)` emissions, and one target's combos.
+    let mut emitted: Vec<(u32, u64)> = Vec::new();
+    let mut combos: Vec<u64> = Vec::new();
+    // `prev_blocks` is source-major: every decomposition prefix·edge of a
+    // pair `(v, ·)` comes from the run of `v`.
+    for of_source in prev_blocks.chunk_by(|a, b| a.0.src() == b.0.src()) {
+        let v = of_source[0].0.src();
+        emitted.clear();
+        for &(vm, b_prev) in of_source {
+            for &(u, b1) in &adj1[vm.dst() as usize] {
+                emitted.push((u, ((b_prev as u64) << 32) | b1 as u64));
+            }
         }
-        if emissions.len() >= next_dedup {
-            emissions.sort_unstable();
-            emissions.dedup();
-            next_dedup = (emissions.len() * 2).max(DEDUP_THRESHOLD);
+        emitted.sort_unstable();
+        emitted.dedup();
+        for of_target in emitted.chunk_by(|a, b| a.0 == b.0) {
+            let u = of_target[0].0;
+            combos.clear();
+            combos.extend(of_target.iter().map(|&(_, c)| c));
+            pair_blocks.push((Pair::new(v, u), blocks.intern(v == u, &combos)));
         }
-    }
-    emissions.sort_unstable();
-    emissions.dedup();
-
-    // Group by pair.
-    let mut pairs: Vec<(Pair, std::ops::Range<usize>)> = Vec::new();
-    let mut i = 0;
-    while i < emissions.len() {
-        let p = emissions[i].0;
-        let j = i + emissions[i..].partition_point(|&(q, _)| q == p);
-        pairs.push((p, i..j));
-        i = j;
-    }
-
-    // Assign block ids by (is-loop, combo slice).
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        pairs[a].0.is_loop().cmp(&pairs[b].0.is_loop()).then_with(|| {
-            emissions[pairs[a].1.clone()]
-                .iter()
-                .map(|&(_, c)| c)
-                .cmp(emissions[pairs[b].1.clone()].iter().map(|&(_, c)| c))
-        })
-    });
-
-    let mut pair_blocks: Vec<(Pair, u32)> = vec![(Pair(0), 0); pairs.len()];
-    let mut block_combos: Vec<Vec<u64>> = Vec::new();
-    let mut prev_idx: Option<usize> = None;
-    for &idx in &order {
-        let same = prev_idx.is_some_and(|p| {
-            pairs[p].0.is_loop() == pairs[idx].0.is_loop()
-                && emissions[pairs[p].1.clone()]
-                    .iter()
-                    .map(|&(_, c)| c)
-                    .eq(emissions[pairs[idx].1.clone()].iter().map(|&(_, c)| c))
-        });
-        if !same {
-            block_combos.push(emissions[pairs[idx].1.clone()].iter().map(|&(_, c)| c).collect());
-        }
-        pair_blocks[idx] = (pairs[idx].0, (block_combos.len() - 1) as u32);
-        prev_idx = Some(idx);
     }
 
     // Each block's exact-length-i sequence set: union over its combos of
     // prev-block seqs × level-1 labels (memoized per block, not per pair —
     // see the module docs for why this equals the paper's per-pair loop).
-    let block_seqs: Vec<Vec<LabelSeq>> = block_combos
-        .iter()
-        .map(|combos| {
+    let block_seqs: Vec<Vec<LabelSeq>> = (0..blocks.len() as u32)
+        .map(|b| {
             let mut seqs = Vec::new();
-            for &c in combos {
+            for &c in blocks.words(b) {
                 let b_prev = (c >> 32) as usize;
                 let b1 = (c as u32) as usize;
                 for w in &prev_seqs[b_prev] {
@@ -518,65 +510,52 @@ fn refine_level(
     Level { pair_blocks, block_seqs }
 }
 
-/// Final class assignment: group pairs by `(is-loop, ⟨b₁,…,b_k⟩)` and derive
-/// each class's `L≤k` from the per-level block sequence sets.
-fn assemble_classes(levels: &[LevelView<'_>], k: usize) -> Partition {
-    // Gather (pair, level, block) across levels.
-    let mut tuples: Vec<(Pair, u8, u32)> = Vec::new();
-    for (i, level) in levels.iter().enumerate() {
-        for &(p, b) in level.pair_blocks {
-            tuples.push((p, i as u8, b));
+/// Final class assignment over `k = levels.len()` pair-sorted level lists:
+/// merge them, intern each pair's `(is-loop, ⟨b₁,…,b_k⟩)`, and map each
+/// distinct block tuple to the class of the `(is-loop, L≤k)` it stands for
+/// (derived once per tuple from the per-level block sequence sets).
+fn assemble_classes(levels: &[LevelView<'_>]) -> Partition {
+    const NULL: u64 = u32::MAX as u64;
+    let k = levels.len();
+    let mut cursors = [0usize; cpqx_graph::MAX_SEQ_LEN];
+    let mut tuple = [NULL; cpqx_graph::MAX_SEQ_LEN];
+    let mut tuples = SigInterner::default();
+    // Per distinct block tuple: its class.
+    let mut class_of_tuple: Vec<ClassId> = Vec::new();
+    let mut classes = ClassTable::default();
+    let mut seqs: Vec<LabelSeq> = Vec::new();
+    let mut pair_classes: Vec<(Pair, ClassId)> =
+        Vec::with_capacity(levels.iter().map(|l| l.pair_blocks.len()).max().unwrap_or(0));
+
+    // The smallest pair under any cursor is the next pair of the merge.
+    while let Some(p) =
+        levels.iter().zip(cursors).filter_map(|(l, at)| Some(l.pair_blocks.get(at)?.0)).min()
+    {
+        for (i, level) in levels.iter().enumerate() {
+            tuple[i] = match level.pair_blocks.get(cursors[i]) {
+                Some(&(q, b)) if q == p => {
+                    cursors[i] += 1;
+                    b as u64
+                }
+                _ => NULL,
+            };
         }
-    }
-    tuples.sort_unstable();
-
-    const NULL: u32 = u32::MAX;
-    // Per distinct pair: its block signature.
-    let mut sigs: Vec<(Pair, Vec<u32>)> = Vec::new();
-    let mut i = 0;
-    while i < tuples.len() {
-        let p = tuples[i].0;
-        let mut sig = vec![NULL; k];
-        while i < tuples.len() && tuples[i].0 == p {
-            sig[tuples[i].1 as usize] = tuples[i].2;
-            i += 1;
-        }
-        sigs.push((p, sig));
-    }
-
-    // Group by (is-loop, signature).
-    let mut order: Vec<usize> = (0..sigs.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        sigs[a].0.is_loop().cmp(&sigs[b].0.is_loop()).then_with(|| sigs[a].1.cmp(&sigs[b].1))
-    });
-
-    let mut class_of: Vec<u32> = vec![0; sigs.len()];
-    let mut class_loop: Vec<bool> = Vec::new();
-    let mut class_seqs: Vec<Vec<LabelSeq>> = Vec::new();
-    let mut prev: Option<usize> = None;
-    for &idx in &order {
-        let same = prev.is_some_and(|p| {
-            sigs[p].0.is_loop() == sigs[idx].0.is_loop() && sigs[p].1 == sigs[idx].1
-        });
-        if !same {
-            class_loop.push(sigs[idx].0.is_loop());
-            let mut seqs = Vec::new();
-            for (lvl, &b) in sigs[idx].1.iter().enumerate() {
+        let t = tuples.intern(p.is_loop(), &tuple[..k]) as usize;
+        if t == class_of_tuple.len() {
+            seqs.clear();
+            for (level, &b) in levels.iter().zip(&tuple) {
                 if b != NULL {
-                    seqs.extend_from_slice(&levels[lvl].block_seqs[b as usize]);
+                    seqs.extend_from_slice(&level.block_seqs[b as usize]);
                 }
             }
-            seqs.sort_unstable();
-            seqs.dedup();
-            class_seqs.push(seqs);
+            // Already a sorted set: each level's block set is one, and
+            // `LabelSeq` orders by length first.
+            debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+            class_of_tuple.push(classes.class_of(p.is_loop(), &seqs));
         }
-        class_of[idx] = (class_loop.len() - 1) as u32;
-        prev = Some(idx);
+        pair_classes.push((p, class_of_tuple[t]));
     }
-
-    let pair_classes: Vec<(Pair, ClassId)> =
-        sigs.iter().enumerate().map(|(i, &(p, _))| (p, class_of[i])).collect();
-    Partition { pair_classes, class_loop, class_seqs }
+    classes.into_partition(pair_classes)
 }
 
 #[cfg(test)]
@@ -696,16 +675,10 @@ mod tests {
         assert_eq!(p.class_count(), 2);
     }
 
-    /// Sharded-range builds must reconstruct the exact pair → `L≤k`
-    /// mapping of the sequential build (class ids may differ; the class
-    /// *contents* — loop flag and sequence set per pair — may not).
+    /// Range builds over any tiling must merge to *the* sequential
+    /// partition — same pairs, same classes, same class ids.
     fn check_range_build_equivalence(g: &Graph, k: usize, shard_counts: &[usize]) {
         let seq = cpq_path_partition(g, k);
-        let seq_map: std::collections::HashMap<Pair, (&Vec<LabelSeq>, bool)> = seq
-            .pair_classes
-            .iter()
-            .map(|&(p, c)| (p, (&seq.class_seqs[c as usize], seq.class_loop[c as usize])))
-            .collect();
         let base = RefinementBase::new(g);
         for &shards in shard_counts {
             let parts: Vec<Partition> = base
@@ -714,15 +687,29 @@ mod tests {
                 .map(|r| base.partition_range(k, r))
                 .collect();
             let merged = merge_partitions(parts);
-            assert_eq!(merged.pair_count(), seq.pair_count(), "{shards} shards, k={k}");
-            for &(p, c) in &merged.pair_classes {
-                let (expect_seqs, expect_loop) =
-                    seq_map.get(&p).unwrap_or_else(|| panic!("pair {p:?} not in sequential build"));
-                assert_eq!(&&merged.class_seqs[c as usize], expect_seqs, "pair {p:?}");
-                assert_eq!(merged.class_loop[c as usize], *expect_loop, "pair {p:?}");
+            assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards, k={k}");
+            assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards, k={k}");
+            assert_eq!(merged.class_seqs, seq.class_seqs, "{shards} shards, k={k}");
+        }
+    }
+
+    /// Classes are numbered by first occurrence along the pair list, and no
+    /// two of them share `(cyclicity, L≤k)`: the partition is the coarsest
+    /// the index invariant allows.
+    #[test]
+    fn classes_are_minimal_and_numbered_by_first_occurrence() {
+        for seed in 0..4 {
+            let g = generate::random_graph(&generate::RandomGraphConfig::social(60, 240, 3, seed));
+            let p = cpq_path_partition(&g, 2);
+            let mut next = 0;
+            for &(_, c) in &p.pair_classes {
+                assert!(c <= next, "class {c} appears before class {next}");
+                next = next.max(c + 1);
             }
-            // Merged classes can only coarsen the sequential partition.
-            assert!(merged.class_count() <= seq.class_count(), "{shards} shards, k={k}");
+            assert_eq!(next as usize, p.class_count());
+            let distinct: std::collections::HashSet<_> =
+                p.class_loop.iter().zip(&p.class_seqs).collect();
+            assert_eq!(distinct.len(), p.class_count(), "two classes share an invariant");
         }
     }
 
@@ -787,8 +774,8 @@ mod tests {
 
     #[test]
     fn parallel_level1_is_structurally_identical() {
-        // Not just query-equivalent: the parallel pass must reproduce the
-        // sequential pair_blocks/block_seqs byte for byte.
+        // The parallel pass must reproduce the sequential
+        // pair_blocks/block_seqs byte for byte.
         let graphs = vec![
             generate::gex(),
             generate::cycle(6, "f"),

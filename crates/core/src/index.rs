@@ -4,11 +4,13 @@
 use crate::bisim::{cpq_path_partition, ClassId, Partition};
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
+use crate::intern::{seq_words, PairHasher, SigInterner};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair};
 use cpqx_query::plan::{plan_query, Plan};
 use cpqx_query::workload::SeqProbe;
 use cpqx_query::Cpq;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Classes per copy-on-write chunk of the class partition store.
@@ -21,6 +23,10 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// Source-vertex ids per copy-on-write shard of the pair → class map
 /// (fine-grained for the same touched/total reason as [`CLASS_CHUNK`]).
 const P2C_SHARD_BITS: u32 = 8;
+
+/// One shard of the pair → class map (see [`PairHasher`] for why it does
+/// not use the default hasher).
+type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 
 /// One fixed-width class-id range of the index's partition storage: the
 /// `Ic2p` rows, loop flags and sequence sets of up to [`CLASS_CHUNK`]
@@ -83,7 +89,7 @@ pub struct CpqxIndex {
     /// Allocated class slots (tombstones included) across all chunks.
     pub(crate) class_count: usize,
     /// Pair → class map, sharded by source-vertex range.
-    pub(crate) p2c: Vec<Arc<HashMap<Pair, ClassId>>>,
+    pub(crate) p2c: Vec<Arc<PairMap>>,
     /// Indexed pairs across all shards.
     pub(crate) pair_count: usize,
     pub(crate) frag: FragCounters,
@@ -203,32 +209,59 @@ impl CpqxIndex {
     /// or by [`crate::interest::interest_partition`].
     pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {
         let nc = p.class_count();
-        let mut il2c: HashMap<LabelSeq, Arc<Vec<ClassId>>> = HashMap::new();
+        debug_assert!(p.pair_classes.windows(2).all(|w| w[0].0 < w[1].0), "pairs must be sorted");
+
+        // `Il2c`, laid out by slot: a sequence gets a slot when first seen,
+        // its posting list grows as a plain vector (classes are visited in
+        // ascending id order, so postings come out sorted) and is wrapped
+        // in its `Arc` once, at the end.
+        let mut slots = SigInterner::default();
+        let mut slot_seqs: Vec<LabelSeq> = Vec::new();
+        let mut postings: Vec<Vec<ClassId>> = Vec::new();
         for (c, seqs) in p.class_seqs.iter().enumerate() {
             for s in seqs {
-                // Classes are visited in ascending id order: postings sorted.
-                Arc::make_mut(il2c.entry(*s).or_default()).push(c as ClassId);
+                let (w, n) = seq_words(s);
+                let slot = slots.intern(false, &w[..n]) as usize;
+                if slot == postings.len() {
+                    slot_seqs.push(*s);
+                    postings.push(Vec::new());
+                }
+                postings[slot].push(c as ClassId);
             }
         }
+        let il2c = slot_seqs.into_iter().zip(postings.into_iter().map(Arc::new)).collect();
+
+        // `Ic2p` rows at their exact size; `pair_classes` is sorted by
+        // pair, so rows fill sorted under plain appends.
+        let mut sizes = vec![0usize; nc];
+        for &(_, c) in &p.pair_classes {
+            sizes[c as usize] += 1;
+        }
+        let mut rows: Vec<Vec<Pair>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for &(pair, c) in &p.pair_classes {
+            rows[c as usize].push(pair);
+        }
+
+        // Pair → class: the pair list is source-major, so each shard is
+        // one contiguous run, sized before it is filled.
+        let mut p2c: Vec<Arc<PairMap>> = Vec::new();
+        for run in p.pair_classes.chunk_by(|a, b| Self::p2c_shard(a.0) == Self::p2c_shard(b.0)) {
+            p2c.resize_with(Self::p2c_shard(run[0].0), Default::default);
+            p2c.push(Arc::new(run.iter().copied().collect()));
+        }
+
         let mut idx = CpqxIndex {
             k,
             interests,
             il2c,
             classes: Vec::with_capacity(nc.div_ceil(CLASS_CHUNK)),
             class_count: 0,
-            p2c: Vec::new(),
-            pair_count: 0,
+            p2c,
+            pair_count: p.pair_classes.len(),
             frag: FragCounters { baseline_classes: nc, ..FragCounters::default() },
         };
-        for (lp, seqs) in p.class_loop.into_iter().zip(p.class_seqs) {
-            idx.push_class(lp, seqs);
-        }
-        // `pair_classes` is sorted by pair, so per-class rows stay sorted
-        // under plain appends.
-        for &(pair, c) in &p.pair_classes {
-            let (chunk, off) = idx.class_slot_mut(c);
-            chunk.pairs[off].push(pair);
-            idx.p2c_insert(pair, c);
+        for ((lp, seqs), row) in p.class_loop.into_iter().zip(p.class_seqs).zip(rows) {
+            idx.push_class(lp, seqs, row);
         }
         idx
     }
@@ -248,15 +281,21 @@ impl CpqxIndex {
         (Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]), c as usize % CLASS_CHUNK)
     }
 
-    /// Appends a fresh (empty) class slot, returning its id. Only the last
-    /// chunk is touched.
-    pub(crate) fn push_class(&mut self, is_loop: bool, seqs: Vec<LabelSeq>) -> ClassId {
+    /// Appends a class slot holding `pairs` (sorted; pair → class entries
+    /// are the caller's to add), returning its id. Only the last chunk is
+    /// touched.
+    pub(crate) fn push_class(
+        &mut self,
+        is_loop: bool,
+        seqs: Vec<LabelSeq>,
+        pairs: Vec<Pair>,
+    ) -> ClassId {
         let c = self.class_count as ClassId;
         if self.class_count.is_multiple_of(CLASS_CHUNK) {
             self.classes.push(Arc::new(ClassChunk::default()));
         }
         let chunk = Arc::make_mut(self.classes.last_mut().expect("chunk just ensured"));
-        chunk.pairs.push(Vec::new());
+        chunk.pairs.push(pairs);
         chunk.loops.push(is_loop);
         chunk.seqs.push(seqs);
         self.class_count += 1;
@@ -269,15 +308,18 @@ impl CpqxIndex {
         (p.src() >> P2C_SHARD_BITS) as usize
     }
 
-    /// Inserts into the pair → class map, copying only the pair's shard.
-    pub(crate) fn p2c_insert(&mut self, p: Pair, c: ClassId) {
+    /// Inserts into the pair → class map, copying only the pair's shard;
+    /// returns the class the pair was mapped to before, if any.
+    pub(crate) fn p2c_insert(&mut self, p: Pair, c: ClassId) -> Option<ClassId> {
         let s = Self::p2c_shard(p);
         if s >= self.p2c.len() {
             self.p2c.resize_with(s + 1, Default::default);
         }
-        if Arc::make_mut(&mut self.p2c[s]).insert(p, c).is_none() {
+        let previous = Arc::make_mut(&mut self.p2c[s]).insert(p, c);
+        if previous.is_none() {
             self.pair_count += 1;
         }
+        previous
     }
 
     /// Removes from the pair → class map; absent pairs copy nothing.

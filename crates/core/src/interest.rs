@@ -12,11 +12,12 @@
 //! whose source lies in a contiguous vertex range, and shard partitions
 //! over a tiling of ranges compose through
 //! [`crate::bisim::merge_partitions`] into exactly the sequential
-//! partition (classes are keyed by the `(cyclicity, L≤k ∩ Lq)` invariant
-//! on both paths). The engine drives this from
-//! `cpqx_engine::build_interest_sharded`.
+//! partition, id for id (classes are keyed by the `(cyclicity, L≤k ∩ Lq)`
+//! invariant and numbered by first occurrence along the pair list on both
+//! paths). The engine drives this from `cpqx_engine::build_interest_sharded`.
 
 use crate::bisim::{ClassId, Partition};
+use crate::intern::SigInterner;
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use std::collections::BTreeSet;
@@ -109,9 +110,9 @@ pub fn interest_partition(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -
 /// set of ascending ranges compose through
 /// [`crate::bisim::merge_partitions`]: classes unify by the `(cyclicity,
 /// sequence set)` invariant itself, which is the exact key this function
-/// groups by. The merged partition therefore has *identical* class
-/// contents and class count to the sequential [`interest_partition`]
-/// (only class ids may be ordered differently).
+/// groups by, and both number classes by first occurrence along the pair
+/// list. The merged partition is therefore *identical* to the sequential
+/// [`interest_partition`], class ids included.
 pub fn interest_partition_range(
     g: &Graph,
     k: usize,
@@ -145,39 +146,24 @@ pub fn interest_partition_range_with_seqs(
     hits.sort_unstable();
     hits.dedup();
 
-    // Group by pair, then group pairs by (is-loop, seq-id set).
-    let mut pairs: Vec<(Pair, std::ops::Range<usize>)> = Vec::new();
-    let mut i = 0;
-    while i < hits.len() {
-        let p = hits[i].0;
-        let j = i + hits[i..].partition_point(|&(q, _)| q == p);
-        pairs.push((p, i..j));
-        i = j;
-    }
-    let ids_of = |idx: usize| hits[pairs[idx].1.clone()].iter().map(|&(_, s)| s);
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        pairs[a].0.is_loop().cmp(&pairs[b].0.is_loop()).then_with(|| ids_of(a).cmp(ids_of(b)))
-    });
-
-    let mut class_of: Vec<ClassId> = vec![0; pairs.len()];
+    // Each pair's run of hits is its sorted seq-id set: intern `(is-loop,
+    // that set)` as the run ends.
+    let mut classes = SigInterner::default();
     let mut class_loop: Vec<bool> = Vec::new();
     let mut class_seqs: Vec<Vec<LabelSeq>> = Vec::new();
-    let mut prev: Option<usize> = None;
-    for &idx in &order {
-        let same = prev.is_some_and(|p| {
-            pairs[p].0.is_loop() == pairs[idx].0.is_loop() && ids_of(p).eq(ids_of(idx))
-        });
-        if !same {
-            class_loop.push(pairs[idx].0.is_loop());
-            class_seqs.push(ids_of(idx).map(|s| seqs[s as usize]).collect());
+    let mut pair_classes: Vec<(Pair, ClassId)> = Vec::new();
+    let mut ids: Vec<u64> = Vec::new();
+    for of_pair in hits.chunk_by(|a, b| a.0 == b.0) {
+        let p = of_pair[0].0;
+        ids.clear();
+        ids.extend(of_pair.iter().map(|&(_, sid)| sid as u64));
+        let c = classes.intern(p.is_loop(), &ids);
+        if c as usize == class_loop.len() {
+            class_loop.push(p.is_loop());
+            class_seqs.push(of_pair.iter().map(|&(_, sid)| seqs[sid as usize]).collect());
         }
-        class_of[idx] = (class_loop.len() - 1) as ClassId;
-        prev = Some(idx);
+        pair_classes.push((p, c));
     }
-
-    let pair_classes: Vec<(Pair, ClassId)> =
-        pairs.iter().enumerate().map(|(i, &(p, _))| (p, class_of[i])).collect();
     Partition { pair_classes, class_loop, class_seqs }
 }
 
@@ -248,18 +234,10 @@ mod tests {
                 .map(|r| interest_partition_range(&g, 2, &interests, r))
                 .collect();
             let merged = merge_partitions(parts);
-            // Same classes, merely renumbered: identical pair set, and per
-            // pair identical (cyclicity, sequence-set) class data; class
-            // grouping by that exact key forces identical counts too.
-            assert_eq!(merged.pair_count(), seq.pair_count(), "{shards} shards");
-            assert_eq!(merged.class_count(), seq.class_count(), "{shards} shards");
-            let lookup: std::collections::HashMap<Pair, u32> =
-                seq.pair_classes.iter().copied().collect();
-            for &(p, c) in &merged.pair_classes {
-                let sc = lookup[&p];
-                assert_eq!(merged.class_seqs[c as usize], seq.class_seqs[sc as usize], "{p:?}");
-                assert_eq!(merged.class_loop[c as usize], seq.class_loop[sc as usize], "{p:?}");
-            }
+            // The same partition, class ids included.
+            assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards");
+            assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards");
+            assert_eq!(merged.class_seqs, seq.class_seqs, "{shards} shards");
         }
     }
 

@@ -35,11 +35,13 @@ pub mod bisim;
 pub mod exec;
 pub mod index;
 pub mod interest;
+mod intern;
 pub mod maintain;
 pub mod optimize;
 pub mod paths;
 pub mod pool;
 pub mod serialize;
+mod validate;
 
 pub use bisim::{cpq_path_partition, merge_partitions, ClassId, Partition, RefinementBase};
 pub use exec::{ExecOptions, Executor, Intermediate};

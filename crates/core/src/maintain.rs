@@ -158,7 +158,7 @@ impl CpqxIndex {
 
     /// The indexed label-sequence set of a pair on the *current* graph:
     /// `L≤k(src,dst)` filtered to sequences one LOOKUP can answer.
-    fn indexed_seqs_of(&self, g: &Graph, p: Pair) -> Vec<LabelSeq> {
+    pub(crate) fn indexed_seqs_of(&self, g: &Graph, p: Pair) -> Vec<LabelSeq> {
         let all = label_seqs_between(g, p.src(), p.dst(), self.k);
         match &self.interests {
             None => all,
@@ -202,7 +202,7 @@ impl CpqxIndex {
             let c = match groups.get(&key) {
                 Some(&c) => c,
                 None => {
-                    let c = self.push_class(key.0, key.1.clone());
+                    let c = self.push_class(key.0, key.1.clone(), Vec::new());
                     self.frag.fresh_classes += 1;
                     // Fresh ids exceed all existing ones, so appending keeps
                     // every posting list sorted.

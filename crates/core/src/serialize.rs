@@ -368,18 +368,15 @@ impl CpqxIndex {
                 if p.is_loop() != is_loop {
                     return Err("pair cyclicity disagrees with class flag");
                 }
-                if idx.class_of(*p).is_some() {
+                if idx.p2c_insert(*p, c).is_some() {
                     return Err("pair assigned to two classes");
                 }
-                idx.p2c_insert(*p, c);
             }
             for s in &seqs {
                 idx.il2c_push(*s, c);
             }
-            let created = idx.push_class(is_loop, seqs);
+            let created = idx.push_class(is_loop, seqs, pairs);
             debug_assert_eq!(created, c);
-            let (chunk, off) = idx.class_slot_mut(c);
-            chunk.pairs[off] = pairs;
         }
         Ok(idx)
     }

@@ -1,0 +1,204 @@
+//! Checking an index against its graph: the paper's structural invariant,
+//! stated directly instead of through query answers.
+//!
+//! Query processing needs exactly this of `(Il2c, Ic2p)` (Def. 4.3, Prop.
+//! 4.1): the classes partition the pairs that have an indexed label
+//! sequence, every class is homogeneous in `(cyclicity, L≤k ∩ indexed)`,
+//! and `Il2c` lists precisely the classes carrying each sequence. Full
+//! builds produce the *coarsest* such partition; lazy maintenance keeps it
+//! valid but lets it fragment (classes are never re-merged), so minimality
+//! is not part of the check.
+
+use crate::bisim::ClassId;
+use crate::index::CpqxIndex;
+use crate::paths::bounded_ball;
+use cpqx_graph::{Graph, LabelSeq, Pair};
+
+impl CpqxIndex {
+    /// Verifies this index against `g`, the graph it is supposed to index,
+    /// recomputing every pair's sequence set from the graph
+    /// ([`crate::paths::label_seqs_between`]) — O(|P≤k| · paths), a test and
+    /// diagnosis tool, not a serving-path call. Checks that
+    ///
+    /// * every pair of `g` with a non-empty `L≤k ∩ indexed` is in exactly
+    ///   one class; every indexed pair's class has the pair's cyclicity and
+    ///   carries (restricted to the currently indexed sequences) exactly
+    ///   the pair's `L≤k ∩ indexed` — which is empty only for the pairs a
+    ///   deleted interest left behind, unreachable from `Il2c` until their
+    ///   next refresh — and no pair without a path of length ≤ k is indexed
+    ///   (`pair_count` is exact);
+    /// * `Ic2p` rows are sorted and the pair → class map is their inverse;
+    /// * every `Il2c` key is indexed, its posting list is sorted, lists
+    ///   only classes carrying the key, and lists every live one.
+    ///
+    /// Returns the first violation found.
+    pub fn validate(&self, g: &Graph) -> Result<(), String> {
+        let slots = self.class_slots() as ClassId;
+
+        // Ic2p against the pair → class map.
+        let mut in_rows = 0usize;
+        for c in 0..slots {
+            let row = self.class_pairs(c);
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("class {c}: pair row not strictly sorted"));
+            }
+            if let Some(&p) = row.iter().find(|&&p| self.class_of(p) != Some(c)) {
+                return Err(format!("class {c} holds {p:?}, mapped to {:?}", self.class_of(p)));
+            }
+            in_rows += row.len();
+        }
+        // Rows are disjoint (a pair maps to one class), so equal sizes make
+        // the two structures mutually inverse.
+        let in_map: usize = self.p2c.iter().map(|shard| shard.len()).sum();
+        if in_rows != in_map || in_map != self.pair_count() {
+            return Err(format!(
+                "{in_rows} pairs in class rows, {in_map} in the pair map, pair_count {}",
+                self.pair_count()
+            ));
+        }
+
+        // Classes against the graph.
+        let mut indexed_in_reach = 0usize;
+        for v in g.vertices() {
+            for (u, _) in bounded_ball(g, &[v], self.k) {
+                let p = Pair::new(v, u);
+                let expected = self.indexed_seqs_of(g, p);
+                let Some(c) = self.class_of(p) else {
+                    if expected.is_empty() {
+                        continue;
+                    }
+                    return Err(format!("{p:?} has {expected:?} but is not indexed"));
+                };
+                indexed_in_reach += 1;
+                if self.class_is_loop(c) != p.is_loop() {
+                    return Err(format!("{p:?} sits in class {c} of the other cyclicity"));
+                }
+                let carried = self.indexed_class_sequences(c);
+                if carried != expected {
+                    return Err(format!(
+                        "{p:?} has {expected:?}, its class {c} carries {carried:?}"
+                    ));
+                }
+            }
+        }
+        if indexed_in_reach != self.pair_count() {
+            return Err(format!(
+                "{} pairs indexed, only {indexed_in_reach} of them within distance k",
+                self.pair_count()
+            ));
+        }
+
+        // Il2c against the classes.
+        for (s, posting) in &self.il2c {
+            if !self.is_indexed(s) {
+                return Err(format!("Il2c key {s:?} is not an indexed sequence"));
+            }
+            if posting.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("Il2c({s:?}) not strictly sorted"));
+            }
+            if let Some(&c) = posting
+                .iter()
+                .find(|&&c| c >= slots || self.class_sequences(c).binary_search(s).is_err())
+            {
+                return Err(format!("Il2c({s:?}) lists class {c}, which does not carry it"));
+            }
+        }
+        for c in (0..slots).filter(|&c| !self.class_pairs(c).is_empty()) {
+            for s in self.indexed_class_sequences(c) {
+                if self.lookup(&s).binary_search(&c).is_err() {
+                    return Err(format!("live class {c} carries {s:?} but Il2c does not list it"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A class's sequence set restricted to what is indexed *now*: a
+    /// deleted interest stays in class metadata until the class's pairs are
+    /// next refreshed (see `delete_interest`).
+    fn indexed_class_sequences(&self, c: ClassId) -> Vec<LabelSeq> {
+        self.class_sequences(c).iter().copied().filter(|s| self.is_indexed(s)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpqx_graph::generate;
+
+    #[test]
+    fn fresh_and_maintained_indexes_validate() {
+        let mut g = generate::gex();
+        let f = g.label_named("f").unwrap();
+        let ff = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
+        let (sue, joe) = (g.vertex_named("sue").unwrap(), g.vertex_named("joe").unwrap());
+        for mut idx in [CpqxIndex::build(&g, 2), CpqxIndex::build_interest_aware(&g, 2, [ff])] {
+            idx.validate(&g).unwrap();
+            idx.delete_edge(&mut g, sue, joe, f);
+            idx.validate(&g).unwrap();
+            if idx.is_interest_aware() {
+                idx.delete_interest(&ff);
+                idx.validate(&g).unwrap();
+                idx.insert_interest(&g, ff);
+                idx.validate(&g).unwrap();
+            }
+            idx.insert_edge(&mut g, sue, joe, f);
+            idx.validate(&g).unwrap();
+        }
+    }
+
+    #[test]
+    fn each_kind_of_damage_is_reported() {
+        let g = generate::gex();
+        let good = CpqxIndex::build(&g, 2);
+        let some_pair = good.class_pairs(0)[0];
+        let other_class = (1..good.class_slots() as ClassId)
+            .find(|&c| good.class_is_loop(c) == good.class_is_loop(0))
+            .unwrap();
+
+        // An index of a different graph: homogeneity / membership.
+        let mut smaller = g.clone();
+        let (sue, joe) = (g.vertex_named("sue").unwrap(), g.vertex_named("joe").unwrap());
+        smaller.remove_edge(sue, joe, g.label_named("f").unwrap());
+        assert!(good.validate(&smaller).is_err());
+        assert!(CpqxIndex::build(&smaller, 2).validate(&g).is_err());
+
+        // A pair moved to a class with another sequence set.
+        let mut bad = good.clone();
+        bad.class_slot_mut(0).0.pairs[0].remove(0);
+        let (chunk, off) = bad.class_slot_mut(other_class);
+        let at = chunk.pairs[off].binary_search(&some_pair).unwrap_err();
+        chunk.pairs[off].insert(at, some_pair);
+        bad.p2c_insert(some_pair, other_class);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("carries"), "{err}");
+
+        // Ic2p and the pair map disagree.
+        let mut bad = good.clone();
+        bad.p2c_insert(some_pair, other_class);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("mapped to"), "{err}");
+
+        // A dropped pair: counts.
+        let mut bad = good.clone();
+        bad.class_slot_mut(0).0.pairs[0].remove(0);
+        bad.p2c_remove(some_pair);
+        assert!(bad.validate(&g).is_err());
+
+        // A posting list missing a live class, and one listing a stranger.
+        let s = good.class_sequences(0)[0];
+        let mut bad = good.clone();
+        std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap()).retain(|&c| c != 0);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("does not list"), "{err}");
+        let stranger = (0..good.class_slots() as ClassId)
+            .find(|&c| good.class_sequences(c).binary_search(&s).is_err())
+            .unwrap();
+        let mut bad = good.clone();
+        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        let at = posting.binary_search(&stranger).unwrap_err();
+        posting.insert(at, stranger);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("does not carry"), "{err}");
+    }
+}

@@ -1,7 +1,7 @@
 //! Property tests for the parallel level-1 pass: at every thread count,
 //! `RefinementBase::with_threads` must produce `pair_blocks`/`block_seqs`
 //! **equal** to the sequential `RefinementBase::new` — structural
-//! identity, not just query equivalence — across random graphs of both
+//! identity — across random graphs of both
 //! generator topologies, plus the degenerate shapes the balancer treats
 //! specially (empty, edgeless, single-vertex self-loop graphs).
 

@@ -12,8 +12,8 @@
 //!    identical to the sequential pass), then — `P≤k` partitions exactly
 //!    by source vertex — the Algorithm-1 refinement runs independently
 //!    per source-range shard on a scoped thread pool; per-shard
-//!    partitions merge by the class invariant `(cyclicity, L≤k)` into an
-//!    index that is query-equivalent to the sequential build. The
+//!    partitions merge by the class invariant `(cyclicity, L≤k)` into
+//!    the very index the sequential build produces, class ids included. The
 //!    interest-aware variant shards the same way over label-weighted
 //!    source ranges ([`build_interest_sharded`]).
 //! 2. **Concurrent read path** ([`engine`]): an [`Engine`] holds the

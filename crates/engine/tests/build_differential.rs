@@ -1,30 +1,33 @@
-//! Build-equivalence differential harness for the fully parallel build
-//! pipeline: random graphs + random interest sets are replayed through
-//! the **sequential** builders (`CpqxIndex::build` /
+//! Build differential harness for the fully parallel build pipeline:
+//! random graphs + random interest sets are replayed through the
+//! **sequential** builders (`CpqxIndex::build` /
 //! `CpqxIndex::build_interest_aware`), the **sharded** full build
 //! (`build_sharded`, parallel level-1 + per-range refinement) and the
-//! **interest-sharded** build (`build_interest_sharded`) at 1–16
-//! threads, asserting:
+//! **interest-sharded** build (`build_interest_sharded`) at 1–16 shards
+//! and threads, asserting:
 //!
-//! * identical answers over the benchmark query sets (YAGO2/LUBM/WatDiv
-//!   translations) on every pipeline at every thread count;
 //! * the parallel level-1 pass yields a `RefinementBase` *structurally*
-//!   equal to the sequential one (same `pair_blocks`, same `block_seqs`
-//!   — not just query-equivalent);
-//! * class counts are identical across thread counts for the sharded
-//!   build (the merged partition is determined by the class invariant,
-//!   not by the shard geometry), and the interest-sharded build matches
-//!   the sequential interest build's class count *exactly* (both group
-//!   by the same `(cyclicity, L≤k ∩ Lq)` key).
+//!   equal to the sequential one (same `pair_blocks`, same `block_seqs`);
+//! * every sharded build **is** the sequential build: `save` writes the
+//!   same bytes at every shard count, full and interest-aware (classes are
+//!   keyed by the index invariant and numbered by first occurrence along
+//!   the pair list, so shard geometry leaves no trace), and so does a
+//!   second build in the same process (no `RandomState` reaches class ids
+//!   or chunk layout);
+//! * every index built satisfies `CpqxIndex::validate` against the graph —
+//!   the partition invariant itself, not just answers — and the sequential
+//!   builds answer the benchmark query sets (YAGO2/LUBM/WatDiv
+//!   translations) like the reference evaluator.
 
 use cpqx_core::{CpqxIndex, RefinementBase};
 use cpqx_engine::{build_interest_sharded, build_sharded, BuildOptions};
-use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig};
+use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig, Topology};
 use cpqx_graph::{Graph, LabelSeq};
 use cpqx_query::benchqueries::{lubm_queries, watdiv_queries, yago_queries, NamedQuery};
+use cpqx_query::eval::eval_reference;
 use proptest::prelude::*;
 
-const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
+const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 fn bench_workload(g: &Graph, seed: u64) -> Vec<NamedQuery> {
     let mut queries = yago_queries(g, seed);
@@ -63,15 +66,30 @@ fn full_coverage_interests(g: &Graph) -> Vec<LabelSeq> {
         .collect()
 }
 
+/// The serialized form — the equality the harness holds builds to.
+fn saved(idx: &CpqxIndex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    idx.save(&mut bytes).expect("writing to a Vec");
+    bytes
+}
+
+/// A just-built index must satisfy the partition invariant on its graph.
+fn validated(g: &Graph, idx: CpqxIndex, what: &str) -> CpqxIndex {
+    if let Err(e) = idx.validate(g) {
+        panic!("{what}: {e}");
+    }
+    idx
+}
+
 /// The tentpole assertion bundle: replays one graph + interest set
-/// through all three pipelines at every thread count.
+/// through all pipelines at every shard count.
 fn check_build_equivalence(g: &Graph, k: usize, interests: &[LabelSeq], seed: u64) {
     let queries = bench_workload(g, seed);
     assert!(!queries.is_empty());
 
     // Parallel level-1 is structurally identical to sequential.
     let seq_base = RefinementBase::new(g);
-    for &threads in &THREAD_COUNTS[1..] {
+    for &threads in &SHARD_COUNTS[1..] {
         let par_base = RefinementBase::with_threads(g, threads);
         assert_eq!(
             seq_base.level1_pair_blocks(),
@@ -85,60 +103,71 @@ fn check_build_equivalence(g: &Graph, k: usize, interests: &[LabelSeq], seed: u6
         );
     }
 
-    // Full CPQx: sequential vs sharded at every thread count.
-    let sequential = CpqxIndex::build(g, k);
-    let mut sharded_classes: Option<usize> = None;
-    for &threads in &THREAD_COUNTS {
-        let sharded =
-            build_sharded(g, k, BuildOptions { shards: Some(threads), threads: Some(threads) });
-        assert_eq!(sharded.pair_count(), sequential.pair_count(), "{threads} threads");
-        // The merged class partition is determined by the (cyclicity,
-        // L≤k) invariant alone, so every shard geometry produces the
-        // same class count.
-        let classes = sharded.stats().classes;
-        match sharded_classes {
-            None => sharded_classes = Some(classes),
-            Some(c) => {
-                assert_eq!(classes, c, "sharded class count varies with thread count {threads}")
-            }
-        }
-        assert!(classes <= sequential.stats().classes, "merge can only coarsen");
-        for nq in &queries {
-            assert_eq!(
-                sharded.evaluate(g, &nq.query),
-                sequential.evaluate(g, &nq.query),
-                "query {} diverged at {threads} threads (k={k})",
-                nq.name
-            );
-        }
+    // Full CPQx: sequential, again, and sharded at every shard count.
+    let sequential = validated(g, CpqxIndex::build(g, k), "sequential build");
+    let bytes = saved(&sequential);
+    assert_eq!(saved(&CpqxIndex::build(g, k)), bytes, "two builds in one process differ");
+    for nq in &queries {
+        assert_eq!(
+            sequential.evaluate(g, &nq.query),
+            eval_reference(g, &nq.query),
+            "query {} (k={k})",
+            nq.name
+        );
+    }
+    for &shards in &SHARD_COUNTS {
+        let opts = BuildOptions { shards: Some(shards), threads: Some(shards) };
+        let sharded = validated(g, build_sharded(g, k, opts), "sharded build");
+        assert!(saved(&sharded) == bytes, "sharded build differs at {shards} shards (k={k})");
     }
 
-    // Interest-aware: sequential vs interest-sharded at every thread
-    // count — identical class counts, identical answers.
-    let ia_seq = CpqxIndex::build_interest_aware(g, k, interests.iter().copied());
-    for &threads in &THREAD_COUNTS {
-        let ia_par = build_interest_sharded(
+    // Interest-aware: the same three ways.
+    let build_ia = || CpqxIndex::build_interest_aware(g, k, interests.iter().copied());
+    let ia_seq = validated(g, build_ia(), "sequential interest build");
+    let ia_bytes = saved(&ia_seq);
+    assert_eq!(saved(&build_ia()), ia_bytes, "two interest builds in one process differ");
+    for nq in &queries {
+        assert_eq!(
+            ia_seq.evaluate(g, &nq.query),
+            eval_reference(g, &nq.query),
+            "interest query {} (k={k})",
+            nq.name
+        );
+    }
+    for &shards in &SHARD_COUNTS {
+        let opts = BuildOptions { shards: Some(shards), threads: Some(shards) };
+        let ia_par = validated(
             g,
-            k,
-            interests.iter().copied(),
-            BuildOptions { shards: Some(threads), threads: Some(threads) },
+            build_interest_sharded(g, k, interests.iter().copied(), opts),
+            "interest-sharded build",
         );
         assert!(ia_par.is_interest_aware());
-        assert_eq!(ia_par.interests(), ia_seq.interests(), "{threads} threads");
-        assert_eq!(ia_par.pair_count(), ia_seq.pair_count(), "{threads} threads");
-        assert_eq!(
-            ia_par.stats().classes,
-            ia_seq.stats().classes,
-            "interest class count diverged at {threads} threads"
+        assert!(
+            saved(&ia_par) == ia_bytes,
+            "interest-sharded build differs at {shards} shards (k={k})"
         );
-        for nq in &queries {
-            assert_eq!(
-                ia_par.evaluate(g, &nq.query),
-                ia_seq.evaluate(g, &nq.query),
-                "interest query {} diverged at {threads} threads (k={k})",
-                nq.name
-            );
-        }
+    }
+}
+
+/// `CpqxIndex::build` groups by the index invariant just as the sharded
+/// pipeline's merge does: the sequential build — and so
+/// `CpqxIndex::rebuild`, the core-level defragmentation — is minimal, not
+/// a finer partition than a one-shard `build_sharded`.
+#[test]
+fn sequential_build_is_as_coarse_as_the_one_shard_build() {
+    let one_shard = BuildOptions { shards: Some(1), threads: Some(1) };
+    for g in [
+        gex(),
+        random_graph(&RandomGraphConfig::social(150, 700, 4, 21)),
+        random_graph(&RandomGraphConfig {
+            topology: Topology::PowerLaw { exponent: 1.4 },
+            ..RandomGraphConfig::social(200, 900, 3, 5)
+        }),
+    ] {
+        assert_eq!(
+            CpqxIndex::build(&g, 2).stats().classes,
+            build_sharded(&g, 2, one_shard).stats().classes
+        );
     }
 }
 
@@ -162,7 +191,7 @@ fn empty_and_edgeless_graphs() {
     b.ensure_labels(2);
     let edgeless = b.build();
     for g in [&empty, &edgeless] {
-        for &threads in &THREAD_COUNTS {
+        for &threads in &SHARD_COUNTS {
             let opts = BuildOptions { shards: Some(threads), threads: Some(threads) };
             assert_eq!(build_sharded(g, 2, opts).pair_count(), 0);
             assert_eq!(build_interest_sharded(g, 2, [], opts).pair_count(), 0);
@@ -175,7 +204,7 @@ proptest! {
 
     /// The randomized tentpole property: random social graphs and random
     /// interest subsets (including the occasional empty pick list) replay
-    /// identically through all three build pipelines at 1–16 threads.
+    /// identically through all build pipelines at 1–16 shards.
     #[test]
     fn random_graphs_and_interest_sets(
         graph_seed in 0u64..10_000,

@@ -4,8 +4,10 @@
 //! maintenance path) while a reference copy of the graph receives the
 //! same mutations and is **fully rebuilt** after every transaction —
 //! the two must answer every workload query identically at every step,
-//! whatever fragmentation the lazy path has accumulated and even when
-//! the auto-rebuild threshold fires mid-sequence.
+//! and the maintained index must still satisfy the partition invariant
+//! on its graph (`CpqxIndex::validate`), whatever fragmentation the lazy
+//! path has accumulated and even when the auto-rebuild threshold fires
+//! mid-sequence.
 //!
 //! All randomness comes from the deterministic proptest shim, so a CI
 //! failure replays exactly (the shim prints the failing case number).
@@ -120,6 +122,9 @@ proptest! {
             let snap = engine.snapshot();
             prop_assert_eq!(snap.graph().vertex_count(), reference.vertex_count());
             prop_assert_eq!(snap.graph().edge_count(), reference.edge_count());
+            // Structural check: the maintained index is still a valid
+            // partition of this graph's pairs.
+            prop_assert_eq!(snap.index().validate(snap.graph()), Ok(()), "txn {}", t);
             // Differential check: lazy maintenance (possibly rebuilt by
             // the threshold) vs. a from-scratch build on the reference.
             let fresh = CpqxIndex::build(&reference, 2);
@@ -178,6 +183,7 @@ proptest! {
             let report = engine.apply_delta(&delta).expect("lowered deltas are valid");
             apply_to_reference(&delta, &mut reference);
             let snap = engine.snapshot();
+            prop_assert_eq!(snap.index().validate(snap.graph()), Ok(()), "ia txn {}", t);
             let current_interests = snap
                 .index()
                 .interests()
