@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks of the physical operators behind Thm. 4.5's
-//! cost model: sorted-merge join, pair intersection, class-id intersection,
-//! and index lookup — the primitives every table cell is made of.
+//! cost model: source-major join, pair intersection, class-id intersection,
+//! index lookup, and a closed cycle both ways (pair-level `JOIN-ID` versus
+//! the conjunction with the inverse) — the primitives every table cell is
+//! made of.
 
 use cpqx_core::exec::intersect_ids;
-use cpqx_core::CpqxIndex;
+use cpqx_core::{CpqxIndex, Executor};
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
-use cpqx_graph::{LabelSeq, Pair};
+use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
+use cpqx_query::plan::Plan;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -48,23 +51,43 @@ fn bench_intersection(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 2-label sequences of `g`, densest posting list first.
+fn sequences_by_density(g: &Graph, idx: &CpqxIndex) -> Vec<LabelSeq> {
+    let mut seqs: Vec<LabelSeq> = g
+        .ext_labels()
+        .flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])))
+        .collect();
+    seqs.sort_by_key(|s| std::cmp::Reverse(idx.lookup(s).len()));
+    seqs
+}
+
 fn bench_lookup(c: &mut Criterion) {
     let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
     let idx = CpqxIndex::build(&g, 2);
-    // Gather the densest 2-sequence for a stable lookup target.
-    let mut best = LabelSeq::single(cpqx_graph::ExtLabel(0));
-    let mut best_len = 0;
-    for a in g.ext_labels() {
-        for b in g.ext_labels() {
-            let s = LabelSeq::from_slice(&[a, b]);
-            if idx.lookup(&s).len() > best_len {
-                best_len = idx.lookup(&s).len();
-                best = s;
-            }
-        }
-    }
+    let best = sequences_by_density(&g, &idx)[0];
     c.bench_function("il2c_lookup", |b| b.iter(|| idx.lookup(std::hint::black_box(&best))));
 }
 
-criterion_group!(benches, bench_join, bench_intersection, bench_lookup);
+/// C4- and Si-shaped inputs: both operands are 2-label lookups of a
+/// power-law graph (hub sources, heavy fan-in), joined open (C4) and
+/// closed (Si) — the latter as the pair-level `JOIN-ID` and as the
+/// executor runs it, a class-level conjunction with the inverse.
+fn bench_cycle(c: &mut Criterion) {
+    let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
+    let idx = CpqxIndex::build(&g, 2);
+    let exec = Executor::new(&idx, &g);
+    let seqs = sequences_by_density(&g, &idx);
+    let (left_seq, right_seq) = (seqs[0], seqs[1]);
+    let left = exec.run(&Plan::Lookup(left_seq));
+    let right = exec.run(&Plan::Lookup(right_seq));
+    let cycle = Plan::JoinId(Box::new(Plan::Lookup(left_seq)), Box::new(Plan::Lookup(right_seq)));
+    assert_eq!(exec.run(&cycle), ops::join_pairs_id(&left, &right));
+    let mut group = c.benchmark_group("lookup_join");
+    group.bench_function("c4_open", |b| b.iter(|| ops::join_pairs(&left, &right)));
+    group.bench_function("si_join_id", |b| b.iter(|| ops::join_pairs_id(&left, &right)));
+    group.bench_function("si_conjunction", |b| b.iter(|| exec.run(&cycle)));
+    group.finish();
+}
+
+criterion_group!(benches, bench_join, bench_intersection, bench_lookup, bench_cycle);
 criterion_main!(benches);

@@ -2,11 +2,27 @@
 //!
 //! Intermediate results are either sorted **class-id sets** or normalized
 //! **pair sets**. The executor keeps results at the class level as long as
-//! possible: LOOKUP returns class ids; CONJUNCTION of two class sets is an
-//! id-list intersection (the order-of-magnitude win of Example 4.3);
-//! IDENTITY on a class set is an O(1) per-class flag check. JOIN must
-//! materialize pairs (Algorithm 4's JOIN), as does any operator with one
-//! materialized operand. The root expands surviving classes through `Ic2p`.
+//! possible: LOOKUP borrows the `Il2c` posting list; CONJUNCTION of two
+//! class sets is an id-list intersection (the order-of-magnitude win of
+//! Prop. 4.1 / Example 4.3); IDENTITY on a class set is an O(1) per-class
+//! flag check. The root expands surviving classes through `Ic2p`. Two
+//! rules cover everything else:
+//!
+//! 1. **A cycle is a conjunction with the inverse.** Every LOOKUP is
+//!    exact, and `s` labels a path from `v` to `u` iff `s⁻¹` reversed
+//!    labels one from `u` to `v`, so
+//!    `(A ∘ B) ∩ id = {(v, v) | (v, u) ∈ A ∩ B⁻¹}` with `B⁻¹` the
+//!    structural [`Plan::inverse`] of `B`. A fused `JOIN∩id` therefore
+//!    runs as a CONJUNCTION — two lookups intersect as id lists and only
+//!    the surviving classes are touched — whose sources are the answer.
+//!    Only when an inverted sequence is not indexed (interest-aware
+//!    indexes) or [`ExecOptions::fused_identity`] is off does it run as
+//!    Algorithm 4's pair-level `JOIN-ID`.
+//! 2. **Joins emit in source order.** An open JOIN must materialize pairs
+//!    (Algorithm 4), and does so in one pass over its source-sorted left
+//!    operand ([`cpqx_query::ops`]): nothing is re-keyed or sorted
+//!    globally, and a single-label operand is read from the graph's CSR
+//!    faces instead of being expanded from the index.
 
 use crate::bisim::ClassId;
 use crate::index::CpqxIndex;
@@ -14,12 +30,15 @@ use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use cpqx_query::ops::EvalContext;
 use cpqx_query::plan::Plan;
+use std::borrow::Cow;
 
 /// An intermediate result: `C` or `P` in Algorithm 3's notation.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Intermediate {
-    /// Sorted class ids — unions of whole equivalence classes.
-    Classes(Vec<ClassId>),
+pub enum Intermediate<'i> {
+    /// Sorted class ids — unions of whole equivalence classes. A bare
+    /// LOOKUP borrows the index's posting list; only filtered or
+    /// intersected lists are owned.
+    Classes(Cow<'i, [ClassId]>),
     /// Normalized s-t pairs.
     Pairs(Vec<Pair>),
 }
@@ -37,14 +56,14 @@ pub struct ExecOptions {
     /// (the paper's third optimization). When off, identity filters
     /// materialized pairs.
     pub fused_identity: bool,
-    /// Route single-label join operands through the graph's per-chunk CSR
-    /// read faces ([`cpqx_graph::csr`]): a chain suffix `P ⋈ ⟦ℓ⟧` expands
-    /// over forward faces, a chain prefix `⟦ℓ⟧ ⋈ P` streams reverse faces
-    /// — neither materializes or re-sorts the label relation. When off,
-    /// every join expands both operands from the index and sorted-merges
-    /// them (the chunked-row baseline the differential harness and the
-    /// `fig06_csr` bench compare against). Answers are identical either
-    /// way.
+    /// Route single-label join operands through the graph instead of the
+    /// index: a chain suffix `P ⋈ ⟦ℓ⟧` expands over the per-chunk forward
+    /// CSR faces ([`cpqx_graph::csr`]), a chain prefix `⟦ℓ⟧ ⋈ P` streams
+    /// the graph's source-major label relation as the left operand —
+    /// neither expands the label's classes or sorts the label relation.
+    /// When off, every join expands both operands from the index (the
+    /// chunked-row baseline the differential harness and the `fig06_csr`
+    /// bench compare against). Answers are identical either way.
     pub csr_faces: bool,
 }
 
@@ -64,15 +83,16 @@ pub struct ExecStats {
     pub classes_touched: usize,
     /// s-t pairs materialized from classes (`Ic2p` expansions).
     pub pairs_materialized: usize,
-    /// Conjunctions resolved at the class level (Prop. 4.1).
+    /// Conjunctions resolved at the class level (Prop. 4.1) — closed
+    /// cycles (`JOIN∩id` run as a conjunction with the inverse) included.
     pub class_conjunctions: usize,
     /// Conjunctions that had to intersect pair sets.
     pub pair_intersections: usize,
-    /// Sorted-merge joins executed.
+    /// Pair-level joins executed (a closed cycle is not one).
     pub joins: usize,
-    /// Joins answered through a CSR read face (a subset of `joins`):
-    /// the single-label operand streamed the graph's per-chunk forward
-    /// or reverse face instead of expanding from the index. Always 0
+    /// Joins answered from the graph (a subset of `joins`): the
+    /// single-label operand was read from the per-chunk CSR faces or the
+    /// label relation instead of expanding from the index. Always 0
     /// with [`ExecOptions::csr_faces`] off — benches use this to tell
     /// cells where the fast path engaged from cells it cannot touch.
     pub csr_joins: usize,
@@ -125,10 +145,7 @@ impl<'i, 'g> Executor<'i, 'g> {
 
     /// Runs a plan to a normalized pair set.
     pub fn run(&self, plan: &Plan) -> Vec<Pair> {
-        match self.eval(plan) {
-            Intermediate::Pairs(p) => p,
-            Intermediate::Classes(cs) => self.expand(&cs),
-        }
+        self.pairs(self.eval(plan))
     }
 
     /// Runs a plan, returning only the first answer (ordered by class
@@ -143,98 +160,94 @@ impl<'i, 'g> Executor<'i, 'g> {
     }
 
     /// Evaluates a plan node to an intermediate (Algorithm 3's recursion).
-    pub fn eval(&self, plan: &Plan) -> Intermediate {
+    pub fn eval(&self, plan: &Plan) -> Intermediate<'i> {
         match plan {
             Plan::AllId => Intermediate::Pairs(ops::all_loops(self.graph)),
             Plan::Lookup(seq) => {
                 debug_assert!(self.index.is_indexed(seq), "planner must split {seq:?}");
-                let cs = self.index.lookup(seq);
-                self.bump(|s| {
-                    s.lookups += 1;
-                    s.classes_touched += cs.len();
-                });
-                Intermediate::Classes(cs.to_vec())
+                Intermediate::Classes(Cow::Borrowed(self.lookup_counted(seq)))
             }
             Plan::LookupId(seq) => {
                 // Fused `⟦seq⟧ ∩ id`: keep cyclic classes only (the paper's
                 // "check the first s-t pair" — cyclicity is uniform per
                 // class, so it is a flag here).
-                let looked = self.index.lookup(seq);
-                self.bump(|s| {
-                    s.lookups += 1;
-                    s.classes_touched += looked.len();
-                });
+                let looked = self.lookup_counted(seq);
                 if !self.options.fused_identity {
                     let pairs = self.expand(looked);
                     return Intermediate::Pairs(ops::filter_loops(&pairs));
                 }
-                let cs = looked.iter().copied().filter(|&c| self.index.class_is_loop(c)).collect();
-                Intermediate::Classes(cs)
+                Intermediate::Classes(Cow::Owned(self.loop_classes(looked)))
             }
             Plan::Join(a, b) => self.join(a, b, false),
             Plan::JoinId(a, b) => self.join(a, b, true),
-            Plan::Conj(a, b) => match (self.eval(a), self.eval(b)) {
-                // The class-level conjunction of Prop. 4.1.
-                (Intermediate::Classes(x), Intermediate::Classes(y))
-                    if self.options.class_level_conjunction =>
-                {
-                    self.bump(|s| s.class_conjunctions += 1);
-                    Intermediate::Classes(intersect_ids(&x, &y))
-                }
-                (x, y) => {
-                    let left = self.pairs(x);
-                    let right = self.pairs(y);
-                    self.bump(|s| s.pair_intersections += 1);
-                    Intermediate::Pairs(ops::intersect_pairs(&left, &right))
-                }
-            },
-            Plan::ConjId(a, b) => match (self.eval(a), self.eval(b)) {
-                (Intermediate::Classes(x), Intermediate::Classes(y))
-                    if self.options.class_level_conjunction && self.options.fused_identity =>
-                {
-                    self.bump(|s| s.class_conjunctions += 1);
-                    let cs = intersect_ids(&x, &y)
-                        .into_iter()
-                        .filter(|&c| self.index.class_is_loop(c))
-                        .collect();
-                    Intermediate::Classes(cs)
-                }
-                (x, y) => {
-                    let left = self.pairs(x);
-                    let right = self.pairs(y);
-                    self.bump(|s| s.pair_intersections += 1);
-                    let out = ops::intersect_pairs(&left, &right);
-                    Intermediate::Pairs(ops::filter_loops(&out))
-                }
-            },
+            Plan::Conj(a, b) => self.conj(a, b, false),
+            Plan::ConjId(a, b) => self.conj(a, b, true),
         }
     }
 
-    /// `JOIN` / fused `JOIN-ID` (Algorithm 4), with the CSR fast paths.
-    ///
-    /// When [`ExecOptions::csr_faces`] is on (and identity stays fused), a
-    /// single-label operand is executed against the graph's per-chunk CSR
-    /// faces instead of being expanded from the index: a label *right*
-    /// operand becomes a forward-face frontier expansion, a label *left*
-    /// operand a reverse-face streamed merge — in both cases the label
-    /// relation is never materialized, re-keyed, or sorted. The `Il2c`
-    /// lookup still runs (it is the emptiness check and keeps the EXPLAIN
-    /// counters describing the same logical work), but its classes are
-    /// not expanded.
-    fn join(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate {
-        let csr = self.options.csr_faces && (self.options.fused_identity || !require_loop);
-        // Label prefix: ⟦ℓ⟧ ⋈ P over reverse faces.
-        if csr && self.single_label(a).is_some() && self.single_label(b).is_none() {
-            let (seq, l) = self.single_label(a).unwrap();
-            if self.lookup_counted(seq).is_empty() {
-                return Intermediate::Pairs(Vec::new());
+    /// `CONJUNCTION` / fused `CONJUNCTION-ID`: the class-level id-list
+    /// intersection of Prop. 4.1 when both operands are class sets, a
+    /// pair-set intersection otherwise.
+    fn conj(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
+        let class_level =
+            self.options.class_level_conjunction && (self.options.fused_identity || !require_loop);
+        match (self.eval(a), self.eval(b)) {
+            (Intermediate::Classes(x), Intermediate::Classes(y)) if class_level => {
+                self.bump(|s| s.class_conjunctions += 1);
+                let both = intersect_ids(&x, &y);
+                let cs = if require_loop { self.loop_classes(&both) } else { both };
+                Intermediate::Classes(Cow::Owned(cs))
             }
-            let right = self.pairs(self.eval(b));
-            self.bump(|s| {
-                s.joins += 1;
-                s.csr_joins += 1;
-            });
-            return Intermediate::Pairs(ops::join_label_left(self.graph, l, &right, require_loop));
+            (x, y) => {
+                let left = self.pairs(x);
+                let right = self.pairs(y);
+                self.bump(|s| s.pair_intersections += 1);
+                let out = ops::intersect_pairs(&left, &right);
+                Intermediate::Pairs(if require_loop { ops::filter_loops(&out) } else { out })
+            }
+        }
+    }
+
+    /// `JOIN` / fused `JOIN-ID` (Algorithm 4).
+    ///
+    /// A fused `JOIN-ID` closes a cycle, and runs as the conjunction
+    /// `a ∩ b⁻¹` whenever `b⁻¹` is answerable (see [`indexed_inverse`] and
+    /// the module docs) — counted as a conjunction, not a join.
+    ///
+    /// An open join — and a cycle the index cannot invert — materializes
+    /// pairs. When [`ExecOptions::csr_faces`] is on (and identity stays
+    /// fused), a single-label operand is read from the graph instead of
+    /// being expanded from the index: a label *right* operand becomes a
+    /// forward-face frontier expansion, a label *left* operand streams the
+    /// graph's label relation. The `Il2c` lookup still runs (it is the
+    /// emptiness check and keeps the EXPLAIN counters describing the same
+    /// logical work), but its classes are not expanded.
+    fn join(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
+        if require_loop && self.options.fused_identity {
+            if let Some(inverse) = indexed_inverse(self.index, b) {
+                return Intermediate::Pairs(self.source_loops(self.conj(a, &inverse, false)));
+            }
+        }
+        let csr = self.options.csr_faces && (self.options.fused_identity || !require_loop);
+        // Label prefix: ⟦ℓ⟧ ⋈ P with the graph's relation as the left.
+        if csr && single_label(b).is_none() {
+            if let Some((seq, l)) = single_label(a) {
+                if self.lookup_counted(&seq).is_empty() {
+                    return Intermediate::Pairs(Vec::new());
+                }
+                let right = self.pairs(self.eval(b));
+                self.bump(|s| {
+                    s.joins += 1;
+                    s.csr_joins += 1;
+                });
+                let mut ctx = self.ctx.borrow_mut();
+                return Intermediate::Pairs(ctx.join_label_left(
+                    self.graph,
+                    l,
+                    &right,
+                    require_loop,
+                ));
+            }
         }
         let left = self.pairs(self.eval(a));
         if left.is_empty() {
@@ -242,12 +255,12 @@ impl<'i, 'g> Executor<'i, 'g> {
         }
         // Label suffix: P ⋈ ⟦ℓ⟧ over forward faces.
         if csr {
-            if let Some((seq, l)) = self.single_label(b) {
+            if let Some((seq, l)) = single_label(b) {
                 self.bump(|s| {
                     s.joins += 1;
                     s.csr_joins += 1;
                 });
-                if self.lookup_counted(seq).is_empty() {
+                if self.lookup_counted(&seq).is_empty() {
                     return Intermediate::Pairs(Vec::new());
                 }
                 return Intermediate::Pairs(if require_loop {
@@ -270,19 +283,31 @@ impl<'i, 'g> Executor<'i, 'g> {
         }
     }
 
-    /// The plan's extended label if it is a bare single-label lookup.
-    fn single_label(&self, p: &Plan) -> Option<(LabelSeq, ExtLabel)> {
-        match p {
-            Plan::Lookup(seq) if seq.len() == 1 => Some((*seq, seq.get(0))),
-            _ => None,
-        }
+    /// `{(v, v) | (v, u) ∈ im}` — the answer of a closed cycle, from the
+    /// conjunction of one side with the other's inverse. Normalized.
+    fn source_loops(&self, im: Intermediate<'i>) -> Vec<Pair> {
+        let looped = |p: &Pair| Pair::new(p.src(), p.src());
+        let mut out: Vec<Pair> = match im {
+            // Source-major already: equal sources are adjacent.
+            Intermediate::Pairs(pairs) => pairs.iter().map(looped).collect(),
+            Intermediate::Classes(cs) => {
+                let mut out = Vec::new();
+                for &c in cs.iter() {
+                    let pairs = self.index.class_pairs(c);
+                    self.bump(|s| s.pairs_materialized += pairs.len());
+                    out.extend(pairs.iter().map(looped));
+                }
+                out.sort_unstable();
+                out
+            }
+        };
+        out.dedup();
+        out
     }
 
-    /// `Il2c` lookup that records the EXPLAIN counters (shared by the CSR
-    /// fast paths, which consult the index for emptiness and stats but
-    /// answer pair work from the graph faces).
-    fn lookup_counted(&self, seq: LabelSeq) -> &[ClassId] {
-        let cs = self.index.lookup(&seq);
+    /// `Il2c` lookup that records the EXPLAIN counters.
+    fn lookup_counted(&self, seq: &LabelSeq) -> &'i [ClassId] {
+        let cs = self.index.lookup(seq);
         self.bump(|s| {
             s.lookups += 1;
             s.classes_touched += cs.len();
@@ -290,8 +315,13 @@ impl<'i, 'g> Executor<'i, 'g> {
         cs
     }
 
+    /// The cyclic classes among `cs` (IDENTITY as a per-class flag).
+    fn loop_classes(&self, cs: &[ClassId]) -> Vec<ClassId> {
+        cs.iter().copied().filter(|&c| self.index.class_is_loop(c)).collect()
+    }
+
     /// Materializes an intermediate to pairs.
-    fn pairs(&self, im: Intermediate) -> Vec<Pair> {
+    fn pairs(&self, im: Intermediate<'i>) -> Vec<Pair> {
         match im {
             Intermediate::Pairs(p) => p,
             Intermediate::Classes(cs) => self.expand(&cs),
@@ -310,6 +340,23 @@ impl<'i, 'g> Executor<'i, 'g> {
         out.sort_unstable();
         out
     }
+}
+
+/// The plan's extended label if it is a bare single-label lookup.
+fn single_label(p: &Plan) -> Option<(LabelSeq, ExtLabel)> {
+    match p {
+        Plan::Lookup(seq) if seq.len() == 1 => Some((*seq, seq.get(0))),
+        _ => None,
+    }
+}
+
+/// [`Plan::inverse`] of `b` if `index` can answer every lookup of it —
+/// the condition under which `(a ∘ b) ∩ id` runs as the conjunction
+/// `a ∩ b⁻¹`. Always `Some` on a full index; an interest-aware index may
+/// hold a sequence without its inverse.
+pub(crate) fn indexed_inverse(index: &CpqxIndex, b: &Plan) -> Option<Plan> {
+    let inverse = b.inverse();
+    inverse.lookup_seqs().iter().all(|s| index.is_indexed(s)).then_some(inverse)
 }
 
 /// Sorted intersection of class-id lists (galloping on skewed inputs —
@@ -356,6 +403,55 @@ mod tests {
         assert_eq!(stats.lookups, 2, "⟨f,f⟩ ⋈ ⟨f⟩ at k = 2");
         assert_eq!(stats.joins, 1);
         assert_eq!(stats.class_conjunctions, 0);
+    }
+
+    #[test]
+    fn explain_counts_closed_cycles_as_conjunctions() {
+        use cpqx_graph::generate;
+        use cpqx_query::eval::eval_reference;
+        let g = generate::gex();
+        let idx = crate::CpqxIndex::build(&g, 2);
+        // Ti = ⟨f,f⟩ ∩ ⟨f⁻¹⟩ (the lookups of Example 4.3's triad) and
+        // Si = ⟨f,f⟩ ∩ ⟨f,f⟩, both closed at the class level.
+        for (text, classes, pairs) in
+            [("(f . f . f) & id", 6, 3), ("(f . f . f^-1 . f^-1) & id", 6, 11)]
+        {
+            let q = cpqx_query::parse_cpq(text, &g).unwrap();
+            let (result, stats) = idx.explain(&g, &q);
+            assert_eq!(result, eval_reference(&g, &q), "{text}");
+            assert_eq!(stats.lookups, 2, "{text}");
+            assert_eq!(stats.classes_touched, classes, "{text}");
+            assert_eq!(stats.class_conjunctions, 1, "{text}: closed without a join");
+            assert_eq!((stats.joins, stats.csr_joins, stats.pair_intersections), (0, 0, 0));
+            assert_eq!(stats.pairs_materialized, pairs, "{text}: only surviving classes expand");
+        }
+    }
+
+    #[test]
+    fn uninvertible_cycle_falls_back_to_join_id() {
+        use cpqx_graph::generate;
+        use cpqx_query::eval::eval_reference;
+        let g = generate::gex();
+        let f = g.label_named("f").unwrap();
+        // ⟨f,f⟩ is an interest, its inverse ⟨f⁻¹,f⁻¹⟩ is not: Si cannot
+        // invert its right operand, Ti (single-label right) still can.
+        let ff = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
+        let idx = crate::CpqxIndex::build_interest_aware(&g, 2, [ff]);
+        let si = cpqx_query::parse_cpq("(f . f . f . f) & id", &g).unwrap();
+        let (result, stats) = idx.explain(&g, &si);
+        assert_eq!(result, eval_reference(&g, &si));
+        assert_eq!((stats.joins, stats.class_conjunctions), (1, 0), "pair-level JOIN-ID");
+        let ti = cpqx_query::parse_cpq("(f . f . f) & id", &g).unwrap();
+        let (result, stats) = idx.explain(&g, &ti);
+        assert_eq!(result, eval_reference(&g, &ti));
+        assert_eq!((stats.joins, stats.class_conjunctions), (0, 1));
+        // Without fused identity a cycle is a join and a filter.
+        let unfused = ExecOptions { fused_identity: false, ..ExecOptions::default() };
+        let full = crate::CpqxIndex::build(&g, 2);
+        let exec = Executor::with_options(&full, &g, unfused);
+        let (result, stats) = exec.run_explained(&full.plan(&si));
+        assert_eq!(result, eval_reference(&g, &si));
+        assert_eq!((stats.joins, stats.class_conjunctions), (1, 0));
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! * **conjunct ordering** — conjuncts are evaluated cheapest-first, so
 //!   the executor's empty-early-exit fires as soon as possible and sorted
 //!   intersections are driven by the smallest operand.
+//! * **cycles cost what they run as** — the executor closes `chain ∩ id`
+//!   as a conjunction of one side of the root split with the other side's
+//!   inverse (see [`crate::exec`]), so the root of such a chain is costed,
+//!   and its split chosen, as a conjunction wherever the index can invert
+//!   the right side.
 //!
 //! All rewrites are estimate-only: the produced plan evaluates through the
 //! unmodified executor and returns identical answers (asserted by tests and
@@ -98,13 +103,17 @@ fn build(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Costed {
         Cpq::Conj(..) => {
             let mut conjuncts = Vec::new();
             flatten_conj(q, &mut conjuncts);
-            let mut has_id = false;
+            let others = conjuncts.iter().filter(|c| !matches!(c, Cpq::Id)).count();
+            let has_id = others < conjuncts.len();
+            // A lone chain under `∩ id` is a cycle: its root closes as a
+            // conjunction (`fuse_id` below marks it `JoinId`).
+            let closes_cycle = has_id && others == 1;
             let mut costed: Vec<Costed> = Vec::new();
             for c in conjuncts {
-                if matches!(c, Cpq::Id) {
-                    has_id = true;
-                } else {
-                    costed.push(build(index, g, c));
+                match c {
+                    Cpq::Id => {}
+                    Cpq::Join(..) if closes_cycle => costed.push(build_join(index, g, c, true)),
+                    other => costed.push(build(index, g, other)),
                 }
             }
             if costed.is_empty() {
@@ -130,38 +139,43 @@ fn build(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Costed {
             }
             Costed { plan, rows, cost }
         }
-        Cpq::Join(..) => {
-            let mut factors = Vec::new();
-            flatten_join(q, &mut factors);
-            // Group consecutive labels into runs; build costed parts.
-            let mut parts: Vec<Costed> = Vec::new();
-            let mut run: Vec<ExtLabel> = Vec::new();
-            for f in factors {
-                match f {
-                    Cpq::Id => {}
-                    Cpq::Label(l) => run.push(*l),
-                    complex => {
-                        if !run.is_empty() {
-                            parts.extend(chunk_run_optimal(index, &run));
-                            run.clear();
-                        }
-                        parts.push(build(index, g, complex));
-                    }
+        Cpq::Join(..) => build_join(index, g, q, false),
+    }
+}
+
+/// Costs the join chain `q`; with `closes_cycle` the chain sits directly
+/// under `∩ id` and its root runs as a conjunction (see
+/// [`associate_joins`]).
+fn build_join(index: &CpqxIndex, g: &Graph, q: &Cpq, closes_cycle: bool) -> Costed {
+    let mut factors = Vec::new();
+    flatten_join(q, &mut factors);
+    // Group consecutive labels into runs; build costed parts.
+    let mut parts: Vec<Costed> = Vec::new();
+    let mut run: Vec<ExtLabel> = Vec::new();
+    for f in factors {
+        match f {
+            Cpq::Id => {}
+            Cpq::Label(l) => run.push(*l),
+            complex => {
+                if !run.is_empty() {
+                    parts.extend(chunk_run_optimal(index, &run));
+                    run.clear();
                 }
+                parts.push(build(index, g, complex));
             }
-            if !run.is_empty() {
-                parts.extend(chunk_run_optimal(index, &run));
-            }
-            if parts.is_empty() {
-                return Costed {
-                    plan: Plan::AllId,
-                    rows: g.vertex_count() as f64,
-                    cost: g.vertex_count() as f64,
-                };
-            }
-            associate_joins(parts, g)
         }
     }
+    if !run.is_empty() {
+        parts.extend(chunk_run_optimal(index, &run));
+    }
+    if parts.is_empty() {
+        return Costed {
+            plan: Plan::AllId,
+            rows: g.vertex_count() as f64,
+            cost: g.vertex_count() as f64,
+        };
+    }
+    associate_joins(parts, index, g, closes_cycle)
 }
 
 /// Optimal chunking of a label run into indexed LOOKUPs of length ≤ k.
@@ -205,10 +219,22 @@ fn chunk_run_optimal(index: &CpqxIndex, run: &[ExtLabel]) -> Vec<Costed> {
 }
 
 /// Matrix-chain-style association of an ordered list of join operands.
-fn associate_joins(parts: Vec<Costed>, g: &Graph) -> Costed {
+///
+/// With `closes_cycle` the whole chain is restricted to the identity, and
+/// the executor runs its root as the conjunction of the left side with the
+/// right side's inverse wherever the index can invert the right side: such
+/// a root split costs — and yields — what a conjunction does, the smaller
+/// side's rows, instead of a join's product.
+fn associate_joins(parts: Vec<Costed>, index: &CpqxIndex, g: &Graph, closes_cycle: bool) -> Costed {
     let n = parts.len();
     if n == 1 {
         return parts.into_iter().next().unwrap();
+    }
+    // invertible_from[m]: the index answers the inverse of parts[m..].
+    let mut invertible_from = vec![closes_cycle; n + 1];
+    for (m, p) in parts.iter().enumerate().rev() {
+        invertible_from[m] =
+            invertible_from[m + 1] && crate::exec::indexed_inverse(index, &p.plan).is_some();
     }
     // dp[i][j] = best (cost, rows, split) for the subchain i..=j.
     let mut rows = vec![vec![0.0f64; n]; n];
@@ -222,8 +248,13 @@ fn associate_joins(parts: Vec<Costed>, g: &Graph) -> Costed {
         for i in 0..=n - span {
             let j = i + span - 1;
             for m in i..j {
-                let r = join_rows(rows[i][m], rows[m + 1][j], g);
-                let c = cost[i][m] + cost[m + 1][j] + rows[i][m] + rows[m + 1][j] + r;
+                let (left, right) = (rows[i][m], rows[m + 1][j]);
+                let (r, c) = if span == n && invertible_from[m + 1] {
+                    (left.min(right), cost[i][m] + cost[m + 1][j] + left.min(right))
+                } else {
+                    let r = join_rows(left, right, g);
+                    (r, cost[i][m] + cost[m + 1][j] + left + right + r)
+                };
                 if c < cost[i][j] {
                     cost[i][j] = c;
                     rows[i][j] = r;
@@ -384,6 +415,33 @@ mod tests {
         // The estimate is deterministic — the admission policy relies on
         // equal queries getting equal costs.
         assert_eq!(c1, estimate_plan_cost(&idx, &g, &pricey));
+    }
+
+    #[test]
+    fn closed_cycle_is_costed_as_a_conjunction() {
+        let g = generate::random_graph(&generate::RandomGraphConfig::social(60, 300, 2, 9));
+        let idx = CpqxIndex::build(&g, 2);
+        let cycle = parse_cpq("(l0 . l1 . l1 . l0) & id", &g).unwrap();
+        let chain = parse_cpq("l0 . l1 . l1 . l0", &g).unwrap();
+        assert!(matches!(optimize_query(&idx, &g, &cycle), Plan::JoinId(..)));
+        // Two lookups and the smaller side's rows — what the executor
+        // does — not both sides' rows plus a join product.
+        let lookups: f64 = ["l0 . l1", "l1 . l0"]
+            .iter()
+            .map(|t| estimate_plan_cost(&idx, &g, &parse_cpq(t, &g).unwrap()))
+            .sum();
+        let rows = |t: &str| build(&idx, &g, &parse_cpq(t, &g).unwrap()).rows;
+        let cost = estimate_plan_cost(&idx, &g, &cycle);
+        assert_eq!(cost, lookups + rows("l0 . l1").min(rows("l1 . l0")));
+        assert!(cost < estimate_plan_cost(&idx, &g, &chain));
+        assert_eq!(idx.evaluate_optimized(&g, &cycle), eval_reference(&g, &cycle));
+        // An index that cannot invert the right side runs — and costs —
+        // the cycle as the join it is.
+        let l = |i: u16| cpqx_graph::Label(i).fwd();
+        let interests = [LabelSeq::from_slice(&[l(0), l(1)]), LabelSeq::from_slice(&[l(1), l(0)])];
+        let ia = CpqxIndex::build_interest_aware(&g, 2, interests);
+        assert_eq!(estimate_plan_cost(&ia, &g, &cycle), estimate_plan_cost(&ia, &g, &chain));
+        assert_eq!(ia.evaluate_optimized(&g, &cycle), eval_reference(&g, &cycle));
     }
 
     #[test]

@@ -220,33 +220,62 @@ fn stats_are_consistent() {
     assert!(cs.iter().all(|&c| (c as usize) < idx.class_slots()));
 }
 
+/// A random CPQ AST (not just a template instance) over `nl` extended
+/// labels; one leaf in twelve is `id`, so fused `∩ id` nodes occur.
+fn random_cpq(rng: &mut impl Rng, depth: usize, nl: u16) -> Cpq {
+    if depth == 0 || rng.gen_bool(0.4) {
+        if rng.gen_bool(0.08) {
+            Cpq::Id
+        } else {
+            Cpq::ext(ExtLabel(rng.gen_range(0..nl)))
+        }
+    } else if rng.gen_bool(0.5) {
+        Cpq::Join(
+            Box::new(random_cpq(rng, depth - 1, nl)),
+            Box::new(random_cpq(rng, depth - 1, nl)),
+        )
+    } else {
+        Cpq::Conj(
+            Box::new(random_cpq(rng, depth - 1, nl)),
+            Box::new(random_cpq(rng, depth - 1, nl)),
+        )
+    }
+}
+
 #[test]
 fn random_cpqs_structural_fuzz() {
-    // Random CPQ ASTs (not just templates) against the oracle.
-    fn random_cpq(rng: &mut impl Rng, depth: usize, nl: u16) -> Cpq {
-        if depth == 0 || rng.gen_bool(0.4) {
-            if rng.gen_bool(0.08) {
-                Cpq::Id
-            } else {
-                Cpq::ext(ExtLabel(rng.gen_range(0..nl)))
-            }
-        } else if rng.gen_bool(0.5) {
-            Cpq::Join(
-                Box::new(random_cpq(rng, depth - 1, nl)),
-                Box::new(random_cpq(rng, depth - 1, nl)),
-            )
-        } else {
-            Cpq::Conj(
-                Box::new(random_cpq(rng, depth - 1, nl)),
-                Box::new(random_cpq(rng, depth - 1, nl)),
-            )
-        }
-    }
+    // Random CPQ ASTs against the oracle.
     let mut rng = rand::rngs::StdRng::seed_from_u64(23);
     let g = generate::gex();
     let idx = CpqxIndex::build(&g, 2);
     for i in 0..60 {
         let q = random_cpq(&mut rng, 3, g.ext_label_count());
         assert_eq!(idx.evaluate(&g, &q), eval_reference(&g, &q), "fuzz case {i}: {q:?}");
+    }
+}
+
+#[test]
+fn inverse_plan_answers_with_swapped_pairs() {
+    // `Plan::inverse` is what closes cycles as conjunctions: running it
+    // must give exactly the swapped answer of the plan, for every plan
+    // shape and every k (chunking changes which sequences get inverted).
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    for seed in 0..3u64 {
+        let g = generate::random_graph(&generate::RandomGraphConfig::social(40, 160, 3, seed));
+        for k in 1..=3 {
+            let idx = CpqxIndex::build(&g, k);
+            let exec = cpqx_core::Executor::new(&idx, &g);
+            for i in 0..40 {
+                // Half of the trees sit under `∩ id`, exercising the
+                // cycle-closing rewrite inside the inverted plans too.
+                let tree = random_cpq(&mut rng, 3, g.ext_label_count());
+                let q = if i % 2 == 0 { tree } else { tree.with_id() };
+                let plan = idx.plan(&q);
+                let mut swapped: Vec<Pair> = exec.run(&plan).iter().map(|p| p.swap()).collect();
+                swapped.sort_unstable();
+                assert_eq!(exec.run(&plan.inverse()), swapped, "k={k} case {i}: {q:?}");
+                assert_eq!(exec.run(&plan), eval_reference(&g, &q), "k={k} case {i}: {q:?}");
+            }
+        }
     }
 }

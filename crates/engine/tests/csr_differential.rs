@@ -10,8 +10,9 @@
 use cpqx_core::CpqxIndex;
 use cpqx_engine::delta::Delta;
 use cpqx_engine::{Engine, EngineOptions, ExecOptions};
-use cpqx_graph::{generate, ExtLabel, Graph, GraphBuilder};
+use cpqx_graph::{generate, ExtLabel, Graph, GraphBuilder, LabelSeq};
 use cpqx_query::eval::eval_reference;
+use cpqx_query::plan::Plan;
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{benchqueries, Cpq, Template};
 use rand::{Rng, SeedableRng};
@@ -102,6 +103,79 @@ fn csr_matches_rows_on_random_cpq_trees() {
         assert_eq!(csr, rows, "fuzz case {i}: {q:?}");
         assert_eq!(csr, eval_reference(&g, &q), "fuzz case {i} vs oracle: {q:?}");
     }
+}
+
+/// Every `∩ id` query, under every executor switch, on a full index
+/// (cycles close as class-level conjunctions with the inverse) and on an
+/// interest-aware index that holds the queries' forward sequences but not
+/// their inverses (the pair-level `JOIN-ID` fallback must engage) — all
+/// equal to the oracle, both indexes valid.
+#[test]
+fn cyclic_queries_agree_on_full_and_uninvertible_interest_indexes() {
+    let g = chunky_graph(200, 800, 47);
+    let probe = GraphProbe(&g);
+    let mut gen = WorkloadGen::new(&g, 59);
+    let mut cyclic: Vec<Cpq> = Vec::new();
+    for &t in &Template::ALL {
+        if t.is_cyclic() {
+            cyclic.extend(gen.queries(t, 6, &probe));
+        } else {
+            cyclic.extend(gen.queries(t, 1, &probe).into_iter().map(Cpq::with_id));
+        }
+    }
+    assert!(cyclic.len() >= 20, "workload too small to be meaningful");
+
+    let full = CpqxIndex::build(&g, 2);
+    // Each asked-for run unless its reversed inverse is already in (or is
+    // the run itself: ⟨ℓ, ℓ⁻¹⟩ is self-inverse) — every interest is held
+    // without its inverse.
+    let mut interests: Vec<LabelSeq> = Vec::new();
+    for run in cyclic.iter().flat_map(Cpq::label_runs) {
+        for s in run.chunks(2).filter(|c| c.len() == 2).map(LabelSeq::from_slice) {
+            let inverse = s.reversed_inverse();
+            if s != inverse && !interests.contains(&s) && !interests.contains(&inverse) {
+                interests.push(s);
+            }
+        }
+    }
+    let ia = CpqxIndex::build_interest_aware(&g, 2, interests);
+    assert_eq!(full.validate(&g), Ok(()));
+    assert_eq!(ia.validate(&g), Ok(()));
+
+    let switches = [
+        ExecOptions::default(),
+        csr_off(),
+        ExecOptions { class_level_conjunction: false, ..ExecOptions::default() },
+        ExecOptions { fused_identity: false, ..ExecOptions::default() },
+    ];
+    let (mut closed, mut fell_back) = (0usize, 0usize);
+    for q in &cyclic {
+        let oracle = eval_reference(&g, q);
+        for (name, idx) in [("full", &full), ("interest-aware", &ia)] {
+            for options in switches {
+                assert_eq!(
+                    idx.evaluate_with_options(&g, q, options),
+                    oracle,
+                    "{name} {options:?}: {q:?}"
+                );
+            }
+        }
+        // Where the plan is one cycle over two lookups (C2i at k = 1, Ti,
+        // Si), the counters say which way it ran.
+        for (idx, tally) in [(&full, &mut closed), (&ia, &mut fell_back)] {
+            let Plan::JoinId(a, b) = idx.plan(q) else { continue };
+            if !matches!((&*a, &*b), (Plan::Lookup(_), Plan::Lookup(_))) {
+                continue;
+            }
+            let invertible = b.inverse().lookup_seqs().iter().all(|s| idx.is_indexed(s));
+            let stats = idx.explain(&g, q).1;
+            assert_eq!(stats.class_conjunctions, usize::from(invertible), "{q:?}");
+            assert_eq!(stats.joins, usize::from(!invertible), "{q:?}");
+            *tally += usize::from(invertible == idx.interests().is_none());
+        }
+    }
+    assert!(closed >= 8, "only {closed} cycles closed as conjunctions");
+    assert!(fell_back >= 4, "only {fell_back} cycles exercised the JOIN-ID fallback");
 }
 
 /// Mutate-then-read through the engine: after every delta the freshly

@@ -207,6 +207,52 @@ proptest! {
     }
 }
 
+/// A closed cycle across interest churn: `(a∘b∘c∘d) ∩ id` on an engine
+/// whose interests hold `⟨c,d⟩` without its inverse runs as a pair-level
+/// `JOIN-ID`; a delta that deletes edges and registers the inverse flips
+/// it to a class-level conjunction; deleting `⟨c,d⟩` re-plans it over
+/// single labels. Answers equal the oracle and the index validates at
+/// every step.
+#[test]
+fn closed_cycles_follow_interest_churn() {
+    use cpqx_query::eval::eval_reference;
+    let g = generate::random_graph(&generate::RandomGraphConfig::social(80, 400, 3, 0xC1C));
+    let (a, b, c, d) = (Label(0).fwd(), Label(1).fwd(), Label(2).fwd(), Label(0).inv());
+    let (ab, cd) = (LabelSeq::from_slice(&[a, b]), LabelSeq::from_slice(&[c, d]));
+    let si = Cpq::chain(&[a, b, c, d]).with_id();
+    let ti = Cpq::chain(&[a, b, c]).with_id();
+    let (engine, _) = Engine::with_options(
+        g,
+        EngineOptions { k: 2, interests: Some(vec![ab, cd]), ..EngineOptions::default() },
+    );
+    // (conjunctions, joins) of the Si plan, after checking both cyclic
+    // queries against the oracle on a validated snapshot.
+    let check = |step: &str| {
+        let snap = engine.snapshot();
+        assert_eq!(snap.index().validate(snap.graph()), Ok(()), "{step}");
+        for q in [&si, &ti] {
+            assert_eq!(*engine.query(q), eval_reference(snap.graph(), q), "{step}: {q:?}");
+        }
+        let stats = snap.index().explain(snap.graph(), &si).1;
+        (stats.class_conjunctions + stats.pair_intersections, stats.joins)
+    };
+    assert_eq!(check("built"), (0, 1), "⟨d⁻¹,c⁻¹⟩ is not indexed: JOIN-ID");
+
+    let victims = generate::sample_edges(engine.snapshot().graph(), 12, 5);
+    let mut delta = Delta::new();
+    for &(v, u, l) in &victims {
+        delta = delta.delete_edge(v, u, l);
+    }
+    engine.apply_delta(&delta.insert_interest(cd.reversed_inverse())).expect("valid delta");
+    assert_eq!(check("inverse registered"), (1, 0), "closes as a conjunction");
+
+    let (v, u, l) = victims[0];
+    engine.apply_delta(&Delta::new().insert_edge(v, u, l).delete_interest(cd)).expect("valid");
+    // ⟨a,b⟩ ⋈ ⟨c⟩ ⋈ ⟨d⟩ now: the root still closes (⟨d⁻¹⟩ is a single
+    // label), over one open join.
+    assert_eq!(check("interest deleted"), (1, 1));
+}
+
 /// The acceptance-scale scenario: on a 100k-edge generated graph, a
 /// single 1 000-op delta transaction goes through the lazy path without
 /// any full index rebuild (threshold not crossed), verified by the

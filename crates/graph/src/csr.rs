@@ -11,10 +11,9 @@
 //!   sorted target array, so `targets(v, ℓ)` is two array loads instead of
 //!   two binary searches over the mixed-label adjacency row, and
 //! * a **reverse** CSR — the chunk's pairs re-keyed by *target*:
-//!   compacted sorted target keys, offsets, and grouped source arrays, so
-//!   joins that need the left operand target-major can stream it without
-//!   materializing or re-sorting anything (see
-//!   `cpqx_query::ops::join_label_left`).
+//!   compacted sorted target keys, offsets, and grouped source arrays, for
+//!   consumers that need the relation target-major without materializing
+//!   or re-sorting anything.
 //!
 //! # Invariants
 //!

@@ -6,27 +6,144 @@
 //! the benchmarks measure index design rather than operator implementations
 //! (the paper does the same: "we used the same query plans for all methods").
 //!
-//! Hot compositions go through an [`EvalContext`]: a per-evaluation scratch
-//! buffer that the sorted-merge join re-keys the left operand into, so a
-//! plan with many joins allocates the buffer once instead of once per join.
-//! Operators that touch the graph read its per-chunk CSR faces
-//! ([`cpqx_graph::csr`]): [`expand_adjacency`] walks forward faces,
-//! [`join_label_left`] streams reverse faces — the left operand is never
-//! materialized or re-sorted at all.
+//! **Joins emit in source order.** Every join operator makes one pass over
+//! its already source-sorted left operand: per source `v` it gathers the
+//! targets reachable through each `(v, u)`, sorts and deduplicates that
+//! one source's buffer, and appends it — the output is born normalized, no
+//! operand is re-keyed and nothing is sorted globally. What differs between
+//! the operators is only where `u`'s targets come from: a source-run
+//! directory of the right operand ([`EvalContext::join_pairs`]), the
+//! graph's forward CSR faces ([`expand_adjacency`]), or — for a label
+//! *left* operand — the graph's own source-major label relation streamed as
+//! the left side ([`EvalContext::join_label_left`]).
 
-use cpqx_graph::{ExtLabel, Graph, Pair};
+use cpqx_graph::{ExtLabel, Graph, Pair, VertexId};
 
-/// Reusable per-evaluation scratch state for the pair-set operators.
+/// Reusable per-evaluation scratch state for the pair-set joins.
 ///
 /// One evaluation (a plan execution, a BFS recursion, a path-index
 /// recursion) creates a context up front and threads it through its
-/// joins; the target-major re-key buffer then grows to the largest left
-/// operand once and is reused by every subsequent join instead of being
-/// allocated and freed per call.
+/// joins; the directory and the per-source buffer then grow to the largest
+/// operand once and are reused by every subsequent join. All scratch is
+/// sized by the operands, never by the graph's vertex count.
 #[derive(Default)]
 pub struct EvalContext {
-    /// Scratch for the target-major re-key of the join's left operand.
-    swap: Vec<Pair>,
+    /// Source-run directory of the current right operand (rebuilt per
+    /// join).
+    runs: RunDirectory,
+    /// One source's gathered targets.
+    targets: Vec<VertexId>,
+}
+
+/// Where each source's run starts in a normalized pair set: an
+/// open-addressing table over the distinct sources, at most half full.
+#[derive(Default)]
+struct RunDirectory {
+    /// `source | (run + 1) << 32`; 0 marks an empty slot.
+    slots: Vec<u64>,
+    /// Start offset of each run, plus the operand length as a sentinel.
+    starts: Vec<u32>,
+    /// `64 - log2(slots.len())`: the multiplicative hash keeps the top bits.
+    shift: u32,
+}
+
+impl RunDirectory {
+    #[inline]
+    fn slot_of(&self, v: VertexId) -> usize {
+        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Indexes the source runs of the normalized pair set `pairs`.
+    fn rebuild(&mut self, pairs: &[Pair]) {
+        assert!(pairs.len() < u32::MAX as usize, "pair set too large for a run directory");
+        self.starts.clear();
+        for (i, p) in pairs.iter().enumerate() {
+            if i == 0 || pairs[i - 1].src() != p.src() {
+                self.starts.push(i as u32);
+            }
+        }
+        let runs = self.starts.len();
+        self.starts.push(pairs.len() as u32);
+        let capacity = (2 * runs).next_power_of_two().max(2);
+        self.shift = 64 - capacity.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(capacity, 0);
+        for run in 0..runs {
+            let v = pairs[self.starts[run] as usize].src();
+            let mut at = self.slot_of(v);
+            while self.slots[at] != 0 {
+                at = (at + 1) & (capacity - 1);
+            }
+            self.slots[at] = (run as u64 + 1) << 32 | v as u64;
+        }
+    }
+
+    /// The run of source `v` in `pairs` (the set this directory was built
+    /// over); empty if `v` is not a source.
+    #[inline]
+    fn run<'p>(&self, pairs: &'p [Pair], v: VertexId) -> &'p [Pair] {
+        let mut at = self.slot_of(v);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return &[];
+            }
+            if slot as u32 == v {
+                let run = (slot >> 32) as usize - 1;
+                return &pairs[self.starts[run] as usize..self.starts[run + 1] as usize];
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+/// Whether `pairs` is sorted source-major and deduplicated (the operand
+/// contract of every operator here; checked in debug builds).
+fn is_normalized(pairs: &[Pair]) -> bool {
+    pairs.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The source-major join core: one pass over the source-sorted `left`.
+/// Per source `v`, `gather(u, buf)` appends the targets reachable through
+/// each `(v, u)` — sorted and deduplicated per call — and the source's
+/// results are appended to `out` in target order.
+fn join_by_source(
+    left: &[Pair],
+    buf: &mut Vec<VertexId>,
+    out: &mut Vec<Pair>,
+    mut gather: impl FnMut(VertexId, &mut Vec<VertexId>),
+) {
+    for run in left.chunk_by(|a, b| a.src() == b.src()) {
+        buf.clear();
+        let mut contributors = 0usize;
+        for p in run {
+            let before = buf.len();
+            gather(p.dst(), buf);
+            contributors += usize::from(buf.len() > before);
+        }
+        // One contributor's targets are already sorted and distinct.
+        if contributors > 1 {
+            buf.sort_unstable();
+            buf.dedup();
+        }
+        let v = run[0].src();
+        out.extend(buf.iter().map(|&y| Pair::new(v, y)));
+    }
+}
+
+/// The cycle-closing variant of [`join_by_source`]: emits `(v, v)` for
+/// every source `v` with some `(v, u)` for which `closes(v, u)` holds.
+fn loops_by_source(
+    left: &[Pair],
+    out: &mut Vec<Pair>,
+    mut closes: impl FnMut(VertexId, VertexId) -> bool,
+) {
+    for run in left.chunk_by(|a, b| a.src() == b.src()) {
+        let v = run[0].src();
+        if run.iter().any(|p| closes(v, p.dst())) {
+            out.push(Pair::new(v, v));
+        }
+    }
 }
 
 impl EvalContext {
@@ -35,32 +152,63 @@ impl EvalContext {
         Self::default()
     }
 
-    /// Sorted-merge join `{(v, y) | (v, u) ∈ left, (u, y) ∈ right}`.
+    /// Join `{(v, y) | (v, u) ∈ left, (u, y) ∈ right}`.
     ///
-    /// `right` must be normalized. `left` may be in any order (it is
-    /// re-keyed target-major into the context's scratch buffer). Output is
-    /// normalized.
+    /// Both operands must be normalized; so is the output.
     pub fn join_pairs(&mut self, left: &[Pair], right: &[Pair]) -> Vec<Pair> {
-        self.join_inner(left, right, false)
+        self.join_segments(std::iter::once(left), right, false)
     }
 
     /// The paper's fused `JOIN-ID`: like [`EvalContext::join_pairs`] but
     /// keeps only cyclic results (`v = y`).
     pub fn join_pairs_id(&mut self, left: &[Pair], right: &[Pair]) -> Vec<Pair> {
-        self.join_inner(left, right, true)
+        self.join_segments(std::iter::once(left), right, true)
     }
 
-    fn join_inner(&mut self, left: &[Pair], right: &[Pair], require_loop: bool) -> Vec<Pair> {
-        if left.is_empty() || right.is_empty() {
-            return Vec::new();
-        }
-        // Re-key the left side target-major into the reused scratch.
-        self.swap.clear();
-        self.swap.extend(left.iter().map(|p| p.swap()));
-        self.swap.sort_unstable();
+    /// Join `⟦ℓ⟧ ⋈ right` with the left operand streamed from the graph:
+    /// the per-chunk segments of `⟦ℓ⟧` are already source-major and follow
+    /// ascending vertex ranges, so they are joined in place, one after the
+    /// other — the label relation is never copied, expanded from an index,
+    /// or sorted. With `require_loop`, keeps only cyclic results (fused
+    /// `JOIN-ID`). `right` must be normalized; so is the output.
+    pub fn join_label_left(
+        &mut self,
+        g: &Graph,
+        l: ExtLabel,
+        right: &[Pair],
+        require_loop: bool,
+    ) -> Vec<Pair> {
+        self.join_segments(g.edge_pairs(l).segments(), right, require_loop)
+    }
+
+    /// Joins a left operand given as normalized segments over ascending
+    /// source ranges against `right`, building `right`'s run directory
+    /// once.
+    fn join_segments<'a>(
+        &mut self,
+        left: impl Iterator<Item = &'a [Pair]>,
+        right: &[Pair],
+        loops: bool,
+    ) -> Vec<Pair> {
+        debug_assert!(is_normalized(right), "join operands must be normalized");
         let mut out = Vec::new();
-        merge_join(&self.swap, right, require_loop, &mut out);
-        cpqx_graph::pair::normalize(&mut out);
+        if right.is_empty() {
+            return out;
+        }
+        self.runs.rebuild(right);
+        let runs = &self.runs;
+        for segment in left {
+            debug_assert!(is_normalized(segment), "join operands must be normalized");
+            if loops {
+                loops_by_source(segment, &mut out, |v, u| {
+                    runs.run(right, u).binary_search(&Pair::new(u, v)).is_ok()
+                });
+            } else {
+                join_by_source(segment, &mut self.targets, &mut out, |u, buf| {
+                    buf.extend(runs.run(right, u).iter().map(|p| p.dst()));
+                });
+            }
+        }
         out
     }
 }
@@ -74,91 +222,6 @@ pub fn join_pairs(left: &[Pair], right: &[Pair]) -> Vec<Pair> {
 /// One-shot convenience wrapper over [`EvalContext::join_pairs_id`].
 pub fn join_pairs_id(left: &[Pair], right: &[Pair]) -> Vec<Pair> {
     EvalContext::new().join_pairs_id(left, right)
-}
-
-/// Join where the left operand is **already keyed target-major** — i.e.
-/// `left_by_target` holds `(u, v)` for every left pair `(v, u)`, sorted.
-/// Skips the re-key entirely; the canonical source is a reverse relation
-/// the graph already materializes (`⟦ℓ⁻¹⟧` is `⟦ℓ⟧` target-major).
-pub fn join_pairs_keyed(left_by_target: &[Pair], right: &[Pair]) -> Vec<Pair> {
-    let mut out = Vec::new();
-    merge_join(left_by_target, right, false, &mut out);
-    cpqx_graph::pair::normalize(&mut out);
-    out
-}
-
-/// Sorted-merge join core over a target-major-keyed left operand.
-fn merge_join(by_target: &[Pair], right: &[Pair], require_loop: bool, out: &mut Vec<Pair>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < by_target.len() && j < right.len() {
-        let ku = by_target[i].src();
-        let kv = right[j].src();
-        match ku.cmp(&kv) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let i_end = by_target[i..].partition_point(|p| p.src() == ku) + i;
-                let j_end = right[j..].partition_point(|p| p.src() == kv) + j;
-                for a in &by_target[i..i_end] {
-                    for b in &right[j..j_end] {
-                        let v = a.dst();
-                        let y = b.dst();
-                        if !require_loop || v == y {
-                            out.push(Pair::new(v, y));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-}
-
-/// Join `⟦ℓ⟧ ⋈ right` with the left operand streamed from the graph's
-/// per-chunk **reverse CSR faces** — zero materialization, zero sorting of
-/// the left side.
-///
-/// Each chunk's reverse face holds the chunk's `ℓ`-pairs keyed by target
-/// with grouped sorted sources; a sorted merge of those keys against
-/// `right`'s source groups yields the join contributions chunk by chunk,
-/// and one final normalization restores global source-major order (join
-/// output is normalized anyway, so per-chunk order costs nothing extra).
-/// With `require_loop`, keeps only cyclic results (fused `JOIN-ID`).
-pub fn join_label_left(g: &Graph, l: ExtLabel, right: &[Pair], require_loop: bool) -> Vec<Pair> {
-    let mut out = Vec::new();
-    for csr in g.csr_chunks() {
-        let Some(face) = csr.face(l) else { continue };
-        let keys = face.rev_keys();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < keys.len() && j < right.len() {
-            let ku = keys[i];
-            let kv = right[j].src();
-            match ku.cmp(&kv) {
-                std::cmp::Ordering::Less => {
-                    i += keys[i..].partition_point(|&k| k < kv);
-                }
-                std::cmp::Ordering::Greater => {
-                    j += right[j..].partition_point(|p| p.src() < ku);
-                }
-                std::cmp::Ordering::Equal => {
-                    let j_end = j + right[j..].partition_point(|p| p.src() == kv);
-                    for &v in face.rev_sources(i) {
-                        for b in &right[j..j_end] {
-                            let y = b.dst();
-                            if !require_loop || v == y {
-                                out.push(Pair::new(v, y));
-                            }
-                        }
-                    }
-                    i += 1;
-                    j = j_end;
-                }
-            }
-        }
-    }
-    cpqx_graph::pair::normalize(&mut out);
-    out
 }
 
 /// Sorted intersection of two normalized pair sets (galloping on skewed
@@ -179,42 +242,24 @@ pub fn filter_loops(pairs: &[Pair]) -> Vec<Pair> {
 /// and every edge `(u, t, ℓ)`, emits `(v, t)`. This is the frontier
 /// expansion the index-free BFS baseline uses for chain suffixes, served
 /// from the per-chunk forward CSR faces (two array loads per step instead
-/// of binary searches over the mixed-label adjacency row).
+/// of binary searches over the mixed-label adjacency row). Output is
+/// normalized, emitted source by source.
 pub fn expand_adjacency(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
+    debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
-    for p in pairs {
-        for &t in g.csr_targets(p.dst(), l) {
-            out.push(Pair::new(p.src(), t));
-        }
-    }
-    cpqx_graph::pair::normalize(&mut out);
+    join_by_source(pairs, &mut Vec::new(), &mut out, |u, buf| {
+        buf.extend_from_slice(g.csr_targets(u, l));
+    });
     out
 }
 
 /// Fused `expand ∩ id`: like [`expand_adjacency`] but keeps only cyclic
-/// results `(v, v)` — the one-label-suffix form of `JOIN-ID`.
+/// results `(v, v)` — the one-label-suffix form of `JOIN-ID`. A pair
+/// `(v, u)` closes iff the face holds the edge `u →ℓ v`.
 pub fn expand_adjacency_id(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
+    debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
-    let rel = g.edge_pairs(l);
-    if rel.len() < pairs.len() {
-        // The label relation is the smaller side: scan it once and
-        // binary-search the (sorted) left operand for the closing pair —
-        // an edge `m →ℓ v` yields the loop `(v, v)` iff `(v, m)` is in
-        // the left. `O(|ℓ| · log |left|)` instead of one face probe per
-        // left pair.
-        for e in rel.iter() {
-            if pairs.binary_search(&e.swap()).is_ok() {
-                out.push(Pair::new(e.dst(), e.dst()));
-            }
-        }
-    } else {
-        for p in pairs {
-            if g.csr_targets(p.dst(), l).binary_search(&p.src()).is_ok() {
-                out.push(Pair::new(p.src(), p.src()));
-            }
-        }
-    }
-    cpqx_graph::pair::normalize(&mut out);
+    loops_by_source(pairs, &mut out, |v, u| g.csr_targets(u, l).binary_search(&v).is_ok());
     out
 }
 
@@ -265,7 +310,7 @@ mod tests {
         let left = vec![p(0, 1), p(0, 2), p(5, 1)];
         let right = vec![p(1, 7), p(2, 8), p(3, 9)];
         let a = ctx.join_pairs(&left, &right);
-        // Second join with a different shape reuses the same scratch.
+        // Second join with a different shape rebuilds the same scratch.
         let b = ctx.join_pairs(&right, &left);
         assert_eq!(a, join_pairs(&left, &right));
         assert_eq!(b, join_pairs(&right, &left));
@@ -273,26 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn keyed_join_skips_rekey() {
-        let left = vec![p(0, 1), p(0, 2), p(5, 1)];
-        let mut keyed: Vec<Pair> = left.iter().map(|q| q.swap()).collect();
-        keyed.sort_unstable();
-        let right = vec![p(1, 7), p(2, 8), p(3, 9)];
-        assert_eq!(join_pairs_keyed(&keyed, &right), join_pairs(&left, &right));
-    }
-
-    #[test]
-    fn label_left_join_streams_reverse_faces() {
+    fn label_left_join_streams_graph_segments() {
         let g = generate::gex();
         let f = g.label_named("f").unwrap().fwd();
         let v = g.label_named("v").unwrap().fwd();
         for l in [f, v] {
             let left = g.edge_pairs(l).to_vec();
             let right = g.edge_pairs(f).to_vec();
-            assert_eq!(join_label_left(&g, l, &right, false), join_pairs(&left, &right));
-            assert_eq!(join_label_left(&g, l, &right, true), join_pairs_id(&left, &right));
+            let mut ctx = EvalContext::new();
+            assert_eq!(ctx.join_label_left(&g, l, &right, false), join_pairs(&left, &right));
+            assert_eq!(ctx.join_label_left(&g, l, &right, true), join_pairs_id(&left, &right));
         }
-        assert!(join_label_left(&g, f, &[], false).is_empty());
+        assert!(EvalContext::new().join_label_left(&g, f, &[], false).is_empty());
     }
 
     #[test]

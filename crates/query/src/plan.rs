@@ -69,6 +69,24 @@ impl Plan {
         out
     }
 
+    /// The plan of the inverse relation `{(u, v) | (v, u) ∈ ⟦self⟧}` — a
+    /// pure structural rewrite: a LOOKUP of `s` becomes the LOOKUP of
+    /// `s⁻¹` reversed (`s ∈ L≤k(v,u) ⇔ s⁻¹ ∈ L≤k(u,v)`), a join swaps and
+    /// inverts its operands, a conjunction inverts component-wise, and
+    /// everything restricted to the identity is its own inverse.
+    ///
+    /// The inverted sequences have the same lengths as the originals but
+    /// need not be indexed by an interest-aware index; callers check
+    /// [`Plan::lookup_seqs`] of the result before executing it.
+    pub fn inverse(&self) -> Plan {
+        match self {
+            Plan::Lookup(s) => Plan::Lookup(s.reversed_inverse()),
+            Plan::Join(a, b) => Plan::Join(Box::new(b.inverse()), Box::new(a.inverse())),
+            Plan::Conj(a, b) => Plan::Conj(Box::new(a.inverse()), Box::new(b.inverse())),
+            Plan::AllId | Plan::LookupId(_) | Plan::JoinId(..) | Plan::ConjId(..) => self.clone(),
+        }
+    }
+
     fn collect_seqs(&self, out: &mut Vec<LabelSeq>) {
         match self {
             Plan::AllId => {}
@@ -91,7 +109,11 @@ impl std::fmt::Display for Plan {
                 Plan::Lookup(s) => writeln!(f, "{pad}LOOKUP {s:?}"),
                 Plan::LookupId(s) => writeln!(f, "{pad}LOOKUP∩id {s:?}"),
                 Plan::Join(a, b) | Plan::JoinId(a, b) => {
-                    let tag = if matches!(p, Plan::JoinId(..)) { "JOIN∩id" } else { "JOIN" };
+                    let tag = if matches!(p, Plan::JoinId(..)) {
+                        "JOIN∩id (as CONJUNCTION with inverse)"
+                    } else {
+                        "JOIN"
+                    };
                     writeln!(f, "{pad}{tag}")?;
                     rec(a, f, depth + 1)?;
                     rec(b, f, depth + 1)
@@ -349,6 +371,37 @@ mod tests {
         assert_eq!(p.lookup_count(), 3);
         assert_eq!(p.join_count(), 1);
         assert_eq!(p.conj_count(), 1);
+    }
+
+    #[test]
+    fn inverse_is_structural_and_involutive() {
+        // (ℓ0ℓ1 ∘ ℓ2) ∩ ℓ3 inverts to (ℓ2⁻¹ ∘ ℓ1⁻¹ℓ0⁻¹) ∩ ℓ3⁻¹.
+        let q = Cpq::chain(&[l(0), l(1), l(2)]).conj(Cpq::ext(l(3)));
+        let p = plan_for_k(&q, 2);
+        let inv = |i: u16| Label(i).inv();
+        assert_eq!(
+            p.inverse(),
+            Plan::Conj(
+                Box::new(Plan::Join(
+                    Box::new(Plan::Lookup(seq(&[inv(2)]))),
+                    Box::new(Plan::Lookup(seq(&[inv(1), inv(0)]))),
+                )),
+                Box::new(Plan::Lookup(seq(&[inv(3)]))),
+            )
+        );
+        assert_eq!(p.inverse().inverse(), p);
+        // Identity-restricted relations are symmetric.
+        let cyclic = plan_for_k(&Cpq::chain(&[l(0), l(1), l(2)]).with_id(), 2);
+        assert_eq!(cyclic.inverse(), cyclic);
+        assert_eq!(Plan::AllId.inverse(), Plan::AllId);
+    }
+
+    #[test]
+    fn printer_names_the_cycle_closing_strategy() {
+        let cyclic = plan_for_k(&Cpq::chain(&[l(0), l(1), l(2)]).with_id(), 2);
+        let text = cyclic.to_string();
+        assert!(text.starts_with("JOIN∩id (as CONJUNCTION with inverse)\n"), "{text}");
+        assert!(!plan_for_k(&Cpq::chain(&[l(0), l(1), l(2)]), 2).to_string().contains("inverse"));
     }
 
     #[test]
