@@ -49,7 +49,10 @@ const LOCK_RANKS: &[(&str, u32)] = &[
     // that run under the engine's writer lock.
     ("inner", 2),
     // engine: tagged result cache, taken during snapshot install while
-    // `writer` is held.
+    // `writer` is held. On the read path it is a leaf: workers probe and
+    // fill it around an evaluation, and the net event loop probes it once
+    // per QUERY frame (`Engine::cached_wire`) — a hash lookup and an
+    // `Arc` clone, released before any socket I/O.
     ("results", 3),
     // engine: the published snapshot RwLock — installed after results
     // are staged, still under `writer`.

@@ -7,6 +7,13 @@
 //! one BATCH frame amortizes framing across the whole workload and lands
 //! near in-process batch throughput.
 //!
+//! A second table isolates the three shapes a single QUERY round trip
+//! takes: a **hit** (answered on the event loop from the cache entry's
+//! memoized frame — `inline` is the share of the pass that was), a
+//! **miss** (same texts against an engine without a result cache: parse,
+//! evaluate and encode at a worker, every time) and a **large hit** (the
+//! workload's largest answer, repeated: bytes written by reference).
+//!
 //! Knobs: the usual `CPQX_*` variables plus `CPQX_NET_CLIENTS`
 //! (default 4) and `CPQX_NET_ROUNDS` (default 3 — workload repeats per
 //! measurement, so cache hits are exercised).
@@ -41,8 +48,14 @@ fn main() {
         ],
     );
 
+    let mut paths = Table::new(
+        "net_query_paths",
+        &["dataset", "hit[qps]", "inline", "miss[qps]", "large hit[qps]", "large answer[pairs]"],
+    );
+
     for ds in [Dataset::Advogato, Dataset::StringHS] {
         let g = ds.generate(cfg.edge_budget, cfg.seed);
+        let uncached = g.clone();
         let queries: Vec<_> =
             workload_for(&g, &Template::ALL, &cfg).into_iter().flat_map(|(_, qs)| qs).collect();
         let texts: Vec<String> = queries.iter().map(|q| q.to_text(&g)).collect();
@@ -141,10 +154,54 @@ fn main() {
             format!("{:.1}%", stats.result_hit_rate * 100.0),
         ]);
         drop(c);
+
+        // The query paths, `rounds` passes each. Every text has been
+        // served several times by now, so a pass over them is all hits.
+        let one_pass = |addr, texts: &[&String]| {
+            let mut c = Client::connect(addr).expect("connect");
+            let mut most = 0usize;
+            let t0 = Instant::now();
+            for t in texts.iter().cycle().take(rounds * texts.len()) {
+                most = most.max(c.query(t).expect("query").pairs.len());
+            }
+            ((rounds * texts.len()) as f64 / t0.elapsed().as_secs_f64(), most)
+        };
+        let all: Vec<&String> = texts.iter().collect();
+        let inline_before = server.net_stats().query_inline_hits;
+        let (hit_qps, _) = one_pass(addr, &all);
+        let inline = server.net_stats().query_inline_hits - inline_before;
+        let snap = engine.snapshot();
+        let (large, largest) = queries
+            .iter()
+            .zip(&texts)
+            .map(|(q, t)| (engine.query_on(&snap, q).len(), t))
+            .max()
+            .expect("nonempty workload");
+        let (large_qps, seen) = one_pass(addr, &vec![largest; texts.len()]);
+        assert_eq!(seen, large, "the large answer must arrive whole");
         server.shutdown();
+
+        let (engine, _) = Engine::with_options(
+            uncached,
+            EngineOptions { k: cfg.k, result_cache_capacity: 0, ..Default::default() },
+        );
+        let server =
+            Server::bind(Arc::new(engine), "127.0.0.1:0", ServerOptions::default()).expect("bind");
+        one_pass(server.local_addr(), &all); // plans cached, CSR faces built
+        let (miss_qps, _) = one_pass(server.local_addr(), &all);
+        server.shutdown();
+        paths.row(vec![
+            ds.name().to_string(),
+            format!("{hit_qps:.0}"),
+            format!("{:.0}%", 100.0 * inline as f64 / (rounds * texts.len()) as f64),
+            format!("{miss_qps:.0}"),
+            format!("{large_qps:.0}"),
+            large.to_string(),
+        ]);
     }
 
     table.finish();
+    paths.finish();
     println!(
         "\nInvariant check: batch qps should dominate single-request wire qps (framing is \
          amortized); concurrent wire qps should exceed single-client wire qps."

@@ -1,21 +1,53 @@
-//! A small dependency-free LRU cache for query results.
+//! A small dependency-free LRU cache for plans and query results.
 //!
-//! Classic map + recency-queue design with *lazy* invalidation: every
-//! touch pushes a fresh `(tick, key)` entry onto the queue and records the
-//! tick in the map; eviction pops queue entries whose tick is stale until
-//! it finds the true least-recently-used key. Amortized O(1) per
-//! operation; the queue is compacted whenever it outgrows a small multiple
-//! of the capacity, bounding memory.
+//! Entries live in a slab threaded into a recency list by index, and a
+//! hash map takes a key to its slab slot: a hit is one hash lookup plus a
+//! few index writes, and allocates nothing. Entries leave only by eviction
+//! (whose slot the incoming entry reuses at once) or by [`LruCache::clear`],
+//! so the slab needs no free list.
+//!
+//! An entry may also be reachable through a few **aliases**: second keys in
+//! a namespace of their own (an alias never collides with a primary key),
+//! which share the entry's slot, recency and eviction. The result cache
+//! files an answer under its canonical key and aliases it by the request
+//! texts that produced it.
+//!
+//! A key or alias is held twice — by the map that finds it and by the slot
+//! that must unmap it when evicted — through `Clone`, so both engine caches
+//! key by `Arc<str>`: one copy of the text, two pointers to it.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::hash::Hash;
+
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// Aliases one entry may carry. Texts that canonicalize alike are few in
+/// honest traffic and unbounded in hostile traffic (whitespace, redundant
+/// parentheses); past the cap a new spelling simply is not aliased.
+const MAX_ALIASES: usize = 4;
+
+struct Slot<K, V> {
+    key: K,
+    aliases: Vec<K>,
+    value: V,
+    /// Neighbour towards the most recently used end.
+    prev: usize,
+    /// Neighbour towards the least recently used end.
+    next: usize,
+}
 
 /// A least-recently-used cache with a fixed entry capacity.
 pub struct LruCache<K, V> {
     capacity: usize,
-    map: HashMap<K, (V, u64)>,
-    recency: VecDeque<(u64, K)>,
-    tick: u64,
+    map: HashMap<K, usize>,
+    aliases: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next victim.
+    tail: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -25,19 +57,21 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             capacity,
             map: HashMap::with_capacity(capacity.min(1024)),
-            recency: VecDeque::new(),
-            tick: 0,
+            aliases: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
-    /// Current number of cached entries.
+    /// Current number of cached entries (aliases are not entries).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured capacity.
@@ -49,64 +83,113 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// any borrowed form of the key (e.g. `&str` for `String` keys).
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
-        K: std::borrow::Borrow<Q>,
+        K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.tick += 1;
-        let tick = self.tick;
-        let owned = self.map.get_key_value(key)?.0.clone();
-        match self.map.get_mut(key) {
-            Some((_, last)) => {
-                *last = tick;
-                self.recency.push_back((tick, owned));
-                self.compact_if_needed();
-                self.map.get(key).map(|(v, _)| v)
-            }
-            None => None,
-        }
+        let at = *self.map.get(key)?;
+        self.touch(at);
+        Some(&self.slots[at].value)
     }
 
-    /// Inserts `key → value`, evicting the least-recently-used entry if
-    /// the cache is full. Returns whether the value was stored (a zero
-    /// capacity stores nothing).
+    /// Looks up an alias, marking its entry most-recently-used on a hit.
+    pub fn get_by_alias<Q>(&mut self, alias: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let at = *self.aliases.get(alias)?;
+        self.touch(at);
+        Some(&self.slots[at].value)
+    }
+
+    /// Inserts `key → value`, evicting the least-recently-used entry (and
+    /// its aliases) if the cache is full. Re-inserting a resident key
+    /// replaces its value and keeps its aliases. Returns whether the
+    /// value was stored (a zero capacity stores nothing).
     pub fn insert(&mut self, key: K, value: V) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        self.recency.push_back((tick, key.clone()));
-        let existed = self.map.insert(key, (value, tick)).is_some();
-        if !existed && self.map.len() > self.capacity {
-            self.evict_one();
+        if let Some(&at) = self.map.get(&key) {
+            self.slots[at].value = value;
+            self.touch(at);
+            return true;
         }
-        self.compact_if_needed();
+        let fresh = Slot { key: key.clone(), aliases: Vec::new(), value, prev: NIL, next: NIL };
+        let at = if self.slots.len() < self.capacity {
+            self.slots.push(fresh);
+            self.slots.len() - 1
+        } else {
+            let at = self.tail;
+            self.unlink(at);
+            let evicted = std::mem::replace(&mut self.slots[at], fresh);
+            self.map.remove(&evicted.key);
+            for alias in &evicted.aliases {
+                self.aliases.remove(alias);
+            }
+            at
+        };
+        self.map.insert(key, at);
+        self.push_front(at);
+        true
+    }
+
+    /// Makes `alias` a second way to reach the entry under `key`. Returns
+    /// `false`, changing nothing, when `key` is not resident, the alias is
+    /// already taken, or the entry carries its full share of aliases.
+    pub fn alias<Q>(&mut self, alias: K, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let Some(&at) = self.map.get(key) else {
+            return false;
+        };
+        if self.slots[at].aliases.len() >= MAX_ALIASES || self.aliases.contains_key::<K>(&alias) {
+            return false;
+        }
+        self.slots[at].aliases.push(alias.clone());
+        self.aliases.insert(alias, at);
         true
     }
 
     /// Drops every entry (used when a new snapshot invalidates results).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.recency.clear();
+        self.aliases.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
-    fn evict_one(&mut self) {
-        while let Some((tick, key)) = self.recency.pop_front() {
-            // Stale queue entry: the key was touched again later (or was
-            // already removed).
-            let is_current = self.map.get(&key).is_some_and(|&(_, last)| last == tick);
-            if is_current {
-                self.map.remove(&key);
-                return;
-            }
+    /// Moves a linked slot to the most-recently-used end.
+    fn touch(&mut self, at: usize) {
+        if self.head != at {
+            self.unlink(at);
+            self.push_front(at);
         }
     }
 
-    fn compact_if_needed(&mut self) {
-        if self.recency.len() > self.capacity.saturating_mul(4).max(64) {
-            let map = &self.map;
-            self.recency.retain(|(tick, key)| map.get(key).is_some_and(|&(_, last)| last == *tick));
+    fn unlink(&mut self, at: usize) {
+        let (prev, next) = (self.slots[at].prev, self.slots[at].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, at: usize) {
+        self.slots[at].prev = NIL;
+        self.slots[at].next = self.head;
+        match self.head {
+            NIL => self.tail = at,
+            h => self.slots[h].prev = at,
+        }
+        self.head = at;
     }
 }
 
@@ -251,5 +334,116 @@ mod tests {
             }
         }
         assert!(c.len() <= 8);
+    }
+
+    /// The naive model: entries in a `Vec`, least recently used first,
+    /// each with the aliases it carries.
+    struct Model {
+        capacity: usize,
+        entries: Vec<(u32, Vec<u32>, u32)>, // (key, aliases, value)
+    }
+
+    impl Model {
+        fn touch(&mut self, i: usize) -> u32 {
+            let e = self.entries.remove(i);
+            self.entries.push(e);
+            self.entries.last().unwrap().2
+        }
+
+        fn get(&mut self, key: u32) -> Option<u32> {
+            let i = self.entries.iter().position(|e| e.0 == key)?;
+            Some(self.touch(i))
+        }
+
+        fn get_by_alias(&mut self, alias: u32) -> Option<u32> {
+            let i = self.entries.iter().position(|e| e.1.contains(&alias))?;
+            Some(self.touch(i))
+        }
+
+        fn insert(&mut self, key: u32, value: u32) -> bool {
+            if self.capacity == 0 {
+                return false;
+            }
+            match self.entries.iter().position(|e| e.0 == key) {
+                Some(i) => {
+                    self.entries[i].2 = value;
+                    self.touch(i);
+                }
+                None => {
+                    if self.entries.len() == self.capacity {
+                        self.entries.remove(0);
+                    }
+                    self.entries.push((key, Vec::new(), value));
+                }
+            }
+            true
+        }
+
+        fn alias(&mut self, alias: u32, key: u32) -> bool {
+            let taken = self.entries.iter().any(|e| e.1.contains(&alias));
+            match self.entries.iter_mut().find(|e| e.0 == key) {
+                Some(e) if !taken && e.1.len() < MAX_ALIASES => {
+                    e.1.push(alias);
+                    true
+                }
+                _ => false,
+            }
+        }
+    }
+
+    #[test]
+    fn aliases_and_eviction_match_the_naive_model() {
+        // Keys and aliases are drawn from the same small range on purpose:
+        // the two namespaces must not see each other.
+        for capacity in [0usize, 1, 2, 5, 8] {
+            let mut c = LruCache::new(capacity);
+            let mut model = Model { capacity, entries: Vec::new() };
+            let mut x: u64 = 0x9E37_79B9 ^ capacity as u64;
+            for step in 0..20_000u32 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (a, b) = (((x >> 33) % 12) as u32, ((x >> 40) % 12) as u32);
+                let at = format!("capacity {capacity} step {step}");
+                match (x >> 20) % 5 {
+                    0 => assert_eq!(c.insert(a, step), model.insert(a, step), "{at}"),
+                    1 => assert_eq!(c.alias(a, &b), model.alias(a, b), "{at}"),
+                    2 => assert_eq!(c.get(&a).copied(), model.get(a), "{at}"),
+                    _ => assert_eq!(c.get_by_alias(&a).copied(), model.get_by_alias(a), "{at}"),
+                }
+                assert_eq!(c.len(), model.entries.len(), "{at}");
+            }
+            assert!(c.len() <= capacity);
+        }
+    }
+
+    #[test]
+    fn an_alias_shares_its_entry_and_leaves_with_it() {
+        use std::sync::Arc;
+        let mut c: LruCache<Arc<str>, Arc<u32>> = LruCache::new(2);
+        let (key, text): (Arc<str>, Arc<str>) = ("l3".into(), "f".into());
+        c.insert(Arc::clone(&key), Arc::new(7));
+        assert!(c.alias(Arc::clone(&text), "l3"));
+        // One copy of each text: ours, the slot's and the map's pointer.
+        assert_eq!((Arc::strong_count(&key), Arc::strong_count(&text)), (3, 3));
+        // A text that spells another entry's primary key is still only an
+        // alias: the namespaces are separate.
+        c.insert("l4".into(), Arc::new(8));
+        assert!(c.alias("l3".into(), "l4"));
+        let by_key = Arc::clone(c.get("l3").unwrap());
+        let by_alias = c.get_by_alias("f").unwrap();
+        assert!(Arc::ptr_eq(&by_key, by_alias), "one entry, two ways in");
+        assert_eq!(**c.get_by_alias("l3").unwrap(), 8);
+        // Touch l4 through its alias, then overflow: l3 is the victim and
+        // its alias goes with it.
+        c.insert("l5".into(), Arc::new(9));
+        assert!(c.get("l3").is_none());
+        assert!(c.get_by_alias("f").is_none());
+        assert_eq!(**c.get_by_alias("l3").unwrap(), 8);
+        assert_eq!(Arc::strong_count(&by_key), 1, "the evicted entry is dropped, not parked");
+        assert_eq!((Arc::strong_count(&key), Arc::strong_count(&text)), (1, 1));
+        // Re-inserting a resident key keeps its aliases on the new value.
+        c.insert("l4".into(), Arc::new(80));
+        assert_eq!(**c.get_by_alias("l3").unwrap(), 80);
+        c.clear();
+        assert!(c.get_by_alias("l3").is_none() && c.is_empty());
     }
 }

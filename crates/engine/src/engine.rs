@@ -22,7 +22,11 @@
 //!   live and die with the snapshot);
 //! * an **LRU result cache** across queries, keyed by the canonical form
 //!   of the query ([`cpqx_query::canonical`]) and tagged with the epoch it
-//!   is valid for — a snapshot swap atomically invalidates it.
+//!   is valid for — a snapshot swap atomically invalidates it. An entry
+//!   ([`CachedAnswer`]) is also reachable by the request texts that
+//!   produced it and can hold the answer's wire form, so a front-end
+//!   serves a repeat request with one probe ([`Engine::cached_wire`]) and
+//!   neither parses nor encodes.
 //!
 //! All counters and latency percentiles are exported through
 //! [`Engine::stats`].
@@ -30,10 +34,10 @@
 use cpqx_core::{CpqxIndex, ExecOptions, Executor};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
 use cpqx_obs::{ObsOptions, Op, Recorder, Stage, TraceBuilder, TraceKind};
-use cpqx_query::canonical::{cache_key, canonicalize};
+use cpqx_query::canonical::{canonical_key, canonicalize};
 use cpqx_query::{Cpq, Plan};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::build::{
@@ -138,7 +142,7 @@ pub struct Snapshot {
     graph: Graph,
     index: CpqxIndex,
     epoch: u64,
-    plans: Mutex<LruCache<String, Arc<PlannedQuery>>>,
+    plans: Mutex<LruCache<Arc<str>, Arc<PlannedQuery>>>,
     exec: ExecOptions,
 }
 
@@ -181,7 +185,7 @@ impl Snapshot {
         // idempotent (last insert wins with an identical plan).
         let (plan, cost) = cpqx_core::optimize_query_costed(&self.index, &self.graph, canonical);
         let planned = Arc::new(PlannedQuery { plan, cost });
-        self.plans.lock().unwrap().insert(key.to_string(), Arc::clone(&planned));
+        self.plans.lock().unwrap().insert(key.into(), Arc::clone(&planned));
         (planned, false)
     }
 
@@ -189,16 +193,70 @@ impl Snapshot {
     /// (still uses the snapshot's plan cache).
     pub fn evaluate(&self, q: &Cpq) -> Vec<Pair> {
         let canonical = canonicalize(q);
-        let key = cache_key(&canonical);
+        let key = canonical_key(&canonical);
         let (planned, _) = self.plan_for(&key, &canonical);
         Executor::with_options(&self.index, &self.graph, self.exec).run(&planned.plan)
     }
 }
 
-/// Result cache tagged with the epoch its entries are valid for.
+/// One answer as the result cache holds it: the pairs the in-process API
+/// returns, the canonical key and epoch they are the answer to and at,
+/// and a write-once slot for the answer's wire form. The engine never reads the slot's bytes; the
+/// front-end fills it the first time the entry is *hit* over the wire
+/// (an answer served once stores nothing extra) and sends every later
+/// hit from it. Everything here dies with the entry.
+pub struct CachedAnswer {
+    key: Arc<str>,
+    epoch: u64,
+    pairs: Arc<Vec<Pair>>,
+    wire: OnceLock<Arc<[u8]>>,
+}
+
+impl CachedAnswer {
+    fn new(key: Arc<str>, epoch: u64, pairs: Vec<Pair>) -> Arc<CachedAnswer> {
+        Arc::new(CachedAnswer { key, epoch, pairs: Arc::new(pairs), wire: OnceLock::new() })
+    }
+
+    /// Canonical key of the query this answers (the text the cache files
+    /// it under, shared with it).
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// Epoch of the snapshot this is the answer on. An entry never
+    /// outlives its epoch, so the wire form may embed it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The sorted, deduplicated answer set.
+    pub fn pairs(&self) -> &Arc<Vec<Pair>> {
+        &self.pairs
+    }
+
+    /// The wire form, if a front-end has stored one.
+    pub fn wire(&self) -> Option<&Arc<[u8]>> {
+        self.wire.get()
+    }
+
+    /// The wire form, produced by `encode` if this is the first request
+    /// for it.
+    pub fn wire_or_encode(&self, encode: impl FnOnce() -> Arc<[u8]>) -> &Arc<[u8]> {
+        self.wire.get_or_init(encode)
+    }
+}
+
+/// Request texts longer than this are never made aliases of their answer
+/// (they are parsed every time): an alias is a copy of the text, and a
+/// text can be padded to the frame bound at no cost to its sender.
+const ALIAS_MAX_LEN: usize = 4096;
+
+/// Result cache tagged with the epoch its entries are valid for. Keys
+/// are canonical query keys; aliases are request texts, resolved against
+/// that epoch's label table (so they, too, are valid for it alone).
 struct TaggedResults {
     epoch: u64,
-    cache: LruCache<String, Arc<Vec<Pair>>>,
+    cache: LruCache<Arc<str>, Arc<CachedAnswer>>,
 }
 
 /// The concurrent serving engine (see module docs).
@@ -365,20 +423,42 @@ impl Engine {
         out
     }
 
-    /// [`Engine::query_on`] with an externally owned trace: the network
-    /// front-end begins the trace before parsing (so the parse span is
-    /// part of the same tree) and finishes it after the response is
-    /// built. The engine attaches the canonical key and epoch and
-    /// contributes the cache-probe / plan / eval spans.
+    /// [`Engine::query_on`] with an externally owned trace (see
+    /// [`Engine::query_entry`], which this is without a request text).
     pub fn query_traced(
         &self,
         snap: &Snapshot,
         q: &Cpq,
-        mut trace: Option<&mut TraceBuilder>,
+        trace: Option<&mut TraceBuilder>,
     ) -> Arc<Vec<Pair>> {
+        Arc::clone(self.query_entry(snap, q, None, trace).0.pairs())
+    }
+
+    /// Serves `q` against `snap` and returns the result-cache entry that
+    /// holds the answer, with whether it was a hit. (An answer the cache
+    /// did not admit comes back in an entry of its own.) `text` is the
+    /// request text `q` was parsed from on `snap`, if there is one: it
+    /// becomes an alias of the entry, so the same text can be answered by
+    /// [`Engine::cached_wire`] without being parsed again.
+    ///
+    /// The trace is externally owned: the network front-end begins it
+    /// before parsing (so the parse span is part of the same tree) and
+    /// finishes it after the response is built. The engine attaches the
+    /// canonical key and epoch and contributes the cache-probe / plan /
+    /// eval spans.
+    pub fn query_entry(
+        &self,
+        snap: &Snapshot,
+        q: &Cpq,
+        text: Option<&str>,
+        mut trace: Option<&mut TraceBuilder>,
+    ) -> (Arc<CachedAnswer>, bool) {
         let t0 = Instant::now();
         let canonical = canonicalize(q);
-        let key = cache_key(&canonical);
+        let key: Arc<str> = canonical_key(&canonical).into();
+        // Owned before either critical section: the lock never waits on
+        // the allocator.
+        let alias = text.filter(|t| t.len() <= ALIAS_MAX_LEN).map(Arc::<str>::from);
         if let Some(tb) = trace.as_deref_mut() {
             tb.set_key(&key);
             tb.set_epoch(snap.epoch());
@@ -387,12 +467,15 @@ impl Engine {
         {
             let mut res = self.results.lock().unwrap();
             if res.epoch == snap.epoch() {
-                if let Some(hit) = res.cache.get(&key) {
+                if let Some(hit) = res.cache.get(&*key) {
                     let hit = Arc::clone(hit);
+                    if let Some(text) = alias {
+                        res.cache.alias(text, &*key);
+                    }
                     drop(res);
                     self.obs.stage(Stage::CacheProbe, probe, trace.as_deref_mut());
                     self.note_query(t0.elapsed(), true);
-                    return hit;
+                    return (hit, true);
                 }
             }
         }
@@ -402,7 +485,9 @@ impl Engine {
         self.obs.stage(Stage::Plan, plan_timer, trace.as_deref_mut());
         self.counters.record_plan(plan_hit);
         let eval_timer = self.obs.timer();
-        let out = Arc::new(
+        let out = CachedAnswer::new(
+            Arc::clone(&key),
+            snap.epoch(),
             Executor::with_options(snap.index(), snap.graph(), snap.exec).run(&planned.plan),
         );
         self.obs.stage(Stage::Eval, eval_timer, trace);
@@ -411,14 +496,50 @@ impl Engine {
             // Tag check: a swap may have happened while we executed; a
             // result from the old snapshot must not populate the new
             // epoch's cache.
-            if res.epoch == snap.epoch() {
-                res.cache.insert(key, Arc::clone(&out));
+            if res.epoch == snap.epoch() && res.cache.insert(Arc::clone(&key), Arc::clone(&out)) {
+                if let Some(text) = alias {
+                    res.cache.alias(text, &*key);
+                }
             }
         } else {
             self.counters.record_admission_rejected();
         }
         self.note_query(t0.elapsed(), false);
-        out
+        (out, false)
+    }
+
+    /// The wire form of the cached answer to request text `text`, if the
+    /// text is an alias of a live entry and a front-end has stored one
+    /// ([`CachedAnswer::wire_or_encode`]): one hash of the text under the
+    /// result-cache lock, no parse, no snapshot pin. Every entry in the
+    /// cache belongs to the published snapshot's epoch (an install retags
+    /// and empties the cache before it publishes), so the answer is as
+    /// current as one evaluated now, and carries that epoch. Counts as a
+    /// served query and a result hit; `None` counts as
+    /// nothing — the caller serves the text through
+    /// [`Engine::query_entry`], which does the counting.
+    pub fn cached_wire(&self, text: &str) -> Option<Arc<[u8]>> {
+        if text.len() > ALIAS_MAX_LEN {
+            return None;
+        }
+        let t0 = Instant::now();
+        let probe = self.obs.timer();
+        // Under the lock: a hash lookup, a recency touch and an `Arc`
+        // clone. The trace (and its copy of the key, if one is sampled)
+        // waits until the workers can have the lock back.
+        let entry = Arc::clone(self.results.lock().unwrap().cache.get_by_alias(text)?);
+        let wire = Arc::clone(entry.wire()?);
+        let mut trace = self.obs.begin(TraceKind::Query);
+        if let Some(tb) = trace.as_mut() {
+            tb.set_key(entry.key());
+            tb.set_epoch(entry.epoch());
+        }
+        self.obs.stage(Stage::CacheProbe, probe, trace.as_mut());
+        self.note_query(t0.elapsed(), true);
+        if let Some(tb) = trace {
+            self.obs.finish(tb);
+        }
+        Some(wire)
     }
 
     /// Evaluates `q` on the current snapshot without touching the result
@@ -1124,6 +1245,88 @@ mod tests {
         assert_eq!(build.epoch, 2, "rebuild trace carries the installed epoch");
         // Opcode histograms saw the traffic too.
         assert!(engine.obs().op_snapshot(Op::Delta).count() >= 1);
+    }
+
+    #[test]
+    fn a_text_alias_never_outlives_its_epoch_or_its_entry() {
+        let (engine, _) = Engine::with_options(
+            generate::gex(),
+            EngineOptions { k: 2, result_cache_capacity: 2, ..EngineOptions::default() },
+        );
+        let snap = engine.snapshot();
+        let serve = |snap: &Snapshot, text: &str| {
+            let q = parse_cpq(text, snap.graph()).unwrap();
+            engine.query_entry(snap, &q, Some(text), None)
+        };
+        let frame = |entry: &CachedAnswer| -> Arc<[u8]> {
+            Arc::clone(entry.wire_or_encode(|| Arc::from(entry.epoch().to_be_bytes().as_slice())))
+        };
+
+        // A miss files the answer under its canonical key and aliases it
+        // by the text; it stores no wire form, so the text is not yet
+        // answerable by probe (an answer served once costs nothing extra).
+        let (entry, hit) = serve(&snap, "f . f");
+        assert!(!hit && entry.wire().is_none());
+        assert!(engine.cached_wire("f . f").is_none());
+        // The first hit is where a front-end stores the wire form ...
+        let (again, hit) = serve(&snap, "f . f");
+        assert!(hit && Arc::ptr_eq(&entry, &again), "the text and the key share one entry");
+        let stored = frame(&again);
+        // ... and from then on the text alone finds it, counted as a hit.
+        let before = engine.stats();
+        assert!(Arc::ptr_eq(&engine.cached_wire("f . f").unwrap(), &stored));
+        let after = engine.stats();
+        assert_eq!(
+            (after.queries, after.result_hits),
+            (before.queries + 1, before.result_hits + 1)
+        );
+        // Another spelling of the same query is another alias of the entry.
+        assert!(engine.cached_wire("(f.f)").is_none());
+        assert!(serve(&snap, "(f.f)").1);
+        assert!(Arc::ptr_eq(&engine.cached_wire("(f.f)").unwrap(), &stored));
+        // A text that did not parse was never served, so never keyed.
+        assert!(parse_cpq("f . nosuch", snap.graph()).is_err());
+        assert!(engine.cached_wire("f . nosuch").is_none());
+
+        // Eviction: two more entries push the first one out of a
+        // two-entry cache, and both of its aliases go with it.
+        for text in ["v", "f^-1"] {
+            let (e, _) = serve(&snap, text);
+            frame(&e);
+        }
+        assert!(engine.cached_wire("f . f").is_none() && engine.cached_wire("(f.f)").is_none());
+        assert!(!serve(&snap, "f . f").1, "the entry itself is gone too");
+
+        // Epoch: an install clears entries, aliases and wire forms alike;
+        // a result computed on the old snapshot is not admitted, so
+        // neither is its text.
+        let (e, _) = serve(&snap, "v");
+        frame(&e);
+        assert!(engine.cached_wire("v").is_some());
+        let g = snap.graph();
+        let (sue, joe) = (g.vertex_named("sue").unwrap(), g.vertex_named("joe").unwrap());
+        assert!(engine.delete_edge(sue, joe, g.label_named("f").unwrap()));
+        assert!(engine.cached_wire("v").is_none());
+        assert!(!serve(&snap, "v").1 && engine.cached_wire("v").is_none());
+        let snap1 = engine.snapshot();
+        let (fresh, hit) = serve(&snap1, "v");
+        assert!(!hit && fresh.epoch() == 1 && fresh.wire().is_none());
+    }
+
+    #[test]
+    fn over_long_texts_are_never_aliased() {
+        let engine = gex_engine();
+        let snap = engine.snapshot();
+        let text = format!("f{}", " ".repeat(ALIAS_MAX_LEN));
+        let q = parse_cpq(&text, snap.graph()).unwrap();
+        for _ in 0..2 {
+            let (entry, _) = engine.query_entry(&snap, &q, Some(&text), None);
+            entry.wire_or_encode(|| Arc::from([0u8].as_slice()));
+        }
+        assert!(engine.cached_wire(&text).is_none());
+        // The same query under a short text is aliased as usual.
+        assert!(engine.query_entry(&snap, &q, Some("f"), None).1);
+        assert!(engine.cached_wire("f").is_some());
     }
 
     #[test]

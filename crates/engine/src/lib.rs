@@ -62,7 +62,7 @@ pub use cache::LruCache;
 pub use cpqx_core::ExecOptions;
 pub use delta::{apply_ops, validate_ops, Delta, DeltaError, DeltaOp, DeltaReport, OpOutcome};
 pub use durability::{CheckpointReport, DurabilityOptions, DurabilitySink};
-pub use engine::{Engine, EngineOptions, PlannedQuery, Snapshot};
+pub use engine::{CachedAnswer, Engine, EngineOptions, PlannedQuery, Snapshot};
 pub use stats::{nearest_rank_quantile, StatsReport};
 // Observability types callers configure or consume through the engine
 // ([`EngineOptions::obs`], [`Engine::obs`]) — re-exported so engine

@@ -1,26 +1,32 @@
 //! Per-connection state for the event-driven server: a small state
-//! machine (handshake → serving → draining) plus the read/write buffers
-//! that replace a parked thread.
+//! machine (handshake → serving → draining), the read buffer, and the
+//! two queues a response passes through — none of which ever encodes.
 //!
-//! A connection owns an incremental [`FrameAssembler`] on the read side
-//! and an ordered **response slot queue** on the write side: every
-//! decoded request reserves the next sequence slot, inline-handled
-//! requests (PING/METRICS, handshake, decode errors) fill their
-//! slot immediately, worker-evaluated requests fill it when the
-//! completion comes back — and only the *completed prefix* of slots is
-//! ever encoded into the write buffer, so responses leave in strict
-//! arrival order no matter how the worker pool interleaves. Partial
-//! writes park in the buffer and resume on the next writable-readiness
-//! event.
+//! **A response is encoded once, where it is produced, and arrives here
+//! as a finished [`Frame`]**: bytes the producer owns (a worker's
+//! freshly evaluated answer, an inline PONG) or bytes shared with the
+//! result cache (a hit's memoized RESULT frame).
+//!
+//! Every decoded request reserves the next sequence slot of the ordered
+//! **response slot queue**; a request answered on the event loop fills
+//! its slot at once, a dispatched one when its completion comes back —
+//! and only the *completed prefix* of slots moves on, so responses leave
+//! in strict arrival order no matter how the worker pool interleaves.
+//! Where they move to is the one **write queue**: the frames themselves,
+//! in order, plus how much of the front one the socket has taken. It
+//! drains with `write_vectored`, so a frame is never copied in user space
+//! between its producer and the kernel; a partial write parks mid-frame
+//! and resumes on the next writable-readiness event.
 //!
 //! Nothing here does timeouts or epoll bookkeeping — the event loop
 //! ([`crate::event`]) owns those; this module only exposes the state it
-//! needs (buffered bytes, pending slots, last-activity instants).
+//! needs (unsent bytes, pending slots, last-activity instants).
 
-use crate::proto::{encode_response, FrameAssembler, Response};
+use crate::proto::FrameAssembler;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Read chunk size per `read` call (stack scratch in the event loop).
@@ -31,6 +37,29 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// epoll re-reports the fd on the next tick.
 const READ_BURST: usize = 256 * 1024;
 
+/// Frames handed to one `write_vectored` call. A pipeline of small
+/// responses (128 PONGs at the default bound) leaves in two calls; the
+/// array lives on the stack.
+const MAX_IOV: usize = 64;
+
+/// One encoded response: length prefix and payload, ready for the socket.
+pub(crate) enum Frame {
+    /// Encoded for this response alone.
+    Owned(Vec<u8>),
+    /// The result cache's memoized encoding of a hit, shared by every
+    /// connection currently sending it.
+    Shared(Arc<[u8]>),
+}
+
+impl Frame {
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            Frame::Owned(bytes) => bytes,
+            Frame::Shared(bytes) => bytes,
+        }
+    }
+}
+
 /// Where a connection is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ConnState {
@@ -39,7 +68,7 @@ pub(crate) enum ConnState {
     /// Handshake done; serving pipelined requests.
     Serving,
     /// A final frame (handshake refusal, desync error) is queued: flush
-    /// the write buffer, then close. No more reads.
+    /// the write queue, then close. No more reads.
     Draining,
 }
 
@@ -60,12 +89,16 @@ pub(crate) struct Conn {
     pub(crate) assembler: FrameAssembler,
     /// Lifecycle state.
     pub(crate) state: ConnState,
-    /// Encoded-but-unsent response bytes (`wpos..` is the unsent tail).
-    wbuf: Vec<u8>,
-    wpos: usize,
+    /// The write queue: frames released by the slot queue, in order, not
+    /// yet fully accepted by the socket.
+    outbound: VecDeque<Frame>,
+    /// Bytes of `outbound`'s front frame the socket already took.
+    front_sent: usize,
+    /// Bytes of `outbound` the socket has not taken yet.
+    unsent: usize,
     /// Arrival-ordered response slots: `Some` = completed, awaiting
     /// flush; `None` = at a worker.
-    pending: VecDeque<(u64, Option<Response>)>,
+    pending: VecDeque<(u64, Option<Frame>)>,
     next_seq: u64,
     /// Slot of the DELTA currently at a worker, if any. While set, the
     /// connection dispatches nothing further (see [`Conn::saturated`]):
@@ -77,13 +110,13 @@ pub(crate) struct Conn {
     /// flushed — the anchor for the idle timeout.
     pub(crate) last_activity: Instant,
     /// Last time the socket accepted bytes — the anchor for the write
-    /// timeout while the write buffer is nonempty.
+    /// timeout while the write queue is nonempty.
     pub(crate) last_write_progress: Instant,
     /// The peer sent EOF (or an error/hang-up edge arrived). Buffered
     /// requests still get served and their responses flushed — parity
     /// with the old blocking core, where a client could pipeline, shut
     /// its write half, and read every answer — but once the pipeline
-    /// and write buffer empty, the connection closes.
+    /// and write queue empty, the connection closes.
     pub(crate) peer_eof: bool,
     /// The timer-wheel tick this connection's token is filed under
     /// (`None` = not filed). The wheel is lazy: the filed tick may be
@@ -100,8 +133,9 @@ impl Conn {
             stream,
             assembler: FrameAssembler::new(max_frame_len),
             state: ConnState::Handshake,
-            wbuf: Vec::new(),
-            wpos: 0,
+            outbound: VecDeque::new(),
+            front_sent: 0,
+            unsent: 0,
             pending: VecDeque::new(),
             next_seq: 0,
             write_in_flight: None,
@@ -152,9 +186,9 @@ impl Conn {
     /// numbers (a completion can race a connection teardown+id reuse
     /// only across connections, and ids are never reused; within one
     /// connection the slot always exists).
-    pub(crate) fn complete_slot(&mut self, seq: u64, resp: Response) {
+    pub(crate) fn complete_slot(&mut self, seq: u64, frame: Frame) {
         if let Some(slot) = self.pending.iter_mut().find(|(s, _)| *s == seq) {
-            slot.1 = Some(resp);
+            slot.1 = Some(frame);
         }
         if self.write_in_flight == Some(seq) {
             self.write_in_flight = None;
@@ -176,10 +210,11 @@ impl Conn {
         self.pending.len() >= max_pipeline || self.write_in_flight.is_some()
     }
 
-    /// Reserves a slot and completes it immediately (inline handling).
-    pub(crate) fn push_inline(&mut self, resp: Response) {
+    /// Reserves a slot and completes it immediately (a response produced
+    /// on the event loop).
+    pub(crate) fn push_inline(&mut self, frame: Frame) {
         let seq = self.reserve_slot();
-        self.complete_slot(seq, resp);
+        self.complete_slot(seq, frame);
     }
 
     /// Requests currently in flight (reserved, not yet flushed).
@@ -187,54 +222,79 @@ impl Conn {
         self.pending.len()
     }
 
-    /// Encodes the completed prefix of the slot queue into the write
-    /// buffer. Returns how many responses were staged.
+    /// Moves the completed prefix of the slot queue onto the write
+    /// queue. Returns how many responses were released.
     pub(crate) fn flush_ready(&mut self) -> usize {
-        let mut staged = 0usize;
+        let mut released = 0usize;
         while matches!(self.pending.front(), Some((_, Some(_)))) {
-            let Some((_, Some(resp))) = self.pending.pop_front() else {
+            let Some((_, Some(frame))) = self.pending.pop_front() else {
                 break;
             };
-            let payload = encode_response(&resp);
-            self.wbuf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            self.wbuf.extend_from_slice(&payload);
-            staged += 1;
+            self.unsent += frame.bytes().len();
+            self.outbound.push_back(frame);
+            released += 1;
         }
-        staged
+        released
     }
 
-    /// Bytes staged but not yet accepted by the socket.
+    /// Bytes released to the write queue but not yet accepted by the
+    /// socket.
     pub(crate) fn unsent(&self) -> usize {
-        self.wbuf.len() - self.wpos
+        self.unsent
     }
 
-    /// Writes the staged bytes until `WouldBlock` or the buffer empties.
-    /// `Ok(true)` = buffer fully drained. Records write progress for the
-    /// write-timeout clock and compacts the buffer when it drains.
+    /// Writes queued frames until `WouldBlock` or the queue empties.
+    /// `Ok(true)` = fully drained. Records write progress for the
+    /// write-timeout clock.
     pub(crate) fn write_some(&mut self, now: Instant) -> io::Result<bool> {
-        while self.wpos < self.wbuf.len() {
-            match (&self.stream).write(&self.wbuf[self.wpos..]) {
+        while !self.outbound.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            let mut frames = 0usize;
+            for (slot, frame) in iov.iter_mut().zip(&self.outbound) {
+                let skip = if frames == 0 { self.front_sent } else { 0 };
+                *slot = IoSlice::new(&frame.bytes()[skip..]);
+                frames += 1;
+            }
+            match (&self.stream).write_vectored(&iov[..frames]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.wpos += n;
                     self.last_write_progress = now;
+                    self.mark_sent(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        self.wbuf.clear();
-        self.wpos = 0;
         Ok(true)
+    }
+
+    /// Accounts `n` bytes the socket took from the front of the queue,
+    /// dropping every frame they complete.
+    fn mark_sent(&mut self, mut n: usize) {
+        self.unsent -= n;
+        while let Some(front) = self.outbound.front() {
+            let left = front.bytes().len() - self.front_sent;
+            if n < left {
+                self.front_sent += n;
+                return;
+            }
+            n -= left;
+            self.front_sent = 0;
+            self.outbound.pop_front();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{decode_response, read_frame, DEFAULT_MAX_FRAME};
+    use crate::proto::{
+        decode_response, read_frame, response_frame, result_frame, Response, DEFAULT_MAX_FRAME,
+    };
+    use cpqx_graph::Pair;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn pair() -> (TcpStream, TcpStream) {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -243,19 +303,23 @@ mod tests {
         (a, b)
     }
 
+    fn owned(resp: &Response) -> Frame {
+        Frame::Owned(response_frame(resp))
+    }
+
     #[test]
     fn slots_flush_in_arrival_order_only_when_prefix_completes() {
         let (a, _b) = pair();
         let now = Instant::now();
         let mut conn = Conn::new(a, DEFAULT_MAX_FRAME, now);
         let s0 = conn.reserve_slot();
-        conn.push_inline(Response::Pong); // s1, completed immediately
+        conn.push_inline(owned(&Response::Pong)); // s1, completed immediately
         let s2 = conn.reserve_slot();
         // s0 still at a worker: nothing may flush.
         assert_eq!(conn.flush_ready(), 0);
-        conn.complete_slot(s2, Response::Pong);
+        conn.complete_slot(s2, owned(&Response::Pong));
         assert_eq!(conn.flush_ready(), 0, "s2 done but s0 still gates the prefix");
-        conn.complete_slot(s0, Response::Result { epoch: 9, pairs: vec![] });
+        conn.complete_slot(s0, Frame::Owned(result_frame(9, &[])));
         assert_eq!(conn.flush_ready(), 3, "whole prefix completes at once");
         assert_eq!(conn.pending_len(), 0);
         assert!(conn.unsent() > 0);
@@ -269,31 +333,87 @@ mod tests {
         assert!(!conn.saturated(8), "reads only count against the pipeline bound");
         let write = conn.reserve_write_slot();
         assert!(conn.saturated(8));
-        conn.complete_slot(read, Response::Pong);
+        conn.complete_slot(read, owned(&Response::Pong));
         assert!(conn.saturated(8), "an earlier slot completing does not release the hold");
-        conn.complete_slot(write, Response::Pong);
+        conn.complete_slot(write, owned(&Response::Pong));
         assert!(!conn.saturated(8));
         assert!(conn.saturated(2), "the pipeline bound still applies");
     }
 
+    /// A small owned frame, then one 256 kB shared frame queued 40 times
+    /// over (10 MB: more than loopback buffers take unread) with a small
+    /// owned frame behind each, against a peer that takes 1 kB at a time:
+    /// the socket accepts the queue in whatever pieces its buffers allow
+    /// — mid-header, mid-frame, across frames — and every byte arrives
+    /// once, in order. Unsent bytes stay visible to the loop throughout
+    /// (they drive `WBUF_PAUSE` and the write timeout), and write
+    /// progress is stamped only when bytes move.
     #[test]
     fn partial_writes_resume_where_they_stopped() {
-        let (a, b) = pair();
-        let now = Instant::now();
-        let mut conn = Conn::new(a, DEFAULT_MAX_FRAME, now);
+        const COPIES: usize = 40;
+        let (a, mut b) = pair();
+        let t0 = Instant::now();
+        let mut conn = Conn::new(a, DEFAULT_MAX_FRAME, t0);
         conn.stream.set_nonblocking(true).unwrap();
-        conn.push_inline(Response::HelloAck { version: 7 });
-        conn.push_inline(Response::Pong);
-        conn.flush_ready();
-        // Drain to the socket (loopback buffers easily hold two frames).
-        assert!(conn.write_some(Instant::now()).unwrap());
+        let big: Vec<Pair> = (0..32 * 1024).map(|i| Pair::new(i, i ^ 0x5555)).collect();
+        let shared: Arc<[u8]> = result_frame(7, &big).into();
+        assert!(shared.len() > 256 * 1024);
+        conn.push_inline(owned(&Response::HelloAck { version: 7 }));
+        for _ in 0..COPIES {
+            conn.push_inline(Frame::Shared(Arc::clone(&shared)));
+            conn.push_inline(owned(&Response::Pong));
+        }
+        assert_eq!(conn.flush_ready(), 1 + 2 * COPIES);
+        let total = conn.unsent();
+        assert_eq!(total, 4 + 3 + COPIES * (shared.len() + 4 + 1));
+
+        // Fill the socket: the queue cannot drain against a peer that is
+        // not reading, and what is left is still accounted as unsent.
+        let t1 = t0 + Duration::from_millis(1);
+        assert!(!conn.write_some(t1).unwrap(), "10 MB cannot fit loopback buffers unread");
+        let stuck = conn.unsent();
+        assert!(stuck > 0 && stuck < total);
+        assert_eq!(conn.last_write_progress, t1);
+        // No progress, no stamp: the write-timeout clock keeps running.
+        let t2 = t0 + Duration::from_millis(2);
+        assert!(!conn.write_some(t2).unwrap());
+        assert_eq!((conn.unsent(), conn.last_write_progress), (stuck, t1));
+
+        // The peer drains 1 kB at a time; the writer resumes whenever the
+        // socket has room, wherever in the queue it stopped.
+        let mut received = Vec::with_capacity(total);
+        let mut chunk = [0u8; 1024];
+        b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut resumes = 0usize;
+        while received.len() < total {
+            let n = b.read(&mut chunk).unwrap();
+            assert!(n > 0, "peer saw EOF after {} of {total} bytes", received.len());
+            received.extend_from_slice(&chunk[..n]);
+            if conn.unsent() > 0 {
+                let before = conn.unsent();
+                let drained = conn.write_some(Instant::now()).unwrap();
+                resumes += usize::from(conn.unsent() < before);
+                assert_eq!(drained, conn.unsent() == 0);
+            }
+        }
+        assert!(resumes > 1, "the queue must have gone out in several pieces");
         assert_eq!(conn.unsent(), 0);
-        // The peer reads exactly the two frames, in order.
-        let mut r = std::io::BufReader::new(b);
-        let f0 = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
-        let f1 = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(decode_response(&f0).unwrap(), Response::HelloAck { version: 7 });
-        assert_eq!(decode_response(&f1).unwrap(), Response::Pong);
+        assert_eq!(Arc::strong_count(&shared), 1, "sent frames are released");
+
+        // Exactly the queued frames, byte for byte, in order.
+        let mut r = std::io::Cursor::new(received);
+        let hello = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(decode_response(&hello).unwrap(), Response::HelloAck { version: 7 });
+        for _ in 0..COPIES {
+            assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(), shared[4..]);
+            let pong = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(decode_response(&pong).unwrap(), Response::Pong);
+        }
+        assert_eq!(r.position() as usize, total);
+        assert_eq!(
+            decode_response(&shared[4..]).unwrap(),
+            Response::Result { epoch: 7, pairs: big }
+        );
     }
 
     #[test]

@@ -2,21 +2,30 @@
 //!
 //! One thread owns the nonblocking listener, every connection socket and
 //! a coarse timer wheel, and multiplexes them through [`crate::sys`]'s
-//! level-triggered epoll wrapper. Workers never see a socket: the loop
-//! decodes frames, answers cheap requests (PING/METRICS, handshake,
-//! decode errors) inline, and hands evaluation work
-//! (QUERY/BATCH/DELTA) to the pool as [`Job`]s; finished
-//! [`Completion`]s come back over a mutex'd list plus an eventfd wake,
-//! and the loop writes them out through each connection's ordered slot
-//! queue — so per-connection arrival order survives any worker
-//! interleaving, and an idle connection costs two buffers instead of a
-//! parked thread.
+//! level-triggered epoll wrapper. Workers never see a socket, and the
+//! loop never evaluates: it decodes frames and answers on the spot what
+//! costs a lookup — PING/METRICS, the handshake, decode errors, and
+//! **result-cache hits**. **A hit is a lookup and a write**: the loop
+//! asks the engine for the request text ([`Engine::cached_wire`] — one
+//! hash under the result-cache lock, never the parser) and, when the
+//! answer is cached with its wire form, puts that shared frame in the
+//! connection's next slot. Everything else (a QUERY that is not such a
+//! hit, BATCH, DELTA) goes to the pool as a [`Job`]; the worker encodes
+//! its own response, and the finished [`Completion`] — a frame, not a
+//! `Response` — comes back over a mutex'd list plus an eventfd wake. The
+//! loop releases frames through each connection's ordered slot queue —
+//! so per-connection arrival order survives any worker interleaving, a
+//! hit never waits behind another connection's evaluation or DELTA, and
+//! an idle connection costs two buffers instead of a parked thread.
+//!
+//! [`Engine::cached_wire`]: cpqx_engine::Engine::cached_wire
 //!
 //! Ordering of effects: workers pop jobs in any order, so a connection
 //! with a DELTA in flight dispatches nothing further until that slot
-//! completes — its later frames wait in the assembler. One connection's
-//! writes therefore apply in arrival order, and every request behind a
-//! write observes it.
+//! completes — its later frames wait in the assembler, hits included.
+//! One connection's writes therefore apply in arrival order, and every
+//! request behind a write observes it (the install that completed the
+//! write also emptied the result cache).
 //!
 //! Backpressure has three rungs: a per-connection pipeline bound (reads
 //! pause while too many requests are in flight), a write-backlog bound
@@ -32,11 +41,11 @@
 //! is desynchronized, so the connection gets the PROTOCOL.md-promised
 //! final [`ErrorCode::Timeout`] error frame before the close.
 
-use crate::conn::{Conn, ConnState, ReadStatus, READ_CHUNK};
+use crate::conn::{Conn, ConnState, Frame, ReadStatus, READ_CHUNK};
 use crate::proto::{
-    decode_request, encode_response, ErrorCode, Request, Response, WireError, PROTOCOL_VERSION,
+    decode_request, response_frame, ErrorCode, Request, Response, WireError, PROTOCOL_VERSION,
 };
-use crate::server::{handle, Shared};
+use crate::server::{serve, Reply, Shared};
 use crate::sys::{Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use cpqx_obs::Stage;
 use std::collections::HashMap;
@@ -52,8 +61,8 @@ const TOKEN_WAKER: u64 = 1;
 /// First connection token.
 const TOKEN_BASE: u64 = 2;
 
-/// Pause reading from a connection while this many encoded response
-/// bytes sit unsent (the peer is not draining its side).
+/// Pause reading from a connection while this many response bytes sit
+/// unsent in its write queue (the peer is not draining its side).
 const WBUF_PAUSE: usize = 1 << 20;
 
 /// One evaluation request handed to the worker pool.
@@ -69,11 +78,12 @@ pub(crate) struct Job {
     queued: Option<Instant>,
 }
 
-/// One finished evaluation travelling back to the event loop.
+/// One finished evaluation travelling back to the event loop, already
+/// encoded by the worker that produced it.
 pub(crate) struct Completion {
     conn: u64,
     seq: u64,
-    resp: Response,
+    reply: Reply,
 }
 
 /// A hashed timer wheel with coarse ticks. Slots hold connection
@@ -262,13 +272,10 @@ fn accept_burst(lp: &mut Loop<'_>, listener: &TcpListener, now: Instant) {
 fn reject_busy(s: &Shared, stream: &TcpStream) {
     s.counters.rejected_connections.fetch_add(1, Ordering::Relaxed);
     s.counters.errors.fetch_add(1, Ordering::Relaxed);
-    let payload = encode_response(&Response::Error(WireError::new(
+    let frame = response_frame(&Response::Error(WireError::new(
         ErrorCode::Busy,
         "server at connection capacity; retry later",
     )));
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
     let _ = stream.set_nonblocking(true);
     let _ = (&*stream).write(&frame);
     let _ = stream.shutdown(Shutdown::Both);
@@ -317,55 +324,71 @@ fn on_conn_event(
 /// pipeline bound and the write-in-flight hold), flushes completed
 /// responses, writes, and reconciles epoll interest and the timer
 /// wheel. Returns `false` to close.
+///
+/// Nothing but this function ever looks at the assembler, so it must not
+/// return with a complete frame buffered unless something is certain to
+/// call it again. Slots filled on the loop (hits, PINGs) have no
+/// completion to do that: a read holding more of them than the pipeline
+/// bound is served in rounds of dispatch → flush → write until the
+/// assembler runs dry or the connection is held by something that does
+/// come back — a slot at a worker (its completion) or a write backlog
+/// the socket refused (its writable edge).
 fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
     let s = lp.s;
     let Some(conn) = lp.conns.get_mut(&token) else {
         return true;
     };
-    // 1. Decode and dispatch buffered frames.
-    while conn.state != ConnState::Draining && !conn.saturated(s.opts.max_pipeline) {
-        match conn.assembler.next_frame() {
-            Ok(Some(frame)) => process_frame(s, conn, token, &frame),
-            Ok(None) => break,
-            Err(too_large) => {
-                // Desynchronized: PROTOCOL.md promises one final error
-                // frame before the drop.
-                queue_inline(
-                    s,
-                    conn,
-                    Response::Error(WireError::new(ErrorCode::BadFrame, too_large.to_string())),
-                );
-                conn.state = ConnState::Draining;
-                break;
+    let ran_dry = loop {
+        // 1. Decode and dispatch buffered frames.
+        let mut ran_dry = false;
+        while conn.state != ConnState::Draining && !conn.saturated(s.opts.max_pipeline) {
+            match conn.assembler.next_frame() {
+                Ok(Some(frame)) => process_frame(s, conn, token, &frame),
+                Ok(None) => {
+                    ran_dry = true;
+                    break;
+                }
+                Err(too_large) => {
+                    // Desynchronized: PROTOCOL.md promises one final
+                    // error frame before the drop.
+                    let error = WireError::new(ErrorCode::BadFrame, too_large.to_string());
+                    queue_error(s, conn, error);
+                    conn.state = ConnState::Draining;
+                }
             }
         }
-    }
-    // 2. Stage completed responses and push bytes.
-    if conn.flush_ready() > 0 {
-        conn.last_activity = now;
-    }
-    if conn.unsent() > 0 {
-        let obs = s.engine.obs();
-        let t0 = obs.timer();
-        let drained = match conn.write_some(now) {
-            Ok(drained) => drained,
-            Err(_) => return false,
-        };
-        obs.stage(Stage::Write, t0, None);
-        if drained && conn.state == ConnState::Draining {
-            return false; // final frame delivered
+        // 2. Release completed responses to the write queue and push
+        // bytes.
+        if conn.flush_ready() > 0 {
+            conn.last_activity = now;
         }
-    } else if conn.state == ConnState::Draining {
-        return false; // nothing left to drain
-    }
-    // Peer EOF with everything served and flushed: close. (With the
-    // pipeline empty, the dispatch loop above ran the assembler dry, so
-    // no complete frame is still buffered — at most a truncated tail.)
-    if conn.peer_eof && conn.pending_len() == 0 && conn.unsent() == 0 {
+        if conn.unsent() > 0 {
+            let obs = s.engine.obs();
+            let t0 = obs.timer();
+            let drained = match conn.write_some(now) {
+                Ok(drained) => drained,
+                Err(_) => return false,
+            };
+            obs.stage(Stage::Write, t0, None);
+            if drained && conn.state == ConnState::Draining {
+                return false; // final frame delivered
+            }
+        } else if conn.state == ConnState::Draining {
+            return false; // nothing left to drain
+        }
+        // Another round only if the bound, not the assembler, stopped the
+        // dispatch, and the flush lifted it.
+        if ran_dry || conn.state == ConnState::Draining || held(s, conn) {
+            break ran_dry;
+        }
+    };
+    // Peer EOF with every buffered request served and flushed: close (at
+    // most a truncated tail is left in the assembler).
+    if conn.peer_eof && ran_dry && conn.pending_len() == 0 && conn.unsent() == 0 {
         return false;
     }
     // 3. Reconcile epoll interest.
-    let paused = conn.saturated(s.opts.max_pipeline) || conn.unsent() > WBUF_PAUSE;
+    let paused = held(s, conn);
     let mut want = 0u32;
     // An EOF'd socket stays readable forever under level-triggered
     // epoll; dropping read interest once EOF is seen keeps the loop
@@ -404,6 +427,14 @@ fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
         }
     }
     true
+}
+
+/// `true` while the connection takes no further requests, buffered or
+/// from the socket: its pipeline is full or behind a write, or the peer
+/// is not draining its responses. Each of those ends in a call to
+/// [`pump`] (a completion, a writable edge).
+fn held(s: &Shared, conn: &Conn) -> bool {
+    conn.saturated(s.opts.max_pipeline) || conn.unsent() > WBUF_PAUSE
 }
 
 /// The connection's authoritative deadline: idle timeout while no
@@ -452,13 +483,13 @@ fn check_deadline(lp: &mut Loop<'_>, token: u64, now: Instant) {
     if conn.assembler.mid_frame() && conn.state != ConnState::Draining {
         // Timed out mid-frame: the stream is desynchronized. Send the
         // promised final error frame, then drain and close.
-        queue_inline(
+        queue_error(
             s,
             conn,
-            Response::Error(WireError::new(
+            WireError::new(
                 ErrorCode::Timeout,
                 "read timed out mid-frame; dropping desynchronized connection",
-            )),
+            ),
         );
         conn.state = ConnState::Draining;
         if !pump(lp, token, now) {
@@ -475,66 +506,82 @@ fn process_frame(s: &Shared, conn: &mut Conn, token: u64, frame: &[u8]) {
     match conn.state {
         ConnState::Handshake => match decode_request(frame) {
             Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
-                conn.push_inline(Response::HelloAck { version });
+                queue_inline(s, conn, Reply::of(&Response::HelloAck { version }));
                 conn.state = ConnState::Serving;
             }
             Ok(Request::Hello { version }) => {
-                queue_inline(
+                queue_error(
                     s,
                     conn,
-                    Response::Error(WireError::new(
+                    WireError::new(
                         ErrorCode::UnsupportedVersion,
                         format!("server speaks protocol {PROTOCOL_VERSION}, client sent {version}"),
-                    )),
+                    ),
                 );
                 conn.state = ConnState::Draining;
             }
             Ok(other) => {
-                queue_inline(
+                queue_error(
                     s,
                     conn,
-                    Response::Error(WireError::new(
-                        ErrorCode::BadFrame,
-                        format!("expected HELLO, got {other:?}"),
-                    )),
+                    WireError::new(ErrorCode::BadFrame, format!("expected HELLO, got {other:?}")),
                 );
                 conn.state = ConnState::Draining;
             }
             Err(e) => {
-                queue_inline(s, conn, Response::Error(WireError::from(e)));
+                queue_error(s, conn, WireError::from(e));
                 conn.state = ConnState::Draining;
             }
         },
         ConnState::Serving => match decode_request(frame) {
             // Decode failures leave the frame boundary intact, so the
             // connection survives them.
-            Err(e) => queue_inline(s, conn, Response::Error(WireError::from(e))),
+            Err(e) => queue_error(s, conn, WireError::from(e)),
             // Cheap requests complete inline on the event loop; only
             // evaluation work visits the pool.
             Ok(req @ (Request::Hello { .. } | Request::Ping | Request::Metrics)) => {
-                let resp = handle(s, req);
-                queue_inline(s, conn, resp);
+                let reply = serve(s, req);
+                queue_inline(s, conn, reply);
             }
-            Ok(req) => {
-                let seq = match req {
-                    Request::Delta(_) => conn.reserve_write_slot(),
-                    _ => conn.reserve_slot(),
-                };
-                let queued = s.engine.obs().timer();
-                s.jobs.lock().unwrap().push_back(Job { conn: token, seq, req, queued });
-                s.jobs_cv.notify_one();
-            }
+            Ok(Request::Query(text)) => match s.engine.cached_wire(&text) {
+                // A hit is a lookup and a write: the cache's own frame
+                // goes into the slot, shared, and the engine has already
+                // counted the query.
+                Some(frame) => {
+                    s.counters.query.fetch_add(1, Ordering::Relaxed);
+                    s.counters.query_inline_hits.fetch_add(1, Ordering::Relaxed);
+                    conn.push_inline(Frame::Shared(frame));
+                }
+                None => dispatch(s, conn, token, Request::Query(text)),
+            },
+            Ok(req) => dispatch(s, conn, token, req),
         },
         ConnState::Draining => {} // unreachable: pump stops popping
     }
 }
 
-/// Queues an inline response, keeping the error counter exact.
-fn queue_inline(s: &Shared, conn: &mut Conn, resp: Response) {
-    if matches!(resp, Response::Error(_)) {
+/// Reserves the request's slot and hands it to the worker pool.
+fn dispatch(s: &Shared, conn: &mut Conn, token: u64, req: Request) {
+    let seq = match req {
+        Request::Delta(_) => conn.reserve_write_slot(),
+        _ => conn.reserve_slot(),
+    };
+    let queued = s.engine.obs().timer();
+    s.jobs.lock().unwrap().push_back(Job { conn: token, seq, req, queued });
+    s.jobs_cv.notify_one();
+}
+
+/// Queues a response produced on the loop, keeping the error counter
+/// exact.
+fn queue_inline(s: &Shared, conn: &mut Conn, reply: Reply) {
+    if reply.is_error {
         s.counters.errors.fetch_add(1, Ordering::Relaxed);
     }
-    conn.push_inline(resp);
+    conn.push_inline(reply.frame);
+}
+
+fn queue_error(s: &Shared, conn: &mut Conn, error: WireError) {
+    queue_inline(s, conn, Reply::of(&Response::Error(error)));
 }
 
 /// Moves finished evaluations into their connections' slot queues and
@@ -546,11 +593,11 @@ fn drain_completions(lp: &mut Loop<'_>, now: Instant) {
     }
     let mut touched = Vec::new();
     for c in completed {
-        if matches!(c.resp, Response::Error(_)) {
+        if c.reply.is_error {
             lp.s.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(conn) = lp.conns.get_mut(&c.conn) {
-            conn.complete_slot(c.seq, c.resp);
+            conn.complete_slot(c.seq, c.reply.frame);
             if !touched.contains(&c.conn) {
                 touched.push(c.conn);
             }
@@ -576,8 +623,9 @@ fn close_conn(lp: &mut Loop<'_>, token: u64) {
     }
 }
 
-/// Worker-pool body: pop a job, evaluate it, post the completion, wake
-/// the loop. Exits when the stop flag is up and the queue is empty.
+/// Worker-pool body: pop a job, evaluate it and encode the response,
+/// post the completion, wake the loop. Exits when the stop flag is up and
+/// the queue is empty.
 pub(crate) fn worker_loop(s: &Shared) {
     loop {
         let job = {
@@ -596,9 +644,9 @@ pub(crate) fn worker_loop(s: &Shared) {
         let Some(job) = job else {
             return;
         };
-        let resp = handle(s, job.req);
+        let reply = serve(s, job.req);
         s.engine.obs().stage(Stage::Evaluate, job.queued, None);
-        s.done.lock().unwrap().push(Completion { conn: job.conn, seq: job.seq, resp });
+        s.done.lock().unwrap().push(Completion { conn: job.conn, seq: job.seq, reply });
         s.waker.signal();
     }
 }

@@ -33,6 +33,7 @@
 use cpqx_graph::Pair;
 use cpqx_obs::{HistogramSnapshot, Op as ObsOp, Span, Stage, Trace, TraceKind};
 use cpqx_query::{ParseError, ParseErrorKind};
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 
 /// Handshake magic carried by the HELLO frame (`b"CPQX"`).
@@ -451,9 +452,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_pairs(out: &mut Vec<u8>, pairs: &[Pair]) {
+    out.reserve(4 + 8 * pairs.len());
     put_u32(out, pairs.len() as u32);
-    for p in pairs {
-        put_u64(out, p.0);
+    // One resize, then a fixed-stride byte swap the compiler vectorizes.
+    let start = out.len();
+    out.resize(start + 8 * pairs.len(), 0);
+    for (word, p) in out[start..].chunks_exact_mut(8).zip(pairs) {
+        word.copy_from_slice(&p.0.to_be_bytes());
     }
 }
 
@@ -562,7 +567,18 @@ impl<'a> Cur<'a> {
         if self_inconsistent_count(n, 8, self.remaining()) {
             return Err(DecodeError::Truncated);
         }
-        (0..n).map(|_| self.u64().map(Pair)).collect()
+        // The check above bounds `8 × n` by the payload, so one `take`
+        // covers the block and the conversion is a fixed-stride loop into
+        // an exactly sized vector.
+        let words = self.take(8 * n)?;
+        Ok(words
+            .chunks_exact(8)
+            .map(|word| {
+                let mut be = [0u8; 8];
+                be.copy_from_slice(word);
+                Pair(u64::from_be_bytes(be))
+            })
+            .collect())
     }
 
     fn remaining(&self) -> usize {
@@ -829,53 +845,95 @@ fn self_inconsistent_count(n: usize, min_item_len: usize, remaining: usize) -> b
 /// Encodes a response into a frame payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Builds one complete frame — length prefix and payload — in a single
+/// buffer sized for `payload_hint` payload bytes: what the server's
+/// producers hand to a connection's write queue.
+fn frame(payload_hint: usize, put_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + payload_hint);
+    out.extend_from_slice(&[0; 4]);
+    put_payload(&mut out);
+    let len = out.len() - 4;
+    debug_assert!(len <= u32::MAX as usize);
+    out[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    out
+}
+
+/// `resp` as a complete frame: the bytes [`write_frame`] puts on the wire
+/// for [`encode_response`]'s payload.
+pub(crate) fn response_frame(resp: &Response) -> Vec<u8> {
+    frame(64, |out| put_response(out, resp))
+}
+
+/// The RESULT frame of `pairs` at `epoch`, encoded straight from the
+/// borrowed answer (no [`Response`] in between).
+pub(crate) fn result_frame(epoch: u64, pairs: &[Pair]) -> Vec<u8> {
+    frame(1 + 8 + 4 + 8 * pairs.len(), |out| put_result(out, epoch, pairs))
+}
+
+/// The BATCH_RESULT frame of `results` at `epoch`, encoded straight from
+/// the borrowed answers.
+pub(crate) fn batch_result_frame<R: Borrow<Vec<Pair>>>(epoch: u64, results: &[R]) -> Vec<u8> {
+    let pairs: usize = results.iter().map(|r| r.borrow().len()).sum();
+    frame(1 + 8 + 4 + 4 * results.len() + 8 * pairs, |out| put_batch_result(out, epoch, results))
+}
+
+fn put_result(out: &mut Vec<u8>, epoch: u64, pairs: &[Pair]) {
+    out.push(OP_RESULT);
+    put_u64(out, epoch);
+    put_pairs(out, pairs);
+}
+
+/// `R` is `Vec<Pair>` (a decoded [`Response`]) or `Arc<Vec<Pair>>` (the
+/// engine's shared answers).
+fn put_batch_result<R: Borrow<Vec<Pair>>>(out: &mut Vec<u8>, epoch: u64, results: &[R]) {
+    out.push(OP_BATCH_RESULT);
+    put_u64(out, epoch);
+    put_u32(out, results.len() as u32);
+    for r in results {
+        put_pairs(out, r.borrow());
+    }
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::HelloAck { version } => {
             out.push(OP_HELLO_ACK);
-            put_u16(&mut out, *version);
+            put_u16(out, *version);
         }
         Response::Pong => out.push(OP_PONG),
-        Response::Result { epoch, pairs } => {
-            out.push(OP_RESULT);
-            put_u64(&mut out, *epoch);
-            put_pairs(&mut out, pairs);
-        }
-        Response::BatchResult { epoch, results } => {
-            out.push(OP_BATCH_RESULT);
-            put_u64(&mut out, *epoch);
-            put_u32(&mut out, results.len() as u32);
-            for r in results {
-                put_pairs(&mut out, r);
-            }
-        }
+        Response::Result { epoch, pairs } => put_result(out, *epoch, pairs),
+        Response::BatchResult { epoch, results } => put_batch_result(out, *epoch, results),
         Response::DeltaAck { epoch, rebuilt, outcomes } => {
             out.push(OP_DELTA_ACK);
-            put_u64(&mut out, *epoch);
+            put_u64(out, *epoch);
             out.push(u8::from(*rebuilt));
-            put_u32(&mut out, outcomes.len() as u32);
+            put_u32(out, outcomes.len() as u32);
             for o in outcomes {
                 match o {
                     WireOutcome::Noop => out.push(0),
                     WireOutcome::Applied => out.push(1),
                     WireOutcome::VertexAdded(v) => {
                         out.push(2);
-                        put_u32(&mut out, *v);
+                        put_u32(out, *v);
                     }
                 }
             }
         }
         Response::Metrics(m) => {
             out.push(OP_METRICS_RESULT);
-            put_metrics(&mut out, m);
+            put_metrics(out, m);
         }
         Response::Error(e) => {
             out.push(OP_ERROR);
             out.push(e.code.to_u8());
-            put_u32(&mut out, e.position.unwrap_or(u32::MAX));
-            put_str(&mut out, &e.message);
+            put_u32(out, e.position.unwrap_or(u32::MAX));
+            put_str(out, &e.message);
         }
     }
-    out
 }
 
 fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
@@ -1054,8 +1112,13 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameErr
     if len > max_len {
         return Err(FrameError::TooLarge { len, max: max_len });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Read into spare capacity instead of zero-filling `len` bytes first.
+    // `len ≤ max_len` was checked above (the `min` restates it for the
+    // cpqx-analyze allocation rule).
+    let mut payload = Vec::with_capacity(len.min(max_len));
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     Ok(payload)
 }
 
@@ -1312,6 +1375,38 @@ mod tests {
     }
 
     #[test]
+    fn a_result_count_must_agree_with_the_frame_length() {
+        let pairs = vec![Pair::new(1, 2), Pair::new(3, 4), Pair::new(5, 6)];
+        let good = encode_response(&Response::Result { epoch: 7, pairs: pairs.clone() });
+        assert_eq!(decode_response(&good).unwrap(), Response::Result { epoch: 7, pairs });
+        // The count sits after the opcode and the epoch.
+        let with_count = |n: u32| {
+            let mut bytes = good.clone();
+            bytes[9..13].copy_from_slice(&n.to_be_bytes());
+            bytes
+        };
+        // One more than sent: the block would run past the payload.
+        assert_eq!(decode_response(&with_count(4)), Err(DecodeError::Truncated));
+        // One fewer: a whole pair is left over.
+        assert_eq!(decode_response(&with_count(2)), Err(DecodeError::Trailing));
+        // Right count, but the block is not a whole number of pairs.
+        let mut ragged = good.clone();
+        ragged.extend_from_slice(&[0; 4]);
+        assert_eq!(decode_response(&ragged), Err(DecodeError::Trailing));
+        ragged.truncate(good.len() - 4);
+        assert_eq!(decode_response(&ragged), Err(DecodeError::Truncated));
+        // The same disagreement inside a BATCH_RESULT's second answer.
+        let batch = Response::BatchResult {
+            epoch: 1,
+            results: vec![vec![Pair::new(0, 0)], vec![Pair::new(9, 9)]],
+        };
+        let mut bytes = encode_response(&batch);
+        let at = 1 + 8 + 4 + (4 + 8);
+        bytes[at..at + 4].copy_from_slice(&2u32.to_be_bytes());
+        assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
+    }
+
+    #[test]
     fn bad_bools_and_codes_are_rejected() {
         // The `rebuilt` flag of a DELTA_ACK follows the opcode and epoch.
         let mut ack =
@@ -1450,6 +1545,101 @@ mod tests {
         wire.truncate(3); // cut inside the header
         let err = read_frame(&mut io::Cursor::new(wire), 1024).unwrap_err();
         assert!(matches!(err, FrameError::Io(_)));
+    }
+
+    #[test]
+    fn eof_inside_the_payload_is_io_and_nothing_is_returned() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_request(&Request::Query("f . f".into()))).unwrap();
+        for cut in 4..wire.len() {
+            let err = read_frame(&mut io::Cursor::new(&wire[..cut]), 1024).unwrap_err();
+            assert!(
+                matches!(&err, FrameError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {err:?}"
+            );
+        }
+    }
+
+    /// What `write_frame` puts on the wire for a payload.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        wire
+    }
+
+    #[test]
+    fn every_response_frame_is_the_public_codec_framed() {
+        for resp in all_responses() {
+            assert_eq!(response_frame(&resp), framed(&encode_response(&resp)), "{resp:?}");
+        }
+    }
+
+    mod bytes_are_the_contract {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        fn answer() -> impl Strategy<Value = Vec<Pair>> {
+            prop::collection::vec(any::<u64>().prop_map(Pair), 0..300)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            // The frame a worker encodes from the engine's borrowed pairs,
+            // and the frame a hit sends from the cache entry's memoized
+            // copy of it, are the bytes of the public codec for the
+            // `Response` a client decodes.
+            #[test]
+            fn query_answers(epoch in any::<u64>(), pairs in answer()) {
+                let public = framed(&encode_response(&Response::Result {
+                    epoch,
+                    pairs: pairs.clone(),
+                }));
+                let worker = result_frame(epoch, &pairs);
+                prop_assert_eq!(worker.capacity(), worker.len(), "presized exactly");
+                prop_assert_eq!(&worker, &public);
+                let memoized: Arc<[u8]> = worker.into();
+                prop_assert_eq!(&memoized[..], &public[..]);
+                prop_assert_eq!(
+                    decode_response(&memoized[4..]).unwrap(),
+                    Response::Result { epoch, pairs }
+                );
+            }
+
+            #[test]
+            fn batch_answers(
+                epoch in any::<u64>(),
+                results in prop::collection::vec(answer(), 0..6),
+            ) {
+                let shared: Vec<Arc<Vec<Pair>>> =
+                    results.iter().cloned().map(Arc::new).collect();
+                let worker = batch_result_frame(epoch, &shared);
+                prop_assert_eq!(worker.capacity(), worker.len(), "presized exactly");
+                let resp = Response::BatchResult { epoch, results };
+                prop_assert_eq!(&worker, &framed(&encode_response(&resp)));
+                prop_assert_eq!(&worker, &response_frame(&resp));
+            }
+
+            #[test]
+            fn error_frames(
+                code in 1u8..=9,
+                position in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+                message in prop_oneof![
+                    Just(String::new()),
+                    Just("unknown label \"héldIn\"".to_string()),
+                    Just("x".repeat(300)),
+                ],
+            ) {
+                // `u32::MAX` is the wire's spelling of "no position".
+                let position = position.filter(|&p| p != u32::MAX);
+                let code = ErrorCode::from_u8(code).unwrap();
+                let resp = Response::Error(WireError { code, position, message });
+                let frame = response_frame(&resp);
+                prop_assert_eq!(&frame, &framed(&encode_response(&resp)));
+                prop_assert_eq!(decode_response(&frame[4..]).unwrap(), resp);
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,25 @@
 //! Architecture: one **event-loop** thread owns the nonblocking
 //! listener and every connection socket, multiplexed through raw
 //! level-triggered `epoll` ([`crate::sys`]). The loop accepts, reads,
-//! reassembles frames ([`crate::proto::FrameAssembler`]), answers cheap
-//! requests inline and hands evaluation work (QUERY/BATCH/DELTA)
+//! reassembles frames ([`crate::proto::FrameAssembler`]), answers on the
+//! spot what costs a lookup — cheap requests and result-cache hits — and
+//! hands evaluation work (a QUERY that is not such a hit, BATCH, DELTA)
 //! to a fixed **worker pool**; completions return over a shared list
 //! plus an eventfd wake and are written out by the loop in strict
 //! per-connection arrival order (see [`crate::event`] and
 //! [`crate::conn`]). An idle connection therefore costs two buffers, not
 //! a parked thread — thousands of idle clients coexist with a handful
 //! of workers.
+//!
+//! **A hit is a lookup and a write; a response is encoded once.**
+//! `serve` is the one place a response is produced, and it returns the
+//! finished frame: a worker encodes its answer straight from the
+//! engine's borrowed pairs, and nothing downstream (completion list, slot
+//! queue, write queue) encodes or copies it again. The first time a
+//! cached answer is hit over the wire, the worker stores that frame in
+//! the cache entry ([`cpqx_engine::CachedAnswer`]); every later request
+//! with the same text is answered by the event loop from the entry —
+//! the same bytes, shared, never re-encoded — without visiting the pool.
 //!
 //! Backpressure: per-connection pipeline and write-backlog bounds pause
 //! reading from a peer that overruns the server, and a global
@@ -31,10 +42,11 @@
 //! down every connection socket on its way out (accepted-but-unserved
 //! ones included), so a peer blocked in a read observes EOF.
 
+use crate::conn::Frame;
 use crate::event::{event_loop, worker_loop, Completion, Job};
 use crate::proto::{
-    ErrorCode, Request, Response, WireError, WireMetrics, WireOp, WireOutcome, WireSeqLabel,
-    DEFAULT_MAX_FRAME,
+    batch_result_frame, response_frame, result_frame, ErrorCode, Request, Response, WireError,
+    WireMetrics, WireOp, WireOutcome, WireSeqLabel, DEFAULT_MAX_FRAME,
 };
 use crate::sys::EventFd;
 use cpqx_engine::delta::{Delta, DeltaOp, OpOutcome};
@@ -110,8 +122,12 @@ pub struct NetStats {
     pub open_connections: u64,
     /// PING requests served.
     pub ping_requests: u64,
-    /// QUERY requests served.
+    /// QUERY requests served, on the event loop or by a worker.
     pub query_requests: u64,
+    /// QUERY requests answered on the event loop from the result cache's
+    /// memoized frame (the rest of `query_requests` was dispatched to the
+    /// worker pool).
+    pub query_inline_hits: u64,
     /// BATCH requests served.
     pub batch_requests: u64,
     /// DELTA requests served.
@@ -135,6 +151,7 @@ impl NetStats {
             ("open_connections", self.open_connections),
             ("ping_requests_total", self.ping_requests),
             ("query_requests_total", self.query_requests),
+            ("query_inline_hits_total", self.query_inline_hits),
             ("batch_requests_total", self.batch_requests),
             ("delta_requests_total", self.delta_requests),
             ("metrics_requests_total", self.metrics_requests),
@@ -151,6 +168,7 @@ pub(crate) struct NetCounters {
     pub(crate) open: AtomicU64,
     pub(crate) ping: AtomicU64,
     pub(crate) query: AtomicU64,
+    pub(crate) query_inline_hits: AtomicU64,
     pub(crate) batch: AtomicU64,
     pub(crate) delta: AtomicU64,
     pub(crate) metrics: AtomicU64,
@@ -165,6 +183,7 @@ impl NetCounters {
             open_connections: self.open.load(Ordering::Relaxed),
             ping_requests: self.ping.load(Ordering::Relaxed),
             query_requests: self.query.load(Ordering::Relaxed),
+            query_inline_hits: self.query_inline_hits.load(Ordering::Relaxed),
             batch_requests: self.batch.load(Ordering::Relaxed),
             delta_requests: self.delta.load(Ordering::Relaxed),
             metrics_requests: self.metrics.load(Ordering::Relaxed),
@@ -286,27 +305,47 @@ impl Drop for Server {
     }
 }
 
-/// Serves one decoded request. Pure with respect to the connection: all
-/// socket I/O stays on the event loop ([`crate::event`]).
-pub(crate) fn handle(s: &Shared, req: Request) -> Response {
+/// One produced response: its frame, and whether it is an error frame
+/// (the loop counts those when it queues them).
+pub(crate) struct Reply {
+    pub(crate) frame: Frame,
+    pub(crate) is_error: bool,
+}
+
+impl Reply {
+    /// Encodes `resp` — for the responses that exist as a [`Response`]
+    /// first (everything but query answers).
+    pub(crate) fn of(resp: &Response) -> Reply {
+        Reply {
+            frame: Frame::Owned(response_frame(resp)),
+            is_error: matches!(resp, Response::Error(_)),
+        }
+    }
+}
+
+/// Serves one decoded request and encodes the response, once. Pure with
+/// respect to the connection: all socket I/O stays on the event loop
+/// ([`crate::event`]), which calls this itself for the cheap requests and
+/// leaves the rest to the workers.
+pub(crate) fn serve(s: &Shared, req: Request) -> Reply {
     match req {
-        Request::Hello { .. } => Response::Error(WireError::new(
+        Request::Hello { .. } => Reply::of(&Response::Error(WireError::new(
             ErrorCode::BadFrame,
             "HELLO after handshake".to_string(),
-        )),
+        ))),
         Request::Ping => {
             s.counters.ping.fetch_add(1, Ordering::Relaxed);
             let t0 = s.engine.obs().timer();
             if let Some(t0) = t0 {
                 s.engine.obs().record_op(ObsOp::Ping, t0.elapsed());
             }
-            Response::Pong
+            Reply::of(&Response::Pong)
         }
         Request::Query(text) => {
             s.counters.query.fetch_add(1, Ordering::Relaxed);
             // The server owns the whole-request trace so the span tree
             // covers parse as well as the engine's plan/cache/eval
-            // stages (query_traced records into the same builder).
+            // stages (query_entry records into the same builder).
             let obs = s.engine.obs();
             let mut trace = obs.begin(TraceKind::Query);
             // One snapshot for parse + evaluation: the answer's epoch is
@@ -315,17 +354,28 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             let parse_timer = obs.timer();
             let parsed = parse_cpq(&text, snap.graph());
             obs.stage(Stage::Parse, parse_timer, trace.as_mut());
-            let resp = match parsed {
+            let reply = match parsed {
                 Ok(q) => {
-                    let pairs = s.engine.query_traced(&snap, &q, trace.as_mut());
-                    Response::Result { epoch: snap.epoch(), pairs: (*pairs).clone() }
+                    let (answer, hit) =
+                        s.engine.query_entry(&snap, &q, Some(&text), trace.as_mut());
+                    let encode = || result_frame(answer.epoch(), answer.pairs());
+                    // A hit means the answer is being asked for again:
+                    // keep its frame with the entry, where the event loop
+                    // finds it by text from now on. A first answer is
+                    // encoded for this response alone.
+                    let frame = if hit {
+                        Frame::Shared(Arc::clone(answer.wire_or_encode(|| encode().into())))
+                    } else {
+                        Frame::Owned(encode())
+                    };
+                    Reply { frame, is_error: false }
                 }
-                Err(e) => Response::Error(WireError::from(e)),
+                Err(e) => Reply::of(&Response::Error(WireError::from(e))),
             };
             if let Some(tb) = trace {
                 obs.finish(tb);
             }
-            resp
+            reply
         }
         Request::Batch(texts) => {
             s.counters.batch.fetch_add(1, Ordering::Relaxed);
@@ -337,38 +387,38 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
                     Err(e) => {
                         let mut w = WireError::from(e);
                         w.message = format!("batch query {i}: {}", w.message);
-                        return Response::Error(w);
+                        return Reply::of(&Response::Error(w));
                     }
                 }
             }
             let opts = BatchOptions { threads: s.opts.batch_threads, ..BatchOptions::default() };
             let out = s.engine.evaluate_batch_on(&snap, &queries, opts);
-            Response::BatchResult {
-                epoch: out.epoch,
-                results: out.results.iter().map(|r| (**r).clone()).collect(),
+            Reply {
+                frame: Frame::Owned(batch_result_frame(out.epoch, &out.results)),
+                is_error: false,
             }
         }
         Request::Delta(ops) => {
             s.counters.delta.fetch_add(1, Ordering::Relaxed);
-            match apply_wire_delta(s, &ops) {
+            Reply::of(&match apply_wire_delta(s, &ops) {
                 Ok(report) => Response::DeltaAck {
                     epoch: report.epoch,
                     rebuilt: report.rebuilt,
                     outcomes: report.outcomes.iter().map(wire_outcome).collect(),
                 },
                 Err(e) => Response::Error(e),
-            }
+            })
         }
         Request::Metrics => {
             s.counters.metrics.fetch_add(1, Ordering::Relaxed);
             let t0 = s.engine.obs().timer();
-            let resp = Response::Metrics(Box::new(wire_metrics(s)));
+            let reply = Reply::of(&Response::Metrics(Box::new(wire_metrics(s))));
             // This request's own latency lands in the *next* report —
             // the snapshot above must not be mutated after it is taken.
             if let Some(t0) = t0 {
                 s.engine.obs().record_op(ObsOp::Metrics, t0.elapsed());
             }
-            resp
+            reply
         }
     }
 }

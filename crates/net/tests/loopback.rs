@@ -2,18 +2,21 @@
 //! clients and wire-driven maintenance, verified against sequential
 //! engine evaluation on pinned snapshots.
 
-use cpqx_engine::{Engine, EngineOptions, Snapshot};
+use cpqx_core::CpqxIndex;
+use cpqx_engine::{CheckpointReport, DeltaOp, DurabilitySink, Engine, EngineOptions, Snapshot};
 use cpqx_graph::generate::{self, sample_edges, RandomGraphConfig};
-use cpqx_graph::Pair;
+use cpqx_graph::{Graph, Pair};
 use cpqx_net::proto::{
-    decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_response, encode_request, encode_response, read_frame, write_frame, FrameError, Request,
+    Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use cpqx_net::{Client, ClientError, ErrorCode, Server, ServerOptions, WireOp, WireOutcome};
+use cpqx_query::eval::eval_reference;
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{benchqueries, parse_cpq, Cpq, Template};
 use std::collections::HashMap;
 use std::net::TcpStream;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -436,6 +439,270 @@ fn pipelined_requests_answer_in_order() {
     }
     let payload = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
     assert!(matches!(decode_response(&payload).unwrap(), Response::Pong));
+    server.shutdown();
+}
+
+/// Sends `text` three times: the miss that caches it, the worker hit that
+/// keeps its frame with the entry, and the first hit the event loop
+/// answers by itself.
+fn make_hot(client: &mut Client, text: &str) {
+    for _ in 0..3 {
+        client.query(text).expect("warm query");
+    }
+}
+
+/// The oracle's answer to `text` on `g`.
+fn reference(g: &Graph, text: &str) -> Vec<Pair> {
+    eval_reference(g, &parse_cpq(text, g).unwrap())
+}
+
+/// One connection pipelines `[hit, miss, PING, hit, DELTA, same text,
+/// same text]` without reading. The hits are answered on the event loop
+/// and the miss by a worker, yet replies arrive in request order; the
+/// DELTA deletes an edge the hit depends on, and the two reads behind it
+/// carry its epoch and the post-delete answer — never the frame the
+/// cache held before. Every reply is byte-for-byte the public codec's
+/// encoding of the oracle's answer.
+#[test]
+fn hits_misses_and_a_write_pipelined_on_one_connection_answer_in_order() {
+    let (engine, server) = start_server(generate::gex(), 3);
+    let snap0 = engine.snapshot();
+    let g0 = snap0.graph();
+    let (hot, cold) = ("f . f", "f^-1 . f");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    make_hot(&mut client, hot);
+    assert_eq!(server.net_stats().query_inline_hits, 1);
+
+    let (sue, joe) = (g0.vertex_named("sue").unwrap(), g0.vertex_named("joe").unwrap());
+    let delete = Request::Delta(vec![WireOp::DeleteEdge { src: sue, dst: joe, label: "f".into() }]);
+    let mut stream = handshaken(&server);
+    let mut wire = Vec::new();
+    for req in [
+        Request::Query(hot.into()),
+        Request::Query(cold.into()),
+        Request::Ping,
+        Request::Query(hot.into()),
+        delete,
+        Request::Query(hot.into()),
+        Request::Query(hot.into()),
+    ] {
+        write_frame(&mut wire, &encode_request(&req)).unwrap();
+    }
+    use std::io::Write;
+    stream.write_all(&wire).unwrap();
+    let mut next = || read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    let result = |epoch, pairs| encode_response(&Response::Result { epoch, pairs });
+
+    let before = reference(g0, hot);
+    assert_eq!(next(), result(0, before.clone()), "hit");
+    assert_eq!(next(), result(0, reference(g0, cold)), "miss");
+    assert_eq!(decode_response(&next()).unwrap(), Response::Pong);
+    assert_eq!(next(), result(0, before.clone()), "hit behind a miss and a PING");
+    match decode_response(&next()).unwrap() {
+        Response::DeltaAck { epoch, outcomes, .. } => {
+            assert_eq!((epoch, outcomes), (1, vec![WireOutcome::Applied]));
+        }
+        other => panic!("expected DELTA_ACK, got {other:?}"),
+    }
+    let snap1 = engine.snapshot();
+    let after = reference(snap1.graph(), hot);
+    assert_ne!(before, after, "the deleted edge must matter to the hot query");
+    assert_eq!(next(), result(1, after.clone()), "first read behind the DELTA");
+    assert_eq!(next(), result(1, after.clone()), "second read behind the DELTA");
+
+    // Both pipelined hits were the loop's; the two reads behind the
+    // DELTA were not (the install emptied the cache: the text had to be
+    // evaluated again, and be hit at a worker once, before it is the
+    // loop's again — by the second query below at the latest; which of
+    // the two pipelined reads the workers finished first decides whether
+    // by the first).
+    assert_eq!(server.net_stats().query_inline_hits, 3);
+    for _ in 0..2 {
+        assert_eq!(client.query(hot).unwrap().pairs, after);
+    }
+    let net = server.net_stats();
+    assert!((4..=5).contains(&net.query_inline_hits), "{net:?}");
+    assert_eq!(net.query_requests, 3 + 5 + 2);
+    server.shutdown();
+}
+
+/// One write carries more loop-answered requests — hits, then PINGs —
+/// than twice the pipeline bound. Their slots are filled as they are
+/// reserved, so no worker completion ever comes back to restart a
+/// connection that stopped at the bound: the loop itself must keep
+/// serving what it has buffered. Every reply arrives, in order; and a
+/// client that half-closes right behind the burst is still answered in
+/// full before the server closes its side.
+#[test]
+fn a_burst_of_loop_answered_requests_past_the_pipeline_bound_is_served_whole() {
+    use std::io::Write;
+    let (engine, server) = start_server(generate::gex(), 2);
+    let burst = 2 * ServerOptions::default().max_pipeline + 44;
+    let hot = "f . f";
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    make_hot(&mut client, hot);
+    let hit = encode_response(&Response::Result {
+        epoch: 0,
+        pairs: reference(engine.snapshot().graph(), hot),
+    });
+
+    let mut inline_hits = 1;
+    let pong = encode_response(&Response::Pong);
+    for (req, reply) in [(Request::Query(hot.into()), hit), (Request::Ping, pong)] {
+        let mut wire = Vec::new();
+        for _ in 0..burst {
+            write_frame(&mut wire, &encode_request(&req)).unwrap();
+        }
+        for half_close in [false, true] {
+            let mut stream = handshaken(&server);
+            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            stream.write_all(&wire).unwrap();
+            if half_close {
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            for i in 0..burst {
+                let got = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+                    .unwrap_or_else(|e| panic!("{req:?} #{i} of {burst}: {e}"));
+                assert_eq!(got, reply, "{req:?} #{i}");
+            }
+            if half_close {
+                assert!(matches!(
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME),
+                    Err(FrameError::Closed)
+                ));
+            }
+            if matches!(req, Request::Query(_)) {
+                inline_hits += burst as u64;
+            }
+        }
+    }
+    let net = server.net_stats();
+    assert_eq!((net.query_inline_hits, net.query_requests), (inline_hits, inline_hits + 2));
+    server.shutdown();
+}
+
+/// A durability sink whose `append` reports that it was entered and then
+/// waits to be released: a DELTA sent through it holds the worker that
+/// runs it — inside the engine's write transaction — for as long as the
+/// test likes.
+struct GatedSink {
+    entered: Mutex<Sender<()>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl DurabilitySink for GatedSink {
+    fn append(&self, _graph: &Graph, _ops: &[DeltaOp]) -> std::io::Result<u64> {
+        self.entered.lock().unwrap().send(()).expect("test is listening");
+        self.release.lock().unwrap().recv().expect("test releases the gate");
+        Ok(0)
+    }
+
+    fn wal_bytes_since_checkpoint(&self) -> u64 {
+        0
+    }
+
+    fn checkpoint(&self, _: &Graph, _: &CpqxIndex) -> std::io::Result<CheckpointReport> {
+        Ok(CheckpointReport::default())
+    }
+}
+
+/// The only worker is held inside a DELTA and a miss from a second
+/// connection is queued behind it; a hit and a PING on a third
+/// connection are answered all the same, because the event loop answers
+/// them itself — and only them: while the worker is held no query is
+/// evaluated anywhere, so the miss was not run on the loop.
+#[test]
+fn a_busy_pool_delays_neither_hits_nor_pings_and_the_loop_evaluates_nothing() {
+    let (engine, server) = start_server(generate::gex(), 1);
+    let snap0 = engine.snapshot();
+    let g0 = snap0.graph();
+    let (hot, cold) = ("f . f", "f^-1 . f");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    make_hot(&mut client, hot);
+
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    engine.attach_durability(Arc::new(GatedSink {
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    }));
+    let (sue, joe) = (g0.vertex_named("sue").unwrap(), g0.vertex_named("joe").unwrap());
+    let mut writer = handshaken(&server);
+    let delete = Request::Delta(vec![WireOp::DeleteEdge { src: sue, dst: joe, label: "f".into() }]);
+    write_frame(&mut writer, &encode_request(&delete)).unwrap();
+    entered.recv_timeout(Duration::from_secs(30)).expect("the worker reaches the sink");
+
+    let mut reader = handshaken(&server);
+    write_frame(&mut reader, &encode_request(&Request::Query(cold.into()))).unwrap();
+
+    // Two round trips: by the end of the second the loop has handled
+    // everything that arrived before the first, the miss included.
+    let evaluated = engine.stats().queries;
+    let reply = client.query(hot).expect("a hit does not wait for the pool");
+    assert_eq!((reply.epoch, &reply.pairs), (0, &reference(g0, hot)));
+    client.ping().expect("nor does a PING");
+    let net = server.net_stats();
+    // Three warm queries and this hit; the queued miss is not served yet.
+    assert_eq!((net.query_inline_hits, net.query_requests), (2, 4), "{net:?}");
+    assert_eq!(engine.stats().queries, evaluated + 1, "only the hit was served");
+    reader.set_nonblocking(true).unwrap();
+    let mut byte = [0u8; 1];
+    match std::io::Read::read(&mut reader, &mut byte) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("the queued miss must still be waiting, got {other:?}"),
+    }
+    reader.set_nonblocking(false).unwrap();
+
+    release.send(()).unwrap();
+    match decode_response(&read_frame(&mut writer, DEFAULT_MAX_FRAME).unwrap()).unwrap() {
+        Response::DeltaAck { epoch: 1, outcomes, .. } => {
+            assert_eq!(outcomes, vec![WireOutcome::Applied]);
+        }
+        other => panic!("expected DELTA_ACK at epoch 1, got {other:?}"),
+    }
+    // The miss ran after the write it queued behind, on its snapshot.
+    let snap1 = engine.snapshot();
+    assert_eq!(
+        read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap(),
+        encode_response(&Response::Result { epoch: 1, pairs: reference(snap1.graph(), cold) })
+    );
+    assert_eq!(server.net_stats().query_requests, 5);
+    server.shutdown();
+}
+
+/// A text that fails to parse, or names an unknown label, is answered
+/// with its typed error every time it is sent: only served answers are
+/// keyed by text. And an answer served once keeps no wire form — a
+/// workload that never repeats a query (the ledger's `serve-cold`) pays
+/// nothing for the memo.
+#[test]
+fn failed_texts_are_not_keyed_and_single_use_answers_store_no_frame() {
+    let g = generate::random_graph(&RandomGraphConfig::social(120, 500, 3, 5));
+    let workload = text_workload(&g, 3);
+    let (engine, server) = start_server(g, 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    for (text, code) in [("nosuch . nosuch", ErrorCode::UnknownLabel), ("((", ErrorCode::Parse)] {
+        for _ in 0..4 {
+            match client.query(text) {
+                Err(ClientError::Server(e)) => assert_eq!(e.code, code, "{text}"),
+                other => panic!("expected {code:?} for {text:?}, got {other:?}"),
+            }
+        }
+        assert!(engine.cached_wire(text).is_none(), "{text} must not be keyed");
+    }
+    assert_eq!(server.net_stats().error_responses, 8);
+
+    let snap = engine.snapshot();
+    for (text, q) in &workload {
+        assert_eq!(client.query(text).unwrap().pairs, snap.evaluate(q), "{text}");
+    }
+    for (text, q) in &workload {
+        let (entry, hit) = engine.query_entry(&snap, q, None, None);
+        assert!(hit, "{text} was served, so it is cached");
+        assert!(entry.wire().is_none(), "{text} was served once: no frame is kept");
+    }
+    assert_eq!(server.net_stats().query_inline_hits, 0);
     server.shutdown();
 }
 

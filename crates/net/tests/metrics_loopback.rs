@@ -26,7 +26,8 @@ fn start_server(options: EngineOptions) -> (Arc<Engine>, Server) {
     (engine, server)
 }
 
-fn drive_queries(client: &mut Client, engine: &Engine, n: usize) {
+/// Sends `n` queries cycling over a generated workload; returns its texts.
+fn drive_queries(client: &mut Client, engine: &Engine, n: usize) -> Vec<String> {
     let snap = engine.snapshot();
     let probe = GraphProbe(snap.graph());
     let mut gen = WorkloadGen::new(snap.graph(), 7);
@@ -39,6 +40,7 @@ fn drive_queries(client: &mut Client, engine: &Engine, n: usize) {
     for text in texts.iter().cycle().take(n) {
         client.query(text).expect("query over loopback");
     }
+    texts
 }
 
 /// The METRICS response survives a decode → re-encode cycle byte for
@@ -76,7 +78,12 @@ fn metrics_roundtrip_is_byte_exact_over_loopback() {
 fn metrics_report_matches_the_engine_report() {
     let (engine, server) = start_server(EngineOptions { k: 2, ..Default::default() });
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    drive_queries(&mut client, &engine, 120);
+    let texts = drive_queries(&mut client, &engine, 117);
+    // One text three more times: by the third the event loop answers it
+    // from the cache entry's memoized frame, without the pool.
+    for _ in 0..3 {
+        client.query(&texts[0]).expect("repeat query");
+    }
 
     let m = client.metrics().expect("metrics over loopback");
     assert_eq!(m.epoch, engine.epoch());
@@ -84,6 +91,18 @@ fn metrics_report_matches_the_engine_report() {
     assert_eq!(m.counter("metrics_requests_total"), Some(1));
     assert_eq!(m.counter("queries_total"), Some(120));
     assert_eq!(m.counter("no_such_counter"), None);
+
+    // Every QUERY was either answered on the loop or dispatched; a
+    // dispatched one is parsed by its worker and passes through the pool
+    // (the Evaluate stage), an inline hit does neither, and both probe
+    // the result cache exactly once.
+    let inline = m.counter("query_inline_hits_total").expect("inline-hit counter");
+    assert!((1..120).contains(&inline), "inline hits: {inline}");
+    let dispatched = 120 - inline;
+    let stage_count = |stage| m.stage_histogram(stage).map_or(0, |h| h.count());
+    assert_eq!(stage_count(Stage::Parse), dispatched);
+    assert_eq!(stage_count(Stage::Evaluate), dispatched);
+    assert_eq!(stage_count(Stage::CacheProbe), 120);
 
     // One estimator: the wire histogram is the one the engine report's
     // quantiles come from (its accuracy against exact nearest-rank
@@ -104,6 +123,32 @@ fn metrics_report_matches_the_engine_report() {
     assert!(!m.workload.is_empty());
     let sampled: u64 = m.workload.iter().map(|(_, c)| c).sum();
     assert!((1..=120).contains(&sampled), "sampled workload count {sampled} out of range");
+    server.shutdown();
+}
+
+/// An inline hit is observed like any served query — opcode histogram,
+/// cache-probe stage, a sampled trace with the canonical key and the
+/// epoch — except that its trace has no parse, plan or eval span: the
+/// loop did none of that.
+#[test]
+fn inline_hits_are_traced_as_a_cache_probe_and_nothing_else() {
+    let obs = ObsOptions { sample_every: 1, ..ObsOptions::default() };
+    let (engine, server) = start_server(EngineOptions { k: 2, obs, ..Default::default() });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let texts = drive_queries(&mut client, &engine, 1);
+    for _ in 0..3 {
+        client.query(&texts[0]).expect("repeat query");
+    }
+    assert_eq!(server.net_stats().query_inline_hits, 2);
+    let traces = engine.obs().traces();
+    let queries: Vec<_> = traces.iter().filter(|t| t.kind == TraceKind::Query).collect();
+    assert_eq!(queries.len(), 4, "every query is sampled at sample_every = 1");
+    let (worker_hit, inline) = (queries[1], queries[3]);
+    assert!(worker_hit.span(Stage::Parse).is_some() && worker_hit.span(Stage::Plan).is_none());
+    let stages: Vec<Stage> = inline.spans.iter().map(|s| s.stage).collect();
+    assert_eq!(stages, vec![Stage::CacheProbe], "{}", inline.render());
+    assert_eq!((&inline.key, inline.epoch), (&worker_hit.key, engine.epoch()));
+    assert_eq!(engine.obs().op_snapshot(ObsOp::Query).count(), 4);
     server.shutdown();
 }
 

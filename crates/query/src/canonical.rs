@@ -14,8 +14,9 @@
 //!   (the planner fuses exactly that shape);
 //! * `id ∩ id`, `id ∘ id` and friends collapse to `id`.
 //!
-//! [`cache_key`] renders the canonical form as a compact string over
-//! extended-label ids — the key the engine's plan and result caches use.
+//! [`canonical_key`] renders a canonical form as a compact string over
+//! extended-label ids — the key the engine's plan and result caches use;
+//! [`cache_key`] canonicalizes first, for callers that hold a raw query.
 //! Canonicalization is purely syntactic and graph-independent; it never
 //! changes query semantics (every rewrite above is an identity of the CPQ
 //! algebra, Sec. III-B).
@@ -45,7 +46,16 @@ pub fn canonicalize(q: &Cpq) -> Cpq {
 /// The canonical cache key of `q`: a compact, injective rendering of its
 /// canonical form over extended-label ids (`l3`, `j(...)`, `c(...)`, `i`).
 pub fn cache_key(q: &Cpq) -> String {
-    encode(&canonicalize(q))
+    canonical_key(&canonicalize(q))
+}
+
+/// The cache key of an already canonical query — [`cache_key`] without the
+/// second canonicalization, for callers that need the canonical form too.
+/// On a non-canonical `q` it renders `q` as written, which is not a key.
+pub fn canonical_key(canonical: &Cpq) -> String {
+    let mut s = String::new();
+    encode_into(canonical, &mut s);
+    s
 }
 
 /// Flattens a join tree, canonicalizes every factor, drops identities and
@@ -114,7 +124,7 @@ fn splice_conj(q: Cpq, out: &mut Vec<Cpq>, has_id: &mut bool) {
 }
 
 fn rebuild_conj(mut conjuncts: Vec<Cpq>, has_id: bool) -> Cpq {
-    conjuncts.sort_by_cached_key(encode);
+    conjuncts.sort_by_cached_key(canonical_key);
     conjuncts.dedup();
     let mut it = conjuncts.into_iter();
     let Some(first) = it.next() else {
@@ -130,12 +140,6 @@ fn rebuild_conj(mut conjuncts: Vec<Cpq>, has_id: bool) -> Cpq {
 
 /// Injective compact rendering used both as the sort order and the cache
 /// key. Stable across processes (depends only on extended-label ids).
-fn encode(q: &Cpq) -> String {
-    let mut s = String::new();
-    encode_into(q, &mut s);
-    s
-}
-
 fn encode_into(q: &Cpq, s: &mut String) {
     use std::fmt::Write;
     match q {
@@ -230,9 +234,9 @@ mod tests {
 
     #[test]
     fn encode_is_injective_on_structure() {
-        assert_ne!(encode(&l(0).join(l(1))), encode(&l(0).conj(l(1))));
-        assert_ne!(encode(&l(0)), encode(&Cpq::ext(Label(0).inv())));
-        assert_ne!(encode(&l(10)), encode(&l(1)));
+        assert_ne!(canonical_key(&l(0).join(l(1))), canonical_key(&l(0).conj(l(1))));
+        assert_ne!(canonical_key(&l(0)), canonical_key(&Cpq::ext(Label(0).inv())));
+        assert_ne!(canonical_key(&l(10)), canonical_key(&l(1)));
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub mod plan;
 pub mod workload;
 
 pub use ast::{Cpq, Template};
-pub use canonical::{cache_key, canonicalize};
+pub use canonical::{cache_key, canonical_key, canonicalize};
 pub use parser::{parse_cpq, ParseError, ParseErrorKind};
 pub use plan::{plan_query, Plan};
