@@ -4,9 +4,8 @@
 //! **pair sets**. The executor keeps results at the class level as long as
 //! possible: LOOKUP borrows the `Il2c` posting list; CONJUNCTION of two
 //! class sets is an id-list intersection (the order-of-magnitude win of
-//! Prop. 4.1 / Example 4.3); IDENTITY on a class set is an O(1) per-class
-//! flag check. The root expands surviving classes through `Ic2p`. Two
-//! rules cover everything else:
+//! Prop. 4.1 / Example 4.3). The root expands surviving classes through
+//! `Ic2p`. Three rules cover everything else:
 //!
 //! 1. **A cycle is a conjunction with the inverse.** Every LOOKUP is
 //!    exact, and `s` labels a path from `v` to `u` iff `s⁻¹` reversed
@@ -23,9 +22,22 @@
 //!    operand ([`cpqx_query::ops`]): nothing is re-keyed or sorted
 //!    globally, and a single-label operand is read from the graph's CSR
 //!    faces instead of being expanded from the index.
+//! 3. **Identity is a posting list.** Cyclicity is a property of the
+//!    class (Sec. IV-D's third optimisation), and the index keeps each
+//!    sequence's cyclic classes as a posting list of their own
+//!    ([`CpqxIndex::lookup_cyclic`]). `LOOKUP∩id` borrows it, and since
+//!    `(A ∩ B) ∩ id = (A ∩ id) ∩ (B ∩ id)`, a `CONJUNCTION∩id` over
+//!    class-level operands pushes the identity down to its lookups and
+//!    intersects cyclic postings only — at most |V| ids between them —
+//!    never walking the full lists to test a flag per class.
+//!
+//! Class-id sets intersect by length ([`intersect_ids`]): short or skewed
+//! operands merge or gallop, long balanced ones mark the smaller in a
+//! bitmap and filter the larger.
 
 use crate::bisim::ClassId;
 use crate::index::CpqxIndex;
+use cpqx_graph::pair::{self, GALLOP_RATIO};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use cpqx_query::ops::EvalContext;
@@ -52,9 +64,10 @@ pub struct ExecOptions {
     /// conjunctions materialize both sides into pairs first — the
     /// language-unaware strategy.
     pub class_level_conjunction: bool,
-    /// Execute IDENTITY as a per-class flag check fused into the operators
-    /// (the paper's third optimization). When off, identity filters
-    /// materialized pairs.
+    /// Execute IDENTITY fused into the operators (the paper's third
+    /// optimization): cyclic postings for lookups and class-level
+    /// conjunctions, a conjunction with the inverse (or `JOIN-ID`) for
+    /// cycles. When off, identity filters materialized pairs.
     pub fused_identity: bool,
     /// Route single-label join operands through the graph instead of the
     /// index: a chain suffix `P ⋈ ⟦ℓ⟧` expands over the per-chunk forward
@@ -79,7 +92,9 @@ impl Default for ExecOptions {
 pub struct ExecStats {
     /// Number of `Il2c` lookups performed.
     pub lookups: usize,
-    /// Class identifiers retrieved by those lookups.
+    /// Class identifiers retrieved by those lookups. A lookup under a
+    /// fused identity retrieves the sequence's *cyclic* posting list only
+    /// — that is the pruning, not an accounting gap.
     pub classes_touched: usize,
     /// s-t pairs materialized from classes (`Ic2p` expansions).
     pub pairs_materialized: usize,
@@ -88,7 +103,8 @@ pub struct ExecStats {
     pub class_conjunctions: usize,
     /// Conjunctions that had to intersect pair sets.
     pub pair_intersections: usize,
-    /// Pair-level joins executed (a closed cycle is not one).
+    /// Pair-level joins executed (a closed cycle is not one, nor is a
+    /// join skipped because an operand was empty).
     pub joins: usize,
     /// Joins answered from the graph (a subset of `joins`): the
     /// single-label operand was read from the per-chunk CSR faces or the
@@ -108,6 +124,8 @@ pub struct Executor<'i, 'g> {
     /// is confined to each single join call, never held across the
     /// recursion).
     ctx: std::cell::RefCell<EvalContext>,
+    /// Scratch bitmap shared by every class-set intersection of a plan.
+    marks: std::cell::RefCell<ClassMarks>,
 }
 
 impl<'i, 'g> Executor<'i, 'g> {
@@ -125,6 +143,7 @@ impl<'i, 'g> Executor<'i, 'g> {
             options,
             stats: std::cell::Cell::new(ExecStats::default()),
             ctx: std::cell::RefCell::new(EvalContext::new()),
+            marks: std::cell::RefCell::default(),
         }
     }
 
@@ -161,42 +180,53 @@ impl<'i, 'g> Executor<'i, 'g> {
 
     /// Evaluates a plan node to an intermediate (Algorithm 3's recursion).
     pub fn eval(&self, plan: &Plan) -> Intermediate<'i> {
+        self.eval_under(plan, false)
+    }
+
+    /// Evaluates `plan`, or `plan ∩ id` when an enclosing fused identity
+    /// was pushed down to it (`under_id`).
+    fn eval_under(&self, plan: &Plan, under_id: bool) -> Intermediate<'i> {
         match plan {
             Plan::AllId => Intermediate::Pairs(ops::all_loops(self.graph)),
-            Plan::Lookup(seq) => {
+            Plan::Lookup(seq) if !under_id => {
                 debug_assert!(self.index.is_indexed(seq), "planner must split {seq:?}");
                 Intermediate::Classes(Cow::Borrowed(self.lookup_counted(seq)))
             }
-            Plan::LookupId(seq) => {
-                // Fused `⟦seq⟧ ∩ id`: keep cyclic classes only (the paper's
+            Plan::Lookup(seq) | Plan::LookupId(seq) => {
+                // Fused `⟦seq⟧ ∩ id`: the sequence's cyclic classes, kept
+                // by the index as a posting list of their own (the paper's
                 // "check the first s-t pair" — cyclicity is uniform per
-                // class, so it is a flag here).
-                let looked = self.lookup_counted(seq);
+                // class — done once, at build time).
                 if !self.options.fused_identity {
-                    let pairs = self.expand(looked);
+                    let pairs = self.expand(self.lookup_counted(seq));
                     return Intermediate::Pairs(ops::filter_loops(&pairs));
                 }
-                Intermediate::Classes(Cow::Owned(self.loop_classes(looked)))
+                let looked = self.index.lookup_cyclic(seq);
+                self.count_lookup(looked);
+                Intermediate::Classes(Cow::Borrowed(looked))
             }
-            Plan::Join(a, b) => self.join(a, b, false),
+            Plan::Join(a, b) => self.join(a, b, under_id),
             Plan::JoinId(a, b) => self.join(a, b, true),
-            Plan::Conj(a, b) => self.conj(a, b, false),
+            Plan::Conj(a, b) => self.conj(a, b, under_id),
             Plan::ConjId(a, b) => self.conj(a, b, true),
         }
     }
 
     /// `CONJUNCTION` / fused `CONJUNCTION-ID`: the class-level id-list
     /// intersection of Prop. 4.1 when both operands are class sets, a
-    /// pair-set intersection otherwise.
+    /// pair-set intersection otherwise. Under a fused identity, operands
+    /// that stay at the class level are evaluated under it themselves
+    /// (module docs, rule 3), so only cyclic postings meet.
     fn conj(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
         let class_level =
             self.options.class_level_conjunction && (self.options.fused_identity || !require_loop);
-        match (self.eval(a), self.eval(b)) {
+        let push_id = require_loop && class_level && class_level_plan(a) && class_level_plan(b);
+        match (self.eval_under(a, push_id), self.eval_under(b, push_id)) {
             (Intermediate::Classes(x), Intermediate::Classes(y)) if class_level => {
+                // Only class-level plans evaluate to class sets.
+                debug_assert!(push_id || !require_loop, "identity not pushed to a class set");
                 self.bump(|s| s.class_conjunctions += 1);
-                let both = intersect_ids(&x, &y);
-                let cs = if require_loop { self.loop_classes(&both) } else { both };
-                Intermediate::Classes(Cow::Owned(cs))
+                Intermediate::Classes(Cow::Owned(self.marks.borrow_mut().intersect(&x, &y)))
             }
             (x, y) => {
                 let left = self.pairs(x);
@@ -256,13 +286,13 @@ impl<'i, 'g> Executor<'i, 'g> {
         // Label suffix: P ⋈ ⟦ℓ⟧ over forward faces.
         if csr {
             if let Some((seq, l)) = single_label(b) {
+                if self.lookup_counted(&seq).is_empty() {
+                    return Intermediate::Pairs(Vec::new());
+                }
                 self.bump(|s| {
                     s.joins += 1;
                     s.csr_joins += 1;
                 });
-                if self.lookup_counted(&seq).is_empty() {
-                    return Intermediate::Pairs(Vec::new());
-                }
                 return Intermediate::Pairs(if require_loop {
                     ops::expand_adjacency_id(self.graph, &left, l)
                 } else {
@@ -297,7 +327,7 @@ impl<'i, 'g> Executor<'i, 'g> {
                     self.bump(|s| s.pairs_materialized += pairs.len());
                     out.extend(pairs.iter().map(looped));
                 }
-                out.sort_unstable();
+                pair::sort_pairs(&mut out);
                 out
             }
         };
@@ -308,16 +338,16 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// `Il2c` lookup that records the EXPLAIN counters.
     fn lookup_counted(&self, seq: &LabelSeq) -> &'i [ClassId] {
         let cs = self.index.lookup(seq);
+        self.count_lookup(cs);
+        cs
+    }
+
+    /// Records one `Il2c` lookup that retrieved `cs`.
+    fn count_lookup(&self, cs: &[ClassId]) {
         self.bump(|s| {
             s.lookups += 1;
             s.classes_touched += cs.len();
         });
-        cs
-    }
-
-    /// The cyclic classes among `cs` (IDENTITY as a per-class flag).
-    fn loop_classes(&self, cs: &[ClassId]) -> Vec<ClassId> {
-        cs.iter().copied().filter(|&c| self.index.class_is_loop(c)).collect()
     }
 
     /// Materializes an intermediate to pairs.
@@ -331,13 +361,9 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// `⋃_{c} Ic2p(c)`, normalized. Classes are disjoint, so only a sort is
     /// needed.
     fn expand(&self, cs: &[ClassId]) -> Vec<Pair> {
-        let total: usize = cs.iter().map(|&c| self.index.class_pairs(c).len()).sum();
-        self.bump(|s| s.pairs_materialized += total);
-        let mut out = Vec::with_capacity(total);
-        for &c in cs {
-            out.extend_from_slice(self.index.class_pairs(c));
-        }
-        out.sort_unstable();
+        let mut out = self.index.gather_rows(cs);
+        self.bump(|s| s.pairs_materialized += out.len());
+        pair::sort_pairs(&mut out);
         out
     }
 }
@@ -359,22 +385,143 @@ pub(crate) fn indexed_inverse(index: &CpqxIndex, b: &Plan) -> Option<Plan> {
     inverse.lookup_seqs().iter().all(|s| index.is_indexed(s)).then_some(inverse)
 }
 
-/// Sorted intersection of class-id lists (galloping on skewed inputs —
-/// same dispatch as the pair-set intersection).
+/// Whether `p` evaluates to a class-id set (with class-level conjunction
+/// and fused identity on): lookups and conjunctions of such.
+fn class_level_plan(p: &Plan) -> bool {
+    match p {
+        Plan::Lookup(_) | Plan::LookupId(_) => true,
+        Plan::Conj(a, b) | Plan::ConjId(a, b) => class_level_plan(a) && class_level_plan(b),
+        Plan::AllId | Plan::Join(..) | Plan::JoinId(..) => false,
+    }
+}
+
+/// Below this many ids in the smaller list a merge is as fast as marking.
+const MARK_MIN_LEN: usize = 32;
+
+/// Class-set intersection with its scratch: a bitmap with one bit per
+/// class slot, all zero between calls (it grows to the largest id marked
+/// and is cleared by re-walking what was marked, so its cost follows the
+/// operands, not the index).
+#[derive(Default)]
+struct ClassMarks {
+    bits: Vec<u64>,
+}
+
+impl ClassMarks {
+    /// The sorted intersection of two sorted, duplicate-free class-id
+    /// lists, by the cheapest of three routes their lengths allow: a
+    /// short smaller side merges, one ≥ 16× shorter than the other
+    /// gallops ([`pair::intersect_sorted`] is both), and long balanced
+    /// lists — posting lists of tens of thousands of ids — mark the
+    /// smaller in the bitmap and filter the larger against it without a
+    /// data-dependent branch.
+    fn intersect(&mut self, a: &[ClassId], b: &[ClassId]) -> Vec<ClassId> {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut out = Vec::new();
+        if small.len() < MARK_MIN_LEN || small.len().saturating_mul(GALLOP_RATIO) < large.len() {
+            pair::intersect_sorted(small, large, &mut out);
+            return out;
+        }
+        // Only the part of `large` inside `small`'s id range can match.
+        let (lo, hi) = (small[0], small[small.len() - 1]);
+        let large = &large[large.partition_point(|&c| c < lo)..];
+        let large = &large[..large.partition_point(|&c| c <= hi)];
+        let words = (hi as usize >> 6) + 1;
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        for &c in small {
+            self.bits[c as usize >> 6] |= 1 << (c & 63);
+        }
+        // Every id is written at the cursor; a hit advances it.
+        out.resize(small.len() + 1, 0);
+        let mut kept = 0;
+        for &c in large {
+            out[kept] = c;
+            kept += (self.bits[c as usize >> 6] >> (c & 63)) as usize & 1;
+        }
+        out.truncate(kept);
+        for &c in small {
+            self.bits[c as usize >> 6] = 0;
+        }
+        out
+    }
+}
+
+/// One-shot sorted intersection of class-id lists (tests, cold paths);
+/// an executor keeps the scratch across the intersections of a plan.
 pub fn intersect_ids(a: &[ClassId], b: &[ClassId]) -> Vec<ClassId> {
-    let mut out = Vec::new();
-    cpqx_graph::pair::intersect_sorted(a, b, &mut out);
-    out
+    ClassMarks::default().intersect(a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn id_intersection() {
         assert_eq!(intersect_ids(&[1, 3, 5, 9], &[2, 3, 9]), vec![3, 9]);
         assert_eq!(intersect_ids(&[], &[1]), Vec::<ClassId>::new());
+    }
+
+    /// Sorted distinct id lists: ids drawn from `0..universe`, so lists
+    /// overlap; lengths from empty to far past [`MARK_MIN_LEN`].
+    fn id_list(universe: u32) -> impl Strategy<Value = Vec<ClassId>> {
+        let len = prop_oneof![0usize..4, 0usize..MARK_MIN_LEN * 2, 200usize..600];
+        len.prop_flat_map(move |n| prop::collection::vec(0..universe, n..n + 1)).prop_map(
+            |mut ids| {
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every route of the class-set intersection — merge for short
+        /// lists, gallop under ≥ 16× skew, bitmap for long balanced ones —
+        /// equals the plain merge, on one scratch reused across calls whose
+        /// ids reach past its current length, and leaves it all zero.
+        #[test]
+        fn class_set_intersection_matches_merge(
+            lists in prop::collection::vec((id_list(700), id_list(700), 0u32..5000), 1..4),
+        ) {
+            let mut marks = ClassMarks::default();
+            for (a, b, shift) in lists {
+                // Later rounds may sit above everything marked so far.
+                let a: Vec<ClassId> = a.iter().map(|c| c + shift).collect();
+                let b: Vec<ClassId> = b.iter().map(|c| c + shift).collect();
+                let expected: Vec<ClassId> =
+                    a.iter().copied().filter(|c| b.binary_search(c).is_ok()).collect();
+                prop_assert_eq!(marks.intersect(&a, &b), expected.clone());
+                prop_assert_eq!(marks.intersect(&b, &a), expected);
+                prop_assert!(marks.bits.iter().all(|&w| w == 0), "scratch left dirty");
+            }
+        }
+    }
+
+    #[test]
+    fn intersection_routes_by_length() {
+        let long: Vec<ClassId> = (0..4000).map(|i| i * 3).collect();
+        let balanced: Vec<ClassId> = (0..3000).map(|i| i * 4 + 100_000 - 6000).collect();
+        let skewed: Vec<ClassId> = (0..40).map(|i| i * 300).collect();
+        let naive = |a: &[ClassId], b: &[ClassId]| -> Vec<ClassId> {
+            a.iter().copied().filter(|c| b.binary_search(c).is_ok()).collect()
+        };
+        let mut marks = ClassMarks::default();
+        // Skew ≥ 16×: gallop, the bitmap is never allocated.
+        assert_eq!(marks.intersect(&skewed, &long), naive(&skewed, &long));
+        assert!(marks.bits.is_empty());
+        // Balanced: bitmap, grown to the smaller side's largest id only.
+        let both = marks.intersect(&long, &balanced);
+        assert_eq!(both, naive(&long, &balanced));
+        assert_eq!(marks.bits.len(), (balanced[balanced.len() - 1] as usize >> 6) + 1);
+        assert!(marks.bits.iter().all(|&w| w == 0));
+        // An empty side is the short-list route.
+        assert!(marks.intersect(&long, &[]).is_empty());
     }
 
     #[test]

@@ -34,14 +34,165 @@ type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 /// `Arc::make_mut`, so `CpqxIndex::clone` is O(#chunks) and a lazy
 /// update copies only the chunks holding touched classes — fresh classes
 /// append to the last chunk only.
+///
+/// Rows are **flat**: the pair rows of a chunk's classes lie back to back
+/// in one vector, delimited by per-class end offsets, and so do their
+/// sequence sets. Expanding a posting list is a forward sweep over a few
+/// arrays instead of a pointer chase per class, and copying a chunk for a
+/// write is five `memcpy`s, whatever the number of classes in it. The
+/// writer pays with one rebuild of a touched chunk's pair array per lazy
+/// update ([`ClassChunk::edit_rows`]) instead of per-row edits.
 #[derive(Clone, Default)]
 pub(crate) struct ClassChunk {
-    /// `Ic2p` rows: sorted s-t pairs per class.
-    pub(crate) pairs: Vec<Vec<Pair>>,
+    /// `Ic2p` rows, back to back in class order; each row sorted.
+    pairs: Vec<Pair>,
+    /// Per class: where its row ends in `pairs` (it starts where the
+    /// previous class's ends).
+    pair_ends: Vec<u32>,
     /// Per-class cyclicity flags.
-    pub(crate) loops: Vec<bool>,
-    /// Per-class sorted `L≤k` sequence sets.
-    pub(crate) seqs: Vec<Vec<LabelSeq>>,
+    loops: Vec<bool>,
+    /// Per-class sorted `L≤k` sequence sets, back to back in class order.
+    seqs: Vec<LabelSeq>,
+    /// Per class: where its sequence set ends in `seqs`.
+    seq_ends: Vec<u32>,
+}
+
+/// The range the `off`-th row occupies, given the rows' end offsets.
+#[inline]
+fn row_span(ends: &[u32], off: usize) -> std::ops::Range<usize> {
+    let start = if off == 0 { 0 } else { ends[off - 1] };
+    start as usize..ends[off] as usize
+}
+
+/// A flat store's length as the end offset of its last row.
+fn end_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a class chunk holds fewer than 2^32 pairs and sequences")
+}
+
+impl ClassChunk {
+    /// An empty chunk with room for exactly `classes` classes holding
+    /// `pairs` pairs and `seqs` sequences in total.
+    pub(crate) fn with_capacity(classes: usize, pairs: usize, seqs: usize) -> Self {
+        ClassChunk {
+            pairs: Vec::with_capacity(pairs),
+            pair_ends: Vec::with_capacity(classes),
+            loops: Vec::with_capacity(classes),
+            seqs: Vec::with_capacity(seqs),
+            seq_ends: Vec::with_capacity(classes),
+        }
+    }
+
+    /// Number of classes in the chunk.
+    pub(crate) fn len(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// The pair row of the `off`-th class.
+    #[inline]
+    fn row(&self, off: usize) -> &[Pair] {
+        &self.pairs[row_span(&self.pair_ends, off)]
+    }
+
+    /// The sequence set of the `off`-th class.
+    #[inline]
+    fn seq_set(&self, off: usize) -> &[LabelSeq] {
+        &self.seqs[row_span(&self.seq_ends, off)]
+    }
+
+    /// `(sequence count, pair count)` of every class, in class order.
+    fn class_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.len())
+            .map(|off| (row_span(&self.seq_ends, off).len(), row_span(&self.pair_ends, off).len()))
+    }
+
+    /// Appends a class (`seqs` and `pairs` sorted).
+    pub(crate) fn push(&mut self, is_loop: bool, seqs: &[LabelSeq], pairs: &[Pair]) {
+        self.pairs.extend_from_slice(pairs);
+        self.pair_ends.push(end_offset(self.pairs.len()));
+        self.loops.push(is_loop);
+        self.seqs.extend_from_slice(seqs);
+        self.seq_ends.push(end_offset(self.seqs.len()));
+    }
+
+    /// Detaches and attaches pairs in one rebuild of the flat pair array:
+    /// both edit lists are `(class, pair)` sorted ascending without
+    /// duplicates, their classes all in this chunk, whose first class is
+    /// `first`. A detached pair that is absent and an attached one that is
+    /// present are no-ops. Cost is one pass over the chunk however many
+    /// edits there are — where per-pair edits would each shift its tail.
+    pub(crate) fn edit_rows(
+        &mut self,
+        first: ClassId,
+        detached: &[(ClassId, Pair)],
+        attached: &[(ClassId, Pair)],
+    ) {
+        let mut pairs = Vec::with_capacity(self.pairs.len() + attached.len());
+        let (mut detached, mut attached) = (detached, attached);
+        let mut start = 0;
+        for (off, end) in self.pair_ends.iter_mut().enumerate() {
+            let c = first + off as ClassId;
+            let row = &self.pairs[start..*end as usize];
+            let (gone, rest) = detached.split_at(detached.partition_point(|e| e.0 == c));
+            let (come, more) = attached.split_at(attached.partition_point(|e| e.0 == c));
+            (detached, attached) = (rest, more);
+            // Cut the row at each edited pair (binary search) and copy the
+            // stretches between cuts whole: a row of any length costs its
+            // `memcpy` plus a search per edit.
+            let mut edits: Vec<(Pair, bool)> =
+                gone.iter().map(|e| (e.1, false)).chain(come.iter().map(|e| (e.1, true))).collect();
+            edits.sort_unstable();
+            let mut from = 0;
+            for (pair, attach) in edits {
+                let at = from + row[from..].partition_point(|&p| p < pair);
+                pairs.extend_from_slice(&row[from..at]);
+                // The row's own copy of `pair` is dropped either way.
+                from = at + usize::from(row.get(at) == Some(&pair));
+                if attach {
+                    pairs.push(pair);
+                }
+            }
+            pairs.extend_from_slice(&row[from..]);
+            start = *end as usize;
+            *end = end_offset(pairs.len());
+        }
+        debug_assert!(detached.is_empty() && attached.is_empty(), "edits outside the chunk");
+        self.pairs = pairs;
+    }
+}
+
+/// One `Il2c` entry: the classes carrying a sequence and, beside them,
+/// the cyclic ones among them — IDENTITY (the paper's third optimisation,
+/// Sec. IV-D) as a posting list of its own, so `⟦seq⟧ ∩ id` is a borrow
+/// instead of a filter over the full list. At most |V| pairs are loops,
+/// so the sub-lists are a rounding error next to the lists themselves.
+#[derive(Clone, Default)]
+pub(crate) struct Posting {
+    /// Sorted ids of every class carrying the sequence.
+    pub(crate) all: Vec<ClassId>,
+    /// The sorted sub-list of `all` whose classes are cyclic.
+    pub(crate) cyclic: Vec<ClassId>,
+}
+
+impl Posting {
+    /// Lists `c`, a class id above every listed one.
+    fn push(&mut self, c: ClassId, is_loop: bool) {
+        self.all.push(c);
+        if is_loop {
+            self.cyclic.push(c);
+        }
+    }
+
+    /// Lists `c` at its sorted place unless it is listed already (an
+    /// interest registered again finds its old classes still carrying it).
+    pub(crate) fn insert(&mut self, c: ClassId, is_loop: bool) {
+        if let Err(at) = self.all.binary_search(&c) {
+            self.all.insert(at, c);
+            if is_loop {
+                let at = self.cyclic.partition_point(|&listed| listed < c);
+                self.cyclic.insert(at, c);
+            }
+        }
+    }
 }
 
 /// A CPQ-aware path index (CPQx, Sec. IV) or its interest-aware variant
@@ -66,11 +217,13 @@ pub(crate) struct ClassChunk {
 /// The heavyweight stores are structurally shared between clones:
 ///
 /// * the class partition (`Ic2p` rows, loop flags, sequence sets) lives
-///   in fixed-width [`ClassChunk`]s behind `Arc`,
+///   in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of flat
+///   arrays,
 /// * the pair → class inverted index is sharded by source-vertex range
 ///   behind `Arc`,
-/// * `Il2c` posting lists sit individually behind `Arc` (the key set is
-///   small — O(|L|ᵏ) sequences — so the map itself clones cheaply).
+/// * `Il2c` entries — a posting list and its cyclic sub-list
+///   ([`Posting`]) — sit individually behind `Arc` (the key set is small
+///   — O(|L|ᵏ) sequences — so the map itself clones cheaply).
 ///
 /// Cloning is therefore O(#chunks + #shards + #sequences), and the lazy
 /// maintenance procedures copy only what they touch via `Arc::make_mut`
@@ -83,7 +236,7 @@ pub struct CpqxIndex {
     /// `None` for full CPQx; `Some(Lq)` for iaCPQx (length-1 sequences are
     /// implicit and not stored here).
     pub(crate) interests: Option<BTreeSet<LabelSeq>>,
-    pub(crate) il2c: HashMap<LabelSeq, Arc<Vec<ClassId>>>,
+    pub(crate) il2c: HashMap<LabelSeq, Arc<Posting>>,
     /// Class partition store, chunked by class-id range.
     pub(crate) classes: Vec<Arc<ClassChunk>>,
     /// Allocated class slots (tombstones included) across all chunks.
@@ -165,12 +318,14 @@ pub struct IndexStats {
     pub pairs: usize,
     /// Number of distinct label sequences keyed in `Il2c`.
     pub sequences: usize,
-    /// Total posting-list entries in `Il2c` (≈ γ·|C|).
+    /// Total posting-list entries in `Il2c` (≈ γ·|C|); the cyclic
+    /// sub-lists repeat some of them and are not counted again.
     pub postings: usize,
     /// γ — average `|L≤k(v,u)|` over indexed pairs.
     pub gamma: f64,
-    /// Core index bytes: `Il2c` + `Ic2p` (Def. 4.3's structures, the
-    /// quantity Thm. 4.2 bounds and Table IV reports).
+    /// Core index bytes: `Il2c` (posting lists and their cyclic
+    /// sub-lists) + `Ic2p` (Def. 4.3's structures, the quantity Thm. 4.2
+    /// bounds and Table IV reports).
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (`class_seqs`,
     /// `p2c`, loop flags).
@@ -212,34 +367,59 @@ impl CpqxIndex {
         debug_assert!(p.pair_classes.windows(2).all(|w| w[0].0 < w[1].0), "pairs must be sorted");
 
         // `Il2c`, laid out by slot: a sequence gets a slot when first seen,
-        // its posting list grows as a plain vector (classes are visited in
-        // ascending id order, so postings come out sorted) and is wrapped
-        // in its `Arc` once, at the end.
+        // its posting lists grow as plain vectors (classes are visited in
+        // ascending id order, so postings come out sorted) and are wrapped
+        // in their `Arc` once, at the end.
         let mut slots = SigInterner::default();
         let mut slot_seqs: Vec<LabelSeq> = Vec::new();
-        let mut postings: Vec<Vec<ClassId>> = Vec::new();
-        for (c, seqs) in p.class_seqs.iter().enumerate() {
+        let mut postings: Vec<Posting> = Vec::new();
+        for (c, (seqs, &is_loop)) in p.class_seqs.iter().zip(&p.class_loop).enumerate() {
             for s in seqs {
                 let (w, n) = seq_words(s);
                 let slot = slots.intern(false, &w[..n]) as usize;
                 if slot == postings.len() {
                     slot_seqs.push(*s);
-                    postings.push(Vec::new());
+                    postings.push(Posting::default());
                 }
-                postings[slot].push(c as ClassId);
+                postings[slot].push(c as ClassId, is_loop);
             }
         }
         let il2c = slot_seqs.into_iter().zip(postings.into_iter().map(Arc::new)).collect();
 
-        // `Ic2p` rows at their exact size; `pair_classes` is sorted by
-        // pair, so rows fill sorted under plain appends.
-        let mut sizes = vec![0usize; nc];
+        // `Ic2p`: every chunk is laid out at its exact size from the row
+        // sizes, then the pairs are scattered straight into place —
+        // `pair_classes` is sorted by pair, so each row fills sorted. The
+        // size of a class's row becomes the write cursor into it.
+        let mut cursors = vec![0u32; nc];
         for &(_, c) in &p.pair_classes {
-            sizes[c as usize] += 1;
+            cursors[c as usize] += 1;
         }
-        let mut rows: Vec<Vec<Pair>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut class_seqs = p.class_seqs.into_iter();
+        let mut chunks: Vec<ClassChunk> = Vec::with_capacity(nc.div_ceil(CLASS_CHUNK));
+        for (loops, cursors) in
+            p.class_loop.chunks(CLASS_CHUNK).zip(cursors.chunks_mut(CLASS_CHUNK))
+        {
+            let seq_sets: Vec<Vec<LabelSeq>> = class_seqs.by_ref().take(loops.len()).collect();
+            let seq_total = seq_sets.iter().map(Vec::len).sum();
+            let mut chunk = ClassChunk::with_capacity(loops.len(), 0, seq_total);
+            chunk.loops.extend_from_slice(loops);
+            for set in seq_sets {
+                chunk.seqs.extend_from_slice(&set);
+                chunk.seq_ends.push(end_offset(chunk.seqs.len()));
+            }
+            let mut at = 0usize;
+            for cursor in cursors {
+                let size = std::mem::replace(cursor, end_offset(at)) as usize;
+                at += size;
+                chunk.pair_ends.push(end_offset(at));
+            }
+            chunk.pairs = vec![Pair(0); at];
+            chunks.push(chunk);
+        }
         for &(pair, c) in &p.pair_classes {
-            rows[c as usize].push(pair);
+            let cursor = &mut cursors[c as usize];
+            chunks[c as usize / CLASS_CHUNK].pairs[*cursor as usize] = pair;
+            *cursor += 1;
         }
 
         // Pair → class: the pair list is source-major, so each shard is
@@ -250,20 +430,16 @@ impl CpqxIndex {
             p2c.push(Arc::new(run.iter().copied().collect()));
         }
 
-        let mut idx = CpqxIndex {
+        CpqxIndex {
             k,
             interests,
             il2c,
-            classes: Vec::with_capacity(nc.div_ceil(CLASS_CHUNK)),
-            class_count: 0,
+            classes: chunks.into_iter().map(Arc::new).collect(),
+            class_count: nc,
             p2c,
             pair_count: p.pair_classes.len(),
             frag: FragCounters { baseline_classes: nc, ..FragCounters::default() },
-        };
-        for ((lp, seqs), row) in p.class_loop.into_iter().zip(p.class_seqs).zip(rows) {
-            idx.push_class(lp, seqs, row);
         }
-        idx
     }
 
     // ---------------------------------------- chunked-store primitives --
@@ -274,30 +450,16 @@ impl CpqxIndex {
         (&self.classes[c as usize / CLASS_CHUNK], c as usize % CLASS_CHUNK)
     }
 
-    /// The chunk and in-chunk offset of a class, copying the chunk if it
-    /// is shared (the copy-on-write mutation seam).
-    #[inline]
-    pub(crate) fn class_slot_mut(&mut self, c: ClassId) -> (&mut ClassChunk, usize) {
-        (Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]), c as usize % CLASS_CHUNK)
-    }
-
-    /// Appends a class slot holding `pairs` (sorted; pair → class entries
-    /// are the caller's to add), returning its id. Only the last chunk is
-    /// touched.
-    pub(crate) fn push_class(
-        &mut self,
-        is_loop: bool,
-        seqs: Vec<LabelSeq>,
-        pairs: Vec<Pair>,
-    ) -> ClassId {
+    /// Appends an empty class slot (its pairs and their pair → class
+    /// entries are the caller's to add), returning its id. Only the last
+    /// chunk is touched.
+    pub(crate) fn push_class(&mut self, is_loop: bool, seqs: &[LabelSeq]) -> ClassId {
         let c = self.class_count as ClassId;
         if self.class_count.is_multiple_of(CLASS_CHUNK) {
             self.classes.push(Arc::new(ClassChunk::default()));
         }
         let chunk = Arc::make_mut(self.classes.last_mut().expect("chunk just ensured"));
-        chunk.pairs.push(pairs);
-        chunk.loops.push(is_loop);
-        chunk.seqs.push(seqs);
+        chunk.push(is_loop, seqs, &[]);
         self.class_count += 1;
         c
     }
@@ -333,9 +495,35 @@ impl CpqxIndex {
         Arc::make_mut(shard).remove(&p)
     }
 
-    /// Appends `c` to the posting list of `s`, copying only that list.
-    pub(crate) fn il2c_push(&mut self, s: LabelSeq, c: ClassId) {
-        Arc::make_mut(self.il2c.entry(s).or_default()).push(c);
+    /// Applies a lazy update's row edits — `(class, pair)` detachments and
+    /// attachments, in any order — rebuilding each touched chunk's rows
+    /// once (and copying the chunk first if it is shared).
+    pub(crate) fn edit_rows(
+        &mut self,
+        mut detached: Vec<(ClassId, Pair)>,
+        mut attached: Vec<(ClassId, Pair)>,
+    ) {
+        detached.sort_unstable();
+        detached.dedup();
+        attached.sort_unstable();
+        attached.dedup();
+        let chunk_of = |e: &(ClassId, Pair)| e.0 as usize / CLASS_CHUNK;
+        let (mut detached, mut attached) = (&detached[..], &attached[..]);
+        while let Some(ci) =
+            detached.first().into_iter().chain(attached.first()).map(chunk_of).min()
+        {
+            let (gone, rest) = detached.split_at(detached.partition_point(|e| chunk_of(e) == ci));
+            let (come, more) = attached.split_at(attached.partition_point(|e| chunk_of(e) == ci));
+            (detached, attached) = (rest, more);
+            let first = (ci * CLASS_CHUNK) as ClassId;
+            Arc::make_mut(&mut self.classes[ci]).edit_rows(first, gone, come);
+        }
+    }
+
+    /// Lists `c` — a class id above every listed one — under `s` (and
+    /// under `s ∩ id` if the class is cyclic), copying only that entry.
+    pub(crate) fn il2c_push(&mut self, s: LabelSeq, c: ClassId, is_loop: bool) {
+        Arc::make_mut(self.il2c.entry(s).or_default()).push(c, is_loop);
     }
 
     /// The index path-length parameter `k`.
@@ -355,13 +543,45 @@ impl CpqxIndex {
 
     /// `Il2c(ℓ)` — the sorted class ids whose pairs match `seq`.
     pub fn lookup(&self, seq: &LabelSeq) -> &[ClassId] {
-        self.il2c.get(seq).map(|v| v.as_slice()).unwrap_or(&[])
+        self.il2c.get(seq).map(|p| p.all.as_slice()).unwrap_or(&[])
+    }
+
+    /// `Il2c(ℓ) ∩ id` — the sorted ids of the *cyclic* classes whose pairs
+    /// match `seq`: the sub-list of [`CpqxIndex::lookup`] for which
+    /// [`CpqxIndex::class_is_loop`] holds, kept beside it.
+    pub fn lookup_cyclic(&self, seq: &LabelSeq) -> &[ClassId] {
+        self.il2c.get(seq).map(|p| p.cyclic.as_slice()).unwrap_or(&[])
     }
 
     /// `Ic2p(c)` — the sorted s-t pairs of class `c`.
     pub fn class_pairs(&self, c: ClassId) -> &[Pair] {
         let (chunk, off) = self.class_slot(c);
-        &chunk.pairs[off]
+        chunk.row(off)
+    }
+
+    /// `⋃_{c ∈ cs} Ic2p(c)` in class order (not normalized), allocated at
+    /// its exact size — one forward sweep per touched chunk over its end
+    /// offsets and its flat pair array (`cs` is sorted, so chunks are
+    /// visited once, in order).
+    pub(crate) fn gather_rows(&self, cs: &[ClassId]) -> Vec<Pair> {
+        let rows = || {
+            cs.chunk_by(|a, b| *a as usize / CLASS_CHUNK == *b as usize / CLASS_CHUNK).flat_map(
+                |run| {
+                    let chunk: &ClassChunk = &self.classes[run[0] as usize / CLASS_CHUNK];
+                    let span = |&c| row_span(&chunk.pair_ends, c as usize % CLASS_CHUNK);
+                    run.iter().map(move |c| (chunk, span(c)))
+                },
+            )
+        };
+        let mut out = Vec::with_capacity(rows().map(|(_, span)| span.len()).sum());
+        for (chunk, span) in rows() {
+            // Most rows hold one or two pairs: a plain loop beats a
+            // `memcpy` call per row.
+            for &p in &chunk.pairs[span] {
+                out.push(p);
+            }
+        }
+        out
     }
 
     /// Whether all pairs of class `c` are cyclic (`v = u`) — the O(1)
@@ -374,7 +594,7 @@ impl CpqxIndex {
     /// The label-sequence set shared by all pairs of class `c`.
     pub fn class_sequences(&self, c: ClassId) -> &[LabelSeq] {
         let (chunk, off) = self.class_slot(c);
-        &chunk.seqs[off]
+        chunk.seq_set(off)
     }
 
     /// The class of an s-t pair, if indexed.
@@ -433,7 +653,7 @@ impl CpqxIndex {
     /// Number of classes with at least one pair (freshly built indexes have
     /// no empty classes; lazy maintenance can leave tombstones behind).
     pub fn live_class_count(&self) -> usize {
-        self.classes.iter().flat_map(|ch| ch.pairs.iter()).filter(|p| !p.is_empty()).count()
+        self.classes.iter().flat_map(|ch| ch.class_sizes()).filter(|&(_, pairs)| pairs > 0).count()
     }
 
     /// Total allocated class slots, including tombstones.
@@ -481,34 +701,35 @@ impl CpqxIndex {
     /// Index statistics (sizes follow Thm. 4.2's accounting; see
     /// [`IndexStats`]).
     pub fn stats(&self) -> IndexStats {
-        let postings: usize = self.il2c.values().map(|v| v.len()).sum();
+        let postings: usize = self.il2c.values().map(|p| p.all.len()).sum();
         let pairs = self.pair_count();
         // γ = average |L≤k(v,u)| over pairs = Σ_c |seqs(c)|·|P(c)| / |P≤k|.
         let weighted: usize = self
             .classes
             .iter()
-            .flat_map(|ch| ch.seqs.iter().zip(&ch.pairs))
-            .map(|(s, p)| s.len() * p.len())
+            .flat_map(|ch| ch.class_sizes())
+            .map(|(seqs, pairs)| seqs * pairs)
             .sum();
         let gamma = if pairs == 0 { 0.0 } else { weighted as f64 / pairs as f64 };
         // Packed (CSR-equivalent) accounting: keys + entries + offsets.
         // Container headers are an implementation detail, so sizes stay
-        // comparable across index designs (Table IV's IS).
+        // comparable across index designs (Table IV's IS). A cyclic
+        // sub-list shares its key with the full list.
         let seq_bytes = std::mem::size_of::<LabelSeq>();
+        let id_bytes = std::mem::size_of::<ClassId>();
         let il2c_bytes: usize = self
             .il2c
             .values()
-            .map(|v| seq_bytes + v.len() * std::mem::size_of::<ClassId>() + 4)
+            .map(|p| {
+                let cyclic = if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
+                seq_bytes + p.all.len() * id_bytes + 4 + cyclic
+            })
             .sum();
         let ic2p_bytes: usize = pairs * std::mem::size_of::<Pair>() + (self.class_count + 1) * 4;
         let core_bytes = il2c_bytes + ic2p_bytes;
-        let class_seq_bytes: usize = self
-            .classes
-            .iter()
-            .flat_map(|ch| ch.seqs.iter())
-            .map(|v| v.len() * seq_bytes + 4)
-            .sum();
-        let p2c_bytes = pairs * (std::mem::size_of::<Pair>() + std::mem::size_of::<ClassId>());
+        let class_seq_bytes: usize =
+            self.classes.iter().map(|ch| ch.seqs.len() * seq_bytes + ch.len() * 4).sum();
+        let p2c_bytes = pairs * (std::mem::size_of::<Pair>() + id_bytes);
         IndexStats {
             k: self.k,
             classes: self.live_class_count(),
@@ -565,7 +786,7 @@ impl CpqxIndex {
     /// Number of classes in the `i`-th class chunk (all chunks but the
     /// last hold exactly [`CpqxIndex::class_chunk_span`]).
     pub fn class_chunk_len(&self, i: usize) -> usize {
-        self.classes[i].loops.len()
+        self.classes[i].len()
     }
 
     /// Whether the `i`-th class chunk is physically shared
@@ -604,5 +825,34 @@ impl std::fmt::Debug for CpqxIndex {
             .field("classes", &self.live_class_count())
             .field("pairs", &self.pair_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_edits_rebuild_a_chunk_like_per_row_edits() {
+        let p = |v, u| Pair::new(v, u);
+        let mut chunk = ClassChunk::default();
+        chunk.push(false, &[], &[p(1, 2), p(1, 5), p(3, 4)]);
+        chunk.push(true, &[], &[]);
+        chunk.push(false, &[], &[p(7, 8)]);
+        // Classes 10, 11, 12: detach from the first and the last (one pair
+        // absent), attach to all three (one pair present already).
+        chunk.edit_rows(
+            10,
+            &[(10, p(1, 5)), (10, p(2, 2)), (12, p(7, 8))],
+            &[(10, p(0, 9)), (10, p(3, 4)), (11, p(6, 6)), (12, p(7, 7)), (12, p(9, 9))],
+        );
+        assert_eq!(chunk.row(0), [p(0, 9), p(1, 2), p(3, 4)]);
+        assert_eq!(chunk.row(1), [p(6, 6)]);
+        assert_eq!(chunk.row(2), [p(7, 7), p(9, 9)]);
+        assert_eq!(chunk.class_sizes().map(|(_, pairs)| pairs).sum::<usize>(), chunk.pairs.len());
+        // No edits: nothing moves.
+        let before = chunk.pairs.clone();
+        chunk.edit_rows(10, &[], &[]);
+        assert_eq!(chunk.pairs, before);
     }
 }

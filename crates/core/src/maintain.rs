@@ -111,14 +111,16 @@ impl CpqxIndex {
         // are "unchanged" for the refresh, but their classes must still
         // appear under the re-added Il2c key. Class homogeneity makes this
         // sound: if one member matches `seq`, the whole class does.
-        let mut classes: Vec<ClassId> = pairs.iter().filter_map(|&p| self.class_of(p)).collect();
+        let mut classes: Vec<(ClassId, bool)> = pairs
+            .iter()
+            .filter_map(|&p| self.class_of(p))
+            .map(|c| (c, self.class_is_loop(c)))
+            .collect();
         classes.sort_unstable();
         classes.dedup();
         let posting = std::sync::Arc::make_mut(self.il2c.entry(seq).or_default());
-        for c in classes {
-            if let Err(i) = posting.binary_search(&c) {
-                posting.insert(i, c);
-            }
+        for (c, is_loop) in classes {
+            posting.insert(c, is_loop);
         }
         true
     }
@@ -171,12 +173,16 @@ impl CpqxIndex {
     /// fresh classes keyed by `(is-loop, new set)`.
     ///
     /// All mutation goes through the index's chunk-local copy-on-write
-    /// primitives (`class_slot_mut`, `p2c_insert`/`p2c_remove`,
+    /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`,
     /// `il2c_push`), so an update copies only the class chunks, p2c shards
     /// and posting lists it actually touches — unchanged candidates (the
-    /// common case for over-approximated affected sets) copy nothing.
+    /// common case for over-approximated affected sets) copy nothing. The
+    /// pair → class map moves with each decision (a candidate listed twice
+    /// is then unchanged the second time); the class rows are edited once,
+    /// at the end, chunk by chunk.
     fn refresh_pairs(&mut self, g: &Graph, candidates: Vec<Pair>) {
         let mut groups: HashMap<(bool, Vec<LabelSeq>), ClassId> = HashMap::new();
+        let (mut detached, mut attached) = (Vec::new(), Vec::new());
         for pair in candidates {
             let new_seqs = self.indexed_seqs_of(g, pair);
             let old = self.class_of(pair);
@@ -185,11 +191,7 @@ impl CpqxIndex {
                     continue; // unchanged — e.g. an alternative path exists
                 }
                 // Detach from the old class (it may become a tombstone).
-                let (chunk, off) = self.class_slot_mut(c);
-                let list = &mut chunk.pairs[off];
-                if let Ok(i) = list.binary_search(&pair) {
-                    list.remove(i);
-                }
+                detached.push((c, pair));
                 self.p2c_remove(pair);
                 self.frag.refreshed_pairs += 1;
             } else if new_seqs.is_empty() {
@@ -202,24 +204,21 @@ impl CpqxIndex {
             let c = match groups.get(&key) {
                 Some(&c) => c,
                 None => {
-                    let c = self.push_class(key.0, key.1.clone(), Vec::new());
+                    let c = self.push_class(key.0, &key.1);
                     self.frag.fresh_classes += 1;
                     // Fresh ids exceed all existing ones, so appending keeps
                     // every posting list sorted.
                     for s in &key.1 {
-                        self.il2c_push(*s, c);
+                        self.il2c_push(*s, c, key.0);
                     }
                     groups.insert(key, c);
                     c
                 }
             };
-            let (chunk, off) = self.class_slot_mut(c);
-            let list = &mut chunk.pairs[off];
-            if let Err(i) = list.binary_search(&pair) {
-                list.insert(i, pair);
-            }
+            attached.push((c, pair));
             self.p2c_insert(pair, c);
         }
+        self.edit_rows(detached, attached);
         // Re-baseline an index built from an empty graph on its first
         // growth: a zero baseline carries no fragmentation signal, and
         // measuring the first real classes against it would read as

@@ -21,11 +21,15 @@
 //!   inverse (see [`crate::exec`]), so the root of such a chain is costed,
 //!   and its split chosen, as a conjunction wherever the index can invert
 //!   the right side.
+//! * **identity costs what it reads** — lookups conjoined under `∩ id`
+//!   read their cyclic posting lists only (the executor pushes the
+//!   identity down to them), so they are costed, and ordered, by those.
 //!
 //! All rewrites are estimate-only: the produced plan evaluates through the
 //! unmodified executor and returns identical answers (asserted by tests and
 //! the `ablation_planner` bench).
 
+use crate::bisim::ClassId;
 use crate::index::CpqxIndex;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq};
 use cpqx_query::plan::Plan;
@@ -64,12 +68,11 @@ pub fn estimate_plan_cost(index: &CpqxIndex, g: &Graph, q: &Cpq) -> f64 {
     build(index, g, q).cost
 }
 
-/// Estimated pair volume of one lookup. Exact for short posting lists;
+/// Estimated pair volume of a class list. Exact for short lists;
 /// extrapolated from a 32-class sample for long ones, so estimation cost
 /// stays negligible next to even the cheapest query.
-fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
+fn class_rows(index: &CpqxIndex, classes: &[ClassId]) -> f64 {
     const SAMPLE: usize = 32;
-    let classes = index.lookup(seq);
     if classes.len() <= SAMPLE {
         classes.iter().map(|&c| index.class_pairs(c).len()).sum::<usize>() as f64
     } else {
@@ -78,6 +81,20 @@ fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
             classes.iter().step_by(step).take(SAMPLE).map(|&c| index.class_pairs(c).len()).sum();
         sampled as f64 / SAMPLE as f64 * classes.len() as f64
     }
+}
+
+/// Estimated pair volume of one lookup.
+fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
+    class_rows(index, index.lookup(seq))
+}
+
+/// One LOOKUP, costed by the posting list it reads: the sequence's cyclic
+/// classes when a fused identity reaches it (`under_id`), all of them
+/// otherwise. A lookup's *work* is its class-id list; the pairs are only
+/// materialized if a join needs them (accounted there).
+fn lookup_costed(index: &CpqxIndex, seq: LabelSeq, under_id: bool) -> Costed {
+    let classes = if under_id { index.lookup_cyclic(&seq) } else { index.lookup(&seq) };
+    Costed { plan: Plan::Lookup(seq), rows: class_rows(index, classes), cost: classes.len() as f64 }
 }
 
 fn join_rows(left: f64, right: f64, g: &Graph) -> f64 {
@@ -92,14 +109,7 @@ fn build(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Costed {
             rows: g.vertex_count() as f64,
             cost: g.vertex_count() as f64,
         },
-        Cpq::Label(l) => {
-            let seq = LabelSeq::single(*l);
-            let rows = lookup_rows(index, &seq);
-            // A lookup's *work* is its class-id list; the pairs are only
-            // materialized if a join needs them (accounted there).
-            let cost = index.lookup(&seq).len() as f64;
-            Costed { plan: Plan::Lookup(seq), rows, cost }
-        }
+        Cpq::Label(l) => lookup_costed(index, LabelSeq::single(*l), false),
         Cpq::Conj(..) => {
             let mut conjuncts = Vec::new();
             flatten_conj(q, &mut conjuncts);
@@ -123,6 +133,16 @@ fn build(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Costed {
                     cost: g.vertex_count() as f64,
                 };
             }
+            // Lookups conjoined under `∩ id` each take the identity
+            // themselves (see [`crate::exec`], rule 3).
+            let pushed_id = has_id && costed.iter().all(|c| matches!(c.plan, Plan::Lookup(_)));
+            if pushed_id {
+                for c in &mut costed {
+                    if let Plan::Lookup(seq) = c.plan {
+                        *c = lookup_costed(index, seq, true);
+                    }
+                }
+            }
             // Cheapest-first evaluation order.
             costed.sort_by(|a, b| a.cost.total_cmp(&b.cost));
             let mut it = costed.into_iter();
@@ -135,7 +155,9 @@ fn build(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Costed {
             }
             if has_id {
                 plan = fuse_id(plan);
-                rows /= (g.vertex_count().max(1) as f64).sqrt();
+                if !pushed_id {
+                    rows /= (g.vertex_count().max(1) as f64).sqrt();
+                }
             }
             Costed { plan, rows, cost }
         }
@@ -209,10 +231,7 @@ fn chunk_run_optimal(index: &CpqxIndex, run: &[ExtLabel]) -> Vec<Costed> {
     let mut i = 0;
     while i < n {
         let len = best[i].2.max(1);
-        let seq = LabelSeq::from_slice(&run[i..i + len]);
-        let rows = lookup_rows(index, &seq);
-        let cost = index.lookup(&seq).len() as f64;
-        out.push(Costed { plan: Plan::Lookup(seq), rows, cost });
+        out.push(lookup_costed(index, LabelSeq::from_slice(&run[i..i + len]), false));
         i += len;
     }
     out
@@ -400,6 +419,33 @@ mod tests {
         let plan = optimize_query(&idx, &g, &q);
         assert!(matches!(plan, Plan::LookupId(_)));
         assert_eq!(idx.evaluate_optimized(&g, &q), eval_reference(&g, &q));
+    }
+
+    #[test]
+    fn identity_is_costed_by_cyclic_postings() {
+        use cpqx_query::ast::Template;
+        let g = generate::random_graph(&generate::RandomGraphConfig::social(80, 400, 3, 4));
+        let idx = CpqxIndex::build(&g, 2);
+        let labels: Vec<ExtLabel> = (0..3).map(|l| cpqx_graph::Label(l).fwd()).collect();
+        // St = (ℓ0ℓ0⁻¹ ∩ ℓ1ℓ1⁻¹ ∩ ℓ2ℓ2⁻¹) ∩ id against the same star
+        // without the identity: three lookups either way, but St's read
+        // their cyclic postings only.
+        let st = Template::St.instantiate(&labels);
+        let Cpq::Conj(open_star, _) = &st else { panic!("St ends in ∩ id") };
+        let (plan, cost) = optimize_query_costed(&idx, &g, &st);
+        let legs = plan.lookup_seqs();
+        let cyclic: f64 = legs.iter().map(|s| idx.lookup_cyclic(s).len() as f64).sum();
+        let full: f64 = legs.iter().map(|s| idx.lookup(s).len() as f64).sum();
+        assert!(cyclic < full, "the star's legs have acyclic classes too");
+        assert!(cost >= cyclic && cost < full, "{cyclic} <= {cost} < {full}");
+        assert!(cost < estimate_plan_cost(&idx, &g, open_star));
+        // Conjunct order follows the lists that are read.
+        let read: Vec<usize> = legs.iter().map(|s| idx.lookup_cyclic(s).len()).collect();
+        assert!(read.windows(2).all(|w| w[0] <= w[1]), "cheapest cyclic posting first: {read:?}");
+        assert_eq!(idx.evaluate_optimized(&g, &st), eval_reference(&g, &st));
+        // The executor reads what was costed.
+        let (_, stats) = crate::exec::Executor::new(&idx, &g).run_explained(&plan);
+        assert_eq!(stats.classes_touched as f64, cyclic);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! (full / interest-aware + interest list), class count, then the classes.
 
 use crate::bisim::ClassId;
-use crate::index::CpqxIndex;
+use crate::index::{ClassChunk, CpqxIndex};
 use cpqx_graph::{ExtLabel, LabelSeq, Pair};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
@@ -323,8 +323,9 @@ impl CpqxIndex {
 
     /// Reassembles an index from per-chunk class records (the inverse of
     /// [`CpqxIndex::save_class_chunk`] over all chunks), rebuilding the
-    /// derived structures (`Il2c`, pair → class) through the index's
-    /// chunked-store primitives — the one reassembly routine behind both
+    /// derived structures (`Il2c` with its cyclic sub-lists, pair → class)
+    /// through the index's chunked-store primitives — the one reassembly
+    /// routine behind both
     /// [`CpqxIndex::load`] and the store's chunk records. The formats
     /// store only the Def. 4.3 structures, so the result starts a new
     /// fragmentation epoch: the restored class count is the baseline.
@@ -362,21 +363,28 @@ impl CpqxIndex {
             pair_count: 0,
             frag: crate::index::FragCounters { baseline_classes: nc, ..Default::default() },
         };
-        for (is_loop, seqs, pairs) in chunks.into_iter().flatten() {
-            let c = idx.class_count as ClassId;
-            for p in &pairs {
-                if p.is_loop() != is_loop {
-                    return Err("pair cyclicity disagrees with class flag");
+        for records in chunks {
+            // Each chunk is laid out at its exact size, like a fresh build's.
+            let pairs = records.iter().map(|r| r.2.len()).sum();
+            let seqs = records.iter().map(|r| r.1.len()).sum();
+            let mut chunk = ClassChunk::with_capacity(records.len(), pairs, seqs);
+            for (is_loop, seqs, pairs) in records {
+                let c = (idx.class_count + chunk.len()) as ClassId;
+                for p in &pairs {
+                    if p.is_loop() != is_loop {
+                        return Err("pair cyclicity disagrees with class flag");
+                    }
+                    if idx.p2c_insert(*p, c).is_some() {
+                        return Err("pair assigned to two classes");
+                    }
                 }
-                if idx.p2c_insert(*p, c).is_some() {
-                    return Err("pair assigned to two classes");
+                for s in &seqs {
+                    idx.il2c_push(*s, c, is_loop);
                 }
+                chunk.push(is_loop, &seqs, &pairs);
             }
-            for s in &seqs {
-                idx.il2c_push(*s, c);
-            }
-            let created = idx.push_class(is_loop, seqs, pairs);
-            debug_assert_eq!(created, c);
+            idx.class_count += chunk.len();
+            idx.classes.push(std::sync::Arc::new(chunk));
         }
         Ok(idx)
     }

@@ -29,7 +29,9 @@ impl CpqxIndex {
     ///   (`pair_count` is exact);
     /// * `Ic2p` rows are sorted and the pair → class map is their inverse;
     /// * every `Il2c` key is indexed, its posting list is sorted, lists
-    ///   only classes carrying the key, and lists every live one.
+    ///   only classes carrying the key, and lists every live one; the
+    ///   cyclic sub-list beside it is exactly the listed classes whose loop
+    ///   flag is set, in the same order.
     ///
     /// Returns the first violation found.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
@@ -93,14 +95,18 @@ impl CpqxIndex {
             if !self.is_indexed(s) {
                 return Err(format!("Il2c key {s:?} is not an indexed sequence"));
             }
-            if posting.windows(2).any(|w| w[0] >= w[1]) {
+            if posting.all.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("Il2c({s:?}) not strictly sorted"));
             }
             if let Some(&c) = posting
+                .all
                 .iter()
                 .find(|&&c| c >= slots || self.class_sequences(c).binary_search(s).is_err())
             {
                 return Err(format!("Il2c({s:?}) lists class {c}, which does not carry it"));
+            }
+            if !posting.all.iter().filter(|&&c| self.class_is_loop(c)).eq(&posting.cyclic) {
+                return Err(format!("Il2c({s:?}): cyclic sub-list is not its cyclic classes"));
             }
         }
         for c in (0..slots).filter(|&c| !self.class_pairs(c).is_empty()) {
@@ -165,10 +171,9 @@ mod tests {
 
         // A pair moved to a class with another sequence set.
         let mut bad = good.clone();
-        bad.class_slot_mut(0).0.pairs[0].remove(0);
-        let (chunk, off) = bad.class_slot_mut(other_class);
-        let at = chunk.pairs[off].binary_search(&some_pair).unwrap_err();
-        chunk.pairs[off].insert(at, some_pair);
+        bad.edit_rows(vec![(0, some_pair)], vec![(other_class, some_pair)]);
+        assert_eq!(bad.class_pairs(0).len() + 1, good.class_pairs(0).len());
+        assert!(bad.class_pairs(other_class).contains(&some_pair));
         bad.p2c_insert(some_pair, other_class);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("carries"), "{err}");
@@ -181,14 +186,16 @@ mod tests {
 
         // A dropped pair: counts.
         let mut bad = good.clone();
-        bad.class_slot_mut(0).0.pairs[0].remove(0);
+        bad.edit_rows(vec![(0, some_pair)], Vec::new());
         bad.p2c_remove(some_pair);
         assert!(bad.validate(&g).is_err());
 
         // A posting list missing a live class, and one listing a stranger.
         let s = good.class_sequences(0)[0];
         let mut bad = good.clone();
-        std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap()).retain(|&c| c != 0);
+        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        posting.all.retain(|&c| c != 0);
+        posting.cyclic.retain(|&c| c != 0);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("does not list"), "{err}");
         let stranger = (0..good.class_slots() as ClassId)
@@ -196,9 +203,25 @@ mod tests {
             .unwrap();
         let mut bad = good.clone();
         let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
-        let at = posting.binary_search(&stranger).unwrap_err();
-        posting.insert(at, stranger);
+        let at = posting.all.binary_search(&stranger).unwrap_err();
+        posting.all.insert(at, stranger);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("does not carry"), "{err}");
+
+        // A cyclic sub-list that lost a class, and one that lists an
+        // acyclic class: identity lookups would be wrong, plain ones not.
+        let looped = (0..good.class_slots() as ClassId).find(|&c| good.class_is_loop(c)).unwrap();
+        let s = good.class_sequences(looped)[0];
+        let mut bad = good.clone();
+        std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap()).cyclic.retain(|&c| c != looped);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("cyclic sub-list"), "{err}");
+        let open = good.lookup(&s).iter().copied().find(|&c| !good.class_is_loop(c)).unwrap();
+        let mut bad = good.clone();
+        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        let at = posting.cyclic.partition_point(|&c| c < open);
+        posting.cyclic.insert(at, open);
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("cyclic sub-list"), "{err}");
     }
 }

@@ -8,14 +8,15 @@
 //!
 //! **Joins emit in source order.** Every join operator makes one pass over
 //! its already source-sorted left operand: per source `v` it gathers the
-//! targets reachable through each `(v, u)`, sorts and deduplicates that
-//! one source's buffer, and appends it — the output is born normalized, no
-//! operand is re-keyed and nothing is sorted globally. What differs between
-//! the operators is only where `u`'s targets come from: a source-run
-//! directory of the right operand ([`EvalContext::join_pairs`]), the
-//! graph's forward CSR faces ([`expand_adjacency`]), or — for a label
-//! *left* operand — the graph's own source-major label relation streamed as
-//! the left side ([`EvalContext::join_label_left`]).
+//! targets reachable through each `(v, u)`, puts that one source's buffer
+//! in order without duplicates, and appends it — the output is born
+//! normalized, no operand is re-keyed and nothing is sorted globally. What
+//! differs between the operators is only where `u`'s targets come from: a
+//! source-run directory of the right operand
+//! ([`EvalContext::join_pairs`]), the graph's forward CSR faces
+//! ([`expand_adjacency`]), or — for a label *left* operand — the graph's
+//! own source-major label relation streamed as the left side
+//! ([`EvalContext::join_label_left`]).
 
 use cpqx_graph::{ExtLabel, Graph, Pair, VertexId};
 
@@ -23,16 +24,64 @@ use cpqx_graph::{ExtLabel, Graph, Pair, VertexId};
 ///
 /// One evaluation (a plan execution, a BFS recursion, a path-index
 /// recursion) creates a context up front and threads it through its
-/// joins; the directory and the per-source buffer then grow to the largest
-/// operand once and are reused by every subsequent join. All scratch is
-/// sized by the operands, never by the graph's vertex count.
+/// joins; the directory and the per-source buffers then grow to the
+/// largest operand once and are reused by every subsequent join. All
+/// scratch is sized by the operands, never by the graph's vertex count:
+/// the directory by the right operand's distinct sources, the target
+/// buffer by one source's gathered targets, and the bitset that
+/// deduplicates them by their id *range* — used only while that range is
+/// at most 64 × the gathered count, i.e. one word per target.
 #[derive(Default)]
 pub struct EvalContext {
     /// Source-run directory of the current right operand (rebuilt per
     /// join).
     runs: RunDirectory,
     /// One source's gathered targets.
-    targets: Vec<VertexId>,
+    targets: SourceTargets,
+}
+
+/// One source's gathered join targets and the scratch that puts them in
+/// order.
+#[derive(Default)]
+struct SourceTargets {
+    /// The targets, as gathered — then sorted and distinct.
+    ids: Vec<VertexId>,
+    /// One bit per id of the gathered range; all zero between calls.
+    bits: Vec<u64>,
+}
+
+impl SourceTargets {
+    /// Sorts and deduplicates `ids`, all of which lie in `lo..=hi`.
+    /// Targets gathered for one source are dense — neighbours of
+    /// neighbours, drawn from one graph's id space — so while that range
+    /// is at most 64 × their count they are marked in a bitset over it and
+    /// read back in order, clearing each word as it is read: linear in the
+    /// count, no comparisons. A wide sparse range falls back to a
+    /// comparison sort.
+    fn normalize(&mut self, lo: VertexId, hi: VertexId) {
+        debug_assert!(self.ids.iter().all(|id| (lo..=hi).contains(id)));
+        let words = ((hi - lo) >> 6) as usize + 1;
+        if words > self.ids.len() {
+            self.ids.sort_unstable();
+            self.ids.dedup();
+            return;
+        }
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        for &id in &self.ids {
+            let at = id - lo;
+            self.bits[(at >> 6) as usize] |= 1 << (at & 63);
+        }
+        self.ids.clear();
+        for (w, word) in self.bits[..words].iter_mut().enumerate() {
+            let mut set = std::mem::take(word);
+            while set != 0 {
+                self.ids.push(lo + ((w as u32) << 6) + set.trailing_zeros());
+                set &= set - 1;
+            }
+        }
+    }
 }
 
 /// Where each source's run starts in a normalized pair set: an
@@ -109,25 +158,29 @@ fn is_normalized(pairs: &[Pair]) -> bool {
 /// results are appended to `out` in target order.
 fn join_by_source(
     left: &[Pair],
-    buf: &mut Vec<VertexId>,
+    buf: &mut SourceTargets,
     out: &mut Vec<Pair>,
     mut gather: impl FnMut(VertexId, &mut Vec<VertexId>),
 ) {
     for run in left.chunk_by(|a, b| a.src() == b.src()) {
-        buf.clear();
-        let mut contributors = 0usize;
+        buf.ids.clear();
+        // Each contribution is sorted, so its ends bound its id range.
+        let (mut contributors, mut lo, mut hi) = (0usize, VertexId::MAX, 0);
         for p in run {
-            let before = buf.len();
-            gather(p.dst(), buf);
-            contributors += usize::from(buf.len() > before);
+            let before = buf.ids.len();
+            gather(p.dst(), &mut buf.ids);
+            if let Some(&first) = buf.ids.get(before) {
+                contributors += 1;
+                lo = lo.min(first);
+                hi = hi.max(buf.ids[buf.ids.len() - 1]);
+            }
         }
         // One contributor's targets are already sorted and distinct.
         if contributors > 1 {
-            buf.sort_unstable();
-            buf.dedup();
+            buf.normalize(lo, hi);
         }
         let v = run[0].src();
-        out.extend(buf.iter().map(|&y| Pair::new(v, y)));
+        out.extend(buf.ids.iter().map(|&y| Pair::new(v, y)));
     }
 }
 
@@ -247,7 +300,7 @@ pub fn filter_loops(pairs: &[Pair]) -> Vec<Pair> {
 pub fn expand_adjacency(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
     debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
-    join_by_source(pairs, &mut Vec::new(), &mut out, |u, buf| {
+    join_by_source(pairs, &mut SourceTargets::default(), &mut out, |u, buf| {
         buf.extend_from_slice(g.csr_targets(u, l));
     });
     out
@@ -272,6 +325,7 @@ pub fn all_loops(g: &Graph) -> Vec<Pair> {
 mod tests {
     use super::*;
     use cpqx_graph::generate;
+    use proptest::prelude::*;
 
     fn p(v: u32, u: u32) -> Pair {
         Pair::new(v, u)
@@ -345,6 +399,67 @@ mod tests {
         let a_id = expand_adjacency_id(&g, &base, v);
         let b_id = join_pairs_id(&base, &g.edge_pairs(v).to_vec());
         assert_eq!(a_id, b_id);
+    }
+
+    /// Contributions for one source: sorted distinct target lists whose
+    /// ids sit in a window of `spread` ids starting at `base` — dense
+    /// windows take the bitset, wide ones the comparison sort.
+    fn contributions() -> impl Strategy<Value = Vec<Vec<VertexId>>> {
+        let base = prop_oneof![Just(0u32), Just(61), Just(u32::MAX - 70_000)];
+        let spread = prop_oneof![1u32..70, 1000u32..70_000];
+        (base, spread, prop::collection::vec(prop::collection::vec(any::<u32>(), 0..12), 0..6))
+            .prop_map(|(base, spread, raw)| {
+                raw.into_iter()
+                    .map(|list| {
+                        let mut list: Vec<_> = list.iter().map(|r| base + r % spread).collect();
+                        list.sort_unstable();
+                        list.dedup();
+                        list
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One scratch joins sources of different target ranges back to
+        /// back: every source's output is the sorted distinct union of its
+        /// contributions (a single contributor passes through untouched),
+        /// and the bitset is all zero again after each of them.
+        #[test]
+        fn source_targets_merge_like_sort_dedup(sources in prop::collection::vec(contributions(), 1..5)) {
+            let mut scratch = SourceTargets::default();
+            for (v, lists) in sources.iter().enumerate() {
+                let left: Vec<Pair> = (0..lists.len()).map(|u| Pair::new(v as u32, u as u32)).collect();
+                let mut out = Vec::new();
+                join_by_source(&left, &mut scratch, &mut out, |u, buf| {
+                    buf.extend_from_slice(&lists[u as usize]);
+                });
+                let mut expected: Vec<VertexId> = lists.concat();
+                expected.sort_unstable();
+                expected.dedup();
+                let targets: Vec<VertexId> = out.iter().map(|p| p.dst()).collect();
+                prop_assert_eq!(targets, expected);
+                prop_assert!(out.iter().all(|p| p.src() == v as u32));
+                prop_assert!(scratch.bits.iter().all(|&w| w == 0), "bitset left dirty");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_targets_fall_back_and_leave_no_bitset() {
+        // Two targets 2³¹ apart: a bitset over their range would be 32 Mi
+        // words for two ids, so the comparison sort runs and no bitset is
+        // ever allocated; a dense follow-up then sizes it by its own range.
+        let mut scratch = SourceTargets { ids: vec![1 << 31, 5, 1 << 31], bits: Vec::new() };
+        scratch.normalize(5, 1 << 31);
+        assert_eq!(scratch.ids, vec![5, 1 << 31]);
+        assert!(scratch.bits.is_empty());
+        scratch.ids = vec![u32::MAX, u32::MAX - 100, u32::MAX - 3, u32::MAX];
+        scratch.normalize(u32::MAX - 100, u32::MAX);
+        assert_eq!(scratch.ids, vec![u32::MAX - 100, u32::MAX - 3, u32::MAX]);
+        assert_eq!(scratch.bits, vec![0, 0]);
     }
 
     #[test]
