@@ -303,13 +303,13 @@ mod tests {
     #[test]
     fn pragma_parsing_and_coverage() {
         let src = "\
-// cpqx-analyze: allow(cow-seam): constructor fills fresh chunks only\n\
+// cpqx-analyze: allow(codec-hygiene): length checked by the caller\n\
 fn build() {}\n\
 let x = 1; // cpqx-analyze: allow(lock-order): leaf lock, never nested\n\
 // cpqx-analyze: allow(bad syntax\n";
         let f = SourceFile::parse("t.rs".into(), src);
         assert_eq!(f.pragmas.len(), 3);
-        assert_eq!(f.pragmas[0].rule, "cow-seam");
+        assert_eq!(f.pragmas[0].rule, "codec-hygiene");
         assert!(f.pragmas[0].covers.contains(&2));
         assert_eq!(f.pragmas[1].covers, vec![3]);
         assert!(f.pragmas[2].rule.is_empty());

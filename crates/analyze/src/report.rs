@@ -92,7 +92,7 @@ mod tests {
             findings: vec![Finding {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "cow-seam",
+                rule: "lock-order",
                 message: "say \"no\"\nplease".into(),
             }],
             suppressed: vec![],
@@ -103,7 +103,7 @@ mod tests {
         assert!(j.contains(r#""say \"no\"\nplease""#));
         assert!(j.contains("\"files\": 2"));
         let h = human(&analysis);
-        assert!(h.starts_with("a.rs:3: [cow-seam]"));
+        assert!(h.starts_with("a.rs:3: [lock-order]"));
         assert!(h.contains("1 finding in 2 files (0 suppressed by pragma)"));
     }
 }

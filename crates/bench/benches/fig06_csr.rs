@@ -1,8 +1,10 @@
-//! CSR read-face companion to Fig. 6: the same template workload, timed
-//! through the CPQx executor with the per-chunk CSR faces on versus off
-//! (everything else identical — same index, same plans, same answers).
+//! Graph-read companion to Fig. 6: the same template workload, timed
+//! through the CPQx executor with single-label join operands read from
+//! the graph's label runs (`ExecOptions::csr_faces`, "csr") versus
+//! expanded from the index ("rows") — everything else identical: same
+//! index, same plans, same answers.
 //!
-//! Expected shape: the CSR path wins wherever a join has a single-label
+//! Expected shape: the graph-read path wins wherever a join has a single-label
 //! operand — chain templates (C2, C4) and the chain legs of the tree and
 //! star shapes — because it never materializes or re-sorts the label
 //! relation. Pure-conjunction cells are unchanged (the class-level path
@@ -92,7 +94,6 @@ fn main() {
             interests_from_queries(workload.iter().flat_map(|(_, qs)| qs.iter()), cfg.k);
         let (engine, _) = Engine::build(Method::Cpqx, &g, cfg.k, &interests);
         let idx = engine.as_cpqx().unwrap();
-        g.ensure_csr(); // warm faces: steady-state read cost, not build cost
 
         // Sanity: the two read paths must agree before being compared.
         for (_, queries) in &workload {

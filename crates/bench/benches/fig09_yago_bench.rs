@@ -69,10 +69,10 @@ fn main() {
     table.finish();
 
     // Companion: the same Y1–Y4 queries through the iaCPQx executor with
-    // the CSR read faces off versus on (identical index and plans).
+    // label operands expanded from the index versus read from the graph
+    // (`ExecOptions::csr_faces` off/on; identical index and plans).
     let mut csr_table = Table::new("fig09_csr", &["query", "rows[s]", "csr[s]", "speedup"]);
     let idx = engines[0].as_cpqx().expect("iaCPQx is a CPQ-aware index");
-    g.ensure_csr();
     let off_options = ExecOptions { csr_faces: false, ..ExecOptions::default() };
     for nq in &queries {
         let off = timed_with_options(idx, &g, &nq.query, &cfg, off_options);

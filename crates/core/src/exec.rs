@@ -20,8 +20,8 @@
 //! 2. **Joins emit in source order.** An open JOIN must materialize pairs
 //!    (Algorithm 4), and does so in one pass over its source-sorted left
 //!    operand ([`cpqx_query::ops`]): nothing is re-keyed or sorted
-//!    globally, and a single-label operand is read from the graph's CSR
-//!    faces instead of being expanded from the index.
+//!    globally, and a single-label operand is read from the graph's
+//!    label-major edge store instead of being expanded from the index.
 //! 3. **Identity is a posting list.** Cyclicity is a property of the
 //!    class (Sec. IV-D's third optimisation), and the index keeps each
 //!    sequence's cyclic classes as a posting list of their own
@@ -70,10 +70,11 @@ pub struct ExecOptions {
     /// cycles. When off, identity filters materialized pairs.
     pub fused_identity: bool,
     /// Route single-label join operands through the graph instead of the
-    /// index: a chain suffix `P ⋈ ⟦ℓ⟧` expands over the per-chunk forward
-    /// CSR faces ([`cpqx_graph::csr`]), a chain prefix `⟦ℓ⟧ ⋈ P` streams
-    /// the graph's source-major label relation as the left operand —
-    /// neither expands the label's classes or sorts the label relation.
+    /// index: a chain suffix `P ⋈ ⟦ℓ⟧` expands over the graph's
+    /// per-vertex label runs ([`Graph::label_run`]), a chain prefix
+    /// `⟦ℓ⟧ ⋈ P` streams the graph's source-major label relation as the
+    /// left operand — neither expands the label's classes or sorts the
+    /// label relation.
     /// When off, every join expands both operands from the index (the
     /// chunked-row baseline the differential harness and the `fig06_csr`
     /// bench compare against). Answers are identical either way.
@@ -107,7 +108,7 @@ pub struct ExecStats {
     /// join skipped because an operand was empty).
     pub joins: usize,
     /// Joins answered from the graph (a subset of `joins`): the
-    /// single-label operand was read from the per-chunk CSR faces or the
+    /// single-label operand was read from the graph's label runs or
     /// label relation instead of expanding from the index. Always 0
     /// with [`ExecOptions::csr_faces`] off — benches use this to tell
     /// cells where the fast path engaged from cells it cannot touch.
@@ -248,8 +249,8 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// pairs. When [`ExecOptions::csr_faces`] is on (and identity stays
     /// fused), a single-label operand is read from the graph instead of
     /// being expanded from the index: a label *right* operand becomes a
-    /// forward-face frontier expansion, a label *left* operand streams the
-    /// graph's label relation. The `Il2c` lookup still runs (it is the
+    /// frontier expansion over label runs, a label *left* operand streams
+    /// the graph's label relation. The `Il2c` lookup still runs (it is the
     /// emptiness check and keeps the EXPLAIN counters describing the same
     /// logical work), but its classes are not expanded.
     fn join(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
@@ -283,7 +284,7 @@ impl<'i, 'g> Executor<'i, 'g> {
         if left.is_empty() {
             return Intermediate::Pairs(Vec::new());
         }
-        // Label suffix: P ⋈ ⟦ℓ⟧ over forward faces.
+        // Label suffix: P ⋈ ⟦ℓ⟧ over the graph's label runs.
         if csr {
             if let Some((seq, l)) = single_label(b) {
                 if self.lookup_counted(&seq).is_empty() {

@@ -3,8 +3,9 @@
 //! A batch pins the engine's current snapshot once and fans its queries
 //! out across a scoped worker pool: every answer in the batch reflects the
 //! *same* graph version even if maintenance installs new snapshots while
-//! the batch runs. Results come back in input order together with
-//! per-query latencies and aggregate throughput.
+//! the batch runs. Results come back in input order together with the
+//! batch's wall time (per-query latency lands in the recorder's
+//! `Op::Query` histogram, like every other served query).
 
 use cpqx_graph::Pair;
 use cpqx_query::Cpq;
@@ -21,17 +22,12 @@ pub struct BatchOptions {
     /// Worker threads; `None` uses the available parallelism (capped by
     /// the batch size).
     pub threads: Option<usize>,
-    /// Skip the shared result cache (every query executes; used to
-    /// measure raw engine throughput).
-    pub bypass_result_cache: bool,
 }
 
 /// The outcome of one batch run.
 pub struct BatchOutcome {
     /// Per-query answers, in input order, shared with the result cache.
     pub results: Vec<Arc<Vec<Pair>>>,
-    /// Per-query wall-clock latencies, in input order.
-    pub latencies: Vec<Duration>,
     /// End-to-end wall-clock of the whole batch.
     pub total: Duration,
     /// Worker threads used.
@@ -47,16 +43,6 @@ impl BatchOutcome {
             return 0.0;
         }
         self.results.len() as f64 / self.total.as_secs_f64()
-    }
-
-    /// The `p`-quantile (0.0–1.0, clamped) of per-query latency — the
-    /// engine-wide nearest-rank definition
-    /// ([`crate::stats::nearest_rank_quantile`]), so batch quantiles and
-    /// `StatsReport` percentiles agree on semantics.
-    pub fn latency_quantile(&self, p: f64) -> Duration {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        crate::stats::nearest_rank_quantile(&sorted, p).unwrap_or(Duration::ZERO)
     }
 }
 
@@ -83,40 +69,25 @@ impl Engine {
         let threads = opts.threads.unwrap_or_else(pool::default_threads).clamp(1, n.max(1));
         let t0 = Instant::now();
 
-        type Slot = Mutex<Option<(Arc<Vec<Pair>>, Duration)>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Arc<Vec<Pair>>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         pool::spawn_workers(threads, |_worker| loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            let q0 = Instant::now();
-            let out = if opts.bypass_result_cache {
-                let out = Arc::new(snap.evaluate(&queries[i]));
-                // query_on records its own traffic; the bypass path must
-                // account itself or stats would undercount served
-                // queries.
-                self.note_query(q0.elapsed(), false);
-                out
-            } else {
-                self.query_on(snap, &queries[i])
-            };
-            *slots[i].lock().unwrap() = Some((out, q0.elapsed()));
+            *slots[i].lock().unwrap() = Some(self.query_on(snap, &queries[i]));
         });
 
-        let mut results = Vec::with_capacity(n);
-        let mut latencies = Vec::with_capacity(n);
-        for s in slots {
-            let (r, l) = s.into_inner().unwrap().expect("batch slot unfilled");
-            results.push(r);
-            latencies.push(l);
-        }
+        let results = slots
+            .into_iter()
+            .map(|s| s.into_inner().unwrap().expect("batch slot unfilled"))
+            .collect();
         let total = t0.elapsed();
         // Whole-batch wall time under its own opcode; the member
         // queries already landed in the query histogram individually.
         self.obs().record_op(cpqx_obs::Op::Batch, total);
-        BatchOutcome { results, latencies, total, threads, epoch: snap.epoch() }
+        BatchOutcome { results, total, threads, epoch: snap.epoch() }
     }
 }
 
@@ -142,16 +113,13 @@ mod tests {
         assert!(!queries.is_empty());
         let engine = Engine::build(g, 2);
         let snap = engine.snapshot();
-        let out = engine
-            .evaluate_batch(&queries, BatchOptions { threads: Some(4), ..BatchOptions::default() });
+        let out = engine.evaluate_batch(&queries, BatchOptions { threads: Some(4) });
         assert_eq!(out.results.len(), queries.len());
-        assert_eq!(out.latencies.len(), queries.len());
         assert_eq!(out.epoch, 0);
         for (q, r) in queries.iter().zip(&out.results) {
             assert_eq!(**r, eval_reference(snap.graph(), q), "query {q:?}");
         }
         assert!(out.throughput_qps() > 0.0);
-        assert!(out.latency_quantile(0.99) >= out.latency_quantile(0.5));
     }
 
     #[test]
@@ -164,17 +132,6 @@ mod tests {
         engine.evaluate_batch(&queries, BatchOptions::default());
         let after = engine.stats().result_hits;
         assert!(after > before, "second pass must be served from cache");
-    }
-
-    #[test]
-    fn bypass_cache_executes_everything() {
-        let g = generate::gex();
-        let queries = workload(&g, 2);
-        let engine = Engine::build(g, 2);
-        let opts = BatchOptions { bypass_result_cache: true, ..BatchOptions::default() };
-        engine.evaluate_batch(&queries, opts);
-        engine.evaluate_batch(&queries, opts);
-        assert_eq!(engine.stats().result_hits, 0);
     }
 
     #[test]
@@ -201,7 +158,6 @@ mod tests {
         let out = engine.evaluate_batch(&[], BatchOptions::default());
         assert!(out.results.is_empty());
         assert_eq!(out.throughput_qps(), 0.0);
-        assert_eq!(out.latency_quantile(0.5), Duration::ZERO);
     }
 
     #[test]
@@ -210,10 +166,7 @@ mod tests {
         let queries = workload(&g, 1);
         let (engine, _) =
             Engine::with_options(g, EngineOptions { k: 2, ..EngineOptions::default() });
-        let out = engine.evaluate_batch(
-            &queries,
-            BatchOptions { threads: Some(64), ..BatchOptions::default() },
-        );
+        let out = engine.evaluate_batch(&queries, BatchOptions { threads: Some(64) });
         assert!(out.threads <= queries.len());
     }
 }

@@ -98,11 +98,10 @@ pub struct EngineOptions {
     pub obs: ObsOptions,
     /// Executor switches ([`cpqx_core::ExecOptions`]) applied to every
     /// query this engine serves. The defaults enable all optimizations
-    /// (class-level conjunction, fused identity, CSR read faces);
-    /// overriding them here turns the whole engine into the
-    /// corresponding ablation, which is how the differential tests and
-    /// the `fig06_csr`/`net_throughput` benches compare read paths under
-    /// identical serving conditions.
+    /// (class-level conjunction, fused identity, label operands read
+    /// from the graph); overriding them here turns the whole engine into
+    /// the corresponding ablation, which is how the differential tests
+    /// compare read paths under identical serving conditions.
     pub exec: ExecOptions,
 }
 
@@ -542,16 +541,6 @@ impl Engine {
         Some(wire)
     }
 
-    /// Evaluates `q` on the current snapshot without touching the result
-    /// cache (used by benches to measure uncached latency).
-    pub fn query_uncached(&self, q: &Cpq) -> Vec<Pair> {
-        let t0 = Instant::now();
-        let snap = self.snapshot();
-        let out = snap.evaluate(q);
-        self.note_query(t0.elapsed(), false);
-        out
-    }
-
     /// Accounts one served query: the hit/miss counters and the opcode
     /// histogram (source of p50/p99). Every query-serving path routes
     /// through here.
@@ -981,10 +970,10 @@ mod tests {
         let engine = gex_engine();
         let snap = engine.snapshot();
         let q = parse_cpq("f . f . f", snap.graph()).unwrap();
-        engine.query_uncached(&q);
-        engine.query_uncached(&q);
-        // query_uncached bypasses result caching but shares the snapshot
-        // plan cache via Snapshot::evaluate.
+        snap.evaluate(&q);
+        snap.evaluate(&q);
+        // Snapshot::evaluate bypasses result caching but shares the
+        // snapshot's plan cache.
         assert_eq!(engine.stats().result_hits, 0);
     }
 

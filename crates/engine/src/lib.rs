@@ -63,7 +63,7 @@ pub use cpqx_core::ExecOptions;
 pub use delta::{apply_ops, validate_ops, Delta, DeltaError, DeltaOp, DeltaReport, OpOutcome};
 pub use durability::{CheckpointReport, DurabilityOptions, DurabilitySink};
 pub use engine::{CachedAnswer, Engine, EngineOptions, PlannedQuery, Snapshot};
-pub use stats::{nearest_rank_quantile, StatsReport};
+pub use stats::StatsReport;
 // Observability types callers configure or consume through the engine
 // ([`EngineOptions::obs`], [`Engine::obs`]) — re-exported so engine
 // users don't need a direct `cpqx-obs` dependency.

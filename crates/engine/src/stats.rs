@@ -9,23 +9,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The nearest-rank `p`-quantile of an ascending-sorted sample slice —
-/// the quantile definition for exact sample sets (per-batch latency
-/// quantiles in `BatchOutcome::latency_quantile`).
-///
-/// Semantics: `p` is clamped to `[0.0, 1.0]` (a non-finite `p` reads as
-/// `0.0`); the returned sample is `sorted[round((len - 1) · p)]`, i.e.
-/// `p = 0.0` is the minimum, `p = 1.0` the maximum, and `p = 0.5` the
-/// (upper-biased) median. Returns `None` for an empty slice.
-pub fn nearest_rank_quantile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let p = if p.is_finite() { p.clamp(0.0, 1.0) } else { 0.0 };
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    Some(sorted[idx])
-}
-
 /// Live counters owned by the engine. Cheap to bump concurrently; read
 /// them through [`EngineCounters::report`].
 ///
@@ -349,28 +332,6 @@ mod tests {
         assert_eq!(r.queries, 0);
         assert_eq!(r.result_hit_rate, 0.0);
         assert_eq!(r.p50, Duration::ZERO);
-    }
-
-    #[test]
-    fn nearest_rank_edge_cases() {
-        // Empty: no quantile.
-        assert_eq!(nearest_rank_quantile::<u64>(&[], 0.5), None);
-        // Single sample: every p returns it.
-        for p in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(nearest_rank_quantile(&[7u64], p), Some(7));
-        }
-        let sorted: Vec<u64> = (1..=100).collect();
-        // Extremes hit the ends exactly.
-        assert_eq!(nearest_rank_quantile(&sorted, 0.0), Some(1));
-        assert_eq!(nearest_rank_quantile(&sorted, 1.0), Some(100));
-        // Out-of-range p clamps instead of indexing out of bounds (this
-        // was the divergence between the two pre-unification copies).
-        assert_eq!(nearest_rank_quantile(&sorted, -3.0), Some(1));
-        assert_eq!(nearest_rank_quantile(&sorted, 17.0), Some(100));
-        assert_eq!(nearest_rank_quantile(&sorted, f64::NAN), Some(1));
-        // Median and p99 are the nearest ranks.
-        assert_eq!(nearest_rank_quantile(&sorted, 0.5), Some(51));
-        assert_eq!(nearest_rank_quantile(&sorted, 0.99), Some(99));
     }
 
     #[test]

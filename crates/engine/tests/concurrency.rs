@@ -159,10 +159,7 @@ fn batches_are_snapshot_consistent_under_writes() {
         };
 
         for _ in 0..12 {
-            let out = engine.evaluate_batch(
-                &queries,
-                BatchOptions { threads: Some(4), ..BatchOptions::default() },
-            );
+            let out = engine.evaluate_batch(&queries, BatchOptions { threads: Some(4) });
             // All answers must be the reference answers of ONE epoch's
             // graph. Recompute against the epoch the batch reports.
             let snap = engine.snapshot();

@@ -1,11 +1,9 @@
-//! Differential harness for the CSR read faces: every query answered
-//! through the CSR fast paths must be byte-identical to the chunked-row
-//! executor and to the hash-set reference oracle — across benchmark
-//! queries, all templates, random CPQ trees, mutation-then-read
-//! sequences, and concurrent readers. Also pins the snapshot-install
-//! economics: untouched chunks carry their built faces across
-//! `apply_delta` by `Arc` pointer, so a delta never re-pays CSR builds
-//! it didn't invalidate.
+//! Differential harness for joins read from the graph: every query
+//! whose single-label operands come from the graph's label runs
+//! (`ExecOptions::csr_faces`, the default) must be byte-identical to the
+//! executor expanding them from the index and to the hash-set reference
+//! oracle — across benchmark queries, all templates, random CPQ trees,
+//! mutation-then-read sequences, and concurrent readers.
 
 use cpqx_core::CpqxIndex;
 use cpqx_engine::delta::Delta;
@@ -18,7 +16,7 @@ use cpqx_query::{benchqueries, Cpq, Template};
 use rand::{Rng, SeedableRng};
 
 /// A random social graph rebuilt with a tiny chunk weight so chunk
-/// boundaries — and therefore per-chunk CSR faces — fall inside the data.
+/// boundaries — and therefore per-chunk label runs — fall inside the data.
 fn chunky_graph(vertices: u32, edges: usize, seed: u64) -> Graph {
     let g = generate::random_graph(&generate::RandomGraphConfig::social(vertices, edges, 3, seed));
     let mut b = GraphBuilder::new();
@@ -38,7 +36,7 @@ fn csr_off() -> ExecOptions {
     ExecOptions { csr_faces: false, ..ExecOptions::default() }
 }
 
-/// CSR-face evaluation vs chunked-row evaluation vs the oracle, over the
+/// Graph-read evaluation vs index-expanded evaluation vs the oracle, over the
 /// three benchmark query sets and every template.
 #[test]
 fn csr_matches_rows_on_benchqueries_and_templates() {
@@ -179,8 +177,8 @@ fn cyclic_queries_agree_on_full_and_uninvertible_interest_indexes() {
 }
 
 /// Mutate-then-read through the engine: after every delta the freshly
-/// installed snapshot must answer from the *new* topology (no stale CSR
-/// face can leak through the install), while a reader pinned on the old
+/// installed snapshot must answer from the *new* topology (its label
+/// runs moved with its adjacency rows), while a reader pinned on the old
 /// snapshot keeps the old answers.
 #[test]
 fn mutated_snapshots_never_serve_stale_faces() {
@@ -198,7 +196,6 @@ fn mutated_snapshots_never_serve_stale_faces() {
     };
     for round in 0..6 {
         let before = engine.snapshot();
-        before.graph().ensure_csr(); // warm faces, then mutate
         let labels: Vec<_> = before.graph().labels().collect();
         let n = before.graph().vertex_count();
         let delta = if round % 3 == 2 {
@@ -228,42 +225,8 @@ fn mutated_snapshots_never_serve_stale_faces() {
     }
 }
 
-/// Untouched chunks keep their built CSR faces across a delta install:
-/// the new snapshot's cache `Arc`-shares with the old wherever the
-/// topology chunk itself was shared, so a small write re-pays face
-/// construction only where it invalidated.
-#[test]
-fn snapshot_install_shares_untouched_faces() {
-    let g = chunky_graph(300, 1200, 7);
-    let (engine, _) = Engine::with_options(
-        g,
-        EngineOptions { k: 2, result_cache_capacity: 0, ..EngineOptions::default() },
-    );
-    let before = engine.snapshot();
-    before.graph().ensure_csr();
-    let (v, u, l) = before.graph().base_edges().next().unwrap();
-    engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
-    let after = engine.snapshot();
-    let bg = before.graph();
-    let ag = after.graph();
-    assert_eq!(bg.topology_chunk_count(), ag.topology_chunk_count());
-    let mut shared = 0usize;
-    for i in 0..ag.topology_chunk_count() {
-        if ag.topology_chunk_shared_with(bg, i) {
-            assert!(
-                ag.csr_shared_with(bg, i),
-                "untouched chunk {i} must carry its face across the install"
-            );
-            shared += 1;
-        } else {
-            assert!(!ag.csr_built(i), "touched chunk {i} must drop its face");
-        }
-    }
-    assert!(shared > 0, "a one-edge delta must leave most chunks shared");
-}
-
-/// Concurrent readers racing lazy face builds on a shared snapshot, at
-/// 1, 4, 8 and 16 threads: every thread gets the oracle's answer.
+/// Concurrent readers on a shared snapshot, at 1, 4, 8 and 16 threads:
+/// every thread gets the oracle's answer.
 #[test]
 fn concurrent_csr_reads_agree_with_oracle() {
     let g = chunky_graph(180, 700, 31);
@@ -274,15 +237,11 @@ fn concurrent_csr_reads_agree_with_oracle() {
     let expected: Vec<Vec<cpqx_graph::Pair>> =
         queries.iter().map(|q| eval_reference(&g, q)).collect();
     for threads in [1usize, 4, 8, 16] {
-        let fresh = g.clone(); // clone shares chunks but we re-race builds
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for (q, want) in queries.iter().zip(&expected) {
-                        assert_eq!(
-                            &idx.evaluate_with_options(&fresh, q, ExecOptions::default()),
-                            want
-                        );
+                        assert_eq!(&idx.evaluate_with_options(&g, q, ExecOptions::default()), want);
                     }
                 });
             }

@@ -1,10 +1,9 @@
 //! The directed edge-labeled graph type and its builder.
 
-use crate::csr::ChunkCsr;
 use crate::label::{ExtLabel, Label};
 use crate::pair::Pair;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Dense vertex identifier (`u32`, per the small-integer-id guideline).
 pub type VertexId = u32;
@@ -29,9 +28,89 @@ const TARGET_CHUNK_WEIGHT: usize = 1 << 9;
 /// concentrating all new vertices in one ever-growing chunk).
 const CHUNK_SPLIT_ROWS: usize = 4096;
 
+/// One extended label's share of a chunk: the sorted pairs of `⟦ℓ⟧` whose
+/// source lies in the chunk's range, and where each vertex row's run of
+/// them starts.
+#[derive(Clone, Default)]
+pub(crate) struct LabelRuns {
+    /// Sorted source-major: a source-contiguous segment of the global
+    /// relation.
+    pairs: Vec<Pair>,
+    /// `pairs[offsets[r]..offsets[r + 1]]` is the run of vertex
+    /// `start + r`. Length `rows + 1` — or empty while the label has no
+    /// pair in the chunk, so a wide alphabet pays nothing for the labels a
+    /// chunk does not use.
+    offsets: Vec<u32>,
+}
+
+impl LabelRuns {
+    /// The runs of a sorted segment whose sources all lie in
+    /// `[start, start + rows)`.
+    fn from_sorted(start: VertexId, rows: usize, pairs: Vec<Pair>) -> LabelRuns {
+        if pairs.is_empty() {
+            return LabelRuns::default();
+        }
+        let mut offsets = vec![0u32; rows + 1];
+        for p in &pairs {
+            offsets[(p.src() - start) as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        LabelRuns { pairs, offsets }
+    }
+
+    /// The pairs of in-chunk row `r`, sorted by target.
+    #[inline]
+    fn run(&self, r: usize) -> &[Pair] {
+        if self.offsets.is_empty() {
+            return &[];
+        }
+        &self.pairs[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Where `p` sits (or would sit) in `pairs`, searching row `r`'s run
+    /// only.
+    fn position(&self, r: usize, p: Pair) -> Result<usize, usize> {
+        let lo = self.offsets[r] as usize;
+        let run = &self.pairs[lo..self.offsets[r + 1] as usize];
+        run.binary_search(&p).map(|i| lo + i).map_err(|i| lo + i)
+    }
+
+    /// Adds `p` to row `r` of a chunk holding `rows` rows.
+    fn insert(&mut self, r: usize, rows: usize, p: Pair) {
+        if self.offsets.is_empty() {
+            self.offsets = vec![0; rows + 1];
+        }
+        let i = self.position(r, p).expect_err("pair half already present");
+        self.pairs.insert(i, p);
+        self.offsets[r + 1..].iter_mut().for_each(|o| *o += 1);
+    }
+
+    /// Removes `p` from row `r`; the last pair out takes the offsets with
+    /// it.
+    fn remove(&mut self, r: usize, p: Pair) {
+        let i = self.position(r, p).expect("pair half present");
+        self.pairs.remove(i);
+        if self.pairs.is_empty() {
+            *self = LabelRuns::default();
+        } else {
+            self.offsets[r + 1..].iter_mut().for_each(|o| *o -= 1);
+        }
+    }
+
+    /// Appends an empty row.
+    fn push_row(&mut self) {
+        if let Some(&end) = self.offsets.last() {
+            self.offsets.push(end);
+        }
+    }
+}
+
 /// One contiguous vertex range of the graph's topology storage: the
-/// adjacency rows and per-extended-label pair segments of the vertices in
-/// `start..start + adj.len()`.
+/// adjacency rows and per-extended-label pair runs of the vertices in
+/// `start..start + adj.len()` — the two orderings of the chunk's edges,
+/// both kept eagerly by every mutation.
 ///
 /// Chunks are the copy-on-write unit: [`Graph`] holds them behind [`Arc`]
 /// and mutates through [`Arc::make_mut`], so cloning a graph is
@@ -47,24 +126,63 @@ pub(crate) struct VertexChunk {
     pub(crate) start: VertexId,
     /// Adjacency rows sorted by `(label, target)`, indexed by `v - start`.
     pub(crate) adj: Vec<Vec<(u16, VertexId)>>,
-    /// Per extended label: the sorted pairs of `⟦ℓ⟧` whose *source* lies
-    /// in this chunk's range (a source-contiguous segment of the global
-    /// relation).
-    pub(crate) pairs: Vec<Vec<Pair>>,
-    /// Lazily built read-optimized face ([`crate::csr`]): per-label
-    /// bidirectional CSR over this chunk's pairs. Built on first read
-    /// after construction or mutation; **every** mutation seam takes the
-    /// cache after `Arc::make_mut` (mandatory — at refcount 1 `make_mut`
-    /// mutates in place without cloning). Cloning a chunk keeps the cache:
-    /// the clone's bytes are identical, so the face is still valid, which
-    /// is what lets engine snapshot installs share built faces for free.
-    pub(crate) csr: OnceLock<Arc<ChunkCsr>>,
+    /// Per extended label: the pairs of `⟦ℓ⟧` whose *source* lies in this
+    /// chunk's range, with their per-row offsets.
+    pub(crate) runs: Vec<LabelRuns>,
 }
 
 impl VertexChunk {
     fn row_count(&self) -> usize {
         self.adj.len()
     }
+
+    /// The chunk's sorted segment of `⟦ℓ⟧`.
+    #[inline]
+    fn segment(&self, label: usize) -> &[Pair] {
+        &self.runs[label].pairs
+    }
+
+    /// A chunk over sorted adjacency rows, its label runs derived from
+    /// them: rows ascend by vertex and entries by `(label, target)`, so
+    /// each label's segment comes out sorted for free.
+    fn from_rows(start: VertexId, adj: Vec<Vec<(u16, VertexId)>>, ext_labels: usize) -> Self {
+        let mut segments = vec![Vec::new(); ext_labels];
+        for (off, row) in adj.iter().enumerate() {
+            for &(el, t) in row {
+                segments[el as usize].push(Pair::new(start + off as u32, t));
+            }
+        }
+        let runs = segments.into_iter().map(|s| LabelRuns::from_sorted(start, adj.len(), s));
+        VertexChunk { start, runs: runs.collect(), adj }
+    }
+
+    /// Adds the extended edge `(start + off, y, ℓ)` to both views.
+    fn insert_half(&mut self, off: usize, l: ExtLabel, y: VertexId) {
+        let row = &mut self.adj[off];
+        let i = row.binary_search(&(l.0, y)).expect_err("edge half already present");
+        row.insert(i, (l.0, y));
+        let rows = self.row_count();
+        self.runs[l.0 as usize].insert(off, rows, Pair::new(self.start + off as u32, y));
+    }
+
+    /// Removes the extended edge `(start + off, y, ℓ)` from both views.
+    fn remove_half(&mut self, off: usize, l: ExtLabel, y: VertexId) {
+        let row = &mut self.adj[off];
+        let i = row.binary_search(&(l.0, y)).expect("edge half present");
+        row.remove(i);
+        self.runs[l.0 as usize].remove(off, Pair::new(self.start + off as u32, y));
+    }
+}
+
+/// Per extended label, the pairs all `chunks` hold of it.
+fn count_pairs(chunks: &[Arc<VertexChunk>], ext_labels: usize) -> Vec<usize> {
+    let mut counts = vec![0; ext_labels];
+    for c in chunks {
+        for (n, r) in counts.iter_mut().zip(&c.runs) {
+            *n += r.pairs.len();
+        }
+    }
+    counts
 }
 
 /// Structural-sharing report of [`Graph::cow_diff`] /
@@ -154,7 +272,7 @@ impl<'g> PairList<'g> {
             &self.chunks[begin..end.max(begin)]
         };
         chunks.iter().filter_map(move |c| {
-            let seg = c.pairs[label].as_slice();
+            let seg = c.segment(label);
             let seg = if unrestricted { seg } else { crate::view::slice_by_src(seg, lo, hi) };
             (!seg.is_empty()).then_some(seg)
         })
@@ -187,7 +305,7 @@ impl<'g> PairList<'g> {
         if ci == 0 {
             return false;
         }
-        self.chunks[ci - 1].pairs[self.label as usize].binary_search(&p).is_ok()
+        self.chunks[ci - 1].segment(self.label as usize).binary_search(&p).is_ok()
     }
 
     /// The view restricted to pairs with source in `[lo, hi)`. Only the
@@ -207,7 +325,7 @@ impl<'g> PairList<'g> {
         let end = self.chunks.partition_point(|c| c.start < hi).max(begin);
         let mut len = 0usize;
         for (k, c) in self.chunks[begin..end].iter().enumerate() {
-            let seg = c.pairs[label].as_slice();
+            let seg = c.segment(label);
             len += if k == 0 || k + 1 == end - begin {
                 crate::view::slice_by_src(seg, lo, hi).len()
             } else {
@@ -243,7 +361,9 @@ impl std::fmt::Debug for PairList<'_> {
 ///   sorted by `(label, target)` — O(log d) membership, O(d) updates;
 /// * **label-grouped pairs**: per extended label, the sorted relation
 ///   `⟦ℓ⟧` used by index construction, LOOKUP leaves of the baseline
-///   engines, and the matchers, exposed as a segmented [`PairList`].
+///   engines, and the matchers, exposed as a segmented [`PairList`] —
+///   and, because each chunk keeps the row offsets of its segment, as the
+///   run of one `(v, ℓ)` ([`Graph::label_run`]) the executor's joins read.
 ///
 /// Both views are kept consistent under [`Graph::insert_edge`] /
 /// [`Graph::remove_edge`], which the maintenance experiments
@@ -254,7 +374,7 @@ impl std::fmt::Debug for PairList<'_> {
 /// All vertex-indexed state lives in contiguous-range chunks behind
 /// `Arc`, with boundaries balanced by extended degree
 /// ([`crate::view::balanced_ranges_by_weight`]): topology (adjacency +
-/// pair segments) in [`VertexChunk`]s, display names in a parallel
+/// pair runs) in [`VertexChunk`]s, display names in a parallel
 /// per-range store so edge churn never copies `String`s. `Graph::clone`
 /// is therefore O(#chunks) — pointer bumps — and an edge mutation copies
 /// only the two endpoint topology chunks via `Arc::make_mut`. This is
@@ -378,63 +498,20 @@ impl Graph {
         self.chunks.iter().flat_map(|c| c.adj.iter().map(Vec::len)).max().unwrap_or(0)
     }
 
-    /// The read face of chunk `ci`, building it on first access (see
-    /// [`crate::csr`] for the invalidation discipline).
+    /// The pairs `(v, t)` of `⟦ℓ⟧` with source `v`, sorted by target — the
+    /// label-major twin of [`Graph::neighbors`]: two offset loads after
+    /// the chunk routing instead of two binary searches over the
+    /// mixed-label adjacency row.
     #[inline]
-    fn face_of(&self, ci: usize) -> &Arc<ChunkCsr> {
-        let c = &self.chunks[ci];
-        c.csr.get_or_init(|| Arc::new(ChunkCsr::build(c.start, c.adj.len(), &c.pairs)))
+    pub fn label_run(&self, v: VertexId, l: ExtLabel) -> &[Pair] {
+        let (ci, off) = self.locate(v);
+        self.chunks[ci].runs[l.0 as usize].run(off)
     }
 
-    /// Sorted targets reachable from `v` via one extended edge labeled
-    /// `l`, served from the per-chunk forward CSR face: two array loads
-    /// after the chunk routing, versus two binary searches over the
-    /// mixed-label adjacency row in [`Graph::neighbors`]. Builds the
-    /// chunk's face on first read after a mutation.
-    #[inline]
-    pub fn csr_targets(&self, v: VertexId, l: ExtLabel) -> &[VertexId] {
-        let (ci, _) = self.locate(v);
-        self.face_of(ci).targets(v, l)
-    }
-
-    /// The `i`-th topology chunk's read face (building it if absent),
-    /// shared: the returned `Arc` is the cached face itself.
-    pub fn csr_chunk(&self, i: usize) -> Arc<ChunkCsr> {
-        Arc::clone(self.face_of(i))
-    }
-
-    /// Iterates all chunk read faces in vertex-range order, building
-    /// absent ones on the fly.
-    pub fn csr_chunks(&self) -> impl Iterator<Item = &ChunkCsr> + '_ {
-        (0..self.chunks.len()).map(|i| &**self.face_of(i))
-    }
-
-    /// Whether the `i`-th topology chunk currently has a built read face
-    /// (observability for the staleness tests: a mutation must flip this
-    /// to `false` for the touched chunks and leave the rest `true`).
-    pub fn csr_built(&self, i: usize) -> bool {
-        self.chunks[i].csr.get().is_some()
-    }
-
-    /// Builds every chunk's read face now (benchmarks use this to warm
-    /// the cache so timed runs measure the read path, not lazy builds).
-    pub fn ensure_csr(&self) {
-        for i in 0..self.chunks.len() {
-            self.face_of(i);
-        }
-    }
-
-    /// Whether the `i`-th chunk's built read face is physically shared
-    /// (`Arc::ptr_eq`) with `before`'s — the CSR analogue of
-    /// [`Graph::topology_chunk_shared_with`], proving snapshot installs
-    /// carry faces by pointer instead of rebuilding or copying them.
-    /// `false` if either side has no built face.
-    pub fn csr_shared_with(&self, before: &Graph, i: usize) -> bool {
-        match (self.chunks[i].csr.get(), before.chunks.get(i).and_then(|c| c.csr.get())) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
+    /// Does nothing: no view of the graph is lazy any more. Kept only
+    /// because the benchmark package times this call
+    /// (`graph.csr_build_ms`); goes when a `benchmark` PR drops it there.
+    pub fn ensure_csr(&self) {}
 
     /// Adds an isolated vertex, returning its id.
     pub fn add_vertex(&mut self, name: impl Into<String>) -> VertexId {
@@ -444,18 +521,14 @@ impl Graph {
             Some(c) => c.row_count() >= CHUNK_SPLIT_ROWS,
         };
         if open_new {
-            self.chunks.push(Arc::new(VertexChunk {
-                start: id,
-                adj: vec![Vec::new()],
-                pairs: vec![Vec::new(); self.label_names.len() * 2],
-                csr: OnceLock::new(),
-            }));
+            let ext_labels = self.label_names.len() * 2;
+            self.chunks.push(Arc::new(VertexChunk::from_rows(id, vec![Vec::new()], ext_labels)));
             self.names.push(Arc::new(vec![name.into()]));
             self.chunk_starts.push(id);
         } else {
-            let last = self.chunks.len() - 1;
-            let c = self.chunk_mut(last);
+            let c = Arc::make_mut(self.chunks.last_mut().expect("checked non-empty"));
             c.adj.push(Vec::new());
+            c.runs.iter_mut().for_each(LabelRuns::push_row);
             Arc::make_mut(self.names.last_mut().unwrap()).push(name.into());
         }
         self.vertex_count += 1;
@@ -475,12 +548,7 @@ impl Graph {
         if self.has_edge(v, u, l.fwd()) {
             return false;
         }
-        self.edge_halves(v, u, l, |row, entry, seg, pair| {
-            let i = row.binary_search(&entry).expect_err("edge half already present");
-            row.insert(i, entry);
-            let i = seg.binary_search(&pair).expect_err("pair half already present");
-            seg.insert(i, pair);
-        });
+        self.edge_halves(v, u, l, VertexChunk::insert_half);
         self.pair_counts[l.fwd().0 as usize] += 1;
         self.pair_counts[l.inv().0 as usize] += 1;
         self.base_edge_count += 1;
@@ -496,12 +564,7 @@ impl Graph {
         if !self.has_edge(v, u, l.fwd()) {
             return false;
         }
-        self.edge_halves(v, u, l, |row, entry, seg, pair| {
-            let i = row.binary_search(&entry).expect("edge half present");
-            row.remove(i);
-            let i = seg.binary_search(&pair).expect("pair half present");
-            seg.remove(i);
-        });
+        self.edge_halves(v, u, l, VertexChunk::remove_half);
         self.pair_counts[l.fwd().0 as usize] -= 1;
         self.pair_counts[l.inv().0 as usize] -= 1;
         self.base_edge_count -= 1;
@@ -516,29 +579,12 @@ impl Graph {
         v: VertexId,
         u: VertexId,
         l: Label,
-        mut apply: impl FnMut(&mut Vec<(u16, VertexId)>, (u16, VertexId), &mut Vec<Pair>, Pair),
+        apply: fn(&mut VertexChunk, usize, ExtLabel, VertexId),
     ) {
         for (x, y, el) in [(v, u, l.fwd()), (u, v, l.inv())] {
             let (ci, off) = self.locate(x);
-            let c = self.chunk_mut(ci);
-            // Split borrows: the adjacency row and the pair segment live in
-            // different fields of the same chunk.
-            let (row, seg) = (&mut c.adj[off], &mut c.pairs[el.0 as usize]);
-            apply(row, (el.0, y), seg, Pair::new(x, y));
+            apply(Arc::make_mut(&mut self.chunks[ci]), off, el, y);
         }
-    }
-
-    /// The one audited COW seam: clones chunk `ci` if shared and
-    /// invalidates its cached CSR face *before* handing out the mutable
-    /// reference. `Arc::make_mut` does not clone at refcount 1, so the
-    /// explicit `csr.take()` here is the only thing standing between
-    /// the cached read face and stale reads — route every chunk
-    /// mutation through this fn (the cpqx-analyze cow-seam rule checks
-    /// that).
-    fn chunk_mut(&mut self, ci: usize) -> &mut VertexChunk {
-        let c = Arc::make_mut(&mut self.chunks[ci]);
-        c.csr.take();
-        c
     }
 
     /// Removes every edge incident to `v` (the paper's vertex-deletion
@@ -679,7 +725,7 @@ impl Graph {
     }
 
     /// Reassembles a graph from persisted chunk parts, rebuilding all
-    /// derived state (per-label pair segments, pair counts, chunk
+    /// derived state (per-label pair runs, pair counts, chunk
     /// routing, edge count) exactly as [`GraphBuilder::build`] would.
     ///
     /// `topology[i]` is `(start, adjacency rows)` as produced by
@@ -720,33 +766,23 @@ impl Graph {
         let mut chunks = Vec::with_capacity(topology.len());
         let mut name_chunks = Vec::with_capacity(names.len());
         let mut chunk_starts = Vec::with_capacity(topology.len());
-        let mut pair_counts = vec![0usize; nl * 2];
         for ((start, adj), ns) in topology.into_iter().zip(names) {
-            let mut pairs = vec![Vec::new(); nl * 2];
-            for (off, row) in adj.iter().enumerate() {
-                let v = start + off as u32;
+            for row in &adj {
                 if !row.windows(2).all(|w| w[0] < w[1]) {
                     return Err("adjacency row not strictly sorted");
                 }
-                for &(el, t) in row {
-                    if el as usize >= nl * 2 {
-                        return Err("adjacency label out of range");
-                    }
-                    if t >= vertex_count {
-                        return Err("adjacency target out of range");
-                    }
-                    // Rows ascend by vertex and entries by (label, target),
-                    // so each per-label segment comes out sorted for free.
-                    pairs[el as usize].push(Pair::new(v, t));
+                if row.last().is_some_and(|&(el, _)| el as usize >= nl * 2) {
+                    return Err("adjacency label out of range");
+                }
+                if row.iter().any(|&(_, t)| t >= vertex_count) {
+                    return Err("adjacency target out of range");
                 }
             }
-            for (l, p) in pairs.iter().enumerate() {
-                pair_counts[l] += p.len();
-            }
             chunk_starts.push(start);
-            chunks.push(Arc::new(VertexChunk { start, adj, pairs, csr: OnceLock::new() }));
+            chunks.push(Arc::new(VertexChunk::from_rows(start, adj, nl * 2)));
             name_chunks.push(Arc::new(ns));
         }
+        let pair_counts = count_pairs(&chunks, nl * 2);
         let fwd_total: usize = (0..nl).map(|l| pair_counts[l * 2]).sum();
         let inv_total: usize = (0..nl).map(|l| pair_counts[l * 2 + 1]).sum();
         if fwd_total != inv_total {
@@ -770,8 +806,8 @@ impl Graph {
             .iter()
             .map(|c| {
                 let adj: usize = c.adj.iter().map(|a| a.capacity() * 8 + 24).sum();
-                let pairs: usize = c.pairs.iter().map(|p| p.capacity() * 8 + 24).sum();
-                adj + pairs
+                let runs = c.runs.iter().map(|r| r.pairs.capacity() * 8 + r.offsets.capacity() * 4);
+                adj + runs.sum::<usize>() + c.runs.len() * std::mem::size_of::<LabelRuns>()
             })
             .sum()
     }
@@ -954,50 +990,34 @@ impl GraphBuilder {
         let shards = total.div_ceil(target_weight.max(1)).max(1);
         let ranges = crate::view::balanced_ranges_by_weight(n as u32, shards, |v| deg[v as usize]);
 
+        let mut adj = vec![Vec::new(); n];
+        for &(v, u, l) in &edges {
+            adj[v as usize].push((l.fwd().0, u));
+            adj[u as usize].push((l.inv().0, v));
+        }
+        for a in &mut adj {
+            a.sort_unstable();
+            a.dedup();
+        }
+
         let mut name_iter = self.vertex_names.into_iter();
+        let mut adj_iter = adj.into_iter();
         let mut chunks: Vec<Arc<VertexChunk>> = Vec::with_capacity(ranges.len());
         let mut names: Vec<Arc<Vec<String>>> = Vec::with_capacity(ranges.len());
         let mut chunk_starts: Vec<VertexId> = Vec::with_capacity(ranges.len());
         for r in &ranges {
             let rows = (r.end - r.start) as usize;
-            chunks.push(Arc::new(VertexChunk {
-                start: r.start,
-                adj: vec![Vec::new(); rows],
-                pairs: vec![Vec::new(); nl * 2],
-                csr: OnceLock::new(),
-            }));
+            let adj = adj_iter.by_ref().take(rows).collect();
+            chunks.push(Arc::new(VertexChunk::from_rows(r.start, adj, nl * 2)));
             names.push(Arc::new(name_iter.by_ref().take(rows).collect()));
             chunk_starts.push(r.start);
         }
-
-        let locate = |v: VertexId| chunk_starts.partition_point(|&s| s <= v) - 1;
-        for &(v, u, l) in &edges {
-            let c = Arc::get_mut(&mut chunks[locate(v)]).expect("freshly built chunk is unique");
-            c.adj[(v - c.start) as usize].push((l.fwd().0, u));
-            c.pairs[l.fwd().0 as usize].push(Pair::new(v, u));
-            let c = Arc::get_mut(&mut chunks[locate(u)]).expect("freshly built chunk is unique");
-            c.adj[(u - c.start) as usize].push((l.inv().0, v));
-            c.pairs[l.inv().0 as usize].push(Pair::new(u, v));
-        }
-        let mut pair_counts = vec![0usize; nl * 2];
-        for chunk in &mut chunks {
-            let c = Arc::get_mut(chunk).expect("freshly built chunk is unique");
-            for a in &mut c.adj {
-                a.sort_unstable();
-                a.dedup();
-            }
-            for (l, p) in c.pairs.iter_mut().enumerate() {
-                p.sort_unstable();
-                p.dedup();
-                pair_counts[l] += p.len();
-            }
-        }
         Graph {
             label_names: self.label_names,
+            pair_counts: count_pairs(&chunks, nl * 2),
             chunks,
             names,
             chunk_starts,
-            pair_counts,
             vertex_count: n as u32,
             base_edge_count: edges.len(),
         }
@@ -1242,6 +1262,41 @@ mod tests {
         assert!(!sub.contains(Pair::new(40, 41)));
     }
 
+    /// The stored shape of every chunk's label runs: offsets exist exactly
+    /// while the label has pairs in the chunk, one per row plus the end.
+    fn check_runs(g: &Graph) {
+        for c in &g.chunks {
+            for r in &c.runs {
+                if r.pairs.is_empty() {
+                    assert!(r.offsets.is_empty(), "a label without pairs keeps no offsets");
+                } else {
+                    assert_eq!(r.offsets.len(), c.adj.len() + 1);
+                    assert_eq!((r.offsets[0], r.offsets[c.adj.len()] as usize), (0, r.pairs.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn emptied_label_keeps_no_offsets() {
+        let mut b = GraphBuilder::new();
+        b.ensure_vertices(12);
+        let (f, v) = (b.label("f"), b.label("v"));
+        (0..12).for_each(|x| b.add_edge(x, (x + 1) % 12, f));
+        b.add_edge(2, 9, v);
+        b.add_edge(2, 3, v);
+        let mut g = b.build_with_chunk_weight(8);
+        check_runs(&g);
+        assert!(g.remove_edge(2, 9, v) && g.remove_edge(2, 3, v));
+        check_runs(&g);
+        // Rows appended while the label is absent exist once it comes back.
+        let d = g.add_vertex("d");
+        assert!(g.insert_edge(d, 2, v));
+        check_runs(&g);
+        assert_eq!(g.label_run(d, v.fwd()), [Pair::new(d, 2)]);
+        assert_eq!(g.label_run(2, v.inv()), [Pair::new(2, d)]);
+    }
+
     /// Disassembles a graph through the persistence accessors and
     /// reassembles it via `from_chunk_parts`.
     fn chunk_roundtrip(g: &Graph) -> Graph {
@@ -1275,6 +1330,7 @@ mod tests {
             assert_eq!(r.edge_pairs(l).to_vec(), g.edge_pairs(l).to_vec());
             assert_eq!(r.edge_pairs(l).len(), g.edge_pairs(l).len());
         }
+        check_runs(&r);
         // The rebuilt graph is fully maintainable.
         let mut r = r;
         assert!(r.insert_edge(1, 2, f) || r.remove_edge(1, 2, f));
@@ -1356,5 +1412,6 @@ mod tests {
         let last = g.vertex_count() - 1;
         assert_eq!(g.vertex_name(last), format!("v{}", last));
         assert_eq!(g.ext_degree(last), 0);
+        check_runs(&g);
     }
 }

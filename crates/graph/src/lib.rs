@@ -21,15 +21,11 @@
 //!   gMark instances of Table II,
 //! * [`io`] — a plain-text edge-list format,
 //! * [`view`] — zero-copy source-range shard views over the edge lists
-//!   (the unit of parallelism for sharded index construction),
-//! * [`csr`] — lazily built per-chunk, per-label bidirectional CSR read
-//!   faces (the read-optimized counterpart of the copy-on-write chunks,
-//!   invalidated by mutation, shared across snapshot installs).
+//!   (the unit of parallelism for sharded index construction).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod csr;
 pub mod datasets;
 pub mod generate;
 pub mod graph;
@@ -38,7 +34,6 @@ pub mod label;
 pub mod pair;
 pub mod view;
 
-pub use csr::{ChunkCsr, LabelFace};
 pub use graph::{CowDiff, Graph, GraphBuilder, GraphStats, PairList, TopologyChunkParts, VertexId};
 pub use label::{ExtLabel, Label, LabelSeq, MAX_SEQ_LEN};
 pub use pair::Pair;

@@ -1,8 +1,6 @@
-//! CSR read-face correctness: forward/reverse faces agree with the
-//! chunked rows, mutation invalidates exactly the touched chunks' faces
-//! (and a rebuilt face sees the delta), clones share built faces by
-//! pointer — plus the skewed multi-segment `PairList` point/range lookup
-//! regression.
+//! Label-major reads on multi-chunk graphs: every `(v, ℓ)` run agrees with
+//! the adjacency row, a vertex appended to a chunk has its (empty) runs,
+//! and the skewed multi-segment `PairList` point/range lookup regression.
 
 use cpqx_graph::{Graph, GraphBuilder, Pair};
 
@@ -40,127 +38,17 @@ fn skewed(n: u32, weight: usize) -> Graph {
 
 #[test]
 fn forward_face_matches_adjacency_rows() {
-    let g = chunky(64, 8);
+    let mut g = chunky(64, 8);
     assert!(g.topology_chunk_count() > 4, "chunk boundaries must fall inside the data");
+    // A vertex appended to the last chunk gets a run per label, all empty.
+    let d = g.add_vertex("extra");
     for v in g.vertices() {
         for l in g.ext_labels() {
-            let rows: Vec<u32> = g.neighbors(v, l).iter().map(|&(_, t)| t).collect();
-            assert_eq!(g.csr_targets(v, l), rows.as_slice(), "targets of ({v}, {l:?})");
+            let rows: Vec<Pair> = g.neighbors(v, l).iter().map(|&(_, t)| Pair::new(v, t)).collect();
+            assert_eq!(g.label_run(v, l), rows.as_slice(), "run of ({v}, {l:?})");
         }
     }
-}
-
-#[test]
-fn reverse_face_is_the_swapped_segment() {
-    let g = chunky(64, 8);
-    for l in g.ext_labels() {
-        for i in 0..g.topology_chunk_count() {
-            let csr = g.csr_chunk(i);
-            let lo = csr.start();
-            let hi = lo + csr.rows();
-            let mut expect: Vec<Pair> =
-                g.edge_pairs(l).restrict_src(lo, hi).iter().map(|p| p.swap()).collect();
-            expect.sort_unstable();
-            let got: Vec<Pair> = match csr.face(l) {
-                None => Vec::new(),
-                Some(face) => face
-                    .rev_groups()
-                    .flat_map(|(t, srcs)| srcs.iter().map(move |&s| Pair::new(t, s)))
-                    .collect(),
-            };
-            assert_eq!(got, expect, "reverse face of chunk {i}, label {l:?}");
-            if let Some(face) = csr.face(l) {
-                assert!(face.rev_keys().windows(2).all(|w| w[0] < w[1]), "keys strictly sorted");
-                for (i, _) in face.rev_keys().iter().enumerate() {
-                    let srcs = face.rev_sources(i);
-                    assert!(!srcs.is_empty());
-                    assert!(srcs.windows(2).all(|w| w[0] < w[1]), "sources strictly sorted");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn mutation_invalidates_touched_faces_and_rebuild_sees_delta() {
-    let mut g = chunky(64, 8);
-    let f = g.label_named("f").unwrap();
-    g.ensure_csr();
-    assert!((0..g.topology_chunk_count()).all(|i| g.csr_built(i)));
-
-    // Repeated COW deltas: after each one, only the endpoint chunks lost
-    // their face, and the rebuilt face answers with the delta applied.
-    for (a, b, insert) in [(3u32, 40u32, true), (10, 55, true), (3, 40, false), (0, 1, false)] {
-        let before = g.clone(); // keeps refcounts > 1: make_mut must copy
-        let changed = if insert { g.insert_edge(a, b, f) } else { g.remove_edge(a, b, f) };
-        assert!(changed);
-        let stale: Vec<usize> =
-            (0..g.topology_chunk_count()).filter(|&i| !g.csr_built(i)).collect();
-        assert!(
-            !stale.is_empty() && stale.len() <= 2,
-            "exactly the endpoint chunks lose their face: {stale:?}"
-        );
-        for i in 0..g.topology_chunk_count() {
-            assert_eq!(
-                g.csr_built(i),
-                g.topology_chunk_shared_with(&before, i),
-                "face staleness must track chunk copies (chunk {i})"
-            );
-        }
-        // Rebuilt faces see the new state; the predecessor still has the
-        // old faces with the old answers.
-        assert_eq!(g.csr_targets(a, f.fwd()).contains(&b), insert);
-        assert_eq!(g.csr_targets(b, f.inv()).contains(&a), insert);
-        assert_eq!(before.csr_targets(a, f.fwd()).contains(&b), !insert);
-        for v in g.vertices() {
-            let rows: Vec<u32> = g.neighbors(v, f.fwd()).iter().map(|&(_, t)| t).collect();
-            assert_eq!(g.csr_targets(v, f.fwd()), rows.as_slice());
-        }
-        assert!((0..g.topology_chunk_count()).all(|i| g.csr_built(i)), "reads rebuilt all");
-    }
-}
-
-#[test]
-fn in_place_mutation_at_refcount_one_still_invalidates() {
-    // No live clone: `Arc::make_mut` mutates in place, so only the
-    // explicit take() protects readers from a stale face.
-    let mut g = chunky(64, 8);
-    let f = g.label_named("f").unwrap();
-    g.ensure_csr();
-    assert!(!g.csr_targets(3, f.fwd()).contains(&40));
-    assert!(g.insert_edge(3, 40, f));
-    assert!(g.csr_targets(3, f.fwd()).contains(&40), "face rebuilt after in-place write");
-}
-
-#[test]
-fn clones_share_built_faces_until_mutation() {
-    let base = chunky(64, 8);
-    base.ensure_csr();
-    let mut g = base.clone();
-    for i in 0..g.topology_chunk_count() {
-        assert!(g.csr_shared_with(&base, i), "clone shares every built face");
-    }
-    let f = g.label_named("f").unwrap();
-    g.insert_edge(3, 40, f);
-    g.ensure_csr();
-    let shared: Vec<bool> =
-        (0..g.topology_chunk_count()).map(|i| g.csr_shared_with(&base, i)).collect();
-    let copied = shared.iter().filter(|&&s| !s).count();
-    assert!((1..=2).contains(&copied), "only endpoint chunks rebuild: {shared:?}");
-    for (i, &s) in shared.iter().enumerate() {
-        assert_eq!(s, g.topology_chunk_shared_with(&base, i));
-    }
-}
-
-#[test]
-fn add_vertex_invalidates_grown_chunk() {
-    let mut g = chunky(16, usize::MAX); // single topology chunk
-    assert_eq!(g.topology_chunk_count(), 1);
-    g.ensure_csr();
-    let d = g.add_vertex("extra");
-    assert!(!g.csr_built(0), "growing the last chunk drops its face");
-    let f = g.label_named("f").unwrap();
-    assert!(g.csr_targets(d, f.fwd()).is_empty(), "fresh vertex has an (empty) CSR row");
+    assert!(g.ext_labels().all(|l| g.label_run(d, l).is_empty()));
 }
 
 #[test]
@@ -200,21 +88,4 @@ fn skewed_multi_segment_pair_list_lookups() {
         assert_eq!(nested.to_vec(), expect2);
         assert_eq!(nested.len(), expect2.len());
     }
-}
-
-#[test]
-fn concurrent_lazy_build_races_are_safe() {
-    let g = chunky(64, 8);
-    let f = g.label_named("f").unwrap();
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| {
-                for v in g.vertices() {
-                    let rows: Vec<u32> = g.neighbors(v, f.fwd()).iter().map(|&(_, t)| t).collect();
-                    assert_eq!(g.csr_targets(v, f.fwd()), rows.as_slice());
-                }
-            });
-        }
-    });
-    assert!((0..g.topology_chunk_count()).all(|i| g.csr_built(i)));
 }

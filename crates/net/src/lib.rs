@@ -60,4 +60,4 @@ pub use proto::{
     ErrorCode, Request, Response, WireError, WireMetrics, WireOp, WireOutcome, WireSeqLabel,
     PROTOCOL_VERSION,
 };
-pub use server::{NetStats, Server, ServerOptions};
+pub use server::{resolve_ops, NetStats, Server, ServerOptions};

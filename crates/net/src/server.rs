@@ -49,9 +49,9 @@ use crate::proto::{
     WireMetrics, WireOp, WireOutcome, WireSeqLabel, DEFAULT_MAX_FRAME,
 };
 use crate::sys::EventFd;
-use cpqx_engine::delta::{Delta, DeltaOp, OpOutcome};
+use cpqx_engine::delta::{Delta, DeltaError, DeltaOp, OpOutcome};
 use cpqx_engine::{BatchOptions, Engine};
-use cpqx_graph::{Graph, Label, LabelSeq};
+use cpqx_graph::{Graph, LabelSeq, MAX_SEQ_LEN};
 use cpqx_obs::{Op as ObsOp, Stage, TraceKind};
 use cpqx_query::parse_cpq;
 use std::collections::VecDeque;
@@ -391,7 +391,7 @@ pub(crate) fn serve(s: &Shared, req: Request) -> Reply {
                     }
                 }
             }
-            let opts = BatchOptions { threads: s.opts.batch_threads, ..BatchOptions::default() };
+            let opts = BatchOptions { threads: s.opts.batch_threads };
             let out = s.engine.evaluate_batch_on(&snap, &queries, opts);
             Reply {
                 frame: Frame::Owned(batch_result_frame(out.epoch, &out.results)),
@@ -433,73 +433,83 @@ fn apply_wire_delta(s: &Shared, ops: &[WireOp]) -> Result<cpqx_engine::DeltaRepo
     // current *now* stays valid when the engine applies the delta to a
     // possibly newer clone under its writer lock.
     let snap = s.engine.snapshot();
-    let delta = resolve_ops(snap.graph(), ops)?;
-    s.engine.apply_delta(&delta).map_err(|e| {
+    let bad_update = |e: DeltaError| {
         WireError::new(ErrorCode::BadUpdate, format!("delta op {}: {}", e.op_index, e.reason))
-    })
+    };
+    let delta = Delta::from(resolve_ops(snap.graph(), ops, true).map_err(bad_update)?);
+    s.engine.apply_delta(&delta).map_err(bad_update)
 }
 
-fn resolve_ops(g: &Graph, ops: &[WireOp]) -> Result<Delta, WireError> {
-    let label = |name: &str, i: usize| -> Result<Label, WireError> {
-        g.label_named(name).ok_or_else(|| {
-            WireError::new(ErrorCode::BadUpdate, format!("delta op {i}: unknown label {name:?}"))
-        })
+/// Resolves wire ops into typed delta ops against `g`'s label table —
+/// the one `WireOp → DeltaOp` mapping, shared by the server's DELTA
+/// handler and the store's WAL replay. The error names the offending op
+/// and says why (an unknown label, an over-long interest sequence).
+///
+/// With `check_vertices`, vertex ids are also validated against `g`'s
+/// count plus any preceding in-delta `AddVertex` ops, so a delta that
+/// can only be rejected never reaches the engine's writer lock (where
+/// rejection would cost a full graph + index clone). Ids only grow, so
+/// passing here never turns into a spurious engine-side panic — the
+/// engine still re-validates against the clone it mutates.
+pub fn resolve_ops(
+    g: &Graph,
+    ops: &[WireOp],
+    check_vertices: bool,
+) -> Result<Vec<DeltaOp>, DeltaError> {
+    let reject = |i: usize, reason: String| DeltaError { op_index: i, reason };
+    let label = |name: &str, i: usize| {
+        g.label_named(name).ok_or_else(|| reject(i, format!("unknown label {name:?}")))
     };
-    let seq = |steps: &[WireSeqLabel], i: usize| -> Result<LabelSeq, WireError> {
+    let seq = |steps: &[WireSeqLabel], i: usize| -> Result<LabelSeq, DeltaError> {
+        if steps.len() > MAX_SEQ_LEN {
+            return Err(reject(i, format!("interest sequence of length {}", steps.len())));
+        }
         steps
             .iter()
             .map(|s| label(&s.label, i).map(|l| if s.inverse { l.inv() } else { l.fwd() }))
             .collect::<Result<Vec<_>, _>>()
             .map(|ls| LabelSeq::from_slice(&ls))
     };
-    // Vertex ids are pre-validated here, against the snapshot's count
-    // plus any preceding in-delta AddVertex ops, so a delta that can
-    // only be rejected never reaches the engine's writer lock (where
-    // rejection would cost a full graph + index clone). Ids only grow,
-    // so passing here never turns into a spurious engine-side panic —
-    // the engine still re-validates against the clone it mutates.
-    let check = |v: u32, bound: u32, i: usize| -> Result<u32, WireError> {
-        if v < bound {
+    let check = |v: u32, bound: u32, i: usize| {
+        if v < bound || !check_vertices {
             Ok(v)
         } else {
-            Err(WireError::new(
-                ErrorCode::BadUpdate,
-                format!("delta op {i}: vertex {v} out of range (graph has {bound})"),
-            ))
+            Err(reject(i, format!("vertex {v} out of range (graph has {bound})")))
         }
     };
     let mut vertices = g.vertex_count();
-    let mut resolved = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        resolved.push(match op {
-            WireOp::InsertEdge { src, dst, label: l } => DeltaOp::InsertEdge {
-                src: check(*src, vertices, i)?,
-                dst: check(*dst, vertices, i)?,
-                label: label(l, i)?,
-            },
-            WireOp::DeleteEdge { src, dst, label: l } => DeltaOp::DeleteEdge {
-                src: check(*src, vertices, i)?,
-                dst: check(*dst, vertices, i)?,
-                label: label(l, i)?,
-            },
-            WireOp::ChangeEdgeLabel { src, dst, from, to } => DeltaOp::ChangeEdgeLabel {
-                src: check(*src, vertices, i)?,
-                dst: check(*dst, vertices, i)?,
-                from: label(from, i)?,
-                to: label(to, i)?,
-            },
-            WireOp::AddVertex { name } => {
-                vertices += 1;
-                DeltaOp::AddVertex { name: name.clone() }
-            }
-            WireOp::DeleteVertex { vertex } => {
-                DeltaOp::DeleteVertex { vertex: check(*vertex, vertices, i)? }
-            }
-            WireOp::InsertInterest { seq: s } => DeltaOp::InsertInterest { seq: seq(s, i)? },
-            WireOp::DeleteInterest { seq: s } => DeltaOp::DeleteInterest { seq: seq(s, i)? },
-        });
-    }
-    Ok(Delta::from(resolved))
+    ops.iter()
+        .enumerate()
+        .map(|(i, op)| {
+            Ok(match op {
+                WireOp::InsertEdge { src, dst, label: l } => DeltaOp::InsertEdge {
+                    src: check(*src, vertices, i)?,
+                    dst: check(*dst, vertices, i)?,
+                    label: label(l, i)?,
+                },
+                WireOp::DeleteEdge { src, dst, label: l } => DeltaOp::DeleteEdge {
+                    src: check(*src, vertices, i)?,
+                    dst: check(*dst, vertices, i)?,
+                    label: label(l, i)?,
+                },
+                WireOp::ChangeEdgeLabel { src, dst, from, to } => DeltaOp::ChangeEdgeLabel {
+                    src: check(*src, vertices, i)?,
+                    dst: check(*dst, vertices, i)?,
+                    from: label(from, i)?,
+                    to: label(to, i)?,
+                },
+                WireOp::AddVertex { name } => {
+                    vertices += 1;
+                    DeltaOp::AddVertex { name: name.clone() }
+                }
+                WireOp::DeleteVertex { vertex } => {
+                    DeltaOp::DeleteVertex { vertex: check(*vertex, vertices, i)? }
+                }
+                WireOp::InsertInterest { seq: s } => DeltaOp::InsertInterest { seq: seq(s, i)? },
+                WireOp::DeleteInterest { seq: s } => DeltaOp::DeleteInterest { seq: seq(s, i)? },
+            })
+        })
+        .collect()
 }
 
 fn wire_outcome(o: &OpOutcome) -> WireOutcome {

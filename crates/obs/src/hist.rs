@@ -193,9 +193,9 @@ impl HistogramSnapshot {
 
     /// Nearest-rank quantile over the bucketed counts, reported as the
     /// midpoint of the bucket holding that rank (`None` when empty).
-    /// Matches `nearest_rank_quantile` on the raw samples to within one
-    /// bucket: both pick the value at rank `round((n-1) * p)`; this one
-    /// only knows it to bucket precision.
+    /// Matches the exact nearest-rank quantile of the raw samples to within
+    /// one bucket: both pick the value at rank `round((n-1) * p)`; this
+    /// one only knows it to bucket precision.
     pub fn quantile(&self, p: f64) -> Option<u64> {
         if self.total == 0 {
             return None;

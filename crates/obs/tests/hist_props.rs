@@ -32,9 +32,8 @@ proptest! {
     }
 
     /// The histogram's quantile and the exact nearest-rank quantile over
-    /// the raw samples (`rank = round((n-1) * p)`, the definition of
-    /// `cpqx_engine::nearest_rank_quantile`) land in the same log bucket, or
-    /// adjacent ones — i.e. they agree to within the sketch's ≤12.5%
+    /// the raw samples (`rank = round((n-1) * p)`) land in the same log
+    /// bucket, or adjacent ones — i.e. they agree to within the sketch's ≤12.5%
     /// relative error.
     #[test]
     fn quantiles_track_nearest_rank(

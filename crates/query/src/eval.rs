@@ -69,8 +69,8 @@ impl BfsEngine {
             Cpq::Id => ops::all_loops(g),
             Cpq::Label(l) => g.edge_pairs(*l).to_vec(),
             Cpq::Join(a, b) => match &**b {
-                // BFS frontier expansion for chain suffixes (forward CSR
-                // faces).
+                // BFS frontier expansion for chain suffixes (the graph's
+                // label runs).
                 Cpq::Label(l) => {
                     let left = self.eval_ctx(g, a, ctx);
                     ops::expand_adjacency(g, &left, *l)

@@ -13,7 +13,7 @@
 //! normalized, no operand is re-keyed and nothing is sorted globally. What
 //! differs between the operators is only where `u`'s targets come from: a
 //! source-run directory of the right operand
-//! ([`EvalContext::join_pairs`]), the graph's forward CSR faces
+//! ([`EvalContext::join_pairs`]), the graph's own per-vertex label runs
 //! ([`expand_adjacency`]), or — for a label *left* operand — the graph's
 //! own source-major label relation streamed as the left side
 //! ([`EvalContext::join_label_left`]).
@@ -294,25 +294,27 @@ pub fn filter_loops(pairs: &[Pair]) -> Vec<Pair> {
 /// Expands a normalized pair set by one adjacency step: for every `(v, u)`
 /// and every edge `(u, t, ℓ)`, emits `(v, t)`. This is the frontier
 /// expansion the index-free BFS baseline uses for chain suffixes, served
-/// from the per-chunk forward CSR faces (two array loads per step instead
-/// of binary searches over the mixed-label adjacency row). Output is
-/// normalized, emitted source by source.
+/// from the graph's label runs ([`Graph::label_run`]: two offset loads per
+/// step instead of binary searches over the mixed-label adjacency row).
+/// Output is normalized, emitted source by source.
 pub fn expand_adjacency(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
     debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
     join_by_source(pairs, &mut SourceTargets::default(), &mut out, |u, buf| {
-        buf.extend_from_slice(g.csr_targets(u, l));
+        buf.extend(g.label_run(u, l).iter().map(|p| p.dst()));
     });
     out
 }
 
 /// Fused `expand ∩ id`: like [`expand_adjacency`] but keeps only cyclic
 /// results `(v, v)` — the one-label-suffix form of `JOIN-ID`. A pair
-/// `(v, u)` closes iff the face holds the edge `u →ℓ v`.
+/// `(v, u)` closes iff `u`'s run holds the edge `u →ℓ v`.
 pub fn expand_adjacency_id(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
     debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
-    loops_by_source(pairs, &mut out, |v, u| g.csr_targets(u, l).binary_search(&v).is_ok());
+    loops_by_source(pairs, &mut out, |v, u| {
+        g.label_run(u, l).binary_search(&Pair::new(u, v)).is_ok()
+    });
     out
 }
 

@@ -23,7 +23,7 @@
 
 use crate::crc32;
 use cpqx_engine::DeltaOp;
-use cpqx_graph::{ExtLabel, Graph, LabelSeq, MAX_SEQ_LEN};
+use cpqx_graph::{Graph, LabelSeq};
 use cpqx_net::proto::{decode_request, encode_request, Request, WireOp, WireSeqLabel};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -200,41 +200,7 @@ pub fn decode_ops(graph: &Graph, payload: &[u8]) -> Result<Vec<DeltaOp>, String>
     let Request::Delta(wire) = req else {
         return Err("WAL record is not a DELTA frame".into());
     };
-    let label = |name: &str| {
-        graph.label_named(name).ok_or_else(|| format!("unknown label {name:?} in WAL record"))
-    };
-    let seq = |steps: &[WireSeqLabel]| -> Result<LabelSeq, String> {
-        if steps.len() > MAX_SEQ_LEN {
-            return Err(format!("interest sequence of length {} in WAL record", steps.len()));
-        }
-        let ext = steps
-            .iter()
-            .map(|s| label(&s.label).map(|l| if s.inverse { l.inv() } else { l.fwd() }))
-            .collect::<Result<Vec<ExtLabel>, String>>()?;
-        Ok(LabelSeq::from_slice(&ext))
-    };
-    wire.iter()
-        .map(|op| {
-            Ok(match op {
-                WireOp::InsertEdge { src, dst, label: l } => {
-                    DeltaOp::InsertEdge { src: *src, dst: *dst, label: label(l)? }
-                }
-                WireOp::DeleteEdge { src, dst, label: l } => {
-                    DeltaOp::DeleteEdge { src: *src, dst: *dst, label: label(l)? }
-                }
-                WireOp::ChangeEdgeLabel { src, dst, from, to } => DeltaOp::ChangeEdgeLabel {
-                    src: *src,
-                    dst: *dst,
-                    from: label(from)?,
-                    to: label(to)?,
-                },
-                WireOp::AddVertex { name } => DeltaOp::AddVertex { name: name.clone() },
-                WireOp::DeleteVertex { vertex } => DeltaOp::DeleteVertex { vertex: *vertex },
-                WireOp::InsertInterest { seq: s } => DeltaOp::InsertInterest { seq: seq(s)? },
-                WireOp::DeleteInterest { seq: s } => DeltaOp::DeleteInterest { seq: seq(s)? },
-            })
-        })
-        .collect()
+    cpqx_net::resolve_ops(graph, &wire, false).map_err(|e| format!("{} in WAL record", e.reason))
 }
 
 #[cfg(test)]
