@@ -20,9 +20,8 @@ pub struct BenchConfig {
 }
 
 /// Parses an environment variable, falling back to `default` when the
-/// variable is unset or malformed (shared by the bench binaries' extra
-/// knobs).
-pub fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
+/// variable is unset or malformed.
+fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 

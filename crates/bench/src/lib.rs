@@ -26,7 +26,7 @@ pub mod engine;
 pub mod harness;
 pub mod table;
 
-pub use config::{env_parse, BenchConfig};
+pub use config::BenchConfig;
 pub use engine::{Engine, Method};
 pub use harness::{avg_query_time, interests_from_queries, workload_for, Timing};
 pub use table::Table;

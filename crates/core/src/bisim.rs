@@ -33,6 +33,8 @@
 //! its block or class id. Nothing is buffered level-wide to be sorted into
 //! groups afterwards:
 //!
+//! * level 1 sweeps the sorted `(pair, label)` entries once and interns each
+//!   pair's label set as its run ends;
 //! * the previous level's `(pair, block)` list is source-major, so level i
 //!   streams **one source at a time** — that source's emissions fill a small
 //!   reused buffer, are sorted there, and each target's run of combos is
@@ -55,7 +57,6 @@
 
 use crate::intern::{seq_words, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
-use std::time::{Duration, Instant};
 
 /// Identifier of a CPQk-equivalence class.
 pub type ClassId = u32;
@@ -118,83 +119,30 @@ struct LevelView<'a> {
 /// parallel: all pairs `(v, ·)` of a source vertex `v` are produced by
 /// level-sequences that start at `v`, so a shard owning a source range owns
 /// its pairs outright (see [`RefinementBase::partition_range`]).
-///
-/// The level-1 pass itself is parallel too (see
-/// [`RefinementBase::with_threads`]): per-range extraction, sorting and
-/// signature collection run on a scoped pool, and block ids are assigned by
-/// each distinct signature's rank in the globally sorted signature set —
-/// which is exactly the id the sequential pass hands out, so the parallel
-/// result is *structurally identical* (same `pair_blocks`, same
-/// `block_seqs`).
 pub struct RefinementBase {
     level1: Level,
     /// For each vertex `m`, the `(target, b₁(m,u))` list of its outgoing
     /// extended edges.
     adj1: Vec<Vec<(u32, u32)>>,
-    vertex_count: u32,
 }
 
 impl RefinementBase {
-    /// Builds the global level-1 state of `g` sequentially (equivalent to
-    /// [`RefinementBase::with_threads`] at one thread).
+    /// Builds the global level-1 state of `g`.
     pub fn new(g: &Graph) -> Self {
-        Self::with_threads(g, 1)
-    }
-
-    /// Builds the global level-1 state of `g`, running the per-range
-    /// extraction + sort + block-id assignment on up to `threads` workers.
-    /// The result is structurally identical to [`RefinementBase::new`] at
-    /// any thread count (asserted by the level-1 property tests).
-    pub fn with_threads(g: &Graph, threads: usize) -> Self {
-        Self::with_threads_timed(g, threads).0
-    }
-
-    /// [`RefinementBase::with_threads`], also returning the wall-clock
-    /// spent inside the parallel sections of the level-1 pass (zero when
-    /// the build degenerates to the sequential pipeline).
-    pub fn with_threads_timed(g: &Graph, threads: usize) -> (Self, Duration) {
-        let (level1, parallel) = if threads <= 1 {
-            (build_level1(g), Duration::ZERO)
-        } else {
-            build_level1_parallel(g, threads)
-        };
+        let level1 = build_level1(g);
         let mut adj1: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.vertex_count() as usize];
         for &(p, b) in &level1.pair_blocks {
             adj1[p.src() as usize].push((p.dst(), b));
         }
-        (RefinementBase { level1, adj1, vertex_count: g.vertex_count() }, parallel)
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn vertex_count(&self) -> u32 {
-        self.vertex_count
-    }
-
-    /// The level-1 `(pair, b₁)` assignment, sorted by pair — exposed so
-    /// equivalence harnesses can assert the parallel level-1 pass is
-    /// structurally identical to the sequential one.
-    pub fn level1_pair_blocks(&self) -> &[(Pair, u32)] {
-        &self.level1.pair_blocks
-    }
-
-    /// Per level-1 block: its sorted exact-length-1 label-sequence set
-    /// (companion accessor to [`RefinementBase::level1_pair_blocks`]).
-    pub fn level1_block_seqs(&self) -> &[Vec<LabelSeq>] {
-        &self.level1.block_seqs
-    }
-
-    /// Number of level-1 (edge-connected) pairs — the work measure used to
-    /// balance shard ranges.
-    pub fn level1_pair_count(&self) -> usize {
-        self.level1.pair_blocks.len()
+        RefinementBase { level1, adj1 }
     }
 
     /// Splits the vertex ids into at most `shards` contiguous source
     /// ranges with approximately equal numbers of level-1 pairs (a better
-    /// proxy for refinement cost than raw degree). Ranges tile
-    /// `0..vertex_count()` in ascending order.
+    /// proxy for refinement cost than raw degree). Ranges tile the vertex
+    /// ids in ascending order.
     pub fn balanced_ranges(&self, shards: usize) -> Vec<std::ops::Range<u32>> {
-        cpqx_graph::view::balanced_ranges_by_weight(self.vertex_count, shards, |v| {
+        cpqx_graph::view::balanced_ranges_by_weight(self.adj1.len() as u32, shards, |v| {
             self.adj1[v as usize].len()
         })
     }
@@ -313,142 +261,30 @@ pub fn merge_partitions(mut shards: Vec<Partition>) -> Partition {
     classes.into_partition(pair_classes)
 }
 
-/// A level-1 block signature: `(is-loop, sorted extended-label set)`.
-/// Tuple `Ord` is the level-1 comparator (loop flag first, then
-/// lexicographic labels), so a signature's rank in a sorted distinct
-/// list is its block id.
-type Level1Sig = (bool, Vec<u16>);
-
-/// One source range's share of the level-1 pass: its sorted
-/// `(pair, label)` entries, the grouped pairs (each referencing its
-/// label slice in `entries`), and the range's *distinct* `(is-loop,
-/// label set)` signatures, sorted. Only distinct signatures own their
-/// label vectors; per-pair signatures stay slices into `entries`.
-struct Level1Part {
-    entries: Vec<(Pair, u16)>,
-    pairs: Vec<(Pair, std::ops::Range<usize>)>,
-    sigs: Vec<Level1Sig>,
-}
-
-/// Extracts one source range's level-1 state: per-label entry extraction,
-/// sort, pair grouping, and local distinct-signature collection. The
-/// per-worker unit of the parallel pass; the sequential pass is the
-/// single-range instance of the same code, so the two cannot diverge.
-fn level1_part(g: &Graph, r: std::ops::Range<u32>) -> Level1Part {
+/// Level 1: one sweep over the sorted `(pair, label)` entries of every
+/// extended label; as a pair's run ends, its `(is-loop, label set)` is
+/// interned and the id is the pair's block.
+fn build_level1(g: &Graph) -> Level {
     let mut entries: Vec<(Pair, u16)> = Vec::new();
     for l in g.ext_labels() {
-        for p in g.edge_pairs(l).restrict_src(r.start, r.end).iter() {
-            entries.push((p, l.0));
-        }
+        entries.extend(g.edge_pairs(l).iter().map(|p| (p, l.0)));
     }
     entries.sort_unstable();
 
-    // Group by pair; represent each pair by its label-slice range.
-    let mut pairs: Vec<(Pair, std::ops::Range<usize>)> = Vec::new();
-    let mut i = 0;
-    while i < entries.len() {
-        let p = entries[i].0;
-        let j = i + entries[i..].partition_point(|&(q, _)| q == p);
-        pairs.push((p, i..j));
-        i = j;
+    let mut blocks = SigInterner::default();
+    let mut pair_blocks: Vec<(Pair, u32)> = Vec::new();
+    let mut labels: Vec<u64> = Vec::new();
+    for of_pair in entries.chunk_by(|a, b| a.0 == b.0) {
+        let p = of_pair[0].0;
+        labels.clear();
+        labels.extend(of_pair.iter().map(|&(_, l)| l as u64));
+        pair_blocks.push((p, blocks.intern(p.is_loop(), &labels)));
     }
 
-    // Collect the distinct signatures in (is-loop, label slice) order —
-    // sorted, not interned: level-1 block ids are ranks (see
-    // `level1_sig_merge`), which is what lets ranges run in parallel.
-    let labels_of = |idx: usize| entries[pairs[idx].1.clone()].iter().map(|&(_, l)| l);
-    let mut by_sig: Vec<usize> = (0..pairs.len()).collect();
-    by_sig.sort_unstable_by(|&a, &b| {
-        pairs[a].0.is_loop().cmp(&pairs[b].0.is_loop()).then_with(|| labels_of(a).cmp(labels_of(b)))
-    });
-    let mut sigs: Vec<Level1Sig> = Vec::new();
-    for &idx in &by_sig {
-        let lp = pairs[idx].0.is_loop();
-        let same = sigs
-            .last()
-            .is_some_and(|(plp, pls)| *plp == lp && pls.iter().copied().eq(labels_of(idx)));
-        if !same {
-            sigs.push((lp, labels_of(idx).collect()));
-        }
-    }
-    Level1Part { entries, pairs, sigs }
-}
-
-/// Merges per-range distinct-signature sets into the globally sorted
-/// signature list and its per-block sequence sets. `(bool, Vec<u16>)`
-/// ordering is the level-1 comparator — loop flag first, then
-/// lexicographic labels — so a signature's **rank** in the merged list is
-/// its block id: the classic one-walk assignment bumps the id at every
-/// new signature while walking pairs in exactly this order.
-fn level1_sig_merge(parts: &[Level1Part]) -> (Vec<Level1Sig>, Vec<Vec<LabelSeq>>) {
-    let mut sigs: Vec<Level1Sig> = parts.iter().flat_map(|p| p.sigs.iter().cloned()).collect();
-    sigs.sort_unstable();
-    sigs.dedup();
-    let block_seqs: Vec<Vec<LabelSeq>> = sigs
-        .iter()
-        .map(|(_, ls)| ls.iter().map(|&l| LabelSeq::single(ExtLabel(l))).collect())
+    let block_seqs: Vec<Vec<LabelSeq>> = (0..blocks.len() as u32)
+        .map(|b| blocks.words(b).iter().map(|&l| LabelSeq::single(ExtLabel(l as u16))).collect())
         .collect();
-    (sigs, block_seqs)
-}
-
-/// Maps one range's pairs to their signatures' global ranks. The output
-/// inherits the part's (ascending) pair order.
-fn level1_map_part(part: Level1Part, sigs: &[Level1Sig]) -> Vec<(Pair, u32)> {
-    let Level1Part { entries, pairs, .. } = part;
-    pairs
-        .into_iter()
-        .map(|(p, range)| {
-            let labels = entries[range].iter().map(|&(_, l)| l);
-            let b = sigs
-                .binary_search_by(|s| {
-                    s.0.cmp(&p.is_loop()).then_with(|| s.1.iter().copied().cmp(labels.clone()))
-                })
-                .expect("every signature was registered in the merge");
-            (p, b as u32)
-        })
-        .collect()
-}
-
-/// Level 1: group edge-connected pairs by `(is-loop, sorted label set)` —
-/// the single-range instance of the shared range pipeline above.
-fn build_level1(g: &Graph) -> Level {
-    let part = level1_part(g, 0..g.vertex_count());
-    let (sigs, block_seqs) = level1_sig_merge(std::slice::from_ref(&part));
-    let pair_blocks = level1_map_part(part, &sigs);
     Level { pair_blocks, block_seqs }
-}
-
-/// Parallel level 1, structurally identical to [`build_level1`]: the same
-/// per-range pipeline fanned over balanced source ranges. Pair groups
-/// never straddle ranges (grouping is by pair; ranges partition sources),
-/// the signature merge gives globally consistent ranks, and concatenating
-/// per-range outputs in range order preserves global pair order (`Pair`
-/// packs source-major) — so `pair_blocks` and `block_seqs` come out
-/// byte-identical at any range count. Returns the level plus the
-/// wall-clock spent in the two parallel sections.
-fn build_level1_parallel(g: &Graph, threads: usize) -> (Level, Duration) {
-    let ranges = g.balanced_src_ranges(threads);
-    if ranges.len() <= 1 {
-        return (build_level1(g), Duration::ZERO);
-    }
-
-    let t0 = Instant::now();
-    let parts: Vec<Level1Part> = crate::pool::parallel_map(ranges, threads, |r| level1_part(g, r));
-    let mut parallel = t0.elapsed();
-
-    let (sigs, block_seqs) = level1_sig_merge(&parts);
-
-    let t0 = Instant::now();
-    let sigs = &sigs;
-    let mapped: Vec<Vec<(Pair, u32)>> =
-        crate::pool::parallel_map(parts, threads, |part| level1_map_part(part, sigs));
-    parallel += t0.elapsed();
-
-    let mut pair_blocks: Vec<(Pair, u32)> = Vec::with_capacity(mapped.iter().map(Vec::len).sum());
-    for m in mapped {
-        pair_blocks.extend(m);
-    }
-    (Level { pair_blocks, block_seqs }, parallel)
 }
 
 /// Level i from level i−1: join exact-(i−1) pairs with edges, group by
@@ -772,31 +608,36 @@ mod tests {
         }
     }
 
+    /// Level 1 on its own: blocks partition the edge-connected pairs
+    /// exactly by `(is-loop, label set)`, `block_seqs[b]` is that label
+    /// set, and ids count up by first occurrence along the pair list.
     #[test]
-    fn parallel_level1_is_structurally_identical() {
-        // The parallel pass must reproduce the sequential
-        // pair_blocks/block_seqs byte for byte.
-        let graphs = vec![
-            generate::gex(),
-            generate::cycle(6, "f"),
-            generate::random_graph(&generate::RandomGraphConfig::social(50, 220, 3, 7)),
-            cpqx_graph::GraphBuilder::new().build(),
-        ];
-        for g in &graphs {
-            let seq = RefinementBase::new(g);
-            for threads in [2, 3, 8, 16] {
-                let (par, _) = RefinementBase::with_threads_timed(g, threads);
-                assert_eq!(
-                    seq.level1_pair_blocks(),
-                    par.level1_pair_blocks(),
-                    "pair_blocks diverge at {threads} threads"
-                );
-                assert_eq!(
-                    seq.level1_block_seqs(),
-                    par.level1_block_seqs(),
-                    "block_seqs diverge at {threads} threads"
-                );
+    fn level1_groups_pairs_by_loop_flag_and_label_set() {
+        let mut self_loops = cpqx_graph::GraphBuilder::new();
+        self_loops.add_edge_named("a", "a", "f");
+        self_loops.add_edge_named("a", "b", "f");
+        self_loops.add_edge_named("b", "b", "f");
+        self_loops.add_edge_named("b", "a", "v");
+        let mut edgeless = cpqx_graph::GraphBuilder::new();
+        edgeless.ensure_vertices(4);
+        edgeless.ensure_labels(2);
+        for g in [generate::gex(), self_loops.build(), edgeless.build()] {
+            let mut expected: std::collections::BTreeMap<Pair, Vec<LabelSeq>> = Default::default();
+            for l in g.ext_labels() {
+                for p in g.edge_pairs(l).iter() {
+                    expected.entry(p).or_default().push(LabelSeq::single(l));
+                }
             }
+            let Level { pair_blocks, block_seqs } = build_level1(&g);
+            assert!(pair_blocks.iter().map(|&(p, _)| p).eq(expected.keys().copied()));
+            let mut by_sig = std::collections::HashMap::new();
+            for &(p, b) in &pair_blocks {
+                assert_eq!(block_seqs[b as usize], expected[&p], "label set of {p:?}");
+                let next = by_sig.len() as u32;
+                let first = *by_sig.entry((p.is_loop(), &expected[&p])).or_insert(next);
+                assert_eq!(b, first, "{p:?}: one id per signature, by first occurrence");
+            }
+            assert_eq!(by_sig.len(), block_seqs.len());
         }
     }
 

@@ -130,8 +130,10 @@ pub struct Executor<'i, 'g> {
 }
 
 impl<'i, 'g> Executor<'i, 'g> {
-    /// Creates an executor. The graph is only consulted for the bare `id`
-    /// plan (`AllId`); everything else is answered from the index.
+    /// Creates an executor with the default [`ExecOptions`]. The graph
+    /// answers the bare `id` plan (`AllId`) and, with
+    /// [`ExecOptions::csr_faces`] on, supplies single-label join operands;
+    /// everything else is answered from the index.
     pub fn new(index: &'i CpqxIndex, graph: &'g Graph) -> Self {
         Self::with_options(index, graph, ExecOptions::default())
     }

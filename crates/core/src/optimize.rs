@@ -52,11 +52,8 @@ pub fn optimize_query(index: &CpqxIndex, g: &Graph, q: &Cpq) -> Plan {
 
 /// Like [`optimize_query`] but also returns the plan's estimated
 /// cumulative execution cost (intermediate rows touched), from the same
-/// single optimization pass. The serving engine caches exactly this pair:
-/// the cost describes the plan that actually executes, and its
-/// result-cache admission policy thresholds on it — cheap queries are not
-/// worth a cache slot because re-executing them costs less than the
-/// eviction they cause.
+/// single optimization pass. The serving engine caches exactly this pair,
+/// so the cost describes the plan that actually executes.
 pub fn optimize_query_costed(index: &CpqxIndex, g: &Graph, q: &Cpq) -> (Plan, f64) {
     let costed = build(index, g, q);
     (costed.plan, costed.cost)
@@ -458,8 +455,7 @@ mod tests {
         let c1 = estimate_plan_cost(&idx, &g, &pricey);
         assert!(c0.is_finite() && c0 >= 0.0);
         assert!(c1 > c0, "compound query must cost more: {c1} !> {c0}");
-        // The estimate is deterministic — the admission policy relies on
-        // equal queries getting equal costs.
+        // The estimate is deterministic: equal queries get equal costs.
         assert_eq!(c1, estimate_plan_cost(&idx, &g, &pricey));
     }
 

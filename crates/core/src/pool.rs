@@ -6,10 +6,11 @@
 //! with no unsafe code and no external dependencies. Items are claimed
 //! dynamically (not pre-chunked), so skewed per-item costs still balance.
 //!
-//! The module lives in `cpqx-core`, below the engine, so the partition
-//! builders themselves can parallelize: the level-1 pass of Algorithm 1
-//! and the interest-aware shard builds both run their per-range work
-//! through [`parallel_map`].
+//! The module lives in `cpqx-core`, below the engine, next to the
+//! per-range partition builders it fans out: the engine's sharded builds
+//! run `RefinementBase::partition_range` and the interest-aware range
+//! partitions through [`parallel_map`], batch evaluation runs on
+//! [`spawn_workers`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

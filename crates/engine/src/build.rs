@@ -5,11 +5,10 @@
 //! pair space in one piece. This module runs the *same* pipeline in pieces:
 //!
 //! * **Full CPQx** ([`build_sharded`]): the level-1 pass of Algorithm 1
-//!   runs parallel per source range inside
-//!   [`cpqx_core::RefinementBase::with_threads`] (same block ids, same
-//!   layout as the sequential pass), then the set `P≤k` partitions exactly
-//!   by *source vertex* (every path from `v` yields only pairs `(v, ·)`),
-//!   so [`cpqx_core::RefinementBase::partition_range`] — refinement levels
+//!   runs once over the whole graph ([`cpqx_core::RefinementBase::new`] —
+//!   under 1 % of a build), then the set `P≤k` partitions exactly by
+//!   *source vertex* (every path from `v` yields only pairs `(v, ·)`), so
+//!   [`cpqx_core::RefinementBase::partition_range`] — refinement levels
 //!   `2..=k` streamed source by source, then class assembly — runs
 //!   independently per source range on a scoped thread pool.
 //! * **Interest-aware iaCPQx** ([`build_interest_sharded`]): sequence
@@ -62,20 +61,14 @@ pub struct BuildOptions {
 pub struct BuildReport {
     /// Shards actually used (≤ requested; small graphs use fewer).
     pub shards: usize,
-    /// Worker-thread cap the parallel phases ran under (each phase
-    /// additionally clamps to its own work-item count, so fewer workers
-    /// may have run where there were fewer shards than this).
+    /// Worker-thread cap the parallel phase ran under (`parallel_map`
+    /// additionally clamps to the shard count, so fewer workers may have
+    /// run).
     pub threads: usize,
     /// Wall-clock of the shared global level-1 pass (extraction, sorting,
-    /// block-id assignment, adjacency form). Since the parallel level-1
-    /// rewrite this pass is no longer a sequential prefix: its per-range
-    /// sections run on the worker pool, with only the signature merge
-    /// left serial (see [`BuildReport::level1_parallel`]).
+    /// block-id assignment, adjacency form) — the sequential prefix of a
+    /// full build.
     pub level1: Duration,
-    /// Wall-clock spent inside the *parallel sections* of the level-1
-    /// pass (per-range extraction + sort, and block-id mapping). Zero
-    /// when level 1 degenerated to the single-threaded pipeline.
-    pub level1_parallel: Duration,
     /// Wall-clock of the parallel per-shard interest partitioning phase
     /// of [`build_interest_sharded`] (zero for full-CPQx builds).
     pub interest_shards: Duration,
@@ -89,7 +82,7 @@ pub struct BuildReport {
 }
 
 /// Builds the full CPQ-aware index of `g` with path parameter `k` using
-/// sharded parallel refinement over a parallel level-1 base. Identical to
+/// sharded parallel refinement over one global level-1 base. Identical to
 /// [`CpqxIndex::build`]`(g, k)` (see module docs).
 pub fn build_sharded(g: &Graph, k: usize, opts: BuildOptions) -> CpqxIndex {
     build_sharded_with_report(g, k, opts).0
@@ -103,18 +96,15 @@ pub fn build_sharded_with_report(
 ) -> (CpqxIndex, BuildReport) {
     let t_start = Instant::now();
     let requested = opts.shards.unwrap_or_else(pool::default_threads).max(1);
-    let threads_hint = opts.threads.unwrap_or(requested).max(1);
+    // parallel_map clamps to the shard count on its own.
+    let threads = opts.threads.unwrap_or(requested).max(1);
 
     let t0 = Instant::now();
-    let (base, level1_parallel) = RefinementBase::with_threads_timed(g, threads_hint);
+    let base = RefinementBase::new(g);
     let level1 = t0.elapsed();
 
     let ranges = base.balanced_ranges(requested);
     let shards = ranges.len().max(1);
-    // The report carries the worker cap both phases ran under — level 1
-    // used it directly above; parallel_map clamps to the shard count on
-    // its own.
-    let threads = threads_hint;
 
     let t0 = Instant::now();
     let parts = pool::parallel_map(ranges, threads, |r| base.partition_range(k, r));
@@ -128,7 +118,6 @@ pub fn build_sharded_with_report(
         shards,
         threads,
         level1,
-        level1_parallel,
         interest_shards: Duration::ZERO,
         refine,
         merge,
@@ -190,7 +179,6 @@ pub fn build_interest_sharded_with_report(
         shards,
         threads,
         level1: Duration::ZERO,
-        level1_parallel: Duration::ZERO,
         interest_shards,
         refine: Duration::ZERO,
         merge,
@@ -260,9 +248,8 @@ mod tests {
         assert_eq!(report.threads, 2);
         assert!(report.total >= report.refine);
         assert_eq!(report.interest_shards, Duration::ZERO);
-        // Multi-threaded level 1 must actually take the parallel path.
-        assert!(report.level1_parallel > Duration::ZERO);
-        assert!(report.level1 >= report.level1_parallel);
+        assert!(report.level1 > Duration::ZERO);
+        assert!(report.total >= report.level1 + report.refine + report.merge);
 
         let f = g.labels().next().unwrap();
         let (idx, report) = build_interest_sharded_with_report(

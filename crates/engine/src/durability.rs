@@ -41,7 +41,7 @@ pub struct DurabilityOptions {
 
 /// What one checkpoint did — surfaced through the engine's
 /// `snapshots_written` / `snapshot_chunks_skipped` gauges, and the
-/// quantity the incremental-snapshot CI gate asserts on.
+/// quantity the store's incremental-checkpoint test asserts on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointReport {
     /// Chunk records physically written to the snapshot.

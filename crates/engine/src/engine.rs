@@ -62,14 +62,6 @@ pub struct EngineOptions {
     /// long-lived snapshot serving millions of distinct queries must not
     /// grow without bound.
     pub plan_cache_capacity: usize,
-    /// Result-cache admission threshold: an executed query is admitted to
-    /// the result cache only when its estimated plan cost
-    /// ([`cpqx_core::estimate_plan_cost`]) is at least this value. `0.0`
-    /// (the default) admits everything; raising it keeps cheap queries —
-    /// which are faster to re-execute than the cache churn they cause —
-    /// from evicting expensive ones. Rejections are counted in
-    /// [`StatsReport::rejected_admissions`].
-    pub result_admission_min_cost: f64,
     /// `Some(interests)` builds the interest-aware index (iaCPQx) instead
     /// of full CPQx. Both variants build sharded in parallel under the
     /// same [`BuildOptions`]: full CPQx over degree-balanced source
@@ -112,7 +104,6 @@ impl Default for EngineOptions {
             build: BuildOptions::default(),
             result_cache_capacity: 1024,
             plan_cache_capacity: 4096,
-            result_admission_min_cost: 0.0,
             interests: None,
             auto_rebuild_ratio: Some(8.0),
             durability: DurabilityOptions::default(),
@@ -126,8 +117,7 @@ impl Default for EngineOptions {
 /// one pass of the cost-based optimizer
 /// ([`cpqx_core::optimize_query_costed`]) — the unit the per-snapshot
 /// plan cache stores, so the cost always describes the plan that actually
-/// executes and the admission policy never re-estimates on a plan-cache
-/// hit.
+/// executes.
 pub struct PlannedQuery {
     /// The physical plan the executor runs.
     pub plan: Plan,
@@ -490,7 +480,7 @@ impl Engine {
             Executor::with_options(snap.index(), snap.graph(), snap.exec).run(&planned.plan),
         );
         self.obs.stage(Stage::Eval, eval_timer, trace);
-        if planned.cost >= self.options.result_admission_min_cost {
+        {
             let mut res = self.results.lock().unwrap();
             // Tag check: a swap may have happened while we executed; a
             // result from the old snapshot must not populate the new
@@ -500,8 +490,6 @@ impl Engine {
                     res.cache.alias(text, &*key);
                 }
             }
-        } else {
-            self.counters.record_admission_rejected();
         }
         self.note_query(t0.elapsed(), false);
         (out, false)
@@ -688,7 +676,6 @@ impl Engine {
         // parallel build pipeline.
         let build = *self.last_build.lock().unwrap();
         report.build_level1 = build.level1;
-        report.build_level1_parallel = build.level1_parallel;
         report.build_interest_shards = build.interest_shards;
         report.build_total = build.total;
         // p50/p99 come from the log-bucketed opcode histogram — the one
@@ -975,56 +962,6 @@ mod tests {
         // Snapshot::evaluate bypasses result caching but shares the
         // snapshot's plan cache.
         assert_eq!(engine.stats().result_hits, 0);
-    }
-
-    #[test]
-    fn admission_policy_rejects_cheap_queries() {
-        let g = generate::gex();
-        let (engine, _) = Engine::with_options(
-            g,
-            EngineOptions {
-                k: 2,
-                result_admission_min_cost: f64::INFINITY,
-                ..EngineOptions::default()
-            },
-        );
-        let snap = engine.snapshot();
-        let q = parse_cpq("(f . f) & f^-1", snap.graph()).unwrap();
-        let expected = eval_reference(snap.graph(), &q);
-        assert_eq!(*engine.query(&q), expected);
-        assert_eq!(*engine.query(&q), expected, "rejection must not change answers");
-        let stats = engine.stats();
-        assert_eq!(stats.result_hits, 0, "nothing may be admitted");
-        assert_eq!(stats.rejected_admissions, 2);
-    }
-
-    #[test]
-    fn admission_policy_separates_by_cost() {
-        // A threshold between the costs of a trivial and a compound query
-        // must cache the latter but not the former.
-        let g = generate::gex();
-        let snap_graph = g.clone();
-        let idx = cpqx_core::CpqxIndex::build(&snap_graph, 2);
-        let cheap = parse_cpq("f", &snap_graph).unwrap();
-        let pricey = parse_cpq("(f . f) & f^-1", &snap_graph).unwrap();
-        let cheap_cost = cpqx_core::estimate_plan_cost(&idx, &snap_graph, &cheap);
-        let pricey_cost = cpqx_core::estimate_plan_cost(&idx, &snap_graph, &pricey);
-        assert!(cheap_cost < pricey_cost, "{cheap_cost} !< {pricey_cost}");
-        let (engine, _) = Engine::with_options(
-            g,
-            EngineOptions {
-                k: 2,
-                result_admission_min_cost: (cheap_cost + pricey_cost) / 2.0,
-                ..EngineOptions::default()
-            },
-        );
-        engine.query(&cheap);
-        engine.query(&cheap);
-        engine.query(&pricey);
-        engine.query(&pricey);
-        let stats = engine.stats();
-        assert_eq!(stats.result_hits, 1, "only the compound query is cached");
-        assert_eq!(stats.rejected_admissions, 2);
     }
 
     #[test]

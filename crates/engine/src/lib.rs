@@ -6,16 +6,14 @@
 //! no concurrency story, no caching. This crate adds the three layers a
 //! serving deployment needs:
 //!
-//! 1. **Fully parallel build pipeline** ([`build`]): the shared level-1
-//!    pass itself runs parallel per source range
-//!    ([`cpqx_core::RefinementBase::with_threads`], structurally
-//!    identical to the sequential pass), then — `P≤k` partitions exactly
-//!    by source vertex — the Algorithm-1 refinement runs independently
-//!    per source-range shard on a scoped thread pool; per-shard
-//!    partitions merge by the class invariant `(cyclicity, L≤k)` into
-//!    the very index the sequential build produces, class ids included. The
-//!    interest-aware variant shards the same way over label-weighted
-//!    source ranges ([`build_interest_sharded`]).
+//! 1. **Sharded parallel build pipeline** ([`build`]): one shared
+//!    level-1 pass ([`cpqx_core::RefinementBase::new`]), then — `P≤k`
+//!    partitions exactly by source vertex — the Algorithm-1 refinement
+//!    runs independently per source-range shard on a scoped thread pool;
+//!    per-shard partitions merge by the class invariant `(cyclicity,
+//!    L≤k)` into the very index the sequential build produces, class ids
+//!    included. The interest-aware variant shards the same way over
+//!    label-weighted source ranges ([`build_interest_sharded`]).
 //! 2. **Concurrent read path** ([`engine`]): an [`Engine`] holds the
 //!    graph + index behind an atomically swappable [`Snapshot`] `Arc`.
 //!    Maintenance (edge/vertex/interest updates, rebuilds) clones, applies

@@ -24,7 +24,6 @@ pub struct EngineCounters {
     plan_misses: AtomicU64,
     snapshot_swaps: AtomicU64,
     invalidations: AtomicU64,
-    admission_rejections: AtomicU64,
     delta_transactions: AtomicU64,
     lazy_update_ops: AtomicU64,
     rebuilds: AtomicU64,
@@ -58,10 +57,6 @@ impl EngineCounters {
     pub(crate) fn record_swap(&self, invalidated: u64) {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
         self.invalidations.fetch_add(invalidated, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_admission_rejected(&self) {
-        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_delta(&self, applied_ops: u64) {
@@ -113,7 +108,6 @@ impl EngineCounters {
             plan_hit_rate: rate(plan_hits, plan_hits + plan_misses),
             snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
             invalidated_results: self.invalidations.load(Ordering::Relaxed),
-            rejected_admissions: self.admission_rejections.load(Ordering::Relaxed),
             delta_transactions: self.delta_transactions.load(Ordering::Relaxed),
             lazy_update_ops: self.lazy_update_ops.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
@@ -128,7 +122,6 @@ impl EngineCounters {
             class_slots: 0,
             baseline_classes: 0,
             build_level1: Duration::ZERO,
-            build_level1_parallel: Duration::ZERO,
             build_interest_shards: Duration::ZERO,
             build_total: Duration::ZERO,
             p50: Duration::ZERO,
@@ -167,10 +160,6 @@ pub struct StatsReport {
     pub snapshot_swaps: u64,
     /// Result-cache entries dropped by snapshot swaps.
     pub invalidated_results: u64,
-    /// Executed queries whose result the admission policy refused to
-    /// cache because the estimated plan cost fell below
-    /// `EngineOptions::result_admission_min_cost`.
-    pub rejected_admissions: u64,
     /// Delta transactions committed via `Engine::apply_delta` (the
     /// single-op update helpers count too — they are one-op deltas).
     pub delta_transactions: u64,
@@ -215,9 +204,6 @@ pub struct StatsReport {
     /// interest-aware builds, which have no level-1 phase, or when the
     /// report comes from bare counters). Filled by `Engine::stats`.
     pub build_level1: Duration,
-    /// Wall-clock spent inside level-1's parallel sections during the
-    /// most recent full build (zero when level 1 ran single-threaded).
-    pub build_level1_parallel: Duration,
     /// Wall-clock of the parallel interest-shard partitioning phase of
     /// the most recent build (interest-aware engines only).
     pub build_interest_shards: Duration,
@@ -247,7 +233,6 @@ impl StatsReport {
             ("plan_misses_total", self.plan_misses),
             ("snapshot_swaps_total", self.snapshot_swaps),
             ("invalidated_results_total", self.invalidated_results),
-            ("rejected_admissions_total", self.rejected_admissions),
             ("delta_transactions_total", self.delta_transactions),
             ("lazy_update_ops_total", self.lazy_update_ops),
             ("rebuilds_total", self.rebuilds),
@@ -271,7 +256,7 @@ impl std::fmt::Display for StatsReport {
             "queries={} hit_rate={:.1}% plan_hit_rate={:.1}% swaps={} deltas={} lazy_ops={} \
              rebuilds={} frag={:.2} cow={}/{} wal[appends={} bytes={}] \
              snapshots[written={} skipped={}] \
-             build[total={:?} level1={:?} l1par={:?} ia={:?}] p50={:?} p99={:?}",
+             build[total={:?} level1={:?} ia={:?}] p50={:?} p99={:?}",
             self.queries,
             self.result_hit_rate * 100.0,
             self.plan_hit_rate * 100.0,
@@ -288,7 +273,6 @@ impl std::fmt::Display for StatsReport {
             self.snapshot_chunks_skipped,
             self.build_total,
             self.build_level1,
-            self.build_level1_parallel,
             self.build_interest_shards,
             self.p50,
             self.p99,
@@ -309,10 +293,7 @@ mod tests {
         c.record_plan(true);
         c.record_plan(false);
         c.record_swap(3);
-        c.record_admission_rejected();
-        c.record_admission_rejected();
         let r = c.report();
-        assert_eq!(r.rejected_admissions, 2);
         assert_eq!(r.queries, 100);
         assert_eq!(r.result_hits, 25);
         assert!((r.result_hit_rate - 0.25).abs() < 1e-9);
@@ -339,11 +320,10 @@ mod tests {
         let mut r = EngineCounters::default().report();
         assert_eq!(r.build_total, Duration::ZERO);
         r.build_level1 = Duration::from_millis(7);
-        r.build_level1_parallel = Duration::from_millis(5);
         r.build_interest_shards = Duration::from_millis(3);
         r.build_total = Duration::from_millis(11);
         let text = r.to_string();
-        assert!(text.contains("build[total=11ms level1=7ms l1par=5ms ia=3ms]"), "{text}");
+        assert!(text.contains("build[total=11ms level1=7ms ia=3ms]"), "{text}");
     }
 
     #[test]

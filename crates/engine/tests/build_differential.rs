@@ -1,13 +1,11 @@
-//! Build differential harness for the fully parallel build pipeline:
+//! Build differential harness for the sharded build pipeline:
 //! random graphs + random interest sets are replayed through the
 //! **sequential** builders (`CpqxIndex::build` /
 //! `CpqxIndex::build_interest_aware`), the **sharded** full build
-//! (`build_sharded`, parallel level-1 + per-range refinement) and the
+//! (`build_sharded`, one level-1 pass + per-range refinement) and the
 //! **interest-sharded** build (`build_interest_sharded`) at 1–16 shards
 //! and threads, asserting:
 //!
-//! * the parallel level-1 pass yields a `RefinementBase` *structurally*
-//!   equal to the sequential one (same `pair_blocks`, same `block_seqs`);
 //! * every sharded build **is** the sequential build: `save` writes the
 //!   same bytes at every shard count, full and interest-aware (classes are
 //!   keyed by the index invariant and numbered by first occurrence along
@@ -19,7 +17,7 @@
 //!   builds answer the benchmark query sets (YAGO2/LUBM/WatDiv
 //!   translations) like the reference evaluator.
 
-use cpqx_core::{CpqxIndex, RefinementBase};
+use cpqx_core::CpqxIndex;
 use cpqx_engine::{build_interest_sharded, build_sharded, BuildOptions};
 use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig, Topology};
 use cpqx_graph::{Graph, LabelSeq};
@@ -86,22 +84,6 @@ fn validated(g: &Graph, idx: CpqxIndex, what: &str) -> CpqxIndex {
 fn check_build_equivalence(g: &Graph, k: usize, interests: &[LabelSeq], seed: u64) {
     let queries = bench_workload(g, seed);
     assert!(!queries.is_empty());
-
-    // Parallel level-1 is structurally identical to sequential.
-    let seq_base = RefinementBase::new(g);
-    for &threads in &SHARD_COUNTS[1..] {
-        let par_base = RefinementBase::with_threads(g, threads);
-        assert_eq!(
-            seq_base.level1_pair_blocks(),
-            par_base.level1_pair_blocks(),
-            "level-1 pair_blocks diverge at {threads} threads"
-        );
-        assert_eq!(
-            seq_base.level1_block_seqs(),
-            par_base.level1_block_seqs(),
-            "level-1 block_seqs diverge at {threads} threads"
-        );
-    }
 
     // Full CPQx: sequential, again, and sharded at every shard count.
     let sequential = validated(g, CpqxIndex::build(g, k), "sequential build");

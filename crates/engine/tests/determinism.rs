@@ -143,3 +143,24 @@ fn stats_and_class_ids_match_the_sequential_build() {
         assert_eq!(sequential.class_is_loop(c), sharded.class_is_loop(c), "class {c}");
     }
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Class numbering pinned across commits, not just across shard counts:
+/// length and FNV-1a of `save`, taken at PR 23 (`d85bc2b`). A change that
+/// renumbers classes or moves a saved byte must say so by updating these.
+#[test]
+fn saved_bytes_match_the_recorded_digests() {
+    let cases = [
+        (gex(), 1_569, 0x19c9_22a3_319f_66fb),
+        (random_graph(&RandomGraphConfig::social(80, 400, 3, 7)), 127_980, 0x370a_3f00_5e93_d773),
+    ];
+    for (g, len, digest) in cases {
+        let sharded = build_sharded(&g, 2, BuildOptions { shards: Some(3), threads: Some(4) });
+        for bytes in [saved(&CpqxIndex::build(&g, 2)), saved(&sharded)] {
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest));
+        }
+    }
+}

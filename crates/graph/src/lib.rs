@@ -37,4 +37,3 @@ pub mod view;
 pub use graph::{CowDiff, Graph, GraphBuilder, GraphStats, PairList, TopologyChunkParts, VertexId};
 pub use label::{ExtLabel, Label, LabelSeq, MAX_SEQ_LEN};
 pub use pair::Pair;
-pub use view::SrcRangeView;

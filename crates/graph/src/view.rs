@@ -1,56 +1,20 @@
-//! Shard views over the graph's edge lists.
+//! Source-range shards over the graph's edge lists.
 //!
-//! A [`SrcRangeView`] restricts the per-label pair relations `⟦ℓ⟧` to pairs
-//! whose *source* vertex falls in a contiguous id range. Because pair lists
-//! are sorted source-major ([`Pair`] packs `v << 32 | u`), the restriction
-//! of every relation is a contiguous subslice — shard views are zero-copy
-//! and O(log |⟦ℓ⟧|) to obtain.
+//! Pair lists are sorted source-major ([`Pair`] packs `v << 32 | u`), so
+//! the restriction of a relation to a contiguous source-id range is a
+//! contiguous subslice ([`slice_by_src`]).
 //!
 //! Source-contiguous shards are the unit of parallelism for the engine's
 //! sharded index build: the set of s-t pairs `P≤k` partitions exactly by
 //! source vertex (every path from `v` contributes only to pairs `(v, ·)`),
 //! so per-shard refinements are independent, and concatenating shard
 //! results in range order preserves global pair order without re-sorting.
+//! The balancers below cut the vertex ids into such ranges.
 
-use crate::graph::{Graph, PairList, VertexId};
+use crate::graph::{Graph, VertexId};
 use crate::label::ExtLabel;
 use crate::pair::Pair;
 use std::ops::Range;
-
-/// A zero-copy view of a graph's edge lists restricted to source vertices
-/// in `range` (see the module docs).
-#[derive(Clone, Copy)]
-pub struct SrcRangeView<'g> {
-    graph: &'g Graph,
-    range: (VertexId, VertexId),
-}
-
-impl<'g> SrcRangeView<'g> {
-    /// The underlying graph.
-    #[inline]
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The source-vertex range of this shard.
-    #[inline]
-    pub fn range(&self) -> Range<VertexId> {
-        self.range.0..self.range.1
-    }
-
-    /// The restriction of `⟦ℓ⟧` to pairs with source in this shard's range
-    /// — a source-contiguous sub-view of the graph's sorted relation
-    /// (zero-copy: the view only narrows the per-chunk segments).
-    pub fn edge_pairs(&self, l: ExtLabel) -> PairList<'g> {
-        self.graph.edge_pairs(l).restrict_src(self.range.0, self.range.1)
-    }
-
-    /// Total restricted edge-pair entries across all extended labels (the
-    /// shard's share of level-1 work; used for load balancing diagnostics).
-    pub fn pair_count(&self) -> usize {
-        self.graph.ext_labels().map(|l| self.edge_pairs(l).len()).sum()
-    }
-}
 
 /// The contiguous subslice of a source-major sorted pair list whose sources
 /// lie in `[lo, hi)`.
@@ -61,13 +25,6 @@ pub fn slice_by_src(pairs: &[Pair], lo: VertexId, hi: VertexId) -> &[Pair] {
 }
 
 impl Graph {
-    /// A zero-copy shard view restricted to source vertices in `range`.
-    pub fn src_range_view(&self, range: Range<VertexId>) -> SrcRangeView<'_> {
-        let hi = range.end.min(self.vertex_count());
-        let lo = range.start.min(hi);
-        SrcRangeView { graph: self, range: (lo, hi) }
-    }
-
     /// Splits the vertex ids into at most `shards` contiguous ranges with
     /// approximately equal total extended degree (the dominant per-shard
     /// cost driver of level-1 refinement). Returns fewer ranges when the
@@ -155,23 +112,6 @@ mod tests {
     use crate::GraphBuilder;
 
     #[test]
-    fn view_slices_match_filtering() {
-        let g = generate::gex();
-        let n = g.vertex_count();
-        for lo in 0..=n {
-            for hi in lo..=n {
-                let view = g.src_range_view(lo..hi);
-                for l in g.ext_labels() {
-                    let expected: Vec<Pair> =
-                        g.edge_pairs(l).iter().filter(|p| (lo..hi).contains(&p.src())).collect();
-                    assert_eq!(view.edge_pairs(l).to_vec(), expected, "label {l:?} [{lo},{hi})");
-                    assert_eq!(view.edge_pairs(l).len(), expected.len());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn balanced_ranges_cover_and_are_nonempty() {
         let g = generate::random_graph(&generate::RandomGraphConfig::social(57, 300, 3, 1));
         for shards in [1, 2, 3, 7, 8, 57, 100] {
@@ -228,22 +168,8 @@ mod tests {
     #[test]
     fn degenerate_views() {
         let g = generate::gex();
-        let v = g.src_range_view(0..0);
-        assert_eq!(v.pair_count(), 0);
-        // Out-of-range clamps.
-        let v = g.src_range_view(0..u32::MAX);
-        assert_eq!(v.range(), 0..g.vertex_count());
         let empty = GraphBuilder::new().build();
         assert!(empty.balanced_src_ranges(4).is_empty());
         assert!(g.balanced_src_ranges(0).is_empty());
-    }
-
-    #[test]
-    fn whole_range_view_equals_graph() {
-        let g = generate::random_graph(&generate::RandomGraphConfig::uniform(40, 200, 3, 9));
-        let view = g.src_range_view(0..g.vertex_count());
-        for l in g.ext_labels() {
-            assert_eq!(view.edge_pairs(l).to_vec(), g.edge_pairs(l).to_vec());
-        }
     }
 }

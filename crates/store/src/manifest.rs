@@ -11,6 +11,7 @@
 //! *valid* manifest when `CURRENT` is missing or points at garbage.
 
 use crate::crc32;
+use crate::snapshot::Cur;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -80,35 +81,14 @@ fn encode(m: &Manifest) -> Vec<u8> {
     out
 }
 
-struct Cur<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s = self.buf.get(self.at..self.at + n).ok_or("truncated manifest")?;
-        self.at += n;
-        Ok(s)
+fn get_locs(c: &mut Cur<'_>) -> Result<Vec<ChunkLoc>, String> {
+    let n = c.u32()? as usize;
+    if n > c.remaining() {
+        // Each loc is 16 bytes; a count above the remaining byte
+        // count is self-inconsistent — reject before allocating.
+        return Err("manifest chunk table over-long".into());
     }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn locs(&mut self) -> Result<Vec<ChunkLoc>, String> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.at {
-            // Each loc is 16 bytes; a count above the remaining byte
-            // count is self-inconsistent — reject before allocating.
-            return Err("manifest chunk table over-long".into());
-        }
-        (0..n).map(|_| Ok(ChunkLoc { gen: self.u64()?, offset: self.u64()? })).collect()
-    }
+    (0..n).map(|_| Ok(ChunkLoc { gen: c.u64()?, offset: c.u64()? })).collect()
 }
 
 fn decode(bytes: &[u8]) -> Result<Manifest, String> {
@@ -119,7 +99,7 @@ fn decode(bytes: &[u8]) -> Result<Manifest, String> {
     if crc32(body) != crc {
         return Err("manifest checksum mismatch".into());
     }
-    let mut c = Cur { buf: body, at: 0 };
+    let mut c = Cur::new(body, "manifest");
     if c.take(4)? != MAGIC {
         return Err("bad manifest magic".into());
     }
@@ -132,9 +112,9 @@ fn decode(bytes: &[u8]) -> Result<Manifest, String> {
         wal_gen: c.u64()?,
         wal_offset: c.u64()?,
         header: ChunkLoc { gen: c.u64()?, offset: c.u64()? },
-        topo: c.locs()?,
-        names: c.locs()?,
-        classes: c.locs()?,
+        topo: get_locs(&mut c)?,
+        names: get_locs(&mut c)?,
+        classes: get_locs(&mut c)?,
     })
 }
 

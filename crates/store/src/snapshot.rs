@@ -105,18 +105,32 @@ pub(crate) fn read_record(dir: &Path, loc: ChunkLoc) -> Result<Vec<u8>, RecoverE
 
 // ------------------------------------------------------ payload codecs --
 
-struct Cur<'a> {
+/// Bounds-checked little-endian reader over one checksummed payload — a
+/// snapshot record here, the manifest body in `manifest.rs`; `what` names
+/// it in error texts.
+pub(crate) struct Cur<'a> {
     buf: &'a [u8],
     at: usize,
+    what: &'static str,
 }
 
 impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, at: 0 }
+    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
+        Cur { buf, at: 0, what }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s = self.buf.get(self.at..self.at + n).ok_or("truncated snapshot record")?;
+    fn record(buf: &'a [u8]) -> Self {
+        Cur::new(buf, "snapshot record")
+    }
+
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let s =
+            self.buf.get(self.at..self.at + n).ok_or_else(|| format!("truncated {}", self.what))?;
         self.at += n;
         Ok(s)
     }
@@ -129,16 +143,20 @@ impl<'a> Cur<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     fn count(&mut self) -> Result<usize, String> {
         // Any count prefixes at least one byte per element; a count
         // larger than the bytes left is self-inconsistent.
         let n = self.u32()? as usize;
-        if n > self.buf.len() - self.at {
-            return Err("self-inconsistent count in snapshot record".into());
+        if n > self.remaining() {
+            return Err(format!("self-inconsistent count in {}", self.what));
         }
         Ok(n)
     }
@@ -158,7 +176,7 @@ impl<'a> Cur<'a> {
 
     fn done(self) -> Result<(), String> {
         if self.at != self.buf.len() {
-            return Err("trailing bytes in snapshot record".into());
+            return Err(format!("trailing bytes in {}", self.what));
         }
         Ok(())
     }
@@ -225,7 +243,7 @@ pub(crate) fn encode_header(graph: &Graph, index: &CpqxIndex) -> Vec<u8> {
 
 /// Decodes a header record.
 pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
-    let mut c = Cur::new(payload);
+    let mut c = Cur::record(payload);
     c.kind(KIND_HEADER)?;
     let k = c.u32()? as usize;
     let interests = match c.u8()? {
@@ -278,7 +296,7 @@ pub(crate) type TopologyChunk = (usize, VertexId, Vec<Vec<(u16, VertexId)>>);
 
 /// Decodes a topology chunk record (see [`encode_topology_chunk`]).
 pub(crate) fn decode_topology_chunk(payload: &[u8]) -> Result<TopologyChunk, String> {
-    let mut c = Cur::new(payload);
+    let mut c = Cur::record(payload);
     c.kind(KIND_TOPOLOGY)?;
     let i = c.u32()? as usize;
     let start = c.u32()?;
@@ -312,7 +330,7 @@ pub(crate) fn encode_name_chunk(graph: &Graph, i: usize) -> Vec<u8> {
 
 /// Decodes a name chunk record into `(chunk index, names)`.
 pub(crate) fn decode_name_chunk(payload: &[u8]) -> Result<(usize, Vec<String>), String> {
-    let mut c = Cur::new(payload);
+    let mut c = Cur::record(payload);
     c.kind(KIND_NAMES)?;
     let i = c.u32()? as usize;
     let n = c.count()?;
@@ -336,7 +354,7 @@ pub(crate) fn decode_class_chunk(
     k: usize,
     payload: &[u8],
 ) -> Result<(usize, Vec<ClassRecord>), String> {
-    let mut c = Cur::new(payload);
+    let mut c = Cur::record(payload);
     c.kind(KIND_CLASSES)?;
     let i = c.u32()? as usize;
     let body = &payload[c.at..];

@@ -12,7 +12,7 @@
 //! All randomness is seeded, so failures replay deterministically.
 
 use cpqx_core::CpqxIndex;
-use cpqx_engine::{Delta, DeltaOp, Engine, EngineOptions};
+use cpqx_engine::{Delta, DeltaOp, DurabilitySink, Engine, EngineOptions};
 use cpqx_graph::{generate, Graph, Label};
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{Cpq, Template};
@@ -305,5 +305,48 @@ fn recovery_across_incremental_checkpoints() {
             &queries,
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Snapshots are incremental: a checkpoint right after one small delta
+/// reuses every chunk record the delta left pointer-shared instead of
+/// rewriting the image, and the state it persists is the live one.
+#[test]
+fn checkpoint_after_a_small_delta_writes_only_changed_chunks() {
+    let dir = tmp("incremental");
+    let g0 = generate::random_graph(&generate::RandomGraphConfig::social(2000, 8000, 3, 23));
+    assert!(g0.edge_count() >= 2000);
+    let queries = workload(&g0, 0xabc);
+    let start =
+        durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
+    // Chunk records a full snapshot of `snap` holds — what the bootstrap
+    // generation wrote for the seed state.
+    let chunks = |snap: &cpqx_engine::Snapshot| {
+        (snap.graph().topology_chunk_count()
+            + snap.graph().name_chunk_count()
+            + snap.index().class_chunk_count()) as u64
+    };
+    let bootstrap_chunks = chunks(&start.engine.snapshot());
+
+    let mut delta = Delta::new();
+    for (v, u, l) in generate::sample_edges(&g0, 8, 0xd0) {
+        delta = delta.delete_edge(v, u, l).insert_edge(v, u, l);
+    }
+    assert_eq!(delta.len(), 16);
+    start.engine.apply_delta(&delta).unwrap();
+
+    let snap = start.engine.snapshot();
+    let report = start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+    assert_eq!(report.chunks_written + report.chunks_skipped, chunks(&snap));
+    assert!(report.chunks_skipped > 0, "no chunk reused: {report:?}");
+    assert!(
+        report.chunks_written < bootstrap_chunks,
+        "wrote {} chunks after a 16-op delta; the full image is {bootstrap_chunks}",
+        report.chunks_written
+    );
+
+    let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+    assert_eq!((info.generation, info.replayed_transactions), (2, 0));
+    assert_equivalent(&graph, &index, &start.engine, &queries);
     let _ = std::fs::remove_dir_all(&dir);
 }

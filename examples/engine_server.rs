@@ -104,11 +104,10 @@ fn main() {
         let t0 = Instant::now();
         let (engine, report) = Engine::with_options(seed(), options);
         println!(
-            "build: {:?} total ({} shards: level1 {:?} (parallel {:?}), refine {:?}, merge {:?})",
+            "build: {:?} total ({} shards: level1 {:?}, refine {:?}, merge {:?})",
             t0.elapsed(),
             report.shards,
             report.level1,
-            report.level1_parallel,
             report.refine,
             report.merge
         );
