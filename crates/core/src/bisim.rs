@@ -54,12 +54,23 @@
 //! partition, id for id, as the single-range build, and a saved index is
 //! byte-identical across shard counts, thread counts and processes (the
 //! interner's hash has a fixed seed and decides nothing but probe order).
+//!
+//! Sequence sets are never spelled out per block or class: a build (or
+//! shard) keeps one dictionary of the label sequences it meets, and every
+//! block's and class's set is a flat list of [`SeqId`]s into it, ordered by
+//! the sequences they name. Dictionary numbering is private to a build;
+//! [`merge_partitions`] remaps each shard's ids, and
+//! [`crate::CpqxIndex::from_partition`] renumbers them for the index.
 
-use crate::intern::{seq_words, SigInterner};
+use crate::intern::{id_words, SeqDict, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
 
 /// Identifier of a CPQk-equivalence class.
 pub type ClassId = u32;
+
+/// Identifier of a label sequence in a sequence dictionary (a
+/// [`Partition`]'s `seqs`, or the index's).
+pub type SeqId = u32;
 
 /// The computed partition of `P≤k` (pairs connected by a non-trivial path
 /// of length ≤ k; pure-identity pairs with no path are not materialized,
@@ -70,8 +81,15 @@ pub struct Partition {
     pub pair_classes: Vec<(Pair, ClassId)>,
     /// Per class: whether its pairs are cyclic (`v = u`).
     pub class_loop: Vec<bool>,
-    /// Per class: the sorted set `L≤k(v,u)` shared by all member pairs.
-    pub class_seqs: Vec<Vec<LabelSeq>>,
+    /// Every class's set `L≤k(v,u)`, back to back in class order, as ids
+    /// into `seqs`; each class's ids are ordered by the sequences they
+    /// name, which are distinct.
+    pub(crate) seq_ids: Vec<SeqId>,
+    /// Per class: where its ids end in `seq_ids` (they start where the
+    /// previous class's end).
+    pub(crate) seq_ends: Vec<usize>,
+    /// The sequence dictionary: `seqs[id]` is the sequence `id` names.
+    pub(crate) seqs: Vec<LabelSeq>,
 }
 
 impl Partition {
@@ -84,6 +102,21 @@ impl Partition {
     pub fn pair_count(&self) -> usize {
         self.pair_classes.len()
     }
+
+    /// The sequence ids of class `c`'s `L≤k`, in sequence order.
+    pub(crate) fn class_seq_ids(&self, c: ClassId) -> &[SeqId] {
+        &self.seq_ids[span(&self.seq_ends, c as usize)]
+    }
+
+    /// The sorted set `L≤k(v,u)` shared by all member pairs of class `c`.
+    pub fn class_seqs(&self, c: ClassId) -> impl ExactSizeIterator<Item = LabelSeq> + '_ {
+        self.class_seq_ids(c).iter().map(|&id| self.seqs[id as usize])
+    }
+}
+
+/// The range the `i`-th list occupies, given the lists' end offsets.
+fn span(ends: &[usize], i: usize) -> std::ops::Range<usize> {
+    (if i == 0 { 0 } else { ends[i - 1] })..ends[i]
 }
 
 /// Per-level state: pairs holding an exact-length-i path, their block ids,
@@ -91,8 +124,21 @@ impl Partition {
 struct Level {
     /// `(pair, block)` sorted by pair.
     pair_blocks: Vec<(Pair, u32)>,
-    /// Per block: sorted exact-length-i label sequences.
-    block_seqs: Vec<Vec<LabelSeq>>,
+    /// Every block's exact-length-i sequences, back to back in block order,
+    /// as dictionary ids in sequence order.
+    seq_ids: Vec<SeqId>,
+    /// Per block: where its ids end in `seq_ids`.
+    seq_ends: Vec<usize>,
+}
+
+impl Level {
+    fn view(&self) -> LevelView<'_> {
+        LevelView {
+            pair_blocks: &self.pair_blocks,
+            seq_ids: &self.seq_ids,
+            seq_ends: &self.seq_ends,
+        }
+    }
 }
 
 /// Computes the CPQk-equivalence classes of `g` (Algorithm 1 + the class
@@ -107,34 +153,47 @@ pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
 #[derive(Clone, Copy)]
 struct LevelView<'a> {
     pair_blocks: &'a [(Pair, u32)],
-    block_seqs: &'a [Vec<LabelSeq>],
+    seq_ids: &'a [SeqId],
+    seq_ends: &'a [usize],
+}
+
+impl<'a> LevelView<'a> {
+    /// Block `b`'s sequence ids.
+    #[inline]
+    fn block(&self, b: u32) -> &'a [SeqId] {
+        &self.seq_ids[span(self.seq_ends, b as usize)]
+    }
 }
 
 /// Shared read-only state for (sharded) refinement: the *global* level-1
-/// partition and its adjacency form.
+/// partition, its adjacency form, and the dictionary of the length-1
+/// sequences its blocks name.
 ///
 /// Level 1 assigns globally consistent block ids `b₁` to every
 /// edge-connected pair; every later refinement level only ever *reads* this
 /// state, which is what makes source-sharded refinement embarrassingly
 /// parallel: all pairs `(v, ·)` of a source vertex `v` are produced by
 /// level-sequences that start at `v`, so a shard owning a source range owns
-/// its pairs outright (see [`RefinementBase::partition_range`]).
+/// its pairs outright (see [`RefinementBase::partition_range`]). Each shard
+/// extends its own copy of the dictionary.
 pub struct RefinementBase {
     level1: Level,
     /// For each vertex `m`, the `(target, b₁(m,u))` list of its outgoing
     /// extended edges.
     adj1: Vec<Vec<(u32, u32)>>,
+    dict: SeqDict,
 }
 
 impl RefinementBase {
     /// Builds the global level-1 state of `g`.
     pub fn new(g: &Graph) -> Self {
-        let level1 = build_level1(g);
+        let mut dict = SeqDict::default();
+        let level1 = build_level1(g, &mut dict);
         let mut adj1: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.vertex_count() as usize];
         for &(p, b) in &level1.pair_blocks {
             adj1[p.src() as usize].push((p.dst(), b));
         }
-        RefinementBase { level1, adj1 }
+        RefinementBase { level1, adj1, dict }
     }
 
     /// Splits the vertex ids into at most `shards` contiguous source
@@ -165,60 +224,60 @@ impl RefinementBase {
         let pb = &self.level1.pair_blocks;
         let start = pb.partition_point(|&(p, _)| p.src() < src_range.start);
         let end = start + pb[start..].partition_point(|&(p, _)| p.src() < src_range.end);
-        let level1_slice = &pb[start..end];
+        let level1 = LevelView { pair_blocks: &pb[start..end], ..self.level1.view() };
 
+        let mut dict = self.dict.clone();
         let mut local: Vec<Level> = Vec::with_capacity(k.saturating_sub(1));
-        for i in 2..=k {
-            let (prev_blocks, prev_seqs): (&[(Pair, u32)], &[Vec<LabelSeq>]) = if i == 2 {
-                (level1_slice, &self.level1.block_seqs)
-            } else {
-                let prev = local.last().unwrap();
-                (&prev.pair_blocks, &prev.block_seqs)
-            };
-            let next = refine_level(prev_blocks, prev_seqs, &self.level1.block_seqs, &self.adj1);
+        for _ in 2..=k {
+            let prev = local.last().map_or(level1, Level::view);
+            let next = refine_level(prev, self.level1.view(), &self.adj1, &mut dict);
             local.push(next);
         }
 
         let mut views: Vec<LevelView<'_>> = Vec::with_capacity(k);
-        views.push(LevelView { pair_blocks: level1_slice, block_seqs: &self.level1.block_seqs });
-        for l in &local {
-            views.push(LevelView { pair_blocks: &l.pair_blocks, block_seqs: &l.block_seqs });
-        }
-        assemble_classes(&views)
+        views.push(level1);
+        views.extend(local.iter().map(Level::view));
+        assemble_classes(&views, dict)
     }
 }
 
 /// Classes under construction, keyed by the index invariant `(cyclicity,
-/// sequence set)`: the grouping step class assembly and shard merging
-/// share.
+/// sequence set)`: the grouping step class assembly, shard merging and the
+/// interest-aware partition share. Sequence sets are id lists into one
+/// dictionary, ordered by sequence, so equal sets are equal lists.
 #[derive(Default)]
-struct ClassTable {
+pub(crate) struct ClassTable {
     by_invariant: SigInterner,
     class_loop: Vec<bool>,
-    class_seqs: Vec<Vec<LabelSeq>>,
+    seq_ids: Vec<SeqId>,
+    seq_ends: Vec<usize>,
     /// Reused encoding buffer.
     words: Vec<u64>,
 }
 
 impl ClassTable {
-    /// The class of `(is_loop, seqs)` (`seqs` sorted and distinct),
-    /// registering it under the next id if it is new.
-    fn class_of(&mut self, is_loop: bool, seqs: &[LabelSeq]) -> ClassId {
-        self.words.clear();
-        for s in seqs {
-            let (w, n) = seq_words(s);
-            self.words.extend_from_slice(&w[..n]);
-        }
+    /// The class of `(is_loop, ids)`, registering it under the next id if
+    /// it is new.
+    pub(crate) fn class_of(&mut self, is_loop: bool, ids: &[SeqId]) -> ClassId {
+        id_words(ids, &mut self.words);
         let c = self.by_invariant.intern(is_loop, &self.words);
         if c as usize == self.class_loop.len() {
             self.class_loop.push(is_loop);
-            self.class_seqs.push(seqs.to_vec());
+            self.seq_ids.extend_from_slice(ids);
+            self.seq_ends.push(self.seq_ids.len());
         }
         c
     }
 
-    fn into_partition(self, pair_classes: Vec<(Pair, ClassId)>) -> Partition {
-        Partition { pair_classes, class_loop: self.class_loop, class_seqs: self.class_seqs }
+    /// The partition of `pair_classes` over these classes, whose ids name
+    /// `seqs`.
+    pub(crate) fn into_partition(
+        self,
+        pair_classes: Vec<(Pair, ClassId)>,
+        seqs: Vec<LabelSeq>,
+    ) -> Partition {
+        let ClassTable { class_loop, seq_ids, seq_ends, .. } = self;
+        Partition { pair_classes, class_loop, seq_ids, seq_ends, seqs }
     }
 }
 
@@ -234,21 +293,27 @@ impl ClassTable {
 /// sorted, i.e. the shards came from a tiling of ascending source ranges.
 /// Shard classes are re-interned in shard order, so merged ids again count
 /// up by first occurrence along the pair list: the result does not depend
-/// on where the ranges were cut, and a single shard merges to itself.
+/// on where the ranges were cut, and a single shard merges to itself. Each
+/// shard's sequence ids are remapped into one merged dictionary first
+/// (remapping keeps a list's sequence order).
 pub fn merge_partitions(mut shards: Vec<Partition>) -> Partition {
     if shards.len() <= 1 {
         return shards.pop().unwrap_or_default();
     }
     let mut pair_classes: Vec<(Pair, ClassId)> =
         Vec::with_capacity(shards.iter().map(Partition::pair_count).sum());
+    let mut dict = SeqDict::default();
     let mut classes = ClassTable::default();
+    let mut ids: Vec<SeqId> = Vec::new();
     for shard in shards {
-        // This shard's local class ids as global ids.
-        let remap: Vec<ClassId> = shard
-            .class_loop
-            .iter()
-            .zip(&shard.class_seqs)
-            .map(|(&lp, seqs)| classes.class_of(lp, seqs))
+        // This shard's sequence ids and local class ids as global ids.
+        let seq_remap: Vec<SeqId> = shard.seqs.iter().map(|&s| dict.intern(s)).collect();
+        let remap: Vec<ClassId> = (0..shard.class_count() as ClassId)
+            .map(|c| {
+                ids.clear();
+                ids.extend(shard.class_seq_ids(c).iter().map(|&id| seq_remap[id as usize]));
+                classes.class_of(shard.class_loop[c as usize], &ids)
+            })
             .collect();
         for &(p, c) in &shard.pair_classes {
             debug_assert!(
@@ -258,13 +323,14 @@ pub fn merge_partitions(mut shards: Vec<Partition>) -> Partition {
             pair_classes.push((p, remap[c as usize]));
         }
     }
-    classes.into_partition(pair_classes)
+    classes.into_partition(pair_classes, dict.into_seqs())
 }
 
 /// Level 1: one sweep over the sorted `(pair, label)` entries of every
 /// extended label; as a pair's run ends, its `(is-loop, label set)` is
-/// interned and the id is the pair's block.
-fn build_level1(g: &Graph) -> Level {
+/// interned and the id is the pair's block. Each block's label set is
+/// recorded as the dictionary ids of its length-1 sequences.
+fn build_level1(g: &Graph, dict: &mut SeqDict) -> Level {
     let mut entries: Vec<(Pair, u16)> = Vec::new();
     for l in g.ext_labels() {
         entries.extend(g.edge_pairs(l).iter().map(|p| (p, l.0)));
@@ -281,21 +347,26 @@ fn build_level1(g: &Graph) -> Level {
         pair_blocks.push((p, blocks.intern(p.is_loop(), &labels)));
     }
 
-    let block_seqs: Vec<Vec<LabelSeq>> = (0..blocks.len() as u32)
-        .map(|b| blocks.words(b).iter().map(|&l| LabelSeq::single(ExtLabel(l as u16))).collect())
-        .collect();
-    Level { pair_blocks, block_seqs }
+    // Label sets are sorted by label, which is their sequence order.
+    let (mut seq_ids, mut seq_ends) = (Vec::new(), Vec::with_capacity(blocks.len()));
+    for b in 0..blocks.len() as u32 {
+        let singles = blocks.words(b).iter().map(|&l| LabelSeq::single(ExtLabel(l as u16)));
+        seq_ids.extend(singles.map(|s| dict.intern(s)));
+        seq_ends.push(seq_ids.len());
+    }
+    Level { pair_blocks, seq_ids, seq_ends }
 }
 
 /// Level i from level i−1: join exact-(i−1) pairs with edges, group by
-/// `(is-loop, sorted (b_{i-1}, b₁) set)`. `prev_blocks` may be a shard's
+/// `(is-loop, sorted (b_{i-1}, b₁) set)`. `prev` may be a shard's
 /// source-contiguous slice of the previous level; block ids in the output
-/// index into the returned `block_seqs` only.
+/// index into the returned level's sets only, whose sequences `dict`
+/// names (new ones are added).
 fn refine_level(
-    prev_blocks: &[(Pair, u32)],
-    prev_seqs: &[Vec<LabelSeq>],
-    level1_block_seqs: &[Vec<LabelSeq>],
+    prev: LevelView<'_>,
+    level1: LevelView<'_>,
     adj1: &[Vec<(u32, u32)>],
+    dict: &mut SeqDict,
 ) -> Level {
     let mut blocks = SigInterner::default();
     let mut pair_blocks: Vec<(Pair, u32)> = Vec::new();
@@ -304,7 +375,7 @@ fn refine_level(
     let mut combos: Vec<u64> = Vec::new();
     // `prev_blocks` is source-major: every decomposition prefix·edge of a
     // pair `(v, ·)` comes from the run of `v`.
-    for of_source in prev_blocks.chunk_by(|a, b| a.0.src() == b.0.src()) {
+    for of_source in prev.pair_blocks.chunk_by(|a, b| a.0.src() == b.0.src()) {
         let v = of_source[0].0.src();
         emitted.clear();
         for &(vm, b_prev) in of_source {
@@ -324,33 +395,33 @@ fn refine_level(
 
     // Each block's exact-length-i sequence set: union over its combos of
     // prev-block seqs × level-1 labels (memoized per block, not per pair —
-    // see the module docs for why this equals the paper's per-pair loop).
-    let block_seqs: Vec<Vec<LabelSeq>> = (0..blocks.len() as u32)
-        .map(|b| {
-            let mut seqs = Vec::new();
-            for &c in blocks.words(b) {
-                let b_prev = (c >> 32) as usize;
-                let b1 = (c as u32) as usize;
-                for w in &prev_seqs[b_prev] {
-                    for s1 in &level1_block_seqs[b1] {
-                        seqs.push(w.concat(s1));
-                    }
-                }
+    // see the module docs for why this equals the paper's per-pair loop),
+    // sorted in one reused buffer and stored as ids.
+    let (mut seq_ids, mut seq_ends) = (Vec::new(), Vec::with_capacity(blocks.len()));
+    let mut seqs: Vec<LabelSeq> = Vec::new();
+    for b in 0..blocks.len() as u32 {
+        seqs.clear();
+        for &c in blocks.words(b) {
+            for &w in prev.block((c >> 32) as u32) {
+                let w = dict.seq(w);
+                seqs.extend(level1.block(c as u32).iter().map(|&s1| w.concat(&dict.seq(s1))));
             }
-            seqs.sort_unstable();
-            seqs.dedup();
-            seqs
-        })
-        .collect();
+        }
+        seqs.sort_unstable();
+        seqs.dedup();
+        seq_ids.extend(seqs.iter().map(|&s| dict.intern(s)));
+        seq_ends.push(seq_ids.len());
+    }
 
-    Level { pair_blocks, block_seqs }
+    Level { pair_blocks, seq_ids, seq_ends }
 }
 
 /// Final class assignment over `k = levels.len()` pair-sorted level lists:
 /// merge them, intern each pair's `(is-loop, ⟨b₁,…,b_k⟩)`, and map each
 /// distinct block tuple to the class of the `(is-loop, L≤k)` it stands for
-/// (derived once per tuple from the per-level block sequence sets).
-fn assemble_classes(levels: &[LevelView<'_>]) -> Partition {
+/// (derived once per tuple from the per-level block sequence sets, whose
+/// ids `dict` names).
+fn assemble_classes(levels: &[LevelView<'_>], dict: SeqDict) -> Partition {
     const NULL: u64 = u32::MAX as u64;
     let k = levels.len();
     let mut cursors = [0usize; cpqx_graph::MAX_SEQ_LEN];
@@ -359,7 +430,7 @@ fn assemble_classes(levels: &[LevelView<'_>]) -> Partition {
     // Per distinct block tuple: its class.
     let mut class_of_tuple: Vec<ClassId> = Vec::new();
     let mut classes = ClassTable::default();
-    let mut seqs: Vec<LabelSeq> = Vec::new();
+    let mut ids: Vec<SeqId> = Vec::new();
     let mut pair_classes: Vec<(Pair, ClassId)> =
         Vec::with_capacity(levels.iter().map(|l| l.pair_blocks.len()).max().unwrap_or(0));
 
@@ -378,20 +449,20 @@ fn assemble_classes(levels: &[LevelView<'_>]) -> Partition {
         }
         let t = tuples.intern(p.is_loop(), &tuple[..k]) as usize;
         if t == class_of_tuple.len() {
-            seqs.clear();
+            ids.clear();
             for (level, &b) in levels.iter().zip(&tuple) {
                 if b != NULL {
-                    seqs.extend_from_slice(&level.block_seqs[b as usize]);
+                    ids.extend_from_slice(level.block(b as u32));
                 }
             }
-            // Already a sorted set: each level's block set is one, and
+            // Already in sequence order: each level's block set is, and
             // `LabelSeq` orders by length first.
-            debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-            class_of_tuple.push(classes.class_of(p.is_loop(), &seqs));
+            debug_assert!(ids.windows(2).all(|w| dict.seq(w[0]) < dict.seq(w[1])));
+            class_of_tuple.push(classes.class_of(p.is_loop(), &ids));
         }
         pair_classes.push((p, class_of_tuple[t]));
     }
-    classes.into_partition(pair_classes)
+    classes.into_partition(pair_classes, dict.into_seqs())
 }
 
 #[cfg(test)]
@@ -399,6 +470,16 @@ mod tests {
     use super::*;
     use crate::paths::label_seqs_between;
     use cpqx_graph::generate;
+
+    /// Class `c`'s sequence set, read through the partition's dictionary.
+    fn seq_set(p: &Partition, c: ClassId) -> Vec<LabelSeq> {
+        p.class_seqs(c).collect()
+    }
+
+    /// Every class's sequence set, in class order.
+    fn seq_sets(p: &Partition) -> Vec<Vec<LabelSeq>> {
+        (0..p.class_count() as ClassId).map(|c| seq_set(p, c)).collect()
+    }
 
     /// The invariant everything rests on: classes disjointly cover all
     /// non-trivially connected pairs, and all members of a class share
@@ -425,10 +506,7 @@ mod tests {
         // Class homogeneity + stored sequence sets match recomputation.
         for &(pair, c) in &p.pair_classes {
             let expected = label_seqs_between(g, pair.src(), pair.dst(), k);
-            assert_eq!(
-                p.class_seqs[c as usize], expected,
-                "class {c} seqs wrong for pair {pair:?}"
-            );
+            assert_eq!(seq_set(&p, c), expected, "class {c} seqs wrong for pair {pair:?}");
             assert_eq!(p.class_loop[c as usize], pair.is_loop());
         }
         p
@@ -525,7 +603,7 @@ mod tests {
             let merged = merge_partitions(parts);
             assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards, k={k}");
             assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards, k={k}");
-            assert_eq!(merged.class_seqs, seq.class_seqs, "{shards} shards, k={k}");
+            assert_eq!(seq_sets(&merged), seq_sets(&seq), "{shards} shards, k={k}");
         }
     }
 
@@ -544,7 +622,7 @@ mod tests {
             }
             assert_eq!(next as usize, p.class_count());
             let distinct: std::collections::HashSet<_> =
-                p.class_loop.iter().zip(&p.class_seqs).collect();
+                p.class_loop.iter().zip(seq_sets(&p)).collect();
             assert_eq!(distinct.len(), p.class_count(), "two classes share an invariant");
         }
     }
@@ -609,8 +687,9 @@ mod tests {
     }
 
     /// Level 1 on its own: blocks partition the edge-connected pairs
-    /// exactly by `(is-loop, label set)`, `block_seqs[b]` is that label
-    /// set, and ids count up by first occurrence along the pair list.
+    /// exactly by `(is-loop, label set)`, block `b`'s sequence ids name
+    /// that label set, and ids count up by first occurrence along the pair
+    /// list.
     #[test]
     fn level1_groups_pairs_by_loop_flag_and_label_set() {
         let mut self_loops = cpqx_graph::GraphBuilder::new();
@@ -628,16 +707,20 @@ mod tests {
                     expected.entry(p).or_default().push(LabelSeq::single(l));
                 }
             }
-            let Level { pair_blocks, block_seqs } = build_level1(&g);
+            let mut dict = SeqDict::default();
+            let level1 = build_level1(&g, &mut dict);
+            let pair_blocks = &level1.pair_blocks;
             assert!(pair_blocks.iter().map(|&(p, _)| p).eq(expected.keys().copied()));
             let mut by_sig = std::collections::HashMap::new();
-            for &(p, b) in &pair_blocks {
-                assert_eq!(block_seqs[b as usize], expected[&p], "label set of {p:?}");
+            for &(p, b) in pair_blocks {
+                let labels: Vec<LabelSeq> =
+                    level1.view().block(b).iter().map(|&id| dict.seq(id)).collect();
+                assert_eq!(labels, expected[&p], "label set of {p:?}");
                 let next = by_sig.len() as u32;
                 let first = *by_sig.entry((p.is_loop(), &expected[&p])).or_insert(next);
                 assert_eq!(b, first, "{p:?}: one id per signature, by first occurrence");
             }
-            assert_eq!(by_sig.len(), block_seqs.len());
+            assert_eq!(by_sig.len(), level1.seq_ends.len());
         }
     }
 

@@ -1,10 +1,10 @@
 //! The runtime index structure `Ik = (Il2c, Ic2p)` of Def. 4.3, serving both
 //! CPQx and iaCPQx (they differ only in how the partition is computed).
 
-use crate::bisim::{cpq_path_partition, ClassId, Partition};
+use crate::bisim::{cpq_path_partition, ClassId, Partition, SeqId};
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
-use crate::intern::{seq_words, PairHasher, SigInterner};
+use crate::intern::{PairHasher, SeqDict};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair};
 use cpqx_query::plan::{plan_query, Plan};
 use cpqx_query::workload::SeqProbe;
@@ -35,6 +35,11 @@ type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 /// update copies only the chunks holding touched classes — fresh classes
 /// append to the last chunk only.
 ///
+/// A sequence set is a list of 4-byte [`SeqId`]s into the index's
+/// sequence dictionary, not of the 18-byte sequences themselves: the sets
+/// are `Il2c` transposed, one entry per posting entry, and spelled out as
+/// sequences they would be over half the index's bytes.
+///
 /// Rows are **flat**: the pair rows of a chunk's classes lie back to back
 /// in one vector, delimited by per-class end offsets, and so do their
 /// sequence sets. Expanding a posting list is a forward sweep over a few
@@ -51,8 +56,10 @@ pub(crate) struct ClassChunk {
     pair_ends: Vec<u32>,
     /// Per-class cyclicity flags.
     loops: Vec<bool>,
-    /// Per-class sorted `L≤k` sequence sets, back to back in class order.
-    seqs: Vec<LabelSeq>,
+    /// Per-class `L≤k` sequence sets, back to back in class order, as
+    /// dictionary ids; each class's ids are ordered by the sequences they
+    /// name, so equal sets are equal lists.
+    seqs: Vec<SeqId>,
     /// Per class: where its sequence set ends in `seqs`.
     seq_ends: Vec<u32>,
 }
@@ -93,9 +100,9 @@ impl ClassChunk {
         &self.pairs[row_span(&self.pair_ends, off)]
     }
 
-    /// The sequence set of the `off`-th class.
+    /// The sequence ids of the `off`-th class.
     #[inline]
-    fn seq_set(&self, off: usize) -> &[LabelSeq] {
+    fn seq_set(&self, off: usize) -> &[SeqId] {
         &self.seqs[row_span(&self.seq_ends, off)]
     }
 
@@ -105,8 +112,8 @@ impl ClassChunk {
             .map(|off| (row_span(&self.seq_ends, off).len(), row_span(&self.pair_ends, off).len()))
     }
 
-    /// Appends a class (`seqs` and `pairs` sorted).
-    pub(crate) fn push(&mut self, is_loop: bool, seqs: &[LabelSeq], pairs: &[Pair]) {
+    /// Appends a class (`seqs` in sequence order, `pairs` sorted).
+    pub(crate) fn push(&mut self, is_loop: bool, seqs: &[SeqId], pairs: &[Pair]) {
         self.pairs.extend_from_slice(pairs);
         self.pair_ends.push(end_offset(self.pairs.len()));
         self.loops.push(is_loop);
@@ -175,7 +182,7 @@ pub(crate) struct Posting {
 
 impl Posting {
     /// Lists `c`, a class id above every listed one.
-    fn push(&mut self, c: ClassId, is_loop: bool) {
+    pub(crate) fn push(&mut self, c: ClassId, is_loop: bool) {
         self.all.push(c);
         if is_loop {
             self.cyclic.push(c);
@@ -208,6 +215,12 @@ impl Posting {
 /// whether an affected pair's `L≤k` changed), and the pair → class inverted
 /// index of Sec. IV-E.
 ///
+/// Label sequences are stored once, in a **sequence dictionary** that
+/// names each distinct sequence by a dense 4-byte [`SeqId`]: `Il2c` is a
+/// vector of postings indexed by id, and a class's sequence set is a list
+/// of ids. A lookup resolves its sequence through the dictionary's hash
+/// once; [`CpqxIndex::class_sequences`] reads a set back through it.
+///
 /// The type is `Clone` so a serving layer can snapshot it, apply
 /// maintenance to the copy, and atomically publish the result without
 /// blocking readers of the old version (see the `cpqx-engine` crate).
@@ -216,14 +229,16 @@ impl Posting {
 ///
 /// The heavyweight stores are structurally shared between clones:
 ///
-/// * the class partition (`Ic2p` rows, loop flags, sequence sets) lives
-///   in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of flat
-///   arrays,
+/// * the class partition (`Ic2p` rows, loop flags, sequence-id sets)
+///   lives in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of
+///   flat arrays,
 /// * the pair → class inverted index is sharded by source-vertex range
 ///   behind `Arc`,
 /// * `Il2c` entries — a posting list and its cyclic sub-list
 ///   ([`Posting`]) — sit individually behind `Arc` (the key set is small
-///   — O(|L|ᵏ) sequences — so the map itself clones cheaply).
+///   — O(|L|ᵏ) sequences — so the vector itself clones cheaply),
+/// * the sequence dictionary sits behind one `Arc`: only a write that
+///   meets a never-seen sequence copies it.
 ///
 /// Cloning is therefore O(#chunks + #shards + #sequences), and the lazy
 /// maintenance procedures copy only what they touch via `Arc::make_mut`
@@ -236,7 +251,12 @@ pub struct CpqxIndex {
     /// `None` for full CPQx; `Some(Lq)` for iaCPQx (length-1 sequences are
     /// implicit and not stored here).
     pub(crate) interests: Option<BTreeSet<LabelSeq>>,
-    pub(crate) il2c: HashMap<LabelSeq, Arc<Posting>>,
+    /// The sequence dictionary every `SeqId` of the index refers to.
+    pub(crate) seqs: Arc<SeqDict>,
+    /// `Il2c`, indexed by `SeqId`: `None` where a sequence is no lookup
+    /// key (a deleted interest a class still carries, or a trailing id
+    /// the vector has not grown to).
+    pub(crate) il2c: Vec<Option<Arc<Posting>>>,
     /// Class partition store, chunked by class-id range.
     pub(crate) classes: Vec<Arc<ClassChunk>>,
     /// Allocated class slots (tombstones included) across all chunks.
@@ -323,12 +343,15 @@ pub struct IndexStats {
     pub postings: usize,
     /// γ — average `|L≤k(v,u)|` over indexed pairs.
     pub gamma: f64,
-    /// Core index bytes: `Il2c` (posting lists and their cyclic
-    /// sub-lists) + `Ic2p` (Def. 4.3's structures, the quantity Thm. 4.2
-    /// bounds and Table IV reports).
+    /// Core index bytes: `Il2c` (the sequence dictionary, posting lists and
+    /// their cyclic sub-lists) + `Ic2p` (Def. 4.3's structures, the
+    /// quantity Thm. 4.2 bounds and Table IV reports).
     pub core_bytes: usize,
-    /// Total bytes including the maintenance structures (`class_seqs`,
-    /// `p2c`, loop flags).
+    /// Total bytes including the maintenance structures (per-class
+    /// sequence-id sets, `p2c`, loop flags). Packed accounting: what each
+    /// structure stores, at the size of the element type it stores it as,
+    /// plus a 4-byte offset per list; container headers and hash-table
+    /// slack are not counted.
     pub total_bytes: usize,
 }
 
@@ -362,29 +385,38 @@ impl CpqxIndex {
     /// produced by [`cpq_path_partition`], by
     /// [`crate::bisim::merge_partitions`] over a tiling of source ranges,
     /// or by [`crate::interest::interest_partition`].
-    pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {
+    pub fn from_partition(
+        k: usize,
+        interests: Option<BTreeSet<LabelSeq>>,
+        mut p: Partition,
+    ) -> Self {
         let nc = p.class_count();
         debug_assert!(p.pair_classes.windows(2).all(|w| w[0].0 < w[1].0), "pairs must be sorted");
 
-        // `Il2c`, laid out by slot: a sequence gets a slot when first seen,
-        // its posting lists grow as plain vectors (classes are visited in
-        // ascending id order, so postings come out sorted) and are wrapped
-        // in their `Arc` once, at the end.
-        let mut slots = SigInterner::default();
-        let mut slot_seqs: Vec<LabelSeq> = Vec::new();
+        // The dictionary and `Il2c`: renumber the partition's sequence ids
+        // in place by first occurrence along the classes, so the numbering
+        // depends on the classes alone, not on how the build was sharded
+        // (renumbering keeps every set's sequence order). Each sequence's
+        // posting lists grow as plain vectors beside it — classes are
+        // visited in ascending id order, so postings come out sorted — and
+        // are wrapped in their `Arc` once, at the end.
+        let mut seqs = SeqDict::default();
+        let mut renumbered = vec![SeqId::MAX; p.seqs.len()];
         let mut postings: Vec<Posting> = Vec::new();
-        for (c, (seqs, &is_loop)) in p.class_seqs.iter().zip(&p.class_loop).enumerate() {
-            for s in seqs {
-                let (w, n) = seq_words(s);
-                let slot = slots.intern(false, &w[..n]) as usize;
-                if slot == postings.len() {
-                    slot_seqs.push(*s);
+        let mut start = 0;
+        for (c, (&end, &is_loop)) in p.seq_ends.iter().zip(&p.class_loop).enumerate() {
+            for id in &mut p.seq_ids[start..end] {
+                let to = &mut renumbered[*id as usize];
+                if *to == SeqId::MAX {
+                    *to = seqs.intern(p.seqs[*id as usize]);
                     postings.push(Posting::default());
                 }
-                postings[slot].push(c as ClassId, is_loop);
+                *id = *to;
+                postings[*id as usize].push(c as ClassId, is_loop);
             }
+            start = end;
         }
-        let il2c = slot_seqs.into_iter().zip(postings.into_iter().map(Arc::new)).collect();
+        let il2c = postings.into_iter().map(|posting| Some(Arc::new(posting))).collect();
 
         // `Ic2p`: every chunk is laid out at its exact size from the row
         // sizes, then the pairs are scattered straight into place —
@@ -394,19 +426,20 @@ impl CpqxIndex {
         for &(_, c) in &p.pair_classes {
             cursors[c as usize] += 1;
         }
-        let mut class_seqs = p.class_seqs.into_iter();
         let mut chunks: Vec<ClassChunk> = Vec::with_capacity(nc.div_ceil(CLASS_CHUNK));
-        for (loops, cursors) in
-            p.class_loop.chunks(CLASS_CHUNK).zip(cursors.chunks_mut(CLASS_CHUNK))
+        let mut seq_start = 0;
+        for ((loops, seq_ends), cursors) in p
+            .class_loop
+            .chunks(CLASS_CHUNK)
+            .zip(p.seq_ends.chunks(CLASS_CHUNK))
+            .zip(cursors.chunks_mut(CLASS_CHUNK))
         {
-            let seq_sets: Vec<Vec<LabelSeq>> = class_seqs.by_ref().take(loops.len()).collect();
-            let seq_total = seq_sets.iter().map(Vec::len).sum();
-            let mut chunk = ClassChunk::with_capacity(loops.len(), 0, seq_total);
+            let seq_end = seq_ends[seq_ends.len() - 1];
+            let mut chunk = ClassChunk::with_capacity(loops.len(), 0, seq_end - seq_start);
             chunk.loops.extend_from_slice(loops);
-            for set in seq_sets {
-                chunk.seqs.extend_from_slice(&set);
-                chunk.seq_ends.push(end_offset(chunk.seqs.len()));
-            }
+            chunk.seqs.extend_from_slice(&p.seq_ids[seq_start..seq_end]);
+            chunk.seq_ends.extend(seq_ends.iter().map(|&end| end_offset(end - seq_start)));
+            seq_start = seq_end;
             let mut at = 0usize;
             for cursor in cursors {
                 let size = std::mem::replace(cursor, end_offset(at)) as usize;
@@ -433,6 +466,7 @@ impl CpqxIndex {
         CpqxIndex {
             k,
             interests,
+            seqs: Arc::new(seqs),
             il2c,
             classes: chunks.into_iter().map(Arc::new).collect(),
             class_count: nc,
@@ -453,7 +487,7 @@ impl CpqxIndex {
     /// Appends an empty class slot (its pairs and their pair → class
     /// entries are the caller's to add), returning its id. Only the last
     /// chunk is touched.
-    pub(crate) fn push_class(&mut self, is_loop: bool, seqs: &[LabelSeq]) -> ClassId {
+    pub(crate) fn push_class(&mut self, is_loop: bool, seqs: &[SeqId]) -> ClassId {
         let c = self.class_count as ClassId;
         if self.class_count.is_multiple_of(CLASS_CHUNK) {
             self.classes.push(Arc::new(ClassChunk::default()));
@@ -520,10 +554,36 @@ impl CpqxIndex {
         }
     }
 
-    /// Lists `c` — a class id above every listed one — under `s` (and
-    /// under `s ∩ id` if the class is cyclic), copying only that entry.
-    pub(crate) fn il2c_push(&mut self, s: LabelSeq, c: ClassId, is_loop: bool) {
-        Arc::make_mut(self.il2c.entry(s).or_default()).push(c, is_loop);
+    /// The id of `s`, registering it in the dictionary if it is new — the
+    /// one write that copies a shared dictionary.
+    pub(crate) fn seq_id_or_insert(&mut self, s: LabelSeq) -> SeqId {
+        match self.seqs.get(&s) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.seqs).intern(s),
+        }
+    }
+
+    /// The `Il2c` entry of sequence `id`, made a lookup key if it is not
+    /// one, and copied first if it is shared.
+    pub(crate) fn il2c_entry(&mut self, id: SeqId) -> &mut Posting {
+        let id = id as usize;
+        if id >= self.il2c.len() {
+            self.il2c.resize(id + 1, None);
+        }
+        Arc::make_mut(self.il2c[id].get_or_insert_with(Default::default))
+    }
+
+    /// Lists `c` — a class id above every listed one — under sequence `id`
+    /// (and under `id ∩ id` if the class is cyclic), copying only that
+    /// entry.
+    pub(crate) fn il2c_push(&mut self, id: SeqId, c: ClassId, is_loop: bool) {
+        self.il2c_entry(id).push(c, is_loop);
+    }
+
+    /// The `Il2c` entry of `seq`, if `seq` is a lookup key.
+    fn posting(&self, seq: &LabelSeq) -> Option<&Posting> {
+        let id = self.seqs.get(seq)?;
+        self.il2c.get(id as usize)?.as_deref()
     }
 
     /// The index path-length parameter `k`.
@@ -543,14 +603,14 @@ impl CpqxIndex {
 
     /// `Il2c(ℓ)` — the sorted class ids whose pairs match `seq`.
     pub fn lookup(&self, seq: &LabelSeq) -> &[ClassId] {
-        self.il2c.get(seq).map(|p| p.all.as_slice()).unwrap_or(&[])
+        self.posting(seq).map_or(&[], |p| &p.all)
     }
 
     /// `Il2c(ℓ) ∩ id` — the sorted ids of the *cyclic* classes whose pairs
     /// match `seq`: the sub-list of [`CpqxIndex::lookup`] for which
     /// [`CpqxIndex::class_is_loop`] holds, kept beside it.
     pub fn lookup_cyclic(&self, seq: &LabelSeq) -> &[ClassId] {
-        self.il2c.get(seq).map(|p| p.cyclic.as_slice()).unwrap_or(&[])
+        self.posting(seq).map_or(&[], |p| &p.cyclic)
     }
 
     /// `Ic2p(c)` — the sorted s-t pairs of class `c`.
@@ -591,8 +651,17 @@ impl CpqxIndex {
         chunk.loops[off]
     }
 
-    /// The label-sequence set shared by all pairs of class `c`.
-    pub fn class_sequences(&self, c: ClassId) -> &[LabelSeq] {
+    /// The label-sequence set shared by all pairs of class `c`, in sorted
+    /// order, read through the sequence dictionary.
+    pub fn class_sequences(
+        &self,
+        c: ClassId,
+    ) -> impl ExactSizeIterator<Item = LabelSeq> + Clone + '_ {
+        self.class_seq_ids(c).iter().map(|&id| self.seqs.seq(id))
+    }
+
+    /// Class `c`'s sequence set as dictionary ids, in sequence order.
+    pub(crate) fn class_seq_ids(&self, c: ClassId) -> &[SeqId] {
         let (chunk, off) = self.class_slot(c);
         chunk.seq_set(off)
     }
@@ -701,7 +770,8 @@ impl CpqxIndex {
     /// Index statistics (sizes follow Thm. 4.2's accounting; see
     /// [`IndexStats`]).
     pub fn stats(&self) -> IndexStats {
-        let postings: usize = self.il2c.values().map(|p| p.all.len()).sum();
+        let keys = || self.il2c.iter().flatten();
+        let postings: usize = keys().map(|p| p.all.len()).sum();
         let pairs = self.pair_count();
         // γ = average |L≤k(v,u)| over pairs = Σ_c |seqs(c)|·|P(c)| / |P≤k|.
         let weighted: usize = self
@@ -711,30 +781,31 @@ impl CpqxIndex {
             .map(|(seqs, pairs)| seqs * pairs)
             .sum();
         let gamma = if pairs == 0 { 0.0 } else { weighted as f64 / pairs as f64 };
-        // Packed (CSR-equivalent) accounting: keys + entries + offsets.
-        // Container headers are an implementation detail, so sizes stay
-        // comparable across index designs (Table IV's IS). A cyclic
-        // sub-list shares its key with the full list.
-        let seq_bytes = std::mem::size_of::<LabelSeq>();
+        // Packed (CSR-equivalent) accounting: entries + offsets, each at
+        // the size of the type it is stored as. Container headers are an
+        // implementation detail, so sizes stay comparable across index
+        // designs (Table IV's IS). The dictionary holds each sequence once
+        // (id → sequence, and the sequence → id entry); `Il2c` is indexed
+        // by id, and a cyclic sub-list shares its key with the full list.
         let id_bytes = std::mem::size_of::<ClassId>();
-        let il2c_bytes: usize = self
-            .il2c
-            .values()
+        let seq_id_bytes = std::mem::size_of::<SeqId>();
+        let dict_bytes = self.seqs.len() * (std::mem::size_of::<LabelSeq>() + seq_id_bytes);
+        let il2c_bytes: usize = keys()
             .map(|p| {
                 let cyclic = if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
-                seq_bytes + p.all.len() * id_bytes + 4 + cyclic
+                p.all.len() * id_bytes + 4 + cyclic
             })
             .sum();
         let ic2p_bytes: usize = pairs * std::mem::size_of::<Pair>() + (self.class_count + 1) * 4;
-        let core_bytes = il2c_bytes + ic2p_bytes;
+        let core_bytes = dict_bytes + il2c_bytes + ic2p_bytes;
         let class_seq_bytes: usize =
-            self.classes.iter().map(|ch| ch.seqs.len() * seq_bytes + ch.len() * 4).sum();
+            self.classes.iter().map(|ch| ch.seqs.len() * seq_id_bytes + ch.len() * 4).sum();
         let p2c_bytes = pairs * (std::mem::size_of::<Pair>() + id_bytes);
         IndexStats {
             k: self.k,
             classes: self.live_class_count(),
             pairs,
-            sequences: self.il2c.len(),
+            sequences: keys().count(),
             postings,
             gamma,
             core_bytes,
@@ -854,5 +925,55 @@ mod tests {
         let before = chunk.pairs.clone();
         chunk.edit_rows(10, &[], &[]);
         assert_eq!(chunk.pairs, before);
+    }
+
+    /// `total_bytes` is what the structures store, each counted at the
+    /// size of the element type it is actually stored as — so the number
+    /// falls only if the stored bytes do.
+    #[test]
+    fn total_bytes_counts_the_stored_elements() {
+        use std::mem::{size_of, size_of_val};
+        let g = cpqx_graph::generate::gex();
+        let f = g.label_named("f").unwrap().fwd();
+        for idx in [
+            CpqxIndex::build(&g, 2),
+            CpqxIndex::build_interest_aware(&g, 2, [LabelSeq::from_slice(&[f, f])]),
+        ] {
+            let chunks = || idx.classes.iter();
+            let offsets = |lists: usize| lists * size_of::<u32>();
+            // The dictionary: id → sequence, and each sequence's id.
+            let dict = idx.seqs.len() * size_of::<LabelSeq>() + idx.seqs.len() * size_of::<SeqId>();
+            let il2c: usize = idx
+                .il2c
+                .iter()
+                .flatten()
+                .map(|p| {
+                    let cyclic = size_of_val(p.cyclic.as_slice());
+                    size_of_val(p.all.as_slice())
+                        + offsets(1)
+                        + cyclic
+                        + offsets(usize::from(cyclic > 0))
+                })
+                .sum();
+            let ic2p: usize = chunks().map(|ch| size_of_val(ch.pairs.as_slice())).sum::<usize>()
+                + offsets(idx.class_count + 1);
+            let class_sets: usize =
+                chunks().map(|ch| size_of_val(ch.seqs.as_slice()) + offsets(ch.len())).sum();
+            let p2c: usize = idx
+                .p2c
+                .iter()
+                .map(|shard| shard.len() * (size_of::<Pair>() + size_of::<ClassId>()))
+                .sum();
+            let loops: usize = chunks().map(|ch| size_of_val(ch.loops.as_slice())).sum();
+            let stats = idx.stats();
+            assert_eq!(stats.core_bytes, dict + il2c + ic2p);
+            assert_eq!(stats.total_bytes, dict + il2c + ic2p + class_sets + p2c + loops);
+            // A class-set entry is one 4-byte id.
+            let entries: usize = chunks().map(|ch| ch.seqs.len()).sum();
+            assert_eq!(
+                chunks().map(|ch| size_of_val(ch.seqs.as_slice())).sum::<usize>(),
+                4 * entries
+            );
+        }
     }
 }

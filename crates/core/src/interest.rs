@@ -16,8 +16,7 @@
 //! invariant and numbered by first occurrence along the pair list on both
 //! paths). The engine drives this from `cpqx_engine::build_interest_sharded`.
 
-use crate::bisim::{ClassId, Partition};
-use crate::intern::SigInterner;
+use crate::bisim::{ClassId, ClassTable, Partition, SeqId};
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use std::collections::BTreeSet;
@@ -146,25 +145,19 @@ pub fn interest_partition_range_with_seqs(
     hits.sort_unstable();
     hits.dedup();
 
-    // Each pair's run of hits is its sorted seq-id set: intern `(is-loop,
-    // that set)` as the run ends.
-    let mut classes = SigInterner::default();
-    let mut class_loop: Vec<bool> = Vec::new();
-    let mut class_seqs: Vec<Vec<LabelSeq>> = Vec::new();
+    // Each pair's run of hits is its seq-id set — positions in the sorted
+    // `seqs`, so sequence order — and `seqs` is the partition's dictionary:
+    // intern `(is-loop, that set)` as the run ends.
+    let mut classes = ClassTable::default();
     let mut pair_classes: Vec<(Pair, ClassId)> = Vec::new();
-    let mut ids: Vec<u64> = Vec::new();
+    let mut ids: Vec<SeqId> = Vec::new();
     for of_pair in hits.chunk_by(|a, b| a.0 == b.0) {
         let p = of_pair[0].0;
         ids.clear();
-        ids.extend(of_pair.iter().map(|&(_, sid)| sid as u64));
-        let c = classes.intern(p.is_loop(), &ids);
-        if c as usize == class_loop.len() {
-            class_loop.push(p.is_loop());
-            class_seqs.push(of_pair.iter().map(|&(_, sid)| seqs[sid as usize]).collect());
-        }
-        pair_classes.push((p, c));
+        ids.extend(of_pair.iter().map(|&(_, sid)| sid));
+        pair_classes.push((p, classes.class_of(p.is_loop(), &ids)));
     }
-    Partition { pair_classes, class_loop, class_seqs }
+    classes.into_partition(pair_classes, seqs.to_vec())
 }
 
 #[cfg(test)]
@@ -175,6 +168,10 @@ mod tests {
 
     fn l(i: u16) -> ExtLabel {
         Label(i).fwd()
+    }
+
+    fn seq_sets(p: &Partition) -> Vec<Vec<LabelSeq>> {
+        (0..p.class_count() as ClassId).map(|c| p.class_seqs(c).collect()).collect()
     }
 
     #[test]
@@ -237,7 +234,7 @@ mod tests {
             // The same partition, class ids included.
             assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards");
             assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards");
-            assert_eq!(merged.class_seqs, seq.class_seqs, "{shards} shards");
+            assert_eq!(seq_sets(&merged), seq_sets(&seq), "{shards} shards");
         }
     }
 
@@ -281,7 +278,7 @@ mod tests {
                 }
             }
             expected.sort_unstable();
-            assert_eq!(p.class_seqs[c as usize], expected, "pair {pair:?}");
+            assert!(p.class_seqs(c).eq(expected), "pair {pair:?}");
             assert_eq!(p.class_loop[c as usize], pair.is_loop());
         }
     }

@@ -5,7 +5,8 @@
 //! signatures `(v = u, sorted (b_{i-1}, b₁) combos)` in level refinement,
 //! block-id tuples `⟨b₁,…,b_k⟩` and class invariants `(cyclicity, L≤k)` in
 //! class assembly and shard merging, sequence-id sets in the
-//! interest-aware partition, label sequences when `Il2c` is laid out.
+//! interest-aware partition, label sequences in the sequence dictionary
+//! ([`SeqDict`]) every sequence set of the build and the index refers to.
 //! [`SigInterner`] answers it the moment a signature is produced (Algorithm
 //! 2's "hash the block-id sequence"), so no step materializes all
 //! signatures to sort them.
@@ -17,6 +18,7 @@
 //! graph, in one process or two, at any shard count, number their classes
 //! identically.
 
+use crate::bisim::SeqId;
 use cpqx_graph::LabelSeq;
 use std::hash::Hasher;
 
@@ -34,6 +36,12 @@ fn hash_sig(flag: bool, words: &[u64]) -> u64 {
     h
 }
 
+/// The 32-bit table tag of a signature: the top 31 hash bits, then the
+/// flag.
+fn tag_of(hash: u64, flag: bool) -> u64 {
+    (hash >> 32) & !1 | flag as u64
+}
+
 /// Interns `(flag, &[u64])` signatures to dense `u32` ids.
 ///
 /// Storage is two flat vectors — the concatenated words of all distinct
@@ -43,7 +51,7 @@ fn hash_sig(flag: bool, words: &[u64]) -> u64 {
 /// the leading bits of that stored tag, so growing the table re-places
 /// entries without touching the arena, and a probe compares words only
 /// where tag and flag already match.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct SigInterner {
     words: Vec<u64>,
     /// `ends[id]` is the end of id's span in `words`; it starts where the
@@ -73,33 +81,51 @@ impl SigInterner {
         self.intern_hashed(hash_sig(flag, words), flag, words)
     }
 
+    /// The id of `(flag, words)` if it has been interned, without
+    /// registering it otherwise.
+    pub(crate) fn get(&self, flag: bool, words: &[u64]) -> Option<u32> {
+        if self.table.is_empty() {
+            return None;
+        }
+        self.find(hash_sig(flag, words), flag, words).ok()
+    }
+
     /// [`SigInterner::intern`] under a caller-chosen hash (the seam the
     /// collision test drives).
     fn intern_hashed(&mut self, hash: u64, flag: bool, words: &[u64]) -> u32 {
         if (self.len() + 1) * 2 > self.table.len() {
             self.grow();
         }
-        let tag = (hash >> 32) & !1 | flag as u64;
+        let slot = match self.find(hash, flag, words) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.len()).expect("more than u32::MAX distinct signatures");
+        self.table[slot] = tag_of(hash, flag) << 32 | (id as u64 + 1);
+        self.words.extend_from_slice(words);
+        self.ends.push(self.words.len());
+        id
+    }
+
+    /// Probes a non-empty table for `(flag, words)`: its id, or the empty
+    /// slot where it would go.
+    fn find(&self, hash: u64, flag: bool, words: &[u64]) -> Result<u32, usize> {
+        let tag = tag_of(hash, flag);
         let mask = self.table.len() - 1;
         let mut slot = self.home_slot(tag);
         loop {
             let entry = self.table[slot];
             if entry == 0 {
-                break;
+                return Err(slot);
             }
             if entry >> 32 == tag {
                 let id = (entry as u32) - 1;
                 if self.words(id) == words {
-                    return id;
+                    return Ok(id);
                 }
             }
             slot = (slot + 1) & mask;
         }
-        let id = u32::try_from(self.len()).expect("more than u32::MAX distinct signatures");
-        self.table[slot] = tag << 32 | (id as u64 + 1);
-        self.words.extend_from_slice(words);
-        self.ends.push(self.words.len());
-        id
     }
 
     /// The slot a tag probes from: its leading `log2(table.len())` bits
@@ -133,6 +159,69 @@ pub(crate) fn seq_words(s: &LabelSeq) -> ([u64; 3], usize) {
         out[(i + 1) / 4] |= (l.0 as u64) << (16 * ((i + 1) % 4));
     }
     (out, s.len() / 4 + 1)
+}
+
+/// A sequence-id list as interner words, two ids to a word; an odd last id
+/// is padded with `u32::MAX`, which is never an id, so the encoding is
+/// injective. Replaces the contents of `out`.
+pub(crate) fn id_words(ids: &[SeqId], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(ids.chunks(2).map(|two| {
+        let high = two.get(1).copied().unwrap_or(u32::MAX);
+        (high as u64) << 32 | two[0] as u64
+    }));
+}
+
+/// The dictionary of label sequences: every distinct sequence stored once
+/// and named by a dense [`SeqId`], handed out in first-occurrence order.
+/// Sequence *sets* — a block's or a class's `L≤k` — are then lists of
+/// 4-byte ids instead of 18-byte [`LabelSeq`]s, and `Il2c` is a vector
+/// indexed by id (Fletcher & Beck's dictionary encoding, PAPERS.md).
+///
+/// Id → sequence is a vector read; sequence → id is a [`SigInterner`]
+/// probe over [`seq_words`], under its fixed-seed hash. Query lookups only
+/// probe ([`SeqDict::get`]); sequences are registered only as the graph's
+/// edges spell them, so colliding the table takes a writer who inserts
+/// one crafted label path per colliding key — the trade [`PairHasher`]
+/// makes for pairs.
+#[derive(Clone, Default)]
+pub(crate) struct SeqDict {
+    seqs: Vec<LabelSeq>,
+    ids: SigInterner,
+}
+
+impl SeqDict {
+    /// Number of distinct sequences — also the id the next new one gets.
+    pub(crate) fn len(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// The sequence `id` names.
+    #[inline]
+    pub(crate) fn seq(&self, id: SeqId) -> LabelSeq {
+        self.seqs[id as usize]
+    }
+
+    /// The id of `s`, if it has one.
+    pub(crate) fn get(&self, s: &LabelSeq) -> Option<SeqId> {
+        let (w, n) = seq_words(s);
+        self.ids.get(false, &w[..n])
+    }
+
+    /// The id of `s`, registering it under the next id if it is new.
+    pub(crate) fn intern(&mut self, s: LabelSeq) -> SeqId {
+        let (w, n) = seq_words(&s);
+        let id = self.ids.intern(false, &w[..n]);
+        if id as usize == self.seqs.len() {
+            self.seqs.push(s);
+        }
+        id
+    }
+
+    /// The sequences, indexed by id.
+    pub(crate) fn into_seqs(self) -> Vec<LabelSeq> {
+        self.seqs
+    }
 }
 
 /// Hasher of the index's pair → class shards: the 64-bit finalizer of
@@ -231,6 +320,31 @@ mod tests {
             assert!(w[n..].iter().all(|&x| x == 0));
             assert!(seen.insert(w[..n].to_vec()), "{s:?} collides");
         }
+    }
+
+    #[test]
+    fn id_words_are_injective() {
+        let lists: [&[SeqId]; 6] = [&[], &[0], &[0, 0], &[0, u32::MAX - 1], &[1, 0], &[0, 0, 0]];
+        let mut seen = std::collections::HashSet::new();
+        let mut words = vec![7];
+        for ids in lists {
+            id_words(ids, &mut words);
+            assert_eq!(words.len(), ids.len().div_ceil(2));
+            assert!(seen.insert(words.clone()), "{ids:?} collides");
+        }
+    }
+
+    #[test]
+    fn seq_dict_names_each_sequence_once() {
+        let l = |i: u16| ExtLabel(i);
+        let (a, ab, b) =
+            (LabelSeq::single(l(0)), LabelSeq::from_slice(&[l(0), l(1)]), LabelSeq::single(l(1)));
+        let mut d = SeqDict::default();
+        assert_eq!(d.get(&a), None, "an empty dictionary knows nothing");
+        assert_eq!((d.intern(ab), d.intern(a), d.intern(ab), d.intern(b)), (0, 1, 0, 2));
+        assert_eq!((d.get(&a), d.get(&LabelSeq::single(l(2)))), (Some(1), None));
+        assert_eq!((d.len(), d.seq(0), d.seq(2)), (3, ab, b));
+        assert_eq!(d.clone().into_seqs(), [ab, a, b]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! singletons); this is strictly less fragmentation with an unchanged
 //! correctness argument.
 
-use crate::bisim::ClassId;
+use crate::bisim::{ClassId, SeqId};
 use crate::index::CpqxIndex;
 use crate::interest::seq_pairs;
 use crate::paths::{affected_pairs, label_seqs_between};
@@ -118,7 +118,8 @@ impl CpqxIndex {
             .collect();
         classes.sort_unstable();
         classes.dedup();
-        let posting = std::sync::Arc::make_mut(self.il2c.entry(seq).or_default());
+        let id = self.seq_id_or_insert(seq);
+        let posting = self.il2c_entry(id);
         for (c, is_loop) in classes {
             posting.insert(c, is_loop);
         }
@@ -129,6 +130,16 @@ impl CpqxIndex {
     /// deleted label sequence from Il2c" (Sec. V-C). Classes are *not*
     /// merged; queries remain correct because the sequence is no longer a
     /// lookup key.
+    ///
+    /// The classes that carried the sequence keep its id in their
+    /// sequence sets: finding them would take a scan, and nothing needs
+    /// it gone — lookups never see it (`Il2c` is cleared, and
+    /// `from_class_records` re-lists only indexed sequences on reload),
+    /// `validate` compares class sets restricted to what is indexed now,
+    /// and a later refresh of one of their pairs sees the stale id as a
+    /// change and regroups the pair into a fresh class whose set is
+    /// current. Re-registering the interest finds the classes still
+    /// carrying it (see `insert_interest`).
     pub fn delete_interest(&mut self, seq: &LabelSeq) -> bool {
         if seq.len() <= 1 {
             return false;
@@ -139,12 +150,9 @@ impl CpqxIndex {
         if !interests.remove(seq) {
             return false;
         }
-        self.il2c.remove(seq);
-        // Strip the sequence from class metadata so later refreshes do not
-        // see a phantom difference (cheap: postings already told us which
-        // classes carry it — but they were just dropped, so scan lazily on
-        // demand instead; class_seqs keeps the stale entry and refresh
-        // comparisons intersect against the *current* interest set).
+        if let Some(posting) = self.seqs.get(seq).and_then(|id| self.il2c.get_mut(id as usize)) {
+            *posting = None;
+        }
         true
     }
 
@@ -170,7 +178,10 @@ impl CpqxIndex {
 
     /// Core lazy-update step: recompute the indexed sequence set of each
     /// candidate pair; detach pairs whose set changed and regroup them into
-    /// fresh classes keyed by `(is-loop, new set)`.
+    /// fresh classes keyed by `(is-loop, new set)`. Sets are compared and
+    /// keyed as dictionary-id lists in sequence order; a pair whose set
+    /// holds a never-seen sequence has changed, and only such a pair
+    /// copies the dictionary (to register it).
     ///
     /// All mutation goes through the index's chunk-local copy-on-write
     /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`,
@@ -181,13 +192,18 @@ impl CpqxIndex {
     /// is then unchanged the second time); the class rows are edited once,
     /// at the end, chunk by chunk.
     fn refresh_pairs(&mut self, g: &Graph, candidates: Vec<Pair>) {
-        let mut groups: HashMap<(bool, Vec<LabelSeq>), ClassId> = HashMap::new();
+        let mut groups: HashMap<(bool, Vec<SeqId>), ClassId> = HashMap::new();
         let (mut detached, mut attached) = (Vec::new(), Vec::new());
+        let mut ids: Vec<SeqId> = Vec::new();
         for pair in candidates {
             let new_seqs = self.indexed_seqs_of(g, pair);
+            // The new set's ids, or `false` if one of its sequences has
+            // none yet (then no class carries the set).
+            ids.clear();
+            let known = new_seqs.iter().all(|s| self.seqs.get(s).map(|id| ids.push(id)).is_some());
             let old = self.class_of(pair);
             if let Some(c) = old {
-                if self.class_sequences(c) == new_seqs.as_slice() {
+                if known && self.class_seq_ids(c) == ids.as_slice() {
                     continue; // unchanged — e.g. an alternative path exists
                 }
                 // Detach from the old class (it may become a tombstone).
@@ -200,7 +216,11 @@ impl CpqxIndex {
             if new_seqs.is_empty() {
                 continue; // pair left P≤k entirely
             }
-            let key = (pair.is_loop(), new_seqs);
+            if !known {
+                ids.clear();
+                ids.extend(new_seqs.iter().map(|&s| self.seq_id_or_insert(s)));
+            }
+            let key = (pair.is_loop(), ids.clone());
             let c = match groups.get(&key) {
                 Some(&c) => c,
                 None => {
@@ -208,8 +228,8 @@ impl CpqxIndex {
                     self.frag.fresh_classes += 1;
                     // Fresh ids exceed all existing ones, so appending keeps
                     // every posting list sorted.
-                    for s in &key.1 {
-                        self.il2c_push(*s, c, key.0);
+                    for &id in &key.1 {
+                        self.il2c_push(id, c, key.0);
                     }
                     groups.insert(key, c);
                     c
@@ -234,6 +254,7 @@ impl CpqxIndex {
 mod tests {
     use super::*;
     use cpqx_graph::generate;
+    use std::sync::Arc;
 
     #[test]
     fn affected_pairs_cover_edge_endpoints() {
@@ -243,5 +264,52 @@ mod tests {
         assert!(aff.contains(&Pair::new(sue, joe)));
         assert!(aff.contains(&Pair::new(joe, sue)));
         assert!(aff.contains(&Pair::new(sue, sue)));
+    }
+
+    fn saved(idx: &CpqxIndex) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        idx.save(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// The dictionary is copy-on-write: a clone that meets a never-seen
+    /// sequence registers it under a fresh id in its own copy and leaves
+    /// the original untouched; a write that meets only known sequences
+    /// keeps sharing it.
+    #[test]
+    fn a_new_sequence_copies_the_dictionary_and_nothing_else_does() {
+        // a -f-> b and c -v-> d: no sequence runs from f into v yet.
+        let mut b = cpqx_graph::GraphBuilder::new();
+        b.add_edge_named("a", "b", "f");
+        b.add_edge_named("c", "d", "v");
+        let mut g = b.build();
+        let (f, v) = (g.label_named("f").unwrap(), g.label_named("v").unwrap());
+        let (a, vb, vc) = (0, 1, 2);
+        let fv = LabelSeq::from_slice(&[f.fwd(), v.fwd()]);
+        let original = CpqxIndex::build(&g, 2);
+        let (bytes, stats) = (saved(&original), original.stats());
+        assert_eq!(original.seqs.get(&fv), None);
+
+        let mut grown = original.clone();
+        let mut grown_g = g.clone();
+        assert!(grown.insert_edge(&mut grown_g, vb, vc, v));
+        assert_eq!(grown.seqs.get(&fv), Some(original.seqs.len() as SeqId), "a fresh id");
+        assert!(!Arc::ptr_eq(&grown.seqs, &original.seqs));
+        assert!(!grown.lookup(&fv).is_empty());
+        assert_eq!(grown.validate(&grown_g), Ok(()));
+
+        assert_eq!(original.seqs.get(&fv), None);
+        assert!(original.lookup(&fv).is_empty());
+        assert_eq!(original.stats(), stats);
+        assert_eq!(saved(&original), bytes);
+        assert_eq!(original.validate(&g), Ok(()));
+
+        // Deleting an edge and inserting it back meet no new sequence.
+        let mut churned = original.clone();
+        assert!(churned.delete_edge(&mut g, a, vb, f));
+        assert_eq!(churned.validate(&g), Ok(()));
+        assert!(churned.insert_edge(&mut g, a, vb, f));
+        assert_eq!(churned.validate(&g), Ok(()));
+        assert!(Arc::ptr_eq(&churned.seqs, &original.seqs), "the dictionary was copied");
     }
 }

@@ -9,11 +9,13 @@
 //! Layout (little-endian): magic `CPQX`, format version, `k`, mode byte
 //! (full / interest-aware + interest list), class count, then the classes.
 
-use crate::bisim::ClassId;
-use crate::index::{ClassChunk, CpqxIndex};
+use crate::bisim::{ClassId, SeqId};
+use crate::index::{ClassChunk, CpqxIndex, Posting};
+use crate::intern::SeqDict;
 use cpqx_graph::{ExtLabel, LabelSeq, Pair};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CPQX";
 const VERSION: u32 = 1;
@@ -191,13 +193,13 @@ pub type ClassRecord = (bool, Vec<LabelSeq>, Vec<Pair>);
 fn write_class(
     w: &mut impl Write,
     is_loop: bool,
-    seqs: &[LabelSeq],
+    seqs: impl ExactSizeIterator<Item = LabelSeq>,
     pairs: &[Pair],
 ) -> std::io::Result<()> {
     w.write_all(&[is_loop as u8])?;
     write_u32(w, seqs.len() as u32)?;
     for s in seqs {
-        write_seq(w, s)?;
+        write_seq(w, &s)?;
     }
     write_u32(w, pairs.len() as u32)?;
     for p in pairs {
@@ -323,12 +325,17 @@ impl CpqxIndex {
 
     /// Reassembles an index from per-chunk class records (the inverse of
     /// [`CpqxIndex::save_class_chunk`] over all chunks), rebuilding the
-    /// derived structures (`Il2c` with its cyclic sub-lists, pair → class)
-    /// through the index's chunked-store primitives — the one reassembly
-    /// routine behind both
+    /// derived structures (the sequence dictionary, `Il2c` with its cyclic
+    /// sub-lists, pair → class) through the index's chunked-store
+    /// primitives — the one reassembly routine behind both
     /// [`CpqxIndex::load`] and the store's chunk records. The formats
     /// store only the Def. 4.3 structures, so the result starts a new
     /// fragmentation epoch: the restored class count is the baseline.
+    ///
+    /// `Il2c` lists a class under the sequences of its record that are
+    /// indexed *now* ([`CpqxIndex::is_indexed`]): a deleted interest stays
+    /// in class metadata (see `delete_interest`) but is no lookup key, on
+    /// the live index or a reloaded one.
     ///
     /// Every chunk but the last must hold exactly
     /// [`CpqxIndex::class_chunk_span`] classes, so the rebuilt chunk
@@ -356,13 +363,20 @@ impl CpqxIndex {
         let mut idx = CpqxIndex {
             k,
             interests,
-            il2c: HashMap::new(),
+            seqs: Default::default(),
+            il2c: Vec::new(),
             classes: Vec::new(),
             class_count: 0,
             p2c: Vec::new(),
             pair_count: 0,
             frag: crate::index::FragCounters { baseline_classes: nc, ..Default::default() },
         };
+        // The dictionary numbers sequences by first occurrence along the
+        // classes, as a fresh build does; each gets a plain posting list
+        // if it is indexed now, wrapped in its `Arc` once, at the end.
+        let mut dict = SeqDict::default();
+        let mut postings: Vec<Option<Posting>> = Vec::new();
+        let mut ids: Vec<SeqId> = Vec::new();
         for records in chunks {
             // Each chunk is laid out at its exact size, like a fresh build's.
             let pairs = records.iter().map(|r| r.2.len()).sum();
@@ -378,14 +392,27 @@ impl CpqxIndex {
                         return Err("pair assigned to two classes");
                     }
                 }
-                for s in &seqs {
-                    idx.il2c_push(*s, c, is_loop);
+                if seqs.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err("class sequences not sorted");
                 }
-                chunk.push(is_loop, &seqs, &pairs);
+                ids.clear();
+                for s in seqs {
+                    let id = dict.intern(s);
+                    if id as usize == postings.len() {
+                        postings.push(idx.is_indexed(&s).then(Posting::default));
+                    }
+                    if let Some(posting) = &mut postings[id as usize] {
+                        posting.push(c, is_loop);
+                    }
+                    ids.push(id);
+                }
+                chunk.push(is_loop, &ids, &pairs);
             }
             idx.class_count += chunk.len();
-            idx.classes.push(std::sync::Arc::new(chunk));
+            idx.classes.push(Arc::new(chunk));
         }
+        idx.seqs = Arc::new(dict);
+        idx.il2c = postings.into_iter().map(|posting| posting.map(Arc::new)).collect();
         Ok(idx)
     }
 
@@ -535,7 +562,7 @@ mod tests {
             assert_eq!(rebuilt.interests(), idx.interests());
             for c in 0..idx.class_slots() as u32 {
                 assert_eq!(rebuilt.class_pairs(c), idx.class_pairs(c));
-                assert_eq!(rebuilt.class_sequences(c), idx.class_sequences(c));
+                assert!(rebuilt.class_sequences(c).eq(idx.class_sequences(c)));
                 assert_eq!(rebuilt.class_is_loop(c), idx.class_is_loop(c));
             }
             for text in ["(f . f) & f^-1", "f . v"] {
@@ -608,7 +635,7 @@ mod tests {
         // Class 0's sequence count follows the 17-byte stream header (or
         // the chunk's 4-byte class count) and the loop flag; its pair
         // count follows the sequence list.
-        let seq_bytes: usize = idx.class_sequences(0).iter().map(|s| 1 + 2 * s.len()).sum();
+        let seq_bytes: usize = idx.class_sequences(0).map(|s| 1 + 2 * s.len()).sum();
         type Load = fn(&[u8]) -> Option<LoadError>;
         let entry_points: [(&[u8], usize, Load); 2] = [
             (&whole, 18, |b| CpqxIndex::load(b).err()),

@@ -9,7 +9,7 @@
 //! valid but lets it fragment (classes are never re-merged), so minimality
 //! is not part of the check.
 
-use crate::bisim::ClassId;
+use crate::bisim::{ClassId, SeqId};
 use crate::index::CpqxIndex;
 use crate::paths::bounded_ball;
 use cpqx_graph::{Graph, LabelSeq, Pair};
@@ -28,6 +28,8 @@ impl CpqxIndex {
     ///   next refresh — and no pair without a path of length ≤ k is indexed
     ///   (`pair_count` is exact);
     /// * `Ic2p` rows are sorted and the pair → class map is their inverse;
+    /// * every class's sequence ids are in the dictionary and name a
+    ///   strictly sorted sequence set;
     /// * every `Il2c` key is indexed, its posting list is sorted, lists
     ///   only classes carrying the key, and lists every live one; the
     ///   cyclic sub-list beside it is exactly the listed classes whose loop
@@ -37,9 +39,18 @@ impl CpqxIndex {
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
         let slots = self.class_slots() as ClassId;
 
-        // Ic2p against the pair → class map.
+        // Ic2p against the pair → class map; class sets against the
+        // dictionary.
         let mut in_rows = 0usize;
         for c in 0..slots {
+            if let Some(id) =
+                self.class_seq_ids(c).iter().find(|&&id| id as usize >= self.seqs.len())
+            {
+                return Err(format!("class {c} carries sequence id {id}, not in the dictionary"));
+            }
+            if !self.class_sequences(c).is_sorted_by(|a, b| a < b) {
+                return Err(format!("class {c}: sequence set not strictly sorted"));
+            }
             let row = self.class_pairs(c);
             if row.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("class {c}: pair row not strictly sorted"));
@@ -91,17 +102,24 @@ impl CpqxIndex {
         }
 
         // Il2c against the classes.
-        for (s, posting) in &self.il2c {
+        if self.il2c.len() > self.seqs.len() {
+            return Err(format!(
+                "Il2c has {} entries for {} sequences",
+                self.il2c.len(),
+                self.seqs.len()
+            ));
+        }
+        for (id, posting) in self.il2c.iter().enumerate() {
+            let Some(posting) = posting else { continue };
+            let (id, s) = (id as SeqId, &self.seqs.seq(id as SeqId));
             if !self.is_indexed(s) {
                 return Err(format!("Il2c key {s:?} is not an indexed sequence"));
             }
             if posting.all.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("Il2c({s:?}) not strictly sorted"));
             }
-            if let Some(&c) = posting
-                .all
-                .iter()
-                .find(|&&c| c >= slots || self.class_sequences(c).binary_search(s).is_err())
+            if let Some(&c) =
+                posting.all.iter().find(|&&c| c >= slots || !self.class_seq_ids(c).contains(&id))
             {
                 return Err(format!("Il2c({s:?}) lists class {c}, which does not carry it"));
             }
@@ -123,14 +141,21 @@ impl CpqxIndex {
     /// deleted interest stays in class metadata until the class's pairs are
     /// next refreshed (see `delete_interest`).
     fn indexed_class_sequences(&self, c: ClassId) -> Vec<LabelSeq> {
-        self.class_sequences(c).iter().copied().filter(|s| self.is_indexed(s)).collect()
+        self.class_sequences(c).filter(|s| self.is_indexed(s)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Posting;
     use cpqx_graph::generate;
+
+    /// The `Il2c` entry of an indexed sequence, for damaging it.
+    fn posting_mut<'a>(idx: &'a mut CpqxIndex, s: &LabelSeq) -> &'a mut Posting {
+        let id = idx.seqs.get(s).expect("an indexed sequence");
+        idx.il2c_entry(id)
+    }
 
     #[test]
     fn fresh_and_maintained_indexes_validate() {
@@ -191,18 +216,18 @@ mod tests {
         assert!(bad.validate(&g).is_err());
 
         // A posting list missing a live class, and one listing a stranger.
-        let s = good.class_sequences(0)[0];
+        let s = good.class_sequences(0).next().unwrap();
         let mut bad = good.clone();
-        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        let posting = posting_mut(&mut bad, &s);
         posting.all.retain(|&c| c != 0);
         posting.cyclic.retain(|&c| c != 0);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("does not list"), "{err}");
         let stranger = (0..good.class_slots() as ClassId)
-            .find(|&c| good.class_sequences(c).binary_search(&s).is_err())
+            .find(|&c| !good.class_sequences(c).any(|t| t == s))
             .unwrap();
         let mut bad = good.clone();
-        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        let posting = posting_mut(&mut bad, &s);
         let at = posting.all.binary_search(&stranger).unwrap_err();
         posting.all.insert(at, stranger);
         let err = bad.validate(&g).unwrap_err();
@@ -211,14 +236,14 @@ mod tests {
         // A cyclic sub-list that lost a class, and one that lists an
         // acyclic class: identity lookups would be wrong, plain ones not.
         let looped = (0..good.class_slots() as ClassId).find(|&c| good.class_is_loop(c)).unwrap();
-        let s = good.class_sequences(looped)[0];
+        let s = good.class_sequences(looped).next().unwrap();
         let mut bad = good.clone();
-        std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap()).cyclic.retain(|&c| c != looped);
+        posting_mut(&mut bad, &s).cyclic.retain(|&c| c != looped);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("cyclic sub-list"), "{err}");
         let open = good.lookup(&s).iter().copied().find(|&c| !good.class_is_loop(c)).unwrap();
         let mut bad = good.clone();
-        let posting = std::sync::Arc::make_mut(bad.il2c.get_mut(&s).unwrap());
+        let posting = posting_mut(&mut bad, &s);
         let at = posting.cyclic.partition_point(|&c| c < open);
         posting.cyclic.insert(at, open);
         let err = bad.validate(&g).unwrap_err();

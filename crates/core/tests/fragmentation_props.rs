@@ -100,6 +100,56 @@ proptest! {
         prop_assert!((frag.ratio() - 1.0).abs() < 1e-12);
     }
 
+    /// Classes store their sequence sets as dictionary ids kept in
+    /// sequence order — the order maintenance compares them in. Across
+    /// both graph topologies, k = 1..3, full and interest-aware indexes
+    /// (with interest churn), every set reads back strictly sorted and the
+    /// index validates after every op.
+    #[test]
+    fn class_sequence_sets_stay_sorted_under_maintenance(
+        seed in 0u64..1_000,
+        k in 1usize..4,
+        social in prop::bool::ANY,
+        interest_aware in prop::bool::ANY,
+        ops in prop::collection::vec(op_strategy(24, 3), 1..12),
+    ) {
+        let cfg = if social {
+            generate::RandomGraphConfig::social(24, 70, 3, seed)
+        } else {
+            generate::RandomGraphConfig::uniform(24, 70, 3, seed)
+        };
+        let mut g = generate::random_graph(&cfg);
+        let mut idx = if interest_aware {
+            let (a, b, c) = (Label(0), Label(1), Label(2));
+            CpqxIndex::build_interest_aware(&g, k, [
+                LabelSeq::from_slice(&[a.fwd(), b.fwd()]),
+                LabelSeq::from_slice(&[b.inv(), c.fwd(), a.fwd()]),
+            ])
+        } else {
+            CpqxIndex::build(&g, k)
+        };
+        for (step, op) in ops.into_iter().enumerate() {
+            apply_op(&mut g, &mut idx, op, 3);
+            if interest_aware {
+                let (_, a, b, l) = op;
+                let seq = LabelSeq::from_slice(&[Label(l).fwd(), Label((b % 3) as u16).inv()]);
+                if a % 2 == 0 {
+                    idx.delete_interest(&seq);
+                } else {
+                    idx.insert_interest(&g, seq);
+                }
+            }
+            for c in 0..idx.class_slots() as u32 {
+                let seqs: Vec<LabelSeq> = idx.class_sequences(c).collect();
+                prop_assert!(
+                    seqs.windows(2).all(|w| w[0] < w[1]),
+                    "class {c} after step {step}: {seqs:?}"
+                );
+            }
+            prop_assert_eq!(idx.validate(&g), Ok(()), "step {}", step);
+        }
+    }
+
     #[test]
     fn interest_churn_never_merges_classes(
         seed in 0u64..500,

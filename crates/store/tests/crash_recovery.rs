@@ -308,6 +308,41 @@ fn recovery_across_incremental_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Interest-aware recovery: a deleted interest stays in the class
+/// metadata of the classes that carried it, and so in their chunk
+/// records. Recovery reassembles the index from those records and must
+/// not list the sequence under `Il2c` again: the recovered index
+/// validates, answers like the live one, and does not look the deleted
+/// sequence up.
+#[test]
+fn recovery_after_deleting_an_interest_keeps_it_deleted() {
+    let dir = tmp("interest");
+    let g0 = seed_graph(5);
+    let (l0, l1) = (Label(0), Label(1));
+    let deleted = cpqx_graph::LabelSeq::from_slice(&[l0.fwd(), l1.fwd()]);
+    let kept = cpqx_graph::LabelSeq::from_slice(&[l1.fwd(), l0.inv()]);
+    let options = EngineOptions { interests: Some(vec![deleted, kept]), ..engine_options() };
+    let start = durable_engine(&dir, StoreOptions::default(), options, || g0.clone()).unwrap();
+    assert!(!start.engine.snapshot().index().lookup(&deleted).is_empty());
+
+    let (v, u, l) = generate::sample_edges(&g0, 1, 3)[0];
+    let delta = Delta::new().delete_interest(deleted).delete_edge(v, u, l);
+    start.engine.apply_delta(&delta).unwrap();
+    let snap = start.engine.snapshot();
+    start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+
+    let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+    assert_eq!(info.replayed_transactions, 0, "the checkpoint holds the whole state");
+    assert_eq!(index.validate(&graph), Ok(()));
+    assert_eq!(index.interests(), snap.index().interests());
+    assert!(index.lookup(&deleted).is_empty(), "the deleted interest was listed again");
+    assert_eq!(index.stats().sequences, snap.index().stats().sequences);
+    let mut queries = workload(&g0, 0x1a);
+    queries.push(Cpq::ext(l0.fwd()).join(Cpq::ext(l1.fwd())));
+    assert_equivalent(&graph, &index, &start.engine, &queries);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Snapshots are incremental: a checkpoint right after one small delta
 /// reuses every chunk record the delta left pointer-shared instead of
 /// rewriting the image, and the state it persists is the live one.

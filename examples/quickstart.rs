@@ -39,7 +39,6 @@ fn main() {
     for (c, members) in &by_class {
         let seqs: Vec<String> = index
             .class_sequences(*c)
-            .iter()
             .map(|s| s.iter().map(|l| g.ext_label_name(l)).collect::<Vec<_>>().join("·"))
             .collect();
         let loop_mark = if index.class_is_loop(*c) { " (cyclic)" } else { "" };

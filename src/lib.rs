@@ -10,7 +10,8 @@
 //! * [`engine`] — sharded parallel index construction and the concurrent
 //!   serving layer (snapshots, caches, batch evaluation),
 //! * [`net`] — the network front-end: a versioned binary wire protocol, a
-//!   threaded TCP server over the engine, and a blocking client,
+//!   TCP server over the engine (one `epoll` event loop plus a worker
+//!   pool), and a blocking client,
 //! * [`store`] — the opt-in durability layer: an append-only WAL of typed
 //!   delta transactions, chunk-granular incremental snapshots, and
 //!   crash recovery into a fresh engine (spec in `STORAGE.md`),
@@ -58,8 +59,10 @@
 //! # Network serving
 //!
 //! The [`net`] module puts the engine on the wire: a versioned binary
-//! protocol (spec in `PROTOCOL.md`), a threaded TCP server that stays
-//! available during maintenance, and a blocking client.
+//! protocol (spec in `PROTOCOL.md`), a TCP server — one `epoll` event
+//! loop that owns every connection, plus a worker pool that evaluates
+//! cache misses — that stays available during maintenance, and a blocking
+//! client.
 //!
 //! ```
 //! use cpqx::engine::Engine;

@@ -178,7 +178,7 @@ fn parallel_edges_with_different_labels() {
     // One pair, one class, three length-1 sequences (plus 2-step returns).
     let p = Pair::new(g.vertex_named("x").unwrap(), g.vertex_named("y").unwrap());
     let c = idx.class_of(p).unwrap();
-    let singles = idx.class_sequences(c).iter().filter(|s| s.len() == 1).count();
+    let singles = idx.class_sequences(c).filter(|s| s.len() == 1).count();
     assert_eq!(singles, 3);
     for text in ["a & b", "a & (b & c)", "(a . a^-1) & id"] {
         let q = parse_cpq(text, &g).unwrap();

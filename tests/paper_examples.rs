@@ -110,14 +110,14 @@ fn example_4_4_edge_deletion() {
     let c = idx.class_of(pair).expect("(ada,tim) still indexed via v·v⁻¹");
     let v = g.label_named("v").unwrap();
     assert_eq!(
-        idx.class_sequences(c),
-        &[LabelSeq::from_slice(&[v.fwd(), v.inv()])],
+        idx.class_sequences(c).collect::<Vec<_>>(),
+        [LabelSeq::from_slice(&[v.fwd(), v.inv()])],
         "only the co-visitation path remains"
     );
     let blog_pair = cpqx::graph::Pair::new(ada, blog);
     let c = idx.class_of(blog_pair).expect("(ada,123) still indexed");
     assert!(
-        idx.class_sequences(c).contains(&LabelSeq::single(v.fwd())),
+        idx.class_sequences(c).any(|s| s == LabelSeq::single(v.fwd())),
         "direct visit survives the deletion"
     );
 }
