@@ -5,38 +5,10 @@
 //! Expected shape: iaCPQx has the smallest average time across the four
 //! queries; the matchers degrade on the snowflake shapes (Y3/Y4).
 
-use cpqx_bench::harness::{avg_query_time, interests_from_queries, Timing};
+use cpqx_bench::harness::{avg_query_time, interests_from_queries};
 use cpqx_bench::{BenchConfig, Engine, Method, Table};
-use cpqx_core::exec::ExecOptions;
 use cpqx_graph::generate::RandomGraphConfig;
 use cpqx_query::benchqueries::yago_queries;
-use cpqx_query::Cpq;
-use std::time::{Duration, Instant};
-
-/// Times a single query through the iaCPQx executor under explicit
-/// options — the Y1–Y4 rows of the `fig09_csr` companion table.
-fn timed_with_options(
-    idx: &cpqx_core::CpqxIndex,
-    g: &cpqx_graph::Graph,
-    q: &Cpq,
-    cfg: &BenchConfig,
-    options: ExecOptions,
-) -> Timing {
-    let budget = Duration::from_millis(cfg.cell_budget_ms);
-    let started = Instant::now();
-    let mut total = Duration::ZERO;
-    let mut n = 0u32;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(idx.evaluate_with_options(g, q, options));
-        total += t0.elapsed();
-        n += 1;
-        if started.elapsed() > budget {
-            return Timing::Timeout;
-        }
-    }
-    Timing::Avg(total.as_secs_f64() / n as f64)
-}
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -67,21 +39,4 @@ fn main() {
         table.row(row);
     }
     table.finish();
-
-    // Companion: the same Y1–Y4 queries through the iaCPQx executor with
-    // label operands expanded from the index versus read from the graph
-    // (`ExecOptions::csr_faces` off/on; identical index and plans).
-    let mut csr_table = Table::new("fig09_csr", &["query", "rows[s]", "csr[s]", "speedup"]);
-    let idx = engines[0].as_cpqx().expect("iaCPQx is a CPQ-aware index");
-    let off_options = ExecOptions { csr_faces: false, ..ExecOptions::default() };
-    for nq in &queries {
-        let off = timed_with_options(idx, &g, &nq.query, &cfg, off_options);
-        let on = timed_with_options(idx, &g, &nq.query, &cfg, ExecOptions::default());
-        let speedup = match (off.seconds(), on.seconds()) {
-            (Some(o), Some(n)) if n > 0.0 => format!("{:.2}x", o / n),
-            _ => "-".to_string(),
-        };
-        csr_table.row(vec![nq.name.clone(), off.cell(), on.cell(), speedup]);
-    }
-    csr_table.finish();
 }

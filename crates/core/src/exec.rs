@@ -15,13 +15,13 @@
 //!    runs as a CONJUNCTION — two lookups intersect as id lists and only
 //!    the surviving classes are touched — whose sources are the answer.
 //!    Only when an inverted sequence is not indexed (interest-aware
-//!    indexes) or [`ExecOptions::fused_identity`] is off does it run as
-//!    Algorithm 4's pair-level `JOIN-ID`.
+//!    indexes) does it run as Algorithm 4's pair-level `JOIN-ID`.
 //! 2. **Joins emit in source order.** An open JOIN must materialize pairs
 //!    (Algorithm 4), and does so in one pass over its source-sorted left
 //!    operand ([`cpqx_query::ops`]): nothing is re-keyed or sorted
 //!    globally, and a single-label operand is read from the graph's
 //!    label-major edge store instead of being expanded from the index.
+//!    Only a join of two multi-label operands expands both from the index.
 //! 3. **Identity is a posting list.** Cyclicity is a property of the
 //!    class (Sec. IV-D's third optimisation), and the index keeps each
 //!    sequence's cyclic classes as a posting list of their own
@@ -33,7 +33,11 @@
 //!
 //! Class-id sets intersect by length ([`intersect_ids`]): short or skewed
 //! operands merge or gallop, long balanced ones mark the smaller in a
-//! bitmap and filter the larger.
+//! bitmap and filter the larger. A conjunction with an operand that is not
+//! class-level (a join, or `id`) intersects pair sets instead.
+//!
+//! Every choice above is made by the plan in front of the executor, never
+//! by an option: the executor has one configuration.
 
 use crate::bisim::ClassId;
 use crate::index::CpqxIndex;
@@ -55,37 +59,11 @@ pub enum Intermediate<'i> {
     Pairs(Vec<Pair>),
 }
 
-/// Ablation switches for the executor — both default to the paper's
-/// behaviour; turning one off isolates its contribution (the `ablation_ops`
-/// bench target measures exactly this).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Keep conjunction at the class level (Prop. 4.1). When off,
-    /// conjunctions materialize both sides into pairs first — the
-    /// language-unaware strategy.
-    pub class_level_conjunction: bool,
-    /// Execute IDENTITY fused into the operators (the paper's third
-    /// optimization): cyclic postings for lookups and class-level
-    /// conjunctions, a conjunction with the inverse (or `JOIN-ID`) for
-    /// cycles. When off, identity filters materialized pairs.
-    pub fused_identity: bool,
-    /// Route single-label join operands through the graph instead of the
-    /// index: a chain suffix `P ⋈ ⟦ℓ⟧` expands over the graph's
-    /// per-vertex label runs ([`Graph::label_run`]), a chain prefix
-    /// `⟦ℓ⟧ ⋈ P` streams the graph's source-major label relation as the
-    /// left operand — neither expands the label's classes or sorts the
-    /// label relation.
-    /// When off, every join expands both operands from the index (the
-    /// chunked-row baseline the differential harness and the `fig06_csr`
-    /// bench compare against). Answers are identical either way.
-    pub csr_faces: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { class_level_conjunction: true, fused_identity: true, csr_faces: true }
-    }
-}
+/// Has no field: the executor has one configuration. Kept only because
+/// the benchmark package builds its executor with
+/// [`Executor::with_options`]; goes when a `benchmark` PR drops that call.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecOptions {}
 
 /// Work counters collected during one plan execution — the EXPLAIN-style
 /// instrumentation behind Table III's pruning-power measurements.
@@ -109,9 +87,9 @@ pub struct ExecStats {
     pub joins: usize,
     /// Joins answered from the graph (a subset of `joins`): the
     /// single-label operand was read from the graph's label runs or
-    /// label relation instead of expanding from the index. Always 0
-    /// with [`ExecOptions::csr_faces`] off — benches use this to tell
-    /// cells where the fast path engaged from cells it cannot touch.
+    /// label relation instead of expanding from the index. A join of two
+    /// multi-label operands is not one — benches use this to tell cells
+    /// where the graph read engaged from cells it cannot touch.
     pub csr_joins: usize,
 }
 
@@ -119,7 +97,6 @@ pub struct ExecStats {
 pub struct Executor<'i, 'g> {
     index: &'i CpqxIndex,
     graph: &'g Graph,
-    options: ExecOptions,
     stats: std::cell::Cell<ExecStats>,
     /// Per-execution scratch shared by every join of a plan (the borrow
     /// is confined to each single join call, never held across the
@@ -130,24 +107,22 @@ pub struct Executor<'i, 'g> {
 }
 
 impl<'i, 'g> Executor<'i, 'g> {
-    /// Creates an executor with the default [`ExecOptions`]. The graph
-    /// answers the bare `id` plan (`AllId`) and, with
-    /// [`ExecOptions::csr_faces`] on, supplies single-label join operands;
-    /// everything else is answered from the index.
+    /// Creates an executor. The graph answers the bare `id` plan
+    /// (`AllId`) and supplies single-label join operands; everything else
+    /// is answered from the index.
     pub fn new(index: &'i CpqxIndex, graph: &'g Graph) -> Self {
-        Self::with_options(index, graph, ExecOptions::default())
-    }
-
-    /// Creates an executor with explicit ablation switches.
-    pub fn with_options(index: &'i CpqxIndex, graph: &'g Graph, options: ExecOptions) -> Self {
         Executor {
             index,
             graph,
-            options,
             stats: std::cell::Cell::new(ExecStats::default()),
             ctx: std::cell::RefCell::new(EvalContext::new()),
             marks: std::cell::RefCell::default(),
         }
+    }
+
+    /// [`Executor::new`]; see [`ExecOptions`] for why it is kept.
+    pub fn with_options(index: &'i CpqxIndex, graph: &'g Graph, _: ExecOptions) -> Self {
+        Self::new(index, graph)
     }
 
     /// Runs a plan and returns the answers together with the work counters
@@ -200,10 +175,6 @@ impl<'i, 'g> Executor<'i, 'g> {
                 // by the index as a posting list of their own (the paper's
                 // "check the first s-t pair" — cyclicity is uniform per
                 // class — done once, at build time).
-                if !self.options.fused_identity {
-                    let pairs = self.expand(self.lookup_counted(seq));
-                    return Intermediate::Pairs(ops::filter_loops(&pairs));
-                }
                 let looked = self.index.lookup_cyclic(seq);
                 self.count_lookup(looked);
                 Intermediate::Classes(Cow::Borrowed(looked))
@@ -221,11 +192,9 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// that stay at the class level are evaluated under it themselves
     /// (module docs, rule 3), so only cyclic postings meet.
     fn conj(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
-        let class_level =
-            self.options.class_level_conjunction && (self.options.fused_identity || !require_loop);
-        let push_id = require_loop && class_level && class_level_plan(a) && class_level_plan(b);
+        let push_id = require_loop && class_level_plan(a) && class_level_plan(b);
         match (self.eval_under(a, push_id), self.eval_under(b, push_id)) {
-            (Intermediate::Classes(x), Intermediate::Classes(y)) if class_level => {
+            (Intermediate::Classes(x), Intermediate::Classes(y)) => {
                 // Only class-level plans evaluate to class sets.
                 debug_assert!(push_id || !require_loop, "identity not pushed to a class set");
                 self.bump(|s| s.class_conjunctions += 1);
@@ -248,22 +217,22 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// the module docs) — counted as a conjunction, not a join.
     ///
     /// An open join — and a cycle the index cannot invert — materializes
-    /// pairs. When [`ExecOptions::csr_faces`] is on (and identity stays
-    /// fused), a single-label operand is read from the graph instead of
+    /// pairs. A single-label operand is read from the graph instead of
     /// being expanded from the index: a label *right* operand becomes a
-    /// frontier expansion over label runs, a label *left* operand streams
-    /// the graph's label relation. The `Il2c` lookup still runs (it is the
-    /// emptiness check and keeps the EXPLAIN counters describing the same
-    /// logical work), but its classes are not expanded.
+    /// frontier expansion over the graph's per-vertex label runs
+    /// ([`Graph::label_run`]), a label *left* operand streams the graph's
+    /// source-major label relation. The `Il2c` lookup still runs (it is
+    /// the emptiness check and keeps the EXPLAIN counters describing the
+    /// same logical work), but its classes are not expanded. Two
+    /// multi-label operands both expand from the index.
     fn join(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
-        if require_loop && self.options.fused_identity {
+        if require_loop {
             if let Some(inverse) = indexed_inverse(self.index, b) {
                 return Intermediate::Pairs(self.source_loops(self.conj(a, &inverse, false)));
             }
         }
-        let csr = self.options.csr_faces && (self.options.fused_identity || !require_loop);
         // Label prefix: ⟦ℓ⟧ ⋈ P with the graph's relation as the left.
-        if csr && single_label(b).is_none() {
+        if single_label(b).is_none() {
             if let Some((seq, l)) = single_label(a) {
                 if self.lookup_counted(&seq).is_empty() {
                     return Intermediate::Pairs(Vec::new());
@@ -287,33 +256,28 @@ impl<'i, 'g> Executor<'i, 'g> {
             return Intermediate::Pairs(Vec::new());
         }
         // Label suffix: P ⋈ ⟦ℓ⟧ over the graph's label runs.
-        if csr {
-            if let Some((seq, l)) = single_label(b) {
-                if self.lookup_counted(&seq).is_empty() {
-                    return Intermediate::Pairs(Vec::new());
-                }
-                self.bump(|s| {
-                    s.joins += 1;
-                    s.csr_joins += 1;
-                });
-                return Intermediate::Pairs(if require_loop {
-                    ops::expand_adjacency_id(self.graph, &left, l)
-                } else {
-                    ops::expand_adjacency(self.graph, &left, l)
-                });
+        if let Some((seq, l)) = single_label(b) {
+            if self.lookup_counted(&seq).is_empty() {
+                return Intermediate::Pairs(Vec::new());
             }
+            self.bump(|s| {
+                s.joins += 1;
+                s.csr_joins += 1;
+            });
+            return Intermediate::Pairs(if require_loop {
+                ops::expand_adjacency_id(self.graph, &left, l)
+            } else {
+                ops::expand_adjacency(self.graph, &left, l)
+            });
         }
         let right = self.pairs(self.eval(b));
         self.bump(|s| s.joins += 1);
         let mut ctx = self.ctx.borrow_mut();
-        if !require_loop {
-            Intermediate::Pairs(ctx.join_pairs(&left, &right))
-        } else if self.options.fused_identity {
-            Intermediate::Pairs(ctx.join_pairs_id(&left, &right))
+        Intermediate::Pairs(if require_loop {
+            ctx.join_pairs_id(&left, &right)
         } else {
-            let joined = ctx.join_pairs(&left, &right);
-            Intermediate::Pairs(ops::filter_loops(&joined))
-        }
+            ctx.join_pairs(&left, &right)
+        })
     }
 
     /// `{(v, v) | (v, u) ∈ im}` — the answer of a closed cycle, from the
@@ -388,8 +352,8 @@ pub(crate) fn indexed_inverse(index: &CpqxIndex, b: &Plan) -> Option<Plan> {
     inverse.lookup_seqs().iter().all(|s| index.is_indexed(s)).then_some(inverse)
 }
 
-/// Whether `p` evaluates to a class-id set (with class-level conjunction
-/// and fused identity on): lookups and conjunctions of such.
+/// Whether `p` evaluates to a class-id set: lookups and conjunctions of
+/// such.
 fn class_level_plan(p: &Plan) -> bool {
     match p {
         Plan::Lookup(_) | Plan::LookupId(_) => true,
@@ -555,6 +519,34 @@ mod tests {
         assert_eq!(stats.class_conjunctions, 0);
     }
 
+    /// Two multi-label operands: the join expands both from the index.
+    #[test]
+    fn explain_counts_index_expanded_join() {
+        use cpqx_graph::generate;
+        use cpqx_query::eval::eval_reference;
+        let g = generate::gex();
+        let idx = crate::CpqxIndex::build(&g, 2);
+        let q = cpqx_query::parse_cpq("f . f . f . f", &g).unwrap();
+        let (result, stats) = idx.explain(&g, &q);
+        assert_eq!(result, eval_reference(&g, &q));
+        assert_eq!(stats.lookups, 2, "⟨f,f⟩ ⋈ ⟨f,f⟩ at k = 2");
+        assert_eq!((stats.joins, stats.csr_joins), (1, 0), "no label operand to read");
+    }
+
+    /// A conjunction with a join operand is not class-level: it
+    /// intersects pair sets.
+    #[test]
+    fn explain_counts_pair_level_intersection() {
+        use cpqx_graph::generate;
+        use cpqx_query::eval::eval_reference;
+        let g = generate::gex();
+        let idx = crate::CpqxIndex::build(&g, 2);
+        let q = cpqx_query::parse_cpq("(f . f . f) & f", &g).unwrap();
+        let (result, stats) = idx.explain(&g, &q);
+        assert_eq!(result, eval_reference(&g, &q));
+        assert_eq!((stats.pair_intersections, stats.class_conjunctions), (1, 0));
+    }
+
     #[test]
     fn explain_counts_closed_cycles_as_conjunctions() {
         use cpqx_graph::generate;
@@ -595,30 +587,5 @@ mod tests {
         let (result, stats) = idx.explain(&g, &ti);
         assert_eq!(result, eval_reference(&g, &ti));
         assert_eq!((stats.joins, stats.class_conjunctions), (0, 1));
-        // Without fused identity a cycle is a join and a filter.
-        let unfused = ExecOptions { fused_identity: false, ..ExecOptions::default() };
-        let full = crate::CpqxIndex::build(&g, 2);
-        let exec = Executor::with_options(&full, &g, unfused);
-        let (result, stats) = exec.run_explained(&full.plan(&si));
-        assert_eq!(result, eval_reference(&g, &si));
-        assert_eq!((stats.joins, stats.class_conjunctions), (1, 0));
-    }
-
-    #[test]
-    fn ablation_disables_class_conjunction() {
-        use cpqx_graph::generate;
-        let g = generate::gex();
-        let idx = crate::CpqxIndex::build(&g, 2);
-        let q = cpqx_query::parse_cpq("(f . f) & f^-1", &g).unwrap();
-        let exec = Executor::with_options(
-            &idx,
-            &g,
-            ExecOptions { class_level_conjunction: false, ..ExecOptions::default() },
-        );
-        let (result, stats) = exec.run_explained(&idx.plan(&q));
-        assert_eq!(result.len(), 3, "answers unchanged");
-        assert_eq!(stats.class_conjunctions, 0);
-        assert_eq!(stats.pair_intersections, 1, "falls back to pair sets");
-        assert!(stats.pairs_materialized > 3, "must expand both operands");
     }
 }

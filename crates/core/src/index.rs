@@ -694,18 +694,6 @@ impl CpqxIndex {
         Executor::new(self, g).run(&self.plan(q))
     }
 
-    /// Evaluates `q` with explicit executor ablation switches (see
-    /// [`crate::exec::ExecOptions`]). Results are identical to
-    /// [`CpqxIndex::evaluate`]; only the work performed differs.
-    pub fn evaluate_with_options(
-        &self,
-        g: &Graph,
-        q: &Cpq,
-        options: crate::exec::ExecOptions,
-    ) -> Vec<Pair> {
-        Executor::with_options(self, g, options).run(&self.plan(q))
-    }
-
     /// Evaluates `q` but stops at the first result (Fig. 7's
     /// first-answer measurements). Returns `None` for empty answers.
     pub fn evaluate_first(&self, g: &Graph, q: &Cpq) -> Option<Pair> {

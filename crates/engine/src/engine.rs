@@ -31,7 +31,7 @@
 //! All counters and latency percentiles are exported through
 //! [`Engine::stats`].
 
-use cpqx_core::{CpqxIndex, ExecOptions, Executor};
+use cpqx_core::{CpqxIndex, Executor};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
 use cpqx_obs::{ObsOptions, Op, Recorder, Stage, TraceBuilder, TraceKind};
 use cpqx_query::canonical::{canonical_key, canonicalize};
@@ -88,13 +88,6 @@ pub struct EngineOptions {
     /// a recorded stage costs a few relaxed atomic adds; set
     /// `obs.enabled = false` to reduce every probe to a branch.
     pub obs: ObsOptions,
-    /// Executor switches ([`cpqx_core::ExecOptions`]) applied to every
-    /// query this engine serves. The defaults enable all optimizations
-    /// (class-level conjunction, fused identity, label operands read
-    /// from the graph); overriding them here turns the whole engine into
-    /// the corresponding ablation, which is how the differential tests
-    /// compare read paths under identical serving conditions.
-    pub exec: ExecOptions,
 }
 
 impl Default for EngineOptions {
@@ -108,7 +101,6 @@ impl Default for EngineOptions {
             auto_rebuild_ratio: Some(8.0),
             durability: DurabilityOptions::default(),
             obs: ObsOptions::default(),
-            exec: ExecOptions::default(),
         }
     }
 }
@@ -132,18 +124,11 @@ pub struct Snapshot {
     index: CpqxIndex,
     epoch: u64,
     plans: Mutex<LruCache<Arc<str>, Arc<PlannedQuery>>>,
-    exec: ExecOptions,
 }
 
 impl Snapshot {
-    fn new(
-        graph: Graph,
-        index: CpqxIndex,
-        epoch: u64,
-        plan_capacity: usize,
-        exec: ExecOptions,
-    ) -> Self {
-        Snapshot { graph, index, epoch, plans: Mutex::new(LruCache::new(plan_capacity)), exec }
+    fn new(graph: Graph, index: CpqxIndex, epoch: u64, plan_capacity: usize) -> Self {
+        Snapshot { graph, index, epoch, plans: Mutex::new(LruCache::new(plan_capacity)) }
     }
 
     /// The snapshot's graph.
@@ -184,7 +169,7 @@ impl Snapshot {
         let canonical = canonicalize(q);
         let key = canonical_key(&canonical);
         let (planned, _) = self.plan_for(&key, &canonical);
-        Executor::with_options(&self.index, &self.graph, self.exec).run(&planned.plan)
+        Executor::new(&self.index, &self.graph).run(&planned.plan)
     }
 }
 
@@ -291,8 +276,7 @@ impl Engine {
                 options.build,
             ),
         };
-        let snapshot =
-            Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity, options.exec));
+        let snapshot = Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity));
         let engine = Engine {
             current: RwLock::new(snapshot),
             results: Mutex::new(TaggedResults {
@@ -319,8 +303,7 @@ impl Engine {
     /// a loaded index, the recovered state begins a new fragmentation
     /// epoch.
     pub fn with_recovered(graph: Graph, index: CpqxIndex, options: EngineOptions) -> Engine {
-        let snapshot =
-            Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity, options.exec));
+        let snapshot = Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity));
         Engine {
             current: RwLock::new(snapshot),
             results: Mutex::new(TaggedResults {
@@ -477,7 +460,7 @@ impl Engine {
         let out = CachedAnswer::new(
             Arc::clone(&key),
             snap.epoch(),
-            Executor::with_options(snap.index(), snap.graph(), snap.exec).run(&planned.plan),
+            Executor::new(snap.index(), snap.graph()).run(&planned.plan),
         );
         self.obs.stage(Stage::Eval, eval_timer, trace);
         {
@@ -804,8 +787,7 @@ impl Engine {
             res.cache.clear();
             self.counters.record_swap(dropped);
         }
-        let snapshot =
-            Snapshot::new(graph, index, epoch, self.options.plan_cache_capacity, self.options.exec);
+        let snapshot = Snapshot::new(graph, index, epoch, self.options.plan_cache_capacity);
         *self.current.write().unwrap() = Arc::new(snapshot);
         epoch
     }

@@ -1,13 +1,13 @@
 //! Differential harness for joins read from the graph: every query
-//! whose single-label operands come from the graph's label runs
-//! (`ExecOptions::csr_faces`, the default) must be byte-identical to the
-//! executor expanding them from the index and to the hash-set reference
-//! oracle — across benchmark queries, all templates, random CPQ trees,
-//! mutation-then-read sequences, and concurrent readers.
+//! whose single-label operands come from the graph's label runs must be
+//! byte-identical to the hash-set reference oracle — across benchmark
+//! queries, all templates, random CPQ trees, cycles on full and
+//! uninvertible interest-aware indexes, mutation-then-read sequences, and
+//! concurrent readers.
 
 use cpqx_core::CpqxIndex;
 use cpqx_engine::delta::Delta;
-use cpqx_engine::{Engine, EngineOptions, ExecOptions};
+use cpqx_engine::{Engine, EngineOptions};
 use cpqx_graph::{generate, ExtLabel, Graph, GraphBuilder, LabelSeq};
 use cpqx_query::eval::eval_reference;
 use cpqx_query::plan::Plan;
@@ -32,12 +32,8 @@ fn chunky_graph(vertices: u32, edges: usize, seed: u64) -> Graph {
     b.build_with_chunk_weight(64)
 }
 
-fn csr_off() -> ExecOptions {
-    ExecOptions { csr_faces: false, ..ExecOptions::default() }
-}
-
-/// Graph-read evaluation vs index-expanded evaluation vs the oracle, over the
-/// three benchmark query sets and every template.
+/// Graph-read evaluation vs the oracle, over the three benchmark query
+/// sets and every template.
 #[test]
 fn csr_matches_rows_on_benchqueries_and_templates() {
     let g = chunky_graph(220, 900, 11);
@@ -58,18 +54,12 @@ fn csr_matches_rows_on_benchqueries_and_templates() {
         }
     }
     for (name, q) in &queries {
-        let oracle = eval_reference(&g, q);
-        assert_eq!(idx.evaluate_with_options(&g, q, csr_off()), oracle, "{name} rows vs oracle");
-        assert_eq!(
-            idx.evaluate_with_options(&g, q, ExecOptions::default()),
-            oracle,
-            "{name} csr vs oracle"
-        );
+        assert_eq!(idx.evaluate(&g, q), eval_reference(&g, q), "{name} vs oracle");
     }
 }
 
 /// Random CPQ ASTs (not just templates): the structural fuzz of the core
-/// crate, replayed through both read paths.
+/// crate, replayed through the graph-read executor.
 #[test]
 fn csr_matches_rows_on_random_cpq_trees() {
     fn random_cpq(rng: &mut impl Rng, depth: usize, nl: u16) -> Cpq {
@@ -96,18 +86,15 @@ fn csr_matches_rows_on_random_cpq_trees() {
     let idx = CpqxIndex::build(&g, 2);
     for i in 0..80 {
         let q = random_cpq(&mut rng, 3, g.ext_label_count());
-        let rows = idx.evaluate_with_options(&g, &q, csr_off());
-        let csr = idx.evaluate_with_options(&g, &q, ExecOptions::default());
-        assert_eq!(csr, rows, "fuzz case {i}: {q:?}");
-        assert_eq!(csr, eval_reference(&g, &q), "fuzz case {i} vs oracle: {q:?}");
+        assert_eq!(idx.evaluate(&g, &q), eval_reference(&g, &q), "fuzz case {i}: {q:?}");
     }
 }
 
-/// Every `∩ id` query, under every executor switch, on a full index
-/// (cycles close as class-level conjunctions with the inverse) and on an
-/// interest-aware index that holds the queries' forward sequences but not
-/// their inverses (the pair-level `JOIN-ID` fallback must engage) — all
-/// equal to the oracle, both indexes valid.
+/// Every `∩ id` query on a full index (cycles close as class-level
+/// conjunctions with the inverse) and on an interest-aware index that
+/// holds the queries' forward sequences but not their inverses (the
+/// pair-level `JOIN-ID` fallback must engage) — all equal to the oracle,
+/// both indexes valid.
 #[test]
 fn cyclic_queries_agree_on_full_and_uninvertible_interest_indexes() {
     let g = chunky_graph(200, 800, 47);
@@ -140,23 +127,11 @@ fn cyclic_queries_agree_on_full_and_uninvertible_interest_indexes() {
     assert_eq!(full.validate(&g), Ok(()));
     assert_eq!(ia.validate(&g), Ok(()));
 
-    let switches = [
-        ExecOptions::default(),
-        csr_off(),
-        ExecOptions { class_level_conjunction: false, ..ExecOptions::default() },
-        ExecOptions { fused_identity: false, ..ExecOptions::default() },
-    ];
     let (mut closed, mut fell_back) = (0usize, 0usize);
     for q in &cyclic {
         let oracle = eval_reference(&g, q);
         for (name, idx) in [("full", &full), ("interest-aware", &ia)] {
-            for options in switches {
-                assert_eq!(
-                    idx.evaluate_with_options(&g, q, options),
-                    oracle,
-                    "{name} {options:?}: {q:?}"
-                );
-            }
+            assert_eq!(idx.evaluate(&g, q), oracle, "{name}: {q:?}");
         }
         // Where the plan is one cycle over two lookups (C2i at k = 1, Ti,
         // Si), the counters say which way it ran.
@@ -241,28 +216,10 @@ fn concurrent_csr_reads_agree_with_oracle() {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for (q, want) in queries.iter().zip(&expected) {
-                        assert_eq!(&idx.evaluate_with_options(&g, q, ExecOptions::default()), want);
+                        assert_eq!(&idx.evaluate(&g, q), want);
                     }
                 });
             }
         });
-    }
-}
-
-/// The engine-level ablation seam: an engine built with `csr_faces:
-/// false` serves the same answers as the default engine.
-#[test]
-fn engine_exec_options_seam_is_answer_invariant() {
-    let g = chunky_graph(160, 650, 43);
-    let (on, _) = Engine::with_options(g.clone(), EngineOptions { k: 2, ..Default::default() });
-    let (off, _) =
-        Engine::with_options(g, EngineOptions { k: 2, exec: csr_off(), ..Default::default() });
-    let snap = on.snapshot();
-    let probe = GraphProbe(snap.graph());
-    let mut gen = WorkloadGen::new(snap.graph(), 53);
-    for &t in &Template::ALL {
-        for q in gen.queries(t, 2, &probe) {
-            assert_eq!(on.query(&q), off.query(&q), "{}", t.name());
-        }
     }
 }

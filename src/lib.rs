@@ -88,5 +88,4 @@ pub use cpqx_net as net;
 pub use cpqx_obs as obs;
 pub use cpqx_pathindex as pathindex;
 pub use cpqx_query as query;
-pub use cpqx_rpq as rpq;
 pub use cpqx_store as store;

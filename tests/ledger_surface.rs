@@ -158,8 +158,6 @@ fn fields(
         joins,
         csr_joins,
     ];
-    let ExecOptions { class_level_conjunction: _, fused_identity: _, csr_faces: _ } =
-        ExecOptions::default();
     let _: [u64; 10] = [
         engine.queries,
         engine.result_hits,
