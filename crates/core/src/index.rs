@@ -215,6 +215,12 @@ impl Posting {
 /// whether an affected pair's `L≤k` changed), and the pair → class inverted
 /// index of Sec. IV-E.
 ///
+/// No query reads the pair → class map, so no build and no load makes it:
+/// the first write builds it from the `Ic2p` rows
+/// ([`CpqxIndex::build_pair_map`]), and from then on the written index and
+/// its clones share it. A read-only index never holds one, and
+/// [`IndexStats::total_bytes`] counts the map only once it is built.
+///
 /// Label sequences are stored once, in a **sequence dictionary** that
 /// names each distinct sequence by a dense 4-byte [`SeqId`]: `Il2c` is a
 /// vector of postings indexed by id, and a class's sequence set is a list
@@ -232,8 +238,8 @@ impl Posting {
 /// * the class partition (`Ic2p` rows, loop flags, sequence-id sets)
 ///   lives in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of
 ///   flat arrays,
-/// * the pair → class inverted index is sharded by source-vertex range
-///   behind `Arc`,
+/// * the pair → class inverted index, once built, is sharded by
+///   source-vertex range behind `Arc`,
 /// * `Il2c` entries — a posting list and its cyclic sub-list
 ///   ([`Posting`]) — sit individually behind `Arc` (the key set is small
 ///   — O(|L|ᵏ) sequences — so the vector itself clones cheaply),
@@ -261,9 +267,10 @@ pub struct CpqxIndex {
     pub(crate) classes: Vec<Arc<ClassChunk>>,
     /// Allocated class slots (tombstones included) across all chunks.
     pub(crate) class_count: usize,
-    /// Pair → class map, sharded by source-vertex range.
-    pub(crate) p2c: Vec<Arc<PairMap>>,
-    /// Indexed pairs across all shards.
+    /// Pair → class map, sharded by source-vertex range; `None` until the
+    /// first write builds it.
+    pub(crate) p2c: Option<Vec<Arc<PairMap>>>,
+    /// Indexed pairs across all class rows.
     pub(crate) pair_count: usize,
     pub(crate) frag: FragCounters,
 }
@@ -348,10 +355,11 @@ pub struct IndexStats {
     /// quantity Thm. 4.2 bounds and Table IV reports).
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (per-class
-    /// sequence-id sets, `p2c`, loop flags). Packed accounting: what each
-    /// structure stores, at the size of the element type it stores it as,
-    /// plus a 4-byte offset per list; container headers and hash-table
-    /// slack are not counted.
+    /// sequence-id sets, loop flags, and the pair → class map once the
+    /// first write has built it). Packed accounting: what each structure
+    /// stores, at the size of the element type it stores it as, plus a
+    /// 4-byte offset per list; container headers and hash-table slack are
+    /// not counted.
     pub total_bytes: usize,
 }
 
@@ -455,14 +463,6 @@ impl CpqxIndex {
             *cursor += 1;
         }
 
-        // Pair → class: the pair list is source-major, so each shard is
-        // one contiguous run, sized before it is filled.
-        let mut p2c: Vec<Arc<PairMap>> = Vec::new();
-        for run in p.pair_classes.chunk_by(|a, b| Self::p2c_shard(a.0) == Self::p2c_shard(b.0)) {
-            p2c.resize_with(Self::p2c_shard(run[0].0), Default::default);
-            p2c.push(Arc::new(run.iter().copied().collect()));
-        }
-
         CpqxIndex {
             k,
             interests,
@@ -470,7 +470,7 @@ impl CpqxIndex {
             il2c,
             classes: chunks.into_iter().map(Arc::new).collect(),
             class_count: nc,
-            p2c,
+            p2c: None,
             pair_count: p.pair_classes.len(),
             frag: FragCounters { baseline_classes: nc, ..FragCounters::default() },
         }
@@ -504,29 +504,70 @@ impl CpqxIndex {
         (p.src() >> P2C_SHARD_BITS) as usize
     }
 
-    /// Inserts into the pair → class map, copying only the pair's shard;
-    /// returns the class the pair was mapped to before, if any.
-    pub(crate) fn p2c_insert(&mut self, p: Pair, c: ClassId) -> Option<ClassId> {
-        let s = Self::p2c_shard(p);
-        if s >= self.p2c.len() {
-            self.p2c.resize_with(s + 1, Default::default);
+    /// Builds the pair → class map of Sec. IV-E's lazy maintenance from the
+    /// `Ic2p` rows, unless it is built already. Every write calls this
+    /// first, so a caller needs it only to take the one-time cost out of a
+    /// timed write, or before asking [`CpqxIndex::class_of`] about many
+    /// pairs. Cost: one pass over the rows to size each shard, then one
+    /// class-major pass filling them.
+    pub fn build_pair_map(&mut self) {
+        if self.p2c.is_some() {
+            return;
         }
-        let previous = Arc::make_mut(&mut self.p2c[s]).insert(p, c);
-        if previous.is_none() {
-            self.pair_count += 1;
+        let mut sizes: Vec<usize> = Vec::new();
+        for &p in self.classes.iter().flat_map(|ch| &ch.pairs) {
+            let s = Self::p2c_shard(p);
+            if s >= sizes.len() {
+                sizes.resize(s + 1, 0);
+            }
+            sizes[s] += 1;
         }
-        previous
+        let mut shards: Vec<PairMap> = sizes
+            .into_iter()
+            .map(|n| PairMap::with_capacity_and_hasher(n, Default::default()))
+            .collect();
+        for (ci, chunk) in self.classes.iter().enumerate() {
+            for off in 0..chunk.len() {
+                let c = (ci * CLASS_CHUNK + off) as ClassId;
+                for &p in chunk.row(off) {
+                    shards[Self::p2c_shard(p)].insert(p, c);
+                }
+            }
+        }
+        self.p2c = Some(shards.into_iter().map(Arc::new).collect());
     }
 
-    /// Removes from the pair → class map; absent pairs copy nothing.
-    pub(crate) fn p2c_remove(&mut self, p: Pair) -> Option<ClassId> {
+    /// Whether the pair → class map is built (see
+    /// [`CpqxIndex::build_pair_map`]).
+    pub fn has_pair_map(&self) -> bool {
+        self.p2c.is_some()
+    }
+
+    /// The pair → class map of a write in progress.
+    fn pair_map_mut(&mut self) -> &mut Vec<Arc<PairMap>> {
+        self.p2c.as_mut().expect("a write builds the pair map before it edits it")
+    }
+
+    /// Maps `p` to `c` in the pair → class map, copying only the pair's
+    /// shard.
+    pub(crate) fn p2c_insert(&mut self, p: Pair, c: ClassId) {
         let s = Self::p2c_shard(p);
-        let shard = self.p2c.get_mut(s)?;
-        if !shard.contains_key(&p) {
-            return None;
+        let map = self.pair_map_mut();
+        if s >= map.len() {
+            map.resize_with(s + 1, Default::default);
         }
-        self.pair_count -= 1;
-        Arc::make_mut(shard).remove(&p)
+        if Arc::make_mut(&mut map[s]).insert(p, c).is_none() {
+            self.pair_count += 1;
+        }
+    }
+
+    /// Removes `p` from the pair → class map; absent pairs copy nothing.
+    pub(crate) fn p2c_remove(&mut self, p: Pair) {
+        let Some(shard) = self.pair_map_mut().get_mut(Self::p2c_shard(p)) else { return };
+        if shard.contains_key(&p) {
+            Arc::make_mut(shard).remove(&p);
+            self.pair_count -= 1;
+        }
     }
 
     /// Applies a lazy update's row edits — `(class, pair)` detachments and
@@ -667,8 +708,20 @@ impl CpqxIndex {
     }
 
     /// The class of an s-t pair, if indexed.
+    ///
+    /// One hash probe once the pair → class map is built (by the first
+    /// write, or [`CpqxIndex::build_pair_map`]). Before that this searches
+    /// the rows: a binary search in every class of the pair's cyclicity,
+    /// O(#classes · log row) per call, so a caller asking about many pairs
+    /// of an unwritten index should build the map first.
     pub fn class_of(&self, p: Pair) -> Option<ClassId> {
-        self.p2c.get(Self::p2c_shard(p))?.get(&p).copied()
+        match &self.p2c {
+            Some(map) => map.get(Self::p2c_shard(p))?.get(&p).copied(),
+            None => (0..self.class_count as ClassId).find(|&c| {
+                self.class_is_loop(c) == p.is_loop()
+                    && self.class_pairs(c).binary_search(&p).is_ok()
+            }),
+        }
     }
 
     /// Whether one LOOKUP can answer `seq`: full indexes answer every
@@ -788,7 +841,8 @@ impl CpqxIndex {
         let core_bytes = dict_bytes + il2c_bytes + ic2p_bytes;
         let class_seq_bytes: usize =
             self.classes.iter().map(|ch| ch.seqs.len() * seq_id_bytes + ch.len() * 4).sum();
-        let p2c_bytes = pairs * (std::mem::size_of::<Pair>() + id_bytes);
+        let p2c_entries: usize = self.pair_map_shards().iter().map(|shard| shard.len()).sum();
+        let p2c_bytes = p2c_entries * (std::mem::size_of::<Pair>() + id_bytes);
         IndexStats {
             k: self.k,
             classes: self.live_class_count(),
@@ -809,20 +863,26 @@ impl CpqxIndex {
     /// Structural-sharing report against the index this one was cloned
     /// from, covering the two chunked stores (class chunks + p2c shards):
     /// per position, whether the `Arc` is still shared with `before` or
-    /// was copied / newly created. The engine sums this into its
-    /// `cow_chunks_copied` / `cow_chunks_shared` gauges after every write
-    /// transaction.
+    /// was copied / newly created — so the first write after a build or a
+    /// load, which builds the pair → class map, reports every map shard as
+    /// copied. The engine sums this into its `cow_chunks_copied` /
+    /// `cow_chunks_shared` gauges after every write transaction.
     pub fn cow_diff(&self, before: &CpqxIndex) -> CowDiff {
         let mut diff = CowDiff::default();
         diff.record_arcs(&self.classes, &before.classes);
-        diff.record_arcs(&self.p2c, &before.p2c);
+        diff.record_arcs(self.pair_map_shards(), before.pair_map_shards());
         diff
     }
 
+    /// The pair → class map's shards; none before the map is built.
+    fn pair_map_shards(&self) -> &[Arc<PairMap>] {
+        self.p2c.as_deref().unwrap_or_default()
+    }
+
     /// Number of copy-on-write units backing this index (class chunks +
-    /// p2c shards).
+    /// p2c shards, once the map is built).
     pub fn chunk_count(&self) -> usize {
-        self.classes.len() + self.p2c.len()
+        self.classes.len() + self.pair_map_shards().len()
     }
 
     // ------------------------------------------- persistence surface --
@@ -835,9 +895,9 @@ impl CpqxIndex {
     }
 
     /// Number of class chunks backing the partition store. Persistence
-    /// surface: snapshot writers emit one record per class chunk (the
-    /// p2c shards and `Il2c` postings are derived state, rebuilt on
-    /// load).
+    /// surface: snapshot writers emit one record per class chunk (`Il2c`
+    /// postings are derived state, rebuilt on load; the pair → class map
+    /// is derived too, and built by the first write).
     pub fn class_chunk_count(&self) -> usize {
         self.classes.len()
     }
@@ -917,16 +977,24 @@ mod tests {
 
     /// `total_bytes` is what the structures store, each counted at the
     /// size of the element type it is actually stored as — so the number
-    /// falls only if the stored bytes do.
+    /// falls only if the stored bytes do. A fresh build stores no pair
+    /// → class map; once built, the map holds one entry per pair.
     #[test]
     fn total_bytes_counts_the_stored_elements() {
         use std::mem::{size_of, size_of_val};
         let g = cpqx_graph::generate::gex();
         let f = g.label_named("f").unwrap().fwd();
-        for idx in [
+        let builds = [
             CpqxIndex::build(&g, 2),
             CpqxIndex::build_interest_aware(&g, 2, [LabelSeq::from_slice(&[f, f])]),
-        ] {
+        ];
+        for (mut idx, has_map) in
+            builds.into_iter().flat_map(|idx| [(idx.clone(), false), (idx, true)])
+        {
+            if has_map {
+                idx.build_pair_map();
+            }
+            assert_eq!(idx.has_pair_map(), has_map);
             let chunks = || idx.classes.iter();
             let offsets = |lists: usize| lists * size_of::<u32>();
             // The dictionary: id → sequence, and each sequence's id.
@@ -947,11 +1015,9 @@ mod tests {
                 + offsets(idx.class_count + 1);
             let class_sets: usize =
                 chunks().map(|ch| size_of_val(ch.seqs.as_slice()) + offsets(ch.len())).sum();
-            let p2c: usize = idx
-                .p2c
-                .iter()
-                .map(|shard| shard.len() * (size_of::<Pair>() + size_of::<ClassId>()))
-                .sum();
+            let entry = size_of::<Pair>() + size_of::<ClassId>();
+            let p2c: usize = idx.pair_map_shards().iter().map(|shard| shard.len() * entry).sum();
+            assert_eq!(p2c, if has_map { idx.pair_count() * entry } else { 0 });
             let loops: usize = chunks().map(|ch| size_of_val(ch.loops.as_slice())).sum();
             let stats = idx.stats();
             assert_eq!(stats.core_bytes, dict + il2c + ic2p);

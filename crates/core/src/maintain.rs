@@ -183,6 +183,13 @@ impl CpqxIndex {
     /// holds a never-seen sequence has changed, and only such a pair
     /// copies the dictionary (to register it).
     ///
+    /// This is the pair → class map's only reader on the write path: every
+    /// edge, vertex and interest update goes through here, and the first
+    /// one on an index without the map builds it
+    /// ([`CpqxIndex::build_pair_map`]). Writes run on a clone of the
+    /// served index, so the map lands in that clone and its descendants,
+    /// never in the snapshot it was cloned from.
+    ///
     /// All mutation goes through the index's chunk-local copy-on-write
     /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`,
     /// `il2c_push`), so an update copies only the class chunks, p2c shards
@@ -192,6 +199,7 @@ impl CpqxIndex {
     /// is then unchanged the second time); the class rows are edited once,
     /// at the end, chunk by chunk.
     fn refresh_pairs(&mut self, g: &Graph, candidates: Vec<Pair>) {
+        self.build_pair_map();
         let mut groups: HashMap<(bool, Vec<SeqId>), ClassId> = HashMap::new();
         let (mut detached, mut attached) = (Vec::new(), Vec::new());
         let mut ids: Vec<SeqId> = Vec::new();

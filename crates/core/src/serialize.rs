@@ -3,8 +3,9 @@
 //! A production deployment builds the index once (Table IV's IT is minutes
 //! to hours at paper scale) and reloads it across restarts. The format
 //! stores the partition — per class: loop flag, sequence set, pair list —
-//! plus the mode header; `Il2c` and the pair→class inverted index are
-//! reconstructed on load, so the file holds each fact exactly once.
+//! plus the mode header, so the file holds each fact exactly once. `Il2c`
+//! is reconstructed on load; the pair→class inverted index is not, since
+//! only maintenance reads it: the first write after a load builds it.
 //!
 //! Layout (little-endian): magic `CPQX`, format version, `k`, mode byte
 //! (full / interest-aware + interest list), class count, then the classes.
@@ -12,6 +13,7 @@
 use crate::bisim::{ClassId, SeqId};
 use crate::index::{ClassChunk, CpqxIndex, Posting};
 use crate::intern::SeqDict;
+use cpqx_graph::pair::sort_pairs;
 use cpqx_graph::{ExtLabel, LabelSeq, Pair};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -325,12 +327,14 @@ impl CpqxIndex {
 
     /// Reassembles an index from per-chunk class records (the inverse of
     /// [`CpqxIndex::save_class_chunk`] over all chunks), rebuilding the
-    /// derived structures (the sequence dictionary, `Il2c` with its cyclic
-    /// sub-lists, pair → class) through the index's chunked-store
-    /// primitives — the one reassembly routine behind both
-    /// [`CpqxIndex::load`] and the store's chunk records. The formats
-    /// store only the Def. 4.3 structures, so the result starts a new
-    /// fragmentation epoch: the restored class count is the baseline.
+    /// derived structures query evaluation reads (the sequence dictionary,
+    /// `Il2c` with its cyclic sub-lists) — the one reassembly routine
+    /// behind both [`CpqxIndex::load`] and the store's chunk records. The
+    /// pair → class map is left to the first write
+    /// ([`CpqxIndex::build_pair_map`]); a pair recorded in two classes is
+    /// still rejected, found by one sort of all the records' pairs. The
+    /// formats store only the Def. 4.3 structures, so the result starts a
+    /// new fragmentation epoch: the restored class count is the baseline.
     ///
     /// `Il2c` lists a class under the sequences of its record that are
     /// indexed *now* ([`CpqxIndex::is_indexed`]): a deleted interest stays
@@ -367,10 +371,11 @@ impl CpqxIndex {
             il2c: Vec::new(),
             classes: Vec::new(),
             class_count: 0,
-            p2c: Vec::new(),
+            p2c: None,
             pair_count: 0,
             frag: crate::index::FragCounters { baseline_classes: nc, ..Default::default() },
         };
+        let mut all_pairs = Vec::with_capacity(chunks.iter().flatten().map(|r| r.2.len()).sum());
         // The dictionary numbers sequences by first occurrence along the
         // classes, as a fresh build does; each gets a plain posting list
         // if it is indexed now, wrapped in its `Arc` once, at the end.
@@ -384,14 +389,10 @@ impl CpqxIndex {
             let mut chunk = ClassChunk::with_capacity(records.len(), pairs, seqs);
             for (is_loop, seqs, pairs) in records {
                 let c = (idx.class_count + chunk.len()) as ClassId;
-                for p in &pairs {
-                    if p.is_loop() != is_loop {
-                        return Err("pair cyclicity disagrees with class flag");
-                    }
-                    if idx.p2c_insert(*p, c).is_some() {
-                        return Err("pair assigned to two classes");
-                    }
+                if pairs.iter().any(|p| p.is_loop() != is_loop) {
+                    return Err("pair cyclicity disagrees with class flag");
                 }
+                all_pairs.extend_from_slice(&pairs);
                 if seqs.windows(2).any(|w| w[0] >= w[1]) {
                     return Err("class sequences not sorted");
                 }
@@ -411,13 +412,20 @@ impl CpqxIndex {
             idx.class_count += chunk.len();
             idx.classes.push(Arc::new(chunk));
         }
+        // The rows must be disjoint: sorted, no pair may follow itself.
+        sort_pairs(&mut all_pairs);
+        if all_pairs.windows(2).any(|w| w[0] == w[1]) {
+            return Err("pair assigned to two classes");
+        }
+        idx.pair_count = all_pairs.len();
         idx.seqs = Arc::new(dict);
         idx.il2c = postings.into_iter().map(|posting| posting.map(Arc::new)).collect();
         Ok(idx)
     }
 
-    /// Loads an index written by [`CpqxIndex::save`], reconstructing the
-    /// derived structures (`Il2c`, pair→class).
+    /// Loads an index written by [`CpqxIndex::save`], reconstructing
+    /// `Il2c`; the pair→class map waits for the first write (see
+    /// [`CpqxIndex::from_class_records`]).
     pub fn load(r: impl Read) -> Result<Self, LoadError> {
         let mut r = Counted::new(r);
         let mut magic = [0u8; 4];
@@ -595,7 +603,10 @@ mod tests {
         let mut chunks = vec![records];
         chunks[0].push(dup);
         assert!(chunks[0].len() <= CpqxIndex::class_chunk_span(), "gex stays in one chunk");
-        assert!(CpqxIndex::from_class_records(2, None, chunks).is_err());
+        assert_eq!(
+            CpqxIndex::from_class_records(2, None, chunks).err(),
+            Some("pair assigned to two classes")
+        );
     }
 
     #[test]

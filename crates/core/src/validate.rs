@@ -27,7 +27,10 @@ impl CpqxIndex {
     ///   deleted interest left behind, unreachable from `Il2c` until their
     ///   next refresh — and no pair without a path of length ≤ k is indexed
     ///   (`pair_count` is exact);
-    /// * `Ic2p` rows are sorted and the pair → class map is their inverse;
+    /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
+    ///   and the pair → class map, if built, is exactly their inverse
+    ///   (without it, pairs are looked up in a sorted list made from the
+    ///   rows);
     /// * every class's sequence ids are in the dictionary and name a
     ///   strictly sorted sequence set;
     /// * every `Il2c` key is indexed, its posting list is sorted, lists
@@ -39,9 +42,11 @@ impl CpqxIndex {
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
         let slots = self.class_slots() as ClassId;
 
-        // Ic2p against the pair → class map; class sets against the
+        // Ic2p rows, listed as (pair, class) in pair order: the rows'
+        // inverse, checked against the pair → class map if there is one
+        // and standing in for it otherwise. Class sets against the
         // dictionary.
-        let mut in_rows = 0usize;
+        let mut in_rows: Vec<(Pair, ClassId)> = Vec::with_capacity(self.pair_count());
         for c in 0..slots {
             if let Some(id) =
                 self.class_seq_ids(c).iter().find(|&&id| id as usize >= self.seqs.len())
@@ -55,20 +60,36 @@ impl CpqxIndex {
             if row.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("class {c}: pair row not strictly sorted"));
             }
-            if let Some(&p) = row.iter().find(|&&p| self.class_of(p) != Some(c)) {
-                return Err(format!("class {c} holds {p:?}, mapped to {:?}", self.class_of(p)));
-            }
-            in_rows += row.len();
+            in_rows.extend(row.iter().map(|&p| (p, c)));
         }
-        // Rows are disjoint (a pair maps to one class), so equal sizes make
-        // the two structures mutually inverse.
-        let in_map: usize = self.p2c.iter().map(|shard| shard.len()).sum();
-        if in_rows != in_map || in_map != self.pair_count() {
+        in_rows.sort_unstable();
+        if let Some(w) = in_rows.windows(2).find(|w| w[0].0 == w[1].0) {
+            let (p, a, b) = (w[0].0, w[0].1, w[1].1);
+            return Err(format!("{p:?} sits in two classes, {a} and {b}"));
+        }
+        if in_rows.len() != self.pair_count() {
             return Err(format!(
-                "{in_rows} pairs in class rows, {in_map} in the pair map, pair_count {}",
+                "{} pairs in class rows, pair_count {}",
+                in_rows.len(),
                 self.pair_count()
             ));
         }
+        if let Some(map) = &self.p2c {
+            if let Some(&(p, c)) = in_rows.iter().find(|&&(p, c)| self.class_of(p) != Some(c)) {
+                return Err(format!("class {c} holds {p:?}, mapped to {:?}", self.class_of(p)));
+            }
+            // Every row pair is mapped to its class, so equal sizes make
+            // the map the rows' inverse.
+            let in_map: usize = map.iter().map(|shard| shard.len()).sum();
+            if in_map != in_rows.len() {
+                return Err(format!(
+                    "{} pairs in class rows, {in_map} in the pair map",
+                    in_rows.len()
+                ));
+            }
+        }
+        let class_of =
+            |p: Pair| in_rows.binary_search_by_key(&p, |&(q, _)| q).ok().map(|at| in_rows[at].1);
 
         // Classes against the graph.
         let mut indexed_in_reach = 0usize;
@@ -76,7 +97,7 @@ impl CpqxIndex {
             for (u, _) in bounded_ball(g, &[v], self.k) {
                 let p = Pair::new(v, u);
                 let expected = self.indexed_seqs_of(g, p);
-                let Some(c) = self.class_of(p) else {
+                let Some(c) = class_of(p) else {
                     if expected.is_empty() {
                         continue;
                     }
@@ -194,26 +215,42 @@ mod tests {
         assert!(good.validate(&smaller).is_err());
         assert!(CpqxIndex::build(&smaller, 2).validate(&g).is_err());
 
-        // A pair moved to a class with another sequence set.
-        let mut bad = good.clone();
-        bad.edit_rows(vec![(0, some_pair)], vec![(other_class, some_pair)]);
-        assert_eq!(bad.class_pairs(0).len() + 1, good.class_pairs(0).len());
-        assert!(bad.class_pairs(other_class).contains(&some_pair));
-        bad.p2c_insert(some_pair, other_class);
-        let err = bad.validate(&g).unwrap_err();
-        assert!(err.contains("carries"), "{err}");
+        // A pair moved to a class with another sequence set, with and
+        // without the pair map.
+        for has_map in [false, true] {
+            let mut bad = good.clone();
+            if has_map {
+                bad.build_pair_map();
+            }
+            bad.edit_rows(vec![(0, some_pair)], vec![(other_class, some_pair)]);
+            assert_eq!(bad.class_pairs(0).len() + 1, good.class_pairs(0).len());
+            assert!(bad.class_pairs(other_class).contains(&some_pair));
+            if has_map {
+                bad.p2c_insert(some_pair, other_class);
+            }
+            let err = bad.validate(&g).unwrap_err();
+            assert!(err.contains("carries"), "{err}");
+        }
 
         // Ic2p and the pair map disagree.
         let mut bad = good.clone();
+        bad.build_pair_map();
         bad.p2c_insert(some_pair, other_class);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("mapped to"), "{err}");
 
+        // A pair placed in two rows of an index without the map.
+        let mut bad = good.clone();
+        bad.edit_rows(Vec::new(), vec![(other_class, some_pair)]);
+        assert!(!bad.has_pair_map());
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("two classes"), "{err}");
+
         // A dropped pair: counts.
         let mut bad = good.clone();
         bad.edit_rows(vec![(0, some_pair)], Vec::new());
-        bad.p2c_remove(some_pair);
-        assert!(bad.validate(&g).is_err());
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("pair_count"), "{err}");
 
         // A posting list missing a live class, and one listing a stranger.
         let s = good.class_sequences(0).next().unwrap();

@@ -71,11 +71,13 @@ fn saved(idx: &CpqxIndex) -> Vec<u8> {
     bytes
 }
 
-/// A just-built index must satisfy the partition invariant on its graph.
+/// A just-built index must satisfy the partition invariant on its graph,
+/// and holds no pair → class map (only a write builds one).
 fn validated(g: &Graph, idx: CpqxIndex, what: &str) -> CpqxIndex {
     if let Err(e) = idx.validate(g) {
         panic!("{what}: {e}");
     }
+    assert!(!idx.has_pair_map(), "{what} built the pair map");
     idx
 }
 

@@ -62,29 +62,42 @@ fn small_delta_shares_untouched_chunks() {
     );
     let snap0 = engine.snapshot();
     assert!(snap0.graph().chunk_count() > 20, "test graph must span many chunks");
-    assert!(snap0.index().chunk_count() > 2, "index must span several chunks/shards");
+    assert!(!snap0.index().has_pair_map(), "a build holds no pair → class map");
 
     let (v, u, l) = snap0.graph().base_edges().nth(2000).expect("mid-path edge");
-    let report = engine
-        .apply_delta(&Delta::new().delete_edge(v, u, l).insert_edge(v, u, l))
-        .expect("valid delta");
-    assert_eq!(report.applied, 2);
+    let flip = Delta::new().delete_edge(v, u, l).insert_edge(v, u, l);
 
+    // The first write after a build makes the pair → class map in the
+    // writer's clone: every map shard is new, so all of them show as
+    // copied, and the snapshot it replaced still holds none.
+    engine.apply_delta(&flip).expect("valid delta");
     let snap1 = engine.snapshot();
-    let gd = snap1.graph().cow_diff(snap0.graph());
+    let shards = snap1.index().chunk_count() - snap1.index().class_chunk_count();
+    assert!(shards > 2, "the map must span several shards");
+    let first = snap1.graph().cow_diff(snap0.graph()).merge(snap1.index().cow_diff(snap0.index()));
+    assert!(first.chunks_copied >= shards, "new map shards read as copied: {first:?}");
+    assert!(!snap0.index().has_pair_map());
+
+    // The next write finds the map built and copies only what it touches.
+    let report = engine.apply_delta(&flip).expect("valid delta");
+    assert_eq!(report.applied, 2);
+    let snap2 = engine.snapshot();
+    let gd = snap2.graph().cow_diff(snap1.graph());
     // The edge touches at most the two endpoint chunks.
     assert!(gd.chunks_copied <= 2, "graph copied more than the endpoint chunks: {gd:?}");
-    assert_eq!(gd.chunks_copied + gd.chunks_shared, snap1.graph().chunk_count());
+    assert_eq!(gd.chunks_copied + gd.chunks_shared, snap2.graph().chunk_count());
     assert!(gd.chunks_shared > gd.chunks_copied, "most graph chunks must stay shared: {gd:?}");
 
-    let id = snap1.index().cow_diff(snap0.index());
+    let id = snap2.index().cow_diff(snap1.index());
     assert!(id.chunks_shared > 0, "index stores must share untouched chunks: {id:?}");
-    assert_eq!(id.chunks_copied + id.chunks_shared, snap1.index().chunk_count());
+    assert_eq!(id.chunks_copied + id.chunks_shared, snap2.index().chunk_count());
 
     // The engine's cumulative gauges agree with the per-snapshot diffs.
     let stats = engine.stats();
-    assert_eq!(stats.cow_chunks_copied, (gd.chunks_copied + id.chunks_copied) as u64);
-    assert_eq!(stats.cow_chunks_shared, (gd.chunks_shared + id.chunks_shared) as u64);
+    let copied = first.chunks_copied + gd.chunks_copied + id.chunks_copied;
+    let shared = first.chunks_shared + gd.chunks_shared + id.chunks_shared;
+    assert_eq!(stats.cow_chunks_copied, copied as u64);
+    assert_eq!(stats.cow_chunks_shared, shared as u64);
 }
 
 #[test]
@@ -110,6 +123,35 @@ fn pinned_old_epoch_readers_survive_writes() {
     let live = engine.snapshot();
     for q in &queries {
         assert_eq!(*engine.query(q), eval_reference(live.graph(), q), "{q:?}");
+    }
+}
+
+/// Queries never build the pair → class map: only the first write does,
+/// in the snapshot it installs, while the pinned epoch-0 snapshot keeps
+/// serving without one.
+#[test]
+fn read_only_serving_never_builds_the_pair_map() {
+    let g = chunky_graph(200, 800, 29);
+    let ff =
+        cpqx_graph::LabelSeq::from_slice(&[cpqx_graph::Label(0).fwd(), cpqx_graph::Label(0).fwd()]);
+    for interests in [None, Some(vec![ff])] {
+        let (engine, _) = Engine::with_options(
+            g.clone(),
+            EngineOptions { k: 2, interests, ..EngineOptions::default() },
+        );
+        let snap0 = engine.snapshot();
+        for q in &workload(snap0.graph()) {
+            assert_eq!(*engine.query(q), eval_reference(snap0.graph(), q), "{q:?}");
+        }
+        assert!(!engine.snapshot().index().has_pair_map(), "serving queries built the map");
+
+        let (v, u, l) = generate::sample_edges(snap0.graph(), 1, 3)[0];
+        engine.apply_delta(&Delta::new().delete_edge(v, u, l)).expect("valid delta");
+        let snap1 = engine.snapshot();
+        assert!(snap1.index().has_pair_map(), "the first write installs the map");
+        assert_eq!(snap1.index().validate(snap1.graph()), Ok(()));
+        assert!(!snap0.index().has_pair_map(), "the pinned snapshot gained the map");
+        assert_eq!(snap0.index().validate(snap0.graph()), Ok(()));
     }
 }
 

@@ -129,9 +129,12 @@ fn stats_and_class_ids_match_the_sequential_build() {
     // Same partition, same numbering: stats agree field for field and
     // every pair sits in the same class id on both sides.
     let g = random_graph(&RandomGraphConfig::social(90, 400, 3, 2));
-    let sequential = CpqxIndex::build(&g, 2);
-    let sharded = build_sharded(&g, 2, BuildOptions { shards: Some(4), threads: Some(4) });
+    let mut sequential = CpqxIndex::build(&g, 2);
+    let mut sharded = build_sharded(&g, 2, BuildOptions { shards: Some(4), threads: Some(4) });
     assert_eq!(sequential.stats(), sharded.stats());
+    // Every pair's class: one hash probe each once the maps are built.
+    sequential.build_pair_map();
+    sharded.build_pair_map();
     for v in g.vertices() {
         for u in g.vertices() {
             let p = cpqx_graph::Pair::new(v, u);

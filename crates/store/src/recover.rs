@@ -5,15 +5,17 @@
 //! 1. **Load** the live manifest's snapshot: reassemble the graph from
 //!    its topology/name chunk records ([`Graph::from_chunk_parts`]
 //!    rebuilds the derived pair segments) and the index from its class
-//!    chunk records ([`CpqxIndex::from_class_records`] rebuilds `Il2c`
-//!    and pair → class) — **no index construction happens**; restart
-//!    cost is I/O plus replay.
+//!    chunk records ([`CpqxIndex::from_class_records`] rebuilds `Il2c`;
+//!    the pair → class map waits for the first write) — **no index
+//!    construction happens**; restart cost is I/O plus replay.
 //! 2. **Replay** the WAL tail the manifest points at, applying each
 //!    logged transaction through the engine's own
 //!    [`cpqx_engine::apply_ops`] — the same lazy maintenance procedures
 //!    that ran before the crash, so the recovered index is the one the
-//!    engine would have served. A torn or corrupt record ends the
-//!    committed prefix; the tail beyond it is dropped, never fatal.
+//!    engine would have served (the first replayed op that changes the
+//!    index builds the pair → class map; with nothing to replay it stays
+//!    unbuilt). A torn or corrupt record ends the committed prefix; the
+//!    tail beyond it is dropped, never fatal.
 //! 3. **Install** the result as epoch 0 via
 //!    [`Engine::with_recovered`] and attach a [`Store`] resuming at the
 //!    recovered position, so the next write appends where the log left

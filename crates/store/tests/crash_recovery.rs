@@ -343,6 +343,36 @@ fn recovery_after_deleting_an_interest_keeps_it_deleted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery reassembles the index without its pair → class map; only
+/// replaying a non-empty WAL tail writes, and so builds it.
+#[test]
+fn recovery_builds_the_pair_map_only_to_replay_a_tail() {
+    let dir = tmp("pair-map");
+    let g0 = seed_graph(11);
+    let queries = workload(&g0, 0x9a);
+    let start =
+        durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
+    let recovered = |replayed: u64, has_map: bool| {
+        let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+        assert_eq!(info.replayed_transactions, replayed);
+        assert_eq!(index.has_pair_map(), has_map, "after replaying {replayed} transactions");
+        assert_eq!(index.validate(&graph), Ok(()));
+        assert_equivalent(&graph, &index, &start.engine, &queries);
+    };
+    // The bootstrap snapshot and an empty tail.
+    recovered(0, false);
+    // One committed deletion in the tail.
+    let (v, u, l) = generate::sample_edges(&g0, 1, 9)[0];
+    start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
+    assert!(start.engine.snapshot().index().has_pair_map());
+    recovered(1, true);
+    // A checkpoint empties the tail again.
+    let snap = start.engine.snapshot();
+    start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+    recovered(0, false);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Snapshots are incremental: a checkpoint right after one small delta
 /// reuses every chunk record the delta left pointer-shared instead of
 /// rewriting the image, and the state it persists is the live one.
