@@ -43,24 +43,19 @@
 //!   pair's block tuple inline and interns it; the first pair of a tuple
 //!   derives the tuple's `L≤k` and interns *that* — so two block tuples
 //!   that stand for the same `(is-loop, L≤k)` land in one class, and the
-//!   partition is the coarsest the index invariant allows whether it was
-//!   built in one piece or in shards;
-//! * [`merge_partitions`] re-interns the shards' class invariants in shard
-//!   order.
+//!   partition is the coarsest the index invariant allows.
 //!
 //! Ids count up in first-occurrence order along the (sorted) pair list, at
 //! every one of those steps. Class numbering is therefore a function of the
-//! graph alone: any tiling of source ranges merges to the **same**
-//! partition, id for id, as the single-range build, and a saved index is
-//! byte-identical across shard counts, thread counts and processes (the
-//! interner's hash has a fixed seed and decides nothing but probe order).
+//! graph alone: a saved index is byte-identical across builds and
+//! processes (the interner's hash has a fixed seed and decides nothing but
+//! probe order).
 //!
-//! Sequence sets are never spelled out per block or class: a build (or
-//! shard) keeps one dictionary of the label sequences it meets, and every
-//! block's and class's set is a flat list of [`SeqId`]s into it, ordered by
-//! the sequences they name. Dictionary numbering is private to a build;
-//! [`merge_partitions`] remaps each shard's ids, and
-//! [`crate::CpqxIndex::from_partition`] renumbers them for the index.
+//! Sequence sets are never spelled out per block or class: a build keeps
+//! one dictionary of the label sequences it meets, and every block's and
+//! class's set is a flat list of [`SeqId`]s into it, ordered by the
+//! sequences they name. Dictionary numbering is private to a build;
+//! [`crate::CpqxIndex::from_partition`] renumbers the ids for the index.
 
 use crate::intern::{id_words, SeqDict, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
@@ -132,50 +127,23 @@ struct Level {
 }
 
 impl Level {
-    fn view(&self) -> LevelView<'_> {
-        LevelView {
-            pair_blocks: &self.pair_blocks,
-            seq_ids: &self.seq_ids,
-            seq_ends: &self.seq_ends,
-        }
+    /// Block `b`'s sequence ids.
+    #[inline]
+    fn block(&self, b: u32) -> &[SeqId] {
+        &self.seq_ids[span(&self.seq_ends, b as usize)]
     }
 }
 
 /// Computes the CPQk-equivalence classes of `g` (Algorithm 1 + the class
-/// assignment of Algorithm 2): the single-range instance of
-/// [`RefinementBase::partition_range`].
+/// assignment of Algorithm 2): [`RefinementBase::new`], then
+/// [`RefinementBase::partition`].
 pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
-    RefinementBase::new(g).partition_range(k, 0..g.vertex_count())
+    RefinementBase::new(g).partition(k)
 }
 
-/// A borrowed per-level view — either a whole [`Level`] or a shard's
-/// source-contiguous slice of one.
-#[derive(Clone, Copy)]
-struct LevelView<'a> {
-    pair_blocks: &'a [(Pair, u32)],
-    seq_ids: &'a [SeqId],
-    seq_ends: &'a [usize],
-}
-
-impl<'a> LevelView<'a> {
-    /// Block `b`'s sequence ids.
-    #[inline]
-    fn block(&self, b: u32) -> &'a [SeqId] {
-        &self.seq_ids[span(self.seq_ends, b as usize)]
-    }
-}
-
-/// Shared read-only state for (sharded) refinement: the *global* level-1
-/// partition, its adjacency form, and the dictionary of the length-1
-/// sequences its blocks name.
-///
-/// Level 1 assigns globally consistent block ids `b₁` to every
-/// edge-connected pair; every later refinement level only ever *reads* this
-/// state, which is what makes source-sharded refinement embarrassingly
-/// parallel: all pairs `(v, ·)` of a source vertex `v` are produced by
-/// level-sequences that start at `v`, so a shard owning a source range owns
-/// its pairs outright (see [`RefinementBase::partition_range`]). Each shard
-/// extends its own copy of the dictionary.
+/// Level 1 of Algorithm 1: the level-1 partition, its adjacency form, and
+/// the dictionary of the length-1 sequences its blocks name. Every later
+/// refinement level only ever *reads* this state.
 pub struct RefinementBase {
     level1: Level,
     /// For each vertex `m`, the `(target, b₁(m,u))` list of its outgoing
@@ -185,7 +153,7 @@ pub struct RefinementBase {
 }
 
 impl RefinementBase {
-    /// Builds the global level-1 state of `g`.
+    /// Builds the level-1 state of `g`.
     pub fn new(g: &Graph) -> Self {
         let mut dict = SeqDict::default();
         let level1 = build_level1(g, &mut dict);
@@ -196,54 +164,30 @@ impl RefinementBase {
         RefinementBase { level1, adj1, dict }
     }
 
-    /// Splits the vertex ids into at most `shards` contiguous source
-    /// ranges with approximately equal numbers of level-1 pairs (a better
-    /// proxy for refinement cost than raw degree). Ranges tile the vertex
-    /// ids in ascending order.
-    pub fn balanced_ranges(&self, shards: usize) -> Vec<std::ops::Range<u32>> {
-        cpqx_graph::view::balanced_ranges_by_weight(self.adj1.len() as u32, shards, |v| {
-            self.adj1[v as usize].len()
-        })
-    }
-
-    /// Runs the per-shard part of Algorithm 1: refinement levels `2..=k`
-    /// and class assembly restricted to pairs whose source vertex lies in
-    /// `src_range`.
-    ///
-    /// The returned partition covers exactly the pairs of `P≤k` with source
-    /// in the range, grouped by `(cyclicity, L≤k)`, classes numbered by
-    /// first occurrence along the pair list. Over the whole vertex range
-    /// that *is* [`cpq_path_partition`]; over a tiling of ranges,
-    /// [`merge_partitions`] reassembles exactly that partition.
-    pub fn partition_range(&self, k: usize, src_range: std::ops::Range<u32>) -> Partition {
+    /// Runs the rest of Algorithm 1: refinement levels `2..=k`, then class
+    /// assembly. The returned partition covers `P≤k`, grouped by
+    /// `(cyclicity, L≤k)`, classes numbered by first occurrence along the
+    /// pair list.
+    pub fn partition(self, k: usize) -> Partition {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= cpqx_graph::MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
 
-        // The level-1 slice for this shard: pair_blocks is sorted by pair
-        // (source-major), so the restriction is one contiguous subslice.
-        let pb = &self.level1.pair_blocks;
-        let start = pb.partition_point(|&(p, _)| p.src() < src_range.start);
-        let end = start + pb[start..].partition_point(|&(p, _)| p.src() < src_range.end);
-        let level1 = LevelView { pair_blocks: &pb[start..end], ..self.level1.view() };
-
-        let mut dict = self.dict.clone();
-        let mut local: Vec<Level> = Vec::with_capacity(k.saturating_sub(1));
+        let RefinementBase { level1, adj1, mut dict } = self;
+        let mut levels: Vec<Level> = Vec::with_capacity(k.saturating_sub(1));
         for _ in 2..=k {
-            let prev = local.last().map_or(level1, Level::view);
-            let next = refine_level(prev, self.level1.view(), &self.adj1, &mut dict);
-            local.push(next);
+            let prev = levels.last().unwrap_or(&level1);
+            let next = refine_level(prev, &level1, &adj1, &mut dict);
+            levels.push(next);
         }
 
-        let mut views: Vec<LevelView<'_>> = Vec::with_capacity(k);
-        views.push(level1);
-        views.extend(local.iter().map(Level::view));
-        assemble_classes(&views, dict)
+        let all: Vec<&Level> = std::iter::once(&level1).chain(&levels).collect();
+        assemble_classes(&all, dict)
     }
 }
 
 /// Classes under construction, keyed by the index invariant `(cyclicity,
-/// sequence set)`: the grouping step class assembly, shard merging and the
-/// interest-aware partition share. Sequence sets are id lists into one
+/// sequence set)`: the grouping step class assembly and the interest-aware
+/// partition share. Sequence sets are id lists into one
 /// dictionary, ordered by sequence, so equal sets are equal lists.
 #[derive(Default)]
 pub(crate) struct ClassTable {
@@ -281,51 +225,6 @@ impl ClassTable {
     }
 }
 
-/// Merges shard partitions over disjoint, ascending source ranges into one
-/// partition, unifying classes across shards by the class invariant
-/// `(cyclicity, L≤k)`.
-///
-/// Preconditions: each shard groups its own pairs by that invariant and
-/// numbers its classes by first occurrence (as
-/// [`RefinementBase::partition_range`] and
-/// [`crate::interest::interest_partition_range`] do), and — asserted in
-/// debug builds — the concatenation of the shards' pair lists is strictly
-/// sorted, i.e. the shards came from a tiling of ascending source ranges.
-/// Shard classes are re-interned in shard order, so merged ids again count
-/// up by first occurrence along the pair list: the result does not depend
-/// on where the ranges were cut, and a single shard merges to itself. Each
-/// shard's sequence ids are remapped into one merged dictionary first
-/// (remapping keeps a list's sequence order).
-pub fn merge_partitions(mut shards: Vec<Partition>) -> Partition {
-    if shards.len() <= 1 {
-        return shards.pop().unwrap_or_default();
-    }
-    let mut pair_classes: Vec<(Pair, ClassId)> =
-        Vec::with_capacity(shards.iter().map(Partition::pair_count).sum());
-    let mut dict = SeqDict::default();
-    let mut classes = ClassTable::default();
-    let mut ids: Vec<SeqId> = Vec::new();
-    for shard in shards {
-        // This shard's sequence ids and local class ids as global ids.
-        let seq_remap: Vec<SeqId> = shard.seqs.iter().map(|&s| dict.intern(s)).collect();
-        let remap: Vec<ClassId> = (0..shard.class_count() as ClassId)
-            .map(|c| {
-                ids.clear();
-                ids.extend(shard.class_seq_ids(c).iter().map(|&id| seq_remap[id as usize]));
-                classes.class_of(shard.class_loop[c as usize], &ids)
-            })
-            .collect();
-        for &(p, c) in &shard.pair_classes {
-            debug_assert!(
-                pair_classes.last().is_none_or(|&(q, _)| q < p),
-                "shards must tile ascending source ranges"
-            );
-            pair_classes.push((p, remap[c as usize]));
-        }
-    }
-    classes.into_partition(pair_classes, dict.into_seqs())
-}
-
 /// Level 1: one sweep over the sorted `(pair, label)` entries of every
 /// extended label; as a pair's run ends, its `(is-loop, label set)` is
 /// interned and the id is the pair's block. Each block's label set is
@@ -358,13 +257,12 @@ fn build_level1(g: &Graph, dict: &mut SeqDict) -> Level {
 }
 
 /// Level i from level i−1: join exact-(i−1) pairs with edges, group by
-/// `(is-loop, sorted (b_{i-1}, b₁) set)`. `prev` may be a shard's
-/// source-contiguous slice of the previous level; block ids in the output
-/// index into the returned level's sets only, whose sequences `dict`
-/// names (new ones are added).
+/// `(is-loop, sorted (b_{i-1}, b₁) set)`. Block ids in the output index
+/// into the returned level's sets only, whose sequences `dict` names (new
+/// ones are added).
 fn refine_level(
-    prev: LevelView<'_>,
-    level1: LevelView<'_>,
+    prev: &Level,
+    level1: &Level,
     adj1: &[Vec<(u32, u32)>],
     dict: &mut SeqDict,
 ) -> Level {
@@ -421,7 +319,7 @@ fn refine_level(
 /// distinct block tuple to the class of the `(is-loop, L≤k)` it stands for
 /// (derived once per tuple from the per-level block sequence sets, whose
 /// ids `dict` names).
-fn assemble_classes(levels: &[LevelView<'_>], dict: SeqDict) -> Partition {
+fn assemble_classes(levels: &[&Level], dict: SeqDict) -> Partition {
     const NULL: u64 = u32::MAX as u64;
     let k = levels.len();
     let mut cursors = [0usize; cpqx_graph::MAX_SEQ_LEN];
@@ -589,24 +487,6 @@ mod tests {
         assert_eq!(p.class_count(), 2);
     }
 
-    /// Range builds over any tiling must merge to *the* sequential
-    /// partition — same pairs, same classes, same class ids.
-    fn check_range_build_equivalence(g: &Graph, k: usize, shard_counts: &[usize]) {
-        let seq = cpq_path_partition(g, k);
-        let base = RefinementBase::new(g);
-        for &shards in shard_counts {
-            let parts: Vec<Partition> = base
-                .balanced_ranges(shards)
-                .into_iter()
-                .map(|r| base.partition_range(k, r))
-                .collect();
-            let merged = merge_partitions(parts);
-            assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards, k={k}");
-            assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards, k={k}");
-            assert_eq!(seq_sets(&merged), seq_sets(&seq), "{shards} shards, k={k}");
-        }
-    }
-
     /// Classes are numbered by first occurrence along the pair list, and no
     /// two of them share `(cyclicity, L≤k)`: the partition is the coarsest
     /// the index invariant allows.
@@ -624,65 +504,6 @@ mod tests {
             let distinct: std::collections::HashSet<_> =
                 p.class_loop.iter().zip(seq_sets(&p)).collect();
             assert_eq!(distinct.len(), p.class_count(), "two classes share an invariant");
-        }
-    }
-
-    #[test]
-    fn range_build_matches_sequential_on_gex() {
-        let g = generate::gex();
-        for k in 1..=3 {
-            check_range_build_equivalence(&g, k, &[1, 2, 3, 8]);
-        }
-    }
-
-    #[test]
-    fn range_build_matches_sequential_on_random_graphs() {
-        for seed in 0..3 {
-            let cfg = generate::RandomGraphConfig::social(60, 240, 3, seed);
-            let g = generate::random_graph(&cfg);
-            check_range_build_equivalence(&g, 2, &[1, 2, 4, 16]);
-        }
-    }
-
-    #[test]
-    fn single_range_covers_everything() {
-        let g = generate::gex();
-        let base = RefinementBase::new(&g);
-        let whole = base.partition_range(2, 0..g.vertex_count());
-        let seq = cpq_path_partition(&g, 2);
-        assert_eq!(whole.pair_count(), seq.pair_count());
-        assert_eq!(
-            whole.pair_classes.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
-            seq.pair_classes.iter().map(|&(p, _)| p).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn empty_range_yields_empty_partition() {
-        let g = generate::gex();
-        let base = RefinementBase::new(&g);
-        let p = base.partition_range(2, 3..3);
-        assert_eq!(p.pair_count(), 0);
-        assert_eq!(p.class_count(), 0);
-        let merged = merge_partitions(vec![p]);
-        assert_eq!(merged.pair_count(), 0);
-    }
-
-    #[test]
-    fn balanced_ranges_tile_vertices() {
-        let g = generate::random_graph(&generate::RandomGraphConfig::social(33, 150, 3, 4));
-        let base = RefinementBase::new(&g);
-        for shards in [1, 2, 5, 33, 64] {
-            let ranges = base.balanced_ranges(shards);
-            assert!(!ranges.is_empty());
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, g.vertex_count());
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            for r in &ranges {
-                assert!(r.start < r.end, "empty range {r:?}");
-            }
         }
     }
 
@@ -714,7 +535,7 @@ mod tests {
             let mut by_sig = std::collections::HashMap::new();
             for &(p, b) in pair_blocks {
                 let labels: Vec<LabelSeq> =
-                    level1.view().block(b).iter().map(|&id| dict.seq(id)).collect();
+                    level1.block(b).iter().map(|&id| dict.seq(id)).collect();
                 assert_eq!(labels, expected[&p], "label set of {p:?}");
                 let next = by_sig.len() as u32;
                 let first = *by_sig.entry((p.is_loop(), &expected[&p])).or_insert(next);

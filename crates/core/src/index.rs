@@ -384,15 +384,14 @@ impl CpqxIndex {
     }
 
     /// Materializes the runtime index `(Il2c, Ic2p)` from an
-    /// already-computed partition — the seam the sharded parallel builder
-    /// plugs into (`cpqx-engine` merges per-shard partitions and hands the
-    /// result here).
+    /// already-computed partition — the last step of every build (the
+    /// engine calls it itself so it can time the partition and this step
+    /// apart).
     ///
     /// `p` must be a valid partition of the graph's `P≤k`: pairs sorted
     /// ascending, every class homogeneous in `(cyclicity, L≤k)` — as
-    /// produced by [`cpq_path_partition`], by
-    /// [`crate::bisim::merge_partitions`] over a tiling of source ranges,
-    /// or by [`crate::interest::interest_partition`].
+    /// produced by [`cpq_path_partition`] or by
+    /// [`crate::interest::interest_partition`].
     pub fn from_partition(
         k: usize,
         interests: Option<BTreeSet<LabelSeq>>,
@@ -403,8 +402,8 @@ impl CpqxIndex {
 
         // The dictionary and `Il2c`: renumber the partition's sequence ids
         // in place by first occurrence along the classes, so the numbering
-        // depends on the classes alone, not on how the build was sharded
-        // (renumbering keeps every set's sequence order). Each sequence's
+        // depends on the classes alone, not on the order the build met the
+        // sequences in (renumbering keeps every set's sequence order). Each sequence's
         // posting lists grow as plain vectors beside it — classes are
         // visited in ascending id order, so postings come out sorted — and
         // are wrapped in their `Arc` once, at the end.

@@ -6,15 +6,6 @@
 //! This is strictly coarser than k-path-bisimulation (`≈k` refines `≈i`),
 //! giving a smaller, faster-to-build index that still evaluates arbitrary
 //! CPQs: the planner splits non-interest sequences into indexed pieces.
-//!
-//! Construction decomposes by **source range** for parallel builds:
-//! [`interest_partition_range`] computes the partition restricted to pairs
-//! whose source lies in a contiguous vertex range, and shard partitions
-//! over a tiling of ranges compose through
-//! [`crate::bisim::merge_partitions`] into exactly the sequential
-//! partition, id for id (classes are keyed by the `(cyclicity, L≤k ∩ Lq)`
-//! invariant and numbered by first occurrence along the pair list on both
-//! paths). The engine drives this from `cpqx_engine::build_interest_sharded`.
 
 use crate::bisim::{ClassId, ClassTable, Partition, SeqId};
 use cpqx_graph::{Graph, LabelSeq, Pair};
@@ -46,17 +37,8 @@ pub fn normalize_interests(
 
 /// Evaluates the pair relation `⟦seq⟧` by repeated adjacency expansion.
 pub fn seq_pairs(g: &Graph, seq: &LabelSeq) -> Vec<Pair> {
-    seq_pairs_in(g, seq, 0..g.vertex_count())
-}
-
-/// Evaluates `⟦seq⟧` restricted to pairs whose **source** vertex lies in
-/// `src_range`. Adjacency expansion only ever rewrites the target of a
-/// pair, so seeding the expansion with the first label's source-restricted
-/// relation restricts the whole result — the decomposition the sharded
-/// interest-aware build rides on.
-pub fn seq_pairs_in(g: &Graph, seq: &LabelSeq, src_range: std::ops::Range<u32>) -> Vec<Pair> {
     assert!(!seq.is_empty());
-    let mut pairs = g.edge_pairs(seq.get(0)).restrict_src(src_range.start, src_range.end).to_vec();
+    let mut pairs = g.edge_pairs(seq.get(0)).to_vec();
     for i in 1..seq.len() {
         if pairs.is_empty() {
             break;
@@ -68,10 +50,9 @@ pub fn seq_pairs_in(g: &Graph, seq: &LabelSeq, src_range: std::ops::Range<u32>) 
 
 /// The full indexed sequence list of an interest-aware index over `g`:
 /// every length-1 sequence with a non-empty relation, then the (already
-/// normalized) interests of length ≥ 2 — sorted and deduplicated. All
-/// shards of a sharded build share this list, and the engine weighs its
-/// first labels to balance shard ranges.
-pub fn indexed_interest_seqs(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Vec<LabelSeq> {
+/// normalized) interests of length ≥ 2 — sorted and deduplicated: the
+/// dictionary of the partition [`interest_partition`] computes.
+fn indexed_interest_seqs(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Vec<LabelSeq> {
     let mut seqs: Vec<LabelSeq> = g
         .ext_labels()
         .map(LabelSeq::single)
@@ -95,50 +76,13 @@ pub fn indexed_interest_seqs(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>
 /// length-1 sequences over the graph's extended alphabet are added
 /// implicitly.
 pub fn interest_partition(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Partition {
-    interest_partition_range(g, k, interests, 0..g.vertex_count())
-}
-
-/// The restriction of [`interest_partition`] to pairs whose source vertex
-/// lies in `src_range` — the per-shard unit of the parallel interest-aware
-/// build.
-///
-/// Every matched pair `(v, u)` belongs to exactly the shard owning `v`
-/// (sequence relations partition by source, see [`seq_pairs_in`]), and a
-/// pair's class data — cyclicity plus its `L≤k ∩ Lq` intersection — is
-/// computed entirely within its shard, so shard partitions over a tiling
-/// set of ascending ranges compose through
-/// [`crate::bisim::merge_partitions`]: classes unify by the `(cyclicity,
-/// sequence set)` invariant itself, which is the exact key this function
-/// groups by, and both number classes by first occurrence along the pair
-/// list. The merged partition is therefore *identical* to the sequential
-/// [`interest_partition`], class ids included.
-pub fn interest_partition_range(
-    g: &Graph,
-    k: usize,
-    interests: &BTreeSet<LabelSeq>,
-    src_range: std::ops::Range<u32>,
-) -> Partition {
-    interest_partition_range_with_seqs(g, k, &indexed_interest_seqs(g, k, interests), src_range)
-}
-
-/// [`interest_partition_range`] over a **precomputed** indexed sequence
-/// list, as returned by [`indexed_interest_seqs`] — the sharded builder
-/// derives the list once and reuses it across all shards (it must be the
-/// same list for every shard of one build, or classes won't merge).
-pub fn interest_partition_range_with_seqs(
-    g: &Graph,
-    k: usize,
-    seqs: &[LabelSeq],
-    src_range: std::ops::Range<u32>,
-) -> Partition {
     assert!((1..=cpqx_graph::MAX_SEQ_LEN).contains(&k));
-    debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs must be sorted and deduplicated");
+    let seqs = indexed_interest_seqs(g, k, interests);
 
-    // (pair, seq-id) for every in-range pair matched by an indexed
-    // sequence.
+    // (pair, seq-id) for every pair matched by an indexed sequence.
     let mut hits: Vec<(Pair, u32)> = Vec::new();
     for (sid, seq) in seqs.iter().enumerate() {
-        for p in seq_pairs_in(g, seq, src_range.clone()) {
+        for p in seq_pairs(g, seq) {
             hits.push((p, sid as u32));
         }
     }
@@ -157,7 +101,7 @@ pub fn interest_partition_range_with_seqs(
         ids.extend(of_pair.iter().map(|&(_, sid)| sid));
         pair_classes.push((p, classes.class_of(p.is_loop(), &ids)));
     }
-    classes.into_partition(pair_classes, seqs.to_vec())
+    classes.into_partition(pair_classes, seqs)
 }
 
 #[cfg(test)]
@@ -168,10 +112,6 @@ mod tests {
 
     fn l(i: u16) -> ExtLabel {
         Label(i).fwd()
-    }
-
-    fn seq_sets(p: &Partition) -> Vec<Vec<LabelSeq>> {
-        (0..p.class_count() as ClassId).map(|c| p.class_seqs(c).collect()).collect()
     }
 
     #[test]
@@ -211,45 +151,6 @@ mod tests {
         for el in g.ext_labels() {
             for pr in g.edge_pairs(el) {
                 assert!(seen.contains(&pr), "edge pair {pr:?} missing");
-            }
-        }
-    }
-
-    #[test]
-    fn range_partitions_merge_to_sequential() {
-        use crate::bisim::merge_partitions;
-        let g = generate::random_graph(&generate::RandomGraphConfig::social(40, 170, 3, 9));
-        let interests = normalize_interests(
-            [LabelSeq::from_slice(&[l(0), l(1)]), LabelSeq::from_slice(&[l(2), l(2)])],
-            2,
-        );
-        let seq = interest_partition(&g, 2, &interests);
-        for shards in [1usize, 2, 3, 8, 40] {
-            let ranges = g.balanced_src_ranges(shards);
-            let parts: Vec<_> = ranges
-                .into_iter()
-                .map(|r| interest_partition_range(&g, 2, &interests, r))
-                .collect();
-            let merged = merge_partitions(parts);
-            // The same partition, class ids included.
-            assert_eq!(merged.pair_classes, seq.pair_classes, "{shards} shards");
-            assert_eq!(merged.class_loop, seq.class_loop, "{shards} shards");
-            assert_eq!(seq_sets(&merged), seq_sets(&seq), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn seq_pairs_in_restricts_by_source() {
-        let g = generate::gex();
-        let f = g.label_named("f").unwrap();
-        let seq = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
-        let all = seq_pairs(&g, &seq);
-        let n = g.vertex_count();
-        for lo in 0..=n {
-            for hi in lo..=n {
-                let expected: Vec<Pair> =
-                    all.iter().copied().filter(|p| (lo..hi).contains(&p.src())).collect();
-                assert_eq!(seq_pairs_in(&g, &seq, lo..hi), expected, "[{lo},{hi})");
             }
         }
     }

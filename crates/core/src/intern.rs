@@ -4,8 +4,8 @@
 //! I seen this `(flag, word sequence)` before, and under which id?* — block
 //! signatures `(v = u, sorted (b_{i-1}, b₁) combos)` in level refinement,
 //! block-id tuples `⟨b₁,…,b_k⟩` and class invariants `(cyclicity, L≤k)` in
-//! class assembly and shard merging, sequence-id sets in the
-//! interest-aware partition, label sequences in the sequence dictionary
+//! class assembly, sequence-id sets in the interest-aware partition,
+//! label sequences in the sequence dictionary
 //! ([`SeqDict`]) every sequence set of the build and the index refers to.
 //! [`SigInterner`] answers it the moment a signature is produced (Algorithm
 //! 2's "hash the block-id sequence"), so no step materializes all
@@ -15,8 +15,7 @@
 //! on the stored words, never on the hash alone — so the numbering is a
 //! function of the input stream only. The hash is a fixed-seed
 //! multiply-rotate: no `RandomState` anywhere, hence two builds of one
-//! graph, in one process or two, at any shard count, number their classes
-//! identically.
+//! graph, in one process or two, number their classes identically.
 
 use crate::bisim::SeqId;
 use cpqx_graph::LabelSeq;

@@ -43,8 +43,8 @@ pub mod pool;
 pub mod serialize;
 mod validate;
 
-pub use bisim::{cpq_path_partition, merge_partitions, ClassId, Partition, RefinementBase};
+pub use bisim::{cpq_path_partition, ClassId, Partition, RefinementBase};
 pub use exec::{ExecOptions, Executor, Intermediate};
 pub use index::{CpqxIndex, Fragmentation, IndexStats};
-pub use interest::{interest_partition, interest_partition_range, normalize_interests};
+pub use interest::{interest_partition, normalize_interests};
 pub use optimize::{estimate_plan_cost, optimize_query, optimize_query_costed};

@@ -1,10 +1,9 @@
 //! The pair → class map is maintenance state, built by the first write:
-//! no build (sequential or sharded, full or interest-aware) and no load
-//! makes it, a write builds it in the index it writes to and nowhere
-//! else, and building it late or up front ends in the same index.
+//! no build (full or interest-aware) and no load makes it, a write builds
+//! it in the index it writes to and nowhere else, and building it late or
+//! up front ends in the same index.
 
-use cpqx_core::{interest_partition_range, merge_partitions, normalize_interests};
-use cpqx_core::{CpqxIndex, RefinementBase};
+use cpqx_core::{normalize_interests, CpqxIndex};
 use cpqx_graph::generate::{random_graph, sample_edges, RandomGraphConfig};
 use cpqx_graph::{ExtLabel, Graph, Label, LabelSeq, Pair};
 use rand::rngs::StdRng;
@@ -32,15 +31,8 @@ fn saved(idx: &CpqxIndex) -> Vec<u8> {
 /// Every way an index comes into being without a write, by name.
 fn unwritten_indexes(g: &Graph) -> Vec<(&'static str, CpqxIndex)> {
     let full = CpqxIndex::build(g, K);
-    let base = RefinementBase::new(g);
-    let shards = base.balanced_ranges(3).into_iter().map(|r| base.partition_range(K, r)).collect();
-    let sharded = CpqxIndex::from_partition(K, None, merge_partitions(shards));
     let lq = normalize_interests(interests(), K);
     let aware = CpqxIndex::build_interest_aware(g, K, interests());
-    let shards =
-        g.balanced_src_ranges(3).into_iter().map(|r| interest_partition_range(g, K, &lq, r));
-    let aware_sharded =
-        CpqxIndex::from_partition(K, Some(lq.clone()), merge_partitions(shards.collect()));
     let loaded = CpqxIndex::load(saved(&full).as_slice()).expect("a saved index loads");
     let records = (0..aware.class_chunk_count())
         .map(|i| {
@@ -52,9 +44,7 @@ fn unwritten_indexes(g: &Graph) -> Vec<(&'static str, CpqxIndex)> {
     let reassembled = CpqxIndex::from_class_records(K, Some(lq), records).expect("valid records");
     vec![
         ("build", full),
-        ("sharded build", sharded),
         ("interest-aware build", aware),
-        ("sharded interest-aware build", aware_sharded),
         ("load", loaded),
         ("from_class_records", reassembled),
     ]

@@ -31,18 +31,15 @@
 //! All counters and latency percentiles are exported through
 //! [`Engine::stats`].
 
-use cpqx_core::{CpqxIndex, Executor};
+use cpqx_core::{normalize_interests, CpqxIndex, Executor};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
 use cpqx_obs::{ObsOptions, Op, Recorder, Stage, TraceBuilder, TraceKind};
 use cpqx_query::canonical::{canonical_key, canonicalize};
 use cpqx_query::{Cpq, Plan};
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::build::{
-    build_interest_sharded_with_report, build_sharded_with_report, BuildOptions, BuildReport,
-};
+use crate::build::{build_with_report, BuildReport};
 use crate::cache::LruCache;
 use crate::delta::{apply_ops, Delta, DeltaError, DeltaOp, DeltaReport};
 use crate::durability::{DurabilityOptions, DurabilitySink};
@@ -53,8 +50,6 @@ use crate::stats::{EngineCounters, StatsReport};
 pub struct EngineOptions {
     /// Index path-length parameter `k`.
     pub k: usize,
-    /// Sharding knobs for the initial build and [`Engine::rebuild`].
-    pub build: BuildOptions,
     /// Result-cache capacity in entries (0 disables result caching).
     pub result_cache_capacity: usize,
     /// Per-snapshot plan-cache capacity in entries (0 disables plan
@@ -62,11 +57,10 @@ pub struct EngineOptions {
     /// long-lived snapshot serving millions of distinct queries must not
     /// grow without bound.
     pub plan_cache_capacity: usize,
-    /// `Some(interests)` builds the interest-aware index (iaCPQx) instead
-    /// of full CPQx. Both variants build sharded in parallel under the
-    /// same [`BuildOptions`]: full CPQx over degree-balanced source
-    /// ranges, iaCPQx over label-weighted ones
-    /// ([`crate::build::build_interest_sharded`]).
+    /// `Some(interests)` builds the interest-aware index (iaCPQx,
+    /// [`CpqxIndex::build_interest_aware`]) instead of full CPQx
+    /// ([`CpqxIndex::build`]); sequences longer than `k` are split as
+    /// there.
     pub interests: Option<Vec<LabelSeq>>,
     /// Fragmentation threshold for automatic defragmentation: when a
     /// write transaction leaves the index with
@@ -94,7 +88,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             k: 2,
-            build: BuildOptions::default(),
             result_cache_capacity: 1024,
             plan_cache_capacity: 4096,
             interests: None,
@@ -242,7 +235,9 @@ pub struct Engine {
     writer: Mutex<()>,
     /// Phase timings of the most recent full build (initial build,
     /// [`Engine::rebuild`], or an auto-rebuild) — surfaced through
-    /// [`Engine::stats`].
+    /// [`Engine::stats`]. Written only *after* the build's snapshot is
+    /// installed, so a stats report never pairs a build's timings with the
+    /// gauges of the snapshot it replaced.
     last_build: Mutex<BuildReport>,
     /// The attached durability sink, if any (see
     /// [`Engine::attach_durability`]). Consulted (one brief lock to
@@ -258,24 +253,19 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over `graph` with default options and path
-    /// parameter `k` (sharded parallel build).
+    /// parameter `k`.
     pub fn build(graph: Graph, k: usize) -> Engine {
         Engine::with_options(graph, EngineOptions { k, ..EngineOptions::default() }).0
     }
 
     /// Builds an engine with explicit options, returning the initial
-    /// build's report (interest-aware engines build sharded too, through
-    /// [`crate::build::build_interest_sharded`]).
+    /// build's phase timings. The installed index is the one
+    /// [`CpqxIndex::build`] (or [`CpqxIndex::build_interest_aware`], with
+    /// [`EngineOptions::interests`]) returns.
     pub fn with_options(graph: Graph, options: EngineOptions) -> (Engine, BuildReport) {
-        let (index, report) = match &options.interests {
-            None => build_sharded_with_report(&graph, options.k, options.build),
-            Some(lq) => build_interest_sharded_with_report(
-                &graph,
-                options.k,
-                lq.iter().copied(),
-                options.build,
-            ),
-        };
+        let interests =
+            options.interests.as_ref().map(|lq| normalize_interests(lq.iter().copied(), options.k));
+        let (index, report) = build_with_report(&graph, options.k, interests);
         let snapshot = Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity));
         let engine = Engine {
             current: RwLock::new(snapshot),
@@ -361,18 +351,9 @@ impl Engine {
         &self.obs
     }
 
-    /// Feeds one build report's phase timings into the recorder (the
-    /// shard phase unifies `refine` for full builds and
-    /// `interest_shards` for interest-aware ones — exactly one of the
-    /// two is non-zero per report).
+    /// Feeds one build report's phase timings into the recorder.
     fn record_build_obs(&self, report: &BuildReport, epoch: u64) {
-        self.obs.record_build(
-            report.level1,
-            report.refine + report.interest_shards,
-            report.merge,
-            report.total,
-            epoch,
-        );
+        self.obs.record_build(report.level1, report.refine, report.merge, report.total, epoch);
     }
 
     /// Serves `q` from the result cache or by evaluating it on the
@@ -596,13 +577,14 @@ impl Engine {
     }
 
     /// Rebuilds the index from the current graph (defragmentation after
-    /// lazy maintenance), using the sharded parallel builder for both
-    /// index variants. Returns the build report.
+    /// lazy maintenance), keeping the index variant and interest set.
+    /// Returns the build report.
     pub fn rebuild(&self) -> BuildReport {
         let _writer = self.writer.lock().unwrap();
         let snap = self.snapshot();
         let graph = snap.graph.clone();
-        let (index, report) = self.build_fresh(&graph, snap.index.interests().cloned());
+        let (index, report) =
+            build_with_report(&graph, self.options.k, snap.index.interests().cloned());
         self.counters.record_rebuild(false);
         let epoch = self.install(graph, index);
         // Recorded only after the install: a concurrent stats() must never
@@ -611,29 +593,6 @@ impl Engine {
         *self.last_build.lock().unwrap() = report;
         self.record_build_obs(&report, epoch);
         report
-    }
-
-    /// Builds a fresh (minimal-partition) index over `graph`, sharded for
-    /// both variants (source-range shards for full CPQx, label-weighted
-    /// interest shards for iaCPQx) — shared by the initial build path,
-    /// [`Engine::rebuild`] and the auto-rebuild trigger. Callers record
-    /// the report into `last_build` themselves, *after* installing the
-    /// snapshot the build produced, so [`Engine::stats`] never pairs a
-    /// build's timings with the gauges of the snapshot it replaced.
-    fn build_fresh(
-        &self,
-        graph: &Graph,
-        interests: Option<BTreeSet<LabelSeq>>,
-    ) -> (CpqxIndex, BuildReport) {
-        match interests {
-            None => build_sharded_with_report(graph, self.options.k, self.options.build),
-            Some(lq) => build_interest_sharded_with_report(
-                graph,
-                self.options.k,
-                lq.iter().copied(),
-                self.options.build,
-            ),
-        }
     }
 
     /// Engine statistics: query counts, cache hit rates, swap counts,
@@ -655,11 +614,10 @@ impl Engine {
         report.class_slots = snap.index().class_slots() as u64;
         report.baseline_classes = snap.index().baseline_class_count() as u64;
         // Phase timings of the most recent full build (initial, manual
-        // rebuild, or auto-rebuild) — how the serving layer observes the
-        // parallel build pipeline.
+        // rebuild, or auto-rebuild).
         let build = *self.last_build.lock().unwrap();
         report.build_level1 = build.level1;
-        report.build_interest_shards = build.interest_shards;
+        report.build_refine = build.refine;
         report.build_total = build.total;
         // p50/p99 come from the log-bucketed opcode histogram — the one
         // latency estimator — and stay zero while the recorder is
@@ -730,7 +688,8 @@ impl Engine {
         }
         let rebuild_report = match self.options.auto_rebuild_ratio {
             Some(threshold) if index.fragmentation_ratio() > threshold => {
-                let (fresh, report) = self.build_fresh(&graph, index.interests().cloned());
+                let (fresh, report) =
+                    build_with_report(&graph, self.options.k, index.interests().cloned());
                 index = fresh;
                 self.counters.record_rebuild(true);
                 Some(report)
@@ -896,7 +855,7 @@ mod tests {
         engine.insert_edge(sue, joe, f);
         let fragmented = engine.snapshot().index().class_slots();
         let report = engine.rebuild();
-        assert!(report.shards >= 1);
+        assert!(report.total >= report.level1 + report.refine + report.merge);
         let rebuilt = engine.snapshot();
         assert!(rebuilt.index().class_slots() <= fragmented);
         let q = parse_cpq("(f . f) & f^-1", rebuilt.graph()).unwrap();
@@ -912,10 +871,10 @@ mod tests {
             g,
             EngineOptions { k: 2, interests: Some(vec![ff]), ..EngineOptions::default() },
         );
-        // Interest-aware engines build sharded too: the report describes
-        // the interest-shard phase instead of level-1/refine.
-        assert!(report.shards >= 1);
+        // An interest-aware build has no level-1 pass: the interest
+        // partition is its refine phase.
         assert_eq!(report.level1, std::time::Duration::ZERO);
+        assert!(report.refine > std::time::Duration::ZERO);
         let snap = engine.snapshot();
         assert!(snap.index().is_interest_aware());
         let q = parse_cpq("(f . f) & f^-1", snap.graph()).unwrap();
@@ -923,7 +882,7 @@ mod tests {
         let v = g_label_seq(&engine);
         assert!(engine.insert_interest(v));
         assert_eq!(engine.epoch(), 1);
-        assert!(engine.rebuild().shards >= 1);
+        assert!(engine.rebuild().refine > std::time::Duration::ZERO);
         let q2 = parse_cpq("(f^-1 . f) & id", engine.snapshot().graph()).unwrap();
         assert_eq!(*engine.query(&q2), eval_reference(engine.snapshot().graph(), &q2));
     }

@@ -1,19 +1,14 @@
-//! `cpqx-engine` — sharded parallel index construction and a concurrent
-//! query-serving layer over the CPQx index family.
+//! `cpqx-engine` — a concurrent query-serving layer over the CPQx index
+//! family.
 //!
 //! The core crates reproduce the paper faithfully but leave every caller
-//! holding a bare [`cpqx_core::CpqxIndex`]: single-threaded construction,
-//! no concurrency story, no caching. This crate adds the three layers a
-//! serving deployment needs:
+//! holding a bare [`cpqx_core::CpqxIndex`]: no concurrency story, no
+//! caching. This crate adds the three layers a serving deployment needs:
 //!
-//! 1. **Sharded parallel build pipeline** ([`build`]): one shared
-//!    level-1 pass ([`cpqx_core::RefinementBase::new`]), then — `P≤k`
-//!    partitions exactly by source vertex — the Algorithm-1 refinement
-//!    runs independently per source-range shard on a scoped thread pool;
-//!    per-shard partitions merge by the class invariant `(cyclicity,
-//!    L≤k)` into the very index the sequential build produces, class ids
-//!    included. The interest-aware variant shards the same way over
-//!    label-weighted source ranges ([`build_interest_sharded`]).
+//! 1. **Timed builds** ([`build`]): every engine build — initial, manual
+//!    rebuild, auto-rebuild — is Algorithm 1's single pass (or the
+//!    interest-aware partition), then index materialization, with each
+//!    phase timed for [`Engine::stats`] and the obs layer.
 //! 2. **Concurrent read path** ([`engine`]): an [`Engine`] holds the
 //!    graph + index behind an atomically swappable [`Snapshot`] `Arc`.
 //!    Maintenance (edge/vertex/interest updates, rebuilds) clones, applies
@@ -52,10 +47,7 @@ pub mod engine;
 pub mod stats;
 
 pub use batch::{BatchOptions, BatchOutcome};
-pub use build::{
-    build_interest_sharded, build_interest_sharded_with_report, build_sharded,
-    build_sharded_with_report, BuildOptions, BuildReport,
-};
+pub use build::{build_sharded_with_report, BuildOptions, BuildReport};
 pub use cache::LruCache;
 pub use cpqx_core::ExecOptions;
 pub use delta::{apply_ops, validate_ops, Delta, DeltaError, DeltaOp, DeltaReport, OpOutcome};

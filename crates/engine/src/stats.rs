@@ -122,7 +122,7 @@ impl EngineCounters {
             class_slots: 0,
             baseline_classes: 0,
             build_level1: Duration::ZERO,
-            build_interest_shards: Duration::ZERO,
+            build_refine: Duration::ZERO,
             build_total: Duration::ZERO,
             p50: Duration::ZERO,
             p99: Duration::ZERO,
@@ -204,9 +204,10 @@ pub struct StatsReport {
     /// interest-aware builds, which have no level-1 phase, or when the
     /// report comes from bare counters). Filled by `Engine::stats`.
     pub build_level1: Duration,
-    /// Wall-clock of the parallel interest-shard partitioning phase of
-    /// the most recent build (interest-aware engines only).
-    pub build_interest_shards: Duration,
+    /// Wall-clock of the partition phase of the most recent full build:
+    /// refinement plus class assembly, or the interest partition of an
+    /// interest-aware build.
+    pub build_refine: Duration,
     /// End-to-end wall-clock of the most recent full build.
     pub build_total: Duration,
     /// Median query latency, from the recorder's `Op::Query` histogram
@@ -256,7 +257,7 @@ impl std::fmt::Display for StatsReport {
             "queries={} hit_rate={:.1}% plan_hit_rate={:.1}% swaps={} deltas={} lazy_ops={} \
              rebuilds={} frag={:.2} cow={}/{} wal[appends={} bytes={}] \
              snapshots[written={} skipped={}] \
-             build[total={:?} level1={:?} ia={:?}] p50={:?} p99={:?}",
+             build[total={:?} level1={:?} refine={:?}] p50={:?} p99={:?}",
             self.queries,
             self.result_hit_rate * 100.0,
             self.plan_hit_rate * 100.0,
@@ -273,7 +274,7 @@ impl std::fmt::Display for StatsReport {
             self.snapshot_chunks_skipped,
             self.build_total,
             self.build_level1,
-            self.build_interest_shards,
+            self.build_refine,
             self.p50,
             self.p99,
         )
@@ -320,10 +321,10 @@ mod tests {
         let mut r = EngineCounters::default().report();
         assert_eq!(r.build_total, Duration::ZERO);
         r.build_level1 = Duration::from_millis(7);
-        r.build_interest_shards = Duration::from_millis(3);
+        r.build_refine = Duration::from_millis(3);
         r.build_total = Duration::from_millis(11);
         let text = r.to_string();
-        assert!(text.contains("build[total=11ms level1=7ms ia=3ms]"), "{text}");
+        assert!(text.contains("build[total=11ms level1=7ms refine=3ms]"), "{text}");
     }
 
     #[test]

@@ -1,31 +1,25 @@
-//! Build differential harness for the sharded build pipeline:
-//! random graphs + random interest sets are replayed through the
-//! **sequential** builders (`CpqxIndex::build` /
-//! `CpqxIndex::build_interest_aware`), the **sharded** full build
-//! (`build_sharded`, one level-1 pass + per-range refinement) and the
-//! **interest-sharded** build (`build_interest_sharded`) at 1–16 shards
-//! and threads, asserting:
+//! Build differential harness: random graphs + random interest sets are
+//! replayed through the core builders (`CpqxIndex::build` /
+//! `CpqxIndex::build_interest_aware`) and through the engine, which times
+//! its own builds phase by phase (`Engine::with_options`,
+//! `Engine::rebuild`), asserting:
 //!
-//! * every sharded build **is** the sequential build: `save` writes the
-//!   same bytes at every shard count, full and interest-aware (classes are
-//!   keyed by the index invariant and numbered by first occurrence along
-//!   the pair list, so shard geometry leaves no trace), and so does a
-//!   second build in the same process (no `RandomState` reaches class ids
-//!   or chunk layout);
+//! * the engine installs **the** core index: `save` writes the same
+//!   bytes for its initial build and for a rebuild, full and
+//!   interest-aware, and so does a second core build in the same process
+//!   (no `RandomState` reaches class ids or chunk layout);
 //! * every index built satisfies `CpqxIndex::validate` against the graph —
-//!   the partition invariant itself, not just answers — and the sequential
-//!   builds answer the benchmark query sets (YAGO2/LUBM/WatDiv
-//!   translations) like the reference evaluator.
+//!   the partition invariant itself, not just answers — and answers the
+//!   benchmark query sets (YAGO2/LUBM/WatDiv translations) like the
+//!   reference evaluator.
 
 use cpqx_core::CpqxIndex;
-use cpqx_engine::{build_interest_sharded, build_sharded, BuildOptions};
-use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig, Topology};
+use cpqx_engine::{Engine, EngineOptions};
+use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, LabelSeq};
 use cpqx_query::benchqueries::{lubm_queries, watdiv_queries, yago_queries, NamedQuery};
 use cpqx_query::eval::eval_reference;
 use proptest::prelude::*;
-
-const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 fn bench_workload(g: &Graph, seed: u64) -> Vec<NamedQuery> {
     let mut queries = yago_queries(g, seed);
@@ -81,78 +75,45 @@ fn validated(g: &Graph, idx: CpqxIndex, what: &str) -> CpqxIndex {
     idx
 }
 
-/// The tentpole assertion bundle: replays one graph + interest set
-/// through all pipelines at every shard count.
+/// The engine over `g`, as `with_options` builds it and after a rebuild:
+/// the bytes its installed index saves, both times.
+fn engine_builds(g: &Graph, k: usize, interests: Option<&[LabelSeq]>) -> [Vec<u8>; 2] {
+    let options =
+        EngineOptions { k, interests: interests.map(<[_]>::to_vec), ..EngineOptions::default() };
+    let (engine, _) = Engine::with_options(g.clone(), options);
+    let built = saved(engine.snapshot().index());
+    engine.rebuild();
+    [built, saved(engine.snapshot().index())]
+}
+
+/// Builds one index, checks it and its answers, and checks that a second
+/// build and the engine's builds save the same bytes.
+fn check_build(g: &Graph, k: usize, interests: Option<&[LabelSeq]>, queries: &[NamedQuery]) {
+    let what = if interests.is_some() { "interest build" } else { "build" };
+    let build = || match interests {
+        None => CpqxIndex::build(g, k),
+        Some(lq) => CpqxIndex::build_interest_aware(g, k, lq.iter().copied()),
+    };
+    let index = validated(g, build(), what);
+    assert_eq!(index.is_interest_aware(), interests.is_some());
+    let bytes = saved(&index);
+    assert!(saved(&build()) == bytes, "two {what}s in one process differ (k={k})");
+    for nq in queries {
+        let q = &nq.query;
+        assert_eq!(index.evaluate(g, q), eval_reference(g, q), "{what}: query {} (k={k})", nq.name);
+    }
+    let [engine, rebuilt] = engine_builds(g, k, interests);
+    assert!(engine == bytes, "the engine's {what} differs (k={k})");
+    assert!(rebuilt == bytes, "the engine's re-{what} differs (k={k})");
+}
+
+/// The tentpole assertion bundle: one graph + interest set, full and
+/// interest-aware.
 fn check_build_equivalence(g: &Graph, k: usize, interests: &[LabelSeq], seed: u64) {
     let queries = bench_workload(g, seed);
     assert!(!queries.is_empty());
-
-    // Full CPQx: sequential, again, and sharded at every shard count.
-    let sequential = validated(g, CpqxIndex::build(g, k), "sequential build");
-    let bytes = saved(&sequential);
-    assert_eq!(saved(&CpqxIndex::build(g, k)), bytes, "two builds in one process differ");
-    for nq in &queries {
-        assert_eq!(
-            sequential.evaluate(g, &nq.query),
-            eval_reference(g, &nq.query),
-            "query {} (k={k})",
-            nq.name
-        );
-    }
-    for &shards in &SHARD_COUNTS {
-        let opts = BuildOptions { shards: Some(shards), threads: Some(shards) };
-        let sharded = validated(g, build_sharded(g, k, opts), "sharded build");
-        assert!(saved(&sharded) == bytes, "sharded build differs at {shards} shards (k={k})");
-    }
-
-    // Interest-aware: the same three ways.
-    let build_ia = || CpqxIndex::build_interest_aware(g, k, interests.iter().copied());
-    let ia_seq = validated(g, build_ia(), "sequential interest build");
-    let ia_bytes = saved(&ia_seq);
-    assert_eq!(saved(&build_ia()), ia_bytes, "two interest builds in one process differ");
-    for nq in &queries {
-        assert_eq!(
-            ia_seq.evaluate(g, &nq.query),
-            eval_reference(g, &nq.query),
-            "interest query {} (k={k})",
-            nq.name
-        );
-    }
-    for &shards in &SHARD_COUNTS {
-        let opts = BuildOptions { shards: Some(shards), threads: Some(shards) };
-        let ia_par = validated(
-            g,
-            build_interest_sharded(g, k, interests.iter().copied(), opts),
-            "interest-sharded build",
-        );
-        assert!(ia_par.is_interest_aware());
-        assert!(
-            saved(&ia_par) == ia_bytes,
-            "interest-sharded build differs at {shards} shards (k={k})"
-        );
-    }
-}
-
-/// `CpqxIndex::build` groups by the index invariant just as the sharded
-/// pipeline's merge does: the sequential build — and so
-/// `CpqxIndex::rebuild`, the core-level defragmentation — is minimal, not
-/// a finer partition than a one-shard `build_sharded`.
-#[test]
-fn sequential_build_is_as_coarse_as_the_one_shard_build() {
-    let one_shard = BuildOptions { shards: Some(1), threads: Some(1) };
-    for g in [
-        gex(),
-        random_graph(&RandomGraphConfig::social(150, 700, 4, 21)),
-        random_graph(&RandomGraphConfig {
-            topology: Topology::PowerLaw { exponent: 1.4 },
-            ..RandomGraphConfig::social(200, 900, 3, 5)
-        }),
-    ] {
-        assert_eq!(
-            CpqxIndex::build(&g, 2).stats().classes,
-            build_sharded(&g, 2, one_shard).stats().classes
-        );
-    }
+    check_build(g, k, None, &queries);
+    check_build(g, k, Some(interests), &queries);
 }
 
 #[test]
@@ -175,11 +136,10 @@ fn empty_and_edgeless_graphs() {
     b.ensure_labels(2);
     let edgeless = b.build();
     for g in [&empty, &edgeless] {
-        for &threads in &SHARD_COUNTS {
-            let opts = BuildOptions { shards: Some(threads), threads: Some(threads) };
-            assert_eq!(build_sharded(g, 2, opts).pair_count(), 0);
-            assert_eq!(build_interest_sharded(g, 2, [], opts).pair_count(), 0);
-        }
+        check_build(g, 2, None, &[]);
+        check_build(g, 2, Some(&[]), &[]);
+        assert_eq!(CpqxIndex::build(g, 2).pair_count(), 0);
+        assert_eq!(CpqxIndex::build_interest_aware(g, 2, []).pair_count(), 0);
     }
 }
 
@@ -188,7 +148,7 @@ proptest! {
 
     /// The randomized tentpole property: random social graphs and random
     /// interest subsets (including the occasional empty pick list) replay
-    /// identically through all build pipelines at 1–16 shards.
+    /// identically through the core builders and the engine.
     #[test]
     fn random_graphs_and_interest_sets(
         graph_seed in 0u64..10_000,
@@ -200,8 +160,8 @@ proptest! {
         check_build_equivalence(&g, 2, &interests, workload_seed);
     }
 
-    /// Uniform topology, separate seed space: catches balancing-sensitive
-    /// bugs (uniform graphs produce very even ranges, social ones skewed).
+    /// Uniform topology with the full-coverage interest set, separate seed
+    /// space.
     #[test]
     fn random_uniform_graphs(graph_seed in 0u64..10_000) {
         let g = random_graph(&RandomGraphConfig::uniform(80, 320, 3, graph_seed));

@@ -221,9 +221,8 @@ impl CowDiff {
     }
 }
 
-/// A borrowed view of a (possibly source-restricted) per-label pair
-/// relation `⟦ℓ⟧`, stored as source-contiguous segments — one per
-/// copy-on-write chunk of the graph.
+/// A borrowed view of a per-label pair relation `⟦ℓ⟧`, stored as
+/// source-contiguous segments — one per copy-on-write chunk of the graph.
 ///
 /// The concatenation of [`PairList::segments`] is globally sorted (pair
 /// order is source-major and segments follow ascending vertex ranges), so
@@ -234,9 +233,6 @@ impl CowDiff {
 pub struct PairList<'g> {
     chunks: &'g [Arc<VertexChunk>],
     label: u16,
-    /// Source-vertex bounds `[lo, hi)` of the view.
-    lo: VertexId,
-    hi: VertexId,
     len: usize,
 }
 
@@ -254,28 +250,10 @@ impl<'g> PairList<'g> {
     }
 
     /// The non-empty sorted segments of the view, in ascending source
-    /// order. Their concatenation is the whole (restricted) relation.
-    /// Restricted views probe only the chunks whose vertex range
-    /// intersects `[lo, hi)` (two partition points over the chunk
-    /// starts), so narrow restrictions stay cheap on many-chunk graphs.
+    /// order. Their concatenation is the whole relation.
     pub fn segments(self) -> impl Iterator<Item = &'g [Pair]> {
         let label = self.label as usize;
-        let (lo, hi) = (self.lo, self.hi);
-        let unrestricted = lo == 0 && hi == VertexId::MAX;
-        let chunks = if unrestricted {
-            self.chunks
-        } else {
-            // First chunk whose range can reach lo … last whose start is
-            // below hi (chunk i covers [start_i, start_{i+1})).
-            let begin = self.chunks.partition_point(|c| c.start <= lo).saturating_sub(1);
-            let end = self.chunks.partition_point(|c| c.start < hi);
-            &self.chunks[begin..end.max(begin)]
-        };
-        chunks.iter().filter_map(move |c| {
-            let seg = c.segment(label);
-            let seg = if unrestricted { seg } else { crate::view::slice_by_src(seg, lo, hi) };
-            (!seg.is_empty()).then_some(seg)
-        })
+        self.chunks.iter().map(move |c| c.segment(label)).filter(|seg| !seg.is_empty())
     }
 
     /// Iterates the pairs in ascending order.
@@ -297,43 +275,11 @@ impl<'g> PairList<'g> {
     /// starts), followed by one binary search inside that chunk's segment
     /// — O(log) regardless of how many chunks the view spans.
     pub fn contains(self, p: Pair) -> bool {
-        let v = p.src();
-        if v < self.lo || v >= self.hi {
-            return false;
-        }
-        let ci = self.chunks.partition_point(|c| c.start <= v);
+        let ci = self.chunks.partition_point(|c| c.start <= p.src());
         if ci == 0 {
             return false;
         }
         self.chunks[ci - 1].segment(self.label as usize).binary_search(&p).is_ok()
-    }
-
-    /// The view restricted to pairs with source in `[lo, hi)`. Only the
-    /// two boundary chunks are sliced (binary searches); every interior
-    /// chunk of the range lies fully inside `[lo, hi)` and contributes its
-    /// whole segment length — O(log + #chunks in range), not
-    /// O(#chunks × log) as a per-chunk slicing sum would be.
-    pub fn restrict_src(self, lo: VertexId, hi: VertexId) -> PairList<'g> {
-        let lo = lo.max(self.lo);
-        let hi = hi.min(self.hi).max(lo);
-        let mut out = PairList { chunks: self.chunks, label: self.label, lo, hi, len: 0 };
-        if lo >= hi || self.chunks.is_empty() {
-            return out;
-        }
-        let label = self.label as usize;
-        let begin = self.chunks.partition_point(|c| c.start <= lo).saturating_sub(1);
-        let end = self.chunks.partition_point(|c| c.start < hi).max(begin);
-        let mut len = 0usize;
-        for (k, c) in self.chunks[begin..end].iter().enumerate() {
-            let seg = c.segment(label);
-            len += if k == 0 || k + 1 == end - begin {
-                crate::view::slice_by_src(seg, lo, hi).len()
-            } else {
-                seg.len()
-            };
-        }
-        out.len = len;
-        out
     }
 }
 
@@ -394,7 +340,7 @@ pub struct Graph {
     /// vertex → chunk routing is a partition point over this.
     chunk_starts: Vec<VertexId>,
     /// Per extended label: total pairs across all chunk segments (keeps
-    /// [`PairList::len`] O(1) for unrestricted views).
+    /// [`PairList::len`] O(1)).
     pair_counts: Vec<usize>,
     vertex_count: u32,
     base_edge_count: usize,
@@ -453,13 +399,7 @@ impl Graph {
     /// label, as a segmented view.
     #[inline]
     pub fn edge_pairs(&self, l: ExtLabel) -> PairList<'_> {
-        PairList {
-            chunks: &self.chunks,
-            label: l.0,
-            lo: 0,
-            hi: VertexId::MAX,
-            len: self.pair_counts[l.0 as usize],
-        }
+        PairList { chunks: &self.chunks, label: l.0, len: self.pair_counts[l.0 as usize] }
     }
 
     /// Whether the extended edge `(v, u, ℓ)` exists.
@@ -480,11 +420,6 @@ impl Graph {
         let lo = a.partition_point(|&(x, _)| x < l.0);
         let hi = a.partition_point(|&(x, _)| x <= l.0);
         &a[lo..hi]
-    }
-
-    /// Out-degree of `v` restricted to extended label `l`.
-    pub fn degree(&self, v: VertexId, l: ExtLabel) -> usize {
-        self.neighbors(v, l).len()
     }
 
     /// Total extended degree of `v` (forward + inverse edges).
@@ -983,12 +918,11 @@ impl GraphBuilder {
             deg[v as usize] += 1;
             deg[u as usize] += 1;
         }
-        // Degree-balanced chunk boundaries, reusing the shard-range
-        // balancer geometry (each vertex weighs at least 1 there, so the
-        // target is honored against Σ max(deg, 1)).
+        // Degree-balanced chunk boundaries (each vertex weighs at least 1
+        // in the balancer, so the target is honored against Σ max(deg, 1)).
         let total: usize = deg.iter().map(|&d| d.max(1)).sum();
-        let shards = total.div_ceil(target_weight.max(1)).max(1);
-        let ranges = crate::view::balanced_ranges_by_weight(n as u32, shards, |v| deg[v as usize]);
+        let parts = total.div_ceil(target_weight.max(1)).max(1);
+        let ranges = crate::view::balanced_ranges_by_weight(n as u32, parts, |v| deg[v as usize]);
 
         let mut adj = vec![Vec::new(); n];
         for &(v, u, l) in &edges {
@@ -1250,16 +1184,10 @@ mod tests {
         assert_eq!(all.iter().count(), all.len());
         let flat = all.to_vec();
         assert!(flat.windows(2).all(|w| w[0] < w[1]), "segment concat stays sorted");
-        // Segmented restriction agrees with filtering.
-        let sub = all.restrict_src(10, 30);
-        let expect: Vec<Pair> =
-            flat.iter().copied().filter(|p| (10..30).contains(&p.src())).collect();
-        assert_eq!(sub.to_vec(), expect);
-        assert_eq!(sub.len(), expect.len());
-        for &p in &expect {
-            assert!(sub.contains(p));
+        for &p in &flat {
+            assert!(all.contains(p));
         }
-        assert!(!sub.contains(Pair::new(40, 41)));
+        assert!(!all.contains(Pair::new(40, 42)));
     }
 
     /// The stored shape of every chunk's label runs: offsets exist exactly

@@ -20,8 +20,8 @@
 //! * [`datasets`] — scaled synthetic stand-ins for the 14 real graphs and 5
 //!   gMark instances of Table II,
 //! * [`io`] — a plain-text edge-list format,
-//! * [`view`] — zero-copy source-range shard views over the edge lists
-//!   (the unit of parallelism for sharded index construction).
+//! * [`view`] — the weight-balanced vertex ranges the graph's copy-on-write
+//!   chunks are cut along.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

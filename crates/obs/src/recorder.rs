@@ -269,7 +269,7 @@ impl Recorder {
     pub fn record_build(
         &self,
         level1: Duration,
-        shards: Duration,
+        refine: Duration,
         merge: Duration,
         total: Duration,
         epoch: u64,
@@ -281,7 +281,7 @@ impl Recorder {
         let mut tb = TraceBuilder::new(TraceKind::Build, true);
         tb.set_epoch(epoch);
         for (stage, dur) in
-            [(Stage::BuildLevel1, level1), (Stage::BuildShards, shards), (Stage::BuildMerge, merge)]
+            [(Stage::BuildLevel1, level1), (Stage::BuildRefine, refine), (Stage::BuildMerge, merge)]
         {
             self.stages[stage as usize].record_duration(dur);
             tb.push_span(stage, t0, dur);

@@ -34,9 +34,10 @@ pub enum Stage {
     Install = 7,
     /// Build: level-1 (single-label) index construction.
     BuildLevel1 = 8,
-    /// Build: per-shard refinement of higher levels.
-    BuildShards = 9,
-    /// Build: merging shard results into the final index.
+    /// Build: the partition — refinement levels `2..=k` plus class
+    /// assembly, or the interest-aware partition.
+    BuildRefine = 9,
+    /// Build: materializing the index from the partition.
     BuildMerge = 10,
     /// Recovery: manifest read + validation.
     RecoverManifest = 11,
@@ -71,7 +72,7 @@ impl Stage {
         Stage::WalAppend,
         Stage::Install,
         Stage::BuildLevel1,
-        Stage::BuildShards,
+        Stage::BuildRefine,
         Stage::BuildMerge,
         Stage::RecoverManifest,
         Stage::RecoverChunks,
@@ -95,7 +96,7 @@ impl Stage {
             Stage::WalAppend => "wal_append",
             Stage::Install => "install",
             Stage::BuildLevel1 => "build_level1",
-            Stage::BuildShards => "build_shards",
+            Stage::BuildRefine => "build_refine",
             Stage::BuildMerge => "build_merge",
             Stage::RecoverManifest => "recover_manifest",
             Stage::RecoverChunks => "recover_chunks",

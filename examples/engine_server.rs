@@ -1,7 +1,7 @@
 //! Network serving demo: real TCP clients, live maintenance, stats.
 //!
-//! Builds a mid-size social graph, constructs the CPQ-aware index with
-//! the engine's *sharded parallel* builder, and serves it over the wire
+//! Builds a mid-size social graph, constructs the CPQ-aware index through
+//! the engine (which times each build phase), and serves it over the wire
 //! protocol: several client threads connect through [`cpqx::net::Client`]
 //! and replay a CPQ workload (hitting the canonical-query result cache)
 //! while a maintenance thread keeps deleting and re-inserting edges —
@@ -33,7 +33,7 @@
 //!
 //! Run with: `cargo run --release --example engine_server [-- --data-dir DIR]`
 
-use cpqx::engine::{BuildOptions, Delta, Engine, EngineOptions};
+use cpqx::engine::{Delta, Engine, EngineOptions};
 use cpqx::graph::generate::{random_graph, sample_edges, RandomGraphConfig};
 use cpqx::net::{render_prometheus, Client, Server, ServerOptions};
 use cpqx::query::workload::{GraphProbe, WorkloadGen};
@@ -69,14 +69,7 @@ fn has_flag(name: &str) -> bool {
 
 fn main() {
     let seed = || random_graph(&RandomGraphConfig::social(2_000, 9_000, 4, 42));
-    // Sharded parallel build (at least two shards so the demo exercises
-    // the merge path even on a single-core host).
-    let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(2);
-    let options = EngineOptions {
-        k: 2,
-        build: BuildOptions { shards: Some(shards), threads: None },
-        ..EngineOptions::default()
-    };
+    let options = EngineOptions { k: 2, ..EngineOptions::default() };
 
     let engine = if let Some(dir) = flag_value("data-dir") {
         let t0 = Instant::now();
@@ -104,9 +97,8 @@ fn main() {
         let t0 = Instant::now();
         let (engine, report) = Engine::with_options(seed(), options);
         println!(
-            "build: {:?} total ({} shards: level1 {:?}, refine {:?}, merge {:?})",
+            "build: {:?} total (level1 {:?}, refine {:?}, merge {:?})",
             t0.elapsed(),
-            report.shards,
             report.level1,
             report.refine,
             report.merge

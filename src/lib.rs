@@ -7,8 +7,8 @@
 //! * [`query`] — the CPQ language: AST, parser, planner, canonicalizer,
 //!   evaluators, workloads,
 //! * [`index`] — CPQx and iaCPQx, the paper's CPQ-aware path indexes,
-//! * [`engine`] — sharded parallel index construction and the concurrent
-//!   serving layer (snapshots, caches, batch evaluation),
+//! * [`engine`] — timed index builds and the concurrent serving layer
+//!   (snapshots, caches, batch evaluation),
 //! * [`net`] — the network front-end: a versioned binary wire protocol, a
 //!   TCP server over the engine (one `epoll` event loop plus a worker
 //!   pool), and a blocking client,

@@ -135,7 +135,7 @@ fn fields(
     start: DurableStart,
     delta: DeltaReport,
 ) {
-    let BuildOptions { shards: _, threads: _ }: BuildOptions = BuildOptions::default();
+    let BuildOptions {} = BuildOptions::default();
     let BuildReport { total, level1, refine, merge, .. } = build;
     let _: [Duration; 4] = [total, level1, refine, merge];
     let IndexStats { classes, pairs, postings, gamma, total_bytes, core_bytes, .. } = index;
@@ -262,7 +262,13 @@ fn the_inproc_path_the_ledger_drives_answers_like_the_oracle() {
     let _ = (wire as fn(_, _, _, _), edges as fn(_, _, _, _) -> _);
     let g = gex();
     let (index, report) = build_sharded_with_report(&g, 2, BuildOptions::default());
-    assert!(report.total >= report.merge);
+    assert!(report.level1 + report.refine + report.merge <= report.total);
+    let bytes = |idx: &CpqxIndex| {
+        let mut out = Vec::new();
+        idx.save(&mut out).expect("writing to a Vec");
+        out
+    };
+    assert!(bytes(&index) == bytes(&CpqxIndex::build(&g, 2)), "the shim builds another index");
     let probe = GraphProbe(&g);
     let mut gen = WorkloadGen::new(&g, 20220509);
     let mut answered = 0;
