@@ -7,7 +7,7 @@
 
 use cpqx_core::CpqxIndex;
 use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig};
-use cpqx_graph::Graph;
+use cpqx_graph::{Graph, Label, LabelSeq};
 use cpqx_query::benchqueries::{lubm_queries, watdiv_queries, yago_queries, NamedQuery};
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{Cpq, Template};
@@ -147,17 +147,75 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
+/// A fixed edge script applied through `idx`: delete every ninth base
+/// edge, insert one edge at every eleventh vertex, then put every other
+/// deleted edge back.
+fn churn(g: &mut Graph, idx: &mut CpqxIndex) {
+    let deleted: Vec<_> = g.base_edges().step_by(9).collect();
+    for &(v, u, l) in &deleted {
+        assert!(idx.delete_edge(g, v, u, l));
+    }
+    let n = g.vertex_count();
+    for v in (0..n).step_by(11) {
+        idx.insert_edge(g, v, (v * 7 + 3) % n, Label(v as u16 % 3));
+    }
+    for &(v, u, l) in deleted.iter().step_by(2) {
+        idx.insert_edge(g, v, u, l);
+    }
+}
+
+/// A full index after [`churn`].
+fn maintained(mut g: Graph) -> CpqxIndex {
+    let mut idx = CpqxIndex::build(&g, 2);
+    churn(&mut g, &mut idx);
+    assert_eq!(idx.validate(&g), Ok(()));
+    idx
+}
+
+/// An iaCPQx whose interests are deleted, outlived by [`churn`], carried
+/// through `save`/`load` and registered again.
+fn interests_churned(mut g: Graph) -> CpqxIndex {
+    let (a, b, c) = (Label(0), Label(1), Label(2));
+    let lq = [
+        LabelSeq::from_slice(&[a.fwd(), b.fwd()]),
+        LabelSeq::from_slice(&[b.inv(), c.fwd()]),
+        LabelSeq::from_slice(&[c.fwd(), a.inv()]),
+    ];
+    let mut idx = CpqxIndex::build_interest_aware(&g, 2, lq);
+    for s in &lq[..2] {
+        assert!(idx.delete_interest(s));
+    }
+    churn(&mut g, &mut idx);
+    let mut idx = reloaded(&idx);
+    for s in &lq[..2] {
+        let carried = (0..idx.class_slots() as u32)
+            .filter(|&c| idx.class_sequences(c).any(|t| t == *s) && !idx.class_pairs(c).is_empty())
+            .count();
+        assert!(carried > 0, "no class still carries the deleted {s:?}");
+        assert!(idx.lookup(s).is_empty());
+    }
+    for &s in &lq[..2] {
+        assert!(idx.insert_interest(&g, s));
+    }
+    assert_eq!(idx.validate(&g), Ok(()));
+    idx
+}
+
 /// Class numbering pinned across commits, not just across builds: length
-/// and FNV-1a of `save`, taken at commit `d85bc2b`. A change that
+/// and FNV-1a of `save`, taken at commit `d85bc2b` for the two fresh
+/// builds and at `c5189e1` for the two maintained indexes. A change that
 /// renumbers classes or moves a saved byte must say so by updating these.
 #[test]
 fn saved_bytes_match_the_recorded_digests() {
+    let social = || random_graph(&RandomGraphConfig::social(80, 400, 3, 7));
     let cases = [
-        (gex(), 1_569, 0x19c9_22a3_319f_66fb),
-        (random_graph(&RandomGraphConfig::social(80, 400, 3, 7)), 127_980, 0x370a_3f00_5e93_d773),
+        ("gex", CpqxIndex::build(&gex(), 2), 1_569, 0x19c9_22a3_319f_66fb),
+        ("social", CpqxIndex::build(&social(), 2), 127_980, 0x370a_3f00_5e93_d773),
+        ("social, churned", maintained(social()), 276_775, 0x34ca_6c5e_92a4_d2fd),
+        ("social, iaCPQx churned", interests_churned(social()), 20_518, 0x4e4f_b401_bbd9_8c5f),
     ];
-    for (g, len, digest) in cases {
-        let bytes = saved(&CpqxIndex::build(&g, 2));
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest));
+    for (what, idx, len, digest) in cases {
+        let bytes = saved(&idx);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, digest), "{what}");
     }
 }
