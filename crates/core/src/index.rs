@@ -11,6 +11,7 @@ use cpqx_query::workload::SeqProbe;
 use cpqx_query::Cpq;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Classes per copy-on-write chunk of the class partition store.
@@ -29,24 +30,28 @@ const P2C_SHARD_BITS: u32 = 8;
 type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 
 /// One fixed-width class-id range of the index's partition storage: the
-/// `Ic2p` rows, loop flags and sequence sets of up to [`CLASS_CHUNK`]
+/// `Ic2p` rows, loop flags and sequence-set sizes of up to [`CLASS_CHUNK`]
 /// consecutive classes. Chunks sit behind `Arc` and mutate through
 /// `Arc::make_mut`, so `CpqxIndex::clone` is O(#chunks) and a lazy
 /// update copies only the chunks holding touched classes — fresh classes
 /// append to the last chunk only.
 ///
-/// A sequence set is a list of 4-byte [`SeqId`]s into the index's
-/// sequence dictionary, not of the 18-byte sequences themselves: the sets
-/// are `Il2c` transposed, one entry per posting entry, and spelled out as
-/// sequences they would be over half the index's bytes.
+/// A chunk does not record *which* sequences its classes carry: `Il2c`
+/// does, and a class's set is read back from the postings that list it
+/// ([`CpqxIndex::class_seq_sets`]). Kept here as well, the sets would be
+/// `Il2c` transposed — one 4-byte id per posting entry, 30 % of
+/// `total_bytes` on an Epinions-like graph at k = 2 — storing every fact
+/// twice. The chunk keeps each set's
+/// *size*, which is what maintenance compares first and what a reader of
+/// a class range sizes its output by.
 ///
 /// Rows are **flat**: the pair rows of a chunk's classes lie back to back
-/// in one vector, delimited by per-class end offsets, and so do their
-/// sequence sets. Expanding a posting list is a forward sweep over a few
-/// arrays instead of a pointer chase per class, and copying a chunk for a
-/// write is five `memcpy`s, whatever the number of classes in it. The
-/// writer pays with one rebuild of a touched chunk's pair array per lazy
-/// update ([`ClassChunk::edit_rows`]) instead of per-row edits.
+/// in one vector, delimited by per-class end offsets. Expanding a posting
+/// list is a forward sweep over a few arrays instead of a pointer chase
+/// per class, and copying a chunk for a write is four `memcpy`s, whatever
+/// the number of classes in it. The writer pays with one rebuild of a
+/// touched chunk's pair array per lazy update ([`ClassChunk::edit_rows`])
+/// instead of per-row edits.
 #[derive(Clone, Default)]
 pub(crate) struct ClassChunk {
     /// `Ic2p` rows, back to back in class order; each row sorted.
@@ -56,12 +61,10 @@ pub(crate) struct ClassChunk {
     pair_ends: Vec<u32>,
     /// Per-class cyclicity flags.
     loops: Vec<bool>,
-    /// Per-class `L≤k` sequence sets, back to back in class order, as
-    /// dictionary ids; each class's ids are ordered by the sequences they
-    /// name, so equal sets are equal lists.
-    seqs: Vec<SeqId>,
-    /// Per class: where its sequence set ends in `seqs`.
-    seq_ends: Vec<u32>,
+    /// Per class: the size of its `L≤k` set — the number of `Il2c`
+    /// entries listing it. A class's set never changes after the class is
+    /// created, so neither does this.
+    seq_counts: Vec<u32>,
 }
 
 /// The range the `off`-th row occupies, given the rows' end offsets.
@@ -78,14 +81,13 @@ fn end_offset(len: usize) -> u32 {
 
 impl ClassChunk {
     /// An empty chunk with room for exactly `classes` classes holding
-    /// `pairs` pairs and `seqs` sequences in total.
-    pub(crate) fn with_capacity(classes: usize, pairs: usize, seqs: usize) -> Self {
+    /// `pairs` pairs in total.
+    pub(crate) fn with_capacity(classes: usize, pairs: usize) -> Self {
         ClassChunk {
             pairs: Vec::with_capacity(pairs),
             pair_ends: Vec::with_capacity(classes),
             loops: Vec::with_capacity(classes),
-            seqs: Vec::with_capacity(seqs),
-            seq_ends: Vec::with_capacity(classes),
+            seq_counts: Vec::with_capacity(classes),
         }
     }
 
@@ -100,25 +102,17 @@ impl ClassChunk {
         &self.pairs[row_span(&self.pair_ends, off)]
     }
 
-    /// The sequence ids of the `off`-th class.
-    #[inline]
-    fn seq_set(&self, off: usize) -> &[SeqId] {
-        &self.seqs[row_span(&self.seq_ends, off)]
+    /// The pair count of every class, in class order.
+    fn row_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|off| row_span(&self.pair_ends, off).len())
     }
 
-    /// `(sequence count, pair count)` of every class, in class order.
-    fn class_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.len())
-            .map(|off| (row_span(&self.seq_ends, off).len(), row_span(&self.pair_ends, off).len()))
-    }
-
-    /// Appends a class (`seqs` in sequence order, `pairs` sorted).
-    pub(crate) fn push(&mut self, is_loop: bool, seqs: &[SeqId], pairs: &[Pair]) {
+    /// Appends a class carrying `seq_count` sequences (`pairs` sorted).
+    pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, pairs: &[Pair]) {
         self.pairs.extend_from_slice(pairs);
         self.pair_ends.push(end_offset(self.pairs.len()));
         self.loops.push(is_loop);
-        self.seqs.extend_from_slice(seqs);
-        self.seq_ends.push(end_offset(self.seqs.len()));
+        self.seq_counts.push(end_offset(seq_count));
     }
 
     /// Detaches and attaches pairs in one rebuild of the flat pair array:
@@ -188,17 +182,23 @@ impl Posting {
             self.cyclic.push(c);
         }
     }
+}
 
-    /// Lists `c` at its sorted place unless it is listed already (an
-    /// interest registered again finds its old classes still carrying it).
-    pub(crate) fn insert(&mut self, c: ClassId, is_loop: bool) {
-        if let Err(at) = self.all.binary_search(&c) {
-            self.all.insert(at, c);
-            if is_loop {
-                let at = self.cyclic.partition_point(|&listed| listed < c);
-                self.cyclic.insert(at, c);
-            }
-        }
+/// The sequence sets of a range of classes, transposed out of `Il2c`
+/// ([`CpqxIndex::class_seq_sets`]): each class's ids in sequence order,
+/// back to back in class order.
+pub(crate) struct SeqSets {
+    /// The first class of the range.
+    first: ClassId,
+    pub(crate) ids: Vec<SeqId>,
+    /// Per class of the range: where its set ends in `ids`.
+    ends: Vec<u32>,
+}
+
+impl SeqSets {
+    /// The set of class `c`, a class of the range.
+    pub(crate) fn get(&self, c: ClassId) -> &[SeqId] {
+        &self.ids[row_span(&self.ends, (c - self.first) as usize)]
     }
 }
 
@@ -211,9 +211,20 @@ impl Posting {
 /// * `Ic2p : c → P(c)` — class id to sorted s-t pair list,
 ///
 /// plus the auxiliary structures the paper's maintenance procedures need:
-/// per-class loop flags (O(1) IDENTITY), per-class sequence sets (to decide
-/// whether an affected pair's `L≤k` changed), and the pair → class inverted
-/// index of Sec. IV-E.
+/// per-class loop flags (O(1) IDENTITY), per-class sequence-set *sizes*,
+/// and the pair → class inverted index of Sec. IV-E.
+///
+/// `Il2c` is the only record of which sequences a class carries: a
+/// class's `L≤k` set is the set of sequences whose entries list it
+/// ([`CpqxIndex::class_sequences`]). Maintenance decides whether an
+/// affected pair's set changed from the size and one binary search per
+/// sequence, and `save` writes class sets by transposing `Il2c` over
+/// ranges of class chunks. A class's set is fixed when the class is
+/// created: fresh classes get fresh ids, and a deleted interest does not
+/// drop its entry but keeps it as a **retained** entry — still listing
+/// the classes carrying the sequence, served by no lookup (the sequence is
+/// no longer [`CpqxIndex::is_indexed`]) — until the interest is registered
+/// again and the entry is a lookup key once more.
 ///
 /// No query reads the pair → class map, so no build and no load makes it:
 /// the first write builds it from the `Ic2p` rows
@@ -223,9 +234,8 @@ impl Posting {
 ///
 /// Label sequences are stored once, in a **sequence dictionary** that
 /// names each distinct sequence by a dense 4-byte [`SeqId`]: `Il2c` is a
-/// vector of postings indexed by id, and a class's sequence set is a list
-/// of ids. A lookup resolves its sequence through the dictionary's hash
-/// once; [`CpqxIndex::class_sequences`] reads a set back through it.
+/// vector of postings indexed by id, one entry per dictionary sequence. A
+/// lookup resolves its sequence through the dictionary's hash once.
 ///
 /// The type is `Clone` so a serving layer can snapshot it, apply
 /// maintenance to the copy, and atomically publish the result without
@@ -235,7 +245,7 @@ impl Posting {
 ///
 /// The heavyweight stores are structurally shared between clones:
 ///
-/// * the class partition (`Ic2p` rows, loop flags, sequence-id sets)
+/// * the class partition (`Ic2p` rows, loop flags, sequence-set sizes)
 ///   lives in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of
 ///   flat arrays,
 /// * the pair → class inverted index, once built, is sharded by
@@ -259,10 +269,10 @@ pub struct CpqxIndex {
     pub(crate) interests: Option<BTreeSet<LabelSeq>>,
     /// The sequence dictionary every `SeqId` of the index refers to.
     pub(crate) seqs: Arc<SeqDict>,
-    /// `Il2c`, indexed by `SeqId`: `None` where a sequence is no lookup
-    /// key (a deleted interest a class still carries, or a trailing id
-    /// the vector has not grown to).
-    pub(crate) il2c: Vec<Option<Arc<Posting>>>,
+    /// `Il2c`, indexed by `SeqId`, one entry per dictionary sequence: a
+    /// lookup key's posting list, or the retained entry of a sequence that
+    /// is no longer indexed (see the type docs).
+    pub(crate) il2c: Vec<Arc<Posting>>,
     /// Class partition store, chunked by class-id range.
     pub(crate) classes: Vec<Arc<ClassChunk>>,
     /// Allocated class slots (tombstones included) across all chunks.
@@ -343,20 +353,23 @@ pub struct IndexStats {
     pub classes: usize,
     /// `|P≤k|` — number of indexed s-t pairs.
     pub pairs: usize,
-    /// Number of distinct label sequences keyed in `Il2c`.
+    /// Number of distinct label sequences that are `Il2c` lookup keys
+    /// (retained entries of deleted interests are not).
     pub sequences: usize,
-    /// Total posting-list entries in `Il2c` (≈ γ·|C|); the cyclic
-    /// sub-lists repeat some of them and are not counted again.
+    /// Total posting-list entries of the lookup keys (≈ γ·|C|); the
+    /// cyclic sub-lists repeat some of them and are not counted again.
     pub postings: usize,
-    /// γ — average `|L≤k(v,u)|` over indexed pairs.
+    /// γ — average `|L≤k(v,u) ∩ indexed|` over indexed pairs.
     pub gamma: f64,
-    /// Core index bytes: `Il2c` (the sequence dictionary, posting lists and
-    /// their cyclic sub-lists) + `Ic2p` (Def. 4.3's structures, the
-    /// quantity Thm. 4.2 bounds and Table IV reports).
+    /// Core index bytes: `Il2c`'s lookup keys (the sequence dictionary,
+    /// posting lists and their cyclic sub-lists) + `Ic2p` (Def. 4.3's
+    /// structures, the quantity Thm. 4.2 bounds and Table IV reports).
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (per-class
-    /// sequence-id sets, loop flags, and the pair → class map once the
-    /// first write has built it). Packed accounting: what each structure
+    /// sequence-set sizes and loop flags, the retained `Il2c` entries of
+    /// deleted interests, and the pair → class map once the first write
+    /// has built it). A class's sequence *set* is not counted again: it is
+    /// stored only in `Il2c`. Packed accounting: what each structure
     /// stores, at the size of the element type it stores it as, plus a
     /// 4-byte offset per list; container headers and hash-table slack are
     /// not counted.
@@ -392,38 +405,33 @@ impl CpqxIndex {
     /// ascending, every class homogeneous in `(cyclicity, L≤k)` — as
     /// produced by [`cpq_path_partition`] or by
     /// [`crate::interest::interest_partition`].
-    pub fn from_partition(
-        k: usize,
-        interests: Option<BTreeSet<LabelSeq>>,
-        mut p: Partition,
-    ) -> Self {
+    pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {
         let nc = p.class_count();
         debug_assert!(p.pair_classes.windows(2).all(|w| w[0].0 < w[1].0), "pairs must be sorted");
 
         // The dictionary and `Il2c`: renumber the partition's sequence ids
-        // in place by first occurrence along the classes, so the numbering
-        // depends on the classes alone, not on the order the build met the
-        // sequences in (renumbering keeps every set's sequence order). Each sequence's
-        // posting lists grow as plain vectors beside it — classes are
-        // visited in ascending id order, so postings come out sorted — and
-        // are wrapped in their `Arc` once, at the end.
+        // by first occurrence along the classes, so the numbering depends
+        // on the classes alone, not on the order the build met the
+        // sequences in. Each sequence's posting lists grow as plain vectors
+        // beside it — classes are visited in ascending id order, so
+        // postings come out sorted — and are wrapped in their `Arc` once,
+        // at the end.
         let mut seqs = SeqDict::default();
         let mut renumbered = vec![SeqId::MAX; p.seqs.len()];
         let mut postings: Vec<Posting> = Vec::new();
         let mut start = 0;
         for (c, (&end, &is_loop)) in p.seq_ends.iter().zip(&p.class_loop).enumerate() {
-            for id in &mut p.seq_ids[start..end] {
-                let to = &mut renumbered[*id as usize];
+            for &id in &p.seq_ids[start..end] {
+                let to = &mut renumbered[id as usize];
                 if *to == SeqId::MAX {
-                    *to = seqs.intern(p.seqs[*id as usize]);
+                    *to = seqs.intern(p.seqs[id as usize]);
                     postings.push(Posting::default());
                 }
-                *id = *to;
-                postings[*id as usize].push(c as ClassId, is_loop);
+                postings[*to as usize].push(c as ClassId, is_loop);
             }
             start = end;
         }
-        let il2c = postings.into_iter().map(|posting| Some(Arc::new(posting))).collect();
+        let il2c = postings.into_iter().map(Arc::new).collect();
 
         // `Ic2p`: every chunk is laid out at its exact size from the row
         // sizes, then the pairs are scattered straight into place —
@@ -441,12 +449,12 @@ impl CpqxIndex {
             .zip(p.seq_ends.chunks(CLASS_CHUNK))
             .zip(cursors.chunks_mut(CLASS_CHUNK))
         {
-            let seq_end = seq_ends[seq_ends.len() - 1];
-            let mut chunk = ClassChunk::with_capacity(loops.len(), 0, seq_end - seq_start);
+            let mut chunk = ClassChunk::with_capacity(loops.len(), 0);
             chunk.loops.extend_from_slice(loops);
-            chunk.seqs.extend_from_slice(&p.seq_ids[seq_start..seq_end]);
-            chunk.seq_ends.extend(seq_ends.iter().map(|&end| end_offset(end - seq_start)));
-            seq_start = seq_end;
+            for &end in seq_ends {
+                chunk.seq_counts.push(end_offset(end - seq_start));
+                seq_start = end;
+            }
             let mut at = 0usize;
             for cursor in cursors {
                 let size = std::mem::replace(cursor, end_offset(at)) as usize;
@@ -483,17 +491,22 @@ impl CpqxIndex {
         (&self.classes[c as usize / CLASS_CHUNK], c as usize % CLASS_CHUNK)
     }
 
-    /// Appends an empty class slot (its pairs and their pair → class
-    /// entries are the caller's to add), returning its id. Only the last
-    /// chunk is touched.
+    /// Appends an empty class slot carrying the sequences `seqs` (listing
+    /// it under them; its pairs and their pair → class entries are the
+    /// caller's to add), returning its id. Only the last chunk and the
+    /// `Il2c` entries of `seqs` are touched.
     pub(crate) fn push_class(&mut self, is_loop: bool, seqs: &[SeqId]) -> ClassId {
         let c = self.class_count as ClassId;
         if self.class_count.is_multiple_of(CLASS_CHUNK) {
             self.classes.push(Arc::new(ClassChunk::default()));
         }
         let chunk = Arc::make_mut(self.classes.last_mut().expect("chunk just ensured"));
-        chunk.push(is_loop, seqs, &[]);
+        chunk.push(is_loop, seqs.len(), &[]);
         self.class_count += 1;
+        // `c` exceeds every listed id, so appending keeps each list sorted.
+        for &id in seqs {
+            Arc::make_mut(&mut self.il2c[id as usize]).push(c, is_loop);
+        }
         c
     }
 
@@ -594,36 +607,46 @@ impl CpqxIndex {
         }
     }
 
-    /// The id of `s`, registering it in the dictionary if it is new — the
-    /// one write that copies a shared dictionary.
+    /// The id of `s`, registering it in the dictionary, with an empty
+    /// `Il2c` entry, if it is new — the one write that copies a shared
+    /// dictionary.
     pub(crate) fn seq_id_or_insert(&mut self, s: LabelSeq) -> SeqId {
         match self.seqs.get(&s) {
             Some(id) => id,
-            None => Arc::make_mut(&mut self.seqs).intern(s),
+            None => {
+                self.il2c.push(Default::default());
+                Arc::make_mut(&mut self.seqs).intern(s)
+            }
         }
     }
 
-    /// The `Il2c` entry of sequence `id`, made a lookup key if it is not
-    /// one, and copied first if it is shared.
-    pub(crate) fn il2c_entry(&mut self, id: SeqId) -> &mut Posting {
-        let id = id as usize;
-        if id >= self.il2c.len() {
-            self.il2c.resize(id + 1, None);
-        }
-        Arc::make_mut(self.il2c[id].get_or_insert_with(Default::default))
+    /// The size of class `c`'s sequence set.
+    pub(crate) fn class_seq_count(&self, c: ClassId) -> usize {
+        let (chunk, off) = self.class_slot(c);
+        chunk.seq_counts[off] as usize
     }
 
-    /// Lists `c` — a class id above every listed one — under sequence `id`
-    /// (and under `id ∩ id` if the class is cyclic), copying only that
-    /// entry.
-    pub(crate) fn il2c_push(&mut self, id: SeqId, c: ClassId, is_loop: bool) {
-        self.il2c_entry(id).push(c, is_loop);
+    /// Class `c`'s stored set size, for damaging it.
+    #[cfg(test)]
+    pub(crate) fn class_seq_count_mut(&mut self, c: ClassId) -> &mut u32 {
+        let chunk = Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]);
+        &mut chunk.seq_counts[c as usize % CLASS_CHUNK]
     }
 
-    /// The `Il2c` entry of `seq`, if `seq` is a lookup key.
+    /// Whether class `c` carries exactly the sequences `ids` (distinct):
+    /// its set has `ids.len()` members and every one of the `ids` lists it.
+    pub(crate) fn class_carries_exactly(&self, c: ClassId, ids: &[SeqId]) -> bool {
+        self.class_seq_count(c) == ids.len()
+            && ids.iter().all(|&id| self.il2c[id as usize].all.binary_search(&c).is_ok())
+    }
+
+    /// The `Il2c` entry of `seq`, if `seq` is a lookup key: a retained
+    /// entry is served to no one.
     fn posting(&self, seq: &LabelSeq) -> Option<&Posting> {
-        let id = self.seqs.get(seq)?;
-        self.il2c.get(id as usize)?.as_deref()
+        if !self.is_indexed(seq) {
+            return None;
+        }
+        Some(&self.il2c[self.seqs.get(seq)? as usize])
     }
 
     /// The index path-length parameter `k`.
@@ -641,7 +664,9 @@ impl CpqxIndex {
         self.interests.as_ref()
     }
 
-    /// `Il2c(ℓ)` — the sorted class ids whose pairs match `seq`.
+    /// `Il2c(ℓ)` — the sorted class ids whose pairs match `seq`; empty
+    /// unless `seq` [`CpqxIndex::is_indexed`] (a deleted interest's
+    /// retained entry is served to no one).
     pub fn lookup(&self, seq: &LabelSeq) -> &[ClassId] {
         self.posting(seq).map_or(&[], |p| &p.all)
     }
@@ -692,18 +717,53 @@ impl CpqxIndex {
     }
 
     /// The label-sequence set shared by all pairs of class `c`, in sorted
-    /// order, read through the sequence dictionary.
+    /// order, read off the `Il2c` entries that list `c` — retained ones
+    /// included, so a deleted interest stays in the set of every class
+    /// that carried it. O(#sequences · log) per call.
     pub fn class_sequences(
         &self,
         c: ClassId,
     ) -> impl ExactSizeIterator<Item = LabelSeq> + Clone + '_ {
-        self.class_seq_ids(c).iter().map(|&id| self.seqs.seq(id))
+        let sets = self.class_seq_sets(&self.seq_order(), c..c + 1);
+        sets.ids.into_iter().map(|id| self.seqs.seq(id))
     }
 
-    /// Class `c`'s sequence set as dictionary ids, in sequence order.
-    pub(crate) fn class_seq_ids(&self, c: ClassId) -> &[SeqId] {
-        let (chunk, off) = self.class_slot(c);
-        chunk.seq_set(off)
+    /// Every dictionary id, ordered by the sequence it names — the order
+    /// [`CpqxIndex::class_seq_sets`] walks `Il2c` in.
+    pub(crate) fn seq_order(&self) -> Vec<SeqId> {
+        let mut order: Vec<SeqId> = (0..self.seqs.len() as SeqId).collect();
+        order.sort_unstable_by_key(|&id| self.seqs.seq(id));
+        order
+    }
+
+    /// The sequence sets of the classes in `classes`, read off `Il2c` by
+    /// transposing it over that range — how `save` and `validate` read
+    /// class sets. Walks the entries in `order` ([`CpqxIndex::seq_order`])
+    /// and takes each posting list's run of classes in the range by binary
+    /// search, so every set comes out in sequence order; the set sizes lay
+    /// the output out up front.
+    pub(crate) fn class_seq_sets(&self, order: &[SeqId], classes: Range<ClassId>) -> SeqSets {
+        let mut ends = Vec::with_capacity(classes.len());
+        let mut at = 0;
+        for c in classes.clone() {
+            at += self.class_seq_count(c) as u32;
+            ends.push(at);
+        }
+        let mut cursors: Vec<u32> =
+            std::iter::once(0).chain(ends.iter().copied()).take(ends.len()).collect();
+        let mut ids = vec![0; at as usize];
+        for &id in order {
+            let all = &self.il2c[id as usize].all;
+            let first = all.partition_point(|&c| c < classes.start);
+            let last = first + all[first..].partition_point(|&c| c < classes.end);
+            for &c in &all[first..last] {
+                let cursor = &mut cursors[(c - classes.start) as usize];
+                ids[*cursor as usize] = id;
+                *cursor += 1;
+            }
+        }
+        debug_assert_eq!(cursors, ends, "set sizes disagree with Il2c");
+        SeqSets { first: classes.start, ids, ends }
     }
 
     /// The class of an s-t pair, if indexed.
@@ -762,7 +822,7 @@ impl CpqxIndex {
     /// Number of classes with at least one pair (freshly built indexes have
     /// no empty classes; lazy maintenance can leave tombstones behind).
     pub fn live_class_count(&self) -> usize {
-        self.classes.iter().flat_map(|ch| ch.class_sizes()).filter(|&(_, pairs)| pairs > 0).count()
+        self.classes.iter().flat_map(|ch| ch.row_lens()).filter(|&pairs| pairs > 0).count()
     }
 
     /// Total allocated class slots, including tombstones.
@@ -810,16 +870,20 @@ impl CpqxIndex {
     /// Index statistics (sizes follow Thm. 4.2's accounting; see
     /// [`IndexStats`]).
     pub fn stats(&self) -> IndexStats {
-        let keys = || self.il2c.iter().flatten();
-        let postings: usize = keys().map(|p| p.all.len()).sum();
+        let (mut keys, mut retained): (Vec<&Posting>, Vec<&Posting>) = Default::default();
+        for (id, posting) in self.il2c.iter().enumerate() {
+            if self.is_indexed(&self.seqs.seq(id as SeqId)) {
+                keys.push(posting);
+            } else {
+                retained.push(posting);
+            }
+        }
+        let postings: usize = keys.iter().map(|p| p.all.len()).sum();
         let pairs = self.pair_count();
-        // γ = average |L≤k(v,u)| over pairs = Σ_c |seqs(c)|·|P(c)| / |P≤k|.
-        let weighted: usize = self
-            .classes
-            .iter()
-            .flat_map(|ch| ch.class_sizes())
-            .map(|(seqs, pairs)| seqs * pairs)
-            .sum();
+        // γ = average |L≤k(v,u) ∩ indexed| over pairs
+        //   = Σ_{lookup keys} Σ_{c listed} |P(c)| / |P≤k|.
+        let weighted: usize =
+            keys.iter().flat_map(|p| &p.all).map(|&c| self.class_pairs(c).len()).sum();
         let gamma = if pairs == 0 { 0.0 } else { weighted as f64 / pairs as f64 };
         // Packed (CSR-equivalent) accounting: entries + offsets, each at
         // the size of the type it is stored as. Container headers are an
@@ -828,29 +892,33 @@ impl CpqxIndex {
         // (id → sequence, and the sequence → id entry); `Il2c` is indexed
         // by id, and a cyclic sub-list shares its key with the full list.
         let id_bytes = std::mem::size_of::<ClassId>();
-        let seq_id_bytes = std::mem::size_of::<SeqId>();
-        let dict_bytes = self.seqs.len() * (std::mem::size_of::<LabelSeq>() + seq_id_bytes);
-        let il2c_bytes: usize = keys()
-            .map(|p| {
-                let cyclic = if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
-                p.all.len() * id_bytes + 4 + cyclic
-            })
-            .sum();
+        let dict_bytes =
+            self.seqs.len() * (std::mem::size_of::<LabelSeq>() + std::mem::size_of::<SeqId>());
+        let posting_bytes = |entries: &[&Posting]| -> usize {
+            entries
+                .iter()
+                .map(|p| {
+                    let cyclic =
+                        if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
+                    p.all.len() * id_bytes + 4 + cyclic
+                })
+                .sum()
+        };
         let ic2p_bytes: usize = pairs * std::mem::size_of::<Pair>() + (self.class_count + 1) * 4;
-        let core_bytes = dict_bytes + il2c_bytes + ic2p_bytes;
-        let class_seq_bytes: usize =
-            self.classes.iter().map(|ch| ch.seqs.len() * seq_id_bytes + ch.len() * 4).sum();
+        let core_bytes = dict_bytes + posting_bytes(&keys) + ic2p_bytes;
+        // Per class: a 4-byte set size and a 1-byte loop flag.
+        let class_bytes = self.class_count * (std::mem::size_of::<u32>() + 1);
         let p2c_entries: usize = self.pair_map_shards().iter().map(|shard| shard.len()).sum();
         let p2c_bytes = p2c_entries * (std::mem::size_of::<Pair>() + id_bytes);
         IndexStats {
             k: self.k,
             classes: self.live_class_count(),
             pairs,
-            sequences: keys().count(),
+            sequences: keys.len(),
             postings,
             gamma,
             core_bytes,
-            total_bytes: core_bytes + class_seq_bytes + p2c_bytes + self.class_count,
+            total_bytes: core_bytes + posting_bytes(&retained) + class_bytes + p2c_bytes,
         }
     }
 
@@ -954,9 +1022,9 @@ mod tests {
     fn row_edits_rebuild_a_chunk_like_per_row_edits() {
         let p = |v, u| Pair::new(v, u);
         let mut chunk = ClassChunk::default();
-        chunk.push(false, &[], &[p(1, 2), p(1, 5), p(3, 4)]);
-        chunk.push(true, &[], &[]);
-        chunk.push(false, &[], &[p(7, 8)]);
+        chunk.push(false, 0, &[p(1, 2), p(1, 5), p(3, 4)]);
+        chunk.push(true, 0, &[]);
+        chunk.push(false, 0, &[p(7, 8)]);
         // Classes 10, 11, 12: detach from the first and the last (one pair
         // absent), attach to all three (one pair present already).
         chunk.edit_rows(
@@ -967,7 +1035,7 @@ mod tests {
         assert_eq!(chunk.row(0), [p(0, 9), p(1, 2), p(3, 4)]);
         assert_eq!(chunk.row(1), [p(6, 6)]);
         assert_eq!(chunk.row(2), [p(7, 7), p(9, 9)]);
-        assert_eq!(chunk.class_sizes().map(|(_, pairs)| pairs).sum::<usize>(), chunk.pairs.len());
+        assert_eq!(chunk.row_lens().sum::<usize>(), chunk.pairs.len());
         // No edits: nothing moves.
         let before = chunk.pairs.clone();
         chunk.edit_rows(10, &[], &[]);
@@ -983,10 +1051,11 @@ mod tests {
         use std::mem::{size_of, size_of_val};
         let g = cpqx_graph::generate::gex();
         let f = g.label_named("f").unwrap().fwd();
-        let builds = [
-            CpqxIndex::build(&g, 2),
-            CpqxIndex::build_interest_aware(&g, 2, [LabelSeq::from_slice(&[f, f])]),
-        ];
+        let ff = LabelSeq::from_slice(&[f, f]);
+        let mut deleted = CpqxIndex::build_interest_aware(&g, 2, [ff]);
+        assert!(deleted.delete_interest(&ff));
+        let builds =
+            [CpqxIndex::build(&g, 2), CpqxIndex::build_interest_aware(&g, 2, [ff]), deleted];
         for (mut idx, has_map) in
             builds.into_iter().flat_map(|idx| [(idx.clone(), false), (idx, true)])
         {
@@ -998,35 +1067,56 @@ mod tests {
             let offsets = |lists: usize| lists * size_of::<u32>();
             // The dictionary: id → sequence, and each sequence's id.
             let dict = idx.seqs.len() * size_of::<LabelSeq>() + idx.seqs.len() * size_of::<SeqId>();
-            let il2c: usize = idx
-                .il2c
-                .iter()
-                .flatten()
-                .map(|p| {
-                    let cyclic = size_of_val(p.cyclic.as_slice());
-                    size_of_val(p.all.as_slice())
-                        + offsets(1)
-                        + cyclic
-                        + offsets(usize::from(cyclic > 0))
-                })
-                .sum();
+            // `Il2c`: lookup keys, and retained entries.
+            let il2c = |keys: bool| -> usize {
+                (0..idx.seqs.len() as SeqId)
+                    .filter(|&id| idx.is_indexed(&idx.seqs.seq(id)) == keys)
+                    .map(|id| {
+                        let p = &idx.il2c[id as usize];
+                        let cyclic = size_of_val(p.cyclic.as_slice());
+                        size_of_val(p.all.as_slice())
+                            + offsets(1)
+                            + cyclic
+                            + offsets(usize::from(cyclic > 0))
+                    })
+                    .sum()
+            };
+            let (il2c, retained) = (il2c(true), il2c(false));
+            assert_eq!(retained > 0, !idx.is_indexed(&ff), "only a deleted interest is retained");
             let ic2p: usize = chunks().map(|ch| size_of_val(ch.pairs.as_slice())).sum::<usize>()
                 + offsets(idx.class_count + 1);
-            let class_sets: usize =
-                chunks().map(|ch| size_of_val(ch.seqs.as_slice()) + offsets(ch.len())).sum();
+            // A class's set is stored in `Il2c` alone; the chunk holds its
+            // 4-byte size.
+            let set_sizes: usize = chunks().map(|ch| size_of_val(ch.seq_counts.as_slice())).sum();
+            assert_eq!(set_sizes, offsets(idx.class_count));
             let entry = size_of::<Pair>() + size_of::<ClassId>();
             let p2c: usize = idx.pair_map_shards().iter().map(|shard| shard.len() * entry).sum();
             assert_eq!(p2c, if has_map { idx.pair_count() * entry } else { 0 });
             let loops: usize = chunks().map(|ch| size_of_val(ch.loops.as_slice())).sum();
             let stats = idx.stats();
             assert_eq!(stats.core_bytes, dict + il2c + ic2p);
-            assert_eq!(stats.total_bytes, dict + il2c + ic2p + class_sets + p2c + loops);
-            // A class-set entry is one 4-byte id.
-            let entries: usize = chunks().map(|ch| ch.seqs.len()).sum();
-            assert_eq!(
-                chunks().map(|ch| size_of_val(ch.seqs.as_slice())).sum::<usize>(),
-                4 * entries
-            );
+            assert_eq!(stats.total_bytes, dict + il2c + ic2p + retained + set_sizes + p2c + loops);
+        }
+    }
+
+    /// The transposition `save` and `validate` read class sets through
+    /// agrees, over any class range, with the sets the partition assigned.
+    #[test]
+    fn class_sets_read_off_il2c_are_the_partition_sets() {
+        let g = cpqx_graph::generate::random_graph(
+            &cpqx_graph::generate::RandomGraphConfig::social(60, 260, 3, 4),
+        );
+        let p = cpq_path_partition(&g, 2);
+        let idx = CpqxIndex::build(&g, 2);
+        let order = idx.seq_order();
+        let n = idx.class_slots() as ClassId;
+        for range in [0..n, 0..1, 3..300.min(n), n - 1..n, n..n] {
+            let sets = idx.class_seq_sets(&order, range.clone());
+            for c in range {
+                let seqs: Vec<LabelSeq> = sets.get(c).iter().map(|&id| idx.seqs.seq(id)).collect();
+                assert_eq!(seqs, p.class_seqs(c).collect::<Vec<_>>(), "class {c}");
+                assert!(idx.class_sequences(c).eq(seqs));
+            }
         }
     }
 }

@@ -94,6 +94,13 @@ impl CpqxIndex {
     /// indexed and need no registration. Returns `false` if it was already
     /// an interest (or the index is not interest-aware / the sequence is
     /// longer than `k`).
+    ///
+    /// Pairs whose class does not carry `seq` are regrouped into fresh
+    /// classes that do. A sequence registered again after
+    /// [`CpqxIndex::delete_interest`] finds its retained `Il2c` entry still
+    /// listing the classes that carry it: their pairs are unchanged for the
+    /// refresh, and the entry is a lookup key again the moment `seq` is an
+    /// interest.
     pub fn insert_interest(&mut self, g: &Graph, seq: LabelSeq) -> bool {
         if seq.len() <= 1 || seq.len() > self.k {
             return false;
@@ -104,25 +111,7 @@ impl CpqxIndex {
         if !interests.insert(seq) {
             return false;
         }
-        let pairs = seq_pairs(g, &seq);
-        self.refresh_pairs(g, pairs.clone());
-        // Re-registration: pairs whose class already carried `seq` (a
-        // previously deleted interest leaves the class metadata in place)
-        // are "unchanged" for the refresh, but their classes must still
-        // appear under the re-added Il2c key. Class homogeneity makes this
-        // sound: if one member matches `seq`, the whole class does.
-        let mut classes: Vec<(ClassId, bool)> = pairs
-            .iter()
-            .filter_map(|&p| self.class_of(p))
-            .map(|c| (c, self.class_is_loop(c)))
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-        let id = self.seq_id_or_insert(seq);
-        let posting = self.il2c_entry(id);
-        for (c, is_loop) in classes {
-            posting.insert(c, is_loop);
-        }
+        self.refresh_pairs(g, seq_pairs(g, &seq));
         true
     }
 
@@ -131,29 +120,21 @@ impl CpqxIndex {
     /// merged; queries remain correct because the sequence is no longer a
     /// lookup key.
     ///
-    /// The classes that carried the sequence keep its id in their
-    /// sequence sets: finding them would take a scan, and nothing needs
-    /// it gone — lookups never see it (`Il2c` is cleared, and
-    /// `from_class_records` re-lists only indexed sequences on reload),
-    /// `validate` compares class sets restricted to what is indexed now,
-    /// and a later refresh of one of their pairs sees the stale id as a
-    /// change and regroups the pair into a fresh class whose set is
-    /// current. Re-registering the interest finds the classes still
-    /// carrying it (see `insert_interest`).
+    /// The sequence's `Il2c` entry stays, as a *retained* entry that no
+    /// lookup serves (the sequence is no longer indexed): `Il2c` is the
+    /// only record of which sequences a class carries, and a class's set
+    /// never changes after the class is created. The classes that carried
+    /// the sequence therefore still carry it — in `save` output and after
+    /// a reload too — `validate` compares class sets restricted to what
+    /// is indexed now, and a later refresh of one of their pairs sees the
+    /// stale sequence as a change and regroups the pair into a fresh class
+    /// whose set is current. Re-registering the interest finds the
+    /// classes still listed (see `insert_interest`). Cost: a set removal.
     pub fn delete_interest(&mut self, seq: &LabelSeq) -> bool {
         if seq.len() <= 1 {
             return false;
         }
-        let Some(interests) = self.interests.as_mut() else {
-            return false;
-        };
-        if !interests.remove(seq) {
-            return false;
-        }
-        if let Some(posting) = self.seqs.get(seq).and_then(|id| self.il2c.get_mut(id as usize)) {
-            *posting = None;
-        }
-        true
+        self.interests.as_mut().is_some_and(|interests| interests.remove(seq))
     }
 
     /// Rebuilds the index from scratch (defragmentation), preserving the
@@ -178,10 +159,13 @@ impl CpqxIndex {
 
     /// Core lazy-update step: recompute the indexed sequence set of each
     /// candidate pair; detach pairs whose set changed and regroup them into
-    /// fresh classes keyed by `(is-loop, new set)`. Sets are compared and
-    /// keyed as dictionary-id lists in sequence order; a pair whose set
-    /// holds a never-seen sequence has changed, and only such a pair
-    /// copies the dictionary (to register it).
+    /// fresh classes keyed by `(is-loop, new set)`. A pair stays in place
+    /// iff its class's set has as many sequences as the new set and every
+    /// new sequence's `Il2c` entry lists the class (one binary search
+    /// each) — sizes first, so most changed pairs cost one comparison.
+    /// New sets are keyed as dictionary-id lists in sequence order; a pair
+    /// whose set holds a never-seen sequence has changed, and only such a
+    /// pair copies the dictionary (to register it).
     ///
     /// This is the pair → class map's only reader on the write path: every
     /// edge, vertex and interest update goes through here, and the first
@@ -191,9 +175,9 @@ impl CpqxIndex {
     /// never in the snapshot it was cloned from.
     ///
     /// All mutation goes through the index's chunk-local copy-on-write
-    /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`,
-    /// `il2c_push`), so an update copies only the class chunks, p2c shards
-    /// and posting lists it actually touches — unchanged candidates (the
+    /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`),
+    /// so an update copies only the class chunks, p2c shards and posting
+    /// lists it actually touches — unchanged candidates (the
     /// common case for over-approximated affected sets) copy nothing. The
     /// pair → class map moves with each decision (a candidate listed twice
     /// is then unchanged the second time); the class rows are edited once,
@@ -211,7 +195,7 @@ impl CpqxIndex {
             let known = new_seqs.iter().all(|s| self.seqs.get(s).map(|id| ids.push(id)).is_some());
             let old = self.class_of(pair);
             if let Some(c) = old {
-                if known && self.class_seq_ids(c) == ids.as_slice() {
+                if known && self.class_carries_exactly(c, &ids) {
                     continue; // unchanged — e.g. an alternative path exists
                 }
                 // Detach from the old class (it may become a tombstone).
@@ -234,11 +218,6 @@ impl CpqxIndex {
                 None => {
                     let c = self.push_class(key.0, &key.1);
                     self.frag.fresh_classes += 1;
-                    // Fresh ids exceed all existing ones, so appending keeps
-                    // every posting list sorted.
-                    for &id in &key.1 {
-                        self.il2c_push(id, c, key.0);
-                    }
                     groups.insert(key, c);
                     c
                 }

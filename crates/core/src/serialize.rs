@@ -7,11 +7,19 @@
 //! is reconstructed on load; the pair→class inverted index is not, since
 //! only maintenance reads it: the first write after a load builds it.
 //!
+//! In memory it is the other way round: `Il2c` is the only record of which
+//! sequences a class carries. Class records' sequence sets are written by
+//! transposing `Il2c` over a range of class chunks
+//! (`CpqxIndex::class_seq_sets`: entries walked in sequence order, one
+//! binary-searched run of each posting list), retained entries of deleted
+//! interests included, so the records are the bytes a class-major store
+//! would write.
+//!
 //! Layout (little-endian): magic `CPQX`, format version, `k`, mode byte
 //! (full / interest-aware + interest list), class count, then the classes.
 
-use crate::bisim::{ClassId, SeqId};
-use crate::index::{ClassChunk, CpqxIndex, Posting};
+use crate::bisim::ClassId;
+use crate::index::{ClassChunk, CpqxIndex, Posting, SeqSets};
 use crate::intern::SeqDict;
 use cpqx_graph::pair::sort_pairs;
 use cpqx_graph::{ExtLabel, LabelSeq, Pair};
@@ -21,6 +29,12 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CPQX";
 const VERSION: u32 = 1;
+
+/// Chunk positions whose class sets one transposition of `Il2c` covers
+/// (16 384 classes). A transposition costs a binary search per posting
+/// list besides the entries it moves, so a window spreads those searches
+/// over up to this many records while bounding the sets held at once.
+const RECORD_WINDOW: usize = 64;
 
 /// Errors while reading a persisted index (or any of the store's framed
 /// files, which reuse this type so corruption reports look the same
@@ -275,34 +289,83 @@ impl CpqxIndex {
             }
         }
         write_u32(&mut w, self.class_slots() as u32)?;
-        for c in 0..self.class_slots() as ClassId {
-            write_class(
-                &mut w,
-                self.class_is_loop(c),
-                self.class_sequences(c),
-                self.class_pairs(c),
-            )?;
-        }
-        Ok(())
+        let all: Vec<usize> = (0..self.class_chunk_count()).collect();
+        self.with_chunk_sets(&all, |i, sets| self.write_chunk_classes(i, sets, &mut w))
     }
 
     /// Serializes the classes of one class chunk (`[count: u32]` then
     /// `count` class bodies in [`CpqxIndex::save`]'s per-class layout) —
     /// the payload of a snapshot's index-chunk record. Chunk `i` covers
     /// classes `i · span .. i · span + len` (see
-    /// [`CpqxIndex::class_chunk_span`]).
+    /// [`CpqxIndex::class_chunk_span`]). A snapshot writer rewriting many
+    /// chunks calls [`CpqxIndex::save_class_chunks`] instead.
     pub fn save_class_chunk(&self, i: usize, mut w: impl Write) -> std::io::Result<()> {
+        self.save_class_chunks(&[i], |_, record| w.write_all(record))
+    }
+
+    /// [`CpqxIndex::save_class_chunk`] for each chunk of `chunks`, handing
+    /// `write` the chunk and its payload.
+    ///
+    /// # Panics
+    /// If `chunks` is not ascending.
+    ///
+    /// The sequence sets are read off `Il2c` (see the module docs), for
+    /// the requested chunks of up to [`RECORD_WINDOW`] consecutive chunk
+    /// positions at a time, so rewriting most chunks costs about one pass
+    /// over `Il2c` rather than one per chunk. A class's set never changes
+    /// after the class is created, so a chunk still
+    /// [`CpqxIndex::class_chunk_shared_with`] an earlier index writes the
+    /// same bytes as it did there — what incremental snapshots rely on.
+    pub fn save_class_chunks(
+        &self,
+        chunks: &[usize],
+        mut write: impl FnMut(usize, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut record = Vec::new();
+        self.with_chunk_sets(chunks, |i, sets| {
+            record.clear();
+            write_u32(&mut record, self.class_chunk_len(i) as u32)?;
+            self.write_chunk_classes(i, sets, &mut record)?;
+            write(i, &record)
+        })
+    }
+
+    /// Calls `f` for each chunk of `chunks` (ascending) with the sequence
+    /// sets of a class range covering it, transposed out of `Il2c` once
+    /// per window of [`RECORD_WINDOW`] chunk positions — from the window's
+    /// first requested chunk to its last.
+    fn with_chunk_sets(
+        &self,
+        chunks: &[usize],
+        mut f: impl FnMut(usize, &SeqSets) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        assert!(chunks.is_sorted(), "class chunks must be requested in ascending order");
+        let order = self.seq_order();
         let span = Self::class_chunk_span();
-        let len = self.class_chunk_len(i);
-        write_u32(&mut w, len as u32)?;
-        for off in 0..len {
-            let c = (i * span + off) as ClassId;
-            write_class(
-                &mut w,
-                self.class_is_loop(c),
-                self.class_sequences(c),
-                self.class_pairs(c),
-            )?;
+        for window in chunks.chunk_by(|a, b| a / RECORD_WINDOW == b / RECORD_WINDOW) {
+            let (head, tail) = (window[0], window[window.len() - 1]);
+            let first = (head * span) as ClassId;
+            let end = (tail * span + self.class_chunk_len(tail)) as ClassId;
+            let sets = self.class_seq_sets(&order, first..end);
+            for &i in window {
+                f(i, &sets)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the class bodies of class chunk `i`, given the sequence sets
+    /// of a class range covering it.
+    fn write_chunk_classes(
+        &self,
+        i: usize,
+        sets: &SeqSets,
+        w: &mut impl Write,
+    ) -> std::io::Result<()> {
+        let first = (i * Self::class_chunk_span()) as ClassId;
+        for c in first..first + self.class_chunk_len(i) as ClassId {
+            let seqs = sets.get(c).iter().map(|&id| self.seqs.seq(id));
+            write_class(w, self.class_is_loop(c), seqs, self.class_pairs(c))?;
         }
         Ok(())
     }
@@ -336,10 +399,11 @@ impl CpqxIndex {
     /// formats store only the Def. 4.3 structures, so the result starts a
     /// new fragmentation epoch: the restored class count is the baseline.
     ///
-    /// `Il2c` lists a class under the sequences of its record that are
-    /// indexed *now* ([`CpqxIndex::is_indexed`]): a deleted interest stays
-    /// in class metadata (see `delete_interest`) but is no lookup key, on
-    /// the live index or a reloaded one.
+    /// `Il2c` lists a class under every sequence of its record. A sequence
+    /// that is not indexed *now* ([`CpqxIndex::is_indexed`]) — a deleted
+    /// interest classes still carry (see `delete_interest`) — gets a
+    /// retained entry, as on the live index: no lookup key, on the live
+    /// index or a reloaded one.
     ///
     /// Every chunk but the last must hold exactly
     /// [`CpqxIndex::class_chunk_span`] classes, so the rebuilt chunk
@@ -377,16 +441,14 @@ impl CpqxIndex {
         };
         let mut all_pairs = Vec::with_capacity(chunks.iter().flatten().map(|r| r.2.len()).sum());
         // The dictionary numbers sequences by first occurrence along the
-        // classes, as a fresh build does; each gets a plain posting list
-        // if it is indexed now, wrapped in its `Arc` once, at the end.
+        // classes, as a fresh build does; each gets a plain posting list,
+        // wrapped in its `Arc` once, at the end.
         let mut dict = SeqDict::default();
-        let mut postings: Vec<Option<Posting>> = Vec::new();
-        let mut ids: Vec<SeqId> = Vec::new();
+        let mut postings: Vec<Posting> = Vec::new();
         for records in chunks {
             // Each chunk is laid out at its exact size, like a fresh build's.
             let pairs = records.iter().map(|r| r.2.len()).sum();
-            let seqs = records.iter().map(|r| r.1.len()).sum();
-            let mut chunk = ClassChunk::with_capacity(records.len(), pairs, seqs);
+            let mut chunk = ClassChunk::with_capacity(records.len(), pairs);
             for (is_loop, seqs, pairs) in records {
                 let c = (idx.class_count + chunk.len()) as ClassId;
                 if pairs.iter().any(|p| p.is_loop() != is_loop) {
@@ -396,18 +458,14 @@ impl CpqxIndex {
                 if seqs.windows(2).any(|w| w[0] >= w[1]) {
                     return Err("class sequences not sorted");
                 }
-                ids.clear();
-                for s in seqs {
-                    let id = dict.intern(s);
-                    if id as usize == postings.len() {
-                        postings.push(idx.is_indexed(&s).then(Posting::default));
+                for &s in &seqs {
+                    let id = dict.intern(s) as usize;
+                    if id == postings.len() {
+                        postings.push(Posting::default());
                     }
-                    if let Some(posting) = &mut postings[id as usize] {
-                        posting.push(c, is_loop);
-                    }
-                    ids.push(id);
+                    postings[id].push(c, is_loop);
                 }
-                chunk.push(is_loop, &ids, &pairs);
+                chunk.push(is_loop, seqs.len(), &pairs);
             }
             idx.class_count += chunk.len();
             idx.classes.push(Arc::new(chunk));
@@ -419,7 +477,7 @@ impl CpqxIndex {
         }
         idx.pair_count = all_pairs.len();
         idx.seqs = Arc::new(dict);
-        idx.il2c = postings.into_iter().map(|posting| posting.map(Arc::new)).collect();
+        idx.il2c = postings.into_iter().map(Arc::new).collect();
         Ok(idx)
     }
 

@@ -4,10 +4,12 @@
 //! Query processing needs exactly this of `(Il2c, Ic2p)` (Def. 4.3, Prop.
 //! 4.1): the classes partition the pairs that have an indexed label
 //! sequence, every class is homogeneous in `(cyclicity, L≤k ∩ indexed)`,
-//! and `Il2c` lists precisely the classes carrying each sequence. Full
-//! builds produce the *coarsest* such partition; lazy maintenance keeps it
-//! valid but lets it fragment (classes are never re-merged), so minimality
-//! is not part of the check.
+//! and `Il2c` lists precisely the classes carrying each sequence. `Il2c` is
+//! also the only record of which sequences a class carries, so the check
+//! reads class sets off it and holds each class's stored set size to the
+//! number of entries listing the class. Full builds produce the *coarsest*
+//! such partition; lazy maintenance keeps it valid but lets it fragment
+//! (classes are never re-merged), so minimality is not part of the check.
 
 use crate::bisim::{ClassId, SeqId};
 use crate::index::CpqxIndex;
@@ -20,42 +22,78 @@ impl CpqxIndex {
     /// ([`crate::paths::label_seqs_between`]) — O(|P≤k| · paths), a test and
     /// diagnosis tool, not a serving-path call. Checks that
     ///
+    /// * `Il2c` has one entry per dictionary sequence; every posting list
+    ///   is strictly sorted and lists only allocated classes, and the
+    ///   cyclic sub-list beside it is exactly the listed classes whose loop
+    ///   flag is set, in the same order;
+    /// * every class's stored set size equals the number of `Il2c` entries
+    ///   listing it — the set [`CpqxIndex::class_sequences`] reads back;
+    /// * an entry whose sequence is not indexed — a *retained* entry — has
+    ///   a sequence a deleted interest could have had (the index is
+    ///   interest-aware, length 2 to k), and no lookup serves it;
+    /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
+    ///   and the pair → class map, if built, is exactly their inverse
+    ///   (without it, pairs are looked up in a sorted list made from the
+    ///   rows);
     /// * every pair of `g` with a non-empty `L≤k ∩ indexed` is in exactly
     ///   one class; every indexed pair's class has the pair's cyclicity and
     ///   carries (restricted to the currently indexed sequences) exactly
     ///   the pair's `L≤k ∩ indexed` — which is empty only for the pairs a
     ///   deleted interest left behind, unreachable from `Il2c` until their
     ///   next refresh — and no pair without a path of length ≤ k is indexed
-    ///   (`pair_count` is exact);
-    /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
-    ///   and the pair → class map, if built, is exactly their inverse
-    ///   (without it, pairs are looked up in a sorted list made from the
-    ///   rows);
-    /// * every class's sequence ids are in the dictionary and name a
-    ///   strictly sorted sequence set;
-    /// * every `Il2c` key is indexed, its posting list is sorted, lists
-    ///   only classes carrying the key, and lists every live one; the
-    ///   cyclic sub-list beside it is exactly the listed classes whose loop
-    ///   flag is set, in the same order.
+    ///   (`pair_count` is exact). With the set-size check this makes every
+    ///   lookup key list every live class carrying it and no other live
+    ///   class.
     ///
     /// Returns the first violation found.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
         let slots = self.class_slots() as ClassId;
 
+        // Il2c on its own, counting the entries that list each class.
+        if self.il2c.len() != self.seqs.len() {
+            return Err(format!(
+                "Il2c has {} entries for {} sequences",
+                self.il2c.len(),
+                self.seqs.len()
+            ));
+        }
+        let mut listed = vec![0usize; slots as usize];
+        for (id, posting) in self.il2c.iter().enumerate() {
+            let s = self.seqs.seq(id as SeqId);
+            if posting.all.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("Il2c({s:?}) not strictly sorted"));
+            }
+            if let Some(&c) = posting.all.last().filter(|&&c| c >= slots) {
+                return Err(format!("Il2c({s:?}) lists class {c}, beyond the {slots} slots"));
+            }
+            if !posting.all.iter().filter(|&&c| self.class_is_loop(c)).eq(&posting.cyclic) {
+                return Err(format!("Il2c({s:?}): cyclic sub-list is not its cyclic classes"));
+            }
+            if !self.is_indexed(&s) {
+                if !(self.is_interest_aware() && (2..=self.k).contains(&s.len())) {
+                    return Err(format!("Il2c({s:?}) is retained, but was never an interest"));
+                }
+                if !self.lookup(&s).is_empty() || !self.lookup_cyclic(&s).is_empty() {
+                    return Err(format!("Il2c({s:?}) is retained, but a lookup serves it"));
+                }
+            }
+            for &c in &posting.all {
+                listed[c as usize] += 1;
+            }
+        }
+        if let Some(c) = (0..slots).find(|&c| self.class_seq_count(c) != listed[c as usize]) {
+            return Err(format!(
+                "class {c} has {} sequences, but {} Il2c entries list it",
+                self.class_seq_count(c),
+                listed[c as usize]
+            ));
+        }
+
         // Ic2p rows, listed as (pair, class) in pair order: the rows'
         // inverse, checked against the pair → class map if there is one
-        // and standing in for it otherwise. Class sets against the
-        // dictionary.
+        // and standing in for it otherwise.
         let mut in_rows: Vec<(Pair, ClassId)> = Vec::with_capacity(self.pair_count());
         for c in 0..slots {
-            if let Some(id) =
-                self.class_seq_ids(c).iter().find(|&&id| id as usize >= self.seqs.len())
-            {
-                return Err(format!("class {c} carries sequence id {id}, not in the dictionary"));
-            }
-            if !self.class_sequences(c).is_sorted_by(|a, b| a < b) {
-                return Err(format!("class {c}: sequence set not strictly sorted"));
-            }
             let row = self.class_pairs(c);
             if row.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("class {c}: pair row not strictly sorted"));
@@ -91,7 +129,14 @@ impl CpqxIndex {
         let class_of =
             |p: Pair| in_rows.binary_search_by_key(&p, |&(q, _)| q).ok().map(|at| in_rows[at].1);
 
-        // Classes against the graph.
+        // Classes against the graph, their sets read off `Il2c` and
+        // restricted to what is indexed now (a deleted interest stays in
+        // the sets until the class's pairs are next refreshed).
+        let sets = self.class_seq_sets(&self.seq_order(), 0..slots);
+        let indexed_class_sequences = |c: ClassId| -> Vec<LabelSeq> {
+            let seqs = sets.get(c).iter().map(|&id| self.seqs.seq(id));
+            seqs.filter(|s| self.is_indexed(s)).collect()
+        };
         let mut indexed_in_reach = 0usize;
         for v in g.vertices() {
             for (u, _) in bounded_ball(g, &[v], self.k) {
@@ -107,7 +152,7 @@ impl CpqxIndex {
                 if self.class_is_loop(c) != p.is_loop() {
                     return Err(format!("{p:?} sits in class {c} of the other cyclicity"));
                 }
-                let carried = self.indexed_class_sequences(c);
+                let carried = indexed_class_sequences(c);
                 if carried != expected {
                     return Err(format!(
                         "{p:?} has {expected:?}, its class {c} carries {carried:?}"
@@ -121,48 +166,7 @@ impl CpqxIndex {
                 self.pair_count()
             ));
         }
-
-        // Il2c against the classes.
-        if self.il2c.len() > self.seqs.len() {
-            return Err(format!(
-                "Il2c has {} entries for {} sequences",
-                self.il2c.len(),
-                self.seqs.len()
-            ));
-        }
-        for (id, posting) in self.il2c.iter().enumerate() {
-            let Some(posting) = posting else { continue };
-            let (id, s) = (id as SeqId, &self.seqs.seq(id as SeqId));
-            if !self.is_indexed(s) {
-                return Err(format!("Il2c key {s:?} is not an indexed sequence"));
-            }
-            if posting.all.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("Il2c({s:?}) not strictly sorted"));
-            }
-            if let Some(&c) =
-                posting.all.iter().find(|&&c| c >= slots || !self.class_seq_ids(c).contains(&id))
-            {
-                return Err(format!("Il2c({s:?}) lists class {c}, which does not carry it"));
-            }
-            if !posting.all.iter().filter(|&&c| self.class_is_loop(c)).eq(&posting.cyclic) {
-                return Err(format!("Il2c({s:?}): cyclic sub-list is not its cyclic classes"));
-            }
-        }
-        for c in (0..slots).filter(|&c| !self.class_pairs(c).is_empty()) {
-            for s in self.indexed_class_sequences(c) {
-                if self.lookup(&s).binary_search(&c).is_err() {
-                    return Err(format!("live class {c} carries {s:?} but Il2c does not list it"));
-                }
-            }
-        }
         Ok(())
-    }
-
-    /// A class's sequence set restricted to what is indexed *now*: a
-    /// deleted interest stays in class metadata until the class's pairs are
-    /// next refreshed (see `delete_interest`).
-    fn indexed_class_sequences(&self, c: ClassId) -> Vec<LabelSeq> {
-        self.class_sequences(c).filter(|s| self.is_indexed(s)).collect()
     }
 }
 
@@ -171,11 +175,12 @@ mod tests {
     use super::*;
     use crate::index::Posting;
     use cpqx_graph::generate;
+    use std::sync::Arc;
 
-    /// The `Il2c` entry of an indexed sequence, for damaging it.
+    /// The `Il2c` entry of a sequence, for damaging it.
     fn posting_mut<'a>(idx: &'a mut CpqxIndex, s: &LabelSeq) -> &'a mut Posting {
-        let id = idx.seqs.get(s).expect("an indexed sequence");
-        idx.il2c_entry(id)
+        let id = idx.seqs.get(s).expect("a sequence in the dictionary");
+        Arc::make_mut(&mut idx.il2c[id as usize])
     }
 
     #[test]
@@ -252,23 +257,37 @@ mod tests {
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("pair_count"), "{err}");
 
-        // A posting list missing a live class, and one listing a stranger.
+        // A posting list missing a live class, and one listing a stranger:
+        // the classes' set sizes no longer match, and with the sizes
+        // adjusted to match, the classes carry the wrong sets.
         let s = good.class_sequences(0).next().unwrap();
-        let mut bad = good.clone();
-        let posting = posting_mut(&mut bad, &s);
-        posting.all.retain(|&c| c != 0);
-        posting.cyclic.retain(|&c| c != 0);
-        let err = bad.validate(&g).unwrap_err();
-        assert!(err.contains("does not list"), "{err}");
         let stranger = (0..good.class_slots() as ClassId)
-            .find(|&c| !good.class_sequences(c).any(|t| t == s))
+            .find(|&c| !good.class_sequences(c).any(|t| t == s) && !good.class_pairs(c).is_empty())
             .unwrap();
-        let mut bad = good.clone();
-        let posting = posting_mut(&mut bad, &s);
-        let at = posting.all.binary_search(&stranger).unwrap_err();
-        posting.all.insert(at, stranger);
-        let err = bad.validate(&g).unwrap_err();
-        assert!(err.contains("does not carry"), "{err}");
+        for (c, listed) in [(0, false), (stranger, true)] {
+            for resized in [false, true] {
+                let mut bad = good.clone();
+                let posting = posting_mut(&mut bad, &s);
+                if listed {
+                    let at = posting.all.binary_search(&c).unwrap_err();
+                    posting.all.insert(at, c);
+                    if good.class_is_loop(c) {
+                        let at = posting.cyclic.partition_point(|&d| d < c);
+                        posting.cyclic.insert(at, c);
+                    }
+                } else {
+                    posting.all.retain(|&d| d != c);
+                    posting.cyclic.retain(|&d| d != c);
+                }
+                if resized {
+                    let count = bad.class_seq_count_mut(c);
+                    *count = if listed { *count + 1 } else { *count - 1 };
+                }
+                let err = bad.validate(&g).unwrap_err();
+                let expected = if resized { "carries" } else { "Il2c entries list it" };
+                assert!(err.contains(expected), "class {c}, resized {resized}: {err}");
+            }
+        }
 
         // A cyclic sub-list that lost a class, and one that lists an
         // acyclic class: identity lookups would be wrong, plain ones not.
@@ -285,5 +304,53 @@ mod tests {
         posting.cyclic.insert(at, open);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("cyclic sub-list"), "{err}");
+    }
+
+    /// A class's stored set size must equal the number of `Il2c` entries
+    /// listing it: maintenance compares sizes first.
+    #[test]
+    fn a_wrong_set_size_is_reported() {
+        let g = generate::gex();
+        let good = CpqxIndex::build(&g, 2);
+        for c in [0, good.class_slots() as ClassId - 1] {
+            for grow in [false, true] {
+                let mut bad = good.clone();
+                let count = bad.class_seq_count_mut(c);
+                *count = if grow { *count + 1 } else { *count - 1 };
+                let err = bad.validate(&g).unwrap_err();
+                assert!(err.contains(&format!("class {c} has")), "{err}");
+            }
+        }
+    }
+
+    /// `Il2c` has exactly one entry per dictionary sequence.
+    #[test]
+    fn an_entry_without_a_sequence_is_reported() {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        bad.il2c.push(Default::default());
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("entries for"), "{err}");
+    }
+
+    /// A retained entry — one whose sequence is not indexed — is left only
+    /// by a deleted interest, and no lookup serves it: a full index has
+    /// none, and an iaCPQx none of a sequence no interest could have been.
+    #[test]
+    fn a_retained_entry_no_interest_left_is_reported() {
+        let g = generate::gex();
+        let f = g.label_named("f").unwrap().fwd();
+        let (ff, fff) = (LabelSeq::from_slice(&[f, f]), LabelSeq::from_slice(&[f, f, f]));
+        let mut deleted = CpqxIndex::build_interest_aware(&g, 2, [ff]);
+        assert!(deleted.delete_interest(&ff));
+        assert_eq!(deleted.validate(&g), Ok(()), "a deleted interest's entry is retained");
+        assert!(deleted.lookup(&ff).is_empty() && deleted.lookup_cyclic(&ff).is_empty());
+        for good in [CpqxIndex::build(&g, 2), deleted] {
+            // A sequence longer than k, registered with an empty entry.
+            let mut bad = good.clone();
+            bad.seq_id_or_insert(fff);
+            let err = bad.validate(&g).unwrap_err();
+            assert!(err.contains("never an interest"), "{err}");
+        }
     }
 }

@@ -100,11 +100,10 @@ proptest! {
         prop_assert!((frag.ratio() - 1.0).abs() < 1e-12);
     }
 
-    /// Classes store their sequence sets as dictionary ids kept in
-    /// sequence order — the order maintenance compares them in. Across
-    /// both graph topologies, k = 1..3, full and interest-aware indexes
-    /// (with interest churn), every set reads back strictly sorted and the
-    /// index validates after every op.
+    /// Class sequence sets are read off `Il2c` in sequence order — the
+    /// order `save` writes them in. Across both graph topologies, k = 1..3,
+    /// full and interest-aware indexes (with interest churn), every set
+    /// reads back strictly sorted and the index validates after every op.
     #[test]
     fn class_sequence_sets_stay_sorted_under_maintenance(
         seed in 0u64..1_000,

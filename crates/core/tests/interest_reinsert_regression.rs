@@ -1,9 +1,9 @@
 //! Regression: deleting an interest sequence and re-inserting it must
-//! restore the full posting list. The lazy deletion keeps classes (and
-//! their stale sequence metadata); on re-insertion, pairs whose class
-//! already carries the sequence are "unchanged" — but their classes still
-//! have to reappear under the re-added `Il2c` key, or single-lookup
-//! queries silently lose answers.
+//! restore the full posting list. The lazy deletion keeps classes, and
+//! the sequence's `Il2c` entry as a retained entry no lookup serves; on
+//! re-insertion, pairs whose class already carries the sequence are
+//! "unchanged" — but their classes still have to be served under the
+//! re-added key, or single-lookup queries silently lose answers.
 
 use cpqx_core::CpqxIndex;
 use cpqx_graph::{generate, LabelSeq};

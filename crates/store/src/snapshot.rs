@@ -12,9 +12,10 @@
 //!   [`cpqx_graph::Graph::from_chunk_parts`]);
 //! * one record per vertex-**name chunk**;
 //! * one record per index **class chunk**, whose payload is exactly
-//!   [`cpqx_core::CpqxIndex::save_class_chunk`]'s output (so its
-//!   per-class layout — and validation — is the `cpqx-core` serializer,
-//!   not a second format).
+//!   [`cpqx_core::CpqxIndex::save_class_chunk`]'s output, written for all
+//!   rewritten chunks by one [`cpqx_core::CpqxIndex::save_class_chunks`]
+//!   call (so its per-class layout — and validation — is the `cpqx-core`
+//!   serializer, not a second format).
 //!
 //! Because the persisted unit *is* the copy-on-write unit, an
 //! incremental snapshot writes only records for chunks whose `Arc`
@@ -339,12 +340,14 @@ pub(crate) fn decode_name_chunk(payload: &[u8]) -> Result<(usize, Vec<String>), 
     Ok((i, names))
 }
 
-/// Encodes index class chunk `i`: the record body past the kind byte
-/// and chunk index is exactly [`CpqxIndex::save_class_chunk`]'s output.
-pub(crate) fn encode_class_chunk(index: &CpqxIndex, i: usize) -> Vec<u8> {
-    let mut out = vec![KIND_CLASSES];
+/// Encodes index class chunk `i` from `body`, the chunk's payload as
+/// [`CpqxIndex::save_class_chunks`] hands it out: the record past the kind
+/// byte and chunk index is exactly that payload.
+pub(crate) fn encode_class_chunk(i: usize, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + body.len());
+    out.push(KIND_CLASSES);
     out.extend_from_slice(&(i as u32).to_le_bytes());
-    index.save_class_chunk(i, &mut out).expect("writing to a Vec cannot fail");
+    out.extend_from_slice(body);
     out
 }
 
@@ -391,11 +394,14 @@ mod tests {
             assert_eq!(names, g.name_chunk(i));
         }
         let mut chunks = Vec::new();
-        for i in 0..idx.class_chunk_count() {
-            let (ci, records) = decode_class_chunk(2, &encode_class_chunk(&idx, i)).unwrap();
+        let all: Vec<usize> = (0..idx.class_chunk_count()).collect();
+        idx.save_class_chunks(&all, |i, body| {
+            let (ci, records) = decode_class_chunk(2, &encode_class_chunk(i, body)).unwrap();
             assert_eq!(ci, i);
             chunks.push(records);
-        }
+            Ok(())
+        })
+        .unwrap();
         let rebuilt = CpqxIndex::from_class_records(2, None, chunks).unwrap();
         assert_eq!(rebuilt.class_chunk_count(), idx.class_chunk_count());
     }

@@ -216,13 +216,24 @@ fn write_generation(
             .and_then(|r| r.names.get(i).copied());
         names.push(chunk(&mut w, reuse, &|| encode_name_chunk(graph, i))?);
     }
-    let mut classes = Vec::with_capacity(index.class_chunk_count());
-    for i in 0..index.class_chunk_count() {
-        let reuse = last
-            .filter(|r| index.class_chunk_shared_with(&r.index, i))
-            .and_then(|r| r.classes.get(i).copied());
-        classes.push(chunk(&mut w, reuse, &|| encode_class_chunk(index, i))?);
-    }
+    // Class chunks: the reused ones first, then one `save_class_chunks`
+    // call writes the rest, in chunk order — it reads their sequence sets
+    // off `Il2c` in a few passes instead of one per chunk.
+    let mut classes: Vec<Option<ChunkLoc>> = (0..index.class_chunk_count())
+        .map(|i| {
+            last.filter(|r| index.class_chunk_shared_with(&r.index, i))
+                .and_then(|r| r.classes.get(i).copied())
+        })
+        .collect();
+    let rewritten: Vec<usize> = (0..classes.len()).filter(|&i| classes[i].is_none()).collect();
+    report.chunks_skipped += (classes.len() - rewritten.len()) as u64;
+    report.chunks_written += rewritten.len() as u64;
+    index.save_class_chunks(&rewritten, |i, body| {
+        classes[i] = Some(w.write_record(&encode_class_chunk(i, body))?);
+        Ok(())
+    })?;
+    let classes: Vec<ChunkLoc> =
+        classes.into_iter().map(|loc| loc.expect("every class chunk reused or written")).collect();
     w.finish()?;
     let m = Manifest {
         gen,
