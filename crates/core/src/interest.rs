@@ -91,17 +91,20 @@ pub fn interest_partition(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -
 
     // Each pair's run of hits is its seq-id set — positions in the sorted
     // `seqs`, so sequence order — and `seqs` is the partition's dictionary:
-    // intern `(is-loop, that set)` as the run ends.
+    // intern `(is-loop, that set)` as the run ends, then fill the rows from
+    // a second walk of the runs.
+    let of_pairs = || hits.chunk_by(|a, b| a.0 == b.0);
     let mut classes = ClassTable::default();
-    let mut pair_classes: Vec<(Pair, ClassId)> = Vec::new();
+    let mut class_of: Vec<ClassId> = Vec::new();
     let mut ids: Vec<SeqId> = Vec::new();
-    for of_pair in hits.chunk_by(|a, b| a.0 == b.0) {
-        let p = of_pair[0].0;
+    for of_pair in of_pairs() {
         ids.clear();
         ids.extend(of_pair.iter().map(|&(_, sid)| sid));
-        pair_classes.push((p, classes.class_of(p.is_loop(), &ids)));
+        class_of.push(classes.class_of(of_pair[0].0.is_loop(), &ids));
     }
-    classes.into_partition(pair_classes, seqs)
+    let mut partition = classes.into_partition(seqs);
+    partition.fill_rows(&class_of, of_pairs().map(|of_pair| of_pair[0].0));
+    partition
 }
 
 #[cfg(test)]
@@ -143,11 +146,19 @@ mod tests {
             2,
         );
         let p = interest_partition(&g, 2, &interests);
-        // Every edge-connected pair appears exactly once.
+        // Every edge-connected pair appears exactly once, each row sorted.
         let mut seen = std::collections::HashSet::new();
-        for &(pair, _) in &p.pair_classes {
-            assert!(seen.insert(pair), "pair {pair:?} appears twice");
+        for c in 0..p.class_count() as ClassId {
+            let row = p.row(c);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row of class {c} unsorted");
+            for &pair in row {
+                assert!(seen.insert(pair), "pair {pair:?} appears twice");
+            }
         }
+        assert_eq!(seen.len(), p.pair_count());
+        // Classes are numbered by first occurrence along the pair list.
+        let firsts: Vec<Pair> = (0..p.class_count() as ClassId).map(|c| p.row(c)[0]).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]));
         for el in g.ext_labels() {
             for pr in g.edge_pairs(el) {
                 assert!(seen.contains(&pr), "edge pair {pr:?} missing");
@@ -165,7 +176,9 @@ mod tests {
         let p = interest_partition(&g, 2, &interests);
         // Recompute each pair's interest intersection from scratch and check
         // it matches its class label set.
-        for &(pair, c) in &p.pair_classes {
+        let members =
+            (0..p.class_count() as ClassId).flat_map(|c| p.row(c).iter().map(move |&q| (q, c)));
+        for (pair, c) in members {
             let mut expected: Vec<LabelSeq> = Vec::new();
             for el in g.ext_labels() {
                 let s = LabelSeq::single(el);

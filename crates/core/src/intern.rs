@@ -160,9 +160,10 @@ pub(crate) fn seq_words(s: &LabelSeq) -> ([u64; 3], usize) {
     (out, s.len() / 4 + 1)
 }
 
-/// A sequence-id list as interner words, two ids to a word; an odd last id
-/// is padded with `u32::MAX`, which is never an id, so the encoding is
-/// injective. Replaces the contents of `out`.
+/// A sequence-id list (or a block-id tuple) as interner words, two ids to
+/// a word; an odd last id is padded with `u32::MAX`, which is never a
+/// sequence id, so the encoding is injective. Replaces the contents of
+/// `out`.
 pub(crate) fn id_words(ids: &[SeqId], out: &mut Vec<u64>) {
     out.clear();
     out.extend(ids.chunks(2).map(|two| {

@@ -28,11 +28,14 @@ pub struct BuildReport {
     /// interest-aware builds, which have none.
     pub level1: Duration,
     /// Wall-clock of the partition: refinement levels `2..=k` plus class
-    /// assembly, or the whole [`interest_partition`] of an interest-aware
-    /// build.
+    /// assembly (both walks of the merged levels, the second filling the
+    /// class-major rows), or the whole [`interest_partition`] of an
+    /// interest-aware build.
     pub refine: Duration,
     /// Wall-clock of materializing the index
-    /// ([`CpqxIndex::from_partition`]).
+    /// ([`CpqxIndex::from_partition`]): copying the partition's
+    /// class-major rows into class chunks and laying out `Il2c` from the
+    /// class sets; it regroups no pair.
     pub merge: Duration,
     /// End-to-end wall-clock.
     pub total: Duration,
