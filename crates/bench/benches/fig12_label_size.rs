@@ -5,6 +5,12 @@
 //! sequences / more classes); iaPath and iaCPQx *shrink* (fewer pairs match
 //! any fixed set of interests as labels spread thinner); CPQ-aware indexes
 //! stay below their language-unaware counterparts throughout.
+//!
+//! CPQx and iaCPQx rows are width-packed (a pair in `⌈2·shift / 8⌉`
+//! bytes, `shift` the bit width of its class chunk's largest vertex id:
+//! 3 bytes below 4,096 vertices), while the Path indexes still store
+//! 8-byte pairs, so the size ratio between them now includes an encoding
+//! factor besides the structural one Thm. 4.2 bounds.
 
 use cpqx_bench::harness::{fmt_bytes, interests_from_queries, workload_for};
 use cpqx_bench::{BenchConfig, Engine, Method, Table};

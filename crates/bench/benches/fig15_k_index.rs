@@ -3,6 +3,12 @@
 //!
 //! Expected shape: both grow with k; the growth flattens where few longer
 //! paths match the interests (the paper notes Freebase barely grows).
+//!
+//! iaCPQx rows are width-packed (a pair in `⌈2·shift / 8⌉` bytes, `shift`
+//! the bit width of its class chunk's largest vertex id: 3 bytes below
+//! 4,096 vertices), while the Path indexes of Table IV and Fig. 12 still
+//! store 8-byte pairs, so comparing these sizes with theirs includes an
+//! encoding factor besides the structural one Thm. 4.2 bounds.
 
 use cpqx_bench::harness::{fmt_bytes, interests_from_queries, workload_for};
 use cpqx_bench::{BenchConfig, Engine, Method, Table};

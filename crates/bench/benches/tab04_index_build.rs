@@ -7,6 +7,12 @@
 //! Expected shape: CPQx is never larger than Path (Thm. 4.2); the
 //! interest-aware indexes are far smaller and faster to build than the full
 //! ones; Path builds somewhat faster than CPQx (no bisimulation pass).
+//!
+//! CPQx and iaCPQx rows are width-packed (a pair in `⌈2·shift / 8⌉`
+//! bytes, `shift` the bit width of its class chunk's largest vertex id:
+//! 3 bytes below 4,096 vertices), while the Path indexes still store
+//! 8-byte pairs, so the size ratio between them now includes an encoding
+//! factor besides the structural one Thm. 4.2 bounds.
 
 use cpqx_bench::harness::{fmt_bytes, interests_from_queries, workload_for};
 use cpqx_bench::{BenchConfig, Engine, Method, Table};

@@ -150,9 +150,7 @@ impl<'i, 'g> Executor<'i, 'g> {
     pub fn run_first(&self, plan: &Plan) -> Option<Pair> {
         match self.eval(plan) {
             Intermediate::Pairs(p) => p.first().copied(),
-            Intermediate::Classes(cs) => {
-                cs.iter().find_map(|&c| self.index.class_pairs(c).first().copied())
-            }
+            Intermediate::Classes(cs) => cs.iter().find_map(|&c| self.index.class_pairs(c).next()),
         }
     }
 
@@ -292,7 +290,7 @@ impl<'i, 'g> Executor<'i, 'g> {
                 for &c in cs.iter() {
                     let pairs = self.index.class_pairs(c);
                     self.bump(|s| s.pairs_materialized += pairs.len());
-                    out.extend(pairs.iter().map(looped));
+                    out.extend(pairs.map(|p| looped(&p)));
                 }
                 pair::sort_pairs(&mut out);
                 out

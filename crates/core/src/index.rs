@@ -5,7 +5,7 @@ use crate::bisim::{cpq_path_partition, ClassId, Partition, SeqId};
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
 use crate::intern::{PairHasher, SeqDict};
-use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair};
+use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair, VertexId};
 use cpqx_query::plan::{plan_query, Plan};
 use cpqx_query::workload::SeqProbe;
 use cpqx_query::Cpq;
@@ -46,18 +46,35 @@ type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 /// a class range sizes its output by.
 ///
 /// Rows are **flat**: the pair rows of a chunk's classes lie back to back
-/// in one vector, delimited by per-class end offsets. Expanding a posting
-/// list is a forward sweep over a few arrays instead of a pointer chase
-/// per class, and copying a chunk for a write is four `memcpy`s, whatever
-/// the number of classes in it. The writer pays with one rebuild of a
-/// touched chunk's pair array per lazy update ([`ClassChunk::edit_rows`])
+/// in one byte vector, delimited by per-class end offsets. Expanding a
+/// posting list is a forward sweep over a few arrays instead of a pointer
+/// chase per class, and copying a chunk for a write is four `memcpy`s,
+/// whatever the number of classes in it. The writer pays with one rebuild
+/// of a touched chunk's rows per lazy update ([`ClassChunk::edit_rows`])
 /// instead of per-row edits.
+///
+/// Rows are **width-packed**: pair `(s, t)` is stored as the key
+/// `s << shift | t` in `⌈2·shift / 8⌉` little-endian bytes, where `shift`
+/// is the bit width of the chunk's largest vertex id — 3 bytes a pair on a
+/// graph of up to 4,096 vertices, where a [`Pair`] takes 8. Keys sort as
+/// their pairs do, and 7 zero bytes after the last one make reading any
+/// pair one unaligned 8-byte load plus a mask ([`Keys::get`]). [`pack`]
+/// chooses the width: a build and a load pack each chunk whole, and a row
+/// edit splices keys at the chunk's width, re-packing the chunk only when
+/// an attached id needs more bits or the last id of the top bit width
+/// leaves — so the width always fits the chunk's current largest id. End
+/// offsets count pairs, not bytes, so a row's length is read without
+/// touching its bytes.
 #[derive(Clone, Default)]
 pub(crate) struct ClassChunk {
-    /// `Ic2p` rows, back to back in class order; each row sorted.
-    pairs: Vec<Pair>,
-    /// Per class: where its row ends in `pairs` (it starts where the
-    /// previous class's ends).
+    /// `Ic2p` rows, back to back in class order, each sorted, as packed
+    /// keys ([`pack`]); empty while the chunk holds no pair.
+    keys: Vec<u8>,
+    /// The keys' source shift: the bit width of the chunk's largest vertex
+    /// id, at least 1 (0 while the chunk holds no pair).
+    shift: u8,
+    /// Per class: where its row ends, counted in pairs (it starts where
+    /// the previous class's ends).
     pair_ends: Vec<u32>,
     /// Per-class cyclicity flags.
     loops: Vec<bool>,
@@ -79,15 +96,96 @@ fn end_offset(len: usize) -> u32 {
     u32::try_from(len).expect("a class chunk holds fewer than 2^32 pairs and sequences")
 }
 
+/// Zero bytes after a chunk's last packed key: enough for an 8-byte load
+/// at any key of at least one byte.
+const KEY_PAD: usize = 7;
+
+/// Bytes per packed key at source shift `shift`.
+fn key_width(shift: u32) -> usize {
+    (2 * shift as usize).div_ceil(8)
+}
+
+/// The source shift that fits vertex ids up to `largest`: its bit width,
+/// at least 1 — or 0 when there is no id at all.
+fn shift_for(largest: Option<VertexId>) -> u32 {
+    largest.map_or(0, |v| (u32::BITS - v.leading_zeros()).max(1))
+}
+
+/// The key of `p` at source shift `shift`.
+#[inline]
+fn key(shift: u32, p: Pair) -> u64 {
+    (u64::from(p.src()) << shift) | u64::from(p.dst())
+}
+
+/// Packs `pairs` — a chunk's rows, back to back — into its `(shift, keys)`
+/// (see [`ClassChunk`]): the shift that fits their largest vertex id
+/// ([`shift_for`]), and each pair's [`key`] in [`key_width`] little-endian
+/// bytes, followed by [`KEY_PAD`] zero bytes. No pairs pack to no bytes.
+fn pack(pairs: &[Pair]) -> (u8, Vec<u8>) {
+    let shift = shift_for(pairs.iter().map(|p| p.src().max(p.dst())).max());
+    (shift as u8, pack_at(shift, pairs))
+}
+
+/// [`pack`]'s keys at a given `shift`, wide enough for every id of
+/// `pairs`.
+fn pack_at(shift: u32, pairs: &[Pair]) -> Vec<u8> {
+    if pairs.is_empty() {
+        return Vec::new();
+    }
+    let width = key_width(shift);
+    // Each key is written as one 8-byte word at its offset: its bytes past
+    // `width` are zero, and the next key (or the padding) overwrites them.
+    let mut keys = vec![0; pairs.len() * width + KEY_PAD];
+    for (at, &p) in (0..).step_by(width).zip(pairs) {
+        keys[at..at + 8].copy_from_slice(&key(shift, p).to_le_bytes());
+    }
+    keys
+}
+
+/// A chunk's packed keys with their widths decoded once, for reading.
+#[derive(Clone, Copy)]
+struct Keys<'a> {
+    bytes: &'a [u8],
+    width: usize,
+    shift: u32,
+    /// The low `2·shift` bits: one key out of an 8-byte load.
+    mask: u64,
+}
+
+impl Keys<'_> {
+    /// The `i`-th pair of the chunk: one unaligned 8-byte load and a mask.
+    #[inline]
+    fn get(self, i: usize) -> Pair {
+        let at = i * self.width;
+        let word = u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes"));
+        let key = word & self.mask;
+        let dst = key & ((1 << self.shift) - 1);
+        Pair::new((key >> self.shift) as VertexId, dst as VertexId)
+    }
+
+    /// The first position of `span` — a stretch of sorted keys — whose
+    /// pair is not below `p`, by binary search; `span.end` if none is.
+    fn lower_bound(self, mut span: Range<usize>, p: Pair) -> usize {
+        while !span.is_empty() {
+            let mid = span.start + span.len() / 2;
+            if self.get(mid) < p {
+                span.start = mid + 1;
+            } else {
+                span.end = mid;
+            }
+        }
+        span.start
+    }
+}
+
 impl ClassChunk {
-    /// An empty chunk with room for exactly `classes` classes holding
-    /// `pairs` pairs in total.
-    pub(crate) fn with_capacity(classes: usize, pairs: usize) -> Self {
+    /// An empty chunk with room for exactly `classes` classes.
+    pub(crate) fn with_capacity(classes: usize) -> Self {
         ClassChunk {
-            pairs: Vec::with_capacity(pairs),
             pair_ends: Vec::with_capacity(classes),
             loops: Vec::with_capacity(classes),
             seq_counts: Vec::with_capacity(classes),
+            ..ClassChunk::default()
         }
     }
 
@@ -96,10 +194,37 @@ impl ClassChunk {
         self.loops.len()
     }
 
-    /// The pair row of the `off`-th class.
+    /// Number of pairs across the chunk's rows.
+    fn pair_total(&self) -> usize {
+        self.pair_ends.last().map_or(0, |&end| end as usize)
+    }
+
+    /// A reader of the packed keys.
     #[inline]
-    fn row(&self, off: usize) -> &[Pair] {
-        &self.pairs[row_span(&self.pair_ends, off)]
+    fn keys(&self) -> Keys<'_> {
+        let shift = u32::from(self.shift);
+        let mask = ((1u128 << (2 * shift)) - 1) as u64;
+        Keys { bytes: &self.keys, width: key_width(shift), shift, mask }
+    }
+
+    /// The pairs at positions `span` of the chunk's rows, decoded.
+    fn pairs(&self, span: Range<usize>) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
+        let keys = self.keys();
+        span.map(move |i| keys.get(i))
+    }
+
+    /// The pair row of the `off`-th class, decoded.
+    #[inline]
+    fn row(&self, off: usize) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
+        self.pairs(row_span(&self.pair_ends, off))
+    }
+
+    /// Whether the `off`-th row holds `p`: a binary search over its
+    /// packed keys.
+    fn row_holds(&self, off: usize, p: Pair) -> bool {
+        let (keys, span) = (self.keys(), row_span(&self.pair_ends, off));
+        let at = keys.lower_bound(span.clone(), p);
+        at < span.end && keys.get(at) == p
     }
 
     /// The pair count of every class, in class order.
@@ -107,57 +232,101 @@ impl ClassChunk {
         (0..self.len()).map(|off| row_span(&self.pair_ends, off).len())
     }
 
-    /// Appends a class carrying `seq_count` sequences (`pairs` sorted).
-    pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, pairs: &[Pair]) {
-        self.pairs.extend_from_slice(pairs);
-        self.pair_ends.push(end_offset(self.pairs.len()));
+    /// Appends a class carrying `seq_count` sequences whose row is the
+    /// next `row_len` pairs of the chunk's rows — stored, for a row that
+    /// is not empty, by the [`ClassChunk::set_rows`] that follows.
+    pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, row_len: usize) {
+        self.pair_ends.push(end_offset(self.pair_total() + row_len));
         self.loops.push(is_loop);
         self.seq_counts.push(end_offset(seq_count));
     }
 
-    /// Detaches and attaches pairs in one rebuild of the flat pair array:
+    /// Stores the rows of every pushed class, back to back in class order,
+    /// each sorted, packed at the width their largest vertex id needs.
+    pub(crate) fn set_rows(&mut self, pairs: &[Pair]) {
+        debug_assert_eq!(pairs.len(), self.pair_total(), "rows disagree with the end offsets");
+        (self.shift, self.keys) = pack(pairs);
+    }
+
+    /// Whether the keys are exactly what [`pack`] makes of the rows they
+    /// decode to — in particular, no wider than their largest id needs.
+    pub(crate) fn packed_exactly(&self) -> bool {
+        let pairs: Vec<Pair> = self.pairs(0..self.pair_total()).collect();
+        let (shift, keys) = pack(&pairs);
+        shift == self.shift && keys == self.keys
+    }
+
+    /// Detaches and attaches pairs in one rebuild of the chunk's rows:
     /// both edit lists are `(class, pair)` sorted ascending without
     /// duplicates, their classes all in this chunk, whose first class is
     /// `first`. A detached pair that is absent and an attached one that is
-    /// present are no-ops. Cost is one pass over the chunk however many
-    /// edits there are — where per-pair edits would each shift its tail.
+    /// present are no-ops. Cost is one pass over the chunk's bytes however
+    /// many edits there are — where per-pair edits would each shift its
+    /// tail.
+    ///
+    /// The keys are spliced at the chunk's width, and the width follows
+    /// the chunk's largest vertex id both ways: an attached id that needs
+    /// more bits re-packs the chunk wider first, and when no id of the top
+    /// bit width is left after the splice, the chunk is re-packed narrower.
     pub(crate) fn edit_rows(
         &mut self,
         first: ClassId,
         detached: &[(ClassId, Pair)],
         attached: &[(ClassId, Pair)],
     ) {
-        let mut pairs = Vec::with_capacity(self.pairs.len() + attached.len());
+        let wider = shift_for(attached.iter().map(|e| e.1.src().max(e.1.dst())).max());
+        if wider > u32::from(self.shift) {
+            let pairs: Vec<Pair> = self.pairs(0..self.pair_total()).collect();
+            (self.shift, self.keys) = (wider as u8, pack_at(wider, &pairs));
+        }
+        let (keys, shift) = (self.keys(), u32::from(self.shift));
+        let width = keys.width;
+        let mut out = Vec::with_capacity(self.keys.len() + attached.len() * width + KEY_PAD);
+        let mut ends = Vec::with_capacity(self.pair_ends.len());
         let (mut detached, mut attached) = (detached, attached);
-        let mut start = 0;
-        for (off, end) in self.pair_ends.iter_mut().enumerate() {
-            let c = first + off as ClassId;
-            let row = &self.pairs[start..*end as usize];
+        let (mut start, mut len) = (0, 0);
+        for (c, &end) in (first..).zip(&self.pair_ends) {
+            let end = end as usize;
             let (gone, rest) = detached.split_at(detached.partition_point(|e| e.0 == c));
             let (come, more) = attached.split_at(attached.partition_point(|e| e.0 == c));
             (detached, attached) = (rest, more);
             // Cut the row at each edited pair (binary search) and copy the
-            // stretches between cuts whole: a row of any length costs its
-            // `memcpy` plus a search per edit.
+            // stretches of keys between cuts whole: a row of any length
+            // costs its `memcpy` plus a search per edit.
             let mut edits: Vec<(Pair, bool)> =
                 gone.iter().map(|e| (e.1, false)).chain(come.iter().map(|e| (e.1, true))).collect();
             edits.sort_unstable();
-            let mut from = 0;
+            let mut from = start;
             for (pair, attach) in edits {
-                let at = from + row[from..].partition_point(|&p| p < pair);
-                pairs.extend_from_slice(&row[from..at]);
+                let at = keys.lower_bound(from..end, pair);
+                out.extend_from_slice(&keys.bytes[from * width..at * width]);
+                len += at - from;
                 // The row's own copy of `pair` is dropped either way.
-                from = at + usize::from(row.get(at) == Some(&pair));
+                from = at + usize::from(at < end && keys.get(at) == pair);
                 if attach {
-                    pairs.push(pair);
+                    out.extend_from_slice(&key(shift, pair).to_le_bytes()[..width]);
+                    len += 1;
                 }
             }
-            pairs.extend_from_slice(&row[from..]);
-            start = *end as usize;
-            *end = end_offset(pairs.len());
+            out.extend_from_slice(&keys.bytes[from * width..end * width]);
+            len += end - from;
+            ends.push(end_offset(len));
+            start = end;
         }
         debug_assert!(detached.is_empty() && attached.is_empty(), "edits outside the chunk");
-        self.pairs = pairs;
+        self.pair_ends = ends;
+        if len == 0 {
+            return self.set_rows(&[]);
+        }
+        out.resize(out.len() + KEY_PAD, 0);
+        self.keys = out;
+        // Usually an early key holds an id of the top bit width: the scan
+        // stops there and the width stands.
+        let narrower = |p: Pair| shift_for(Some(p.src() | p.dst())) < shift;
+        if self.pairs(0..len).all(narrower) {
+            let pairs: Vec<Pair> = self.pairs(0..len).collect();
+            self.set_rows(&pairs);
+        }
     }
 }
 
@@ -245,9 +414,9 @@ impl SeqSets {
 ///
 /// The heavyweight stores are structurally shared between clones:
 ///
-/// * the class partition (`Ic2p` rows, loop flags, sequence-set sizes)
-///   lives in fixed-width [`ClassChunk`]s behind `Arc`, each a handful of
-///   flat arrays,
+/// * the class partition (`Ic2p` rows, width-packed, loop flags,
+///   sequence-set sizes) lives in fixed-width [`ClassChunk`]s behind
+///   `Arc`, each a handful of flat arrays,
 /// * the pair → class inverted index, once built, is sharded by
 ///   source-vertex range behind `Arc`,
 /// * `Il2c` entries — a posting list and its cyclic sub-list
@@ -364,15 +533,19 @@ pub struct IndexStats {
     /// Core index bytes: `Il2c`'s lookup keys (the sequence dictionary,
     /// posting lists and their cyclic sub-lists) + `Ic2p` (Def. 4.3's
     /// structures, the quantity Thm. 4.2 bounds and Table IV reports).
+    /// `Ic2p` counts what it stores: each chunk's width-packed rows, their
+    /// 7 padding bytes and one shift byte, plus a 4-byte end offset per
+    /// row — on a graph of up to 4,096 vertices, 3 bytes a pair.
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (per-class
     /// sequence-set sizes and loop flags, the retained `Il2c` entries of
     /// deleted interests, and the pair → class map once the first write
     /// has built it). A class's sequence *set* is not counted again: it is
     /// stored only in `Il2c`. Packed accounting: what each structure
-    /// stores, at the size of the element type it stores it as, plus a
-    /// 4-byte offset per list; container headers and hash-table slack are
-    /// not counted.
+    /// stores, at the size of the element type it stores it as (`Ic2p`
+    /// rows at their packed width, as in `core_bytes`; the pair → class
+    /// map at 8-byte pairs), plus a 4-byte offset per list; container
+    /// headers and hash-table slack are not counted.
     pub total_bytes: usize,
 }
 
@@ -405,8 +578,8 @@ impl CpqxIndex {
     /// each sorted, every class homogeneous in `(cyclicity, L≤k)` — as
     /// produced by [`cpq_path_partition`] or by
     /// [`crate::interest::interest_partition`]. Its rows already are the
-    /// `Ic2p` rows, at their exact sizes: each [`ClassChunk`] copies its
-    /// classes' rows whole, and no pair is counted or regrouped here.
+    /// `Ic2p` rows, at their exact sizes: each [`ClassChunk`] packs its
+    /// classes' rows in one pass, and no pair is counted or regrouped here.
     pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {
         let nc = p.class_count();
 
@@ -432,24 +605,23 @@ impl CpqxIndex {
         }
         let il2c = postings.into_iter().map(Arc::new).collect();
 
-        // `Ic2p`: every chunk's per-class arrays, then every chunk's rows,
-        // copied whole, then the chunks' `Arc`s. Allocated in this order,
-        // the small arrays a lookup reads before a row sit side by side on
-        // the heap instead of between rows (interleaved, they measured ~7 %
-        // lower `qps` on the benchmark's in-process workload).
+        // `Ic2p`: every chunk's per-class arrays, then every chunk's packed
+        // rows, then the chunks' `Arc`s. Allocated in this order, the small
+        // arrays a lookup reads before a row sit side by side on the heap
+        // instead of between rows (interleaved, they measured ~7 % lower
+        // `qps` on the benchmark's in-process workload).
         let mut chunks: Vec<ClassChunk> = Vec::with_capacity(nc.div_ceil(CLASS_CHUNK));
         for (first, loops) in (0..).step_by(CLASS_CHUNK).zip(p.class_loop.chunks(CLASS_CHUNK)) {
-            let mut chunk = ClassChunk::with_capacity(loops.len(), 0);
+            let mut chunk = ClassChunk::with_capacity(loops.len());
             for (c, &is_loop) in (first..).zip(loops) {
-                debug_assert!(p.row(c as ClassId).windows(2).all(|w| w[0] < w[1]), "unsorted row");
-                chunk.pair_ends.push(end_offset(p.rows_of(first..c + 1).len()));
-                chunk.loops.push(is_loop);
-                chunk.seq_counts.push(end_offset(p.class_seq_ids(c as ClassId).len()));
+                let row = p.row(c as ClassId);
+                debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "unsorted row");
+                chunk.push(is_loop, p.class_seq_ids(c as ClassId).len(), row.len());
             }
             chunks.push(chunk);
         }
         for (first, chunk) in (0..).step_by(CLASS_CHUNK).zip(&mut chunks) {
-            chunk.pairs = p.rows_of(first..first + chunk.len()).to_vec();
+            chunk.set_rows(p.rows_of(first..first + chunk.len()));
         }
 
         CpqxIndex {
@@ -483,7 +655,7 @@ impl CpqxIndex {
             self.classes.push(Arc::new(ClassChunk::default()));
         }
         let chunk = Arc::make_mut(self.classes.last_mut().expect("chunk just ensured"));
-        chunk.push(is_loop, seqs.len(), &[]);
+        chunk.push(is_loop, seqs.len(), 0);
         self.class_count += 1;
         // `c` exceeds every listed id, so appending keeps each list sorted.
         for &id in seqs {
@@ -509,7 +681,7 @@ impl CpqxIndex {
             return;
         }
         let mut sizes: Vec<usize> = Vec::new();
-        for &p in self.classes.iter().flat_map(|ch| &ch.pairs) {
+        for p in self.classes.iter().flat_map(|ch| ch.pairs(0..ch.pair_total())) {
             let s = Self::p2c_shard(p);
             if s >= sizes.len() {
                 sizes.resize(s + 1, 0);
@@ -523,7 +695,7 @@ impl CpqxIndex {
         for (ci, chunk) in self.classes.iter().enumerate() {
             for off in 0..chunk.len() {
                 let c = (ci * CLASS_CHUNK + off) as ClassId;
-                for &p in chunk.row(off) {
+                for p in chunk.row(off) {
                     shards[Self::p2c_shard(p)].insert(p, c);
                 }
             }
@@ -660,32 +832,34 @@ impl CpqxIndex {
         self.posting(seq).map_or(&[], |p| &p.cyclic)
     }
 
-    /// `Ic2p(c)` — the sorted s-t pairs of class `c`.
-    pub fn class_pairs(&self, c: ClassId) -> &[Pair] {
+    /// `Ic2p(c)` — the sorted s-t pairs of class `c`, decoded from their
+    /// packed keys as they are read (see [`ClassChunk`]); the length is
+    /// known without reading any.
+    pub fn class_pairs(&self, c: ClassId) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
         let (chunk, off) = self.class_slot(c);
         chunk.row(off)
     }
 
     /// `⋃_{c ∈ cs} Ic2p(c)` in class order (not normalized), allocated at
     /// its exact size — one forward sweep per touched chunk over its end
-    /// offsets and its flat pair array (`cs` is sorted, so chunks are
-    /// visited once, in order).
+    /// offsets and its packed keys (`cs` is sorted, so chunks are visited
+    /// once, in order). Sizing reads only the end offsets; the keys'
+    /// widths are decoded once per chunk.
     pub(crate) fn gather_rows(&self, cs: &[ClassId]) -> Vec<Pair> {
-        let rows = || {
-            cs.chunk_by(|a, b| *a as usize / CLASS_CHUNK == *b as usize / CLASS_CHUNK).flat_map(
-                |run| {
-                    let chunk: &ClassChunk = &self.classes[run[0] as usize / CLASS_CHUNK];
-                    let span = |&c| row_span(&chunk.pair_ends, c as usize % CLASS_CHUNK);
-                    run.iter().map(move |c| (chunk, span(c)))
-                },
-            )
+        let runs = || {
+            cs.chunk_by(|a, b| *a as usize / CLASS_CHUNK == *b as usize / CLASS_CHUNK)
+                .map(|run| (&*self.classes[run[0] as usize / CLASS_CHUNK], run))
         };
-        let mut out = Vec::with_capacity(rows().map(|(_, span)| span.len()).sum());
-        for (chunk, span) in rows() {
-            // Most rows hold one or two pairs: a plain loop beats a
-            // `memcpy` call per row.
-            for &p in &chunk.pairs[span] {
-                out.push(p);
+        let span =
+            |chunk: &ClassChunk, c: ClassId| row_span(&chunk.pair_ends, c as usize % CLASS_CHUNK);
+        let len = runs().flat_map(|(ch, run)| run.iter().map(move |&c| span(ch, c).len())).sum();
+        let mut out = Vec::with_capacity(len);
+        for (chunk, run) in runs() {
+            let keys = chunk.keys();
+            for &c in run {
+                for i in span(chunk, c) {
+                    out.push(keys.get(i));
+                }
             }
         }
         out
@@ -752,15 +926,16 @@ impl CpqxIndex {
     ///
     /// One hash probe once the pair → class map is built (by the first
     /// write, or [`CpqxIndex::build_pair_map`]). Before that this searches
-    /// the rows: a binary search in every class of the pair's cyclicity,
-    /// O(#classes · log row) per call, so a caller asking about many pairs
-    /// of an unwritten index should build the map first.
+    /// the rows: a binary search over the packed keys of every class of
+    /// the pair's cyclicity, O(#classes · log row) per call, so a caller
+    /// asking about many pairs of an unwritten index should build the map
+    /// first.
     pub fn class_of(&self, p: Pair) -> Option<ClassId> {
         match &self.p2c {
             Some(map) => map.get(Self::p2c_shard(p))?.get(&p).copied(),
             None => (0..self.class_count as ClassId).find(|&c| {
-                self.class_is_loop(c) == p.is_loop()
-                    && self.class_pairs(c).binary_search(&p).is_ok()
+                let (chunk, off) = self.class_slot(c);
+                chunk.loops[off] == p.is_loop() && chunk.row_holds(off, p)
             }),
         }
     }
@@ -886,7 +1061,10 @@ impl CpqxIndex {
                 })
                 .sum()
         };
-        let ic2p_bytes: usize = pairs * std::mem::size_of::<Pair>() + (self.class_count + 1) * 4;
+        // `Ic2p`: each chunk's packed keys (padding included) and its
+        // one-byte shift, and the rows' end offsets.
+        let ic2p_bytes: usize = self.classes.iter().map(|ch| ch.keys.len() + 1).sum::<usize>()
+            + (self.class_count + 1) * 4;
         let core_bytes = dict_bytes + posting_bytes(&keys) + ic2p_bytes;
         // Per class: a 4-byte set size and a 1-byte loop flag.
         let class_bytes = self.class_count * (std::mem::size_of::<u32>() + 1);
@@ -972,7 +1150,7 @@ impl CpqxIndex {
 impl SeqProbe for CpqxIndex {
     fn seq_nonempty(&self, seq: &LabelSeq) -> bool {
         if self.is_indexed(seq) {
-            self.lookup(seq).iter().any(|&c| !self.class_pairs(c).is_empty())
+            self.lookup(seq).iter().any(|&c| self.class_pairs(c).len() > 0)
         } else {
             // Conservative: split into indexed chunks and check each piece.
             // (Non-empty pieces do not guarantee a non-empty whole, but the
@@ -980,7 +1158,7 @@ impl SeqProbe for CpqxIndex {
             // indexed.)
             (0..seq.len()).all(|i| {
                 let s = LabelSeq::single(seq.get(i));
-                self.lookup(&s).iter().any(|&c| !self.class_pairs(c).is_empty())
+                self.lookup(&s).iter().any(|&c| self.class_pairs(c).len() > 0)
             })
         }
     }
@@ -1004,9 +1182,12 @@ mod tests {
     fn row_edits_rebuild_a_chunk_like_per_row_edits() {
         let p = |v, u| Pair::new(v, u);
         let mut chunk = ClassChunk::default();
-        chunk.push(false, 0, &[p(1, 2), p(1, 5), p(3, 4)]);
-        chunk.push(true, 0, &[]);
-        chunk.push(false, 0, &[p(7, 8)]);
+        let rows = [p(1, 2), p(1, 5), p(3, 4), p(7, 8)];
+        for (is_loop, len) in [(false, 3), (true, 0), (false, 1)] {
+            chunk.push(is_loop, 0, len);
+        }
+        chunk.set_rows(&rows);
+        assert!(chunk.row(0).eq(rows[..3].iter().copied()));
         // Classes 10, 11, 12: detach from the first and the last (one pair
         // absent), attach to all three (one pair present already).
         chunk.edit_rows(
@@ -1014,14 +1195,59 @@ mod tests {
             &[(10, p(1, 5)), (10, p(2, 2)), (12, p(7, 8))],
             &[(10, p(0, 9)), (10, p(3, 4)), (11, p(6, 6)), (12, p(7, 7)), (12, p(9, 9))],
         );
-        assert_eq!(chunk.row(0), [p(0, 9), p(1, 2), p(3, 4)]);
-        assert_eq!(chunk.row(1), [p(6, 6)]);
-        assert_eq!(chunk.row(2), [p(7, 7), p(9, 9)]);
-        assert_eq!(chunk.row_lens().sum::<usize>(), chunk.pairs.len());
+        let row = |off| chunk.row(off).collect::<Vec<_>>();
+        assert_eq!(row(0), [p(0, 9), p(1, 2), p(3, 4)]);
+        assert_eq!(row(1), [p(6, 6)]);
+        assert_eq!(row(2), [p(7, 7), p(9, 9)]);
+        // Ids up to 9 take 4 bits, so a key takes one byte.
+        assert_eq!((chunk.shift, chunk.keys.len()), (4, 6 + KEY_PAD));
+        assert!(chunk.packed_exactly());
         // No edits: nothing moves.
-        let before = chunk.pairs.clone();
+        let before = chunk.keys.clone();
         chunk.edit_rows(10, &[], &[]);
-        assert_eq!(chunk.pairs, before);
+        assert_eq!(chunk.keys, before);
+    }
+
+    /// A row edit re-packs its own chunk only, at the width of that chunk's
+    /// largest id: attaching a pair with a wider id widens it, detaching
+    /// the pair narrows it again. Keys wider than their ids need still
+    /// decode, but fail `validate`.
+    #[test]
+    fn a_row_edit_widens_and_narrows_only_its_chunk() {
+        use cpqx_graph::generate::{random_graph, RandomGraphConfig};
+        let g = random_graph(&RandomGraphConfig::social(200, 800, 3, 5));
+        let mut idx = CpqxIndex::build(&g, 2);
+        let shifts = |idx: &CpqxIndex| idx.classes.iter().map(|ch| ch.shift).collect::<Vec<_>>();
+        let narrow = shifts(&idx);
+        assert!(narrow.len() > 2 && narrow.iter().all(|&s| s <= 8), "{narrow:?}");
+        let before = idx.clone();
+        let others_shared = |idx: &CpqxIndex| {
+            (1..idx.classes.len()).all(|i| Arc::ptr_eq(&idx.classes[i], &before.classes[i]))
+        };
+        // 70,000 takes 17 bits: 5 bytes a key instead of 2.
+        let wide = Pair::new(3, 70_000);
+        idx.edit_rows(Vec::new(), vec![(1, wide)]);
+        let mut widened = narrow.clone();
+        widened[0] = 17;
+        assert_eq!(shifts(&idx), widened);
+        assert!(idx.class_pairs(1).any(|p| p == wide) && others_shared(&idx));
+        assert!(idx.classes[0].packed_exactly());
+        idx.edit_rows(vec![(1, wide)], Vec::new());
+        assert_eq!(shifts(&idx), narrow);
+        assert!(idx.class_pairs(1).eq(before.class_pairs(1)) && others_shared(&idx));
+        assert_eq!(idx.validate(&g), Ok(()));
+
+        // Chunk 1 re-packed at 17 bits by hand: it reads the same pairs.
+        let chunk = Arc::make_mut(&mut idx.classes[1]);
+        let pairs: Vec<Pair> = chunk.pairs(0..chunk.pair_total()).collect();
+        let keys = pairs.iter().map(|p| (u64::from(p.src()) << 17) | u64::from(p.dst()));
+        chunk.keys = keys.flat_map(|key| key.to_le_bytes().into_iter().take(5)).collect();
+        chunk.keys.resize(chunk.keys.len() + KEY_PAD, 0);
+        chunk.shift = 17;
+        let c = CLASS_CHUNK as ClassId;
+        assert!((c..2 * c).all(|c| idx.class_pairs(c).eq(before.class_pairs(c))));
+        let err = idx.validate(&g).unwrap_err();
+        assert!(err.contains("class chunk 1") && err.contains("width"), "{err}");
     }
 
     /// `total_bytes` is what the structures store, each counted at the
@@ -1065,7 +1291,18 @@ mod tests {
             };
             let (il2c, retained) = (il2c(true), il2c(false));
             assert_eq!(retained > 0, !idx.is_indexed(&ff), "only a deleted interest is retained");
-            let ic2p: usize = chunks().map(|ch| size_of_val(ch.pairs.as_slice())).sum::<usize>()
+            // `Ic2p`: per chunk, its keys at the width its largest vertex id
+            // needs, 7 bytes of padding and the shift byte; then the rows'
+            // end offsets.
+            for ch in chunks() {
+                let largest = ch.pairs(0..ch.pair_total()).map(|p| p.src().max(p.dst())).max();
+                let width = key_width(u32::from(ch.shift));
+                assert_eq!(u32::from(ch.shift), largest.map_or(0, |v| v.max(1).ilog2() + 1));
+                assert_eq!(ch.keys.len(), largest.map_or(0, |_| ch.pair_total() * width + 7));
+            }
+            let ic2p: usize = chunks()
+                .map(|ch| size_of_val(ch.keys.as_slice()) + size_of_val(&ch.shift))
+                .sum::<usize>()
                 + offsets(idx.class_count + 1);
             // A class's set is stored in `Il2c` alone; the chunk holds its
             // 4-byte size.

@@ -13,7 +13,10 @@
 //! (`CpqxIndex::class_seq_sets`: entries walked in sequence order, one
 //! binary-searched run of each posting list), retained entries of deleted
 //! interests included, so the records are the bytes a class-major store
-//! would write.
+//! would write. Pair rows are the other difference: in memory they are
+//! width-packed per class chunk, in a record every pair takes 8 bytes, so
+//! a record's bytes do not depend on the chunk's width. A load packs each
+//! chunk's rows afresh.
 //!
 //! Layout (little-endian): magic `CPQX`, format version, `k`, mode byte
 //! (full / interest-aware + interest list), class count, then the classes.
@@ -210,7 +213,7 @@ fn write_class(
     w: &mut impl Write,
     is_loop: bool,
     seqs: impl ExactSizeIterator<Item = LabelSeq>,
-    pairs: &[Pair],
+    pairs: impl ExactSizeIterator<Item = Pair>,
 ) -> std::io::Result<()> {
     w.write_all(&[is_loop as u8])?;
     write_u32(w, seqs.len() as u32)?;
@@ -446,9 +449,10 @@ impl CpqxIndex {
         let mut dict = SeqDict::default();
         let mut postings: Vec<Posting> = Vec::new();
         for records in chunks {
-            // Each chunk is laid out at its exact size, like a fresh build's.
-            let pairs = records.iter().map(|r| r.2.len()).sum();
-            let mut chunk = ClassChunk::with_capacity(records.len(), pairs);
+            // Each chunk is laid out at its exact size, like a fresh build's,
+            // and its rows are packed once, from their run in `all_pairs`.
+            let rows_from = all_pairs.len();
+            let mut chunk = ClassChunk::with_capacity(records.len());
             for (is_loop, seqs, pairs) in records {
                 let c = (idx.class_count + chunk.len()) as ClassId;
                 if pairs.iter().any(|p| p.is_loop() != is_loop) {
@@ -465,8 +469,9 @@ impl CpqxIndex {
                     }
                     postings[id].push(c, is_loop);
                 }
-                chunk.push(is_loop, seqs.len(), &pairs);
+                chunk.push(is_loop, seqs.len(), pairs.len());
             }
+            chunk.set_rows(&all_pairs[rows_from..]);
             idx.class_count += chunk.len();
             idx.classes.push(Arc::new(chunk));
         }
@@ -627,7 +632,7 @@ mod tests {
             assert_eq!(rebuilt.class_chunk_count(), idx.class_chunk_count());
             assert_eq!(rebuilt.interests(), idx.interests());
             for c in 0..idx.class_slots() as u32 {
-                assert_eq!(rebuilt.class_pairs(c), idx.class_pairs(c));
+                assert!(rebuilt.class_pairs(c).eq(idx.class_pairs(c)));
                 assert!(rebuilt.class_sequences(c).eq(idx.class_sequences(c)));
                 assert_eq!(rebuilt.class_is_loop(c), idx.class_is_loop(c));
             }

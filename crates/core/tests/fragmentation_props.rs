@@ -48,7 +48,7 @@ proptest! {
         for op in ops {
             let slots_before = idx.class_slots();
             let members_before: Vec<Vec<Pair>> =
-                (0..slots_before).map(|c| idx.class_pairs(c as u32).to_vec()).collect();
+                (0..slots_before).map(|c| idx.class_pairs(c as u32).collect::<Vec<_>>()).collect();
             apply_op(&mut g, &mut idx, op, 3);
             // Slots are monotone: classes are never merged or freed.
             prop_assert!(idx.class_slots() >= slots_before, "slots shrank under {op:?}");
@@ -57,7 +57,7 @@ proptest! {
             for (c, before) in members_before.iter().enumerate() {
                 for p in idx.class_pairs(c as u32) {
                     prop_assert!(
-                        before.binary_search(p).is_ok(),
+                        before.binary_search(&p).is_ok(),
                         "class {c} gained pair {p:?} under {op:?}"
                     );
                 }

@@ -131,7 +131,7 @@ fn interest_insertion_and_deletion() {
     let via_lazy: Vec<_> = {
         let mut ps = Vec::new();
         for &c in idx.lookup(&new_seq) {
-            ps.extend_from_slice(idx.class_pairs(c));
+            ps.extend(idx.class_pairs(c));
         }
         ps.sort_unstable();
         ps
@@ -139,7 +139,7 @@ fn interest_insertion_and_deletion() {
     let via_fresh: Vec<_> = {
         let mut ps = Vec::new();
         for &c in fresh.lookup(&new_seq) {
-            ps.extend_from_slice(fresh.class_pairs(c));
+            ps.extend(fresh.class_pairs(c));
         }
         ps.sort_unstable();
         ps

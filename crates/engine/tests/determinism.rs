@@ -189,7 +189,7 @@ fn interests_churned(mut g: Graph) -> CpqxIndex {
     let mut idx = reloaded(&idx);
     for s in &lq[..2] {
         let carried = (0..idx.class_slots() as u32)
-            .filter(|&c| idx.class_sequences(c).any(|t| t == *s) && !idx.class_pairs(c).is_empty())
+            .filter(|&c| idx.class_sequences(c).any(|t| t == *s) && idx.class_pairs(c).len() > 0)
             .count();
         assert!(carried > 0, "no class still carries the deleted {s:?}");
         assert!(idx.lookup(s).is_empty());

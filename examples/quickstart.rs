@@ -31,7 +31,6 @@ fn main() {
     for c in 0..stats.classes as u32 {
         let members: Vec<String> = index
             .class_pairs(c)
-            .iter()
             .map(|p| format!("({},{})", g.vertex_name(p.src()), g.vertex_name(p.dst())))
             .collect();
         by_class.push((c, members));

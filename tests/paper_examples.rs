@@ -68,7 +68,7 @@ fn example_4_1_lookups_share_one_class() {
     assert_eq!(shared.len(), 1);
     let triad = idx.class_pairs(*shared[0]);
     assert_eq!(triad.len(), 3);
-    assert!(triad.iter().all(|p| !p.is_loop()));
+    assert!(triad.clone().all(|p| !p.is_loop()));
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn theorem_4_1_corollary_queries_are_class_unions() {
             let c = idx.class_of(*p).expect("answers are indexed pairs");
             for member in idx.class_pairs(c) {
                 assert!(
-                    answer.binary_search(member).is_ok(),
+                    answer.binary_search(&member).is_ok(),
                     "{text}: class of {p:?} not wholly contained"
                 );
             }
