@@ -64,7 +64,7 @@ fn main() {
         let long_interests: Vec<_> = interests.iter().filter(|s| s.len() > 1).copied().collect();
         let mut engines = Vec::new();
         for &c in &counts {
-            let g = g0.clone();
+            let mut g = g0.clone();
             let (engine, _) = Engine::build(Method::IaCpqx, &g, cfg.k, &interests);
             let mut idx = match engine {
                 Engine::Index(i) => i,
@@ -72,7 +72,7 @@ fn main() {
             };
             for seq in long_interests.iter().cycle().take(c) {
                 idx.delete_interest(seq);
-                idx.insert_interest(&g, *seq);
+                idx.insert_interest(&mut g, *seq);
             }
             engines.push((g, Engine::Index(idx)));
         }

@@ -82,7 +82,7 @@ fn main() {
             let del = t0.elapsed().as_secs_f64() / reps.len() as f64;
             let t0 = Instant::now();
             for s in &reps {
-                idx.insert_interest(&g, *s);
+                idx.insert_interest(&mut g, *s);
             }
             let ins = t0.elapsed().as_secs_f64() / reps.len() as f64;
             (del, ins)

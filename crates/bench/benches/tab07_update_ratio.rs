@@ -64,7 +64,7 @@ fn main() {
     let long: Vec<_> = interests.iter().filter(|s| s.len() > 1).copied().collect();
     let mut row = vec!["iaCPQx".to_string()];
     for &c in &counts {
-        let g = g0.clone();
+        let mut g = g0.clone();
         let (engine, _) = Engine::build(Method::IaCpqx, &g, cfg.k, &interests);
         let mut idx = match engine {
             Engine::Index(i) => i,
@@ -73,7 +73,7 @@ fn main() {
         let fresh = idx.size_bytes() as f64;
         for seq in long.iter().cycle().take(c) {
             idx.delete_interest(seq);
-            idx.insert_interest(&g, *seq);
+            idx.insert_interest(&mut g, *seq);
         }
         row.push(format!("{:.3}", idx.size_bytes() as f64 / fresh));
     }

@@ -1,7 +1,13 @@
 //! Lazy index maintenance under graph and interest updates (Secs. IV-E and
 //! V-C).
 //!
-//! The update procedures keep query results correct without recomputing the
+//! Every update is a transaction: [`apply_ops`] validates a list of
+//! [`DeltaOp`]s against the graph, applies them to the graph in order, and
+//! refreshes the index once. The per-op methods of [`CpqxIndex`]
+//! (`insert_edge`, `delete_vertex`, `insert_interest`, …) are one-op
+//! transactions.
+//!
+//! The refresh keeps query results correct without recomputing the
 //! partition: affected pairs are detached from their classes and regrouped
 //! into *fresh* classes; existing classes are never merged, even if their
 //! pairs become equivalent again (Prop. 4.2 — correctness only needs every
@@ -9,41 +15,255 @@
 //! maximal). The index therefore fragments over time; Table VII measures
 //! exactly this, and `rebuild` restores the minimal partition.
 //!
-//! Deviation noted in DESIGN.md: pairs receiving the *same* new signature
-//! within one update call share one fresh class (the paper creates
-//! singletons); this is strictly less fragmentation with an unchanged
-//! correctness argument.
+//! Each op gathers its *candidates* — the pairs whose `L≤k` it may change —
+//! on the graph as that op leaves it, and the one refresh re-reads their
+//! union against the final graph and interests. Gathering them after all
+//! edits instead would be unsound: deleting a→v and v→b in one transaction
+//! leaves a and b far from v in the final graph, so `(a, b)` would never be
+//! refreshed. Per op it is sound: if a pair's set differs between the first
+//! and the last graph, some op changed it, and that op's candidates contain
+//! the pair.
+//!
+//! An interest deletion ends a run: the ops before it are refreshed
+//! against the interests they ran under, and a transaction without one
+//! refreshes exactly once. A retained sequence (see
+//! [`CpqxIndex::delete_interest`]) reads as stale to a refresh, so
+//! refreshing the earlier ops' candidates after the deletion would detach
+//! pairs they left unchanged. Split this way, every pair ends in a class
+//! whose set is the one the same ops applied one at a time would give it,
+//! and a transaction never creates more classes than its ops would one by
+//! one.
+//!
+//! Deviation from the paper: pairs receiving the *same* new signature within
+//! one transaction share one fresh class (the paper creates singletons),
+//! and a pair whose set changes and changes back within one transaction is
+//! not detached at all; this is strictly less fragmentation with an
+//! unchanged correctness argument.
 
-use crate::bisim::{ClassId, SeqId};
+use crate::bisim::{ClassId, ClassTable, SeqId};
 use crate::index::CpqxIndex;
 use crate::interest::seq_pairs;
 use crate::paths::{affected_pairs, label_seqs_between};
-use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
-use std::collections::HashMap;
+use cpqx_graph::{ExtLabel, Graph, Label, LabelSeq, Pair, VertexId};
+
+/// One typed maintenance operation of a transaction ([`apply_ops`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DeltaOp {
+    /// Insert the base edge `(src, dst, label)`.
+    InsertEdge {
+        /// Source vertex.
+        src: VertexId,
+        /// Target vertex.
+        dst: VertexId,
+        /// Base edge label.
+        label: Label,
+    },
+    /// Delete the base edge `(src, dst, label)`.
+    DeleteEdge {
+        /// Source vertex.
+        src: VertexId,
+        /// Target vertex.
+        dst: VertexId,
+        /// Base edge label.
+        label: Label,
+    },
+    /// Relabel the base edge `(src, dst, from)` to `to` (the paper
+    /// handles label changes as delete + insert; the index does both
+    /// lazily in one op).
+    ChangeEdgeLabel {
+        /// Source vertex.
+        src: VertexId,
+        /// Target vertex.
+        dst: VertexId,
+        /// Current label of the edge.
+        from: Label,
+        /// New label of the edge.
+        to: Label,
+    },
+    /// Add an isolated vertex. The assigned id is reported back as
+    /// [`OpOutcome::VertexAdded`], and later ops *of the same transaction*
+    /// may already reference it.
+    AddVertex {
+        /// Display name of the new vertex.
+        name: String,
+    },
+    /// Delete a vertex by removing all incident edges (the id stays
+    /// allocated but isolated, per the paper's vertex-deletion
+    /// procedure). A no-op for already-isolated vertices.
+    DeleteVertex {
+        /// The vertex to isolate.
+        vertex: VertexId,
+    },
+    /// iaCPQx only: register an interest sequence and index its pairs
+    /// (Sec. V-C). A no-op on full CPQx indexes, for length-1 sequences
+    /// (always indexed), and for already-registered interests.
+    InsertInterest {
+        /// The label sequence to register.
+        seq: LabelSeq,
+    },
+    /// iaCPQx only: drop an interest sequence from `Il2c` (Sec. V-C). A
+    /// no-op when it was not registered.
+    DeleteInterest {
+        /// The label sequence to drop.
+        seq: LabelSeq,
+    },
+}
+
+/// What one op of an applied transaction did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// The op changed the graph/index.
+    Applied,
+    /// The op was valid but changed nothing (duplicate insert, missing
+    /// edge, unregistered interest, isolated vertex, …).
+    Noop,
+    /// An [`DeltaOp::AddVertex`] op allocated this vertex id.
+    VertexAdded(VertexId),
+}
+
+impl OpOutcome {
+    /// Whether this outcome mutated the state.
+    pub fn changed(&self) -> bool {
+        !matches!(self, OpOutcome::Noop)
+    }
+}
+
+/// Why a transaction was rejected. Nothing was applied: the graph and
+/// the index are exactly as before the call.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeltaError {
+    /// Index of the offending op within the transaction.
+    pub op_index: usize,
+    /// Human-readable reason.
+    pub reason: String,
+}
+
+impl std::fmt::Display for DeltaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "delta op {} rejected: {}", self.op_index, self.reason)
+    }
+}
+
+impl std::error::Error for DeltaError {}
+
+/// Applies `ops` to `g` and `idx` as one transaction (see the module
+/// docs): the whole list is validated first, then the ops apply to the
+/// graph in order, each gathering its candidates, and the index is
+/// refreshed once — once per run, when interest deletions split the list.
+/// An `AddVertex` op raises the vertex bound for later ops of the list,
+/// so an edge op may name a vertex an earlier op created.
+///
+/// On error nothing is mutated. Checking the list up front is the same
+/// as checking op by op, because vertex ids and labels only grow.
+pub fn apply_ops(
+    g: &mut Graph,
+    idx: &mut CpqxIndex,
+    ops: &[DeltaOp],
+) -> Result<Vec<OpOutcome>, DeltaError> {
+    check_ops(g, ops)?;
+    let mut outcomes = Vec::with_capacity(ops.len());
+    for run in ops.chunk_by(|_, next| !matches!(next, DeltaOp::DeleteInterest { .. })) {
+        let mut candidates = Vec::new();
+        outcomes.extend(run.iter().map(|op| idx.apply_op(g, op, &mut candidates)));
+        candidates.sort_unstable();
+        candidates.dedup();
+        idx.refresh_pairs(g, candidates);
+    }
+    Ok(outcomes)
+}
+
+/// Checks every vertex and label `ops` name against `g`, with each
+/// `AddVertex` raising the vertex bound for the ops after it.
+fn check_ops(g: &Graph, ops: &[DeltaOp]) -> Result<(), DeltaError> {
+    let reject = |i: usize, reason: String| DeltaError { op_index: i, reason };
+    let check_vertex = |v: VertexId, bound: u32, i: usize| {
+        if v < bound {
+            Ok(())
+        } else {
+            Err(reject(i, format!("vertex {v} out of range (graph has {bound})")))
+        }
+    };
+    let check_label = |l: Label, i: usize| {
+        if l.0 < g.base_label_count() {
+            Ok(())
+        } else {
+            Err(reject(
+                i,
+                format!("label {} out of range (graph has {})", l.0, g.base_label_count()),
+            ))
+        }
+    };
+    let mut vertices = g.vertex_count();
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            DeltaOp::InsertEdge { src, dst, label } | DeltaOp::DeleteEdge { src, dst, label } => {
+                check_vertex(*src, vertices, i)?;
+                check_vertex(*dst, vertices, i)?;
+                check_label(*label, i)?;
+            }
+            DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
+                check_vertex(*src, vertices, i)?;
+                check_vertex(*dst, vertices, i)?;
+                check_label(*from, i)?;
+                check_label(*to, i)?;
+            }
+            DeltaOp::AddVertex { .. } => vertices += 1,
+            DeltaOp::DeleteVertex { vertex } => check_vertex(*vertex, vertices, i)?,
+            DeltaOp::InsertInterest { seq } => {
+                if let Some(l) = seq.iter().find(|l| l.0 >= g.ext_label_count()) {
+                    return Err(reject(i, format!("interest label {} out of range", l.0)));
+                }
+            }
+            DeltaOp::DeleteInterest { .. } => {}
+        }
+    }
+    Ok(())
+}
+
+/// Inserts (`insert`) or removes the base edge `(v, u, ℓ)`. If `g`
+/// changed, appends the pairs whose `L≤k` that may have changed, read off
+/// `g` as it now is.
+fn edit_edge(
+    g: &mut Graph,
+    (v, u, l): (VertexId, VertexId, Label),
+    insert: bool,
+    k: usize,
+    candidates: &mut Vec<Pair>,
+) -> bool {
+    let changed = if insert { g.insert_edge(v, u, l) } else { g.remove_edge(v, u, l) };
+    if changed {
+        candidates.extend(affected_pairs(g, v, u, k));
+    }
+    changed
+}
 
 impl CpqxIndex {
     /// Deletes the base edge `(v, u, ℓ)` from the graph and updates the
-    /// index lazily. Returns `false` if the edge did not exist (no change).
+    /// index lazily, as a one-op [`apply_ops`]. Returns `false` if the
+    /// edge did not exist (no change).
+    ///
+    /// # Panics
+    /// Panics if a vertex or the label is out of range.
     pub fn delete_edge(&mut self, g: &mut Graph, v: VertexId, u: VertexId, l: Label) -> bool {
-        if !g.remove_edge(v, u, l) {
-            return false;
-        }
-        self.refresh_pairs(g, affected_pairs(g, v, u, self.k));
-        true
+        self.apply_one(g, DeltaOp::DeleteEdge { src: v, dst: u, label: l }).changed()
     }
 
     /// Inserts the base edge `(v, u, ℓ)` into the graph and updates the
-    /// index lazily. Returns `false` if the edge already existed.
+    /// index lazily, as a one-op [`apply_ops`]. Returns `false` if the
+    /// edge already existed.
+    ///
+    /// # Panics
+    /// Panics if a vertex or the label is out of range.
     pub fn insert_edge(&mut self, g: &mut Graph, v: VertexId, u: VertexId, l: Label) -> bool {
-        if !g.insert_edge(v, u, l) {
-            return false;
-        }
-        self.refresh_pairs(g, affected_pairs(g, v, u, self.k));
-        true
+        self.apply_one(g, DeltaOp::InsertEdge { src: v, dst: u, label: l }).changed()
     }
 
     /// Relabels an edge: deletion followed by insertion (the paper handles
-    /// label changes "by combinations of edge deletion and insertion").
+    /// label changes "by combinations of edge deletion and insertion"),
+    /// refreshed once. Returns `false` if the edge did not exist.
+    ///
+    /// # Panics
+    /// Panics if a vertex or a label is out of range.
     pub fn change_edge_label(
         &mut self,
         g: &mut Graph,
@@ -52,11 +272,7 @@ impl CpqxIndex {
         from: Label,
         to: Label,
     ) -> bool {
-        if !self.delete_edge(g, v, u, from) {
-            return false;
-        }
-        self.insert_edge(g, v, u, to);
-        true
+        self.apply_one(g, DeltaOp::ChangeEdgeLabel { src: v, dst: u, from, to }).changed()
     }
 
     /// Adds an isolated vertex (no index change — it participates in no
@@ -66,33 +282,20 @@ impl CpqxIndex {
     }
 
     /// Deletes a vertex by removing all incident edges one at a time, per
-    /// the paper's vertex-deletion procedure. The id stays allocated but
-    /// isolated.
+    /// the paper's vertex-deletion procedure, refreshed once. The id stays
+    /// allocated but isolated.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
     pub fn delete_vertex(&mut self, g: &mut Graph, v: VertexId) {
-        let incident: Vec<(VertexId, VertexId, Label)> = g
-            .adjacency(v)
-            .iter()
-            .map(|&(el, t)| {
-                let el = cpqx_graph::ExtLabel(el);
-                if el.is_inverse() {
-                    (t, v, el.base())
-                } else {
-                    (v, t, el.base())
-                }
-            })
-            .collect();
-        let mut seen = std::collections::HashSet::new();
-        for (a, b, l) in incident {
-            if seen.insert((a, b, l)) {
-                self.delete_edge(g, a, b, l);
-            }
-        }
+        self.apply_one(g, DeltaOp::DeleteVertex { vertex: v });
     }
 
     /// iaCPQx only: registers a new interest sequence and indexes its pairs
-    /// (Sec. V-C, label sequence insertion). Length-1 sequences are always
-    /// indexed and need no registration. Returns `false` if it was already
-    /// an interest (or the index is not interest-aware / the sequence is
+    /// (Sec. V-C, label sequence insertion), as a one-op [`apply_ops`]
+    /// (which leaves `g` unchanged). Length-1 sequences are always indexed
+    /// and need no registration. Returns `false` if it was already an
+    /// interest (or the index is not interest-aware / the sequence is
     /// longer than `k`).
     ///
     /// Pairs whose class does not carry `seq` are regrouped into fresh
@@ -101,24 +304,18 @@ impl CpqxIndex {
     /// listing the classes that carry it: their pairs are unchanged for the
     /// refresh, and the entry is a lookup key again the moment `seq` is an
     /// interest.
-    pub fn insert_interest(&mut self, g: &Graph, seq: LabelSeq) -> bool {
-        if seq.len() <= 1 || seq.len() > self.k {
-            return false;
-        }
-        let Some(interests) = self.interests.as_mut() else {
-            return false;
-        };
-        if !interests.insert(seq) {
-            return false;
-        }
-        self.refresh_pairs(g, seq_pairs(g, &seq));
-        true
+    ///
+    /// # Panics
+    /// Panics if `seq` names a label `g` lacks.
+    pub fn insert_interest(&mut self, g: &mut Graph, seq: LabelSeq) -> bool {
+        self.apply_one(g, DeltaOp::InsertInterest { seq }).changed()
     }
 
     /// iaCPQx only: drops an interest sequence — "we can just delete the
     /// deleted label sequence from Il2c" (Sec. V-C). Classes are *not*
     /// merged; queries remain correct because the sequence is no longer a
-    /// lookup key.
+    /// lookup key. This is the whole of a [`DeltaOp::DeleteInterest`]: it
+    /// reads no graph and changes no pair's class, so it refreshes nothing.
     ///
     /// The sequence's `Il2c` entry stays, as a *retained* entry that no
     /// lookup serves (the sequence is no longer indexed): `Il2c` is the
@@ -147,6 +344,69 @@ impl CpqxIndex {
         *self = fresh;
     }
 
+    /// `op` as a transaction of its own.
+    fn apply_one(&mut self, g: &mut Graph, op: DeltaOp) -> OpOutcome {
+        apply_ops(g, self, std::slice::from_ref(&op)).unwrap_or_else(|e| panic!("{e}"))[0]
+    }
+
+    /// Applies one validated op to `g` and the interest set, appending the
+    /// pairs it may have changed to `candidates`.
+    fn apply_op(&mut self, g: &mut Graph, op: &DeltaOp, candidates: &mut Vec<Pair>) -> OpOutcome {
+        let k = self.k;
+        let changed = match *op {
+            DeltaOp::InsertEdge { src, dst, label } => {
+                edit_edge(g, (src, dst, label), true, k, candidates)
+            }
+            DeltaOp::DeleteEdge { src, dst, label } => {
+                edit_edge(g, (src, dst, label), false, k, candidates)
+            }
+            DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
+                let deleted = edit_edge(g, (src, dst, from), false, k, candidates);
+                if deleted {
+                    edit_edge(g, (src, dst, to), true, k, candidates);
+                }
+                deleted
+            }
+            DeltaOp::AddVertex { ref name } => {
+                return OpOutcome::VertexAdded(g.add_vertex(name.clone()))
+            }
+            DeltaOp::DeleteVertex { vertex: v } => {
+                let incident: Vec<(VertexId, VertexId, Label)> = g
+                    .adjacency(v)
+                    .iter()
+                    .map(|&(el, t)| {
+                        let el = ExtLabel(el);
+                        if el.is_inverse() {
+                            (t, v, el.base())
+                        } else {
+                            (v, t, el.base())
+                        }
+                    })
+                    .collect();
+                // A self-loop is listed twice; its second removal is a no-op.
+                let mut removed = false;
+                for edge in incident {
+                    removed |= edit_edge(g, edge, false, k, candidates);
+                }
+                removed
+            }
+            DeltaOp::InsertInterest { seq } => {
+                let registered = (2..=k).contains(&seq.len())
+                    && self.interests.as_mut().is_some_and(|lq| lq.insert(seq));
+                if registered {
+                    candidates.extend(seq_pairs(g, &seq));
+                }
+                registered
+            }
+            DeltaOp::DeleteInterest { ref seq } => self.delete_interest(seq),
+        };
+        if changed {
+            OpOutcome::Applied
+        } else {
+            OpOutcome::Noop
+        }
+    }
+
     /// The indexed label-sequence set of a pair on the *current* graph:
     /// `L≤k(src,dst)` filtered to sequences one LOOKUP can answer.
     pub(crate) fn indexed_seqs_of(&self, g: &Graph, p: Pair) -> Vec<LabelSeq> {
@@ -157,7 +417,8 @@ impl CpqxIndex {
         }
     }
 
-    /// Core lazy-update step: recompute the indexed sequence set of each
+    /// Core lazy-update step, run once per transaction over its sorted,
+    /// distinct candidates: recompute the indexed sequence set of each
     /// candidate pair; detach pairs whose set changed and regroup them into
     /// fresh classes keyed by `(is-loop, new set)`. A pair stays in place
     /// iff its class's set has as many sequences as the new set and every
@@ -165,12 +426,14 @@ impl CpqxIndex {
     /// each) — sizes first, so most changed pairs cost one comparison.
     /// New sets are keyed as dictionary-id lists in sequence order; a pair
     /// whose set holds a never-seen sequence has changed, and only such a
-    /// pair copies the dictionary (to register it).
+    /// pair copies the dictionary (to register it). Fresh classes are
+    /// grouped by the build's [`ClassTable`], whose local ids number them
+    /// in first-occurrence order along the candidates.
     ///
-    /// This is the pair → class map's only reader on the write path: every
-    /// edge, vertex and interest update goes through here, and the first
-    /// one on an index without the map builds it
-    /// ([`CpqxIndex::build_pair_map`]). Writes run on a clone of the
+    /// This is the pair → class map's only reader on the write path, and
+    /// the first write on an index without the map builds it
+    /// ([`CpqxIndex::build_pair_map`]); a transaction without candidates
+    /// writes nothing and builds nothing. Writes run on a clone of the
     /// served index, so the map lands in that clone and its descendants,
     /// never in the snapshot it was cloned from.
     ///
@@ -179,12 +442,14 @@ impl CpqxIndex {
     /// so an update copies only the class chunks, p2c shards and posting
     /// lists it actually touches — unchanged candidates (the
     /// common case for over-approximated affected sets) copy nothing. The
-    /// pair → class map moves with each decision (a candidate listed twice
-    /// is then unchanged the second time); the class rows are edited once,
-    /// at the end, chunk by chunk.
+    /// class rows are edited once, at the end, chunk by chunk.
     fn refresh_pairs(&mut self, g: &Graph, candidates: Vec<Pair>) {
+        if candidates.is_empty() {
+            return;
+        }
         self.build_pair_map();
-        let mut groups: HashMap<(bool, Vec<SeqId>), ClassId> = HashMap::new();
+        let mut groups = ClassTable::default();
+        let mut fresh: Vec<ClassId> = Vec::new();
         let (mut detached, mut attached) = (Vec::new(), Vec::new());
         let mut ids: Vec<SeqId> = Vec::new();
         for pair in candidates {
@@ -193,8 +458,7 @@ impl CpqxIndex {
             // none yet (then no class carries the set).
             ids.clear();
             let known = new_seqs.iter().all(|s| self.seqs.get(s).map(|id| ids.push(id)).is_some());
-            let old = self.class_of(pair);
-            if let Some(c) = old {
+            if let Some(c) = self.class_of(pair) {
                 if known && self.class_carries_exactly(c, &ids) {
                     continue; // unchanged — e.g. an alternative path exists
                 }
@@ -202,8 +466,6 @@ impl CpqxIndex {
                 detached.push((c, pair));
                 self.p2c_remove(pair);
                 self.frag.refreshed_pairs += 1;
-            } else if new_seqs.is_empty() {
-                continue;
             }
             if new_seqs.is_empty() {
                 continue; // pair left P≤k entirely
@@ -212,18 +474,13 @@ impl CpqxIndex {
                 ids.clear();
                 ids.extend(new_seqs.iter().map(|&s| self.seq_id_or_insert(s)));
             }
-            let key = (pair.is_loop(), ids.clone());
-            let c = match groups.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = self.push_class(key.0, &key.1);
-                    self.frag.fresh_classes += 1;
-                    groups.insert(key, c);
-                    c
-                }
-            };
-            attached.push((c, pair));
-            self.p2c_insert(pair, c);
+            let local = groups.class_of(pair.is_loop(), &ids) as usize;
+            if local == fresh.len() {
+                fresh.push(self.push_class(pair.is_loop(), &ids));
+                self.frag.fresh_classes += 1;
+            }
+            attached.push((fresh[local], pair));
+            self.p2c_insert(pair, fresh[local]);
         }
         self.edit_rows(detached, attached);
         // Re-baseline an index built from an empty graph on its first

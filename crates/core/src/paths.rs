@@ -124,31 +124,6 @@ fn naive_rec(
     }
 }
 
-/// Vertices within distance `radius` (over extended edges, any label) of
-/// `seed`, bucketed by exact BFS distance: `buckets[d]` holds the vertices
-/// at distance `d`.
-pub fn distance_buckets(g: &Graph, seed: VertexId, radius: usize) -> Vec<Vec<VertexId>> {
-    let mut dist: HashMap<VertexId, u8> = HashMap::new();
-    let mut buckets: Vec<Vec<VertexId>> = vec![vec![seed]];
-    dist.insert(seed, 0);
-    for d in 1..=radius {
-        let mut next = Vec::new();
-        for &v in &buckets[d - 1] {
-            for &(_, t) in g.adjacency(v) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(t) {
-                    e.insert(d as u8);
-                    next.push(t);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        buckets.push(next);
-    }
-    buckets
-}
-
 /// Vertices within distance `radius` of any seed, with minimum distances
 /// (the merged ball of Sec. IV-E's breadth-first search).
 pub fn bounded_ball(g: &Graph, seeds: &[VertexId], radius: usize) -> Vec<(VertexId, u8)> {
@@ -190,8 +165,15 @@ pub fn bounded_ball(g: &Graph, seeds: &[VertexId], radius: usize) -> Vec<(Vertex
 /// * **multiple edge uses**: both legs must then fit in `k − 2` steps, a
 ///   tiny merged-ball product.
 pub fn affected_pairs(g: &Graph, v: VertexId, u: VertexId, k: usize) -> Vec<Pair> {
-    let bv = distance_buckets(g, v, k - 1);
-    let bu = distance_buckets(g, u, k - 1);
+    // `buckets[d]` holds the vertices at distance exactly `d` from `seed`.
+    let buckets = |seed: VertexId| {
+        let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+        for (x, d) in bounded_ball(g, &[seed], k - 1) {
+            buckets[d as usize].push(x);
+        }
+        buckets
+    };
+    let (bv, bu) = (buckets(v), buckets(u));
     let mut out = Vec::new();
     for (j1, bucket_v) in bv.iter().enumerate() {
         for (j2, bucket_u) in bu.iter().enumerate() {
@@ -303,21 +285,6 @@ mod tests {
         assert_eq!(d[&3], 0);
         assert_eq!(d[&1], 1);
         assert_eq!(d[&2], 1);
-    }
-
-    #[test]
-    fn buckets_match_ball() {
-        let g = generate::gex();
-        let v = g.vertex_named("ada").unwrap();
-        let buckets = distance_buckets(&g, v, 2);
-        let ball = bounded_ball(&g, &[v], 2);
-        let flat: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(flat, ball.len());
-        for (d, bucket) in buckets.iter().enumerate() {
-            for x in bucket {
-                assert!(ball.contains(&(*x, d as u8)));
-            }
-        }
     }
 
     #[test]

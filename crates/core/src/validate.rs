@@ -201,7 +201,7 @@ mod tests {
             if idx.is_interest_aware() {
                 idx.delete_interest(&ff);
                 idx.validate(&g).unwrap();
-                idx.insert_interest(&g, ff);
+                idx.insert_interest(&mut g, ff);
                 idx.validate(&g).unwrap();
             }
             idx.insert_edge(&mut g, sue, joe, f);

@@ -125,7 +125,7 @@ fn interest_churn_and_an_edge_delete_leave_shared_chunks_as_they_were() {
     let shared = shared_chunks_unchanged(&idx, &before, &records).unwrap();
     assert!((1..records.len()).contains(&shared), "{shared} of {} chunks shared", records.len());
 
-    assert!(idx.insert_interest(&g, lq));
+    assert!(idx.insert_interest(&mut g, lq));
     let shared = shared_chunks_unchanged(&idx, &before, &records).unwrap();
     assert!(shared > 0, "no chunk left shared");
     assert_eq!(idx.validate(&g), Ok(()));

@@ -135,7 +135,7 @@ proptest! {
                 if a % 2 == 0 {
                     idx.delete_interest(&seq);
                 } else {
-                    idx.insert_interest(&g, seq);
+                    idx.insert_interest(&mut g, seq);
                 }
             }
             for c in 0..idx.class_slots() as u32 {
@@ -155,7 +155,7 @@ proptest! {
         picks in prop::collection::vec((0u16..3, 0u16..3, prop::bool::ANY, prop::bool::ANY), 1..12),
     ) {
         let cfg = generate::RandomGraphConfig::uniform(25, 80, 3, seed);
-        let g = generate::random_graph(&cfg);
+        let mut g = generate::random_graph(&cfg);
         let seed_interest = LabelSeq::from_slice(&[Label(0).fwd(), Label(1).fwd()]);
         let mut idx = CpqxIndex::build_interest_aware(&g, 2, [seed_interest]);
         for (l1, l2, inv, register) in picks {
@@ -163,7 +163,7 @@ proptest! {
             let seq = LabelSeq::from_slice(&[a, Label(l2).fwd()]);
             let slots_before = idx.class_slots();
             if register {
-                idx.insert_interest(&g, seq);
+                idx.insert_interest(&mut g, seq);
             } else {
                 idx.delete_interest(&seq);
             }

@@ -12,7 +12,7 @@ use cpqx_query::Cpq;
 
 #[test]
 fn delete_then_reinsert_restores_lookup() {
-    let g = generate::gex();
+    let mut g = generate::gex();
     let f = g.label_named("f").unwrap();
     let seq = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
     let mut idx = CpqxIndex::build_interest_aware(&g, 2, [seq]);
@@ -23,7 +23,7 @@ fn delete_then_reinsert_restores_lookup() {
     // Roundtrip the interest.
     assert!(idx.delete_interest(&seq));
     assert_eq!(idx.evaluate(&g, &q), expected, "after deletion (split lookups)");
-    assert!(idx.insert_interest(&g, seq));
+    assert!(idx.insert_interest(&mut g, seq));
     assert!(idx.is_indexed(&seq));
 
     // The single-lookup path must see every pair again.
@@ -43,7 +43,7 @@ fn delete_then_reinsert_restores_lookup() {
 /// failed `validate`.
 #[test]
 fn deleted_interest_stays_deleted_across_save_and_load() {
-    let g = generate::gex();
+    let mut g = generate::gex();
     let f = g.label_named("f").unwrap();
     let seq = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
     let mut idx = CpqxIndex::build_interest_aware(&g, 2, [seq]);
@@ -60,7 +60,7 @@ fn deleted_interest_stays_deleted_across_save_and_load() {
     assert_eq!(loaded.evaluate(&g, &q), eval_reference(&g, &q));
 
     // Re-registering it on the reloaded index lists its classes again.
-    assert!(loaded.insert_interest(&g, seq));
+    assert!(loaded.insert_interest(&mut g, seq));
     assert_eq!(loaded.validate(&g), Ok(()));
     assert!(!loaded.lookup(&seq).is_empty());
 }
@@ -68,7 +68,7 @@ fn deleted_interest_stays_deleted_across_save_and_load() {
 #[test]
 fn repeated_roundtrips_are_stable() {
     let cfg = generate::RandomGraphConfig::social(60, 260, 3, 4);
-    let g = generate::random_graph(&cfg);
+    let mut g = generate::random_graph(&cfg);
     let seqs = [
         LabelSeq::from_slice(&[cpqx_graph::ExtLabel(0), cpqx_graph::ExtLabel(1)]),
         LabelSeq::from_slice(&[cpqx_graph::ExtLabel(2), cpqx_graph::ExtLabel(0)]),
@@ -80,7 +80,7 @@ fn repeated_roundtrips_are_stable() {
     for round in 0..5 {
         for s in &seqs {
             idx.delete_interest(s);
-            idx.insert_interest(&g, *s);
+            idx.insert_interest(&mut g, *s);
         }
         for (q, exp) in queries.iter().zip(&expected) {
             assert_eq!(&idx.evaluate(&g, q), exp, "round {round}");

@@ -113,13 +113,13 @@ fn random_update_storm_interest_aware() {
 #[test]
 fn interest_insertion_and_deletion() {
     let cfg = generate::RandomGraphConfig::social(60, 300, 3, 9);
-    let g = generate::random_graph(&cfg);
+    let mut g = generate::random_graph(&cfg);
     let mut idx =
         CpqxIndex::build_interest_aware(&g, 2, [LabelSeq::from_slice(&[ExtLabel(0), ExtLabel(1)])]);
     // Insert a new interest: queries using it should now take one lookup.
     let new_seq = LabelSeq::from_slice(&[ExtLabel(1), ExtLabel(2)]);
-    assert!(idx.insert_interest(&g, new_seq));
-    assert!(!idx.insert_interest(&g, new_seq), "duplicate interest insert");
+    assert!(idx.insert_interest(&mut g, new_seq));
+    assert!(!idx.insert_interest(&mut g, new_seq), "duplicate interest insert");
     assert!(idx.is_indexed(&new_seq));
     check_against_reference(&g, &idx, 3, 3);
     // Compare the lookup against a from-scratch interest-aware index.

@@ -2,13 +2,14 @@
 //!
 //! A [`Delta`] is an ordered list of typed maintenance operations
 //! ([`DeltaOp`]) applied atomically by [`crate::Engine::apply_delta`]:
-//! the engine clones the current snapshot **once**, applies every op to
-//! the clone via the paper's lazy maintenance procedures
-//! (`cpqx_core::CpqxIndex::{insert_edge, delete_edge, …}`, Secs. IV-E /
-//! V-C), and installs the result as one new snapshot. Compared to
-//! issuing the ops individually this amortizes the clone + install +
-//! cache-invalidation cost over the whole transaction, and compared to
-//! rebuilding it does work proportional to the affected pairs only.
+//! the engine clones the current snapshot **once**, applies the whole
+//! list to the clone as one transaction of the paper's lazy maintenance
+//! ([`apply_ops`], Secs. IV-E / V-C: every op edits the graph, the index
+//! is refreshed once), and installs the result as one new snapshot.
+//! Compared to issuing the ops individually this amortizes the clone +
+//! refresh + install + cache-invalidation cost over the whole
+//! transaction, and compared to rebuilding it does work proportional to
+//! the affected pairs only.
 //!
 //! Lazy maintenance fragments the index (classes are never merged;
 //! Table VII), so every write transaction also checks the index's
@@ -19,78 +20,15 @@
 //! and the lazy-update/rebuild tradeoff the paper measures becomes a
 //! live serving policy, observable in [`crate::StatsReport`].
 //!
-//! Transactions are atomic: an invalid op (out-of-range vertex, unknown
-//! label, over-long interest) aborts the whole delta with a
-//! [`DeltaError`] naming the op, and no snapshot is installed. Valid
-//! ops that change nothing (inserting an existing edge, registering an
-//! interest on a full index) are reported per-op as
-//! [`OpOutcome::Noop`].
+//! Transactions are atomic: [`apply_ops`] validates the whole list inside
+//! the transaction, before it mutates anything, and an invalid op
+//! (out-of-range vertex or label) aborts the whole delta with a
+//! [`DeltaError`] naming the op; no snapshot is installed. Valid ops that
+//! change nothing (inserting an existing edge, registering an interest on
+//! a full index) are reported per-op as [`OpOutcome::Noop`].
 
-use cpqx_core::CpqxIndex;
-use cpqx_graph::{Graph, Label, LabelSeq, VertexId};
-
-/// One typed maintenance operation inside a [`Delta`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeltaOp {
-    /// Insert the base edge `(src, dst, label)`.
-    InsertEdge {
-        /// Source vertex.
-        src: VertexId,
-        /// Target vertex.
-        dst: VertexId,
-        /// Base edge label.
-        label: Label,
-    },
-    /// Delete the base edge `(src, dst, label)`.
-    DeleteEdge {
-        /// Source vertex.
-        src: VertexId,
-        /// Target vertex.
-        dst: VertexId,
-        /// Base edge label.
-        label: Label,
-    },
-    /// Relabel the base edge `(src, dst, from)` to `to` (the paper
-    /// handles label changes as delete + insert; the index does both
-    /// lazily in one op).
-    ChangeEdgeLabel {
-        /// Source vertex.
-        src: VertexId,
-        /// Target vertex.
-        dst: VertexId,
-        /// Current label of the edge.
-        from: Label,
-        /// New label of the edge.
-        to: Label,
-    },
-    /// Add an isolated vertex. The assigned id is reported back as
-    /// [`OpOutcome::VertexAdded`], and later ops *in the same delta* may
-    /// already reference it.
-    AddVertex {
-        /// Display name of the new vertex.
-        name: String,
-    },
-    /// Delete a vertex by removing all incident edges (the id stays
-    /// allocated but isolated, per the paper's vertex-deletion
-    /// procedure). A no-op for already-isolated vertices.
-    DeleteVertex {
-        /// The vertex to isolate.
-        vertex: VertexId,
-    },
-    /// iaCPQx only: register an interest sequence and index its pairs
-    /// (Sec. V-C). A no-op on full CPQx engines, for length-1 sequences
-    /// (always indexed), and for already-registered interests.
-    InsertInterest {
-        /// The label sequence to register.
-        seq: LabelSeq,
-    },
-    /// iaCPQx only: drop an interest sequence from `Il2c` (Sec. V-C). A
-    /// no-op when it was not registered.
-    DeleteInterest {
-        /// The label sequence to drop.
-        seq: LabelSeq,
-    },
-}
+pub use cpqx_core::maintain::{apply_ops, DeltaError, DeltaOp, OpOutcome};
+use cpqx_graph::{Label, LabelSeq, VertexId};
 
 /// An ordered, atomically applied list of [`DeltaOp`]s (see module
 /// docs). Build one with the fluent helpers or collect ops yourself via
@@ -182,25 +120,6 @@ impl FromIterator<DeltaOp> for Delta {
     }
 }
 
-/// What one op of an applied delta did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// The op changed the graph/index.
-    Applied,
-    /// The op was valid but changed nothing (duplicate insert, missing
-    /// edge, unregistered interest, isolated vertex, …).
-    Noop,
-    /// An [`DeltaOp::AddVertex`] op allocated this vertex id.
-    VertexAdded(VertexId),
-}
-
-impl OpOutcome {
-    /// Whether this outcome mutated the state.
-    pub fn changed(&self) -> bool {
-        !matches!(self, OpOutcome::Noop)
-    }
-}
-
 /// The result of a committed delta transaction.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeltaReport {
@@ -219,167 +138,6 @@ pub struct DeltaReport {
     /// The index's fragmentation ratio after the transaction (1.0 right
     /// after a rebuild).
     pub fragmentation_ratio: f64,
-}
-
-/// Why a delta transaction was rejected. Nothing was applied: the
-/// engine's state is exactly as before the call.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaError {
-    /// Index of the offending op within the delta.
-    pub op_index: usize,
-    /// Human-readable reason.
-    pub reason: String,
-}
-
-impl std::fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "delta op {} rejected: {}", self.op_index, self.reason)
-    }
-}
-
-impl std::error::Error for DeltaError {}
-
-/// Validates `ops` read-only against `g`: every vertex/label reference
-/// must be in range, with `AddVertex` ops extending the vertex bound
-/// for later ops of the same delta. The engine runs this against the
-/// current snapshot *before* taking the writer lock and cloning, so a
-/// delta that can only be rejected costs no clone and no lock hold;
-/// vertex ids and the label table only grow, so a delta passing here
-/// cannot fail when applied to the (possibly newer) clone.
-pub fn validate_ops(g: &Graph, ops: &[DeltaOp]) -> Result<(), DeltaError> {
-    let reject = |i: usize, reason: String| DeltaError { op_index: i, reason };
-    let check_vertex = |v: VertexId, bound: u32, i: usize| {
-        if v < bound {
-            Ok(())
-        } else {
-            Err(reject(i, format!("vertex {v} out of range (graph has {bound})")))
-        }
-    };
-    let check_label = |l: Label, i: usize| {
-        if l.0 < g.base_label_count() {
-            Ok(())
-        } else {
-            Err(reject(
-                i,
-                format!("label {} out of range (graph has {})", l.0, g.base_label_count()),
-            ))
-        }
-    };
-    let mut vertices = g.vertex_count();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            DeltaOp::InsertEdge { src, dst, label } | DeltaOp::DeleteEdge { src, dst, label } => {
-                check_vertex(*src, vertices, i)?;
-                check_vertex(*dst, vertices, i)?;
-                check_label(*label, i)?;
-            }
-            DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
-                check_vertex(*src, vertices, i)?;
-                check_vertex(*dst, vertices, i)?;
-                check_label(*from, i)?;
-                check_label(*to, i)?;
-            }
-            DeltaOp::AddVertex { .. } => vertices += 1,
-            DeltaOp::DeleteVertex { vertex } => check_vertex(*vertex, vertices, i)?,
-            DeltaOp::InsertInterest { seq } => {
-                for l in seq.iter() {
-                    if l.0 >= g.ext_label_count() {
-                        return Err(reject(i, format!("interest label {} out of range", l.0)));
-                    }
-                }
-            }
-            DeltaOp::DeleteInterest { .. } => {}
-        }
-    }
-    Ok(())
-}
-
-/// Applies `ops` in order to a writable graph + index clone, validating
-/// each op before it touches anything (the graph's mutators panic on
-/// out-of-range arguments; a delta must turn those into typed errors).
-/// Validation runs against the *evolving* clone, so an edge op may
-/// reference a vertex an earlier `AddVertex` of the same delta created.
-///
-/// On error the clone is torn mid-delta — the caller (the engine's
-/// write transaction) discards it without installing, which is what
-/// makes deltas atomic. (The engine pre-validates with [`validate_ops`],
-/// so for engine-driven deltas this is a second line of defense.)
-pub fn apply_ops(
-    g: &mut Graph,
-    idx: &mut CpqxIndex,
-    ops: &[DeltaOp],
-) -> Result<Vec<OpOutcome>, DeltaError> {
-    let reject = |i: usize, reason: String| DeltaError { op_index: i, reason };
-    let check_vertex = |g: &Graph, v: VertexId, i: usize| {
-        if v < g.vertex_count() {
-            Ok(())
-        } else {
-            Err(reject(i, format!("vertex {v} out of range (graph has {})", g.vertex_count())))
-        }
-    };
-    let check_label = |g: &Graph, l: Label, i: usize| {
-        if l.0 < g.base_label_count() {
-            Ok(())
-        } else {
-            Err(reject(
-                i,
-                format!("label {} out of range (graph has {})", l.0, g.base_label_count()),
-            ))
-        }
-    };
-    let mut outcomes = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let outcome = match op {
-            DeltaOp::InsertEdge { src, dst, label } => {
-                check_vertex(g, *src, i)?;
-                check_vertex(g, *dst, i)?;
-                check_label(g, *label, i)?;
-                applied_if(idx.insert_edge(g, *src, *dst, *label))
-            }
-            DeltaOp::DeleteEdge { src, dst, label } => {
-                check_vertex(g, *src, i)?;
-                check_vertex(g, *dst, i)?;
-                check_label(g, *label, i)?;
-                applied_if(idx.delete_edge(g, *src, *dst, *label))
-            }
-            DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
-                check_vertex(g, *src, i)?;
-                check_vertex(g, *dst, i)?;
-                check_label(g, *from, i)?;
-                check_label(g, *to, i)?;
-                applied_if(idx.change_edge_label(g, *src, *dst, *from, *to))
-            }
-            DeltaOp::AddVertex { name } => OpOutcome::VertexAdded(idx.add_vertex(g, name.clone())),
-            DeltaOp::DeleteVertex { vertex } => {
-                check_vertex(g, *vertex, i)?;
-                if g.ext_degree(*vertex) == 0 {
-                    OpOutcome::Noop
-                } else {
-                    idx.delete_vertex(g, *vertex);
-                    OpOutcome::Applied
-                }
-            }
-            DeltaOp::InsertInterest { seq } => {
-                for l in seq.iter() {
-                    if l.0 >= g.ext_label_count() {
-                        return Err(reject(i, format!("interest label {} out of range", l.0)));
-                    }
-                }
-                applied_if(idx.insert_interest(g, *seq))
-            }
-            DeltaOp::DeleteInterest { seq } => applied_if(idx.delete_interest(seq)),
-        };
-        outcomes.push(outcome);
-    }
-    Ok(outcomes)
-}
-
-fn applied_if(changed: bool) -> OpOutcome {
-    if changed {
-        OpOutcome::Applied
-    } else {
-        OpOutcome::Noop
-    }
 }
 
 #[cfg(test)]

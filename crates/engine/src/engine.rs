@@ -507,7 +507,8 @@ impl Engine {
     /// snapshot — the engine's only write path (the single-op helpers
     /// and the network front-end's DELTA frames all route through it).
     /// Atomic: an invalid op rejects the whole delta with a
-    /// [`DeltaError`] and installs nothing.
+    /// [`DeltaError`] and installs nothing ([`apply_ops`] validates the
+    /// list against the clone before it mutates it).
     ///
     /// After applying, the index's fragmentation ratio is checked
     /// against [`EngineOptions::auto_rebuild_ratio`]; crossing it
@@ -517,11 +518,6 @@ impl Engine {
     /// [`StatsReport`] (`delta_transactions`, `lazy_update_ops`,
     /// `rebuilds`, `auto_rebuilds`, `fragmentation_ratio`).
     pub fn apply_delta(&self, delta: &Delta) -> Result<DeltaReport, DeltaError> {
-        // Reject invalid deltas read-only against the current snapshot,
-        // before the write transaction takes the lock and pays the
-        // clone. Vertex ids and the label table only grow, so a delta
-        // passing here cannot fail against the clone below.
-        crate::delta::validate_ops(self.snapshot().graph(), delta.ops())?;
         let txn_timer = self.obs.timer();
         let report = self.write_txn(delta.ops())?;
         self.counters.record_delta(report.applied as u64);
@@ -971,19 +967,22 @@ mod tests {
             EngineOptions { k: 2, auto_rebuild_ratio: Some(1.02), ..EngineOptions::default() },
         );
         let baseline = engine.stats().baseline_classes;
-        // Churn until the (very low) threshold trips.
+        // Churn until the (very low) threshold trips. The delete and the
+        // re-insert are separate transactions: within one, the round trip
+        // would leave every pair's set, and so every class, as it was.
         let snap = engine.snapshot();
         let edges: Vec<_> = snap.graph().base_edges().take(40).collect();
         let mut rebuilt_seen = false;
         for (v, u, l) in edges {
-            let delta = crate::delta::Delta::new().delete_edge(v, u, l).insert_edge(v, u, l);
-            let report = engine.apply_delta(&delta).unwrap();
-            rebuilt_seen |= report.rebuilt;
-            if report.rebuilt {
-                assert!(
-                    (report.fragmentation_ratio - 1.0).abs() < 1e-9,
-                    "a rebuild restores the minimal partition"
-                );
+            for delta in [Delta::new().delete_edge(v, u, l), Delta::new().insert_edge(v, u, l)] {
+                let report = engine.apply_delta(&delta).unwrap();
+                rebuilt_seen |= report.rebuilt;
+                if report.rebuilt {
+                    assert!(
+                        (report.fragmentation_ratio - 1.0).abs() < 1e-9,
+                        "a rebuild restores the minimal partition"
+                    );
+                }
             }
         }
         assert!(rebuilt_seen, "threshold 1.02 must trip under churn");

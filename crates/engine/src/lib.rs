@@ -50,7 +50,7 @@ pub use batch::{BatchOptions, BatchOutcome};
 pub use build::{build_sharded_with_report, BuildOptions, BuildReport};
 pub use cache::LruCache;
 pub use cpqx_core::ExecOptions;
-pub use delta::{apply_ops, validate_ops, Delta, DeltaError, DeltaOp, DeltaReport, OpOutcome};
+pub use delta::{apply_ops, Delta, DeltaError, DeltaOp, DeltaReport, OpOutcome};
 pub use durability::{CheckpointReport, DurabilityOptions, DurabilitySink};
 pub use engine::{CachedAnswer, Engine, EngineOptions, PlannedQuery, Snapshot};
 pub use stats::StatsReport;

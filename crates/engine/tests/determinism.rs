@@ -195,7 +195,7 @@ fn interests_churned(mut g: Graph) -> CpqxIndex {
         assert!(idx.lookup(s).is_empty());
     }
     for &s in &lq[..2] {
-        assert!(idx.insert_interest(&g, s));
+        assert!(idx.insert_interest(&mut g, s));
     }
     assert_eq!(idx.validate(&g), Ok(()));
     idx

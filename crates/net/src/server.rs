@@ -436,7 +436,7 @@ fn apply_wire_delta(s: &Shared, ops: &[WireOp]) -> Result<cpqx_engine::DeltaRepo
     let bad_update = |e: DeltaError| {
         WireError::new(ErrorCode::BadUpdate, format!("delta op {}: {}", e.op_index, e.reason))
     };
-    let delta = Delta::from(resolve_ops(snap.graph(), ops, true).map_err(bad_update)?);
+    let delta = Delta::from(resolve_ops(snap.graph(), ops).map_err(bad_update)?);
     s.engine.apply_delta(&delta).map_err(bad_update)
 }
 
@@ -444,18 +444,9 @@ fn apply_wire_delta(s: &Shared, ops: &[WireOp]) -> Result<cpqx_engine::DeltaRepo
 /// the one `WireOp → DeltaOp` mapping, shared by the server's DELTA
 /// handler and the store's WAL replay. The error names the offending op
 /// and says why (an unknown label, an over-long interest sequence).
-///
-/// With `check_vertices`, vertex ids are also validated against `g`'s
-/// count plus any preceding in-delta `AddVertex` ops, so a delta that
-/// can only be rejected never reaches the engine's writer lock (where
-/// rejection would cost a full graph + index clone). Ids only grow, so
-/// passing here never turns into a spurious engine-side panic — the
-/// engine still re-validates against the clone it mutates.
-pub fn resolve_ops(
-    g: &Graph,
-    ops: &[WireOp],
-    check_vertices: bool,
-) -> Result<Vec<DeltaOp>, DeltaError> {
+/// Vertex ids pass through unchecked: the engine's transaction validates
+/// them against the graph it mutates.
+pub fn resolve_ops(g: &Graph, ops: &[WireOp]) -> Result<Vec<DeltaOp>, DeltaError> {
     let reject = |i: usize, reason: String| DeltaError { op_index: i, reason };
     let label = |name: &str, i: usize| {
         g.label_named(name).ok_or_else(|| reject(i, format!("unknown label {name:?}")))
@@ -470,41 +461,24 @@ pub fn resolve_ops(
             .collect::<Result<Vec<_>, _>>()
             .map(|ls| LabelSeq::from_slice(&ls))
     };
-    let check = |v: u32, bound: u32, i: usize| {
-        if v < bound || !check_vertices {
-            Ok(v)
-        } else {
-            Err(reject(i, format!("vertex {v} out of range (graph has {bound})")))
-        }
-    };
-    let mut vertices = g.vertex_count();
     ops.iter()
         .enumerate()
         .map(|(i, op)| {
             Ok(match op {
-                WireOp::InsertEdge { src, dst, label: l } => DeltaOp::InsertEdge {
-                    src: check(*src, vertices, i)?,
-                    dst: check(*dst, vertices, i)?,
-                    label: label(l, i)?,
-                },
-                WireOp::DeleteEdge { src, dst, label: l } => DeltaOp::DeleteEdge {
-                    src: check(*src, vertices, i)?,
-                    dst: check(*dst, vertices, i)?,
-                    label: label(l, i)?,
-                },
+                WireOp::InsertEdge { src, dst, label: l } => {
+                    DeltaOp::InsertEdge { src: *src, dst: *dst, label: label(l, i)? }
+                }
+                WireOp::DeleteEdge { src, dst, label: l } => {
+                    DeltaOp::DeleteEdge { src: *src, dst: *dst, label: label(l, i)? }
+                }
                 WireOp::ChangeEdgeLabel { src, dst, from, to } => DeltaOp::ChangeEdgeLabel {
-                    src: check(*src, vertices, i)?,
-                    dst: check(*dst, vertices, i)?,
+                    src: *src,
+                    dst: *dst,
                     from: label(from, i)?,
                     to: label(to, i)?,
                 },
-                WireOp::AddVertex { name } => {
-                    vertices += 1;
-                    DeltaOp::AddVertex { name: name.clone() }
-                }
-                WireOp::DeleteVertex { vertex } => {
-                    DeltaOp::DeleteVertex { vertex: check(*vertex, vertices, i)? }
-                }
+                WireOp::AddVertex { name } => DeltaOp::AddVertex { name: name.clone() },
+                WireOp::DeleteVertex { vertex } => DeltaOp::DeleteVertex { vertex: *vertex },
                 WireOp::InsertInterest { seq: s } => DeltaOp::InsertInterest { seq: seq(s, i)? },
                 WireOp::DeleteInterest { seq: s } => DeltaOp::DeleteInterest { seq: seq(s, i)? },
             })

@@ -5,7 +5,7 @@
 use cpqx_core::CpqxIndex;
 use cpqx_engine::{CheckpointReport, DeltaOp, DurabilitySink, Engine, EngineOptions, Snapshot};
 use cpqx_graph::generate::{self, sample_edges, RandomGraphConfig};
-use cpqx_graph::{Graph, Pair};
+use cpqx_graph::{Graph, Label, Pair};
 use cpqx_net::proto::{
     decode_response, encode_request, encode_response, read_frame, write_frame, FrameError, Request,
     Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
@@ -248,15 +248,18 @@ fn typed_deltas_with_pinned_readers_and_auto_rebuild() {
                 let victims = sample_edges(snap.graph(), 2, round);
                 let (v1, u1, l1) = victims[0];
                 let (v2, u2, l2) = victims[1];
-                // One multi-op transaction: churn two edges, relabel
-                // one, and every few rounds grow the graph by a
+                // One multi-op transaction: move an edge, relabel
+                // another, and every few rounds grow the graph by a
                 // vertex wired to an existing one *within the same
-                // delta* (exercising in-delta id visibility).
+                // delta* (exercising in-delta id visibility). No edit is
+                // undone within the delta: a round trip inside one
+                // transaction changes no class, and this run must
+                // fragment the index.
+                let l3 = Label((l2.0 + 1) % snap.graph().base_label_count());
                 let mut ops = vec![
                     WireOp::DeleteEdge { src: v1, dst: u1, label: name(l1) },
-                    WireOp::InsertEdge { src: v1, dst: u1, label: name(l1) },
-                    WireOp::ChangeEdgeLabel { src: v2, dst: u2, from: name(l2), to: name(l1) },
-                    WireOp::ChangeEdgeLabel { src: v2, dst: u2, from: name(l1), to: name(l2) },
+                    WireOp::InsertEdge { src: v1, dst: u2, label: name(l1) },
+                    WireOp::ChangeEdgeLabel { src: v2, dst: u2, from: name(l2), to: name(l3) },
                 ];
                 if round % 6 == 5 {
                     let fresh_id = snap.graph().vertex_count();
@@ -825,6 +828,21 @@ fn typed_errors_over_the_wire() {
         Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::BadUpdate),
         other => panic!("expected bad-update error, got {other:?}"),
     }
+    // Vertex ids reach the engine unchecked; its transaction rejects the
+    // whole delta by the offending op's index, before anything applies.
+    let n = server.engine().snapshot().graph().vertex_count();
+    let ops = vec![
+        WireOp::InsertEdge { src: 0, dst: 1, label: "v".into() },
+        WireOp::DeleteEdge { src: n, dst: 0, label: "f".into() },
+    ];
+    match client.apply_delta(ops) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::BadUpdate);
+            assert!(e.message.starts_with("delta op 1:"), "{e}");
+        }
+        other => panic!("expected bad-update error, got {other:?}"),
+    }
+    assert_eq!(server.engine().epoch(), 0, "a rejected delta must not install");
     // The connection survives all of the above (errors are recoverable).
     client.ping().expect("connection still alive");
     let reply = client.query("f").expect("valid query after errors");

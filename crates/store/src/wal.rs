@@ -200,7 +200,7 @@ pub fn decode_ops(graph: &Graph, payload: &[u8]) -> Result<Vec<DeltaOp>, String>
     let Request::Delta(wire) = req else {
         return Err("WAL record is not a DELTA frame".into());
     };
-    cpqx_net::resolve_ops(graph, &wire, false).map_err(|e| format!("{} in WAL record", e.reason))
+    cpqx_net::resolve_ops(graph, &wire).map_err(|e| format!("{} in WAL record", e.reason))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use cpqx_graph::LabelSeq;
 use std::time::Instant;
 
 fn main() {
-    let g = gmark(4_000, 7);
+    let mut g = gmark(4_000, 7);
     println!(
         "citation graph: {} vertices, {} edges, schema {:?}",
         g.vertex_count(),
@@ -71,7 +71,7 @@ fn main() {
     // Evolving workloads: register a new interest online (Sec. V-C).
     let new_interest = LabelSeq::from_slice(&[l("supervises").fwd(), l("supervises").fwd()]);
     let t0 = Instant::now();
-    index_insert_demo(index, &g, new_interest);
+    index_insert_demo(index, &mut g, new_interest);
     let _ = t0;
 
     // Benchmark-style workload (Fig. 10's LUBM translation).
@@ -84,7 +84,7 @@ fn main() {
     }
 }
 
-fn index_insert_demo(mut index: CpqxIndex, g: &cpqx::graph::Graph, seq: LabelSeq) {
+fn index_insert_demo(mut index: CpqxIndex, g: &mut cpqx::graph::Graph, seq: LabelSeq) {
     let t0 = Instant::now();
     let added = index.insert_interest(g, seq);
     println!(

@@ -145,26 +145,26 @@ fn delete_isolated_vertex_is_noop() {
 
 #[test]
 fn interest_operations_rejected_outside_ia_mode() {
-    let g = cpqx::graph::generate::gex();
+    let mut g = cpqx::graph::generate::gex();
     let mut idx = CpqxIndex::build(&g, 2);
     let f = g.label_named("f").unwrap();
     let seq = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
-    assert!(!idx.insert_interest(&g, seq), "full index has no interest set");
+    assert!(!idx.insert_interest(&mut g, seq), "full index has no interest set");
     assert!(!idx.delete_interest(&seq));
 }
 
 #[test]
 fn interest_length_bounds() {
-    let g = cpqx::graph::generate::gex();
+    let mut g = cpqx::graph::generate::gex();
     let f = g.label_named("f").unwrap();
     let mut idx = CpqxIndex::build_interest_aware(&g, 2, std::iter::empty::<LabelSeq>());
     // Length-1: implicitly indexed, registration refused.
-    assert!(!idx.insert_interest(&g, LabelSeq::single(f.fwd())));
+    assert!(!idx.insert_interest(&mut g, LabelSeq::single(f.fwd())));
     // Longer than k: refused (callers must normalize first).
     let long = LabelSeq::from_slice(&[f.fwd(), f.fwd(), f.fwd()]);
-    assert!(!idx.insert_interest(&g, long));
+    assert!(!idx.insert_interest(&mut g, long));
     // Within bounds: accepted.
-    assert!(idx.insert_interest(&g, LabelSeq::from_slice(&[f.fwd(), f.fwd()])));
+    assert!(idx.insert_interest(&mut g, LabelSeq::from_slice(&[f.fwd(), f.fwd()])));
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn chaos(seed: u64, ia: bool, steps: usize) {
                 idx.delete_edge(&mut g, v, u, l);
             }
             Op::InsertInterest(s) => {
-                idx.insert_interest(&g, s);
+                idx.insert_interest(&mut g, s);
             }
             Op::DeleteInterest(s) => {
                 idx.delete_interest(&s);
