@@ -221,8 +221,8 @@ fn check_ops(g: &Graph, ops: &[DeltaOp]) -> Result<(), DeltaError> {
 }
 
 /// Inserts (`insert`) or removes the base edge `(v, u, ℓ)`. If `g`
-/// changed, appends the pairs whose `L≤k` that may have changed, read off
-/// `g` as it now is.
+/// changed, appends the pairs whose `L≤k` the edit may have changed, read
+/// off `g` as it now is.
 fn edit_edge(
     g: &mut Graph,
     (v, u, l): (VertexId, VertexId, Label),
