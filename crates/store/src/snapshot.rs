@@ -406,6 +406,48 @@ mod tests {
         assert_eq!(rebuilt.class_chunk_count(), idx.class_chunk_count());
     }
 
+    /// Length and FNV-1a of every TOPOLOGY record of `g`, in chunk order.
+    fn topology_digest(g: &Graph) -> (usize, u64) {
+        let mut bytes = Vec::new();
+        for i in 0..g.topology_chunk_count() {
+            bytes.extend_from_slice(&encode_topology_chunk(g, i));
+        }
+        let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        (bytes.len(), bytes.iter().fold(0xcbf2_9ce4_8422_2325, fnv))
+    }
+
+    /// The TOPOLOGY record bytes pinned across commits, for a fresh
+    /// multi-chunk graph with self-loops and for the same graph after a
+    /// fixed insert/remove/add-vertex/isolate script. A change to how a
+    /// graph stores its edges must leave these bytes alone: recovery reads
+    /// records written by earlier builds.
+    #[test]
+    fn topology_records_keep_their_bytes() {
+        use cpqx_graph::generate::{random_graph, RandomGraphConfig};
+        use cpqx_graph::Label;
+        let mut g = random_graph(&RandomGraphConfig::social(300, 1_500, 4, 11));
+        assert!(g.topology_chunk_count() > 4, "the graph must span several chunks");
+        assert_eq!(topology_digest(&g), (19_278, 0x94ed_c793_e943_e1a8), "fresh");
+        let n = g.vertex_count();
+        for v in (0..n).step_by(7) {
+            g.insert_edge(v, (v * 13 + 5) % n, Label(v as u16 % 4));
+            g.insert_edge(v, v, Label(3));
+        }
+        let doomed: Vec<_> = g.base_edges().step_by(5).collect();
+        for (v, u, l) in doomed {
+            assert!(g.remove_edge(v, u, l));
+        }
+        for i in 0..30 {
+            let x = g.add_vertex(format!("x{i}"));
+            g.insert_edge(x, (i * 17) % n, Label(i as u16 % 4));
+            g.insert_edge((i * 29) % n, x, Label(1));
+        }
+        for v in (3..n).step_by(41) {
+            g.isolate_vertex(v);
+        }
+        assert_eq!(topology_digest(&g), (16_386, 0xcfd3_f11d_6840_2611), "scripted");
+    }
+
     #[test]
     fn record_io_verifies_checksums() {
         let dir = std::env::temp_dir().join(format!("cpqx-snaprec-{}", std::process::id()));
