@@ -44,7 +44,7 @@ use crate::bisim::{ClassId, ClassTable, SeqId};
 use crate::index::CpqxIndex;
 use crate::interest::seq_pairs;
 use crate::paths::{affected_pairs, label_seqs_between};
-use cpqx_graph::{ExtLabel, Graph, Label, LabelSeq, Pair, VertexId};
+use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
 
 /// One typed maintenance operation of a transaction ([`apply_ops`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -371,19 +371,7 @@ impl CpqxIndex {
                 return OpOutcome::VertexAdded(g.add_vertex(name.clone()))
             }
             DeltaOp::DeleteVertex { vertex: v } => {
-                let incident: Vec<(VertexId, VertexId, Label)> = g
-                    .adjacency(v)
-                    .iter()
-                    .map(|&(el, t)| {
-                        let el = ExtLabel(el);
-                        if el.is_inverse() {
-                            (t, v, el.base())
-                        } else {
-                            (v, t, el.base())
-                        }
-                    })
-                    .collect();
-                // A self-loop is listed twice; its second removal is a no-op.
+                let incident: Vec<_> = g.incident_edges(v).collect();
                 let mut removed = false;
                 for edge in incident {
                     removed |= edit_edge(g, edge, false, k, candidates);

@@ -2,7 +2,7 @@
 //! index maintenance (recomputing `L≤k(v,u)` for affected pairs and finding
 //! the pairs an edge update can affect) and the partition-invariant tests.
 
-use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair, VertexId};
+use cpqx_graph::{Graph, LabelSeq, Pair, VertexId};
 use std::collections::HashMap;
 
 /// Enumerates the sorted, distinct label sequences of all paths from `src`
@@ -75,8 +75,8 @@ fn walk_rec(
     if (len as usize) == depth {
         return;
     }
-    for &(l, t) in g.adjacency(v) {
-        let mut next = cur.appended(ExtLabel(l));
+    for (l, t) in g.out_edges(v) {
+        let mut next = cur.appended(l);
         out.entry((t, len + 1)).or_default().push(next);
         std::mem::swap(cur, &mut next);
         walk_rec(g, t, depth, len + 1, cur, out);
@@ -111,8 +111,8 @@ fn naive_rec(
     if remaining == 0 {
         return;
     }
-    for &(l, t) in g.adjacency(v) {
-        let mut next = cur.appended(ExtLabel(l));
+    for (l, t) in g.out_edges(v) {
+        let mut next = cur.appended(l);
         if t == dst {
             out.push(next);
         }
@@ -138,7 +138,7 @@ pub fn bounded_ball(g: &Graph, seeds: &[VertexId], radius: usize) -> Vec<(Vertex
     for d in 1..=radius {
         let mut next = Vec::new();
         for &v in &frontier {
-            for &(_, t) in g.adjacency(v) {
+            for (_, t) in g.out_edges(v) {
                 if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(t) {
                     e.insert(d as u8);
                     next.push(t);

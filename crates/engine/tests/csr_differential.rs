@@ -152,9 +152,8 @@ fn cyclic_queries_agree_on_full_and_uninvertible_interest_indexes() {
 }
 
 /// Mutate-then-read through the engine: after every delta the freshly
-/// installed snapshot must answer from the *new* topology (its label
-/// runs moved with its adjacency rows), while a reader pinned on the old
-/// snapshot keeps the old answers.
+/// installed snapshot must answer from the *new* label runs, while a
+/// reader pinned on the old snapshot keeps the old answers.
 #[test]
 fn mutated_snapshots_never_serve_stale_faces() {
     let g = chunky_graph(200, 800, 19);

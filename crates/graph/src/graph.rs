@@ -9,11 +9,11 @@ use std::sync::Arc;
 pub type VertexId = u32;
 
 /// One decoded topology chunk as the store persists it: the chunk's
-/// first vertex id plus one sorted `(ext_label, target)` adjacency row
-/// per vertex — the owned form of [`Graph::topology_chunk`]'s view.
+/// first vertex id plus each vertex's [`Graph::out_edges`] as a row — input
+/// to [`Graph::from_chunk_parts`], which keeps only the runs built from it.
 pub type TopologyChunkParts = (VertexId, Vec<Vec<(u16, VertexId)>>);
 
-/// Target total adjacency entries per copy-on-write chunk. Chunk
+/// Target total extended edges per copy-on-write chunk. Chunk
 /// boundaries are computed with [`crate::view::balanced_ranges_by_weight`]
 /// over the extended degrees, so every chunk carries roughly this much
 /// data regardless of degree skew — the unit a write transaction copies.
@@ -108,9 +108,9 @@ impl LabelRuns {
 }
 
 /// One contiguous vertex range of the graph's topology storage: the
-/// adjacency rows and per-extended-label pair runs of the vertices in
-/// `start..start + adj.len()` — the two orderings of the chunk's edges,
-/// both kept eagerly by every mutation.
+/// per-extended-label pair runs of the vertices in `start..start + rows`,
+/// the only record of the chunk's edges. A vertex's edges in
+/// `(label, target)` order are its run of each label in `labels`.
 ///
 /// Chunks are the copy-on-write unit: [`Graph`] holds them behind [`Arc`]
 /// and mutates through [`Arc::make_mut`], so cloning a graph is
@@ -123,17 +123,25 @@ impl LabelRuns {
 #[derive(Clone)]
 pub(crate) struct VertexChunk {
     /// First vertex id of this chunk's range.
-    pub(crate) start: VertexId,
-    /// Adjacency rows sorted by `(label, target)`, indexed by `v - start`.
-    pub(crate) adj: Vec<Vec<(u16, VertexId)>>,
+    start: VertexId,
+    /// Number of vertices in the range.
+    rows: usize,
+    /// The extended labels with a pair in this chunk, ascending: derived
+    /// from `runs` like their offsets, so a vertex's edges are found
+    /// without visiting every label of a wide alphabet.
+    labels: Vec<u16>,
     /// Per extended label: the pairs of `⟦ℓ⟧` whose *source* lies in this
     /// chunk's range, with their per-row offsets.
-    pub(crate) runs: Vec<LabelRuns>,
+    runs: Vec<LabelRuns>,
 }
 
 impl VertexChunk {
-    fn row_count(&self) -> usize {
-        self.adj.len()
+    /// The edges of in-chunk row `r` in `(label, target)` order.
+    #[inline]
+    fn out_edges(&self, r: usize) -> impl Iterator<Item = (ExtLabel, VertexId)> + '_ {
+        self.labels.iter().flat_map(move |&l| {
+            self.runs[l as usize].run(r).iter().map(move |p| (ExtLabel(l), p.dst()))
+        })
     }
 
     /// The chunk's sorted segment of `⟦ℓ⟧`.
@@ -142,35 +150,39 @@ impl VertexChunk {
         &self.runs[label].pairs
     }
 
-    /// A chunk over sorted adjacency rows, its label runs derived from
-    /// them: rows ascend by vertex and entries by `(label, target)`, so
-    /// each label's segment comes out sorted for free.
-    fn from_rows(start: VertexId, adj: Vec<Vec<(u16, VertexId)>>, ext_labels: usize) -> Self {
+    /// A chunk over sorted `(label, target)` rows, its label runs derived
+    /// from them: rows ascend by vertex, so each label's segment comes out
+    /// sorted for free. The rows are dropped.
+    fn from_rows(start: VertexId, rows: Vec<Vec<(u16, VertexId)>>, ext_labels: usize) -> Self {
         let mut segments = vec![Vec::new(); ext_labels];
-        for (off, row) in adj.iter().enumerate() {
+        for (off, row) in rows.iter().enumerate() {
             for &(el, t) in row {
                 segments[el as usize].push(Pair::new(start + off as u32, t));
             }
         }
-        let runs = segments.into_iter().map(|s| LabelRuns::from_sorted(start, adj.len(), s));
-        VertexChunk { start, runs: runs.collect(), adj }
+        let labels = (0..ext_labels as u16).filter(|&l| !segments[l as usize].is_empty()).collect();
+        let runs = segments.into_iter().map(|s| LabelRuns::from_sorted(start, rows.len(), s));
+        VertexChunk { start, rows: rows.len(), labels, runs: runs.collect() }
     }
 
-    /// Adds the extended edge `(start + off, y, ℓ)` to both views.
+    /// Adds the extended edge `(start + off, y, ℓ)`.
     fn insert_half(&mut self, off: usize, l: ExtLabel, y: VertexId) {
-        let row = &mut self.adj[off];
-        let i = row.binary_search(&(l.0, y)).expect_err("edge half already present");
-        row.insert(i, (l.0, y));
-        let rows = self.row_count();
-        self.runs[l.0 as usize].insert(off, rows, Pair::new(self.start + off as u32, y));
+        let runs = &mut self.runs[l.0 as usize];
+        if runs.pairs.is_empty() {
+            let i = self.labels.binary_search(&l.0).expect_err("label listed without pairs");
+            self.labels.insert(i, l.0);
+        }
+        runs.insert(off, self.rows, Pair::new(self.start + off as u32, y));
     }
 
-    /// Removes the extended edge `(start + off, y, ℓ)` from both views.
+    /// Removes the extended edge `(start + off, y, ℓ)`.
     fn remove_half(&mut self, off: usize, l: ExtLabel, y: VertexId) {
-        let row = &mut self.adj[off];
-        let i = row.binary_search(&(l.0, y)).expect("edge half present");
-        row.remove(i);
-        self.runs[l.0 as usize].remove(off, Pair::new(self.start + off as u32, y));
+        let runs = &mut self.runs[l.0 as usize];
+        runs.remove(off, Pair::new(self.start + off as u32, y));
+        if runs.pairs.is_empty() {
+            let i = self.labels.binary_search(&l.0).expect("label with pairs is listed");
+            self.labels.remove(i);
+        }
     }
 }
 
@@ -299,28 +311,29 @@ impl std::fmt::Debug for PairList<'_> {
 
 /// A directed edge-labeled graph `G = (V, E, L)` in its *extended* form.
 ///
-/// Every base edge `(v, u, ℓ)` is stored twice: as `(v, u, ℓ)` and as the
-/// inverse extended edge `(u, v, ℓ⁻¹)`, mirroring the paper's extension of
-/// `E` and `L` (Sec. III-A). Two access paths are maintained:
+/// Every base edge `(v, u, ℓ)` is stored as two extended edges: `(v, u, ℓ)`
+/// and its inverse `(u, v, ℓ⁻¹)`, mirroring the paper's extension of `E`
+/// and `L` (Sec. III-A). Each extended edge is stored once, as a pair of its
+/// label's sorted relation `⟦ℓ⟧`, and every access path reads those pairs:
 ///
-/// * **adjacency**: per vertex, a vector of `(ext label, target)` entries
-///   sorted by `(label, target)` — O(log d) membership, O(d) updates;
-/// * **label-grouped pairs**: per extended label, the sorted relation
-///   `⟦ℓ⟧` used by index construction, LOOKUP leaves of the baseline
-///   engines, and the matchers, exposed as a segmented [`PairList`] —
-///   and, because each chunk keeps the row offsets of its segment, as the
-///   run of one `(v, ℓ)` ([`Graph::label_run`]) the executor's joins read.
+/// * per extended label, `⟦ℓ⟧` as a segmented [`PairList`] — index
+///   construction, LOOKUP leaves of the baseline engines, the matchers;
+/// * per `(v, ℓ)`, `v`'s run of `⟦ℓ⟧` ([`Graph::label_run`]), because each
+///   chunk keeps the row offsets of its segment — the executor's joins and
+///   [`Graph::has_edge`];
+/// * per vertex, [`Graph::out_edges`]: `v`'s runs of the labels its chunk
+///   holds, in `(label, target)` order — the maintenance walks.
 ///
-/// Both views are kept consistent under [`Graph::insert_edge`] /
-/// [`Graph::remove_edge`], which the maintenance experiments
-/// (Tables V–VII, Fig. 13) rely on. Multi-edges collapse (`E` is a set).
+/// [`Graph::insert_edge`] / [`Graph::remove_edge`] write each half once,
+/// which the maintenance experiments (Tables V–VII, Fig. 13) rely on.
+/// Multi-edges collapse (`E` is a set).
 ///
 /// # Copy-on-write storage
 ///
 /// All vertex-indexed state lives in contiguous-range chunks behind
 /// `Arc`, with boundaries balanced by extended degree
-/// ([`crate::view::balanced_ranges_by_weight`]): topology (adjacency +
-/// pair runs) in [`VertexChunk`]s, display names in a parallel
+/// ([`crate::view::balanced_ranges_by_weight`]): topology (label runs) in
+/// [`VertexChunk`]s, display names in a parallel
 /// per-range store so edge churn never copies `String`s. `Graph::clone`
 /// is therefore O(#chunks) — pointer bumps — and an edge mutation copies
 /// only the two endpoint topology chunks via `Arc::make_mut`. This is
@@ -404,39 +417,43 @@ impl Graph {
 
     /// Whether the extended edge `(v, u, ℓ)` exists.
     pub fn has_edge(&self, v: VertexId, u: VertexId, l: ExtLabel) -> bool {
-        self.adjacency(v).binary_search(&(l.0, u)).is_ok()
+        self.label_run(v, l).binary_search(&Pair::new(v, u)).is_ok()
     }
 
-    /// The full extended adjacency of `v`, sorted by `(label, target)`.
+    /// The extended edges out of `v` as `(label, target)`, sorted: `v`'s
+    /// run of each label its chunk holds, labels ascending.
     #[inline]
-    pub fn adjacency(&self, v: VertexId) -> &[(u16, VertexId)] {
+    pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (ExtLabel, VertexId)> + '_ {
         let (ci, off) = self.locate(v);
-        &self.chunks[ci].adj[off]
+        self.chunks[ci].out_edges(off)
     }
 
-    /// Sorted targets reachable from `v` via one extended edge labeled `l`.
-    pub fn neighbors(&self, v: VertexId, l: ExtLabel) -> &[(u16, VertexId)] {
-        let a = self.adjacency(v);
-        let lo = a.partition_point(|&(x, _)| x < l.0);
-        let hi = a.partition_point(|&(x, _)| x <= l.0);
-        &a[lo..hi]
+    /// The base edges touching `v` as `(src, dst, label)`, in `v`'s
+    /// [`Graph::out_edges`] order. A self-loop, which `v` holds as a
+    /// forward and an inverse half, is listed once.
+    pub fn incident_edges(
+        &self,
+        v: VertexId,
+    ) -> impl Iterator<Item = (VertexId, VertexId, Label)> + '_ {
+        self.out_edges(v).filter_map(move |(el, t)| match el.is_inverse() {
+            false => Some((v, t, el.base())),
+            true => (t != v).then_some((t, v, el.base())),
+        })
     }
 
     /// Total extended degree of `v` (forward + inverse edges).
     #[inline]
     pub fn ext_degree(&self, v: VertexId) -> usize {
-        self.adjacency(v).len()
+        self.out_edges(v).count()
     }
 
     /// Maximum extended degree `d` over all vertices (Thm. 4.3's `d`).
     pub fn max_degree(&self) -> usize {
-        self.chunks.iter().flat_map(|c| c.adj.iter().map(Vec::len)).max().unwrap_or(0)
+        self.vertices().map(|v| self.ext_degree(v)).max().unwrap_or(0)
     }
 
-    /// The pairs `(v, t)` of `⟦ℓ⟧` with source `v`, sorted by target — the
-    /// label-major twin of [`Graph::neighbors`]: two offset loads after
-    /// the chunk routing instead of two binary searches over the
-    /// mixed-label adjacency row.
+    /// The pairs `(v, t)` of `⟦ℓ⟧` with source `v`, sorted by target: two
+    /// offset loads after the chunk routing.
     #[inline]
     pub fn label_run(&self, v: VertexId, l: ExtLabel) -> &[Pair] {
         let (ci, off) = self.locate(v);
@@ -453,7 +470,7 @@ impl Graph {
         let id = self.vertex_count;
         let open_new = match self.chunks.last() {
             None => true,
-            Some(c) => c.row_count() >= CHUNK_SPLIT_ROWS,
+            Some(c) => c.rows >= CHUNK_SPLIT_ROWS,
         };
         if open_new {
             let ext_labels = self.label_names.len() * 2;
@@ -462,8 +479,10 @@ impl Graph {
             self.chunk_starts.push(id);
         } else {
             let c = Arc::make_mut(self.chunks.last_mut().expect("checked non-empty"));
-            c.adj.push(Vec::new());
-            c.runs.iter_mut().for_each(LabelRuns::push_row);
+            c.rows += 1;
+            for &l in &c.labels {
+                c.runs[l as usize].push_row();
+            }
             Arc::make_mut(self.names.last_mut().unwrap()).push(name.into());
         }
         self.vertex_count += 1;
@@ -527,16 +546,11 @@ impl Graph {
     /// edges as `(src, dst, label)` triples. The vertex id itself remains
     /// allocated but isolated.
     pub fn isolate_vertex(&mut self, v: VertexId) -> Vec<(VertexId, VertexId, Label)> {
-        let incident: Vec<(u16, VertexId)> = self.adjacency(v).to_vec();
-        let mut removed = Vec::with_capacity(incident.len());
-        for (el, t) in incident {
-            let el = ExtLabel(el);
-            let (src, dst) = if el.is_inverse() { (t, v) } else { (v, t) };
-            if self.remove_edge(src, dst, el.base()) {
-                removed.push((src, dst, el.base()));
-            }
+        let incident: Vec<_> = self.incident_edges(v).collect();
+        for &(src, dst, l) in &incident {
+            self.remove_edge(src, dst, l);
         }
-        removed
+        incident
     }
 
     /// Iterates over all base edges as `(v, u, label)`.
@@ -613,9 +627,9 @@ impl Graph {
         &self.label_names
     }
 
-    /// Number of topology chunks (the copy-on-write units carrying
-    /// adjacency rows and pair segments). Persistence surface: snapshot
-    /// writers emit one record per topology chunk.
+    /// Number of topology chunks (the copy-on-write units carrying the
+    /// label runs). Persistence surface: snapshot writers emit one record
+    /// per topology chunk.
     pub fn topology_chunk_count(&self) -> usize {
         self.chunks.len()
     }
@@ -626,14 +640,12 @@ impl Graph {
         self.names.len()
     }
 
-    /// The `i`-th topology chunk as `(start vertex id, adjacency rows)`.
-    /// Rows are indexed by `v - start` and sorted by `(ext label,
-    /// target)`. This is all a snapshot persists per chunk — the
-    /// per-label pair segments are derived state, rebuilt by
-    /// [`Graph::from_chunk_parts`].
-    pub fn topology_chunk(&self, i: usize) -> (VertexId, &[Vec<(u16, VertexId)>]) {
+    /// The vertex range of the `i`-th topology chunk. A snapshot persists
+    /// a chunk as the [`Graph::out_edges`] of each vertex in its range,
+    /// which [`Graph::from_chunk_parts`] turns back into label runs.
+    pub fn topology_chunk_range(&self, i: usize) -> std::ops::Range<VertexId> {
         let c = &self.chunks[i];
-        (c.start, &c.adj)
+        c.start..c.start + c.rows as VertexId
     }
 
     /// The `i`-th name chunk: display names of the vertices in the
@@ -659,16 +671,18 @@ impl Graph {
         matches!(before.names.get(i), Some(b) if Arc::ptr_eq(b, &self.names[i]))
     }
 
-    /// Reassembles a graph from persisted chunk parts, rebuilding all
-    /// derived state (per-label pair runs, pair counts, chunk
-    /// routing, edge count) exactly as [`GraphBuilder::build`] would.
+    /// Reassembles a graph from persisted chunk parts, building the label
+    /// runs from the rows and all derived state (present labels, pair
+    /// counts, chunk routing, edge count) exactly as
+    /// [`GraphBuilder::build`] would; the rows themselves are dropped.
     ///
-    /// `topology[i]` is `(start, adjacency rows)` as produced by
-    /// [`Graph::topology_chunk`]; `names[i]` is the parallel name chunk.
-    /// The input is validated (contiguous chunk ranges, parallel name
-    /// chunks, in-range sorted adjacency, forward/inverse symmetry of
-    /// the pair totals) so a corrupt snapshot surfaces as an error
-    /// instead of a graph that panics later.
+    /// `topology[i]` is `(start, rows)`: the chunk's
+    /// [`Graph::topology_chunk_range`] start and the [`Graph::out_edges`]
+    /// of each vertex in it. `names[i]` is the parallel name chunk. The
+    /// input is validated (contiguous chunk ranges, parallel name chunks,
+    /// in-range strictly sorted rows, forward/inverse symmetry of the pair
+    /// totals) so a corrupt snapshot surfaces as an error instead of a
+    /// graph that panics later.
     pub fn from_chunk_parts(
         label_names: Vec<String>,
         topology: Vec<TopologyChunkParts>,
@@ -682,17 +696,17 @@ impl Graph {
             return Err("topology/name chunk counts differ");
         }
         let mut next = 0u32;
-        for ((start, adj), ns) in topology.iter().zip(&names) {
+        for ((start, rows), ns) in topology.iter().zip(&names) {
             if *start != next {
                 return Err("chunk starts not contiguous");
             }
-            if adj.is_empty() {
+            if rows.is_empty() {
                 return Err("empty topology chunk");
             }
-            if adj.len() != ns.len() {
+            if rows.len() != ns.len() {
                 return Err("name chunk rows differ from topology chunk");
             }
-            next = match next.checked_add(adj.len() as u32) {
+            next = match next.checked_add(rows.len() as u32) {
                 Some(n) => n,
                 None => return Err("vertex count overflows u32"),
             };
@@ -701,20 +715,20 @@ impl Graph {
         let mut chunks = Vec::with_capacity(topology.len());
         let mut name_chunks = Vec::with_capacity(names.len());
         let mut chunk_starts = Vec::with_capacity(topology.len());
-        for ((start, adj), ns) in topology.into_iter().zip(names) {
-            for row in &adj {
+        for ((start, rows), ns) in topology.into_iter().zip(names) {
+            for row in &rows {
                 if !row.windows(2).all(|w| w[0] < w[1]) {
-                    return Err("adjacency row not strictly sorted");
+                    return Err("topology row not strictly sorted");
                 }
                 if row.last().is_some_and(|&(el, _)| el as usize >= nl * 2) {
-                    return Err("adjacency label out of range");
+                    return Err("topology label out of range");
                 }
                 if row.iter().any(|&(_, t)| t >= vertex_count) {
-                    return Err("adjacency target out of range");
+                    return Err("topology target out of range");
                 }
             }
             chunk_starts.push(start);
-            chunks.push(Arc::new(VertexChunk::from_rows(start, adj, nl * 2)));
+            chunks.push(Arc::new(VertexChunk::from_rows(start, rows, nl * 2)));
             name_chunks.push(Arc::new(ns));
         }
         let pair_counts = count_pairs(&chunks, nl * 2);
@@ -740,59 +754,13 @@ impl Graph {
         self.chunks
             .iter()
             .map(|c| {
-                let adj: usize = c.adj.iter().map(|a| a.capacity() * 8 + 24).sum();
                 let runs = c.runs.iter().map(|r| r.pairs.capacity() * 8 + r.offsets.capacity() * 4);
-                adj + runs.sum::<usize>() + c.runs.len() * std::mem::size_of::<LabelRuns>()
+                runs.sum::<usize>()
+                    + c.runs.len() * std::mem::size_of::<LabelRuns>()
+                    + c.labels.capacity() * 2
             })
             .sum()
     }
-
-    /// Summary statistics of the graph (degree distribution, label skew).
-    pub fn stats(&self) -> GraphStats {
-        let n = self.vertex_count() as usize;
-        let mut degrees: Vec<usize> =
-            self.chunks.iter().flat_map(|c| c.adj.iter().map(Vec::len)).collect();
-        degrees.sort_unstable();
-        let max_degree = degrees.last().copied().unwrap_or(0);
-        let median_degree = if n == 0 { 0 } else { degrees[n / 2] };
-        let avg_degree = if n == 0 { 0.0 } else { degrees.iter().sum::<usize>() as f64 / n as f64 };
-        let mut label_counts: Vec<usize> =
-            self.labels().map(|l| self.edge_pairs(l.fwd()).len()).collect();
-        label_counts.sort_unstable_by(|a, b| b.cmp(a));
-        let label_skew = match (label_counts.first(), label_counts.last()) {
-            (Some(&hi), Some(&lo)) if lo > 0 => hi as f64 / lo as f64,
-            _ => f64::INFINITY,
-        };
-        GraphStats {
-            vertices: self.vertex_count(),
-            base_edges: self.edge_count(),
-            base_labels: self.base_label_count(),
-            max_degree,
-            median_degree,
-            avg_degree,
-            label_skew,
-        }
-    }
-}
-
-/// Summary statistics of a graph (extended-degree based).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GraphStats {
-    /// `|V|`.
-    pub vertices: u32,
-    /// Base (non-extended) edge count.
-    pub base_edges: usize,
-    /// Base label count.
-    pub base_labels: u16,
-    /// Maximum extended degree (Thm. 4.3's `d`).
-    pub max_degree: usize,
-    /// Median extended degree.
-    pub median_degree: usize,
-    /// Mean extended degree.
-    pub avg_degree: f64,
-    /// Most-frequent / least-frequent base label ratio (∞ if a label is
-    /// unused).
-    pub label_skew: f64,
 }
 
 impl std::fmt::Debug for Graph {
@@ -893,14 +861,13 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph with the default copy-on-write chunk
-    /// granularity: sorts adjacency, collapses multi-edges, builds the
-    /// per-label pair segments, and tiles the vertices into degree-balanced
-    /// chunks.
+    /// granularity: collapses multi-edges, tiles the vertices into
+    /// degree-balanced chunks, and builds each chunk's label runs.
     pub fn build(self) -> Graph {
         self.build_with_chunk_weight(TARGET_CHUNK_WEIGHT)
     }
 
-    /// Like [`GraphBuilder::build`] with an explicit target adjacency
+    /// Like [`GraphBuilder::build`] with an explicit target extended-edge
     /// weight per copy-on-write chunk — smaller targets mean more, finer
     /// chunks (more sharing under mutation, more `Arc`s to clone). Exposed
     /// for tests and benchmarks that need multi-chunk graphs at small
@@ -924,26 +891,25 @@ impl GraphBuilder {
         let parts = total.div_ceil(target_weight.max(1)).max(1);
         let ranges = crate::view::balanced_ranges_by_weight(n as u32, parts, |v| deg[v as usize]);
 
-        let mut adj = vec![Vec::new(); n];
+        // Per-vertex `(label, target)` rows: transient input to each
+        // chunk's runs.
+        let mut rows = vec![Vec::new(); n];
         for &(v, u, l) in &edges {
-            adj[v as usize].push((l.fwd().0, u));
-            adj[u as usize].push((l.inv().0, v));
+            rows[v as usize].push((l.fwd().0, u));
+            rows[u as usize].push((l.inv().0, v));
         }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
+        rows.iter_mut().for_each(|row| row.sort_unstable());
 
         let mut name_iter = self.vertex_names.into_iter();
-        let mut adj_iter = adj.into_iter();
+        let mut row_iter = rows.into_iter();
         let mut chunks: Vec<Arc<VertexChunk>> = Vec::with_capacity(ranges.len());
         let mut names: Vec<Arc<Vec<String>>> = Vec::with_capacity(ranges.len());
         let mut chunk_starts: Vec<VertexId> = Vec::with_capacity(ranges.len());
         for r in &ranges {
-            let rows = (r.end - r.start) as usize;
-            let adj = adj_iter.by_ref().take(rows).collect();
-            chunks.push(Arc::new(VertexChunk::from_rows(r.start, adj, nl * 2)));
-            names.push(Arc::new(name_iter.by_ref().take(rows).collect()));
+            let len = (r.end - r.start) as usize;
+            let chunk_rows = row_iter.by_ref().take(len).collect();
+            chunks.push(Arc::new(VertexChunk::from_rows(r.start, chunk_rows, nl * 2)));
+            names.push(Arc::new(name_iter.by_ref().take(len).collect()));
             chunk_starts.push(r.start);
         }
         Graph {
@@ -978,6 +944,9 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.base_label_count(), 2);
         assert_eq!(g.ext_label_count(), 4);
+        // c: f-in from b, self-loop f (both directions), v-in from a → 4.
+        assert_eq!(g.max_degree(), 4);
+        assert_eq!(GraphBuilder::new().build().max_degree(), 0);
     }
 
     #[test]
@@ -998,8 +967,8 @@ mod tests {
         let f = g.label_named("f").unwrap();
         let v = g.label_named("v").unwrap();
         let a = g.vertex_named("a").unwrap();
-        let nf: Vec<_> = g.neighbors(a, f.fwd()).iter().map(|&(_, t)| t).collect();
-        let nv: Vec<_> = g.neighbors(a, v.fwd()).iter().map(|&(_, t)| t).collect();
+        let nf: Vec<_> = g.label_run(a, f.fwd()).iter().map(|p| p.dst()).collect();
+        let nv: Vec<_> = g.label_run(a, v.fwd()).iter().map(|p| p.dst()).collect();
         assert_eq!(nf, vec![g.vertex_named("b").unwrap()]);
         assert_eq!(nv, vec![g.vertex_named("c").unwrap()]);
     }
@@ -1099,24 +1068,6 @@ mod tests {
         assert!(g.has_edge(alice, alice, tl.fwd()));
     }
 
-    #[test]
-    fn stats_summarize_structure() {
-        let g = tiny();
-        let s = g.stats();
-        assert_eq!(s.vertices, 3);
-        assert_eq!(s.base_edges, 4);
-        assert_eq!(s.base_labels, 2);
-        // c: f-in from b, self-loop f (both directions), v-in from a → 4.
-        assert_eq!(s.max_degree, 4);
-        assert!(s.avg_degree > 0.0);
-        assert!(s.label_skew >= 1.0);
-        // Empty graph: no panics, zeroed stats.
-        let empty = GraphBuilder::new().build();
-        let s = empty.stats();
-        assert_eq!(s.vertices, 0);
-        assert_eq!(s.max_degree, 0);
-    }
-
     /// A multi-chunk graph built with a tiny chunk weight so chunk
     /// boundaries fall inside the data.
     fn chunky(n: u32, weight: usize) -> Graph {
@@ -1138,7 +1089,7 @@ mod tests {
         assert!(multi.chunk_count() > 8, "weight 8 must split 64 vertices");
         assert_eq!(mono.edge_count(), multi.edge_count());
         for v in mono.vertices() {
-            assert_eq!(mono.adjacency(v), multi.adjacency(v), "adjacency of {v}");
+            assert!(mono.out_edges(v).eq(multi.out_edges(v)), "out-edges of {v}");
             assert_eq!(mono.vertex_name(v), multi.vertex_name(v));
         }
         for l in mono.ext_labels() {
@@ -1191,17 +1142,21 @@ mod tests {
     }
 
     /// The stored shape of every chunk's label runs: offsets exist exactly
-    /// while the label has pairs in the chunk, one per row plus the end.
+    /// while the label has pairs in the chunk, one per row plus the end,
+    /// and the chunk lists exactly those labels.
     fn check_runs(g: &Graph) {
         for c in &g.chunks {
             for r in &c.runs {
                 if r.pairs.is_empty() {
                     assert!(r.offsets.is_empty(), "a label without pairs keeps no offsets");
                 } else {
-                    assert_eq!(r.offsets.len(), c.adj.len() + 1);
-                    assert_eq!((r.offsets[0], r.offsets[c.adj.len()] as usize), (0, r.pairs.len()));
+                    assert_eq!(r.offsets.len(), c.rows + 1);
+                    assert_eq!((r.offsets[0], r.offsets[c.rows] as usize), (0, r.pairs.len()));
                 }
             }
+            let present =
+                (0..c.runs.len() as u16).filter(|&l| !c.runs[l as usize].pairs.is_empty());
+            assert!(present.eq(c.labels.iter().copied()), "present labels of chunk {}", c.start);
         }
     }
 
@@ -1225,17 +1180,23 @@ mod tests {
         assert_eq!(g.label_run(2, v.inv()), [Pair::new(2, d)]);
     }
 
+    /// The persisted parts of `g`: per topology chunk its start and each
+    /// vertex's out-edges, and the name chunks.
+    fn parts(g: &Graph) -> (Vec<String>, Vec<TopologyChunkParts>, Vec<Vec<String>>) {
+        let rows = |v| g.out_edges(v).map(|(l, t)| (l.0, t)).collect();
+        let topo = (0..g.topology_chunk_count())
+            .map(|i| g.topology_chunk_range(i))
+            .map(|r| (r.start, r.map(rows).collect()))
+            .collect();
+        let names = (0..g.name_chunk_count()).map(|i| g.name_chunk(i).to_vec()).collect();
+        (g.label_names().to_vec(), topo, names)
+    }
+
     /// Disassembles a graph through the persistence accessors and
     /// reassembles it via `from_chunk_parts`.
     fn chunk_roundtrip(g: &Graph) -> Graph {
-        let topo = (0..g.topology_chunk_count())
-            .map(|i| {
-                let (start, adj) = g.topology_chunk(i);
-                (start, adj.to_vec())
-            })
-            .collect();
-        let names = (0..g.name_chunk_count()).map(|i| g.name_chunk(i).to_vec()).collect();
-        Graph::from_chunk_parts(g.label_names().to_vec(), topo, names).expect("valid parts")
+        let (labels, topo, names) = parts(g);
+        Graph::from_chunk_parts(labels, topo, names).expect("valid parts")
     }
 
     #[test]
@@ -1251,7 +1212,7 @@ mod tests {
         assert_eq!(r.edge_count(), g.edge_count());
         assert_eq!(r.label_names(), g.label_names());
         for v in g.vertices() {
-            assert_eq!(r.adjacency(v), g.adjacency(v), "adjacency of {v}");
+            assert!(r.out_edges(v).eq(g.out_edges(v)), "out-edges of {v}");
             assert_eq!(r.vertex_name(v), g.vertex_name(v));
         }
         for l in g.ext_labels() {
@@ -1267,17 +1228,7 @@ mod tests {
     #[test]
     fn from_chunk_parts_rejects_corrupt_input() {
         let g = chunky(16, 8);
-        let take = |g: &Graph| {
-            let topo: Vec<_> = (0..g.topology_chunk_count())
-                .map(|i| {
-                    let (s, adj) = g.topology_chunk(i);
-                    (s, adj.to_vec())
-                })
-                .collect();
-            let names: Vec<_> =
-                (0..g.name_chunk_count()).map(|i| g.name_chunk(i).to_vec()).collect();
-            (g.label_names().to_vec(), topo, names)
-        };
+        let take = parts;
         // Non-contiguous starts.
         let (l, mut topo, names) = take(&g);
         topo.last_mut().unwrap().0 += 1;

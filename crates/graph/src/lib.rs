@@ -6,7 +6,7 @@
 //! base label `ℓ` and the edge set with the reversed edges, exactly as the
 //! paper prescribes. All code in this workspace operates on the extended
 //! view: an [`ExtLabel`] encodes a base [`Label`] plus a direction bit, and
-//! the adjacency of a vertex contains both forward and inverse extended
+//! the out-edges of a vertex include both forward and inverse extended
 //! edges, so a single lookup direction suffices everywhere.
 //!
 //! Besides the core [`Graph`] type the crate ships:
@@ -34,6 +34,6 @@ pub mod label;
 pub mod pair;
 pub mod view;
 
-pub use graph::{CowDiff, Graph, GraphBuilder, GraphStats, PairList, TopologyChunkParts, VertexId};
+pub use graph::{CowDiff, Graph, GraphBuilder, PairList, TopologyChunkParts, VertexId};
 pub use label::{ExtLabel, Label, LabelSeq, MAX_SEQ_LEN};
 pub use pair::Pair;

@@ -1,6 +1,6 @@
-//! Label-major reads on multi-chunk graphs: every `(v, ℓ)` run agrees with
-//! the adjacency row, a vertex appended to a chunk has its (empty) runs,
-//! and the skewed multi-segment `PairList` point lookup regression.
+//! Label-major reads on multi-chunk graphs: a vertex appended to a chunk
+//! has its (empty) runs, and the skewed multi-segment `PairList` point
+//! lookup regression. `view_consistency` checks every run against a model.
 
 use cpqx_graph::{Graph, GraphBuilder, Pair};
 
@@ -37,18 +37,20 @@ fn skewed(n: u32, weight: usize) -> Graph {
 }
 
 #[test]
-fn forward_face_matches_adjacency_rows() {
+fn appended_vertex_has_empty_runs() {
     let mut g = chunky(64, 8);
     assert!(g.topology_chunk_count() > 4, "chunk boundaries must fall inside the data");
-    // A vertex appended to the last chunk gets a run per label, all empty.
+    // A vertex appended to the last chunk gets a run per label, all empty,
+    // and leaves its neighbours' runs as they were.
+    let runs = |g: &Graph, n: u32| -> Vec<Vec<Pair>> {
+        (0..n).flat_map(|v| g.ext_labels().map(move |l| g.label_run(v, l).to_vec())).collect()
+    };
+    let before = runs(&g, g.vertex_count());
     let d = g.add_vertex("extra");
-    for v in g.vertices() {
-        for l in g.ext_labels() {
-            let rows: Vec<Pair> = g.neighbors(v, l).iter().map(|&(_, t)| Pair::new(v, t)).collect();
-            assert_eq!(g.label_run(v, l), rows.as_slice(), "run of ({v}, {l:?})");
-        }
-    }
+    let after = runs(&g, d);
+    assert_eq!(before, after);
     assert!(g.ext_labels().all(|l| g.label_run(d, l).is_empty()));
+    assert_eq!(g.out_edges(d).count(), 0);
 }
 
 #[test]

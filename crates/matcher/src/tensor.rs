@@ -1,11 +1,11 @@
 //! Tentris-style worst-case-optimal join evaluation.
 //!
-//! Stand-in for the tensor-based RDF engine \[6\]: the graph's per-label
-//! sorted adjacency doubles as a hypertrie (label → source → targets and
+//! Stand-in for the tensor-based RDF engine \[6\]: the graph's sorted
+//! label runs double as a hypertrie (label → source → targets and
 //! label → target → sources via inverse labels). Queries are evaluated by a
 //! worst-case-optimal join: variables are eliminated along a static greedy
 //! order, and each variable's bindings are the *k-way sorted intersection*
-//! (leapfrog style) of every adjacency slice constraining it — contrast
+//! (leapfrog style) of every label run constraining it — contrast
 //! with the backtracking engine, which picks one candidate list and
 //! verifies the rest edge-at-a-time.
 
@@ -130,7 +130,7 @@ impl<'a> Wcoj<'a> {
             if e.from == var {
                 match self.assign[e.to as usize] {
                     Some(y) => lists
-                        .push(self.g.neighbors(y, e.label.inv()).iter().map(|&(_, t)| t).collect()),
+                        .push(self.g.label_run(y, e.label.inv()).iter().map(|p| p.dst()).collect()),
                     None => {
                         // Unbound neighbor: var still must be a source of
                         // the label relation (hypertrie level projection).
@@ -143,7 +143,7 @@ impl<'a> Wcoj<'a> {
             } else {
                 match self.assign[e.from as usize] {
                     Some(x) => lists
-                        .push(self.g.neighbors(x, e.label.fwd()).iter().map(|&(_, t)| t).collect()),
+                        .push(self.g.label_run(x, e.label.fwd()).iter().map(|p| p.dst()).collect()),
                     None => {
                         let mut proj: Vec<VertexId> =
                             self.g.edge_pairs(e.label.inv()).iter().map(|p| p.src()).collect();

@@ -1,7 +1,7 @@
 //! TurboHom++-style homomorphic subgraph matching.
 //!
 //! Stand-in for the paper's strongest matching baseline \[26\] (closed
-//! binary): candidate filtering from the label-indexed adjacency, a dynamic
+//! binary): candidate filtering from the graph's label runs, a dynamic
 //! fewest-candidates-first matching order, and backtracking enumeration.
 //! Because a CPQ's answer is the *binary projection* onto (s, t), the
 //! search prunes any subtree whose (s, t) binding is already in the answer
@@ -156,17 +156,18 @@ impl<'a> Search<'a> {
     }
 
     /// The sorted candidate list induced by `e` if its other endpoint is
-    /// assigned: an adjacency slice of the graph.
-    fn constraint_list(&self, var: u32, e: &PatternEdge) -> Option<&'a [(u16, VertexId)]> {
+    /// assigned: that endpoint's label run, whose targets are the
+    /// candidates.
+    fn constraint_list(&self, var: u32, e: &PatternEdge) -> Option<&'a [Pair]> {
         if e.from == var && e.to == var {
             return None; // self-loop: verified, not enumerated
         }
         if e.from == var {
             let y = self.assign[e.to as usize]?;
-            Some(self.g.neighbors(y, e.label.inv()))
+            Some(self.g.label_run(y, e.label.inv()))
         } else if e.to == var {
             let x = self.assign[e.from as usize]?;
-            Some(self.g.neighbors(x, e.label.fwd()))
+            Some(self.g.label_run(x, e.label.fwd()))
         } else {
             None
         }
@@ -177,8 +178,8 @@ impl<'a> Search<'a> {
         self.g.edge_pairs(rel).len()
     }
 
-    /// Candidate vertices for `var`: the smallest assigned-neighbor
-    /// adjacency slice (or a relation projection), verified against every
+    /// Candidate vertices for `var`: the targets of the smallest
+    /// assigned-neighbor label run (or a relation projection), verified against every
     /// other incident constraint.
     fn candidates(&self, var: u32) -> Vec<VertexId> {
         // Base list.
@@ -188,7 +189,7 @@ impl<'a> Search<'a> {
             if let Some(list) = self.constraint_list(var, e) {
                 if list.len() < base_len {
                     base_len = list.len();
-                    base = Some(list.iter().map(|&(_, t)| t).collect());
+                    base = Some(list.iter().map(|p| p.dst()).collect());
                 }
             }
         }

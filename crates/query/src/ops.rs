@@ -295,8 +295,7 @@ pub fn filter_loops(pairs: &[Pair]) -> Vec<Pair> {
 /// and every edge `(u, t, ℓ)`, emits `(v, t)`. This is the frontier
 /// expansion the index-free BFS baseline uses for chain suffixes, served
 /// from the graph's label runs ([`Graph::label_run`]: two offset loads per
-/// step instead of binary searches over the mixed-label adjacency row).
-/// Output is normalized, emitted source by source.
+/// step). Output is normalized, emitted source by source.
 pub fn expand_adjacency(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
     debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
@@ -308,13 +307,11 @@ pub fn expand_adjacency(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
 
 /// Fused `expand ∩ id`: like [`expand_adjacency`] but keeps only cyclic
 /// results `(v, v)` — the one-label-suffix form of `JOIN-ID`. A pair
-/// `(v, u)` closes iff `u`'s run holds the edge `u →ℓ v`.
+/// `(v, u)` closes iff the graph holds the edge `u →ℓ v`.
 pub fn expand_adjacency_id(g: &Graph, pairs: &[Pair], l: ExtLabel) -> Vec<Pair> {
     debug_assert!(is_normalized(pairs), "join operands must be normalized");
     let mut out = Vec::new();
-    loops_by_source(pairs, &mut out, |v, u| {
-        g.label_run(u, l).binary_search(&Pair::new(u, v)).is_ok()
-    });
+    loops_by_source(pairs, &mut out, |v, u| g.has_edge(u, v, l));
     out
 }
 

@@ -22,7 +22,7 @@ pub trait SeqProbe {
 }
 
 /// Index-free probe: checks sequence non-emptiness by early-exit DFS over
-/// the adjacency lists.
+/// the graph's label runs.
 pub struct GraphProbe<'g>(
     /// The graph to probe.
     pub &'g Graph,
@@ -48,8 +48,8 @@ fn extend(g: &Graph, v: u32, seq: &LabelSeq, depth: usize) -> bool {
         return true;
     }
     let l = seq.get(depth);
-    for &(_, t) in g.neighbors(v, l) {
-        if extend(g, t, seq, depth + 1) {
+    for p in g.label_run(v, l) {
+        if extend(g, p.dst(), seq, depth + 1) {
             return true;
         }
     }

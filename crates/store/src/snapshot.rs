@@ -7,9 +7,9 @@
 //! * a **header** record: the graph's label table, the index's `k` and
 //!   mode (full / interest-aware with its interest set), and the three
 //!   chunk counts;
-//! * one record per graph **topology chunk** (adjacency rows; the
-//!   derived pair segments are rebuilt on load by
-//!   [`cpqx_graph::Graph::from_chunk_parts`]);
+//! * one record per graph **topology chunk** (each vertex's out-edges,
+//!   written from the label runs, which
+//!   [`cpqx_graph::Graph::from_chunk_parts`] rebuilds on load);
 //! * one record per vertex-**name chunk**;
 //! * one record per index **class chunk**, whose payload is exactly
 //!   [`cpqx_core::CpqxIndex::save_class_chunk`]'s output, written for all
@@ -273,26 +273,30 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
     Ok(h)
 }
 
-/// Encodes topology chunk `i` of `graph`: the adjacency rows only —
-/// pair segments and counts are derived state, rebuilt on load.
+/// Encodes topology chunk `i` of `graph`: one row per vertex of the
+/// chunk's range, its [`Graph::out_edges`] in `(label, target)` order.
 pub(crate) fn encode_topology_chunk(graph: &Graph, i: usize) -> Vec<u8> {
-    let (start, rows) = graph.topology_chunk(i);
+    let range = graph.topology_chunk_range(i);
     let mut out = vec![KIND_TOPOLOGY];
     out.extend_from_slice(&(i as u32).to_le_bytes());
-    out.extend_from_slice(&start.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for (ext, tgt) in row {
-            out.extend_from_slice(&ext.to_le_bytes());
+    out.extend_from_slice(&range.start.to_le_bytes());
+    out.extend_from_slice(&(range.end - range.start).to_le_bytes());
+    for v in range {
+        let at = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut n = 0u32;
+        for (ext, tgt) in graph.out_edges(v) {
+            out.extend_from_slice(&ext.0.to_le_bytes());
             out.extend_from_slice(&tgt.to_le_bytes());
+            n += 1;
         }
+        out[at..at + 4].copy_from_slice(&n.to_le_bytes());
     }
     out
 }
 
 /// Decodes a topology chunk record into
-/// `(chunk index, start vertex, adjacency rows)`.
+/// `(chunk index, start vertex, out-edge rows)`.
 pub(crate) type TopologyChunk = (usize, VertexId, Vec<Vec<(u16, VertexId)>>);
 
 /// Decodes a topology chunk record (see [`encode_topology_chunk`]).
@@ -384,9 +388,11 @@ mod tests {
 
         for i in 0..g.topology_chunk_count() {
             let (ci, start, rows) = decode_topology_chunk(&encode_topology_chunk(&g, i)).unwrap();
-            let (want_start, want_rows) = g.topology_chunk(i);
-            assert_eq!((ci, start), (i, want_start));
-            assert_eq!(rows, want_rows);
+            let range = g.topology_chunk_range(i);
+            assert_eq!((ci, start, rows.len()), (i, range.start, range.len()));
+            for (v, row) in range.zip(rows) {
+                assert!(row.into_iter().eq(g.out_edges(v).map(|(l, t)| (l.0, t))), "row of {v}");
+            }
         }
         for i in 0..g.name_chunk_count() {
             let (ci, names) = decode_name_chunk(&encode_name_chunk(&g, i)).unwrap();
@@ -408,10 +414,8 @@ mod tests {
 
     /// Length and FNV-1a of every TOPOLOGY record of `g`, in chunk order.
     fn topology_digest(g: &Graph) -> (usize, u64) {
-        let mut bytes = Vec::new();
-        for i in 0..g.topology_chunk_count() {
-            bytes.extend_from_slice(&encode_topology_chunk(g, i));
-        }
+        let bytes: Vec<u8> =
+            (0..g.topology_chunk_count()).flat_map(|i| encode_topology_chunk(g, i)).collect();
         let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
         (bytes.len(), bytes.iter().fold(0xcbf2_9ce4_8422_2325, fnv))
     }
