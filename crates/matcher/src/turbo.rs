@@ -179,8 +179,8 @@ impl<'a> Search<'a> {
     }
 
     /// Candidate vertices for `var`: the targets of the smallest
-    /// assigned-neighbor label run (or a relation projection), verified against every
-    /// other incident constraint.
+    /// assigned-neighbor label run (or a relation projection), verified
+    /// against every other incident constraint.
     fn candidates(&self, var: u32) -> Vec<VertexId> {
         // Base list.
         let mut base: Option<Vec<VertexId>> = None;

@@ -421,8 +421,8 @@ mod tests {
     }
 
     /// The TOPOLOGY record bytes pinned across commits, for a fresh
-    /// multi-chunk graph with self-loops and for the same graph after a
-    /// fixed insert/remove/add-vertex/isolate script. A change to how a
+    /// multi-chunk graph and for the same graph after a fixed
+    /// insert/self-loop/remove/add-vertex/isolate script. A change to how a
     /// graph stores its edges must leave these bytes alone: recovery reads
     /// records written by earlier builds.
     #[test]
