@@ -136,14 +136,6 @@ pub(crate) struct VertexChunk {
 }
 
 impl VertexChunk {
-    /// The edges of in-chunk row `r` in `(label, target)` order.
-    #[inline]
-    fn out_edges(&self, r: usize) -> impl Iterator<Item = (ExtLabel, VertexId)> + '_ {
-        self.labels.iter().flat_map(move |&l| {
-            self.runs[l as usize].run(r).iter().map(move |p| (ExtLabel(l), p.dst()))
-        })
-    }
-
     /// The chunk's sorted segment of `⟦ℓ⟧`.
     #[inline]
     fn segment(&self, label: usize) -> &[Pair] {
@@ -425,7 +417,10 @@ impl Graph {
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (ExtLabel, VertexId)> + '_ {
         let (ci, off) = self.locate(v);
-        self.chunks[ci].out_edges(off)
+        let c = &self.chunks[ci];
+        c.labels.iter().flat_map(move |&l| {
+            c.runs[l as usize].run(off).iter().map(move |p| (ExtLabel(l), p.dst()))
+        })
     }
 
     /// The base edges touching `v` as `(src, dst, label)`, in `v`'s
