@@ -1,9 +1,9 @@
 //! Query processing with the index — the paper's Algorithms 3 and 4.
 //!
-//! Intermediate results are either sorted **class-id sets** or normalized
-//! **pair sets**. The executor keeps results at the class level as long as
-//! possible: LOOKUP borrows the `Il2c` posting list; CONJUNCTION of two
-//! class sets is an id-list intersection (the order-of-magnitude win of
+//! Intermediate results are either **class-id sets** or normalized **pair
+//! sets**. The executor keeps results at the class level as long as
+//! possible: LOOKUP borrows the `Il2c` posting set; CONJUNCTION of two
+//! class sets is a class-id intersection (the order-of-magnitude win of
 //! Prop. 4.1 / Example 4.3). The root expands surviving classes through
 //! `Ic2p`. Three rules cover everything else:
 //!
@@ -31,15 +31,22 @@
 //!    intersects cyclic postings only — at most |V| ids between them —
 //!    never walking the full lists to test a flag per class.
 //!
-//! Class-id sets intersect by length ([`intersect_ids`]): short or skewed
-//! operands merge or gallop, long balanced ones mark the smaller in a
-//! bitmap and filter the larger. A conjunction with an operand that is not
-//! class-level (a join, or `id`) intersects pair sets instead.
+//! Class-id sets intersect by what they are ([`ClassIds`]), never decoded
+//! to a list first. Two posting sets AND their containers window by
+//! window ([`ClassSet::and`]: word AND of bitmaps, a bit test per array id
+//! against a bitmap, a merge of arrays). An id list — a cyclic sub-list or
+//! an earlier intersection — against a posting set tests each id's bit or
+//! array entry ([`ClassSet::and_ids`]). Two id lists intersect by length
+//! ([`intersect_ids`]): short or skewed lists merge or gallop, long
+//! balanced ones mark the smaller in a bitmap and filter the larger. A
+//! conjunction with an operand that is not class-level (a join, or `id`)
+//! intersects pair sets instead.
 //!
 //! Every choice above is made by the plan in front of the executor, never
 //! by an option: the executor has one configuration.
 
 use crate::bisim::ClassId;
+use crate::class_set::ClassSet;
 use crate::index::CpqxIndex;
 use cpqx_graph::pair::{self, GALLOP_RATIO};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
@@ -51,12 +58,35 @@ use std::borrow::Cow;
 /// An intermediate result: `C` or `P` in Algorithm 3's notation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Intermediate<'i> {
-    /// Sorted class ids — unions of whole equivalence classes. A bare
-    /// LOOKUP borrows the index's posting list; only filtered or
-    /// intersected lists are owned.
-    Classes(Cow<'i, [ClassId]>),
+    /// Class ids — unions of whole equivalence classes.
+    Classes(ClassIds<'i>),
     /// Normalized s-t pairs.
     Pairs(Vec<Pair>),
+}
+
+/// A class-level intermediate, kept in the form it was produced in.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ClassIds<'i> {
+    /// A bare LOOKUP's posting set, borrowed from the index.
+    Posting(&'i ClassSet),
+    /// Sorted, duplicate-free ids: a LOOKUP∩id's cyclic sub-list,
+    /// borrowed, or an intersection's result, owned.
+    List(Cow<'i, [ClassId]>),
+}
+
+impl ClassIds<'_> {
+    /// The number of classes.
+    pub fn len(&self) -> usize {
+        match self {
+            ClassIds::Posting(set) => set.len(),
+            ClassIds::List(ids) => ids.len(),
+        }
+    }
+
+    /// Whether there is no class.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Has no field: the executor has one configuration. Kept only because
@@ -150,7 +180,13 @@ impl<'i, 'g> Executor<'i, 'g> {
     pub fn run_first(&self, plan: &Plan) -> Option<Pair> {
         match self.eval(plan) {
             Intermediate::Pairs(p) => p.first().copied(),
-            Intermediate::Classes(cs) => cs.iter().find_map(|&c| self.index.class_pairs(c).next()),
+            Intermediate::Classes(cs) => {
+                let first = |c: ClassId| self.index.class_pairs(c).next();
+                match cs {
+                    ClassIds::Posting(set) => set.iter().find_map(first),
+                    ClassIds::List(ids) => ids.iter().copied().find_map(first),
+                }
+            }
         }
     }
 
@@ -166,7 +202,7 @@ impl<'i, 'g> Executor<'i, 'g> {
             Plan::AllId => Intermediate::Pairs(ops::all_loops(self.graph)),
             Plan::Lookup(seq) if !under_id => {
                 debug_assert!(self.index.is_indexed(seq), "planner must split {seq:?}");
-                Intermediate::Classes(Cow::Borrowed(self.lookup_counted(seq)))
+                Intermediate::Classes(ClassIds::Posting(self.lookup_counted(seq)))
             }
             Plan::Lookup(seq) | Plan::LookupId(seq) => {
                 // Fused `⟦seq⟧ ∩ id`: the sequence's cyclic classes, kept
@@ -174,8 +210,8 @@ impl<'i, 'g> Executor<'i, 'g> {
                 // "check the first s-t pair" — cyclicity is uniform per
                 // class — done once, at build time).
                 let looked = self.index.lookup_cyclic(seq);
-                self.count_lookup(looked);
-                Intermediate::Classes(Cow::Borrowed(looked))
+                self.count_lookup(looked.len());
+                Intermediate::Classes(ClassIds::List(Cow::Borrowed(looked)))
             }
             Plan::Join(a, b) => self.join(a, b, under_id),
             Plan::JoinId(a, b) => self.join(a, b, true),
@@ -184,9 +220,10 @@ impl<'i, 'g> Executor<'i, 'g> {
         }
     }
 
-    /// `CONJUNCTION` / fused `CONJUNCTION-ID`: the class-level id-list
-    /// intersection of Prop. 4.1 when both operands are class sets, a
-    /// pair-set intersection otherwise. Under a fused identity, operands
+    /// `CONJUNCTION` / fused `CONJUNCTION-ID`: the class-level
+    /// intersection of Prop. 4.1 when both operands are class sets — on
+    /// the posting sets' containers where an operand is one (module docs)
+    /// — a pair-set intersection otherwise. Under a fused identity, operands
     /// that stay at the class level are evaluated under it themselves
     /// (module docs, rule 3), so only cyclic postings meet.
     fn conj(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
@@ -196,7 +233,15 @@ impl<'i, 'g> Executor<'i, 'g> {
                 // Only class-level plans evaluate to class sets.
                 debug_assert!(push_id || !require_loop, "identity not pushed to a class set");
                 self.bump(|s| s.class_conjunctions += 1);
-                Intermediate::Classes(Cow::Owned(self.marks.borrow_mut().intersect(&x, &y)))
+                let both = match (&x, &y) {
+                    (ClassIds::Posting(a), ClassIds::Posting(b)) => a.and(b),
+                    (ClassIds::Posting(set), ClassIds::List(ids))
+                    | (ClassIds::List(ids), ClassIds::Posting(set)) => set.and_ids(ids),
+                    (ClassIds::List(a), ClassIds::List(b)) => {
+                        self.marks.borrow_mut().intersect(a, b)
+                    }
+                };
+                Intermediate::Classes(ClassIds::List(Cow::Owned(both)))
             }
             (x, y) => {
                 let left = self.pairs(x);
@@ -287,10 +332,14 @@ impl<'i, 'g> Executor<'i, 'g> {
             Intermediate::Pairs(pairs) => pairs.iter().map(looped).collect(),
             Intermediate::Classes(cs) => {
                 let mut out = Vec::new();
-                for &c in cs.iter() {
+                let mut add = |c: ClassId| {
                     let pairs = self.index.class_pairs(c);
                     self.bump(|s| s.pairs_materialized += pairs.len());
                     out.extend(pairs.map(|p| looped(&p)));
+                };
+                match cs {
+                    ClassIds::Posting(set) => set.iter().for_each(add),
+                    ClassIds::List(ids) => ids.iter().for_each(|&c| add(c)),
                 }
                 pair::sort_pairs(&mut out);
                 out
@@ -301,17 +350,17 @@ impl<'i, 'g> Executor<'i, 'g> {
     }
 
     /// `Il2c` lookup that records the EXPLAIN counters.
-    fn lookup_counted(&self, seq: &LabelSeq) -> &'i [ClassId] {
+    fn lookup_counted(&self, seq: &LabelSeq) -> &'i ClassSet {
         let cs = self.index.lookup(seq);
-        self.count_lookup(cs);
+        self.count_lookup(cs.len());
         cs
     }
 
-    /// Records one `Il2c` lookup that retrieved `cs`.
-    fn count_lookup(&self, cs: &[ClassId]) {
+    /// Records one `Il2c` lookup that retrieved `classes` ids.
+    fn count_lookup(&self, classes: usize) {
         self.bump(|s| {
             s.lookups += 1;
-            s.classes_touched += cs.len();
+            s.classes_touched += classes;
         });
     }
 
@@ -325,8 +374,11 @@ impl<'i, 'g> Executor<'i, 'g> {
 
     /// `⋃_{c} Ic2p(c)`, normalized. Classes are disjoint, so only a sort is
     /// needed.
-    fn expand(&self, cs: &[ClassId]) -> Vec<Pair> {
-        let mut out = self.index.gather_rows(cs);
+    fn expand(&self, cs: &ClassIds<'_>) -> Vec<Pair> {
+        let mut out = match cs {
+            ClassIds::Posting(set) => self.index.gather_rows(set.iter()),
+            ClassIds::List(ids) => self.index.gather_rows(ids.iter().copied()),
+        };
         self.bump(|s| s.pairs_materialized += out.len());
         pair::sort_pairs(&mut out);
         out
@@ -363,7 +415,7 @@ fn class_level_plan(p: &Plan) -> bool {
 /// Below this many ids in the smaller list a merge is as fast as marking.
 const MARK_MIN_LEN: usize = 32;
 
-/// Class-set intersection with its scratch: a bitmap with one bit per
+/// Id-list intersection with its scratch: a bitmap with one bit per
 /// class slot, all zero between calls (it grows to the largest id marked
 /// and is cleared by re-walking what was marked, so its cost follows the
 /// operands, not the index).
@@ -377,9 +429,8 @@ impl ClassMarks {
     /// lists, by the cheapest of three routes their lengths allow: a
     /// short smaller side merges, one ≥ 16× shorter than the other
     /// gallops ([`pair::intersect_sorted`] is both), and long balanced
-    /// lists — posting lists of tens of thousands of ids — mark the
-    /// smaller in the bitmap and filter the larger against it without a
-    /// data-dependent branch.
+    /// lists mark the smaller in the bitmap and filter the larger against
+    /// it without a data-dependent branch.
     fn intersect(&mut self, a: &[ClassId], b: &[ClassId]) -> Vec<ClassId> {
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         let mut out = Vec::new();

@@ -2,6 +2,7 @@
 //! CPQx and iaCPQx (they differ only in how the partition is computed).
 
 use crate::bisim::{cpq_path_partition, ClassId, Partition, SeqId};
+use crate::class_set::ClassSet;
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
 use crate::intern::{PairHasher, SeqDict};
@@ -333,13 +334,18 @@ impl ClassChunk {
 /// One `Il2c` entry: the classes carrying a sequence and, beside them,
 /// the cyclic ones among them — IDENTITY (the paper's third optimisation,
 /// Sec. IV-D) as a posting list of its own, so `⟦seq⟧ ∩ id` is a borrow
-/// instead of a filter over the full list. At most |V| pairs are loops,
-/// so the sub-lists are a rounding error next to the lists themselves.
+/// instead of a filter over the full set.
+///
+/// The full set is a [`ClassSet`]: array and bitmap containers per 64k-id
+/// window, read in place by every reader — lookups, the executor's
+/// intersections, maintenance and `save`. At most |V| pairs are loops, so
+/// the cyclic sub-list stays a plain sorted list: a rounding error next to
+/// the sets themselves.
 #[derive(Clone, Default)]
 pub(crate) struct Posting {
-    /// Sorted ids of every class carrying the sequence.
-    pub(crate) all: Vec<ClassId>,
-    /// The sorted sub-list of `all` whose classes are cyclic.
+    /// Every class carrying the sequence.
+    pub(crate) all: ClassSet,
+    /// The sorted ids of `all` whose classes are cyclic.
     pub(crate) cyclic: Vec<ClassId>,
 }
 
@@ -351,7 +357,17 @@ impl Posting {
             self.cyclic.push(c);
         }
     }
+
+    /// The entry with its spare capacity freed, ready to be shared.
+    pub(crate) fn finished(mut self) -> Arc<Self> {
+        self.all.shrink_to_fit();
+        self.cyclic.shrink_to_fit();
+        Arc::new(self)
+    }
 }
+
+/// What a lookup of a sequence without an entry returns.
+static NO_CLASSES: ClassSet = ClassSet::new();
 
 /// The sequence sets of a range of classes, transposed out of `Il2c`
 /// ([`CpqxIndex::class_seq_sets`]): each class's ids in sequence order,
@@ -376,7 +392,8 @@ impl SeqSets {
 ///
 /// Two data structures, per Def. 4.3:
 ///
-/// * `Il2c : L≤k → {c}` — label sequence to sorted class-id posting list,
+/// * `Il2c : L≤k → {c}` — label sequence to class-id posting set, stored
+///   as Roaring-style array and bitmap containers ([`ClassSet`]),
 /// * `Ic2p : c → P(c)` — class id to sorted s-t pair list,
 ///
 /// plus the auxiliary structures the paper's maintenance procedures need:
@@ -419,9 +436,11 @@ impl SeqSets {
 ///   `Arc`, each a handful of flat arrays,
 /// * the pair → class inverted index, once built, is sharded by
 ///   source-vertex range behind `Arc`,
-/// * `Il2c` entries — a posting list and its cyclic sub-list
-///   ([`Posting`]) — sit individually behind `Arc` (the key set is small
-///   — O(|L|ᵏ) sequences — so the vector itself clones cheaply),
+/// * `Il2c` entries — a posting set, flat like a class chunk, and its
+///   cyclic sub-list ([`Posting`]) — sit individually behind `Arc`, so a
+///   write that lists a fresh class copies the set's three flat vectors
+///   and the sub-list (the key set is small — O(|L|ᵏ) sequences — so the
+///   vector itself clones cheaply),
 /// * the sequence dictionary sits behind one `Arc`: only a write that
 ///   meets a never-seen sequence copies it.
 ///
@@ -531,8 +550,11 @@ pub struct IndexStats {
     /// γ — average `|L≤k(v,u) ∩ indexed|` over indexed pairs.
     pub gamma: f64,
     /// Core index bytes: `Il2c`'s lookup keys (the sequence dictionary,
-    /// posting lists and their cyclic sub-lists) + `Ic2p` (Def. 4.3's
+    /// posting sets and their cyclic sub-lists) + `Ic2p` (Def. 4.3's
     /// structures, the quantity Thm. 4.2 bounds and Table IV reports).
+    /// A posting set counts what it stores: a 12-byte header per 64k-id
+    /// window, 2 bytes per id of an array window and 8 KB per bitmap
+    /// window ([`ClassSet`]).
     /// `Ic2p` counts what it stores: each chunk's width-packed rows, their
     /// 7 padding bytes and one shift byte, plus a 4-byte end offset per
     /// row — on a graph of up to 4,096 vertices, 3 bytes a pair.
@@ -543,9 +565,10 @@ pub struct IndexStats {
     /// has built it). A class's sequence *set* is not counted again: it is
     /// stored only in `Il2c`. Packed accounting: what each structure
     /// stores, at the size of the element type it stores it as (`Ic2p`
-    /// rows at their packed width, as in `core_bytes`; the pair → class
-    /// map at 8-byte pairs), plus a 4-byte offset per list; container
-    /// headers and hash-table slack are not counted.
+    /// rows at their packed width and posting sets by their containers, as
+    /// in `core_bytes`; the pair → class map at 8-byte pairs), plus a
+    /// 4-byte offset or length per list; vector headers, capacity and
+    /// hash-table slack are not counted.
     pub total_bytes: usize,
 }
 
@@ -586,10 +609,9 @@ impl CpqxIndex {
         // The dictionary and `Il2c`: renumber the partition's sequence ids
         // by first occurrence along the classes, so the numbering depends
         // on the classes alone, not on the order the build met the
-        // sequences in. Each sequence's posting lists grow as plain vectors
-        // beside it — classes are visited in ascending id order, so
-        // postings come out sorted — and are wrapped in their `Arc` once,
-        // at the end.
+        // sequences in. Each sequence's entry grows beside it — classes are
+        // visited in ascending id order, so each class is pushed above the
+        // ones listed — and is wrapped in its `Arc` once, at the end.
         let mut seqs = SeqDict::default();
         let mut renumbered = vec![SeqId::MAX; p.seqs.len()];
         let mut postings: Vec<Posting> = Vec::new();
@@ -603,7 +625,7 @@ impl CpqxIndex {
                 postings[*to as usize].push(c, is_loop);
             }
         }
-        let il2c = postings.into_iter().map(Arc::new).collect();
+        let il2c = postings.into_iter().map(Posting::finished).collect();
 
         // `Ic2p`: every chunk's per-class arrays, then every chunk's packed
         // rows, then the chunks' `Arc`s. Allocated in this order, the small
@@ -791,7 +813,7 @@ impl CpqxIndex {
     /// its set has `ids.len()` members and every one of the `ids` lists it.
     pub(crate) fn class_carries_exactly(&self, c: ClassId, ids: &[SeqId]) -> bool {
         self.class_seq_count(c) == ids.len()
-            && ids.iter().all(|&id| self.il2c[id as usize].all.binary_search(&c).is_ok())
+            && ids.iter().all(|&id| self.il2c[id as usize].all.contains(c))
     }
 
     /// The `Il2c` entry of `seq`, if `seq` is a lookup key: a retained
@@ -818,11 +840,13 @@ impl CpqxIndex {
         self.interests.as_ref()
     }
 
-    /// `Il2c(ℓ)` — the sorted class ids whose pairs match `seq`; empty
-    /// unless `seq` [`CpqxIndex::is_indexed`] (a deleted interest's
-    /// retained entry is served to no one).
-    pub fn lookup(&self, seq: &LabelSeq) -> &[ClassId] {
-        self.posting(seq).map_or(&[], |p| &p.all)
+    /// `Il2c(ℓ)` — the classes whose pairs match `seq`, borrowed as the
+    /// index stores them (a [`ClassSet`]: ids ascending, `len` in O(1),
+    /// intersections on its containers); empty unless `seq`
+    /// [`CpqxIndex::is_indexed`] (a deleted interest's retained entry is
+    /// served to no one).
+    pub fn lookup(&self, seq: &LabelSeq) -> &ClassSet {
+        self.posting(seq).map_or(&NO_CLASSES, |p| &p.all)
     }
 
     /// `Il2c(ℓ) ∩ id` — the sorted ids of the *cyclic* classes whose pairs
@@ -842,24 +866,24 @@ impl CpqxIndex {
 
     /// `⋃_{c ∈ cs} Ic2p(c)` in class order (not normalized), allocated at
     /// its exact size — one forward sweep per touched chunk over its end
-    /// offsets and its packed keys (`cs` is sorted, so chunks are visited
-    /// once, in order). Sizing reads only the end offsets; the keys'
-    /// widths are decoded once per chunk.
-    pub(crate) fn gather_rows(&self, cs: &[ClassId]) -> Vec<Pair> {
-        let runs = || {
-            cs.chunk_by(|a, b| *a as usize / CLASS_CHUNK == *b as usize / CLASS_CHUNK)
-                .map(|run| (&*self.classes[run[0] as usize / CLASS_CHUNK], run))
-        };
-        let span =
-            |chunk: &ClassChunk, c: ClassId| row_span(&chunk.pair_ends, c as usize % CLASS_CHUNK);
-        let len = runs().flat_map(|(ch, run)| run.iter().map(move |&c| span(ch, c).len())).sum();
+    /// offsets and its packed keys (`cs` is ascending — a posting set or a
+    /// sorted id list — so chunks are visited once, in order). Sizing
+    /// reads only the end offsets; the keys' widths are decoded once per
+    /// chunk.
+    pub(crate) fn gather_rows(&self, cs: impl Iterator<Item = ClassId> + Clone) -> Vec<Pair> {
+        let slot = |c: ClassId| (c as usize / CLASS_CHUNK, c as usize % CLASS_CHUNK);
+        let span = |(ci, off): (usize, usize)| row_span(&self.classes[ci].pair_ends, off);
+        let len = cs.clone().map(|c| span(slot(c)).len()).sum();
         let mut out = Vec::with_capacity(len);
-        for (chunk, run) in runs() {
-            let keys = chunk.keys();
-            for &c in run {
-                for i in span(chunk, c) {
-                    out.push(keys.get(i));
-                }
+        let mut open: Option<(usize, Keys<'_>)> = None;
+        for c in cs {
+            let (ci, off) = slot(c);
+            let keys = match open {
+                Some((at, keys)) if at == ci => keys,
+                _ => open.insert((ci, self.classes[ci].keys())).1,
+            };
+            for i in span((ci, off)) {
+                out.push(keys.get(i));
             }
         }
         out
@@ -895,9 +919,10 @@ impl CpqxIndex {
     /// The sequence sets of the classes in `classes`, read off `Il2c` by
     /// transposing it over that range — how `save` and `validate` read
     /// class sets. Walks the entries in `order` ([`CpqxIndex::seq_order`])
-    /// and takes each posting list's run of classes in the range by binary
-    /// search, so every set comes out in sequence order; the set sizes lay
-    /// the output out up front.
+    /// and each posting set from its first class in the range
+    /// ([`ClassSet::iter_from`]: a search for the window and one inside
+    /// it) to the range's end, so every set comes out in sequence order;
+    /// the set sizes lay the output out up front.
     pub(crate) fn class_seq_sets(&self, order: &[SeqId], classes: Range<ClassId>) -> SeqSets {
         let mut ends = Vec::with_capacity(classes.len());
         let mut at = 0;
@@ -909,10 +934,8 @@ impl CpqxIndex {
             std::iter::once(0).chain(ends.iter().copied()).take(ends.len()).collect();
         let mut ids = vec![0; at as usize];
         for &id in order {
-            let all = &self.il2c[id as usize].all;
-            let first = all.partition_point(|&c| c < classes.start);
-            let last = first + all[first..].partition_point(|&c| c < classes.end);
-            for &c in &all[first..last] {
+            let all = self.il2c[id as usize].all.iter_from(classes.start);
+            for c in all.take_while(|&c| c < classes.end) {
                 let cursor = &mut cursors[(c - classes.start) as usize];
                 ids[*cursor as usize] = id;
                 *cursor += 1;
@@ -1040,14 +1063,16 @@ impl CpqxIndex {
         // γ = average |L≤k(v,u) ∩ indexed| over pairs
         //   = Σ_{lookup keys} Σ_{c listed} |P(c)| / |P≤k|.
         let weighted: usize =
-            keys.iter().flat_map(|p| &p.all).map(|&c| self.class_pairs(c).len()).sum();
+            keys.iter().flat_map(|p| &p.all).map(|c| self.class_pairs(c).len()).sum();
         let gamma = if pairs == 0 { 0.0 } else { weighted as f64 / pairs as f64 };
         // Packed (CSR-equivalent) accounting: entries + offsets, each at
-        // the size of the type it is stored as. Container headers are an
+        // the size of the type it is stored as. Vector headers are an
         // implementation detail, so sizes stay comparable across index
         // designs (Table IV's IS). The dictionary holds each sequence once
         // (id → sequence, and the sequence → id entry); `Il2c` is indexed
-        // by id, and a cyclic sub-list shares its key with the full list.
+        // by id, and a cyclic sub-list shares its key with the full set. A
+        // posting set counts its window headers and both container pools,
+        // plus its 4-byte length.
         let id_bytes = std::mem::size_of::<ClassId>();
         let dict_bytes =
             self.seqs.len() * (std::mem::size_of::<LabelSeq>() + std::mem::size_of::<SeqId>());
@@ -1057,7 +1082,7 @@ impl CpqxIndex {
                 .map(|p| {
                     let cyclic =
                         if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
-                    p.all.len() * id_bytes + 4 + cyclic
+                    p.all.stored_bytes() + 4 + cyclic
                 })
                 .sum()
         };
@@ -1150,7 +1175,7 @@ impl CpqxIndex {
 impl SeqProbe for CpqxIndex {
     fn seq_nonempty(&self, seq: &LabelSeq) -> bool {
         if self.is_indexed(seq) {
-            self.lookup(seq).iter().any(|&c| self.class_pairs(c).len() > 0)
+            self.lookup(seq).iter().any(|c| self.class_pairs(c).len() > 0)
         } else {
             // Conservative: split into indexed chunks and check each piece.
             // (Non-empty pieces do not guarantee a non-empty whole, but the
@@ -1158,7 +1183,7 @@ impl SeqProbe for CpqxIndex {
             // indexed.)
             (0..seq.len()).all(|i| {
                 let s = LabelSeq::single(seq.get(i));
-                self.lookup(&s).iter().any(|&c| self.class_pairs(c).len() > 0)
+                self.lookup(&s).iter().any(|c| self.class_pairs(c).len() > 0)
             })
         }
     }
@@ -1253,17 +1278,30 @@ mod tests {
     /// `total_bytes` is what the structures store, each counted at the
     /// size of the element type it is actually stored as — so the number
     /// falls only if the stored bytes do. A fresh build stores no pair
-    /// → class map; once built, the map holds one entry per pair.
+    /// → class map; once built, the map holds one entry per pair. A
+    /// posting set's bytes are re-derived from its ids alone: per 64k-id
+    /// window, a header and either 2 bytes an id or a 1,024-word bitmap,
+    /// whichever is smaller.
     #[test]
     fn total_bytes_counts_the_stored_elements() {
+        use crate::class_set::{Window, ARRAY_MAX};
         use std::mem::{size_of, size_of_val};
         let g = cpqx_graph::generate::gex();
         let f = g.label_named("f").unwrap().fwd();
         let ff = LabelSeq::from_slice(&[f, f]);
         let mut deleted = CpqxIndex::build_interest_aware(&g, 2, [ff]);
         assert!(deleted.delete_interest(&ff));
-        let builds =
-            [CpqxIndex::build(&g, 2), CpqxIndex::build_interest_aware(&g, 2, [ff]), deleted];
+        // Enough classes under one sequence for bitmap windows.
+        let many = cpqx_graph::generate::random_graph(
+            &cpqx_graph::generate::RandomGraphConfig::social(1200, 6000, 2, 3),
+        );
+        let builds = [
+            CpqxIndex::build(&g, 2),
+            CpqxIndex::build_interest_aware(&g, 2, [ff]),
+            deleted,
+            CpqxIndex::build(&many, 2),
+        ];
+        let mut windows = [0; 2];
         for (mut idx, has_map) in
             builds.into_iter().flat_map(|idx| [(idx.clone(), false), (idx, true)])
         {
@@ -1275,17 +1313,27 @@ mod tests {
             let offsets = |lists: usize| lists * size_of::<u32>();
             // The dictionary: id → sequence, and each sequence's id.
             let dict = idx.seqs.len() * size_of::<LabelSeq>() + idx.seqs.len() * size_of::<SeqId>();
+            // A posting set: per window, its header and its container.
+            assert_eq!(size_of::<Window>(), 12);
+            let mut set_bytes = |set: &ClassSet| -> usize {
+                let ids: Vec<ClassId> = set.iter().collect();
+                let per_window = ids.chunk_by(|a, b| a >> 16 == b >> 16).map(|w| {
+                    let bitmap = w.len() > ARRAY_MAX;
+                    windows[usize::from(bitmap)] += 1;
+                    let container =
+                        if bitmap { 1024 * size_of::<u64>() } else { w.len() * size_of::<u16>() };
+                    size_of::<Window>() + container
+                });
+                per_window.sum()
+            };
             // `Il2c`: lookup keys, and retained entries.
-            let il2c = |keys: bool| -> usize {
+            let mut il2c = |keys: bool| -> usize {
                 (0..idx.seqs.len() as SeqId)
                     .filter(|&id| idx.is_indexed(&idx.seqs.seq(id)) == keys)
                     .map(|id| {
                         let p = &idx.il2c[id as usize];
                         let cyclic = size_of_val(p.cyclic.as_slice());
-                        size_of_val(p.all.as_slice())
-                            + offsets(1)
-                            + cyclic
-                            + offsets(usize::from(cyclic > 0))
+                        set_bytes(&p.all) + offsets(1) + cyclic + offsets(usize::from(cyclic > 0))
                     })
                     .sum()
             };
@@ -1316,6 +1364,10 @@ mod tests {
             assert_eq!(stats.core_bytes, dict + il2c + ic2p);
             assert_eq!(stats.total_bytes, dict + il2c + ic2p + retained + set_sizes + p2c + loops);
         }
+        assert!(
+            windows.iter().all(|&n| n > 0),
+            "array and bitmap windows both counted: {windows:?}"
+        );
     }
 
     /// The transposition `save` and `validate` read class sets through

@@ -32,6 +32,7 @@
 
 pub mod advisor;
 pub mod bisim;
+pub mod class_set;
 pub mod exec;
 pub mod index;
 pub mod interest;
@@ -44,7 +45,8 @@ pub mod serialize;
 mod validate;
 
 pub use bisim::{cpq_path_partition, ClassId, Partition, RefinementBase};
-pub use exec::{ExecOptions, Executor, Intermediate};
+pub use class_set::ClassSet;
+pub use exec::{ClassIds, ExecOptions, Executor, Intermediate};
 pub use index::{CpqxIndex, Fragmentation, IndexStats};
 pub use interest::{interest_partition, normalize_interests};
 pub use optimize::{estimate_plan_cost, optimize_query, optimize_query_costed};

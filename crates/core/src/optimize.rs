@@ -30,6 +30,7 @@
 //! the `ablation_planner` bench).
 
 use crate::bisim::ClassId;
+use crate::class_set::ClassSet;
 use crate::index::CpqxIndex;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq};
 use cpqx_query::plan::Plan;
@@ -65,33 +66,47 @@ pub fn estimate_plan_cost(index: &CpqxIndex, g: &Graph, q: &Cpq) -> f64 {
     build(index, g, q).cost
 }
 
-/// Estimated pair volume of a class list. Exact for short lists;
-/// extrapolated from a 32-class sample for long ones, so estimation cost
-/// stays negligible next to even the cheapest query.
-fn class_rows(index: &CpqxIndex, classes: &[ClassId]) -> f64 {
+/// Estimated pair volume of `len` classes, the `i`-th of them `nth(i)`.
+/// Exact for up to 32 classes; extrapolated from a 32-class sample, every
+/// `len / 32`-th class, for more — read by rank, so estimation cost stays
+/// negligible next to even the cheapest query.
+fn class_rows(index: &CpqxIndex, len: usize, nth: impl Fn(usize) -> ClassId) -> f64 {
     const SAMPLE: usize = 32;
-    if classes.len() <= SAMPLE {
-        classes.iter().map(|&c| index.class_pairs(c).len()).sum::<usize>() as f64
+    let rows = |ranks: &mut dyn Iterator<Item = usize>| -> usize {
+        ranks.map(|i| index.class_pairs(nth(i)).len()).sum()
+    };
+    if len <= SAMPLE {
+        rows(&mut (0..len)) as f64
     } else {
-        let step = classes.len() / SAMPLE;
-        let sampled: usize =
-            classes.iter().step_by(step).take(SAMPLE).map(|&c| index.class_pairs(c).len()).sum();
-        sampled as f64 / SAMPLE as f64 * classes.len() as f64
+        let sampled = rows(&mut (0..len).step_by(len / SAMPLE).take(SAMPLE));
+        sampled as f64 / SAMPLE as f64 * len as f64
     }
+}
+
+/// Estimated pair volume of a posting set: its samples are read by select
+/// ([`ClassSet::select`]), O(32 · windows), never by walking the set.
+fn set_rows(index: &CpqxIndex, set: &ClassSet) -> f64 {
+    class_rows(index, set.len(), |i| set.select(i).expect("a rank below the set's length"))
 }
 
 /// Estimated pair volume of one lookup.
 fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
-    class_rows(index, index.lookup(seq))
+    set_rows(index, index.lookup(seq))
 }
 
-/// One LOOKUP, costed by the posting list it reads: the sequence's cyclic
-/// classes when a fused identity reaches it (`under_id`), all of them
-/// otherwise. A lookup's *work* is its class-id list; the pairs are only
+/// One LOOKUP, costed by the class ids it reads: the sequence's cyclic
+/// sub-list when a fused identity reaches it (`under_id`), its posting set
+/// otherwise. A lookup's *work* is its class ids; the pairs are only
 /// materialized if a join needs them (accounted there).
 fn lookup_costed(index: &CpqxIndex, seq: LabelSeq, under_id: bool) -> Costed {
-    let classes = if under_id { index.lookup_cyclic(&seq) } else { index.lookup(&seq) };
-    Costed { plan: Plan::Lookup(seq), rows: class_rows(index, classes), cost: classes.len() as f64 }
+    let (rows, classes) = if under_id {
+        let cyclic = index.lookup_cyclic(&seq);
+        (class_rows(index, cyclic.len(), |i| cyclic[i]), cyclic.len())
+    } else {
+        let set = index.lookup(&seq);
+        (set_rows(index, set), set.len())
+    };
+    Costed { plan: Plan::Lookup(seq), rows, cost: classes as f64 }
 }
 
 fn join_rows(left: f64, right: f64, g: &Graph) -> f64 {

@@ -10,10 +10,10 @@
 //! In memory it is the other way round: `Il2c` is the only record of which
 //! sequences a class carries. Class records' sequence sets are written by
 //! transposing `Il2c` over a range of class chunks
-//! (`CpqxIndex::class_seq_sets`: entries walked in sequence order, one
-//! binary-searched run of each posting list), retained entries of deleted
-//! interests included, so the records are the bytes a class-major store
-//! would write. Pair rows are the other difference: in memory they are
+//! (`CpqxIndex::class_seq_sets`: entries walked in sequence order, each
+//! posting set from its first class in the range), retained entries of
+//! deleted interests included, so the records are the bytes a class-major
+//! store would write. Pair rows are the other difference: in memory they are
 //! width-packed per class chunk, in a record every pair takes 8 bytes, so
 //! a record's bytes do not depend on the chunk's width. A load packs each
 //! chunk's rows afresh.
@@ -34,8 +34,8 @@ const MAGIC: &[u8; 4] = b"CPQX";
 const VERSION: u32 = 1;
 
 /// Chunk positions whose class sets one transposition of `Il2c` covers
-/// (16 384 classes). A transposition costs a binary search per posting
-/// list besides the entries it moves, so a window spreads those searches
+/// (16 384 classes). A transposition costs a search per posting set
+/// besides the entries it moves, so a window spreads those searches
 /// over up to this many records while bounding the sets held at once.
 const RECORD_WINDOW: usize = 64;
 
@@ -444,8 +444,8 @@ impl CpqxIndex {
         };
         let mut all_pairs = Vec::with_capacity(chunks.iter().flatten().map(|r| r.2.len()).sum());
         // The dictionary numbers sequences by first occurrence along the
-        // classes, as a fresh build does; each gets a plain posting list,
-        // wrapped in its `Arc` once, at the end.
+        // classes, as a fresh build does; each gets an entry, grown by
+        // appends and wrapped in its `Arc` once, at the end.
         let mut dict = SeqDict::default();
         let mut postings: Vec<Posting> = Vec::new();
         for records in chunks {
@@ -482,7 +482,7 @@ impl CpqxIndex {
         }
         idx.pair_count = all_pairs.len();
         idx.seqs = Arc::new(dict);
-        idx.il2c = postings.into_iter().map(Arc::new).collect();
+        idx.il2c = postings.into_iter().map(Posting::finished).collect();
         Ok(idx)
     }
 

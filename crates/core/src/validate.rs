@@ -22,10 +22,13 @@ impl CpqxIndex {
     /// ([`crate::paths::label_seqs_between`]) — O(|P≤k| · paths), a test and
     /// diagnosis tool, not a serving-path call. Checks that
     ///
-    /// * `Il2c` has one entry per dictionary sequence; every posting list
-    ///   is strictly sorted and lists only allocated classes, and the
-    ///   cyclic sub-list beside it is exactly the listed classes whose loop
-    ///   flag is set, in the same order;
+    /// * `Il2c` has one entry per dictionary sequence; every posting set is
+    ///   in canonical form — window keys strictly ascending, no empty
+    ///   window, a window is an array iff it holds at most 4,096 ids, each
+    ///   array strictly sorted, and the window offsets consistent with the
+    ///   window sizes — and lists only allocated classes, and the cyclic
+    ///   sub-list beside it is exactly the listed classes whose loop flag
+    ///   is set, in the same order;
     /// * every class's stored set size equals the number of `Il2c` entries
     ///   listing it — the set [`CpqxIndex::class_sequences`] reads back;
     /// * an entry whose sequence is not indexed — a *retained* entry — has
@@ -62,13 +65,15 @@ impl CpqxIndex {
         let mut listed = vec![0usize; slots as usize];
         for (id, posting) in self.il2c.iter().enumerate() {
             let s = self.seqs.seq(id as SeqId);
-            if posting.all.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("Il2c({s:?}) not strictly sorted"));
+            // Every other read of a set assumes its canonical form.
+            if let Err(rule) = posting.all.check() {
+                return Err(format!("Il2c({s:?}): {rule}"));
             }
-            if let Some(&c) = posting.all.last().filter(|&&c| c >= slots) {
+            if let Some(c) = posting.all.last().filter(|&c| c >= slots) {
                 return Err(format!("Il2c({s:?}) lists class {c}, beyond the {slots} slots"));
             }
-            if !posting.all.iter().filter(|&&c| self.class_is_loop(c)).eq(&posting.cyclic) {
+            let cyclic = posting.all.iter().filter(|&c| self.class_is_loop(c));
+            if !cyclic.eq(posting.cyclic.iter().copied()) {
                 return Err(format!("Il2c({s:?}): cyclic sub-list is not its cyclic classes"));
             }
             if !self.is_indexed(&s) {
@@ -79,7 +84,7 @@ impl CpqxIndex {
                     return Err(format!("Il2c({s:?}) is retained, but a lookup serves it"));
                 }
             }
-            for &c in &posting.all {
+            for c in &posting.all {
                 listed[c as usize] += 1;
             }
         }
@@ -178,6 +183,7 @@ impl CpqxIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class_set::{ClassSet, Window};
     use crate::index::Posting;
     use cpqx_graph::generate;
     use std::sync::Arc;
@@ -273,17 +279,19 @@ mod tests {
             for resized in [false, true] {
                 let mut bad = good.clone();
                 let posting = posting_mut(&mut bad, &s);
+                let mut ids: Vec<ClassId> = posting.all.iter().collect();
                 if listed {
-                    let at = posting.all.binary_search(&c).unwrap_err();
-                    posting.all.insert(at, c);
+                    let at = ids.binary_search(&c).unwrap_err();
+                    ids.insert(at, c);
                     if good.class_is_loop(c) {
                         let at = posting.cyclic.partition_point(|&d| d < c);
                         posting.cyclic.insert(at, c);
                     }
                 } else {
-                    posting.all.retain(|&d| d != c);
+                    ids.retain(|&d| d != c);
                     posting.cyclic.retain(|&d| d != c);
                 }
+                posting.all = ClassSet::from_sorted(&ids);
                 if resized {
                     let count = bad.class_seq_count_mut(c);
                     *count = if listed { *count + 1 } else { *count - 1 };
@@ -302,13 +310,101 @@ mod tests {
         posting_mut(&mut bad, &s).cyclic.retain(|&c| c != looped);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("cyclic sub-list"), "{err}");
-        let open = good.lookup(&s).iter().copied().find(|&c| !good.class_is_loop(c)).unwrap();
+        let open = good.lookup(&s).iter().find(|&c| !good.class_is_loop(c)).unwrap();
         let mut bad = good.clone();
         let posting = posting_mut(&mut bad, &s);
         let at = posting.cyclic.partition_point(|&c| c < open);
         posting.cyclic.insert(at, open);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("cyclic sub-list"), "{err}");
+    }
+
+    /// Replaces the posting set of an index's first sequence by `set`,
+    /// damaged by `damage`, and returns what `validate` reports. The set
+    /// may list classes the index does not have: its form is checked
+    /// first.
+    fn damaged_set_error(set: &[ClassId], damage: impl FnOnce(&mut ClassSet)) -> String {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        let s = bad.seqs.seq(0);
+        let mut set = ClassSet::from_sorted(set);
+        assert_eq!(set.check(), Ok(()), "undamaged, the set is canonical");
+        damage(&mut set);
+        posting_mut(&mut bad, &s).all = set;
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.starts_with(&format!("Il2c({s:?}): ")), "{err}");
+        err
+    }
+
+    /// The ids of one window holding `n` classes, from 0: an array up to
+    /// 4,096 ids, a bitmap past that.
+    fn window_of(n: ClassId) -> Vec<ClassId> {
+        (0..n).collect()
+    }
+
+    #[test]
+    fn window_keys_out_of_order_are_reported() {
+        let err = damaged_set_error(&[1, 70_000, 140_000], |set| set.windows[2].key = 1);
+        assert!(err.contains("window keys not strictly ascending"), "{err}");
+        let err = damaged_set_error(&[1, 70_000], |set| {
+            (set.windows[0].key, set.windows[1].key) = (1, 0);
+        });
+        assert!(err.contains("window keys not strictly ascending"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_window_is_reported() {
+        let err = damaged_set_error(&[1, 2], |set| {
+            let (rank, start) = (set.len, set.arrays.len() as u32);
+            set.windows.push(Window { key: 1, bitmap: false, rank, start });
+        });
+        assert!(err.contains("an empty window"), "{err}");
+    }
+
+    /// A window is an array iff it holds at most 4,096 ids: a sparse
+    /// bitmap and a full array each read the right ids, but are not the
+    /// form the set has.
+    #[test]
+    fn a_window_of_the_wrong_kind_is_reported() {
+        let err = damaged_set_error(&[1, 2, 3], |set| {
+            set.words = vec![0; 1024];
+            set.words[0] = 0b1110;
+            set.arrays.clear();
+            set.windows[0].bitmap = true;
+        });
+        assert!(err.contains("an array iff at most 4096 ids"), "{err}");
+        let full = window_of(4097);
+        let err = damaged_set_error(&full, |set| {
+            set.arrays = full.iter().map(|&c| c as u16).collect();
+            set.words.clear();
+            set.windows[0].bitmap = false;
+        });
+        assert!(err.contains("an array iff at most 4096 ids"), "{err}");
+    }
+
+    #[test]
+    fn window_offsets_off_their_sizes_are_reported() {
+        type Damage = fn(&mut ClassSet);
+        let damages: [(&[ClassId], Damage); 4] = [
+            // The second window starts inside the first one's array.
+            (&[1, 2, 70_000], |set| set.windows[1].start = 1),
+            // A length one past the last id.
+            (&[1, 2, 70_000], |set| set.len += 1),
+            // A rank that skips an id of the first window.
+            (&[1, 2, 70_000, 70_001], |set| set.windows[1].rank = 1),
+            // A bitmap that lost a bit its window's size counts.
+            (&window_of(5000), |set| set.words[3] &= !1),
+        ];
+        for (ids, damage) in damages {
+            let err = damaged_set_error(ids, damage);
+            assert!(err.contains("window offsets disagree with the window sizes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_unsorted_array_window_is_reported() {
+        let err = damaged_set_error(&[1, 2, 3], |set| set.arrays.swap(0, 1));
+        assert!(err.contains("an array window not strictly sorted"), "{err}");
     }
 
     /// A class's stored set size must equal the number of `Il2c` entries

@@ -44,9 +44,9 @@ fn triad_lookups_share_one_class() {
     let finv = LabelSeq::single(f.inv());
     let a = idx.lookup(&ff);
     let b = idx.lookup(&finv);
-    let common: Vec<_> = a.iter().filter(|c| b.contains(c)).collect();
+    let common: Vec<_> = a.iter().filter(|&c| b.contains(c)).collect();
     assert_eq!(common.len(), 1, "exactly one shared class");
-    assert_eq!(idx.class_pairs(*common[0]).len(), 3, "the triad class has 3 pairs");
+    assert_eq!(idx.class_pairs(common[0]).len(), 3, "the triad class has 3 pairs");
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn stats_are_consistent() {
     assert!(s.core_bytes > 0 && s.total_bytes > s.core_bytes);
     // Posting lists are sorted and within range.
     let f = g.label_named("f").unwrap();
-    let cs = idx.lookup(&LabelSeq::single(f.fwd()));
+    let cs: Vec<_> = idx.lookup(&LabelSeq::single(f.fwd())).iter().collect();
     assert!(cs.windows(2).all(|w| w[0] < w[1]));
     assert!(cs.iter().all(|&c| (c as usize) < idx.class_slots()));
 }

@@ -28,7 +28,7 @@ fn delete_then_reinsert_restores_lookup() {
 
     // The single-lookup path must see every pair again.
     let mut via_lookup = Vec::new();
-    for &c in idx.lookup(&seq) {
+    for c in idx.lookup(&seq) {
         via_lookup.extend(idx.class_pairs(c));
     }
     via_lookup.sort_unstable();

@@ -130,7 +130,7 @@ fn interest_insertion_and_deletion() {
     );
     let via_lazy: Vec<_> = {
         let mut ps = Vec::new();
-        for &c in idx.lookup(&new_seq) {
+        for c in idx.lookup(&new_seq) {
             ps.extend(idx.class_pairs(c));
         }
         ps.sort_unstable();
@@ -138,7 +138,7 @@ fn interest_insertion_and_deletion() {
     };
     let via_fresh: Vec<_> = {
         let mut ps = Vec::new();
-        for &c in fresh.lookup(&new_seq) {
+        for c in fresh.lookup(&new_seq) {
             ps.extend(fresh.class_pairs(c));
         }
         ps.sort_unstable();
