@@ -11,15 +11,23 @@
 //!   `Ic2p` rows. The peak is set by the partition (pass 1 of class
 //!   assembly), not by the rows' encoding, so a change to the index's
 //!   bytes alone leaves it where it was;
-//! * a **ratio** to the index's [`IndexStats::total_bytes`]. Packing the
-//!   rows (8 bytes a pair → 3 on these graphs) shrank the divisor while the
-//!   peak stayed put, so the ratios rose. A full index shrank by about a
-//!   quarter: its builds read 3.37× and 3.58× before, 4.72× and 4.64×
-//!   after. An interest-aware index is mostly rows and halved: 6.06× and
-//!   6.01× before, 12.92× and 13.21× after. Both bounds were re-set then
-//!   from the ratios after, with ~25 % headroom (the full build's had
-//!   that before). A ratio bound never loosens without the byte ceiling
-//!   beside it.
+//! * a **ratio** to the index's [`IndexStats::total_bytes`]. Twice a
+//!   change to the index's bytes alone shrank the divisor while the peak
+//!   stayed put, so the ratios rose:
+//!   - Packing the rows (8 bytes a pair → 3 on these graphs): a full
+//!     index shrank by about a quarter, its builds from 3.37× and 3.58× to
+//!     4.72× and 4.64×; an interest-aware index is mostly rows and halved,
+//!     from 6.06× and 6.01× to 12.92× and 13.21×. The bounds became 6×
+//!     and 16.5×.
+//!   - Storing `Il2c` postings as array|bitmap containers: a full index
+//!     shrank by 30 % (social) and 39 % (Epinions), its builds from 4.72×
+//!     and 4.64× to 6.70× and 7.58×; an interest-aware index, with few
+//!     postings, by 11 % and 10 %, from 12.92× and 13.21× to 14.47× and
+//!     14.61×. The bounds became 9.5× and 18.5×.
+//!
+//!   Each time the bounds were re-set from the ratios after, with ~25 %
+//!   headroom, and the byte ceilings stayed as they were. A ratio bound
+//!   never loosens without the byte ceiling beside it.
 //!
 //! Only the thread running the build is counted, so the test harness's
 //! own threads (reporting a finished test, starting the next) never add to
@@ -167,15 +175,15 @@ const IA_SOCIAL: usize = 1_622_232;
 const IA_EPINIONS: usize = 3_322_360;
 
 #[test]
-fn a_full_build_peaks_under_six_index_sizes() {
+fn a_full_build_peaks_under_nine_and_a_half_index_sizes() {
     for (name, g, ceiling, _) in graphs() {
         let peak = peak_of(|| CpqxIndex::build(&g, 2));
-        check(&format!("{name}, full build"), peak, ceiling, 6.0);
+        check(&format!("{name}, full build"), peak, ceiling, 9.5);
     }
 }
 
 #[test]
-fn an_interest_aware_build_peaks_under_sixteen_and_a_half_index_sizes() {
+fn an_interest_aware_build_peaks_under_eighteen_and_a_half_index_sizes() {
     for (name, g, _, ceiling) in graphs() {
         // Every length-2 sequence over the first three labels, forward.
         let labels: Vec<_> = g.labels().take(3).map(|l| l.fwd()).collect();
@@ -185,6 +193,6 @@ fn an_interest_aware_build_peaks_under_sixteen_and_a_half_index_sizes() {
             .collect();
         assert_eq!(interests.len(), 9);
         let peak = peak_of(|| CpqxIndex::build_interest_aware(&g, 2, interests));
-        check(&format!("{name}, interest-aware build"), peak, ceiling, 16.5);
+        check(&format!("{name}, interest-aware build"), peak, ceiling, 18.5);
     }
 }
