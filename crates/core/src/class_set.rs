@@ -134,32 +134,11 @@ impl ClassSet {
         Some(self.windows[i].id(low))
     }
 
-    /// The id of rank `rank` (the `rank + 1`-th smallest): a search over
-    /// the windows' ranks, then an array read or a popcount walk over at
-    /// most one bitmap's words.
+    /// The id of rank `rank` (the `rank + 1`-th smallest): the windows
+    /// before it are passed by their sizes, then an array is indexed or a
+    /// bitmap's words are passed by their popcounts ([`Iter::nth`]).
     pub fn select(&self, rank: usize) -> Option<ClassId> {
-        if rank >= self.len() {
-            return None;
-        }
-        let i = self.windows.partition_point(|w| w.rank as usize <= rank) - 1;
-        let w = self.windows[i];
-        let mut r = rank - w.rank as usize;
-        let low = match self.container(i) {
-            Container::Array(lows) => u32::from(lows[r]),
-            Container::Bitmap(bits) => {
-                let mut at = 0;
-                while bits[at].count_ones() as usize <= r {
-                    r -= bits[at].count_ones() as usize;
-                    at += 1;
-                }
-                let mut word = bits[at];
-                for _ in 0..r {
-                    word &= word - 1;
-                }
-                at as u32 * 64 + word.trailing_zeros()
-            }
-        };
-        Some(w.id(low))
+        self.iter().nth(rank)
     }
 
     /// The ids in both sets, ascending — window by window over the keys
@@ -339,6 +318,13 @@ impl ClassSet {
         set
     }
 
+    /// The number of ids in the `i`-th window.
+    #[inline]
+    fn window_len(&self, i: usize) -> usize {
+        let end = self.windows.get(i + 1).map_or(self.len, |next| next.rank);
+        (end - self.windows[i].rank) as usize
+    }
+
     /// The `i`-th window's container.
     #[inline]
     fn container(&self, i: usize) -> Container<'_> {
@@ -348,8 +334,7 @@ impl ClassSet {
             let bits = &self.words[start..start + WINDOW_WORDS];
             Container::Bitmap(bits.try_into().expect("a bitmap window has 1,024 words"))
         } else {
-            let end = self.windows.get(i + 1).map_or(self.len, |next| next.rank);
-            Container::Array(&self.arrays[start..start + (end - w.rank) as usize])
+            Container::Array(&self.arrays[start..start + self.window_len(i)])
         }
     }
 
@@ -374,6 +359,17 @@ impl ClassSet {
                 (cursor, skipped)
             }
         }
+    }
+}
+
+/// Bitmap words a skip passes at a time ([`Iter::skip`]).
+const SKIP_BLOCK: usize = 8;
+
+/// Clears the `n` lowest set bits of `word`.
+#[inline]
+fn drop_lowest(word: &mut u64, n: usize) {
+    for _ in 0..n {
+        *word &= *word - 1;
     }
 }
 
@@ -449,6 +445,59 @@ impl<'a> Iter<'a> {
         let open = Cursor::Array([].iter());
         Iter { set, next: set.windows.len(), key: 0, open, left: 0 }
     }
+
+    /// Passes over the next `n` ids without yielding them: array ids by
+    /// index, bitmap words by their popcounts, and whole windows by their
+    /// sizes — never one id at a time.
+    fn skip(&mut self, n: usize) {
+        let mut n = n.min(self.left);
+        self.left -= n;
+        while n > 0 {
+            match &mut self.open {
+                Cursor::Array(lows) => {
+                    let passed = n.min(lows.len());
+                    *lows = lows.as_slice()[passed..].iter();
+                    n -= passed;
+                }
+                Cursor::Bitmap { rest, at, word } => {
+                    if n < word.count_ones() as usize {
+                        return drop_lowest(word, n);
+                    }
+                    n -= word.count_ones() as usize;
+                    *word = 0;
+                    // Blocks of words first: their popcounts sum without a
+                    // branch per word.
+                    while let Some(block) = rest.get(..SKIP_BLOCK) {
+                        let ones: usize = block.iter().map(|w| w.count_ones() as usize).sum();
+                        if n < ones {
+                            break;
+                        }
+                        n -= ones;
+                        (*rest, *at) = (&rest[SKIP_BLOCK..], *at + 64 * SKIP_BLOCK as u32);
+                    }
+                    while let Some((&next, tail)) = rest.split_first() {
+                        (*word, *rest, *at) = (next, tail, *at + 64);
+                        if n < next.count_ones() as usize {
+                            return drop_lowest(word, n);
+                        }
+                        n -= next.count_ones() as usize;
+                        *word = 0;
+                    }
+                }
+            }
+            // The open window is passed: pass whole windows, and open the
+            // one that holds the id after the skip.
+            while n > 0 && n >= self.set.window_len(self.next) {
+                n -= self.set.window_len(self.next);
+                self.next += 1;
+            }
+            if n > 0 {
+                let key = self.set.windows[self.next].key;
+                (self.open, self.key) = (self.set.cursor(self.next, 0).0, key);
+                self.next += 1;
+            }
+        }
+    }
 }
 
 impl Iterator for Iter<'_> {
@@ -482,6 +531,13 @@ impl Iterator for Iter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.left, Some(self.left))
+    }
+
+    /// Skips `n` ids by [`Iter::skip`], so stepping through a set by rank
+    /// (`step_by`) walks its bitmap words once, by popcount.
+    fn nth(&mut self, n: usize) -> Option<ClassId> {
+        self.skip(n);
+        self.next()
     }
 }
 
@@ -558,6 +614,12 @@ mod tests {
                 prop_assert_eq!(set.select(rank), Some(model[rank]), "select {}", rank);
             }
             prop_assert_eq!(set.select(model.len()), None);
+            // Stepping by rank, as the planner samples a set, skips ids in
+            // bulk and reads the same ids.
+            for step in [1, 7, model.len() / 32 + 1, 5_000] {
+                let stepped = set.iter().step_by(step);
+                prop_assert!(stepped.eq(model.iter().copied().step_by(step)), "step {}", step);
+            }
 
             let expected = intersection(&model, &other);
             let other_set = ClassSet::from_sorted(&other);

@@ -30,7 +30,6 @@
 //! the `ablation_planner` bench).
 
 use crate::bisim::ClassId;
-use crate::class_set::ClassSet;
 use crate::index::CpqxIndex;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq};
 use cpqx_query::plan::Plan;
@@ -66,32 +65,27 @@ pub fn estimate_plan_cost(index: &CpqxIndex, g: &Graph, q: &Cpq) -> f64 {
     build(index, g, q).cost
 }
 
-/// Estimated pair volume of `len` classes, the `i`-th of them `nth(i)`.
-/// Exact for up to 32 classes; extrapolated from a 32-class sample, every
-/// `len / 32`-th class, for more — read by rank, so estimation cost stays
-/// negligible next to even the cheapest query.
-fn class_rows(index: &CpqxIndex, len: usize, nth: impl Fn(usize) -> ClassId) -> f64 {
+/// Estimated pair volume of a class set, listed ascending. Exact for short
+/// sets; extrapolated from a 32-class sample, every `len / 32`-th class by
+/// rank, for long ones, so estimation cost stays negligible next to even
+/// the cheapest query. A posting set is stepped through by rank
+/// ([`crate::ClassSet::iter`]'s `nth`): its bitmap words are passed by popcount,
+/// never its ids one by one.
+fn class_rows(index: &CpqxIndex, classes: impl ExactSizeIterator<Item = ClassId>) -> f64 {
     const SAMPLE: usize = 32;
-    let rows = |ranks: &mut dyn Iterator<Item = usize>| -> usize {
-        ranks.map(|i| index.class_pairs(nth(i)).len()).sum()
-    };
+    let len = classes.len();
+    let rows = |c: ClassId| index.class_pairs(c).len();
     if len <= SAMPLE {
-        rows(&mut (0..len)) as f64
+        classes.map(rows).sum::<usize>() as f64
     } else {
-        let sampled = rows(&mut (0..len).step_by(len / SAMPLE).take(SAMPLE));
+        let sampled: usize = classes.step_by(len / SAMPLE).take(SAMPLE).map(rows).sum();
         sampled as f64 / SAMPLE as f64 * len as f64
     }
 }
 
-/// Estimated pair volume of a posting set: its samples are read by select
-/// ([`ClassSet::select`]), O(32 · windows), never by walking the set.
-fn set_rows(index: &CpqxIndex, set: &ClassSet) -> f64 {
-    class_rows(index, set.len(), |i| set.select(i).expect("a rank below the set's length"))
-}
-
 /// Estimated pair volume of one lookup.
 fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
-    set_rows(index, index.lookup(seq))
+    class_rows(index, index.lookup(seq).iter())
 }
 
 /// One LOOKUP, costed by the class ids it reads: the sequence's cyclic
@@ -101,10 +95,10 @@ fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
 fn lookup_costed(index: &CpqxIndex, seq: LabelSeq, under_id: bool) -> Costed {
     let (rows, classes) = if under_id {
         let cyclic = index.lookup_cyclic(&seq);
-        (class_rows(index, cyclic.len(), |i| cyclic[i]), cyclic.len())
+        (class_rows(index, cyclic.iter().copied()), cyclic.len())
     } else {
         let set = index.lookup(&seq);
-        (set_rows(index, set), set.len())
+        (class_rows(index, set.iter()), set.len())
     };
     Costed { plan: Plan::Lookup(seq), rows, cost: classes as f64 }
 }
