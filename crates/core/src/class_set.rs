@@ -14,16 +14,16 @@
 //! `u64` pool holding every bitmap window, so copying a set for a write is
 //! three `memcpy`s whatever its size.
 //!
-//! Sets are read where they are stored. Iteration, membership, select by
-//! rank and intersection — with another set window by window, or with a
-//! sorted id list — all run on the containers; nothing decodes a set into
-//! a list first.
+//! Sets are read where they are stored. Iteration, membership, stepping
+//! by rank ([`Iter::nth`]) and intersection — with another set window by
+//! window, or with a sorted id list — all run on the containers; nothing
+//! decodes a set into a list first.
 
 use crate::bisim::ClassId;
 use cpqx_graph::pair;
 
 /// The most ids a window stores as an array; a fuller window is a bitmap.
-pub const ARRAY_MAX: usize = 4096;
+pub(crate) const ARRAY_MAX: usize = 4096;
 
 /// Words of one bitmap window: one bit per low half.
 const WINDOW_WORDS: usize = 1 << 10;
@@ -58,13 +58,22 @@ impl Window {
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct ClassSet {
     /// Window headers, ascending by key.
-    pub(crate) windows: Vec<Window>,
+    windows: Vec<Window>,
     /// The array windows' low halves, back to back in window order.
-    pub(crate) arrays: Vec<u16>,
+    arrays: Vec<u16>,
     /// The bitmap windows, [`WINDOW_WORDS`] words each, in window order.
-    pub(crate) words: Vec<u64>,
+    words: Vec<u64>,
     /// The number of ids.
-    pub(crate) len: u32,
+    len: u32,
+}
+
+/// A set's stored parts, laid open for a test to damage them.
+#[cfg(test)]
+pub(crate) struct Parts<'a> {
+    pub(crate) windows: &'a mut Vec<Window>,
+    pub(crate) arrays: &'a mut Vec<u16>,
+    pub(crate) words: &'a mut Vec<u64>,
+    pub(crate) len: &'a mut u32,
 }
 
 /// One window's container, borrowed.
@@ -78,7 +87,7 @@ enum Container<'a> {
 
 impl ClassSet {
     /// The empty set.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ClassSet { windows: Vec::new(), arrays: Vec::new(), words: Vec::new(), len: 0 }
     }
 
@@ -122,7 +131,7 @@ impl ClassSet {
     }
 
     /// The largest id.
-    pub fn last(&self) -> Option<ClassId> {
+    pub(crate) fn last(&self) -> Option<ClassId> {
         let i = self.windows.len().checked_sub(1)?;
         let low = match self.container(i) {
             Container::Array(lows) => u32::from(*lows.last()?),
@@ -134,19 +143,13 @@ impl ClassSet {
         Some(self.windows[i].id(low))
     }
 
-    /// The id of rank `rank` (the `rank + 1`-th smallest): the windows
-    /// before it are passed by their sizes, then an array is indexed or a
-    /// bitmap's words are passed by their popcounts ([`Iter::nth`]).
-    pub fn select(&self, rank: usize) -> Option<ClassId> {
-        self.iter().nth(rank)
-    }
-
     /// The ids in both sets, ascending — window by window over the keys
     /// the two share: a word AND of two bitmaps, a bit test per id of an
     /// array against a bitmap, a merge (or a gallop, when one is ≥ 16×
     /// longer) of two arrays.
     pub fn and(&self, other: &ClassSet) -> Vec<ClassId> {
-        let mut out = Vec::new();
+        // Sized once for the largest result, like an id-list intersection.
+        let mut out = Vec::with_capacity(self.len().min(other.len()));
         let mut lows = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < self.windows.len() && j < other.windows.len() {
@@ -185,8 +188,8 @@ impl ClassSet {
     /// set, ascending. The list is walked window by window beside the
     /// set's windows: an id under a bitmap is one bit test, ids under an
     /// array merge with it (or gallop, when one side is ≥ 16× longer).
-    pub fn and_ids(&self, ids: &[ClassId]) -> Vec<ClassId> {
-        let mut out = Vec::new();
+    pub(crate) fn and_ids(&self, ids: &[ClassId]) -> Vec<ClassId> {
+        let mut out = Vec::with_capacity(self.len().min(ids.len()));
         let (mut lows, mut both) = (Vec::new(), Vec::new());
         let mut i = 0;
         for run in ids.chunk_by(|a, b| a >> 16 == b >> 16) {
@@ -323,6 +326,13 @@ impl ClassSet {
     fn window_len(&self, i: usize) -> usize {
         let end = self.windows.get(i + 1).map_or(self.len, |next| next.rank);
         (end - self.windows[i].rank) as usize
+    }
+
+    /// The set's stored parts, to damage them.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> Parts<'_> {
+        let ClassSet { windows, arrays, words, len } = self;
+        Parts { windows, arrays, words, len }
     }
 
     /// The `i`-th window's container.
@@ -610,10 +620,15 @@ mod tests {
                 prop_assert_eq!(walked.len(), from.len(), "range walk from {}", c);
                 prop_assert_eq!(walked.collect::<Vec<_>>(), from.to_vec(), "range walk from {}", c);
             }
+            // Select by rank: `nth` from the start, and from part-way.
             for rank in (0..model.len()).step_by(37).chain(model.len().checked_sub(1)) {
-                prop_assert_eq!(set.select(rank), Some(model[rank]), "select {}", rank);
+                prop_assert_eq!(set.iter().nth(rank), Some(model[rank]), "select {}", rank);
+                let mut from = set.iter_from(model[rank / 2]);
+                let ahead = rank - rank / 2;
+                prop_assert_eq!(from.nth(ahead), Some(model[rank]), "select {} from part-way", rank);
+                prop_assert_eq!(from.len(), model.len() - rank - 1);
             }
-            prop_assert_eq!(set.select(model.len()), None);
+            prop_assert_eq!(set.iter().nth(model.len()), None);
             // Stepping by rank, as the planner samples a set, skips ids in
             // bulk and reads the same ids.
             for step in [1, 7, model.len() / 32 + 1, 5_000] {
@@ -649,6 +664,9 @@ mod tests {
         assert_eq!((kinds, set.arrays.as_slice()), (vec![true, false], &[0][..]));
         assert_eq!(set.check(), Ok(()));
         assert_eq!(set.stored_bytes(), 2 * 12 + 2 + 8192);
-        assert_eq!((set.len(), set.select(4096), set.last()), (4098, Some(65_535), Some(65_536)));
+        assert_eq!(
+            (set.len(), set.iter().nth(4096), set.last()),
+            (4098, Some(65_535), Some(65_536))
+        );
     }
 }

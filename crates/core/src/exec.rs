@@ -36,7 +36,7 @@
 //! window ([`ClassSet::and`]: word AND of bitmaps, a bit test per array id
 //! against a bitmap, a merge of arrays). An id list — a cyclic sub-list or
 //! an earlier intersection — against a posting set tests each id's bit or
-//! array entry ([`ClassSet::and_ids`]). Two id lists intersect by length
+//! array entry (`ClassSet::and_ids`). Two id lists intersect by length
 //! ([`intersect_ids`]): short or skewed lists merge or gallop, long
 //! balanced ones mark the smaller in a bitmap and filter the larger. A
 //! conjunction with an operand that is not class-level (a join, or `id`)
@@ -72,21 +72,6 @@ pub enum ClassIds<'i> {
     /// Sorted, duplicate-free ids: a LOOKUP∩id's cyclic sub-list,
     /// borrowed, or an intersection's result, owned.
     List(Cow<'i, [ClassId]>),
-}
-
-impl ClassIds<'_> {
-    /// The number of classes.
-    pub fn len(&self) -> usize {
-        match self {
-            ClassIds::Posting(set) => set.len(),
-            ClassIds::List(ids) => ids.len(),
-        }
-    }
-
-    /// Whether there is no class.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Has no field: the executor has one configuration. Kept only because

@@ -183,7 +183,7 @@ impl CpqxIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_set::{ClassSet, Window};
+    use crate::class_set::{ClassSet, Parts, Window};
     use crate::index::Posting;
     use cpqx_graph::generate;
     use std::sync::Arc;
@@ -323,13 +323,13 @@ mod tests {
     /// damaged by `damage`, and returns what `validate` reports. The set
     /// may list classes the index does not have: its form is checked
     /// first.
-    fn damaged_set_error(set: &[ClassId], damage: impl FnOnce(&mut ClassSet)) -> String {
+    fn damaged_set_error(set: &[ClassId], damage: impl FnOnce(Parts<'_>)) -> String {
         let g = generate::gex();
         let mut bad = CpqxIndex::build(&g, 2);
         let s = bad.seqs.seq(0);
         let mut set = ClassSet::from_sorted(set);
         assert_eq!(set.check(), Ok(()), "undamaged, the set is canonical");
-        damage(&mut set);
+        damage(set.parts_mut());
         posting_mut(&mut bad, &s).all = set;
         let err = bad.validate(&g).unwrap_err();
         assert!(err.starts_with(&format!("Il2c({s:?}): ")), "{err}");
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn an_empty_window_is_reported() {
         let err = damaged_set_error(&[1, 2], |set| {
-            let (rank, start) = (set.len, set.arrays.len() as u32);
+            let (rank, start) = (*set.len, set.arrays.len() as u32);
             set.windows.push(Window { key: 1, bitmap: false, rank, start });
         });
         assert!(err.contains("an empty window"), "{err}");
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn a_window_of_the_wrong_kind_is_reported() {
         let err = damaged_set_error(&[1, 2, 3], |set| {
-            set.words = vec![0; 1024];
+            *set.words = vec![0; 1024];
             set.words[0] = 0b1110;
             set.arrays.clear();
             set.windows[0].bitmap = true;
@@ -375,7 +375,7 @@ mod tests {
         assert!(err.contains("an array iff at most 4096 ids"), "{err}");
         let full = window_of(4097);
         let err = damaged_set_error(&full, |set| {
-            set.arrays = full.iter().map(|&c| c as u16).collect();
+            *set.arrays = full.iter().map(|&c| c as u16).collect();
             set.words.clear();
             set.windows[0].bitmap = false;
         });
@@ -384,12 +384,12 @@ mod tests {
 
     #[test]
     fn window_offsets_off_their_sizes_are_reported() {
-        type Damage = fn(&mut ClassSet);
+        type Damage = fn(Parts<'_>);
         let damages: [(&[ClassId], Damage); 4] = [
             // The second window starts inside the first one's array.
             (&[1, 2, 70_000], |set| set.windows[1].start = 1),
             // A length one past the last id.
-            (&[1, 2, 70_000], |set| set.len += 1),
+            (&[1, 2, 70_000], |set| *set.len += 1),
             // A rank that skips an id of the first window.
             (&[1, 2, 70_000, 70_001], |set| set.windows[1].rank = 1),
             // A bitmap that lost a bit its window's size counts.
