@@ -226,12 +226,7 @@ impl ClassSet {
         };
         if !w.bitmap && (rank - w.rank) as usize == ARRAY_MAX {
             let at = w.start as usize;
-            (w.bitmap, w.start) = (true, pool_offset(self.words.len()));
-            let bits = self.words.len();
-            self.words.resize(bits + WINDOW_WORDS, 0);
-            for &low in &self.arrays[at..] {
-                self.words[bits + usize::from(low >> 6)] |= 1 << (low & 63);
-            }
+            (w.bitmap, w.start) = (true, push_bitmap(&mut self.words, &self.arrays[at..]));
             self.arrays.truncate(at);
         }
         if w.bitmap {
@@ -239,6 +234,24 @@ impl ClassSet {
         } else {
             self.arrays.push(low);
         }
+    }
+
+    /// Adds the window `key` of the ids whose low halves are `lows` —
+    /// sorted, distinct, not empty — as one container, `key` above every
+    /// window's key: how a build stores a set, a window at a time, without
+    /// the per-id work of [`ClassSet::push`].
+    pub(crate) fn push_window(&mut self, key: u16, lows: &[u16]) {
+        debug_assert!(self.windows.last().is_none_or(|w| w.key < key), "windows pushed ascending");
+        debug_assert!(!lows.is_empty() && lows.windows(2).all(|p| p[0] < p[1]), "unsorted window");
+        let (rank, bitmap) = (self.len, lows.len() > ARRAY_MAX);
+        self.len += pool_offset(lows.len());
+        let start = if bitmap {
+            push_bitmap(&mut self.words, lows)
+        } else {
+            self.arrays.extend_from_slice(lows);
+            pool_offset(self.arrays.len() - lows.len())
+        };
+        self.windows.push(Window { key, bitmap, rank, start });
     }
 
     /// Frees the pools' spare capacity (a build calls this once a set is
@@ -404,6 +417,17 @@ fn keep_set_bits(
         kept += usize::from(bit(bits, c as u16));
     }
     out.truncate(kept);
+}
+
+/// Appends a bitmap window of `lows` to the `u64` pool `words`, returning
+/// where it starts.
+fn push_bitmap(words: &mut Vec<u64>, lows: &[u16]) -> u32 {
+    let at = words.len();
+    words.resize(at + WINDOW_WORDS, 0);
+    for &low in lows {
+        words[at + usize::from(low >> 6)] |= 1 << (low & 63);
+    }
+    pool_offset(at)
 }
 
 /// A pool length as a window's start offset.
@@ -605,6 +629,14 @@ mod tests {
         fn a_set_reads_like_its_sorted_list(model in ids(), other in ids()) {
             let set = ClassSet::from_sorted(&model);
             prop_assert_eq!(set.check(), Ok(()));
+            // Laid out a window at a time, as a build does, it is the same
+            // set, part for part.
+            let mut by_window = ClassSet::new();
+            for w in model.chunk_by(|a, b| a >> 16 == b >> 16) {
+                let lows: Vec<u16> = w.iter().map(|&c| c as u16).collect();
+                by_window.push_window((w[0] >> 16) as u16, &lows);
+            }
+            prop_assert!(by_window == set, "windowed layout differs from pushes");
             prop_assert_eq!(set.len(), model.len());
             prop_assert_eq!(set.is_empty(), model.is_empty());
             prop_assert_eq!(set.last(), model.last().copied());

@@ -48,7 +48,7 @@ type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 ///
 /// Rows are **flat**: the pair rows of a chunk's classes lie back to back
 /// in one byte vector, delimited by per-class end offsets. Expanding a
-/// posting list is a forward sweep over a few arrays instead of a pointer
+/// posting set is a forward sweep over a few arrays instead of a pointer
 /// chase per class, and copying a chunk for a write is four `memcpy`s,
 /// whatever the number of classes in it. The writer pays with one rebuild
 /// of a touched chunk's rows per lazy update ([`ClassChunk::edit_rows`])
@@ -359,10 +359,59 @@ impl Posting {
     }
 
     /// The entry with its spare capacity freed, ready to be shared.
-    pub(crate) fn finished(mut self) -> Arc<Self> {
+    fn finished(mut self) -> Arc<Self> {
         self.all.shrink_to_fit();
         self.cyclic.shrink_to_fit();
         Arc::new(self)
+    }
+}
+
+/// `Il2c` as a build or a load lays it out, listing classes in ascending
+/// id order. Each entry's ids in the current 64k-id window are staged as
+/// their low halves and stored as one container when the listing moves
+/// past the window ([`ClassSet::push_window`]), so no id pays for a look
+/// at its set's last window — the staging holds one window of `u16`s.
+#[derive(Default)]
+pub(crate) struct PostingsBuilder {
+    postings: Vec<Posting>,
+    /// Per entry: the low halves of its ids in window `key`.
+    staged: Vec<Vec<u16>>,
+    key: u16,
+}
+
+impl PostingsBuilder {
+    /// Lists class `c` under entry `e`, at most one past the last entry
+    /// (which it adds): `c` is no smaller than any class listed so far.
+    pub(crate) fn list(&mut self, e: usize, c: ClassId, is_loop: bool) {
+        if e == self.postings.len() {
+            self.postings.push(Posting::default());
+            self.staged.push(Vec::new());
+        }
+        let key = (c >> 16) as u16;
+        if key != self.key {
+            self.store_window();
+            self.key = key;
+        }
+        self.staged[e].push(c as u16);
+        if is_loop {
+            self.postings[e].cyclic.push(c);
+        }
+    }
+
+    /// Stores every entry's staged ids as its next window.
+    fn store_window(&mut self) {
+        for (posting, lows) in self.postings.iter_mut().zip(&mut self.staged) {
+            if !lows.is_empty() {
+                posting.all.push_window(self.key, lows);
+                lows.clear();
+            }
+        }
+    }
+
+    /// The finished entries, each behind its `Arc`.
+    pub(crate) fn finish(mut self) -> Vec<Arc<Posting>> {
+        self.store_window();
+        self.postings.into_iter().map(Posting::finished).collect()
     }
 }
 
@@ -458,7 +507,7 @@ pub struct CpqxIndex {
     /// The sequence dictionary every `SeqId` of the index refers to.
     pub(crate) seqs: Arc<SeqDict>,
     /// `Il2c`, indexed by `SeqId`, one entry per dictionary sequence: a
-    /// lookup key's posting list, or the retained entry of a sequence that
+    /// lookup key's posting set, or the retained entry of a sequence that
     /// is no longer indexed (see the type docs).
     pub(crate) il2c: Vec<Arc<Posting>>,
     /// Class partition store, chunked by class-id range.
@@ -610,22 +659,21 @@ impl CpqxIndex {
         // by first occurrence along the classes, so the numbering depends
         // on the classes alone, not on the order the build met the
         // sequences in. Each sequence's entry grows beside it — classes are
-        // visited in ascending id order, so each class is pushed above the
-        // ones listed — and is wrapped in its `Arc` once, at the end.
+        // visited in ascending id order, so each class lands above the ones
+        // listed — and is wrapped in its `Arc` once, at the end.
         let mut seqs = SeqDict::default();
         let mut renumbered = vec![SeqId::MAX; p.seqs.len()];
-        let mut postings: Vec<Posting> = Vec::new();
+        let mut il2c = PostingsBuilder::default();
         for (c, &is_loop) in (0..).zip(&p.class_loop) {
             for &id in p.class_seq_ids(c) {
                 let to = &mut renumbered[id as usize];
                 if *to == SeqId::MAX {
                     *to = seqs.intern(p.seqs[id as usize]);
-                    postings.push(Posting::default());
                 }
-                postings[*to as usize].push(c, is_loop);
+                il2c.list(*to as usize, c, is_loop);
             }
         }
-        let il2c = postings.into_iter().map(Posting::finished).collect();
+        let il2c = il2c.finish();
 
         // `Ic2p`: every chunk's per-class arrays, then every chunk's packed
         // rows, then the chunks' `Arc`s. Allocated in this order, the small

@@ -22,7 +22,7 @@
 //! (full / interest-aware + interest list), class count, then the classes.
 
 use crate::bisim::ClassId;
-use crate::index::{ClassChunk, CpqxIndex, Posting, SeqSets};
+use crate::index::{ClassChunk, CpqxIndex, PostingsBuilder, SeqSets};
 use crate::intern::SeqDict;
 use cpqx_graph::pair::sort_pairs;
 use cpqx_graph::{ExtLabel, LabelSeq, Pair};
@@ -444,10 +444,10 @@ impl CpqxIndex {
         };
         let mut all_pairs = Vec::with_capacity(chunks.iter().flatten().map(|r| r.2.len()).sum());
         // The dictionary numbers sequences by first occurrence along the
-        // classes, as a fresh build does; each gets an entry, grown by
-        // appends and wrapped in its `Arc` once, at the end.
+        // classes, as a fresh build does; each gets an entry, laid out by
+        // the build's `PostingsBuilder`.
         let mut dict = SeqDict::default();
-        let mut postings: Vec<Posting> = Vec::new();
+        let mut postings = PostingsBuilder::default();
         for records in chunks {
             // Each chunk is laid out at its exact size, like a fresh build's,
             // and its rows are packed once, from their run in `all_pairs`.
@@ -463,11 +463,7 @@ impl CpqxIndex {
                     return Err("class sequences not sorted");
                 }
                 for &s in &seqs {
-                    let id = dict.intern(s) as usize;
-                    if id == postings.len() {
-                        postings.push(Posting::default());
-                    }
-                    postings[id].push(c, is_loop);
+                    postings.list(dict.intern(s) as usize, c, is_loop);
                 }
                 chunk.push(is_loop, seqs.len(), pairs.len());
             }
@@ -482,7 +478,7 @@ impl CpqxIndex {
         }
         idx.pair_count = all_pairs.len();
         idx.seqs = Arc::new(dict);
-        idx.il2c = postings.into_iter().map(Posting::finished).collect();
+        idx.il2c = postings.finish();
         Ok(idx)
     }
 
