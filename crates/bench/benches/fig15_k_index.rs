@@ -6,7 +6,8 @@
 //!
 //! iaCPQx rows are width-packed (a pair in `⌈2·shift / 8⌉` bytes, `shift`
 //! the bit width of its class chunk's largest vertex id: 3 bytes below
-//! 4,096 vertices), while the Path indexes of Table IV and Fig. 12 still
+//! 4,096 vertices) and its `Il2c` postings are array or bitmap containers
+//! per 64k-id window, while the Path indexes of Table IV and Fig. 12 still
 //! store 8-byte pairs, so comparing these sizes with theirs includes an
 //! encoding factor besides the structural one Thm. 4.2 bounds.
 

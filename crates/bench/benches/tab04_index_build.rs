@@ -10,9 +10,12 @@
 //!
 //! CPQx and iaCPQx rows are width-packed (a pair in `⌈2·shift / 8⌉`
 //! bytes, `shift` the bit width of its class chunk's largest vertex id:
-//! 3 bytes below 4,096 vertices), while the Path indexes still store
-//! 8-byte pairs, so the size ratio between them now includes an encoding
-//! factor besides the structural one Thm. 4.2 bounds.
+//! 3 bytes below 4,096 vertices) and their `Il2c` postings are array or
+//! bitmap containers per 64k-id window (2 bytes an id, or one bit per
+//! class slot where a window holds over 4,096 ids), while the Path
+//! indexes still store 8-byte pairs, so the size ratio between them now
+//! includes an encoding factor besides the structural one Thm. 4.2
+//! bounds.
 
 use cpqx_bench::harness::{fmt_bytes, interests_from_queries, workload_for};
 use cpqx_bench::{BenchConfig, Engine, Method, Table};

@@ -6,8 +6,9 @@
 //! sorted `u16` array; a fuller one is a 65,536-bit bitmap of 1,024 words.
 //! At 4,096 ids both forms take 8 KB, so each window takes the smaller. A
 //! single-label posting lists tens of thousands of classes out of a few
-//! hundred thousand, so most of its windows are bitmaps: about 4 bits per
-//! listed class instead of 32.
+//! hundred thousand, so most of its windows are bitmaps, at 2 to 16 bits
+//! an id; over every posting of the benchmark's in-process graph, an id
+//! takes 11 bits on average instead of 32.
 //!
 //! A set is laid out flat, like a class chunk's rows: one vector of window
 //! headers, one `u16` pool holding every array window back to back and one
