@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks of the physical operators behind Thm. 4.5's
-//! cost model: source-major join, pair intersection, class-id intersection
-//! (of id lists, and of two posting sets on their containers), and a
-//! closed cycle both ways (pair-level `JOIN-ID` versus the conjunction with
-//! the inverse) — the primitives every table cell is made of.
+//! cost model: source-major join, pair intersection, class-set
+//! intersection (of two posting sets, and of two cyclic sets, on their
+//! containers), and a closed cycle both ways (pair-level `JOIN-ID` versus
+//! the conjunction with the inverse) — the primitives every table cell is
+//! made of.
 
-use cpqx_core::exec::intersect_ids;
-use cpqx_core::{CpqxIndex, Executor};
+use cpqx_core::{ClassSet, CpqxIndex, Executor};
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
@@ -42,32 +42,41 @@ fn bench_intersection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pairs", n), &n, |b, _| {
             b.iter(|| ops::intersect_pairs(&a, &b_pairs));
         });
-        let ids_a: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let ids_b: Vec<u32> = (0..n as u32).step_by(3).collect();
-        group.bench_with_input(BenchmarkId::new("class_ids", n), &n, |b, _| {
-            b.iter(|| intersect_ids(&ids_a, &ids_b));
-        });
     }
-    // The two densest 2-label postings of a power-law graph, ANDed as the
-    // executor ANDs them: window by window, on their containers.
+    // ANDed as the executor ANDs them, window by window on their
+    // containers: the two densest 2-label postings of a power-law graph,
+    // and its two largest cyclic sets (St's operands).
     let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
     let idx = CpqxIndex::build(&g, 2);
-    let seqs = sequences_by_density(&g, &idx);
-    let (a, b) = (idx.lookup(&seqs[0]), idx.lookup(&seqs[1]));
-    assert_eq!(a.and(b), a.iter().filter(|&c| b.contains(c)).collect::<Vec<_>>());
-    group.bench_function("il2c_conj", |bench| {
-        bench.iter(|| std::hint::black_box(a).and(std::hint::black_box(b)))
-    });
+    let largest_two = |set: SetOf| {
+        let seqs = sequences_by_density(&g, &idx, set);
+        (set(&idx, &seqs[0]), set(&idx, &seqs[1]))
+    };
+    let conjs = [
+        ("il2c_conj", largest_two(CpqxIndex::lookup)),
+        ("cyclic_conj", largest_two(CpqxIndex::lookup_cyclic)),
+    ];
+    for (name, (a, b)) in conjs {
+        assert!(a.and(b).iter().eq(a.iter().filter(|&c| b.contains(c))), "{name}");
+        group.bench_function(name, |bench| {
+            bench.iter(|| std::hint::black_box(a).and(std::hint::black_box(b)))
+        });
+    }
     group.finish();
 }
 
-/// The 2-label sequences of `g`, densest posting list first.
-fn sequences_by_density(g: &Graph, idx: &CpqxIndex) -> Vec<LabelSeq> {
+/// One of an index's class sets per sequence: its posting set, or its
+/// cyclic set.
+type SetOf = for<'i> fn(&'i CpqxIndex, &LabelSeq) -> &'i ClassSet;
+
+/// The 2-label sequences of `g`, the one with the largest set under `set`
+/// first.
+fn sequences_by_density(g: &Graph, idx: &CpqxIndex, set: SetOf) -> Vec<LabelSeq> {
     let mut seqs: Vec<LabelSeq> = g
         .ext_labels()
         .flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])))
         .collect();
-    seqs.sort_by_key(|s| std::cmp::Reverse(idx.lookup(s).len()));
+    seqs.sort_by_key(|s| std::cmp::Reverse(set(idx, s).len()));
     seqs
 }
 
@@ -79,7 +88,7 @@ fn bench_cycle(c: &mut Criterion) {
     let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
     let idx = CpqxIndex::build(&g, 2);
     let exec = Executor::new(&idx, &g);
-    let seqs = sequences_by_density(&g, &idx);
+    let seqs = sequences_by_density(&g, &idx, CpqxIndex::lookup);
     let (left_seq, right_seq) = (seqs[0], seqs[1]);
     let left = exec.run(&Plan::Lookup(left_seq));
     let right = exec.run(&Plan::Lookup(right_seq));

@@ -1,5 +1,7 @@
-//! `Il2c`'s posting lists as Roaring-style class-id sets (Chambi, Lemire
-//! et al., "Better bitmap performance with Roaring bitmaps", SPE 2016).
+//! Class-id sets — `Il2c`'s postings and cyclic sets, and every
+//! class-level result of a query — as Roaring-style containers (Chambi,
+//! Lemire et al., "Better bitmap performance with Roaring bitmaps", SPE
+//! 2016).
 //!
 //! A [`ClassSet`] splits its ids by their high 16 bits into **windows**.
 //! A window of at most [`ARRAY_MAX`] ids stores their low halves as a
@@ -16,12 +18,13 @@
 //! three `memcpy`s whatever its size.
 //!
 //! Sets are read where they are stored. Iteration, membership, stepping
-//! by rank ([`Iter::nth`]) and intersection — with another set window by
-//! window, or with a sorted id list — all run on the containers; nothing
-//! decodes a set into a list first.
+//! by rank ([`Iter::nth`]) and intersection ([`ClassSet::and`], window by
+//! window) all run on the containers; nothing decodes a set into a list
+//! first.
 
 use crate::bisim::ClassId;
-use cpqx_graph::pair;
+use cpqx_graph::pair::{self, GALLOP_RATIO};
+use std::cell::RefCell;
 
 /// The most ids a window stores as an array; a fuller window is a bitmap.
 pub(crate) const ARRAY_MAX: usize = 4096;
@@ -104,7 +107,12 @@ impl ClassSet {
 
     /// The ids, ascending.
     pub fn iter(&self) -> Iter<'_> {
-        self.iter_from(0)
+        let Some(w) = self.windows.first() else { return Iter::empty(self) };
+        let open = match self.container(0) {
+            Container::Array(lows) => Cursor::Array(lows.iter()),
+            Container::Bitmap(bits) => Cursor::Bitmap { rest: &bits[1..], at: 0, word: bits[0] },
+        };
+        Iter { set: self, next: 1, key: w.key, open, left: self.len() }
     }
 
     /// The ids from the first one not below `from`, ascending: one search
@@ -144,69 +152,59 @@ impl ClassSet {
         Some(self.windows[i].id(low))
     }
 
-    /// The ids in both sets, ascending — window by window over the keys
-    /// the two share: a word AND of two bitmaps, a bit test per id of an
-    /// array against a bitmap, a merge (or a gallop, when one is ≥ 16×
-    /// longer) of two arrays.
-    pub fn and(&self, other: &ClassSet) -> Vec<ClassId> {
-        // Sized once for the largest result, like an id-list intersection.
-        let mut out = Vec::with_capacity(self.len().min(other.len()));
+    /// The ids in both sets, as a set — window by window over the keys the
+    /// two share: a word AND of two bitmaps, a bit test per array id
+    /// against a bitmap, and two arrays by their lengths (`and_arrays`).
+    /// A window's common low halves are gathered into one reused buffer
+    /// and stored as one container ([`ClassSet::push_window`]); only an
+    /// AND of bitmaps that keeps over [`ARRAY_MAX`] ids stores its words
+    /// as they are. Either way the result is canonical.
+    pub fn and(&self, other: &ClassSet) -> ClassSet {
+        let mut out = ClassSet::new();
         let mut lows = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < self.windows.len() && j < other.windows.len() {
-            let (a, b) = (self.windows[i], other.windows[j]);
-            if a.key != b.key {
-                i += usize::from(a.key < b.key);
-                j += usize::from(b.key < a.key);
+            let (a, b) = (self.windows[i].key, other.windows[j].key);
+            if a != b {
+                i += usize::from(a < b);
+                j += usize::from(b < a);
                 continue;
             }
+            lows.clear();
             match (self.container(i), other.container(j)) {
                 (Container::Bitmap(x), Container::Bitmap(y)) => {
-                    for (at, (&x, &y)) in (0u32..).step_by(64).zip(x.iter().zip(y)) {
-                        let mut word = x & y;
-                        while word != 0 {
-                            out.push(a.id(at + word.trailing_zeros()));
-                            word &= word - 1;
+                    // The ANDed words go to the pool, and stay there as the
+                    // window's bitmap if it holds over ARRAY_MAX ids.
+                    let start = out.words.len();
+                    out.words.extend(x.iter().zip(y).map(|(x, y)| x & y));
+                    let n: u32 = out.words[start..].iter().map(|w| w.count_ones()).sum();
+                    if n as usize > ARRAY_MAX {
+                        let (rank, start) = (out.len, pool_offset(start));
+                        out.windows.push(Window { key: a, bitmap: true, rank, start });
+                        out.len += n;
+                    } else {
+                        let words = out.words[start..].iter().copied();
+                        for (at, mut word) in (0u32..).step_by(64).zip(words) {
+                            while word != 0 {
+                                lows.push((at + word.trailing_zeros()) as u16);
+                                word &= word - 1;
+                            }
                         }
+                        out.words.truncate(start);
                     }
                 }
                 (Container::Array(x), Container::Bitmap(bits))
                 | (Container::Bitmap(bits), Container::Array(x)) => {
-                    keep_set_bits(x.iter().map(|&low| a.id(u32::from(low))), bits, &mut out);
+                    keep_set_bits(x, bits, &mut lows);
                 }
                 (Container::Array(x), Container::Array(y)) => {
-                    lows.clear();
-                    pair::intersect_sorted(x, y, &mut lows);
-                    out.extend(lows.iter().map(|&low| a.id(u32::from(low))));
+                    MARKS.with_borrow_mut(|marks| and_arrays(x, y, marks, &mut lows));
                 }
+            }
+            if !lows.is_empty() {
+                out.push_window(a, &lows);
             }
             (i, j) = (i + 1, j + 1);
-        }
-        out
-    }
-
-    /// The ids of `ids` — sorted, without duplicates — that are in the
-    /// set, ascending. The list is walked window by window beside the
-    /// set's windows: an id under a bitmap is one bit test, ids under an
-    /// array merge with it (or gallop, when one side is ≥ 16× longer).
-    pub(crate) fn and_ids(&self, ids: &[ClassId]) -> Vec<ClassId> {
-        let mut out = Vec::with_capacity(self.len().min(ids.len()));
-        let (mut lows, mut both) = (Vec::new(), Vec::new());
-        let mut i = 0;
-        for run in ids.chunk_by(|a, b| a >> 16 == b >> 16) {
-            let key = (run[0] >> 16) as u16;
-            i += self.windows[i..].partition_point(|w| w.key < key);
-            let Some(w) = self.windows.get(i).filter(|w| w.key == key) else { continue };
-            match self.container(i) {
-                Container::Bitmap(bits) => keep_set_bits(run.iter().copied(), bits, &mut out),
-                Container::Array(x) => {
-                    lows.clear();
-                    lows.extend(run.iter().map(|&c| c as u16));
-                    both.clear();
-                    pair::intersect_sorted(&lows, x, &mut both);
-                    out.extend(both.iter().map(|&low| w.id(u32::from(low))));
-                }
-            }
         }
         out
     }
@@ -403,19 +401,49 @@ fn bit(bits: &[u64; WINDOW_WORDS], low: u16) -> bool {
     bits[usize::from(low >> 6)] >> (low & 63) & 1 == 1
 }
 
-/// Appends the `ids` whose low half is set in `bits`, without a
-/// data-dependent branch: every id is written at the cursor, and a hit
-/// advances it.
-fn keep_set_bits(
-    ids: impl ExactSizeIterator<Item = ClassId>,
-    bits: &[u64; WINDOW_WORDS],
-    out: &mut Vec<ClassId>,
-) {
+/// Below this many ids in the smaller array, a merge is as fast as
+/// marking it.
+const MERGE_BELOW: usize = 8;
+
+thread_local! {
+    /// The window bitmap [`and_arrays`] marks an array in: one per thread,
+    /// so no AND allocates or clears one; all zero between calls.
+    static MARKS: RefCell<[u64; WINDOW_WORDS]> = const { RefCell::new([0; WINDOW_WORDS]) };
+}
+
+/// Appends the low halves in both sorted arrays `x` and `y` to `out`, by
+/// the cheapest route their lengths allow: a short smaller side merges,
+/// one ≥ 16× shorter than the other gallops ([`pair::intersect_sorted`]
+/// is both), and otherwise the smaller is marked in the window bitmap
+/// `marks` (all zero, and left so) and the larger filtered against it
+/// without a data-dependent branch.
+fn and_arrays(x: &[u16], y: &[u16], marks: &mut [u64; WINDOW_WORDS], out: &mut Vec<u16>) {
+    let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+    if small.len() < MERGE_BELOW || small.len().saturating_mul(GALLOP_RATIO) < large.len() {
+        return pair::intersect_sorted(small, large, out);
+    }
+    // Only the part of `large` inside `small`'s range can match.
+    let (lo, hi) = (small[0], small[small.len() - 1]);
+    let large = &large[large.partition_point(|&l| l < lo)..];
+    let large = &large[..large.partition_point(|&l| l <= hi)];
+    for &low in small {
+        marks[usize::from(low >> 6)] |= 1 << (low & 63);
+    }
+    keep_set_bits(large, marks, out);
+    for &low in small {
+        marks[usize::from(low >> 6)] = 0;
+    }
+}
+
+/// Appends the `lows` whose bit is set in `bits`, without a
+/// data-dependent branch: every low half is written at the cursor, and a
+/// hit advances it.
+fn keep_set_bits(lows: &[u16], bits: &[u64; WINDOW_WORDS], out: &mut Vec<u16>) {
     let mut kept = out.len();
-    out.resize(kept + ids.len(), 0);
-    for c in ids {
-        out[kept] = c;
-        kept += usize::from(bit(bits, c as u16));
+    out.resize(kept + lows.len(), 0);
+    for &low in lows {
+        out[kept] = low;
+        kept += usize::from(bit(bits, low));
     }
     out.truncate(kept);
 }
@@ -627,7 +655,11 @@ mod tests {
         /// A set built by pushes reads back, by every reader, exactly the
         /// sorted list it was pushed from, and stays canonical.
         #[test]
-        fn a_set_reads_like_its_sorted_list(model in ids(), other in ids()) {
+        fn a_set_reads_like_its_sorted_list(
+            model in ids(),
+            other in ids(),
+            short in window_lists(),
+        ) {
             let set = ClassSet::from_sorted(&model);
             prop_assert_eq!(set.check(), Ok(()));
             // Laid out a window at a time, as a build does, it is the same
@@ -669,15 +701,80 @@ mod tests {
                 prop_assert!(stepped.eq(model.iter().copied().step_by(step)), "step {}", step);
             }
 
-            let expected = intersection(&model, &other);
-            let other_set = ClassSet::from_sorted(&other);
-            prop_assert_eq!(set.and(&other_set), expected.clone());
-            prop_assert_eq!(other_set.and(&set), expected.clone());
-            prop_assert_eq!(set.and_ids(&other), expected.clone());
-            prop_assert_eq!(other_set.and_ids(&model), expected);
-            prop_assert_eq!(set.and(&set), model.clone());
-            prop_assert_eq!(set.and_ids(&model), model.clone());
-            prop_assert!(set.and(&ClassSet::new()).is_empty() && set.and_ids(&[]).is_empty());
+            and_like_the_model(&model, &other);
+            prop_assert_eq!(set.and(&set), set.clone());
+            prop_assert!(set.and(&ClassSet::new()).is_empty());
+            // Short and long lists of one window: every route of two
+            // arrays — merge, gallop and mark.
+            for (a, b) in &short {
+                and_like_the_model(a, b);
+            }
+        }
+    }
+
+    /// Pairs of sorted distinct id lists inside one window: ids drawn from
+    /// a 700-id range — so the lists overlap — shifted to one place in one
+    /// of four windows; lengths from empty to a few, across the merge
+    /// bound, and far past it.
+    fn window_lists() -> impl Strategy<Value = Vec<(Vec<ClassId>, Vec<ClassId>)>> {
+        let list = || {
+            let len = prop_oneof![0usize..4, 0usize..64, 200usize..600];
+            len.prop_flat_map(|n| prop::collection::vec(0u32..700, n..n + 1))
+        };
+        let lists = (list(), list(), 0u32..4, 0u32..5_000);
+        prop::collection::vec(lists, 1..4).prop_map(|pairs| {
+            let place = |mut ids: Vec<ClassId>, key: u32, shift: u32| {
+                ids.sort_unstable();
+                ids.dedup();
+                ids.iter().map(|c| key << 16 | (c + shift)).collect()
+            };
+            let place = |(a, b, key, shift)| (place(a, key, shift), place(b, key, shift));
+            pairs.into_iter().map(place).collect()
+        })
+    }
+
+    /// `and` of the sets of `a` and `b`, both ways, is canonical and equals
+    /// the set of the lists' intersection part for part.
+    fn and_like_the_model(a: &[ClassId], b: &[ClassId]) {
+        let expected = ClassSet::from_sorted(&intersection(a, b));
+        let (a, b) = (ClassSet::from_sorted(a), ClassSet::from_sorted(b));
+        for both in [a.and(&b), b.and(&a)] {
+            assert_eq!(both.check(), Ok(()));
+            assert!(both == expected, "{both:?} != {expected:?}");
+        }
+    }
+
+    /// Each route of `and`, on inputs that take it: two arrays merge
+    /// (smaller side under 8 ids), gallop (≥ 16× skew) or mark (long and
+    /// balanced — the only route that touches the window bitmap, which it
+    /// leaves all zero); two bitmaps AND to exactly 4,096 ids, an array,
+    /// and to 4,097, a bitmap.
+    #[test]
+    fn and_takes_each_route() {
+        let lows = |ids: &[ClassId]| -> Vec<u16> { ids.iter().map(|&c| c as u16).collect() };
+        let every = |n: u32, step: u32, from: u32| -> Vec<ClassId> {
+            (0..n).map(|i| from + i * step).collect()
+        };
+        let (short, medium) = (every(7, 5, 0), every(100, 2, 0));
+        let (long, balanced, skewed) = (every(4000, 3, 0), every(3000, 4, 6000), every(40, 300, 0));
+        let routes = [(&short, &medium, false), (&skewed, &long, false), (&long, &balanced, true)];
+        for (a, b, marked) in routes {
+            // A route that does not mark never reads the bitmap: all ones,
+            // it would keep every id and be cleared.
+            let unread = if marked { 0 } else { !0 };
+            let (mut marks, mut out) = ([unread; WINDOW_WORDS], Vec::new());
+            and_arrays(&lows(a), &lows(b), &mut marks, &mut out);
+            assert_eq!(out, lows(&intersection(a, b)), "marked: {marked}");
+            assert!(marks.iter().all(|&w| w == unread), "marks read or left dirty");
+            and_like_the_model(a, b);
+        }
+        let evens = every(8192, 2, 0);
+        for (n, bitmap) in [(8192, false), (8194, true)] {
+            let dense = every(n, 1, 0);
+            let both = ClassSet::from_sorted(&dense).and(&ClassSet::from_sorted(&evens));
+            assert_eq!(both.len(), 4096 + usize::from(bitmap));
+            assert_eq!(both.windows[0].bitmap, bitmap);
+            and_like_the_model(&dense, &evens);
         }
     }
 

@@ -1,19 +1,20 @@
 //! Query processing with the index — the paper's Algorithms 3 and 4.
 //!
-//! Intermediate results are either **class-id sets** or normalized **pair
-//! sets**. The executor keeps results at the class level as long as
-//! possible: LOOKUP borrows the `Il2c` posting set; CONJUNCTION of two
-//! class sets is a class-id intersection (the order-of-magnitude win of
-//! Prop. 4.1 / Example 4.3). The root expands surviving classes through
-//! `Ic2p`. Three rules cover everything else:
+//! Intermediate results are either **class-id sets** ([`ClassSet`]s) or
+//! normalized **pair sets**. The executor keeps results at the class level
+//! as long as possible: LOOKUP borrows the `Il2c` posting set; CONJUNCTION
+//! of two class sets is a class-id intersection (the order-of-magnitude
+//! win of Prop. 4.1 / Example 4.3). The root expands surviving classes
+//! through `Ic2p`. Three rules cover everything else:
 //!
 //! 1. **A cycle is a conjunction with the inverse.** Every LOOKUP is
 //!    exact, and `s` labels a path from `v` to `u` iff `s⁻¹` reversed
 //!    labels one from `u` to `v`, so
 //!    `(A ∘ B) ∩ id = {(v, v) | (v, u) ∈ A ∩ B⁻¹}` with `B⁻¹` the
 //!    structural [`Plan::inverse`] of `B`. A fused `JOIN∩id` therefore
-//!    runs as a CONJUNCTION — two lookups intersect as id lists and only
-//!    the surviving classes are touched — whose sources are the answer.
+//!    runs as a CONJUNCTION — two lookups intersect as class sets and
+//!    only the surviving classes are touched — whose sources are the
+//!    answer.
 //!    Only when an inverted sequence is not indexed (interest-aware
 //!    indexes) does it run as Algorithm 4's pair-level `JOIN-ID`.
 //! 2. **Joins emit in source order.** An open JOIN must materialize pairs
@@ -22,33 +23,28 @@
 //!    globally, and a single-label operand is read from the graph's
 //!    label-major edge store instead of being expanded from the index.
 //!    Only a join of two multi-label operands expands both from the index.
-//! 3. **Identity is a posting list.** Cyclicity is a property of the
-//!    class (Sec. IV-D's third optimisation), and the index keeps each
-//!    sequence's cyclic classes as a posting list of their own
+//! 3. **Identity is a posting set.** Cyclicity is a property of the class
+//!    (Sec. IV-D's third optimisation), and the index keeps each
+//!    sequence's cyclic classes as a class set of their own
 //!    ([`CpqxIndex::lookup_cyclic`]). `LOOKUP∩id` borrows it, and since
 //!    `(A ∩ B) ∩ id = (A ∩ id) ∩ (B ∩ id)`, a `CONJUNCTION∩id` over
 //!    class-level operands pushes the identity down to its lookups and
-//!    intersects cyclic postings only — at most |V| ids between them —
-//!    never walking the full lists to test a flag per class.
+//!    intersects cyclic sets only — at most |V| ids between them — never
+//!    walking the full sets to test a flag per class.
 //!
-//! Class-id sets intersect by what they are ([`ClassIds`]), never decoded
-//! to a list first. Two posting sets AND their containers window by
-//! window ([`ClassSet::and`]: word AND of bitmaps, a bit test per array id
-//! against a bitmap, a merge of arrays). An id list — a cyclic sub-list or
-//! an earlier intersection — against a posting set tests each id's bit or
-//! array entry (`ClassSet::and_ids`). Two id lists intersect by length
-//! ([`intersect_ids`]): short or skewed lists merge or gallop, long
-//! balanced ones mark the smaller in a bitmap and filter the larger. A
+//! Every class-level intermediate is a [`ClassSet`] — a posting or cyclic
+//! set borrowed from the index, or an owned AND result — so one kernel,
+//! [`ClassSet::and`], intersects any two of them, window by window on
+//! their containers, and its result is a set of the same form. A
 //! conjunction with an operand that is not class-level (a join, or `id`)
 //! intersects pair sets instead.
 //!
 //! Every choice above is made by the plan in front of the executor, never
 //! by an option: the executor has one configuration.
 
-use crate::bisim::ClassId;
 use crate::class_set::ClassSet;
 use crate::index::CpqxIndex;
-use cpqx_graph::pair::{self, GALLOP_RATIO};
+use cpqx_graph::pair;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use cpqx_query::ops::EvalContext;
@@ -58,20 +54,12 @@ use std::borrow::Cow;
 /// An intermediate result: `C` or `P` in Algorithm 3's notation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Intermediate<'i> {
-    /// Class ids — unions of whole equivalence classes.
-    Classes(ClassIds<'i>),
+    /// Class ids — unions of whole equivalence classes: a LOOKUP's
+    /// posting set or a LOOKUP∩id's cyclic set, borrowed from the index,
+    /// or a conjunction's result, owned.
+    Classes(Cow<'i, ClassSet>),
     /// Normalized s-t pairs.
     Pairs(Vec<Pair>),
-}
-
-/// A class-level intermediate, kept in the form it was produced in.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ClassIds<'i> {
-    /// A bare LOOKUP's posting set, borrowed from the index.
-    Posting(&'i ClassSet),
-    /// Sorted, duplicate-free ids: a LOOKUP∩id's cyclic sub-list,
-    /// borrowed, or an intersection's result, owned.
-    List(Cow<'i, [ClassId]>),
 }
 
 /// Has no field: the executor has one configuration. Kept only because
@@ -87,7 +75,7 @@ pub struct ExecStats {
     /// Number of `Il2c` lookups performed.
     pub lookups: usize,
     /// Class identifiers retrieved by those lookups. A lookup under a
-    /// fused identity retrieves the sequence's *cyclic* posting list only
+    /// fused identity retrieves the sequence's *cyclic* set only
     /// — that is the pruning, not an accounting gap.
     pub classes_touched: usize,
     /// s-t pairs materialized from classes (`Ic2p` expansions).
@@ -117,8 +105,6 @@ pub struct Executor<'i, 'g> {
     /// is confined to each single join call, never held across the
     /// recursion).
     ctx: std::cell::RefCell<EvalContext>,
-    /// Scratch bitmap shared by every class-set intersection of a plan.
-    marks: std::cell::RefCell<ClassMarks>,
 }
 
 impl<'i, 'g> Executor<'i, 'g> {
@@ -131,7 +117,6 @@ impl<'i, 'g> Executor<'i, 'g> {
             graph,
             stats: std::cell::Cell::new(ExecStats::default()),
             ctx: std::cell::RefCell::new(EvalContext::new()),
-            marks: std::cell::RefCell::default(),
         }
     }
 
@@ -165,13 +150,7 @@ impl<'i, 'g> Executor<'i, 'g> {
     pub fn run_first(&self, plan: &Plan) -> Option<Pair> {
         match self.eval(plan) {
             Intermediate::Pairs(p) => p.first().copied(),
-            Intermediate::Classes(cs) => {
-                let first = |c: ClassId| self.index.class_pairs(c).next();
-                match cs {
-                    ClassIds::Posting(set) => set.iter().find_map(first),
-                    ClassIds::List(ids) => ids.iter().copied().find_map(first),
-                }
-            }
+            Intermediate::Classes(cs) => cs.iter().find_map(|c| self.index.class_pairs(c).next()),
         }
     }
 
@@ -187,16 +166,16 @@ impl<'i, 'g> Executor<'i, 'g> {
             Plan::AllId => Intermediate::Pairs(ops::all_loops(self.graph)),
             Plan::Lookup(seq) if !under_id => {
                 debug_assert!(self.index.is_indexed(seq), "planner must split {seq:?}");
-                Intermediate::Classes(ClassIds::Posting(self.lookup_counted(seq)))
+                Intermediate::Classes(Cow::Borrowed(self.lookup_counted(seq)))
             }
             Plan::Lookup(seq) | Plan::LookupId(seq) => {
                 // Fused `⟦seq⟧ ∩ id`: the sequence's cyclic classes, kept
-                // by the index as a posting list of their own (the paper's
+                // by the index as a class set of their own (the paper's
                 // "check the first s-t pair" — cyclicity is uniform per
                 // class — done once, at build time).
                 let looked = self.index.lookup_cyclic(seq);
                 self.count_lookup(looked.len());
-                Intermediate::Classes(ClassIds::List(Cow::Borrowed(looked)))
+                Intermediate::Classes(Cow::Borrowed(looked))
             }
             Plan::Join(a, b) => self.join(a, b, under_id),
             Plan::JoinId(a, b) => self.join(a, b, true),
@@ -207,10 +186,10 @@ impl<'i, 'g> Executor<'i, 'g> {
 
     /// `CONJUNCTION` / fused `CONJUNCTION-ID`: the class-level
     /// intersection of Prop. 4.1 when both operands are class sets — on
-    /// the posting sets' containers where an operand is one (module docs)
-    /// — a pair-set intersection otherwise. Under a fused identity, operands
-    /// that stay at the class level are evaluated under it themselves
-    /// (module docs, rule 3), so only cyclic postings meet.
+    /// their containers ([`ClassSet::and`]) — a pair-set intersection
+    /// otherwise. Under a fused identity, operands that stay at the class
+    /// level are evaluated under it themselves (module docs, rule 3), so
+    /// only cyclic sets meet.
     fn conj(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate<'i> {
         let push_id = require_loop && class_level_plan(a) && class_level_plan(b);
         match (self.eval_under(a, push_id), self.eval_under(b, push_id)) {
@@ -218,15 +197,7 @@ impl<'i, 'g> Executor<'i, 'g> {
                 // Only class-level plans evaluate to class sets.
                 debug_assert!(push_id || !require_loop, "identity not pushed to a class set");
                 self.bump(|s| s.class_conjunctions += 1);
-                let both = match (&x, &y) {
-                    (ClassIds::Posting(a), ClassIds::Posting(b)) => a.and(b),
-                    (ClassIds::Posting(set), ClassIds::List(ids))
-                    | (ClassIds::List(ids), ClassIds::Posting(set)) => set.and_ids(ids),
-                    (ClassIds::List(a), ClassIds::List(b)) => {
-                        self.marks.borrow_mut().intersect(a, b)
-                    }
-                };
-                Intermediate::Classes(ClassIds::List(Cow::Owned(both)))
+                Intermediate::Classes(Cow::Owned(x.and(&y)))
             }
             (x, y) => {
                 let left = self.pairs(x);
@@ -317,14 +288,10 @@ impl<'i, 'g> Executor<'i, 'g> {
             Intermediate::Pairs(pairs) => pairs.iter().map(looped).collect(),
             Intermediate::Classes(cs) => {
                 let mut out = Vec::new();
-                let mut add = |c: ClassId| {
+                for c in cs.iter() {
                     let pairs = self.index.class_pairs(c);
                     self.bump(|s| s.pairs_materialized += pairs.len());
                     out.extend(pairs.map(|p| looped(&p)));
-                };
-                match cs {
-                    ClassIds::Posting(set) => set.iter().for_each(add),
-                    ClassIds::List(ids) => ids.iter().for_each(|&c| add(c)),
                 }
                 pair::sort_pairs(&mut out);
                 out
@@ -359,11 +326,8 @@ impl<'i, 'g> Executor<'i, 'g> {
 
     /// `⋃_{c} Ic2p(c)`, normalized. Classes are disjoint, so only a sort is
     /// needed.
-    fn expand(&self, cs: &ClassIds<'_>) -> Vec<Pair> {
-        let mut out = match cs {
-            ClassIds::Posting(set) => self.index.gather_rows(set.iter()),
-            ClassIds::List(ids) => self.index.gather_rows(ids.iter().copied()),
-        };
+    fn expand(&self, cs: &ClassSet) -> Vec<Pair> {
+        let mut out = self.index.gather_rows(cs);
         self.bump(|s| s.pairs_materialized += out.len());
         pair::sort_pairs(&mut out);
         out
@@ -397,133 +361,9 @@ fn class_level_plan(p: &Plan) -> bool {
     }
 }
 
-/// Below this many ids in the smaller list a merge is as fast as marking.
-const MARK_MIN_LEN: usize = 32;
-
-/// Id-list intersection with its scratch: a bitmap with one bit per
-/// class slot, all zero between calls (it grows to the largest id marked
-/// and is cleared by re-walking what was marked, so its cost follows the
-/// operands, not the index).
-#[derive(Default)]
-struct ClassMarks {
-    bits: Vec<u64>,
-}
-
-impl ClassMarks {
-    /// The sorted intersection of two sorted, duplicate-free class-id
-    /// lists, by the cheapest of three routes their lengths allow: a
-    /// short smaller side merges, one ≥ 16× shorter than the other
-    /// gallops ([`pair::intersect_sorted`] is both), and long balanced
-    /// lists mark the smaller in the bitmap and filter the larger against
-    /// it without a data-dependent branch.
-    fn intersect(&mut self, a: &[ClassId], b: &[ClassId]) -> Vec<ClassId> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut out = Vec::new();
-        if small.len() < MARK_MIN_LEN || small.len().saturating_mul(GALLOP_RATIO) < large.len() {
-            pair::intersect_sorted(small, large, &mut out);
-            return out;
-        }
-        // Only the part of `large` inside `small`'s id range can match.
-        let (lo, hi) = (small[0], small[small.len() - 1]);
-        let large = &large[large.partition_point(|&c| c < lo)..];
-        let large = &large[..large.partition_point(|&c| c <= hi)];
-        let words = (hi as usize >> 6) + 1;
-        if self.bits.len() < words {
-            self.bits.resize(words, 0);
-        }
-        for &c in small {
-            self.bits[c as usize >> 6] |= 1 << (c & 63);
-        }
-        // Every id is written at the cursor; a hit advances it.
-        out.resize(small.len() + 1, 0);
-        let mut kept = 0;
-        for &c in large {
-            out[kept] = c;
-            kept += (self.bits[c as usize >> 6] >> (c & 63)) as usize & 1;
-        }
-        out.truncate(kept);
-        for &c in small {
-            self.bits[c as usize >> 6] = 0;
-        }
-        out
-    }
-}
-
-/// One-shot sorted intersection of class-id lists (tests, cold paths);
-/// an executor keeps the scratch across the intersections of a plan.
-pub fn intersect_ids(a: &[ClassId], b: &[ClassId]) -> Vec<ClassId> {
-    ClassMarks::default().intersect(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn id_intersection() {
-        assert_eq!(intersect_ids(&[1, 3, 5, 9], &[2, 3, 9]), vec![3, 9]);
-        assert_eq!(intersect_ids(&[], &[1]), Vec::<ClassId>::new());
-    }
-
-    /// Sorted distinct id lists: ids drawn from `0..universe`, so lists
-    /// overlap; lengths from empty to far past [`MARK_MIN_LEN`].
-    fn id_list(universe: u32) -> impl Strategy<Value = Vec<ClassId>> {
-        let len = prop_oneof![0usize..4, 0usize..MARK_MIN_LEN * 2, 200usize..600];
-        len.prop_flat_map(move |n| prop::collection::vec(0..universe, n..n + 1)).prop_map(
-            |mut ids| {
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Every route of the class-set intersection — merge for short
-        /// lists, gallop under ≥ 16× skew, bitmap for long balanced ones —
-        /// equals the plain merge, on one scratch reused across calls whose
-        /// ids reach past its current length, and leaves it all zero.
-        #[test]
-        fn class_set_intersection_matches_merge(
-            lists in prop::collection::vec((id_list(700), id_list(700), 0u32..5000), 1..4),
-        ) {
-            let mut marks = ClassMarks::default();
-            for (a, b, shift) in lists {
-                // Later rounds may sit above everything marked so far.
-                let a: Vec<ClassId> = a.iter().map(|c| c + shift).collect();
-                let b: Vec<ClassId> = b.iter().map(|c| c + shift).collect();
-                let expected: Vec<ClassId> =
-                    a.iter().copied().filter(|c| b.binary_search(c).is_ok()).collect();
-                prop_assert_eq!(marks.intersect(&a, &b), expected.clone());
-                prop_assert_eq!(marks.intersect(&b, &a), expected);
-                prop_assert!(marks.bits.iter().all(|&w| w == 0), "scratch left dirty");
-            }
-        }
-    }
-
-    #[test]
-    fn intersection_routes_by_length() {
-        let long: Vec<ClassId> = (0..4000).map(|i| i * 3).collect();
-        let balanced: Vec<ClassId> = (0..3000).map(|i| i * 4 + 100_000 - 6000).collect();
-        let skewed: Vec<ClassId> = (0..40).map(|i| i * 300).collect();
-        let naive = |a: &[ClassId], b: &[ClassId]| -> Vec<ClassId> {
-            a.iter().copied().filter(|c| b.binary_search(c).is_ok()).collect()
-        };
-        let mut marks = ClassMarks::default();
-        // Skew ≥ 16×: gallop, the bitmap is never allocated.
-        assert_eq!(marks.intersect(&skewed, &long), naive(&skewed, &long));
-        assert!(marks.bits.is_empty());
-        // Balanced: bitmap, grown to the smaller side's largest id only.
-        let both = marks.intersect(&long, &balanced);
-        assert_eq!(both, naive(&long, &balanced));
-        assert_eq!(marks.bits.len(), (balanced[balanced.len() - 1] as usize >> 6) + 1);
-        assert!(marks.bits.iter().all(|&w| w == 0));
-        // An empty side is the short-list route.
-        assert!(marks.intersect(&long, &[]).is_empty());
-    }
 
     #[test]
     fn explain_counts_class_level_work() {

@@ -333,20 +333,18 @@ impl ClassChunk {
 
 /// One `Il2c` entry: the classes carrying a sequence and, beside them,
 /// the cyclic ones among them — IDENTITY (the paper's third optimisation,
-/// Sec. IV-D) as a posting list of its own, so `⟦seq⟧ ∩ id` is a borrow
-/// instead of a filter over the full set.
+/// Sec. IV-D) as a set of its own, so `⟦seq⟧ ∩ id` is a borrow instead of
+/// a filter over the full set.
 ///
-/// The full set is a [`ClassSet`]: array and bitmap containers per 64k-id
-/// window, read in place by every reader — lookups, the executor's
-/// intersections, maintenance and `save`. At most |V| pairs are loops, so
-/// the cyclic sub-list stays a plain sorted list: a rounding error next to
-/// the sets themselves.
+/// Both are [`ClassSet`]s: array and bitmap containers per 64k-id window,
+/// read in place by every reader — lookups, the executor's intersections,
+/// maintenance and `save`.
 #[derive(Clone, Default)]
 pub(crate) struct Posting {
     /// Every class carrying the sequence.
     pub(crate) all: ClassSet,
-    /// The sorted ids of `all` whose classes are cyclic.
-    pub(crate) cyclic: Vec<ClassId>,
+    /// The classes of `all` that are cyclic.
+    pub(crate) cyclic: ClassSet,
 }
 
 impl Posting {
@@ -485,11 +483,11 @@ impl SeqSets {
 ///   `Arc`, each a handful of flat arrays,
 /// * the pair → class inverted index, once built, is sharded by
 ///   source-vertex range behind `Arc`,
-/// * `Il2c` entries — a posting set, flat like a class chunk, and its
-///   cyclic sub-list ([`Posting`]) — sit individually behind `Arc`, so a
-///   write that lists a fresh class copies the set's three flat vectors
-///   and the sub-list (the key set is small — O(|L|ᵏ) sequences — so the
-///   vector itself clones cheaply),
+/// * `Il2c` entries — a posting set and its cyclic set, each flat like a
+///   class chunk ([`Posting`]) — sit individually behind `Arc`, so a
+///   write that lists a fresh class copies the two sets' flat vectors
+///   (the key set is small — O(|L|ᵏ) sequences — so the vector itself
+///   clones cheaply),
 /// * the sequence dictionary sits behind one `Arc`: only a write that
 ///   meets a never-seen sequence copies it.
 ///
@@ -593,15 +591,15 @@ pub struct IndexStats {
     /// Number of distinct label sequences that are `Il2c` lookup keys
     /// (retained entries of deleted interests are not).
     pub sequences: usize,
-    /// Total posting-list entries of the lookup keys (≈ γ·|C|); the
-    /// cyclic sub-lists repeat some of them and are not counted again.
+    /// Total posting-set entries of the lookup keys (≈ γ·|C|); the
+    /// cyclic sets repeat some of them and are not counted again.
     pub postings: usize,
     /// γ — average `|L≤k(v,u) ∩ indexed|` over indexed pairs.
     pub gamma: f64,
     /// Core index bytes: `Il2c`'s lookup keys (the sequence dictionary,
-    /// posting sets and their cyclic sub-lists) + `Ic2p` (Def. 4.3's
+    /// posting sets and their cyclic sets) + `Ic2p` (Def. 4.3's
     /// structures, the quantity Thm. 4.2 bounds and Table IV reports).
-    /// A posting set counts what it stores: a 12-byte header per 64k-id
+    /// A class set counts what it stores: a 12-byte header per 64k-id
     /// window, 2 bytes per id of an array window and 8 KB per bitmap
     /// window ([`ClassSet`]).
     /// `Ic2p` counts what it stores: each chunk's width-packed rows, their
@@ -897,11 +895,12 @@ impl CpqxIndex {
         self.posting(seq).map_or(&NO_CLASSES, |p| &p.all)
     }
 
-    /// `Il2c(ℓ) ∩ id` — the sorted ids of the *cyclic* classes whose pairs
-    /// match `seq`: the sub-list of [`CpqxIndex::lookup`] for which
-    /// [`CpqxIndex::class_is_loop`] holds, kept beside it.
-    pub fn lookup_cyclic(&self, seq: &LabelSeq) -> &[ClassId] {
-        self.posting(seq).map_or(&[], |p| &p.cyclic)
+    /// `Il2c(ℓ) ∩ id` — the *cyclic* classes whose pairs match `seq`: the
+    /// subset of [`CpqxIndex::lookup`] for which
+    /// [`CpqxIndex::class_is_loop`] holds, kept beside it as a
+    /// [`ClassSet`] of its own; empty unless `seq` is indexed.
+    pub fn lookup_cyclic(&self, seq: &LabelSeq) -> &ClassSet {
+        self.posting(seq).map_or(&NO_CLASSES, |p| &p.cyclic)
     }
 
     /// `Ic2p(c)` — the sorted s-t pairs of class `c`, decoded from their
@@ -914,14 +913,13 @@ impl CpqxIndex {
 
     /// `⋃_{c ∈ cs} Ic2p(c)` in class order (not normalized), allocated at
     /// its exact size — one forward sweep per touched chunk over its end
-    /// offsets and its packed keys (`cs` is ascending — a posting set or a
-    /// sorted id list — so chunks are visited once, in order). Sizing
-    /// reads only the end offsets; the keys' widths are decoded once per
-    /// chunk.
-    pub(crate) fn gather_rows(&self, cs: impl Iterator<Item = ClassId> + Clone) -> Vec<Pair> {
+    /// offsets and its packed keys (`cs` is ascending, so chunks are
+    /// visited once, in order). Sizing reads only the end offsets; the
+    /// keys' widths are decoded once per chunk.
+    pub(crate) fn gather_rows(&self, cs: &ClassSet) -> Vec<Pair> {
         let slot = |c: ClassId| (c as usize / CLASS_CHUNK, c as usize % CLASS_CHUNK);
         let span = |(ci, off): (usize, usize)| row_span(&self.classes[ci].pair_ends, off);
-        let len = cs.clone().map(|c| span(slot(c)).len()).sum();
+        let len = cs.iter().map(|c| span(slot(c)).len()).sum();
         let mut out = Vec::with_capacity(len);
         let mut open: Option<(usize, Keys<'_>)> = None;
         for c in cs {
@@ -1118,9 +1116,9 @@ impl CpqxIndex {
         // implementation detail, so sizes stay comparable across index
         // designs (Table IV's IS). The dictionary holds each sequence once
         // (id → sequence, and the sequence → id entry); `Il2c` is indexed
-        // by id, and a cyclic sub-list shares its key with the full set. A
-        // posting set counts its window headers and both container pools,
-        // plus its 4-byte length.
+        // by id, and a cyclic set shares its key with the full set. A class
+        // set counts its window headers and both container pools, plus its
+        // 4-byte length; an empty cyclic set counts nothing.
         let id_bytes = std::mem::size_of::<ClassId>();
         let dict_bytes =
             self.seqs.len() * (std::mem::size_of::<LabelSeq>() + std::mem::size_of::<SeqId>());
@@ -1128,8 +1126,7 @@ impl CpqxIndex {
             entries
                 .iter()
                 .map(|p| {
-                    let cyclic =
-                        if p.cyclic.is_empty() { 0 } else { p.cyclic.len() * id_bytes + 4 };
+                    let cyclic = if p.cyclic.is_empty() { 0 } else { p.cyclic.stored_bytes() + 4 };
                     p.all.stored_bytes() + 4 + cyclic
                 })
                 .sum()
@@ -1361,7 +1358,7 @@ mod tests {
             let offsets = |lists: usize| lists * size_of::<u32>();
             // The dictionary: id → sequence, and each sequence's id.
             let dict = idx.seqs.len() * size_of::<LabelSeq>() + idx.seqs.len() * size_of::<SeqId>();
-            // A posting set: per window, its header and its container.
+            // A class set: per window, its header and its container.
             assert_eq!(size_of::<Window>(), 12);
             let mut set_bytes = |set: &ClassSet| -> usize {
                 let ids: Vec<ClassId> = set.iter().collect();
@@ -1380,7 +1377,7 @@ mod tests {
                     .filter(|&id| idx.is_indexed(&idx.seqs.seq(id)) == keys)
                     .map(|id| {
                         let p = &idx.il2c[id as usize];
-                        let cyclic = size_of_val(p.cyclic.as_slice());
+                        let cyclic = set_bytes(&p.cyclic);
                         set_bytes(&p.all) + offsets(1) + cyclic + offsets(usize::from(cyclic > 0))
                     })
                     .sum()

@@ -22,7 +22,7 @@
 //! let g = gex();
 //! let index = CpqxIndex::build(&g, 2);
 //! // The paper's triad query ﬀ ∩ f⁻¹: three answers, found by
-//! // intersecting two class-id lists instead of comparing pairs.
+//! // intersecting two class-id sets instead of comparing pairs.
 //! let q = parse_cpq("(f . f) & f^-1", &g).unwrap();
 //! assert_eq!(index.evaluate(&g, &q).len(), 3);
 //! ```
@@ -46,7 +46,7 @@ mod validate;
 
 pub use bisim::{cpq_path_partition, ClassId, Partition, RefinementBase};
 pub use class_set::ClassSet;
-pub use exec::{ClassIds, ExecOptions, Executor, Intermediate};
+pub use exec::{ExecOptions, Executor, Intermediate};
 pub use index::{CpqxIndex, Fragmentation, IndexStats};
 pub use interest::{interest_partition, normalize_interests};
 pub use optimize::{estimate_plan_cost, optimize_query, optimize_query_costed};

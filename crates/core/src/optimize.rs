@@ -22,14 +22,15 @@
 //!   and its split chosen, as a conjunction wherever the index can invert
 //!   the right side.
 //! * **identity costs what it reads** — lookups conjoined under `∩ id`
-//!   read their cyclic posting lists only (the executor pushes the
-//!   identity down to them), so they are costed, and ordered, by those.
+//!   read their cyclic sets only (the executor pushes the identity down
+//!   to them), so they are costed, and ordered, by those.
 //!
 //! All rewrites are estimate-only: the produced plan evaluates through the
 //! unmodified executor and returns identical answers (asserted by tests and
 //! the `ablation_planner` bench).
 
 use crate::bisim::ClassId;
+use crate::class_set::ClassSet;
 use crate::index::CpqxIndex;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq};
 use cpqx_query::plan::Plan;
@@ -65,15 +66,15 @@ pub fn estimate_plan_cost(index: &CpqxIndex, g: &Graph, q: &Cpq) -> f64 {
     build(index, g, q).cost
 }
 
-/// Estimated pair volume of a class set, listed ascending. Exact for short
-/// sets; extrapolated from a 32-class sample, every `len / 32`-th class by
-/// rank, for long ones, so estimation cost stays negligible next to even
-/// the cheapest query. A posting set is stepped through by rank
-/// ([`crate::ClassSet::iter`]'s `nth`): its bitmap words are passed by popcount,
-/// never its ids one by one.
-fn class_rows(index: &CpqxIndex, classes: impl ExactSizeIterator<Item = ClassId>) -> f64 {
+/// Estimated pair volume of a class set. Exact for short sets;
+/// extrapolated from a 32-class sample, every `len / 32`-th class by rank,
+/// for long ones, so estimation cost stays negligible next to even the
+/// cheapest query. The set is stepped through by rank ([`ClassSet::iter`]'s
+/// `nth`): its bitmap words are passed by popcount, never its ids one by
+/// one.
+fn class_rows(index: &CpqxIndex, set: &ClassSet) -> f64 {
     const SAMPLE: usize = 32;
-    let len = classes.len();
+    let (len, classes) = (set.len(), set.iter());
     let rows = |c: ClassId| index.class_pairs(c).len();
     if len <= SAMPLE {
         classes.map(rows).sum::<usize>() as f64
@@ -85,22 +86,16 @@ fn class_rows(index: &CpqxIndex, classes: impl ExactSizeIterator<Item = ClassId>
 
 /// Estimated pair volume of one lookup.
 fn lookup_rows(index: &CpqxIndex, seq: &LabelSeq) -> f64 {
-    class_rows(index, index.lookup(seq).iter())
+    class_rows(index, index.lookup(seq))
 }
 
 /// One LOOKUP, costed by the class ids it reads: the sequence's cyclic
-/// sub-list when a fused identity reaches it (`under_id`), its posting set
+/// set when a fused identity reaches it (`under_id`), its posting set
 /// otherwise. A lookup's *work* is its class ids; the pairs are only
 /// materialized if a join needs them (accounted there).
 fn lookup_costed(index: &CpqxIndex, seq: LabelSeq, under_id: bool) -> Costed {
-    let (rows, classes) = if under_id {
-        let cyclic = index.lookup_cyclic(&seq);
-        (class_rows(index, cyclic.iter().copied()), cyclic.len())
-    } else {
-        let set = index.lookup(&seq);
-        (class_rows(index, set.iter()), set.len())
-    };
-    Costed { plan: Plan::Lookup(seq), rows, cost: classes as f64 }
+    let set = if under_id { index.lookup_cyclic(&seq) } else { index.lookup(&seq) };
+    Costed { plan: Plan::Lookup(seq), rows: class_rows(index, set), cost: set.len() as f64 }
 }
 
 fn join_rows(left: f64, right: f64, g: &Graph) -> f64 {

@@ -394,7 +394,7 @@ impl CpqxIndex {
     /// Reassembles an index from per-chunk class records (the inverse of
     /// [`CpqxIndex::save_class_chunk`] over all chunks), rebuilding the
     /// derived structures query evaluation reads (the sequence dictionary,
-    /// `Il2c` with its cyclic sub-lists) — the one reassembly routine
+    /// `Il2c` with its cyclic sets) — the one reassembly routine
     /// behind both [`CpqxIndex::load`] and the store's chunk records. The
     /// pair → class map is left to the first write
     /// ([`CpqxIndex::build_pair_map`]); a pair recorded in two classes is

@@ -22,13 +22,13 @@ impl CpqxIndex {
     /// ([`crate::paths::label_seqs_between`]) — O(|P≤k| · paths), a test and
     /// diagnosis tool, not a serving-path call. Checks that
     ///
-    /// * `Il2c` has one entry per dictionary sequence; every posting set is
-    ///   in canonical form — window keys strictly ascending, no empty
-    ///   window, a window is an array iff it holds at most 4,096 ids, each
-    ///   array strictly sorted, and the window offsets consistent with the
-    ///   window sizes — and lists only allocated classes, and the cyclic
-    ///   sub-list beside it is exactly the listed classes whose loop flag
-    ///   is set, in the same order;
+    /// * `Il2c` has one entry per dictionary sequence; every posting set
+    ///   and every cyclic set is in canonical form — window keys strictly
+    ///   ascending, no empty window, a window is an array iff it holds at
+    ///   most 4,096 ids, each array strictly sorted, and the window offsets
+    ///   consistent with the window sizes — the posting set lists only
+    ///   allocated classes, and the cyclic set beside it is exactly the
+    ///   listed classes whose loop flag is set;
     /// * every class's stored set size equals the number of `Il2c` entries
     ///   listing it — the set [`CpqxIndex::class_sequences`] reads back;
     /// * an entry whose sequence is not indexed — a *retained* entry — has
@@ -69,12 +69,15 @@ impl CpqxIndex {
             if let Err(rule) = posting.all.check() {
                 return Err(format!("Il2c({s:?}): {rule}"));
             }
+            if let Err(rule) = posting.cyclic.check() {
+                return Err(format!("Il2c({s:?}): cyclic set: {rule}"));
+            }
             if let Some(c) = posting.all.last().filter(|&c| c >= slots) {
                 return Err(format!("Il2c({s:?}) lists class {c}, beyond the {slots} slots"));
             }
             let cyclic = posting.all.iter().filter(|&c| self.class_is_loop(c));
-            if !cyclic.eq(posting.cyclic.iter().copied()) {
-                return Err(format!("Il2c({s:?}): cyclic sub-list is not its cyclic classes"));
+            if !cyclic.eq(&posting.cyclic) {
+                return Err(format!("Il2c({s:?}): cyclic set is not its cyclic classes"));
             }
             if !self.is_indexed(&s) {
                 if !(self.is_interest_aware() && (2..=self.k).contains(&s.len())) {
@@ -280,18 +283,20 @@ mod tests {
                 let mut bad = good.clone();
                 let posting = posting_mut(&mut bad, &s);
                 let mut ids: Vec<ClassId> = posting.all.iter().collect();
+                let mut cyclic: Vec<ClassId> = posting.cyclic.iter().collect();
                 if listed {
                     let at = ids.binary_search(&c).unwrap_err();
                     ids.insert(at, c);
                     if good.class_is_loop(c) {
-                        let at = posting.cyclic.partition_point(|&d| d < c);
-                        posting.cyclic.insert(at, c);
+                        let at = cyclic.binary_search(&c).unwrap_err();
+                        cyclic.insert(at, c);
                     }
                 } else {
                     ids.retain(|&d| d != c);
-                    posting.cyclic.retain(|&d| d != c);
+                    cyclic.retain(|&d| d != c);
                 }
                 posting.all = ClassSet::from_sorted(&ids);
+                posting.cyclic = ClassSet::from_sorted(&cyclic);
                 if resized {
                     let count = bad.class_seq_count_mut(c);
                     *count = if listed { *count + 1 } else { *count - 1 };
@@ -302,21 +307,39 @@ mod tests {
             }
         }
 
-        // A cyclic sub-list that lost a class, and one that lists an
-        // acyclic class: identity lookups would be wrong, plain ones not.
+        // A cyclic set that lost a class, and one that lists an acyclic
+        // class: identity lookups would be wrong, plain ones not.
         let looped = (0..good.class_slots() as ClassId).find(|&c| good.class_is_loop(c)).unwrap();
         let s = good.class_sequences(looped).next().unwrap();
-        let mut bad = good.clone();
-        posting_mut(&mut bad, &s).cyclic.retain(|&c| c != looped);
-        let err = bad.validate(&g).unwrap_err();
-        assert!(err.contains("cyclic sub-list"), "{err}");
+        let cyclic: Vec<ClassId> = good.lookup_cyclic(&s).iter().collect();
+        let lost: Vec<ClassId> = cyclic.iter().copied().filter(|&c| c != looped).collect();
         let open = good.lookup(&s).iter().find(|&c| !good.class_is_loop(c)).unwrap();
-        let mut bad = good.clone();
-        let posting = posting_mut(&mut bad, &s);
-        let at = posting.cyclic.partition_point(|&c| c < open);
-        posting.cyclic.insert(at, open);
+        let mut stranger = cyclic.clone();
+        stranger.insert(cyclic.binary_search(&open).unwrap_err(), open);
+        for ids in [lost, stranger] {
+            let mut bad = good.clone();
+            posting_mut(&mut bad, &s).cyclic = ClassSet::from_sorted(&ids);
+            let err = bad.validate(&g).unwrap_err();
+            assert!(err.contains("cyclic set is not"), "{err}");
+        }
+    }
+
+    /// A cyclic set is checked for its form like a posting set: one with
+    /// an empty window is reported before its ids are compared.
+    #[test]
+    fn a_non_canonical_cyclic_set_is_reported() {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        let looped = (0..bad.class_slots() as ClassId).find(|&c| bad.class_is_loop(c)).unwrap();
+        let s = bad.class_sequences(looped).next().unwrap();
+        let set = &mut posting_mut(&mut bad, &s).cyclic;
+        assert!(!set.is_empty());
+        let set = set.parts_mut();
+        let (rank, start) = (*set.len, set.arrays.len() as u32);
+        set.windows.push(Window { key: 1, bitmap: false, rank, start });
         let err = bad.validate(&g).unwrap_err();
-        assert!(err.contains("cyclic sub-list"), "{err}");
+        assert!(err.starts_with(&format!("Il2c({s:?}): cyclic set: ")), "{err}");
+        assert!(err.contains("an empty window"), "{err}");
     }
 
     /// Replaces the posting set of an index's first sequence by `set`,
