@@ -364,6 +364,47 @@ fn class_level_plan(p: &Plan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisim::ClassId;
+    use proptest::prelude::*;
+
+    /// Sorted distinct class ids below `universe`, so two lists often
+    /// overlap; lengths from empty to a few, across the merge bound, and
+    /// far past it.
+    fn id_list(universe: u32) -> impl Strategy<Value = Vec<ClassId>> {
+        let len = prop_oneof![0usize..4, 0usize..64, 200usize..600];
+        len.prop_flat_map(move |n| prop::collection::vec(0..universe, n..n + 1)).prop_map(
+            |mut ids| {
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The class-level conjunction (`ClassSet::and`, whichever of
+        /// merge, gallop or mark it takes) equals the plain merge, both
+        /// ways round, over rounds on one thread whose ids move about, so
+        /// a scratch left dirty by one round would show in the next.
+        #[test]
+        fn class_set_intersection_matches_merge(
+            lists in prop::collection::vec((id_list(700), id_list(700), 0u32..5000), 1..4),
+        ) {
+            for (a, b, shift) in lists {
+                let a: Vec<ClassId> = a.iter().map(|c| c + shift).collect();
+                let b: Vec<ClassId> = b.iter().map(|c| c + shift).collect();
+                let expected: Vec<ClassId> =
+                    a.iter().copied().filter(|c| b.binary_search(c).is_ok()).collect();
+                let (x, y) = (ClassSet::from_sorted(&a), ClassSet::from_sorted(&b));
+                let xy = x.and(&y);
+                prop_assert_eq!(xy.check(), Ok(()));
+                prop_assert_eq!(xy.iter().collect::<Vec<_>>(), expected.clone());
+                prop_assert_eq!(y.and(&x).iter().collect::<Vec<_>>(), expected);
+            }
+        }
+    }
 
     #[test]
     fn explain_counts_class_level_work() {
