@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks of the physical operators behind Thm. 4.5's
 //! cost model: source-major join, pair intersection, class-set
 //! intersection (of two posting sets, and of two cyclic sets, on their
-//! containers), and a closed cycle both ways (pair-level `JOIN-ID` versus
+//! containers), a closed cycle both ways (pair-level `JOIN-ID` versus
 //! the conjunction with the inverse) — the primitives every table cell is
-//! made of.
+//! made of — and the writer's pair → class map: its first-write build from
+//! the class rows, and a lookup per pair in the sorted order a write visits
+//! its candidates in.
 
-use cpqx_core::{ClassSet, CpqxIndex, Executor};
+use cpqx_core::{ClassId, ClassSet, CpqxIndex, Executor};
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
@@ -101,5 +103,34 @@ fn bench_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_join, bench_intersection, bench_cycle);
+/// The pair → class map of a power-law graph: built from the class rows,
+/// as the first write builds it, and asked for every indexed pair in pair
+/// order, as a write asks for its sorted candidates. Both are checked
+/// against the rows first: every pair maps to the class whose row holds it.
+fn bench_pair_map(c: &mut Criterion) {
+    let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
+    let idx = CpqxIndex::build(&g, 2);
+    let mut rows: Vec<(Pair, ClassId)> = (0..idx.class_slots() as ClassId)
+        .flat_map(|c| idx.class_pairs(c).map(move |p| (p, c)))
+        .collect();
+    rows.sort_unstable();
+    let mut mapped = idx.clone();
+    mapped.build_pair_map();
+    assert!(rows.iter().all(|&(p, c)| mapped.class_of(p) == Some(c)), "the map disagrees");
+    let candidates: Vec<Pair> = rows.iter().map(|&(p, _)| p).collect();
+    let mut group = c.benchmark_group("p2c");
+    group.bench_function("build", |b| {
+        b.iter(|| {
+            let mut written = idx.clone();
+            written.build_pair_map();
+            written
+        })
+    });
+    group.bench_function("class_of", |b| {
+        b.iter(|| candidates.iter().filter_map(|&p| mapped.class_of(p)).count())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_join, bench_intersection, bench_cycle, bench_pair_map);
 criterion_main!(benches);

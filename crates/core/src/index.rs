@@ -5,13 +5,13 @@ use crate::bisim::{cpq_path_partition, ClassId, Partition, SeqId};
 use crate::class_set::ClassSet;
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
-use crate::intern::{PairHasher, SeqDict};
+use crate::intern::SeqDict;
+use crate::pair_column::{PairColumn, Shard};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair, VertexId};
 use cpqx_query::plan::{plan_query, Plan};
 use cpqx_query::workload::SeqProbe;
 use cpqx_query::Cpq;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -21,14 +21,6 @@ use std::sync::Arc;
 /// fraction improves directly with chunk count while the per-clone cost
 /// stays a vector of `Arc` bumps.
 pub(crate) const CLASS_CHUNK: usize = 1 << 8;
-
-/// Source-vertex ids per copy-on-write shard of the pair → class map
-/// (fine-grained for the same touched/total reason as [`CLASS_CHUNK`]).
-const P2C_SHARD_BITS: u32 = 8;
-
-/// One shard of the pair → class map (see [`PairHasher`] for why it does
-/// not use the default hasher).
-type PairMap = HashMap<Pair, ClassId, BuildHasherDefault<PairHasher>>;
 
 /// One fixed-width class-id range of the index's partition storage: the
 /// `Ic2p` rows, loop flags and sequence-set sizes of up to [`CLASS_CHUNK`]
@@ -481,8 +473,9 @@ impl SeqSets {
 /// * the class partition (`Ic2p` rows, width-packed, loop flags,
 ///   sequence-set sizes) lives in fixed-width [`ClassChunk`]s behind
 ///   `Arc`, each a handful of flat arrays,
-/// * the pair → class inverted index, once built, is sharded by
-///   source-vertex range behind `Arc`,
+/// * the pair → class inverted index, once built, is a sorted column —
+///   per source, its `(target, class)` entries sorted by target — cut
+///   into shards of 256 sources behind `Arc`,
 /// * `Il2c` entries — a posting set and its cyclic set, each flat like a
 ///   class chunk ([`Posting`]) — sit individually behind `Arc`, so a
 ///   write that lists a fresh class copies the two sets' flat vectors
@@ -512,9 +505,9 @@ pub struct CpqxIndex {
     pub(crate) classes: Vec<Arc<ClassChunk>>,
     /// Allocated class slots (tombstones included) across all chunks.
     pub(crate) class_count: usize,
-    /// Pair → class map, sharded by source-vertex range; `None` until the
-    /// first write builds it.
-    pub(crate) p2c: Option<Vec<Arc<PairMap>>>,
+    /// Pair → class map, a sorted column sharded by source-vertex range;
+    /// `None` until the first write builds it.
+    pub(crate) p2c: Option<PairColumn>,
     /// Indexed pairs across all class rows.
     pub(crate) pair_count: usize,
     pub(crate) frag: FragCounters,
@@ -613,9 +606,11 @@ pub struct IndexStats {
     /// stored only in `Il2c`. Packed accounting: what each structure
     /// stores, at the size of the element type it stores it as (`Ic2p`
     /// rows at their packed width and posting sets by their containers, as
-    /// in `core_bytes`; the pair → class map at 8-byte pairs), plus a
-    /// 4-byte offset or length per list; vector headers, capacity and
-    /// hash-table slack are not counted.
+    /// in `core_bytes`; the pair → class map at an 8-byte `(target,
+    /// class)` entry per pair), plus a 4-byte offset or length per list —
+    /// for the map, a start offset per source of each 256-source shard and
+    /// the shard's entry count; vector headers and capacity are not
+    /// counted.
     pub total_bytes: usize,
 }
 
@@ -732,43 +727,26 @@ impl CpqxIndex {
         c
     }
 
-    /// The p2c shard index of a pair (by source-vertex range).
-    #[inline]
-    fn p2c_shard(p: Pair) -> usize {
-        (p.src() >> P2C_SHARD_BITS) as usize
-    }
-
     /// Builds the pair → class map of Sec. IV-E's lazy maintenance from the
     /// `Ic2p` rows, unless it is built already. Every write calls this
     /// first, so a caller needs it only to take the one-time cost out of a
     /// timed write, or before asking [`CpqxIndex::class_of`] about many
-    /// pairs. Cost: one pass over the rows to size each shard, then one
-    /// class-major pass filling them.
+    /// pairs. Cost: one class-major pass over the rows to size each
+    /// source's slice, one to scatter the pairs into them, and a sort of
+    /// each slice ([`PairColumn::from_rows`]).
     pub fn build_pair_map(&mut self) {
-        if self.p2c.is_some() {
-            return;
+        if self.p2c.is_none() {
+            self.p2c = Some(PairColumn::from_rows(|| self.rows_with_classes()));
         }
-        let mut sizes: Vec<usize> = Vec::new();
-        for p in self.classes.iter().flat_map(|ch| ch.pairs(0..ch.pair_total())) {
-            let s = Self::p2c_shard(p);
-            if s >= sizes.len() {
-                sizes.resize(s + 1, 0);
-            }
-            sizes[s] += 1;
-        }
-        let mut shards: Vec<PairMap> = sizes
-            .into_iter()
-            .map(|n| PairMap::with_capacity_and_hasher(n, Default::default()))
-            .collect();
-        for (ci, chunk) in self.classes.iter().enumerate() {
-            for off in 0..chunk.len() {
-                let c = (ci * CLASS_CHUNK + off) as ClassId;
-                for p in chunk.row(off) {
-                    shards[Self::p2c_shard(p)].insert(p, c);
-                }
-            }
-        }
-        self.p2c = Some(shards.into_iter().map(Arc::new).collect());
+    }
+
+    /// Every indexed pair with its class, class-major.
+    fn rows_with_classes(&self) -> impl Iterator<Item = (Pair, ClassId)> + '_ {
+        (0..).step_by(CLASS_CHUNK).zip(&self.classes).flat_map(|(first, chunk)| {
+            (first..)
+                .zip(0..chunk.len())
+                .flat_map(move |(c, off)| chunk.row(off).map(move |p| (p, c)))
+        })
     }
 
     /// Whether the pair → class map is built (see
@@ -778,30 +756,8 @@ impl CpqxIndex {
     }
 
     /// The pair → class map of a write in progress.
-    fn pair_map_mut(&mut self) -> &mut Vec<Arc<PairMap>> {
+    pub(crate) fn pair_map_mut(&mut self) -> &mut PairColumn {
         self.p2c.as_mut().expect("a write builds the pair map before it edits it")
-    }
-
-    /// Maps `p` to `c` in the pair → class map, copying only the pair's
-    /// shard.
-    pub(crate) fn p2c_insert(&mut self, p: Pair, c: ClassId) {
-        let s = Self::p2c_shard(p);
-        let map = self.pair_map_mut();
-        if s >= map.len() {
-            map.resize_with(s + 1, Default::default);
-        }
-        if Arc::make_mut(&mut map[s]).insert(p, c).is_none() {
-            self.pair_count += 1;
-        }
-    }
-
-    /// Removes `p` from the pair → class map; absent pairs copy nothing.
-    pub(crate) fn p2c_remove(&mut self, p: Pair) {
-        let Some(shard) = self.pair_map_mut().get_mut(Self::p2c_shard(p)) else { return };
-        if shard.contains_key(&p) {
-            Arc::make_mut(shard).remove(&p);
-            self.pair_count -= 1;
-        }
     }
 
     /// Applies a lazy update's row edits — `(class, pair)` detachments and
@@ -993,15 +949,16 @@ impl CpqxIndex {
 
     /// The class of an s-t pair, if indexed.
     ///
-    /// One hash probe once the pair → class map is built (by the first
-    /// write, or [`CpqxIndex::build_pair_map`]). Before that this searches
+    /// A binary search in the slice of the pair's source once the pair →
+    /// class map is built (by the first write, or
+    /// [`CpqxIndex::build_pair_map`]). Before that this searches
     /// the rows: a binary search over the packed keys of every class of
     /// the pair's cyclicity, O(#classes · log row) per call, so a caller
     /// asking about many pairs of an unwritten index should build the map
     /// first.
     pub fn class_of(&self, p: Pair) -> Option<ClassId> {
         match &self.p2c {
-            Some(map) => map.get(Self::p2c_shard(p))?.get(&p).copied(),
+            Some(map) => map.get(p),
             None => (0..self.class_count as ClassId).find(|&c| {
                 let (chunk, off) = self.class_slot(c);
                 chunk.loops[off] == p.is_loop() && chunk.row_holds(off, p)
@@ -1119,7 +1076,6 @@ impl CpqxIndex {
         // by id, and a cyclic set shares its key with the full set. A class
         // set counts its window headers and both container pools, plus its
         // 4-byte length; an empty cyclic set counts nothing.
-        let id_bytes = std::mem::size_of::<ClassId>();
         let dict_bytes =
             self.seqs.len() * (std::mem::size_of::<LabelSeq>() + std::mem::size_of::<SeqId>());
         let posting_bytes = |entries: &[&Posting]| -> usize {
@@ -1138,8 +1094,7 @@ impl CpqxIndex {
         let core_bytes = dict_bytes + posting_bytes(&keys) + ic2p_bytes;
         // Per class: a 4-byte set size and a 1-byte loop flag.
         let class_bytes = self.class_count * (std::mem::size_of::<u32>() + 1);
-        let p2c_entries: usize = self.pair_map_shards().iter().map(|shard| shard.len()).sum();
-        let p2c_bytes = p2c_entries * (std::mem::size_of::<Pair>() + id_bytes);
+        let p2c_bytes = self.p2c.as_ref().map_or(0, PairColumn::stored_bytes);
         IndexStats {
             k: self.k,
             classes: self.live_class_count(),
@@ -1172,8 +1127,8 @@ impl CpqxIndex {
     }
 
     /// The pair → class map's shards; none before the map is built.
-    fn pair_map_shards(&self) -> &[Arc<PairMap>] {
-        self.p2c.as_deref().unwrap_or_default()
+    fn pair_map_shards(&self) -> &[Arc<Shard>] {
+        self.p2c.as_ref().map_or(&[], PairColumn::shards)
     }
 
     /// Number of copy-on-write units backing this index (class chunks +
@@ -1323,7 +1278,8 @@ mod tests {
     /// `total_bytes` is what the structures store, each counted at the
     /// size of the element type it is actually stored as — so the number
     /// falls only if the stored bytes do. A fresh build stores no pair
-    /// → class map; once built, the map holds one entry per pair. A
+    /// → class map; once built, the map holds one 8-byte entry per pair
+    /// and its sources' offsets. A
     /// posting set's bytes are re-derived from its ids alone: per 64k-id
     /// window, a header and either 2 bytes an id or a 1,024-word bitmap,
     /// whichever is smaller.
@@ -1401,9 +1357,16 @@ mod tests {
             // 4-byte size.
             let set_sizes: usize = chunks().map(|ch| size_of_val(ch.seq_counts.as_slice())).sum();
             assert_eq!(set_sizes, offsets(idx.class_count));
-            let entry = size_of::<Pair>() + size_of::<ClassId>();
-            let p2c: usize = idx.pair_map_shards().iter().map(|shard| shard.len() * entry).sum();
-            assert_eq!(p2c, if has_map { idx.pair_count() * entry } else { 0 });
+            // The pair → class map: a `(target, class)` entry per pair, and
+            // per 256-source shard up to the largest source, a start offset
+            // per source and the entry count.
+            let largest =
+                chunks().flat_map(|ch| ch.pairs(0..ch.pair_total())).map(|p| p.src()).max();
+            let shards = largest.map_or(0, |v| v as usize / 256 + 1);
+            let entry = size_of::<(VertexId, ClassId)>();
+            assert_eq!(entry, 8);
+            let p2c = if has_map { idx.pair_count() * entry + offsets(shards * 257) } else { 0 };
+            assert_eq!(idx.pair_map_shards().len(), if has_map { shards } else { 0 });
             let loops: usize = chunks().map(|ch| size_of_val(ch.loops.as_slice())).sum();
             let stats = idx.stats();
             assert_eq!(stats.core_bytes, dict + il2c + ic2p);

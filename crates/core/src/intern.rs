@@ -19,7 +19,6 @@
 
 use crate::bisim::SeqId;
 use cpqx_graph::LabelSeq;
-use std::hash::Hasher;
 
 /// Odd multiplier of the multiply-rotate round (2⁶⁴ / golden ratio).
 const K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -182,8 +181,8 @@ pub(crate) fn id_words(ids: &[SeqId], out: &mut Vec<u64>) {
 /// probe over [`seq_words`], under its fixed-seed hash. Query lookups only
 /// probe ([`SeqDict::get`]); sequences are registered only as the graph's
 /// edges spell them, so colliding the table takes a writer who inserts
-/// one crafted label path per colliding key — the trade [`PairHasher`]
-/// makes for pairs.
+/// one crafted label path per colliding key — a writer with that much
+/// access can already cost the index more by inserting edges at a hub.
 #[derive(Clone, Default)]
 pub(crate) struct SeqDict {
     seqs: Vec<LabelSeq>,
@@ -221,45 +220,6 @@ impl SeqDict {
     /// The sequences, indexed by id.
     pub(crate) fn into_seqs(self) -> Vec<LabelSeq> {
         self.seqs
-    }
-}
-
-/// Hasher of the index's pair → class shards: the 64-bit finalizer of
-/// MurmurHash3 over the packed pair, fixed seed.
-///
-/// **The trade.** `std`'s default SipHash under a per-process random key
-/// costs more than the probe it guards on the three paths that insert
-/// every indexed pair (build, recovery, maintenance). This hasher is two
-/// multiplies, and gives up HashDoS resistance for it. Its keys are
-/// `(source, target)` vertex ids — dense integers the graph assigns; a
-/// writer chooses only *which* pairs of existing ids become connected — and
-/// the finalizer is a bijection on `u64` with full avalanche, so colliding
-/// a shard's buckets takes one crafted edge per colliding key, all inside
-/// one 256-source shard. A writer with that much access can already cost
-/// the index more by inserting edges at a hub.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut h = self.0 ^ x;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        self.0 = h ^ (h >> 33);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -345,25 +305,6 @@ mod tests {
         assert_eq!((d.get(&a), d.get(&LabelSeq::single(l(2)))), (Some(1), None));
         assert_eq!((d.len(), d.seq(0), d.seq(2)), (3, ab, b));
         assert_eq!(d.clone().into_seqs(), [ab, a, b]);
-    }
-
-    #[test]
-    fn pair_hasher_spreads_dense_pairs() {
-        // One shard's worth of keys — 256 sources × dense targets — must
-        // fill both ends of the hash (hashbrown buckets by the low bits and
-        // tags by the top seven).
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        let build = BuildHasherDefault::<PairHasher>::default();
-        let (mut low, mut top) = ([0u32; 256], [0u32; 128]);
-        for v in 0..256u64 {
-            for u in 0..64u64 {
-                let h = build.hash_one(cpqx_graph::Pair(v << 32 | u));
-                low[(h & 255) as usize] += 1;
-                top[(h >> 57) as usize] += 1;
-            }
-        }
-        assert!(low.iter().all(|&n| (32..=96).contains(&n)), "low bits skewed: {low:?}");
-        assert!(top.iter().all(|&n| (64..=192).contains(&n)), "top bits skewed: {top:?}");
     }
 
     proptest! {

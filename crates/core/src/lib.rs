@@ -39,6 +39,7 @@ pub mod interest;
 mod intern;
 pub mod maintain;
 pub mod optimize;
+mod pair_column;
 pub mod paths;
 pub mod pool;
 pub mod serialize;

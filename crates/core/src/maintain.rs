@@ -426,11 +426,13 @@ impl CpqxIndex {
     /// never in the snapshot it was cloned from.
     ///
     /// All mutation goes through the index's chunk-local copy-on-write
-    /// primitives (`edit_rows`, `push_class`, `p2c_insert`/`p2c_remove`),
-    /// so an update copies only the class chunks, p2c shards and posting
-    /// lists it actually touches — unchanged candidates (the
-    /// common case for over-approximated affected sets) copy nothing. The
-    /// class rows are edited once, at the end, chunk by chunk.
+    /// primitives (`edit_rows`, `push_class`, `PairColumn::edit`), so an
+    /// update copies only the class chunks, pair-map shards and posting
+    /// lists it actually touches — unchanged candidates (the common case
+    /// for over-approximated affected sets) copy nothing. The class rows
+    /// and the pair → class map are edited once each, at the end: the rows
+    /// chunk by chunk, the map shard by shard, from its edits in candidate
+    /// (that is, pair) order.
     fn refresh_pairs(&mut self, g: &Graph, candidates: Vec<Pair>) {
         if candidates.is_empty() {
             return;
@@ -439,6 +441,7 @@ impl CpqxIndex {
         let mut groups = ClassTable::default();
         let mut fresh: Vec<ClassId> = Vec::new();
         let (mut detached, mut attached) = (Vec::new(), Vec::new());
+        let mut remapped: Vec<(Pair, Option<ClassId>)> = Vec::new();
         let mut ids: Vec<SeqId> = Vec::new();
         for pair in candidates {
             let new_seqs = self.indexed_seqs_of(g, pair);
@@ -446,17 +449,21 @@ impl CpqxIndex {
             // none yet (then no class carries the set).
             ids.clear();
             let known = new_seqs.iter().all(|s| self.seqs.get(s).map(|id| ids.push(id)).is_some());
-            if let Some(c) = self.class_of(pair) {
+            let old = self.class_of(pair);
+            if let Some(c) = old {
                 if known && self.class_carries_exactly(c, &ids) {
                     continue; // unchanged — e.g. an alternative path exists
                 }
                 // Detach from the old class (it may become a tombstone).
                 detached.push((c, pair));
-                self.p2c_remove(pair);
+                self.pair_count -= 1;
                 self.frag.refreshed_pairs += 1;
             }
             if new_seqs.is_empty() {
-                continue; // pair left P≤k entirely
+                if old.is_some() {
+                    remapped.push((pair, None)); // pair left P≤k entirely
+                }
+                continue;
             }
             if !known {
                 ids.clear();
@@ -468,9 +475,11 @@ impl CpqxIndex {
                 self.frag.fresh_classes += 1;
             }
             attached.push((fresh[local], pair));
-            self.p2c_insert(pair, fresh[local]);
+            remapped.push((pair, Some(fresh[local])));
+            self.pair_count += 1;
         }
         self.edit_rows(detached, attached);
+        self.pair_map_mut().edit(&remapped);
         // Re-baseline an index built from an empty graph on its first
         // growth: a zero baseline carries no fragmentation signal, and
         // measuring the first real classes against it would read as

@@ -13,6 +13,7 @@
 
 use crate::bisim::{ClassId, SeqId};
 use crate::index::CpqxIndex;
+use crate::pair_column::shards_for;
 use crate::paths::bounded_ball;
 use cpqx_graph::{Graph, LabelSeq, Pair};
 
@@ -39,7 +40,10 @@ impl CpqxIndex {
     /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
     ///   and the pair → class map, if built, is exactly their inverse
     ///   (without it, pairs are looked up in a sorted list made from the
-    ///   rows);
+    ///   rows), in canonical form: each shard's offsets start at 0, never
+    ///   decrease and end at its entry count, each source's slice is
+    ///   strictly ascending by target, and there are exactly the shards the
+    ///   rows' largest source needs;
     /// * every pair of `g` with a non-empty `L≤k ∩ indexed` is in exactly
     ///   one class; every indexed pair's class has the pair's cyclicity and
     ///   carries (restricted to the currently indexed sequences) exactly
@@ -126,16 +130,25 @@ impl CpqxIndex {
             ));
         }
         if let Some(map) = &self.p2c {
+            map.check()?;
+            let largest = in_rows.last().map(|&(p, _)| p.src());
+            let needed = shards_for(largest);
+            if map.shards().len() != needed {
+                return Err(format!(
+                    "the pair map has {} shards, its largest source {largest:?} needs {needed}",
+                    map.shards().len()
+                ));
+            }
             if let Some(&(p, c)) = in_rows.iter().find(|&&(p, c)| self.class_of(p) != Some(c)) {
                 return Err(format!("class {c} holds {p:?}, mapped to {:?}", self.class_of(p)));
             }
             // Every row pair is mapped to its class, so equal sizes make
             // the map the rows' inverse.
-            let in_map: usize = map.iter().map(|shard| shard.len()).sum();
-            if in_map != in_rows.len() {
+            if map.len() != in_rows.len() {
                 return Err(format!(
-                    "{} pairs in class rows, {in_map} in the pair map",
-                    in_rows.len()
+                    "{} pairs in class rows, {} in the pair map",
+                    in_rows.len(),
+                    map.len()
                 ));
             }
         }
@@ -188,6 +201,7 @@ mod tests {
     use super::*;
     use crate::class_set::{ClassSet, Parts, Window};
     use crate::index::Posting;
+    use crate::pair_column::Shard;
     use cpqx_graph::generate;
     use std::sync::Arc;
 
@@ -245,7 +259,7 @@ mod tests {
             assert_eq!(bad.class_pairs(0).len() + 1, good.class_pairs(0).len());
             assert!(bad.class_pairs(other_class).any(|p| p == some_pair));
             if has_map {
-                bad.p2c_insert(some_pair, other_class);
+                bad.pair_map_mut().edit(&[(some_pair, Some(other_class))]);
             }
             let err = bad.validate(&g).unwrap_err();
             assert!(err.contains("carries"), "{err}");
@@ -254,7 +268,7 @@ mod tests {
         // Ic2p and the pair map disagree.
         let mut bad = good.clone();
         bad.build_pair_map();
-        bad.p2c_insert(some_pair, other_class);
+        bad.pair_map_mut().edit(&[(some_pair, Some(other_class))]);
         let err = bad.validate(&g).unwrap_err();
         assert!(err.contains("mapped to"), "{err}");
 
@@ -322,6 +336,78 @@ mod tests {
             let err = bad.validate(&g).unwrap_err();
             assert!(err.contains("cyclic set is not"), "{err}");
         }
+    }
+
+    /// The pair → class map of an index of `gex` whose map `damage`
+    /// damaged, and what `validate` reports.
+    fn damaged_map_error(damage: impl FnOnce(&mut Vec<Arc<Shard>>)) -> String {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        bad.build_pair_map();
+        assert_eq!(bad.validate(&g), Ok(()), "undamaged, the map is canonical");
+        damage(bad.pair_map_mut().shards_mut());
+        bad.validate(&g).unwrap_err()
+    }
+
+    /// The first source of shard 0 with at least two entries, and where
+    /// its slice starts.
+    fn busy_source(shard: &Shard) -> (usize, usize) {
+        let off = (0..shard.starts.len() - 1)
+            .find(|&off| shard.starts[off + 1] - shard.starts[off] >= 2)
+            .expect("a source with two targets");
+        (off, shard.starts[off] as usize)
+    }
+
+    #[test]
+    fn a_pair_map_slice_out_of_order_is_reported() {
+        let mut source = 0;
+        let err = damaged_map_error(|shards| {
+            let shard = Arc::make_mut(&mut shards[0]);
+            let (off, at) = busy_source(shard);
+            source = off;
+            shard.entries.swap(at, at + 1);
+        });
+        assert!(
+            err.contains(&format!("source {source}'s targets not strictly ascending")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pair_map_offsets_off_their_entries_are_reported() {
+        // An offset past the next one, and one before 0's place.
+        type Damage = fn(&mut Shard);
+        let unordered: [Damage; 2] =
+            [|shard| shard.starts[1] = u32::MAX, |shard| shard.starts[0] = 1];
+        for damage in unordered {
+            let err = damaged_map_error(|shards| damage(Arc::make_mut(&mut shards[0])));
+            assert!(err.contains("pair map shard 0: offsets not monotone from 0"), "{err}");
+        }
+        // One entry more than the offsets end at.
+        let err = damaged_map_error(|shards| {
+            let shard = Arc::make_mut(&mut shards[0]);
+            let last = *shard.entries.last().unwrap();
+            shard.entries.push((last.0 + 1, last.1));
+        });
+        assert!(err.contains("offsets end at") && err.contains("not at the entry count"), "{err}");
+    }
+
+    /// The map has exactly the shards its largest source needs: a map that
+    /// lost its shard and one with an empty shard past the last source
+    /// read every pair right, but are not the form a build makes.
+    #[test]
+    fn a_pair_map_with_the_wrong_shard_count_is_reported() {
+        let err = damaged_map_error(|shards| {
+            shards.pop();
+        });
+        assert!(err.contains("the pair map has 0 shards") && err.contains("needs 1"), "{err}");
+        let err = damaged_map_error(|shards| {
+            let mut empty = Shard::clone(&shards[0]);
+            empty.entries.clear();
+            empty.starts.fill(0);
+            shards.push(Arc::new(empty));
+        });
+        assert!(err.contains("the pair map has 2 shards") && err.contains("needs 1"), "{err}");
     }
 
     /// A cyclic set is checked for its form like a posting set: one with

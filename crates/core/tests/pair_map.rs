@@ -53,7 +53,6 @@ fn unwritten_indexes(g: &Graph) -> Vec<(&'static str, CpqxIndex)> {
 #[test]
 fn builds_and_loads_leave_the_map_unbuilt() {
     let g = graph(3);
-    let entry = std::mem::size_of::<Pair>() + std::mem::size_of::<u32>();
     for (what, idx) in unwritten_indexes(&g) {
         assert!(!idx.has_pair_map(), "{what} built the pair map");
         assert_eq!(idx.validate(&g), Ok(()), "{what}");
@@ -63,9 +62,16 @@ fn builds_and_loads_leave_the_map_unbuilt() {
         assert!(mapped.has_pair_map());
         assert_eq!(mapped.validate(&g), Ok(()), "{what}");
         assert_eq!(saved(&mapped), saved(&idx), "{what}: the map is never saved");
-        // The map adds one packed entry per pair and nothing else.
+        // The map adds what it stores and nothing else: an 8-byte `(target,
+        // class)` entry per pair, and per 256-source shard up to the largest
+        // source, a 4-byte start offset per source and the entry count.
+        let largest =
+            (0..idx.class_slots() as u32).flat_map(|c| idx.class_pairs(c)).map(|p| p.src()).max();
+        let shards = largest.map_or(0, |v| v as usize / 256 + 1);
+        assert_eq!(mapped.chunk_count(), idx.chunk_count() + shards, "{what}");
+        let map_bytes = idx.pair_count() * 8 + shards * 257 * 4;
         let (before, after) = (idx.stats(), mapped.stats());
-        assert_eq!(after.total_bytes, before.total_bytes + idx.pair_count() * entry, "{what}");
+        assert_eq!(after.total_bytes, before.total_bytes + map_bytes, "{what}");
         assert_eq!(
             cpqx_core::IndexStats { total_bytes: before.total_bytes, ..after },
             before,
