@@ -3,9 +3,10 @@
 //! intersection (of two posting sets, and of two cyclic sets, on their
 //! containers), a closed cycle both ways (pair-level `JOIN-ID` versus
 //! the conjunction with the inverse) — the primitives every table cell is
-//! made of — and the writer's pair → class map: its first-write build from
-//! the class rows, and a lookup per pair in the sorted order a write visits
-//! its candidates in.
+//! made of — the expansion of posting sets into their classes' pair rows,
+//! and the writer's pair → class map: its first-write build from the class
+//! rows, and a lookup per pair in the sorted order a write visits its
+//! candidates in.
 
 use cpqx_core::{ClassId, ClassSet, CpqxIndex, Executor};
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
@@ -103,6 +104,28 @@ fn bench_cycle(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every 1- and 2-label posting set of a power-law graph expanded into its
+/// classes' pair rows, as the executor expands a lookup before a join:
+/// the decode of each touched chunk's row ends and packed keys. Checked
+/// against the rows read one class at a time first.
+fn bench_expand(c: &mut Criterion) {
+    let g = random_graph(&RandomGraphConfig::social(2_000, 10_000, 4, 7));
+    let idx = CpqxIndex::build(&g, 2);
+    let singles = g.ext_labels().map(LabelSeq::single);
+    let pairs =
+        g.ext_labels().flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])));
+    let postings: Vec<&ClassSet> = singles.chain(pairs).map(|s| idx.lookup(&s)).collect();
+    for &cs in &postings {
+        let rows: Vec<Pair> = cs.iter().flat_map(|c| idx.class_pairs(c)).collect();
+        assert_eq!(idx.gather_rows(cs), rows, "the gathered rows disagree");
+    }
+    let mut group = c.benchmark_group("ic2p");
+    group.bench_function("expand", |b| {
+        b.iter(|| postings.iter().map(|&cs| idx.gather_rows(cs).len()).sum::<usize>())
+    });
+    group.finish();
+}
+
 /// The pair → class map of a power-law graph: built from the class rows,
 /// as the first write builds it, and asked for every indexed pair in pair
 /// order, as a write asks for its sorted candidates. Both are checked
@@ -132,5 +155,12 @@ fn bench_pair_map(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_join, bench_intersection, bench_cycle, bench_pair_map);
+criterion_group!(
+    benches,
+    bench_join,
+    bench_intersection,
+    bench_cycle,
+    bench_expand,
+    bench_pair_map
+);
 criterion_main!(benches);

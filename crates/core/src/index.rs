@@ -6,6 +6,7 @@ use crate::class_set::ClassSet;
 use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
 use crate::intern::SeqDict;
+use crate::narrow_column::{with_values, NarrowColumn};
 use crate::pair_column::{PairColumn, Shard};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair, VertexId};
 use cpqx_query::plan::{plan_query, Plan};
@@ -41,10 +42,10 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// Rows are **flat**: the pair rows of a chunk's classes lie back to back
 /// in one byte vector, delimited by per-class end offsets. Expanding a
 /// posting set is a forward sweep over a few arrays instead of a pointer
-/// chase per class, and copying a chunk for a write is four `memcpy`s,
-/// whatever the number of classes in it. The writer pays with one rebuild
-/// of a touched chunk's rows per lazy update ([`ClassChunk::edit_rows`])
-/// instead of per-row edits.
+/// chase per class, and copying a chunk for a write is three `memcpy`s
+/// and a 32-byte copy, whatever the number of classes in it. The writer
+/// pays with one rebuild of a touched chunk's rows per lazy update
+/// ([`ClassChunk::edit_rows`]) instead of per-row edits.
 ///
 /// Rows are **width-packed**: pair `(s, t)` is stored as the key
 /// `s << shift | t` in `⌈2·shift / 8⌉` little-endian bytes, where `shift`
@@ -58,6 +59,13 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// leaves — so the width always fits the chunk's current largest id. End
 /// offsets count pairs, not bytes, so a row's length is read without
 /// touching its bytes.
+///
+/// The per-class **metadata is narrow** too. The end offsets and the set
+/// sizes are each a [`NarrowColumn`]: 1, 2 or 4 bytes a class, the
+/// narrowest that fits the column's largest value — the chunk's pair
+/// total for the ends, so 2 bytes on a chunk of fewer than 65,536 pairs.
+/// The loop flags are one bit a class. A reader resolves a column's width
+/// once per chunk it visits (`with_values!`).
 #[derive(Clone, Default)]
 pub(crate) struct ClassChunk {
     /// `Ic2p` rows, back to back in class order, each sorted, as packed
@@ -67,21 +75,26 @@ pub(crate) struct ClassChunk {
     /// id, at least 1 (0 while the chunk holds no pair).
     shift: u8,
     /// Per class: where its row ends, counted in pairs (it starts where
-    /// the previous class's ends).
-    pair_ends: Vec<u32>,
-    /// Per-class cyclicity flags.
-    loops: Vec<bool>,
+    /// the previous class's ends), at the width the chunk's pair total
+    /// needs.
+    pub(crate) pair_ends: NarrowColumn,
+    /// Per-class cyclicity flags: class `off`'s is bit `off % 64` of word
+    /// `off / 64`. Bits past the chunk's classes are 0.
+    pub(crate) loops: [u64; CLASS_CHUNK / 64],
     /// Per class: the size of its `L≤k` set — the number of `Il2c`
-    /// entries listing it. A class's set never changes after the class is
-    /// created, so neither does this.
-    seq_counts: Vec<u32>,
+    /// entries listing it — at the width the chunk's largest set needs. A
+    /// class's set never changes after the class is created, so neither
+    /// does this.
+    pub(crate) seq_counts: NarrowColumn,
 }
 
-/// The range the `off`-th row occupies, given the rows' end offsets.
+/// The range the `off`-th row occupies, given the rows' end offsets at
+/// the width they are stored at.
 #[inline]
-fn row_span(ends: &[u32], off: usize) -> std::ops::Range<usize> {
-    let start = if off == 0 { 0 } else { ends[off - 1] };
-    start as usize..ends[off] as usize
+fn row_span<E: Copy + Into<u32>>(ends: &[E], off: usize) -> Range<usize> {
+    let start: u32 = if off == 0 { 0 } else { ends[off - 1].into() };
+    let end: u32 = ends[off].into();
+    start as usize..end as usize
 }
 
 /// A flat store's length as the end offset of its last row.
@@ -172,24 +185,38 @@ impl Keys<'_> {
 }
 
 impl ClassChunk {
-    /// An empty chunk with room for exactly `classes` classes.
-    pub(crate) fn with_capacity(classes: usize) -> Self {
+    /// An empty chunk with room for exactly `classes` classes holding
+    /// `pairs` pairs in all, the largest set of which has `largest_set`
+    /// sequences: its columns start at the widths these need, so no push
+    /// widens them.
+    pub(crate) fn with_capacity(classes: usize, pairs: usize, largest_set: usize) -> Self {
         ClassChunk {
-            pair_ends: Vec::with_capacity(classes),
-            loops: Vec::with_capacity(classes),
-            seq_counts: Vec::with_capacity(classes),
+            pair_ends: NarrowColumn::with_capacity(classes, end_offset(pairs)),
+            seq_counts: NarrowColumn::with_capacity(classes, end_offset(largest_set)),
             ..ClassChunk::default()
         }
     }
 
     /// Number of classes in the chunk.
     pub(crate) fn len(&self) -> usize {
-        self.loops.len()
+        self.seq_counts.len()
     }
 
     /// Number of pairs across the chunk's rows.
     fn pair_total(&self) -> usize {
-        self.pair_ends.last().map_or(0, |&end| end as usize)
+        self.pair_ends.last().map_or(0, |end| end as usize)
+    }
+
+    /// The range of the chunk's rows the `off`-th row occupies.
+    #[inline]
+    fn span(&self, off: usize) -> Range<usize> {
+        with_values!(&self.pair_ends, |ends| row_span(ends, off))
+    }
+
+    /// Whether the `off`-th class is cyclic.
+    #[inline]
+    fn is_loop(&self, off: usize) -> bool {
+        self.loops[off / 64] >> (off % 64) & 1 == 1
     }
 
     /// A reader of the packed keys.
@@ -209,28 +236,33 @@ impl ClassChunk {
     /// The pair row of the `off`-th class, decoded.
     #[inline]
     fn row(&self, off: usize) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
-        self.pairs(row_span(&self.pair_ends, off))
+        self.pairs(self.span(off))
     }
 
     /// Whether the `off`-th row holds `p`: a binary search over its
     /// packed keys.
     fn row_holds(&self, off: usize, p: Pair) -> bool {
-        let (keys, span) = (self.keys(), row_span(&self.pair_ends, off));
+        let (keys, span) = (self.keys(), self.span(off));
         let at = keys.lower_bound(span.clone(), p);
         at < span.end && keys.get(at) == p
     }
 
-    /// The pair count of every class, in class order.
-    fn row_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).map(|off| row_span(&self.pair_ends, off).len())
+    /// Number of classes whose row holds a pair.
+    fn live_classes(&self) -> usize {
+        with_values!(&self.pair_ends, |ends| {
+            (0..ends.len()).filter(|&off| !row_span(ends, off).is_empty()).count()
+        })
     }
 
     /// Appends a class carrying `seq_count` sequences whose row is the
     /// next `row_len` pairs of the chunk's rows — stored, for a row that
     /// is not empty, by the [`ClassChunk::set_rows`] that follows.
+    /// Either column widens if the new value needs it.
     pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, row_len: usize) {
+        let off = self.len();
+        debug_assert!(off < CLASS_CHUNK, "a push to a full chunk");
         self.pair_ends.push(end_offset(self.pair_total() + row_len));
-        self.loops.push(is_loop);
+        self.loops[off / 64] |= u64::from(is_loop) << (off % 64);
         self.seq_counts.push(end_offset(seq_count));
     }
 
@@ -249,6 +281,26 @@ impl ClassChunk {
         shift == self.shift && keys == self.keys
     }
 
+    /// Whether the chunk is in the form a build makes of its classes: the
+    /// rows packed exactly, both columns at their narrowest width, and no
+    /// loop bit set past the chunk's classes. Returns the first rule
+    /// broken.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if !self.packed_exactly() {
+            return Err("rows not packed at their largest id's width");
+        }
+        if !self.pair_ends.is_narrowest() {
+            return Err("row ends not at their narrowest width");
+        }
+        if !self.seq_counts.is_narrowest() {
+            return Err("set sizes not at their narrowest width");
+        }
+        if (self.len()..CLASS_CHUNK).any(|off| self.is_loop(off)) {
+            return Err("a loop bit set past the chunk's classes");
+        }
+        Ok(())
+    }
+
     /// Detaches and attaches pairs in one rebuild of the chunk's rows:
     /// both edit lists are `(class, pair)` sorted ascending without
     /// duplicates, their classes all in this chunk, whose first class is
@@ -261,6 +313,8 @@ impl ClassChunk {
     /// the chunk's largest vertex id both ways: an attached id that needs
     /// more bits re-packs the chunk wider first, and when no id of the top
     /// bit width is left after the splice, the chunk is re-packed narrower.
+    /// The end offsets are rebuilt at the width the new pair total needs,
+    /// so they narrow too when the chunk shrinks.
     pub(crate) fn edit_rows(
         &mut self,
         first: ClassId,
@@ -275,10 +329,10 @@ impl ClassChunk {
         let (keys, shift) = (self.keys(), u32::from(self.shift));
         let width = keys.width;
         let mut out = Vec::with_capacity(self.keys.len() + attached.len() * width + KEY_PAD);
-        let mut ends = Vec::with_capacity(self.pair_ends.len());
+        let mut ends = Vec::with_capacity(self.len());
         let (mut detached, mut attached) = (detached, attached);
         let (mut start, mut len) = (0, 0);
-        for (c, &end) in (first..).zip(&self.pair_ends) {
+        for (c, end) in (first..).zip(self.pair_ends.to_vec()) {
             let end = end as usize;
             let (gone, rest) = detached.split_at(detached.partition_point(|e| e.0 == c));
             let (come, more) = attached.split_at(attached.partition_point(|e| e.0 == c));
@@ -307,7 +361,7 @@ impl ClassChunk {
             start = end;
         }
         debug_assert!(detached.is_empty() && attached.is_empty(), "edits outside the chunk");
-        self.pair_ends = ends;
+        self.pair_ends = NarrowColumn::from_values(&ends);
         if len == 0 {
             return self.set_rows(&[]);
         }
@@ -596,8 +650,10 @@ pub struct IndexStats {
     /// window, 2 bytes per id of an array window and 8 KB per bitmap
     /// window ([`ClassSet`]).
     /// `Ic2p` counts what it stores: each chunk's width-packed rows, their
-    /// 7 padding bytes and one shift byte, plus a 4-byte end offset per
-    /// row — on a graph of up to 4,096 vertices, 3 bytes a pair.
+    /// 7 padding bytes and one shift byte, plus its row ends at the width
+    /// the chunk's pair total needs (1, 2 or 4 bytes a row) and one width
+    /// byte — on a graph of up to 4,096 vertices, 3 bytes a pair and 2 a
+    /// row.
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (per-class
     /// sequence-set sizes and loop flags, the retained `Il2c` entries of
@@ -606,8 +662,10 @@ pub struct IndexStats {
     /// stored only in `Il2c`. Packed accounting: what each structure
     /// stores, at the size of the element type it stores it as (`Ic2p`
     /// rows at their packed width and posting sets by their containers, as
-    /// in `core_bytes`; the pair → class map at an 8-byte `(target,
-    /// class)` entry per pair), plus a 4-byte offset or length per list —
+    /// in `core_bytes`; each chunk's set sizes at the width its largest
+    /// needs plus a width byte, and its loop flags as 32 bytes of bits; the
+    /// pair → class map at an 8-byte `(target, class)` entry per pair),
+    /// plus a 4-byte offset or length per list of the map and of `Il2c` —
     /// for the map, a start offset per source of each 256-source shard and
     /// the shard's entry count; vector headers and capacity are not
     /// counted.
@@ -675,7 +733,11 @@ impl CpqxIndex {
         // `qps` on the benchmark's in-process workload).
         let mut chunks: Vec<ClassChunk> = Vec::with_capacity(nc.div_ceil(CLASS_CHUNK));
         for (first, loops) in (0..).step_by(CLASS_CHUNK).zip(p.class_loop.chunks(CLASS_CHUNK)) {
-            let mut chunk = ClassChunk::with_capacity(loops.len());
+            let classes = first..first + loops.len();
+            let set_size = |c: usize| p.class_seq_ids(c as ClassId).len();
+            let largest_set = classes.clone().map(set_size).max().unwrap_or(0);
+            let pairs = p.rows_of(classes).len();
+            let mut chunk = ClassChunk::with_capacity(loops.len(), pairs, largest_set);
             for (c, &is_loop) in (first..).zip(loops) {
                 let row = p.row(c as ClassId);
                 debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "unsorted row");
@@ -801,14 +863,15 @@ impl CpqxIndex {
     /// The size of class `c`'s sequence set.
     pub(crate) fn class_seq_count(&self, c: ClassId) -> usize {
         let (chunk, off) = self.class_slot(c);
-        chunk.seq_counts[off] as usize
+        chunk.seq_counts.get(off) as usize
     }
 
-    /// Class `c`'s stored set size, for damaging it.
+    /// Overwrites class `c`'s stored set size, for damaging it: the
+    /// column widens if `n` needs it, and does not narrow.
     #[cfg(test)]
-    pub(crate) fn class_seq_count_mut(&mut self, c: ClassId) -> &mut u32 {
+    pub(crate) fn set_class_seq_count(&mut self, c: ClassId, n: usize) {
         let chunk = Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]);
-        &mut chunk.seq_counts[c as usize % CLASS_CHUNK]
+        chunk.seq_counts.set(c as usize % CLASS_CHUNK, end_offset(n));
     }
 
     /// Whether class `c` carries exactly the sequences `ids` (distinct):
@@ -869,33 +932,49 @@ impl CpqxIndex {
 
     /// `⋃_{c ∈ cs} Ic2p(c)` in class order (not normalized), allocated at
     /// its exact size — one forward sweep per touched chunk over its end
-    /// offsets and its packed keys (`cs` is ascending, so chunks are
-    /// visited once, in order). Sizing reads only the end offsets; the
-    /// keys' widths are decoded once per chunk.
-    pub(crate) fn gather_rows(&self, cs: &ClassSet) -> Vec<Pair> {
-        let slot = |c: ClassId| (c as usize / CLASS_CHUNK, c as usize % CLASS_CHUNK);
-        let span = |(ci, off): (usize, usize)| row_span(&self.classes[ci].pair_ends, off);
-        let len = cs.iter().map(|c| span(slot(c)).len()).sum();
+    /// offsets and its packed keys. Sizing reads only the end offsets.
+    pub fn gather_rows(&self, cs: &ClassSet) -> Vec<Pair> {
+        let mut len = 0;
+        self.for_each_row(cs, |_, span| len += span.len());
         let mut out = Vec::with_capacity(len);
-        let mut open: Option<(usize, Keys<'_>)> = None;
-        for c in cs {
-            let (ci, off) = slot(c);
-            let keys = match open {
-                Some((at, keys)) if at == ci => keys,
-                _ => open.insert((ci, self.classes[ci].keys())).1,
-            };
-            for i in span((ci, off)) {
+        self.for_each_row(cs, |keys, span| {
+            for i in span {
                 out.push(keys.get(i));
             }
-        }
+        });
         out
+    }
+
+    /// Calls `row` with the key reader and the key span of each class of
+    /// `cs`, in order. `cs` is ascending, so each chunk it touches is
+    /// visited once: the widths of its keys and of its end offsets are
+    /// resolved once per visit, not once per class.
+    fn for_each_row<'s>(&'s self, cs: &ClassSet, mut row: impl FnMut(Keys<'s>, Range<usize>)) {
+        let span = CLASS_CHUNK as ClassId;
+        let mut ids = cs.iter();
+        let mut next = ids.next();
+        while let Some(c) = next {
+            let (chunk, first) = (&self.classes[c as usize / CLASS_CHUNK], c - c % span);
+            let keys = chunk.keys();
+            // Every class of `cs` in this chunk, then the first past it.
+            next = with_values!(&chunk.pair_ends, |ends| {
+                let mut c = c;
+                loop {
+                    row(keys, row_span(ends, (c - first) as usize));
+                    match ids.next() {
+                        Some(d) if d - first < span => c = d,
+                        past => break past,
+                    }
+                }
+            });
+        }
     }
 
     /// Whether all pairs of class `c` are cyclic (`v = u`) — the O(1)
     /// IDENTITY check (all members share cyclicity by construction).
     pub fn class_is_loop(&self, c: ClassId) -> bool {
         let (chunk, off) = self.class_slot(c);
-        chunk.loops[off]
+        chunk.is_loop(off)
     }
 
     /// The label-sequence set shared by all pairs of class `c`, in sorted
@@ -961,7 +1040,7 @@ impl CpqxIndex {
             Some(map) => map.get(p),
             None => (0..self.class_count as ClassId).find(|&c| {
                 let (chunk, off) = self.class_slot(c);
-                chunk.loops[off] == p.is_loop() && chunk.row_holds(off, p)
+                chunk.is_loop(off) == p.is_loop() && chunk.row_holds(off, p)
             }),
         }
     }
@@ -1005,7 +1084,7 @@ impl CpqxIndex {
     /// Number of classes with at least one pair (freshly built indexes have
     /// no empty classes; lazy maintenance can leave tombstones behind).
     pub fn live_class_count(&self) -> usize {
-        self.classes.iter().flat_map(|ch| ch.row_lens()).filter(|&pairs| pairs > 0).count()
+        self.classes.iter().map(|ch| ch.live_classes()).sum()
     }
 
     /// Total allocated class slots, including tombstones.
@@ -1087,13 +1166,19 @@ impl CpqxIndex {
                 })
                 .sum()
         };
-        // `Ic2p`: each chunk's packed keys (padding included) and its
-        // one-byte shift, and the rows' end offsets.
-        let ic2p_bytes: usize = self.classes.iter().map(|ch| ch.keys.len() + 1).sum::<usize>()
-            + (self.class_count + 1) * 4;
+        // `Ic2p`: each chunk's packed keys (padding included), its
+        // one-byte shift, and its rows' end offsets at their width, with
+        // the byte naming the width.
+        let ic2p_bytes: usize =
+            self.classes.iter().map(|ch| ch.keys.len() + 1 + ch.pair_ends.stored_bytes()).sum();
         let core_bytes = dict_bytes + posting_bytes(&keys) + ic2p_bytes;
-        // Per class: a 4-byte set size and a 1-byte loop flag.
-        let class_bytes = self.class_count * (std::mem::size_of::<u32>() + 1);
+        // Per chunk: its set sizes at their width, with their width byte,
+        // and its loop bits.
+        let class_bytes: usize = self
+            .classes
+            .iter()
+            .map(|ch| ch.seq_counts.stored_bytes() + std::mem::size_of_val(&ch.loops))
+            .sum();
         let p2c_bytes = self.p2c.as_ref().map_or(0, PairColumn::stored_bytes);
         IndexStats {
             k: self.k,
@@ -1275,6 +1360,54 @@ mod tests {
         assert!(err.contains("class chunk 1") && err.contains("width"), "{err}");
     }
 
+    /// A chunk's columns take the width their largest value needs: set
+    /// sizes a byte up to 255 and two bytes at 256; row ends two bytes
+    /// below 65,536 pairs and four at 65,536 — and two again once a row
+    /// edit drops the chunk below 65,536 pairs.
+    #[test]
+    fn chunk_columns_widen_and_narrow_at_their_boundaries() {
+        let mut chunk = ClassChunk::default();
+        chunk.push(false, 255, 0);
+        assert_eq!((chunk.seq_counts.width(), chunk.pair_ends.width()), (1, 1));
+        chunk.push(false, 256, 0);
+        assert_eq!(chunk.seq_counts.to_vec(), [255, 256]);
+        assert_eq!(chunk.seq_counts.width(), 2);
+
+        // Two classes, 65,535 pairs and one.
+        let row: Vec<Pair> = (0..65_535).map(|i| Pair::new(i / 256, i % 256 + 1)).collect();
+        let last = Pair::new(300, 0);
+        let mut chunk = ClassChunk::default();
+        for (len, seqs) in [(row.len(), 1), (1, 2)] {
+            chunk.push(false, seqs, len);
+        }
+        chunk.set_rows(&[&row[..], &[last]].concat());
+        assert_eq!(chunk.pair_ends.to_vec(), [65_535, 65_536]);
+        assert_eq!(chunk.pair_ends.width(), 4);
+        assert_eq!(chunk.check(), Ok(()));
+        chunk.edit_rows(0, &[(1, last)], &[]);
+        assert_eq!(chunk.pair_ends.to_vec(), [65_535, 65_535]);
+        assert_eq!(chunk.pair_ends.width(), 2);
+        assert_eq!(chunk.check(), Ok(()));
+        assert!(chunk.row(0).eq(row.iter().copied()) && chunk.row(1).len() == 0);
+        chunk.edit_rows(0, &[], &[(1, last)]);
+        assert_eq!(chunk.pair_ends.width(), 4);
+        assert!(chunk.row(1).eq([last]));
+    }
+
+    /// A class's loop flag is one bit: those at the ends of each 64-bit
+    /// word read back, and no other is set.
+    #[test]
+    fn loop_bits_read_back_at_word_edges() {
+        let looped = [0, 63, 64, 255];
+        let mut chunk = ClassChunk::default();
+        for off in 0..CLASS_CHUNK {
+            chunk.push(looped.contains(&off), 1, 0);
+            assert!((0..CLASS_CHUNK).all(|o| chunk.is_loop(o) == (o <= off && looped.contains(&o))));
+            assert_eq!(chunk.check(), Ok(()));
+        }
+        assert_eq!(chunk.loops, [1 | 1 << 63, 1, 0, 1 << 63]);
+    }
+
     /// `total_bytes` is what the structures store, each counted at the
     /// size of the element type it is actually stored as — so the number
     /// falls only if the stored bytes do. A fresh build stores no pair
@@ -1282,7 +1415,11 @@ mod tests {
     /// and its sources' offsets. A
     /// posting set's bytes are re-derived from its ids alone: per 64k-id
     /// window, a header and either 2 bytes an id or a 1,024-word bitmap,
-    /// whichever is smaller.
+    /// whichever is smaller. A chunk's row ends and set sizes are
+    /// re-derived from its pair total and from the `Il2c` entries listing
+    /// each class: per class, the narrowest of 1, 2 and 4 bytes that holds
+    /// the chunk's largest value, plus a width byte per column; its loop
+    /// flags are a bit per class slot of the chunk span.
     #[test]
     fn total_bytes_counts_the_stored_elements() {
         use crate::class_set::{Window, ARRAY_MAX};
@@ -1341,8 +1478,11 @@ mod tests {
             let (il2c, retained) = (il2c(true), il2c(false));
             assert_eq!(retained > 0, !idx.is_indexed(&ff), "only a deleted interest is retained");
             // `Ic2p`: per chunk, its keys at the width its largest vertex id
-            // needs, 7 bytes of padding and the shift byte; then the rows'
-            // end offsets.
+            // needs, 7 bytes of padding and the shift byte, and its rows'
+            // end offsets at the width its pair total needs.
+            let narrowest =
+                |largest: usize| [1, 2, 4].into_iter().find(|&w| largest >> (8 * w) == 0);
+            let column = |len: usize, largest: usize| len * narrowest(largest).unwrap() + 1;
             for ch in chunks() {
                 let largest = ch.pairs(0..ch.pair_total()).map(|p| p.src().max(p.dst())).max();
                 let width = key_width(u32::from(ch.shift));
@@ -1350,13 +1490,22 @@ mod tests {
                 assert_eq!(ch.keys.len(), largest.map_or(0, |_| ch.pair_total() * width + 7));
             }
             let ic2p: usize = chunks()
-                .map(|ch| size_of_val(ch.keys.as_slice()) + size_of_val(&ch.shift))
-                .sum::<usize>()
-                + offsets(idx.class_count + 1);
+                .map(|ch| {
+                    size_of_val(ch.keys.as_slice())
+                        + size_of_val(&ch.shift)
+                        + column(ch.len(), ch.pair_total())
+                })
+                .sum();
             // A class's set is stored in `Il2c` alone; the chunk holds its
-            // 4-byte size.
-            let set_sizes: usize = chunks().map(|ch| size_of_val(ch.seq_counts.as_slice())).sum();
-            assert_eq!(set_sizes, offsets(idx.class_count));
+            // size, the number of entries listing the class.
+            let mut listed = vec![0; idx.class_count];
+            for c in idx.il2c.iter().flat_map(|p| &p.all) {
+                listed[c as usize] += 1;
+            }
+            let set_sizes: usize = listed
+                .chunks(CLASS_CHUNK)
+                .map(|sizes| column(sizes.len(), sizes.iter().copied().max().unwrap_or(0)))
+                .sum();
             // The pair → class map: a `(target, class)` entry per pair, and
             // per 256-source shard up to the largest source, a start offset
             // per source and the entry count.
@@ -1367,7 +1516,9 @@ mod tests {
             assert_eq!(entry, 8);
             let p2c = if has_map { idx.pair_count() * entry + offsets(shards * 257) } else { 0 };
             assert_eq!(idx.pair_map_shards().len(), if has_map { shards } else { 0 });
-            let loops: usize = chunks().map(|ch| size_of_val(ch.loops.as_slice())).sum();
+            // A loop bit per class slot of each chunk.
+            assert!(chunks().all(|ch| size_of_val(&ch.loops) == CLASS_CHUNK / 8));
+            let loops = idx.classes.len() * CLASS_CHUNK / 8;
             let stats = idx.stats();
             assert_eq!(stats.core_bytes, dict + il2c + ic2p);
             assert_eq!(stats.total_bytes, dict + il2c + ic2p + retained + set_sizes + p2c + loops);

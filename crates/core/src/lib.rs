@@ -38,6 +38,7 @@ pub mod index;
 pub mod interest;
 mod intern;
 pub mod maintain;
+mod narrow_column;
 pub mod optimize;
 mod pair_column;
 pub mod paths;

@@ -452,7 +452,9 @@ impl CpqxIndex {
             // Each chunk is laid out at its exact size, like a fresh build's,
             // and its rows are packed once, from their run in `all_pairs`.
             let rows_from = all_pairs.len();
-            let mut chunk = ClassChunk::with_capacity(records.len());
+            let pairs = records.iter().map(|r| r.2.len()).sum();
+            let largest_set = records.iter().map(|r| r.1.len()).max().unwrap_or(0);
+            let mut chunk = ClassChunk::with_capacity(records.len(), pairs, largest_set);
             for (is_loop, seqs, pairs) in records {
                 let c = (idx.class_count + chunk.len()) as ClassId;
                 if pairs.iter().any(|p| p.is_loop() != is_loop) {

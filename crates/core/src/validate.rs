@@ -36,7 +36,9 @@ impl CpqxIndex {
     ///   a sequence a deleted interest could have had (the index is
     ///   interest-aware, length 2 to k), and no lookup serves it;
     /// * every class chunk's rows are packed at the width its largest
-    ///   vertex id needs, no wider;
+    ///   vertex id needs, no wider; its row ends and its set sizes are each
+    ///   stored at the narrowest width that fits their largest value; and
+    ///   no loop bit is set past its classes;
     /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
     ///   and the pair → class map, if built, is exactly their inverse
     ///   (without it, pairs are looked up in a sorted list made from the
@@ -103,8 +105,8 @@ impl CpqxIndex {
             ));
         }
 
-        if let Some(i) = self.classes.iter().position(|chunk| !chunk.packed_exactly()) {
-            return Err(format!("class chunk {i}: rows not packed at their largest id's width"));
+        for (i, chunk) in self.classes.iter().enumerate() {
+            chunk.check().map_err(|rule| format!("class chunk {i}: {rule}"))?;
         }
         // Ic2p rows, listed as (pair, class) in pair order: the rows'
         // inverse, checked against the pair → class map if there is one
@@ -200,7 +202,8 @@ impl CpqxIndex {
 mod tests {
     use super::*;
     use crate::class_set::{ClassSet, Parts, Window};
-    use crate::index::Posting;
+    use crate::index::{ClassChunk, Posting};
+    use crate::narrow_column::NarrowColumn;
     use crate::pair_column::Shard;
     use cpqx_graph::generate;
     use std::sync::Arc;
@@ -312,8 +315,8 @@ mod tests {
                 posting.all = ClassSet::from_sorted(&ids);
                 posting.cyclic = ClassSet::from_sorted(&cyclic);
                 if resized {
-                    let count = bad.class_seq_count_mut(c);
-                    *count = if listed { *count + 1 } else { *count - 1 };
+                    let count = good.class_seq_count(c);
+                    bad.set_class_seq_count(c, if listed { count + 1 } else { count - 1 });
                 }
                 let err = bad.validate(&g).unwrap_err();
                 let expected = if resized { "carries" } else { "Il2c entries list it" };
@@ -525,12 +528,56 @@ mod tests {
         for c in [0, good.class_slots() as ClassId - 1] {
             for grow in [false, true] {
                 let mut bad = good.clone();
-                let count = bad.class_seq_count_mut(c);
-                *count = if grow { *count + 1 } else { *count - 1 };
+                let count = good.class_seq_count(c);
+                bad.set_class_seq_count(c, if grow { count + 1 } else { count - 1 });
                 let err = bad.validate(&g).unwrap_err();
                 assert!(err.contains(&format!("class {c} has")), "{err}");
             }
         }
+    }
+
+    /// A chunk's row ends and set sizes are each stored at the narrowest
+    /// width that fits them: the same values a width wider read right,
+    /// but are not the form a build makes.
+    #[test]
+    fn a_column_wider_than_it_needs_is_reported() {
+        let g = generate::gex();
+        let good = CpqxIndex::build(&g, 2);
+        type Column = fn(&mut ClassChunk) -> &mut NarrowColumn;
+        let columns: [(Column, &str); 2] =
+            [(|ch| &mut ch.pair_ends, "row ends"), (|ch| &mut ch.seq_counts, "set sizes")];
+        for (column, what) in columns {
+            let mut bad = good.clone();
+            let column = column(Arc::make_mut(&mut bad.classes[0]));
+            assert_eq!(column.width(), 1);
+            *column = NarrowColumn::U16(column.to_vec().into_iter().map(|v| v as u16).collect());
+            let err = bad.validate(&g).unwrap_err();
+            assert!(
+                err.contains(&format!("class chunk 0: {what} not at their narrowest")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Loop bits past a chunk's classes are 0: a set one is read by no
+    /// class, but is not the form a build makes.
+    #[test]
+    fn a_loop_bit_past_the_classes_is_reported() {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        let len = bad.class_slots();
+        assert!(len < 255);
+        for off in [len, 255] {
+            let mut bad = bad.clone();
+            Arc::make_mut(&mut bad.classes[0]).loops[off / 64] |= 1 << (off % 64);
+            let err = bad.validate(&g).unwrap_err();
+            assert!(err.contains("class chunk 0: a loop bit set past"), "{err}");
+        }
+        // The last class's own bit is its flag: flipping it is a class of
+        // the wrong cyclicity, not a stray bit.
+        let off = len - 1;
+        Arc::make_mut(&mut bad.classes[0]).loops[off / 64] ^= 1 << (off % 64);
+        assert!(!bad.validate(&g).unwrap_err().contains("loop bit"));
     }
 
     /// `Il2c` has exactly one entry per dictionary sequence.

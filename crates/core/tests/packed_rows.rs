@@ -14,10 +14,17 @@
 //!   chunk to the width its largest id needs; the chunk-level edit itself
 //!   is pinned by the unit tests of `index.rs`);
 //! * hostile records and record bytes are rejected or packed, never a
-//!   panic.
+//!   panic;
+//! * on the benchmark's Epinions stand-in at 10k edges — where a class
+//!   carries more than 255 sequences and a chunk holds more than 65,535
+//!   pairs, so a chunk's set sizes and row ends each take their wider
+//!   width — the index validates and answers as the reference semantics
+//!   does, before and after writes (the columns' own boundaries are pinned
+//!   by the unit tests of `narrow_column.rs` and `index.rs`).
 
 use cpqx_core::serialize::ClassRecord;
 use cpqx_core::{cpq_path_partition, interest_partition, normalize_interests, CpqxIndex};
+use cpqx_graph::datasets::Dataset;
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{ExtLabel, Label, LabelSeq, Pair};
 use cpqx_query::ast::Template;
@@ -215,4 +222,79 @@ proptest! {
             }
         }
     }
+}
+
+/// Per class chunk, the pairs its rows hold; and per class, the `Il2c`
+/// entries listing it — its set size (every sequence of length ≤ 2 is a
+/// lookup key of a full index at k = 2).
+fn chunk_pairs_and_set_sizes(g: &cpqx_graph::Graph, idx: &CpqxIndex) -> (Vec<usize>, Vec<usize>) {
+    let span = CpqxIndex::class_chunk_span();
+    let chunk_pairs = (0..idx.class_chunk_count())
+        .map(|i| {
+            let first = i * span;
+            (first..first + idx.class_chunk_len(i)).map(|c| idx.class_pairs(c as u32).len()).sum()
+        })
+        .collect();
+    let singles = g.ext_labels().map(LabelSeq::single);
+    let doubles =
+        g.ext_labels().flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])));
+    let mut set_sizes = vec![0; idx.class_slots()];
+    for s in singles.chain(doubles) {
+        for c in idx.lookup(&s) {
+            set_sizes[c as usize] += 1;
+        }
+    }
+    (chunk_pairs, set_sizes)
+}
+
+/// The Epinions stand-in of the benchmark's served workloads reaches both
+/// width boundaries of a chunk's columns: a class with 256 or more
+/// sequences (2-byte set sizes) and a chunk of 65,536 or more pairs
+/// (4-byte row ends), beside chunks below both. Its index validates —
+/// every column at its narrowest width — and every template answers as
+/// the reference semantics does; so after edge deletions that drop pairs
+/// from its heaviest chunk, and after re-inserting the edges.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a 10k-edge build and validate; run with --release")]
+fn a_graph_past_both_column_boundaries_validates_and_answers() {
+    let mut g = Dataset::Epinions.generate(10_000, 20220509);
+    let mut idx = CpqxIndex::build(&g, 2);
+    let (chunk_pairs, set_sizes) = chunk_pairs_and_set_sizes(&g, &idx);
+    assert!(set_sizes.iter().any(|&n| n > 255), "no class carries 256 sequences");
+    assert!(set_sizes.iter().any(|&n| n <= 255));
+    let heavy = chunk_pairs.iter().position(|&n| n >= 65_536).expect("a chunk of 65,536 pairs");
+    assert!(chunk_pairs.iter().any(|&n| n < 65_536));
+    assert_eq!(idx.validate(&g), Ok(()));
+
+    let answers_match = |idx: &CpqxIndex, g: &cpqx_graph::Graph, seed: u64| {
+        let mut rng = TestRng::new(seed);
+        for t in Template::ALL {
+            let labels: Vec<ExtLabel> = (0..t.arity())
+                .map(|_| ExtLabel(rng.below(u64::from(g.ext_label_count())) as u16))
+                .collect();
+            let q = t.instantiate(&labels);
+            assert_eq!(idx.evaluate(g, &q), eval_reference(g, &q), "{}", t.name());
+        }
+    };
+    answers_match(&idx, &g, 1);
+
+    // Delete the edges of the source of the heavy chunk's first pair, so
+    // the chunk holds fewer pairs, then put them back.
+    let span = CpqxIndex::class_chunk_span() as u32;
+    let heavy_classes = heavy as u32 * span..heavy as u32 * span + span;
+    let source = heavy_classes.clone().find_map(|c| idx.class_pairs(c).next()).unwrap().src();
+    let edges: Vec<(u32, u32, Label)> = g.incident_edges(source).collect();
+    assert!(!edges.is_empty());
+    for &(s, t, l) in &edges {
+        assert!(idx.delete_edge(&mut g, s, t, l));
+    }
+    let (after, _) = chunk_pairs_and_set_sizes(&g, &idx);
+    assert!(after[heavy] < chunk_pairs[heavy], "the deletions left the heavy chunk whole");
+    assert_eq!(idx.validate(&g), Ok(()));
+    answers_match(&idx, &g, 2);
+    for &(s, t, l) in &edges {
+        assert!(idx.insert_edge(&mut g, s, t, l));
+    }
+    assert_eq!(idx.validate(&g), Ok(()));
+    answers_match(&idx, &g, 3);
 }
