@@ -24,7 +24,7 @@
 //! # Adding a rule
 //!
 //! Implement [`Rule`] in a new `rules/` module (token-scan the
-//! [`SourceFile`](crate::model::SourceFile); emit one
+//! [`SourceFile`]; emit one
 //! [`Finding`] per violation with the line it anchors to), register it in
 //! [`all_rules`], and add a fixture under `tests/fixtures/` plus an
 //! exactness test in `tests/analyzer.rs` proving it fires exactly there.

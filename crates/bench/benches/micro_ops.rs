@@ -5,10 +5,13 @@
 //! the conjunction with the inverse) — the primitives every table cell is
 //! made of — the expansion of posting sets into their classes' pair rows,
 //! and the writer's pair → class map: its first-write build from the class
-//! rows, and a lookup per pair in the sorted order a write visits its
-//! candidates in.
+//! rows, a lookup per pair in the sorted order a write visits its
+//! candidates in, and one batch of edits applied to a clone.
+//!
+//! `cargo bench -p cpqx-bench --bench micro_ops -- p2c` runs only the
+//! cases whose `group/function` name contains `p2c`.
 
-use cpqx_core::{ClassId, ClassSet, CpqxIndex, Executor};
+use cpqx_core::{ClassId, ClassSet, CpqxIndex, Executor, PairColumn};
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
@@ -151,6 +154,35 @@ fn bench_pair_map(c: &mut Criterion) {
     });
     group.bench_function("class_of", |b| {
         b.iter(|| candidates.iter().filter_map(|&p| mapped.class_of(p)).count())
+    });
+    // One batch as a write hands it over, sorted by pair: every 50th
+    // mapped pair re-mapped to the next class, every 50th (offset by 25)
+    // removed, and as many absent pairs inserted. It touches every shard,
+    // so each is copied out of the clone it shares with `column`.
+    let column = PairColumn::from_rows(|| rows.iter().copied());
+    let slots = idx.class_slots() as ClassId;
+    let mut edits: Vec<(Pair, Option<ClassId>)> = rows
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(p, c))| match i % 50 {
+            0 => Some((p, Some((c + 1) % slots))),
+            25 => Some((p, None)),
+            _ => None,
+        })
+        .collect();
+    let absent = random_pairs(edits.len(), g.vertex_count(), 5);
+    let absent = absent.into_iter().filter(|&p| column.get(p).is_none());
+    edits.extend(absent.map(|p| (p, Some(p.src() % slots))));
+    edits.sort_unstable();
+    let mut edited = column.clone();
+    edited.edit(&edits);
+    assert!(edits.iter().all(|&(p, class)| edited.get(p) == class), "an edit did not land");
+    group.bench_function("edit", |b| {
+        b.iter(|| {
+            let mut written = column.clone();
+            written.edit(&edits);
+            written
+        })
     });
     group.finish();
 }

@@ -28,7 +28,7 @@
 //!
 //! # Intern as you go
 //!
-//! Every grouping above runs through one mechanism, [`SigInterner`]: a
+//! Every grouping above runs through one mechanism, `SigInterner`: a
 //! signature is interned the moment it is complete and the id it gets is
 //! its block or class id. Nothing is buffered level-wide to be sorted into
 //! groups afterwards:

@@ -4,7 +4,7 @@
 //! 2016).
 //!
 //! A [`ClassSet`] splits its ids by their high 16 bits into **windows**.
-//! A window of at most [`ARRAY_MAX`] ids stores their low halves as a
+//! A window of at most `ARRAY_MAX` ids stores their low halves as a
 //! sorted `u16` array; a fuller one is a 65,536-bit bitmap of 1,024 words.
 //! At 4,096 ids both forms take 8 KB, so each window takes the smaller. A
 //! single-label posting lists tens of thousands of classes out of a few
@@ -57,7 +57,7 @@ impl Window {
 /// A sorted set of class ids, stored as array and bitmap containers (see
 /// the module docs). Every set is in canonical form: window keys strictly
 /// ascending, no empty window, a window is an array iff it holds at most
-/// [`ARRAY_MAX`] ids, and the containers tile their pools in window order
+/// `ARRAY_MAX` ids, and the containers tile their pools in window order
 /// — so two sets are equal iff they hold the same ids.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct ClassSet {
@@ -156,8 +156,8 @@ impl ClassSet {
     /// two share: a word AND of two bitmaps, a bit test per array id
     /// against a bitmap, and two arrays by their lengths (`and_arrays`).
     /// A window's common low halves are gathered into one reused buffer
-    /// and stored as one container ([`ClassSet::push_window`]); only an
-    /// AND of bitmaps that keeps over [`ARRAY_MAX`] ids stores its words
+    /// and stored as one container (`ClassSet::push_window`); only an
+    /// AND of bitmaps that keeps over `ARRAY_MAX` ids stores its words
     /// as they are. Either way the result is canonical.
     pub fn and(&self, other: &ClassSet) -> ClassSet {
         let mut out = ClassSet::new();
@@ -596,7 +596,7 @@ impl Iterator for Iter<'_> {
         (self.left, Some(self.left))
     }
 
-    /// Skips `n` ids by [`Iter::skip`], so stepping through a set by rank
+    /// Skips `n` ids by `Iter::skip`, so stepping through a set by rank
     /// (`step_by`) walks its bitmap words once, by popcount.
     fn nth(&mut self, n: usize) -> Option<ClassId> {
         self.skip(n);

@@ -7,6 +7,7 @@ use crate::exec::Executor;
 use crate::interest::{interest_partition, normalize_interests};
 use crate::intern::SeqDict;
 use crate::narrow_column::{with_values, NarrowColumn};
+use crate::packed_keys::{self, bits_for, KeyWriter, PackedKeys};
 use crate::pair_column::{PairColumn, Shard};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair, VertexId};
 use cpqx_query::plan::{plan_query, Plan};
@@ -102,21 +103,6 @@ fn end_offset(len: usize) -> u32 {
     u32::try_from(len).expect("a class chunk holds fewer than 2^32 pairs and sequences")
 }
 
-/// Zero bytes after a chunk's last packed key: enough for an 8-byte load
-/// at any key of at least one byte.
-const KEY_PAD: usize = 7;
-
-/// Bytes per packed key at source shift `shift`.
-fn key_width(shift: u32) -> usize {
-    (2 * shift as usize).div_ceil(8)
-}
-
-/// The source shift that fits vertex ids up to `largest`: its bit width,
-/// at least 1 — or 0 when there is no id at all.
-fn shift_for(largest: Option<VertexId>) -> u32 {
-    largest.map_or(0, |v| (u32::BITS - v.leading_zeros()).max(1))
-}
-
 /// The key of `p` at source shift `shift`.
 #[inline]
 fn key(shift: u32, p: Pair) -> u64 {
@@ -125,62 +111,33 @@ fn key(shift: u32, p: Pair) -> u64 {
 
 /// Packs `pairs` — a chunk's rows, back to back — into its `(shift, keys)`
 /// (see [`ClassChunk`]): the shift that fits their largest vertex id
-/// ([`shift_for`]), and each pair's [`key`] in [`key_width`] little-endian
-/// bytes, followed by [`KEY_PAD`] zero bytes. No pairs pack to no bytes.
+/// ([`bits_for`]), and each pair's [`key`] packed at `2·shift` bits
+/// ([`packed_keys`]). No pairs pack to no bytes.
 fn pack(pairs: &[Pair]) -> (u8, Vec<u8>) {
-    let shift = shift_for(pairs.iter().map(|p| p.src().max(p.dst())).max());
+    let shift = bits_for(pairs.iter().map(|p| p.src().max(p.dst())).max());
     (shift as u8, pack_at(shift, pairs))
 }
 
 /// [`pack`]'s keys at a given `shift`, wide enough for every id of
 /// `pairs`.
 fn pack_at(shift: u32, pairs: &[Pair]) -> Vec<u8> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    let width = key_width(shift);
-    // Each key is written as one 8-byte word at its offset: its bytes past
-    // `width` are zero, and the next key (or the padding) overwrites them.
-    let mut keys = vec![0; pairs.len() * width + KEY_PAD];
-    for (at, &p) in (0..).step_by(width).zip(pairs) {
-        keys[at..at + 8].copy_from_slice(&key(shift, p).to_le_bytes());
-    }
-    keys
+    packed_keys::pack(2 * shift, pairs.iter().map(|&p| key(shift, p)))
 }
 
 /// A chunk's packed keys with their widths decoded once, for reading.
 #[derive(Clone, Copy)]
 struct Keys<'a> {
-    bytes: &'a [u8],
-    width: usize,
+    run: PackedKeys<'a>,
     shift: u32,
-    /// The low `2·shift` bits: one key out of an 8-byte load.
-    mask: u64,
 }
 
 impl Keys<'_> {
     /// The `i`-th pair of the chunk: one unaligned 8-byte load and a mask.
     #[inline]
     fn get(self, i: usize) -> Pair {
-        let at = i * self.width;
-        let word = u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes"));
-        let key = word & self.mask;
+        let key = self.run.get(i);
         let dst = key & ((1 << self.shift) - 1);
         Pair::new((key >> self.shift) as VertexId, dst as VertexId)
-    }
-
-    /// The first position of `span` — a stretch of sorted keys — whose
-    /// pair is not below `p`, by binary search; `span.end` if none is.
-    fn lower_bound(self, mut span: Range<usize>, p: Pair) -> usize {
-        while !span.is_empty() {
-            let mid = span.start + span.len() / 2;
-            if self.get(mid) < p {
-                span.start = mid + 1;
-            } else {
-                span.end = mid;
-            }
-        }
-        span.start
     }
 }
 
@@ -223,8 +180,7 @@ impl ClassChunk {
     #[inline]
     fn keys(&self) -> Keys<'_> {
         let shift = u32::from(self.shift);
-        let mask = ((1u128 << (2 * shift)) - 1) as u64;
-        Keys { bytes: &self.keys, width: key_width(shift), shift, mask }
+        Keys { run: PackedKeys::new(&self.keys, 2 * shift), shift }
     }
 
     /// The pairs at positions `span` of the chunk's rows, decoded.
@@ -240,10 +196,13 @@ impl ClassChunk {
     }
 
     /// Whether the `off`-th row holds `p`: a binary search over its
-    /// packed keys.
+    /// packed keys, unless an id of `p` is too wide for them.
     fn row_holds(&self, off: usize, p: Pair) -> bool {
         let (keys, span) = (self.keys(), self.span(off));
-        let at = keys.lower_bound(span.clone(), p);
+        if bits_for(Some(p.src() | p.dst())) > keys.shift {
+            return false;
+        }
+        let at = keys.run.lower_bound(span.clone(), key(keys.shift, p));
         at < span.end && keys.get(at) == p
     }
 
@@ -310,7 +269,7 @@ impl ClassChunk {
     /// tail.
     ///
     /// The keys are spliced at the chunk's width, and the width follows
-    /// the chunk's largest vertex id both ways: an attached id that needs
+    /// the chunk's largest vertex id both ways: an edited id that needs
     /// more bits re-packs the chunk wider first, and when no id of the top
     /// bit width is left after the splice, the chunk is re-packed narrower.
     /// The end offsets are rebuilt at the width the new pair total needs,
@@ -321,17 +280,19 @@ impl ClassChunk {
         detached: &[(ClassId, Pair)],
         attached: &[(ClassId, Pair)],
     ) {
-        let wider = shift_for(attached.iter().map(|e| e.1.src().max(e.1.dst())).max());
+        // Detached pairs count too: a key is searched for at the chunk's
+        // width, so it must fit it even when its pair is absent.
+        let edited = detached.iter().chain(attached);
+        let wider = bits_for(edited.map(|e| e.1.src().max(e.1.dst())).max());
         if wider > u32::from(self.shift) {
             let pairs: Vec<Pair> = self.pairs(0..self.pair_total()).collect();
             (self.shift, self.keys) = (wider as u8, pack_at(wider, &pairs));
         }
         let (keys, shift) = (self.keys(), u32::from(self.shift));
-        let width = keys.width;
-        let mut out = Vec::with_capacity(self.keys.len() + attached.len() * width + KEY_PAD);
+        let mut out = KeyWriter::with_capacity(2 * shift, self.pair_total() + attached.len());
         let mut ends = Vec::with_capacity(self.len());
         let (mut detached, mut attached) = (detached, attached);
-        let (mut start, mut len) = (0, 0);
+        let mut start = 0;
         for (c, end) in (first..).zip(self.pair_ends.to_vec()) {
             let end = end as usize;
             let (gone, rest) = detached.split_at(detached.partition_point(|e| e.0 == c));
@@ -345,31 +306,28 @@ impl ClassChunk {
             edits.sort_unstable();
             let mut from = start;
             for (pair, attach) in edits {
-                let at = keys.lower_bound(from..end, pair);
-                out.extend_from_slice(&keys.bytes[from * width..at * width]);
-                len += at - from;
+                let at = keys.run.lower_bound(from..end, key(shift, pair));
+                out.copy(keys.run, from..at);
                 // The row's own copy of `pair` is dropped either way.
                 from = at + usize::from(at < end && keys.get(at) == pair);
                 if attach {
-                    out.extend_from_slice(&key(shift, pair).to_le_bytes()[..width]);
-                    len += 1;
+                    out.push(key(shift, pair));
                 }
             }
-            out.extend_from_slice(&keys.bytes[from * width..end * width]);
-            len += end - from;
-            ends.push(end_offset(len));
+            out.copy(keys.run, from..end);
+            ends.push(end_offset(out.len()));
             start = end;
         }
         debug_assert!(detached.is_empty() && attached.is_empty(), "edits outside the chunk");
+        let len = out.len();
         self.pair_ends = NarrowColumn::from_values(&ends);
+        self.keys = out.finish();
         if len == 0 {
             return self.set_rows(&[]);
         }
-        out.resize(out.len() + KEY_PAD, 0);
-        self.keys = out;
         // Usually an early key holds an id of the top bit width: the scan
         // stops there and the width stands.
-        let narrower = |p: Pair| shift_for(Some(p.src() | p.dst())) < shift;
+        let narrower = |p: Pair| bits_for(Some(p.src() | p.dst())) < shift;
         if self.pairs(0..len).all(narrower) {
             let pairs: Vec<Pair> = self.pairs(0..len).collect();
             self.set_rows(&pairs);
@@ -525,13 +483,14 @@ impl SeqSets {
 /// The heavyweight stores are structurally shared between clones:
 ///
 /// * the class partition (`Ic2p` rows, width-packed, loop flags,
-///   sequence-set sizes) lives in fixed-width [`ClassChunk`]s behind
+///   sequence-set sizes) lives in fixed-width `ClassChunk`s behind
 ///   `Arc`, each a handful of flat arrays,
 /// * the pair → class inverted index, once built, is a sorted column —
-///   per source, its `(target, class)` entries sorted by target — cut
-///   into shards of 256 sources behind `Arc`,
+///   per source, its entries sorted by target, each a `(target, class)`
+///   key packed at the widths its shard needs — cut into shards of 256
+///   sources behind `Arc`,
 /// * `Il2c` entries — a posting set and its cyclic set, each flat like a
-///   class chunk ([`Posting`]) — sit individually behind `Arc`, so a
+///   class chunk (`Posting`) — sit individually behind `Arc`, so a
 ///   write that lists a fresh class copies the two sets' flat vectors
 ///   (the key set is small — O(|L|ᵏ) sequences — so the vector itself
 ///   clones cheaply),
@@ -664,11 +623,12 @@ pub struct IndexStats {
     /// rows at their packed width and posting sets by their containers, as
     /// in `core_bytes`; each chunk's set sizes at the width its largest
     /// needs plus a width byte, and its loop flags as 32 bytes of bits; the
-    /// pair → class map at an 8-byte `(target, class)` entry per pair),
-    /// plus a 4-byte offset or length per list of the map and of `Il2c` —
-    /// for the map, a start offset per source of each 256-source shard and
-    /// the shard's entry count; vector headers and capacity are not
-    /// counted.
+    /// pair → class map per 256-source shard as its packed `(target,
+    /// class)` keys at the shard's widths with their 7 bytes of padding,
+    /// plus its two width bytes), plus a 4-byte offset or length per list
+    /// of the map and of `Il2c` — for the map, a start offset per source of
+    /// each shard and the shard's entry count; vector headers and capacity
+    /// are not counted.
     pub total_bytes: usize,
 }
 
@@ -701,7 +661,7 @@ impl CpqxIndex {
     /// each sorted, every class homogeneous in `(cyclicity, L≤k)` — as
     /// produced by [`cpq_path_partition`] or by
     /// [`crate::interest::interest_partition`]. Its rows already are the
-    /// `Ic2p` rows, at their exact sizes: each [`ClassChunk`] packs its
+    /// `Ic2p` rows, at their exact sizes: each `ClassChunk` packs its
     /// classes' rows in one pass, and no pair is counted or regrouped here.
     pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {
         let nc = p.class_count();
@@ -794,8 +754,9 @@ impl CpqxIndex {
     /// first, so a caller needs it only to take the one-time cost out of a
     /// timed write, or before asking [`CpqxIndex::class_of`] about many
     /// pairs. Cost: one class-major pass over the rows to size each
-    /// source's slice, one to scatter the pairs into them, and a sort of
-    /// each slice ([`PairColumn::from_rows`]).
+    /// source's slice and each shard's key widths, one to scatter the
+    /// packed keys into the slices, and a sort of each slice
+    /// ([`PairColumn::from_rows`]).
     pub fn build_pair_map(&mut self) {
         if self.p2c.is_none() {
             self.p2c = Some(PairColumn::from_rows(|| self.rows_with_classes()));
@@ -923,7 +884,7 @@ impl CpqxIndex {
     }
 
     /// `Ic2p(c)` — the sorted s-t pairs of class `c`, decoded from their
-    /// packed keys as they are read (see [`ClassChunk`]); the length is
+    /// packed keys as they are read (see `ClassChunk`); the length is
     /// known without reading any.
     pub fn class_pairs(&self, c: ClassId) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
         let (chunk, off) = self.class_slot(c);
@@ -1310,7 +1271,7 @@ mod tests {
         assert_eq!(row(1), [p(6, 6)]);
         assert_eq!(row(2), [p(7, 7), p(9, 9)]);
         // Ids up to 9 take 4 bits, so a key takes one byte.
-        assert_eq!((chunk.shift, chunk.keys.len()), (4, 6 + KEY_PAD));
+        assert_eq!((chunk.shift, chunk.keys.len()), (4, 6 + packed_keys::KEY_PAD));
         assert!(chunk.packed_exactly());
         // No edits: nothing moves.
         let before = chunk.keys.clone();
@@ -1352,7 +1313,7 @@ mod tests {
         let pairs: Vec<Pair> = chunk.pairs(0..chunk.pair_total()).collect();
         let keys = pairs.iter().map(|p| (u64::from(p.src()) << 17) | u64::from(p.dst()));
         chunk.keys = keys.flat_map(|key| key.to_le_bytes().into_iter().take(5)).collect();
-        chunk.keys.resize(chunk.keys.len() + KEY_PAD, 0);
+        chunk.keys.resize(chunk.keys.len() + packed_keys::KEY_PAD, 0);
         chunk.shift = 17;
         let c = CLASS_CHUNK as ClassId;
         assert!((c..2 * c).all(|c| idx.class_pairs(c).eq(before.class_pairs(c))));
@@ -1485,7 +1446,7 @@ mod tests {
             let column = |len: usize, largest: usize| len * narrowest(largest).unwrap() + 1;
             for ch in chunks() {
                 let largest = ch.pairs(0..ch.pair_total()).map(|p| p.src().max(p.dst())).max();
-                let width = key_width(u32::from(ch.shift));
+                let width = packed_keys::key_width(2 * u32::from(ch.shift));
                 assert_eq!(u32::from(ch.shift), largest.map_or(0, |v| v.max(1).ilog2() + 1));
                 assert_eq!(ch.keys.len(), largest.map_or(0, |_| ch.pair_total() * width + 7));
             }
@@ -1506,16 +1467,33 @@ mod tests {
                 .chunks(CLASS_CHUNK)
                 .map(|sizes| column(sizes.len(), sizes.iter().copied().max().unwrap_or(0)))
                 .sum();
-            // The pair → class map: a `(target, class)` entry per pair, and
-            // per 256-source shard up to the largest source, a start offset
-            // per source and the entry count.
-            let largest =
-                chunks().flat_map(|ch| ch.pairs(0..ch.pair_total())).map(|p| p.src()).max();
-            let shards = largest.map_or(0, |v| v as usize / 256 + 1);
-            let entry = size_of::<(VertexId, ClassId)>();
-            assert_eq!(entry, 8);
-            let p2c = if has_map { idx.pair_count() * entry + offsets(shards * 257) } else { 0 };
-            assert_eq!(idx.pair_map_shards().len(), if has_map { shards } else { 0 });
+            // The pair → class map: per 256-source shard up to the largest
+            // source, each entry as a key of its target and class at the
+            // bit widths of the shard's largest target and largest class,
+            // 7 bytes of padding after a shard's last key, its two width
+            // bytes, and a start offset per source and the entry count.
+            let mut shards: Vec<(usize, u32, ClassId)> = Vec::new();
+            for c in 0..idx.class_slots() as ClassId {
+                for p in idx.class_pairs(c) {
+                    let shard = p.src() as usize / 256;
+                    if shard >= shards.len() {
+                        shards.resize(shard + 1, (0, 0, 0));
+                    }
+                    let (n, targets, classes) = &mut shards[shard];
+                    (*n, *targets, *classes) = (*n + 1, (*targets).max(p.dst()), (*classes).max(c));
+                }
+            }
+            let bits = |largest: u32| largest.max(1).ilog2() + 1;
+            let p2c: usize = shards
+                .iter()
+                .map(|&(n, targets, classes)| {
+                    let width = (bits(targets) + bits(classes)).div_ceil(8) as usize;
+                    let keys = if n == 0 { 0 } else { n * width + 7 };
+                    keys + 2 + offsets(257)
+                })
+                .sum();
+            let p2c = if has_map { p2c } else { 0 };
+            assert_eq!(idx.pair_map_shards().len(), if has_map { shards.len() } else { 0 });
             // A loop bit per class slot of each chunk.
             assert!(chunks().all(|ch| size_of_val(&ch.loops) == CLASS_CHUNK / 8));
             let loops = idx.classes.len() * CLASS_CHUNK / 8;

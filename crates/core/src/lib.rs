@@ -40,6 +40,7 @@ mod intern;
 pub mod maintain;
 mod narrow_column;
 pub mod optimize;
+mod packed_keys;
 mod pair_column;
 pub mod paths;
 pub mod pool;
@@ -52,3 +53,4 @@ pub use exec::{ExecOptions, Executor, Intermediate};
 pub use index::{CpqxIndex, Fragmentation, IndexStats};
 pub use interest::{interest_partition, normalize_interests};
 pub use optimize::{estimate_plan_cost, optimize_query, optimize_query_costed};
+pub use pair_column::PairColumn;

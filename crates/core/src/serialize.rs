@@ -313,7 +313,7 @@ impl CpqxIndex {
     /// If `chunks` is not ascending.
     ///
     /// The sequence sets are read off `Il2c` (see the module docs), for
-    /// the requested chunks of up to [`RECORD_WINDOW`] consecutive chunk
+    /// the requested chunks of up to `RECORD_WINDOW` consecutive chunk
     /// positions at a time, so rewriting most chunks costs about one pass
     /// over `Il2c` rather than one per chunk. A class's set never changes
     /// after the class is created, so a chunk still

@@ -42,10 +42,12 @@ impl CpqxIndex {
     /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
     ///   and the pair → class map, if built, is exactly their inverse
     ///   (without it, pairs are looked up in a sorted list made from the
-    ///   rows), in canonical form: each shard's offsets start at 0, never
-    ///   decrease and end at its entry count, each source's slice is
-    ///   strictly ascending by target, and there are exactly the shards the
-    ///   rows' largest source needs;
+    ///   rows), in canonical form: each shard's offsets start at 0 and
+    ///   never decrease, it holds a key per entry and then 7 zero bytes,
+    ///   each source's slice is strictly ascending by target, its keys are
+    ///   at the narrowest widths that fit its largest target and class with
+    ///   no bit set past them, and there are exactly the shards the rows'
+    ///   largest source needs;
     /// * every pair of `g` with a non-empty `L≤k ∩ indexed` is in exactly
     ///   one class; every indexed pair's class has the pair's cyclicity and
     ///   carries (restricted to the currently indexed sequences) exactly
@@ -204,6 +206,7 @@ mod tests {
     use crate::class_set::{ClassSet, Parts, Window};
     use crate::index::{ClassChunk, Posting};
     use crate::narrow_column::NarrowColumn;
+    use crate::packed_keys::{self, PackedKeys, KEY_PAD};
     use crate::pair_column::Shard;
     use cpqx_graph::generate;
     use std::sync::Arc;
@@ -361,6 +364,11 @@ mod tests {
         (off, shard.starts[off] as usize)
     }
 
+    /// Bytes per key of `shard`.
+    fn key_width(shard: &Shard) -> usize {
+        packed_keys::key_width(u32::from(shard.target_bits + shard.class_bits))
+    }
+
     #[test]
     fn a_pair_map_slice_out_of_order_is_reported() {
         let mut source = 0;
@@ -368,7 +376,9 @@ mod tests {
             let shard = Arc::make_mut(&mut shards[0]);
             let (off, at) = busy_source(shard);
             source = off;
-            shard.entries.swap(at, at + 1);
+            let width = key_width(shard);
+            let (first, second) = shard.keys[at * width..].split_at_mut(width);
+            first.swap_with_slice(&mut second[..width]);
         });
         assert!(
             err.contains(&format!("source {source}'s targets not strictly ascending")),
@@ -386,13 +396,14 @@ mod tests {
             let err = damaged_map_error(|shards| damage(Arc::make_mut(&mut shards[0])));
             assert!(err.contains("pair map shard 0: offsets not monotone from 0"), "{err}");
         }
-        // One entry more than the offsets end at.
+        // One key more than the offsets end at.
         let err = damaged_map_error(|shards| {
             let shard = Arc::make_mut(&mut shards[0]);
-            let last = *shard.entries.last().unwrap();
-            shard.entries.push((last.0 + 1, last.1));
+            let width = key_width(shard);
+            let last = shard.keys.len() - KEY_PAD - width;
+            shard.keys.extend_from_within(last..last + width);
         });
-        assert!(err.contains("offsets end at") && err.contains("not at the entry count"), "{err}");
+        assert!(err.contains("pair map shard 0: ") && err.contains("key bytes for"), "{err}");
     }
 
     /// The map has exactly the shards its largest source needs: a map that
@@ -406,11 +417,65 @@ mod tests {
         assert!(err.contains("the pair map has 0 shards") && err.contains("needs 1"), "{err}");
         let err = damaged_map_error(|shards| {
             let mut empty = Shard::clone(&shards[0]);
-            empty.entries.clear();
+            empty.keys.clear();
             empty.starts.fill(0);
+            (empty.target_bits, empty.class_bits) = (0, 0);
             shards.push(Arc::new(empty));
         });
         assert!(err.contains("the pair map has 2 shards") && err.contains("needs 1"), "{err}");
+    }
+
+    /// A shard's keys are at the narrowest widths that fit its largest
+    /// target and its largest class: keys re-packed a bit wider in either
+    /// read every pair right, but are not the form a build makes — nor is
+    /// an entryless shard with widths.
+    #[test]
+    fn a_pair_map_shard_wider_than_it_needs_is_reported() {
+        for wider_class in [false, true] {
+            let err = damaged_map_error(|shards| {
+                let shard = Arc::make_mut(&mut shards[0]);
+                let (targets, classes) = (shard.target_bits, shard.class_bits);
+                let run = PackedKeys::new(&shard.keys, u32::from(targets + classes));
+                let n = shard.starts[shard.starts.len() - 1] as usize;
+                let keys: Vec<u64> = (0..n).map(|i| run.get(i)).collect();
+                let keys = keys.iter().map(|&key| {
+                    let (t, c) = (key >> classes, key & ((1 << classes) - 1));
+                    t << (classes + u8::from(wider_class)) | c
+                });
+                shard.keys = packed_keys::pack(u32::from(targets + classes + 1), keys);
+                if wider_class {
+                    shard.class_bits += 1;
+                } else {
+                    shard.target_bits += 1;
+                }
+            });
+            assert!(err.contains("pair map shard 0: keys not at their narrowest widths"), "{err}");
+        }
+        let err = damaged_map_error(|shards| {
+            let mut empty = Shard::clone(&shards[0]);
+            empty.keys.clear();
+            empty.starts.fill(0);
+            shards.insert(0, Arc::new(empty));
+        });
+        assert!(err.contains("pair map shard 0: keys not at their narrowest widths"), "{err}");
+    }
+
+    /// The bytes after a shard's last key and the key bits past its widths
+    /// are zero: a set one is read by no entry, but is not the form a
+    /// build makes.
+    #[test]
+    fn non_zero_pair_map_padding_is_reported() {
+        let err = damaged_map_error(|shards| {
+            *Arc::make_mut(&mut shards[0]).keys.last_mut().unwrap() = 1;
+        });
+        assert!(err.contains("pair map shard 0: non-zero pad bytes"), "{err}");
+        let err = damaged_map_error(|shards| {
+            let shard = Arc::make_mut(&mut shards[0]);
+            let (bits, width) = (u32::from(shard.target_bits + shard.class_bits), key_width(shard));
+            assert!(bits < 8 * width as u32, "no spare bit in a key of {bits} bits");
+            shard.keys[width - 1] |= 0x80;
+        });
+        assert!(err.contains("pair map shard 0: a key bit set past its widths"), "{err}");
     }
 
     /// A cyclic set is checked for its form like a posting set: one with

@@ -3,9 +3,13 @@
 //! it in the index it writes to and nowhere else, and building it late or
 //! up front ends in the same index.
 
+use cpqx_core::maintain::{apply_ops, DeltaOp};
 use cpqx_core::{normalize_interests, CpqxIndex};
 use cpqx_graph::generate::{random_graph, sample_edges, RandomGraphConfig};
 use cpqx_graph::{ExtLabel, Graph, Label, LabelSeq, Pair};
+use cpqx_query::eval::eval_reference;
+use cpqx_query::workload::{GraphProbe, WorkloadGen};
+use cpqx_query::Template;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,6 +54,21 @@ fn unwritten_indexes(g: &Graph) -> Vec<(&'static str, CpqxIndex)> {
     ]
 }
 
+/// The bytes the pair → class map of `idx` stores for the 256 sources of
+/// `shard`, derived from the class rows.
+fn map_shard_bytes(idx: &CpqxIndex, shard: usize) -> usize {
+    let bits = |largest: u32| largest.max(1).ilog2() + 1;
+    let (mut n, mut targets, mut classes) = (0, 0, 0);
+    for c in 0..idx.class_slots() as u32 {
+        for p in idx.class_pairs(c).filter(|p| p.src() as usize / 256 == shard) {
+            (n, targets, classes) = (n + 1, targets.max(p.dst()), classes.max(c));
+        }
+    }
+    let width = (bits(targets) + bits(classes)).div_ceil(8) as usize;
+    let keys = if n == 0 { 0 } else { n * width + 7 };
+    keys + 2 + 257 * 4
+}
+
 #[test]
 fn builds_and_loads_leave_the_map_unbuilt() {
     let g = graph(3);
@@ -62,14 +81,16 @@ fn builds_and_loads_leave_the_map_unbuilt() {
         assert!(mapped.has_pair_map());
         assert_eq!(mapped.validate(&g), Ok(()), "{what}");
         assert_eq!(saved(&mapped), saved(&idx), "{what}: the map is never saved");
-        // The map adds what it stores and nothing else: an 8-byte `(target,
-        // class)` entry per pair, and per 256-source shard up to the largest
-        // source, a 4-byte start offset per source and the entry count.
+        // The map adds what it stores and nothing else: per 256-source
+        // shard up to the largest source, each pair as a key of its target
+        // and class at the bit widths of the shard's largest target and
+        // class, 7 zero bytes after the last key, two width bytes, and a
+        // 4-byte start offset per source and the entry count.
         let largest =
             (0..idx.class_slots() as u32).flat_map(|c| idx.class_pairs(c)).map(|p| p.src()).max();
         let shards = largest.map_or(0, |v| v as usize / 256 + 1);
         assert_eq!(mapped.chunk_count(), idx.chunk_count() + shards, "{what}");
-        let map_bytes = idx.pair_count() * 8 + shards * 257 * 4;
+        let map_bytes: usize = (0..shards).map(|shard| map_shard_bytes(&idx, shard)).sum();
         let (before, after) = (idx.stats(), mapped.stats());
         assert_eq!(after.total_bytes, before.total_bytes + map_bytes, "{what}");
         assert_eq!(
@@ -170,4 +191,41 @@ fn a_late_map_and_an_early_map_end_in_the_same_index() {
             assert_eq!(eager.validate(&g_eager), Ok(()), "{what}, seed {seed}");
         }
     }
+}
+
+/// Fresh classes take ids past 4,096 mid-run, so the map's shards need a
+/// 13th class bit: transaction after transaction of edge inserts and
+/// deletes, the index validates — the map's keys at their narrowest
+/// widths included — and answers like the oracle.
+#[test]
+fn class_ids_crossing_a_power_of_two_widen_the_map() {
+    const BOUNDARY: usize = 4096;
+    let mut g = random_graph(&RandomGraphConfig::social(200, 700, 3, 0));
+    let mut idx = CpqxIndex::build(&g, K);
+    let start = idx.class_slots();
+    assert!((BOUNDARY - 400..BOUNDARY).contains(&start), "{start} class slots at the start");
+    let queries: Vec<_> = {
+        let (probe, mut gen) = (GraphProbe(&g), WorkloadGen::new(&g, 3));
+        Template::ALL.iter().flat_map(|&t| gen.queries(t, 1, &probe)).collect()
+    };
+    let mut rng = StdRng::seed_from_u64(17);
+    let labels = g.base_label_count();
+    let mut transactions = 0;
+    while idx.class_slots() <= BOUNDARY + 64 {
+        transactions += 1;
+        assert!(transactions <= 100, "{} class slots after 100 transactions", idx.class_slots());
+        let (v, u, l) = sample_edges(&g, 1, transactions)[0];
+        let mut ops = vec![DeltaOp::DeleteEdge { src: v, dst: u, label: l }];
+        ops.extend((0..6).map(|_| DeltaOp::InsertEdge {
+            src: rng.gen_range(0..g.vertex_count()),
+            dst: rng.gen_range(0..g.vertex_count()),
+            label: Label(rng.gen_range(0..labels)),
+        }));
+        apply_ops(&mut g, &mut idx, &ops).expect("valid ops");
+        assert_eq!(idx.validate(&g), Ok(()), "transaction {transactions}");
+        for q in &queries {
+            assert_eq!(idx.evaluate(&g, q), eval_reference(&g, q), "transaction {transactions}");
+        }
+    }
+    assert!(transactions > 1, "class ids crossed {BOUNDARY} in the first transaction");
 }

@@ -4,7 +4,7 @@
 //! auto-rebuild inside a write transaction — is the paper's single pass:
 //! the partition (Algorithm 1 through [`RefinementBase`] for full CPQx,
 //! [`interest_partition`] for iaCPQx), then
-//! [`CpqxIndex::from_partition`]. [`build_with_report`] runs those steps
+//! [`CpqxIndex::from_partition`]. `build_with_report` runs those steps
 //! itself only so it can time them: its index is the one
 //! [`CpqxIndex::build`] / [`CpqxIndex::build_interest_aware`] return, byte
 //! for byte.

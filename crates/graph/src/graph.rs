@@ -325,7 +325,7 @@ impl std::fmt::Debug for PairList<'_> {
 /// All vertex-indexed state lives in contiguous-range chunks behind
 /// `Arc`, with boundaries balanced by extended degree
 /// ([`crate::view::balanced_ranges_by_weight`]): topology (label runs) in
-/// [`VertexChunk`]s, display names in a parallel
+/// `VertexChunk`s, display names in a parallel
 /// per-range store so edge churn never copies `String`s. `Graph::clone`
 /// is therefore O(#chunks) — pointer bumps — and an edge mutation copies
 /// only the two endpoint topology chunks via `Arc::make_mut`. This is

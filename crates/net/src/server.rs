@@ -8,8 +8,8 @@
 //! hands evaluation work (a QUERY that is not such a hit, BATCH, DELTA)
 //! to a fixed **worker pool**; completions return over a shared list
 //! plus an eventfd wake and are written out by the loop in strict
-//! per-connection arrival order (see [`crate::event`] and
-//! [`crate::conn`]). An idle connection therefore costs two buffers, not
+//! per-connection arrival order (see `crate::event` and
+//! `crate::conn`). An idle connection therefore costs two buffers, not
 //! a parked thread — thousands of idle clients coexist with a handful
 //! of workers.
 //!

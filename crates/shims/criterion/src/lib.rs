@@ -10,6 +10,12 @@
 //!
 //! Environment knobs: `CRITERION_SHIM_BATCHES` (default 5) and
 //! `CRITERION_SHIM_MIN_ITERS` (default 1) trade precision for runtime.
+//!
+//! Like upstream, the generated `main` takes a name filter: the first
+//! command-line argument that is not a flag (so `cargo bench --bench
+//! micro_ops -- p2c`), matched as a substring of each case's
+//! `group/function` name. Cases it does not match are not measured; the
+//! setup code of their bench functions still runs.
 
 #![warn(missing_docs)]
 
@@ -85,7 +91,10 @@ fn run_one(name: &str, f: &mut dyn FnMut(&mut Bencher)) {
 /// A named group of related benchmark cases.
 pub struct BenchmarkGroup<'c> {
     name: String,
-    _parent: &'c mut Criterion,
+    parent: &'c mut Criterion,
+    /// Whether the group's header line is printed yet: it is printed
+    /// before the first case the filter selects.
+    announced: bool,
 }
 
 impl BenchmarkGroup<'_> {
@@ -97,7 +106,7 @@ impl BenchmarkGroup<'_> {
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
         let label = format!("{}/{}", self.name, id.label);
-        run_one(&label, &mut |b| f(b, input));
+        self.run(&label, &mut |b| f(b, input));
         self
     }
 
@@ -109,8 +118,20 @@ impl BenchmarkGroup<'_> {
     ) -> &mut Self {
         let id: BenchmarkId = id.into();
         let label = format!("{}/{}", self.name, id.label);
-        run_one(&label, &mut f);
+        self.run(&label, &mut f);
         self
+    }
+
+    /// Measures the case `label` if the filter selects it.
+    fn run(&mut self, label: &str, f: &mut dyn FnMut(&mut Bencher)) {
+        if !self.parent.selects(label) {
+            return;
+        }
+        if !self.announced {
+            println!("-- group: {}", self.name);
+            self.announced = true;
+        }
+        run_one(label, f);
     }
 
     /// Ends the group (printing is immediate, so this is a no-op).
@@ -131,19 +152,34 @@ impl From<String> for BenchmarkId {
 
 /// Top-level benchmark driver.
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Only cases whose `group/function` name contains this are measured.
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// The driver a bench binary's `main` makes of its command line
+    /// (`args` without the program name): the first argument that is not
+    /// a flag, such as cargo's `--bench`, is the name filter.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        Criterion { filter: args.into_iter().find(|arg| !arg.starts_with('-')) }
+    }
+
+    /// Whether the filter selects the case named `name`.
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_ref().is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
     /// Starts a named group of cases.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("-- group: {name}");
-        BenchmarkGroup { name, _parent: self }
+        BenchmarkGroup { name: name.into(), parent: self, announced: false }
     }
 
     /// Benchmarks a single function.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, &mut f);
+        if self.selects(name) {
+            run_one(name, &mut f);
+        }
         self
     }
 
@@ -173,7 +209,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::from_args(std::env::args().skip(1));
             $($group(&mut c);)+
             c.final_summary();
         }
@@ -195,5 +231,29 @@ mod tests {
         });
         g.finish();
         std::env::remove_var("CRITERION_SHIM_BATCHES");
+    }
+
+    /// The first argument that is not a flag filters cases by a substring
+    /// of their `group/function` name; without one, every case runs.
+    #[test]
+    fn a_name_filter_selects_the_cases_it_names() {
+        let args = |list: &[&str]| list.iter().map(|arg| arg.to_string()).collect::<Vec<_>>();
+        let ran = |c: &mut Criterion| -> Vec<String> {
+            let mut ran = Vec::new();
+            let mut g = c.benchmark_group("p2c");
+            for name in ["build", "edit"] {
+                g.bench_function(name, |_| ran.push(format!("p2c/{name}")));
+            }
+            g.finish();
+            c.bench_function("ic2p/expand", |_| ran.push("ic2p/expand".into()));
+            ran
+        };
+        let all = ["p2c/build", "p2c/edit", "ic2p/expand"];
+        assert_eq!(ran(&mut Criterion::default()), all);
+        assert_eq!(ran(&mut Criterion::from_args(args(&["--bench"]))), all);
+        assert_eq!(ran(&mut Criterion::from_args(args(&["--bench", "p2c"]))), all[..2]);
+        assert_eq!(ran(&mut Criterion::from_args(args(&["--bench", "c/ed"]))), ["p2c/edit"]);
+        assert_eq!(ran(&mut Criterion::from_args(args(&["ic2p", "p2c"]))), ["ic2p/expand"]);
+        assert!(ran(&mut Criterion::from_args(args(&["--bench", "join"]))).is_empty());
     }
 }
