@@ -1,57 +1,62 @@
 //! Computing the CPQk-equivalence classes — the paper's Algorithm 1.
 //!
-//! The partition is built bottom-up by block refinement:
+//! The partition is built bottom-up, one path length at a time:
 //!
 //! * **Level 1**: s-t pairs connected by at least one edge are grouped by
-//!   `(is-loop, sorted set of extended edge labels v→u)`; the block id
-//!   `b₁(v,u)` identifies the group. Pairs without a length-1 path have
+//!   their sorted set of extended edge labels `L₌₁(v,u)`; the block id
+//!   `b₁(v,u)` is the id of that set. Pairs without a length-1 path have
 //!   `b₁ = NULL` (the paper's skipping rule — the `{id}` and `{}` blocks of
 //!   Fig. 3 never get identifiers).
 //! * **Level i**: every pair `(v,m)` with an *exact* length-(i−1) path is
-//!   joined with every edge `(m,u)`; the signature of `(v,u)` at level i is
-//!   the sorted set `Sᵢ(v,u) = {(b_{i-1}(v,m), b₁(m,u))}` over all such `m`,
-//!   together with the loop flag. `bᵢ = NULL` iff the pair has no exact
-//!   length-i path.
+//!   joined with every edge `(m,u)`; `L₌ᵢ(v,u) = ⋃_m L₌ᵢ₋₁(v,m)·L₌₁(m,u)`,
+//!   and `bᵢ(v,u)` is the id of that set. `bᵢ = NULL` iff the pair has no
+//!   exact length-i path.
 //! * **Classes**: pairs are grouped by `(is-loop, ⟨b₁,…,b_k⟩)` — Algorithm
-//!   2's hash of the block-id sequence — and those groups by the invariant
-//!   they stand for, `(is-loop, L≤k)`.
+//!   2's hash of the block-id sequence.
 //!
-//! **Why this is sound for the index** (Sec. IV-C's discussion): by
-//! induction on i, the block id `bᵢ` determines the set of exact-length-i
-//! label sequences of its pairs — level 1 directly, level i because
-//! `L₌ᵢ(v,u) = ⋃_m L₌ᵢ₋₁(v,m)·L₌₁(m,u)` and the members of `Sᵢ` determine
-//! the operand sets. Hence all pairs of a class share `L≤k` and cyclicity,
-//! which is exactly the invariant query processing relies on (Prop. 4.1 and
-//! the IDENTITY check). The same induction lets us compute each block's
-//! exact-length-i sequence set *per block id* instead of per pair, which is
-//! how `Il2c` is materialized without ever enumerating paths.
+//! **Why a tuple of set ids is canonical**: each `bᵢ` names one distinct
+//! set `L₌ᵢ` (or the empty one, `NULL`), and `L≤k` is the disjoint union
+//! of `L₌₁ … L₌ₖ` — sequences of different lengths never mix — so
+//! `L≤k` determines every `L₌ᵢ` and is determined by them. Two pairs
+//! therefore share `(is-loop, ⟨b₁,…,b_k⟩)` exactly when they share
+//! `(is-loop, L≤k)`: the grouping is the coarsest the index invariant
+//! (Prop. 4.1 and the IDENTITY check) allows, with no second grouping of
+//! block tuples by the invariant they stand for.
 //!
-//! # Intern as you go
+//! # Sets as integer keys
 //!
-//! Every grouping above runs through one mechanism, `SigInterner`: a
-//! signature is interned the moment it is complete and the id it gets is
-//! its block or class id. Nothing is buffered level-wide to be sorted into
-//! groups afterwards:
+//! No sequence set is spelled out as [`LabelSeq`]s while the levels are
+//! built. A length-i sequence `s·l` is the integer key
+//! `rank(s) · n_ext + l`, where `rank(s)` is `s`'s position among the
+//! length-(i−1) sequences the build met, in sequence order (a length-1
+//! sequence's rank is its label). Key order is therefore sequence order:
+//! a set is a sorted, deduplicated run of integers. Once a level is
+//! complete its distinct keys, sorted, give the ranks the next level's keys
+//! are made of. Keys are `u64` (a rank times `n_ext` can pass `u32::MAX`),
+//! and a `(target, key)` emission is packed into one `u64` when the two fit
+//! it, into a `u128` otherwise.
 //!
-//! * every level is **source-major**, a CSR over the source vertices: per
-//!   source an end offset, per pair its target and its block id — 8 bytes a
-//!   pair. Level 1 sweeps the sorted `(pair, label)` entries once and
-//!   interns each pair's label set as its run ends;
-//! * level i streams **one source at a time**: for each pair `(v, m)` of
-//!   level i−1 it reads `m`'s row of level 1 — level 1's CSR *is* the
-//!   edge adjacency, so no copy of it is kept — and fills a small reused
-//!   buffer with `(target, combo)` emissions, sorts it, and interns each
-//!   target's run of combos on the spot; rows come out target-sorted;
-//! * class assembly walks `P≤k` as **one merge of the k levels' rows per
-//!   source**, twice. Pass 1 builds each pair's block tuple, interns it,
-//!   and records the pair's class (one `u32` a pair); the first pair of a
-//!   tuple derives the tuple's `L≤k` and interns *that* — so two block
-//!   tuples that stand for the same `(is-loop, L≤k)` land in one class,
-//!   and the partition is the coarsest the index invariant allows. Then
-//!   the tuple interner, the levels' block ids and their sequence sets are
-//!   dropped, and pass 2 re-walks the merge to counting-sort every pair
-//!   into its class's exact-size row. The `(pair, class)` list is never
-//!   materialized.
+//! # One walk per source
+//!
+//! Every level below the last is **source-major**, a CSR over the source
+//! vertices: per source an end offset, per pair its target and its set id
+//! — 8 bytes a pair. Level 1 sweeps the sorted `(pair, label)` entries
+//! once and interns each pair's label set as its run ends; level 1's CSR
+//! *is* the edge adjacency every later level joins with, so no copy of it
+//! is kept. Level i < k streams one source at a time: for each pair
+//! `(v, m)` of level i−1 it reads `m`'s row of level 1 and fills a small
+//! reused buffer with `(target, key)` emissions, sorts and deduplicates it,
+//! and interns each target's run of keys as the pair's set.
+//!
+//! The last level k is never materialized. Its walk, again one source `v`
+//! at a time, emits and sorts `v`'s `(target, key)` pairs as above, merges
+//! each target's run of keys with `v`'s rows of levels `1..k−1`, and
+//! interns the pair's `(is-loop, ⟨b₁,…,b_{k−1}⟩, L₌ₖ keys)` at once — one
+//! probe per pair of `P≤k` — recording `(target, class)` for the pair. The
+//! levels then go, each class's `L≤k` is written out from its interned
+//! words (each level-k key getting its dictionary id from the sorted list
+//! of the keys met), and a counting sort of the recorded `(target, class)`
+//! list fills every class's row at its exact size, sorted.
 //!
 //! Ids count up in first-occurrence order along the pair list, in `(src,
 //! dst)` order, at every one of those steps. Class numbering is therefore a
@@ -59,13 +64,12 @@
 //! builds and processes (the interner's hash has a fixed seed and decides
 //! nothing but probe order).
 //!
-//! Sequence sets are never spelled out per block or class: a build keeps
-//! one dictionary of the label sequences it meets, and every block's and
-//! class's set is a flat list of [`SeqId`]s into it, ordered by the
+//! The build's dictionary is the sequences of every length in rank order:
+//! every class's set is a flat list of [`SeqId`]s into it, ordered by the
 //! sequences they name. Dictionary numbering is private to a build;
 //! [`crate::CpqxIndex::from_partition`] renumbers the ids for the index.
 
-use crate::intern::{id_words, SeqDict, SigInterner};
+use crate::intern::{id_words, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair, MAX_SEQ_LEN};
 use std::ops::Range;
 
@@ -170,58 +174,204 @@ fn span(ends: &[usize], i: usize) -> Range<usize> {
     start_of(ends, i)..ends[i]
 }
 
-/// One level of the refinement, source-major: the pairs holding an
-/// exact-length-i path as a CSR over their source vertices, each pair with
-/// its block id, and each block's exact-length-i sequence set.
+/// Pairs grouped per source vertex: a CSR of per-source end offsets over
+/// per-pair targets and one `u32` value a pair.
 #[derive(Default)]
-struct Level {
-    /// Per source vertex: where its pairs end in `targets` and `blocks`
+struct SourceRows {
+    /// Per source vertex: where its pairs end in `targets` and `values`
     /// (they start where the previous source's end).
     ends: Vec<usize>,
     /// Each pair's target; ascending within a source.
     targets: Vec<u32>,
-    /// Each pair's block id.
-    blocks: Vec<u32>,
-    /// Every block's exact-length-i sequences, back to back in block order,
-    /// as dictionary ids in sequence order.
-    seq_ids: Vec<SeqId>,
-    /// Per block: where its ids end in `seq_ids`.
-    seq_ends: Vec<usize>,
+    /// Each pair's value: its set id in a [`Level`], its class in a
+    /// [`LastLevel`].
+    values: Vec<u32>,
 }
 
-impl Level {
-    /// Block `b`'s sequence ids.
-    #[inline]
-    fn block(&self, b: u32) -> &[SeqId] {
-        &self.seq_ids[span(&self.seq_ends, b as usize)]
-    }
-
-    /// Where source `v`'s pairs lie in `targets` and `blocks`.
+impl SourceRows {
+    /// Where source `v`'s pairs lie in `targets` and `values`.
     #[inline]
     fn row(&self, v: usize) -> Range<usize> {
         span(&self.ends, v)
     }
 
-    /// Source `v`'s `(target, block)` pairs, in target order.
+    /// Source `v`'s `(target, value)` pairs, in target order.
+    #[inline]
     fn pairs_of(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let row = self.row(v);
-        self.targets[row.clone()].iter().copied().zip(self.blocks[row].iter().copied())
+        self.targets[row.clone()].iter().copied().zip(self.values[row].iter().copied())
     }
 
-    /// Appends pair `p` in block `b`. Pairs must come in ascending order.
-    fn push(&mut self, p: Pair, b: u32) {
+    /// Every pair, in `(src, dst)` order.
+    fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
+        (0..self.ends.len() as u32).flat_map(move |v| {
+            self.targets[self.row(v as usize)].iter().map(move |&u| Pair::new(v, u))
+        })
+    }
+
+    /// Appends pair `p` with `value`. Pairs must come in ascending order.
+    fn push(&mut self, p: Pair, value: u32) {
         // Close the rows of every source before `p`'s.
         let end = self.targets.len();
         while self.ends.len() < p.src() as usize {
             self.ends.push(end);
         }
         self.targets.push(p.dst());
-        self.blocks.push(b);
+        self.values.push(value);
     }
 
     /// Closes the rows of the sources up to `n`, the vertex count.
     fn close(&mut self, n: usize) {
         self.ends.resize(n, self.targets.len());
+    }
+}
+
+/// One level below the last: the pairs holding an exact-length-i path,
+/// each with its set id `bᵢ`, and each set's sequences.
+#[derive(Default)]
+struct Level {
+    /// The pairs, each valued with its set id.
+    rows: SourceRows,
+    /// Every set's sequences, back to back in set order, as ranks among
+    /// the level's sequences — ascending, hence in sequence order.
+    ranks: Vec<u32>,
+    /// Per set: where its ranks end in `ranks`.
+    rank_ends: Vec<usize>,
+}
+
+impl Level {
+    /// Set `b`'s ranks.
+    #[inline]
+    fn set(&self, b: u32) -> &[u32] {
+        &self.ranks[span(&self.rank_ends, b as usize)]
+    }
+
+    /// Records every set of `sets` as ranks: `rank` maps each word (a
+    /// label, or a key) to its rank.
+    fn record_sets(&mut self, sets: &SigInterner, mut rank: impl FnMut(u64) -> u32) {
+        self.rank_ends.reserve_exact(sets.len());
+        for b in 0..sets.len() as u32 {
+            self.ranks.extend(sets.words(b).iter().map(|&w| rank(w)));
+            self.rank_ends.push(self.ranks.len());
+        }
+    }
+}
+
+/// Marks, in a class's interned words, a level that does not hold the
+/// pair.
+const NULL: u64 = u32::MAX as u64;
+
+/// A `(target, key)` emission packed into one integer whose order is
+/// `(target, key)` order: a `u64` with the key in its low `shift` bits
+/// when both fit, a `u128` otherwise.
+trait Emission: Copy + Ord {
+    /// The emission of `key` at `target`.
+    fn pack(target: u32, key: u64, shift: u32) -> Self;
+    /// Its target.
+    fn target(self, shift: u32) -> u32;
+    /// Its key.
+    fn key(self, shift: u32) -> u64;
+}
+
+impl Emission for u64 {
+    #[inline]
+    fn pack(target: u32, key: u64, shift: u32) -> Self {
+        (target as u64) << shift | key
+    }
+
+    #[inline]
+    fn target(self, shift: u32) -> u32 {
+        (self >> shift) as u32
+    }
+
+    #[inline]
+    fn key(self, shift: u32) -> u64 {
+        self & ((1 << shift) - 1)
+    }
+}
+
+impl Emission for u128 {
+    #[inline]
+    fn pack(target: u32, key: u64, _: u32) -> Self {
+        (target as u128) << 64 | key as u128
+    }
+
+    #[inline]
+    fn target(self, _: u32) -> u32 {
+        (self >> 64) as u32
+    }
+
+    #[inline]
+    fn key(self, _: u32) -> u64 {
+        self as u64
+    }
+}
+
+/// Number of bits that hold every value below `bound`.
+fn bits_below(bound: u64) -> u32 {
+    u64::BITS - bound.saturating_sub(1).leading_zeros()
+}
+
+/// The key shift of a packed `u64` emission over `n` targets and keys
+/// below `key_space`, or `None` if the two do not fit one `u64`.
+fn u64_shift(n: usize, key_space: u64) -> Option<u32> {
+    let shift = bits_below(key_space);
+    (shift + bits_below(n as u64) <= u64::BITS).then_some(shift)
+}
+
+/// Runs `walk` over `u64` emissions if `n` targets and keys below
+/// `key_space` fit one, over `u128` emissions otherwise.
+macro_rules! with_emission {
+    ($n:expr, $key_space:expr, |$shift:ident, $e:ident| $walk:expr) => {
+        match u64_shift($n, $key_space) {
+            Some($shift) => {
+                type $e = u64;
+                $walk
+            }
+            None => {
+                let $shift = 64;
+                type $e = u128;
+                $walk
+            }
+        }
+    };
+}
+
+/// Fills `out` with source `v`'s exact-length-i sequences, per target, as
+/// sorted, deduplicated `(target, key)` emissions: for every pair `(v, m)`
+/// of `prev` (level i−1) and every edge `(m, u)` of level 1, every
+/// `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` in `(m, u)`'s.
+/// Without `prev` (i = 1) the keys are `v`'s edges' labels.
+fn emit<E: Emission>(
+    prev: Option<&Level>,
+    level1: &Level,
+    n_ext: u64,
+    shift: u32,
+    v: usize,
+    out: &mut Vec<E>,
+) {
+    out.clear();
+    match prev {
+        Some(prev) => {
+            for (m, s) in prev.rows.pairs_of(v) {
+                let prefixes = prev.set(s);
+                for (u, b1) in level1.rows.pairs_of(m as usize) {
+                    let labels = level1.set(b1);
+                    for &r in prefixes {
+                        let base = r as u64 * n_ext;
+                        out.extend(labels.iter().map(|&l| E::pack(u, base + l as u64, shift)));
+                    }
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+        }
+        // Level 1's rows are target-sorted and its sets label-sorted.
+        None => {
+            for (u, b1) in level1.rows.pairs_of(v) {
+                out.extend(level1.set(b1).iter().map(|&l| E::pack(u, l as u64, shift)));
+            }
+        }
     }
 }
 
@@ -232,45 +382,368 @@ pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
     RefinementBase::new(g).partition(k)
 }
 
-/// Level 1 of Algorithm 1: the level-1 partition — whose CSR doubles as the
-/// edge adjacency every later level joins with — and the dictionary of the
-/// length-1 sequences its blocks name. Every later refinement level only
+/// Level 1 of Algorithm 1: the level-1 partition, whose CSR doubles as the
+/// edge adjacency every later level joins with. Every later level only
 /// ever *reads* this state.
 pub struct RefinementBase {
     level1: Level,
-    dict: SeqDict,
+    /// The number of extended labels: the radix of every key.
+    n_ext: u64,
 }
 
 impl RefinementBase {
     /// Builds the level-1 state of `g`.
     pub fn new(g: &Graph) -> Self {
-        let mut dict = SeqDict::default();
-        let level1 = build_level1(g, &mut dict);
-        RefinementBase { level1, dict }
+        RefinementBase { level1: build_level1(g), n_ext: g.ext_label_count() as u64 }
     }
 
-    /// Runs the rest of Algorithm 1: refinement levels `2..=k`, then class
-    /// assembly. The returned partition covers `P≤k`, grouped by
-    /// `(cyclicity, L≤k)`, classes numbered by first occurrence along the
-    /// pair list.
+    /// Runs the rest of Algorithm 1: levels `2..k`, then the last level k
+    /// fused with class assembly. The returned partition covers `P≤k`,
+    /// grouped by `(cyclicity, L≤k)`, classes numbered by first occurrence
+    /// along the pair list.
     pub fn partition(self, k: usize) -> Partition {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
-
-        let RefinementBase { level1, mut dict } = self;
-        let mut levels: Vec<Level> = Vec::with_capacity(k);
-        levels.push(level1);
-        for _ in 2..=k {
-            let next = refine_level(&levels[levels.len() - 1], &levels[0], &mut dict);
-            levels.push(next);
+        let mut lower = LowerLevels::new(self.level1, self.n_ext, k);
+        for _ in 2..k {
+            lower.refine();
         }
-        assemble_classes(levels, dict.into_seqs())
+        let last = lower.last_level();
+        lower.into_partition(last)
     }
 }
 
+/// Levels `1..k−1`, materialized, and the dictionary of the sequences
+/// their sets name.
+struct LowerLevels {
+    /// Level 1 first; at k = 1 it is only the edge adjacency, not a level
+    /// below the last.
+    levels: Vec<Level>,
+    /// The path parameter.
+    k: usize,
+    n_ext: u64,
+    /// The sequences of lengths `1..=levels.len()` below k, each length's
+    /// in rank order: level i's rank `r` names `seqs[starts[i − 1] + r]`.
+    seqs: Vec<LabelSeq>,
+    starts: Vec<usize>,
+}
+
+impl LowerLevels {
+    fn new(level1: Level, n_ext: u64, k: usize) -> Self {
+        // A length-1 sequence's rank is its label; at k = 1 every
+        // sequence is a level-k key, named when the classes are written.
+        let seqs = if k > 1 {
+            (0..n_ext).map(|l| LabelSeq::single(ExtLabel(l as u16))).collect()
+        } else {
+            Vec::new()
+        };
+        LowerLevels { levels: vec![level1], k, n_ext, seqs, starts: vec![0] }
+    }
+
+    /// The number of sequences level `levels.len()` ranks.
+    fn top_rank_count(&self) -> u64 {
+        match self.levels.len() {
+            1 => self.n_ext,
+            _ => (self.seqs.len() - self.starts[self.levels.len() - 1]) as u64,
+        }
+    }
+
+    /// The number of keys of the level above the top one.
+    fn next_key_space(&self) -> u64 {
+        self.top_rank_count().checked_mul(self.n_ext).expect("key space exceeds u64")
+    }
+
+    /// The sequence `key` names, one longer than the top level's.
+    fn key_seq(&self, key: u64) -> LabelSeq {
+        let l = ExtLabel((key % self.n_ext) as u16);
+        if self.k == 1 {
+            return LabelSeq::single(l);
+        }
+        let prefix = self.starts[self.levels.len() - 1] + (key / self.n_ext) as usize;
+        self.seqs[prefix].appended(l)
+    }
+
+    /// Adds the level above the top one: its pairs' sets interned by their
+    /// sorted keys, then recorded as ranks, and its sequences appended to
+    /// the dictionary in rank order.
+    fn refine(&mut self) {
+        let n = self.levels[0].rows.ends.len();
+        let mut sets = SigInterner::default();
+        let mut level = Level::default();
+        with_emission!(n, self.next_key_space(), |shift, E| {
+            let (prev, level1) = (self.levels.last().expect("level 1 is built"), &self.levels[0]);
+            let mut emitted: Vec<E> = Vec::new();
+            let mut keys: Vec<u64> = Vec::new();
+            for v in 0..n {
+                emit(Some(prev), level1, self.n_ext, shift, v, &mut emitted);
+                for of_target in emitted.chunk_by(|a, b| a.target(shift) == b.target(shift)) {
+                    keys.clear();
+                    keys.extend(of_target.iter().map(|e| e.key(shift)));
+                    let p = Pair::new(v as u32, of_target[0].target(shift));
+                    level.rows.push(p, sets.intern(false, &keys));
+                }
+            }
+        });
+        level.rows.close(n);
+
+        let mut memo = KeyMemo::default();
+        for b in 0..sets.len() as u32 {
+            memo.insert_all(sets.words(b));
+        }
+        let met = memo.rank();
+        level.record_sets(&sets, |key| memo.position(key));
+        let named: Vec<LabelSeq> = met.iter().map(|&key| self.key_seq(key)).collect();
+        self.starts.push(self.seqs.len());
+        self.seqs.extend(named);
+        self.levels.push(level);
+    }
+
+    /// The last level, fused with class assembly: one walk per source
+    /// emits the source's level-k keys and merges each target's run with
+    /// the source's rows of levels `1..k−1`, interning each pair's class at
+    /// once.
+    fn last_level(&self) -> LastLevel {
+        let n = self.levels[0].rows.ends.len();
+        let lower = &self.levels[..self.k - 1];
+        let prev = lower.last();
+        let key_space = if prev.is_some() { self.next_key_space() } else { self.n_ext };
+        let mut last = LastLevel {
+            lower: lower.len(),
+            narrow: key_space <= NULL,
+            rows: SourceRows::default(),
+            classes: SigInterner::default(),
+            class_loop: Vec::new(),
+        };
+        with_emission!(n, key_space, |shift, E| {
+            let mut emitted: Vec<E> = Vec::new();
+            let (mut items, mut words) = (Vec::new(), Vec::new());
+            // Per lower level: the next unread position of `v`'s row, and
+            // its end.
+            let mut at = [0usize; MAX_SEQ_LEN];
+            let mut end = [0usize; MAX_SEQ_LEN];
+            for v in 0..n {
+                emit(prev, &self.levels[0], self.n_ext, shift, v, &mut emitted);
+                for (i, level) in lower.iter().enumerate() {
+                    (at[i], end[i]) = (level.rows.row(v).start, level.rows.row(v).end);
+                }
+                let mut e = 0;
+                loop {
+                    // The smallest target under any cursor is the next pair.
+                    let mut u = emitted.get(e).map(|x| x.target(shift));
+                    for (i, level) in lower.iter().enumerate() {
+                        if at[i] < end[i] {
+                            let t = level.rows.targets[at[i]];
+                            u = Some(u.map_or(t, |u| u.min(t)));
+                        }
+                    }
+                    let Some(u) = u else { break };
+                    items.clear();
+                    for (i, level) in lower.iter().enumerate() {
+                        if at[i] < end[i] && level.rows.targets[at[i]] == u {
+                            items.push(level.rows.values[at[i]] as u64);
+                            at[i] += 1;
+                        } else {
+                            items.push(NULL);
+                        }
+                    }
+                    while let Some(x) = emitted.get(e).filter(|x| x.target(shift) == u) {
+                        items.push(x.key(shift));
+                        e += 1;
+                    }
+                    let p = Pair::new(v as u32, u);
+                    let c = last.intern(p.is_loop(), &items, &mut words);
+                    last.rows.push(p, c);
+                }
+            }
+        });
+        last.rows.close(n);
+        last
+    }
+
+    /// Writes out every class's `L≤k` — its lower levels' sets, then its
+    /// level-k keys, each named by its position among the keys met — and
+    /// counting-sorts the pairs into class-major rows.
+    fn into_partition(mut self, mut last: LastLevel) -> Partition {
+        // What only the walk read goes first.
+        for level in &mut self.levels {
+            level.rows = SourceRows::default();
+        }
+        last.classes.drop_table();
+        let mut items = Vec::new();
+        // The keys met, and every class's set size.
+        let mut memo = KeyMemo::default();
+        let mut id_count = 0;
+        for c in 0..last.class_count() {
+            let (lower, keys) = last.items(c, &mut items);
+            memo.insert_all(keys);
+            id_count += keys.len() + self.lower_sets(lower).map(<[u32]>::len).sum::<usize>();
+        }
+        let met = memo.rank();
+        let first_key = self.seqs.len();
+        let named: Vec<LabelSeq> = met.iter().map(|&key| self.key_seq(key)).collect();
+
+        let mut seq_ids: Vec<SeqId> = Vec::with_capacity(id_count);
+        let mut seq_ends = Vec::with_capacity(last.class_count() as usize);
+        for c in 0..last.class_count() {
+            let (lower, keys) = last.items(c, &mut items);
+            for (start, set) in self.starts.iter().zip(self.lower_sets(lower)) {
+                seq_ids.extend(set.iter().map(|&r| seq_id(start + r as usize)));
+            }
+            seq_ids.extend(keys.iter().map(|&key| seq_id(first_key + memo.position(key) as usize)));
+            seq_ends.push(seq_ids.len());
+        }
+        let LastLevel { rows, classes, class_loop, .. } = last;
+        drop((classes, memo, self.levels));
+        self.seqs.extend(named);
+
+        let mut partition =
+            Partition { class_loop, seq_ids, seq_ends, seqs: self.seqs, ..Partition::default() };
+        partition.fill_rows(&rows.values, rows.pairs());
+        partition
+    }
+
+    /// The sets a class's lower set ids name, level by level; a level that
+    /// does not hold the class's pairs ([`NULL`]) names none.
+    fn lower_sets<'a>(&'a self, lower: &'a [u64]) -> impl Iterator<Item = &'a [u32]> + 'a {
+        self.levels
+            .iter()
+            .zip(lower)
+            .map(|(level, &b)| if b == NULL { &[][..] } else { level.set(b as u32) })
+    }
+}
+
+/// The last level's walk: every pair of `P≤k` valued with its class, and
+/// the classes, each interned as its items `(⟨b₁,…,b_{k−1}⟩, L₌ₖ keys)`
+/// under its loop flag — a lower level that does not hold the pair reads
+/// [`NULL`].
+struct LastLevel {
+    /// The number of lower set ids a class's items start with: k − 1.
+    lower: usize,
+    /// Whether every key is below [`NULL`], so that the items pack two to
+    /// a word, low first, with a [`NULL`] after an odd last one: the
+    /// lower ids' count is fixed and no key is [`NULL`], so the packing is
+    /// injective. Otherwise each item is a word.
+    narrow: bool,
+    rows: SourceRows,
+    classes: SigInterner,
+    class_loop: Vec<bool>,
+}
+
+impl LastLevel {
+    fn class_count(&self) -> ClassId {
+        self.class_loop.len() as ClassId
+    }
+
+    /// The class of `(is_loop, items)`, registering it under the next id
+    /// if it is new; `words` is the reused encoding buffer.
+    fn intern(&mut self, is_loop: bool, items: &[u64], words: &mut Vec<u64>) -> ClassId {
+        let words = if self.narrow {
+            words.clear();
+            words.extend(
+                items.chunks(2).map(|two| two.get(1).copied().unwrap_or(NULL) << 32 | two[0]),
+            );
+            &words[..]
+        } else {
+            items
+        };
+        let c = self.classes.intern(is_loop, words);
+        if c == self.class_count() {
+            self.class_loop.push(is_loop);
+        }
+        c
+    }
+
+    /// Class `c`'s lower set ids and level-k keys, unpacked into `items`.
+    fn items<'a>(&self, c: ClassId, items: &'a mut Vec<u64>) -> (&'a [u64], &'a [u64]) {
+        let words = self.classes.words(c);
+        items.clear();
+        if self.narrow {
+            items.extend(words.iter().flat_map(|&w| [w & NULL, w >> 32]));
+            if items.len() > self.lower && items.last() == Some(&NULL) {
+                items.pop();
+            }
+        } else {
+            items.extend_from_slice(words);
+        }
+        items.split_at(self.lower)
+    }
+}
+
+/// The keys a level met, each with its position among them in key order:
+/// an open-addressing table (linear probing, load ≤ ½) sized by the
+/// distinct keys, never by the key space.
+#[derive(Default)]
+struct KeyMemo {
+    /// `(key, position)`; [`KeyMemo::EMPTY`] keys an empty slot. Positions
+    /// are set by [`KeyMemo::rank`].
+    slots: Vec<(u64, u32)>,
+    len: usize,
+}
+
+impl KeyMemo {
+    /// Above every key: a key is below `u32::MAX · n_ext`, under 2⁴⁸.
+    const EMPTY: u64 = u64::MAX;
+
+    /// The slot `key` is in, or the empty slot where it would go.
+    #[inline]
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.slots[at].0 != key && self.slots[at].0 != Self::EMPTY {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn insert_all(&mut self, keys: &[u64]) {
+        for &key in keys {
+            if (self.len + 1) * 2 > self.slots.len() {
+                let cap = (self.slots.len() * 2).max(64);
+                let old = std::mem::replace(&mut self.slots, vec![(Self::EMPTY, 0); cap]);
+                for (key, _) in old.into_iter().filter(|e| e.0 != Self::EMPTY) {
+                    let at = self.slot(key);
+                    self.slots[at].0 = key;
+                }
+            }
+            let at = self.slot(key);
+            if self.slots[at].0 == Self::EMPTY {
+                self.slots[at].0 = key;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Gives every key its position in key order, and returns the keys in
+    /// that order.
+    fn rank(&mut self) -> Vec<u64> {
+        let mut keys: Vec<u64> =
+            self.slots.iter().map(|e| e.0).filter(|&key| key != Self::EMPTY).collect();
+        keys.sort_unstable();
+        u32::try_from(keys.len()).expect("more than u32::MAX sequences of one length");
+        for (position, &key) in (0..).zip(&keys) {
+            let at = self.slot(key);
+            self.slots[at].1 = position;
+        }
+        keys
+    }
+
+    /// `key`'s position in key order; `key` must have been met.
+    #[inline]
+    fn position(&self, key: u64) -> u32 {
+        let (met, position) = self.slots[self.slot(key)];
+        debug_assert_eq!(met, key, "a key never met");
+        position
+    }
+}
+
+/// A dictionary position as a [`SeqId`].
+fn seq_id(at: usize) -> SeqId {
+    SeqId::try_from(at).expect("more than u32::MAX sequences")
+}
+
 /// Classes under construction, keyed by the index invariant `(cyclicity,
-/// sequence set)`: the grouping step class assembly and the interest-aware
-/// partition share. Sequence sets are id lists into one dictionary, ordered
+/// sequence set)`: the grouping step of the interest-aware partition and
+/// of maintenance. Sequence sets are id lists into one dictionary, ordered
 /// by sequence, so equal sets are equal lists; each is stored once, as its
 /// interner words.
 #[derive(Default)]
@@ -315,201 +788,26 @@ impl ClassTable {
 }
 
 /// Level 1: one sweep over the sorted `(pair, label)` entries of every
-/// extended label; as a pair's run ends, its `(is-loop, label set)` is
-/// interned and the id is the pair's block. Each block's label set is
-/// recorded as the dictionary ids of its length-1 sequences.
-fn build_level1(g: &Graph, dict: &mut SeqDict) -> Level {
+/// extended label; as a pair's run ends, its label set is interned and the
+/// id is the pair's set. A set's ranks are its labels.
+fn build_level1(g: &Graph) -> Level {
     let mut entries: Vec<(Pair, u16)> = Vec::new();
     for l in g.ext_labels() {
         entries.extend(g.edge_pairs(l).iter().map(|p| (p, l.0)));
     }
     entries.sort_unstable();
 
-    let mut blocks = SigInterner::default();
+    let mut sets = SigInterner::default();
     let mut level = Level::default();
     let mut labels: Vec<u64> = Vec::new();
     for of_pair in entries.chunk_by(|a, b| a.0 == b.0) {
-        let p = of_pair[0].0;
         labels.clear();
         labels.extend(of_pair.iter().map(|&(_, l)| l as u64));
-        level.push(p, blocks.intern(p.is_loop(), &labels));
+        level.rows.push(of_pair[0].0, sets.intern(false, &labels));
     }
-    level.close(g.vertex_count() as usize);
-
-    // Label sets are sorted by label, which is their sequence order.
-    level.seq_ends.reserve_exact(blocks.len());
-    for b in 0..blocks.len() as u32 {
-        let singles = blocks.words(b).iter().map(|&l| LabelSeq::single(ExtLabel(l as u16)));
-        level.seq_ids.extend(singles.map(|s| dict.intern(s)));
-        level.seq_ends.push(level.seq_ids.len());
-    }
+    level.rows.close(g.vertex_count() as usize);
+    level.record_sets(&sets, |l| l as u32);
     level
-}
-
-/// Level i from level i−1: join exact-(i−1) pairs with edges, group by
-/// `(is-loop, sorted (b_{i-1}, b₁) set)`. Block ids in the output index
-/// into the returned level's sets only, whose sequences `dict` names (new
-/// ones are added).
-fn refine_level(prev: &Level, level1: &Level, dict: &mut SeqDict) -> Level {
-    let n = prev.ends.len();
-    let mut blocks = SigInterner::default();
-    let mut level = Level::default();
-    // One source's `(target, combo)` emissions, and one target's combos.
-    let mut emitted: Vec<(u32, u64)> = Vec::new();
-    let mut combos: Vec<u64> = Vec::new();
-    // Every decomposition prefix·edge of a pair `(v, ·)` is a pair of
-    // `v`'s row in `prev` followed by an edge of level 1's row of its
-    // target.
-    for v in 0..n {
-        emitted.clear();
-        for (m, b_prev) in prev.pairs_of(v) {
-            let combo = (b_prev as u64) << 32;
-            emitted.extend(level1.pairs_of(m as usize).map(|(u, b1)| (u, combo | b1 as u64)));
-        }
-        emitted.sort_unstable();
-        emitted.dedup();
-        for of_target in emitted.chunk_by(|a, b| a.0 == b.0) {
-            let p = Pair::new(v as u32, of_target[0].0);
-            combos.clear();
-            combos.extend(of_target.iter().map(|&(_, c)| c));
-            level.push(p, blocks.intern(p.is_loop(), &combos));
-        }
-    }
-    level.close(n);
-
-    // Each block's exact-length-i sequence set: union over its combos of
-    // prev-block seqs × level-1 labels (memoized per block, not per pair —
-    // see the module docs for why this equals the paper's per-pair loop),
-    // sorted in one reused buffer and stored as ids.
-    level.seq_ends.reserve_exact(blocks.len());
-    let mut seqs: Vec<LabelSeq> = Vec::new();
-    for b in 0..blocks.len() as u32 {
-        seqs.clear();
-        for &c in blocks.words(b) {
-            for &w in prev.block((c >> 32) as u32) {
-                let w = dict.seq(w);
-                seqs.extend(level1.block(c as u32).iter().map(|&s1| w.concat(&dict.seq(s1))));
-            }
-        }
-        seqs.sort_unstable();
-        seqs.dedup();
-        level.seq_ids.extend(seqs.iter().map(|&s| dict.intern(s)));
-        level.seq_ends.push(level.seq_ids.len());
-    }
-    level
-}
-
-/// Marks, in a [`Merge`] item, a level that does not hold the pair.
-const ABSENT: usize = usize::MAX;
-
-/// `P≤k` in `(src, dst)` order — per source, one merge of that source's
-/// rows across the k levels — each pair with its position in every level's
-/// `targets` and `blocks`, or [`ABSENT`] where it has no exact-length-i
-/// path.
-struct Merge<'a> {
-    levels: &'a [Level],
-    /// The source whose rows are being merged, and the next one.
-    v: u32,
-    next: usize,
-    /// Per level: the next unread position of `v`'s row, and its end.
-    at: [usize; MAX_SEQ_LEN],
-    end: [usize; MAX_SEQ_LEN],
-}
-
-impl<'a> Merge<'a> {
-    fn new(levels: &'a [Level]) -> Self {
-        Merge { levels, v: 0, next: 0, at: [0; MAX_SEQ_LEN], end: [0; MAX_SEQ_LEN] }
-    }
-}
-
-impl Iterator for Merge<'_> {
-    type Item = (Pair, [usize; MAX_SEQ_LEN]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let k = self.levels.len();
-        loop {
-            // The smallest target under any cursor is the next pair.
-            let next_target = (0..k)
-                .filter(|&i| self.at[i] < self.end[i])
-                .map(|i| self.levels[i].targets[self.at[i]])
-                .min();
-            if let Some(u) = next_target {
-                let mut found = [ABSENT; MAX_SEQ_LEN];
-                for (i, level) in self.levels.iter().enumerate() {
-                    if self.at[i] < self.end[i] && level.targets[self.at[i]] == u {
-                        found[i] = self.at[i];
-                        self.at[i] += 1;
-                    }
-                }
-                return Some((Pair::new(self.v, u), found));
-            }
-            if self.next == self.levels[0].ends.len() {
-                return None;
-            }
-            for (i, level) in self.levels.iter().enumerate() {
-                let row = level.row(self.next);
-                (self.at[i], self.end[i]) = (row.start, row.end);
-            }
-            self.v = self.next as u32;
-            self.next += 1;
-        }
-    }
-}
-
-/// Final class assignment over the `k` levels, in two walks of their
-/// [`Merge`]. Pass 1 interns each pair's `(is-loop, ⟨b₁,…,b_k⟩)` and maps
-/// each distinct block tuple to the class of the `(is-loop, L≤k)` it
-/// stands for (derived once per tuple from the per-level block sequence
-/// sets, whose ids `seqs` names), recording one class id per pair. Pass 2
-/// fills the class-major rows.
-fn assemble_classes(mut levels: Vec<Level>, seqs: Vec<LabelSeq>) -> Partition {
-    const NULL: u32 = u32::MAX;
-    let k = levels.len();
-    let mut tuple = [NULL; MAX_SEQ_LEN];
-    // A tuple's k block ids, two to a word: every tuple has k of them, so
-    // the packing is injective.
-    let mut tuple_words: Vec<u64> = Vec::new();
-    let mut tuples = SigInterner::default();
-    // Per distinct block tuple: its class.
-    let mut class_of_tuple: Vec<ClassId> = Vec::new();
-    let mut classes = ClassTable::default();
-    let mut ids: Vec<SeqId> = Vec::new();
-    // Per pair of the merge: its class. Every pair of `P≤k` is in some
-    // level, so the levels' lengths summed bound the count.
-    let mut class_of: Vec<ClassId> =
-        Vec::with_capacity(levels.iter().map(|l| l.targets.len()).sum());
-
-    for (p, at) in Merge::new(&levels) {
-        for ((b, level), &at) in tuple.iter_mut().zip(&levels).zip(&at) {
-            *b = if at == ABSENT { NULL } else { level.blocks[at] };
-        }
-        id_words(&tuple[..k], &mut tuple_words);
-        let t = tuples.intern(p.is_loop(), &tuple_words) as usize;
-        if t == class_of_tuple.len() {
-            ids.clear();
-            for (level, &b) in levels.iter().zip(&tuple) {
-                if b != NULL {
-                    ids.extend_from_slice(level.block(b));
-                }
-            }
-            // Already in sequence order: each level's block set is, and
-            // `LabelSeq` orders by length first.
-            debug_assert!(ids.windows(2).all(|w| seqs[w[0] as usize] < seqs[w[1] as usize]));
-            class_of_tuple.push(classes.class_of(p.is_loop(), &ids));
-        }
-        class_of.push(class_of_tuple[t]);
-    }
-
-    // Pass 2 reads the pairs alone: what only named blocks goes first.
-    drop((tuples, class_of_tuple));
-    for level in &mut levels {
-        level.blocks = Vec::new();
-        level.seq_ids = Vec::new();
-        level.seq_ends = Vec::new();
-    }
-    let mut partition = classes.into_partition(seqs);
-    partition.fill_rows(&class_of, Merge::new(&levels).map(|(p, _)| p));
-    partition
 }
 
 #[cfg(test)]
@@ -533,21 +831,44 @@ mod tests {
         (0..p.class_count() as ClassId).map(|c| (c, p.row(c)))
     }
 
-    /// A level's pairs with their blocks, read off its CSR, after checking
-    /// the CSR's shape: one end per vertex, ascending, and targets strictly
-    /// ascending within each source.
-    fn level_pairs(level: &Level, n: usize) -> Vec<(Pair, u32)> {
-        assert_eq!(level.ends.len(), n, "one row per vertex");
-        assert!(level.ends.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(level.ends.last().copied().unwrap_or(0), level.targets.len());
-        assert_eq!(level.blocks.len(), level.targets.len());
+    /// A CSR's pairs with their values, after checking its shape: one end
+    /// per vertex, ascending, and targets strictly ascending within each
+    /// source.
+    fn csr_pairs(rows: &SourceRows, n: usize) -> Vec<(Pair, u32)> {
+        assert_eq!(rows.ends.len(), n, "one row per vertex");
+        assert!(rows.ends.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(rows.ends.last().copied().unwrap_or(0), rows.targets.len());
+        assert_eq!(rows.values.len(), rows.targets.len());
         let mut out = Vec::new();
         for v in 0..n {
-            let row = &level.targets[level.row(v)];
+            let row = &rows.targets[rows.row(v)];
             assert!(row.windows(2).all(|w| w[0] < w[1]), "row of {v} unsorted");
-            out.extend(level.pairs_of(v).map(|(u, b)| (Pair::new(v as u32, u), b)));
+            out.extend(rows.pairs_of(v).map(|(u, b)| (Pair::new(v as u32, u), b)));
         }
+        assert!(rows.pairs().eq(out.iter().map(|e| e.0)), "pairs() walks the CSR in order");
         out
+    }
+
+    /// The sequences set `b` of level `i` (1-based) names.
+    fn level_set(lower: &LowerLevels, i: usize, b: u32) -> Vec<LabelSeq> {
+        let ranks = lower.levels[i - 1].set(b).iter().map(|&r| r as usize);
+        match i {
+            1 => ranks.map(|l| LabelSeq::single(ExtLabel(l as u16))).collect(),
+            _ => ranks.map(|r| lower.seqs[lower.starts[i - 1] + r]).collect(),
+        }
+    }
+
+    /// Every pair of `g` with an exact-length-`i` path, with the sorted
+    /// set of those paths' label sequences.
+    fn exact_sets(g: &Graph, i: usize) -> Vec<(Pair, Vec<LabelSeq>)> {
+        g.vertices()
+            .flat_map(|v| g.vertices().map(move |u| Pair::new(v, u)))
+            .map(|p| {
+                let seqs = label_seqs_between(g, p.src(), p.dst(), i);
+                (p, seqs.into_iter().filter(|s| s.len() == i).collect::<Vec<_>>())
+            })
+            .filter(|(_, seqs)| !seqs.is_empty())
+            .collect()
     }
 
     /// The invariant everything rests on: every row is sorted, the rows
@@ -627,7 +948,10 @@ mod tests {
 
     /// The CSR's edge cases: sources without pairs before, between and
     /// after the ones that have some, and a graph whose only pairs are
-    /// self-loops — at k = 1, 2 and 3.
+    /// self-loops — at k = 1, 2 and 3. Every level below the last holds
+    /// exactly the pairs with an exact-length-i path, each valued with the
+    /// set of those paths' sequences; the last level's walk holds `P≤k`
+    /// in order, the pairs the partition's rows cover.
     #[test]
     fn csr_levels_skip_isolated_vertices_and_keep_self_loops() {
         let mut gaps = cpqx_graph::GraphBuilder::new();
@@ -645,31 +969,25 @@ mod tests {
         }
         for g in [gaps.build(), loops.build()] {
             let n = g.vertex_count() as usize;
-            let mut dict = SeqDict::default();
-            let mut levels = vec![build_level1(&g, &mut dict)];
             for k in 1..=3 {
-                if k > 1 {
-                    let next = refine_level(&levels[k - 2], &levels[0], &mut dict);
-                    levels.push(next);
+                let base = RefinementBase::new(&g);
+                let mut lower = LowerLevels::new(base.level1, base.n_ext, k);
+                for _ in 2..k {
+                    lower.refine();
                 }
-                for (i, level) in levels.iter().enumerate() {
-                    // Level i holds exactly the pairs with an exact-length-i path.
-                    let pairs: Vec<Pair> = level_pairs(level, n).into_iter().map(|e| e.0).collect();
-                    let exact: Vec<Pair> = g
-                        .vertices()
-                        .flat_map(|v| g.vertices().map(move |u| Pair::new(v, u)))
-                        .filter(|p| {
-                            let seqs = label_seqs_between(&g, p.src(), p.dst(), i + 1);
-                            seqs.iter().any(|s| s.len() == i + 1)
-                        })
-                        .collect();
-                    assert_eq!(pairs, exact, "level {}", i + 1);
+                assert_eq!(lower.levels.len(), k.max(2) - 1);
+                for i in 1..=lower.levels.len() {
+                    let pairs = csr_pairs(&lower.levels[i - 1].rows, n);
+                    let sets: Vec<_> =
+                        pairs.iter().map(|&(p, b)| (p, level_set(&lower, i, b))).collect();
+                    assert_eq!(sets, exact_sets(&g, i), "level {i} at k = {k}");
                 }
+                let last = lower.last_level();
+                let walked: Vec<Pair> = csr_pairs(&last.rows, n).into_iter().map(|e| e.0).collect();
                 let p = check_invariants(&g, k);
-                let merged: Vec<Pair> = Merge::new(&levels).map(|(p, _)| p).collect();
                 let mut covered = p.rows.clone();
                 covered.sort_unstable();
-                assert_eq!(merged, covered, "the merge walks P≤{k} in order");
+                assert_eq!(walked, covered, "the last level's walk holds P≤{k} in order");
             }
         }
     }
@@ -734,10 +1052,10 @@ mod tests {
         }
     }
 
-    /// Level 1 on its own: blocks partition the edge-connected pairs
-    /// exactly by `(is-loop, label set)`, block `b`'s sequence ids name
-    /// that label set, and ids count up by first occurrence along the pair
-    /// list.
+    /// Level 1 on its own: its set ids partition the edge-connected pairs
+    /// exactly by label set, set `b`'s ranks are that set's labels, and
+    /// ids count up by first occurrence along the pair list. At k = 1 the
+    /// classes then split those groups by the loop flag, and only by it.
     #[test]
     fn level1_groups_pairs_by_loop_flag_and_label_set() {
         let mut self_loops = cpqx_graph::GraphBuilder::new();
@@ -755,21 +1073,91 @@ mod tests {
                     expected.entry(p).or_default().push(LabelSeq::single(l));
                 }
             }
-            let mut dict = SeqDict::default();
-            let level1 = build_level1(&g, &mut dict);
-            let pair_blocks = level_pairs(&level1, g.vertex_count() as usize);
-            assert!(pair_blocks.iter().map(|&(p, _)| p).eq(expected.keys().copied()));
-            let mut by_sig = std::collections::HashMap::new();
-            for &(p, b) in &pair_blocks {
-                let labels: Vec<LabelSeq> =
-                    level1.block(b).iter().map(|&id| dict.seq(id)).collect();
-                assert_eq!(labels, expected[&p], "label set of {p:?}");
-                let next = by_sig.len() as u32;
-                let first = *by_sig.entry((p.is_loop(), &expected[&p])).or_insert(next);
-                assert_eq!(b, first, "{p:?}: one id per signature, by first occurrence");
+            let lower = LowerLevels::new(build_level1(&g), g.ext_label_count() as u64, 2);
+            let pair_sets = csr_pairs(&lower.levels[0].rows, g.vertex_count() as usize);
+            assert!(pair_sets.iter().map(|&(p, _)| p).eq(expected.keys().copied()));
+            let mut by_set = std::collections::HashMap::new();
+            for &(p, b) in &pair_sets {
+                assert_eq!(level_set(&lower, 1, b), expected[&p], "label set of {p:?}");
+                let next = by_set.len() as u32;
+                let first = *by_set.entry(&expected[&p]).or_insert(next);
+                assert_eq!(b, first, "{p:?}: one id per label set, by first occurrence");
             }
-            assert_eq!(by_sig.len(), level1.seq_ends.len());
+            assert_eq!(by_set.len(), lower.levels[0].rank_ends.len());
+
+            let p = check_invariants(&g, 1);
+            let mut by_sig = std::collections::HashMap::new();
+            for (c, row) in rows(&p) {
+                for pair in row {
+                    let first = *by_sig.entry((pair.is_loop(), &expected[pair])).or_insert(c);
+                    assert_eq!(c, first, "{pair:?}: one class per (loop flag, label set)");
+                }
+            }
+            assert_eq!(by_sig.len(), p.class_count());
         }
+    }
+
+    /// Two pairs whose length-2 paths run through different level-1 sets
+    /// — `{f}` then `{g, h}`, against `{f}` then `{g}` and `{f}` then `{h}`
+    /// — spell the same `L₌₂ = {fg, fh}`, so they share a class.
+    #[test]
+    fn equal_sets_reached_through_different_blocks_share_a_class() {
+        let mut b = cpqx_graph::GraphBuilder::new();
+        b.add_edge_named("v", "m", "f");
+        b.add_edge_named("m", "u", "g");
+        b.add_edge_named("m", "u", "h");
+        b.add_edge_named("x", "m1", "f");
+        b.add_edge_named("x", "m2", "f");
+        b.add_edge_named("m1", "y", "g");
+        b.add_edge_named("m2", "y", "h");
+        let (vu, xy) =
+            (Pair::new(b.vertex("v"), b.vertex("u")), Pair::new(b.vertex("x"), b.vertex("y")));
+        let p = check_invariants(&b.build(), 2);
+        let class_of = |pair| rows(&p).find(|(_, row)| row.contains(&pair)).unwrap().0;
+        assert_eq!(class_of(vu), class_of(xy));
+    }
+
+    /// A `(target, key)` emission packs into a `u64` exactly when both
+    /// fit it, and reads back alike from a `u64` and from a `u128`.
+    #[test]
+    fn emissions_read_back_alike_at_either_width() {
+        assert_eq!(u64_shift(1 << 32, 1 << 32), Some(32));
+        assert_eq!(u64_shift(1 << 32, (1 << 32) + 1), None);
+        assert_eq!(u64_shift(3, 1 << 62), Some(62));
+        assert_eq!(u64_shift(5, 1 << 62), None);
+        let g = generate::random_graph(&generate::RandomGraphConfig::social(40, 160, 20, 1));
+        let base = RefinementBase::new(&g);
+        let lower = LowerLevels::new(base.level1, base.n_ext, 3);
+        let level1 = &lower.levels[0];
+        let shift = u64_shift(40, lower.next_key_space()).unwrap();
+        let (mut narrow, mut wide) = (Vec::<u64>::new(), Vec::<u128>::new());
+        for prev in [None, Some(level1)] {
+            for v in 0..40 {
+                emit(prev, level1, lower.n_ext, shift, v, &mut narrow);
+                emit(prev, level1, lower.n_ext, 64, v, &mut wide);
+                assert!(narrow
+                    .iter()
+                    .map(|e| (e.target(shift), e.key(shift)))
+                    .eq(wide.iter().map(|e| (e.target(64), e.key(64)))));
+            }
+        }
+    }
+
+    /// At fig12's largest alphabet — 1024 extended labels — a length-2
+    /// key reaches 1024² = 2²⁰, yet the build's dictionary holds the 1024
+    /// labels and only the length-2 sequences the graph spells.
+    #[test]
+    fn keys_over_a_large_alphabet_name_only_the_sequences_met() {
+        let g = generate::random_graph(&generate::RandomGraphConfig::social(60, 240, 512, 3));
+        assert_eq!(g.ext_label_count(), 1024);
+        let p = check_invariants(&g, 2);
+        let mut spelled: Vec<LabelSeq> = (0..p.class_count() as ClassId)
+            .flat_map(|c| p.class_seqs(c).filter(|s| s.len() == 2).collect::<Vec<_>>())
+            .collect();
+        spelled.sort_unstable();
+        spelled.dedup();
+        assert!(spelled.len() > 100, "the graph spells many length-2 sequences");
+        assert_eq!(p.seqs.len(), 1024 + spelled.len(), "1024 labels + the sequences met");
     }
 
     #[test]

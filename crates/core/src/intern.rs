@@ -1,12 +1,12 @@
 //! Signature interning — the one grouping mechanism of the build path.
 //!
 //! Every grouping step of index construction asks the same question: *have
-//! I seen this `(flag, word sequence)` before, and under which id?* — block
-//! signatures `(v = u, sorted (b_{i-1}, b₁) combos)` in level refinement,
-//! block-id tuples `⟨b₁,…,b_k⟩` and class invariants `(cyclicity, L≤k)` in
-//! class assembly, sequence-id sets in the interest-aware partition,
-//! label sequences in the sequence dictionary
-//! ([`SeqDict`]) every sequence set of the build and the index refers to.
+//! I seen this `(flag, word sequence)` before, and under which id?* — a
+//! level's sequence sets as sorted integer keys, and each pair's
+//! `(is-loop, set ids, last-level keys)` in the full build's last level;
+//! `(cyclicity, sequence-id set)` class invariants in the interest-aware
+//! partition and in maintenance; label sequences in the sequence
+//! dictionary ([`SeqDict`]) every sequence set of the index refers to.
 //! [`SigInterner`] answers it the moment a signature is produced (Algorithm
 //! 2's "hash the block-id sequence"), so no step materializes all
 //! signatures to sort them.
@@ -73,6 +73,13 @@ impl SigInterner {
         &self.words[start..self.ends[id]]
     }
 
+    /// Frees the probe table, keeping every signature's words: the
+    /// interner can still read signatures back but no longer find them,
+    /// so it must intern nothing more.
+    pub(crate) fn drop_table(&mut self) {
+        self.table = Vec::new();
+    }
+
     /// The id of `(flag, words)`: the id it was given when first seen, or
     /// [`SigInterner::len`] — the next unused id — if it is new.
     pub(crate) fn intern(&mut self, flag: bool, words: &[u64]) -> u32 {
@@ -91,6 +98,7 @@ impl SigInterner {
     /// [`SigInterner::intern`] under a caller-chosen hash (the seam the
     /// collision test drives).
     fn intern_hashed(&mut self, hash: u64, flag: bool, words: &[u64]) -> u32 {
+        debug_assert!(self.len() == 0 || !self.table.is_empty(), "interning after drop_table");
         if (self.len() + 1) * 2 > self.table.len() {
             self.grow();
         }
@@ -216,11 +224,6 @@ impl SeqDict {
         }
         id
     }
-
-    /// The sequences, indexed by id.
-    pub(crate) fn into_seqs(self) -> Vec<LabelSeq> {
-        self.seqs
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +307,7 @@ mod tests {
         assert_eq!((d.intern(ab), d.intern(a), d.intern(ab), d.intern(b)), (0, 1, 0, 2));
         assert_eq!((d.get(&a), d.get(&LabelSeq::single(l(2)))), (Some(1), None));
         assert_eq!((d.len(), d.seq(0), d.seq(2)), (3, ab, b));
-        assert_eq!(d.clone().into_seqs(), [ab, a, b]);
+        assert_eq!([d.seq(0), d.seq(1), d.seq(2)], [ab, a, b]);
     }
 
     proptest! {

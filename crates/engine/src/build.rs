@@ -27,15 +27,18 @@ pub struct BuildReport {
     /// Wall-clock of the level-1 pass ([`RefinementBase::new`]); zero for
     /// interest-aware builds, which have none.
     pub level1: Duration,
-    /// Wall-clock of the partition: refinement levels `2..=k` plus class
-    /// assembly (both walks of the merged levels, the second filling the
-    /// class-major rows), or the whole [`interest_partition`] of an
-    /// interest-aware build.
+    /// Wall-clock of the partition ([`RefinementBase::partition`]):
+    /// levels `2..k−1`, then one walk per source that computes each pair's
+    /// last-level sequence set and interns its class, then writing out
+    /// every class's sequence set and counting-sorting the pairs into
+    /// class-major rows. For an interest-aware build, the whole
+    /// [`interest_partition`].
     pub refine: Duration,
     /// Wall-clock of materializing the index
-    /// ([`CpqxIndex::from_partition`]): copying the partition's
-    /// class-major rows into class chunks and laying out `Il2c` from the
-    /// class sets; it regroups no pair.
+    /// ([`CpqxIndex::from_partition`]): renumbering the partition's
+    /// sequences into the index's dictionary, laying out `Il2c` from the
+    /// class sets, and packing the class-major rows into class chunks; it
+    /// regroups no pair.
     pub merge: Duration,
     /// End-to-end wall-clock.
     pub total: Duration,
