@@ -33,8 +33,8 @@
 //! a set is a sorted, deduplicated run of integers. Once a level is
 //! complete its distinct keys, sorted, give the ranks the next level's keys
 //! are made of. Keys are `u64` (a rank times `n_ext` can pass `u32::MAX`),
-//! and a `(target, key)` emission is packed into one `u64` when the two fit
-//! it, into a `u128` otherwise.
+//! and a `(target, key)` emission is one `u64`, the key in its low bits:
+//! the build checks that a vertex id and a key fit one together.
 //!
 //! # One walk per source
 //!
@@ -261,50 +261,23 @@ impl Level {
 /// pair.
 const NULL: u64 = u32::MAX as u64;
 
-/// A `(target, key)` emission packed into one integer whose order is
-/// `(target, key)` order: a `u64` with the key in its low `shift` bits
-/// when both fit, a `u128` otherwise.
-trait Emission: Copy + Ord {
-    /// The emission of `key` at `target`.
-    fn pack(target: u32, key: u64, shift: u32) -> Self;
-    /// Its target.
-    fn target(self, shift: u32) -> u32;
-    /// Its key.
-    fn key(self, shift: u32) -> u64;
+/// A `(target, key)` emission: one `u64` with the key in its low `shift`
+/// bits, so that emission order is `(target, key)` order.
+#[inline]
+fn pack(target: u32, key: u64, shift: u32) -> u64 {
+    (target as u64) << shift | key
 }
 
-impl Emission for u64 {
-    #[inline]
-    fn pack(target: u32, key: u64, shift: u32) -> Self {
-        (target as u64) << shift | key
-    }
-
-    #[inline]
-    fn target(self, shift: u32) -> u32 {
-        (self >> shift) as u32
-    }
-
-    #[inline]
-    fn key(self, shift: u32) -> u64 {
-        self & ((1 << shift) - 1)
-    }
+/// An emission's target.
+#[inline]
+fn target_of(e: u64, shift: u32) -> u32 {
+    (e >> shift) as u32
 }
 
-impl Emission for u128 {
-    #[inline]
-    fn pack(target: u32, key: u64, _: u32) -> Self {
-        (target as u128) << 64 | key as u128
-    }
-
-    #[inline]
-    fn target(self, _: u32) -> u32 {
-        (self >> 64) as u32
-    }
-
-    #[inline]
-    fn key(self, _: u32) -> u64 {
-        self as u64
-    }
+/// An emission's key.
+#[inline]
+fn key_of(e: u64, shift: u32) -> u64 {
+    e & ((1 << shift) - 1)
 }
 
 /// Number of bits that hold every value below `bound`.
@@ -312,29 +285,16 @@ fn bits_below(bound: u64) -> u32 {
     u64::BITS - bound.saturating_sub(1).leading_zeros()
 }
 
-/// The key shift of a packed `u64` emission over `n` targets and keys
-/// below `key_space`, or `None` if the two do not fit one `u64`.
+/// The key shift of an emission over `n` targets and keys below
+/// `key_space`, or `None` if the two do not fit one `u64`.
 fn u64_shift(n: usize, key_space: u64) -> Option<u32> {
     let shift = bits_below(key_space);
     (shift + bits_below(n as u64) <= u64::BITS).then_some(shift)
 }
 
-/// Runs `walk` over `u64` emissions if `n` targets and keys below
-/// `key_space` fit one, over `u128` emissions otherwise.
-macro_rules! with_emission {
-    ($n:expr, $key_space:expr, |$shift:ident, $e:ident| $walk:expr) => {
-        match u64_shift($n, $key_space) {
-            Some($shift) => {
-                type $e = u64;
-                $walk
-            }
-            None => {
-                let $shift = 64;
-                type $e = u128;
-                $walk
-            }
-        }
-    };
+/// [`u64_shift`], for a build: a vertex id and a key must fit one `u64`.
+fn emission_shift(n: usize, key_space: u64) -> u32 {
+    u64_shift(n, key_space).expect("a vertex id and a sequence key exceed 64 bits")
 }
 
 /// Fills `out` with source `v`'s exact-length-i sequences, per target, as
@@ -342,13 +302,13 @@ macro_rules! with_emission {
 /// of `prev` (level i−1) and every edge `(m, u)` of level 1, every
 /// `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` in `(m, u)`'s.
 /// Without `prev` (i = 1) the keys are `v`'s edges' labels.
-fn emit<E: Emission>(
+fn emit(
     prev: Option<&Level>,
     level1: &Level,
     n_ext: u64,
     shift: u32,
     v: usize,
-    out: &mut Vec<E>,
+    out: &mut Vec<u64>,
 ) {
     out.clear();
     match prev {
@@ -359,7 +319,7 @@ fn emit<E: Emission>(
                     let labels = level1.set(b1);
                     for &r in prefixes {
                         let base = r as u64 * n_ext;
-                        out.extend(labels.iter().map(|&l| E::pack(u, base + l as u64, shift)));
+                        out.extend(labels.iter().map(|&l| pack(u, base + l as u64, shift)));
                     }
                 }
             }
@@ -369,7 +329,7 @@ fn emit<E: Emission>(
         // Level 1's rows are target-sorted and its sets label-sorted.
         None => {
             for (u, b1) in level1.rows.pairs_of(v) {
-                out.extend(level1.set(b1).iter().map(|&l| E::pack(u, l as u64, shift)));
+                out.extend(level1.set(b1).iter().map(|&l| pack(u, l as u64, shift)));
             }
         }
     }
@@ -470,20 +430,18 @@ impl LowerLevels {
         let n = self.levels[0].rows.ends.len();
         let mut sets = SigInterner::default();
         let mut level = Level::default();
-        with_emission!(n, self.next_key_space(), |shift, E| {
-            let (prev, level1) = (self.levels.last().expect("level 1 is built"), &self.levels[0]);
-            let mut emitted: Vec<E> = Vec::new();
-            let mut keys: Vec<u64> = Vec::new();
-            for v in 0..n {
-                emit(Some(prev), level1, self.n_ext, shift, v, &mut emitted);
-                for of_target in emitted.chunk_by(|a, b| a.target(shift) == b.target(shift)) {
-                    keys.clear();
-                    keys.extend(of_target.iter().map(|e| e.key(shift)));
-                    let p = Pair::new(v as u32, of_target[0].target(shift));
-                    level.rows.push(p, sets.intern(false, &keys));
-                }
+        let shift = emission_shift(n, self.next_key_space());
+        let (prev, level1) = (self.levels.last().expect("level 1 is built"), &self.levels[0]);
+        let (mut emitted, mut keys) = (Vec::new(), Vec::new());
+        for v in 0..n {
+            emit(Some(prev), level1, self.n_ext, shift, v, &mut emitted);
+            for of_target in emitted.chunk_by(|&a, &b| target_of(a, shift) == target_of(b, shift)) {
+                keys.clear();
+                keys.extend(of_target.iter().map(|&e| key_of(e, shift)));
+                let p = Pair::new(v as u32, target_of(of_target[0], shift));
+                level.rows.push(p, sets.intern(false, &keys));
             }
-        });
+        }
         level.rows.close(n);
 
         let mut memo = KeyMemo::default();
@@ -514,48 +472,46 @@ impl LowerLevels {
             classes: SigInterner::default(),
             class_loop: Vec::new(),
         };
-        with_emission!(n, key_space, |shift, E| {
-            let mut emitted: Vec<E> = Vec::new();
-            let (mut items, mut words) = (Vec::new(), Vec::new());
-            // Per lower level: the next unread position of `v`'s row, and
-            // its end.
-            let mut at = [0usize; MAX_SEQ_LEN];
-            let mut end = [0usize; MAX_SEQ_LEN];
-            for v in 0..n {
-                emit(prev, &self.levels[0], self.n_ext, shift, v, &mut emitted);
-                for (i, level) in lower.iter().enumerate() {
-                    (at[i], end[i]) = (level.rows.row(v).start, level.rows.row(v).end);
-                }
-                let mut e = 0;
-                loop {
-                    // The smallest target under any cursor is the next pair.
-                    let mut u = emitted.get(e).map(|x| x.target(shift));
-                    for (i, level) in lower.iter().enumerate() {
-                        if at[i] < end[i] {
-                            let t = level.rows.targets[at[i]];
-                            u = Some(u.map_or(t, |u| u.min(t)));
-                        }
-                    }
-                    let Some(u) = u else { break };
-                    items.clear();
-                    for (i, level) in lower.iter().enumerate() {
-                        if at[i] < end[i] && level.rows.targets[at[i]] == u {
-                            items.push(level.rows.values[at[i]] as u64);
-                            at[i] += 1;
-                        } else {
-                            items.push(NULL);
-                        }
-                    }
-                    while let Some(x) = emitted.get(e).filter(|x| x.target(shift) == u) {
-                        items.push(x.key(shift));
-                        e += 1;
-                    }
-                    let p = Pair::new(v as u32, u);
-                    let c = last.intern(p.is_loop(), &items, &mut words);
-                    last.rows.push(p, c);
-                }
+        let shift = emission_shift(n, key_space);
+        let (mut emitted, mut items, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        // Per lower level: the next unread position of `v`'s row, and its
+        // end.
+        let mut at = [0usize; MAX_SEQ_LEN];
+        let mut end = [0usize; MAX_SEQ_LEN];
+        for v in 0..n {
+            emit(prev, &self.levels[0], self.n_ext, shift, v, &mut emitted);
+            for (i, level) in lower.iter().enumerate() {
+                (at[i], end[i]) = (level.rows.row(v).start, level.rows.row(v).end);
             }
-        });
+            let mut e = 0;
+            loop {
+                // The smallest target under any cursor is the next pair.
+                let mut u = emitted.get(e).map(|&x| target_of(x, shift));
+                for (i, level) in lower.iter().enumerate() {
+                    if at[i] < end[i] {
+                        let t = level.rows.targets[at[i]];
+                        u = Some(u.map_or(t, |u| u.min(t)));
+                    }
+                }
+                let Some(u) = u else { break };
+                items.clear();
+                for (i, level) in lower.iter().enumerate() {
+                    if at[i] < end[i] && level.rows.targets[at[i]] == u {
+                        items.push(level.rows.values[at[i]] as u64);
+                        at[i] += 1;
+                    } else {
+                        items.push(NULL);
+                    }
+                }
+                while let Some(&x) = emitted.get(e).filter(|&&x| target_of(x, shift) == u) {
+                    items.push(key_of(x, shift));
+                    e += 1;
+                }
+                let p = Pair::new(v as u32, u);
+                let c = last.intern(p.is_loop(), &items, &mut words);
+                last.rows.push(p, c);
+            }
+        }
         last.rows.close(n);
         last
     }
@@ -1117,29 +1073,21 @@ mod tests {
         assert_eq!(class_of(vu), class_of(xy));
     }
 
-    /// A `(target, key)` emission packs into a `u64` exactly when both
-    /// fit it, and reads back alike from a `u64` and from a `u128`.
+    /// A `(target, key)` emission fits a `u64` exactly when a vertex id
+    /// and a key do, and reads back as packed.
     #[test]
-    fn emissions_read_back_alike_at_either_width() {
+    fn emissions_pack_while_target_and_key_fit_a_word() {
         assert_eq!(u64_shift(1 << 32, 1 << 32), Some(32));
         assert_eq!(u64_shift(1 << 32, (1 << 32) + 1), None);
         assert_eq!(u64_shift(3, 1 << 62), Some(62));
         assert_eq!(u64_shift(5, 1 << 62), None);
-        let g = generate::random_graph(&generate::RandomGraphConfig::social(40, 160, 20, 1));
-        let base = RefinementBase::new(&g);
-        let lower = LowerLevels::new(base.level1, base.n_ext, 3);
-        let level1 = &lower.levels[0];
-        let shift = u64_shift(40, lower.next_key_space()).unwrap();
-        let (mut narrow, mut wide) = (Vec::<u64>::new(), Vec::<u128>::new());
-        for prev in [None, Some(level1)] {
-            for v in 0..40 {
-                emit(prev, level1, lower.n_ext, shift, v, &mut narrow);
-                emit(prev, level1, lower.n_ext, 64, v, &mut wide);
-                assert!(narrow
-                    .iter()
-                    .map(|e| (e.target(shift), e.key(shift)))
-                    .eq(wide.iter().map(|e| (e.target(64), e.key(64)))));
-            }
+        assert_eq!(u64_shift(1, 1), Some(0));
+        for (n, key_space) in [(1 << 32, 1 << 32), (3, 1 << 62), (40, 1024 * 1024)] {
+            let shift = u64_shift(n, key_space).unwrap();
+            let (target, key) = ((n - 1) as u32, key_space - 1);
+            let e = pack(target, key, shift);
+            assert_eq!((target_of(e, shift), key_of(e, shift)), (target, key));
+            assert!(pack(target, 0, shift) > pack(target.saturating_sub(1), key, shift));
         }
     }
 
