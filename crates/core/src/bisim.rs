@@ -1091,6 +1091,46 @@ mod tests {
         }
     }
 
+    /// A class's items — lower set ids, [`NULL`] among them, then keys —
+    /// read back as interned, packed two to a word or one to a word, and
+    /// distinct item lists get distinct classes.
+    #[test]
+    fn class_items_read_back_in_either_encoding() {
+        for narrow in [true, false] {
+            for lower in 0..3 {
+                let mut last = LastLevel {
+                    lower,
+                    narrow,
+                    rows: SourceRows::default(),
+                    classes: SigInterner::default(),
+                    class_loop: Vec::new(),
+                };
+                let ids = [NULL, 0, 7];
+                let prefixes: Vec<Vec<u64>> = match lower {
+                    0 => vec![vec![]],
+                    1 => ids.iter().map(|&b| vec![b]).collect(),
+                    _ => ids.iter().flat_map(|&a| ids.iter().map(move |&b| vec![a, b])).collect(),
+                };
+                let key_lists: [&[u64]; 4] = [&[], &[0], &[3, 5], &[0, 1, NULL - 1]];
+                let mut lists = Vec::new();
+                for prefix in &prefixes {
+                    for keys in key_lists {
+                        lists.push([&prefix[..], keys].concat());
+                    }
+                }
+                let (mut words, mut items) = (Vec::new(), Vec::new());
+                for (c, list) in (0..).zip(&lists) {
+                    assert_eq!(last.intern(false, list, &mut words), c, "{list:?} collides");
+                }
+                for (c, list) in (0..).zip(&lists) {
+                    let (lower_ids, keys) = last.items(c, &mut items);
+                    assert_eq!([lower_ids, keys].concat(), *list, "narrow {narrow}");
+                    assert_eq!(lower_ids.len(), lower);
+                }
+            }
+        }
+    }
+
     /// At fig12's largest alphabet — 1024 extended labels — a length-2
     /// key reaches 1024² = 2²⁰, yet the build's dictionary holds the 1024
     /// labels and only the length-2 sequences the graph spells.
