@@ -7,14 +7,17 @@
 //! and the writer's pair → class map: its first-write build from the class
 //! rows, a lookup per pair in the sorted order a write visits its
 //! candidates in, and one batch of edits applied to a clone — and the
-//! full build's partition step.
+//! build's partition step, full and interest-aware.
 //!
 //! `cargo bench -p cpqx-bench --bench micro_ops -- p2c` runs only the
 //! cases whose `group/function` name contains `p2c`. Every fixture is
 //! built inside the first case that uses it, so a filter that selects no
 //! case builds nothing.
 
-use cpqx_core::{cpq_path_partition, ClassId, ClassSet, CpqxIndex, Executor, PairColumn};
+use cpqx_core::{
+    cpq_path_partition, interest_partition, normalize_interests, ClassId, ClassSet, CpqxIndex,
+    Executor, PairColumn,
+};
 use cpqx_graph::datasets::Dataset;
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, LabelSeq, Pair};
@@ -222,15 +225,30 @@ fn bench_pair_map(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full build's partition step (Algorithm 1 and the class assignment)
-/// on the Epinions stand-in at 4k edges, k = 2 — the graph the build-peak
-/// test counts.
+/// The build's partition step (Algorithm 1 and the class assignment) on
+/// the Epinions stand-in at 4k edges, k = 2 — the graph the build-peak
+/// test counts: the full partition, and the interest-aware one (Sec. V)
+/// over every length-2 sequence (the full partition's classes) and over
+/// every tenth of them.
 fn bench_partition(c: &mut Criterion) {
+    static EPINIONS: OnceLock<Graph> = OnceLock::new();
+    let g = || EPINIONS.get_or_init(|| Dataset::Epinions.generate(4_000, 20220509));
     let mut group = c.benchmark_group("build");
     group.bench_function("partition", |b| {
-        let g = Dataset::Epinions.generate(4_000, 20220509);
-        b.iter(|| cpq_path_partition(&g, 2))
+        let g = g();
+        b.iter(|| cpq_path_partition(g, 2))
     });
+    for (name, step) in [("interest_all", 1), ("interest_tenth", 10)] {
+        group.bench_function(name, |b| {
+            let g = g();
+            let length2: Vec<LabelSeq> = g
+                .ext_labels()
+                .flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])))
+                .collect();
+            let interests = normalize_interests(length2.into_iter().step_by(step), 2);
+            b.iter(|| interest_partition(g, 2, &interests))
+        });
+    }
     group.finish();
 }
 
