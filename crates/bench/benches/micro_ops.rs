@@ -15,8 +15,8 @@
 //! case builds nothing.
 
 use cpqx_core::{
-    cpq_path_partition, interest_partition, normalize_interests, ClassId, ClassSet, CpqxIndex,
-    Executor, PairColumn,
+    cpq_path_partition, normalize_interests, ClassId, ClassSet, CpqxIndex, Executor, PairColumn,
+    RefinementBase,
 };
 use cpqx_graph::datasets::Dataset;
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
@@ -246,7 +246,7 @@ fn bench_partition(c: &mut Criterion) {
                 .flat_map(|a| g.ext_labels().map(move |b| LabelSeq::from_slice(&[a, b])))
                 .collect();
             let interests = normalize_interests(length2.into_iter().step_by(step), 2);
-            b.iter(|| interest_partition(g, 2, &interests))
+            b.iter(|| RefinementBase::new(g).partition(2, Some(&interests)))
         });
     }
     group.finish();

@@ -21,7 +21,10 @@
 //! therefore share `(is-loop, ⟨b₁,…,b_k⟩)` exactly when they share
 //! `(is-loop, L≤k)`: the grouping is the coarsest the index invariant
 //! (Prop. 4.1 and the IDENTITY check) allows, with no second grouping of
-//! block tuples by the invariant they stand for.
+//! block tuples by the invariant they stand for. The same holds for an
+//! interest set `Lq` (Def. 5.1) with `L₌ᵢ ∩ Lq` in place of `L₌ᵢ`: the
+//! intersection splits by length too, so a tuple of ids of the
+//! *interest-filtered* sets names `L≤k ∩ Lq` — below.
 //!
 //! # Sets as integer keys
 //!
@@ -42,8 +45,8 @@
 //! vertices: per source an end offset, per pair its target and its set id
 //! — 8 bytes a pair. Level 1 sweeps the sorted `(pair, label)` entries
 //! once and interns each pair's label set as its run ends; level 1's CSR
-//! *is* the edge adjacency every later level joins with, so no copy of it
-//! is kept. Level i < k streams one source at a time: for each pair
+//! *is* the edge adjacency every later level of a full build joins with, so
+//! no copy of it is kept. Level i < k streams one source at a time: for each pair
 //! `(v, m)` of level i−1 it reads `m`'s row of level 1 and fills a small
 //! reused buffer with `(target, key)` emissions, sorts and deduplicates it,
 //! and interns each target's run of keys as the pair's set.
@@ -58,6 +61,25 @@
 //! of the keys met), and a counting sort of the recorded `(target, class)`
 //! list fills every class's row at its exact size, sorted.
 //!
+//! # An interest set prunes the walk
+//!
+//! The interest-aware partition (iaCPQx, Sec. V) is the same walk, with a
+//! **keep set** per level above the first: a level-i key survives iff its
+//! sequence is an interest or a proper prefix of one (every length-1 key
+//! survives). Level i+1 extends only surviving prefixes, and only by the
+//! labels the keep set allows after them, joining with the graph's label
+//! runs rather than level 1's rows, so no other path is met at all. The
+//! last level's keys are then exactly the length-k interests a pair spells.
+//!
+//! At k ≥ 3 a lower level can hold *prefix-only* keys, which the next level
+//! needs and the classes must not see: a set id then names a finer set than
+//! Def. 5.1 groups by. The **filtered-id map** sends each of that level's
+//! set ids — once per set, not per pair — to the id of its interest
+//! keys' part (`NULL` if none), and the class interns those ids. The
+//! map is the identity, and is never built, when no key of the level's
+//! keep set is prefix-only: always at k = 2 and in a full build. A pair
+//! whose items then name no sequence is not indexed.
+//!
 //! Ids count up in first-occurrence order along the pair list, in `(src,
 //! dst)` order, at every one of those steps. Class numbering is therefore a
 //! function of the graph alone: a saved index is byte-identical across
@@ -71,6 +93,7 @@
 
 use crate::intern::{id_words, SigInterner};
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair, MAX_SEQ_LEN};
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// Identifier of a CPQk-equivalence class.
@@ -84,7 +107,9 @@ pub type SeqId = u32;
 /// of length ≤ k; pure-identity pairs with no path are not materialized,
 /// matching the index definition — `id` is answered by the executor), laid
 /// out class-major: each class's pairs form one row, the `Ic2p` row the
-/// index keeps.
+/// index keeps. An interest-aware partition covers the pairs of `P≤k`
+/// with a non-empty `L≤k ∩ Lq`, and its class sets are those
+/// intersections.
 #[derive(Default)]
 pub struct Partition {
     /// Every class's pairs, back to back in class order; each row sorted.
@@ -140,7 +165,7 @@ impl Partition {
     /// Fills the rows by counting sort: `pairs` yields `P≤k` in ascending
     /// order, the `i`-th pair belonging to class `class_of[i]`, so every
     /// row fills sorted and at its exact size.
-    pub(crate) fn fill_rows(&mut self, class_of: &[ClassId], pairs: impl Iterator<Item = Pair>) {
+    fn fill_rows(&mut self, class_of: &[ClassId], pairs: impl Iterator<Item = Pair>) {
         // Each row's start, then its write cursor, and in the end its end.
         let mut ends = vec![0usize; self.class_count()];
         for &c in class_of {
@@ -226,17 +251,22 @@ impl SourceRows {
     }
 }
 
-/// One level below the last: the pairs holding an exact-length-i path,
-/// each with its set id `bᵢ`, and each set's sequences.
+/// One level below the last: the pairs holding an exact-length-i path
+/// with a kept key, each with its set id `bᵢ`, and each set's sequences.
 #[derive(Default)]
 struct Level {
     /// The pairs, each valued with its set id.
     rows: SourceRows,
     /// Every set's sequences, back to back in set order, as ranks among
-    /// the level's sequences — ascending, hence in sequence order.
+    /// the level's sequences — ascending, hence in sequence order. The
+    /// interest-filtered parts `filtered` names follow the level's own sets.
     ranks: Vec<u32>,
     /// Per set: where its ranks end in `ranks`.
     rank_ends: Vec<usize>,
+    /// The filtered-id map: per set, the set id of its interest-filtered
+    /// part, or [`NULL`] if that part is empty. Empty — the identity —
+    /// unless the level holds prefix-only keys.
+    filtered: Vec<u32>,
 }
 
 impl Level {
@@ -244,6 +274,13 @@ impl Level {
     #[inline]
     fn set(&self, b: u32) -> &[u32] {
         &self.ranks[span(&self.rank_ends, b as usize)]
+    }
+
+    /// The id a class's items hold for set `b`: the id of its
+    /// interest-filtered part.
+    #[inline]
+    fn class_item(&self, b: u32) -> u64 {
+        self.filtered.get(b as usize).map_or(b, |&f| f) as u64
     }
 
     /// Records every set of `sets` as ranks: `rank` maps each word (a
@@ -254,6 +291,56 @@ impl Level {
             self.ranks.extend(sets.words(b).iter().map(|&w| rank(w)));
             self.rank_ends.push(self.ranks.len());
         }
+    }
+
+    /// Fills the filtered-id map from the level's `sets`: each set's keys
+    /// that `keep` indexes are interned as a part, and the distinct parts
+    /// are recorded after the level's own sets.
+    fn filter_sets(&mut self, sets: &SigInterner, keep: &Keep, rank: impl FnMut(u64) -> u32) {
+        let first = sets.len() as u32;
+        let (mut parts, mut keys) = (SigInterner::default(), Vec::new());
+        self.filtered = (0..first)
+            .map(|b| {
+                keys.clear();
+                keys.extend(sets.words(b).iter().copied().filter(|&key| keep.indexes(key)));
+                match keys.is_empty() {
+                    true => NULL as u32,
+                    false => first + parts.intern(false, &keys),
+                }
+            })
+            .collect();
+        self.record_sets(&parts, rank);
+    }
+}
+
+/// The keys of one level an interest-aware build keeps: a key survives iff
+/// its sequence is an interest or a proper prefix of one.
+struct Keep {
+    /// Per rank of the level below, the labels after it whose keys
+    /// survive, ascending, back to back.
+    labels: Vec<u16>,
+    /// Per rank of the level below: where its labels end in `labels`.
+    ends: Vec<usize>,
+    /// The surviving keys whose sequence is an interest — indexed, not
+    /// only a prefix — ascending.
+    indexed: Vec<u64>,
+}
+
+impl Keep {
+    /// The labels after rank `r` whose keys survive.
+    #[inline]
+    fn after(&self, r: u32) -> &[u16] {
+        &self.labels[span(&self.ends, r as usize)]
+    }
+
+    fn indexes(&self, key: u64) -> bool {
+        self.indexed.binary_search(&key).is_ok()
+    }
+
+    /// Whether some surviving key is only a prefix, so that the level's
+    /// sets name finer sets than their interest-filtered parts.
+    fn holds_prefix_only_keys(&self) -> bool {
+        self.indexed.len() < self.labels.len()
     }
 }
 
@@ -297,90 +384,63 @@ fn emission_shift(n: usize, key_space: u64) -> u32 {
     u64_shift(n, key_space).expect("a vertex id and a sequence key exceed 64 bits")
 }
 
-/// Fills `out` with source `v`'s exact-length-i sequences, per target, as
-/// sorted, deduplicated `(target, key)` emissions: for every pair `(v, m)`
-/// of `prev` (level i−1) and every edge `(m, u)` of level 1, every
-/// `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` in `(m, u)`'s.
-/// Without `prev` (i = 1) the keys are `v`'s edges' labels.
-fn emit(
-    prev: Option<&Level>,
-    level1: &Level,
-    n_ext: u64,
-    shift: u32,
-    v: usize,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    match prev {
-        Some(prev) => {
-            for (m, s) in prev.rows.pairs_of(v) {
-                let prefixes = prev.set(s);
-                for (u, b1) in level1.rows.pairs_of(m as usize) {
-                    let labels = level1.set(b1);
-                    for &r in prefixes {
-                        let base = r as u64 * n_ext;
-                        out.extend(labels.iter().map(|&l| pack(u, base + l as u64, shift)));
-                    }
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-        }
-        // Level 1's rows are target-sorted and its sets label-sorted.
-        None => {
-            for (u, b1) in level1.rows.pairs_of(v) {
-                out.extend(level1.set(b1).iter().map(|&l| pack(u, l as u64, shift)));
-            }
-        }
-    }
-}
-
 /// Computes the CPQk-equivalence classes of `g` (Algorithm 1 + the class
 /// assignment of Algorithm 2): [`RefinementBase::new`], then
-/// [`RefinementBase::partition`].
+/// [`RefinementBase::partition`] with no interest set.
 pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
-    RefinementBase::new(g).partition(k)
+    RefinementBase::new(g).partition(k, None)
 }
 
 /// Level 1 of Algorithm 1: the level-1 partition, whose CSR doubles as the
-/// edge adjacency every later level joins with. Every later level only
-/// ever *reads* this state.
-pub struct RefinementBase {
+/// edge adjacency every later level of a full build joins with. Every later
+/// level only ever *reads* this state.
+pub struct RefinementBase<'g> {
+    /// The graph, whose label runs an interest-aware build joins with.
+    g: &'g Graph,
     level1: Level,
-    /// The number of extended labels: the radix of every key.
-    n_ext: u64,
 }
 
-impl RefinementBase {
+impl<'g> RefinementBase<'g> {
     /// Builds the level-1 state of `g`.
-    pub fn new(g: &Graph) -> Self {
-        RefinementBase { level1: build_level1(g), n_ext: g.ext_label_count() as u64 }
+    pub fn new(g: &'g Graph) -> Self {
+        RefinementBase { g, level1: build_level1(g) }
     }
 
     /// Runs the rest of Algorithm 1: levels `2..k`, then the last level k
-    /// fused with class assembly. The returned partition covers `P≤k`,
-    /// grouped by `(cyclicity, L≤k)`, classes numbered by first occurrence
-    /// along the pair list.
-    pub fn partition(self, k: usize) -> Partition {
+    /// fused with class assembly. Without `interests` the returned
+    /// partition covers `P≤k`, grouped by `(cyclicity, L≤k)`: the full
+    /// index. With them — normalized, as [`crate::normalize_interests`]
+    /// returns them — it covers the pairs with a non-empty `L≤k ∩ Lq`,
+    /// grouped by `(cyclicity, L≤k ∩ Lq)` (Def. 5.1), where `Lq` is the
+    /// interests plus every length-1 sequence. Either way classes are
+    /// numbered by first occurrence along the pair list.
+    pub fn partition(self, k: usize, interests: Option<&BTreeSet<LabelSeq>>) -> Partition {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
-        let mut lower = LowerLevels::new(self.level1, self.n_ext, k);
-        for _ in 2..k {
-            lower.refine();
+        if let Some(lq) = interests {
+            assert!(lq.iter().all(|s| s.len() <= k), "interest longer than k: normalize first");
         }
-        let last = lower.last_level();
+        let mut lower = LowerLevels::new(self.g, self.level1, k);
+        // Level 1's keys, every length-1 sequence, always survive.
+        let keep = |lower: &LowerLevels<'_>| interests.filter(|_| k > 1).map(|lq| lower.keep(lq));
+        for _ in 2..k {
+            lower.refine(keep(&lower).as_ref());
+        }
+        let last = lower.last_level(keep(&lower).as_ref());
         lower.into_partition(last)
     }
 }
 
 /// Levels `1..k−1`, materialized, and the dictionary of the sequences
 /// their sets name.
-struct LowerLevels {
+struct LowerLevels<'g> {
+    g: &'g Graph,
     /// Level 1 first; at k = 1 it is only the edge adjacency, not a level
     /// below the last.
     levels: Vec<Level>,
     /// The path parameter.
     k: usize,
+    /// The number of extended labels: the radix of every key.
     n_ext: u64,
     /// The sequences of lengths `1..=levels.len()` below k, each length's
     /// in rank order: level i's rank `r` names `seqs[starts[i − 1] + r]`.
@@ -388,8 +448,9 @@ struct LowerLevels {
     starts: Vec<usize>,
 }
 
-impl LowerLevels {
-    fn new(level1: Level, n_ext: u64, k: usize) -> Self {
+impl<'g> LowerLevels<'g> {
+    fn new(g: &'g Graph, level1: Level, k: usize) -> Self {
+        let n_ext = g.ext_label_count() as u64;
         // A length-1 sequence's rank is its label; at k = 1 every
         // sequence is a level-k key, named when the classes are written.
         let seqs = if k > 1 {
@@ -397,7 +458,7 @@ impl LowerLevels {
         } else {
             Vec::new()
         };
-        LowerLevels { levels: vec![level1], k, n_ext, seqs, starts: vec![0] }
+        LowerLevels { g, levels: vec![level1], k, n_ext, seqs, starts: vec![0] }
     }
 
     /// The number of sequences level `levels.len()` ranks.
@@ -413,6 +474,92 @@ impl LowerLevels {
         self.top_rank_count().checked_mul(self.n_ext).expect("key space exceeds u64")
     }
 
+    /// The keep set of the level above the top one: its keys whose sequence
+    /// is an interest of `lq` or a proper prefix of one.
+    fn keep(&self, lq: &BTreeSet<LabelSeq>) -> Keep {
+        let top = self.levels.len();
+        // Every surviving key, with whether its sequence is an interest.
+        let mut keys: Vec<(u64, bool)> = lq
+            .iter()
+            .filter(|s| s.len() > top)
+            .filter_map(|s| {
+                let l = s.get(top).0 as u64;
+                let r = self.rank_of(&s.prefix(top)).filter(|_| l < self.n_ext)?;
+                Some((r as u64 * self.n_ext + l, s.len() == top + 1))
+            })
+            .collect();
+        keys.sort_unstable();
+        let indexed = keys.iter().filter(|e| e.1).map(|e| e.0).collect();
+        keys.dedup_by_key(|e| e.0);
+        let ends = (1..=self.top_rank_count())
+            .map(|r| keys.partition_point(|e| e.0 < r * self.n_ext))
+            .collect();
+        let labels = keys.iter().map(|e| (e.0 % self.n_ext) as u16).collect();
+        Keep { labels, ends, indexed }
+    }
+
+    /// The rank of `s`, a sequence as long as the top level's, if that
+    /// level met it.
+    fn rank_of(&self, s: &LabelSeq) -> Option<u32> {
+        match self.levels.len() {
+            1 => Some(s.get(0).0 as u32).filter(|&l| (l as u64) < self.n_ext),
+            top => self.seqs[self.starts[top - 1]..].binary_search(s).ok().map(|r| r as u32),
+        }
+    }
+
+    /// Fills `out` with source `v`'s exact-length-i sequences, per target,
+    /// as sorted, deduplicated `(target, key)` emissions: for every pair
+    /// `(v, m)` of `prev` (level i−1) and every edge `(m, u)`, every
+    /// `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` on the edge.
+    /// A full build reads the edges off level 1's rows; with a keep set,
+    /// only `s`'s surviving extensions `l` are met, off the graph's label
+    /// runs. Without `prev` (i = 1) the keys are `v`'s edges' labels.
+    fn emit(
+        &self,
+        prev: Option<&Level>,
+        shift: u32,
+        keep: Option<&Keep>,
+        v: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let (level1, n_ext) = (&self.levels[0], self.n_ext);
+        out.clear();
+        match (prev, keep) {
+            (Some(prev), None) => {
+                for (m, s) in prev.rows.pairs_of(v) {
+                    let prefixes = prev.set(s);
+                    for (u, b1) in level1.rows.pairs_of(m as usize) {
+                        let labels = level1.set(b1);
+                        for &r in prefixes {
+                            let base = r as u64 * n_ext;
+                            out.extend(labels.iter().map(|&l| pack(u, base + l as u64, shift)));
+                        }
+                    }
+                }
+            }
+            (Some(prev), Some(keep)) => {
+                for (m, s) in prev.rows.pairs_of(v) {
+                    for &r in prev.set(s) {
+                        for &l in keep.after(r) {
+                            let key = r as u64 * n_ext + l as u64;
+                            let run = self.g.label_run(m, ExtLabel(l));
+                            out.extend(run.iter().map(|p| pack(p.dst(), key, shift)));
+                        }
+                    }
+                }
+            }
+            // Level 1's rows are target-sorted and its sets label-sorted.
+            (None, _) => {
+                for (u, b1) in level1.rows.pairs_of(v) {
+                    out.extend(level1.set(b1).iter().map(|&l| pack(u, l as u64, shift)));
+                }
+                return;
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// The sequence `key` names, one longer than the top level's.
     fn key_seq(&self, key: u64) -> LabelSeq {
         let l = ExtLabel((key % self.n_ext) as u16);
@@ -423,18 +570,19 @@ impl LowerLevels {
         self.seqs[prefix].appended(l)
     }
 
-    /// Adds the level above the top one: its pairs' sets interned by their
-    /// sorted keys, then recorded as ranks, and its sequences appended to
-    /// the dictionary in rank order.
-    fn refine(&mut self) {
+    /// Adds the level above the top one: its pairs' sets of the keys `keep`
+    /// keeps, interned by their sorted keys, then recorded as ranks — with
+    /// their interest-filtered parts if some key is only a prefix — and its
+    /// sequences appended to the dictionary in rank order.
+    fn refine(&mut self, keep: Option<&Keep>) {
         let n = self.levels[0].rows.ends.len();
         let mut sets = SigInterner::default();
         let mut level = Level::default();
         let shift = emission_shift(n, self.next_key_space());
-        let (prev, level1) = (self.levels.last().expect("level 1 is built"), &self.levels[0]);
+        let prev = self.levels.last().expect("level 1 is built");
         let (mut emitted, mut keys) = (Vec::new(), Vec::new());
         for v in 0..n {
-            emit(Some(prev), level1, self.n_ext, shift, v, &mut emitted);
+            self.emit(Some(prev), shift, keep, v, &mut emitted);
             for of_target in emitted.chunk_by(|&a, &b| target_of(a, shift) == target_of(b, shift)) {
                 keys.clear();
                 keys.extend(of_target.iter().map(|&e| key_of(e, shift)));
@@ -450,6 +598,9 @@ impl LowerLevels {
         }
         let met = memo.rank();
         level.record_sets(&sets, |key| memo.position(key));
+        if let Some(keep) = keep.filter(|keep| keep.holds_prefix_only_keys()) {
+            level.filter_sets(&sets, keep, |key| memo.position(key));
+        }
         let named: Vec<LabelSeq> = met.iter().map(|&key| self.key_seq(key)).collect();
         self.starts.push(self.seqs.len());
         self.seqs.extend(named);
@@ -457,10 +608,11 @@ impl LowerLevels {
     }
 
     /// The last level, fused with class assembly: one walk per source
-    /// emits the source's level-k keys and merges each target's run with
-    /// the source's rows of levels `1..k−1`, interning each pair's class at
-    /// once.
-    fn last_level(&self) -> LastLevel {
+    /// emits the source's level-k keys that `keep` keeps and merges each
+    /// target's run with the source's rows of levels `1..k−1`, interning
+    /// each pair's class at once — its lower sets by their filtered ids. A
+    /// pair whose items name no sequence is not indexed.
+    fn last_level(&self, keep: Option<&Keep>) -> LastLevel {
         let n = self.levels[0].rows.ends.len();
         let lower = &self.levels[..self.k - 1];
         let prev = lower.last();
@@ -479,7 +631,7 @@ impl LowerLevels {
         let mut at = [0usize; MAX_SEQ_LEN];
         let mut end = [0usize; MAX_SEQ_LEN];
         for v in 0..n {
-            emit(prev, &self.levels[0], self.n_ext, shift, v, &mut emitted);
+            self.emit(prev, shift, keep, v, &mut emitted);
             for (i, level) in lower.iter().enumerate() {
                 (at[i], end[i]) = (level.rows.row(v).start, level.rows.row(v).end);
             }
@@ -497,7 +649,7 @@ impl LowerLevels {
                 items.clear();
                 for (i, level) in lower.iter().enumerate() {
                     if at[i] < end[i] && level.rows.targets[at[i]] == u {
-                        items.push(level.rows.values[at[i]] as u64);
+                        items.push(level.class_item(level.rows.values[at[i]]));
                         at[i] += 1;
                     } else {
                         items.push(NULL);
@@ -506,6 +658,9 @@ impl LowerLevels {
                 while let Some(&x) = emitted.get(e).filter(|&&x| target_of(x, shift) == u) {
                     items.push(key_of(x, shift));
                     e += 1;
+                }
+                if items.len() == lower.len() && items.iter().all(|&b| b == NULL) {
+                    continue;
                 }
                 let p = Pair::new(v as u32, u);
                 let c = last.intern(p.is_loop(), &items, &mut words);
@@ -698,8 +853,7 @@ fn seq_id(at: usize) -> SeqId {
 }
 
 /// Classes under construction, keyed by the index invariant `(cyclicity,
-/// sequence set)`: the grouping step of the interest-aware partition and
-/// of maintenance. Sequence sets are id lists into one dictionary, ordered
+/// sequence set)`: the grouping step of maintenance. Sequence sets are id lists into one dictionary, ordered
 /// by sequence, so equal sets are equal lists; each is stored once, as its
 /// interner words.
 #[derive(Default)]
@@ -720,26 +874,6 @@ impl ClassTable {
             self.class_loop.push(is_loop);
         }
         c
-    }
-
-    /// A partition over these classes, whose ids name `seqs`, with its rows
-    /// still to fill ([`Partition::fill_rows`]). Each class's set is
-    /// unpacked from the interner's words, and the interner goes.
-    pub(crate) fn into_partition(self, seqs: Vec<LabelSeq>) -> Partition {
-        let ClassTable { by_invariant, class_loop, .. } = self;
-        let mut seq_ends = Vec::with_capacity(class_loop.len());
-        let mut seq_ids = Vec::new();
-        for c in 0..class_loop.len() as ClassId {
-            // Two ids a word, low first; `u32::MAX` pads an odd last one.
-            for &w in by_invariant.words(c) {
-                seq_ids.push(w as SeqId);
-                if w >> 32 != u32::MAX as u64 {
-                    seq_ids.push((w >> 32) as SeqId);
-                }
-            }
-            seq_ends.push(seq_ids.len());
-        }
-        Partition { class_loop, seq_ids, seq_ends, seqs, ..Partition::default() }
     }
 }
 
@@ -806,7 +940,7 @@ mod tests {
     }
 
     /// The sequences set `b` of level `i` (1-based) names.
-    fn level_set(lower: &LowerLevels, i: usize, b: u32) -> Vec<LabelSeq> {
+    fn level_set(lower: &LowerLevels<'_>, i: usize, b: u32) -> Vec<LabelSeq> {
         let ranks = lower.levels[i - 1].set(b).iter().map(|&r| r as usize);
         match i {
             1 => ranks.map(|l| LabelSeq::single(ExtLabel(l as u16))).collect(),
@@ -926,10 +1060,9 @@ mod tests {
         for g in [gaps.build(), loops.build()] {
             let n = g.vertex_count() as usize;
             for k in 1..=3 {
-                let base = RefinementBase::new(&g);
-                let mut lower = LowerLevels::new(base.level1, base.n_ext, k);
+                let mut lower = LowerLevels::new(&g, build_level1(&g), k);
                 for _ in 2..k {
-                    lower.refine();
+                    lower.refine(None);
                 }
                 assert_eq!(lower.levels.len(), k.max(2) - 1);
                 for i in 1..=lower.levels.len() {
@@ -938,7 +1071,7 @@ mod tests {
                         pairs.iter().map(|&(p, b)| (p, level_set(&lower, i, b))).collect();
                     assert_eq!(sets, exact_sets(&g, i), "level {i} at k = {k}");
                 }
-                let last = lower.last_level();
+                let last = lower.last_level(None);
                 let walked: Vec<Pair> = csr_pairs(&last.rows, n).into_iter().map(|e| e.0).collect();
                 let p = check_invariants(&g, k);
                 let mut covered = p.rows.clone();
@@ -1029,7 +1162,7 @@ mod tests {
                     expected.entry(p).or_default().push(LabelSeq::single(l));
                 }
             }
-            let lower = LowerLevels::new(build_level1(&g), g.ext_label_count() as u64, 2);
+            let lower = LowerLevels::new(&g, build_level1(&g), 2);
             let pair_sets = csr_pairs(&lower.levels[0].rows, g.vertex_count() as usize);
             assert!(pair_sets.iter().map(|&(p, _)| p).eq(expected.keys().copied()));
             let mut by_set = std::collections::HashMap::new();

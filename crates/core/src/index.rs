@@ -1,10 +1,10 @@
 //! The runtime index structure `Ik = (Il2c, Ic2p)` of Def. 4.3, serving both
 //! CPQx and iaCPQx (they differ only in how the partition is computed).
 
-use crate::bisim::{cpq_path_partition, ClassId, Partition, SeqId};
+use crate::bisim::{cpq_path_partition, ClassId, Partition, RefinementBase, SeqId};
 use crate::class_set::ClassSet;
 use crate::exec::Executor;
-use crate::interest::{interest_partition, normalize_interests};
+use crate::interest::normalize_interests;
 use crate::intern::SeqDict;
 use crate::narrow_column::{with_values, NarrowColumn};
 use crate::packed_keys::{self, bits_for, KeyWriter, PackedKeys};
@@ -648,7 +648,7 @@ impl CpqxIndex {
         interests: impl IntoIterator<Item = LabelSeq>,
     ) -> Self {
         let lq = normalize_interests(interests, k);
-        let partition = interest_partition(g, k, &lq);
+        let partition = RefinementBase::new(g).partition(k, Some(&lq));
         Self::from_partition(k, Some(lq), partition)
     }
 
@@ -658,9 +658,10 @@ impl CpqxIndex {
     /// apart).
     ///
     /// `p` must be a valid partition of the graph's `P≤k`: class-major rows,
-    /// each sorted, every class homogeneous in `(cyclicity, L≤k)` — as
-    /// produced by [`cpq_path_partition`] or by
-    /// [`crate::interest::interest_partition`]. Its rows already are the
+    /// each sorted, every class homogeneous in `(cyclicity, L≤k)` — or, for
+    /// an interest-aware index, in `(cyclicity, L≤k ∩ Lq)` — as
+    /// [`RefinementBase::partition`] produces it with `interests` as its
+    /// interest set (`None` is the full index). Its rows already are the
     /// `Ic2p` rows, at their exact sizes: each `ClassChunk` packs its
     /// classes' rows in one pass, and no pair is counted or regrouped here.
     pub fn from_partition(k: usize, interests: Option<BTreeSet<LabelSeq>>, p: Partition) -> Self {

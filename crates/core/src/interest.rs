@@ -1,4 +1,4 @@
-//! Interest-aware path-equivalence — the iaCPQx partition (Sec. V).
+//! Interest sets of the iaCPQx index (Sec. V), and one sequence's pairs.
 //!
 //! Given a set of interest label sequences `Lq ⊆ L≤k` (always containing
 //! every length-1 sequence, per the paper), two pairs are equivalent iff
@@ -6,8 +6,12 @@
 //! This is strictly coarser than k-path-bisimulation (`≈k` refines `≈i`),
 //! giving a smaller, faster-to-build index that still evaluates arbitrary
 //! CPQs: the planner splits non-interest sequences into indexed pieces.
+//!
+//! The partition itself is the full build's: [`crate::RefinementBase::partition`]
+//! takes the set [`normalize_interests`] returns and prunes its walk to
+//! it. This module holds that normalization and [`seq_pairs`], one
+//! sequence's relation, which maintenance and the advisor's tests use.
 
-use crate::bisim::{ClassId, ClassTable, Partition, SeqId};
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;
 use std::collections::BTreeSet;
@@ -48,73 +52,21 @@ pub fn seq_pairs(g: &Graph, seq: &LabelSeq) -> Vec<Pair> {
     pairs
 }
 
-/// The full indexed sequence list of an interest-aware index over `g`:
-/// every length-1 sequence with a non-empty relation, then the (already
-/// normalized) interests of length ≥ 2 — sorted and deduplicated: the
-/// dictionary of the partition [`interest_partition`] computes.
-fn indexed_interest_seqs(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Vec<LabelSeq> {
-    let mut seqs: Vec<LabelSeq> = g
-        .ext_labels()
-        .map(LabelSeq::single)
-        .filter(|s| !g.edge_pairs(s.get(0)).is_empty())
-        .collect();
-    for s in interests {
-        assert!(s.len() <= k, "interest longer than k — call normalize_interests first");
-        if s.len() > 1 {
-            seqs.push(*s);
-        }
-    }
-    seqs.sort_unstable();
-    seqs.dedup();
-    seqs
-}
-
-/// Computes the interest-aware partition: pairs with a non-empty
-/// `L≤k ∩ Lq` grouped by `(is-loop, that intersection)`.
-///
-/// `interests` must already be normalized (all lengths in `1..=k`); all
-/// length-1 sequences over the graph's extended alphabet are added
-/// implicitly.
-pub fn interest_partition(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Partition {
-    assert!((1..=cpqx_graph::MAX_SEQ_LEN).contains(&k));
-    let seqs = indexed_interest_seqs(g, k, interests);
-
-    // (pair, seq-id) for every pair matched by an indexed sequence.
-    let mut hits: Vec<(Pair, u32)> = Vec::new();
-    for (sid, seq) in seqs.iter().enumerate() {
-        for p in seq_pairs(g, seq) {
-            hits.push((p, sid as u32));
-        }
-    }
-    hits.sort_unstable();
-    hits.dedup();
-
-    // Each pair's run of hits is its seq-id set — positions in the sorted
-    // `seqs`, so sequence order — and `seqs` is the partition's dictionary:
-    // intern `(is-loop, that set)` as the run ends, then fill the rows from
-    // a second walk of the runs.
-    let of_pairs = || hits.chunk_by(|a, b| a.0 == b.0);
-    let mut classes = ClassTable::default();
-    let mut class_of: Vec<ClassId> = Vec::new();
-    let mut ids: Vec<SeqId> = Vec::new();
-    for of_pair in of_pairs() {
-        ids.clear();
-        ids.extend(of_pair.iter().map(|&(_, sid)| sid));
-        class_of.push(classes.class_of(of_pair[0].0.is_loop(), &ids));
-    }
-    let mut partition = classes.into_partition(seqs);
-    partition.fill_rows(&class_of, of_pairs().map(|of_pair| of_pair[0].0));
-    partition
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisim::{ClassId, Partition};
+    use crate::RefinementBase;
     use cpqx_graph::generate;
     use cpqx_graph::{ExtLabel, Label};
 
     fn l(i: u16) -> ExtLabel {
         Label(i).fwd()
+    }
+
+    /// The interest-aware partition of `g` over `interests` (normalized).
+    fn interest_partition(g: &Graph, k: usize, interests: &BTreeSet<LabelSeq>) -> Partition {
+        RefinementBase::new(g).partition(k, Some(interests))
     }
 
     #[test]

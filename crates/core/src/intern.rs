@@ -3,9 +3,8 @@
 //! Every grouping step of index construction asks the same question: *have
 //! I seen this `(flag, word sequence)` before, and under which id?* — a
 //! level's sequence sets as sorted integer keys, and each pair's
-//! `(is-loop, set ids, last-level keys)` in the full build's last level;
-//! `(cyclicity, sequence-id set)` class invariants in the interest-aware
-//! partition and in maintenance; label sequences in the sequence
+//! `(is-loop, set ids, last-level keys)` in the build's last level;
+//! `(cyclicity, sequence-id set)` class invariants in maintenance; label sequences in the sequence
 //! dictionary ([`SeqDict`]) every sequence set of the index refers to.
 //! [`SigInterner`] answers it the moment a signature is produced (Algorithm
 //! 2's "hash the block-id sequence"), so no step materializes all

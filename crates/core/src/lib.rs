@@ -51,6 +51,6 @@ pub use bisim::{cpq_path_partition, ClassId, Partition, RefinementBase};
 pub use class_set::ClassSet;
 pub use exec::{ExecOptions, Executor, Intermediate};
 pub use index::{CpqxIndex, Fragmentation, IndexStats};
-pub use interest::{interest_partition, normalize_interests};
+pub use interest::normalize_interests;
 pub use optimize::{estimate_plan_cost, optimize_query, optimize_query_costed};
 pub use pair_column::PairColumn;

@@ -23,7 +23,7 @@
 //!   by the unit tests of `narrow_column.rs` and `index.rs`).
 
 use cpqx_core::serialize::ClassRecord;
-use cpqx_core::{cpq_path_partition, interest_partition, normalize_interests, CpqxIndex};
+use cpqx_core::{cpq_path_partition, normalize_interests, CpqxIndex, RefinementBase};
 use cpqx_graph::datasets::Dataset;
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
 use cpqx_graph::{ExtLabel, Label, LabelSeq, Pair};
@@ -116,7 +116,7 @@ proptest! {
         let g = random_graph(&RandomGraphConfig::social(vertices, 3 * vertices as usize, 3, seed));
         let (idx, p) = if interest_aware {
             let lq = [LabelSeq::from_slice(&[ExtLabel(0), ExtLabel(2)])];
-            let partition = interest_partition(&g, 2, &normalize_interests(lq, 2));
+            let partition = RefinementBase::new(&g).partition(2, Some(&normalize_interests(lq, 2)));
             (CpqxIndex::build_interest_aware(&g, 2, lq), partition)
         } else {
             (CpqxIndex::build(&g, 2), cpq_path_partition(&g, 2))

@@ -6,8 +6,8 @@
 //! caching. This crate adds the three layers a serving deployment needs:
 //!
 //! 1. **Timed builds** ([`build`]): every engine build — initial, manual
-//!    rebuild, auto-rebuild — is Algorithm 1's single pass (or the
-//!    interest-aware partition), then index materialization, with each
+//!    rebuild, auto-rebuild — is Algorithm 1's single pass (pruned to the
+//!    interest set for iaCPQx), then index materialization, with each
 //!    phase timed for [`Engine::stats`] and the obs layer.
 //! 2. **Concurrent read path** ([`engine`]): an [`Engine`] holds the
 //!    graph + index behind an atomically swappable [`Snapshot`] `Arc`.

@@ -200,12 +200,11 @@ pub struct StatsReport {
     /// Class count of the full build the serving index descends from.
     pub baseline_classes: u64,
     /// Wall-clock of the level-1 pass of the most recent full build
-    /// (initial build, manual rebuild, or auto-rebuild; zero for
-    /// interest-aware builds, which have no level-1 phase, or when the
+    /// (initial build, manual rebuild, or auto-rebuild; zero when the
     /// report comes from bare counters). Filled by `Engine::stats`.
     pub build_level1: Duration,
     /// Wall-clock of the partition phase of the most recent full build:
-    /// refinement plus class assembly, or the interest partition of an
+    /// refinement plus class assembly, pruned to the interest set for an
     /// interest-aware build.
     pub build_refine: Duration,
     /// End-to-end wall-clock of the most recent full build.

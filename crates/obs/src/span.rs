@@ -35,7 +35,7 @@ pub enum Stage {
     /// Build: level-1 (single-label) index construction.
     BuildLevel1 = 8,
     /// Build: the partition — refinement levels `2..=k` plus class
-    /// assembly, or the interest-aware partition.
+    /// assembly, pruned to the interest set for an interest-aware index.
     BuildRefine = 9,
     /// Build: materializing the index from the partition.
     BuildMerge = 10,
