@@ -9,14 +9,20 @@
 //!
 //! * a **ceiling in bytes**. The peak is set by the partition, not by the
 //!   rows' encoding, so a change to the index's bytes alone leaves it
-//!   where it was. The interest-aware ceilings are the counts at the
-//!   commit that width-packed the `Ic2p` rows. The full-build ceilings
-//!   were those counts too (3,663,320 B social, 13,532,864 B Epinions)
-//!   until the last refinement level was fused with class assembly —
-//!   one walk per source, no block-tuple interner, no second grouping of
-//!   tuples into classes. The peaks fell to 1,771,360 B and 10,380,760 B
-//!   (3.89× and 7.19× the index, from 8.04× and 9.37×), and the ceilings
-//!   became those counts plus 25 % headroom;
+//!   where it was. The ceilings were the counts at the commit that
+//!   width-packed the `Ic2p` rows (3,663,320 B social, 13,532,864 B
+//!   Epinions for full builds; 1,622,232 B and 3,322,360 B for
+//!   interest-aware ones) until two changes to the build:
+//!   - The last refinement level was fused with class assembly — one walk
+//!     per source, no block-tuple interner, no second grouping of tuples
+//!     into classes. The full builds' peaks fell to 1,771,360 B and
+//!     10,380,760 B (3.89× and 7.19× the index, from 8.04× and 9.37×).
+//!   - The interest-aware build became that walk, pruned by its interests
+//!     — no list of `(pair, sequence)` hits, no global sort of it. Its
+//!     peaks fell to 544,218 B and 1,103,996 B (5.22× and 5.16× the
+//!     index, from 15.56× and 15.53×).
+//!
+//!   Each time the ceilings became the new counts plus 25 % headroom;
 //! * a **ratio** to the index's [`IndexStats::total_bytes`]. Twice a
 //!   change to the index's bytes alone shrank the divisor while the peak
 //!   stayed put, so the ratios rose:
@@ -33,7 +39,9 @@
 //!
 //!   Each time the bounds were re-set from the ratios after, with ~25 %
 //!   headroom, and the byte ceilings stayed as they were. A ratio bound
-//!   never loosens without the byte ceiling beside it.
+//!   never loosens without the byte ceiling beside it. When the
+//!   interest-aware build became the pruned walk its bound tightened to
+//!   the full build's 9.5×.
 //!
 //! Only the thread running the build is counted, so the test harness's
 //! own threads (reporting a finished test, starting the next) never add to
@@ -174,12 +182,12 @@ fn graphs() -> [(&'static str, Graph, usize, usize); 2] {
 }
 
 /// Byte ceilings: the counted peaks of the full builds with the last level
-/// fused with class assembly, plus 25 %, and of the interest-aware builds
-/// when the rows were packed (module docs).
+/// fused with class assembly, and of the interest-aware builds as that walk
+/// pruned by their interests, plus 25 % (module docs).
 const FULL_SOCIAL: usize = 2_214_200;
 const FULL_EPINIONS: usize = 12_975_950;
-const IA_SOCIAL: usize = 1_622_232;
-const IA_EPINIONS: usize = 3_322_360;
+const IA_SOCIAL: usize = 680_273;
+const IA_EPINIONS: usize = 1_379_995;
 
 #[test]
 fn a_full_build_peaks_under_nine_and_a_half_index_sizes() {
@@ -190,7 +198,7 @@ fn a_full_build_peaks_under_nine_and_a_half_index_sizes() {
 }
 
 #[test]
-fn an_interest_aware_build_peaks_under_eighteen_and_a_half_index_sizes() {
+fn an_interest_aware_build_peaks_under_nine_and_a_half_index_sizes() {
     for (name, g, _, ceiling) in graphs() {
         // Every length-2 sequence over the first three labels, forward.
         let labels: Vec<_> = g.labels().take(3).map(|l| l.fwd()).collect();
@@ -200,6 +208,6 @@ fn an_interest_aware_build_peaks_under_eighteen_and_a_half_index_sizes() {
             .collect();
         assert_eq!(interests.len(), 9);
         let peak = peak_of(|| CpqxIndex::build_interest_aware(&g, 2, interests));
-        check(&format!("{name}, interest-aware build"), peak, ceiling, 18.5);
+        check(&format!("{name}, interest-aware build"), peak, ceiling, 9.5);
     }
 }
