@@ -21,10 +21,8 @@
 //! therefore share `(is-loop, ⟨b₁,…,b_k⟩)` exactly when they share
 //! `(is-loop, L≤k)`: the grouping is the coarsest the index invariant
 //! (Prop. 4.1 and the IDENTITY check) allows, with no second grouping of
-//! block tuples by the invariant they stand for. The same holds for an
-//! interest set `Lq` (Def. 5.1) with `L₌ᵢ ∩ Lq` in place of `L₌ᵢ`: the
-//! intersection splits by length too, so a tuple of ids of the
-//! *interest-filtered* sets names `L≤k ∩ Lq` — below.
+//! block tuples by the invariant they stand for. With an interest set `Lq`
+//! (Def. 5.1) the same holds for `L≤k ∩ Lq` and the sets `L₌ᵢ ∩ Lq`.
 //!
 //! # Sets as integer keys
 //!
@@ -45,8 +43,8 @@
 //! vertices: per source an end offset, per pair its target and its set id
 //! — 8 bytes a pair. Level 1 sweeps the sorted `(pair, label)` entries
 //! once and interns each pair's label set as its run ends; level 1's CSR
-//! *is* the edge adjacency every later level of a full build joins with, so
-//! no copy of it is kept. Level i < k streams one source at a time: for each pair
+//! *is* the edge adjacency every later level joins with, so no copy of it
+//! is kept. Level i < k streams one source at a time: for each pair
 //! `(v, m)` of level i−1 it reads `m`'s row of level 1 and fills a small
 //! reused buffer with `(target, key)` emissions, sorts and deduplicates it,
 //! and interns each target's run of keys as the pair's set.
@@ -63,22 +61,15 @@
 //!
 //! # An interest set prunes the walk
 //!
-//! The interest-aware partition (iaCPQx, Sec. V) is the same walk, with a
-//! **keep set** per level above the first: a level-i key survives iff its
-//! sequence is an interest or a proper prefix of one (every length-1 key
-//! survives). Level i+1 extends only surviving prefixes, and only by the
-//! labels the keep set allows after them, joining with the graph's label
-//! runs rather than level 1's rows, so no other path is met at all. The
-//! last level's keys are then exactly the length-k interests a pair spells.
-//!
-//! At k ≥ 3 a lower level can hold *prefix-only* keys, which the next level
-//! needs and the classes must not see: a set id then names a finer set than
-//! Def. 5.1 groups by. The **filtered-id map** sends each of that level's
-//! set ids — once per set, not per pair — to the id of its interest
-//! keys' part (`NULL` if none), and the class interns those ids. The
-//! map is the identity, and is never built, when no key of the level's
-//! keep set is prefix-only: always at k = 2 and in a full build. A pair
-//! whose items then name no sequence is not indexed.
+//! The interest-aware partition (Sec. V) is the same walk under a **keep
+//! set** per level above the first: a key survives iff its sequence is an
+//! interest or a proper prefix of one, and level i+1 extends a surviving
+//! prefix only by the labels allowed after it, off the graph's label runs.
+//! At k ≥ 3 a lower set can hold prefix-only keys: the **filtered-id map**
+//! sends its id, once per set, to the id of its interest keys' part, which
+//! the class interns. Without prefix-only keys in the keep set (at k = 2,
+//! and in a full build) the map is the identity and never built. A pair
+//! that names no sequence is not indexed.
 //!
 //! Ids count up in first-occurrence order along the pair list, in `(src,
 //! dst)` order, at every one of those steps. Class numbering is therefore a
@@ -107,9 +98,8 @@ pub type SeqId = u32;
 /// of length ≤ k; pure-identity pairs with no path are not materialized,
 /// matching the index definition — `id` is answered by the executor), laid
 /// out class-major: each class's pairs form one row, the `Ic2p` row the
-/// index keeps. An interest-aware partition covers the pairs of `P≤k`
-/// with a non-empty `L≤k ∩ Lq`, and its class sets are those
-/// intersections.
+/// index keeps. An interest-aware one covers the pairs with a non-empty
+/// `L≤k ∩ Lq`, and its class sets are those intersections.
 #[derive(Default)]
 pub struct Partition {
     /// Every class's pairs, back to back in class order; each row sorted.
@@ -263,9 +253,8 @@ struct Level {
     ranks: Vec<u32>,
     /// Per set: where its ranks end in `ranks`.
     rank_ends: Vec<usize>,
-    /// The filtered-id map: per set, the set id of its interest-filtered
-    /// part, or [`NULL`] if that part is empty. Empty — the identity —
-    /// unless the level holds prefix-only keys.
+    /// The filtered-id map: per set, the set id of its interest keys' part,
+    /// [`NULL`] if none; empty — the identity — without prefix-only keys.
     filtered: Vec<u32>,
 }
 
@@ -274,13 +263,6 @@ impl Level {
     #[inline]
     fn set(&self, b: u32) -> &[u32] {
         &self.ranks[span(&self.rank_ends, b as usize)]
-    }
-
-    /// The id a class's items hold for set `b`: the id of its
-    /// interest-filtered part.
-    #[inline]
-    fn class_item(&self, b: u32) -> u64 {
-        self.filtered.get(b as usize).map_or(b, |&f| f) as u64
     }
 
     /// Records every set of `sets` as ranks: `rank` maps each word (a
@@ -293,55 +275,30 @@ impl Level {
         }
     }
 
-    /// Fills the filtered-id map from the level's `sets`: each set's keys
-    /// that `keep` indexes are interned as a part, and the distinct parts
-    /// are recorded after the level's own sets.
-    fn filter_sets(&mut self, sets: &SigInterner, keep: &Keep, rank: impl FnMut(u64) -> u32) {
-        let first = sets.len() as u32;
-        let (mut parts, mut keys) = (SigInterner::default(), Vec::new());
-        self.filtered = (0..first)
-            .map(|b| {
-                keys.clear();
-                keys.extend(sets.words(b).iter().copied().filter(|&key| keep.indexes(key)));
-                match keys.is_empty() {
-                    true => NULL as u32,
-                    false => first + parts.intern(false, &keys),
-                }
-            })
-            .collect();
+    /// Fills the filtered-id map: each of `sets`' keys that are
+    /// interests (`indexed`) form a part, and the parts are recorded after
+    /// the level's own sets.
+    fn filter_sets(&mut self, sets: &SigInterner, indexed: &[u64], rank: impl FnMut(u64) -> u32) {
+        let (mut parts, mut keys, first) = (SigInterner::default(), Vec::new(), sets.len() as u32);
+        for b in 0..first {
+            keys.clear();
+            keys.extend(sets.words(b).iter().filter(|key| indexed.binary_search(key).is_ok()));
+            let part =
+                if keys.is_empty() { NULL as u32 } else { first + parts.intern(false, &keys) };
+            self.filtered.push(part);
+        }
         self.record_sets(&parts, rank);
     }
 }
 
-/// The keys of one level an interest-aware build keeps: a key survives iff
-/// its sequence is an interest or a proper prefix of one.
+/// The keys of one level an interest-aware build keeps — those whose
+/// sequence is an interest or a proper prefix of one: per rank of the
+/// level below, the labels after it (`labels`, ending at `ends`); and the
+/// kept keys whose sequence is an interest, ascending (`indexed`).
 struct Keep {
-    /// Per rank of the level below, the labels after it whose keys
-    /// survive, ascending, back to back.
     labels: Vec<u16>,
-    /// Per rank of the level below: where its labels end in `labels`.
     ends: Vec<usize>,
-    /// The surviving keys whose sequence is an interest — indexed, not
-    /// only a prefix — ascending.
     indexed: Vec<u64>,
-}
-
-impl Keep {
-    /// The labels after rank `r` whose keys survive.
-    #[inline]
-    fn after(&self, r: u32) -> &[u16] {
-        &self.labels[span(&self.ends, r as usize)]
-    }
-
-    fn indexes(&self, key: u64) -> bool {
-        self.indexed.binary_search(&key).is_ok()
-    }
-
-    /// Whether some surviving key is only a prefix, so that the level's
-    /// sets name finer sets than their interest-filtered parts.
-    fn holds_prefix_only_keys(&self) -> bool {
-        self.indexed.len() < self.labels.len()
-    }
 }
 
 /// Marks, in a class's interned words, a level that does not hold the
@@ -392,10 +349,10 @@ pub fn cpq_path_partition(g: &Graph, k: usize) -> Partition {
 }
 
 /// Level 1 of Algorithm 1: the level-1 partition, whose CSR doubles as the
-/// edge adjacency every later level of a full build joins with. Every later
-/// level only ever *reads* this state.
+/// edge adjacency every later level joins with. Every later level only
+/// ever *reads* this state.
 pub struct RefinementBase<'g> {
-    /// The graph, whose label runs an interest-aware build joins with.
+    /// The graph, whose label runs a pruned walk joins with.
     g: &'g Graph,
     level1: Level,
 }
@@ -407,22 +364,17 @@ impl<'g> RefinementBase<'g> {
     }
 
     /// Runs the rest of Algorithm 1: levels `2..k`, then the last level k
-    /// fused with class assembly. Without `interests` the returned
-    /// partition covers `P≤k`, grouped by `(cyclicity, L≤k)`: the full
-    /// index. With them — normalized, as [`crate::normalize_interests`]
-    /// returns them — it covers the pairs with a non-empty `L≤k ∩ Lq`,
-    /// grouped by `(cyclicity, L≤k ∩ Lq)` (Def. 5.1), where `Lq` is the
-    /// interests plus every length-1 sequence. Either way classes are
-    /// numbered by first occurrence along the pair list.
+    /// fused with class assembly. The partition covers `P≤k`, grouped by
+    /// `(cyclicity, L≤k)`; with `interests` (as [`crate::normalize_interests`]
+    /// returns them, plus every length-1 sequence: `Lq`), only the pairs
+    /// with a non-empty `L≤k ∩ Lq`, grouped by `(cyclicity, L≤k ∩ Lq)`.
+    /// Classes are numbered by first occurrence along the pair list.
     pub fn partition(self, k: usize, interests: Option<&BTreeSet<LabelSeq>>) -> Partition {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= MAX_SEQ_LEN, "k exceeds MAX_SEQ_LEN");
-        if let Some(lq) = interests {
-            assert!(lq.iter().all(|s| s.len() <= k), "interest longer than k: normalize first");
-        }
+        assert!(interests.is_none_or(|lq| lq.iter().all(|s| s.len() <= k)), "normalize first");
         let mut lower = LowerLevels::new(self.g, self.level1, k);
-        // Level 1's keys, every length-1 sequence, always survive.
-        let keep = |lower: &LowerLevels<'_>| interests.filter(|_| k > 1).map(|lq| lower.keep(lq));
+        let keep = |lower: &LowerLevels<'_>| interests.map(|lq| lower.keep(lq));
         for _ in 2..k {
             lower.refine(keep(&lower).as_ref());
         }
@@ -461,59 +413,43 @@ impl<'g> LowerLevels<'g> {
         LowerLevels { g, levels: vec![level1], k, n_ext, seqs, starts: vec![0] }
     }
 
-    /// The number of sequences level `levels.len()` ranks.
-    fn top_rank_count(&self) -> u64 {
-        match self.levels.len() {
-            1 => self.n_ext,
-            _ => (self.seqs.len() - self.starts[self.levels.len() - 1]) as u64,
-        }
+    /// The sequences the top level ranks, in rank order (at k > 1).
+    fn ranked(&self) -> &[LabelSeq] {
+        &self.seqs[self.starts[self.levels.len() - 1]..]
     }
 
     /// The number of keys of the level above the top one.
     fn next_key_space(&self) -> u64 {
-        self.top_rank_count().checked_mul(self.n_ext).expect("key space exceeds u64")
+        (self.ranked().len() as u64).checked_mul(self.n_ext).expect("key space exceeds u64")
     }
 
-    /// The keep set of the level above the top one: its keys whose sequence
-    /// is an interest of `lq` or a proper prefix of one.
+    /// The keep set of the level above the top one, for the interests `lq`.
     fn keep(&self, lq: &BTreeSet<LabelSeq>) -> Keep {
-        let top = self.levels.len();
-        // Every surviving key, with whether its sequence is an interest.
+        let (top, n_ext, ranked) = (self.levels.len(), self.n_ext, self.ranked());
+        // Every kept key, with whether its sequence is an interest.
         let mut keys: Vec<(u64, bool)> = lq
             .iter()
             .filter(|s| s.len() > top)
             .filter_map(|s| {
-                let l = s.get(top).0 as u64;
-                let r = self.rank_of(&s.prefix(top)).filter(|_| l < self.n_ext)?;
-                Some((r as u64 * self.n_ext + l, s.len() == top + 1))
+                let (r, l) = (ranked.binary_search(&s.prefix(top)).ok()?, s.get(top).0 as u64);
+                (l < n_ext).then_some((r as u64 * n_ext + l, s.len() == top + 1))
             })
             .collect();
         keys.sort_unstable();
         let indexed = keys.iter().filter(|e| e.1).map(|e| e.0).collect();
         keys.dedup_by_key(|e| e.0);
-        let ends = (1..=self.top_rank_count())
-            .map(|r| keys.partition_point(|e| e.0 < r * self.n_ext))
-            .collect();
-        let labels = keys.iter().map(|e| (e.0 % self.n_ext) as u16).collect();
-        Keep { labels, ends, indexed }
-    }
-
-    /// The rank of `s`, a sequence as long as the top level's, if that
-    /// level met it.
-    fn rank_of(&self, s: &LabelSeq) -> Option<u32> {
-        match self.levels.len() {
-            1 => Some(s.get(0).0 as u32).filter(|&l| (l as u64) < self.n_ext),
-            top => self.seqs[self.starts[top - 1]..].binary_search(s).ok().map(|r| r as u32),
-        }
+        let ends =
+            (1..=ranked.len() as u64).map(|r| keys.partition_point(|e| e.0 < r * n_ext)).collect();
+        Keep { labels: keys.iter().map(|e| (e.0 % n_ext) as u16).collect(), ends, indexed }
     }
 
     /// Fills `out` with source `v`'s exact-length-i sequences, per target,
     /// as sorted, deduplicated `(target, key)` emissions: for every pair
-    /// `(v, m)` of `prev` (level i−1) and every edge `(m, u)`, every
-    /// `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` on the edge.
-    /// A full build reads the edges off level 1's rows; with a keep set,
-    /// only `s`'s surviving extensions `l` are met, off the graph's label
-    /// runs. Without `prev` (i = 1) the keys are `v`'s edges' labels.
+    /// `(v, m)` of `prev` (level i−1) and every edge `(m, u)` of level 1,
+    /// every `rank(s) · n_ext + l` with `s` in `(v, m)`'s set and `l` in
+    /// `(m, u)`'s — or, with a keep set, only the `l` it allows after `s`,
+    /// off the graph's label runs. Without `prev` (i = 1) the keys are `v`'s
+    /// edges' labels.
     fn emit(
         &self,
         prev: Option<&Level>,
@@ -540,7 +476,7 @@ impl<'g> LowerLevels<'g> {
             (Some(prev), Some(keep)) => {
                 for (m, s) in prev.rows.pairs_of(v) {
                     for &r in prev.set(s) {
-                        for &l in keep.after(r) {
+                        for &l in &keep.labels[span(&keep.ends, r as usize)] {
                             let key = r as u64 * n_ext + l as u64;
                             let run = self.g.label_run(m, ExtLabel(l));
                             out.extend(run.iter().map(|p| pack(p.dst(), key, shift)));
@@ -566,8 +502,7 @@ impl<'g> LowerLevels<'g> {
         if self.k == 1 {
             return LabelSeq::single(l);
         }
-        let prefix = self.starts[self.levels.len() - 1] + (key / self.n_ext) as usize;
-        self.seqs[prefix].appended(l)
+        self.ranked()[(key / self.n_ext) as usize].appended(l)
     }
 
     /// Adds the level above the top one: its pairs' sets of the keys `keep`
@@ -598,8 +533,8 @@ impl<'g> LowerLevels<'g> {
         }
         let met = memo.rank();
         level.record_sets(&sets, |key| memo.position(key));
-        if let Some(keep) = keep.filter(|keep| keep.holds_prefix_only_keys()) {
-            level.filter_sets(&sets, keep, |key| memo.position(key));
+        if let Some(keep) = keep.filter(|keep| keep.indexed.len() < keep.labels.len()) {
+            level.filter_sets(&sets, &keep.indexed, |key| memo.position(key));
         }
         let named: Vec<LabelSeq> = met.iter().map(|&key| self.key_seq(key)).collect();
         self.starts.push(self.seqs.len());
@@ -649,7 +584,8 @@ impl<'g> LowerLevels<'g> {
                 items.clear();
                 for (i, level) in lower.iter().enumerate() {
                     if at[i] < end[i] && level.rows.targets[at[i]] == u {
-                        items.push(level.class_item(level.rows.values[at[i]]));
+                        let b = level.rows.values[at[i]];
+                        items.push(level.filtered.get(b as usize).map_or(b, |&f| f) as u64);
                         at[i] += 1;
                     } else {
                         items.push(NULL);

@@ -6,11 +6,8 @@
 //! This is strictly coarser than k-path-bisimulation (`≈k` refines `≈i`),
 //! giving a smaller, faster-to-build index that still evaluates arbitrary
 //! CPQs: the planner splits non-interest sequences into indexed pieces.
-//!
-//! The partition itself is the full build's: [`crate::RefinementBase::partition`]
-//! takes the set [`normalize_interests`] returns and prunes its walk to
-//! it. This module holds that normalization and [`seq_pairs`], one
-//! sequence's relation, which maintenance and the advisor's tests use.
+//! [`crate::RefinementBase::partition`] builds that partition, given the
+//! set [`normalize_interests`] returns.
 
 use cpqx_graph::{Graph, LabelSeq, Pair};
 use cpqx_query::ops;

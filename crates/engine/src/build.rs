@@ -3,10 +3,10 @@
 //! Every engine build — the initial one, [`crate::Engine::rebuild`] and the
 //! auto-rebuild inside a write transaction — is the paper's single pass:
 //! the partition (Algorithm 1 through [`RefinementBase`], its walk pruned
-//! to the interest set for iaCPQx), then [`CpqxIndex::from_partition`]. `build_with_report` runs those steps
-//! itself only so it can time them: its index is the one
-//! [`CpqxIndex::build`] / [`CpqxIndex::build_interest_aware`] return, byte
-//! for byte.
+//! to the interest set for iaCPQx), then [`CpqxIndex::from_partition`].
+//! `build_with_report` runs those steps itself only so it can time them:
+//! its index is the one [`CpqxIndex::build`] /
+//! [`CpqxIndex::build_interest_aware`] return, byte for byte.
 
 use cpqx_core::{CpqxIndex, RefinementBase};
 use cpqx_graph::{Graph, LabelSeq};
