@@ -82,7 +82,7 @@
 //! sequences they name. Dictionary numbering is private to a build;
 //! [`crate::CpqxIndex::from_partition`] renumbers the ids for the index.
 
-use crate::intern::{id_words, SigInterner};
+use crate::intern::SigInterner;
 use cpqx_graph::{ExtLabel, Graph, LabelSeq, Pair, MAX_SEQ_LEN};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -786,31 +786,6 @@ impl KeyMemo {
 /// A dictionary position as a [`SeqId`].
 fn seq_id(at: usize) -> SeqId {
     SeqId::try_from(at).expect("more than u32::MAX sequences")
-}
-
-/// Classes under construction, keyed by the index invariant `(cyclicity,
-/// sequence set)`: the grouping step of maintenance. Sequence sets are id lists into one dictionary, ordered
-/// by sequence, so equal sets are equal lists; each is stored once, as its
-/// interner words.
-#[derive(Default)]
-pub(crate) struct ClassTable {
-    by_invariant: SigInterner,
-    class_loop: Vec<bool>,
-    /// Reused encoding buffer.
-    words: Vec<u64>,
-}
-
-impl ClassTable {
-    /// The class of `(is_loop, ids)`, registering it under the next id if
-    /// it is new.
-    pub(crate) fn class_of(&mut self, is_loop: bool, ids: &[SeqId]) -> ClassId {
-        id_words(ids, &mut self.words);
-        let c = self.by_invariant.intern(is_loop, &self.words);
-        if c as usize == self.class_loop.len() {
-            self.class_loop.push(is_loop);
-        }
-        c
-    }
 }
 
 /// Level 1: one sweep over the sorted `(pair, label)` entries of every

@@ -54,7 +54,7 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// graph of up to 4,096 vertices, where a [`Pair`] takes 8. Keys sort as
 /// their pairs do, and 7 zero bytes after the last one make reading any
 /// pair one unaligned 8-byte load plus a mask ([`Keys::get`]). [`pack`]
-/// chooses the width: a build and a load pack each chunk whole, and a row
+/// chooses the width: a build packs each chunk whole, and a row
 /// edit splices keys at the chunk's width, re-packing the chunk only when
 /// an attached id needs more bits or the last id of the top bit width
 /// leaves — so the width always fits the chunk's current largest id. End
@@ -368,7 +368,7 @@ impl Posting {
     }
 }
 
-/// `Il2c` as a build or a load lays it out, listing classes in ascending
+/// `Il2c` as a build lays it out, listing classes in ascending
 /// id order. Each entry's ids in the current 64k-id window are staged as
 /// their low halves and stored as one container when the listing moves
 /// past the window ([`ClassSet::push_window`]), so no id pays for a look
@@ -455,15 +455,15 @@ impl SeqSets {
 /// class's `L≤k` set is the set of sequences whose entries list it
 /// ([`CpqxIndex::class_sequences`]). Maintenance decides whether an
 /// affected pair's set changed from the size and one binary search per
-/// sequence, and `save` writes class sets by transposing `Il2c` over
-/// ranges of class chunks. A class's set is fixed when the class is
+/// sequence, and `save` and `validate` read class sets by transposing
+/// `Il2c` over all classes. A class's set is fixed when the class is
 /// created: fresh classes get fresh ids, and a deleted interest does not
 /// drop its entry but keeps it as a **retained** entry — still listing
 /// the classes carrying the sequence, served by no lookup (the sequence is
 /// no longer [`CpqxIndex::is_indexed`]) — until the interest is registered
 /// again and the entry is a lookup key once more.
 ///
-/// No query reads the pair → class map, so no build and no load makes it:
+/// No query reads the pair → class map, so no build makes it:
 /// the first write builds it from the `Ic2p` rows
 /// ([`CpqxIndex::build_pair_map`]), and from then on the written index and
 /// its clones share it. A read-only index never holds one, and
@@ -1162,8 +1162,8 @@ impl CpqxIndex {
     /// Structural-sharing report against the index this one was cloned
     /// from, covering the two chunked stores (class chunks + p2c shards):
     /// per position, whether the `Arc` is still shared with `before` or
-    /// was copied / newly created — so the first write after a build or a
-    /// load, which builds the pair → class map, reports every map shard as
+    /// was copied / newly created — so the first write after a build, which
+    /// builds the pair → class map, reports every map shard as
     /// copied. The engine sums this into its `cow_chunks_copied` /
     /// `cow_chunks_shared` gauges after every write transaction.
     pub fn cow_diff(&self, before: &CpqxIndex) -> CowDiff {
@@ -1184,19 +1184,15 @@ impl CpqxIndex {
         self.classes.len() + self.pair_map_shards().len()
     }
 
-    // ------------------------------------------- persistence surface --
+    // ------------------------------------------------- chunk layout --
 
-    /// Maximum classes per class chunk — persistence readers use this to
-    /// map class-id ranges onto chunk records (chunk `i` holds classes
-    /// `i·span .. i·span + len`).
+    /// Maximum classes per class chunk: chunk `i` holds classes
+    /// `i·span .. i·span + len`.
     pub fn class_chunk_span() -> usize {
         CLASS_CHUNK
     }
 
-    /// Number of class chunks backing the partition store. Persistence
-    /// surface: snapshot writers emit one record per class chunk (`Il2c`
-    /// postings are derived state, rebuilt on load; the pair → class map
-    /// is derived too, and built by the first write).
+    /// Number of class chunks backing the partition store.
     pub fn class_chunk_count(&self) -> usize {
         self.classes.len()
     }
@@ -1208,12 +1204,10 @@ impl CpqxIndex {
     }
 
     /// Whether the `i`-th class chunk is physically shared
-    /// (`Arc::ptr_eq`) with the chunk at the same position of `before`.
-    ///
-    /// The incremental-snapshot change detector: mutation always goes
-    /// through `Arc::make_mut`, so while `before` (the last-persisted
-    /// state) is kept alive, pointer equality proves the chunk's classes
-    /// are byte-identical (same rule as [`CpqxIndex::cow_diff`]).
+    /// (`Arc::ptr_eq`) with the chunk at the same position of `before`,
+    /// the index this one was cloned from: mutation always goes through
+    /// `Arc::make_mut`, so a shared chunk is one no write has copied (same
+    /// rule as [`CpqxIndex::cow_diff`]).
     pub fn class_chunk_shared_with(&self, before: &CpqxIndex, i: usize) -> bool {
         matches!(before.classes.get(i), Some(b) if Arc::ptr_eq(b, &self.classes[i]))
     }
@@ -1526,6 +1520,64 @@ mod tests {
                 assert_eq!(seqs, p.class_seqs(c).collect::<Vec<_>>(), "class {c}");
                 assert!(idx.class_sequences(c).eq(seqs));
             }
+        }
+    }
+
+    /// The partition of one chunk whose largest vertex id is `top`: a
+    /// cyclic class holding `(0, 0)` and `(top, top)`, and a non-cyclic
+    /// one holding `(0, top)` and `(top, 0)` — four pairs, or one when
+    /// `top` is 0.
+    fn two_classes(top: u32) -> Partition {
+        let mut loops = vec![Pair::new(0, 0), Pair::new(top, top)];
+        loops.dedup();
+        let mut others = vec![Pair::new(0, top), Pair::new(top, 0)];
+        others.retain(|p| !p.is_loop());
+        Partition {
+            row_ends: vec![loops.len(), loops.len() + others.len()],
+            rows: [loops, others].concat(),
+            class_loop: vec![true, false],
+            seq_ids: vec![0, 1],
+            seq_ends: vec![1, 2],
+            seqs: [0, 1].map(|l| LabelSeq::single(cpqx_graph::ExtLabel(l))).to_vec(),
+        }
+    }
+
+    /// Vertex ids at every width boundary, 1 to 8 bytes a key, read back
+    /// exactly, through the rows and through `class_of`, and cost the
+    /// bytes their width says.
+    #[test]
+    fn ids_at_every_width_boundary_read_back() {
+        for top in [0, 1, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24, u32::MAX] {
+            let p = two_classes(top);
+            let idx = CpqxIndex::from_partition(2, None, two_classes(top));
+            for c in 0..2 {
+                assert!(idx.class_pairs(c).eq(p.row(c).iter().copied()), "largest id {top}");
+                for &q in p.row(c) {
+                    assert_eq!(idx.class_of(q), Some(c), "largest id {top}");
+                }
+            }
+            assert_eq!(idx.class_of(Pair::new(1, 2)), None, "largest id {top}");
+        }
+
+        // The same four pairs at each key width: `Ic2p`, and so the core
+        // bytes, grow by four bytes per key byte, from 1 byte at ids < 4 up
+        // to 8 at ids of 32 bits.
+        let core_bytes =
+            |top| CpqxIndex::from_partition(2, None, two_classes(top)).stats().core_bytes;
+        for (top, width) in [
+            (1, 1),
+            (15, 1),
+            (16, 2),
+            (255, 2),
+            (256, 3),
+            (4095, 3),
+            (65_535, 4),
+            (65_536, 5),
+            ((1 << 24) - 1, 6),
+            (1 << 24, 7),
+            (u32::MAX, 8),
+        ] {
+            assert_eq!(core_bytes(top) - core_bytes(1), 4 * (width - 1), "largest id {top}");
         }
     }
 }

@@ -40,9 +40,10 @@
 //! not detached at all; this is strictly less fragmentation with an
 //! unchanged correctness argument.
 
-use crate::bisim::{ClassId, ClassTable, SeqId};
+use crate::bisim::{ClassId, SeqId};
 use crate::index::CpqxIndex;
 use crate::interest::seq_pairs;
+use crate::intern::{id_words, SigInterner};
 use crate::paths::{affected_pairs, label_seqs_between};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
 
@@ -321,12 +322,14 @@ impl CpqxIndex {
     /// lookup serves (the sequence is no longer indexed): `Il2c` is the
     /// only record of which sequences a class carries, and a class's set
     /// never changes after the class is created. The classes that carried
-    /// the sequence therefore still carry it — in `save` output and after
-    /// a reload too — `validate` compares class sets restricted to what
-    /// is indexed now, and a later refresh of one of their pairs sees the
-    /// stale sequence as a change and regroups the pair into a fresh class
-    /// whose set is current. Re-registering the interest finds the
-    /// classes still listed (see `insert_interest`). Cost: a set removal.
+    /// the sequence therefore still carry it, in `save` output too;
+    /// `validate` compares class sets restricted to what is indexed now,
+    /// and a later refresh of one of their pairs sees the stale sequence as
+    /// a change and regroups the pair into a fresh class whose set is
+    /// current. Re-registering the interest finds the classes still listed
+    /// (see `insert_interest`). An index built afresh from the graph and
+    /// the current interests — a rebuild, or a store's recovery — carries
+    /// no retained entry. Cost: a set removal.
     pub fn delete_interest(&mut self, seq: &LabelSeq) -> bool {
         if seq.len() <= 1 {
             return false;
@@ -415,8 +418,9 @@ impl CpqxIndex {
     /// New sets are keyed as dictionary-id lists in sequence order; a pair
     /// whose set holds a never-seen sequence has changed, and only such a
     /// pair copies the dictionary (to register it). Fresh classes are
-    /// grouped by the build's [`ClassTable`], whose local ids number them
-    /// in first-occurrence order along the candidates.
+    /// grouped by interning `(is-loop, id list)`: a new key's id is the
+    /// interner's length, so the keys number the fresh classes in
+    /// first-occurrence order along the candidates.
     ///
     /// This is the pair → class map's only reader on the write path, and
     /// the first write on an index without the map builds it
@@ -438,7 +442,8 @@ impl CpqxIndex {
             return;
         }
         self.build_pair_map();
-        let mut groups = ClassTable::default();
+        let mut groups = SigInterner::default();
+        let mut words: Vec<u64> = Vec::new();
         let mut fresh: Vec<ClassId> = Vec::new();
         let (mut detached, mut attached) = (Vec::new(), Vec::new());
         let mut remapped: Vec<(Pair, Option<ClassId>)> = Vec::new();
@@ -469,7 +474,8 @@ impl CpqxIndex {
                 ids.clear();
                 ids.extend(new_seqs.iter().map(|&s| self.seq_id_or_insert(s)));
             }
-            let local = groups.class_of(pair.is_loop(), &ids) as usize;
+            id_words(&ids, &mut words);
+            let local = groups.intern(pair.is_loop(), &words) as usize;
             if local == fresh.len() {
                 fresh.push(self.push_class(pair.is_loop(), &ids));
                 self.frag.fresh_classes += 1;

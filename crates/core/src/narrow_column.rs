@@ -8,7 +8,7 @@
 
 /// A list of `u32` values stored as `u8`s, `u16`s or `u32`s: always the
 /// narrowest of the three that fits the largest value — the column's
-/// canonical form, which a build, a load and every edit keep, and
+/// canonical form, which a build and every edit keep, and
 /// `validate` checks ([`NarrowColumn::is_narrowest`]). An empty column
 /// stores `u8`s.
 ///

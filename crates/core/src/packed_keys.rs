@@ -27,7 +27,7 @@ pub(crate) fn key_width(bits: u32) -> usize {
 
 /// The 8 bytes from `at` on, as a little-endian word.
 #[inline]
-pub(crate) fn load(bytes: &[u8], at: usize) -> u64 {
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
@@ -37,7 +37,7 @@ pub(crate) fn load(bytes: &[u8], at: usize) -> u64 {
 #[inline]
 pub(crate) fn store(bytes: &mut [u8], i: usize, width: usize, key: u64) {
     let (at, mask) = (i * width, u64::MAX >> (64 - 8 * width as u32));
-    let word = load(bytes, at) & !mask | key;
+    let word = word_at(bytes, at) & !mask | key;
     bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
 }
 
@@ -81,7 +81,7 @@ impl<'a> PackedKeys<'a> {
     /// The `i`-th key: one unaligned 8-byte load and a mask.
     #[inline]
     pub(crate) fn get(self, i: usize) -> u64 {
-        load(self.bytes, i * self.width) & self.mask
+        word_at(self.bytes, i * self.width) & self.mask
     }
 
     /// The bytes of the keys at positions `range`.
@@ -105,11 +105,11 @@ impl<'a> PackedKeys<'a> {
         while size > 1 {
             let half = size / 2;
             let mid = base + half * width;
-            let below = load(self.bytes, mid) & self.mask < key;
+            let below = word_at(self.bytes, mid) & self.mask < key;
             base = std::hint::select_unpredictable(below, mid, base);
             size -= half;
         }
-        base / width + usize::from(load(self.bytes, base) & self.mask < key)
+        base / width + usize::from(word_at(self.bytes, base) & self.mask < key)
     }
 }
 

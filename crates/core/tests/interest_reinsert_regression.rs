@@ -36,35 +36,6 @@ fn delete_then_reinsert_restores_lookup() {
     assert_eq!(idx.evaluate(&g, &q), expected, "query path after re-insertion");
 }
 
-/// Regression: the stale sequence a deleted interest leaves in class
-/// metadata was listed under `Il2c` again when the index was reassembled
-/// from its saved classes (`load`, and store recovery through the same
-/// routine) — the reloaded index looked the deleted interest up and
-/// failed `validate`.
-#[test]
-fn deleted_interest_stays_deleted_across_save_and_load() {
-    let mut g = generate::gex();
-    let f = g.label_named("f").unwrap();
-    let seq = LabelSeq::from_slice(&[f.fwd(), f.fwd()]);
-    let mut idx = CpqxIndex::build_interest_aware(&g, 2, [seq]);
-    assert!(idx.delete_interest(&seq));
-    assert!(idx.lookup(&seq).is_empty());
-
-    let mut bytes = Vec::new();
-    idx.save(&mut bytes).unwrap();
-    let mut loaded = CpqxIndex::load(bytes.as_slice()).unwrap();
-    assert_eq!(loaded.validate(&g), Ok(()));
-    assert!(loaded.lookup(&seq).is_empty(), "a deleted interest is no lookup key");
-    assert_eq!(loaded.stats(), idx.stats());
-    let q = Cpq::ext(seq.get(0)).join(Cpq::ext(seq.get(1)));
-    assert_eq!(loaded.evaluate(&g, &q), eval_reference(&g, &q));
-
-    // Re-registering it on the reloaded index lists its classes again.
-    assert!(loaded.insert_interest(&mut g, seq));
-    assert_eq!(loaded.validate(&g), Ok(()));
-    assert!(!loaded.lookup(&seq).is_empty());
-}
-
 #[test]
 fn repeated_roundtrips_are_stable() {
     let cfg = generate::RandomGraphConfig::social(60, 260, 3, 4);

@@ -3,18 +3,13 @@
 //! chunk's largest vertex id. These tests hold the packing to the rows it
 //! encodes:
 //!
-//! * vertex ids at every width boundary, 1 to 8 bytes a key, read back
-//!   exactly — built from records, through a chunk record (which keeps
-//!   8-byte pairs) and through the whole-index stream — and cost the
-//!   bytes their width says;
 //! * on random graphs every class reads back its partition row, and
 //!   evaluation answers as the reference semantics does;
 //! * a write that brings a wider vertex id re-packs only the chunks it
 //!   copies, and undoing it narrows them again (`validate` holds every
 //!   chunk to the width its largest id needs; the chunk-level edit itself
-//!   is pinned by the unit tests of `index.rs`);
-//! * hostile records and record bytes are rejected or packed, never a
-//!   panic;
+//!   is pinned by the unit tests of `index.rs`, and so are vertex ids at
+//!   every width boundary, 1 to 8 bytes a key);
 //! * on the benchmark's Epinions stand-in at 10k edges — where a class
 //!   carries more than 255 sequences and a chunk holds more than 65,535
 //!   pairs, so a chunk's set sizes and row ends each take their wider
@@ -22,84 +17,13 @@
 //!   does, before and after writes (the columns' own boundaries are pinned
 //!   by the unit tests of `narrow_column.rs` and `index.rs`).
 
-use cpqx_core::serialize::ClassRecord;
 use cpqx_core::{cpq_path_partition, normalize_interests, CpqxIndex, RefinementBase};
 use cpqx_graph::datasets::Dataset;
 use cpqx_graph::generate::{random_graph, RandomGraphConfig};
-use cpqx_graph::{ExtLabel, Label, LabelSeq, Pair};
+use cpqx_graph::{ExtLabel, Label, LabelSeq};
 use cpqx_query::ast::Template;
 use cpqx_query::eval::eval_reference;
 use proptest::prelude::*;
-
-/// The records of one chunk whose largest vertex id is `top`: a cyclic
-/// class holding `(0, 0)` and `(top, top)`, and a non-cyclic one holding
-/// `(0, top)` and `(top, 0)` — four pairs, or one when `top` is 0.
-fn records(top: u32) -> Vec<ClassRecord> {
-    let seq = |l| vec![LabelSeq::single(ExtLabel(l))];
-    let mut loops = vec![Pair::new(0, 0), Pair::new(top, top)];
-    loops.dedup();
-    let mut others = vec![Pair::new(0, top), Pair::new(top, 0)];
-    others.retain(|p| !p.is_loop());
-    vec![(true, seq(0), loops), (false, seq(1), others)]
-}
-
-/// Every class's row, read through `class_pairs`.
-fn rows(idx: &CpqxIndex) -> Vec<Vec<Pair>> {
-    (0..idx.class_slots() as u32).map(|c| idx.class_pairs(c).collect()).collect()
-}
-
-#[test]
-fn ids_at_every_width_boundary_round_trip() {
-    for top in [0, 1, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24, u32::MAX] {
-        let recs = records(top);
-        let idx = CpqxIndex::from_class_records(2, None, vec![recs.clone()]).expect("valid");
-        let expected: Vec<Vec<Pair>> = recs.iter().map(|r| r.2.clone()).collect();
-        assert_eq!(rows(&idx), expected, "largest id {top}");
-        for (c, row) in (0..).zip(&expected) {
-            for &p in row {
-                assert_eq!(idx.class_of(p), Some(c), "largest id {top}");
-            }
-        }
-        assert_eq!(idx.class_of(Pair::new(1, 2)), None, "largest id {top}");
-
-        // Through a chunk record and back: records carry 8-byte pairs.
-        let mut bytes = Vec::new();
-        idx.save_class_chunk(0, &mut bytes).expect("writing to a Vec");
-        let loaded = CpqxIndex::load_class_chunk(2, bytes.as_slice()).expect("a saved chunk");
-        assert_eq!(loaded, recs, "largest id {top}");
-        let reloaded = CpqxIndex::from_class_records(2, None, vec![loaded]).expect("valid");
-        assert_eq!(rows(&reloaded), expected, "largest id {top}");
-
-        // And through the whole-index stream.
-        let mut whole = Vec::new();
-        idx.save(&mut whole).expect("writing to a Vec");
-        let loaded = CpqxIndex::load(whole.as_slice()).expect("a saved index loads");
-        assert_eq!(rows(&loaded), expected, "largest id {top}");
-    }
-
-    // The same four pairs at each key width: `Ic2p`, and so the core
-    // bytes, grow by four bytes per key byte, from 1 byte at ids < 4 up to
-    // 8 at ids of 32 bits.
-    let core_bytes = |top| {
-        let idx = CpqxIndex::from_class_records(2, None, vec![records(top)]).expect("valid");
-        idx.stats().core_bytes
-    };
-    for (top, width) in [
-        (1, 1),
-        (15, 1),
-        (16, 2),
-        (255, 2),
-        (256, 3),
-        (4095, 3),
-        (65_535, 4),
-        (65_536, 5),
-        ((1 << 24) - 1, 6),
-        (1 << 24, 7),
-        (u32::MAX, 8),
-    ] {
-        assert_eq!(core_bytes(top) - core_bytes(1), 4 * (width - 1), "largest id {top}");
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -174,54 +98,6 @@ fn a_wider_id_widens_only_the_chunks_that_hold_it() {
     assert_eq!(holds_wide(&idx), 0);
     assert_eq!(idx.validate(&g), Ok(()));
     assert_eq!(idx.pair_count(), before.pair_count());
-}
-
-/// A vertex id drawn to land on either side of every width boundary.
-fn vertex() -> impl Strategy<Value = u32> {
-    prop_oneof![0u32..4, 250u32..260, 65_530u32..65_540, any::<u32>(), u32::MAX - 3..=u32::MAX]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Arbitrary records — any ids, rows unsorted or repeated, flags that
-    /// disagree with their pairs, pairs in two classes — are rejected, or
-    /// packed so that every class reads back its record's row; and no
-    /// byte flip or cut of a chunk record panics its decoder.
-    #[test]
-    fn hostile_records_are_rejected_or_read_back(
-        classes in prop::collection::vec(
-            (prop::bool::ANY, 0u16..3, prop::collection::vec((vertex(), vertex()), 0..5)),
-            1..6,
-        ),
-        flip in any::<u64>(),
-    ) {
-        let records: Vec<ClassRecord> = classes
-            .into_iter()
-            .map(|(is_loop, l, pairs)| {
-                let pairs = pairs.into_iter().map(|(s, t)| Pair::new(s, t)).collect();
-                (is_loop, vec![LabelSeq::single(ExtLabel(l))], pairs)
-            })
-            .collect();
-        let expected: Vec<Vec<Pair>> = records.iter().map(|r| r.2.clone()).collect();
-        if let Ok(idx) = CpqxIndex::from_class_records(2, None, vec![records]) {
-            prop_assert_eq!(rows(&idx), expected);
-            let _ = idx.stats();
-            let mut bytes = Vec::new();
-            idx.save_class_chunk(0, &mut bytes).expect("writing to a Vec");
-            let at = (flip % bytes.len() as u64) as usize;
-            let mut flipped = bytes.clone();
-            flipped[at] ^= 1 << (flip >> 61);
-            for damaged in [&flipped[..], &bytes[..at]] {
-                if let Ok(recs) = CpqxIndex::load_class_chunk(2, damaged) {
-                    if let Ok(idx) = CpqxIndex::from_class_records(2, None, vec![recs.clone()]) {
-                        let rows_read: Vec<Vec<Pair>> = recs.into_iter().map(|r| r.2).collect();
-                        prop_assert_eq!(rows(&idx), rows_read);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Per class chunk, the pairs its rows hold; and per class, the `Il2c`

@@ -284,14 +284,12 @@ impl Engine {
         (engine, report)
     }
 
-    /// Revives an engine from externally recovered state (a persisted
-    /// snapshot plus its replayed WAL tail — see the `cpqx-store`
-    /// crate's `recover` module): the given graph + index install as
-    /// epoch 0 **without** a rebuild, which is the entire point of
-    /// persisting the index — restart cost is I/O plus replay, not an
-    /// index construction. Counters and build timings start fresh; like
-    /// a loaded index, the recovered state begins a new fragmentation
-    /// epoch.
+    /// Revives an engine from externally recovered state — see the
+    /// `cpqx-store` crate's `recover` module, which reassembles the
+    /// persisted graph, builds its index once and replays the WAL tail
+    /// through [`crate::apply_ops`]: the given graph + index install as
+    /// epoch 0 as they are, with no further build. Counters and build
+    /// timings start fresh.
     pub fn with_recovered(graph: Graph, index: CpqxIndex, options: EngineOptions) -> Engine {
         let snapshot = Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity));
         Engine {

@@ -1,11 +1,12 @@
 //! Build determinism: for every workload the repository ships — the
 //! benchmark query sets (YAGO2/LUBM/WatDiv translations) and random
-//! template workloads — a second build of the same graph and the index
-//! `load` reads back from the first build's `save` output are *the* first
-//! build (byte-identical `save` output) and answer exactly like it, on the
+//! template workloads — a second build of the same graph and the engine's
+//! build of it (the one a store's recovery runs) are *the* first build
+//! (byte-identical `save` output) and answer exactly like it, on the
 //! paper's example graph and on generated graphs of both topologies.
 
 use cpqx_core::CpqxIndex;
+use cpqx_engine::{Engine, EngineOptions};
 use cpqx_graph::generate::{gex, random_graph, RandomGraphConfig};
 use cpqx_graph::{Graph, Label, LabelSeq};
 use cpqx_query::benchqueries::{lubm_queries, watdiv_queries, yago_queries, NamedQuery};
@@ -26,16 +27,19 @@ fn saved(idx: &CpqxIndex) -> Vec<u8> {
     bytes
 }
 
-/// The index `load` reads back from `idx`'s `save` output.
-fn reloaded(idx: &CpqxIndex) -> CpqxIndex {
-    CpqxIndex::load(saved(idx).as_slice()).expect("a saved index loads")
+/// The index [`Engine::with_options`] builds over `g` at `k`.
+fn engine_built(g: &Graph, k: usize) -> CpqxIndex {
+    let options = EngineOptions { k, ..EngineOptions::default() };
+    Engine::with_options(g.clone(), options).0.snapshot().index().clone()
 }
 
 fn assert_build_equivalence(g: &Graph, k: usize, queries: &[(String, Cpq)]) {
     assert!(!queries.is_empty(), "workload must not be empty");
     let first = CpqxIndex::build(g, k);
     let bytes = saved(&first);
-    for (what, other) in [("second build", CpqxIndex::build(g, k)), ("reload", reloaded(&first))] {
+    for (what, other) in
+        [("second build", CpqxIndex::build(g, k)), ("engine build", engine_built(g, k))]
+    {
         assert!(saved(&other) == bytes, "{what} differs (k={k})");
         for (name, q) in queries {
             assert_eq!(
@@ -98,7 +102,7 @@ proptest! {
 
     /// Property-tested over graph seeds and workload seeds: the bench
     /// workload generated for a random graph answers identically on a
-    /// build and on its reload.
+    /// build and on the engine's build.
     #[test]
     fn random_graphs_and_workloads_agree(
         graph_seed in 0u64..200,
@@ -106,10 +110,10 @@ proptest! {
     ) {
         let g = random_graph(&RandomGraphConfig::social(70, 300, 3, graph_seed));
         let built = CpqxIndex::build(&g, 2);
-        let loaded = reloaded(&built);
+        let engine = engine_built(&g, 2);
         for nq in bench_workload(&g, workload_seed) {
             prop_assert_eq!(
-                loaded.evaluate(&g, &nq.query),
+                engine.evaluate(&g, &nq.query),
                 built.evaluate(&g, &nq.query),
                 "query {} diverged (graph seed {})",
                 nq.name,
@@ -121,12 +125,12 @@ proptest! {
 
 #[test]
 fn stats_and_class_ids_match_the_sequential_build() {
-    // Same partition, same numbering: the reloaded index's stats agree
+    // Same partition, same numbering: the engine's index's stats agree
     // field for field and every pair sits in the same class id on both
     // sides.
     let g = random_graph(&RandomGraphConfig::social(90, 400, 3, 2));
     let mut sequential = CpqxIndex::build(&g, 2);
-    let mut second = reloaded(&sequential);
+    let mut second = engine_built(&g, 2);
     assert_eq!(sequential.stats(), second.stats());
     // Every pair's class: one hash probe each once the maps are built.
     sequential.build_pair_map();
@@ -172,8 +176,8 @@ fn maintained(mut g: Graph) -> CpqxIndex {
     idx
 }
 
-/// An iaCPQx whose interests are deleted, outlived by [`churn`], carried
-/// through `save`/`load` and registered again.
+/// An iaCPQx whose interests are deleted, outlived by [`churn`], and
+/// registered again.
 fn interests_churned(mut g: Graph) -> CpqxIndex {
     let (a, b, c) = (Label(0), Label(1), Label(2));
     let lq = [
@@ -186,7 +190,6 @@ fn interests_churned(mut g: Graph) -> CpqxIndex {
         assert!(idx.delete_interest(s));
     }
     churn(&mut g, &mut idx);
-    let mut idx = reloaded(&idx);
     for s in &lq[..2] {
         let carried = (0..idx.class_slots() as u32)
             .filter(|&c| idx.class_sequences(c).any(|t| t == *s) && idx.class_pairs(c).len() > 0)

@@ -9,14 +9,17 @@
 //!   codec (`cpqx-net`), wrapped in per-record length + CRC32 framing;
 //!   a torn or truncated tail is dropped on recovery, never fatal.
 //! * [`snapshot`] — chunk-per-record snapshots of the copy-on-write
-//!   `Graph` + `CpqxIndex`. An incremental snapshot writes only the
-//!   chunks that changed since the last one (detected by `Arc` pointer
-//!   identity, the same rule as `cow_diff`) and reuses the previous
-//!   generation's records for the rest.
+//!   `Graph`, plus the index's `k` and interest set. An incremental
+//!   snapshot writes only the chunks that changed since the last one
+//!   (detected by `Arc` pointer identity, the same rule as `cow_diff`)
+//!   and reuses the previous generation's records for the rest. The
+//!   index itself is never persisted: it is a function of the graph, `k`
+//!   and the interests.
 //! * [`manifest`] + [`recover`] — a generation manifest tying each
 //!   snapshot to the WAL position it covers, and recovery = load the
-//!   latest valid snapshot, replay the WAL tail through the engine's
-//!   own delta-application path, install as epoch 0.
+//!   latest valid snapshot's graph, build its index once, replay the WAL
+//!   tail through the engine's own delta-application path, install as
+//!   epoch 0.
 //!
 //! The [`Store`] type implements the engine's `DurabilitySink` trait:
 //! attach it with `Engine::attach_durability` (or use

@@ -1,16 +1,19 @@
 //! The generation manifest: the store's root pointer.
 //!
 //! A manifest (`manifest-<gen>`) describes one complete snapshot
-//! generation: where every chunk record of the graph + index lives
+//! generation: where every chunk record of the graph lives
 //! (possibly in an *older* generation's snapshot file — that is what
 //! makes snapshots incremental) and the WAL position the snapshot
 //! covers, i.e. where replay must start. `CURRENT` names the live
 //! manifest; both are installed by write-to-temp + rename, so a crash
 //! mid-checkpoint leaves the previous generation intact. Every manifest
 //! is CRC-framed and recovery falls back to scanning for the newest
-//! *valid* manifest when `CURRENT` is missing or points at garbage.
+//! *valid* manifest when `CURRENT` is missing or points at garbage. A
+//! directory with manifests or a `CURRENT` but no valid manifest is an
+//! error, never a fresh store: reseeding it would discard its data.
 
 use crate::crc32;
+use crate::recover::RecoverError;
 use crate::snapshot::Cur;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -43,12 +46,10 @@ pub struct Manifest {
     pub topo: Vec<ChunkLoc>,
     /// Vertex-name chunk records, in chunk order.
     pub names: Vec<ChunkLoc>,
-    /// Index class-chunk records, in chunk order.
-    pub classes: Vec<ChunkLoc>,
 }
 
 const MAGIC: &[u8; 4] = b"CPQM";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 fn manifest_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("manifest-{gen}"))
@@ -73,7 +74,6 @@ fn encode(m: &Manifest) -> Vec<u8> {
     body.extend_from_slice(&m.header.offset.to_le_bytes());
     put_locs(&mut body, &m.topo);
     put_locs(&mut body, &m.names);
-    put_locs(&mut body, &m.classes);
     let mut out = Vec::with_capacity(8 + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -114,7 +114,6 @@ fn decode(bytes: &[u8]) -> Result<Manifest, String> {
         header: ChunkLoc { gen: c.u64()?, offset: c.u64()? },
         topo: get_locs(&mut c)?,
         names: get_locs(&mut c)?,
-        classes: get_locs(&mut c)?,
     })
 }
 
@@ -163,30 +162,51 @@ pub(crate) fn list(dir: &Path) -> io::Result<Vec<u64>> {
 /// Loads the live manifest: the one `CURRENT` names, or — when
 /// `CURRENT` is missing, unreadable, or points at a corrupt file — the
 /// newest generation that still decodes. `Ok(None)` means the directory
-/// holds no valid manifest at all (a fresh store).
-pub(crate) fn load_current(dir: &Path) -> io::Result<Option<Manifest>> {
-    if let Ok(current) = std::fs::read_to_string(dir.join("CURRENT")) {
-        if let Some(gen) = current.trim().strip_prefix("manifest-").and_then(|g| g.parse().ok()) {
-            if let Some(m) = load_gen(dir, gen)? {
-                return Ok(Some(m));
-            }
-        }
-    }
-    for gen in list(dir)?.into_iter().rev() {
-        if let Some(m) = load_gen(dir, gen)? {
+/// holds neither a manifest nor `CURRENT`: a fresh store. If it holds
+/// either but no manifest decodes, the error names the newest manifest
+/// and why it does not (a manifest of another format version, say).
+pub(crate) fn load_current(dir: &Path) -> Result<Option<Manifest>, RecoverError> {
+    let current = dir.join("CURRENT");
+    let named = std::fs::read_to_string(&current)
+        .ok()
+        .and_then(|text| text.trim().strip_prefix("manifest-")?.parse::<u64>().ok());
+    if let Some(gen) = named {
+        if let Ok(m) = load_gen(dir, gen)? {
             return Ok(Some(m));
         }
     }
-    Ok(None)
+    let mut newest_failure = None;
+    for gen in list(dir)?.into_iter().rev() {
+        match load_gen(dir, gen)? {
+            Ok(m) => return Ok(Some(m)),
+            Err(what) => {
+                newest_failure.get_or_insert((manifest_path(dir, gen), what));
+            }
+        }
+    }
+    let (file, what) = match newest_failure {
+        Some(failure) => failure,
+        None if current.exists() => (current, "names no manifest that exists".into()),
+        None => return Ok(None),
+    };
+    Err(RecoverError::Corrupt { file: file.display().to_string(), what })
 }
 
-fn load_gen(dir: &Path, gen: u64) -> io::Result<Option<Manifest>> {
+/// Reads and decodes `manifest-<gen>`; the inner error says why it is
+/// not a valid manifest of that generation.
+fn load_gen(dir: &Path, gen: u64) -> io::Result<Result<Manifest, String>> {
     let bytes = match std::fs::read(manifest_path(dir, gen)) {
         Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Err("missing".into())),
         Err(e) => return Err(e),
     };
-    Ok(decode(&bytes).ok().filter(|m| m.gen == gen))
+    Ok(decode(&bytes).and_then(|m| {
+        if m.gen == gen {
+            Ok(m)
+        } else {
+            Err(format!("describes generation {}", m.gen))
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -201,7 +221,6 @@ mod tests {
             header: ChunkLoc { gen, offset: 0 },
             topo: vec![ChunkLoc { gen: 1, offset: 40 }, ChunkLoc { gen, offset: 993 }],
             names: vec![ChunkLoc { gen: 1, offset: 512 }],
-            classes: vec![ChunkLoc { gen, offset: 1200 }],
         }
     }
 
@@ -245,9 +264,20 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(load_current(&dir).unwrap(), Some(sample(1)));
 
-        // Nothing valid left.
+        // Nothing valid left: an error naming the newest manifest, not a
+        // fresh store.
         std::fs::remove_file(dir.join("manifest-1")).unwrap();
-        assert_eq!(load_current(&dir).unwrap(), None);
+        let err = load_current(&dir).unwrap_err().to_string();
+        assert!(err.contains("manifest-2") && err.contains("checksum"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn current_without_a_manifest_is_an_error() {
+        let dir = tmp("lone-current");
+        std::fs::write(dir.join("CURRENT"), "manifest-1\n").unwrap();
+        let err = load_current(&dir).unwrap_err().to_string();
+        assert!(err.contains("CURRENT"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

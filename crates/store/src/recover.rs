@@ -4,15 +4,17 @@
 //!
 //! 1. **Load** the live manifest's snapshot: reassemble the graph from
 //!    its topology/name chunk records ([`Graph::from_chunk_parts`]
-//!    rebuilds the derived pair segments) and the index from its class
-//!    chunk records ([`CpqxIndex::from_class_records`] rebuilds `Il2c`;
-//!    the pair → class map waits for the first write) — **no index
-//!    construction happens**; restart cost is I/O plus replay.
+//!    rebuilds the derived pair segments), then **build** the index once,
+//!    with the header's `k` and interest set — the build
+//!    [`Engine::with_options`] runs. The store persists no index: the
+//!    index is a function of the graph, `k` and the interests, and at
+//!    k = 2 building it costs about what decoding a persisted copy did,
+//!    at half the heap peak (see `STORAGE.md`).
 //! 2. **Replay** the WAL tail the manifest points at, applying each
 //!    logged transaction through the engine's own
 //!    [`cpqx_engine::apply_ops`] — the same lazy maintenance procedures
-//!    that ran before the crash, so the recovered index is the one the
-//!    engine would have served (the first replayed op that changes the
+//!    that ran before the crash, so the recovered index answers as the
+//!    one the engine served (the first replayed op that changes the
 //!    index builds the pair → class map; with nothing to replay it stays
 //!    unbuilt). A torn or corrupt record ends the committed prefix; the
 //!    tail beyond it is dropped, never fatal.
@@ -23,9 +25,7 @@
 //!    recovered generation.
 
 use crate::manifest;
-use crate::snapshot::{
-    decode_class_chunk, decode_header, decode_name_chunk, decode_topology_chunk, read_record,
-};
+use crate::snapshot::{decode_header, decode_name_chunk, decode_topology_chunk, read_record};
 use crate::store::{Retained, Store, StoreOptions};
 use crate::wal;
 use cpqx_core::CpqxIndex;
@@ -102,7 +102,7 @@ pub struct Recovered {
     pub edge_count: u64,
     /// Wall-clock of the manifest read + validation.
     pub manifest_time: std::time::Duration,
-    /// Wall-clock of chunk decode + graph/index reassembly.
+    /// Wall-clock of chunk decode, graph reassembly and the index build.
     pub chunks_time: std::time::Duration,
     /// Wall-clock of the WAL tail replay.
     pub replay_time: std::time::Duration,
@@ -146,13 +146,10 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     let mpath = dir.join(format!("manifest-{}", m.gen));
     let manifest_time = t_manifest.elapsed();
 
-    // 1. Reassemble the snapshot state chunk by chunk.
+    // 1. Reassemble the graph chunk by chunk, then build its index.
     let t_chunks = std::time::Instant::now();
     let header = decode_header(&read_record(dir, m.header)?).map_err(|e| corrupt(&mpath, e))?;
-    if header.topo_chunks != m.topo.len()
-        || header.name_chunks != m.names.len()
-        || header.class_chunks != m.classes.len()
-    {
+    if header.topo_chunks != m.topo.len() || header.name_chunks != m.names.len() {
         return Err(corrupt(&mpath, "chunk tables disagree with snapshot header"));
     }
     let mut topology = Vec::with_capacity(m.topo.len());
@@ -175,29 +172,16 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     }
     let graph = Graph::from_chunk_parts(header.label_names, topology, names)
         .map_err(|e| corrupt(&mpath, format!("graph reassembly failed: {e}")))?;
-    let mut class_chunks = Vec::with_capacity(m.classes.len());
-    for (i, loc) in m.classes.iter().enumerate() {
-        let (ci, records) = decode_class_chunk(header.k, &read_record(dir, *loc)?)
-            .map_err(|e| corrupt(&mpath, e))?;
-        if ci != i {
-            return Err(corrupt(&mpath, format!("class chunk {ci} filed under index {i}")));
-        }
-        class_chunks.push(records);
-    }
-    let index = CpqxIndex::from_class_records(header.k, header.interests, class_chunks)
-        .map_err(|e| corrupt(&mpath, format!("index reassembly failed: {e}")))?;
+    let index = match header.interests {
+        None => CpqxIndex::build(&graph, header.k),
+        Some(lq) => CpqxIndex::build_interest_aware(&graph, header.k, lq),
+    };
     let chunks_time = t_chunks.elapsed();
 
-    // The retained image must alias the chunks of the state the engine
+    // The retained image must alias the chunks of the graph the engine
     // will serve, so the next incremental checkpoint sees unchanged
     // chunks as pointer-identical. Clone *before* replay mutates.
-    let retained = Retained {
-        graph: graph.clone(),
-        index: index.clone(),
-        topo: m.topo.clone(),
-        names: m.names.clone(),
-        classes: m.classes.clone(),
-    };
+    let retained = Retained { graph: graph.clone(), manifest: m.clone() };
 
     // 2. Replay the committed WAL tail.
     let t_replay = std::time::Instant::now();
@@ -271,7 +255,7 @@ pub fn recover_state(
 ///
 /// * If `dir` holds a store: recover (snapshot + WAL tail), install as
 ///   epoch 0 — the seed closure is **not** called, and `options.k` /
-///   `options.interests` are overridden by the persisted index's so
+///   `options.interests` are overridden by the persisted ones so
 ///   rebuilds reproduce the recovered configuration.
 /// * If `dir` is fresh: build the engine from `seed()` under `options`,
 ///   then bootstrap the store with a full generation-1 snapshot (the
@@ -282,8 +266,10 @@ pub fn recover_state(
 /// subsequent typed delta transaction is logged before it installs, and
 /// checkpoints follow `options.durability.checkpoint_wal_bytes`.
 ///
-/// A directory with WAL segments but no valid manifest is an error, not
-/// a fresh start — silently reseeding would discard logged data.
+/// A directory with WAL segments, manifests or a `CURRENT` file but no
+/// valid manifest is an error, not a fresh start — silently reseeding
+/// would discard its data. Such a directory is left as it is: nothing in
+/// it is rewritten.
 pub fn durable_engine(
     dir: impl AsRef<Path>,
     store_options: StoreOptions,

@@ -5,17 +5,15 @@
 //! one copy-on-write unit of the engine state:
 //!
 //! * a **header** record: the graph's label table, the index's `k` and
-//!   mode (full / interest-aware with its interest set), and the three
+//!   mode (full / interest-aware with its interest set), and the two
 //!   chunk counts;
 //! * one record per graph **topology chunk** (each vertex's out-edges,
 //!   written from the label runs, which
 //!   [`cpqx_graph::Graph::from_chunk_parts`] rebuilds on load);
-//! * one record per vertex-**name chunk**;
-//! * one record per index **class chunk**, whose payload is exactly
-//!   [`cpqx_core::CpqxIndex::save_class_chunk`]'s output, written for all
-//!   rewritten chunks by one [`cpqx_core::CpqxIndex::save_class_chunks`]
-//!   call (so its per-class layout — and validation — is the `cpqx-core`
-//!   serializer, not a second format).
+//! * one record per vertex-**name chunk**.
+//!
+//! The index has no record: it is a function of the graph, `k` and the
+//! interest set, and recovery builds it from them.
 //!
 //! Because the persisted unit *is* the copy-on-write unit, an
 //! incremental snapshot writes only records for chunks whose `Arc`
@@ -25,7 +23,6 @@
 use crate::crc32;
 use crate::manifest::ChunkLoc;
 use crate::recover::RecoverError;
-use cpqx_core::serialize::ClassRecord;
 use cpqx_core::CpqxIndex;
 use cpqx_graph::{Graph, LabelSeq, VertexId, MAX_SEQ_LEN};
 use std::collections::BTreeSet;
@@ -37,7 +34,6 @@ use std::path::{Path, PathBuf};
 const KIND_HEADER: u8 = 0;
 const KIND_TOPOLOGY: u8 = 1;
 const KIND_NAMES: u8 = 2;
-const KIND_CLASSES: u8 = 3;
 
 /// Bound on a single snapshot record payload (a corrupt length prefix
 /// must not become an allocation request).
@@ -214,7 +210,6 @@ pub(crate) struct Header {
     pub(crate) label_names: Vec<String>,
     pub(crate) topo_chunks: usize,
     pub(crate) name_chunks: usize,
-    pub(crate) class_chunks: usize,
 }
 
 /// Encodes the header record for the state `(graph, index)`.
@@ -238,7 +233,6 @@ pub(crate) fn encode_header(graph: &Graph, index: &CpqxIndex) -> Vec<u8> {
     }
     out.extend_from_slice(&(graph.topology_chunk_count() as u32).to_le_bytes());
     out.extend_from_slice(&(graph.name_chunk_count() as u32).to_le_bytes());
-    out.extend_from_slice(&(index.class_chunk_count() as u32).to_le_bytes());
     out
 }
 
@@ -247,6 +241,9 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
     let mut c = Cur::record(payload);
     c.kind(KIND_HEADER)?;
     let k = c.u32()? as usize;
+    if k == 0 || k > MAX_SEQ_LEN {
+        return Err(format!("k = {k} out of range in snapshot header"));
+    }
     let interests = match c.u8()? {
         0 => None,
         1 => {
@@ -267,7 +264,6 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
         label_names,
         topo_chunks: c.u32()? as usize,
         name_chunks: c.u32()? as usize,
-        class_chunks: c.u32()? as usize,
     };
     c.done()?;
     Ok(h)
@@ -344,31 +340,6 @@ pub(crate) fn decode_name_chunk(payload: &[u8]) -> Result<(usize, Vec<String>), 
     Ok((i, names))
 }
 
-/// Encodes index class chunk `i` from `body`, the chunk's payload as
-/// [`CpqxIndex::save_class_chunks`] hands it out: the record past the kind
-/// byte and chunk index is exactly that payload.
-pub(crate) fn encode_class_chunk(i: usize, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + body.len());
-    out.push(KIND_CLASSES);
-    out.extend_from_slice(&(i as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-/// Decodes a class chunk record into `(chunk index, class records)`,
-/// delegating per-class validation to the `cpqx-core` serializer.
-pub(crate) fn decode_class_chunk(
-    k: usize,
-    payload: &[u8],
-) -> Result<(usize, Vec<ClassRecord>), String> {
-    let mut c = Cur::record(payload);
-    c.kind(KIND_CLASSES)?;
-    let i = c.u32()? as usize;
-    let body = &payload[c.at..];
-    let records = CpqxIndex::load_class_chunk(k, body).map_err(|e| e.to_string())?;
-    Ok((i, records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,7 +355,19 @@ mod tests {
         assert_eq!(h.label_names, g.label_names());
         assert_eq!(h.topo_chunks, g.topology_chunk_count());
         assert_eq!(h.name_chunks, g.name_chunk_count());
-        assert_eq!(h.class_chunks, idx.class_chunk_count());
+
+        // An interest-aware index's header carries its interest set, which
+        // recovery builds the index with; a `k` no build accepts is refused.
+        let f = g.label_named("f").unwrap();
+        let seq = LabelSeq::from_slice(&[f.fwd(), f.inv()]);
+        let aware = CpqxIndex::build_interest_aware(&g, 2, [seq]);
+        let header = encode_header(&g, &aware);
+        assert_eq!(decode_header(&header).unwrap().interests.as_ref(), aware.interests());
+        for k in [0u32, MAX_SEQ_LEN as u32 + 1] {
+            let mut bad = header.clone();
+            bad[1..5].copy_from_slice(&k.to_le_bytes());
+            assert!(decode_header(&bad).is_err(), "k = {k}");
+        }
 
         for i in 0..g.topology_chunk_count() {
             let (ci, start, rows) = decode_topology_chunk(&encode_topology_chunk(&g, i)).unwrap();
@@ -399,17 +382,6 @@ mod tests {
             assert_eq!(ci, i);
             assert_eq!(names, g.name_chunk(i));
         }
-        let mut chunks = Vec::new();
-        let all: Vec<usize> = (0..idx.class_chunk_count()).collect();
-        idx.save_class_chunks(&all, |i, body| {
-            let (ci, records) = decode_class_chunk(2, &encode_class_chunk(i, body)).unwrap();
-            assert_eq!(ci, i);
-            chunks.push(records);
-            Ok(())
-        })
-        .unwrap();
-        let rebuilt = CpqxIndex::from_class_records(2, None, chunks).unwrap();
-        assert_eq!(rebuilt.class_chunk_count(), idx.class_chunk_count());
     }
 
     /// Length and FNV-1a of every TOPOLOGY record of `g`, in chunk order.

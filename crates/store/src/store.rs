@@ -3,8 +3,7 @@
 
 use crate::manifest::{self, ChunkLoc, Manifest};
 use crate::snapshot::{
-    encode_class_chunk, encode_header, encode_name_chunk, encode_topology_chunk, snap_path,
-    SnapshotWriter,
+    encode_header, encode_name_chunk, encode_topology_chunk, snap_path, SnapshotWriter,
 };
 use crate::wal::{self, FsyncPolicy, WalWriter};
 use cpqx_core::CpqxIndex;
@@ -23,18 +22,16 @@ pub struct StoreOptions {
     pub fsync: FsyncPolicy,
 }
 
-/// The retained image of the last persisted generation: `Arc`-sharing
-/// clones of the graph + index as checkpointed, plus where each chunk
-/// record landed. Because every engine mutation goes through
-/// `Arc::make_mut` and these clones keep each chunk's refcount above
-/// one, a chunk that is still pointer-identical at the next checkpoint
-/// is byte-identical on disk — the record location can be reused.
+/// The retained image of the last persisted generation: an `Arc`-sharing
+/// clone of the graph as checkpointed, plus the generation's manifest,
+/// which says where each chunk record landed. Because every engine
+/// mutation goes through `Arc::make_mut` and this clone keeps each
+/// chunk's refcount above one, a chunk that is still pointer-identical
+/// at the next checkpoint is byte-identical on disk — the record
+/// location can be reused.
 pub(crate) struct Retained {
     pub(crate) graph: Graph,
-    pub(crate) index: CpqxIndex,
-    pub(crate) topo: Vec<ChunkLoc>,
-    pub(crate) names: Vec<ChunkLoc>,
-    pub(crate) classes: Vec<ChunkLoc>,
+    pub(crate) manifest: Manifest,
 }
 
 struct Inner {
@@ -78,9 +75,9 @@ impl Store {
     }
 
     /// Bootstraps a fresh directory: writes a full generation-1
-    /// snapshot of `(graph, index)` (the WAL cannot reconstruct the
-    /// seed state, so durability starts with a checkpoint) and opens
-    /// segment 1 for appends.
+    /// snapshot of `graph`, with `index`'s `k` and interests in its
+    /// header (the WAL cannot reconstruct the seed state, so durability
+    /// starts with a checkpoint) and opens segment 1 for appends.
     pub(crate) fn create(
         dir: &Path,
         options: StoreOptions,
@@ -109,7 +106,6 @@ impl Store {
         let referenced: std::collections::BTreeSet<u64> = std::iter::once(m.header.gen)
             .chain(m.topo.iter().map(|l| l.gen))
             .chain(m.names.iter().map(|l| l.gen))
-            .chain(m.classes.iter().map(|l| l.gen))
             .collect();
         if let Ok(gens) = wal::list_segments(&self.dir) {
             for gen in gens {
@@ -167,19 +163,19 @@ impl DurabilitySink for Store {
         // `gen`, which starts empty.
         inner.wal = WalWriter::open(&self.dir, gen, 0)?;
         inner.gen = gen;
-        inner.last = Some(retained);
         self.wal_bytes.store(0, Ordering::Relaxed);
-        let m = manifest::load_current(&self.dir)?.expect("just-installed manifest must load");
-        self.collect_garbage(&m);
+        self.collect_garbage(&retained.manifest);
+        inner.last = Some(retained);
         Ok(report)
     }
 }
 
 /// Writes generation `gen`: a snapshot file holding the header record
-/// plus every chunk record *not* reusable from `last`, and the manifest
-/// tying the generation together (WAL coverage starts at segment `gen`,
-/// offset 0). Returns the retained image for the next increment and the
-/// written/skipped tally.
+/// (which carries `index`'s `k` and interests, all recovery needs to
+/// build the index again) plus every graph chunk record *not* reusable
+/// from `last`, and the manifest tying the generation together (WAL
+/// coverage starts at segment `gen`, offset 0). Returns the retained
+/// image for the next increment and the written/skipped tally.
 fn write_generation(
     dir: &Path,
     gen: u64,
@@ -206,45 +202,18 @@ fn write_generation(
     for i in 0..graph.topology_chunk_count() {
         let reuse = last
             .filter(|r| graph.topology_chunk_shared_with(&r.graph, i))
-            .and_then(|r| r.topo.get(i).copied());
+            .and_then(|r| r.manifest.topo.get(i).copied());
         topo.push(chunk(&mut w, reuse, &|| encode_topology_chunk(graph, i))?);
     }
     let mut names = Vec::with_capacity(graph.name_chunk_count());
     for i in 0..graph.name_chunk_count() {
         let reuse = last
             .filter(|r| graph.name_chunk_shared_with(&r.graph, i))
-            .and_then(|r| r.names.get(i).copied());
+            .and_then(|r| r.manifest.names.get(i).copied());
         names.push(chunk(&mut w, reuse, &|| encode_name_chunk(graph, i))?);
     }
-    // Class chunks: the reused ones first, then one `save_class_chunks`
-    // call writes the rest, in chunk order — it reads their sequence sets
-    // off `Il2c` in a few passes instead of one per chunk.
-    let mut classes: Vec<Option<ChunkLoc>> = (0..index.class_chunk_count())
-        .map(|i| {
-            last.filter(|r| index.class_chunk_shared_with(&r.index, i))
-                .and_then(|r| r.classes.get(i).copied())
-        })
-        .collect();
-    let rewritten: Vec<usize> = (0..classes.len()).filter(|&i| classes[i].is_none()).collect();
-    report.chunks_skipped += (classes.len() - rewritten.len()) as u64;
-    report.chunks_written += rewritten.len() as u64;
-    index.save_class_chunks(&rewritten, |i, body| {
-        classes[i] = Some(w.write_record(&encode_class_chunk(i, body))?);
-        Ok(())
-    })?;
-    let classes: Vec<ChunkLoc> =
-        classes.into_iter().map(|loc| loc.expect("every class chunk reused or written")).collect();
     w.finish()?;
-    let m = Manifest {
-        gen,
-        wal_gen: gen,
-        wal_offset: 0,
-        header,
-        topo: topo.clone(),
-        names: names.clone(),
-        classes: classes.clone(),
-    };
-    manifest::install(dir, &m)?;
-    let retained = Retained { graph: graph.clone(), index: index.clone(), topo, names, classes };
-    Ok((retained, report))
+    let manifest = Manifest { gen, wal_gen: gen, wal_offset: 0, header, topo, names };
+    manifest::install(dir, &manifest)?;
+    Ok((Retained { graph: graph.clone(), manifest }, report))
 }

@@ -14,11 +14,13 @@
 use cpqx_core::CpqxIndex;
 use cpqx_engine::{Delta, DeltaOp, DurabilitySink, Engine, EngineOptions};
 use cpqx_graph::{generate, Graph, Label};
+use cpqx_query::eval::eval_reference;
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{Cpq, Template};
-use cpqx_store::{durable_engine, recover_state, FsyncPolicy, StoreOptions};
+use cpqx_store::{durable_engine, recover_state, FsyncPolicy, RecoverError, StoreOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -308,12 +310,12 @@ fn recovery_across_incremental_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Interest-aware recovery: a deleted interest stays in the class
-/// metadata of the classes that carried it, and so in their chunk
-/// records. Recovery reassembles the index from those records and must
-/// not list the sequence under `Il2c` again: the recovered index
-/// validates, answers like the live one, and does not look the deleted
-/// sequence up.
+/// Interest-aware recovery: an interest deleted before the checkpoint is
+/// gone from the recovered index — the header carries the interest set
+/// the index was built with, and recovery builds the index afresh under
+/// it. The recovered index validates and answers like the live one; the
+/// interest registered again indexes its pairs, and answers as the
+/// reference semantics does.
 #[test]
 fn recovery_after_deleting_an_interest_keeps_it_deleted() {
     let dir = tmp("interest");
@@ -331,19 +333,125 @@ fn recovery_after_deleting_an_interest_keeps_it_deleted() {
     let snap = start.engine.snapshot();
     start.store.checkpoint(snap.graph(), snap.index()).unwrap();
 
-    let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+    let (mut graph, mut index, info) = recover_state(&dir).unwrap().unwrap();
     assert_eq!(info.replayed_transactions, 0, "the checkpoint holds the whole state");
     assert_eq!(index.validate(&graph), Ok(()));
     assert_eq!(index.interests(), snap.index().interests());
+    assert!(!index.is_indexed(&deleted));
     assert!(index.lookup(&deleted).is_empty(), "the deleted interest was listed again");
-    assert_eq!(index.stats().sequences, snap.index().stats().sequences);
+    let join = Cpq::ext(l0.fwd()).join(Cpq::ext(l1.fwd()));
     let mut queries = workload(&g0, 0x1a);
-    queries.push(Cpq::ext(l0.fwd()).join(Cpq::ext(l1.fwd())));
+    queries.push(join.clone());
     assert_equivalent(&graph, &index, &start.engine, &queries);
+
+    assert!(index.insert_interest(&mut graph, deleted));
+    assert_eq!(index.validate(&graph), Ok(()));
+    assert!(!index.lookup(&deleted).is_empty(), "the registered interest lists no class");
+    for q in &queries {
+        assert_eq!(index.evaluate(&graph, q), eval_reference(&graph, q), "{q:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Recovery reassembles the index without its pair → class map; only
+/// With an empty WAL tail the recovered index is the build of the
+/// recovered graph under the recovered `k` and interests, byte for byte:
+/// the store persists no index, so recovery's one build is all there is
+/// to it — for a full and an interest-aware engine, after writes and a
+/// checkpoint have moved the graph away from its seed.
+#[test]
+fn recovery_with_an_empty_tail_is_a_build_of_the_recovered_graph() {
+    let saved = |idx: &CpqxIndex| {
+        let mut bytes = Vec::new();
+        idx.save(&mut bytes).unwrap();
+        bytes
+    };
+    let g0 = seed_graph(13);
+    let interest = cpqx_graph::LabelSeq::from_slice(&[Label(0).fwd(), Label(2).inv()]);
+    for (name, interests) in [("full", None), ("interest-aware", Some(vec![interest]))] {
+        let dir = tmp(&format!("empty-tail-{name}"));
+        let options = EngineOptions { interests, ..engine_options() };
+        let start = durable_engine(&dir, StoreOptions::default(), options, || g0.clone()).unwrap();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut vertices = g0.vertex_count();
+        for txn in 0..4 {
+            let delta = random_delta(&mut rng, &mut vertices, g0.base_label_count(), txn);
+            start.engine.apply_delta(&delta).unwrap();
+        }
+        let snap = start.engine.snapshot();
+        start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+
+        let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+        assert_eq!(info.replayed_transactions, 0, "{name}");
+        assert_eq!(index.k(), 2, "{name}");
+        assert_eq!(index.interests(), snap.index().interests(), "{name}");
+        let built = match index.interests() {
+            None => CpqxIndex::build(&graph, index.k()),
+            Some(lq) => CpqxIndex::build_interest_aware(&graph, index.k(), lq.iter().copied()),
+        };
+        assert!(saved(&index) == saved(&built), "{name}: recovery is not the build");
+        assert_equivalent(&graph, &index, &start.engine, &workload(&g0, 0x7e));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every file of `dir` with its bytes.
+fn files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// A store directory whose manifest is of another format version — one
+/// written before the manifest's version went to 2, say — is refused,
+/// with or without a WAL segment beside it: `durable_engine` reports the
+/// manifest's decode error, never calls the seed closure, and rewrites no
+/// file. (Reseeding would overwrite the directory's data.)
+#[test]
+fn a_store_of_another_format_version_is_refused_not_reseeded() {
+    let dir = tmp("old-version");
+    let g0 = seed_graph(17);
+    {
+        let start =
+            durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
+        let (v, u, l) = generate::sample_edges(&g0, 1, 5)[0];
+        start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
+    }
+    // Rewrite manifest-1 as version 1: the version follows the 8-byte
+    // frame header and the 4-byte magic; the frame's CRC covers the body.
+    let path = dir.join("manifest-1");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+    let crc = cpqx_store::crc32(&bytes[8..]);
+    bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(dir.join("wal-1.log").exists());
+
+    for wal in ["with", "without"] {
+        if wal == "without" {
+            std::fs::remove_file(dir.join("wal-1.log")).unwrap();
+        }
+        let before = files(&dir);
+        let result = durable_engine(&dir, StoreOptions::default(), engine_options(), || {
+            panic!("the seed closure was called ({wal} a WAL segment)")
+        });
+        match result {
+            Err(RecoverError::Corrupt { file, what }) => {
+                assert!(file.ends_with("manifest-1"), "{wal} a WAL segment: {file}");
+                assert!(what.contains("format version 1, expected 2"), "{wal}: {what}");
+            }
+            Err(other) => panic!("{wal} a WAL segment: {other}"),
+            Ok(_) => panic!("{wal} a WAL segment: the directory was opened"),
+        }
+        assert!(files(&dir) == before, "{wal} a WAL segment: a file was rewritten");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery builds the index without its pair → class map; only
 /// replaying a non-empty WAL tail writes, and so builds it.
 #[test]
 fn recovery_builds_the_pair_map_only_to_replay_a_tail() {
@@ -385,11 +493,10 @@ fn checkpoint_after_a_small_delta_writes_only_changed_chunks() {
     let start =
         durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
     // Chunk records a full snapshot of `snap` holds — what the bootstrap
-    // generation wrote for the seed state.
+    // generation wrote for the seed state: the graph's, as no index is
+    // persisted.
     let chunks = |snap: &cpqx_engine::Snapshot| {
-        (snap.graph().topology_chunk_count()
-            + snap.graph().name_chunk_count()
-            + snap.index().class_chunk_count()) as u64
+        (snap.graph().topology_chunk_count() + snap.graph().name_chunk_count()) as u64
     };
     let bootstrap_chunks = chunks(&start.engine.snapshot());
 

@@ -1,8 +1,8 @@
 //! Model-based chaos testing: long seeded operation sequences interleaving
-//! graph updates, interest updates, serialization round-trips, rebuilds and
-//! queries, with the naive reference evaluator as the model. Any divergence
-//! in any interleaving is a bug in construction, maintenance, persistence
-//! or execution.
+//! graph updates, interest updates, rebuilds (what a store's recovery runs
+//! on the persisted graph) and queries, with the naive reference evaluator
+//! as the model. Any divergence in any interleaving is a bug in
+//! construction, maintenance or execution.
 
 use cpqx::graph::generate::{random_graph, RandomGraphConfig};
 use cpqx::graph::{ExtLabel, Label, LabelSeq};
@@ -18,7 +18,6 @@ enum Op {
     DeleteEdge(u32, u32, Label),
     InsertInterest(LabelSeq),
     DeleteInterest(LabelSeq),
-    SerializeRoundtrip,
     Rebuild,
     AddVertex,
     DeleteVertex(u32),
@@ -43,8 +42,7 @@ fn random_op(rng: &mut StdRng, g: &cpqx::graph::Graph, ia: bool) -> Op {
         }
         50..=57 if ia => Op::InsertInterest(seq2(rng)),
         58..=63 if ia => Op::DeleteInterest(seq2(rng)),
-        64..=68 => Op::SerializeRoundtrip,
-        69..=71 => Op::Rebuild,
+        64..=71 => Op::Rebuild,
         72..=74 => Op::AddVertex,
         75..=78 => Op::DeleteVertex(rng.gen_range(0..n)),
         _ => {
@@ -77,11 +75,6 @@ fn chaos(seed: u64, ia: bool, steps: usize) {
             }
             Op::DeleteInterest(s) => {
                 idx.delete_interest(&s);
-            }
-            Op::SerializeRoundtrip => {
-                let mut buf = Vec::new();
-                idx.save(&mut buf).expect("save");
-                idx = CpqxIndex::load(std::io::Cursor::new(&buf)).expect("load");
             }
             Op::Rebuild => idx.rebuild(&g),
             Op::AddVertex => {

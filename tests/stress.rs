@@ -74,15 +74,3 @@ fn large_powerlaw_full_lifecycle() {
         }
     }
 }
-
-#[test]
-#[ignore = "paper-scale stress; run with --ignored"]
-fn large_serialization_roundtrip() {
-    let g = random_graph(&RandomGraphConfig::social(50_000, 200_000, 6, 21));
-    let idx = CpqxIndex::build(&g, 2);
-    let mut buf = Vec::new();
-    idx.save(&mut buf).unwrap();
-    let loaded = CpqxIndex::load(std::io::Cursor::new(&buf)).unwrap();
-    assert_eq!(loaded.pair_count(), idx.pair_count());
-    assert_eq!(loaded.stats().postings, idx.stats().postings);
-}
