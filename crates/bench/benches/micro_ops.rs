@@ -3,11 +3,12 @@
 //! intersection (of two posting sets, and of two cyclic sets, on their
 //! containers), a closed cycle both ways (pair-level `JOIN-ID` versus
 //! the conjunction with the inverse) — the primitives every table cell is
-//! made of — the expansion of posting sets into their classes' pair rows,
-//! and the writer's pair → class map: its first-write build from the class
-//! rows, a lookup per pair in the sorted order a write visits its
-//! candidates in, and one batch of edits applied to a clone — and the
-//! build's partition step, full and interest-aware.
+//! made of — the expansion of posting sets into their classes' pair rows
+//! and one batch of edits to those rows, and the writer's pair → class
+//! map: its first-write build from the class rows, a lookup per pair in
+//! the sorted order a write visits its candidates in, and one batch of
+//! edits applied to a clone — and the build's partition step, full and
+//! interest-aware.
 //!
 //! `cargo bench -p cpqx-bench --bench micro_ops -- p2c` runs only the
 //! cases whose `group/function` name contains `p2c`. Every fixture is
@@ -139,7 +140,8 @@ fn bench_cycle(c: &mut Criterion) {
 /// Every 1- and 2-label posting set of a power-law graph expanded into its
 /// classes' pair rows, as the executor expands a lookup before a join:
 /// the decode of each touched chunk's row ends and packed keys. Checked
-/// against the rows read one class at a time first.
+/// against the rows read one class at a time first. Then one write's
+/// row edits spliced into the chunks they touch.
 fn bench_expand(c: &mut Criterion) {
     let mut group = c.benchmark_group("ic2p");
     group.bench_function("expand", |b| {
@@ -153,6 +155,37 @@ fn bench_expand(c: &mut Criterion) {
             assert_eq!(idx.gather_rows(cs), rows, "the gathered rows disagree");
         }
         b.iter(|| postings.iter().map(|&cs| idx.gather_rows(cs).len()).sum::<usize>())
+    });
+    // One write's row edits, as `CpqxIndex::edit_rows` takes them: in
+    // eight chunks spread over the index, the first pair of each of eight
+    // classes moved to the class after it, and one pair with a vertex id
+    // of 17 bits attached, which re-packs its chunk wider. Each touched
+    // chunk is copied out of the clone it shares with `idx`.
+    group.bench_function("edit", |b| {
+        let idx = &social().1;
+        let (span, chunks) = (CpqxIndex::class_chunk_span(), idx.class_chunk_count());
+        let (mut detached, mut attached) = (Vec::new(), Vec::new());
+        for chunk in (0..8).map(|i| i * chunks / 8) {
+            let first = (chunk * span) as ClassId;
+            let classes = first..first + idx.class_chunk_len(chunk) as ClassId;
+            for c in classes.clone().step_by(span / 8).filter(|&c| c + 1 < classes.end) {
+                if let Some(p) = idx.class_pairs(c).next() {
+                    detached.push((c, p));
+                    attached.push((c + 1, p));
+                }
+            }
+        }
+        let wide = (attached[0].0, Pair::new(1, 70_000));
+        attached.push(wide);
+        let mut edited = idx.clone();
+        edited.edit_rows(detached.clone(), attached.clone());
+        assert!(detached.iter().all(|&(c, p)| edited.class_pairs(c).all(|q| q != p)));
+        assert!(attached.iter().all(|&(c, p)| edited.class_pairs(c).any(|q| q == p)));
+        b.iter(|| {
+            let mut written = idx.clone();
+            written.edit_rows(detached.clone(), attached.clone());
+            written
+        })
     });
     group.finish();
 }

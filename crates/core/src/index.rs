@@ -787,7 +787,12 @@ impl CpqxIndex {
     /// Applies a lazy update's row edits — `(class, pair)` detachments and
     /// attachments, in any order — rebuilding each touched chunk's rows
     /// once (and copying the chunk first if it is shared).
-    pub(crate) fn edit_rows(
+    ///
+    /// Public for the operator micro-benchmarks only: it edits `Ic2p`
+    /// alone, so outside the write path it leaves `Il2c`, `pair_count`
+    /// and the pair → class map disagreeing with the rows.
+    #[doc(hidden)]
+    pub fn edit_rows(
         &mut self,
         mut detached: Vec<(ClassId, Pair)>,
         mut attached: Vec<(ClassId, Pair)>,
