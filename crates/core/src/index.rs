@@ -6,8 +6,7 @@ use crate::class_set::ClassSet;
 use crate::exec::Executor;
 use crate::interest::normalize_interests;
 use crate::intern::SeqDict;
-use crate::narrow_column::{with_values, NarrowColumn};
-use crate::packed_keys::{self, bits_for, KeyWriter, PackedKeys};
+use crate::packed_keys::{bits_for, row_span, PackedColumn, PackedKeys, PackedRows};
 use crate::pair_column::{PairColumn, Shard};
 use cpqx_graph::{CowDiff, Graph, LabelSeq, Pair, VertexId};
 use cpqx_query::plan::{plan_query, Plan};
@@ -40,88 +39,51 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// *size*, which is what maintenance compares first and what a reader of
 /// a class range sizes its output by.
 ///
-/// Rows are **flat**: the pair rows of a chunk's classes lie back to back
-/// in one byte vector, delimited by per-class end offsets. Expanding a
-/// posting set is a forward sweep over a few arrays instead of a pointer
-/// chase per class, and copying a chunk for a write is three `memcpy`s
-/// and a 32-byte copy, whatever the number of classes in it. The writer
-/// pays with one rebuild of a touched chunk's rows per lazy update
-/// ([`ClassChunk::edit_rows`]) instead of per-row edits.
-///
-/// Rows are **width-packed**: pair `(s, t)` is stored as the key
+/// Rows are **flat** and **width-packed**, in the one store of packed
+/// rows ([`PackedRows`]) that the pair → class map's shards use too: the
+/// pair rows of a chunk's classes lie back to back in one byte vector,
+/// delimited by per-class end offsets. Pair `(s, t)` is the key
 /// `s << shift | t` in `⌈2·shift / 8⌉` little-endian bytes, where `shift`
 /// is the bit width of the chunk's largest vertex id — 3 bytes a pair on a
 /// graph of up to 4,096 vertices, where a [`Pair`] takes 8. Keys sort as
 /// their pairs do, and 7 zero bytes after the last one make reading any
-/// pair one unaligned 8-byte load plus a mask ([`Keys::get`]). [`pack`]
-/// chooses the width: a build packs each chunk whole, and a row
-/// edit splices keys at the chunk's width, re-packing the chunk only when
-/// an attached id needs more bits or the last id of the top bit width
-/// leaves — so the width always fits the chunk's current largest id. End
+/// pair one unaligned 8-byte load plus a mask ([`Keys::get`]). End
 /// offsets count pairs, not bytes, so a row's length is read without
-/// touching its bytes.
+/// touching its bytes; they are packed keys too, at the bits the chunk's
+/// pair total needs — 2 bytes a class on a chunk of fewer than 65,536
+/// pairs — and so are the set sizes, at the bits the largest needs. The
+/// loop flags are one bit a class.
 ///
-/// The per-class **metadata is narrow** too. The end offsets and the set
-/// sizes are each a [`NarrowColumn`]: 1, 2 or 4 bytes a class, the
-/// narrowest that fits the column's largest value — the chunk's pair
-/// total for the ends, so 2 bytes on a chunk of fewer than 65,536 pairs.
-/// The loop flags are one bit a class. A reader resolves a column's width
-/// once per chunk it visits (`with_values!`).
+/// Expanding a posting set is a forward sweep over two packed runs
+/// instead of a pointer chase per class, and copying a chunk for a write
+/// is three `memcpy`s and a 32-byte copy, whatever the number of classes
+/// in it. The writer pays with one splice of a touched chunk's rows per
+/// lazy update ([`ClassChunk::edit_rows`]) instead of per-row edits. The
+/// chunk owns the choice of width: a build packs each chunk at the width
+/// its largest id needs, and a row edit re-packs the chunk wider before
+/// its splice when an edited id needs more bits, and narrower after it
+/// when the last id of the top bit width has left.
 #[derive(Clone, Default)]
 pub(crate) struct ClassChunk {
-    /// `Ic2p` rows, back to back in class order, each sorted, as packed
-    /// keys ([`pack`]); empty while the chunk holds no pair.
-    keys: Vec<u8>,
-    /// The keys' source shift: the bit width of the chunk's largest vertex
-    /// id, at least 1 (0 while the chunk holds no pair).
-    shift: u8,
-    /// Per class: where its row ends, counted in pairs (it starts where
-    /// the previous class's ends), at the width the chunk's pair total
-    /// needs.
-    pub(crate) pair_ends: NarrowColumn,
+    /// `Ic2p` rows, one per class, in class order, each sorted: its end
+    /// offsets and its keys `s << shift | t` — `shift` half the keys' bits,
+    /// the bit width of the chunk's largest vertex id (0 while the chunk
+    /// holds no pair).
+    pub(crate) rows: PackedRows,
     /// Per-class cyclicity flags: class `off`'s is bit `off % 64` of word
     /// `off / 64`. Bits past the chunk's classes are 0.
     pub(crate) loops: [u64; CLASS_CHUNK / 64],
     /// Per class: the size of its `L≤k` set — the number of `Il2c`
-    /// entries listing it — at the width the chunk's largest set needs. A
+    /// entries listing it — at the bits the chunk's largest set needs. A
     /// class's set never changes after the class is created, so neither
     /// does this.
-    pub(crate) seq_counts: NarrowColumn,
-}
-
-/// The range the `off`-th row occupies, given the rows' end offsets at
-/// the width they are stored at.
-#[inline]
-fn row_span<E: Copy + Into<u32>>(ends: &[E], off: usize) -> Range<usize> {
-    let start: u32 = if off == 0 { 0 } else { ends[off - 1].into() };
-    let end: u32 = ends[off].into();
-    start as usize..end as usize
-}
-
-/// A flat store's length as the end offset of its last row.
-fn end_offset(len: usize) -> u32 {
-    u32::try_from(len).expect("a class chunk holds fewer than 2^32 pairs and sequences")
+    pub(crate) seq_counts: PackedColumn,
 }
 
 /// The key of `p` at source shift `shift`.
 #[inline]
 fn key(shift: u32, p: Pair) -> u64 {
     (u64::from(p.src()) << shift) | u64::from(p.dst())
-}
-
-/// Packs `pairs` — a chunk's rows, back to back — into its `(shift, keys)`
-/// (see [`ClassChunk`]): the shift that fits their largest vertex id
-/// ([`bits_for`]), and each pair's [`key`] packed at `2·shift` bits
-/// ([`packed_keys`]). No pairs pack to no bytes.
-fn pack(pairs: &[Pair]) -> (u8, Vec<u8>) {
-    let shift = bits_for(pairs.iter().map(|p| p.src().max(p.dst())).max());
-    (shift as u8, pack_at(shift, pairs))
-}
-
-/// [`pack`]'s keys at a given `shift`, wide enough for every id of
-/// `pairs`.
-fn pack_at(shift: u32, pairs: &[Pair]) -> Vec<u8> {
-    packed_keys::pack(2 * shift, pairs.iter().map(|&p| key(shift, p)))
 }
 
 /// A chunk's packed keys with their widths decoded once, for reading.
@@ -144,12 +106,15 @@ impl Keys<'_> {
 impl ClassChunk {
     /// An empty chunk with room for exactly `classes` classes holding
     /// `pairs` pairs in all, the largest set of which has `largest_set`
-    /// sequences: its columns start at the widths these need, so no push
-    /// widens them.
+    /// sequences: its end offsets and set sizes start at the widths these
+    /// need, so no push re-packs them.
     pub(crate) fn with_capacity(classes: usize, pairs: usize, largest_set: usize) -> Self {
         ClassChunk {
-            pair_ends: NarrowColumn::with_capacity(classes, end_offset(pairs)),
-            seq_counts: NarrowColumn::with_capacity(classes, end_offset(largest_set)),
+            rows: PackedRows {
+                ends: PackedColumn::with_capacity(classes, pairs as u64),
+                keys: PackedColumn::default(),
+            },
+            seq_counts: PackedColumn::with_capacity(classes, largest_set as u64),
             ..ClassChunk::default()
         }
     }
@@ -161,13 +126,13 @@ impl ClassChunk {
 
     /// Number of pairs across the chunk's rows.
     fn pair_total(&self) -> usize {
-        self.pair_ends.last().map_or(0, |end| end as usize)
+        self.rows.len()
     }
 
     /// The range of the chunk's rows the `off`-th row occupies.
     #[inline]
     fn span(&self, off: usize) -> Range<usize> {
-        with_values!(&self.pair_ends, |ends| row_span(ends, off))
+        self.rows.span(off)
     }
 
     /// Whether the `off`-th class is cyclic.
@@ -176,11 +141,15 @@ impl ClassChunk {
         self.loops[off / 64] >> (off % 64) & 1 == 1
     }
 
+    /// The keys' source shift.
+    fn shift(&self) -> u32 {
+        self.rows.keys.bits() / 2
+    }
+
     /// A reader of the packed keys.
     #[inline]
     fn keys(&self) -> Keys<'_> {
-        let shift = u32::from(self.shift);
-        Keys { run: PackedKeys::new(&self.keys, 2 * shift), shift }
+        Keys { run: self.rows.keys.reader(), shift: self.shift() }
     }
 
     /// The pairs at positions `span` of the chunk's rows, decoded.
@@ -208,72 +177,73 @@ impl ClassChunk {
 
     /// Number of classes whose row holds a pair.
     fn live_classes(&self) -> usize {
-        with_values!(&self.pair_ends, |ends| {
-            (0..ends.len()).filter(|&off| !row_span(ends, off).is_empty()).count()
-        })
+        (0..self.len()).filter(|&off| !self.span(off).is_empty()).count()
     }
 
     /// Appends a class carrying `seq_count` sequences whose row is the
     /// next `row_len` pairs of the chunk's rows — stored, for a row that
     /// is not empty, by the [`ClassChunk::set_rows`] that follows.
-    /// Either column widens if the new value needs it.
+    /// Either column re-packs wider if the new value needs it.
     pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, row_len: usize) {
         let off = self.len();
         debug_assert!(off < CLASS_CHUNK, "a push to a full chunk");
-        self.pair_ends.push(end_offset(self.pair_total() + row_len));
+        self.rows.push_row(row_len);
         self.loops[off / 64] |= u64::from(is_loop) << (off % 64);
-        self.seq_counts.push(end_offset(seq_count));
+        self.seq_counts.push(seq_count as u64);
     }
 
     /// Stores the rows of every pushed class, back to back in class order,
     /// each sorted, packed at the width their largest vertex id needs.
     pub(crate) fn set_rows(&mut self, pairs: &[Pair]) {
         debug_assert_eq!(pairs.len(), self.pair_total(), "rows disagree with the end offsets");
-        (self.shift, self.keys) = pack(pairs);
+        let shift = bits_for(pairs.iter().map(|p| p.src().max(p.dst())).max());
+        self.rows.keys = PackedColumn::new(2 * shift, pairs.iter().map(|&p| key(shift, p)));
     }
 
-    /// Whether the keys are exactly what [`pack`] makes of the rows they
-    /// decode to — in particular, no wider than their largest id needs.
-    pub(crate) fn packed_exactly(&self) -> bool {
-        let pairs: Vec<Pair> = self.pairs(0..self.pair_total()).collect();
-        let (shift, keys) = pack(&pairs);
-        shift == self.shift && keys == self.keys
+    /// The shift the chunk's largest vertex id needs: a scan of every key.
+    fn narrowest_shift(&self) -> u32 {
+        bits_for(self.pairs(0..self.rows.keys.len()).map(|p| p.src().max(p.dst())).max())
     }
 
-    /// Whether the chunk is in the form a build makes of its classes: the
-    /// rows packed exactly, both columns at their narrowest width, and no
+    /// Re-packs the keys at source shift `shift`, wide enough for every id.
+    fn repack(&mut self, shift: u32) {
+        let old = self.shift();
+        let targets = (1u64 << old) - 1;
+        self.rows = self.rows.repacked(2 * shift, |key| (key >> old) << shift | key & targets);
+    }
+
+    /// Whether the chunk is in the form a build makes of its classes: its
+    /// rows in the packed rows' canonical form with keys at the width its
+    /// largest id needs, a set size per row at the narrowest width, and no
     /// loop bit set past the chunk's classes. Returns the first rule
     /// broken.
-    pub(crate) fn check(&self) -> Result<(), &'static str> {
-        if !self.packed_exactly() {
-            return Err("rows not packed at their largest id's width");
-        }
-        if !self.pair_ends.is_narrowest() {
-            return Err("row ends not at their narrowest width");
-        }
-        if !self.seq_counts.is_narrowest() {
-            return Err("set sizes not at their narrowest width");
+    pub(crate) fn check(&self) -> Result<(), String> {
+        self.rows.check(0, 2 * self.narrowest_shift())?;
+        let largest_set = (0..self.len()).map(|off| self.seq_counts.get(off)).max();
+        self.seq_counts
+            .check(bits_for(largest_set))
+            .map_err(|rule| format!("set sizes: {rule}"))?;
+        if self.len() != self.rows.rows() {
+            return Err(format!("{} set sizes for {} rows", self.len(), self.rows.rows()));
         }
         if (self.len()..CLASS_CHUNK).any(|off| self.is_loop(off)) {
-            return Err("a loop bit set past the chunk's classes");
+            return Err("a loop bit set past the chunk's classes".into());
         }
         Ok(())
     }
 
-    /// Detaches and attaches pairs in one rebuild of the chunk's rows:
-    /// both edit lists are `(class, pair)` sorted ascending without
-    /// duplicates, their classes all in this chunk, whose first class is
-    /// `first`. A detached pair that is absent and an attached one that is
-    /// present are no-ops. Cost is one pass over the chunk's bytes however
-    /// many edits there are — where per-pair edits would each shift its
-    /// tail.
+    /// Detaches and attaches pairs in one splice of the chunk's rows
+    /// ([`PackedRows::spliced`]): both edit lists are `(class, pair)`
+    /// sorted ascending without duplicates, their classes all in this
+    /// chunk, whose first class is `first`. A detached pair that is absent
+    /// and an attached one that is present are no-ops. Cost is one pass
+    /// over the chunk's bytes however many edits there are — where
+    /// per-pair edits would each shift its tail.
     ///
-    /// The keys are spliced at the chunk's width, and the width follows
-    /// the chunk's largest vertex id both ways: an edited id that needs
-    /// more bits re-packs the chunk wider first, and when no id of the top
-    /// bit width is left after the splice, the chunk is re-packed narrower.
-    /// The end offsets are rebuilt at the width the new pair total needs,
-    /// so they narrow too when the chunk shrinks.
+    /// The width follows the chunk's largest vertex id both ways: an
+    /// edited id that needs more bits re-packs the chunk wider first, and
+    /// when no id of the top bit width is left after the splice, the chunk
+    /// is re-packed narrower. The end offsets narrow with the pair total.
     pub(crate) fn edit_rows(
         &mut self,
         first: ClassId,
@@ -284,53 +254,25 @@ impl ClassChunk {
         // width, so it must fit it even when its pair is absent.
         let edited = detached.iter().chain(attached);
         let wider = bits_for(edited.map(|e| e.1.src().max(e.1.dst())).max());
-        if wider > u32::from(self.shift) {
-            let pairs: Vec<Pair> = self.pairs(0..self.pair_total()).collect();
-            (self.shift, self.keys) = (wider as u8, pack_at(wider, &pairs));
+        if wider > self.shift() {
+            self.repack(wider);
         }
-        let (keys, shift) = (self.keys(), u32::from(self.shift));
-        let mut out = KeyWriter::with_capacity(2 * shift, self.pair_total() + attached.len());
-        let mut ends = Vec::with_capacity(self.len());
-        let (mut detached, mut attached) = (detached, attached);
-        let mut start = 0;
-        for (c, end) in (first..).zip(self.pair_ends.to_vec()) {
-            let end = end as usize;
-            let (gone, rest) = detached.split_at(detached.partition_point(|e| e.0 == c));
-            let (come, more) = attached.split_at(attached.partition_point(|e| e.0 == c));
-            (detached, attached) = (rest, more);
-            // Cut the row at each edited pair (binary search) and copy the
-            // stretches of keys between cuts whole: a row of any length
-            // costs its `memcpy` plus a search per edit.
-            let mut edits: Vec<(Pair, bool)> =
-                gone.iter().map(|e| (e.1, false)).chain(come.iter().map(|e| (e.1, true))).collect();
-            edits.sort_unstable();
-            let mut from = start;
-            for (pair, attach) in edits {
-                let at = keys.run.lower_bound(from..end, key(shift, pair));
-                out.copy(keys.run, from..at);
-                // The row's own copy of `pair` is dropped either way.
-                from = at + usize::from(at < end && keys.get(at) == pair);
-                if attach {
-                    out.push(key(shift, pair));
-                }
-            }
-            out.copy(keys.run, from..end);
-            ends.push(end_offset(out.len()));
-            start = end;
-        }
-        debug_assert!(detached.is_empty() && attached.is_empty(), "edits outside the chunk");
-        let len = out.len();
-        self.pair_ends = NarrowColumn::from_values(&ends);
-        self.keys = out.finish();
-        if len == 0 {
-            return self.set_rows(&[]);
-        }
+        let shift = self.shift();
+        let edit = |&(c, p): &(ClassId, Pair), attach: bool| {
+            ((c - first) as usize, key(shift, p), attach.then(|| key(shift, p)))
+        };
+        let mut edits: Vec<(usize, u64, Option<u64>)> = detached
+            .iter()
+            .map(|e| edit(e, false))
+            .chain(attached.iter().map(|e| edit(e, true)))
+            .collect();
+        edits.sort_unstable();
+        self.rows = self.rows.spliced(0, &edits);
         // Usually an early key holds an id of the top bit width: the scan
         // stops there and the width stands.
         let narrower = |p: Pair| bits_for(Some(p.src() | p.dst())) < shift;
-        if self.pairs(0..len).all(narrower) {
-            let pairs: Vec<Pair> = self.pairs(0..len).collect();
-            self.set_rows(&pairs);
+        if self.pairs(0..self.pair_total()).all(narrower) {
+            self.repack(self.narrowest_shift());
         }
     }
 }
@@ -434,7 +376,9 @@ pub(crate) struct SeqSets {
 impl SeqSets {
     /// The set of class `c`, a class of the range.
     pub(crate) fn get(&self, c: ClassId) -> &[SeqId] {
-        &self.ids[row_span(&self.ends, (c - self.first) as usize)]
+        let off = (c - self.first) as usize;
+        let start = if off == 0 { 0 } else { self.ends[off - 1] as usize };
+        &self.ids[start..self.ends[off] as usize]
     }
 }
 
@@ -834,11 +778,15 @@ impl CpqxIndex {
     }
 
     /// Overwrites class `c`'s stored set size, for damaging it: the
-    /// column widens if `n` needs it, and does not narrow.
+    /// chunk's set sizes are re-packed at the narrowest width.
     #[cfg(test)]
     pub(crate) fn set_class_seq_count(&mut self, c: ClassId, n: usize) {
         let chunk = Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]);
-        chunk.seq_counts.set(c as usize % CLASS_CHUNK, end_offset(n));
+        let off = c as usize % CLASS_CHUNK;
+        let sizes: Vec<u64> = (0..chunk.len()).map(|o| chunk.seq_counts.get(o)).collect();
+        let sizes =
+            sizes.iter().enumerate().map(|(o, &size)| if o == off { n as u64 } else { size });
+        chunk.seq_counts = PackedColumn::narrowest(sizes);
     }
 
     /// Whether class `c` carries exactly the sequences `ids` (distinct):
@@ -915,25 +863,23 @@ impl CpqxIndex {
     /// Calls `row` with the key reader and the key span of each class of
     /// `cs`, in order. `cs` is ascending, so each chunk it touches is
     /// visited once: the widths of its keys and of its end offsets are
-    /// resolved once per visit, not once per class.
+    /// decoded once per visit, not once per class.
     fn for_each_row<'s>(&'s self, cs: &ClassSet, mut row: impl FnMut(Keys<'s>, Range<usize>)) {
         let span = CLASS_CHUNK as ClassId;
         let mut ids = cs.iter();
         let mut next = ids.next();
         while let Some(c) = next {
             let (chunk, first) = (&self.classes[c as usize / CLASS_CHUNK], c - c % span);
-            let keys = chunk.keys();
+            let (keys, ends) = (chunk.keys(), chunk.rows.ends.reader());
             // Every class of `cs` in this chunk, then the first past it.
-            next = with_values!(&chunk.pair_ends, |ends| {
-                let mut c = c;
-                loop {
-                    row(keys, row_span(ends, (c - first) as usize));
-                    match ids.next() {
-                        Some(d) if d - first < span => c = d,
-                        past => break past,
-                    }
+            let mut c = c;
+            next = loop {
+                row(keys, row_span(ends, (c - first) as usize));
+                match ids.next() {
+                    Some(d) if d - first < span => c = d,
+                    past => break past,
                 }
-            });
+            };
         }
     }
 
@@ -1133,14 +1079,13 @@ impl CpqxIndex {
                 })
                 .sum()
         };
-        // `Ic2p`: each chunk's packed keys (padding included), its
-        // one-byte shift, and its rows' end offsets at their width, with
-        // the byte naming the width.
-        let ic2p_bytes: usize =
-            self.classes.iter().map(|ch| ch.keys.len() + 1 + ch.pair_ends.stored_bytes()).sum();
+        // `Ic2p`: each chunk's packed rows — its keys and its rows' end
+        // offsets, each run with its padding and the byte naming its bit
+        // width.
+        let ic2p_bytes: usize = self.classes.iter().map(|ch| ch.rows.stored_bytes()).sum();
         let core_bytes = dict_bytes + posting_bytes(&keys) + ic2p_bytes;
-        // Per chunk: its set sizes at their width, with their width byte,
-        // and its loop bits.
+        // Per chunk: its set sizes, packed the same way, and its loop
+        // bits.
         let class_bytes: usize = self
             .classes
             .iter()
@@ -1248,6 +1193,7 @@ impl std::fmt::Debug for CpqxIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed_keys::{self, KEY_PAD};
 
     #[test]
     fn row_edits_rebuild_a_chunk_like_per_row_edits() {
@@ -1271,12 +1217,12 @@ mod tests {
         assert_eq!(row(1), [p(6, 6)]);
         assert_eq!(row(2), [p(7, 7), p(9, 9)]);
         // Ids up to 9 take 4 bits, so a key takes one byte.
-        assert_eq!((chunk.shift, chunk.keys.len()), (4, 6 + packed_keys::KEY_PAD));
-        assert!(chunk.packed_exactly());
+        assert_eq!((chunk.shift(), chunk.rows.keys.stored_bytes()), (4, 6 + KEY_PAD + 1));
+        assert_eq!(chunk.check(), Ok(()));
         // No edits: nothing moves.
-        let before = chunk.keys.clone();
+        let before = chunk.rows.clone();
         chunk.edit_rows(10, &[], &[]);
-        assert_eq!(chunk.keys, before);
+        assert_eq!(chunk.rows, before);
     }
 
     /// A row edit re-packs its own chunk only, at the width of that chunk's
@@ -1288,7 +1234,7 @@ mod tests {
         use cpqx_graph::generate::{random_graph, RandomGraphConfig};
         let g = random_graph(&RandomGraphConfig::social(200, 800, 3, 5));
         let mut idx = CpqxIndex::build(&g, 2);
-        let shifts = |idx: &CpqxIndex| idx.classes.iter().map(|ch| ch.shift).collect::<Vec<_>>();
+        let shifts = |idx: &CpqxIndex| idx.classes.iter().map(|ch| ch.shift()).collect::<Vec<_>>();
         let narrow = shifts(&idx);
         assert!(narrow.len() > 2 && narrow.iter().all(|&s| s <= 8), "{narrow:?}");
         let before = idx.clone();
@@ -1302,37 +1248,39 @@ mod tests {
         widened[0] = 17;
         assert_eq!(shifts(&idx), widened);
         assert!(idx.class_pairs(1).any(|p| p == wide) && others_shared(&idx));
-        assert!(idx.classes[0].packed_exactly());
+        assert_eq!(idx.classes[0].check(), Ok(()));
         idx.edit_rows(vec![(1, wide)], Vec::new());
         assert_eq!(shifts(&idx), narrow);
         assert!(idx.class_pairs(1).eq(before.class_pairs(1)) && others_shared(&idx));
         assert_eq!(idx.validate(&g), Ok(()));
 
-        // Chunk 1 re-packed at 17 bits by hand: it reads the same pairs.
-        let chunk = Arc::make_mut(&mut idx.classes[1]);
-        let pairs: Vec<Pair> = chunk.pairs(0..chunk.pair_total()).collect();
-        let keys = pairs.iter().map(|p| (u64::from(p.src()) << 17) | u64::from(p.dst()));
-        chunk.keys = keys.flat_map(|key| key.to_le_bytes().into_iter().take(5)).collect();
-        chunk.keys.resize(chunk.keys.len() + packed_keys::KEY_PAD, 0);
-        chunk.shift = 17;
+        // Chunk 1 re-packed at 17 bits: it reads the same pairs.
+        Arc::make_mut(&mut idx.classes[1]).repack(17);
         let c = CLASS_CHUNK as ClassId;
         assert!((c..2 * c).all(|c| idx.class_pairs(c).eq(before.class_pairs(c))));
         let err = idx.validate(&g).unwrap_err();
         assert!(err.contains("class chunk 1") && err.contains("width"), "{err}");
     }
 
-    /// A chunk's columns take the width their largest value needs: set
-    /// sizes a byte up to 255 and two bytes at 256; row ends two bytes
-    /// below 65,536 pairs and four at 65,536 — and two again once a row
-    /// edit drops the chunk below 65,536 pairs.
+    /// A chunk's set sizes and row ends take the width their largest value
+    /// needs: set sizes a byte up to 255 and two bytes at 256; row ends two
+    /// bytes below 65,536 pairs and three at 65,536 — and two again once a
+    /// row edit drops the chunk below 65,536 pairs.
     #[test]
     fn chunk_columns_widen_and_narrow_at_their_boundaries() {
+        let values = |column: &PackedColumn| -> Vec<u64> {
+            (0..column.len()).map(|i| column.get(i)).collect()
+        };
+        let widths = |ch: &ClassChunk| {
+            let width = |column: &PackedColumn| packed_keys::key_width(column.bits());
+            (width(&ch.seq_counts), width(&ch.rows.ends))
+        };
         let mut chunk = ClassChunk::default();
         chunk.push(false, 255, 0);
-        assert_eq!((chunk.seq_counts.width(), chunk.pair_ends.width()), (1, 1));
+        assert_eq!(widths(&chunk), (1, 1));
         chunk.push(false, 256, 0);
-        assert_eq!(chunk.seq_counts.to_vec(), [255, 256]);
-        assert_eq!(chunk.seq_counts.width(), 2);
+        assert_eq!(values(&chunk.seq_counts), [255, 256]);
+        assert_eq!(widths(&chunk).0, 2);
 
         // Two classes, 65,535 pairs and one.
         let row: Vec<Pair> = (0..65_535).map(|i| Pair::new(i / 256, i % 256 + 1)).collect();
@@ -1342,16 +1290,16 @@ mod tests {
             chunk.push(false, seqs, len);
         }
         chunk.set_rows(&[&row[..], &[last]].concat());
-        assert_eq!(chunk.pair_ends.to_vec(), [65_535, 65_536]);
-        assert_eq!(chunk.pair_ends.width(), 4);
+        assert_eq!(values(&chunk.rows.ends), [65_535, 65_536]);
+        assert_eq!(widths(&chunk).1, 3);
         assert_eq!(chunk.check(), Ok(()));
         chunk.edit_rows(0, &[(1, last)], &[]);
-        assert_eq!(chunk.pair_ends.to_vec(), [65_535, 65_535]);
-        assert_eq!(chunk.pair_ends.width(), 2);
+        assert_eq!(values(&chunk.rows.ends), [65_535, 65_535]);
+        assert_eq!(widths(&chunk).1, 2);
         assert_eq!(chunk.check(), Ok(()));
         assert!(chunk.row(0).eq(row.iter().copied()) && chunk.row(1).len() == 0);
         chunk.edit_rows(0, &[], &[(1, last)]);
-        assert_eq!(chunk.pair_ends.width(), 4);
+        assert_eq!(widths(&chunk).1, 3);
         assert!(chunk.row(1).eq([last]));
     }
 
@@ -1372,15 +1320,17 @@ mod tests {
     /// `total_bytes` is what the structures store, each counted at the
     /// size of the element type it is actually stored as — so the number
     /// falls only if the stored bytes do. A fresh build stores no pair
-    /// → class map; once built, the map holds one 8-byte entry per pair
-    /// and its sources' offsets. A
+    /// → class map; once built, the map holds a packed key per pair and
+    /// its sources' end offsets. A
     /// posting set's bytes are re-derived from its ids alone: per 64k-id
     /// window, a header and either 2 bytes an id or a 1,024-word bitmap,
-    /// whichever is smaller. A chunk's row ends and set sizes are
-    /// re-derived from its pair total and from the `Il2c` entries listing
-    /// each class: per class, the narrowest of 1, 2 and 4 bytes that holds
-    /// the chunk's largest value, plus a width byte per column; its loop
-    /// flags are a bit per class slot of the chunk span.
+    /// whichever is smaller. Every packed run — keys, row ends, set sizes —
+    /// is re-derived from its length and its largest value: per value the
+    /// bytes the largest value's bits need, 7 bytes of padding unless the
+    /// run is empty, and a byte naming the bit width. A chunk's row ends
+    /// and set sizes come from its pair total and from the `Il2c` entries
+    /// listing each class; its loop flags are a bit per class slot of the
+    /// chunk span.
     #[test]
     fn total_bytes_counts_the_stored_elements() {
         use crate::class_set::{Window, ARRAY_MAX};
@@ -1438,23 +1388,23 @@ mod tests {
             };
             let (il2c, retained) = (il2c(true), il2c(false));
             assert_eq!(retained > 0, !idx.is_indexed(&ff), "only a deleted interest is retained");
-            // `Ic2p`: per chunk, its keys at the width its largest vertex id
-            // needs, 7 bytes of padding and the shift byte, and its rows'
-            // end offsets at the width its pair total needs.
-            let narrowest =
-                |largest: usize| [1, 2, 4].into_iter().find(|&w| largest >> (8 * w) == 0);
-            let column = |len: usize, largest: usize| len * narrowest(largest).unwrap() + 1;
-            for ch in chunks() {
-                let largest = ch.pairs(0..ch.pair_total()).map(|p| p.src().max(p.dst())).max();
-                let width = packed_keys::key_width(2 * u32::from(ch.shift));
-                assert_eq!(u32::from(ch.shift), largest.map_or(0, |v| v.max(1).ilog2() + 1));
-                assert_eq!(ch.keys.len(), largest.map_or(0, |_| ch.pair_total() * width + 7));
-            }
+            // A packed run of `len` values of `bits` bits, and of `len`
+            // values whose largest is `largest`.
+            let bits = |largest: usize| largest.max(1).ilog2() + 1;
+            let run = |len: usize, bits: u32| {
+                let keys = if len == 0 { 0 } else { len * bits.div_ceil(8) as usize + 7 };
+                keys + size_of::<u8>()
+            };
+            let column = |len: usize, largest: usize| run(len, bits(largest));
+            // `Ic2p`: per chunk, its keys at twice the bits its largest
+            // vertex id needs, and its rows' end offsets at the bits its
+            // pair total needs.
             let ic2p: usize = chunks()
                 .map(|ch| {
-                    size_of_val(ch.keys.as_slice())
-                        + size_of_val(&ch.shift)
-                        + column(ch.len(), ch.pair_total())
+                    let pairs = ch.pairs(0..ch.pair_total());
+                    let largest = pairs.map(|p| p.src().max(p.dst()) as usize).max();
+                    let shift = largest.map_or(0, bits);
+                    run(ch.pair_total(), 2 * shift) + column(ch.len(), ch.pair_total())
                 })
                 .sum();
             // A class's set is stored in `Il2c` alone; the chunk holds its
@@ -1470,8 +1420,8 @@ mod tests {
             // The pair → class map: per 256-source shard up to the largest
             // source, each entry as a key of its target and class at the
             // bit widths of the shard's largest target and largest class,
-            // 7 bytes of padding after a shard's last key, its two width
-            // bytes, and a start offset per source and the entry count.
+            // an end offset per source at the bits the entry count needs,
+            // and the class width byte.
             let mut shards: Vec<(usize, u32, ClassId)> = Vec::new();
             for c in 0..idx.class_slots() as ClassId {
                 for p in idx.class_pairs(c) {
@@ -1483,13 +1433,11 @@ mod tests {
                     (*n, *targets, *classes) = (*n + 1, (*targets).max(p.dst()), (*classes).max(c));
                 }
             }
-            let bits = |largest: u32| largest.max(1).ilog2() + 1;
             let p2c: usize = shards
                 .iter()
                 .map(|&(n, targets, classes)| {
-                    let width = (bits(targets) + bits(classes)).div_ceil(8) as usize;
-                    let keys = if n == 0 { 0 } else { n * width + 7 };
-                    keys + 2 + offsets(257)
+                    let key_bits = bits(targets as usize) + bits(classes as usize);
+                    run(n, key_bits) + column(256, n) + size_of::<u8>()
                 })
                 .sum();
             let p2c = if has_map { p2c } else { 0 };

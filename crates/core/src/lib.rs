@@ -38,7 +38,6 @@ pub mod index;
 pub mod interest;
 mod intern;
 pub mod maintain;
-mod narrow_column;
 pub mod optimize;
 mod packed_keys;
 mod pair_column;

@@ -11,27 +11,32 @@
 //! behind `Arc`, so a write copies only the shards of the pairs it touches.
 //! A write hands all of its edits over at once, sorted by pair
 //! ([`PairColumn::edit`]): a shard whose entries only change class is
-//! overwritten in place, and one that gains or loses entries is rewritten
-//! once, by merging its slices with the edits.
+//! overwritten in place, and one that gains or loses entries is spliced
+//! once.
 //!
-//! Entries are **width-packed**, as `Ic2p` rows are: the entry of target
-//! `t` in class `c` is the key `t << class_bits | c`, where `target_bits`
-//! and `class_bits` are the bit widths of the shard's own largest target
-//! and largest class, stored in `⌈(target_bits + class_bits) / 8⌉` bytes
-//! ([`crate::packed_keys`]). Keys sort as their targets do. On a graph of
-//! up to 4,096 vertices with up to 2¹⁷ class slots an entry takes 4 bytes,
-//! where a `(target, class)` pair of `u32`s takes 8.
+//! A shard is the one store of packed rows that a class chunk's `Ic2p`
+//! rows use too ([`PackedRows`]): a row per source, its end offset and its
+//! entries as **width-packed** keys. The entry of target `t` in class `c`
+//! is the key `t << class_bits | c`, where `target_bits` and `class_bits`
+//! are the bit widths of the shard's own largest target and largest class,
+//! stored in `⌈(target_bits + class_bits) / 8⌉` bytes. Keys sort as their
+//! targets do, and a splice matches them on their bits above
+//! `class_bits`. On a graph of up to 4,096 vertices with up to 2¹⁷ class
+//! slots an entry takes 4 bytes, where a `(target, class)` pair of `u32`s
+//! takes 8.
 //!
 //! The form is canonical: it depends on the mapped pairs alone, not on the
 //! order of the edits that made them. Every shard holds its 256 sources'
-//! start offsets and the entry count, its keys at the narrowest widths that
-//! fit its entries — a batch that needs a wider key or leaves the shard
-//! without its widest one re-packs it — and the column has exactly the
-//! shards its largest source needs — no empty shard at the end.
+//! end offsets at the narrowest width the entry count needs, its keys at
+//! the narrowest widths that fit its entries — a batch that needs a wider
+//! key or leaves the shard without its widest one re-packs it — and the
+//! column has exactly the shards its largest source needs — no empty shard
+//! at the end.
 
 use crate::bisim::ClassId;
-use crate::packed_keys::{self, bits_for, store, KeyWriter, PackedKeys, KEY_PAD};
+use crate::packed_keys::{bits_for, PackedColumn, PackedKeys, PackedRows};
 use cpqx_graph::{Pair, VertexId};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -65,16 +70,10 @@ pub(crate) fn shards_for(largest: Option<VertexId>) -> usize {
 /// The entries of 256 consecutive sources.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct Shard {
-    /// Per source of the shard, where its slice starts among the entries;
-    /// then the entry count. `SHARD + 1` offsets, from 0, never
-    /// decreasing.
-    pub(crate) starts: Vec<u32>,
-    /// Each source's entries as packed keys `target << class_bits |
-    /// class`, sorted, one source after another; no bytes while the shard
-    /// holds no entry.
-    pub(crate) keys: Vec<u8>,
-    /// The bit width of the shard's largest target (0 without entries).
-    pub(crate) target_bits: u8,
+    /// A row per source of the shard: its entries as packed keys
+    /// `target << class_bits | class`, sorted; the keys' other bits are
+    /// the target's.
+    pub(crate) rows: PackedRows,
     /// The bit width of the shard's largest class (0 without entries).
     pub(crate) class_bits: u8,
 }
@@ -92,30 +91,32 @@ enum Change {
 
 impl Shard {
     /// A shard without entries.
-    fn empty() -> Self {
-        Shard { starts: vec![0; SHARD + 1], keys: Vec::new(), target_bits: 0, class_bits: 0 }
+    pub(crate) fn empty() -> Self {
+        let ends = PackedColumn::narrowest(std::iter::repeat_n(0, SHARD));
+        Shard { rows: PackedRows { ends, keys: PackedColumn::default() }, class_bits: 0 }
     }
 
     /// Number of entries.
     fn len(&self) -> usize {
-        self.starts[SHARD] as usize
+        self.rows.len()
     }
 
     /// The key widths.
     fn widths(&self) -> Widths {
-        (u32::from(self.target_bits), u32::from(self.class_bits))
+        let class_bits = u32::from(self.class_bits);
+        (self.rows.keys.bits() - class_bits, class_bits)
     }
 
     /// Where the `off`-th source's slice lies among the entries.
     #[inline]
     fn span(&self, off: usize) -> Range<usize> {
-        self.starts[off] as usize..self.starts[off + 1] as usize
+        self.rows.span(off)
     }
 
     /// A reader of the packed keys.
     #[inline]
     fn keys(&self) -> PackedKeys<'_> {
-        PackedKeys::new(&self.keys, u32::from(self.target_bits + self.class_bits))
+        self.rows.keys.reader()
     }
 
     /// The key of target `t` in class `c` at the shard's widths.
@@ -172,68 +173,47 @@ impl Shard {
     /// width: each mapped pair's class bits are overwritten where they
     /// stand.
     fn overwrite(&mut self, edits: &[(Pair, Option<ClassId>)]) {
-        let width = self.keys().width();
         for &(p, class) in edits {
             if let (Ok(i), Some(c)) = (self.find(p), class) {
                 let key = self.key(p.dst(), c);
-                store(&mut self.keys, i, width, key);
+                self.rows.keys.set(i, key);
             }
         }
     }
 
-    /// The shard with `edits` applied, packed at `widths` — wide enough for
-    /// every entry — in one pass: each source's slice is cut at its edited
-    /// targets (binary search), and the stretches between cuts are copied
-    /// whole, or re-packed key by key when the widths change.
-    fn merged(&self, mut edits: &[(Pair, Option<ClassId>)], widths: Widths) -> Shard {
-        let (target_bits, class_bits) = widths;
-        let keys = self.keys();
-        let mut out = KeyWriter::with_capacity(target_bits + class_bits, self.len() + edits.len());
-        let copy = |out: &mut KeyWriter, range: Range<usize>| {
-            if widths == self.widths() {
-                out.copy(keys, range);
-            } else {
-                for (t, c) in range.map(|i| self.entry(i)) {
-                    out.push(u64::from(t) << class_bits | u64::from(c));
-                }
-            }
+    /// The shard with its keys re-packed at `widths`, wide enough for
+    /// every entry.
+    fn repacked(&self, (target_bits, class_bits): Widths) -> Shard {
+        let (old, classes) = (self.class_bits, (1u64 << self.class_bits) - 1);
+        let rows = self
+            .rows
+            .repacked(target_bits + class_bits, |key| (key >> old) << class_bits | key & classes);
+        Shard { rows, class_bits: class_bits as u8 }
+    }
+
+    /// The shard with `edits` applied, at `widths` — its own or wider: the
+    /// keys re-packed first if they are wider, then spliced
+    /// ([`PackedRows::spliced`]) on their target bits.
+    fn edited(&self, edits: &[(Pair, Option<ClassId>)], widths: Widths) -> Shard {
+        let shard = match widths == self.widths() {
+            true => Cow::Borrowed(self),
+            false => Cow::Owned(self.repacked(widths)),
         };
-        let mut starts = Vec::with_capacity(SHARD + 1);
-        starts.push(0);
-        for off in 0..SHARD {
-            let span = self.span(off);
-            let (here, rest) =
-                edits.split_at(edits.partition_point(|e| offset_of(e.0.src()) == off));
-            edits = rest;
-            let mut from = span.start;
-            for &(p, class) in here {
-                let t = p.dst();
-                let at = keys.lower_bound(from..span.end, self.key(t, 0));
-                copy(&mut out, from..at);
-                // The slice's own entry for `t` is dropped either way.
-                from = at + usize::from(at < span.end && self.entry(at).0 == t);
-                if let Some(c) = class {
-                    out.push(u64::from(t) << class_bits | u64::from(c));
-                }
-            }
-            copy(&mut out, from..span.end);
-            starts.push(u32::try_from(out.len()).expect("a shard holds fewer than 2^32 pairs"));
-        }
-        debug_assert!(edits.is_empty(), "edits outside the shard");
-        let empty = out.len() == 0;
-        let (target_bits, class_bits) = if empty { (0, 0) } else { widths };
-        Shard {
-            starts,
-            keys: out.finish(),
-            target_bits: target_bits as u8,
-            class_bits: class_bits as u8,
-        }
+        let edits: Vec<(usize, u64, Option<u64>)> = edits
+            .iter()
+            .map(|&(p, class)| {
+                let (off, t) = (offset_of(p.src()), p.dst());
+                (off, shard.key(t, 0), class.map(|c| shard.key(t, c)))
+            })
+            .collect();
+        let class_bits = shard.class_bits;
+        Shard { rows: shard.rows.spliced(u32::from(class_bits), &edits), class_bits }
     }
 
     /// The narrowest widths that fit the entries: a scan of every entry.
     fn narrowest(&self) -> Widths {
         let (mut targets, mut classes) = (None, None);
-        for (t, c) in (0..self.len()).map(|i| self.entry(i)) {
+        for (t, c) in (0..self.rows.keys.len()).map(|i| self.entry(i)) {
             (targets, classes) = (targets.max(Some(t)), classes.max(Some(c)));
         }
         (bits_for(targets), bits_for(classes))
@@ -285,40 +265,40 @@ impl PairColumn {
             (*targets, *classes) = ((*targets).max(Some(p.dst())), (*classes).max(Some(c)));
         });
         // Each source's count becomes its cursor: where its slice starts.
-        // Per shard, its keys are gathered unpacked and packed once its
-        // slices are sorted.
+        // Per shard, its slices' ends and widths, and its keys gathered
+        // unpacked, to be packed once its slices are sorted.
         let mut cursors = counts;
-        let mut shards: Vec<(Shard, Vec<u64>)> = cursors
+        let mut shards: Vec<(Vec<u64>, Widths, Vec<u64>)> = cursors
             .chunks_mut(SHARD)
             .zip(largest)
             .map(|(sources, (targets, classes))| {
-                let mut starts = Vec::with_capacity(SHARD + 1);
+                let mut ends = Vec::with_capacity(SHARD);
                 let mut at = 0;
-                starts.push(at);
                 for cursor in sources {
                     (*cursor, at) = (at, at + *cursor);
-                    starts.push(at);
+                    ends.push(u64::from(at));
                 }
-                starts.resize(SHARD + 1, at);
-                let (target_bits, class_bits) = (bits_for(targets) as u8, bits_for(classes) as u8);
-                (Shard { starts, keys: Vec::new(), target_bits, class_bits }, vec![0; at as usize])
+                ends.resize(SHARD, u64::from(at));
+                (ends, (bits_for(targets), bits_for(classes)), vec![0; at as usize])
             })
             .collect();
         rows().for_each(|(p, c)| {
             let cursor = &mut cursors[p.src() as usize];
-            let (shard, keys) = &mut shards[shard_of(p.src())];
-            keys[*cursor as usize] = shard.key(p.dst(), c);
+            let (_, (_, class_bits), keys) = &mut shards[shard_of(p.src())];
+            keys[*cursor as usize] = u64::from(p.dst()) << *class_bits | u64::from(c);
             *cursor += 1;
         });
         // A shard's unpacked keys are freed before the next shard's are
         // packed.
-        let shards = shards.into_iter().map(|(mut shard, mut keys)| {
-            for off in 0..SHARD {
-                keys[shard.span(off)].sort_unstable();
+        let shards = shards.into_iter().map(|(ends, (target_bits, class_bits), mut keys)| {
+            let mut start = 0;
+            for &end in &ends {
+                keys[start..end as usize].sort_unstable();
+                start = end as usize;
             }
-            let bits = u32::from(shard.target_bits + shard.class_bits);
-            shard.keys = packed_keys::pack(bits, keys.into_iter());
-            Arc::new(shard)
+            let keys = PackedColumn::new(target_bits + class_bits, keys.into_iter());
+            let rows = PackedRows { ends: PackedColumn::narrowest(ends.into_iter()), keys };
+            Arc::new(Shard { rows, class_bits: class_bits as u8 })
         });
         PairColumn { shards: shards.collect() }
     }
@@ -336,10 +316,10 @@ impl PairColumn {
     /// None)` removes `p` if it is present. Each shard the edits change is
     /// written once: when no entry comes or goes and every class fits the
     /// class width, its class bits are overwritten in place (the shard
-    /// copied first if it is shared); otherwise a new shard is merged from
-    /// the old one and the edits, at the widths they need. A shard left
-    /// without an entry of its top target or class width is then re-packed
-    /// narrower. Shards the edits do not change stay shared.
+    /// copied first if it is shared); otherwise a new shard is spliced
+    /// from the old one and the edits, at the widths they need. A shard
+    /// left without an entry of its top target or class width is then
+    /// re-packed narrower. Shards the edits do not change stay shared.
     pub fn edit(&mut self, mut edits: &[(Pair, Option<ClassId>)]) {
         debug_assert!(edits.windows(2).all(|w| w[0].0 < w[1].0), "edits not sorted by pair");
         while let Some(&(first, _)) = edits.first() {
@@ -358,10 +338,10 @@ impl PairColumn {
             match change {
                 Change::None => continue,
                 Change::Classes if widths == shard.widths() => Arc::make_mut(shard).overwrite(here),
-                _ => *shard = Arc::new(shard.merged(here, widths)),
+                _ => *shard = Arc::new(shard.edited(here, widths)),
             }
             if !shard.at_narrowest() {
-                *shard = Arc::new(shard.merged(&[], shard.narrowest()));
+                *shard = Arc::new(shard.repacked(shard.narrowest()));
             }
         }
         while self.shards.last().is_some_and(|shard| shard.len() == 0) {
@@ -384,57 +364,32 @@ impl PairColumn {
         &self.shards
     }
 
-    /// The bytes the column stores: per shard, its packed keys (padding
-    /// included), a byte for each of its two widths, and 4 bytes per
-    /// offset.
+    /// The bytes the column stores: per shard, its packed rows — the keys
+    /// and the sources' end offsets, each run with its padding and its bit
+    /// width byte — and the class width byte.
     pub fn stored_bytes(&self) -> usize {
-        let per_shard = 2 + (SHARD + 1) * std::mem::size_of::<u32>();
-        self.shards.iter().map(|shard| shard.keys.len() + per_shard).sum()
+        self.shards.iter().map(|shard| shard.rows.stored_bytes() + 1).sum()
     }
 
     /// Checks the form every read assumes of each shard, and its canonical
-    /// widths: `SHARD + 1` offsets that start at 0 and never decrease; a
-    /// key per entry at the width its two bit widths need, then
-    /// [`KEY_PAD`] zero bytes (no bytes without an entry); each source's
-    /// slice strictly ascending by target; the widths the narrowest that
-    /// fit the entries; and no key bit set past them. Whether the shard
-    /// count is the one the largest mapped source needs is the caller's to
-    /// check (`validate` holds it to the class rows).
+    /// widths: a row per source, in the packed rows' canonical form
+    /// ([`PackedRows::check`]) with each source's slice strictly ascending
+    /// by target and the keys at the narrowest widths that fit the
+    /// entries. Whether the shard count is the one the largest mapped
+    /// source needs is the caller's to check (`validate` holds it to the
+    /// class rows).
     pub(crate) fn check(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
-            let starts = &shard.starts;
-            if starts.len() != SHARD + 1 || starts[0] != 0 || starts.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(format!("pair map shard {i}: offsets not monotone from 0"));
-            }
-            let (n, width) = (shard.len(), shard.keys().width());
-            if (n == 0) != (shard.widths() == (0, 0)) {
-                return Err(format!("pair map shard {i}: keys not at their narrowest widths"));
-            }
-            let expected = if n == 0 { 0 } else { n * width + KEY_PAD };
-            if shard.keys.len() != expected {
-                return Err(format!(
-                    "pair map shard {i}: {} key bytes for {n} entries of {width} bytes, not \
-                     {expected}",
-                    shard.keys.len()
-                ));
-            }
-            for off in 0..SHARD {
-                let targets = shard.span(off).map(|at| shard.entry(at).0);
-                if targets.clone().zip(targets.skip(1)).any(|(a, b)| a >= b) {
-                    let v = i * SHARD + off;
-                    return Err(format!("pair map: source {v}'s targets not strictly ascending"));
-                }
-            }
-            if !shard.at_narrowest() {
-                return Err(format!("pair map shard {i}: keys not at their narrowest widths"));
-            }
-            if shard.keys[n * width..].iter().any(|&b| b != 0) {
-                return Err(format!("pair map shard {i}: non-zero pad bytes"));
-            }
-            let stored = PackedKeys::new(&shard.keys, 8 * width as u32);
-            if (0..n).any(|at| stored.get(at) != shard.keys().get(at)) {
-                return Err(format!("pair map shard {i}: a key bit set past its widths"));
+            let (targets, classes) = shard.narrowest();
+            let class_bits = u32::from(shard.class_bits);
+            // A class width off the narrowest is keys off their narrowest
+            // width, whatever the key width.
+            let key_bits = if classes == class_bits { targets + classes } else { u32::MAX };
+            let rows = &shard.rows;
+            rows.check(class_bits, key_bits)
+                .map_err(|rule| format!("pair map shard {i}: {rule}"))?;
+            if rows.rows() != SHARD {
+                return Err(format!("pair map shard {i}: {} rows, not {SHARD}", rows.rows()));
             }
         }
         Ok(())
@@ -450,6 +405,7 @@ impl PairColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed_keys::KEY_PAD;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -495,8 +451,11 @@ mod tests {
         // Shard 0: targets up to 9 (4 bits) and classes up to 2 (2 bits),
         // a byte a key; shard 1: one bit each, a byte a key.
         assert_eq!(widths(&column), [(4, 2), (1, 1)]);
-        let shards = [4 + KEY_PAD, 1 + KEY_PAD];
-        assert_eq!(column.stored_bytes(), shards.iter().map(|keys| keys + 2 + 257 * 4).sum());
+        // Per shard: keys and their bit width byte, 256 one-byte ends and
+        // theirs, and the class width byte.
+        let shards = [4 + KEY_PAD + 1, 1 + KEY_PAD + 1];
+        let ends = 256 + KEY_PAD + 1;
+        assert_eq!(column.stored_bytes(), shards.iter().map(|keys| keys + ends + 1).sum());
         assert_eq!(PairColumn::from_rows(std::iter::empty), PairColumn::default());
     }
 
@@ -555,10 +514,10 @@ mod tests {
             for &(pair, class) in edits {
                 assert_eq!(column.get(pair), class);
             }
-            column.shards()[0].keys.len()
+            column.shards()[0].rows.keys.stored_bytes()
         };
         // Re-mapped in place, but 65,536 takes 17 bits: 25 bits, 4 bytes.
-        assert_eq!(apply(&[(p(1, 1), Some(65_536))], (8, 17)), 3 * 4 + KEY_PAD);
+        assert_eq!(apply(&[(p(1, 1), Some(65_536))], (8, 17)), 3 * 4 + KEY_PAD + 1);
         // Back below 65,536: 255 is the largest class again.
         apply(&[(p(1, 1), Some(65_535))], (8, 16));
         apply(&[(p(1, 1), Some(0))], (8, 8));
@@ -569,7 +528,7 @@ mod tests {
         // moves down: 3 bits of target and 2 of class.
         apply(&[(p(1, 4), Some(3)), (p(2, 255), None)], (3, 2));
         // The last entries go: no key bytes and no widths.
-        assert_eq!(apply(&[(p(1, 1), None), (p(1, 4), None)], (0, 0)), 0);
+        assert_eq!(apply(&[(p(1, 1), None), (p(1, 4), None)], (0, 0)), 1);
     }
 
     proptest! {

@@ -35,18 +35,20 @@ impl CpqxIndex {
     /// * an entry whose sequence is not indexed — a *retained* entry — has
     ///   a sequence a deleted interest could have had (the index is
     ///   interest-aware, length 2 to k), and no lookup serves it;
-    /// * every class chunk's rows are packed at the width its largest
-    ///   vertex id needs, no wider; its row ends and its set sizes are each
-    ///   stored at the narrowest width that fits their largest value; and
-    ///   no loop bit is set past its classes;
-    /// * `Ic2p` rows are sorted and disjoint and hold `pair_count` pairs,
-    ///   and the pair → class map, if built, is exactly their inverse
-    ///   (without it, pairs are looked up in a sorted list made from the
-    ///   rows), in canonical form: each shard's offsets start at 0 and
-    ///   never decrease, it holds a key per entry and then 7 zero bytes,
-    ///   each source's slice is strictly ascending by target, its keys are
-    ///   at the narrowest widths that fit its largest target and class with
-    ///   no bit set past them, and there are exactly the shards the rows'
+    /// * every class chunk and every pair-map shard is in the canonical
+    ///   form of the packed rows both store their rows in: end offsets at
+    ///   the narrowest width their total needs, never decreasing, the last
+    ///   one the key count; each packed run a whole number of keys, then 7
+    ///   zero bytes, with no bit set past its width; each row strictly
+    ///   ascending (a chunk's by pair, a shard's by target); and the keys
+    ///   at the narrowest widths their owner's layout needs — a chunk's
+    ///   largest vertex id, a shard's largest target and class. A chunk's
+    ///   set sizes are a packed run at the narrowest width too, one per
+    ///   row, and no loop bit is set past its classes;
+    /// * `Ic2p` rows are disjoint and hold `pair_count` pairs, and the
+    ///   pair → class map, if built, is exactly their inverse (without it,
+    ///   pairs are looked up in a sorted list made from the rows), with a
+    ///   row per source in each shard and exactly the shards the rows'
     ///   largest source needs;
     /// * every pair of `g` with a non-empty `L≤k ∩ indexed` is in exactly
     ///   one class; every indexed pair's class has the pair's cyclicity and
@@ -115,11 +117,7 @@ impl CpqxIndex {
         // and standing in for it otherwise.
         let mut in_rows: Vec<(Pair, ClassId)> = Vec::with_capacity(self.pair_count());
         for c in 0..slots {
-            let row: Vec<Pair> = self.class_pairs(c).collect();
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("class {c}: pair row not strictly sorted"));
-            }
-            in_rows.extend(row.iter().map(|&p| (p, c)));
+            in_rows.extend(self.class_pairs(c).map(|p| (p, c)));
         }
         in_rows.sort_unstable();
         if let Some(w) = in_rows.windows(2).find(|w| w[0].0 == w[1].0) {
@@ -205,8 +203,7 @@ mod tests {
     use super::*;
     use crate::class_set::{ClassSet, Parts, Window};
     use crate::index::{ClassChunk, Posting};
-    use crate::narrow_column::NarrowColumn;
-    use crate::packed_keys::{self, PackedKeys, KEY_PAD};
+    use crate::packed_keys::{self, PackedColumn, KEY_PAD};
     use crate::pair_column::Shard;
     use cpqx_graph::generate;
     use std::sync::Arc;
@@ -358,15 +355,23 @@ mod tests {
     /// The first source of shard 0 with at least two entries, and where
     /// its slice starts.
     fn busy_source(shard: &Shard) -> (usize, usize) {
-        let off = (0..shard.starts.len() - 1)
-            .find(|&off| shard.starts[off + 1] - shard.starts[off] >= 2)
+        let off = (0..shard.rows.rows())
+            .find(|&off| shard.rows.span(off).len() >= 2)
             .expect("a source with two targets");
-        (off, shard.starts[off] as usize)
+        (off, shard.rows.span(off).start)
     }
 
     /// Bytes per key of `shard`.
     fn key_width(shard: &Shard) -> usize {
-        packed_keys::key_width(u32::from(shard.target_bits + shard.class_bits))
+        packed_keys::key_width(shard.rows.keys.bits())
+    }
+
+    /// `column` with its values re-packed by `damage`, at the narrowest
+    /// width they need.
+    fn repacked_values(column: &PackedColumn, damage: impl FnOnce(&mut Vec<u64>)) -> PackedColumn {
+        let mut values: Vec<u64> = (0..column.len()).map(|i| column.get(i)).collect();
+        damage(&mut values);
+        PackedColumn::narrowest(values.into_iter())
     }
 
     #[test]
@@ -377,33 +382,47 @@ mod tests {
             let (off, at) = busy_source(shard);
             source = off;
             let width = key_width(shard);
-            let (first, second) = shard.keys[at * width..].split_at_mut(width);
+            let keys = shard.rows.keys.bytes_mut();
+            let (first, second) = keys[at * width..].split_at_mut(width);
             first.swap_with_slice(&mut second[..width]);
         });
-        assert!(
-            err.contains(&format!("source {source}'s targets not strictly ascending")),
-            "{err}"
-        );
+        let expected = format!("pair map shard 0: row {source}: keys not strictly ascending");
+        assert!(err.contains(&expected), "{err}");
     }
 
     #[test]
     fn pair_map_offsets_off_their_entries_are_reported() {
-        // An offset past the next one, and one before 0's place.
-        type Damage = fn(&mut Shard);
-        let unordered: [Damage; 2] =
-            [|shard| shard.starts[1] = u32::MAX, |shard| shard.starts[0] = 1];
-        for damage in unordered {
-            let err = damaged_map_error(|shards| damage(Arc::make_mut(&mut shards[0])));
-            assert!(err.contains("pair map shard 0: offsets not monotone from 0"), "{err}");
-        }
-        // One key more than the offsets end at.
+        // An end offset past the next one.
         let err = damaged_map_error(|shards| {
-            let shard = Arc::make_mut(&mut shards[0]);
-            let width = key_width(shard);
-            let last = shard.keys.len() - KEY_PAD - width;
-            shard.keys.extend_from_within(last..last + width);
+            let ends = &mut Arc::make_mut(&mut shards[0]).rows.ends;
+            *ends = repacked_values(ends, |ends| ends[0] = ends[1] + 1);
         });
-        assert!(err.contains("pair map shard 0: ") && err.contains("key bytes for"), "{err}");
+        assert!(err.contains("pair map shard 0: row ends: row 1 ends before row 0"), "{err}");
+        // The last end offset one past the entries, and one key more than
+        // the offsets end at.
+        type Damage = fn(&mut Shard);
+        let damages: [Damage; 2] = [
+            |shard| {
+                let ends = &mut shard.rows.ends;
+                *ends = repacked_values(ends, |ends| *ends.last_mut().unwrap() += 1);
+            },
+            |shard| {
+                let width = key_width(shard);
+                let keys = shard.rows.keys.bytes_mut();
+                let last = keys.len() - KEY_PAD - width;
+                keys.splice(last..last, keys[last..last + width].to_vec());
+            },
+        ];
+        for damage in damages {
+            let err = damaged_map_error(|shards| damage(Arc::make_mut(&mut shards[0])));
+            assert!(err.contains("pair map shard 0: ") && err.contains("keys for rows ending at"));
+        }
+        // A shard of one row short.
+        let err = damaged_map_error(|shards| {
+            let ends = &mut Arc::make_mut(&mut shards[0]).rows.ends;
+            *ends = repacked_values(ends, |ends| ends.truncate(255));
+        });
+        assert!(err.contains("pair map shard 0: 255 rows, not 256"), "{err}");
     }
 
     /// The map has exactly the shards its largest source needs: a map that
@@ -415,13 +434,7 @@ mod tests {
             shards.pop();
         });
         assert!(err.contains("the pair map has 0 shards") && err.contains("needs 1"), "{err}");
-        let err = damaged_map_error(|shards| {
-            let mut empty = Shard::clone(&shards[0]);
-            empty.keys.clear();
-            empty.starts.fill(0);
-            (empty.target_bits, empty.class_bits) = (0, 0);
-            shards.push(Arc::new(empty));
-        });
+        let err = damaged_map_error(|shards| shards.push(Arc::new(Shard::empty())));
         assert!(err.contains("the pair map has 2 shards") && err.contains("needs 1"), "{err}");
     }
 
@@ -431,33 +444,25 @@ mod tests {
     /// an entryless shard with widths.
     #[test]
     fn a_pair_map_shard_wider_than_it_needs_is_reported() {
+        let narrowest = "pair map shard 0: keys: not at their narrowest width";
         for wider_class in [false, true] {
             let err = damaged_map_error(|shards| {
                 let shard = Arc::make_mut(&mut shards[0]);
-                let (targets, classes) = (shard.target_bits, shard.class_bits);
-                let run = PackedKeys::new(&shard.keys, u32::from(targets + classes));
-                let n = shard.starts[shard.starts.len() - 1] as usize;
-                let keys: Vec<u64> = (0..n).map(|i| run.get(i)).collect();
-                let keys = keys.iter().map(|&key| {
-                    let (t, c) = (key >> classes, key & ((1 << classes) - 1));
-                    t << (classes + u8::from(wider_class)) | c
-                });
-                shard.keys = packed_keys::pack(u32::from(targets + classes + 1), keys);
-                if wider_class {
-                    shard.class_bits += 1;
-                } else {
-                    shard.target_bits += 1;
-                }
+                let (bits, classes) = (shard.rows.keys.bits(), shard.class_bits);
+                let wider = classes + u8::from(wider_class);
+                let mask = (1 << classes) - 1;
+                let rows =
+                    shard.rows.repacked(bits + 1, |key| (key >> classes) << wider | key & mask);
+                (shard.rows, shard.class_bits) = (rows, wider);
             });
-            assert!(err.contains("pair map shard 0: keys not at their narrowest widths"), "{err}");
+            assert!(err.contains(narrowest), "{err}");
         }
         let err = damaged_map_error(|shards| {
-            let mut empty = Shard::clone(&shards[0]);
-            empty.keys.clear();
-            empty.starts.fill(0);
+            let mut empty = Shard::empty();
+            (empty.rows.keys, empty.class_bits) = (PackedColumn::new(9, std::iter::empty()), 4);
             shards.insert(0, Arc::new(empty));
         });
-        assert!(err.contains("pair map shard 0: keys not at their narrowest widths"), "{err}");
+        assert!(err.contains(narrowest), "{err}");
     }
 
     /// The bytes after a shard's last key and the key bits past its widths
@@ -466,16 +471,17 @@ mod tests {
     #[test]
     fn non_zero_pair_map_padding_is_reported() {
         let err = damaged_map_error(|shards| {
-            *Arc::make_mut(&mut shards[0]).keys.last_mut().unwrap() = 1;
+            let keys = Arc::make_mut(&mut shards[0]).rows.keys.bytes_mut();
+            *keys.last_mut().unwrap() = 1;
         });
-        assert!(err.contains("pair map shard 0: non-zero pad bytes"), "{err}");
+        assert!(err.contains("pair map shard 0: keys: non-zero pad bytes"), "{err}");
         let err = damaged_map_error(|shards| {
             let shard = Arc::make_mut(&mut shards[0]);
-            let (bits, width) = (u32::from(shard.target_bits + shard.class_bits), key_width(shard));
+            let (bits, width) = (shard.rows.keys.bits(), key_width(shard));
             assert!(bits < 8 * width as u32, "no spare bit in a key of {bits} bits");
-            shard.keys[width - 1] |= 0x80;
+            shard.rows.keys.bytes_mut()[width - 1] |= 0x80;
         });
-        assert!(err.contains("pair map shard 0: a key bit set past its widths"), "{err}");
+        assert!(err.contains("pair map shard 0: keys: a key bit set past their width"), "{err}");
     }
 
     /// A cyclic set is checked for its form like a posting set: one with
@@ -608,20 +614,30 @@ mod tests {
     fn a_column_wider_than_it_needs_is_reported() {
         let g = generate::gex();
         let good = CpqxIndex::build(&g, 2);
-        type Column = fn(&mut ClassChunk) -> &mut NarrowColumn;
+        type Column = fn(&mut ClassChunk) -> &mut PackedColumn;
         let columns: [(Column, &str); 2] =
-            [(|ch| &mut ch.pair_ends, "row ends"), (|ch| &mut ch.seq_counts, "set sizes")];
+            [(|ch| &mut ch.rows.ends, "row ends"), (|ch| &mut ch.seq_counts, "set sizes")];
         for (column, what) in columns {
             let mut bad = good.clone();
             let column = column(Arc::make_mut(&mut bad.classes[0]));
-            assert_eq!(column.width(), 1);
-            *column = NarrowColumn::U16(column.to_vec().into_iter().map(|v| v as u16).collect());
+            assert!(column.bits() <= 8);
+            *column = column.repacked(column.bits() + 8, |value| value);
             let err = bad.validate(&g).unwrap_err();
-            assert!(
-                err.contains(&format!("class chunk 0: {what} not at their narrowest")),
-                "{err}"
-            );
+            let expected = format!("class chunk 0: {what}: not at their narrowest width");
+            assert!(err.contains(&expected), "{err}");
         }
+    }
+
+    /// The bytes after a chunk's last row end are zero: a set one is read
+    /// by no row, but is not the form a build makes.
+    #[test]
+    fn non_zero_row_end_padding_is_reported() {
+        let g = generate::gex();
+        let mut bad = CpqxIndex::build(&g, 2);
+        let ends = &mut Arc::make_mut(&mut bad.classes[0]).rows.ends;
+        *ends.bytes_mut().last_mut().unwrap() = 1;
+        let err = bad.validate(&g).unwrap_err();
+        assert!(err.contains("class chunk 0: row ends: non-zero pad bytes"), "{err}");
     }
 
     /// Loop bits past a chunk's classes are 0: a set one is read by no

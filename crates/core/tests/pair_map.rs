@@ -50,9 +50,14 @@ fn map_shard_bytes(idx: &CpqxIndex, shard: usize) -> usize {
             (n, targets, classes) = (n + 1, targets.max(p.dst()), classes.max(c));
         }
     }
-    let width = (bits(targets) + bits(classes)).div_ceil(8) as usize;
-    let keys = if n == 0 { 0 } else { n * width + 7 };
-    keys + 2 + 257 * 4
+    // A packed run of `len` values of `bits` bits: the bytes those need,
+    // 7 zero bytes unless it is empty, and a byte naming the bit width.
+    let run = |len: usize, bits: u32| {
+        let values = if len == 0 { 0 } else { len * bits.div_ceil(8) as usize + 7 };
+        values + 1
+    };
+    let ends = run(256, bits(n as u32));
+    run(n, bits(targets) + bits(classes)) + ends + 1
 }
 
 #[test]
@@ -70,8 +75,9 @@ fn builds_leave_the_map_unbuilt() {
         // The map adds what it stores and nothing else: per 256-source
         // shard up to the largest source, each pair as a key of its target
         // and class at the bit widths of the shard's largest target and
-        // class, 7 zero bytes after the last key, two width bytes, and a
-        // 4-byte start offset per source and the entry count.
+        // class, an end offset per source at the bits the entry count
+        // needs — each run with 7 zero bytes after it and a bit width byte
+        // — and the class width byte.
         let largest =
             (0..idx.class_slots() as u32).flat_map(|c| idx.class_pairs(c)).map(|p| p.src()).max();
         let shards = largest.map_or(0, |v| v as usize / 256 + 1);
