@@ -552,27 +552,26 @@ pub struct IndexStats {
     /// A class set counts what it stores: a 12-byte header per 64k-id
     /// window, 2 bytes per id of an array window and 8 KB per bitmap
     /// window ([`ClassSet`]).
-    /// `Ic2p` counts what it stores: each chunk's width-packed rows, their
-    /// 7 padding bytes and one shift byte, plus its row ends at the width
-    /// the chunk's pair total needs (1, 2 or 4 bytes a row) and one width
-    /// byte — on a graph of up to 4,096 vertices, 3 bytes a pair and 2 a
-    /// row.
+    /// `Ic2p` counts what it stores: each chunk's packed rows — its keys
+    /// at the width its largest vertex id needs, and its row ends at the
+    /// width its pair total needs — each run with its 7 padding bytes and
+    /// one bit-width byte: on a graph of up to 4,096 vertices, 3 bytes a
+    /// pair and 2 a row.
     pub core_bytes: usize,
     /// Total bytes including the maintenance structures (per-class
     /// sequence-set sizes and loop flags, the retained `Il2c` entries of
     /// deleted interests, and the pair → class map once the first write
     /// has built it). A class's sequence *set* is not counted again: it is
     /// stored only in `Il2c`. Packed accounting: what each structure
-    /// stores, at the size of the element type it stores it as (`Ic2p`
-    /// rows at their packed width and posting sets by their containers, as
-    /// in `core_bytes`; each chunk's set sizes at the width its largest
-    /// needs plus a width byte, and its loop flags as 32 bytes of bits; the
-    /// pair → class map per 256-source shard as its packed `(target,
-    /// class)` keys at the shard's widths with their 7 bytes of padding,
-    /// plus its two width bytes), plus a 4-byte offset or length per list
-    /// of the map and of `Il2c` — for the map, a start offset per source of
-    /// each shard and the shard's entry count; vector headers and capacity
-    /// are not counted.
+    /// stores, at the size of the element type it stores it as. `Ic2p`
+    /// and posting sets count as in `core_bytes`; every other packed run
+    /// counts like a chunk's rows, its values at the width the largest
+    /// needs, 7 padding bytes and a bit-width byte: a chunk's set sizes
+    /// (and its loop flags, 32 bytes of bits), and each 256-source shard
+    /// of the pair → class map — the same packed rows as a chunk's, its
+    /// `(target, class)` keys and its sources' end offsets, plus a
+    /// class-width byte. `Il2c` adds a 4-byte length per list; vector
+    /// headers and capacity are not counted.
     pub total_bytes: usize,
 }
 
@@ -782,11 +781,9 @@ impl CpqxIndex {
     #[cfg(test)]
     pub(crate) fn set_class_seq_count(&mut self, c: ClassId, n: usize) {
         let chunk = Arc::make_mut(&mut self.classes[c as usize / CLASS_CHUNK]);
-        let off = c as usize % CLASS_CHUNK;
-        let sizes: Vec<u64> = (0..chunk.len()).map(|o| chunk.seq_counts.get(o)).collect();
-        let sizes =
-            sizes.iter().enumerate().map(|(o, &size)| if o == off { n as u64 } else { size });
-        chunk.seq_counts = PackedColumn::narrowest(sizes);
+        let mut sizes: Vec<u64> = (0..chunk.len()).map(|o| chunk.seq_counts.get(o)).collect();
+        sizes[c as usize % CLASS_CHUNK] = n as u64;
+        chunk.seq_counts = PackedColumn::narrowest(&sizes);
     }
 
     /// Whether class `c` carries exactly the sequences `ids` (distinct):

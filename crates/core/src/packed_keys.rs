@@ -95,11 +95,17 @@ impl<'a> PackedKeys<'a> {
     }
 }
 
-/// Where row `row` lies among the keys, given the rows' end offsets.
+/// Where row `row` lies among the keys, given the rows' end offsets: an
+/// offset counts keys, so it takes at most 4 bytes, and past the first
+/// row both ends come out of one 8-byte load.
 #[inline]
 pub(crate) fn row_span(ends: PackedKeys<'_>, row: usize) -> Range<usize> {
-    let start = if row == 0 { 0 } else { ends.get(row - 1) as usize };
-    start..ends.get(row) as usize
+    debug_assert!(ends.width <= 4, "an end offset wider than 4 bytes");
+    if row == 0 {
+        return 0..ends.get(0) as usize;
+    }
+    let word = word_at(ends.bytes, (row - 1) * ends.width);
+    (word & ends.mask) as usize..(word >> (8 * ends.width) & ends.mask) as usize
 }
 
 /// An owned run of packed keys and their bit width. A build stores each
@@ -114,14 +120,22 @@ pub(crate) struct PackedColumn {
 impl PackedColumn {
     /// The run of `keys`, each of at most `bits` bits.
     pub(crate) fn new(bits: u32, keys: impl ExactSizeIterator<Item = u64>) -> Self {
-        let mut out = KeyWriter::with_capacity(bits, keys.len());
-        keys.for_each(|key| out.push(key));
-        out.finish()
+        let (width, mut bytes) = (key_width(bits), Vec::new());
+        if keys.len() > 0 {
+            // Each key is written as one 8-byte word at its offset: its
+            // bytes past `width` are zero, and the next key (or the
+            // padding) overwrites them.
+            bytes = vec![0; keys.len() * width + KEY_PAD];
+            for (at, key) in (0..).step_by(width).zip(keys) {
+                bytes[at..at + 8].copy_from_slice(&key.to_le_bytes());
+            }
+        }
+        PackedColumn { bytes, bits: bits as u8 }
     }
 
     /// The run of `keys` at the bits their largest one needs.
-    pub(crate) fn narrowest(keys: impl ExactSizeIterator<Item = u64> + Clone) -> Self {
-        Self::new(bits_for(keys.clone().max()), keys)
+    pub(crate) fn narrowest(keys: &[u64]) -> Self {
+        Self::new(bits_for(keys.iter().max().copied()), keys.iter().copied())
     }
 
     /// An empty run with room for `n` keys at the bits `largest` needs —
@@ -333,7 +347,7 @@ impl PackedRows {
             new_ends.push(out.len as u64);
         }
         debug_assert!(edits.is_empty(), "edits past the last row");
-        PackedRows { ends: PackedColumn::narrowest(new_ends.into_iter()), keys: out.finish() }
+        PackedRows { ends: PackedColumn::narrowest(&new_ends), keys: out.finish() }
     }
 
     /// Bytes the rows store: both columns'.
@@ -451,7 +465,7 @@ mod tests {
         let ends: Vec<u64> = model.iter().map(|row| (end += row.len() as u64, end).1).collect();
         let keys: Vec<u64> = model.iter().flat_map(|row| row.values().copied()).collect();
         PackedRows {
-            ends: PackedColumn::narrowest(ends.into_iter()),
+            ends: PackedColumn::narrowest(&ends),
             keys: PackedColumn::new(bits, keys.into_iter()),
         }
     }
@@ -478,7 +492,7 @@ mod tests {
             for (value, rebuild, keep) in ops {
                 if rebuild == 0 {
                     model.truncate(keep);
-                    column = PackedColumn::narrowest(model.iter().copied());
+                    column = PackedColumn::narrowest(&model);
                 } else {
                     model.push(VALUES[value]);
                     column.push(VALUES[value]);

@@ -92,7 +92,7 @@ enum Change {
 impl Shard {
     /// A shard without entries.
     pub(crate) fn empty() -> Self {
-        let ends = PackedColumn::narrowest(std::iter::repeat_n(0, SHARD));
+        let ends = PackedColumn::narrowest(&[0; SHARD]);
         Shard { rows: PackedRows { ends, keys: PackedColumn::default() }, class_bits: 0 }
     }
 
@@ -297,7 +297,7 @@ impl PairColumn {
                 start = end as usize;
             }
             let keys = PackedColumn::new(target_bits + class_bits, keys.into_iter());
-            let rows = PackedRows { ends: PackedColumn::narrowest(ends.into_iter()), keys };
+            let rows = PackedRows { ends: PackedColumn::narrowest(&ends), keys };
             Arc::new(Shard { rows, class_bits: class_bits as u8 })
         });
         PairColumn { shards: shards.collect() }

@@ -371,7 +371,7 @@ mod tests {
     fn repacked_values(column: &PackedColumn, damage: impl FnOnce(&mut Vec<u64>)) -> PackedColumn {
         let mut values: Vec<u64> = (0..column.len()).map(|i| column.get(i)).collect();
         damage(&mut values);
-        PackedColumn::narrowest(values.into_iter())
+        PackedColumn::narrowest(&values)
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   carries more than 255 sequences and a chunk holds more than 65,535
 //!   pairs, so a chunk's set sizes and row ends each take their wider
 //!   width — the index validates and answers as the reference semantics
-//!   does, before and after writes (the columns' own boundaries are pinned
-//!   by the unit tests of `narrow_column.rs` and `index.rs`).
+//!   does, before and after writes (the packed runs' own boundaries are
+//!   pinned by the unit tests of `packed_keys.rs` and `index.rs`).
 
 use cpqx_core::{cpq_path_partition, normalize_interests, CpqxIndex, RefinementBase};
 use cpqx_graph::datasets::Dataset;
