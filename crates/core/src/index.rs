@@ -104,21 +104,6 @@ impl Keys<'_> {
 }
 
 impl ClassChunk {
-    /// An empty chunk with room for exactly `classes` classes holding
-    /// `pairs` pairs in all, the largest set of which has `largest_set`
-    /// sequences: its end offsets and set sizes start at the widths these
-    /// need, so no push re-packs them.
-    pub(crate) fn with_capacity(classes: usize, pairs: usize, largest_set: usize) -> Self {
-        ClassChunk {
-            rows: PackedRows {
-                ends: PackedColumn::with_capacity(classes, pairs as u64),
-                keys: PackedColumn::default(),
-            },
-            seq_counts: PackedColumn::with_capacity(classes, largest_set as u64),
-            ..ClassChunk::default()
-        }
-    }
-
     /// Number of classes in the chunk.
     pub(crate) fn len(&self) -> usize {
         self.seq_counts.len()
@@ -127,12 +112,6 @@ impl ClassChunk {
     /// Number of pairs across the chunk's rows.
     fn pair_total(&self) -> usize {
         self.rows.len()
-    }
-
-    /// The range of the chunk's rows the `off`-th row occupies.
-    #[inline]
-    fn span(&self, off: usize) -> Range<usize> {
-        self.rows.span(off)
     }
 
     /// Whether the `off`-th class is cyclic.
@@ -161,13 +140,13 @@ impl ClassChunk {
     /// The pair row of the `off`-th class, decoded.
     #[inline]
     fn row(&self, off: usize) -> impl ExactSizeIterator<Item = Pair> + Clone + '_ {
-        self.pairs(self.span(off))
+        self.pairs(self.rows.span(off))
     }
 
     /// Whether the `off`-th row holds `p`: a binary search over its
     /// packed keys, unless an id of `p` is too wide for them.
     fn row_holds(&self, off: usize, p: Pair) -> bool {
-        let (keys, span) = (self.keys(), self.span(off));
+        let (keys, span) = (self.keys(), self.rows.span(off));
         if bits_for(Some(p.src() | p.dst())) > keys.shift {
             return false;
         }
@@ -177,7 +156,7 @@ impl ClassChunk {
 
     /// Number of classes whose row holds a pair.
     fn live_classes(&self) -> usize {
-        (0..self.len()).filter(|&off| !self.span(off).is_empty()).count()
+        (0..self.len()).filter(|&off| !self.rows.span(off).is_empty()).count()
     }
 
     /// Appends a class carrying `seq_count` sequences whose row is the
@@ -187,7 +166,7 @@ impl ClassChunk {
     pub(crate) fn push(&mut self, is_loop: bool, seq_count: usize, row_len: usize) {
         let off = self.len();
         debug_assert!(off < CLASS_CHUNK, "a push to a full chunk");
-        self.rows.push_row(row_len);
+        self.rows.ends.push((self.pair_total() + row_len) as u64);
         self.loops[off / 64] |= u64::from(is_loop) << (off % 64);
         self.seq_counts.push(seq_count as u64);
     }
@@ -637,15 +616,24 @@ impl CpqxIndex {
         // `qps` on the benchmark's in-process workload).
         let mut chunks: Vec<ClassChunk> = Vec::with_capacity(nc.div_ceil(CLASS_CHUNK));
         for (first, loops) in (0..).step_by(CLASS_CHUNK).zip(p.class_loop.chunks(CLASS_CHUNK)) {
-            let classes = first..first + loops.len();
-            let set_size = |c: usize| p.class_seq_ids(c as ClassId).len();
-            let largest_set = classes.clone().map(set_size).max().unwrap_or(0);
-            let pairs = p.rows_of(classes).len();
-            let mut chunk = ClassChunk::with_capacity(loops.len(), pairs, largest_set);
-            for (c, &is_loop) in (first..).zip(loops) {
-                let row = p.row(c as ClassId);
+            let classes = (first..first + loops.len()).map(|c| c as ClassId);
+            let mut end = 0;
+            let ends = classes.clone().map(|c| {
+                let row = p.row(c);
                 debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "unsorted row");
-                chunk.push(is_loop, p.class_seq_ids(c as ClassId).len(), row.len());
+                end += row.len() as u64;
+                end
+            });
+            let set_sizes = classes.map(|c| p.class_seq_ids(c).len() as u64);
+            // Both at the widths their largest values — the chunk's pair
+            // total and its largest set — need.
+            let pairs = p.rows_of(first..first + loops.len()).len() as u64;
+            let ends = PackedColumn::new(bits_for(Some(pairs)), ends);
+            let seq_counts = PackedColumn::new(bits_for(set_sizes.clone().max()), set_sizes);
+            let rows = PackedRows { ends, keys: PackedColumn::default() };
+            let mut chunk = ClassChunk { rows, seq_counts, ..ClassChunk::default() };
+            for (off, &is_loop) in loops.iter().enumerate() {
+                chunk.loops[off / 64] |= u64::from(is_loop) << (off % 64);
             }
             chunks.push(chunk);
         }

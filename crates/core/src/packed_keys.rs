@@ -138,14 +138,6 @@ impl PackedColumn {
         Self::new(bits_for(keys.iter().max().copied()), keys.iter().copied())
     }
 
-    /// An empty run with room for `n` keys at the bits `largest` needs —
-    /// for a writer that knows its largest key up front, so no push
-    /// re-packs it.
-    pub(crate) fn with_capacity(n: usize, largest: u64) -> Self {
-        let bits = bits_for(Some(largest));
-        PackedColumn { bytes: Vec::with_capacity(n * key_width(bits) + KEY_PAD), bits: bits as u8 }
-    }
-
     /// The bit width of a key.
     pub(crate) fn bits(&self) -> u32 {
         u32::from(self.bits)
@@ -232,49 +224,6 @@ impl PackedColumn {
     }
 }
 
-/// A run of keys written one key, or one stretch of another run at the
-/// same width, at a time.
-struct KeyWriter {
-    out: Vec<u8>,
-    bits: u32,
-    width: usize,
-    len: usize,
-}
-
-impl KeyWriter {
-    /// An empty run of keys of `bits` bits, with room for `keys` of them.
-    fn with_capacity(bits: u32, keys: usize) -> Self {
-        let width = key_width(bits);
-        KeyWriter { out: Vec::with_capacity(keys * width + KEY_PAD), bits, width, len: 0 }
-    }
-
-    /// Appends `key`: all 8 bytes of its word are copied, and the ones
-    /// past the width cut off again.
-    fn push(&mut self, key: u64) {
-        let end = self.out.len() + self.width;
-        self.out.extend_from_slice(&key.to_le_bytes());
-        self.out.truncate(end);
-        self.len += 1;
-    }
-
-    /// Appends the keys of `run` — stored at this writer's width — at
-    /// positions `range`, copied whole.
-    fn copy(&mut self, run: PackedKeys<'_>, range: Range<usize>) {
-        debug_assert_eq!(run.width, self.width, "a copy across widths");
-        self.len += range.len();
-        self.out.extend_from_slice(run.bytes(range));
-    }
-
-    /// The finished run: its keys and the padding, or no bytes without a
-    /// key.
-    fn finish(mut self) -> PackedColumn {
-        if !self.out.is_empty() {
-            self.out.resize(self.out.len() + KEY_PAD, 0);
-        }
-        PackedColumn { bytes: self.out, bits: self.bits as u8 }
-    }
-}
-
 /// Rows of keys, each sorted, back to back in one [`PackedColumn`], and
 /// each row's end offset — counted in keys, a row starting where the one
 /// before it ends — in another, at the narrowest bits the key total
@@ -305,12 +254,6 @@ impl PackedRows {
         row_span(self.ends.reader(), row)
     }
 
-    /// Appends a row of the next `len` keys — which the owner stores with
-    /// the rest of the keys.
-    pub(crate) fn push_row(&mut self, len: usize) {
-        self.ends.push((self.len() + len) as u64);
-    }
-
     /// The rows with every key re-stored as `key` maps it, at `bits` bits —
     /// how an owner re-packs its keys when its key layout changes.
     pub(crate) fn repacked(&self, bits: u32, key: impl Fn(u64) -> u64) -> Self {
@@ -327,9 +270,9 @@ impl PackedRows {
     /// their width, which every new key must fit; the end offsets are
     /// stored at the narrowest bits the new key total needs.
     pub(crate) fn spliced(&self, low: u32, mut edits: &[(usize, u64, Option<u64>)]) -> Self {
-        let (ends, keys) = (self.ends.reader(), self.keys.reader());
+        let (ends, keys, width) = (self.ends.reader(), self.keys.reader(), self.keys.width());
         let added = edits.iter().filter(|e| e.2.is_some()).count();
-        let mut out = KeyWriter::with_capacity(self.keys.bits(), self.len() + added);
+        let mut out = Vec::with_capacity((self.len() + added) * width + KEY_PAD);
         let mut new_ends = Vec::with_capacity(self.rows());
         for row in 0..self.rows() {
             let span = row_span(ends, row);
@@ -338,16 +281,25 @@ impl PackedRows {
             let mut from = span.start;
             for &(_, search, new) in here {
                 let at = keys.lower_bound(from..span.end, search);
-                out.copy(keys, from..at);
+                out.extend_from_slice(keys.bytes(from..at));
                 // The row's own key of these bits is dropped either way.
                 from = at + usize::from(at < span.end && keys.get(at) >> low == search >> low);
-                new.into_iter().for_each(|key| out.push(key));
+                if let Some(key) = new {
+                    // All 8 bytes of its word, and those past the width cut
+                    // off again.
+                    out.extend_from_slice(&key.to_le_bytes());
+                    out.truncate(out.len() - 8 + width);
+                }
             }
-            out.copy(keys, from..span.end);
-            new_ends.push(out.len as u64);
+            out.extend_from_slice(keys.bytes(from..span.end));
+            new_ends.push(out.len().checked_div(width).unwrap_or(0) as u64);
         }
         debug_assert!(edits.is_empty(), "edits past the last row");
-        PackedRows { ends: PackedColumn::narrowest(&new_ends), keys: out.finish() }
+        if !out.is_empty() {
+            out.resize(out.len() + KEY_PAD, 0);
+        }
+        let keys = PackedColumn { bytes: out, bits: self.keys.bits };
+        PackedRows { ends: PackedColumn::narrowest(&new_ends), keys }
     }
 
     /// Bytes the rows store: both columns'.
@@ -413,11 +365,13 @@ mod tests {
                 assert_eq!(run.lower_bound(0..keys.len(), key), i);
                 assert_eq!(run.lower_bound(0..i, key), i);
             }
-            let mut writer = KeyWriter::with_capacity(bits, keys.len());
-            writer.copy(run, 0..2);
-            keys[2..].iter().for_each(|&key| writer.push(key));
-            assert_eq!(writer.len, keys.len());
-            assert_eq!(writer.finish(), column, "{bits} bits: spliced and packed runs differ");
+            // The run spliced together from its first two keys and the rest.
+            let two = PackedColumn::new(bits, keys[..2].iter().copied());
+            let two = PackedRows { ends: PackedColumn::narrowest(&[2]), keys: two };
+            let rest: Vec<_> = keys[2..].iter().map(|&key| (0, key, Some(key))).collect();
+            let spliced = two.spliced(0, &rest);
+            assert_eq!(spliced.keys, column, "{bits} bits: spliced and packed runs differ");
+            assert_eq!(spliced.ends, PackedColumn::narrowest(&[keys.len() as u64]));
             // A key overwritten in place leaves the others.
             let mut set = column.clone();
             set.set(0, top);
@@ -426,7 +380,6 @@ mod tests {
             assert_eq!(set, column, "{bits} bits");
         }
         assert_eq!(PackedColumn::new(9, std::iter::empty()).stored_bytes(), 1);
-        assert_eq!(KeyWriter::with_capacity(9, 0).finish().len(), 0);
         assert_eq!(
             (bits_for(None::<u32>), bits_for(Some(0u32)), bits_for(Some(4095u32))),
             (0, 1, 12)

@@ -37,7 +37,6 @@ use crate::bisim::ClassId;
 use crate::packed_keys::{bits_for, PackedColumn, PackedKeys, PackedRows};
 use cpqx_graph::{Pair, VertexId};
 use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Source-vertex ids per copy-on-write shard, as a bit count. Fine-grained
@@ -107,12 +106,6 @@ impl Shard {
         (self.rows.keys.bits() - class_bits, class_bits)
     }
 
-    /// Where the `off`-th source's slice lies among the entries.
-    #[inline]
-    fn span(&self, off: usize) -> Range<usize> {
-        self.rows.span(off)
-    }
-
     /// A reader of the packed keys.
     #[inline]
     fn keys(&self) -> PackedKeys<'_> {
@@ -136,7 +129,7 @@ impl Shard {
     /// binary search for the first key of its target.
     #[inline]
     fn find(&self, p: Pair) -> Result<usize, usize> {
-        let span = self.span(offset_of(p.src()));
+        let span = self.rows.span(offset_of(p.src()));
         let keys = self.keys();
         let at = keys.lower_bound(span.clone(), self.key(p.dst(), 0));
         match at < span.end && keys.get(at) >> self.class_bits == u64::from(p.dst()) {
@@ -418,7 +411,7 @@ mod tests {
         for (i, shard) in column.shards().iter().enumerate() {
             for off in 0..SHARD {
                 let v = (i * SHARD + off) as VertexId;
-                let slice = shard.span(off).map(|at| shard.entry(at));
+                let slice = shard.rows.span(off).map(|at| shard.entry(at));
                 all.extend(slice.map(|(t, c)| (Pair::new(v, t), c)));
             }
         }
