@@ -407,7 +407,7 @@ mod tests {
     }
 
     /// Searchable bits of the keys in the rows test, on both sides of each
-    /// byte-width boundary; a bulk row's keys lie between 300 and 65,830.
+    /// byte-width boundary; a bulk row's keys lie between 300 and 65,821.
     const HIGHS: [u64; 9] = [0, 1, 254, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
 
     /// The rows of `model` — per row, its keys by their bits above the low
@@ -459,8 +459,11 @@ mod tests {
         /// keys — in both key layouts: a chunk's (low width 0, every bit
         /// searched) and a shard's (a payload in the low 8 or 17 bits, the
         /// bits above them searched). The keys' searched bits cross 255/256,
-        /// 65,535/65,536 and 2²⁴, and a bulk row of 250 or 65,530 keys
-        /// lets the end offsets cross 255/256 and 65,535/65,536 both ways.
+        /// 65,535/65,536 and 2²⁴, and a bulk row of 241 or 65,521 keys, 16
+        /// of which edits remove and put back, puts the key total about 15
+        /// below 256 or 65,536 at the start and around it after a few
+        /// batches, so the end offsets cross 255/256 and 65,535/65,536
+        /// both ways.
         /// Re-packed wider before a splice and narrower after it as an
         /// owner does, the rows read like the model and are, byte for byte,
         /// the rows a build of the model packs — canonical form, zero
@@ -469,17 +472,17 @@ mod tests {
         fn spliced_rows_read_like_the_model(
             layout in 0usize..3,
             bulk in 0usize..3,
-            start in prop::collection::vec((0usize..4, 0usize..HIGHS.len(), 0u64..4), 0..24),
+            start in prop::collection::vec((0usize..4, 0usize..HIGHS.len(), 0u64..4), 0..4),
             batches in prop::collection::vec(
-                prop::collection::vec((0usize..4, 0usize..HIGHS.len() + 8, 0u64..6), 0..24),
-                1..5,
+                prop::collection::vec((0usize..4, 0usize..HIGHS.len() + 16, 0u64..5), 0..24),
+                1..6,
             ),
         ) {
             let low = [0, 8, 17][layout];
             let payload = |p: u64| p * ((1 << low) - 1) / 4;
             let high = |h: usize| HIGHS.get(h).copied().unwrap_or_else(|| (300 + h - HIGHS.len()) as u64);
             let mut model = vec![BTreeMap::new(); 4];
-            for h in 0..[0, 250, 65_530][bulk] {
+            for h in 0..[0, 241, 65_521][bulk] {
                 model[1].insert(300 + h, (300 + h) << low);
             }
             for (row, h, p) in start {
@@ -487,12 +490,12 @@ mod tests {
             }
             let mut rows = rows_of(&model, model_bits(&model));
             for batch in batches {
-                // Payload 0 stands for a removal.
+                // Payloads 0 and 1 stand for a removal.
                 let edits: BTreeMap<(usize, u64), Option<u64>> = batch
                     .into_iter()
                     .map(|(row, h, p)| {
                         let h = high(h);
-                        ((row, h << low), p.checked_sub(1).map(|p| h << low | payload(p)))
+                        ((row, h << low), p.checked_sub(2).map(|p| h << low | payload(p)))
                     })
                     .collect();
                 for (&(row, search), &new) in &edits {
