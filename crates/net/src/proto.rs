@@ -1321,14 +1321,55 @@ mod tests {
         for req in all_requests() {
             let bytes = encode_request(&req);
             for cut in 0..bytes.len() {
-                let _ = decode_request(&bytes[..cut]); // must not panic
+                assert_eq!(decode_request(&bytes[..cut]), Err(DecodeError::Truncated), "{req:?}");
             }
         }
         for resp in all_responses() {
             let bytes = encode_response(&resp);
             for cut in 0..bytes.len() {
-                let _ = decode_response(&bytes[..cut]);
+                assert_eq!(decode_response(&bytes[..cut]), Err(DecodeError::Truncated), "{resp:?}");
             }
+        }
+    }
+
+    /// Each counted list with its count at the width's maximum and nothing
+    /// after it (hex, spaces between fields). The u32 and u16 counts fail
+    /// the count-consistency check; the u8 ones run out of payload on their
+    /// first item, or (an interest sequence) exceed the longest sequence a
+    /// `LabelSeq` holds.
+    #[test]
+    fn every_counted_list_refuses_a_count_past_its_payload() {
+        let unhex = |h: &str| -> Vec<u8> {
+            let h: String = h.split_whitespace().collect();
+            (0..h.len()).step_by(2).map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap()).collect()
+        };
+        let requests = [
+            ("04 ffffffff", DecodeError::Truncated),
+            ("07 ffffffff", DecodeError::Truncated),
+            ("07 00000001 06 ff", DecodeError::BadValue("interest sequence length")),
+        ];
+        for (h, kind) in requests {
+            assert_eq!(decode_request(&unhex(h)), Err(kind), "{h}");
+        }
+        // A METRICS_RESULT starts with its opcode and epoch.
+        let metrics = "88 0000000000000000";
+        let responses = [
+            "83 0000000000000000 ffffffff".to_string(),
+            "84 0000000000000000 ffffffff".into(),
+            "87 0000000000000000 00 ffffffff".into(),
+            format!("{metrics} ff"),
+            format!("{metrics} 00 ff"),
+            format!("{metrics} 01 01 {} ffff", "00".repeat(24)),
+            format!("{metrics} 00 00 ffffffff"),
+            format!("{metrics} 00 00 00000000 0000000000000000 ffff"),
+            format!(
+                "{metrics} 00 00 00000000 0000000000000000 0001 00 00000000 {} ffff",
+                "00".repeat(16)
+            ),
+            format!("{metrics} 00 00 00000000 0000000000000000 0000 0000000000000000 ffffffff"),
+        ];
+        for h in responses {
+            assert_eq!(decode_response(&unhex(&h)), Err(DecodeError::Truncated), "{h}");
         }
     }
 
@@ -1572,6 +1613,84 @@ mod tests {
         for resp in all_responses() {
             assert_eq!(response_frame(&resp), framed(&encode_response(&resp)), "{resp:?}");
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `all_requests()`, encoded.
+    const GOLDEN_REQUESTS: [&str; 9] = [
+        "01435051580007",
+        "02",
+        "030000000e2866202e206629202620665e2d31",
+        "0300000000",
+        "0400000000",
+        "040000000300000001660000000566202e2066000000026964",
+        "08",
+        "0700000000",
+        concat!(
+            "070000000704000000066e6577626965010000000e0000000000000001660200000001000000",
+            "0200000001760300000003000000040000000166000000017605000000090602000000000166",
+            "0100000001660701000000000176",
+        ),
+    ];
+
+    /// `all_responses()`, encoded.
+    const GOLDEN_RESPONSES: [&str; 12] = [
+        "810007",
+        "82",
+        "83000000000000000000000000",
+        "83000000000000002a0000000200000001000000020000000300000003",
+        "84000000000000000900000000",
+        "8400000000000000090000000300000001000000000000000000000000000000010000000500000006",
+        "8700000000000000000000000000",
+        "870000000000000011010000000301000200001000",
+        "88000000000000000000000000000000000000000000000000000000000000000000000000",
+        concat!(
+            "88000000000000000502010000000000000005000000000000005a0000000000000028000200",
+            "000000000000000003000c0000000000000002030000000000000001000000000000012c0000",
+            "00000000012c00010014000000000000000102010000000000000005000000000000000a0000",
+            "0000000000020001000200000000000000050300000000000000040000000000000024000000",
+            "000000000b000100090000000000000004000000030000000d717565726965735f746f74616c",
+            "00000000000000050000001471756572795f72657175657374735f746f74616c000000000000",
+            "0005000000106f70656e5f636f6e6e656374696f6e7300000000000000020000000000000003",
+            "0001000000000c2828662e662926665e2d312900000000000000050000000000000384000200",
+            "0000000000000000000000000000000a0003000000000000000c000000000000037001000000",
+            "0000000002000000020000000c2828662e662926665e2d312900000000000000090000000166",
+            "0000000000000001",
+        ),
+        "ff040000000400000016756e6b6e6f776e206c6162656c20226e6f7375636822",
+        "ff07ffffffff00000004626f6f6d",
+    ];
+
+    /// The exact bytes of every sample and of the frames the server builds
+    /// straight from borrowed answers. A layout change made to encoder and
+    /// decoder together still round-trips; it fails here.
+    #[test]
+    fn every_sample_encodes_to_its_pinned_bytes() {
+        let requests: Vec<String> =
+            all_requests().iter().map(|r| hex(&encode_request(r))).collect();
+        assert_eq!(requests, GOLDEN_REQUESTS);
+        let responses = all_responses();
+        let encoded: Vec<String> = responses.iter().map(|r| hex(&encode_response(r))).collect();
+        assert_eq!(encoded, GOLDEN_RESPONSES);
+        for (resp, golden) in responses.iter().zip(GOLDEN_RESPONSES) {
+            let header = format!("{:08x}", golden.len() / 2);
+            assert_eq!(hex(&response_frame(resp)), header + golden, "{resp:?}");
+        }
+        assert_eq!(
+            hex(&result_frame(42, &[Pair::new(1, 2), Pair::new(3, 3)])),
+            "0000001d83000000000000002a0000000200000001000000020000000300000003"
+        );
+        let results = [vec![Pair::new(0, 0)], vec![], vec![Pair::new(5, 6)]];
+        assert_eq!(
+            hex(&batch_result_frame(9, &results)),
+            concat!(
+                "00000029840000000000000009000000030000000100000000000000000000000000000001",
+                "0000000500000006",
+            )
+        );
     }
 
     mod bytes_are_the_contract {
