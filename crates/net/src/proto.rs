@@ -259,34 +259,29 @@ pub enum ErrorCode {
     Timeout,
 }
 
+/// Every [`ErrorCode`] in wire order: a code travels as its index + 1.
+const ERROR_CODES: [ErrorCode; 9] = [
+    ErrorCode::UnsupportedVersion,
+    ErrorCode::BadFrame,
+    ErrorCode::UnknownOpcode,
+    ErrorCode::Parse,
+    ErrorCode::UnknownLabel,
+    ErrorCode::BadUpdate,
+    ErrorCode::Internal,
+    ErrorCode::Busy,
+    ErrorCode::Timeout,
+];
+
 impl ErrorCode {
     fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::UnsupportedVersion => 1,
-            ErrorCode::BadFrame => 2,
-            ErrorCode::UnknownOpcode => 3,
-            ErrorCode::Parse => 4,
-            ErrorCode::UnknownLabel => 5,
-            ErrorCode::BadUpdate => 6,
-            ErrorCode::Internal => 7,
-            ErrorCode::Busy => 8,
-            ErrorCode::Timeout => 9,
-        }
+        ERROR_CODES.iter().position(|&c| c == self).map_or(0, |i| i as u8 + 1)
     }
 
     fn from_u8(b: u8) -> Result<Self, DecodeError> {
-        Ok(match b {
-            1 => ErrorCode::UnsupportedVersion,
-            2 => ErrorCode::BadFrame,
-            3 => ErrorCode::UnknownOpcode,
-            4 => ErrorCode::Parse,
-            5 => ErrorCode::UnknownLabel,
-            6 => ErrorCode::BadUpdate,
-            7 => ErrorCode::Internal,
-            8 => ErrorCode::Busy,
-            9 => ErrorCode::Timeout,
-            _ => return Err(DecodeError::BadValue("error code")),
-        })
+        ERROR_CODES
+            .get(usize::from(b).wrapping_sub(1))
+            .copied()
+            .ok_or(DecodeError::BadValue("error code"))
     }
 }
 
@@ -451,16 +446,53 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The width of a list's count on the wire, in bytes.
+#[derive(Clone, Copy)]
+enum Width {
+    U8 = 1,
+    U16 = 2,
+    U32 = 4,
+}
+
+/// Writes a list's count at `width`: `len`, clamped to the most the width
+/// holds. Returns the count written, which is how many items follow.
+fn put_count(out: &mut Vec<u8>, width: Width, len: usize) -> usize {
+    let bytes = width as usize;
+    let n = len.min((u32::MAX >> (32 - 8 * bytes)) as usize);
+    out.extend_from_slice(&(n as u32).to_be_bytes()[4 - bytes..]);
+    n
+}
+
+/// A counted list: the count at `width`, then exactly that many items,
+/// each written by `put_item`.
+fn put_list<T>(
+    out: &mut Vec<u8>,
+    width: Width,
+    items: &[T],
+    mut put_item: impl FnMut(&mut Vec<u8>, &T),
+) {
+    let n = put_count(out, width, items.len());
+    for item in &items[..n] {
+        put_item(out, item);
+    }
+}
+
 fn put_pairs(out: &mut Vec<u8>, pairs: &[Pair]) {
     out.reserve(4 + 8 * pairs.len());
-    put_u32(out, pairs.len() as u32);
+    let n = put_count(out, Width::U32, pairs.len());
     // One resize, then a fixed-stride byte swap the compiler vectorizes.
     let start = out.len();
-    out.resize(start + 8 * pairs.len(), 0);
+    out.resize(start + 8 * n, 0);
     for (word, p) in out[start..].chunks_exact_mut(8).zip(pairs) {
         word.copy_from_slice(&p.0.to_be_bytes());
     }
 }
+
+/// The most items a list reader reserves up front. A count that fits the
+/// payload can still promise far more memory than its bytes (a 2-byte
+/// DELTA op decodes to a whole `WireOp`), so a longer list grows as it
+/// decodes.
+const LIST_PREALLOC: usize = 1024;
 
 /// Bounds-checked big-endian reader over a payload slice.
 struct Cur<'a> {
@@ -541,9 +573,9 @@ impl<'a> Cur<'a> {
     }
 
     fn seq(&mut self) -> Result<Vec<WireSeqLabel>, DecodeError> {
-        let n = self.u8()? as usize;
         // Sequences are bounded structurally (they must fit a LabelSeq),
-        // so a hostile count is rejected before any resolution work.
+        // so a longer count is refused on its value, before any step.
+        let n = self.count(Width::U8, 0)?;
         if n > cpqx_graph::MAX_SEQ_LEN {
             return Err(DecodeError::BadValue("interest sequence length"));
         }
@@ -559,15 +591,37 @@ impl<'a> Cur<'a> {
         })
     }
 
-    fn pairs(&mut self) -> Result<Vec<Pair>, DecodeError> {
-        let n = self.u32()? as usize;
-        // The count must be consistent with the remaining payload before
-        // any allocation, so a hostile length cannot balloon memory (and
-        // the 8×n product is overflow-checked, unlike the old `n * 8`).
-        if self_inconsistent_count(n, 8, self.remaining()) {
+    /// A list's count at `width`, refused as [`DecodeError::Truncated`]
+    /// when that many items of at least `min_item_len` bytes cannot fit in
+    /// the rest of the payload, so a hostile count allocates nothing.
+    fn count(&mut self, width: Width, min_item_len: usize) -> Result<usize, DecodeError> {
+        let n = self.take(width as usize)?.iter().fold(0, |n, &b| n << 8 | usize::from(b));
+        if self_inconsistent_count(n, min_item_len, self.remaining()) {
             return Err(DecodeError::Truncated);
         }
-        // The check above bounds `8 × n` by the payload, so one `take`
+        Ok(n)
+    }
+
+    /// A counted list: its `count`, then that many items, each decoded by
+    /// `item`, into a vector that reserves at most `LIST_PREALLOC` up front.
+    fn list<T>(
+        &mut self,
+        width: Width,
+        min_item_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.count(width, min_item_len)?;
+        let mut items = Vec::with_capacity(n.min(LIST_PREALLOC));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// A RESULT's answer: a list of packed pairs, decoded as one block.
+    fn pairs(&mut self) -> Result<Vec<Pair>, DecodeError> {
+        let n = self.count(Width::U32, 8)?;
+        // The count check bounds `8 × n` by the payload, so one `take`
         // covers the block and the conversion is a fixed-stride loop into
         // an exactly sized vector.
         let words = self.take(8 * n)?;
@@ -586,18 +640,9 @@ impl<'a> Cur<'a> {
     }
 
     fn hist(&mut self) -> Result<HistogramSnapshot, DecodeError> {
-        let total = self.u64()?;
-        let sum = self.u64()?;
-        let max = self.u64()?;
-        let n = self.u16()? as usize;
+        let (total, sum, max) = (self.u64()?, self.u64()?, self.u64()?);
         // Each non-zero bucket is (u16 index, u64 count) = 10 bytes.
-        if self_inconsistent_count(n, 10, self.remaining()) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut nonzero = Vec::with_capacity(n);
-        for _ in 0..n {
-            nonzero.push((self.u16()?, self.u64()?));
-        }
+        let nonzero = self.list(Width::U16, 10, |c| Ok((c.u16()?, c.u64()?)))?;
         // from_parts rejects out-of-range bucket indices and count
         // overflow — both only reachable from hostile payloads.
         HistogramSnapshot::from_parts(total, sum, max, &nonzero)
@@ -605,81 +650,53 @@ impl<'a> Cur<'a> {
     }
 
     fn trace(&mut self) -> Result<Trace, DecodeError> {
-        let kind = TraceKind::from_u8(self.u8()?).ok_or(DecodeError::BadValue("trace kind"))?;
-        let key = self.str()?;
-        let epoch = self.u64()?;
-        let total_us = self.u64()?;
-        let n = self.u16()? as usize;
-        // Each span is (u8 stage, u64 start, u64 dur, u8 depth) = 18 bytes.
-        if self_inconsistent_count(n, 18, self.remaining()) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            let stage = Stage::from_u8(self.u8()?).ok_or(DecodeError::BadValue("span stage"))?;
-            spans.push(Span {
-                stage,
-                start_us: self.u64()?,
-                dur_us: self.u64()?,
-                depth: self.u8()?,
-            });
-        }
-        Ok(Trace { kind, key, epoch, total_us, spans })
+        Ok(Trace {
+            kind: TraceKind::from_u8(self.u8()?).ok_or(DecodeError::BadValue("trace kind"))?,
+            key: self.str()?,
+            epoch: self.u64()?,
+            total_us: self.u64()?,
+            // Each span is (u8 stage, u64 start, u64 dur, u8 depth) = 18 bytes.
+            spans: self.list(Width::U16, 18, |c| {
+                Ok(Span {
+                    stage: Stage::from_u8(c.u8()?).ok_or(DecodeError::BadValue("span stage"))?,
+                    start_us: c.u64()?,
+                    dur_us: c.u64()?,
+                    depth: c.u8()?,
+                })
+            })?,
+        })
     }
 
     fn metrics(&mut self) -> Result<WireMetrics, DecodeError> {
-        let epoch = self.u64()?;
-        let mut ops = Vec::new();
-        for _ in 0..self.u8()? {
-            let op = ObsOp::from_u8(self.u8()?).ok_or(DecodeError::BadValue("metrics op tag"))?;
-            ops.push((op, self.hist()?));
-        }
-        let mut stages = Vec::new();
-        for _ in 0..self.u8()? {
-            let stage =
-                Stage::from_u8(self.u8()?).ok_or(DecodeError::BadValue("metrics stage tag"))?;
-            stages.push((stage, self.hist()?));
-        }
-        let counters = self.named_counts()?;
-        let slow_total = self.u64()?;
-        let nslow = self.u16()? as usize;
-        // Smallest trace on the wire: tag + empty key + epoch + total +
-        // an empty span count.
-        if self_inconsistent_count(nslow, 23, self.remaining()) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut slow = Vec::with_capacity(nslow);
-        for _ in 0..nslow {
-            slow.push(self.trace()?);
-        }
-        let workload_dropped = self.u64()?;
-        let workload = self.named_counts()?;
+        // The op and stage lists are u8-counted (their tag spaces bound
+        // them), so they skip the length check and a bad tag reports as
+        // such even in a short payload.
         Ok(WireMetrics {
-            epoch,
-            ops,
-            stages,
-            counters,
-            slow,
-            slow_total,
-            workload,
-            workload_dropped,
+            epoch: self.u64()?,
+            ops: self.list(Width::U8, 0, |c| {
+                let op = ObsOp::from_u8(c.u8()?).ok_or(DecodeError::BadValue("metrics op tag"))?;
+                Ok((op, c.hist()?))
+            })?,
+            stages: self.list(Width::U8, 0, |c| {
+                let stage =
+                    Stage::from_u8(c.u8()?).ok_or(DecodeError::BadValue("metrics stage tag"))?;
+                Ok((stage, c.hist()?))
+            })?,
+            counters: self.named_counts()?,
+            slow_total: self.u64()?,
+            // Smallest trace on the wire: tag + empty key + epoch + total +
+            // an empty span count.
+            slow: self.list(Width::U16, 23, Cur::trace)?,
+            workload_dropped: self.u64()?,
+            workload: self.named_counts()?,
         })
     }
 
     /// A `u32`-counted list of `(string, u64)` entries — the layout of
     /// both the METRICS counter list and its workload table.
     fn named_counts(&mut self) -> Result<Vec<(String, u64)>, DecodeError> {
-        let n = self.u32()? as usize;
         // Smallest entry: empty string (u32 len) + u64 value.
-        if self_inconsistent_count(n, 12, self.remaining()) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.str()?;
-            out.push((name, self.u64()?));
-        }
-        Ok(out)
+        self.list(Width::U32, 12, |c| Ok((c.str()?, c.u64()?)))
     }
 
     fn finish(self) -> Result<(), DecodeError> {
@@ -691,12 +708,6 @@ impl<'a> Cur<'a> {
 }
 
 /// Encodes a request into a frame payload (no length prefix).
-///
-/// # Panics
-/// Panics if a [`Request::Delta`] interest sequence exceeds
-/// [`cpqx_graph::MAX_SEQ_LEN`] steps — such a frame could never decode
-/// and must not reach the wire ([`crate::Client::apply_delta`] rejects
-/// it with a typed error instead).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
     match req {
@@ -712,17 +723,11 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Batch(texts) => {
             out.push(OP_BATCH);
-            put_u32(&mut out, texts.len() as u32);
-            for t in texts {
-                put_str(&mut out, t);
-            }
+            put_list(&mut out, Width::U32, texts, |out, t| put_str(out, t));
         }
         Request::Delta(ops) => {
             out.push(OP_DELTA);
-            put_u32(&mut out, ops.len() as u32);
-            for op in ops {
-                put_op(&mut out, op);
-            }
+            put_list(&mut out, Width::U32, ops, put_op);
         }
         Request::Metrics => out.push(OP_METRICS),
     }
@@ -779,19 +784,10 @@ fn put_op(out: &mut Vec<u8>, op: &WireOp) {
 }
 
 fn put_seq(out: &mut Vec<u8>, seq: &[WireSeqLabel]) {
-    // Hard assert, not debug: `seq.len() as u8` on an over-long sequence
-    // would silently truncate the count and desynchronize the op stream
-    // for the decoder (which rejects counts above MAX_SEQ_LEN anyway).
-    assert!(
-        seq.len() <= cpqx_graph::MAX_SEQ_LEN,
-        "interest sequence of {} steps exceeds MAX_SEQ_LEN",
-        seq.len()
-    );
-    out.push(seq.len() as u8);
-    for step in seq {
+    put_list(out, Width::U8, seq, |out, step| {
         out.push(u8::from(step.inverse));
         put_str(out, &step.label);
-    }
+    });
 }
 
 /// Decodes a frame payload into a request.
@@ -807,29 +803,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
         }
         OP_PING => Request::Ping,
         OP_QUERY => Request::Query(c.str()?),
-        OP_BATCH => {
-            let n = c.u32()? as usize;
-            if self_inconsistent_count(n, 4, c.buf.len() - c.at) {
-                return Err(DecodeError::Truncated);
-            }
-            let mut texts = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                texts.push(c.str()?);
-            }
-            Request::Batch(texts)
-        }
-        OP_DELTA => {
-            let n = c.u32()? as usize;
-            // Smallest op on the wire: tag + an empty interest sequence.
-            if self_inconsistent_count(n, 2, c.buf.len() - c.at) {
-                return Err(DecodeError::Truncated);
-            }
-            let mut ops = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                ops.push(c.op()?);
-            }
-            Request::Delta(ops)
-        }
+        OP_BATCH => Request::Batch(c.list(Width::U32, 4, Cur::str)?),
+        // Smallest op on the wire: tag + an empty interest sequence.
+        OP_DELTA => Request::Delta(c.list(Width::U32, 2, Cur::op)?),
         OP_METRICS => Request::Metrics,
         other => return Err(DecodeError::UnknownOpcode(other)),
     };
@@ -892,10 +868,7 @@ fn put_result(out: &mut Vec<u8>, epoch: u64, pairs: &[Pair]) {
 fn put_batch_result<R: Borrow<Vec<Pair>>>(out: &mut Vec<u8>, epoch: u64, results: &[R]) {
     out.push(OP_BATCH_RESULT);
     put_u64(out, epoch);
-    put_u32(out, results.len() as u32);
-    for r in results {
-        put_pairs(out, r.borrow());
-    }
+    put_list(out, Width::U32, results, |out, r| put_pairs(out, r.borrow()));
 }
 
 fn put_response(out: &mut Vec<u8>, resp: &Response) {
@@ -911,17 +884,14 @@ fn put_response(out: &mut Vec<u8>, resp: &Response) {
             out.push(OP_DELTA_ACK);
             put_u64(out, *epoch);
             out.push(u8::from(*rebuilt));
-            put_u32(out, outcomes.len() as u32);
-            for o in outcomes {
-                match o {
-                    WireOutcome::Noop => out.push(0),
-                    WireOutcome::Applied => out.push(1),
-                    WireOutcome::VertexAdded(v) => {
-                        out.push(2);
-                        put_u32(out, *v);
-                    }
+            put_list(out, Width::U32, outcomes, |out, o| match o {
+                WireOutcome::Noop => out.push(0),
+                WireOutcome::Applied => out.push(1),
+                WireOutcome::VertexAdded(v) => {
+                    out.push(2);
+                    put_u32(out, *v);
                 }
-            }
+            });
         }
         Response::Metrics(m) => {
             out.push(OP_METRICS_RESULT);
@@ -943,11 +913,10 @@ fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
     // Sparse bucket form: histograms have cpqx_obs::BUCKETS (< u16::MAX)
     // buckets total, so the non-zero count always fits a u16.
     let nonzero: Vec<(u16, u64)> = h.nonzero().collect();
-    put_u16(out, nonzero.len() as u16);
-    for (index, count) in nonzero {
+    put_list(out, Width::U16, &nonzero, |out, &(index, count)| {
         put_u16(out, index);
         put_u64(out, count);
-    }
+    });
 }
 
 fn put_trace(out: &mut Vec<u8>, t: &Trace) {
@@ -955,45 +924,38 @@ fn put_trace(out: &mut Vec<u8>, t: &Trace) {
     put_str(out, &t.key);
     put_u64(out, t.epoch);
     put_u64(out, t.total_us);
-    put_u16(out, t.spans.len().min(u16::MAX as usize) as u16);
-    for s in t.spans.iter().take(u16::MAX as usize) {
+    put_list(out, Width::U16, &t.spans, |out, s| {
         out.push(s.stage as u8);
         put_u64(out, s.start_us);
         put_u64(out, s.dur_us);
         out.push(s.depth);
-    }
+    });
 }
 
 fn put_metrics(out: &mut Vec<u8>, m: &WireMetrics) {
     put_u64(out, m.epoch);
     // Op/stage lists are bounded by their tag spaces (≤ OP_COUNT /
     // STAGE_COUNT entries), so a u8 count suffices.
-    out.push(m.ops.len().min(u8::MAX as usize) as u8);
-    for (op, h) in m.ops.iter().take(u8::MAX as usize) {
+    put_list(out, Width::U8, &m.ops, |out, (op, h)| {
         out.push(*op as u8);
         put_hist(out, h);
-    }
-    out.push(m.stages.len().min(u8::MAX as usize) as u8);
-    for (stage, h) in m.stages.iter().take(u8::MAX as usize) {
+    });
+    put_list(out, Width::U8, &m.stages, |out, (stage, h)| {
         out.push(*stage as u8);
         put_hist(out, h);
-    }
+    });
     put_named_counts(out, &m.counters);
     put_u64(out, m.slow_total);
-    put_u16(out, m.slow.len().min(u16::MAX as usize) as u16);
-    for t in m.slow.iter().take(u16::MAX as usize) {
-        put_trace(out, t);
-    }
+    put_list(out, Width::U16, &m.slow, put_trace);
     put_u64(out, m.workload_dropped);
     put_named_counts(out, &m.workload);
 }
 
 fn put_named_counts(out: &mut Vec<u8>, entries: &[(String, u64)]) {
-    put_u32(out, entries.len() as u32);
-    for (name, value) in entries {
+    put_list(out, Width::U32, entries, |out, (name, value)| {
         put_str(out, name);
         put_u64(out, *value);
-    }
+    });
 }
 
 /// Decodes a frame payload into a response.
@@ -1005,30 +967,13 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
         OP_PONG => Response::Pong,
         OP_RESULT => Response::Result { epoch: c.u64()?, pairs: c.pairs()? },
         OP_BATCH_RESULT => {
-            let epoch = c.u64()?;
-            let n = c.u32()? as usize;
-            if self_inconsistent_count(n, 4, c.buf.len() - c.at) {
-                return Err(DecodeError::Truncated);
-            }
-            let mut results = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                results.push(c.pairs()?);
-            }
-            Response::BatchResult { epoch, results }
+            Response::BatchResult { epoch: c.u64()?, results: c.list(Width::U32, 4, Cur::pairs)? }
         }
-        OP_DELTA_ACK => {
-            let epoch = c.u64()?;
-            let rebuilt = c.bool()?;
-            let n = c.u32()? as usize;
-            if self_inconsistent_count(n, 1, c.buf.len() - c.at) {
-                return Err(DecodeError::Truncated);
-            }
-            let mut outcomes = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                outcomes.push(c.outcome()?);
-            }
-            Response::DeltaAck { epoch, rebuilt, outcomes }
-        }
+        OP_DELTA_ACK => Response::DeltaAck {
+            epoch: c.u64()?,
+            rebuilt: c.bool()?,
+            outcomes: c.list(Width::U32, 1, Cur::outcome)?,
+        },
         OP_METRICS_RESULT => Response::Metrics(Box::new(c.metrics()?)),
         OP_ERROR => {
             let code = ErrorCode::from_u8(c.u8()?)?;
@@ -1096,30 +1041,34 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// later is an [`FrameError::Io`] of kind `UnexpectedEof`.
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got == 0 {
-        match r.read(&mut header)? {
-            0 => return Err(FrameError::Closed),
-            n => got = n,
-        }
-    }
+    let got = match r.read(&mut header)? {
+        0 => return Err(FrameError::Closed),
+        n => n,
+    };
     // `got` is 1..=4, so the tail slice always exists; `get_mut` keeps
     // this decode path free of panic-capable indexing regardless.
     if let Some(rest) = header.get_mut(got..) {
         r.read_exact(rest)?;
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max_len {
-        return Err(FrameError::TooLarge { len, max: max_len });
-    }
+    let len = payload_len(header, max_len)?;
     // Read into spare capacity instead of zero-filling `len` bytes first.
-    // `len ≤ max_len` was checked above (the `min` restates it for the
-    // cpqx-analyze allocation rule).
+    // `payload_len` bounds `len` by `max_len` (the `min` restates it for
+    // the cpqx-analyze allocation rule).
     let mut payload = Vec::with_capacity(len.min(max_len));
     if r.take(len as u64).read_to_end(&mut payload)? < len {
         return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
     }
     Ok(payload)
+}
+
+/// The payload length a frame header announces, refused above `max_len`:
+/// the one header rule of [`read_frame`] and [`FrameAssembler`].
+fn payload_len(header: [u8; 4], max_len: usize) -> Result<usize, FrameError> {
+    let len = u32::from_be_bytes(header) as usize;
+    if len > max_len {
+        return Err(FrameError::TooLarge { len, max: max_len });
+    }
+    Ok(len)
 }
 
 /// Incremental frame reassembly for nonblocking sockets.
@@ -1173,16 +1122,10 @@ impl FrameAssembler {
     /// desynchronized and the connection must be dropped; the assembler
     /// keeps returning it for the same frame.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let Some(header) = self.buf.get(self.at..self.at + 4) else {
+        let Some(&header) = self.buf.get(self.at..).and_then(<[u8]>::first_chunk) else {
             return Ok(None);
         };
-        let Ok(header) = <[u8; 4]>::try_from(header) else {
-            return Ok(None);
-        };
-        let len = u32::from_be_bytes(header) as usize;
-        if len > self.max_len {
-            return Err(FrameError::TooLarge { len, max: self.max_len });
-        }
+        let len = payload_len(header, self.max_len)?;
         let start = self.at + 4;
         let Some(payload) = self.buf.get(start..start + len) else {
             return Ok(None);
