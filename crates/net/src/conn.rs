@@ -118,11 +118,6 @@ pub(crate) struct Conn {
     /// its write half, and read every answer — but once the pipeline
     /// and write queue empty, the connection closes.
     pub(crate) peer_eof: bool,
-    /// The timer-wheel tick this connection's token is filed under
-    /// (`None` = not filed). The wheel is lazy: the filed tick may be
-    /// earlier than the authoritative deadline, in which case the visit
-    /// simply re-files.
-    pub(crate) filed: Option<u64>,
     /// The epoll interest mask currently registered for the socket.
     pub(crate) interest: u32,
 }
@@ -142,7 +137,6 @@ impl Conn {
             last_activity: now,
             last_write_progress: now,
             peer_eof: false,
-            filed: None,
             interest: 0,
         }
     }

@@ -1,8 +1,8 @@
 //! The event loop: readiness-based serving on raw `epoll`.
 //!
-//! One thread owns the nonblocking listener, every connection socket and
-//! a coarse timer wheel, and multiplexes them through [`crate::sys`]'s
-//! level-triggered epoll wrapper. Workers never see a socket, and the
+//! One thread owns the nonblocking listener and every connection socket,
+//! and multiplexes them through [`crate::sys`]'s level-triggered epoll
+//! wrapper. Workers never see a socket, and the
 //! loop never evaluates: it decodes frames and answers on the spot what
 //! costs a lookup — PING/METRICS, the handshake, decode errors, and
 //! **result-cache hits**. **A hit is a lookup and a write**: the loop
@@ -33,13 +33,13 @@
 //! connection cap (new connections get a best-effort
 //! [`ErrorCode::Busy`] error frame, then close).
 //!
-//! Timeouts live on a hashed timer wheel, not on socket options: each
-//! connection carries an authoritative deadline (idle or
-//! write-progress) and is lazily filed under a wheel tick; a visit
-//! whose deadline moved simply re-files. An idle timeout at a frame
-//! boundary closes cleanly; one that lands mid-frame means the stream
-//! is desynchronized, so the connection gets the PROTOCOL.md-promised
-//! final [`ErrorCode::Timeout`] error frame before the close.
+//! Timeouts are the loop's, not socket options: a connection's deadline
+//! (idle or write-progress) follows from its state, and once per tick the
+//! loop checks every connection's (at most `max_connections` of them). A
+//! write timeout closes hard; an idle timeout at a frame boundary closes
+//! cleanly; one that lands mid-frame means the stream is desynchronized,
+//! so the connection gets the PROTOCOL.md-promised final
+//! [`ErrorCode::Timeout`] error frame before the close.
 
 use crate::conn::{Conn, ConnState, Frame, ReadStatus, READ_CHUNK};
 use crate::proto::{
@@ -86,51 +86,6 @@ pub(crate) struct Completion {
     reply: Reply,
 }
 
-/// A hashed timer wheel with coarse ticks. Slots hold connection
-/// tokens; entries are lazy — the connection's own deadline is
-/// authoritative and a premature visit re-files.
-struct TimerWheel {
-    slots: Vec<Vec<u64>>,
-    tick: Duration,
-    start: Instant,
-    /// First tick not yet processed.
-    next_tick: u64,
-}
-
-const WHEEL_SLOTS: usize = 64;
-
-impl TimerWheel {
-    fn new(tick: Duration, start: Instant) -> TimerWheel {
-        TimerWheel { slots: vec![Vec::new(); WHEEL_SLOTS], tick, start, next_tick: 1 }
-    }
-
-    fn tick_of(&self, t: Instant) -> u64 {
-        let ms = t.saturating_duration_since(self.start).as_millis();
-        (ms / self.tick.as_millis().max(1)) as u64
-    }
-
-    /// Files `token` under `tick` (clamped to the next unprocessed tick
-    /// so nothing lands in the past). Returns the filed tick.
-    fn file(&mut self, token: u64, tick: u64) -> u64 {
-        let tick = tick.max(self.next_tick);
-        self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(token);
-        tick
-    }
-
-    /// Drains every slot whose tick has passed, collecting candidates.
-    fn due(&mut self, now: Instant, out: &mut Vec<u64>) {
-        let current = self.tick_of(now);
-        // A slot holds entries for ticks ≡ slot (mod WHEEL_SLOTS); a
-        // full lap visits each slot once, so bound the sweep by one lap.
-        let until = current.min(self.next_tick + WHEEL_SLOTS as u64);
-        while self.next_tick <= until {
-            let idx = (self.next_tick % WHEEL_SLOTS as u64) as usize;
-            out.append(&mut self.slots[idx]);
-            self.next_tick += 1;
-        }
-    }
-}
-
 /// Spawned once per server: owns the listener and every connection.
 pub(crate) fn event_loop(s: &Shared, listener: TcpListener) {
     if run_loop(s, listener).is_err() {
@@ -147,7 +102,6 @@ struct Loop<'a> {
     s: &'a Shared,
     epoll: Epoll,
     conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
     next_token: u64,
 }
 
@@ -169,16 +123,10 @@ fn run_loop(s: &Shared, listener: TcpListener) -> std::io::Result<()> {
     let tick = (shortest / 4).clamp(Duration::from_millis(5), Duration::from_secs(1));
     let timers_armed = s.opts.read_timeout.is_some() || s.opts.write_timeout.is_some();
 
-    let mut lp = Loop {
-        s,
-        epoll,
-        conns: HashMap::new(),
-        wheel: TimerWheel::new(tick, Instant::now()),
-        next_token: TOKEN_BASE,
-    };
+    let mut lp = Loop { s, epoll, conns: HashMap::new(), next_token: TOKEN_BASE };
     let mut events = Vec::new();
     let mut chunk = Box::new([0u8; READ_CHUNK]);
-    let mut due = Vec::new();
+    let mut next_scan = Instant::now() + tick;
 
     loop {
         events.clear();
@@ -202,10 +150,9 @@ fn run_loop(s: &Shared, listener: TcpListener) -> std::io::Result<()> {
             }
         }
         drain_completions(&mut lp, now);
-        due.clear();
-        lp.wheel.due(now, &mut due);
-        for token in due.drain(..) {
-            check_deadline(&mut lp, token, now);
+        if timers_armed && now >= next_scan {
+            next_scan = now + tick;
+            expire(&mut lp, now);
         }
     }
 
@@ -322,8 +269,8 @@ fn on_conn_event(
 
 /// The per-connection driver: pops buffered frames (respecting the
 /// pipeline bound and the write-in-flight hold), flushes completed
-/// responses, writes, and reconciles epoll interest and the timer
-/// wheel. Returns `false` to close.
+/// responses, writes, and reconciles epoll interest. Returns `false` to
+/// close.
 ///
 /// Nothing but this function ever looks at the assembler, so it must not
 /// return with a complete frame buffered unless something is certain to
@@ -419,13 +366,6 @@ fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
         }
         conn.interest = want;
     }
-    // 4. File the nearest deadline on the wheel (lazily).
-    if let Some(deadline) = deadline_of(s, conn) {
-        let tick = lp.wheel.tick_of(deadline);
-        if conn.filed.is_none_or(|filed| tick < filed) {
-            conn.filed = Some(lp.wheel.file(token, tick));
-        }
-    }
     true
 }
 
@@ -437,8 +377,8 @@ fn held(s: &Shared, conn: &Conn) -> bool {
     conn.saturated(s.opts.max_pipeline) || conn.unsent() > WBUF_PAUSE
 }
 
-/// The connection's authoritative deadline: idle timeout while no
-/// request is in flight, write timeout while bytes are unsent.
+/// The connection's deadline: idle timeout while no request is in
+/// flight, write timeout while bytes are unsent.
 fn deadline_of(s: &Shared, conn: &Conn) -> Option<Instant> {
     let idle = if conn.pending_len() == 0 {
         s.opts.read_timeout.map(|t| conn.last_activity + t)
@@ -456,22 +396,27 @@ fn deadline_of(s: &Shared, conn: &Conn) -> Option<Instant> {
     }
 }
 
-/// Revisits a wheel candidate: re-files if the deadline moved, times
-/// the connection out if it really expired.
-fn check_deadline(lp: &mut Loop<'_>, token: u64, now: Instant) {
+/// Times out every connection whose deadline has passed.
+fn expire(lp: &mut Loop<'_>, now: Instant) {
+    let s = lp.s;
+    let expired: Vec<u64> = lp
+        .conns
+        .iter()
+        .filter(|(_, conn)| deadline_of(s, conn).is_some_and(|deadline| deadline <= now))
+        .map(|(&token, _)| token)
+        .collect();
+    for token in expired {
+        time_out(lp, token, now);
+    }
+}
+
+/// Closes an expired connection, after a final TIMEOUT frame when it
+/// expired mid-frame.
+fn time_out(lp: &mut Loop<'_>, token: u64, now: Instant) {
     let s = lp.s;
     let Some(conn) = lp.conns.get_mut(&token) else {
-        return; // closed since filing — lazy deletion
-    };
-    conn.filed = None;
-    let Some(deadline) = deadline_of(s, conn) else {
-        return; // no longer needs a timer; pump re-files when it does
-    };
-    if deadline > now {
-        let tick = lp.wheel.tick_of(deadline);
-        conn.filed = Some(lp.wheel.file(token, tick));
         return;
-    }
+    };
     let write_expired = conn.unsent() > 0
         && s.opts.write_timeout.is_some_and(|t| now.duration_since(conn.last_write_progress) >= t);
     if write_expired {
@@ -612,8 +557,7 @@ fn drain_completions(lp: &mut Loop<'_>, now: Instant) {
     }
 }
 
-/// Deregisters, shuts down and forgets one connection. Wheel entries
-/// are left to lazy deletion.
+/// Deregisters, shuts down and forgets one connection.
 fn close_conn(lp: &mut Loop<'_>, token: u64) {
     use std::os::unix::io::AsRawFd;
     if let Some(conn) = lp.conns.remove(&token) {

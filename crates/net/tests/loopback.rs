@@ -1064,6 +1064,49 @@ fn idle_timeout_at_a_frame_boundary_closes_cleanly() {
     server.shutdown();
 }
 
+/// A peer that pipelines queries with large answers and never reads them
+/// stalls the server's writes. Once the socket has taken nothing for the
+/// write timeout, the loop's deadline check closes the connection hard:
+/// nothing, not even an error frame, could reach such a peer.
+#[test]
+fn a_peer_that_never_reads_is_dropped_at_the_write_timeout() {
+    const WRITE_TIMEOUT: Duration = Duration::from_millis(300);
+    let g = generate::cycle(32_768, "f");
+    let (engine, _) = Engine::with_options(g, EngineOptions { k: 2, ..Default::default() });
+    let server = Server::bind(
+        Arc::new(engine),
+        "127.0.0.1:0",
+        ServerOptions {
+            workers: 2,
+            write_timeout: Some(WRITE_TIMEOUT),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind");
+    let mut stream = handshaken(&server);
+
+    // 96 answers of 32,768 pairs each: 24 MiB, far more than the two
+    // sockets' buffers hold.
+    let mut pipeline = Vec::new();
+    for _ in 0..96 {
+        write_frame(&mut pipeline, &encode_request(&Request::Query("id".into()))).unwrap();
+    }
+    use std::io::Write;
+    stream.write_all(&pipeline).unwrap();
+    let sent = std::time::Instant::now();
+    // Deadlines are checked every quarter of the timeout; the margin past
+    // one such tick covers evaluating the answers and filling the buffers.
+    while server.net_stats().open_connections > 0 {
+        let waited = sent.elapsed();
+        assert!(waited < WRITE_TIMEOUT + Duration::from_secs(3), "still open after {waited:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let waited = sent.elapsed();
+    assert!(waited >= WRITE_TIMEOUT, "closed after {waited:?}, before the write timeout");
+    drop(stream);
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_unblocks_idle_connections() {
     // An idle client parked inside the server's read must not stall
