@@ -91,11 +91,6 @@ impl SourceFile {
         range.filter(|&i| self.is_seq(i, pat)).collect()
     }
 
-    /// Does any position in `range` match `pat`?
-    pub fn contains_seq(&self, range: std::ops::Range<usize>, pat: &[&str]) -> bool {
-        range.into_iter().any(|i| self.is_seq(i, pat))
-    }
-
     /// The innermost fn whose item range contains token `i`.
     pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
         self.fns

@@ -93,13 +93,6 @@ pub fn avg_query_time(engine: &Engine, g: &Graph, queries: &[Cpq], cfg: &BenchCo
     Timing::Avg(total.as_secs_f64() / measured as f64)
 }
 
-/// Times a single closure, returning seconds.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
 /// Human-readable byte size (paper's Table IV uses B/M/G).
 pub fn fmt_bytes(b: usize) -> String {
     const K: f64 = 1024.0;

@@ -186,11 +186,6 @@ impl HistogramSnapshot {
         self.counts.iter().enumerate().filter(|&(_, &c)| c != 0).map(|(i, &c)| (i as u16, c))
     }
 
-    /// The count in one bucket (0 for out-of-range indices).
-    pub fn bucket_count(&self, index: usize) -> u64 {
-        self.counts.get(index).copied().unwrap_or(0)
-    }
-
     /// Nearest-rank quantile over the bucketed counts, reported as the
     /// midpoint of the bucket holding that rank (`None` when empty).
     /// Matches the exact nearest-rank quantile of the raw samples to within

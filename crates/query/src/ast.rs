@@ -237,11 +237,6 @@ impl Template {
         matches!(self, Template::C2i | Template::Ti | Template::Si | Template::St)
     }
 
-    /// Whether the template contains a conjunction.
-    pub fn has_conjunction(&self) -> bool {
-        !matches!(self, Template::C2 | Template::C4)
-    }
-
     /// Instantiates the template with `labels` (length = [`Template::arity`]).
     ///
     /// Shapes follow Fig. 5 exactly: `C2 = ℓ1∘ℓ2`, `C4 = C2∘C2`,
