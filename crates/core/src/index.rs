@@ -58,7 +58,7 @@ pub(crate) const CLASS_CHUNK: usize = 1 << 8;
 /// instead of a pointer chase per class, and copying a chunk for a write
 /// is three `memcpy`s and a 32-byte copy, whatever the number of classes
 /// in it. The writer pays with one splice of a touched chunk's rows per
-/// lazy update ([`ClassChunk::edit_rows`]) instead of per-row edits. The
+/// lazy update ([`ClassChunk::edited`]) instead of per-row edits. The
 /// chunk owns the choice of width: a build packs each chunk at the width
 /// its largest id needs, and a row edit re-packs the chunk wider before
 /// its splice when an edited id needs more bits, and narrower after it
@@ -184,11 +184,12 @@ impl ClassChunk {
         bits_for(self.pairs(0..self.rows.keys.len()).map(|p| p.src().max(p.dst())).max())
     }
 
-    /// Re-packs the keys at source shift `shift`, wide enough for every id.
-    fn repack(&mut self, shift: u32) {
+    /// The rows with their keys re-packed at source shift `shift`, wide
+    /// enough for every id.
+    fn repacked(&self, shift: u32) -> PackedRows {
         let old = self.shift();
         let targets = (1u64 << old) - 1;
-        self.rows = self.rows.repacked(2 * shift, |key| (key >> old) << shift | key & targets);
+        self.rows.repacked(2 * shift, |key| (key >> old) << shift | key & targets)
     }
 
     /// Whether the chunk is in the form a build makes of its classes: its
@@ -211,8 +212,9 @@ impl ClassChunk {
         Ok(())
     }
 
-    /// Detaches and attaches pairs in one splice of the chunk's rows
-    /// ([`PackedRows::spliced`]): both edit lists are `(class, pair)`
+    /// The chunk with pairs detached and attached in one splice of its
+    /// rows ([`PackedRows::spliced`]), built from this one, which a
+    /// snapshot may still share: both edit lists are `(class, pair)`
     /// sorted ascending without duplicates, their classes all in this
     /// chunk, whose first class is `first`. A detached pair that is absent
     /// and an attached one that is present are no-ops. Cost is one pass
@@ -220,23 +222,27 @@ impl ClassChunk {
     /// per-pair edits would each shift its tail.
     ///
     /// The width follows the chunk's largest vertex id both ways: an
-    /// edited id that needs more bits re-packs the chunk wider first, and
-    /// when no id of the top bit width is left after the splice, the chunk
-    /// is re-packed narrower. The end offsets narrow with the pair total.
-    pub(crate) fn edit_rows(
-        &mut self,
+    /// edited id that needs more bits re-packs the rows wider first, and
+    /// when no id of the top bit width is left after the splice, the new
+    /// chunk is re-packed narrower. The end offsets narrow with the pair
+    /// total.
+    pub(crate) fn edited(
+        &self,
         first: ClassId,
         detached: &[(ClassId, Pair)],
         attached: &[(ClassId, Pair)],
-    ) {
+    ) -> ClassChunk {
         // Detached pairs count too: a key is searched for at the chunk's
         // width, so it must fit it even when its pair is absent.
         let edited = detached.iter().chain(attached);
         let wider = bits_for(edited.map(|e| e.1.src().max(e.1.dst())).max());
-        if wider > self.shift() {
-            self.repack(wider);
-        }
-        let shift = self.shift();
+        let widened;
+        let (rows, shift) = if wider > self.shift() {
+            widened = self.repacked(wider);
+            (&widened, wider)
+        } else {
+            (&self.rows, self.shift())
+        };
         let edit = |&(c, p): &(ClassId, Pair), attach: bool| {
             ((c - first) as usize, key(shift, p), attach.then(|| key(shift, p)))
         };
@@ -246,13 +252,18 @@ impl ClassChunk {
             .chain(attached.iter().map(|e| edit(e, true)))
             .collect();
         edits.sort_unstable();
-        self.rows = self.rows.spliced(0, &edits);
+        let mut chunk = ClassChunk {
+            rows: rows.spliced(0, &edits),
+            loops: self.loops,
+            seq_counts: self.seq_counts.clone(),
+        };
         // Usually an early key holds an id of the top bit width: the scan
         // stops there and the width stands.
         let narrower = |p: Pair| bits_for(Some(p.src() | p.dst())) < shift;
-        if self.pairs(0..self.pair_total()).all(narrower) {
-            self.repack(self.narrowest_shift());
+        if chunk.pairs(0..chunk.pair_total()).all(narrower) {
+            chunk.rows = chunk.repacked(chunk.narrowest_shift());
         }
+        chunk
     }
 }
 
@@ -716,8 +727,9 @@ impl CpqxIndex {
     }
 
     /// Applies a lazy update's row edits — `(class, pair)` detachments and
-    /// attachments, in any order — rebuilding each touched chunk's rows
-    /// once (and copying the chunk first if it is shared).
+    /// attachments, in any order — building each touched chunk anew from
+    /// the old one, once: a chunk a snapshot still shares is read, never
+    /// copied first.
     ///
     /// Public for the operator micro-benchmarks only: it edits `Ic2p`
     /// alone, so outside the write path it leaves `Il2c`, `pair_count`
@@ -741,7 +753,8 @@ impl CpqxIndex {
             let (come, more) = attached.split_at(attached.partition_point(|e| chunk_of(e) == ci));
             (detached, attached) = (rest, more);
             let first = (ci * CLASS_CHUNK) as ClassId;
-            Arc::make_mut(&mut self.classes[ci]).edit_rows(first, gone, come);
+            let chunk = &mut self.classes[ci];
+            *chunk = Arc::new(chunk.edited(first, gone, come));
         }
     }
 
@@ -1192,7 +1205,7 @@ mod tests {
         assert!(chunk.row(0).eq(rows[..3].iter().copied()));
         // Classes 10, 11, 12: detach from the first and the last (one pair
         // absent), attach to all three (one pair present already).
-        chunk.edit_rows(
+        chunk = chunk.edited(
             10,
             &[(10, p(1, 5)), (10, p(2, 2)), (12, p(7, 8))],
             &[(10, p(0, 9)), (10, p(3, 4)), (11, p(6, 6)), (12, p(7, 7)), (12, p(9, 9))],
@@ -1206,7 +1219,7 @@ mod tests {
         assert_eq!(chunk.check(), Ok(()));
         // No edits: nothing moves.
         let before = chunk.rows.clone();
-        chunk.edit_rows(10, &[], &[]);
+        chunk = chunk.edited(10, &[], &[]);
         assert_eq!(chunk.rows, before);
     }
 
@@ -1240,7 +1253,8 @@ mod tests {
         assert_eq!(idx.validate(&g), Ok(()));
 
         // Chunk 1 re-packed at 17 bits: it reads the same pairs.
-        Arc::make_mut(&mut idx.classes[1]).repack(17);
+        let chunk = Arc::make_mut(&mut idx.classes[1]);
+        chunk.rows = chunk.repacked(17);
         let c = CLASS_CHUNK as ClassId;
         assert!((c..2 * c).all(|c| idx.class_pairs(c).eq(before.class_pairs(c))));
         let err = idx.validate(&g).unwrap_err();
@@ -1278,12 +1292,12 @@ mod tests {
         assert_eq!(values(&chunk.rows.ends), [65_535, 65_536]);
         assert_eq!(widths(&chunk).1, 3);
         assert_eq!(chunk.check(), Ok(()));
-        chunk.edit_rows(0, &[(1, last)], &[]);
+        chunk = chunk.edited(0, &[(1, last)], &[]);
         assert_eq!(values(&chunk.rows.ends), [65_535, 65_535]);
         assert_eq!(widths(&chunk).1, 2);
         assert_eq!(chunk.check(), Ok(()));
         assert!(chunk.row(0).eq(row.iter().copied()) && chunk.row(1).len() == 0);
-        chunk.edit_rows(0, &[], &[(1, last)]);
+        chunk = chunk.edited(0, &[], &[(1, last)]);
         assert_eq!(widths(&chunk).1, 3);
         assert!(chunk.row(1).eq([last]));
     }
