@@ -19,8 +19,9 @@
 //! and resumes on the next writable-readiness event.
 //!
 //! Nothing here does timeouts or epoll bookkeeping — the event loop
-//! ([`crate::event`]) owns those; this module only exposes the state it
-//! needs (unsent bytes, pending slots, last-activity instants).
+//! ([`crate::event`]) owns those, checking each connection's deadline
+//! once per tick; this module only exposes the state that deadline
+//! follows from (unsent bytes, pending slots, last-activity instants).
 
 use crate::proto::FrameAssembler;
 use std::collections::VecDeque;

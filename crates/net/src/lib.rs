@@ -14,8 +14,9 @@
 //!    over raw level-triggered `epoll` ([`sys`]), a fixed worker pool
 //!    evaluates queries and deltas, completions flow back over an
 //!    eventfd wake and leave each connection in strict arrival order.
-//!    Idle connections cost buffers, not threads; timeouts run on a
-//!    timer wheel; overload answers with BUSY error frames. No async
+//!    Idle connections cost buffers, not threads; the loop checks
+//!    every connection's deadline once per tick; overload answers with
+//!    BUSY error frames. No async
 //!    runtime: the build environment is offline, so the design sticks
 //!    to the standard library plus an audited syscall shim.
 //! 3. **Client** ([`client`]): a blocking library used by the examples,

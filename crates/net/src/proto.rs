@@ -3,8 +3,8 @@
 //! Every message on the wire is one **frame**: a 4-byte big-endian payload
 //! length followed by the payload. The first payload byte is the opcode;
 //! the rest is the opcode's body, encoded with the primitives below
-//! (big-endian integers, `u32`-length-prefixed UTF-8 strings,
-//! `u32`-count-prefixed lists). A connection starts with a handshake —
+//! (big-endian integers, `u32`-length-prefixed UTF-8 strings, and
+//! counted lists: a `u8`, `u16` or `u32` count, then that many items). A connection starts with a handshake —
 //! the client sends [`Request::Hello`] carrying the [`MAGIC`] bytes and
 //! its protocol version, the server answers [`Response::HelloAck`] or an
 //! [`ErrorCode::UnsupportedVersion`] error frame — after which requests
@@ -24,8 +24,12 @@
 //! [`encode_response`]/[`decode_response`]) are pure byte-slice
 //! transformations; [`read_frame`]/[`write_frame`] do the I/O. Decoding
 //! never panics on adversarial input — every failure is a typed
-//! [`DecodeError`] — and frames above the caller's size bound are
-//! rejected before any allocation ([`FrameError::TooLarge`]).
+//! [`DecodeError`]. Every counted list is written by one list writer and
+//! read by one list reader, which refuses a count its payload cannot
+//! hold before allocating and caps what it reserves up front. Frames
+//! above the caller's size bound are rejected before any allocation
+//! ([`FrameError::TooLarge`]), by the one header rule [`read_frame`] and
+//! [`FrameAssembler`] share.
 //!
 //! See `PROTOCOL.md` at the repository root for the normative frame
 //! layout tables.
