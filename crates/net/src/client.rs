@@ -219,9 +219,9 @@ impl Client {
     /// server-side and surfaces as [`ClientError::Server`] with
     /// [`crate::ErrorCode::BadUpdate`].
     pub fn apply_delta(&mut self, ops: Vec<WireOp>) -> Result<DeltaReply, ClientError> {
-        // Over-long interest sequences can never encode (the codec
-        // refuses to emit a count it could not decode); fail with a
-        // typed error before framing instead of panicking mid-encode.
+        // The server refuses a frame holding an over-long interest
+        // sequence as a whole (BAD_FRAME); fail before framing instead,
+        // with a typed error that names the op.
         for (i, op) in ops.iter().enumerate() {
             if let WireOp::InsertInterest { seq } | WireOp::DeleteInterest { seq } = op {
                 if seq.len() > cpqx_graph::MAX_SEQ_LEN {

@@ -1,8 +1,8 @@
 //! The event loop: readiness-based serving on raw `epoll`.
 //!
-//! One thread owns the nonblocking listener and every connection socket,
-//! and multiplexes them through [`crate::sys`]'s level-triggered epoll
-//! wrapper. Workers never see a socket, and the
+//! One thread owns the nonblocking listener and every connection socket
+//! with its deadline, and multiplexes them through [`crate::sys`]'s
+//! level-triggered epoll wrapper. Workers never see a socket, and the
 //! loop never evaluates: it decodes frames and answers on the spot what
 //! costs a lookup — PING/METRICS, the handshake, decode errors, and
 //! **result-cache hits**. **A hit is a lookup and a write**: the loop
