@@ -17,7 +17,7 @@ use cpqx_graph::{generate, Graph, Label};
 use cpqx_query::eval::eval_reference;
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{Cpq, Template};
-use cpqx_store::{durable_engine, recover_state, FsyncPolicy, RecoverError, StoreOptions};
+use cpqx_store::{durable_engine, recover_state, wal, FsyncPolicy, RecoverError, StoreOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -449,6 +449,64 @@ fn a_store_of_another_format_version_is_refused_not_reseeded() {
         assert!(files(&dir) == before, "{wal} a WAL segment: a file was rewritten");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum-valid WAL record that contradicts the snapshot it extends
+/// is an error, not a torn tail: recovery names the transaction, for a
+/// record that names a vertex past the graph and for one that names a
+/// label the graph lacks. The bad record is the second; `recover_state`
+/// and `durable_engine` both report `Replay { txn: 1 }`, and no file is
+/// rewritten.
+#[test]
+fn a_record_that_contradicts_its_snapshot_is_a_replay_error() {
+    let g0 = seed_graph(19);
+    let past = g0.vertex_count() + 3;
+    let foreign = {
+        let mut b = cpqx_graph::GraphBuilder::new();
+        b.add_edge_named("a", "b", "no-such-label");
+        b.build()
+    };
+    let bad_records = [
+        ("vertex", wal::encode_ops(&g0, &[DeltaOp::DeleteVertex { vertex: past }])),
+        (
+            "label",
+            wal::encode_ops(&foreign, &[DeltaOp::InsertEdge { src: 0, dst: 1, label: Label(0) }]),
+        ),
+    ];
+    for (what, payload) in bad_records {
+        let dir = tmp(&format!("replay-{what}"));
+        {
+            let start =
+                durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone())
+                    .unwrap();
+            let (v, u, l) = generate::sample_edges(&g0, 1, 21)[0];
+            start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
+        }
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&cpqx_store::crc32(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        let wal_path = dir.join("wal-1.log");
+        let mut log = std::fs::read(&wal_path).unwrap();
+        log.extend_from_slice(&record);
+        std::fs::write(&wal_path, &log).unwrap();
+
+        let before = files(&dir);
+        match recover_state(&dir) {
+            Err(RecoverError::Replay { txn: 1, .. }) => {}
+            Err(other) => panic!("{what}: recover_state: {other}"),
+            Ok(_) => panic!("{what}: recover_state accepted the record"),
+        }
+        let result = durable_engine(&dir, StoreOptions::default(), engine_options(), || {
+            panic!("{what}: the seed closure was called")
+        });
+        match result {
+            Err(RecoverError::Replay { txn: 1, .. }) => {}
+            Err(other) => panic!("{what}: durable_engine: {other}"),
+            Ok(_) => panic!("{what}: durable_engine accepted the record"),
+        }
+        assert!(files(&dir) == before, "{what}: a file was rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Recovery builds the index without its pair → class map; only
