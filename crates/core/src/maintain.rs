@@ -3,9 +3,10 @@
 //!
 //! Every update is a transaction: [`apply_ops`] validates a list of
 //! [`DeltaOp`]s against the graph, applies them to the graph in order, and
-//! refreshes the index once. The per-op methods of [`CpqxIndex`]
-//! (`insert_edge`, `delete_vertex`, `insert_interest`, …) are one-op
-//! transactions.
+//! refreshes the index once. What an op does to the graph and the interest
+//! set is one rule, which [`edit_graph`] applies without an index. The
+//! per-op methods of [`CpqxIndex`] (`insert_edge`, `delete_vertex`,
+//! `insert_interest`, …) are one-op transactions.
 //!
 //! The refresh keeps query results correct without recomputing the
 //! partition: affected pairs are detached from their classes and regrouped
@@ -46,6 +47,7 @@ use crate::interest::seq_pairs;
 use crate::intern::{id_words, SigInterner};
 use crate::paths::{affected_pairs, label_seqs_between};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
+use std::collections::BTreeSet;
 
 /// One typed maintenance operation of a transaction ([`apply_ops`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -165,12 +167,30 @@ pub fn apply_ops(
     let mut outcomes = Vec::with_capacity(ops.len());
     for run in ops.chunk_by(|_, next| !matches!(next, DeltaOp::DeleteInterest { .. })) {
         let mut candidates = Vec::new();
-        outcomes.extend(run.iter().map(|op| idx.apply_op(g, op, &mut candidates)));
+        for op in run {
+            outcomes.push(edit_op(g, idx.interests.as_mut(), idx.k, op, Some(&mut candidates)));
+        }
         candidates.sort_unstable();
         candidates.dedup();
         idx.refresh_pairs(g, candidates);
     }
     Ok(outcomes)
+}
+
+/// Applies `ops` to `g` and an interest set (`None` for a full index) by
+/// the rule [`apply_ops`] follows, validated the same way, but maintains
+/// no index. An index is a function of the graph, `k` and the interests,
+/// so a store's recovery replays its log this way and then builds once.
+///
+/// On error nothing is mutated.
+pub fn edit_graph(
+    g: &mut Graph,
+    mut interests: Option<&mut BTreeSet<LabelSeq>>,
+    k: usize,
+    ops: &[DeltaOp],
+) -> Result<Vec<OpOutcome>, DeltaError> {
+    check_ops(g, ops)?;
+    Ok(ops.iter().map(|op| edit_op(g, interests.as_deref_mut(), k, op, None)).collect())
 }
 
 /// Checks every vertex and label `ops` name against `g`, with each
@@ -221,21 +241,67 @@ fn check_ops(g: &Graph, ops: &[DeltaOp]) -> Result<(), DeltaError> {
     Ok(())
 }
 
-/// Inserts (`insert`) or removes the base edge `(v, u, ℓ)`. If `g`
-/// changed, appends the pairs whose `L≤k` the edit may have changed, read
-/// off `g` as it now is.
-fn edit_edge(
+/// What one validated op does to `g` and the interest set — the one rule,
+/// for the index's write path ([`apply_ops`]) and a replay without an
+/// index ([`edit_graph`]) alike. With `candidates`, appends the pairs
+/// whose `L≤k` the op may have changed, each edit's read off `g` as that
+/// edit leaves it; without, gathers nothing.
+fn edit_op(
     g: &mut Graph,
-    (v, u, l): (VertexId, VertexId, Label),
-    insert: bool,
+    interests: Option<&mut BTreeSet<LabelSeq>>,
     k: usize,
-    candidates: &mut Vec<Pair>,
-) -> bool {
-    let changed = if insert { g.insert_edge(v, u, l) } else { g.remove_edge(v, u, l) };
+    op: &DeltaOp,
+    mut candidates: Option<&mut Vec<Pair>>,
+) -> OpOutcome {
+    let mut edit_edge = |g: &mut Graph, (v, u, l): (VertexId, VertexId, Label), insert: bool| {
+        let changed = if insert { g.insert_edge(v, u, l) } else { g.remove_edge(v, u, l) };
+        if let (true, Some(c)) = (changed, candidates.as_deref_mut()) {
+            c.extend(affected_pairs(g, v, u, k));
+        }
+        changed
+    };
+    let changed = match *op {
+        DeltaOp::InsertEdge { src, dst, label } => edit_edge(g, (src, dst, label), true),
+        DeltaOp::DeleteEdge { src, dst, label } => edit_edge(g, (src, dst, label), false),
+        DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
+            let deleted = edit_edge(g, (src, dst, from), false);
+            if deleted {
+                edit_edge(g, (src, dst, to), true);
+            }
+            deleted
+        }
+        DeltaOp::AddVertex { ref name } => {
+            return OpOutcome::VertexAdded(g.add_vertex(name.clone()))
+        }
+        DeltaOp::DeleteVertex { vertex: v } => {
+            let incident: Vec<_> = g.incident_edges(v).collect();
+            let mut removed = false;
+            for edge in incident {
+                removed |= edit_edge(g, edge, false);
+            }
+            removed
+        }
+        DeltaOp::InsertInterest { seq } => {
+            let registered =
+                (2..=k).contains(&seq.len()) && interests.is_some_and(|lq| lq.insert(seq));
+            if let (true, Some(c)) = (registered, candidates) {
+                c.extend(seq_pairs(g, &seq));
+            }
+            registered
+        }
+        DeltaOp::DeleteInterest { ref seq } => drop_interest(interests, seq),
+    };
     if changed {
-        candidates.extend(affected_pairs(g, v, u, k));
+        OpOutcome::Applied
+    } else {
+        OpOutcome::Noop
     }
-    changed
+}
+
+/// Removes `seq` from the interest set; length-1 sequences are always
+/// indexed and never registered.
+fn drop_interest(interests: Option<&mut BTreeSet<LabelSeq>>, seq: &LabelSeq) -> bool {
+    seq.len() > 1 && interests.is_some_and(|lq| lq.remove(seq))
 }
 
 impl CpqxIndex {
@@ -331,10 +397,7 @@ impl CpqxIndex {
     /// the current interests — a rebuild, or a store's recovery — carries
     /// no retained entry. Cost: a set removal.
     pub fn delete_interest(&mut self, seq: &LabelSeq) -> bool {
-        if seq.len() <= 1 {
-            return false;
-        }
-        self.interests.as_mut().is_some_and(|interests| interests.remove(seq))
+        drop_interest(self.interests.as_mut(), seq)
     }
 
     /// Rebuilds the index from scratch (defragmentation), preserving the
@@ -350,52 +413,6 @@ impl CpqxIndex {
     /// `op` as a transaction of its own.
     fn apply_one(&mut self, g: &mut Graph, op: DeltaOp) -> OpOutcome {
         apply_ops(g, self, std::slice::from_ref(&op)).unwrap_or_else(|e| panic!("{e}"))[0]
-    }
-
-    /// Applies one validated op to `g` and the interest set, appending the
-    /// pairs it may have changed to `candidates`.
-    fn apply_op(&mut self, g: &mut Graph, op: &DeltaOp, candidates: &mut Vec<Pair>) -> OpOutcome {
-        let k = self.k;
-        let changed = match *op {
-            DeltaOp::InsertEdge { src, dst, label } => {
-                edit_edge(g, (src, dst, label), true, k, candidates)
-            }
-            DeltaOp::DeleteEdge { src, dst, label } => {
-                edit_edge(g, (src, dst, label), false, k, candidates)
-            }
-            DeltaOp::ChangeEdgeLabel { src, dst, from, to } => {
-                let deleted = edit_edge(g, (src, dst, from), false, k, candidates);
-                if deleted {
-                    edit_edge(g, (src, dst, to), true, k, candidates);
-                }
-                deleted
-            }
-            DeltaOp::AddVertex { ref name } => {
-                return OpOutcome::VertexAdded(g.add_vertex(name.clone()))
-            }
-            DeltaOp::DeleteVertex { vertex: v } => {
-                let incident: Vec<_> = g.incident_edges(v).collect();
-                let mut removed = false;
-                for edge in incident {
-                    removed |= edit_edge(g, edge, false, k, candidates);
-                }
-                removed
-            }
-            DeltaOp::InsertInterest { seq } => {
-                let registered = (2..=k).contains(&seq.len())
-                    && self.interests.as_mut().is_some_and(|lq| lq.insert(seq));
-                if registered {
-                    candidates.extend(seq_pairs(g, &seq));
-                }
-                registered
-            }
-            DeltaOp::DeleteInterest { ref seq } => self.delete_interest(seq),
-        };
-        if changed {
-            OpOutcome::Applied
-        } else {
-            OpOutcome::Noop
-        }
     }
 
     /// The indexed label-sequence set of a pair on the *current* graph:
@@ -425,9 +442,11 @@ impl CpqxIndex {
     /// This is the pair → class map's only reader on the write path, and
     /// the first write on an index without the map builds it
     /// ([`CpqxIndex::build_pair_map`]); a transaction without candidates
-    /// writes nothing and builds nothing. Writes run on a clone of the
-    /// served index, so the map lands in that clone and its descendants,
-    /// never in the snapshot it was cloned from.
+    /// writes nothing and builds nothing. A store's recovery replays its
+    /// log on the graph ([`edit_graph`]) and then builds, so the first
+    /// write after recovery builds the map, as on a fresh engine. Writes
+    /// run on a clone of the served index, so the map lands in that clone
+    /// and its descendants, never in the snapshot it was cloned from.
     ///
     /// All mutation goes through the index's chunk-local copy-on-write
     /// primitives (`edit_rows`, `push_class`, `PairColumn::edit`), so an

@@ -284,29 +284,6 @@ impl Engine {
         (engine, report)
     }
 
-    /// Revives an engine from externally recovered state — see the
-    /// `cpqx-store` crate's `recover` module, which reassembles the
-    /// persisted graph, builds its index once and replays the WAL tail
-    /// through [`crate::apply_ops`]: the given graph + index install as
-    /// epoch 0 as they are, with no further build. Counters and build
-    /// timings start fresh.
-    pub fn with_recovered(graph: Graph, index: CpqxIndex, options: EngineOptions) -> Engine {
-        let snapshot = Arc::new(Snapshot::new(graph, index, 0, options.plan_cache_capacity));
-        Engine {
-            current: RwLock::new(snapshot),
-            results: Mutex::new(TaggedResults {
-                epoch: 0,
-                cache: LruCache::new(options.result_cache_capacity),
-            }),
-            counters: EngineCounters::default(),
-            writer: Mutex::new(()),
-            last_build: Mutex::new(BuildReport::default()),
-            durability: Mutex::new(None),
-            obs: Arc::new(Recorder::new(&options.obs)),
-            options,
-        }
-    }
-
     /// Attaches a durability sink: from now on every typed delta
     /// transaction is appended to the sink **before** its snapshot
     /// installs (write-ahead ordering; see [`crate::durability`]), and

@@ -17,9 +17,9 @@
 //!   and the interests.
 //! * [`manifest`] + [`recover`] — a generation manifest tying each
 //!   snapshot to the WAL position it covers, and recovery = load the
-//!   latest valid snapshot's graph, build its index once, replay the WAL
-//!   tail through the engine's own delta-application path, install as
-//!   epoch 0.
+//!   latest valid snapshot's graph, replay the WAL tail on that graph and
+//!   the interest set by the write path's own rule, build the index once
+//!   (graph replay, then one build), install as epoch 0.
 //!
 //! The [`Store`] type implements the engine's `DurabilitySink` trait:
 //! attach it with `Engine::attach_durability` (or use

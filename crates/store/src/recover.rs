@@ -1,36 +1,31 @@
 //! Crash recovery: latest valid snapshot + WAL tail → a serving engine.
 //!
-//! Recovery is the inverse of the write path, in three steps:
+//! Recovery is graph replay, then one build:
 //!
 //! 1. **Load** the live manifest's snapshot: reassemble the graph from
 //!    its topology/name chunk records ([`Graph::from_chunk_parts`]
-//!    rebuilds the derived pair segments), then **build** the index once,
-//!    with the header's `k` and interest set — the build
-//!    [`Engine::with_options`] runs. The store persists no index: the
-//!    index is a function of the graph, `k` and the interests, and at
-//!    k = 2 building it costs about what decoding a persisted copy did,
-//!    at half the heap peak (see `STORAGE.md`).
-//! 2. **Replay** the WAL tail the manifest points at, applying each
-//!    logged transaction through the engine's own
-//!    [`cpqx_engine::apply_ops`] — the same lazy maintenance procedures
-//!    that ran before the crash, so the recovered index answers as the
-//!    one the engine served (the first replayed op that changes the
-//!    index builds the pair → class map; with nothing to replay it stays
-//!    unbuilt). A torn or corrupt record ends the committed prefix; the
-//!    tail beyond it is dropped, never fatal.
-//! 3. **Install** the result as epoch 0 via
-//!    [`Engine::with_recovered`] and attach a [`Store`] resuming at the
-//!    recovered position, so the next write appends where the log left
-//!    off and the next checkpoint snapshots incrementally against the
-//!    recovered generation.
+//!    rebuilds the derived pair segments); its header holds `k` and the
+//!    interest set.
+//! 2. **Replay** the WAL tail the manifest points at on the graph and the
+//!    interests through [`edit_graph`], the write path's own rule; a
+//!    record it rejects is a [`RecoverError::Replay`]. A torn or corrupt
+//!    record ends the committed prefix; the rest is dropped, never fatal.
+//! 3. **Build** the index once, the build [`Engine::with_options`] runs.
+//!    The store persists no index: it is a function of the graph, `k` and
+//!    the interests, so the recovered index is a fresh build's, byte for
+//!    byte, without a pair → class map until the first write (see
+//!    `STORAGE.md`). [`durable_engine`] installs it as epoch 0 and
+//!    attaches a [`Store`] resuming at the recovered position.
 
 use crate::manifest;
 use crate::snapshot::{decode_header, decode_name_chunk, decode_topology_chunk, read_record};
 use crate::store::{Retained, Store, StoreOptions};
 use crate::wal;
+use cpqx_core::maintain::edit_graph;
 use cpqx_core::CpqxIndex;
-use cpqx_engine::{apply_ops, Engine, EngineOptions};
-use cpqx_graph::Graph;
+use cpqx_engine::{Engine, EngineOptions};
+use cpqx_graph::{Graph, LabelSeq};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -50,7 +45,7 @@ pub enum RecoverError {
         what: String,
     },
     /// A committed (checksum-valid) WAL transaction failed to decode or
-    /// re-apply against the snapshot it should extend.
+    /// to apply to the graph of the snapshot it should extend.
     Replay {
         /// Zero-based index of the transaction in replay order.
         txn: usize,
@@ -104,7 +99,7 @@ pub struct Recovered {
     pub manifest_time: std::time::Duration,
     /// Wall-clock of chunk decode, graph reassembly and the index build.
     pub chunks_time: std::time::Duration,
-    /// Wall-clock of the WAL tail replay.
+    /// Wall-clock of the WAL tail's replay on the graph.
     pub replay_time: std::time::Duration,
 }
 
@@ -123,12 +118,13 @@ pub struct DurableStart {
     pub recovered: Option<Recovered>,
 }
 
-/// Everything [`durable_engine`] needs beyond the public
-/// [`recover_state`] view: the pre-replay retained image and the WAL
-/// resume position.
+/// What recovery reads off the directory before the build: the replayed
+/// graph, `k` and interests, the retained image of the snapshot, and the
+/// WAL resume position.
 struct FullRecovery {
     graph: Graph,
-    index: CpqxIndex,
+    k: usize,
+    interests: Option<BTreeSet<LabelSeq>>,
     retained: Retained,
     active_wal_gen: u64,
     active_wal_committed: u64,
@@ -146,7 +142,7 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     let mpath = dir.join(format!("manifest-{}", m.gen));
     let manifest_time = t_manifest.elapsed();
 
-    // 1. Reassemble the graph chunk by chunk, then build its index.
+    // 1. Reassemble the graph chunk by chunk.
     let t_chunks = std::time::Instant::now();
     let header = decode_header(&read_record(dir, m.header)?).map_err(|e| corrupt(&mpath, e))?;
     if header.topo_chunks != m.topo.len() || header.name_chunks != m.names.len() {
@@ -170,12 +166,8 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
         }
         names.push(chunk);
     }
-    let graph = Graph::from_chunk_parts(header.label_names, topology, names)
+    let mut graph = Graph::from_chunk_parts(header.label_names, topology, names)
         .map_err(|e| corrupt(&mpath, format!("graph reassembly failed: {e}")))?;
-    let index = match header.interests {
-        None => CpqxIndex::build(&graph, header.k),
-        Some(lq) => CpqxIndex::build_interest_aware(&graph, header.k, lq),
-    };
     let chunks_time = t_chunks.elapsed();
 
     // The retained image must alias the chunks of the graph the engine
@@ -183,10 +175,9 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     // chunks as pointer-identical. Clone *before* replay mutates.
     let retained = Retained { graph: graph.clone(), manifest: m.clone() };
 
-    // 2. Replay the committed WAL tail.
+    // 2. Replay the committed WAL tail on the graph and the interests.
     let t_replay = std::time::Instant::now();
-    let mut graph = graph;
-    let mut index = index;
+    let (k, mut interests) = (header.k, header.interests);
     let segments: Vec<u64> =
         wal::list_segments(dir)?.into_iter().filter(|g| *g >= m.wal_gen).collect();
     let mut replayed = 0u64;
@@ -202,12 +193,10 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
         for payload in &scan.records {
             let rec_len = 8 + payload.len() as u64;
             if at >= skip_to {
-                let ops = wal::decode_ops(&graph, payload)
-                    .map_err(|reason| RecoverError::Replay { txn: replayed as usize, reason })?;
-                apply_ops(&mut graph, &mut index, &ops).map_err(|e| RecoverError::Replay {
-                    txn: replayed as usize,
-                    reason: format!("op {} rejected: {}", e.op_index, e.reason),
-                })?;
+                let replay = |reason| RecoverError::Replay { txn: replayed as usize, reason };
+                let ops = wal::decode_ops(&graph, payload).map_err(replay)?;
+                edit_graph(&mut graph, interests.as_mut(), k, &ops)
+                    .map_err(|e| replay(e.to_string()))?;
                 replayed += 1;
                 since_checkpoint += rec_len;
             }
@@ -228,7 +217,8 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     };
     Ok(Some(FullRecovery {
         graph,
-        index,
+        k,
+        interests,
         retained,
         active_wal_gen: active.0,
         active_wal_committed: active.1,
@@ -237,26 +227,33 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     }))
 }
 
-/// Read-only recovery: loads the latest valid snapshot and replays the
-/// committed WAL tail **without opening anything for writing or
-/// truncating torn tails** — the state a [`durable_engine`] call would
-/// serve, as a pure function of the directory. `Ok(None)` means the
-/// directory holds no store. The crash-consistency harness is built on
-/// this: it can probe the same directory at many simulated crash points
-/// without the probes disturbing each other.
+/// Read-only recovery: loads the latest valid snapshot, replays the
+/// committed WAL tail on its graph and builds the index once
+/// ([`CpqxIndex::build`] / [`CpqxIndex::build_interest_aware`]) **without
+/// opening anything for writing or truncating torn tails** — the state a
+/// [`durable_engine`] call would serve, as a pure function of the
+/// directory. `Ok(None)` means the directory holds no store. The crash
+/// harness probes one directory at many simulated crash points with it.
 pub fn recover_state(
     dir: impl AsRef<Path>,
 ) -> Result<Option<(Graph, CpqxIndex, Recovered)>, RecoverError> {
-    Ok(recover_full(dir.as_ref())?.map(|r| (r.graph, r.index, r.info)))
+    let Some(r) = recover_full(dir.as_ref())? else { return Ok(None) };
+    let t_build = std::time::Instant::now();
+    let index = match r.interests {
+        None => CpqxIndex::build(&r.graph, r.k),
+        Some(lq) => CpqxIndex::build_interest_aware(&r.graph, r.k, lq),
+    };
+    let info = Recovered { chunks_time: r.info.chunks_time + t_build.elapsed(), ..r.info };
+    Ok(Some((r.graph, index, info)))
 }
 
 /// Opens a durable engine on `dir`, creating the directory on first
 /// use.
 ///
-/// * If `dir` holds a store: recover (snapshot + WAL tail), install as
-///   epoch 0 — the seed closure is **not** called, and `options.k` /
-///   `options.interests` are overridden by the persisted ones so
-///   rebuilds reproduce the recovered configuration.
+/// * If `dir` holds a store: recover (the WAL tail replayed on the
+///   snapshot's graph, then one build through [`Engine::with_options`])
+///   and install as epoch 0 — the seed closure is **not** called, and
+///   `options.k` / `options.interests` are the recovered ones.
 /// * If `dir` is fresh: build the engine from `seed()` under `options`,
 ///   then bootstrap the store with a full generation-1 snapshot (the
 ///   WAL alone cannot reconstruct a seed state, so durability starts
@@ -279,9 +276,10 @@ pub fn durable_engine(
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     if let Some(r) = recover_full(dir)? {
-        options.k = r.index.k();
-        options.interests = r.index.interests().map(|lq| lq.iter().copied().collect());
-        let engine = Engine::with_recovered(r.graph, r.index, options);
+        options.k = r.k;
+        options.interests = r.interests.map(|lq| lq.into_iter().collect());
+        let (engine, report) = Engine::with_options(r.graph, options);
+        let info = Recovered { chunks_time: r.info.chunks_time + report.total, ..r.info };
         let store = Arc::new(Store::resume(
             dir,
             store_options,
@@ -294,12 +292,12 @@ pub fn durable_engine(
         // Restart timings land in the recorder like any other pipeline,
         // so METRICS exposes recovery stages alongside serving stages.
         engine.obs().record_recovery(
-            r.info.manifest_time,
-            r.info.chunks_time,
-            r.info.replay_time,
+            info.manifest_time,
+            info.chunks_time,
+            info.replay_time,
             engine.epoch(),
         );
-        return Ok(DurableStart { engine, store, recovered: Some(r.info) });
+        return Ok(DurableStart { engine, store, recovered: Some(info) });
     }
     if !wal::list_segments(dir)?.is_empty() {
         return Err(RecoverError::Corrupt {

@@ -509,34 +509,129 @@ fn a_record_that_contradicts_its_snapshot_is_a_replay_error() {
     }
 }
 
-/// Recovery builds the index without its pair → class map; only
-/// replaying a non-empty WAL tail writes, and so builds it.
+/// Recovery leaves the pair → class map unbuilt, with or without a WAL
+/// tail: the tail is replayed on the graph, then the index is built once.
+/// The first write after recovery builds the map, as on a fresh engine.
 #[test]
-fn recovery_builds_the_pair_map_only_to_replay_a_tail() {
+fn recovery_leaves_the_pair_map_to_the_first_write() {
     let dir = tmp("pair-map");
     let g0 = seed_graph(11);
     let queries = workload(&g0, 0x9a);
     let start =
         durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
-    let recovered = |replayed: u64, has_map: bool| {
+    let recovered = |replayed: u64| {
         let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
         assert_eq!(info.replayed_transactions, replayed);
-        assert_eq!(index.has_pair_map(), has_map, "after replaying {replayed} transactions");
+        assert!(!index.has_pair_map(), "after replaying {replayed} transactions");
         assert_eq!(index.validate(&graph), Ok(()));
         assert_equivalent(&graph, &index, &start.engine, &queries);
     };
     // The bootstrap snapshot and an empty tail.
-    recovered(0, false);
+    recovered(0);
     // One committed deletion in the tail.
     let (v, u, l) = generate::sample_edges(&g0, 1, 9)[0];
     start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
     assert!(start.engine.snapshot().index().has_pair_map());
-    recovered(1, true);
-    // A checkpoint empties the tail again.
+    recovered(1);
+    drop(start);
+
+    // The engine a restart serves has no map either, until its first write.
+    let start =
+        durable_engine(&dir, StoreOptions::default(), engine_options(), || unreachable!()).unwrap();
+    assert_eq!(start.recovered.as_ref().unwrap().replayed_transactions, 1);
+    assert!(!start.engine.snapshot().index().has_pair_map());
+    let (v, u, l) = generate::sample_edges(&g0, 1, 10)[0];
+    start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
     let snap = start.engine.snapshot();
-    start.store.checkpoint(snap.graph(), snap.index()).unwrap();
-    recovered(0, false);
+    assert!(snap.index().has_pair_map(), "the first write after recovery builds the map");
+    assert_eq!(snap.index().validate(snap.graph()), Ok(()));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whatever the tail holds, recovery is a graph edit and one build: at
+/// every kill point, for a full and an interest-aware engine whose tails
+/// register and drop interests, the recovered index saves the bytes of
+/// the build of the live engine's graph under its `k` and interests, and
+/// `durable_engine` serves that same index.
+#[test]
+fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
+    const TXNS: usize = 10;
+    let saved = |idx: &CpqxIndex| {
+        let mut bytes = Vec::new();
+        idx.save(&mut bytes).unwrap();
+        bytes
+    };
+    let built = |snap: &cpqx_engine::Snapshot| match snap.index().interests() {
+        None => CpqxIndex::build(snap.graph(), snap.index().k()),
+        Some(lq) => {
+            CpqxIndex::build_interest_aware(snap.graph(), snap.index().k(), lq.iter().copied())
+        }
+    };
+    let g0 = seed_graph(29);
+    let labels = g0.base_label_count();
+    let seq = |a: u16, b: u16| cpqx_graph::LabelSeq::from_slice(&[Label(a).fwd(), Label(b).inv()]);
+    let pool = [seq(0, 1), seq(1, 2), seq(2, 0), seq(1, 1)];
+    for (name, interests) in [("full", None), ("interest-aware", Some(pool[..2].to_vec()))] {
+        let dir = tmp(&format!("build-{name}"));
+        let options = EngineOptions { interests, ..engine_options() };
+        let wal_path = dir.join("wal-1.log");
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut vertices = g0.vertex_count();
+        let mut boundaries = Vec::with_capacity(TXNS);
+        let mut deltas = Vec::with_capacity(TXNS);
+        {
+            let start = durable_engine(
+                &dir,
+                StoreOptions { fsync: FsyncPolicy::Never },
+                options.clone(),
+                || g0.clone(),
+            )
+            .unwrap();
+            for txn in 0..TXNS {
+                let mut ops = random_delta(&mut rng, &mut vertices, labels, txn).ops().to_vec();
+                let seq = pool[rng.gen_range(0..pool.len())];
+                let at = rng.gen_range(1..=ops.len());
+                ops.insert(
+                    at,
+                    if txn % 2 == 0 {
+                        DeltaOp::DeleteInterest { seq }
+                    } else {
+                        DeltaOp::InsertInterest { seq }
+                    },
+                );
+                let delta = Delta::from(ops);
+                start.engine.apply_delta(&delta).unwrap();
+                deltas.push(delta);
+                boundaries.push(std::fs::metadata(&wal_path).unwrap().len());
+            }
+        }
+        let full = std::fs::read(&wal_path).unwrap();
+
+        let (reference, _) = Engine::with_options(g0.clone(), options.clone());
+        for committed in 0..=TXNS {
+            if committed > 0 {
+                reference.apply_delta(&deltas[committed - 1]).unwrap();
+            }
+            let cut = if committed == 0 { 0 } else { boundaries[committed - 1] };
+            std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
+            let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+            assert_eq!(info.replayed_transactions, committed as u64, "{name}");
+            let snap = reference.snapshot();
+            assert_eq!(index.interests(), snap.index().interests(), "{name} after {committed}");
+            assert!(!index.has_pair_map(), "{name} after {committed}");
+            assert!(
+                saved(&index) == saved(&built(&snap)),
+                "{name}: recovery after {committed} transactions is not the build"
+            );
+            assert_equivalent(&graph, &index, &reference, &workload(&g0, 0x3c));
+        }
+        let start = durable_engine(&dir, StoreOptions::default(), options, || unreachable!())
+            .expect("the whole log recovers");
+        let served = start.engine.snapshot();
+        assert!(saved(served.index()) == saved(&built(&reference.snapshot())), "{name}");
+        drop((served, start));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Snapshots are incremental: a checkpoint right after one small delta
