@@ -97,6 +97,13 @@ fn assert_equivalent(graph: &Graph, index: &CpqxIndex, reference: &Engine, queri
     }
 }
 
+/// The canonical image of `idx`: equal bytes, equal indexes.
+fn saved(idx: &CpqxIndex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    idx.save(&mut bytes).unwrap();
+    bytes
+}
+
 /// The core harness: `TXNS` committed transactions, then a simulated
 /// kill at every record boundary and inside every record.
 #[test]
@@ -360,11 +367,6 @@ fn recovery_after_deleting_an_interest_keeps_it_deleted() {
 /// checkpoint have moved the graph away from its seed.
 #[test]
 fn recovery_with_an_empty_tail_is_a_build_of_the_recovered_graph() {
-    let saved = |idx: &CpqxIndex| {
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        bytes
-    };
     let g0 = seed_graph(13);
     let interest = cpqx_graph::LabelSeq::from_slice(&[Label(0).fwd(), Label(2).inv()]);
     for (name, interests) in [("full", None), ("interest-aware", Some(vec![interest]))] {
@@ -549,18 +551,14 @@ fn recovery_leaves_the_pair_map_to_the_first_write() {
 }
 
 /// Whatever the tail holds, recovery is a graph edit and one build: at
-/// every kill point, for a full and an interest-aware engine whose tails
+/// every kill point (each record boundary, and a cut into the record
+/// after it), for a full and an interest-aware engine whose tails
 /// register and drop interests, the recovered index saves the bytes of
 /// the build of the live engine's graph under its `k` and interests, and
 /// `durable_engine` serves that same index.
 #[test]
 fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
     const TXNS: usize = 10;
-    let saved = |idx: &CpqxIndex| {
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        bytes
-    };
     let built = |snap: &cpqx_engine::Snapshot| match snap.index().interests() {
         None => CpqxIndex::build(snap.graph(), snap.index().k()),
         Some(lq) => {
@@ -607,23 +605,26 @@ fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
         }
         let full = std::fs::read(&wal_path).unwrap();
 
+        let queries = workload(&g0, 0x3c);
         let (reference, _) = Engine::with_options(g0.clone(), options.clone());
         for committed in 0..=TXNS {
             if committed > 0 {
                 reference.apply_delta(&deltas[committed - 1]).unwrap();
             }
-            let cut = if committed == 0 { 0 } else { boundaries[committed - 1] };
-            std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
-            let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
-            assert_eq!(info.replayed_transactions, committed as u64, "{name}");
             let snap = reference.snapshot();
-            assert_eq!(index.interests(), snap.index().interests(), "{name} after {committed}");
-            assert!(!index.has_pair_map(), "{name} after {committed}");
-            assert!(
-                saved(&index) == saved(&built(&snap)),
-                "{name}: recovery after {committed} transactions is not the build"
-            );
-            assert_equivalent(&graph, &index, &reference, &workload(&g0, 0x3c));
+            let expected = saved(&built(&snap));
+            // The boundary after `committed` records, and a cut 5 bytes
+            // into the next record (a torn tail that recovers the same).
+            let at = if committed == 0 { 0 } else { boundaries[committed - 1] };
+            for cut in [at, at + 5].into_iter().filter(|&cut| cut <= full.len() as u64) {
+                std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
+                let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
+                assert_eq!(info.replayed_transactions, committed as u64, "{name} cut at {cut}");
+                assert_eq!(index.interests(), snap.index().interests(), "{name} cut at {cut}");
+                assert!(!index.has_pair_map(), "{name} cut at {cut}");
+                assert!(saved(&index) == expected, "{name}: cut at {cut} is not the build");
+                assert_equivalent(&graph, &index, &reference, &queries);
+            }
         }
         let start = durable_engine(&dir, StoreOptions::default(), options, || unreachable!())
             .expect("the whole log recovers");
