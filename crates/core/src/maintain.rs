@@ -188,9 +188,12 @@ pub fn edit_graph(
     mut interests: Option<&mut BTreeSet<LabelSeq>>,
     k: usize,
     ops: &[DeltaOp],
-) -> Result<Vec<OpOutcome>, DeltaError> {
+) -> Result<(), DeltaError> {
     check_ops(g, ops)?;
-    Ok(ops.iter().map(|op| edit_op(g, interests.as_deref_mut(), k, op, None)).collect())
+    for op in ops {
+        edit_op(g, interests.as_deref_mut(), k, op, None);
+    }
+    Ok(())
 }
 
 /// Checks every vertex and label `ops` name against `g`, with each

@@ -8,8 +8,10 @@
 //! - Equivalence: a list applied as one transaction and as one transaction
 //!   per op answers alike, and the single transaction creates no more
 //!   classes.
+//! - One rule: [`edit_graph`] leaves the graph and the interests as the
+//!   transaction does, and rejects what it rejects.
 
-use cpqx_core::maintain::{apply_ops, DeltaError, DeltaOp, OpOutcome};
+use cpqx_core::maintain::{apply_ops, edit_graph, DeltaError, DeltaOp, OpOutcome};
 use cpqx_core::CpqxIndex;
 use cpqx_graph::{generate, Graph, GraphBuilder, Label, LabelSeq, Pair};
 use cpqx_query::eval::eval_reference;
@@ -85,6 +87,8 @@ fn a_rejected_list_mutates_nothing() {
         ];
         let err = apply_ops(&mut g, &mut idx, &ops).expect_err("vertex n + 1 does not exist");
         assert_eq!(err.op_index, 2, "{err}");
+        let mut interests = idx.interests().cloned();
+        assert_eq!(edit_graph(&mut g, interests.as_mut(), 2, &ops), Err(err));
         assert_eq!((g.vertex_count(), g.edge_count()), (n, edges.len()));
         assert_eq!(g.base_edges().collect::<Vec<_>>(), edges);
         assert!(saved(&idx) == bytes, "the rejected list changed the index");
@@ -200,8 +204,13 @@ proptest! {
         };
         let ops = lower(&raw, &g0);
 
+        let (mut g_edit, mut interests) = (g0.clone(), idx0.interests().cloned());
+        edit_graph(&mut g_edit, interests.as_mut(), 2, &ops).expect("lowered ops are valid");
         let (mut g_one, mut one) = (g0.clone(), idx0.clone());
         let outcomes = apply_ops(&mut g_one, &mut one, &ops).expect("lowered ops are valid");
+        prop_assert_eq!(g_edit.base_edges().collect::<Vec<_>>(), g_one.base_edges().collect::<Vec<_>>());
+        prop_assert_eq!(g_edit.vertex_count(), g_one.vertex_count());
+        prop_assert_eq!(interests.as_ref(), one.interests());
         let (mut g_per, mut per) = (g0, idx0);
         for (i, op) in ops.iter().enumerate() {
             let outcome = apply_ops(&mut g_per, &mut per, std::slice::from_ref(op));
