@@ -2,12 +2,14 @@
 //!
 //! Recovery is graph replay, then one build:
 //!
-//! 1. **Load** the live manifest's snapshot: reassemble the graph from
-//!    its topology/name chunk records ([`Graph::from_chunk_parts`]
-//!    rebuilds the derived pair segments); its header holds `k` and the
-//!    interest set.
-//! 2. **Replay** the WAL tail the manifest points at on the graph and the
-//!    interests through [`edit_graph`], the write path's own rule; a
+//! 1. **Load** the newest snapshot, `snap-<gen>.dat`: reassemble the
+//!    graph from its topology/name chunk records
+//!    ([`Graph::from_chunk_parts`] rebuilds the derived pair segments);
+//!    its header holds `k` and the interest set. A snapshot that does not
+//!    read back whole is a [`RecoverError::Corrupt`], never skipped for
+//!    an older one (see [`durable_engine`]).
+//! 2. **Replay** the WAL tail, segments `gen` and later, on the graph and
+//!    the interests through [`edit_graph`], the write path's own rule; a
 //!    record it rejects is a [`RecoverError::Replay`]. A torn or corrupt
 //!    record ends the committed prefix; the rest is dropped, never fatal.
 //! 3. **Build** the index once, the build [`Engine::with_options`] runs.
@@ -17,9 +19,8 @@
 //!    `STORAGE.md`). [`durable_engine`] installs it as epoch 0 and
 //!    attaches a [`Store`] resuming at the recovered position.
 
-use crate::manifest;
-use crate::snapshot::{decode_header, decode_name_chunk, decode_topology_chunk, read_record};
-use crate::store::{Retained, Store, StoreOptions};
+use crate::snapshot;
+use crate::store::{Store, StoreOptions};
 use crate::wal;
 use cpqx_core::maintain::edit_graph;
 use cpqx_core::CpqxIndex;
@@ -95,7 +96,9 @@ pub struct Recovered {
     pub vertex_count: u32,
     /// Base edges in the recovered graph.
     pub edge_count: u64,
-    /// Wall-clock of the manifest read + validation.
+    /// Wall-clock of locating the live snapshot, reading its file and
+    /// decoding its header record (the name predates format version 3,
+    /// whose snapshot file took over the manifest's role).
     pub manifest_time: std::time::Duration,
     /// Wall-clock of chunk decode, graph reassembly and the index build.
     pub chunks_time: std::time::Duration,
@@ -119,13 +122,11 @@ pub struct DurableStart {
 }
 
 /// What recovery reads off the directory before the build: the replayed
-/// graph, `k` and interests, the retained image of the snapshot, and the
-/// WAL resume position.
+/// graph, `k` and interests, and the WAL resume position.
 struct FullRecovery {
     graph: Graph,
     k: usize,
     interests: Option<BTreeSet<LabelSeq>>,
-    retained: Retained,
     active_wal_gen: u64,
     active_wal_committed: u64,
     bytes_since_checkpoint: u64,
@@ -137,76 +138,49 @@ fn corrupt(path: &Path, what: impl Into<String>) -> RecoverError {
 }
 
 fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
-    let t_manifest = std::time::Instant::now();
-    let Some(m) = manifest::load_current(dir)? else { return Ok(None) };
-    let mpath = dir.join(format!("manifest-{}", m.gen));
-    let manifest_time = t_manifest.elapsed();
+    let t_header = std::time::Instant::now();
+    let Some(&gen) = snapshot::list(dir)?.last() else {
+        if wal::list_segments(dir)?.is_empty() {
+            return Ok(None);
+        }
+        return Err(corrupt(dir, "WAL segments present but no snapshot"));
+    };
+    let path = snapshot::snap_path(dir, gen);
+    let bytes = std::fs::read(&path)?;
+    let mut rest = &bytes[..];
+    let header = snapshot::read_header(&mut rest).map_err(|e| corrupt(&path, e))?;
+    let manifest_time = t_header.elapsed();
 
     // 1. Reassemble the graph chunk by chunk.
     let t_chunks = std::time::Instant::now();
-    let header = decode_header(&read_record(dir, m.header)?).map_err(|e| corrupt(&mpath, e))?;
-    if header.topo_chunks != m.topo.len() || header.name_chunks != m.names.len() {
-        return Err(corrupt(&mpath, "chunk tables disagree with snapshot header"));
-    }
-    let mut topology = Vec::with_capacity(m.topo.len());
-    for (i, loc) in m.topo.iter().enumerate() {
-        let (ci, start, rows) =
-            decode_topology_chunk(&read_record(dir, *loc)?).map_err(|e| corrupt(&mpath, e))?;
-        if ci != i {
-            return Err(corrupt(&mpath, format!("topology chunk {ci} filed under index {i}")));
-        }
-        topology.push((start, rows));
-    }
-    let mut names = Vec::with_capacity(m.names.len());
-    for (i, loc) in m.names.iter().enumerate() {
-        let (ci, chunk) =
-            decode_name_chunk(&read_record(dir, *loc)?).map_err(|e| corrupt(&mpath, e))?;
-        if ci != i {
-            return Err(corrupt(&mpath, format!("name chunk {ci} filed under index {i}")));
-        }
-        names.push(chunk);
-    }
-    let mut graph = Graph::from_chunk_parts(header.label_names, topology, names)
-        .map_err(|e| corrupt(&mpath, format!("graph reassembly failed: {e}")))?;
+    let mut graph = snapshot::read_graph(rest, &header).map_err(|e| corrupt(&path, e))?;
     let chunks_time = t_chunks.elapsed();
-
-    // The retained image must alias the chunks of the graph the engine
-    // will serve, so the next incremental checkpoint sees unchanged
-    // chunks as pointer-identical. Clone *before* replay mutates.
-    let retained = Retained { graph: graph.clone(), manifest: m.clone() };
 
     // 2. Replay the committed WAL tail on the graph and the interests.
     let t_replay = std::time::Instant::now();
     let (k, mut interests) = (header.k, header.interests);
     let segments: Vec<u64> =
-        wal::list_segments(dir)?.into_iter().filter(|g| *g >= m.wal_gen).collect();
+        wal::list_segments(dir)?.into_iter().filter(|&segment| segment >= gen).collect();
     let mut replayed = 0u64;
     let mut dropped = 0u64;
     let mut since_checkpoint = 0u64;
-    let mut active = (m.wal_gen, 0u64);
-    for gen in segments {
-        let path = wal::segment_path(dir, gen);
-        let scan = wal::scan_segment(&path)?;
+    let mut active = (gen, 0u64);
+    for segment in segments {
+        let scan = wal::scan_segment(&wal::segment_path(dir, segment))?;
         dropped += scan.dropped_bytes;
-        let skip_to = if gen == m.wal_gen { m.wal_offset } else { 0 };
-        let mut at = 0u64;
         for payload in &scan.records {
-            let rec_len = 8 + payload.len() as u64;
-            if at >= skip_to {
-                let replay = |reason| RecoverError::Replay { txn: replayed as usize, reason };
-                let ops = wal::decode_ops(&graph, payload).map_err(replay)?;
-                edit_graph(&mut graph, interests.as_mut(), k, &ops)
-                    .map_err(|e| replay(e.to_string()))?;
-                replayed += 1;
-                since_checkpoint += rec_len;
-            }
-            at += rec_len;
+            let replay = |reason| RecoverError::Replay { txn: replayed as usize, reason };
+            let ops = wal::decode_ops(&graph, payload).map_err(replay)?;
+            edit_graph(&mut graph, interests.as_mut(), k, &ops)
+                .map_err(|e| replay(e.to_string()))?;
+            replayed += 1;
         }
-        active = (gen, scan.valid_len);
+        since_checkpoint += scan.valid_len;
+        active = (segment, scan.valid_len);
     }
 
     let info = Recovered {
-        generation: m.gen,
+        generation: gen,
         replayed_transactions: replayed,
         dropped_wal_bytes: dropped,
         vertex_count: graph.vertex_count(),
@@ -219,7 +193,6 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
         graph,
         k,
         interests,
-        retained,
         active_wal_gen: active.0,
         active_wal_committed: active.1,
         bytes_since_checkpoint: since_checkpoint,
@@ -227,7 +200,7 @@ fn recover_full(dir: &Path) -> Result<Option<FullRecovery>, RecoverError> {
     }))
 }
 
-/// Read-only recovery: loads the latest valid snapshot, replays the
+/// Read-only recovery: loads the newest snapshot, replays the
 /// committed WAL tail on its graph and builds the index once
 /// ([`CpqxIndex::build`] / [`CpqxIndex::build_interest_aware`]) **without
 /// opening anything for writing or truncating torn tails** — the state a
@@ -255,7 +228,7 @@ pub fn recover_state(
 ///   and install as epoch 0 — the seed closure is **not** called, and
 ///   `options.k` / `options.interests` are the recovered ones.
 /// * If `dir` is fresh: build the engine from `seed()` under `options`,
-///   then bootstrap the store with a full generation-1 snapshot (the
+///   then bootstrap the store with the generation-1 snapshot (the
 ///   WAL alone cannot reconstruct a seed state, so durability starts
 ///   with a checkpoint).
 ///
@@ -263,10 +236,16 @@ pub fn recover_state(
 /// subsequent typed delta transaction is logged before it installs, and
 /// checkpoints follow `options.durability.checkpoint_wal_bytes`.
 ///
-/// A directory with WAL segments, manifests or a `CURRENT` file but no
-/// valid manifest is an error, not a fresh start — silently reseeding
-/// would discard its data. Such a directory is left as it is: nothing in
-/// it is rewritten.
+/// A directory whose newest `snap-<gen>.dat` does not read back whole
+/// (one of another format version, say), or that holds WAL segments but
+/// no snapshot, is an error, not a fresh start — silently reseeding would
+/// discard its data — and no older generation is tried instead: a
+/// checkpoint deletes older generations with their WAL segments only
+/// after its snapshot is installed, so an older snapshot can miss
+/// committed transactions. Such a directory is left as it is: nothing in
+/// it is rewritten. `snap-<gen>.tmp` files, the leftovers of a crash
+/// inside a checkpoint, are ignored: a directory holding only those is
+/// fresh.
 pub fn durable_engine(
     dir: impl AsRef<Path>,
     store_options: StoreOptions,
@@ -280,13 +259,12 @@ pub fn durable_engine(
         options.interests = r.interests.map(|lq| lq.into_iter().collect());
         let (engine, report) = Engine::with_options(r.graph, options);
         let info = Recovered { chunks_time: r.info.chunks_time + report.total, ..r.info };
-        let store = Arc::new(Store::resume(
+        let store = Arc::new(Store::open(
             dir,
             store_options,
             r.active_wal_gen,
             r.active_wal_committed,
             r.bytes_since_checkpoint,
-            Some(r.retained),
         )?);
         engine.attach_durability(store.clone());
         // Restart timings land in the recorder like any other pipeline,
@@ -298,12 +276,6 @@ pub fn durable_engine(
             engine.epoch(),
         );
         return Ok(DurableStart { engine, store, recovered: Some(info) });
-    }
-    if !wal::list_segments(dir)?.is_empty() {
-        return Err(RecoverError::Corrupt {
-            file: dir.display().to_string(),
-            what: "WAL segments present but no valid manifest".into(),
-        });
     }
     let (engine, _report) = Engine::with_options(seed(), options);
     let snap = engine.snapshot();

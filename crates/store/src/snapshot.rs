@@ -1,39 +1,40 @@
-//! Chunk-per-record snapshot files.
+//! Snapshot files: one self-contained file per checkpoint.
 //!
 //! A snapshot file (`snap-<gen>.dat`) is a sequence of framed records —
-//! the same `[len][crc][payload]` framing as the WAL — each persisting
-//! one copy-on-write unit of the engine state:
+//! the same `[len][crc][payload]` framing as the WAL — read front to
+//! back:
 //!
-//! * a **header** record: the graph's label table, the index's `k` and
-//!   mode (full / interest-aware with its interest set), and the two
-//!   chunk counts;
-//! * one record per graph **topology chunk** (each vertex's out-edges,
-//!   written from the label runs, which
+//! * a **header** record: magic `CPQS` and the format version, the
+//!   index's `k` and mode (full / interest-aware with its interest set),
+//!   the graph's label table, and the two chunk counts;
+//! * one record per graph **topology chunk**, in chunk order (each
+//!   vertex's out-edges, written from the label runs, which
 //!   [`cpqx_graph::Graph::from_chunk_parts`] rebuilds on load);
-//! * one record per vertex-**name chunk**.
+//! * one record per vertex-**name chunk**, in chunk order.
 //!
 //! The index has no record: it is a function of the graph, `k` and the
-//! interest set, and recovery builds it from them.
-//!
-//! Because the persisted unit *is* the copy-on-write unit, an
-//! incremental snapshot writes only records for chunks whose `Arc`
-//! changed since the previous generation and points the manifest at the
-//! previous generation's records for the rest.
+//! interest set, and recovery builds it from them. Every checkpoint
+//! writes the whole graph: the file is written as `snap-<gen>.tmp`,
+//! synced and renamed into place, so a `snap-<gen>.dat` is complete or
+//! absent.
 
-use crate::crc32;
-use crate::manifest::ChunkLoc;
-use crate::recover::RecoverError;
+use crate::{list_generations, read_frame, write_frame};
 use cpqx_core::CpqxIndex;
 use cpqx_graph::{Graph, LabelSeq, VertexId, MAX_SEQ_LEN};
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
 /// Record kinds (first payload byte).
 const KIND_HEADER: u8 = 0;
 const KIND_TOPOLOGY: u8 = 1;
 const KIND_NAMES: u8 = 2;
+
+/// The header record's magic, right after its kind byte.
+const MAGIC: &[u8; 4] = b"CPQS";
+/// The on-disk format version (`STORAGE.md`), right after the magic.
+const VERSION: u32 = 3;
 
 /// Bound on a single snapshot record payload (a corrupt length prefix
 /// must not become an allocation request).
@@ -44,90 +45,101 @@ pub(crate) fn snap_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("snap-{gen}.dat"))
 }
 
-/// Appends framed records to a new generation's snapshot file.
-pub(crate) struct SnapshotWriter {
-    file: File,
-    gen: u64,
-    offset: u64,
+/// The generations of every installed snapshot in `dir`, ascending
+/// (`snap-<gen>.tmp` files are not installed and not listed).
+pub(crate) fn list(dir: &Path) -> io::Result<Vec<u64>> {
+    list_generations(dir, "snap-", ".dat")
 }
 
-impl SnapshotWriter {
-    /// Creates `snap-<gen>.dat` (truncating a leftover from an earlier
-    /// crashed checkpoint of the same generation, which no manifest can
-    /// reference).
-    pub(crate) fn create(dir: &Path, gen: u64) -> io::Result<SnapshotWriter> {
-        Ok(SnapshotWriter { file: File::create(snap_path(dir, gen))?, gen, offset: 0 })
+/// Writes generation `gen`'s snapshot of `graph`, with `index`'s `k` and
+/// interests in its header (all recovery needs to build the index again):
+/// the records go to `snap-<gen>.tmp` (truncating a leftover of a crashed
+/// checkpoint), which is synced, renamed to `snap-<gen>.dat`, and made
+/// durable by syncing the directory. Returns the chunk records written.
+pub(crate) fn write(dir: &Path, gen: u64, graph: &Graph, index: &CpqxIndex) -> io::Result<u64> {
+    let tmp = dir.join(format!("snap-{gen}.tmp"));
+    let mut w = BufWriter::new(File::create(&tmp)?);
+    write_frame(&mut w, &encode_header(graph, index), MAX_RECORD)?;
+    for i in 0..graph.topology_chunk_count() {
+        write_frame(&mut w, &encode_topology_chunk(graph, i), MAX_RECORD)?;
     }
-
-    /// Appends one framed record, returning where it landed.
-    pub(crate) fn write_record(&mut self, payload: &[u8]) -> io::Result<ChunkLoc> {
-        let loc = ChunkLoc { gen: self.gen, offset: self.offset };
-        self.file.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
-        self.file.write_all(payload)?;
-        self.offset += 8 + payload.len() as u64;
-        Ok(loc)
+    for i in 0..graph.name_chunk_count() {
+        write_frame(&mut w, &encode_name_chunk(graph, i), MAX_RECORD)?;
     }
-
-    /// Forces the file to stable storage (must happen before the
-    /// manifest referencing its records installs).
-    pub(crate) fn finish(self) -> io::Result<()> {
-        self.file.sync_all()
+    w.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
+    std::fs::rename(&tmp, snap_path(dir, gen))?;
+    // Make the rename durable; directory fsync can be unsupported on
+    // some filesystems, in which case the rename is still atomic, merely
+    // not yet on stable storage.
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
     }
+    Ok((graph.topology_chunk_count() + graph.name_chunk_count()) as u64)
 }
 
-/// Reads and checksum-verifies the record at `loc`.
-pub(crate) fn read_record(dir: &Path, loc: ChunkLoc) -> Result<Vec<u8>, RecoverError> {
-    let path = snap_path(dir, loc.gen);
-    let corrupt = |what: &str| RecoverError::Corrupt {
-        file: path.display().to_string(),
-        what: format!("{what} (record at offset {})", loc.offset),
-    };
-    let mut f = File::open(&path)?;
-    f.seek(io::SeekFrom::Start(loc.offset))?;
-    let mut header = [0u8; 8];
-    f.read_exact(&mut header).map_err(|_| corrupt("truncated record framing"))?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_RECORD {
-        return Err(corrupt("record length out of range"));
+/// The next record of a snapshot file; any bad frame is corruption.
+fn next_record<'a>(rest: &mut &'a [u8], what: impl std::fmt::Display) -> Result<&'a [u8], String> {
+    read_frame(rest, MAX_RECORD).map_err(|e| format!("{what}: {e}"))
+}
+
+/// Reads the header record at the front of a snapshot file's bytes.
+pub(crate) fn read_header(rest: &mut &[u8]) -> Result<Header, String> {
+    decode_header(next_record(rest, "header")?)
+}
+
+/// Reads the chunk records that follow the header — exactly the header's
+/// counts, each chunk at its index, and nothing after them — and
+/// reassembles the graph.
+pub(crate) fn read_graph(mut rest: &[u8], header: &Header) -> Result<Graph, String> {
+    // Each record takes at least its 8-byte framing: a count above that
+    // is refused by the reads below, not allocated for.
+    let capacity = |n: usize| n.min(rest.len() / 8);
+    let mut topology = Vec::with_capacity(capacity(header.topo_chunks));
+    for i in 0..header.topo_chunks {
+        let at = format!("topology chunk {i}");
+        let (ci, start, rows) = decode_topology_chunk(next_record(&mut rest, &at)?)?;
+        if ci != i {
+            return Err(format!("{at}: the record is chunk {ci}'s"));
+        }
+        topology.push((start, rows));
     }
-    let mut payload = vec![0u8; len as usize];
-    f.read_exact(&mut payload).map_err(|_| corrupt("truncated record payload"))?;
-    if crc32(&payload) != crc {
-        return Err(corrupt("record checksum mismatch"));
+    let mut names = Vec::with_capacity(capacity(header.name_chunks));
+    for i in 0..header.name_chunks {
+        let at = format!("name chunk {i}");
+        let (ci, chunk) = decode_name_chunk(next_record(&mut rest, &at)?)?;
+        if ci != i {
+            return Err(format!("{at}: the record is chunk {ci}'s"));
+        }
+        names.push(chunk);
     }
-    Ok(payload)
+    if !rest.is_empty() {
+        return Err(format!("{} bytes past the last chunk record", rest.len()));
+    }
+    Graph::from_chunk_parts(header.label_names.clone(), topology, names)
+        .map_err(|e| format!("graph reassembly failed: {e}"))
 }
 
 // ------------------------------------------------------ payload codecs --
 
-/// Bounds-checked little-endian reader over one checksummed payload — a
-/// snapshot record here, the manifest body in `manifest.rs`; `what` names
-/// it in error texts.
-pub(crate) struct Cur<'a> {
+/// Bounds-checked little-endian reader over one checksummed record
+/// payload.
+struct Cur<'a> {
     buf: &'a [u8],
     at: usize,
-    what: &'static str,
 }
 
 impl<'a> Cur<'a> {
-    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
-        Cur { buf, at: 0, what }
-    }
-
-    fn record(buf: &'a [u8]) -> Self {
-        Cur::new(buf, "snapshot record")
+    fn new(buf: &'a [u8]) -> Self {
+        Cur { buf, at: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s =
-            self.buf.get(self.at..self.at + n).ok_or_else(|| format!("truncated {}", self.what))?;
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let s = self.buf.get(self.at..self.at + n).ok_or("truncated snapshot record")?;
         self.at += n;
         Ok(s)
     }
@@ -140,12 +152,8 @@ impl<'a> Cur<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+    fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     fn count(&mut self) -> Result<usize, String> {
@@ -153,7 +161,7 @@ impl<'a> Cur<'a> {
         // larger than the bytes left is self-inconsistent.
         let n = self.u32()? as usize;
         if n > self.remaining() {
-            return Err(format!("self-inconsistent count in {}", self.what));
+            return Err("self-inconsistent count in snapshot record".into());
         }
         Ok(n)
     }
@@ -173,7 +181,7 @@ impl<'a> Cur<'a> {
 
     fn done(self) -> Result<(), String> {
         if self.at != self.buf.len() {
-            return Err(format!("trailing bytes in {}", self.what));
+            return Err("trailing bytes in snapshot record".into());
         }
         Ok(())
     }
@@ -213,8 +221,10 @@ pub(crate) struct Header {
 }
 
 /// Encodes the header record for the state `(graph, index)`.
-pub(crate) fn encode_header(graph: &Graph, index: &CpqxIndex) -> Vec<u8> {
+fn encode_header(graph: &Graph, index: &CpqxIndex) -> Vec<u8> {
     let mut out = vec![KIND_HEADER];
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(index.k() as u32).to_le_bytes());
     match index.interests() {
         None => out.push(0),
@@ -237,9 +247,16 @@ pub(crate) fn encode_header(graph: &Graph, index: &CpqxIndex) -> Vec<u8> {
 }
 
 /// Decodes a header record.
-pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
-    let mut c = Cur::record(payload);
+fn decode_header(payload: &[u8]) -> Result<Header, String> {
+    let mut c = Cur::new(payload);
     c.kind(KIND_HEADER)?;
+    if c.take(4)? != MAGIC {
+        return Err("no CPQS magic in the header record (a store before format version 3?)".into());
+    }
+    let version = c.u32()?;
+    if version != VERSION {
+        return Err(format!("snapshot format version {version}, expected {VERSION}"));
+    }
     let k = c.u32()? as usize;
     if k == 0 || k > MAX_SEQ_LEN {
         return Err(format!("k = {k} out of range in snapshot header"));
@@ -271,7 +288,7 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
 
 /// Encodes topology chunk `i` of `graph`: one row per vertex of the
 /// chunk's range, its [`Graph::out_edges`] in `(label, target)` order.
-pub(crate) fn encode_topology_chunk(graph: &Graph, i: usize) -> Vec<u8> {
+fn encode_topology_chunk(graph: &Graph, i: usize) -> Vec<u8> {
     let range = graph.topology_chunk_range(i);
     let mut out = vec![KIND_TOPOLOGY];
     out.extend_from_slice(&(i as u32).to_le_bytes());
@@ -293,11 +310,11 @@ pub(crate) fn encode_topology_chunk(graph: &Graph, i: usize) -> Vec<u8> {
 
 /// Decodes a topology chunk record into
 /// `(chunk index, start vertex, out-edge rows)`.
-pub(crate) type TopologyChunk = (usize, VertexId, Vec<Vec<(u16, VertexId)>>);
+type TopologyChunk = (usize, VertexId, Vec<Vec<(u16, VertexId)>>);
 
 /// Decodes a topology chunk record (see [`encode_topology_chunk`]).
-pub(crate) fn decode_topology_chunk(payload: &[u8]) -> Result<TopologyChunk, String> {
-    let mut c = Cur::record(payload);
+fn decode_topology_chunk(payload: &[u8]) -> Result<TopologyChunk, String> {
+    let mut c = Cur::new(payload);
     c.kind(KIND_TOPOLOGY)?;
     let i = c.u32()? as usize;
     let start = c.u32()?;
@@ -318,7 +335,7 @@ pub(crate) fn decode_topology_chunk(payload: &[u8]) -> Result<TopologyChunk, Str
 }
 
 /// Encodes vertex-name chunk `i` of `graph`.
-pub(crate) fn encode_name_chunk(graph: &Graph, i: usize) -> Vec<u8> {
+fn encode_name_chunk(graph: &Graph, i: usize) -> Vec<u8> {
     let names = graph.name_chunk(i);
     let mut out = vec![KIND_NAMES];
     out.extend_from_slice(&(i as u32).to_le_bytes());
@@ -330,8 +347,8 @@ pub(crate) fn encode_name_chunk(graph: &Graph, i: usize) -> Vec<u8> {
 }
 
 /// Decodes a name chunk record into `(chunk index, names)`.
-pub(crate) fn decode_name_chunk(payload: &[u8]) -> Result<(usize, Vec<String>), String> {
-    let mut c = Cur::record(payload);
+fn decode_name_chunk(payload: &[u8]) -> Result<(usize, Vec<String>), String> {
+    let mut c = Cur::new(payload);
     c.kind(KIND_NAMES)?;
     let i = c.u32()? as usize;
     let n = c.count()?;
@@ -357,7 +374,8 @@ mod tests {
         assert_eq!(h.name_chunks, g.name_chunk_count());
 
         // An interest-aware index's header carries its interest set, which
-        // recovery builds the index with; a `k` no build accepts is refused.
+        // recovery builds the index with; a `k` no build accepts, another
+        // format version and a missing magic are refused.
         let f = g.label_named("f").unwrap();
         let seq = LabelSeq::from_slice(&[f.fwd(), f.inv()]);
         let aware = CpqxIndex::build_interest_aware(&g, 2, [seq]);
@@ -365,9 +383,14 @@ mod tests {
         assert_eq!(decode_header(&header).unwrap().interests.as_ref(), aware.interests());
         for k in [0u32, MAX_SEQ_LEN as u32 + 1] {
             let mut bad = header.clone();
-            bad[1..5].copy_from_slice(&k.to_le_bytes());
+            bad[9..13].copy_from_slice(&k.to_le_bytes());
             assert!(decode_header(&bad).is_err(), "k = {k}");
         }
+        let mut bad = header.clone();
+        bad[5..9].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_header(&bad).err().unwrap(), "snapshot format version 2, expected 3");
+        bad[1] = b'X';
+        assert!(decode_header(&bad).err().unwrap().contains("no CPQS magic"));
 
         for i in 0..g.topology_chunk_count() {
             let (ci, start, rows) = decode_topology_chunk(&encode_topology_chunk(&g, i)).unwrap();
@@ -424,32 +447,54 @@ mod tests {
         assert_eq!(topology_digest(&g), (16_386, 0xcfd3_f11d_6840_2611), "scripted");
     }
 
+    /// A written snapshot reads back as the graph it was written from; a
+    /// flipped byte, a cut, a missing or a misplaced chunk record and
+    /// trailing bytes are each refused, naming the record.
     #[test]
     fn record_io_verifies_checksums() {
+        use cpqx_graph::generate::{random_graph, RandomGraphConfig};
         let dir = std::env::temp_dir().join(format!("cpqx-snaprec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        let g = random_graph(&RandomGraphConfig::social(300, 1_500, 4, 11));
+        let idx = CpqxIndex::build(&g, 2);
+        let chunks = write(&dir, 3, &g, &idx).unwrap();
+        assert_eq!(chunks, (g.topology_chunk_count() + g.name_chunk_count()) as u64);
+        assert_eq!(list(&dir).unwrap(), vec![3]);
+        assert!(!dir.join("snap-3.tmp").exists(), "the temporary file was renamed");
 
-        let mut w = SnapshotWriter::create(&dir, 3).unwrap();
-        let a = w.write_record(b"first record").unwrap();
-        let b = w.write_record(b"second record, longer").unwrap();
-        w.finish().unwrap();
-        assert_eq!(read_record(&dir, a).unwrap(), b"first record");
-        assert_eq!(read_record(&dir, b).unwrap(), b"second record, longer");
+        let read = |bytes: &[u8]| {
+            let mut rest = bytes;
+            let header = read_header(&mut rest)?;
+            read_graph(rest, &header)
+        };
+        let bytes = std::fs::read(snap_path(&dir, 3)).unwrap();
+        let back = read(&bytes).unwrap();
+        assert!(back.base_edges().eq(g.base_edges()));
+        assert_eq!(back.vertex_count(), g.vertex_count());
 
-        // Flip a payload byte of the second record: its read fails, the
-        // first record is unaffected.
-        let path = snap_path(&dir, 3);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = b.offset as usize + 8;
-        bytes[at] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_record(&dir, b), Err(RecoverError::Corrupt { .. })));
-        assert_eq!(read_record(&dir, a).unwrap(), b"first record");
+        // Record boundaries: the header's, then the first chunk's.
+        let mut rest = &bytes[..];
+        read_header(&mut rest).unwrap();
+        let first = bytes.len() - rest.len();
+        read_frame(&mut rest, MAX_RECORD).unwrap();
+        let second = bytes.len() - rest.len();
 
-        // A dangling location past the end of the file.
-        let past = ChunkLoc { gen: 3, offset: bytes.len() as u64 + 100 };
-        assert!(read_record(&dir, past).is_err());
+        let mut flipped = bytes.clone();
+        flipped[first + 12] ^= 0x01;
+        let err = read(&flipped).unwrap_err();
+        assert_eq!(err, "topology chunk 0: record checksum mismatch");
+        let err = read(&bytes[..bytes.len() - 3]).unwrap_err();
+        assert!(err.ends_with("truncated record payload"), "{err}");
+        let err = read(&bytes[..first]).unwrap_err();
+        assert_eq!(err, "topology chunk 0: truncated record framing");
+        let mut swapped = bytes[..first].to_vec();
+        swapped.extend_from_slice(&bytes[second..]);
+        let err = read(&swapped).unwrap_err();
+        assert_eq!(err, "topology chunk 0: the record is chunk 1's");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(read(&trailing).unwrap_err(), "1 bytes past the last chunk record");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,8 @@
 //! [len: u32 LE] [crc: u32 LE] [payload: len bytes]
 //! ```
 //!
-//! where `crc` is [`crate::crc32`] over the payload and the payload is
+//! (the framing snapshot files share) where `crc` is [`crate::crc32`]
+//! over the payload and the payload is
 //! the wire protocol's DELTA request frame
 //! ([`cpqx_net::proto::encode_request`] of `Request::Delta`) — the one
 //! codec the project already has for typed delta ops, so the log format
@@ -21,12 +22,12 @@
 //! committed prefix, everything after is a torn tail from a crash
 //! mid-append and is dropped (never an error).
 
-use crate::crc32;
+use crate::{list_generations, read_frame, write_frame};
 use cpqx_engine::DeltaOp;
 use cpqx_graph::{Graph, LabelSeq};
 use cpqx_net::proto::{decode_request, encode_request, Request, WireOp, WireSeqLabel};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// When the WAL file is flushed to stable storage.
@@ -44,9 +45,10 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Bound on a single WAL record payload. A scanned length prefix above
-/// it is treated as tail corruption, not an allocation request; mirrors
-/// the wire protocol's default frame bound.
+/// Bound on a single WAL record payload; mirrors the wire protocol's
+/// default frame bound. An append above it is refused (the transaction
+/// aborts), and a scanned length prefix above it is tail corruption, not
+/// an allocation request.
 const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
 /// `dir/wal-<gen>.log`.
@@ -56,18 +58,7 @@ pub(crate) fn segment_path(dir: &Path, gen: u64) -> PathBuf {
 
 /// The generations of every WAL segment present in `dir`, ascending.
 pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut gens = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name.strip_prefix("wal-").and_then(|r| r.strip_suffix(".log")) {
-            if let Ok(gen) = rest.parse::<u64>() {
-                gens.push(gen);
-            }
-        }
-    }
-    gens.sort_unstable();
-    Ok(gens)
+    list_generations(dir, "wal-", ".log")
 }
 
 /// The open, appendable tail segment of the log.
@@ -95,11 +86,7 @@ impl WalWriter {
     /// Appends one framed record and applies the fsync policy. Returns
     /// the bytes written (framing included).
     pub(crate) fn append(&mut self, payload: &[u8], fsync: FsyncPolicy) -> io::Result<u64> {
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
-        self.file.write_all(&rec)?;
+        let written = write_frame(&mut self.file, payload, MAX_RECORD)?;
         self.appends_since_sync += 1;
         match fsync {
             FsyncPolicy::Always => self.sync()?,
@@ -110,7 +97,7 @@ impl WalWriter {
             }
             FsyncPolicy::Never => {}
         }
-        Ok(rec.len() as u64)
+        Ok(written)
     }
 
     /// Forces the segment to stable storage.
@@ -131,11 +118,12 @@ pub(crate) struct WalScan {
     pub(crate) dropped_bytes: u64,
 }
 
-/// Scans a segment front to back, stopping at the first truncated or
-/// checksum-failing record (committed-prefix semantics). A missing file
-/// reads as an empty segment: rotation creates segments lazily, so a
-/// crash between manifest install and first append is indistinguishable
-/// from "no transactions yet".
+/// Scans a segment front to back, stopping at the first truncated,
+/// over-long or checksum-failing record (committed-prefix semantics). A
+/// missing file reads as an empty segment: a checkpoint opens the next
+/// segment only after its snapshot is renamed into place, so a crash
+/// between the two leaves the new generation with no segment, which is
+/// "no transactions yet".
 pub(crate) fn scan_segment(path: &Path) -> io::Result<WalScan> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -143,21 +131,12 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<WalScan> {
         Err(e) => return Err(e),
     };
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while let Some(header) = bytes.get(at..at + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD {
-            break;
-        }
-        let Some(payload) = bytes.get(at + 8..at + 8 + len as usize) else { break };
-        if crc32(payload) != crc {
-            break;
-        }
+    let mut rest = &bytes[..];
+    while let Ok(payload) = read_frame(&mut rest, MAX_RECORD) {
         records.push(payload.to_vec());
-        at += 8 + len as usize;
     }
-    Ok(WalScan { records, valid_len: at as u64, dropped_bytes: (bytes.len() - at) as u64 })
+    let valid_len = (bytes.len() - rest.len()) as u64;
+    Ok(WalScan { records, valid_len, dropped_bytes: rest.len() as u64 })
 }
 
 /// Encodes one committed transaction as a WAL record payload: the wire
@@ -299,6 +278,22 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();
         assert!(scan.records.len() < 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A payload over the bound is refused at append, writing nothing:
+    /// recovery would drop it, and every record after it, as a torn tail.
+    #[test]
+    fn an_append_over_the_bound_is_refused() {
+        let dir = tmp("bound");
+        let mut w = WalWriter::open(&dir, 1, 0).unwrap();
+        let first = w.append(b"small", FsyncPolicy::Never).unwrap();
+        let huge = vec![0u8; MAX_RECORD as usize + 1];
+        let err = w.append(&huge, FsyncPolicy::Never).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let scan = scan_segment(&segment_path(&dir, 1)).unwrap();
+        assert_eq!(scan.records, vec![b"small".to_vec()]);
+        assert_eq!((scan.valid_len, scan.dropped_bytes), (first, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

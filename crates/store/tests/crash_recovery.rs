@@ -13,7 +13,7 @@
 
 use cpqx_core::CpqxIndex;
 use cpqx_engine::{Delta, DeltaOp, DurabilitySink, Engine, EngineOptions};
-use cpqx_graph::{generate, Graph, Label};
+use cpqx_graph::{generate, Graph, Label, LabelSeq};
 use cpqx_query::eval::eval_reference;
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{Cpq, Template};
@@ -102,6 +102,46 @@ fn saved(idx: &CpqxIndex) -> Vec<u8> {
     let mut bytes = Vec::new();
     idx.save(&mut bytes).unwrap();
     bytes
+}
+
+/// A fresh build of `snap`'s graph under its index's `k` and interests.
+fn fresh_build(snap: &cpqx_engine::Snapshot) -> CpqxIndex {
+    match snap.index().interests() {
+        None => CpqxIndex::build(snap.graph(), snap.index().k()),
+        Some(lq) => {
+            CpqxIndex::build_interest_aware(snap.graph(), snap.index().k(), lq.iter().copied())
+        }
+    }
+}
+
+/// Label sequence `a · b⁻`, an interest for the tails that register and
+/// drop interests.
+fn seq(a: u16, b: u16) -> LabelSeq {
+    LabelSeq::from_slice(&[Label(a).fwd(), Label(b).inv()])
+}
+
+/// [`random_delta`] with one interest op of `pool` inserted at a random
+/// position after the anchor: a deletion on even transactions, a
+/// registration on odd ones.
+fn interest_delta(
+    rng: &mut StdRng,
+    vertices: &mut u32,
+    labels: u16,
+    txn: usize,
+    pool: &[LabelSeq],
+) -> Delta {
+    let mut ops = random_delta(rng, vertices, labels, txn).ops().to_vec();
+    let seq = pool[rng.gen_range(0..pool.len())];
+    let at = rng.gen_range(1..=ops.len());
+    ops.insert(
+        at,
+        if txn.is_multiple_of(2) {
+            DeltaOp::DeleteInterest { seq }
+        } else {
+            DeltaOp::InsertInterest { seq }
+        },
+    );
+    Delta::from(ops)
 }
 
 /// The core harness: `TXNS` committed transactions, then a simulated
@@ -238,16 +278,15 @@ fn recovery_drops_suffix_after_bitflip() {
 }
 
 /// End-to-end across checkpoints: with a small WAL-bytes threshold the
-/// run spans several snapshot generations (each written incrementally),
-/// and both a clean restart and a torn-tail restart recover the full
-/// committed state.
+/// run spans several snapshot generations, each a whole snapshot whose
+/// checkpoint collected every older generation, and both a clean restart
+/// and a restart through the durable path recover the full committed
+/// state.
 #[test]
-fn recovery_across_incremental_checkpoints() {
+fn recovery_across_checkpoints() {
     const TXNS: usize = 40;
     let dir = tmp("checkpoints");
-    // Big enough to span many topology/name chunks, so a small delta
-    // leaves most of them pointer-shared and checkpoints demonstrably
-    // incremental.
+    // Big enough to span many topology/name chunks.
     let g0 = generate::random_graph(&generate::RandomGraphConfig::social(2000, 8000, 3, 23));
     let labels = g0.base_label_count();
     let queries = workload(&g0, 0xabc);
@@ -257,7 +296,7 @@ fn recovery_across_incremental_checkpoints() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut vertices = g0.vertex_count();
     let mut deltas = Vec::new();
-    let (snapshots, skipped) = {
+    let snapshots = {
         let start =
             durable_engine(&dir, StoreOptions::default(), options.clone(), || g0.clone()).unwrap();
         for txn in 0..TXNS {
@@ -268,10 +307,15 @@ fn recovery_across_incremental_checkpoints() {
         let stats = start.engine.stats();
         assert_eq!(stats.wal_appends, TXNS as u64);
         assert!(stats.wal_bytes > 0);
-        (stats.snapshots_written, stats.snapshot_chunks_skipped)
+        stats.snapshots_written
     };
     assert!(snapshots >= 2, "threshold of 512 bytes must checkpoint repeatedly, got {snapshots}");
-    assert!(skipped > 0, "small deltas must leave most chunks shared across checkpoints");
+    // The last checkpoint left its own generation alone: one snapshot, and
+    // at most its own WAL segment.
+    let gen = snapshots + 1;
+    let names: Vec<String> = files(&dir).into_keys().collect();
+    let own = [format!("snap-{gen}.dat"), format!("wal-{gen}.log")];
+    assert!(names.iter().all(|n| own.contains(n)), "{names:?}");
 
     let (reference, _) = Engine::with_options(g0.clone(), engine_options());
     for d in &deltas {
@@ -280,7 +324,7 @@ fn recovery_across_incremental_checkpoints() {
 
     // Clean restart.
     let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
-    assert!(info.generation >= 2);
+    assert_eq!(info.generation, gen);
     assert_equivalent(&graph, &index, &reference, &queries);
 
     // Restart again *through the full durable path* and keep writing:
@@ -407,11 +451,12 @@ fn files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// A store directory whose manifest is of another format version — one
-/// written before the manifest's version went to 2, say — is refused,
-/// with or without a WAL segment beside it: `durable_engine` reports the
-/// manifest's decode error, never calls the seed closure, and rewrites no
-/// file. (Reseeding would overwrite the directory's data.)
+/// A store directory whose snapshot is of another format version — one
+/// written before the snapshot header's version went to 3, say — is
+/// refused, with or without a WAL segment beside it: `durable_engine`
+/// reports the header's decode error naming the file, never calls the
+/// seed closure, and rewrites no file. (Reseeding would overwrite the
+/// directory's data.)
 #[test]
 fn a_store_of_another_format_version_is_refused_not_reseeded() {
     let dir = tmp("old-version");
@@ -422,12 +467,16 @@ fn a_store_of_another_format_version_is_refused_not_reseeded() {
         let (v, u, l) = generate::sample_edges(&g0, 1, 5)[0];
         start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
     }
-    // Rewrite manifest-1 as version 1: the version follows the 8-byte
-    // frame header and the 4-byte magic; the frame's CRC covers the body.
-    let path = dir.join("manifest-1");
+    // Rewrite snap-1.dat's version as 2: the HEADER record's payload
+    // follows the 8-byte frame header, and its version follows the kind
+    // byte and the 4-byte magic; the frame's CRC covers the payload.
+    let path = dir.join("snap-1.dat");
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
-    let crc = cpqx_store::crc32(&bytes[8..]);
+    assert_eq!(&bytes[9..13], b"CPQS");
+    assert_eq!(bytes[13..17], 3u32.to_le_bytes());
+    bytes[13..17].copy_from_slice(&2u32.to_le_bytes());
+    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+    let crc = cpqx_store::crc32(&bytes[8..8 + len]);
     bytes[4..8].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert!(dir.join("wal-1.log").exists());
@@ -442,8 +491,8 @@ fn a_store_of_another_format_version_is_refused_not_reseeded() {
         });
         match result {
             Err(RecoverError::Corrupt { file, what }) => {
-                assert!(file.ends_with("manifest-1"), "{wal} a WAL segment: {file}");
-                assert!(what.contains("format version 1, expected 2"), "{wal}: {what}");
+                assert!(file.ends_with("snap-1.dat"), "{wal} a WAL segment: {file}");
+                assert!(what.contains("format version 2, expected 3"), "{wal}: {what}");
             }
             Err(other) => panic!("{wal} a WAL segment: {other}"),
             Ok(_) => panic!("{wal} a WAL segment: the directory was opened"),
@@ -559,15 +608,8 @@ fn recovery_leaves_the_pair_map_to_the_first_write() {
 #[test]
 fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
     const TXNS: usize = 10;
-    let built = |snap: &cpqx_engine::Snapshot| match snap.index().interests() {
-        None => CpqxIndex::build(snap.graph(), snap.index().k()),
-        Some(lq) => {
-            CpqxIndex::build_interest_aware(snap.graph(), snap.index().k(), lq.iter().copied())
-        }
-    };
     let g0 = seed_graph(29);
     let labels = g0.base_label_count();
-    let seq = |a: u16, b: u16| cpqx_graph::LabelSeq::from_slice(&[Label(a).fwd(), Label(b).inv()]);
     let pool = [seq(0, 1), seq(1, 2), seq(2, 0), seq(1, 1)];
     for (name, interests) in [("full", None), ("interest-aware", Some(pool[..2].to_vec()))] {
         let dir = tmp(&format!("build-{name}"));
@@ -586,18 +628,7 @@ fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
             )
             .unwrap();
             for txn in 0..TXNS {
-                let mut ops = random_delta(&mut rng, &mut vertices, labels, txn).ops().to_vec();
-                let seq = pool[rng.gen_range(0..pool.len())];
-                let at = rng.gen_range(1..=ops.len());
-                ops.insert(
-                    at,
-                    if txn % 2 == 0 {
-                        DeltaOp::DeleteInterest { seq }
-                    } else {
-                        DeltaOp::InsertInterest { seq }
-                    },
-                );
-                let delta = Delta::from(ops);
+                let delta = interest_delta(&mut rng, &mut vertices, labels, txn, &pool);
                 start.engine.apply_delta(&delta).unwrap();
                 deltas.push(delta);
                 boundaries.push(std::fs::metadata(&wal_path).unwrap().len());
@@ -612,7 +643,7 @@ fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
                 reference.apply_delta(&deltas[committed - 1]).unwrap();
             }
             let snap = reference.snapshot();
-            let expected = saved(&built(&snap));
+            let expected = saved(&fresh_build(&snap));
             // The boundary after `committed` records, and a cut 5 bytes
             // into the next record (a torn tail that recovers the same).
             let at = if committed == 0 { 0 } else { boundaries[committed - 1] };
@@ -629,50 +660,218 @@ fn recovery_is_a_build_of_the_replayed_state_at_every_kill_point() {
         let start = durable_engine(&dir, StoreOptions::default(), options, || unreachable!())
             .expect("the whole log recovers");
         let served = start.engine.snapshot();
-        assert!(saved(served.index()) == saved(&built(&reference.snapshot())), "{name}");
+        assert!(saved(served.index()) == saved(&fresh_build(&reference.snapshot())), "{name}");
         drop((served, start));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// Snapshots are incremental: a checkpoint right after one small delta
-/// reuses every chunk record the delta left pointer-shared instead of
-/// rewriting the image, and the state it persists is the live one.
+/// Leaves exactly `contents` in `dir`: every other file is removed.
+fn set_files(dir: &std::path::Path, contents: &BTreeMap<String, Vec<u8>>) {
+    for name in files(dir).into_keys() {
+        std::fs::remove_file(dir.join(name)).unwrap();
+    }
+    for (name, bytes) in contents {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+}
+
+/// The recovered state of `dir` is `generation` with `replayed` WAL
+/// transactions on top, and its index saves `expected`, the bytes of a
+/// fresh build of the reference's graph and interests.
+fn assert_recovers(
+    dir: &std::path::Path,
+    (generation, replayed): (u64, usize),
+    expected: &[u8],
+    reference: &Engine,
+    queries: &[Cpq],
+    what: &str,
+) {
+    let (graph, index, info) = recover_state(dir).unwrap().expect("the store exists");
+    assert_eq!(
+        (info.generation, info.replayed_transactions),
+        (generation, replayed as u64),
+        "{what}"
+    );
+    assert!(saved(&index) == expected, "{what}: the recovered index is not the build");
+    assert_equivalent(&graph, &index, reference, queries);
+}
+
+/// File names of `dir`, sorted.
+fn names(dir: &std::path::Path) -> Vec<String> {
+    files(dir).into_keys().collect()
+}
+
+/// A kill inside the checkpoint protocol recovers one whole generation,
+/// for a full and an interest-aware engine whose tail registers and drops
+/// interests. Killed after `snap-2.tmp` is written, whole or torn, but
+/// before its rename: generation 1 and its whole WAL segment recover, and
+/// the next checkpoint writes over the leftover. Killed after the rename
+/// but before the log rotates and older generations are collected:
+/// generation 2 wins, the stale `snap-1.dat` and `wal-1.log` are ignored,
+/// and the next checkpoint collects them. Every recovered index saves the
+/// bytes of a fresh build of the reference's graph and interests.
 #[test]
-fn checkpoint_after_a_small_delta_writes_only_changed_chunks() {
-    let dir = tmp("incremental");
-    let g0 = generate::random_graph(&generate::RandomGraphConfig::social(2000, 8000, 3, 23));
-    assert!(g0.edge_count() >= 2000);
-    let queries = workload(&g0, 0xabc);
+fn a_kill_inside_a_checkpoint_recovers_one_whole_generation() {
+    const TXNS: usize = 6;
+    let g0 = seed_graph(37);
+    let labels = g0.base_label_count();
+    let queries = workload(&g0, 0xc4);
+    let pool = [seq(0, 1), seq(1, 2), seq(2, 0)];
+    for (name, interests) in [("full", None), ("interest-aware", Some(pool[..2].to_vec()))] {
+        let dir = tmp(&format!("checkpoint-kill-{name}"));
+        let options = EngineOptions { interests, ..engine_options() };
+        let store_options = StoreOptions { fsync: FsyncPolicy::Never };
+        let (reference, _) = Engine::with_options(g0.clone(), options.clone());
+        let mut rng = StdRng::seed_from_u64(83);
+        let mut vertices = g0.vertex_count();
+        let start = durable_engine(&dir, store_options, options.clone(), || g0.clone()).unwrap();
+        for txn in 0..TXNS {
+            let delta = interest_delta(&mut rng, &mut vertices, labels, txn, &pool);
+            start.engine.apply_delta(&delta).unwrap();
+            reference.apply_delta(&delta).unwrap();
+        }
+        let before = files(&dir);
+        assert_eq!(before.keys().collect::<Vec<_>>(), ["snap-1.dat", "wal-1.log"], "{name}");
+        let snap = start.engine.snapshot();
+        start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+        drop((snap, start));
+        assert_eq!(names(&dir), ["snap-2.dat", "wal-2.log"], "{name}");
+        let image = std::fs::read(dir.join("snap-2.dat")).unwrap();
+        let expected = saved(&fresh_build(&reference.snapshot()));
+
+        // Killed before the rename: the temporary file, whole or torn, is
+        // ignored.
+        for cut in [image.len(), image.len() / 2, 3] {
+            let mut contents = before.clone();
+            contents.insert("snap-2.tmp".into(), image[..cut].to_vec());
+            set_files(&dir, &contents);
+            let what = format!("{name}: snap-2.tmp of {cut} bytes");
+            assert_recovers(&dir, (1, TXNS), &expected, &reference, &queries, &what);
+        }
+        // The engine a restart serves checkpoints over the leftover.
+        let start =
+            durable_engine(&dir, store_options, options.clone(), || unreachable!()).unwrap();
+        let snap = start.engine.snapshot();
+        start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+        drop((snap, start));
+        assert_eq!(names(&dir), ["snap-2.dat", "wal-2.log"], "{name}");
+        assert!(std::fs::read(dir.join("snap-2.dat")).unwrap() == image, "{name}");
+
+        // Killed after the rename, before the rotation: the new generation
+        // wins over the stale files beside it.
+        let mut contents = before.clone();
+        contents.insert("snap-2.dat".into(), image.clone());
+        set_files(&dir, &contents);
+        let what = format!("{name}: renamed, not rotated");
+        assert_recovers(&dir, (2, 0), &expected, &reference, &queries, &what);
+
+        // The next checkpoint collects them.
+        let start =
+            durable_engine(&dir, store_options, options.clone(), || unreachable!()).unwrap();
+        assert_eq!(start.recovered.as_ref().unwrap().generation, 2, "{name}");
+        let delta = interest_delta(&mut rng, &mut vertices, labels, TXNS, &pool);
+        start.engine.apply_delta(&delta).unwrap();
+        reference.apply_delta(&delta).unwrap();
+        let snap = start.engine.snapshot();
+        start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+        drop((snap, start));
+        assert_eq!(names(&dir), ["snap-3.dat", "wal-3.log"], "{name}");
+        let expected = saved(&fresh_build(&reference.snapshot()));
+        assert_recovers(&dir, (3, 0), &expected, &reference, &queries, name);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A kill during the bootstrap leaves only `snap-1.tmp`, whole or torn:
+/// the directory counts as fresh. `recover_state` finds no store,
+/// `durable_engine` calls the seed and bootstraps over the leftover, and
+/// the bootstrapped store recovers the build of the seed — for a full and
+/// an interest-aware engine.
+#[test]
+fn a_kill_during_the_bootstrap_leaves_a_fresh_directory() {
+    let g0 = seed_graph(41);
+    let queries = workload(&g0, 0xb0);
+    for (name, interests) in [("full", None), ("interest-aware", Some(vec![seq(0, 2)]))] {
+        let dir = tmp(&format!("bootstrap-kill-{name}"));
+        let options = EngineOptions { interests, ..engine_options() };
+        let (reference, _) = Engine::with_options(g0.clone(), options.clone());
+        let expected = saved(&fresh_build(&reference.snapshot()));
+        drop(
+            durable_engine(&dir, StoreOptions::default(), options.clone(), || g0.clone()).unwrap(),
+        );
+        let image = std::fs::read(dir.join("snap-1.dat")).unwrap();
+        for cut in [image.len(), image.len() / 2, 0] {
+            let what = format!("{name}: snap-1.tmp of {cut} bytes");
+            set_files(&dir, &BTreeMap::from([("snap-1.tmp".to_string(), image[..cut].to_vec())]));
+            assert!(recover_state(&dir).unwrap().is_none(), "{what}");
+            let mut seeded = false;
+            let start = durable_engine(&dir, StoreOptions::default(), options.clone(), || {
+                seeded = true;
+                g0.clone()
+            })
+            .unwrap();
+            assert!(start.recovered.is_none(), "{what}");
+            drop(start);
+            assert!(seeded, "{what}: the seed was not called");
+            assert_eq!(names(&dir), ["snap-1.dat", "wal-1.log"], "{what}");
+            assert_recovers(&dir, (1, 0), &expected, &reference, &queries, &what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The newest snapshot decides: one that does not read back whole — a
+/// flipped byte, a cut, a trailing byte — is `Corrupt` naming it, even
+/// with an intact older generation and its WAL segment beside it (that
+/// generation may miss committed transactions), and so is a directory
+/// holding a WAL segment but no snapshot. Neither `recover_state` nor
+/// `durable_engine` opens such a directory, calls the seed, or rewrites a
+/// file.
+#[test]
+fn a_newest_snapshot_that_does_not_read_back_is_refused_never_skipped() {
+    let dir = tmp("bad-newest");
+    let g0 = seed_graph(43);
     let start =
         durable_engine(&dir, StoreOptions::default(), engine_options(), || g0.clone()).unwrap();
-    // Chunk records a full snapshot of `snap` holds — what the bootstrap
-    // generation wrote for the seed state: the graph's, as no index is
-    // persisted.
-    let chunks = |snap: &cpqx_engine::Snapshot| {
-        (snap.graph().topology_chunk_count() + snap.graph().name_chunk_count()) as u64
-    };
-    let bootstrap_chunks = chunks(&start.engine.snapshot());
-
-    let mut delta = Delta::new();
-    for (v, u, l) in generate::sample_edges(&g0, 8, 0xd0) {
-        delta = delta.delete_edge(v, u, l).insert_edge(v, u, l);
-    }
-    assert_eq!(delta.len(), 16);
-    start.engine.apply_delta(&delta).unwrap();
-
+    let (v, u, l) = generate::sample_edges(&g0, 1, 3)[0];
+    start.engine.apply_delta(&Delta::new().delete_edge(v, u, l)).unwrap();
+    let older = files(&dir);
     let snap = start.engine.snapshot();
-    let report = start.store.checkpoint(snap.graph(), snap.index()).unwrap();
-    assert_eq!(report.chunks_written + report.chunks_skipped, chunks(&snap));
-    assert!(report.chunks_skipped > 0, "no chunk reused: {report:?}");
-    assert!(
-        report.chunks_written < bootstrap_chunks,
-        "wrote {} chunks after a 16-op delta; the full image is {bootstrap_chunks}",
-        report.chunks_written
-    );
+    start.store.checkpoint(snap.graph(), snap.index()).unwrap();
+    drop((snap, start));
+    let image = std::fs::read(dir.join("snap-2.dat")).unwrap();
 
-    let (graph, index, info) = recover_state(&dir).unwrap().unwrap();
-    assert_eq!((info.generation, info.replayed_transactions), (2, 0));
-    assert_equivalent(&graph, &index, &start.engine, &queries);
+    let mut flipped = image.clone();
+    flipped[image.len() / 2] ^= 0x04;
+    let mut trailing = image.clone();
+    trailing.push(0);
+    let cases = [
+        ("flipped", "snap-2.dat", flipped),
+        ("cut", "snap-2.dat", image[..image.len() - 1].to_vec()),
+        ("trailing", "snap-2.dat", trailing),
+        ("missing", "wal-1.log", older["wal-1.log"].clone()),
+    ];
+    for (what, name, bytes) in cases {
+        let mut contents = if what == "missing" { BTreeMap::new() } else { older.clone() };
+        contents.insert(name.to_string(), bytes);
+        set_files(&dir, &contents);
+        let refused = |result: Result<(), RecoverError>| match result {
+            Err(RecoverError::Corrupt { file, .. }) => {
+                let expected = if what == "missing" { &dir } else { &dir.join(name) };
+                assert_eq!(file, expected.display().to_string(), "{what}");
+            }
+            Err(other) => panic!("{what}: {other}"),
+            Ok(()) => panic!("{what}: the directory was opened"),
+        };
+        refused(recover_state(&dir).map(drop));
+        refused(
+            durable_engine(&dir, StoreOptions::default(), engine_options(), || {
+                panic!("{what}: the seed closure was called")
+            })
+            .map(drop),
+        );
+        assert!(files(&dir) == contents, "{what}: a file was rewritten");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
