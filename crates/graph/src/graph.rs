@@ -649,23 +649,6 @@ impl Graph {
         &self.names[i]
     }
 
-    /// Whether the `i`-th topology chunk is physically shared
-    /// (`Arc::ptr_eq`) with the chunk at the same position of `before`.
-    ///
-    /// This is the incremental-snapshot change detector: all mutation
-    /// goes through `Arc::make_mut`, and as long as `before` (the
-    /// last-persisted state) is kept alive its chunks have refcount ≥ 2,
-    /// so any mutation of a descendant must have copied the chunk —
-    /// pointer equality therefore proves the chunk's bytes are unchanged.
-    pub fn topology_chunk_shared_with(&self, before: &Graph, i: usize) -> bool {
-        matches!(before.chunks.get(i), Some(b) if Arc::ptr_eq(b, &self.chunks[i]))
-    }
-
-    /// Name-chunk analogue of [`Graph::topology_chunk_shared_with`].
-    pub fn name_chunk_shared_with(&self, before: &Graph, i: usize) -> bool {
-        matches!(before.names.get(i), Some(b) if Arc::ptr_eq(b, &self.names[i]))
-    }
-
     /// Reassembles a graph from persisted chunk parts, building the label
     /// runs from the rows and all derived state (present labels, pair
     /// counts, chunk routing, edge count) exactly as
@@ -1246,31 +1229,6 @@ mod tests {
         let row = topo[0].1.iter_mut().find(|r| !r.is_empty()).unwrap();
         row.pop();
         assert!(Graph::from_chunk_parts(l, topo, names).is_err());
-    }
-
-    #[test]
-    fn chunk_sharing_detects_mutation_positionally() {
-        let base = chunky(64, 8);
-        let mut g = base.clone();
-        for i in 0..g.topology_chunk_count() {
-            assert!(g.topology_chunk_shared_with(&base, i));
-        }
-        for i in 0..g.name_chunk_count() {
-            assert!(g.name_chunk_shared_with(&base, i));
-        }
-        let f = g.label_named("f").unwrap();
-        g.insert_edge(3, 40, f);
-        let changed: Vec<usize> = (0..g.topology_chunk_count())
-            .filter(|&i| !g.topology_chunk_shared_with(&base, i))
-            .collect();
-        assert!(!changed.is_empty() && changed.len() <= 2, "endpoint chunks only: {changed:?}");
-        assert!((0..g.name_chunk_count()).all(|i| g.name_chunk_shared_with(&base, i)));
-        // Appending a vertex grows past `before`: new positions count as
-        // changed.
-        let mut g2 = base.clone();
-        g2.add_vertex("tail");
-        let last = g2.topology_chunk_count() - 1;
-        assert!(!g2.topology_chunk_shared_with(&base, last));
     }
 
     #[test]
