@@ -17,10 +17,10 @@
 //!   WAL still covers every committed transaction; the next trigger
 //!   retries), so a full disk degrades recovery time, not correctness.
 //!
-//! The concrete sink lives in the `cpqx-store` crate (WAL + chunked
-//! snapshots + manifest); this trait is the dependency seam that lets
-//! the store depend on the engine (and on `cpqx-net` for the record
-//! codec) without a cycle.
+//! The concrete sink lives in the `cpqx-store` crate (WAL + one
+//! self-contained snapshot file per checkpoint); this trait is the
+//! dependency seam that lets the store depend on the engine (and on
+//! `cpqx-net` for the record codec) without a cycle.
 
 use crate::delta::DeltaOp;
 use cpqx_core::CpqxIndex;
@@ -39,15 +39,17 @@ pub struct DurabilityOptions {
     pub checkpoint_wal_bytes: Option<u64>,
 }
 
-/// What one checkpoint did — surfaced through the engine's
-/// `snapshots_written` / `snapshot_chunks_skipped` gauges, and the
-/// quantity the store's incremental-checkpoint test asserts on.
+/// What one checkpoint did. The engine counts successful checkpoints in
+/// its `snapshots_written` gauge; the report's fields are for callers
+/// that drive a sink directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointReport {
-    /// Chunk records physically written to the snapshot.
+    /// Chunk records written to the snapshot: every chunk of the graph,
+    /// since storage format version 3 writes each snapshot whole.
     pub chunks_written: u64,
-    /// Chunk records skipped because they are still shared (pointer-
-    /// identical) with the previous snapshot generation.
+    /// Chunk records reused from an earlier snapshot instead of written:
+    /// always 0 since storage format version 3, whose snapshots are
+    /// self-contained. Kept so callers that read it still compile.
     pub chunks_skipped: u64,
 }
 
@@ -67,8 +69,8 @@ pub trait DurabilitySink: Send + Sync {
     /// [`DurabilityOptions::checkpoint_wal_bytes`].
     fn wal_bytes_since_checkpoint(&self) -> u64;
 
-    /// Persists a snapshot of `graph` + `index` covering every append so
-    /// far, then rotates the log. Called under the writer lock with the
-    /// exact state about to install.
+    /// Persists a snapshot of `graph` (with `index`'s `k` and interests)
+    /// covering every append so far, then rotates the log. Called under
+    /// the writer lock with the exact state about to install.
     fn checkpoint(&self, graph: &Graph, index: &CpqxIndex) -> std::io::Result<CheckpointReport>;
 }

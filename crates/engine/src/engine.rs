@@ -677,8 +677,8 @@ impl Engine {
                 // Checkpoints the exact (possibly auto-rebuilt) state the
                 // install below publishes. Failure is non-fatal: the WAL
                 // retains full coverage and the next trigger retries.
-                if let Ok(report) = sink.checkpoint(&graph, &index) {
-                    self.counters.record_checkpoint(report.chunks_written, report.chunks_skipped);
+                if sink.checkpoint(&graph, &index).is_ok() {
+                    self.counters.record_checkpoint();
                 }
             }
         }

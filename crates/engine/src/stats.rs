@@ -33,7 +33,6 @@ pub struct EngineCounters {
     wal_appends: AtomicU64,
     wal_bytes: AtomicU64,
     snapshots_written: AtomicU64,
-    snapshot_chunks_skipped: AtomicU64,
 }
 
 impl EngineCounters {
@@ -81,14 +80,8 @@ impl EngineCounters {
         self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_checkpoint(&self, chunks_written: u64, chunks_skipped: u64) {
-        // `chunks_written` is part of the checkpoint report but the gauge
-        // the protocol exposes is snapshot count + skipped chunks; the
-        // written side is recoverable as (total chunks - skipped) from
-        // the snapshot itself.
-        let _ = chunks_written;
+    pub(crate) fn record_checkpoint(&self) {
         self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        self.snapshot_chunks_skipped.fetch_add(chunks_skipped, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time view of the counters.
@@ -117,7 +110,6 @@ impl EngineCounters {
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
-            snapshot_chunks_skipped: self.snapshot_chunks_skipped.load(Ordering::Relaxed),
             fragmentation_ratio: 0.0,
             class_slots: 0,
             baseline_classes: 0,
@@ -186,10 +178,6 @@ pub struct StatsReport {
     pub wal_bytes: u64,
     /// Snapshot checkpoints persisted by the WAL-bytes trigger.
     pub snapshots_written: u64,
-    /// Chunk records those checkpoints skipped because the chunk was
-    /// still shared (pointer-identical) with the previous snapshot
-    /// generation — the incremental-snapshot savings gauge.
-    pub snapshot_chunks_skipped: u64,
     /// Current `class_slots / baseline_classes` of the serving index
     /// (1.0 right after a build; grows under lazy maintenance). Filled
     /// by `Engine::stats` from the live snapshot; 0.0 when the report
@@ -242,7 +230,6 @@ impl StatsReport {
             ("wal_appends_total", self.wal_appends),
             ("wal_bytes_total", self.wal_bytes),
             ("snapshots_written_total", self.snapshots_written),
-            ("snapshot_chunks_skipped_total", self.snapshot_chunks_skipped),
             ("class_slots", self.class_slots),
             ("baseline_classes", self.baseline_classes),
         ]
@@ -255,7 +242,7 @@ impl std::fmt::Display for StatsReport {
             f,
             "queries={} hit_rate={:.1}% plan_hit_rate={:.1}% swaps={} deltas={} lazy_ops={} \
              rebuilds={} frag={:.2} cow={}/{} wal[appends={} bytes={}] \
-             snapshots[written={} skipped={}] \
+             snapshots[written={}] \
              build[total={:?} level1={:?} refine={:?}] p50={:?} p99={:?}",
             self.queries,
             self.result_hit_rate * 100.0,
@@ -270,7 +257,6 @@ impl std::fmt::Display for StatsReport {
             self.wal_appends,
             self.wal_bytes,
             self.snapshots_written,
-            self.snapshot_chunks_skipped,
             self.build_total,
             self.build_level1,
             self.build_refine,
@@ -342,14 +328,13 @@ mod tests {
         let c = EngineCounters::default();
         c.record_wal(120);
         c.record_wal(88);
-        c.record_checkpoint(3, 29);
+        c.record_checkpoint();
         let r = c.report();
         assert_eq!(r.wal_appends, 2);
         assert_eq!(r.wal_bytes, 208);
         assert_eq!(r.snapshots_written, 1);
-        assert_eq!(r.snapshot_chunks_skipped, 29);
         let text = r.to_string();
         assert!(text.contains("wal[appends=2 bytes=208]"), "{text}");
-        assert!(text.contains("snapshots[written=1 skipped=29]"), "{text}");
+        assert!(text.contains("snapshots[written=1]"), "{text}");
     }
 }

@@ -121,5 +121,5 @@ fn checkpoint_fires_on_the_wal_bytes_threshold() {
     assert_eq!(sink.checkpoints.load(Ordering::Relaxed), 1);
     let stats = engine.stats();
     assert_eq!(stats.snapshots_written, 1);
-    assert_eq!(stats.snapshot_chunks_skipped, 7);
+    assert!(!stats.counters().iter().any(|(name, _)| name.contains("skipped")));
 }

@@ -39,9 +39,12 @@ pub enum Stage {
     BuildRefine = 9,
     /// Build: materializing the index from the partition.
     BuildMerge = 10,
-    /// Recovery: manifest read + validation.
+    /// Recovery: locating the live snapshot file, reading it and
+    /// decoding its header (named for the manifest that storage format
+    /// version 3 folded into the snapshot).
     RecoverManifest = 11,
-    /// Recovery: snapshot chunk decode + graph/index reassembly.
+    /// Recovery: snapshot chunk decode, graph reassembly and the index
+    /// build.
     RecoverChunks = 12,
     /// Recovery: WAL tail replay.
     RecoverReplay = 13,
