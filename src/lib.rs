@@ -13,8 +13,9 @@
 //!   TCP server over the engine (one `epoll` event loop plus a worker
 //!   pool), and a blocking client,
 //! * [`store`] — the opt-in durability layer: an append-only WAL of typed
-//!   delta transactions, chunk-granular incremental snapshots, and
-//!   crash recovery into a fresh engine (spec in `STORAGE.md`),
+//!   delta transactions, one self-contained graph snapshot per
+//!   checkpoint, and crash recovery into a fresh engine (spec in
+//!   `STORAGE.md`),
 //! * [`obs`] — the observability layer: sampled per-query traces,
 //!   mergeable log-bucketed latency histograms, the slow-query ring, and
 //!   the observed-workload table exposed over the wire via METRICS,
